@@ -1,11 +1,15 @@
 # Development targets. `make ci` is what the CI workflow runs on every
-# PR: vet, build, and the full test suite under the race detector
+# PR: gofmt, vet, build, and the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional).
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-serve bench-serve-smoke bench-shard fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api ci
+.PHONY: fmt build vet test race bench-test bench bench-serve bench-serve-smoke bench-shard fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api ci
+
+# Formatting gate: fails, naming the files, if gofmt would rewrite any.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -18,6 +22,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark is a module of its own (bench/go.mod), so
+# ./... above never reaches its tests: schema agreement with
+# BENCHMARK.json, the statistics and the host-speed kernel (< 1 s, no
+# process booted).
+bench-test:
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -114,4 +125,4 @@ backup:
 readme-api:
 	$(GO) run ./tools/readme-api
 
-ci: vet build race fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup bench-serve-smoke
+ci: fmt vet build race bench-test fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup bench-serve-smoke

@@ -570,7 +570,7 @@ func buildService(cfg daemonConfig) (*crowddb.Server, []*crowddb.DB, int, error)
 		}
 		return nil, nil, 0, err
 	}
-	return srv, append(dbs, tdbs...), len(store.OnlineWorkers()), nil
+	return srv, append(dbs, tdbs...), store.NumOnline(), nil
 }
 
 // cloneModel deep-copies a trained model through its serialized form,
@@ -694,7 +694,7 @@ func buildTenants(srv *crowddb.Server, cfg daemonConfig, d *corpus.Dataset, mode
 		if err := srv.AddTenant(name, tc); err != nil {
 			return dbs, err
 		}
-		log.Printf("tenant %s ready (%d workers online)", name, len(store.OnlineWorkers()))
+		log.Printf("tenant %s ready (%d workers online)", name, store.NumOnline())
 	}
 	return dbs, nil
 }
@@ -881,5 +881,5 @@ func buildReplica(cfg daemonConfig) (*crowddb.Server, []*crowddb.Replica, int, e
 		}
 		return nil
 	})
-	return srv, reps, len(db.Store().OnlineWorkers()), nil
+	return srv, reps, db.Store().NumOnline(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crowdselect/internal/core"
@@ -69,6 +70,17 @@ type Manager struct {
 	// recovery replays the journal (replay reuses the same filters, so
 	// the rebuilt model matches the live one).
 	shard ShardSpec
+	// owned caches a sharded node's candidate set: the owned subset of
+	// one store online snapshot, refiltered when the store publishes
+	// the next one.
+	owned atomic.Pointer[ownedSet]
+}
+
+// ownedSet is the subset of the online snapshot `of` that this shard
+// owns, sorted, len == cap, shared and read-only like the snapshot.
+type ownedSet struct {
+	of  *onlineSet
+	ids []int
 }
 
 // ManagerConfig collects a Manager's dependencies for NewManagerWith.
@@ -140,6 +152,7 @@ func (m *Manager) Store() *Store { return m.store }
 // rebuilt posteriors would differ from the ones that produced it.
 func (m *Manager) SetShard(sp ShardSpec) {
 	m.shard = sp
+	m.owned.Store(nil)
 	m.store.ConfigureTaskIDStride(sp.Index, sp.Count)
 }
 
@@ -158,19 +171,26 @@ func (m *Manager) Tenant() string { return m.store.Tenant() }
 // candidateWorkers is the selection candidate set: online workers,
 // restricted to the ones this shard owns. The global top-k over all
 // shards' candidates equals the single-node top-k because the parts
-// partition the online set.
+// partition the online set. The slice is shared between requests and
+// must not be modified; a request loads it once, so every task of a
+// batch is ranked against one online set.
 func (m *Manager) candidateWorkers() []int {
-	online := m.store.OnlineWorkers()
+	online := m.store.onlineSnapshot()
 	if !m.shard.Enabled() {
-		return online
+		return online.ids
 	}
-	owned := make([]int, 0, len(online))
-	for _, id := range online {
+	if o := m.owned.Load(); o != nil && o.of == online {
+		return o.ids
+	}
+	var ids []int
+	for _, id := range online.ids {
 		if m.shard.OwnsWorker(id) {
-			owned = append(owned, id)
+			ids = append(ids, id)
 		}
 	}
-	return owned
+	ids = ids[:len(ids):len(ids)]
+	m.owned.Store(&ownedSet{of: online, ids: ids})
+	return ids
 }
 
 // SelectorName reports which algorithm backs the manager.

@@ -13,7 +13,7 @@ import (
 )
 
 // trainedFixture builds a small trained TDPM with its dataset.
-func trainedFixture(t *testing.T) (*corpus.Dataset, *core.Model) {
+func trainedFixture(t testing.TB) (*corpus.Dataset, *core.Model) {
 	t.Helper()
 	p := corpus.Quora().Scaled(0.03)
 	p.Seed = 11

@@ -1291,7 +1291,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := mgr.Store()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Workers:  st.NumWorkers(),
-		Online:   len(st.OnlineWorkers()),
+		Online:   st.NumOnline(),
 		Tasks:    st.NumTasks(),
 		Open:     len(st.ListTasks(TaskOpen)),
 		Assigned: len(st.ListTasks(TaskAssigned)),

@@ -119,7 +119,18 @@ type Store struct {
 	// set. Atomic (not under mu) because the durability layer seals
 	// from inside a journal append, where mu is already held.
 	sealed atomic.Bool
+	// online caches the sorted online-id set so that a selection reads
+	// presence without taking mu. The three writers of presence
+	// (AddWorker, SetOnline, RestoreSnapshot) set it to nil while they
+	// hold mu; the next reader rebuilds it (onlineSnapshot).
+	online atomic.Pointer[onlineSet]
 }
+
+// onlineSet is one immutable snapshot of the online worker ids,
+// sorted, with len == cap. Its identity stands for its contents: the
+// store publishes a new one only after presence changed, so a holder
+// may key derived data on the pointer (Manager.candidateWorkers).
+type onlineSet struct{ ids []int }
 
 // NewStore returns an empty crowd database.
 func NewStore() *Store {
@@ -232,6 +243,7 @@ func (s *Store) AddWorker(id int, name string) (Worker, error) {
 	now := s.clock()
 	w := &Worker{ID: id, Name: name, Online: true, Joined: now}
 	s.workers[id] = w
+	s.online.Store(nil)
 	return *w, s.logEvent(event{Kind: evAddWorker, Worker: id, Name: name, At: now})
 }
 
@@ -258,22 +270,51 @@ func (s *Store) SetOnline(id int, online bool) error {
 	if !ok {
 		return fmt.Errorf("%w: worker %d", ErrNotFound, id)
 	}
-	w.Online = online
+	if w.Online != online {
+		w.Online = online
+		s.online.Store(nil)
+	}
 	return s.logEvent(event{Kind: evPresence, Worker: id, Online: &online})
 }
 
-// OnlineWorkers returns the ids of all online workers, sorted.
-func (s *Store) OnlineWorkers() []int {
+// OnlineWorkers returns the ids of all online workers, sorted. The
+// slice is a snapshot shared with every other caller (like
+// core.Model.Skills it aliases store state): callers must not modify
+// it. Its len equals its cap, so appending to it copies. A presence
+// change is seen by the next call; a slice already returned never
+// changes.
+func (s *Store) OnlineWorkers() []int { return s.onlineSnapshot().ids }
+
+// NumOnline returns the number of online workers.
+func (s *Store) NumOnline() int { return len(s.onlineSnapshot().ids) }
+
+// onlineSnapshot returns the current online set without taking mu
+// unless a presence change dropped it; then the first reader rebuilds
+// it under the read lock, which excludes the writers that drop it, so
+// a set published here is never older than the last change.
+func (s *Store) onlineSnapshot() *onlineSet {
+	if set := s.online.Load(); set != nil {
+		return set
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []int
+	if set := s.online.Load(); set != nil {
+		return set
+	}
+	var ids []int
 	for id, w := range s.workers {
 		if w.Online {
-			out = append(out, id)
+			ids = append(ids, id)
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(ids)
+	set := &onlineSet{ids: ids[:len(ids):len(ids)]}
+	// Readers that raced past the check above built the same set; all
+	// of them return the one that was published first.
+	if !s.online.CompareAndSwap(nil, set) {
+		set = s.online.Load()
+	}
+	return set
 }
 
 // NumWorkers returns the worker count.
@@ -655,6 +696,7 @@ func (s *Store) RestoreSnapshot(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.workers = workers
+	s.online.Store(nil)
 	s.tasks = tasks
 	s.nextTID = snap.NextTID
 	s.appliedForwards = forwards

@@ -227,7 +227,7 @@ func TestProxyOneWayDrops(t *testing.T) {
 	}
 
 	p.Heal()
-	resp, err := shortClient(2*time.Second).Get(p.URL())
+	resp, err := shortClient(2 * time.Second).Get(p.URL())
 	if err != nil {
 		t.Fatalf("GET after heal: %v", err)
 	}

@@ -5,7 +5,7 @@
 package rank
 
 import (
-	"sort"
+	"slices"
 )
 
 // Item is a scored candidate.
@@ -14,26 +14,31 @@ type Item struct {
 	Score float64
 }
 
+// before reports whether a ranks strictly ahead of b. It is the one
+// total order every function of this package ranks by: score
+// descending, then id ascending, with a NaN score after every number
+// (NaNs among themselves by id) — without that clause the order would
+// not be a strict weak one and a sort's output would be unspecified.
+func before(a, b Item) bool {
+	if a.Score > b.Score {
+		return true
+	}
+	if a.Score < b.Score {
+		return false
+	}
+	// Equal scores, or at least one NaN.
+	aNaN, bNaN := a.Score != a.Score, b.Score != b.Score
+	if aNaN != bNaN {
+		return bNaN
+	}
+	return a.ID < b.ID
+}
+
 // TopK returns the k highest-scoring candidate ids, best first. Ties
 // break toward the lower id so results are deterministic. k larger
 // than the candidate set returns all candidates ranked.
 func TopK(candidates []int, score func(id int) float64, k int) []int {
-	if k <= 0 || len(candidates) == 0 {
-		return nil
-	}
-	items := make([]Item, len(candidates))
-	for i, id := range candidates {
-		items[i] = Item{ID: id, Score: score(id)}
-	}
-	sortItems(items)
-	if k > len(items) {
-		k = len(items)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = items[i].ID
-	}
-	return out
+	return IDs(TopKScored(candidates, score, k))
 }
 
 // TopKScored is TopK keeping the scores: the k best candidates as
@@ -72,22 +77,19 @@ func MergeTopK(lists [][]Item, k int) []Item {
 	if n == 0 {
 		return nil
 	}
-	best := make(map[int]float64, n)
+	at := make(map[int]int, n) // id → index in merged
 	merged := make([]Item, 0, n)
 	for _, l := range lists {
 		for _, it := range l {
-			if s, ok := best[it.ID]; ok {
-				if it.Score > s {
-					best[it.ID] = it.Score
+			if i, ok := at[it.ID]; ok {
+				if before(it, merged[i]) {
+					merged[i] = it
 				}
 				continue
 			}
-			best[it.ID] = it.Score
-			merged = append(merged, Item{ID: it.ID})
+			at[it.ID] = len(merged)
+			merged = append(merged, it)
 		}
-	}
-	for i := range merged {
-		merged[i].Score = best[merged[i].ID]
 	}
 	sortItems(merged)
 	if k > len(merged) {
@@ -114,22 +116,31 @@ func RankAll(candidates []int, score func(id int) float64) []int {
 }
 
 // RankOf returns the 0-based rank of target among candidates under
-// score (0 = best), and false when target is not a candidate.
+// score (0 = best), and false when target is not a candidate. It is
+// the position RankAll would put target at, found by counting the
+// candidates that rank before it: O(M), no allocation.
 func RankOf(candidates []int, score func(id int) float64, target int) (int, bool) {
-	ranked := RankAll(candidates, score)
-	for r, id := range ranked {
-		if id == target {
-			return r, true
+	if !slices.Contains(candidates, target) {
+		return 0, false
+	}
+	t := Item{ID: target, Score: score(target)}
+	r := 0
+	for _, id := range candidates {
+		if id != target && before(Item{ID: id, Score: score(id)}, t) {
+			r++
 		}
 	}
-	return 0, false
+	return r, true
 }
 
 func sortItems(items []Item) {
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Score != items[b].Score {
-			return items[a].Score > items[b].Score
+	slices.SortFunc(items, func(a, b Item) int {
+		switch {
+		case before(a, b):
+			return -1
+		case before(b, a):
+			return 1
 		}
-		return items[a].ID < items[b].ID
+		return 0
 	})
 }

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -101,5 +102,125 @@ func TestRankInvariantUnderAffine(t *testing.T) {
 		if !reflect.DeepEqual(r1, r2) {
 			t.Fatalf("affine transform changed ranking: %v vs %v", r1, r2)
 		}
+	}
+}
+
+// fullSort is the reference TopK and TopKScored must equal: score
+// every candidate, stable-sort all of them under `before`, keep the
+// first k.
+func fullSort(candidates []int, score func(int) float64, k int) []Item {
+	if k <= 0 || len(candidates) == 0 {
+		return nil
+	}
+	items := make([]Item, len(candidates))
+	for i, id := range candidates {
+		items[i] = Item{ID: id, Score: score(id)}
+	}
+	sort.SliceStable(items, func(a, b int) bool { return before(items[a], items[b]) })
+	if k > len(items) {
+		k = len(items)
+	}
+	return items[:k]
+}
+
+// TestTopKEqualsFullSort holds TopK and TopKScored to the first k of
+// the full sort, on quantised scores where ties are the rule, for every
+// regime of k: none, one, a few, all but one, all, more than all. It is
+// the oracle any cheaper selection (ROADMAP item 3: a size-k heap) has
+// to pass unchanged.
+func TestTopKEqualsFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260928))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(80)
+		ids := rng.Perm(n + rng.Intn(20))[:n] // distinct ids, shuffled, with gaps
+		scores := make(map[int]float64, n)
+		for _, id := range ids {
+			scores[id] = float64(rng.Intn(6)) / 3
+		}
+		score := scoreOf(scores)
+		for _, k := range []int{0, 1, 3, n - 1, n, n + 5} {
+			want := fullSort(ids, score, k)
+			if got := TopKScored(ids, score, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (n=%d k=%d): TopKScored diverged\ngot:  %v\nwant: %v", trial, n, k, got, want)
+			}
+			if got := TopK(ids, score, k); !reflect.DeepEqual(got, IDs(want)) {
+				t.Fatalf("trial %d (n=%d k=%d): TopK diverged\ngot:  %v\nwant: %v", trial, n, k, got, IDs(want))
+			}
+		}
+	}
+}
+
+// TestOrderIsTotalWithNaN is the regression test for the comparator
+// that was not a strict weak order once a score was NaN: the sort, the
+// merge and the counted rank must agree on one ranking in which NaN
+// comes after every number, ±Inf included, and ties go to the lower id.
+func TestOrderIsTotalWithNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	scores := map[int]float64{
+		0: nan, 1: 0.5, 2: inf, 3: 0.5, 4: -inf, 5: nan, 6: inf, 7: 0, 8: nan, 9: 0.5,
+	}
+	want := []int{2, 6, 1, 3, 9, 7, 4, 0, 5, 8}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		ids := rng.Perm(len(scores))
+		for k := 1; k <= len(ids)+1; k++ {
+			wantK := want[:min(k, len(want))]
+			if got := TopK(ids, scoreOf(scores), k); !reflect.DeepEqual(got, wantK) {
+				t.Fatalf("order %v k=%d: TopK = %v, want %v", ids, k, got, wantK)
+			}
+			cut := rng.Intn(len(ids) + 1)
+			merged := MergeTopK([][]Item{
+				TopKScored(ids[:cut], scoreOf(scores), k),
+				TopKScored(ids[cut:], scoreOf(scores), k),
+			}, k)
+			if got := IDs(merged); !reflect.DeepEqual(got, wantK) {
+				t.Fatalf("order %v cut %d k=%d: merged = %v, want %v", ids, cut, k, got, wantK)
+			}
+		}
+		for r, id := range want {
+			if got, ok := RankOf(ids, scoreOf(scores), id); !ok || got != r {
+				t.Fatalf("order %v: RankOf(%d) = %d, %v, want %d", ids, id, got, ok, r)
+			}
+		}
+	}
+	// A duplicate id keeps its best score under the same order: a
+	// number beats NaN whichever list comes first.
+	for _, lists := range [][][]Item{
+		{{{ID: 1, Score: nan}}, {{ID: 1, Score: 0.2}}},
+		{{{ID: 1, Score: 0.2}}, {{ID: 1, Score: nan}}},
+	} {
+		if got := MergeTopK(lists, 1); len(got) != 1 || got[0].Score != 0.2 {
+			t.Errorf("MergeTopK(%v) = %v, want score 0.2", lists, got)
+		}
+	}
+}
+
+// TestRankOfMatchesRankAll: the counted rank is the position the full
+// ranking gives, ties included, and costs no allocation.
+func TestRankOfMatchesRankAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		ids := rng.Perm(n)
+		scores := make(map[int]float64, n)
+		for _, id := range ids {
+			scores[id] = float64(rng.Intn(4))
+		}
+		for r, id := range RankAll(ids, scoreOf(scores)) {
+			if got, ok := RankOf(ids, scoreOf(scores), id); !ok || got != r {
+				t.Fatalf("trial %d: RankOf(%d) = %d, %v, want %d", trial, id, got, ok, r)
+			}
+		}
+		if _, ok := RankOf(ids, scoreOf(scores), n); ok {
+			t.Fatalf("trial %d: a non-candidate was ranked", trial)
+		}
+	}
+	ids, scores := rng.Perm(1000), make([]float64, 1000)
+	for i := range scores {
+		scores[i] = rng.Float64()
+	}
+	score := func(id int) float64 { return scores[id] }
+	if a := testing.AllocsPerRun(10, func() { RankOf(ids, score, 500) }); a != 0 {
+		t.Errorf("RankOf allocates %v times per call, want 0", a)
 	}
 }
