@@ -8,14 +8,9 @@
 //	crowdbench -exp all
 //	crowdbench -exp T3,T4 -scale 0.5 -ks 10,20,30 -testtasks 2000
 //
-// The serve subcommand benchmarks the HTTP serving path instead of
-// selection quality: it drives a live crowdd (self-hosted in-process
-// by default) with sequential and batched submissions at varying
-// concurrency and writes BENCH_serve.json with throughput and latency
-// quantiles per cell:
-//
-//	crowdbench serve
-//	crowdbench serve -addr http://localhost:8080 -batches 1,8,32 -concurrency 1,4
+// Serving cost is measured elsewhere: bench/ (bash bench/run.sh) boots
+// real crowdd processes and reports the budget tables in
+// bench/README.md.
 //
 // Absolute numbers depend on the synthetic substitute corpora (see
 // DESIGN.md); the orderings and trends reproduce the paper's.
@@ -32,20 +27,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		if err := runServe(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "crowdbench serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "shard" {
-		if err := runShard(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "crowdbench shard:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var (
 		exps      = flag.String("exp", "all", "comma-separated experiment ids (T2..T8, F3..F8) or 'all'")
 		scale     = flag.Float64("scale", 0.25, "dataset scale multiplier")

@@ -16,7 +16,7 @@
 // atomically every -compact-every records, and on restart the daemon
 // recovers the newest valid snapshot plus journal instead of
 // retraining. While recovery runs the listener is already up but
-// GET /readyz (and /api/*) answer 503, so load balancers hold traffic;
+// GET /readyz (and /api/v1/*) answer 503, so load balancers hold traffic;
 // GET /healthz is 200 throughout. On SIGINT/SIGTERM the server flips
 // /readyz to 503, drains in-flight requests for up to -drain, then
 // compacts and closes the data directory.
@@ -53,11 +53,9 @@
 // seals the stream and flips the node to primary for verified
 // failover.
 //
-// Endpoints (see internal/crowddb): POST /api/tasks,
-// POST /api/tasks/{id}/answers, POST /api/tasks/{id}/feedback,
-// GET /api/workers/{id}, GET /api/stats, GET /api/metrics,
-// GET /healthz, GET /readyz; with -pprof, the net/http/pprof handlers
-// under /debug/pprof/.
+// Endpoints: the /api/v1 routes of crowddb.APIRoutes (the README's
+// API reference table is generated from it), GET /healthz, GET /readyz
+// and, with -pprof, the net/http/pprof handlers under /debug/pprof/.
 package main
 
 import (
@@ -323,13 +321,6 @@ func run(cfg daemonConfig) error {
 	}
 	srv.SetDeadlineBudgets(cfg.readBudget, cfg.writeBudget)
 	srv.SetMaxBodyBytes(cfg.maxBody)
-	if cfg.tenantQuota > 0 {
-		if qerr := srv.SetTenantQuota(crowddb.DefaultTenant, cfg.tenantQuota); qerr != nil {
-			stop()
-			<-errc
-			return qerr
-		}
-	}
 	gate.srv.Store(srv)
 	log.Printf("crowd-selection service ready on %s (%d tenants, %d workers online)", ln.Addr(), len(srv.Tenants()), online)
 
@@ -410,167 +401,60 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
-// buildService assembles the full pipeline — dataset, TDPM model,
-// crowd database, manager — and returns the HTTP server, the durable
-// DBs in shutdown order (default tenant first; empty without
-// -data-dir) and the number of online workers. With a fresh data
-// directory the dataset is generated (or copied from -data), the model
-// trained, and generation 1 snapshotted; with an existing one, dataset
-// and model checkpoint are loaded from the directory and the journal
-// replayed — no retraining. Additional -tenants each get their own
-// vertical slice via buildTenants.
-func buildService(cfg daemonConfig) (*crowddb.Server, []*crowddb.DB, int, error) {
-	var db *crowddb.DB
-	if cfg.dataDir != "" {
-		var err error
-		db, err = crowddb.Open(cfg.dataDir, crowddb.Options{
-			Sync:                cfg.sync,
-			CompactEveryRecords: cfg.compactEvery,
-			ScrubInterval:       cfg.scrubEvery,
-			Logf:                log.Printf,
-		})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-	}
+// slice is one tenant's vertical slice as the daemon assembles it; the
+// default tenant is a slice like any other (DESIGN §13).
+type slice struct {
+	name   string
+	db     *crowddb.DB      // nil without -data-dir
+	rep    *crowddb.Replica // nil unless -replica-of
+	d      *corpus.Dataset
+	cm     *core.ConcurrentModel
+	mgr    *crowddb.Manager
+	digest crowddb.DigestFunc         // nil without a data dir
+	src    *crowddb.ReplicationSource // set by registerSlice; nil without a data dir
+}
 
-	var (
-		d     *corpus.Dataset
-		model *core.Model
-		err   error
-	)
-	restoring := db != nil && !db.Fresh()
-	if restoring {
-		log.Printf("restoring generation %d from %s", db.Generation(), cfg.dataDir)
-		if d, err = corpus.LoadFile(db.DatasetPath()); err != nil {
-			return nil, nil, 0, fmt.Errorf("data dir has state but no dataset: %w", err)
-		}
-		if model, err = db.LoadModel(); err != nil {
-			return nil, nil, 0, err
-		}
+// close releases the slice's data directory (and follower stream).
+func (sl *slice) close() {
+	switch {
+	case sl.rep != nil:
+		sl.rep.Close()
+	case sl.db != nil:
+		sl.db.Close()
+	}
+}
+
+// trainSeed is the default tenant's fresh start: the -data or -profile
+// dataset and a TDPM model trained on its resolved tasks.
+func trainSeed(cfg daemonConfig) (d *corpus.Dataset, model *core.Model, err error) {
+	if cfg.data != "" {
+		log.Printf("loading dataset from %s", cfg.data)
+		d, err = corpus.LoadFile(cfg.data)
 	} else {
-		if cfg.data != "" {
-			log.Printf("loading dataset from %s", cfg.data)
-			d, err = corpus.LoadFile(cfg.data)
-		} else {
-			log.Printf("generating %s dataset at scale %g", cfg.profile, cfg.scale)
-			var p corpus.Profile
-			if p, err = corpus.ProfileByName(cfg.profile); err == nil {
-				d, err = corpus.Generate(p.Scaled(cfg.scale))
-			}
+		log.Printf("generating %s dataset at scale %g", cfg.profile, cfg.scale)
+		var p corpus.Profile
+		if p, err = corpus.ProfileByName(cfg.profile); err == nil {
+			d, err = corpus.Generate(p.Scaled(cfg.scale))
 		}
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		log.Print(d.Stats())
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	log.Print(d.Stats())
 
-		trainCfg := core.NewConfig(cfg.k)
-		if cfg.sweeps > 0 {
-			trainCfg.MaxIter = cfg.sweeps
-		}
-		log.Printf("training TDPM with K=%d", cfg.k)
-		start := time.Now()
-		var stats *core.TrainStats
-		model, stats, err = core.Train(eval.ResolvedTasks(d), len(d.Workers), d.Vocab.Size(), trainCfg)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		log.Printf("trained in %s (%d sweeps, converged=%v)", time.Since(start).Round(time.Millisecond), stats.Sweeps, stats.Converged)
+	trainCfg := core.NewConfig(cfg.k)
+	if cfg.sweeps > 0 {
+		trainCfg.MaxIter = cfg.sweeps
 	}
-
-	var store *crowddb.Store
-	if db != nil {
-		store = db.Store()
-	} else {
-		store = crowddb.NewStore()
-	}
-	if !restoring {
-		for _, w := range d.Workers {
-			if _, err := store.AddWorker(w.ID, fmt.Sprintf("worker-%04d", w.ID)); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-	}
-	// An explicit ConcurrentModel so the durability layer can
-	// checkpoint posteriors consistently while requests are served.
-	cm := core.NewConcurrentModel(model)
-	mgr, err := crowddb.NewManager(store, d.Vocab, cm, cfg.crowdK)
+	log.Printf("training TDPM with K=%d", cfg.k)
+	start := time.Now()
+	var stats *core.TrainStats
+	model, stats, err = core.Train(eval.ResolvedTasks(d), len(d.Workers), d.Vocab.Size(), trainCfg)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	// Shard identity must be set before recovery: the task-id stride and
-	// the posterior ownership filter shape journal replay, so a sharded
-	// node rebuilds exactly the partition it owns.
-	mgr.SetShard(cfg.shard)
-	if db != nil {
-		db.SetModelSnapshotter(cm.Save)
-		db.SetQuiescer(mgr.Quiesce)
-		if restoring {
-			if err := db.Recover(mgr.ApplySkillFeedback); err != nil {
-				return nil, nil, 0, err
-			}
-			st := db.Stats()
-			log.Printf("recovered generation %d: %d journal records replayed in %dms (torn tail truncated: %v)",
-				st.Generation, st.RecoveredRecords, st.RecoveryMillis, st.TornTailTruncated)
-		} else {
-			// The dataset is the vocabulary source on restart; persist
-			// it before the first snapshot commits the directory.
-			if err := d.SaveFile(db.DatasetPath()); err != nil {
-				return nil, nil, 0, err
-			}
-			if err := db.Begin(); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-	}
-	srv := crowddb.NewServer(mgr)
-	srv.SetCacheStats(cm.CacheStats)
-	if err := seedTopology(srv, cfg); err != nil {
-		return nil, nil, 0, err
-	}
-	fence := crowddb.NewFence(db)
-	srv.SetFence(fence)
-	srv.SetFleetToken(cfg.fleetToken)
-	if db != nil {
-		srv.SetDurabilityStats(db.Stats)
-		// A durable primary can feed warm standbys: expose the journal
-		// stream and report the source-side replication status.
-		src := crowddb.NewReplicationSource(db, crowddb.ReplicationSourceOptions{Logf: log.Printf})
-		src.SetFence(fence)
-		// Heartbeats carry the primary's digest so followers can
-		// anti-entropy check themselves (DESIGN §14), and the same cut
-		// serves GET /api/v1/digest for crowdctl verify.
-		cutter := crowddb.NewDigestCutter(db, mgr)
-		src.SetDigest(cutter.Func())
-		srv.SetDigestProvider(cutter.Func())
-		srv.SetIntegrityStats(db.ScrubStats)
-		srv.SetReplicationSource(src)
-		srv.SetReplicationStatus(src.Status)
-		// The same cut discipline feeds online backups: every archive is
-		// stamped with the digest at its cut seq (DESIGN §15).
-		bsrc := crowddb.NewBackupSource(db, crowddb.BackupSourceOptions{Logf: log.Printf})
-		bsrc.SetFence(fence)
-		bsrc.SetDigest(cutter.Func())
-		srv.SetBackupSource(bsrc)
-	}
-	engine, err := crowdql.NewEngine(mgr)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	srv.SetQueryEngine(crowdql.HTTPAdapter{Engine: engine})
-	var dbs []*crowddb.DB
-	if db != nil {
-		srv.SetDegradedCheck(db.Degraded)
-		dbs = append(dbs, db)
-	}
-	tdbs, err := buildTenants(srv, cfg, d, model, fence)
-	if err != nil {
-		for _, tdb := range append(tdbs, dbs...) {
-			tdb.Close()
-		}
-		return nil, nil, 0, err
-	}
-	return srv, append(dbs, tdbs...), store.NumOnline(), nil
+	log.Printf("trained in %s (%d sweeps, converged=%v)", time.Since(start).Round(time.Millisecond), stats.Sweeps, stats.Converged)
+	return d, model, nil
 }
 
 // cloneModel deep-copies a trained model through its serialized form,
@@ -584,119 +468,280 @@ func cloneModel(m *core.Model) (*core.Model, error) {
 	return core.LoadModel(&buf)
 }
 
-// buildTenants opens one full vertical slice per -tenants name — store,
-// journal, model, projection cache, query engine, replication source —
-// and registers each on srv. A fresh tenant is seeded with a clone of
-// the default tenant's trained model and worker roster (every crowd
-// shares one latent space until its own feedback diverges it); a
-// restored tenant replays its own journal from
-// <data-dir>/tenants/<name>. Returns the tenant DBs (empty without
-// -data-dir); on error the returned DBs are the ones already opened,
-// for the caller to close.
-func buildTenants(srv *crowddb.Server, cfg daemonConfig, d *corpus.Dataset, model *core.Model, fence *crowddb.Fence) ([]*crowddb.DB, error) {
-	var dbs []*crowddb.DB
-	for _, name := range cfg.tenants {
-		var tdb *crowddb.DB
-		if cfg.dataDir != "" {
-			var err error
-			tdb, err = crowddb.Open(filepath.Join(cfg.dataDir, "tenants", name), crowddb.Options{
-				Sync:                cfg.sync,
-				CompactEveryRecords: cfg.compactEvery,
-				ScrubInterval:       cfg.scrubEvery,
-				Logf:                log.Printf,
-			})
-			if err != nil {
-				return dbs, fmt.Errorf("tenant %s: %w", name, err)
-			}
-			dbs = append(dbs, tdb)
-		}
-
-		var store *crowddb.Store
-		if tdb != nil {
-			store = tdb.Store()
-		} else {
-			store = crowddb.NewStore()
-		}
-		// Stamp the namespace before anything journals or replays: fresh
-		// mutations must carry the tenant and recovery must refuse
-		// records that belong to another tenant's journal.
-		store.SetTenant(name)
-
-		restoring := tdb != nil && !tdb.Fresh()
-		var (
-			td     *corpus.Dataset
-			tmodel *core.Model
-			err    error
-		)
-		if restoring {
-			log.Printf("tenant %s: restoring generation %d", name, tdb.Generation())
-			if td, err = corpus.LoadFile(tdb.DatasetPath()); err != nil {
-				return dbs, fmt.Errorf("tenant %s has state but no dataset: %w", name, err)
-			}
-			if tmodel, err = tdb.LoadModel(); err != nil {
-				return dbs, fmt.Errorf("tenant %s: %w", name, err)
-			}
-		} else {
-			td = d
-			if tmodel, err = cloneModel(model); err != nil {
-				return dbs, fmt.Errorf("tenant %s: clone model: %w", name, err)
-			}
-			for _, w := range td.Workers {
-				if _, err := store.AddWorker(w.ID, fmt.Sprintf("worker-%04d", w.ID)); err != nil {
-					return dbs, fmt.Errorf("tenant %s: %w", name, err)
-				}
-			}
-		}
-		cm := core.NewConcurrentModel(tmodel)
-		tmgr, err := crowddb.NewManager(store, td.Vocab, cm, cfg.crowdK)
+// openSlice opens one tenant's slice, the default tenant at the
+// -data-dir root and a named one at <data-dir>/tenants/<name>. On a
+// primary an existing directory restores its dataset and model
+// checkpoint and replays its journal (no retraining); a fresh or
+// in-memory one starts from seed and, when durable, snapshots
+// generation 1. Under -replica-of the directory follows the primary's
+// stream for that tenant instead. Either way the manager carries the
+// shard identity and the tenant stamp before any record is replayed or
+// journaled: both shape replay.
+func openSlice(cfg daemonConfig, name string, seed func() (*corpus.Dataset, *core.Model, error)) (_ *slice, err error) {
+	sl := &slice{name: name}
+	defer func() {
 		if err != nil {
-			return dbs, fmt.Errorf("tenant %s: %w", name, err)
+			sl.close()
 		}
-		tmgr.SetShard(cfg.shard)
-		if tdb != nil {
-			tdb.SetModelSnapshotter(cm.Save)
-			tdb.SetQuiescer(tmgr.Quiesce)
-			if restoring {
-				if err := tdb.Recover(tmgr.ApplySkillFeedback); err != nil {
-					return dbs, fmt.Errorf("tenant %s: %w", name, err)
-				}
-			} else {
-				if err := td.SaveFile(tdb.DatasetPath()); err != nil {
-					return dbs, fmt.Errorf("tenant %s: %w", name, err)
-				}
-				if err := tdb.Begin(); err != nil {
-					return dbs, fmt.Errorf("tenant %s: %w", name, err)
-				}
-			}
-		}
-		engine, err := crowdql.NewEngine(tmgr)
-		if err != nil {
-			return dbs, fmt.Errorf("tenant %s: %w", name, err)
-		}
-		tc := crowddb.TenantConfig{
-			Manager:     tmgr,
-			Query:       crowdql.HTTPAdapter{Engine: engine},
-			MaxInflight: cfg.tenantQuota,
-		}
-		if tdb != nil {
-			tc.Degraded = tdb.Degraded
-			src := crowddb.NewReplicationSource(tdb, crowddb.ReplicationSourceOptions{Logf: log.Printf})
-			src.SetFence(fence)
-			tcutter := crowddb.NewDigestCutter(tdb, tmgr)
-			src.SetDigest(tcutter.Func())
-			tc.Digest = tcutter.Func()
-			tc.ReplicationSource = src
-			tbsrc := crowddb.NewBackupSource(tdb, crowddb.BackupSourceOptions{Logf: log.Printf})
-			tbsrc.SetFence(fence)
-			tbsrc.SetDigest(tcutter.Func())
-			tc.Backup = tbsrc
-		}
-		if err := srv.AddTenant(name, tc); err != nil {
-			return dbs, err
-		}
-		log.Printf("tenant %s ready (%d workers online)", name, store.NumOnline())
+	}()
+	dir := cfg.dataDir
+	if dir != "" && name != crowddb.DefaultTenant {
+		dir = filepath.Join(dir, "tenants", name)
 	}
-	return dbs, nil
+	dbOpts := crowddb.Options{
+		Sync:                cfg.sync,
+		CompactEveryRecords: cfg.compactEvery,
+		ScrubInterval:       cfg.scrubEvery,
+		Logf:                log.Printf,
+	}
+	// An explicit ConcurrentModel so the durability layer can
+	// checkpoint posteriors consistently while requests are served.
+	stack := func(d *corpus.Dataset, model *core.Model, store *crowddb.Store) (err error) {
+		sl.d, sl.cm = d, core.NewConcurrentModel(model)
+		sl.mgr, err = crowddb.NewManagerWith(crowddb.ManagerConfig{
+			Store: store, Vocab: d.Vocab, Selector: sl.cm, CrowdK: cfg.crowdK,
+			Shard: cfg.shard, Tenant: name,
+		})
+		return err
+	}
+
+	if cfg.replicaOf != "" {
+		log.Printf("tenant %s: starting replica stream from %s", name, cfg.replicaOf)
+		sl.rep, err = crowddb.StartReplica(crowddb.ReplicaOptions{
+			Primary: cfg.replicaOf,
+			Tenant:  name,
+			Dir:     dir,
+			DB:      dbOpts,
+			Build: func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
+				d, err := corpus.LoadFile(datasetPath)
+				if err == nil {
+					err = stack(d, model, store)
+				}
+				return sl.mgr, sl.cm, err
+			},
+			FleetToken: cfg.fleetToken,
+			Logf:       log.Printf,
+		})
+		if err != nil {
+			return nil, err
+		}
+		// The follower's digest cut doubles as its own heartbeat payload
+		// for chained standbys and as the verify endpoint's answer.
+		sl.db, sl.digest = sl.rep.DB(), sl.rep.Digest
+		return sl, nil
+	}
+
+	store := crowddb.NewStore()
+	if dir != "" {
+		if sl.db, err = crowddb.Open(dir, dbOpts); err != nil {
+			return nil, err
+		}
+		store = sl.db.Store()
+	}
+	restoring := sl.db != nil && !sl.db.Fresh()
+	var d *corpus.Dataset
+	var model *core.Model
+	if restoring {
+		log.Printf("tenant %s: restoring generation %d from %s", name, sl.db.Generation(), dir)
+		if d, err = corpus.LoadFile(sl.db.DatasetPath()); err != nil {
+			return nil, fmt.Errorf("data dir has state but no dataset: %w", err)
+		}
+		if model, err = sl.db.LoadModel(); err != nil {
+			return nil, err
+		}
+	} else {
+		if d, model, err = seed(); err != nil {
+			return nil, err
+		}
+		for _, w := range d.Workers {
+			if _, err := store.AddWorker(w.ID, fmt.Sprintf("worker-%04d", w.ID)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := stack(d, model, store); err != nil {
+		return nil, err
+	}
+	if sl.db == nil {
+		return sl, nil
+	}
+	sl.db.SetModelSnapshotter(sl.cm.Save)
+	sl.db.SetQuiescer(sl.mgr.Quiesce)
+	if restoring {
+		if err := sl.db.Recover(sl.mgr.ApplySkillFeedback); err != nil {
+			return nil, err
+		}
+	} else {
+		// The dataset is the vocabulary source on restart; persist it
+		// before the first snapshot commits the directory.
+		if err := d.SaveFile(sl.db.DatasetPath()); err != nil {
+			return nil, err
+		}
+		if err := sl.db.Begin(); err != nil {
+			return nil, err
+		}
+	}
+	// Heartbeats carry the digest so followers can anti-entropy check
+	// themselves (DESIGN §14); the same cut serves GET /api/v1/digest
+	// and stamps every backup archive (DESIGN §15).
+	sl.digest = crowddb.NewDigestCutter(sl.db, sl.mgr).Func()
+	return sl, nil
+}
+
+// registerSlice wires an opened slice's per-tenant facilities into the
+// server; this and TenantConfig are the only places one is added. A
+// durable slice can feed warm standbys and backups on a follower too:
+// after promotion the remaining standbys re-point at it, and a backup
+// taken off a standby stays off the primary's serving path.
+func registerSlice(srv *crowddb.Server, cfg daemonConfig, sl *slice, fence *crowddb.Fence) error {
+	engine, err := crowdql.NewEngine(sl.mgr)
+	if err != nil {
+		return err
+	}
+	tc := crowddb.TenantConfig{
+		Manager:     sl.mgr,
+		Query:       crowdql.HTTPAdapter{Engine: engine},
+		MaxInflight: cfg.tenantQuota,
+	}
+	if sl.db != nil {
+		sl.src = crowddb.NewReplicationSource(sl.db, crowddb.ReplicationSourceOptions{Logf: log.Printf})
+		sl.src.SetFence(fence)
+		sl.src.SetDigest(sl.digest)
+		bsrc := crowddb.NewBackupSource(sl.db, crowddb.BackupSourceOptions{Logf: log.Printf})
+		bsrc.SetFence(fence)
+		bsrc.SetDigest(sl.digest)
+		tc.Degraded, tc.Digest, tc.ReplicationSource, tc.Backup = sl.db.Degraded, sl.digest, sl.src, bsrc
+	}
+	if sl.name != crowddb.DefaultTenant {
+		return srv.AddTenant(sl.name, tc)
+	}
+	// The default tenant's entry exists from NewServer (it carries the
+	// manager); the rest of its slice goes in through the setters.
+	srv.SetQueryEngine(tc.Query)
+	srv.SetDegradedCheck(tc.Degraded)
+	srv.SetDigestProvider(tc.Digest)
+	srv.SetReplicationSource(tc.ReplicationSource)
+	srv.SetBackupSource(tc.Backup)
+	return srv.SetTenantQuota(sl.name, tc.MaxInflight)
+}
+
+// buildNode assembles the node: a slice for the default tenant and one
+// per -tenants name, registered on one server whose node-level state
+// (fence, topology, role, status sections) reads off the default slice.
+// A fresh named tenant is seeded with the default tenant's dataset and
+// a clone of its model: every crowd shares one latent space until its
+// own feedback diverges it. On error every opened slice is closed.
+func buildNode(cfg daemonConfig) (_ *crowddb.Server, slices []*slice, err error) {
+	defer func() {
+		if err != nil {
+			for _, sl := range slices {
+				sl.close()
+			}
+		}
+	}()
+	seed := func() (*corpus.Dataset, *core.Model, error) {
+		if len(slices) == 0 {
+			return trainSeed(cfg)
+		}
+		model, err := cloneModel(slices[0].cm.Unwrap())
+		return slices[0].d, model, err
+	}
+	for _, name := range append([]string{crowddb.DefaultTenant}, cfg.tenants...) {
+		sl, err := openSlice(cfg, name, seed)
+		if err != nil {
+			return nil, slices, fmt.Errorf("tenant %s: %w", name, err)
+		}
+		slices = append(slices, sl)
+		log.Printf("tenant %s ready (%d workers online)", name, sl.mgr.Store().NumOnline())
+	}
+
+	def := slices[0]
+	srv := crowddb.NewServer(def.mgr)
+	srv.SetCacheStats(def.cm.CacheStats)
+	if err := seedTopology(srv, cfg); err != nil {
+		return nil, slices, err
+	}
+	fence := crowddb.NewFence(def.db)
+	srv.SetFence(fence)
+	srv.SetFleetToken(cfg.fleetToken)
+	for _, sl := range slices {
+		if err := registerSlice(srv, cfg, sl, fence); err != nil {
+			return nil, slices, fmt.Errorf("tenant %s: %w", sl.name, err)
+		}
+	}
+	if def.db == nil {
+		return srv, slices, nil
+	}
+	srv.SetDurabilityStats(def.db.Stats)
+	if def.rep == nil {
+		srv.SetIntegrityStats(def.db.ScrubStats)
+		srv.SetReplicationStatus(def.src.Status)
+		return srv, slices, nil
+	}
+	// A follower serves read-only behind the role gate; its status
+	// sections merge the stream's view with the local scrubber and the
+	// divergence state machine.
+	srv.SetRole(crowddb.RoleReplica)
+	srv.SetIntegrityStats(func() crowddb.IntegritySnapshot {
+		is := def.db.ScrubStats()
+		st := def.rep.Status()
+		is.Diverged, is.Divergences, is.Repairs = st.Diverged, st.Divergences, st.Repairs
+		return is
+	})
+	srv.SetReplicationStatus(func() crowddb.ReplicationStatus {
+		st := def.rep.Status()
+		st.Followers = def.src.Followers()
+		return st
+	})
+	// Promote every tenant's stream; the node-level role flips only
+	// after all succeed, so a failover never strands a namespace.
+	// Replica.Promote is idempotent on success, so a retried promotion
+	// re-drives only the tenants that failed.
+	srv.SetPromoter(func(ctx context.Context) error {
+		for _, sl := range slices {
+			if err := sl.rep.Promote(ctx); err != nil {
+				return fmt.Errorf("tenant %s: %w", sl.name, err)
+			}
+		}
+		return nil
+	})
+	return srv, slices, nil
+}
+
+// buildService assembles a primary (or in-memory) node and returns the
+// HTTP server, the durable DBs in shutdown order (default tenant first;
+// empty without -data-dir) and the number of online workers.
+func buildService(cfg daemonConfig) (*crowddb.Server, []*crowddb.DB, int, error) {
+	srv, slices, err := buildNode(cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var dbs []*crowddb.DB
+	for _, sl := range slices {
+		if sl.db != nil {
+			dbs = append(dbs, sl.db)
+		}
+	}
+	return srv, dbs, slices[0].mgr.Store().NumOnline(), nil
+}
+
+// buildReplica assembles the warm-standby node: one Replica per tenant,
+// each streaming its namespace's journal from -replica-of into its own
+// durable directory, served read-only by one HTTP server. The returned
+// replicas are in shutdown order, default first.
+func buildReplica(cfg daemonConfig) (*crowddb.Server, []*crowddb.Replica, int, error) {
+	if cfg.dataDir == "" {
+		return nil, nil, 0, errors.New("-replica-of requires -data-dir")
+	}
+	srv, slices, err := buildNode(cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var reps []*crowddb.Replica
+	for _, sl := range slices {
+		reps = append(reps, sl.rep)
+	}
+	return srv, reps, slices[0].mgr.Store().NumOnline(), nil
 }
 
 // seedTopology installs the epoch-1 fleet layout from -shard-peers so
@@ -711,175 +756,4 @@ func seedTopology(srv *crowddb.Server, cfg daemonConfig) error {
 		doc.Shards = append(doc.Shards, crowddb.ShardAddr{Index: i, URL: u})
 	}
 	return srv.SetTopology(doc)
-}
-
-// replicaBuilder returns the ReplicaBuilder for one follower stream:
-// it reassembles the manager stack from the bootstrapped dataset and
-// model, and publishes the ConcurrentModel through cmRef for cache
-// stats.
-func replicaBuilder(cfg daemonConfig, cmRef *atomic.Pointer[core.ConcurrentModel]) crowddb.ReplicaBuilder {
-	return func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("replica dataset: %w", err)
-		}
-		cm := core.NewConcurrentModel(model)
-		mgr, err := crowddb.NewManager(store, d.Vocab, cm, cfg.crowdK)
-		if err != nil {
-			return nil, nil, err
-		}
-		// A sharded replica must filter posteriors exactly like its
-		// primary while applying the replicated journal, or promotion
-		// would install a model the rest of the fleet has never seen.
-		mgr.SetShard(cfg.shard)
-		cmRef.Store(cm)
-		return mgr, cm, nil
-	}
-}
-
-// buildReplica assembles the warm-standby stack: one Replica per
-// tenant, each streaming its namespace's journal from -replica-of into
-// its own durable directory (default at the -data-dir root, others at
-// <data-dir>/tenants/<name>), served read-only by one HTTP server with
-// the role gate engaged. Promotion promotes every tenant's stream
-// before the node flips to primary, so a failover never strands a
-// namespace. The replica also exposes a replication source per tenant,
-// so after promotion the remaining standbys can re-point at it and
-// chain bootstrap works. The returned replicas are in shutdown order,
-// default first.
-func buildReplica(cfg daemonConfig) (*crowddb.Server, []*crowddb.Replica, int, error) {
-	if cfg.dataDir == "" {
-		return nil, nil, 0, errors.New("-replica-of requires -data-dir")
-	}
-	var cmRef atomic.Pointer[core.ConcurrentModel]
-	log.Printf("starting as replica of %s", cfg.replicaOf)
-	rep, err := crowddb.StartReplica(crowddb.ReplicaOptions{
-		Primary: cfg.replicaOf,
-		Dir:     cfg.dataDir,
-		DB: crowddb.Options{
-			Sync:                cfg.sync,
-			CompactEveryRecords: cfg.compactEvery,
-			ScrubInterval:       cfg.scrubEvery,
-			Logf:                log.Printf,
-		},
-		Build:      replicaBuilder(cfg, &cmRef),
-		FleetToken: cfg.fleetToken,
-		Logf:       log.Printf,
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	reps := []*crowddb.Replica{rep}
-	fail := func(err error) (*crowddb.Server, []*crowddb.Replica, int, error) {
-		for _, rp := range reps {
-			rp.Close()
-		}
-		return nil, nil, 0, err
-	}
-	db := rep.DB()
-	srv := crowddb.NewServer(rep.Manager())
-	srv.SetCacheStats(func() core.ProjectionCacheStats {
-		if cm := cmRef.Load(); cm != nil {
-			return cm.CacheStats()
-		}
-		return core.ProjectionCacheStats{}
-	})
-	if err := seedTopology(srv, cfg); err != nil {
-		return fail(err)
-	}
-	srv.SetRole(crowddb.RoleReplica)
-	srv.SetDurabilityStats(db.Stats)
-	srv.SetDegradedCheck(db.Degraded)
-	fence := crowddb.NewFence(db)
-	srv.SetFence(fence)
-	srv.SetFleetToken(cfg.fleetToken)
-	src := crowddb.NewReplicationSource(db, crowddb.ReplicationSourceOptions{Logf: log.Printf})
-	src.SetFence(fence)
-	// The follower's digest cut doubles as its own heartbeat payload
-	// for chained standbys and as the verify endpoint's answer; its
-	// integrity section merges the local scrubber with the divergence
-	// state machine.
-	src.SetDigest(rep.Digest)
-	srv.SetDigestProvider(rep.Digest)
-	srv.SetIntegrityStats(func() crowddb.IntegritySnapshot {
-		is := db.ScrubStats()
-		st := rep.Status()
-		is.Diverged = st.Diverged
-		is.Divergences = st.Divergences
-		is.Repairs = st.Repairs
-		return is
-	})
-	srv.SetReplicationSource(src)
-	srv.SetReplicationStatus(func() crowddb.ReplicationStatus {
-		st := rep.Status()
-		st.Followers = src.Followers()
-		return st
-	})
-	// A standby can serve backups too — taking the archive off the
-	// primary's serving path is the usual operational preference.
-	bsrc := crowddb.NewBackupSource(db, crowddb.BackupSourceOptions{Logf: log.Printf})
-	bsrc.SetFence(fence)
-	bsrc.SetDigest(rep.Digest)
-	srv.SetBackupSource(bsrc)
-	engine, err := crowdql.NewEngine(rep.Manager())
-	if err != nil {
-		return fail(err)
-	}
-	srv.SetQueryEngine(crowdql.HTTPAdapter{Engine: engine})
-
-	for _, name := range cfg.tenants {
-		log.Printf("tenant %s: starting replica stream", name)
-		trep, terr := crowddb.StartReplica(crowddb.ReplicaOptions{
-			Primary: cfg.replicaOf,
-			Tenant:  name,
-			Dir:     filepath.Join(cfg.dataDir, "tenants", name),
-			DB: crowddb.Options{
-				Sync:                cfg.sync,
-				CompactEveryRecords: cfg.compactEvery,
-				ScrubInterval:       cfg.scrubEvery,
-				Logf:                log.Printf,
-			},
-			Build:      replicaBuilder(cfg, new(atomic.Pointer[core.ConcurrentModel])),
-			FleetToken: cfg.fleetToken,
-			Logf:       log.Printf,
-		})
-		if terr != nil {
-			return fail(fmt.Errorf("tenant %s: %w", name, terr))
-		}
-		reps = append(reps, trep)
-		tdb := trep.DB()
-		tsrc := crowddb.NewReplicationSource(tdb, crowddb.ReplicationSourceOptions{Logf: log.Printf})
-		tsrc.SetFence(fence)
-		tengine, terr := crowdql.NewEngine(trep.Manager())
-		if terr != nil {
-			return fail(fmt.Errorf("tenant %s: %w", name, terr))
-		}
-		tsrc.SetDigest(trep.Digest)
-		tbsrc := crowddb.NewBackupSource(tdb, crowddb.BackupSourceOptions{Logf: log.Printf})
-		tbsrc.SetFence(fence)
-		tbsrc.SetDigest(trep.Digest)
-		if terr := srv.AddTenant(name, crowddb.TenantConfig{
-			Manager:           trep.Manager(),
-			Query:             crowdql.HTTPAdapter{Engine: tengine},
-			Degraded:          tdb.Degraded,
-			ReplicationSource: tsrc,
-			Digest:            trep.Digest,
-			Backup:            tbsrc,
-			MaxInflight:       cfg.tenantQuota,
-		}); terr != nil {
-			return fail(terr)
-		}
-	}
-	// Promote every tenant's stream; the node-level role flips only
-	// after all succeed. Replica.Promote is idempotent on success, so a
-	// retried promotion re-drives only the tenants that failed.
-	srv.SetPromoter(func(ctx context.Context) error {
-		for i, rp := range reps {
-			if perr := rp.Promote(ctx); perr != nil {
-				return fmt.Errorf("tenant %s: %w", append([]string{crowddb.DefaultTenant}, cfg.tenants...)[i], perr)
-			}
-		}
-		return nil
-	})
-	return srv, reps, db.Store().NumOnline(), nil
 }

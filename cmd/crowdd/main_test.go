@@ -39,7 +39,7 @@ func TestBuildServiceServes(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/api/tasks", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/tasks", "application/json",
 		strings.NewReader(`{"text":"database index question","k":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestBuildServiceServes(t *testing.T) {
 	}
 
 	// The crowdql endpoint is wired up.
-	resp, err = http.Post(srv.URL+"/api/query", "application/json",
+	resp, err = http.Post(srv.URL+"/api/v1/query", "application/json",
 		strings.NewReader(`{"q":"SELECT CROWD FOR TASK 'another question' LIMIT 2"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestBuildServiceServes(t *testing.T) {
 		t.Errorf("query result = %+v", qres)
 	}
 	// Parse errors map to 400.
-	resp2, err := http.Post(srv.URL+"/api/query", "application/json",
+	resp2, err := http.Post(srv.URL+"/api/v1/query", "application/json",
 		strings.NewReader(`{"q":"EXPLODE"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestBuildServicePersistsAcrossRestart(t *testing.T) {
 	}
 	db := dbs[0]
 	srv := httptest.NewServer(handler)
-	resp, err := http.Post(srv.URL+"/api/tasks", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/tasks", "application/json",
 		strings.NewReader(`{"text":"durable question","k":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestBuildServicePersistsAcrossRestart(t *testing.T) {
 	}
 	srv2 := httptest.NewServer(handler2)
 	defer srv2.Close()
-	r, err := http.Get(srv2.URL + "/api/tasks/" + jsonInt(sub.TaskID))
+	r, err := http.Get(srv2.URL + "/api/v1/tasks/" + jsonInt(sub.TaskID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestBuildServicePersistsAcrossRestart(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("task lost across restart: status %d", r.StatusCode)
 	}
-	// Durability counters surface in /api/metrics after restore.
-	mr, err := http.Get(srv2.URL + "/api/metrics")
+	// Durability counters surface in /api/v1/metrics after restore.
+	mr, err := http.Get(srv2.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

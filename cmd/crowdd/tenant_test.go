@@ -2,12 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"crowdselect/internal/crowddb"
 )
 
 func TestParseTenantsFlag(t *testing.T) {
@@ -188,6 +191,105 @@ func TestBuildServiceTenantsDurable(t *testing.T) {
 	}
 	if rec.Text != "durable acme question" {
 		t.Fatalf("restored acme task text = %q", rec.Text)
+	}
+}
+
+// TestBuildServiceTenantsDigestAcrossRestart: a restart must rebuild
+// every tenant's slice to the state it journaled — same seq, same
+// model, store and combined digest (DESIGN §14, live == replayed). The
+// DBs are closed without a compaction, so the second boot replays each
+// journal; a slice builder that replayed before stamping the shard
+// identity (task-id stride, ownership filter) or the tenant name would
+// come back with a different digest or refuse its own records.
+func TestBuildServiceTenantsDigestAcrossRestart(t *testing.T) {
+	for name, shard := range map[string]crowddb.ShardSpec{"unsharded": {}, "shard-1-of-2": {Index: 1, Count: 2}} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.dataDir = t.TempDir()
+			cfg.tenants = []string{"acme"}
+			cfg.shard = shard
+			prefixes := []string{"/api/v1", "/api/v1/t/acme"}
+
+			boot := func() (*httptest.Server, func()) {
+				t.Helper()
+				handler, dbs, _, err := buildService(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := httptest.NewServer(handler)
+				return srv, func() {
+					srv.Close()
+					for _, db := range dbs {
+						if err := db.Close(); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}
+			post := func(url, body string, want int, into any) {
+				t.Helper()
+				resp, err := http.Post(url, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Fatalf("POST %s = %d, want %d", url, resp.StatusCode, want)
+				}
+				if into != nil {
+					if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			digest := func(base, prefix string) string {
+				t.Helper()
+				resp, err := http.Get(base + prefix + "/digest")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				b, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s/digest = %d: %s", prefix, resp.StatusCode, b)
+				}
+				return string(b)
+			}
+
+			srv, shutdown := boot()
+			before := make(map[string]string)
+			for i, prefix := range prefixes {
+				var sub struct {
+					TaskID  int   `json:"task_id"`
+					Workers []int `json:"workers"`
+				}
+				post(srv.URL+prefix+"/tasks", `{"text":"durable index question","k":2}`, http.StatusCreated, &sub)
+				scores := make(map[string]float64)
+				for _, w := range sub.Workers {
+					post(srv.URL+prefix+"/tasks/"+jsonInt(sub.TaskID)+"/answers",
+						`{"worker":`+jsonInt(w)+`,"answer":"x"}`, http.StatusNoContent, nil)
+					scores[jsonInt(w)] = float64(3 + i)
+				}
+				fb, _ := json.Marshal(map[string]any{"scores": scores})
+				post(srv.URL+prefix+"/tasks/"+jsonInt(sub.TaskID)+"/feedback", string(fb), http.StatusOK, nil)
+				before[prefix] = digest(srv.URL, prefix)
+			}
+			if before[prefixes[0]] == before[prefixes[1]] {
+				t.Fatalf("default and acme digests are equal (%s): the cut must bind the tenant", before[prefixes[0]])
+			}
+			shutdown()
+
+			srv2, shutdown2 := boot()
+			defer shutdown2()
+			for _, prefix := range prefixes {
+				if after := digest(srv2.URL, prefix); after != before[prefix] {
+					t.Errorf("%s digest moved across restart:\nbefore: %safter:  %s", prefix, before[prefix], after)
+				}
+			}
+		})
 	}
 }
 

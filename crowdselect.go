@@ -216,10 +216,8 @@ func NewManagerWith(cfg ManagerConfig) (*Manager, error) {
 }
 
 // NewManager wires a crowd manager over the store with the given
-// selector and default crowd size k.
-//
-// Deprecated: prefer NewManagerWith, whose ManagerConfig grows new
-// fields without breaking call sites.
+// selector and default crowd size k; NewManagerWith also takes the
+// shard identity and tenant namespace.
 func NewManager(store *Store, vocab *Vocabulary, sel crowddb.Selector, k int) (*Manager, error) {
 	return crowddb.NewManager(store, vocab, sel, k)
 }
@@ -228,8 +226,7 @@ func NewManager(store *Store, vocab *Vocabulary, sel crowddb.Selector, k int) (*
 func NewServer(mgr *Manager) *Server { return crowddb.NewServer(mgr) }
 
 // Versioned v1 HTTP API surface: wire DTOs shared by the server and
-// the typed client, plus the client itself. The unversioned /api/*
-// paths remain as deprecated aliases of /api/v1/*.
+// the typed client, plus the client itself.
 type (
 	// TaskSubmission is one element of Manager.SubmitBatch.
 	TaskSubmission = crowddb.TaskSubmission

@@ -57,12 +57,12 @@ func main() {
 		Workers []int  `json:"workers"`
 		Model   string `json:"model"`
 	}
-	post(srv.URL+"/api/tasks", map[string]any{"text": text, "k": 3}, &sub)
+	post(srv.URL+"/api/v1/tasks", map[string]any{"text": text, "k": 3}, &sub)
 	fmt.Printf("submitted task %d; dispatcher sent it to workers %v\n", sub.TaskID, sub.Workers)
 
 	// The selected workers answer.
 	for i, w := range sub.Workers {
-		post(fmt.Sprintf("%s/api/tasks/%d/answers", srv.URL, sub.TaskID),
+		post(fmt.Sprintf("%s/api/v1/tasks/%d/answers", srv.URL, sub.TaskID),
 			map[string]any{"worker": w, "answer": fmt.Sprintf("answer #%d", i)}, nil)
 	}
 	fmt.Printf("collected %d answers\n", len(sub.Workers))
@@ -80,7 +80,7 @@ func main() {
 			Score  float64 `json:"score"`
 		} `json:"answers"`
 	}
-	post(fmt.Sprintf("%s/api/tasks/%d/feedback", srv.URL, sub.TaskID),
+	post(fmt.Sprintf("%s/api/v1/tasks/%d/feedback", srv.URL, sub.TaskID),
 		map[string]any{"scores": scores}, &resolved)
 	fmt.Println("feedback recorded; answer scores:")
 	for _, a := range resolved.Answers {
@@ -88,7 +88,7 @@ func main() {
 	}
 
 	// Final pipeline state.
-	resp, err := http.Get(srv.URL + "/api/stats")
+	resp, err := http.Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func main() {
 
 	// The middleware tracked every call above: per-endpoint counts,
 	// errors and latency quantiles.
-	mresp, err := http.Get(srv.URL + "/api/metrics")
+	mresp, err := http.Get(srv.URL + "/api/v1/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}

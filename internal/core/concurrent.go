@@ -196,33 +196,29 @@ func (c *ConcurrentModel) Rank(bag text.Bag, candidates []int) []int {
 	return c.SelectForTask(bag, candidates, len(candidates), nil)
 }
 
-// RankBatch ranks every bag's top-k crowd in one read-lock scope:
-// projections fan out across GOMAXPROCS goroutines (cache hits are
-// free), then each category is ranked against the shared candidate
-// set. All selections see one model version — exactly what a loop of
-// Rank calls yields when no update commits in between, element-wise.
-// A cancelled ctx abandons the batch and returns ctx.Err().
+// RankBatch is RankBatchScored without the scores — exactly what a
+// loop of Rank calls (truncated to k) yields when no update commits in
+// between, element-wise.
 func (c *ConcurrentModel) RankBatch(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]int, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cats, err := c.projectAllLocked(ctx, bags, runtime.GOMAXPROCS(0))
+	scored, err := c.RankBatchScored(ctx, bags, candidates, k)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]int, len(bags))
-	for i, cat := range cats {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = c.m.SelectTopK(cat.Mean(), candidates, k)
+	out := make([][]int, len(scored))
+	for i, items := range scored {
+		out[i] = rank.IDs(items)
 	}
 	return out, nil
 }
 
-// RankBatchScored is RankBatch keeping the Eq. 1 scores: one scored
-// top-k list per bag, all under one read lock (one model version per
-// batch). This is the per-shard leg of scatter-gather selection — the
-// coordinator merges these lists with rank.MergeTopK.
+// RankBatchScored ranks every bag's top-k crowd in one read-lock scope,
+// keeping the Eq. 1 scores: projections fan out across GOMAXPROCS
+// goroutines (cache hits are free), then each category is ranked
+// against the shared candidate set, so all selections see one model
+// version. This is the manager's batched selection path and the
+// per-shard leg of scatter-gather selection — the coordinator merges
+// these lists with rank.MergeTopK. A cancelled ctx abandons the batch
+// and returns ctx.Err().
 func (c *ConcurrentModel) RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

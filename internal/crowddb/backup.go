@@ -653,9 +653,9 @@ func (src *BackupSource) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// backup, not this one.
 	errStop := errors.New("stop")
 	lastSent, sentBytes := from, baseBytes
-	err = forEachJournalRecord(journal, func(idx int, payload []byte, frameLen int) error {
+	_, err = walkJournal(journal, func(idx int, _ int64, payload []byte) error {
 		seq := baseSeq + int64(idx) + 1
-		sentBytes += int64(frameLen)
+		sentBytes += int64(recordHeaderSize + len(payload))
 		if seq <= lastSent {
 			return nil
 		}
@@ -1092,7 +1092,7 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 // deadline and body caps, exactly like the replication stream — it is
 // a fleet-plane transfer, gated by the fleet token when one is set.
 func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request) {
-	h := s.backupFor(r)
+	h := s.tenantFor(r).Backup
 	if h == nil {
 		httpError(w, http.StatusNotImplemented, errors.New("no backup source on this node"))
 		return

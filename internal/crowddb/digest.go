@@ -213,7 +213,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	fn := s.digestFor(r)
+	fn := s.tenantFor(r).Digest
 	if fn == nil {
 		httpError(w, http.StatusNotFound, errors.New("no integrity digest available on this node"))
 		return

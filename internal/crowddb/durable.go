@@ -69,7 +69,7 @@ func (st *DurabilityStats) recordWritten(n int64) {
 }
 
 // DurabilitySnapshot is the JSON form of DurabilityStats for
-// /api/metrics.
+// /api/v1/metrics.
 type DurabilitySnapshot struct {
 	Generation        uint64 `json:"generation"`
 	RecordsWritten    int64  `json:"records_written"`

@@ -423,6 +423,31 @@ func (s *Store) replayJournal(r io.Reader, onResolve func(TaskRecord) error) (Re
 	s.mu.Unlock()
 	defer s.SetClock(origClock)
 
+	return walkJournal(data, func(idx int, off int64, payload []byte) error {
+		var e event
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return &CorruptError{Offset: off, Record: idx, Err: err}
+		}
+		at := e.At
+		s.SetClock(func() time.Time { return at })
+		if err := s.applyEvent(e, onResolve); err != nil {
+			return &CorruptError{Offset: off, Record: idx, Err: err}
+		}
+		return nil
+	})
+}
+
+// walkJournal is the one reader of the journal's frame format
+// ([length | crc32 | payload], see encodeRecord): it calls fn with the
+// index, byte offset and payload of every record whose frame is whole
+// and whose checksum matches, and reports how many records fn accepted
+// and where the last of them ends. A torn final record — a partial
+// header or payload at EOF, or a full-length last record with wrong
+// bytes, all of which a crash mid-append leaves behind — ends the walk
+// cleanly with Torn set; a bad length or checksum anywhere before that
+// is a *CorruptError. An error from fn stops the walk and is returned
+// as is, with the result counting the records before it.
+func walkJournal(data []byte, fn func(idx int, off int64, payload []byte) error) (ReplayResult, error) {
 	var res ReplayResult
 	size := int64(len(data))
 	for res.GoodBytes < size {
@@ -452,14 +477,8 @@ func (s *Store) replayJournal(r io.Reader, onResolve func(TaskRecord) error) (Re
 			}
 			return res, &CorruptError{Offset: off, Record: res.Records, Err: errors.New("checksum mismatch")}
 		}
-		var e event
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return res, &CorruptError{Offset: off, Record: res.Records, Err: err}
-		}
-		at := e.At
-		s.SetClock(func() time.Time { return at })
-		if err := s.applyEvent(e, onResolve); err != nil {
-			return res, &CorruptError{Offset: off, Record: res.Records, Err: err}
+		if err := fn(res.Records, off, payload); err != nil {
+			return res, err
 		}
 		res.Records++
 		res.GoodBytes = off + recordHeaderSize + length

@@ -19,22 +19,16 @@ type Selector interface {
 	Rank(bag text.Bag, candidates []int) []int
 }
 
-// BatchRanker is the optional batched-selection hook: a Selector that
-// also implements it (as *core.ConcurrentModel does) ranks a whole
+// ScoredBatchRanker is the optional batched-selection hook: a Selector
+// that also implements it (as *core.ConcurrentModel does) ranks a whole
 // batch of tasks in one call — projections fan out across cores and
-// every selection sees one model version. The manager's SubmitBatch
-// uses it when available and falls back to sequential Rank calls
-// otherwise. Results must be element-wise identical to ranking each
-// bag alone (truncated to k).
-type BatchRanker interface {
-	RankBatch(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]int, error)
-}
-
-// ScoredBatchRanker is the scatter-gather hook: a Selector that also
-// implements it (as *core.ConcurrentModel does) returns per-candidate
-// Eq. 1 scores alongside the ranking. Scores are what make per-shard
-// top-k lists mergeable into a global top-k; RankOnlyScored requires
-// this interface.
+// every selection sees one model version — and keeps each candidate's
+// Eq. 1 score beside the ranking. Every selection path uses it when
+// available (the id form is rank.IDs of the scored one) and falls back
+// to sequential Rank calls otherwise; results must be element-wise
+// identical to ranking each bag alone (truncated to k). Scores are also
+// what make per-shard top-k lists mergeable into a global top-k, so
+// RankOnlyScored requires this interface.
 type ScoredBatchRanker interface {
 	RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error)
 }
@@ -84,8 +78,6 @@ type ownedSet struct {
 }
 
 // ManagerConfig collects a Manager's dependencies for NewManagerWith.
-// New knobs extend the struct without breaking call sites, which is why
-// new code should prefer it over the positional NewManager.
 type ManagerConfig struct {
 	// Store is the crowd database the manager serves (required).
 	Store *Store
@@ -120,11 +112,8 @@ func NewManagerWith(cfg ManagerConfig) (*Manager, error) {
 
 // NewManager wires a crowd manager over the store. vocab maps task
 // text to the term ids the selector was trained on; k is the default
-// crowd size per task.
-//
-// Deprecated: prefer NewManagerWith — its ManagerConfig grows new
-// fields (shard identity, tenant namespace, ...) without breaking call
-// sites. NewManager remains supported for existing callers.
+// crowd size per task; NewManagerWith also takes the shard identity and
+// tenant namespace.
 //
 // A bare *core.Model is wrapped in a core.ConcurrentModel: the manager
 // serves selection and feedback traffic concurrently (the HTTP server
@@ -344,13 +333,12 @@ func (m *Manager) validatePreassigned(workers []int) error {
 	return nil
 }
 
-// RankOnly is the pure selection path: it projects and ranks a batch
-// of tasks against the online workers without storing anything — no
-// task rows, no assignments, no journal writes. This is the read-only
-// counterpart of SubmitBatch (selections are computed by the same
-// ranking code) and the only selection path that stays available in
-// degraded read-only mode, when the store has sealed mutations.
-func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int, error) {
+// rankOnly is the pure selection path behind RankOnly and
+// RankOnlyScored: validate the batch, default each k, tokenize every
+// text into a bag, load the candidate set once, rank all bags at the
+// largest k and truncate each result to its own.
+func rankOnly[T any](ctx context.Context, m *Manager, reqs []TaskSubmission,
+	rank func(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]T, error)) ([][]T, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
 	}
@@ -374,7 +362,7 @@ func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int,
 	if len(online) == 0 {
 		return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
 	}
-	ranked, err := m.rankBatch(ctx, bags, online, kmax)
+	ranked, err := rank(ctx, bags, online, kmax)
 	if err != nil {
 		return nil, err
 	}
@@ -386,6 +374,16 @@ func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int,
 	return ranked, nil
 }
 
+// RankOnly is the pure selection path: it projects and ranks a batch
+// of tasks against the online workers without storing anything — no
+// task rows, no assignments, no journal writes. This is the read-only
+// counterpart of SubmitBatch (selections are computed by the same
+// ranking code) and the only selection path that stays available in
+// degraded read-only mode, when the store has sealed mutations.
+func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int, error) {
+	return rankOnly(ctx, m, reqs, m.rankBatch)
+}
+
 // RankOnlyScored is RankOnly keeping the Eq. 1 scores — the per-shard
 // leg of scatter-gather selection. It requires a selector with the
 // ScoredBatchRanker hook; baseline selectors that expose no scores get
@@ -395,39 +393,7 @@ func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([]
 	if !ok {
 		return nil, fmt.Errorf("%w: selector %s does not expose selection scores", ErrBadRequest, m.sel.Name())
 	}
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	bags := make([]text.Bag, len(reqs))
-	ks := make([]int, len(reqs))
-	kmax := 0
-	for i, r := range reqs {
-		ks[i] = r.K
-		if ks[i] <= 0 {
-			ks[i] = m.k
-		}
-		if ks[i] > kmax {
-			kmax = ks[i]
-		}
-		bags[i] = text.NewBagKnown(m.vocab, text.Tokenize(r.Text))
-	}
-	online := m.candidateWorkers()
-	if len(online) == 0 {
-		return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
-	}
-	scored, err := sbr.RankBatchScored(ctx, bags, online, kmax)
-	if err != nil {
-		return nil, err
-	}
-	for i := range scored {
-		if len(scored[i]) > ks[i] {
-			scored[i] = scored[i][:ks[i]]
-		}
-	}
-	return scored, nil
+	return rankOnly(ctx, m, reqs, sbr.RankBatchScored)
 }
 
 // ApplyModelFeedback folds feedback scores into owned workers'
@@ -473,13 +439,20 @@ func (m *Manager) ApplyModelFeedback(ctx context.Context, forwardOf int, taskTex
 }
 
 // rankBatch ranks every bag against the candidate set, truncated to k:
-// one BatchRanker call when the selector supports it, otherwise a
-// sequential loop with a cancellation check per task.
+// the ids of one ScoredBatchRanker call when the selector supports it,
+// otherwise a sequential loop with a cancellation check per task.
 func (m *Manager) rankBatch(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]int, error) {
-	if br, ok := m.sel.(BatchRanker); ok {
-		return br.RankBatch(ctx, bags, candidates, k)
-	}
 	out := make([][]int, len(bags))
+	if sbr, ok := m.sel.(ScoredBatchRanker); ok {
+		scored, err := sbr.RankBatchScored(ctx, bags, candidates, k)
+		if err != nil {
+			return nil, err
+		}
+		for i, items := range scored {
+			out[i] = rank.IDs(items)
+		}
+		return out, nil
+	}
 	for i, bag := range bags {
 		if err := ctx.Err(); err != nil {
 			return nil, err

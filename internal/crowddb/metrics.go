@@ -108,7 +108,7 @@ type EndpointMetrics struct {
 	P99Ms  float64 `json:"p99_ms"`
 }
 
-// MetricsSnapshot is the GET /api/metrics payload. Durability is
+// MetricsSnapshot is the GET /api/v1/metrics payload. Durability is
 // populated by the server when a durable DB backs the service.
 type MetricsSnapshot struct {
 	UptimeSeconds    float64                    `json:"uptime_seconds"`

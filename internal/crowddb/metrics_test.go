@@ -18,22 +18,22 @@ func TestMetricsObserveAndSnapshot(t *testing.T) {
 	m := NewMetrics()
 	// 90 fast requests, 10 slow, 5 of them errors.
 	for i := 0; i < 90; i++ {
-		m.Observe("POST /api/tasks", 201, 2*time.Millisecond)
+		m.Observe("POST /api/v1/tasks", 201, 2*time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
 		status := 200
 		if i < 5 {
 			status = 500
 		}
-		m.Observe("POST /api/tasks", status, 80*time.Millisecond)
+		m.Observe("POST /api/v1/tasks", status, 80*time.Millisecond)
 	}
-	m.Observe("GET /api/stats", 200, 1*time.Millisecond)
+	m.Observe("GET /api/v1/stats", 200, 1*time.Millisecond)
 
 	snap := m.Snapshot()
 	if snap.Requests != 101 || snap.Errors != 5 {
 		t.Errorf("totals = %d/%d, want 101/5", snap.Requests, snap.Errors)
 	}
-	ep := snap.Endpoints["POST /api/tasks"]
+	ep := snap.Endpoints["POST /api/v1/tasks"]
 	if ep.Count != 100 || ep.Errors != 5 {
 		t.Fatalf("endpoint = %+v", ep)
 	}
@@ -87,10 +87,10 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 
 func TestEndpointLabelNormalizesIDs(t *testing.T) {
 	cases := map[string]string{
-		"/api/tasks/17/feedback": "POST /api/tasks/{id}/feedback",
-		"/api/tasks/9":           "POST /api/tasks/{id}",
-		"/api/workers/0":         "POST /api/workers/{id}",
-		"/api/stats":             "POST /api/stats",
+		"/api/v1/tasks/17/feedback": "POST /api/v1/tasks/{id}/feedback",
+		"/api/v1/tasks/9":           "POST /api/v1/tasks/{id}",
+		"/api/v1/workers/0":         "POST /api/v1/workers/{id}",
+		"/api/v1/stats":             "POST /api/v1/stats",
 	}
 	for path, want := range cases {
 		r := httptest.NewRequest("POST", path, nil)

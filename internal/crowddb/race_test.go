@@ -56,7 +56,7 @@ func TestConcurrentSelectVsFeedback(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				status, err := postStatus(ts.URL+"/api/tasks",
+				status, err := postStatus(ts.URL+"/api/v1/tasks",
 					map[string]any{"text": fmt.Sprintf("hammer %d-%d trees queries", g, i), "k": 2})
 				if err != nil {
 					t.Errorf("submit: %v", err)
@@ -74,7 +74,7 @@ func TestConcurrentSelectVsFeedback(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, tg := range targets {
-			status, err := postStatus(fmt.Sprintf("%s/api/tasks/%d/feedback", ts.URL, tg.task),
+			status, err := postStatus(fmt.Sprintf("%s/api/v1/tasks/%d/feedback", ts.URL, tg.task),
 				map[string]any{"scores": map[string]float64{fmt.Sprint(tg.worker): 4}})
 			if err != nil {
 				t.Errorf("feedback: %v", err)
@@ -89,7 +89,7 @@ func TestConcurrentSelectVsFeedback(t *testing.T) {
 	wg.Wait()
 
 	// The metrics middleware saw the whole hammer.
-	resp, err := http.Get(ts.URL + "/api/metrics")
+	resp, err := http.Get(ts.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

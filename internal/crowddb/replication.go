@@ -542,44 +542,6 @@ func (db *DB) replPinned(gen uint64) bool {
 	return db.repl.pins[gen] > 0
 }
 
-// forEachJournalRecord walks the framed records in a journal file's
-// bytes, calling fn with each record's index, payload and on-wire
-// frame length. A torn tail ends the walk cleanly (the journal owner
-// truncates it on recovery); mid-file corruption is a *CorruptError.
-func forEachJournalRecord(data []byte, fn func(idx int, payload []byte, frameLen int) error) error {
-	var off int64
-	size := int64(len(data))
-	idx := 0
-	for off < size {
-		rest := data[off:]
-		if len(rest) < recordHeaderSize {
-			return nil
-		}
-		length := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length > maxRecordSize {
-			return &CorruptError{Offset: off, Record: idx,
-				Err: fmt.Errorf("record length %d exceeds %d", length, maxRecordSize)}
-		}
-		if int64(len(rest)) < recordHeaderSize+length {
-			return nil
-		}
-		payload := rest[recordHeaderSize : recordHeaderSize+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			if off+recordHeaderSize+length == size {
-				return nil
-			}
-			return &CorruptError{Offset: off, Record: idx, Err: errors.New("checksum mismatch")}
-		}
-		if err := fn(idx, payload, int(recordHeaderSize+length)); err != nil {
-			return err
-		}
-		idx++
-		off += recordHeaderSize + length
-	}
-	return nil
-}
-
 // ReplicationSourceOptions tunes a ReplicationSource.
 type ReplicationSourceOptions struct {
 	// Heartbeat is how often an idle stream advertises the head
@@ -783,9 +745,9 @@ func (src *ReplicationSource) ServeHTTP(w http.ResponseWriter, r *http.Request) 
 
 	// Records already on disk in the pinned generation's journal.
 	lastSent, sentBytes := from, baseBytes
-	err = forEachJournalRecord(journal, func(idx int, payload []byte, frameLen int) error {
+	_, err = walkJournal(journal, func(idx int, _ int64, payload []byte) error {
 		seq := baseSeq + int64(idx) + 1
-		sentBytes += int64(frameLen)
+		sentBytes += int64(recordHeaderSize + len(payload))
 		if seq <= lastSent {
 			return nil
 		}

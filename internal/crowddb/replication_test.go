@@ -467,7 +467,7 @@ func TestPinnedGenerationSurvivesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := forEachJournalRecord(data, func(int, []byte, int) error { return nil }); err != nil {
+	if _, err := walkJournal(data, func(int, int64, []byte) error { return nil }); err != nil {
 		t.Fatalf("pinned journal unreadable: %v", err)
 	}
 

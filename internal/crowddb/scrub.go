@@ -151,11 +151,11 @@ func (db *DB) scrubGeneration(gen uint64, modelDigest, storeDigest string) error
 	// in progress, not corruption; mid-file damage is.
 	jpath := db.journalPath(gen)
 	if data, err := os.ReadFile(jpath); err == nil {
-		n := 0
-		if err := forEachJournalRecord(data, func(int, []byte, int) error { n++; return nil }); err != nil {
+		res, err := walkJournal(data, func(int, int64, []byte) error { return nil })
+		if err != nil {
 			return &ScrubError{Path: jpath, Err: err}
 		}
-		db.scrub.records.Add(int64(n))
+		db.scrub.records.Add(int64(res.Records))
 		db.scrub.files.Add(1)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return &ScrubError{Path: jpath, Err: err}

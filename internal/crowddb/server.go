@@ -40,16 +40,12 @@ import (
 // paths bypass admission, deadline budgets and the body cap — the
 // stream is long-lived by design.
 //
-// The unversioned /api/* paths of earlier releases are deprecated
-// aliases: ServeHTTP rewrites them to /api/v1/* before dispatch, so
-// both spellings share one handler and one metrics series (labeled
-// under the v1 path). New clients should use /api/v1 exclusively.
-//
 // Tenant-scoped routes live under /api/v1/t/{tenant}/... (DESIGN §13):
-// the same rewrite-pre-dispatch trick strips the tenant prefix and
-// threads the tenant through the request context, so every data route
-// serves every tenant from one mux. The un-prefixed /api/v1/* routes
-// are exact aliases for the "default" tenant. Unknown tenants get 404
+// ServeHTTP strips the tenant prefix before dispatch and threads the
+// tenant through the request context, so every data route serves every
+// tenant from one mux and one metrics series. The un-prefixed /api/v1/*
+// routes are exact aliases for the "default" tenant, an ordinary entry
+// of the tenant registry. Unknown tenants get 404
 // with the unknown_tenant code; a tenant over its in-flight quota gets
 // 429 with tenant_quota_exceeded. See AddTenant / SetTenantQuota.
 //
@@ -85,9 +81,7 @@ import (
 // away without dropping in-flight requests. Both probes bypass the
 // load-shedding gate.
 type Server struct {
-	mgr        *Manager
 	mux        *http.ServeMux
-	query      QueryEngine // optional: POST /api/v1/query
 	metrics    *Metrics
 	logf       func(format string, args ...any) // nil: quiet
 	ready      atomic.Bool
@@ -96,11 +90,9 @@ type Server struct {
 
 	writeBudget time.Duration             // server-side deadline for mutations (0: none)
 	maxBody     int64                     // request-body cap for POSTs
-	degraded    func() bool               // nil: never degraded
 	durability  func() DurabilitySnapshot // nil: no durability section
 
 	role       atomic.Value             // RolePrimary | RoleReplica
-	replSource http.Handler             // GET /api/v1/replication/stream
 	replStatus func() ReplicationStatus // nil: no replication section
 	promoter   func(context.Context) error
 	fence      *Fence // nil: no fencing (hand-operated fleets)
@@ -109,14 +101,13 @@ type Server struct {
 	cacheStats func() core.ProjectionCacheStats // nil: no cache section
 	topo       topologyState                    // live topology document
 
-	digest    DigestFunc               // nil: GET /api/v1/digest is 404 (default tenant)
-	backup    http.Handler             // nil: GET /api/v1/backup is 501 (default tenant)
 	integrity func() IntegritySnapshot // nil: no integrity section
 
-	// tenants is the tenant registry (DESIGN §13). It always holds the
-	// default entry; AddTenant registers more at boot time. The default
-	// entry's manager/query/... fields stay nil — the Server's own
-	// fields above are authoritative for the default tenant.
+	// tenants is the tenant registry (DESIGN §13): every per-tenant
+	// facility (manager, query engine, degraded check, replication and
+	// backup sources, digest) lives in its entry and nowhere else.
+	// NewServer fills tenants[DefaultTenant]; AddTenant registers more at
+	// boot time.
 	tenants map[string]*tenantEntry
 }
 
@@ -147,16 +138,19 @@ const statusClientClosedRequest = 499
 // recover state on boot call SetReady(false) before serving and flip
 // it once recovery completes.
 func NewServer(mgr *Manager) *Server {
-	s := &Server{mgr: mgr, mux: http.NewServeMux(), metrics: NewMetrics(), maxBody: defaultMaxBody}
+	s := &Server{mux: http.NewServeMux(), metrics: NewMetrics(), maxBody: defaultMaxBody}
 	s.ready.Store(true)
-	s.tenants = map[string]*tenantEntry{DefaultTenant: {name: DefaultTenant}}
+	s.tenants = map[string]*tenantEntry{
+		DefaultTenant: {name: DefaultTenant, TenantConfig: TenantConfig{Manager: mgr}},
+	}
 	s.registerRoutes()
 	s.role.Store(RolePrimary)
 	return s
 }
 
-// SetQueryEngine enables POST /api/v1/query {"q": "SELECT ..."}.
-func (s *Server) SetQueryEngine(e QueryEngine) { s.query = e }
+// SetQueryEngine enables POST /api/v1/query {"q": "SELECT ..."} for the
+// default tenant.
+func (s *Server) SetQueryEngine(e QueryEngine) { s.tenants[DefaultTenant].Query = e }
 
 // SetLogger installs a request/panic log sink (log.Printf shaped).
 // The default is silent.
@@ -208,12 +202,12 @@ func (s *Server) SetMaxBodyBytes(n int64) {
 	s.maxBody = n
 }
 
-// SetDegradedCheck wires the durability layer's degraded-mode flag
+// SetDegradedCheck wires the default tenant's degraded-mode flag
 // (typically (*DB).Degraded): while it reports true, mutations are
 // refused up front with 503 + degraded_read_only and /readyz carries a
 // mode detail, while selections and other reads keep serving from the
 // last committed model.
-func (s *Server) SetDegradedCheck(f func() bool) { s.degraded = f }
+func (s *Server) SetDegradedCheck(f func() bool) { s.tenants[DefaultTenant].Degraded = f }
 
 // SetDurabilityStats adds a durability section to GET /api/v1/metrics,
 // fed by the given snapshot function (typically (*DB).Stats).
@@ -238,8 +232,9 @@ func (s *Server) Topology() Topology {
 	return doc
 }
 
-// shard is this node's shard identity, read from the manager.
-func (s *Server) shard() ShardSpec { return s.mgr.Shard() }
+// shard is this node's shard identity, read from the default tenant's
+// manager (every tenant of a node carries the same one).
+func (s *Server) shard() ShardSpec { return s.tenants[DefaultTenant].Manager.Shard() }
 
 // handleTopology serves the live topology document and accepts admin
 // updates. GET is served by every node (replicas included) so a router
@@ -311,7 +306,7 @@ func (s *Server) handleSkillFeedback(w http.ResponseWriter, r *http.Request) {
 		}
 		forwardOf = *req.Task
 	}
-	if err := s.mgrFor(r).ApplyModelFeedback(r.Context(), forwardOf, req.Text, scores); err != nil {
+	if err := s.tenantFor(r).Manager.ApplyModelFeedback(r.Context(), forwardOf, req.Text, scores); err != nil {
 		s.writeShardErr(w, r, err)
 		return
 	}
@@ -373,9 +368,12 @@ func (s *Server) Role() string {
 	return RolePrimary
 }
 
-// SetReplicationSource enables GET /api/v1/replication/stream
-// (typically a *ReplicationSource). Only a primary serves it.
-func (s *Server) SetReplicationSource(h http.Handler) { s.replSource = h }
+// SetReplicationSource enables GET /api/v1/replication/stream for the
+// default tenant (typically a *ReplicationSource). Only a primary
+// serves it.
+func (s *Server) SetReplicationSource(h http.Handler) {
+	s.tenants[DefaultTenant].ReplicationSource = h
+}
 
 // SetReplicationStatus adds a replication section to /readyz and
 // GET /api/v1/metrics (typically (*ReplicationSource).Status on a
@@ -391,11 +389,11 @@ func (s *Server) SetPromoter(f func(context.Context) error) { s.promoter = f }
 // (DESIGN §14): fn is typically a DigestCutter's Cut on a primary, or
 // (*Replica).Digest on a follower. Tenant-scoped digests install via
 // TenantConfig.Digest.
-func (s *Server) SetDigestProvider(fn DigestFunc) { s.digest = fn }
+func (s *Server) SetDigestProvider(fn DigestFunc) { s.tenants[DefaultTenant].Digest = fn }
 
 // SetBackupSource enables GET /api/v1/backup for the default tenant
 // (see BackupSource); nil (the default) answers 501.
-func (s *Server) SetBackupSource(h http.Handler) { s.backup = h }
+func (s *Server) SetBackupSource(h http.Handler) { s.tenants[DefaultTenant].Backup = h }
 
 // SetIntegrityStats adds the integrity section (scrub progress,
 // divergence state) to GET /api/v1/metrics and /readyz, fed by the
@@ -462,7 +460,7 @@ func (s *Server) replicationStatusNow() ReplicationStatus {
 // ReplicationSource — /api/v1/t/{name}/replication/stream streams that
 // tenant's journal, the un-prefixed path the default tenant's.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	src := s.replSourceFor(r)
+	src := s.tenantFor(r).ReplicationSource
 	if src == nil {
 		httpError(w, http.StatusNotImplemented, errors.New("replication source not configured"))
 		return
@@ -659,7 +657,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	// Degraded read-only is still ready — selections keep serving — but
 	// the detail lets operators and dashboards see the state.
-	if s.degraded != nil && s.degraded() {
+	if s.tenants[DefaultTenant].degraded() {
 		resp.Mode = "degraded_read_only"
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -678,7 +676,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
-	query := s.queryFor(r)
+	query := s.tenantFor(r).Query
 	if query == nil {
 		httpError(w, http.StatusNotImplemented, errors.New("query engine not configured"))
 		return
@@ -697,15 +695,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// legacyRewrite maps a deprecated unversioned /api/* path to its
-// /api/v1/* home, or returns "" when the path needs no rewrite.
-func legacyRewrite(path string) string {
-	if !strings.HasPrefix(path, "/api/") || strings.HasPrefix(path, "/api/v1/") || path == "/api/v1" {
-		return ""
-	}
-	return "/api/v1/" + strings.TrimPrefix(path, "/api/")
 }
 
 // isMutation classifies a request for shedding priority, deadline
@@ -739,20 +728,19 @@ func serverDeadlineFired(ctx context.Context) bool {
 	return ok && parent.Err() == nil
 }
 
-// ServeHTTP implements http.Handler. It is the middleware shell:
-// rewrite deprecated /api/* paths onto /api/v1/*, strip the
-// /api/v1/t/{tenant} prefix into the request context, run the
+// ServeHTTP implements http.Handler. It is the middleware shell: strip
+// the /api/v1/t/{tenant} prefix into the request context, run the
 // readiness, degraded-mode, admission and tenant-quota gates, arm the
 // deadline budget, cap the request body, route, then record
-// status/latency per endpoint (under the v1 label for every spelling)
-// and turn handler panics into 500s.
+// status/latency per endpoint (one label for both spellings of a
+// tenant route) and turn handler panics into 500s.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w}
-	if v1 := legacyRewrite(r.URL.Path); v1 != "" {
-		r = r.Clone(r.Context())
-		r.URL.Path = v1
-	}
+	// label overrides the per-path metrics series where the path is
+	// client-chosen: arbitrary request paths must not mint unbounded
+	// label cardinality.
+	var label string
 	defer func() {
 		if p := recover(); p != nil {
 			if s.logf != nil {
@@ -763,7 +751,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		status := sw.status()
-		s.metrics.Observe(endpointLabel(r), status, time.Since(start))
+		if label == "" && status == http.StatusNotFound {
+			if _, pattern := s.mux.Handler(r); pattern == "/" {
+				label = r.Method + " {unrouted}"
+			}
+		}
+		if label == "" {
+			label = endpointLabel(r)
+		}
+		s.metrics.Observe(label, status, time.Since(start))
 		if s.logf != nil {
 			s.logf("%s %s -> %d (%s)", r.Method, r.URL.Path, status, time.Since(start).Round(time.Microsecond))
 		}
@@ -785,17 +781,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Tenant rewrite, before every gate: /api/v1/t/{name}/rest
 		// becomes /api/v1/rest with the tenant in the request context,
 		// so tenant-scoped and default spellings share one mux, one
-		// handler and one metrics series — exactly the legacy-alias
-		// contract, extended to namespaces.
+		// handler and one metrics series.
 		ten := s.tenants[DefaultTenant]
 		if name, v1, scoped := splitTenantPath(r.URL.Path); scoped {
 			e := s.tenants[name]
 			if e == nil {
-				// Collapse the unknown name before the deferred metrics
-				// observation — arbitrary request paths must not mint
-				// unbounded label cardinality.
-				r = r.Clone(r.Context())
-				r.URL.Path = "/api/v1/t/{tenant}"
+				label = r.Method + " /api/v1/t/{tenant}"
 				httpErrorCode(sw, http.StatusNotFound, codeUnknownTenant,
 					fmt.Errorf("unknown tenant %q", name))
 				return
@@ -850,7 +841,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				errors.New("this node is a read replica; send writes to the primary"))
 			return
 		}
-		if mutation && !topoAdmin && s.tenantDegraded(ten) {
+		if mutation && !topoAdmin && ten.degraded() {
 			httpErrorCode(sw, http.StatusServiceUnavailable, codeDegradedReadOnly,
 				errors.New("journal unavailable: mutations sealed, reads still served"))
 			return
@@ -937,9 +928,9 @@ func (w *statusWriter) status() int {
 
 // endpointLabel normalizes a request to its route pattern — numeric
 // path segments collapse to {id} so /api/v1/tasks/17/feedback and
-// /api/v1/tasks/99/feedback share one metrics series. Legacy /api/*
-// requests were rewritten before this runs, so both spellings land on
-// the v1 series.
+// /api/v1/tasks/99/feedback share one metrics series. The tenant
+// prefix was stripped before this runs, so every tenant lands on the
+// same series.
 func endpointLabel(r *http.Request) string {
 	segs := strings.Split(r.URL.Path, "/")
 	for i, seg := range segs {
@@ -1041,7 +1032,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	// A single submit is a batch of one, so the Workers preassignment
 	// field behaves (and validates) identically on both endpoints.
-	mgr := s.mgrFor(r)
+	mgr := s.tenantFor(r).Manager
 	subs, err := mgr.SubmitBatch(r.Context(), []TaskSubmission{{Text: req.Text, K: req.K, Workers: req.Workers}})
 	if err != nil {
 		writeErr(w, r, err)
@@ -1067,7 +1058,7 @@ func (s *Server) handleTasksBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	mgr := s.mgrFor(r)
+	mgr := s.tenantFor(r).Manager
 	subs, err := mgr.SubmitBatch(r.Context(), reqs)
 	if err != nil {
 		writeErr(w, r, err)
@@ -1137,7 +1128,7 @@ func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	mgr := s.mgrFor(r)
+	mgr := s.tenantFor(r).Manager
 	if req.IncludeScores {
 		scored, err := mgr.RankOnlyScored(r.Context(), reqs)
 		if err != nil {
@@ -1187,7 +1178,7 @@ func (s *Server) handleTaskSubtree(w http.ResponseWriter, r *http.Request) {
 	if s.refuseUnownedTask(w, r, id) {
 		return
 	}
-	mgr := s.mgrFor(r)
+	mgr := s.tenantFor(r).Manager
 	switch {
 	case len(parts) == 1 && r.Method == http.MethodGet:
 		task, err := mgr.Store().GetTask(id)
@@ -1243,7 +1234,7 @@ func (s *Server) handleWorkerSubtree(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad worker id %q", parts[0]))
 		return
 	}
-	mgr := s.mgrFor(r)
+	mgr := s.tenantFor(r).Manager
 	switch {
 	case len(parts) == 1 && r.Method == http.MethodGet:
 		worker, err := mgr.Store().GetWorker(id)
@@ -1287,7 +1278,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	mgr := s.mgrFor(r)
+	mgr := s.tenantFor(r).Manager
 	st := mgr.Store()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Workers:  st.NumWorkers(),

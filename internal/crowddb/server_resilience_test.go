@@ -192,8 +192,8 @@ func TestServerDeadlineBudget(t *testing.T) {
 func TestServerMetricsAdmissionSection(t *testing.T) {
 	mgr, _ := managerFixture(t)
 	srv := NewServer(mgr)
-	srv.SetQueryEngine(blockingEngine{entered: make(chan struct{}), release: make(chan struct{})})
-	be := srv.query.(blockingEngine)
+	be := blockingEngine{entered: make(chan struct{}), release: make(chan struct{})}
+	srv.SetQueryEngine(be)
 	srv.SetMaxInFlight(1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

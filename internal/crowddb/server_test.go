@@ -319,7 +319,7 @@ func TestServerHealthAndReadiness(t *testing.T) {
 	}
 
 	srv.SetReady(true)
-	if got := get("/api/stats"); got != http.StatusOK {
+	if got := get("/api/v1/stats"); got != http.StatusOK {
 		t.Errorf("api after ready = %d", got)
 	}
 }
@@ -331,8 +331,8 @@ func TestServerHealthAndReadiness(t *testing.T) {
 func TestServerLoadShedding(t *testing.T) {
 	mgr, _ := managerFixture(t)
 	srv := NewServer(mgr)
-	srv.SetQueryEngine(blockingEngine{entered: make(chan struct{}), release: make(chan struct{})})
-	be := srv.query.(blockingEngine)
+	be := blockingEngine{entered: make(chan struct{}), release: make(chan struct{})}
+	srv.SetQueryEngine(be)
 	srv.SetMaxInFlight(1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -382,7 +382,7 @@ func TestServerLoadShedding(t *testing.T) {
 	}
 }
 
-// blockingEngine parks /api/query until released, to hold the
+// blockingEngine parks /api/v1/query until released, to hold the
 // in-flight slot deterministically.
 type blockingEngine struct {
 	entered chan struct{}
@@ -396,7 +396,7 @@ func (e blockingEngine) Execute(context.Context, string) (any, error) {
 }
 
 // TestServerDurabilityMetrics: the durability section appears in
-// /api/metrics when a stats source is installed.
+// /api/v1/metrics when a stats source is installed.
 func TestServerDurabilityMetrics(t *testing.T) {
 	mgr, _ := managerFixture(t)
 	srv := NewServer(mgr)

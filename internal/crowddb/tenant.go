@@ -13,10 +13,10 @@ import (
 // projection cache, query engine, replication stream — and the HTTP
 // surface namespaces them under /api/v1/t/{tenant}/..., with the
 // un-prefixed /api/v1/* routes serving as pure aliases for the
-// "default" tenant (the same rewrite-pre-dispatch trick as the legacy
-// /api/* aliases). Node-level concerns — readiness, role, fencing,
-// topology, the AIMD admission controller — stay shared: tenants are
-// data namespaces, not virtual nodes.
+// "default" tenant, which is an ordinary entry of the registry. Node-
+// level concerns — readiness, role, fencing, topology, the AIMD
+// admission controller — stay shared: tenants are data namespaces, not
+// virtual nodes.
 
 // DefaultTenant is the tenant behind the un-prefixed /api/v1/* routes.
 // A pre-tenant data directory is exactly a default-tenant data
@@ -70,10 +70,12 @@ func TenantOf(r *http.Request) string {
 	return DefaultTenant
 }
 
-// TenantConfig wires one additional tenant into a Server. Only Manager
-// is required; nil optional fields disable that facility for the
-// tenant (a tenant without a Query engine answers /query with 501, one
-// without a ReplicationSource answers its stream with 501).
+// TenantConfig is one tenant's vertical slice as the Server sees it:
+// AddTenant registers a named tenant from it, and NewServer plus the
+// Set* methods fill the same struct for the default tenant. Only
+// Manager is required; nil optional fields disable that facility for
+// the tenant (a tenant without a Query engine answers /query with 501,
+// one without a ReplicationSource answers its stream with 501).
 type TenantConfig struct {
 	// Manager owns the tenant's store, model and selection path.
 	Manager *Manager
@@ -81,9 +83,7 @@ type TenantConfig struct {
 	Query QueryEngine
 	// Degraded reports the tenant's own journal health (typically the
 	// tenant DB's Degraded method); while true, the tenant's mutations
-	// are refused with 503 degraded_read_only. Node-level degradation
-	// is tracked separately via SetDegradedCheck for the default
-	// tenant.
+	// are refused with 503 degraded_read_only.
 	Degraded func() bool
 	// ReplicationSource serves GET /api/v1/t/{name}/replication/stream
 	// so followers replicate this tenant's journal.
@@ -99,31 +99,26 @@ type TenantConfig struct {
 	Backup http.Handler
 }
 
-// tenantEntry is the server-side state of one tenant. The default
-// entry's mgr/query/degraded/replSource stay nil — the Server's own
-// fields (s.mgr, s.query, ...) are authoritative for it, so the many
-// existing single-tenant call sites keep working unchanged.
+// tenantEntry is the server-side state of one tenant: its name, the
+// slice it was registered with, and its request accounting.
 type tenantEntry struct {
-	name       string
-	mgr        *Manager
-	query      QueryEngine
-	degraded   func() bool
-	replSource http.Handler
-	digest     DigestFunc
-	backup     http.Handler
+	name string
+	TenantConfig
 
-	requests    atomic.Int64 // API requests routed to this tenant
-	inflight    atomic.Int64 // currently in flight (quota accounting)
-	shed        atomic.Int64 // refused with tenant_quota_exceeded
-	maxInflight int64        // 0: unlimited
+	requests atomic.Int64 // API requests routed to this tenant
+	inflight atomic.Int64 // currently in flight (quota accounting)
+	shed     atomic.Int64 // refused with tenant_quota_exceeded
 }
+
+// degraded reports the tenant's journal health.
+func (e *tenantEntry) degraded() bool { return e.Degraded != nil && e.Degraded() }
 
 // admit claims a quota slot; on false the request must be shed.
 func (e *tenantEntry) admit() bool {
-	if e.maxInflight <= 0 {
+	if e.MaxInflight <= 0 {
 		return true
 	}
-	if e.inflight.Add(1) > e.maxInflight {
+	if e.inflight.Add(1) > int64(e.MaxInflight) {
 		e.inflight.Add(-1)
 		e.shed.Add(1)
 		return false
@@ -133,22 +128,19 @@ func (e *tenantEntry) admit() bool {
 
 // release returns a quota slot claimed by admit.
 func (e *tenantEntry) release() {
-	if e.maxInflight > 0 {
+	if e.MaxInflight > 0 {
 		e.inflight.Add(-1)
 	}
 }
 
-// AddTenant registers a non-default tenant. Call before serving
-// traffic, alongside the other Set* wiring — the registry is not
-// synchronized against in-flight requests. The default tenant exists
-// from NewServer and cannot be re-added; use the Set* methods and
-// SetTenantQuota to configure it.
+// AddTenant registers a named tenant. Call before serving traffic,
+// alongside the other Set* wiring — the registry is not synchronized
+// against in-flight requests. The default tenant is registered by
+// NewServer, so re-adding it is a duplicate; the Set* methods and
+// SetTenantQuota fill in the rest of its entry.
 func (s *Server) AddTenant(name string, cfg TenantConfig) error {
 	if !ValidTenantName(name) {
 		return fmt.Errorf("invalid tenant name %q", name)
-	}
-	if name == DefaultTenant {
-		return fmt.Errorf("tenant %q is built in; configure it via the Server's Set* methods", DefaultTenant)
 	}
 	if _, dup := s.tenants[name]; dup {
 		return fmt.Errorf("tenant %q already registered", name)
@@ -156,16 +148,7 @@ func (s *Server) AddTenant(name string, cfg TenantConfig) error {
 	if cfg.Manager == nil {
 		return fmt.Errorf("tenant %q needs a manager", name)
 	}
-	s.tenants[name] = &tenantEntry{
-		name:        name,
-		mgr:         cfg.Manager,
-		query:       cfg.Query,
-		degraded:    cfg.Degraded,
-		replSource:  cfg.ReplicationSource,
-		digest:      cfg.Digest,
-		backup:      cfg.Backup,
-		maxInflight: int64(cfg.MaxInflight),
-	}
+	s.tenants[name] = &tenantEntry{name: name, TenantConfig: cfg}
 	return nil
 }
 
@@ -183,7 +166,7 @@ func (s *Server) SetTenantQuota(name string, n int) error {
 	if n < 0 {
 		n = 0
 	}
-	e.maxInflight = int64(n)
+	e.MaxInflight = n
 	return nil
 }
 
@@ -212,63 +195,6 @@ func (s *Server) tenantFor(r *http.Request) *tenantEntry {
 	return s.tenants[DefaultTenant]
 }
 
-// mgrFor is the tenant-aware replacement for reading s.mgr directly in
-// handlers.
-func (s *Server) mgrFor(r *http.Request) *Manager {
-	e := s.tenantFor(r)
-	if e.mgr != nil {
-		return e.mgr
-	}
-	return s.mgr
-}
-
-// queryFor resolves the tenant's query engine (nil: not configured).
-func (s *Server) queryFor(r *http.Request) QueryEngine {
-	e := s.tenantFor(r)
-	if e.name == DefaultTenant {
-		return s.query
-	}
-	return e.query
-}
-
-// digestFor resolves the tenant's digest provider (nil: no digest on
-// this node for that tenant).
-func (s *Server) digestFor(r *http.Request) DigestFunc {
-	e := s.tenantFor(r)
-	if e.name == DefaultTenant {
-		return s.digest
-	}
-	return e.digest
-}
-
-// replSourceFor resolves the tenant's replication stream handler.
-func (s *Server) replSourceFor(r *http.Request) http.Handler {
-	e := s.tenantFor(r)
-	if e.name == DefaultTenant {
-		return s.replSource
-	}
-	return e.replSource
-}
-
-// backupFor resolves the tenant's backup stream handler (nil: no
-// backup source on this node for that tenant).
-func (s *Server) backupFor(r *http.Request) http.Handler {
-	e := s.tenantFor(r)
-	if e.name == DefaultTenant {
-		return s.backup
-	}
-	return e.backup
-}
-
-// tenantDegraded reports the tenant's journal health: the node-level
-// degraded check for the default tenant, the tenant's own for others.
-func (s *Server) tenantDegraded(e *tenantEntry) bool {
-	if e.name == DefaultTenant {
-		return s.degraded != nil && s.degraded()
-	}
-	return e.degraded != nil && e.degraded()
-}
-
 // TenantSnapshot is one tenant's row in the metrics tenants section.
 type TenantSnapshot struct {
 	Requests    int64 `json:"requests"`
@@ -281,7 +207,7 @@ type TenantSnapshot struct {
 // server hosts only an unlimited default tenant (single-tenant
 // deployments keep their exact pre-tenancy metrics payload).
 func (s *Server) tenantSnapshots() map[string]TenantSnapshot {
-	if len(s.tenants) == 1 && s.tenants[DefaultTenant].maxInflight == 0 {
+	if len(s.tenants) == 1 && s.tenants[DefaultTenant].MaxInflight == 0 {
 		return nil
 	}
 	out := make(map[string]TenantSnapshot, len(s.tenants))
@@ -289,7 +215,7 @@ func (s *Server) tenantSnapshots() map[string]TenantSnapshot {
 		out[name] = TenantSnapshot{
 			Requests:    e.requests.Load(),
 			Inflight:    e.inflight.Load(),
-			MaxInflight: e.maxInflight,
+			MaxInflight: int64(e.MaxInflight),
 			Shed:        e.shed.Load(),
 		}
 	}

@@ -39,7 +39,6 @@ func TestSplitTenantPath(t *testing.T) {
 		{"/api/v1/t/acme/", "acme", "/api/v1/", true},
 		{"/api/v1/t/acme", "acme", "/api/v1/", true},
 		{"/api/v1/tasks", "", "", false},
-		{"/api/tasks", "", "", false},
 		{"/healthz", "", "", false},
 	}
 	for _, c := range cases {
@@ -156,7 +155,7 @@ func TestTenantAliasMatchesDefault(t *testing.T) {
 
 	// Mutations through both spellings land on one un-prefixed metrics
 	// series — the scoped path is rewritten before the metrics label is
-	// taken, exactly like the legacy /api/* aliases.
+	// taken.
 	for i, prefix := range []string{"/api/v1", "/api/v1/t/default"} {
 		resp := postJSON(t, ts+prefix+"/tasks", map[string]any{"text": fmt.Sprintf("tenant alias probe %d", i), "k": 1})
 		if resp.StatusCode != http.StatusCreated {
@@ -177,7 +176,142 @@ func TestTenantAliasMatchesDefault(t *testing.T) {
 			t.Errorf("tenant-labeled series leaked: %q", label)
 		}
 	}
+
+	// Every tenant-scoped route, every facility state: the default
+	// tenant reached un-prefixed and as /t/default, and a named tenant
+	// registered from the same TenantConfig, answer with the same status
+	// and error code — the default tenant is an entry of the registry,
+	// so there is no second resolver for the spellings to drift on.
+	d, m := trainedFixture(t)
+	okHandler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
+	wired := func(mgr *Manager) TenantConfig {
+		return TenantConfig{
+			Manager:           mgr,
+			Query:             fixedEngine{},
+			Digest:            func() (DigestCut, error) { return DigestCut{Tenant: mgr.Tenant(), Seq: 7}, nil },
+			ReplicationSource: okHandler,
+			Backup:            okHandler,
+		}
+	}
+	type answer struct {
+		status int
+		code   string
+	}
+	sealed := answer{http.StatusServiceUnavailable, codeDegradedReadOnly}
+	modes := []struct {
+		name string
+		cfg  func(*Manager) TenantConfig
+		want map[string]answer // route → required answer; others only need to agree
+	}{
+		{"nil", func(mgr *Manager) TenantConfig { return TenantConfig{Manager: mgr} }, map[string]answer{
+			"POST /api/v1/query":             {http.StatusNotImplemented, "not_implemented"},
+			"GET /api/v1/digest":             {http.StatusNotFound, "not_found"},
+			"GET /api/v1/replication/stream": {http.StatusNotImplemented, "not_implemented"},
+			"GET /api/v1/backup":             {http.StatusNotImplemented, "not_implemented"},
+			"POST /api/v1/tasks":             {http.StatusCreated, ""},
+		}},
+		{"wired", wired, map[string]answer{
+			"POST /api/v1/query":             {http.StatusOK, ""},
+			"GET /api/v1/digest":             {http.StatusOK, ""},
+			"GET /api/v1/replication/stream": {http.StatusOK, ""},
+			"GET /api/v1/backup":             {http.StatusOK, ""},
+			"POST /api/v1/tasks":             {http.StatusCreated, ""},
+		}},
+		{"degraded", func(mgr *Manager) TenantConfig {
+			c := wired(mgr)
+			c.Degraded = func() bool { return true }
+			return c
+		}, map[string]answer{
+			"POST /api/v1/tasks":                 sealed,
+			"POST /api/v1/tasks:batch":           sealed,
+			"POST /api/v1/tasks/{id}/answers":    sealed,
+			"POST /api/v1/tasks/{id}/feedback":   sealed,
+			"POST /api/v1/workers/{id}/presence": sealed,
+			"POST /api/v1/skills:feedback":       sealed,
+			"POST /api/v1/selections":            {http.StatusOK, ""},
+			"POST /api/v1/query":                 {http.StatusOK, ""},
+			"GET /api/v1/digest":                 {http.StatusOK, ""},
+		}},
+	}
+	oneTask := map[string]any{"tasks": []map[string]any{{"text": "index trees question", "k": 1}}}
+	probes := map[string]struct {
+		path string
+		body any // nil: GET
+	}{
+		"POST /api/v1/tasks":                 {"/tasks", map[string]any{"text": "index trees question", "k": 1}},
+		"POST /api/v1/tasks:batch":           {"/tasks:batch", oneTask},
+		"POST /api/v1/selections":            {"/selections", oneTask},
+		"GET /api/v1/tasks/{id}":             {"/tasks/0", nil},
+		"POST /api/v1/tasks/{id}/answers":    {"/tasks/0/answers", map[string]any{"worker": -1, "answer": "x"}},
+		"POST /api/v1/tasks/{id}/feedback":   {"/tasks/0/feedback", map[string]any{"scores": map[string]float64{"-1": 1}}},
+		"GET /api/v1/workers/{id}":           {"/workers/0", nil},
+		"POST /api/v1/workers/{id}/presence": {"/workers/0/presence", map[string]any{"online": true}},
+		"GET /api/v1/stats":                  {"/stats", nil},
+		"GET /api/v1/digest":                 {"/digest", nil},
+		"GET /api/v1/backup":                 {"/backup", nil},
+		"POST /api/v1/query":                 {"/query", map[string]any{"q": "SELECT 1"}},
+		"POST /api/v1/skills:feedback":       {"/skills:feedback", map[string]any{"text": "index trees", "scores": map[string]float64{"0": 1}}},
+		"GET /api/v1/replication/stream":     {"/replication/stream", nil},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			def := mode.cfg(newTenantRig(t, d, m, "").mgr)
+			srv := NewServer(def.Manager)
+			srv.SetQueryEngine(def.Query)
+			srv.SetDegradedCheck(def.Degraded)
+			srv.SetDigestProvider(def.Digest)
+			srv.SetReplicationSource(def.ReplicationSource)
+			srv.SetBackupSource(def.Backup)
+			if err := srv.AddTenant("acme", mode.cfg(newTenantRig(t, d, m, "acme").mgr)); err != nil {
+				t.Fatal(err)
+			}
+			hts := httptest.NewServer(srv)
+			defer hts.Close()
+
+			for _, rt := range APIRoutes() {
+				if !rt.Tenant {
+					continue
+				}
+				route := rt.Method + " " + rt.Path
+				probe, ok := probes[route]
+				if !ok {
+					t.Errorf("tenant-scoped route %s has no probe in this test", route)
+					continue
+				}
+				var got []answer
+				for _, prefix := range []string{"/api/v1", "/api/v1/t/default", "/api/v1/t/acme"} {
+					var resp *http.Response
+					if probe.body == nil {
+						var err error
+						if resp, err = http.Get(hts.URL + prefix + probe.path); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						resp = postJSON(t, hts.URL+prefix+probe.path, probe.body)
+					}
+					a := answer{status: resp.StatusCode}
+					if resp.StatusCode >= 300 {
+						a.code = decode[ErrorEnvelope](t, resp).Error.Code
+					} else {
+						resp.Body.Close()
+					}
+					got = append(got, a)
+				}
+				if got[0] != got[1] || got[0] != got[2] {
+					t.Errorf("%s: plain %v, /t/default %v, /t/acme %v — spellings disagree", route, got[0], got[1], got[2])
+				}
+				if want, ok := mode.want[route]; ok && got[0] != want {
+					t.Errorf("%s = %v, want %v", route, got[0], want)
+				}
+			}
+		})
+	}
 }
+
+// fixedEngine is a query engine that answers every statement.
+type fixedEngine struct{}
+
+func (fixedEngine) Execute(context.Context, string) (any, error) { return "ok", nil }
 
 // TestTenantIsolation: tenants have distinct task id spaces, mutations
 // in one tenant are invisible to the others, and feedback moves only

@@ -1,66 +1,40 @@
 package crowddb
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// TestLegacyAliasMatchesV1: the deprecated unversioned /api/* paths
-// are pure aliases of /api/v1/* — same handler, byte-identical
-// payloads, one shared metrics series under the v1 label.
-func TestLegacyAliasMatchesV1(t *testing.T) {
+// TestUnversionedPathIsNotFound: the unversioned /api/* aliases of
+// earlier releases are gone. GET /api/stats falls through to the
+// catch-all's enveloped 404, and — like any path no route claims — it
+// is counted under one collapsed label, not a series of its own.
+func TestUnversionedPathIsNotFound(t *testing.T) {
 	hts, _ := serverFixture(t)
-	ts := hts.URL
 
-	read := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(ts + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(b)
+	resp, err := http.Get(hts.URL + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	legacyStatus, legacyBody := read("/api/stats")
-	v1Status, v1Body := read("/api/v1/stats")
-	if legacyStatus != http.StatusOK || v1Status != http.StatusOK {
-		t.Fatalf("stats status: legacy %d, v1 %d", legacyStatus, v1Status)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /api/stats = %d, want 404", resp.StatusCode)
 	}
-	if legacyBody != v1Body {
-		t.Errorf("alias payload differs:\nlegacy: %s\nv1:     %s", legacyBody, v1Body)
+	if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "not_found" {
+		t.Errorf("GET /api/stats code = %q, want not_found", env.Error.Code)
 	}
-
-	// Mutations work through both spellings.
-	for i, path := range []string{"/api/tasks", "/api/v1/tasks"} {
-		resp := postJSON(t, ts+path, map[string]any{"text": fmt.Sprintf("alias probe %d", i), "k": 1})
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-
-	// Both submissions landed on one v1-labeled metrics series, and no
-	// legacy-labeled series exists.
-	resp, err := http.Get(ts + "/api/v1/metrics")
+	resp, err = http.Get(hts.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := decode[MetricsSnapshot](t, resp)
-	if got := snap.Endpoints["POST /api/v1/tasks"].Count; got != 2 {
-		t.Errorf("v1 series count = %d, want 2 (legacy + v1)", got)
+	if got := snap.Endpoints["GET {unrouted}"].Count; got != 1 {
+		t.Errorf("unrouted series count = %d, want 1", got)
 	}
 	for label := range snap.Endpoints {
-		if strings.Contains(label, "/api/") && !strings.Contains(label, "/api/v1/") {
-			t.Errorf("legacy-labeled series leaked: %q", label)
+		if strings.Contains(label, "/api/stats") {
+			t.Errorf("unrouted path minted its own series: %q", label)
 		}
 	}
 }
@@ -100,13 +74,6 @@ func TestErrorEnvelope(t *testing.T) {
 		{"query unconfigured", func() *http.Response {
 			return postJSON(t, ts+"/api/v1/query", map[string]any{"q": "SELECT X"})
 		}, http.StatusNotImplemented, "not_implemented"},
-		{"legacy alias error", func() *http.Response {
-			resp, err := http.Get(ts + "/api/tasks/999")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp
-		}, http.StatusNotFound, "not_found"},
 		{"empty batch", func() *http.Response {
 			return postJSON(t, ts+"/api/v1/tasks:batch", map[string]any{"tasks": []any{}})
 		}, http.StatusBadRequest, "bad_request"},
