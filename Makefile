@@ -1,15 +1,16 @@
 # Development targets. `make ci` is what the CI workflow runs on every
 # PR: gofmt, vet, build, the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
-# -race is not optional), the benchmark module's tests and the three
-# fuzz smokes. `race` runs every test in the module, so the per-feature
-# targets below (crash, chaos, replication, shard, fleet, tenants,
-# scrub, backup) are local conveniences that re-select a drill by name,
-# not CI gates: a renamed test cannot silently leave CI.
+# -race is not optional), the allocation gates (which skip themselves
+# under -race), the benchmark module's tests and the three fuzz smokes.
+# `race` runs every test in the module, so the per-feature targets
+# below (crash, chaos, replication, shard, fleet, tenants, scrub,
+# backup) are local conveniences that re-select a drill by name, not CI
+# gates: a renamed test cannot silently leave CI.
 
 GO ?= go
 
-.PHONY: fmt build vet test race bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api ci
+.PHONY: fmt build vet test race allocs bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api ci
 
 # Formatting gate: fails, naming the files, if gofmt would rewrite any.
 fmt:
@@ -27,6 +28,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The allocation gates of the projection kernel (DESIGN.md §6):
+# testing.AllocsPerRun counts are exact only without the race detector,
+# so the gates skip themselves in `race` — CI's one test run — and run
+# here.
+allocs:
+	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core
+
 # The repository benchmark is a module of its own (bench/go.mod), so
 # ./... above never reaches its tests: schema agreement with
 # BENCHMARK.json, the statistics and the host-speed kernel (< 1 s, no
@@ -34,8 +42,11 @@ race:
 bench-test:
 	cd bench && $(GO) test ./...
 
+# One iteration of every Go benchmark: the paper-table benchmarks of the
+# root package and the layer benchmarks (projection kernel and training
+# sweep, top-k, online set and hot selection).
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb
 
 # Short coverage-guided fuzz of the journal replay path (CI runs the
 # same smoke; bump -fuzztime locally for longer hunts).
@@ -113,4 +124,4 @@ backup:
 readme-api:
 	$(GO) run ./tools/readme-api
 
-ci: fmt vet build race bench-test fuzz fuzz-repl fuzz-backup
+ci: fmt vet build race allocs bench-test fuzz fuzz-repl fuzz-backup

@@ -14,11 +14,14 @@ import (
 // tasks arrive repeatedly, and a projection is a conjugate-gradient
 // solve — orders of magnitude more expensive than a map lookup.
 //
-// Entries carry the ConcurrentModel epoch they were computed under; a
-// lookup whose epoch no longer matches is treated as a miss and
-// evicted, so a posterior commit can never serve a stale category.
-// Categories are cloned both on the way in and on the way out: no
-// caller ever holds a reference into the cache.
+// Entries carry the ConcurrentModel epoch — the version of the category
+// parameters (MuC, SigmaC, LogBeta), the only model state a projection
+// reads — they were computed under; a lookup whose epoch no longer
+// matches is treated as a miss and evicted, so Replace or
+// InvalidateProjections can never serve a stale category. Skill updates
+// do not move the epoch and so evict nothing. Categories are cloned
+// both on the way in and on the way out: no caller ever holds a
+// reference into the cache.
 type projectionCache struct {
 	mu       sync.Mutex
 	capacity int

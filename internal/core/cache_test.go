@@ -2,16 +2,20 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
 
 // TestProjectionCacheHitsAndEpoch: repeated projections of the same
-// bag are served from the cache; a committed posterior update bumps
-// the epoch and forces recomputation, so no cached category outlives
-// the model state it was computed from.
+// bag are served from the cache. The epoch is the category-parameter
+// version: a committed skill update — which writes nothing a projection
+// reads — leaves the epoch, the entries and the hit path alone, while
+// Replace and InvalidateProjections (the two ways MuC/SigmaC/LogBeta
+// can change) orphan every entry.
 func TestProjectionCacheHitsAndEpoch(t *testing.T) {
 	d, m, _ := trainSmall(t, 5)
 	cm := NewConcurrentModel(m)
@@ -36,22 +40,46 @@ func TestProjectionCacheHitsAndEpoch(t *testing.T) {
 		t.Error("caller mutation leaked into the cache")
 	}
 
-	epoch := cm.Epoch()
+	// A committed skill update moves neither the epoch nor the cache.
+	epoch, pre := cm.Epoch(), cm.CacheStats()
 	if err := cm.UpdateWorkerSkill(0, []TaskCategory{first}, []float64{3}); err != nil {
 		t.Fatal(err)
 	}
-	if cm.Epoch() != epoch+1 {
-		t.Fatalf("epoch = %d after committed update, want %d", cm.Epoch(), epoch+1)
+	if cm.Epoch() != epoch {
+		t.Fatalf("epoch = %d after a skill update, want %d (unchanged)", cm.Epoch(), epoch)
 	}
-	pre := cm.CacheStats()
-	cm.Project(bag)
-	if st := cm.CacheStats(); st.Misses != pre.Misses+1 {
-		t.Errorf("post-update projection served stale cache entry: %+v -> %+v", pre, st)
+	if st := cm.CacheStats(); st != pre {
+		t.Fatalf("skill update touched the cache: %+v -> %+v", pre, st)
+	}
+	after := cm.Project(bag)
+	if st := cm.CacheStats(); st.Hits != pre.Hits+1 || st.Misses != pre.Misses {
+		t.Errorf("post-update projection was recomputed: %+v -> %+v", pre, st)
+	}
+	if !after.Lambda.Equal(first.Lambda, 0) || !after.Nu2.Equal(first.Nu2, 0) {
+		t.Error("post-update projection differs")
+	}
+
+	// Replace and InvalidateProjections each advance the epoch and turn
+	// the next lookup of every entry into a miss.
+	for name, orphan := range map[string]func(){
+		"Replace":               func() { cm.Replace(m) },
+		"InvalidateProjections": cm.InvalidateProjections,
+	} {
+		epoch, pre = cm.Epoch(), cm.CacheStats()
+		orphan()
+		if cm.Epoch() != epoch+1 {
+			t.Errorf("%s: epoch = %d, want %d", name, cm.Epoch(), epoch+1)
+		}
+		cm.Project(bag)
+		if st := cm.CacheStats(); st.Misses != pre.Misses+1 || st.Hits != pre.Hits {
+			t.Errorf("%s: stale entry served: %+v -> %+v", name, pre, st)
+		}
 	}
 }
 
-// TestProjectionCacheEpochOnFailedUpdate: an update that does not
-// commit (invalid input) must not bump the epoch.
+// TestProjectionCacheEpochOnFailedUpdate: like a committed update, one
+// that does not commit (invalid input, no evidence) leaves the epoch
+// alone.
 func TestProjectionCacheEpochOnFailedUpdate(t *testing.T) {
 	_, m, _ := trainSmall(t, 4)
 	cm := NewConcurrentModel(m)
@@ -164,30 +192,67 @@ func TestRankBatchMatchesSequentialRank(t *testing.T) {
 		bags = append(bags, d.Tasks[i].Bag(d.Vocab))
 	}
 	k := 3
-	got, err := cm.RankBatch(context.Background(), bags, cands, k)
+	got, err := cm.RankBatchScored(context.Background(), bags, cands, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, bag := range bags {
 		want := cm.Rank(bag, cands)[:k]
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("bag %d: RankBatch = %v, sequential = %v", i, got[i], want)
-			}
+		if ids := rank.IDs(got[i]); !reflect.DeepEqual(ids, want) {
+			t.Fatalf("bag %d: RankBatchScored = %v, sequential = %v", i, ids, want)
 		}
 	}
 	// Cancelled context aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cm.RankBatch(ctx, bags, cands, k); err == nil {
-		t.Error("cancelled RankBatch succeeded")
+	if _, err := cm.RankBatchScored(ctx, bags, cands, k); err == nil {
+		t.Error("cancelled RankBatchScored succeeded")
+	}
+}
+
+// TestBatchProjectsRepeatedBagOnce: a batch that carries the same bag
+// twice runs one projection for it and fans the result out, and the
+// batch stays element-wise equal to the sequential loop.
+func TestBatchProjectsRepeatedBagOnce(t *testing.T) {
+	d, m, _ := trainSmall(t, 5)
+	cm := NewConcurrentModel(m)
+	a, b := d.Tasks[0].Bag(d.Vocab), d.Tasks[1].Bag(d.Vocab)
+	bags := []text.Bag{a, b, a}
+
+	first, err := cm.ProjectAllCtx(context.Background(), bags, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cm.CacheStats(); st.Misses != 2 || st.Hits != 0 || st.Entries != 2 {
+		t.Fatalf("2 equal + 1 distinct bag: %+v, want 2 misses and 2 entries", st)
+	}
+	again, err := cm.ProjectAllCtx(context.Background(), bags, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cm.CacheStats(); st.Misses != 2 || st.Hits != 3 {
+		t.Fatalf("second batch: %+v, want 3 hits", st)
+	}
+	for i, bag := range bags {
+		want := m.Project(bag)
+		for _, got := range []TaskCategory{first[i], again[i]} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("bag %d: batch projection %v, sequential %v", i, got, want)
+			}
+		}
+	}
+	// The repeat is a private copy like every other returned category.
+	first[0].Lambda[0] += 1e6
+	if first[2].Lambda[0] == first[0].Lambda[0] {
+		t.Error("repeated bag's categories share storage")
 	}
 }
 
 // TestProjectionCacheUnderRace hammers cached projections against
-// posterior commits. Under -race this verifies the epoch/cache
-// bookkeeping is itself race-free; the assertion verifies liveness
-// (projections keep succeeding across invalidations).
+// posterior commits. Under -race this verifies that the cache
+// bookkeeping is race-free and that a projection shares no memory with
+// the skill writer; the assertion verifies that the commits orphaned
+// nothing (once the hammer stops, every bag is still a hit).
 func TestProjectionCacheUnderRace(t *testing.T) {
 	d, m, _ := trainSmall(t, 4)
 	cm := NewConcurrentModel(m)
@@ -223,7 +288,11 @@ func TestProjectionCacheUnderRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := cm.CacheStats(); st.Hits+st.Misses == 0 {
-		t.Error("cache never consulted")
+	pre := cm.CacheStats()
+	for _, bag := range bags {
+		cm.Project(bag)
+	}
+	if st := cm.CacheStats(); st.Misses != pre.Misses || st.Hits != pre.Hits+uint64(len(bags)) {
+		t.Errorf("skill commits cost cache entries: %+v -> %+v, want %d more hits", pre, st, len(bags))
 	}
 }

@@ -37,13 +37,16 @@ const defaultProjectionCacheCap = 8192
 // The wrapper memoizes Project results by exact bag fingerprint in a
 // bounded LRU: arrival streams repeat task texts, and a cache hit
 // replaces a conjugate-gradient solve with a map lookup. Every cached
-// category is tagged with the wrapper's epoch — a counter bumped by
-// every committed UpdateWorkerSkill[Drift] — and a lookup under a
-// newer epoch is a miss, so a feedback write can never serve a stale
-// category. (Projection depends only on the fixed category/language
-// parameters today, making the invalidation conservative; the epoch
-// contract keeps it correct if the projection path ever reads
-// posterior state.) Returned categories are defensive copies; callers
+// category is tagged with the wrapper's epoch, and a lookup under a
+// newer epoch is a miss. The epoch is the version of the *category
+// parameters*: Project reads only MuC, SigmaC and LogBeta, so only the
+// two ways those can change — Replace and a mutation through Unwrap
+// followed by InvalidateProjections — advance it. A committed
+// UpdateWorkerSkill[Drift] writes only one worker's LambdaW/NuW2 row,
+// which no projection reads, so it leaves the epoch and every cached
+// entry alone (TestProjectUnaffectedBySkillUpdates holds the premise):
+// the incremental crowd update of §4.2(2) never makes the next task's
+// projection cold. Returned categories are defensive copies; callers
 // may mutate them freely.
 //
 // Methods not exposed here (training, TopTerms, …) are reached
@@ -76,10 +79,10 @@ func (c *ConcurrentModel) Name() string { return c.m.Name() }
 // NumWorkers returns the number of workers the model was trained over.
 func (c *ConcurrentModel) NumWorkers() int { return c.m.NumWorkers() }
 
-// Epoch returns the model-version counter: it advances on every
-// committed posterior update (and on InvalidateProjections), and tags
-// projection-cache entries so none outlives the model state it was
-// computed from.
+// Epoch returns the category-parameter version: it advances on Replace
+// and InvalidateProjections — never on a skill update — and tags
+// projection-cache entries so none outlives the MuC/SigmaC/LogBeta it
+// was computed from.
 func (c *ConcurrentModel) Epoch() uint64 { return c.epoch.Load() }
 
 // InvalidateProjections advances the epoch, orphaning every cached
@@ -103,8 +106,8 @@ func (c *ConcurrentModel) Project(bag text.Bag) TaskCategory {
 }
 
 // projectLocked is the cache-through projection; the caller holds the
-// read lock, which excludes posterior commits, so the epoch read here
-// is stable for the whole computation.
+// read lock, which excludes Replace, so the model and the epoch read
+// here belong together for the whole computation.
 func (c *ConcurrentModel) projectLocked(bag text.Bag) TaskCategory {
 	key := bagKey(bag)
 	epoch := c.epoch.Load()
@@ -124,10 +127,10 @@ func (c *ConcurrentModel) ProjectAll(bags []text.Bag, parallelism int) []TaskCat
 }
 
 // ProjectAllCtx projects a batch with cancellation: cache hits are
-// filled first, then the misses fan out through the model's parallel
-// projection, all under one read lock (one model version per batch).
-// A cancelled ctx abandons the remaining projections and returns
-// ctx.Err().
+// filled first, then each distinct missing bag fans out once through
+// the model's parallel projection, all under one read lock (one model
+// version per batch). A cancelled ctx abandons the remaining
+// projections and returns ctx.Err().
 func (c *ConcurrentModel) ProjectAllCtx(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -138,14 +141,29 @@ func (c *ConcurrentModel) projectAllLocked(ctx context.Context, bags []text.Bag,
 	epoch := c.epoch.Load()
 	out := make([]TaskCategory, len(bags))
 	keys := make([]string, len(bags))
-	var missIdx []int
-	var missBags []text.Bag
+	var (
+		missIdx  []int          // out index of each distinct missing bag
+		missBags []text.Bag     // parallel to missIdx
+		pending  map[string]int // missing key → index into missBags
+		repeats  []int          // out indices whose bag repeats an earlier miss
+	)
 	for i, bag := range bags {
 		keys[i] = bagKey(bag)
+		// A bag equal to one already missed in this batch is neither
+		// looked up nor projected again: nothing is stored until the batch
+		// is projected, so it would miss too.
+		if _, ok := pending[keys[i]]; ok {
+			repeats = append(repeats, i)
+			continue
+		}
 		if cat, ok := c.cache.get(keys[i], epoch); ok {
 			out[i] = cat
 			continue
 		}
+		if pending == nil {
+			pending = make(map[string]int)
+		}
+		pending[keys[i]] = len(missBags)
 		missIdx = append(missIdx, i)
 		missBags = append(missBags, bag)
 	}
@@ -157,6 +175,9 @@ func (c *ConcurrentModel) projectAllLocked(ctx context.Context, bags []text.Bag,
 		for j, i := range missIdx {
 			out[i] = cats[j]
 			c.cache.put(keys[i], epoch, cats[j])
+		}
+		for _, i := range repeats {
+			out[i] = cats[pending[keys[i]]].clone()
 		}
 	}
 	return out, nil
@@ -194,21 +215,6 @@ func (c *ConcurrentModel) SelectForTask(bag text.Bag, candidates []int, k int, r
 // Selector-interface form of SelectForTask.
 func (c *ConcurrentModel) Rank(bag text.Bag, candidates []int) []int {
 	return c.SelectForTask(bag, candidates, len(candidates), nil)
-}
-
-// RankBatch is RankBatchScored without the scores — exactly what a
-// loop of Rank calls (truncated to k) yields when no update commits in
-// between, element-wise.
-func (c *ConcurrentModel) RankBatch(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]int, error) {
-	scored, err := c.RankBatchScored(ctx, bags, candidates, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int, len(scored))
-	for i, items := range scored {
-		out[i] = rank.IDs(items)
-	}
-	return out, nil
 }
 
 // RankBatchScored ranks every bag's top-k crowd in one read-lock scope,
@@ -256,7 +262,8 @@ func (c *ConcurrentModel) Save(w io.Writer) error {
 }
 
 // Replace swaps the wrapped model for m under the write lock and
-// bumps the epoch so every cached projection is invalidated. It is the
+// bumps the epoch — m brings its own category parameters — so every
+// cached projection is invalidated. It is the
 // re-bootstrap path for replication: a follower that fell behind its
 // primary's compaction adopts a whole new checkpoint in place while
 // readers keep serving.
@@ -274,15 +281,11 @@ func (c *ConcurrentModel) UpdateWorkerSkill(worker int, cats []TaskCategory, sco
 }
 
 // UpdateWorkerSkillDrift is UpdateWorkerSkill with Kalman-style
-// process noise, under the write lock. A committed update (non-empty
-// evidence, successful solve) bumps the epoch, invalidating every
-// cached projection.
+// process noise, under the write lock. It writes one worker's posterior
+// and nothing a projection reads, so the epoch and the projection cache
+// are untouched.
 func (c *ConcurrentModel) UpdateWorkerSkillDrift(worker int, cats []TaskCategory, scores []float64, processVar float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := c.m.UpdateWorkerSkillDrift(worker, cats, scores, processVar)
-	if err == nil && len(cats) > 0 {
-		c.epoch.Add(1)
-	}
-	return err
+	return c.m.UpdateWorkerSkillDrift(worker, cats, scores, processVar)
 }

@@ -100,11 +100,13 @@ func TestTaskObjectiveGradient(t *testing.T) {
 		tr.lambdaC[0][kk] = rng.Normal(0, 0.5)
 		tr.m.LambdaW[0][kk] = rng.Normal(0, 0.5)
 	}
-	tr.updatePhi(0)
-	tr.updateEps(0)
+	s := newTaskSolver()
+	s.updatePhi(tr.phi[0], tr.tasks[0].Bag.IDs, tr.lambdaC[0], tr.m.LogBeta)
+	tr.eps[0] = taylorPoint(tr.lambdaC[0], tr.nuC2[0])
 
 	for _, withFeedback := range []bool{true, false} {
-		obj := tr.newTaskObjective(0, withFeedback)
+		obj := &s.obj
+		tr.loadTaskObjective(obj, 0, withFeedback)
 		x := make(linalg.Vector, 2*cfg.K)
 		for i := range x {
 			x[i] = rng.Normal(0, 0.3)

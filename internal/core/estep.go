@@ -41,45 +41,66 @@ type taskObjective struct {
 	a           *linalg.Matrix
 	w2          linalg.Vector // Σ λ_w∘λ_w
 	nw2         linalg.Vector // Σ ν_w²
+
+	// Evaluation buffers, so value and grad allocate nothing: λ−μ_c, and
+	// one matrix–vector product at a time (Σ_c⁻¹(λ−μ_c), then Aλ).
+	d, mv linalg.Vector
 }
 
-// newTaskObjective precomputes the aggregates for task j of the
+// reset readies the objective for a task of a model with K = k: it
+// binds the category prior, sizes the buffers and zeroes the token
+// aggregates and the feedback flag. The caller then sets eps, calls
+// addTokens and, for training, fills the feedback aggregates
+// (loadTaskObjective).
+func (o *taskObjective) reset(k int, muC linalg.Vector, sigmaCInv *linalg.Matrix) {
+	o.k, o.muC, o.sigmaCInv = k, muC, sigmaCInv
+	o.tokSum = scratchVec(&o.tokSum, k)
+	o.total = 0
+	o.hasFeedback = false
+	o.d = scratchVec(&o.d, k)
+	o.mv = scratchVec(&o.mv, k)
+}
+
+// addTokens folds the φ rows of a task's distinct terms, weighted by
+// their counts, into tokSum and total.
+func (o *taskObjective) addTokens(counts []float64, phi *linalg.Matrix) {
+	for p, cnt := range counts {
+		o.total += cnt
+		o.tokSum.AddScaledInPlace(cnt, phi.Row(p))
+	}
+}
+
+// loadTaskObjective fills obj with the aggregates of task j of the
 // trainer. withFeedback=false drops the score terms (projection mode).
-func (tr *trainer) newTaskObjective(j int, withFeedback bool) *taskObjective {
+func (tr *trainer) loadTaskObjective(obj *taskObjective, j int, withFeedback bool) {
 	k := tr.cfg.K
-	bag := tr.tasks[j].Bag
-	obj := &taskObjective{
-		k:         k,
-		muC:       tr.m.MuC,
-		sigmaCInv: tr.m.sigmaCInv,
-		tokSum:    linalg.NewVector(k),
-		eps:       tr.eps[j],
+	obj.reset(k, tr.m.MuC, tr.m.sigmaCInv)
+	obj.eps = tr.eps[j]
+	obj.addTokens(tr.tasks[j].Bag.Counts, tr.phi[j])
+	if !withFeedback || len(tr.tasks[j].Responses) == 0 {
+		return
 	}
-	for p := range bag.IDs {
-		cnt := bag.Counts[p]
-		row := tr.phi[j].Row(p)
-		obj.total += cnt
-		obj.tokSum.AddScaledInPlace(cnt, row)
-	}
-	if withFeedback && len(tr.tasks[j].Responses) > 0 {
-		obj.hasFeedback = true
-		obj.invTau2 = 1 / tr.m.Tau2
-		obj.sw = linalg.NewVector(k)
+	obj.hasFeedback = true
+	obj.invTau2 = 1 / tr.m.Tau2
+	obj.s2 = 0
+	obj.sw = scratchVec(&obj.sw, k)
+	obj.w2 = scratchVec(&obj.w2, k)
+	obj.nw2 = scratchVec(&obj.nw2, k)
+	if obj.a == nil || obj.a.Rows != k {
 		obj.a = linalg.NewMatrix(k, k)
-		obj.w2 = linalg.NewVector(k)
-		obj.nw2 = linalg.NewVector(k)
-		for _, r := range tr.tasks[j].Responses {
-			lw, nw := tr.m.LambdaW[r.Worker], tr.m.NuW2[r.Worker]
-			obj.s2 += r.Score * r.Score
-			obj.sw.AddScaledInPlace(r.Score, lw)
-			obj.a.AddOuterInPlace(1, lw, lw)
-			for kk := 0; kk < k; kk++ {
-				obj.w2[kk] += lw[kk] * lw[kk]
-				obj.nw2[kk] += nw[kk]
-			}
+	} else {
+		obj.a.Zero()
+	}
+	for _, r := range tr.tasks[j].Responses {
+		lw, nw := tr.m.LambdaW[r.Worker], tr.m.NuW2[r.Worker]
+		obj.s2 += r.Score * r.Score
+		obj.sw.AddScaledInPlace(r.Score, lw)
+		obj.a.AddOuterInPlace(1, lw, lw)
+		for kk := 0; kk < k; kk++ {
+			obj.w2[kk] += lw[kk] * lw[kk]
+			obj.nw2[kk] += nw[kk]
 		}
 	}
-	return obj
 }
 
 // split views x as (λ, ρ).
@@ -87,13 +108,21 @@ func (o *taskObjective) split(x linalg.Vector) (lam, rho linalg.Vector) {
 	return x[:o.k], x[o.k:]
 }
 
+// centered writes λ−μ_c into the d buffer and returns it.
+func (o *taskObjective) centered(lam linalg.Vector) linalg.Vector {
+	for kk, v := range lam {
+		o.d[kk] = v - o.muC[kk]
+	}
+	return o.d
+}
+
 // value returns F(λ, ν²); see the type comment.
 func (o *taskObjective) value(x linalg.Vector) float64 {
 	lam, rho := o.split(x)
 	f := 0.0
 	// Prior.
-	d := lam.Sub(o.muC)
-	f -= 0.5 * o.sigmaCInv.QuadForm(d, d)
+	d := o.centered(lam)
+	f -= 0.5 * d.Dot(o.sigmaCInv.MulVecInto(o.mv, d))
 	for kk := 0; kk < o.k; kk++ {
 		nu2 := math.Exp(rho[kk])
 		f -= 0.5 * o.sigmaCInv.At(kk, kk) * nu2
@@ -108,7 +137,7 @@ func (o *taskObjective) value(x linalg.Vector) float64 {
 	f -= o.total * (expSum/o.eps - 1 + math.Log(o.eps))
 	// Feedback.
 	if o.hasFeedback {
-		quad := o.s2 - 2*o.sw.Dot(lam) + o.a.QuadForm(lam, lam)
+		quad := o.s2 - 2*o.sw.Dot(lam) + lam.Dot(o.a.MulVecInto(o.mv, lam))
 		for kk := 0; kk < o.k; kk++ {
 			nu2 := math.Exp(rho[kk])
 			quad += o.nw2[kk]*lam[kk]*lam[kk] + (o.w2[kk]+o.nw2[kk])*nu2
@@ -124,8 +153,7 @@ func (o *taskObjective) grad(x, g linalg.Vector) {
 	gl, gr := g[:o.k], g[o.k:]
 
 	// Prior + entropy.
-	d := lam.Sub(o.muC)
-	pl := o.sigmaCInv.MulVec(d)
+	pl := o.sigmaCInv.MulVecInto(o.mv, o.centered(lam))
 	for kk := 0; kk < o.k; kk++ {
 		nu2 := math.Exp(rho[kk])
 		gl[kk] = -pl[kk]
@@ -140,7 +168,7 @@ func (o *taskObjective) grad(x, g linalg.Vector) {
 	}
 	// Feedback.
 	if o.hasFeedback {
-		al := o.a.MulVec(lam)
+		al := o.a.MulVecInto(o.mv, lam) // pl is spent: the buffer is free
 		for kk := 0; kk < o.k; kk++ {
 			nu2 := math.Exp(rho[kk])
 			gl[kk] += o.invTau2 * (o.sw[kk] - al[kk] - o.nw2[kk]*lam[kk])
@@ -149,36 +177,92 @@ func (o *taskObjective) grad(x, g linalg.Vector) {
 	}
 }
 
-// updateLambdaNuC maximizes the task objective over (λ_c, ν_c) by
-// conjugate gradient, starting from the current variational state.
-func (tr *trainer) updateLambdaNuC(j int, withFeedback bool) {
-	obj := tr.newTaskObjective(j, withFeedback)
-	k := tr.cfg.K
-	x0 := make(linalg.Vector, 2*k)
-	copy(x0[:k], tr.lambdaC[j])
-	for kk := 0; kk < k; kk++ {
-		x0[k+kk] = math.Log(tr.nuC2[j][kk])
-	}
-	res := optimize.ConjugateGradient(optimize.Problem{
-		Eval: func(x linalg.Vector) float64 { return -obj.value(x) },
+// taskSolver is the reusable (λ_c, ν_c) update shared by training and
+// projection: one task objective, its negation as an optimize.Problem
+// (the two closures are bound to the objective once, here) and the
+// optimizer's workspace. After its first solve at a given K it
+// allocates nothing. It reuses buffers and never reorders arithmetic
+// (DESIGN §6): a solve is bit-identical to one on a fresh objective
+// through the package-level optimize.ConjugateGradient, which
+// TestGoldenNumerics holds.
+type taskSolver struct {
+	obj    taskObjective
+	prob   optimize.Problem
+	ws     optimize.Workspace
+	x0     linalg.Vector
+	logits linalg.Vector
+}
+
+func newTaskSolver() *taskSolver {
+	s := new(taskSolver)
+	s.prob = optimize.Problem{
+		Eval: func(x linalg.Vector) float64 { return -s.obj.value(x) },
 		Grad: func(x, g linalg.Vector) {
-			obj.grad(x, g)
+			s.obj.grad(x, g)
 			g.ScaleInPlace(-1)
 		},
-	}, x0, optimize.Settings{MaxIter: tr.cfg.CGIter, GradTol: 1e-5})
-	if !res.X.IsFinite() {
-		return // keep the previous iterate on numerical failure
 	}
-	copy(tr.lambdaC[j], res.X[:k])
+	return s
+}
+
+// updatePhi applies Eq. 12 to every row of phi: φₚₖ ∝ exp(λₖ)·β_{k,v}
+// for the distinct term v = ids[p].
+func (s *taskSolver) updatePhi(phi *linalg.Matrix, ids []int, lam linalg.Vector, logBeta *linalg.Matrix) {
+	logits := scratchVec(&s.logits, len(lam))
+	for p, v := range ids {
+		for kk := range lam {
+			logits[kk] = lam[kk] + logBeta.At(kk, v)
+		}
+		linalg.SoftmaxInto(phi.Row(p), logits)
+	}
+}
+
+// taylorPoint is Eq. 13: ε = Σₖ exp(λₖ + ν²ₖ/2), floored away from zero.
+func taylorPoint(lam, nu2 linalg.Vector) float64 {
+	var eps float64
+	for kk := range lam {
+		eps += math.Exp(lam[kk] + nu2[kk]/2)
+	}
+	if eps < 1e-300 {
+		eps = 1e-300
+	}
+	return eps
+}
+
+// solve maximizes the loaded objective over (λ, ρ = log ν²) by
+// conjugate gradient from the given state and writes the optimum back
+// into lam and nu2, ν² clamped so downstream exp() stays finite. It
+// reports false, leaving lam and nu2 untouched, on numerical failure.
+func (s *taskSolver) solve(lam, nu2 linalg.Vector, maxIter int) bool {
+	k := s.obj.k
+	x0 := scratchVec(&s.x0, 2*k)
+	copy(x0[:k], lam)
+	for kk := 0; kk < k; kk++ {
+		x0[k+kk] = math.Log(nu2[kk])
+	}
+	res := s.ws.ConjugateGradient(s.prob, x0, optimize.Settings{MaxIter: maxIter, GradTol: 1e-5})
+	if !res.X.IsFinite() {
+		return false
+	}
+	// res.X aliases the workspace: copy out before the next solve.
+	copy(lam, res.X[:k])
 	for kk := 0; kk < k; kk++ {
 		rho := res.X[k+kk]
-		// Clamp to keep downstream exp() finite.
 		if rho > 30 {
 			rho = 30
 		}
 		if rho < -30 {
 			rho = -30
 		}
-		tr.nuC2[j][kk] = math.Exp(rho)
+		nu2[kk] = math.Exp(rho)
 	}
+	return true
+}
+
+// updateLambdaNuC maximizes task j's objective over (λ_c, ν_c) on the
+// caller's solver, starting from the current variational state; on
+// numerical failure the previous iterate is kept.
+func (tr *trainer) updateLambdaNuC(s *taskSolver, j int, withFeedback bool) {
+	tr.loadTaskObjective(&s.obj, j, withFeedback)
+	s.solve(tr.lambdaC[j], tr.nuC2[j], tr.cfg.CGIter)
 }

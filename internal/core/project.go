@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"crowdselect/internal/linalg"
-	"crowdselect/internal/optimize"
 	"crowdselect/internal/randx"
 	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
@@ -34,22 +33,20 @@ func (t TaskCategory) Sample(rng *randx.RNG) linalg.Vector {
 }
 
 // projectScratch holds the per-call working set of Project: the
-// in-vocabulary filter, the φ matrix, and the optimizer's start and
-// accumulator vectors. Pooled because Project is the serving hot path
-// — at batch arrival rates these allocations dominated the profile.
-// Returned TaskCategory vectors never alias the scratch.
+// in-vocabulary filter, the φ matrix and the task solver (objective,
+// optimizer workspace, start and logit vectors). Pooled because Project
+// is the serving hot path: with the scratch warm, a projection allocates
+// only the two vectors it returns, which never alias the scratch.
 type projectScratch struct {
 	ids    []int
 	counts []float64
 	phi    linalg.Matrix
-	logits linalg.Vector
-	tokSum linalg.Vector
-	x0     linalg.Vector
+	solver *taskSolver
 }
 
-var projectScratchPool = sync.Pool{New: func() any { return new(projectScratch) }}
+var projectScratchPool = sync.Pool{New: func() any { return &projectScratch{solver: newTaskSolver()} }}
 
-// vec returns a zeroed length-n view of buf, growing it as needed.
+// scratchVec returns a zeroed length-n view of buf, growing it as needed.
 func scratchVec(buf *linalg.Vector, n int) linalg.Vector {
 	if cap(*buf) < n {
 		*buf = make(linalg.Vector, n)
@@ -77,7 +74,9 @@ func (sc *projectScratch) phiFor(rows, cols int) *linalg.Matrix {
 // update (Eq. 13) and the conjugate-gradient update of (λ_c, ν_c) with
 // the feedback terms removed (Eqs. 22–23), holding the trained model
 // parameters fixed. A task whose terms are all unknown projects to the
-// prior (λ = μ_c).
+// prior (λ = μ_c). It reads only MuC, SigmaC (and its cached inverse)
+// and LogBeta — never a worker posterior — which is why a skill update
+// cannot stale a cached projection.
 func (m *Model) Project(bag text.Bag) TaskCategory {
 	k := m.K
 	lam := m.MuC.Clone()
@@ -97,62 +96,17 @@ func (m *Model) Project(bag text.Bag) TaskCategory {
 		return TaskCategory{Lambda: lam, Nu2: nu2}
 	}
 	phi := sc.phiFor(len(ids), k)
-	logits := scratchVec(&sc.logits, k)
-	eps := 0.0
-
+	s := sc.solver
 	for round := 0; round < m.projectInner(); round++ {
-		// φ update (Eq. 12).
-		for p, v := range ids {
-			for kk := 0; kk < k; kk++ {
-				logits[kk] = lam[kk] + m.LogBeta.At(kk, v)
-			}
-			copy(phi.Row(p), linalg.Softmax(logits))
-		}
-		// ε update (Eq. 13).
-		eps = 0
-		for kk := 0; kk < k; kk++ {
-			eps += math.Exp(lam[kk] + nu2[kk]/2)
-		}
-		if eps < 1e-300 {
-			eps = 1e-300
-		}
-		// CG update of (λ, ν) without feedback (Eqs. 22–23).
-		obj := &taskObjective{
-			k:         k,
-			muC:       m.MuC,
-			sigmaCInv: m.sigmaCInv,
-			tokSum:    scratchVec(&sc.tokSum, k),
-			eps:       eps,
-		}
-		for p := range ids {
-			obj.total += counts[p]
-			obj.tokSum.AddScaledInPlace(counts[p], phi.Row(p))
-		}
-		x0 := scratchVec(&sc.x0, 2*k)
-		copy(x0[:k], lam)
-		for kk := 0; kk < k; kk++ {
-			x0[k+kk] = math.Log(nu2[kk])
-		}
-		res := optimize.ConjugateGradient(optimize.Problem{
-			Eval: func(x linalg.Vector) float64 { return -obj.value(x) },
-			Grad: func(x, g linalg.Vector) {
-				obj.grad(x, g)
-				g.ScaleInPlace(-1)
-			},
-		}, x0, optimize.Settings{MaxIter: 15, GradTol: 1e-5})
-		if !res.X.IsFinite() {
+		s.updatePhi(phi, ids, lam, m.LogBeta) // Eq. 12
+		// CG update of (λ, ν) without feedback (Eqs. 22–23) at the Taylor
+		// point of Eq. 13; solve copies the optimum out of the optimizer's
+		// workspace into lam and nu2 before the next round reuses it.
+		s.obj.reset(k, m.MuC, m.sigmaCInv)
+		s.obj.eps = taylorPoint(lam, nu2)
+		s.obj.addTokens(counts, phi)
+		if !s.solve(lam, nu2, 15) {
 			break
-		}
-		copy(lam, res.X[:k])
-		for kk := 0; kk < k; kk++ {
-			rho := res.X[k+kk]
-			if rho > 30 {
-				rho = 30
-			}
-			if rho < -30 {
-				rho = -30
-			}
-			nu2[kk] = math.Exp(rho)
 		}
 	}
 	return TaskCategory{Lambda: lam, Nu2: nu2}

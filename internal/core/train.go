@@ -208,11 +208,12 @@ func (tr *trainer) updateWorkers() {
 // state, so the loop parallelizes without changing results.
 func (tr *trainer) updateTasks() {
 	parallelFor(len(tr.tasks), tr.cfg.Parallelism, func(lo, hi int) {
+		s := newTaskSolver() // one per chunk: reused by every task in it
 		for j := lo; j < hi; j++ {
 			for round := 0; round < tr.cfg.InnerIter; round++ {
-				tr.updatePhi(j)
-				tr.updateEps(j)
-				tr.updateLambdaNuC(j, true)
+				s.updatePhi(tr.phi[j], tr.tasks[j].Bag.IDs, tr.lambdaC[j], tr.m.LogBeta)
+				tr.eps[j] = taylorPoint(tr.lambdaC[j], tr.nuC2[j])
+				tr.updateLambdaNuC(s, j, true)
 			}
 		}
 	})
@@ -242,31 +243,4 @@ func parallelFor(n, p int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// updatePhi applies Eq. 12: φⱼₚₖ ∝ exp(λ_cₖ) · β_{k,v}.
-func (tr *trainer) updatePhi(j int) {
-	bag := tr.tasks[j].Bag
-	lc := tr.lambdaC[j]
-	k := tr.cfg.K
-	logits := make(linalg.Vector, k)
-	for p, v := range bag.IDs {
-		for kk := 0; kk < k; kk++ {
-			logits[kk] = lc[kk] + tr.m.LogBeta.At(kk, v)
-		}
-		copy(tr.phi[j].Row(p), linalg.Softmax(logits))
-	}
-}
-
-// updateEps applies Eq. 13: εⱼ = Σₖ exp(λ_cₖ + ν_cₖ²/2).
-func (tr *trainer) updateEps(j int) {
-	lc, nc := tr.lambdaC[j], tr.nuC2[j]
-	var s float64
-	for kk := range lc {
-		s += math.Exp(lc[kk] + nc[kk]/2)
-	}
-	if s < 1e-300 {
-		s = 1e-300
-	}
-	tr.eps[j] = s
 }

@@ -221,8 +221,8 @@ func (m *Manager) SubmitTask(ctx context.Context, taskText string, k int) (Submi
 // SubmitBatch runs the blue path of Figure 1 for a whole batch in one
 // round trip: every task is stored (ids are assigned in input order),
 // all bags are projected and ranked together — through the selector's
-// BatchRanker fast path when available, which fans projections across
-// cores — and each task is dispatched to its own top-k crowd.
+// ScoredBatchRanker fast path when available, which fans projections
+// across cores — and each task is dispatched to its own top-k crowd.
 // Selections are element-wise identical to submitting the tasks one by
 // one with no interleaved feedback.
 //

@@ -174,20 +174,23 @@ func (m *Matrix) AddOuterInPlace(a float64, x, y Vector) *Matrix {
 }
 
 // MulVec returns m·x as a new vector.
-func (m *Matrix) MulVec(x Vector) Vector {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec %d×%d with len %d", m.Rows, m.Cols, len(x)))
+func (m *Matrix) MulVec(x Vector) Vector { return m.MulVecInto(make(Vector, m.Rows), x) }
+
+// MulVecInto writes m·x into dst (len(dst) == m.Rows) and returns dst;
+// it is MulVec without the allocation. dst must not alias x.
+func (m *Matrix) MulVecInto(dst, x Vector) Vector {
+	if m.Cols != len(x) || m.Rows != len(dst) {
+		panic(fmt.Sprintf("linalg: MulVecInto %d×%d with len %d into len %d", m.Rows, m.Cols, len(x), len(dst)))
 	}
-	out := make(Vector, m.Rows)
 	for r := 0; r < m.Rows; r++ {
 		row := m.Data[r*m.Cols : (r+1)*m.Cols]
 		var s float64
 		for c, v := range row {
 			s += v * x[c]
 		}
-		out[r] = s
+		dst[r] = s
 	}
-	return out
+	return dst
 }
 
 // Mul returns the matrix product m·b.

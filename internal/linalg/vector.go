@@ -221,22 +221,28 @@ func LogSumExp(x Vector) float64 {
 
 // Softmax returns the logistic transform of Eq. 4 of the paper:
 // softmax(x)ᵢ = exp(xᵢ)/Σ exp(xⱼ), computed stably.
-func Softmax(x Vector) Vector {
-	z := make(Vector, len(x))
+func Softmax(x Vector) Vector { return SoftmaxInto(make(Vector, len(x)), x) }
+
+// SoftmaxInto writes softmax(x) into dst (len(dst) == len(x)) and
+// returns dst; it is Softmax without the allocation. dst may alias x.
+func SoftmaxInto(dst, x Vector) Vector {
+	if len(dst) != len(x) {
+		panic(dimErr("SoftmaxInto", len(dst), len(x)))
+	}
 	if len(x) == 0 {
-		return z
+		return dst
 	}
 	m := x.Max()
 	var s float64
 	for i, v := range x {
 		e := math.Exp(v - m)
-		z[i] = e
+		dst[i] = e
 		s += e
 	}
-	for i := range z {
-		z[i] /= s
+	for i := range dst {
+		dst[i] /= s
 	}
-	return z
+	return dst
 }
 
 func dimErr(op string, a, b int) error {

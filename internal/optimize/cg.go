@@ -102,6 +102,9 @@ func (s Status) String() string {
 
 // Result reports the outcome of a minimization.
 type Result struct {
+	// X is the best iterate. From a Workspace method it aliases the
+	// workspace's storage and is valid until that workspace's next call:
+	// copy out what must outlive it.
 	X          linalg.Vector
 	F          float64
 	GradNorm   float64
@@ -109,31 +112,70 @@ type Result struct {
 	Status     Status
 }
 
+// Workspace holds the iteration vectors of a minimization — the
+// iterate, the gradient and its predecessor, the search direction and
+// the line search's trial point — so a caller solving many small
+// problems allocates them once. The zero value is ready to use; the
+// vectors grow to the largest problem seen and successive problems may
+// differ in size. A Workspace serves one minimization at a time.
+type Workspace struct {
+	x, g, gPrev, d, xt linalg.Vector
+}
+
+// resize shapes every vector to length n. Their contents are stale:
+// each is fully written before it is read.
+func (w *Workspace) resize(n int) {
+	for _, v := range []*linalg.Vector{&w.x, &w.g, &w.gPrev, &w.d, &w.xt} {
+		if cap(*v) < n {
+			*v = make(linalg.Vector, n)
+		}
+		*v = (*v)[:n]
+	}
+}
+
 // ConjugateGradient minimizes p starting from x0 using nonlinear CG
 // with the Polak–Ribière+ update (β = max(0, βPR), which subsumes
 // steepest-descent restarts) and an Armijo backtracking line search.
 // x0 is not modified.
 func ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
-	s = s.withDefaults()
-	n := len(x0)
-	x := x0.Clone()
-	g := make(linalg.Vector, n)
-	gPrev := make(linalg.Vector, n)
-	d := make(linalg.Vector, n)
+	return new(Workspace).ConjugateGradient(p, x0, s)
+}
 
-	f := p.Eval(x)
-	p.Grad(x, g)
+// ConjugateGradient is the package-level ConjugateGradient run in w's
+// vectors: the same iteration, operation for operation, allocating
+// nothing once w has seen a problem of this size. See Result.X for the
+// lifetime of the returned iterate.
+func (w *Workspace) ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
+	return w.minimize(p, x0, s, true)
+}
+
+// GradientDescent minimizes p with steepest descent and the same
+// Armijo line search. It exists for ablation comparisons against CG.
+func GradientDescent(p Problem, x0 linalg.Vector, s Settings) Result {
+	return new(Workspace).minimize(p, x0, s, false)
+}
+
+// minimize is the one descent loop: conjugate selects the
+// Polak–Ribière+ direction update, otherwise every direction is the
+// negated gradient.
+func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate bool) Result {
+	s = s.withDefaults()
+	w.resize(len(x0))
+	copy(w.x, x0)
+	g, gPrev, d := w.g, w.gPrev, w.d
+
+	f := p.Eval(w.x)
+	p.Grad(w.x, g)
 	for i := range d {
 		d[i] = -g[i]
 	}
 
-	res := Result{X: x, F: f, GradNorm: g.NormInf(), Status: IterationLimit}
+	res := Result{X: w.x, F: f, GradNorm: g.NormInf(), Status: IterationLimit}
 	if res.GradNorm <= s.GradTol {
 		res.Status = GradientConverged
 		return res
 	}
 
-	step := s.InitialStep
 	for iter := 1; iter <= s.MaxIter; iter++ {
 		res.Iterations = iter
 		// Ensure d is a descent direction; restart on failure.
@@ -145,18 +187,21 @@ func ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
 			slope = g.Dot(d)
 		}
 
-		fNew, xNew, ok := armijo(p, x, f, d, slope, step, s)
+		fNew, ok := w.armijo(p, f, slope, s)
 		if !ok {
 			res.Status = LineSearchFailed
 			return res
 		}
+		// The accepted trial point becomes the iterate; the old iterate's
+		// storage is the next line search's trial buffer.
+		w.x, w.xt = w.xt, w.x
 
 		copy(gPrev, g)
-		p.Grad(xNew, g)
+		p.Grad(w.x, g)
 
 		relImp := (f - fNew) / (math.Abs(f) + 1e-12)
-		x, f = xNew, fNew
-		res.X, res.F, res.GradNorm = x, f, g.NormInf()
+		f = fNew
+		res.X, res.F, res.GradNorm = w.x, f, g.NormInf()
 
 		if res.GradNorm <= s.GradTol {
 			res.Status = GradientConverged
@@ -167,6 +212,12 @@ func ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
 			return res
 		}
 
+		if !conjugate {
+			for i := range d {
+				d[i] = -g[i]
+			}
+			continue
+		}
 		// Polak–Ribière+ direction update.
 		var num, den float64
 		for i := range g {
@@ -180,53 +231,16 @@ func ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
 		for i := range d {
 			d[i] = -g[i] + beta*d[i]
 		}
-		step = s.InitialStep
 	}
 	return res
 }
 
-// GradientDescent minimizes p with steepest descent and the same
-// Armijo line search. It exists for ablation comparisons against CG.
-func GradientDescent(p Problem, x0 linalg.Vector, s Settings) Result {
-	s = s.withDefaults()
-	x := x0.Clone()
-	g := make(linalg.Vector, len(x0))
-	f := p.Eval(x)
-	p.Grad(x, g)
-	res := Result{X: x, F: f, GradNorm: g.NormInf(), Status: IterationLimit}
-	if res.GradNorm <= s.GradTol {
-		res.Status = GradientConverged
-		return res
-	}
-	for iter := 1; iter <= s.MaxIter; iter++ {
-		res.Iterations = iter
-		d := g.Scale(-1)
-		fNew, xNew, ok := armijo(p, x, f, d, g.Dot(d), s.InitialStep, s)
-		if !ok {
-			res.Status = LineSearchFailed
-			return res
-		}
-		relImp := (f - fNew) / (math.Abs(f) + 1e-12)
-		x, f = xNew, fNew
-		p.Grad(x, g)
-		res.X, res.F, res.GradNorm = x, f, g.NormInf()
-		if res.GradNorm <= s.GradTol {
-			res.Status = GradientConverged
-			return res
-		}
-		if relImp >= 0 && relImp < s.FuncTol {
-			res.Status = FunctionConverged
-			return res
-		}
-	}
-	return res
-}
-
-// armijo backtracks from step until f(x+t·d) ≤ f + c·t·slope, returning
-// the accepted objective and point.
-func armijo(p Problem, x linalg.Vector, f float64, d linalg.Vector, slope, step float64, s Settings) (float64, linalg.Vector, bool) {
-	t := step
-	xt := make(linalg.Vector, len(x))
+// armijo backtracks from the initial step along w.d until
+// f(x+t·d) ≤ f + c·t·slope, leaving the accepted point in w.xt and
+// returning its objective.
+func (w *Workspace) armijo(p Problem, f, slope float64, s Settings) (float64, bool) {
+	x, d, xt := w.x, w.d, w.xt
+	t := s.InitialStep
 	for k := 0; k < s.MaxBacktracks; k++ {
 		for i := range x {
 			xt[i] = x[i] + t*d[i]
@@ -237,11 +251,11 @@ func armijo(p Problem, x linalg.Vector, f float64, d linalg.Vector, slope, step 
 		// sufficient-decrease inequality and poison the iterate, so any
 		// non-finite value rejects the step.
 		if !math.IsNaN(ft) && !math.IsInf(ft, 0) && ft <= f+s.ArmijoC*t*slope {
-			return ft, xt.Clone(), true
+			return ft, true
 		}
 		t *= s.Backtrack
 	}
-	return f, nil, false
+	return f, false
 }
 
 // NumericalGradient writes the central-difference gradient of eval at
