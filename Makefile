@@ -28,12 +28,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation gates of the projection kernel (DESIGN.md §6):
+# The allocation gates of the projection kernel (DESIGN.md §6) and of
+# the single-node selections handler (§11: the fleet's category fields
+# must cost a request that names none nothing):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
 allocs:
-	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core
+	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core ./internal/crowddb
 
 # The repository benchmark is a module of its own (bench/go.mod), so
 # ./... above never reaches its tests: schema agreement with
@@ -44,9 +46,9 @@ bench-test:
 
 # One iteration of every Go benchmark: the paper-table benchmarks of the
 # root package and the layer benchmarks (projection kernel and training
-# sweep, top-k, online set and hot selection).
+# sweep, top-k, online set, hot selection and the fleet selection).
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb ./internal/crowdclient
 
 # Short coverage-guided fuzz of the journal replay path (CI runs the
 # same smoke; bump -fuzztime locally for longer hunts).

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,7 +63,24 @@ type ConcurrentModel struct {
 	m     *Model
 	epoch atomic.Uint64
 	cache *projectionCache
+	// version is the category-parameter digest of the epoch it was
+	// computed under (see CategoryVersion).
+	version atomic.Pointer[categoryVersionAt]
 }
+
+type categoryVersionAt struct {
+	epoch  uint64
+	digest string
+}
+
+// ErrCategoryVersion refuses categories projected under category
+// parameters other than this model's: scoring them would rank against a
+// λ_c this model would not have produced.
+var ErrCategoryVersion = errors.New("core: category version mismatch")
+
+// ErrBadCategory reports a supplied category that is not a finite
+// K-vector.
+var ErrBadCategory = errors.New("core: malformed category")
 
 // NewConcurrentModel wraps m. The wrapper owns synchronization from
 // here on: callers must not keep mutating m directly.
@@ -88,6 +108,31 @@ func (c *ConcurrentModel) Epoch() uint64 { return c.epoch.Load() }
 // InvalidateProjections advances the epoch, orphaning every cached
 // projection. Call it after mutating the model through Unwrap.
 func (c *ConcurrentModel) InvalidateProjections() { c.epoch.Add(1) }
+
+// CategoryVersion identifies the category parameters — everything a
+// projection reads (see (*Model).categoryVersion) — as a digest that is
+// equal on two nodes exactly when they project every task alike. It is
+// kept beside the epoch and recomputed only by the first caller after
+// the epoch advanced (Replace, InvalidateProjections); a skill update
+// never changes it.
+func (c *ConcurrentModel) CategoryVersion() string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.categoryVersionLocked()
+}
+
+// categoryVersionLocked needs the read lock, which keeps the model and
+// the epoch it is hashed under together. Two first callers may both
+// hash; they store the same answer.
+func (c *ConcurrentModel) categoryVersionLocked() string {
+	epoch := c.epoch.Load()
+	if v := c.version.Load(); v != nil && v.epoch == epoch {
+		return v.digest
+	}
+	v := &categoryVersionAt{epoch: epoch, digest: c.m.categoryVersion()}
+	c.version.Store(v)
+	return v.digest
+}
 
 // SetProjectionCacheCapacity resizes the projection cache; n <= 0
 // disables caching entirely. Safe to call while serving.
@@ -222,22 +267,81 @@ func (c *ConcurrentModel) Rank(bag text.Bag, candidates []int) []int {
 // goroutines (cache hits are free), then each category is ranked
 // against the shared candidate set, so all selections see one model
 // version. This is the manager's batched selection path and the
-// per-shard leg of scatter-gather selection — the coordinator merges
+// text leg of scatter-gather selection — the coordinator merges
 // these lists with rank.MergeTopK. A cancelled ctx abandons the batch
 // and returns ctx.Err().
 func (c *ConcurrentModel) RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	out, _, err := c.rankBatchLocked(ctx, bags, candidates, k)
+	return out, err
+}
+
+func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []TaskCategory, error) {
 	cats, err := c.projectAllLocked(ctx, bags, runtime.GOMAXPROCS(0))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([][]rank.Item, len(bags))
 	for i, cat := range cats {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out[i] = c.m.SelectTopKScored(cat.Mean(), candidates, k)
+	}
+	return out, cats, nil
+}
+
+// RankBatchProjected is RankBatchScored that also hands back what it
+// projected — each bag's λ_c, the vector the scores were taken against —
+// and the CategoryVersion it was projected under, all from one
+// read-lock scope. It is the projecting leg of a fleet selection: the
+// other shards score these categories (RankCategoriesScored) instead of
+// projecting the text again.
+func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out, cats, err := c.rankBatchLocked(ctx, bags, candidates, k)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	lambdas := make([][]float64, len(cats))
+	for i, cat := range cats {
+		lambdas[i] = cat.Mean()
+	}
+	return out, lambdas, c.categoryVersionLocked(), nil
+}
+
+// RankCategoriesScored is the second phase of Algorithm 3 alone: it
+// ranks the candidates against categories projected elsewhere, touching
+// neither the tokenizer, the projection cache nor the CG solver. version
+// must equal this model's CategoryVersion (checked under the same read
+// lock the scoring holds), else ErrCategoryVersion; every category must
+// be a finite K-vector, else ErrBadCategory. Given equal versions the
+// result is what RankBatchScored returns for the bags the categories
+// were projected from.
+func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if own := c.categoryVersionLocked(); version != own {
+		return nil, fmt.Errorf("%w: got %q, serving %q", ErrCategoryVersion, version, own)
+	}
+	for i, cat := range cats {
+		if len(cat) != c.m.K {
+			return nil, fmt.Errorf("%w: category %d has %d components, want %d", ErrBadCategory, i, len(cat), c.m.K)
+		}
+		for _, v := range cat {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("%w: category %d is not finite", ErrBadCategory, i)
+			}
+		}
+	}
+	out := make([][]rank.Item, len(cats))
+	for i, cat := range cats {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = c.m.SelectTopKScored(cat, candidates, k)
 	}
 	return out, nil
 }

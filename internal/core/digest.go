@@ -2,7 +2,9 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 )
 
 // Digest returns a hex-encoded SHA-256 over the model's canonical
@@ -26,4 +28,27 @@ func (c *ConcurrentModel) Digest() (string, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.m.Digest()
+}
+
+// categoryVersion is a hex SHA-256 over everything a projection reads:
+// K, V, the number of φ/ε/CG rounds and the bits of MuC, SigmaC and
+// LogBeta. Two models with equal versions project every bag to the same
+// λ_c bit for bit, whatever their worker posteriors hold — which is
+// what lets one shard of a fleet project for all of them.
+func (m *Model) categoryVersion() string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	put(uint64(m.K))
+	put(uint64(m.V))
+	put(uint64(m.projectInner()))
+	for _, vs := range [][]float64{m.MuC, m.SigmaC.Data, m.LogBeta.Data} {
+		for _, v := range vs {
+			put(math.Float64bits(v))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -670,25 +670,44 @@ func (c *Client) SubmitBatch(ctx context.Context, tasks []crowddb.SubmitRequest)
 	return out.Results, err
 }
 
+// selections posts one POST /api/v1/selections body.
+func (c *Client) selections(ctx context.Context, req crowddb.BatchSubmitRequest) (crowddb.SelectionsResponse, error) {
+	var out crowddb.SelectionsResponse
+	err := c.post(ctx, "/api/v1/selections", req, &out)
+	return out, err
+}
+
 // Selections ranks crowds for a batch of task texts without storing
 // anything (POST /api/v1/selections) — the pure read that keeps
 // answering while the server is in degraded read-only mode. It is
 // idempotent, so the client retries it on any transport failure and
 // hedges it when HedgeDelay is set.
 func (c *Client) Selections(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	var out crowddb.SelectionsResponse
-	err := c.post(ctx, "/api/v1/selections", crowddb.BatchSubmitRequest{Tasks: tasks}, &out)
-	return out, err
+	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks})
 }
 
 // SelectionsScored is Selections with include_scores set: each result
 // carries the workers' Eq. 1 scores, parallel to the ranking. Scored
-// selections are the per-shard leg of scatter-gather — scores are what
+// selections are the text leg of scatter-gather — scores are what
 // make per-shard top-k lists mergeable.
 func (c *Client) SelectionsScored(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	var out crowddb.SelectionsResponse
-	err := c.post(ctx, "/api/v1/selections", crowddb.BatchSubmitRequest{Tasks: tasks, IncludeScores: true}, &out)
-	return out, err
+	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, IncludeScores: true})
+}
+
+// SelectionsProjected is SelectionsScored with include_categories set:
+// the response also carries each task's projected category and the
+// server's category version — the projecting leg of a fleet selection.
+func (c *Client) SelectionsProjected(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
+	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, IncludeScores: true, IncludeCategories: true})
+}
+
+// SelectionsByCategory asks for scored selections against categories
+// another node projected (SelectionsProjected) instead of task texts —
+// the score-only leg of a fleet selection. tasks carry k only. A server
+// whose category parameters are not the ones version names refuses with
+// 409 category_mismatch.
+func (c *Client) SelectionsByCategory(ctx context.Context, tasks []crowddb.SubmitRequest, categories [][]float64, version string) (crowddb.SelectionsResponse, error) {
+	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, Categories: categories, CategoryVersion: version})
 }
 
 // SkillFeedback folds feedback scores into the posteriors of workers

@@ -219,13 +219,19 @@ func (m *Multi) write(fn func(c *Client) error) error {
 	return fmt.Errorf("write failed on every endpoint: %w", lastErr)
 }
 
+// nextIndex advances a round-robin cursor over n slots.
+func nextIndex(cursor *atomic.Int64, n int) int {
+	i := int((cursor.Add(1) - 1) % int64(n))
+	if i < 0 {
+		i += n
+	}
+	return i
+}
+
 // read runs fn against endpoints in round-robin order, failing over
 // until one answers.
 func (m *Multi) read(fn func(c *Client) error) error {
-	start := int(m.rr.Add(1)-1) % len(m.clients)
-	if start < 0 {
-		start += len(m.clients)
-	}
+	start := nextIndex(&m.rr, len(m.clients))
 	var lastErr error
 	for i := 0; i < len(m.clients); i++ {
 		c := m.clients[(start+i)%len(m.clients)]
@@ -353,6 +359,32 @@ func (m *Multi) SelectionsScored(ctx context.Context, tasks []crowddb.SubmitRequ
 	err := m.read(func(c *Client) error {
 		var e error
 		out, e = c.SelectionsScored(ctx, tasks)
+		return e
+	})
+	return out, err
+}
+
+// SelectionsProjected is SelectionsScored that also returns the
+// projected categories and their version, served by primary or replica
+// alike.
+func (m *Multi) SelectionsProjected(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
+	var out crowddb.SelectionsResponse
+	err := m.read(func(c *Client) error {
+		var e error
+		out, e = c.SelectionsProjected(ctx, tasks)
+		return e
+	})
+	return out, err
+}
+
+// SelectionsByCategory scores categories projected elsewhere on any
+// available endpoint. A 409 category_mismatch is the shard's answer, not
+// an endpoint fault, and is returned without failing over.
+func (m *Multi) SelectionsByCategory(ctx context.Context, tasks []crowddb.SubmitRequest, categories [][]float64, version string) (crowddb.SelectionsResponse, error) {
+	var out crowddb.SelectionsResponse
+	err := m.read(func(c *Client) error {
+		var e error
+		out, e = c.SelectionsByCategory(ctx, tasks, categories, version)
 		return e
 	})
 	return out, err

@@ -21,6 +21,9 @@ import (
 //     per-shard top-k lists — score descending, id ascending on ties —
 //     which is bitwise-identical to a single node ranking the full
 //     roster, because Eq. 1 scores live in one shared latent space.
+//     The fleet projects each text once: one shard, rotating per call,
+//     gets the texts and returns the categories it projected; the
+//     others score those categories (see scatterScored).
 //     Shards that are entirely unreachable are skipped: selections
 //     degrade to the surviving shards' candidates instead of failing.
 //   - Task reads and mutations (get, answer, feedback) go to the
@@ -45,8 +48,10 @@ type Router struct {
 	shards []*Multi
 
 	rrHome    atomic.Int64 // round-robin cursor for batch home shards
+	rrProject atomic.Int64 // round-robin cursor for the projecting shard
 	refreshes atomic.Int64
-	partials  atomic.Int64 // scatter legs skipped because a shard was down
+	partials  atomic.Int64 // scatter legs skipped because a shard failed
+	fallbacks atomic.Int64 // score-only legs re-sent as text
 }
 
 // NewRouter discovers the fleet layout from the seed URLs (any node of
@@ -204,9 +209,16 @@ func (r *Router) Count() int {
 func (r *Router) Refreshes() int64 { return r.refreshes.Load() }
 
 // Partials counts scatter legs skipped because their shard was
-// unreachable — nonzero means some selections were computed from a
-// degraded candidate set.
+// unreachable or answered a malformed response — nonzero means some
+// selections were computed from a degraded candidate set.
 func (r *Router) Partials() int64 { return r.partials.Load() }
+
+// Fallbacks counts score-only legs a shard refused with
+// category_mismatch and the Router sent again as text — nonzero means
+// the fleet's nodes disagree on the category parameters (a mixed or
+// mid-re-bootstrap fleet) and those selections paid a second
+// projection. The results are exact either way.
+func (r *Router) Fallbacks() int64 { return r.fallbacks.Load() }
 
 // Shard returns the Multi for shard i (for drills and diagnostics).
 func (r *Router) Shard(i int) *Multi {
@@ -273,43 +285,112 @@ func (r *Router) rerouted(ctx context.Context, pick func() (*Multi, int), do fun
 	return do(m)
 }
 
-// scatterScored fans the selection batch to every shard and returns the
-// per-shard scored responses (nil for shards that failed outright) plus
-// the selector name from any successful leg.
+// checkLeg validates the shape of one shard's scored response where it
+// is received, so the merge can index it blindly: one result per task,
+// one score per worker and, on the projecting leg, one category per
+// task, all of one non-zero length.
+func checkLeg(resp *crowddb.SelectionsResponse, tasks int, projecting bool) error {
+	if len(resp.Results) != tasks {
+		return fmt.Errorf("malformed response: %d results for %d tasks", len(resp.Results), tasks)
+	}
+	for t, res := range resp.Results {
+		if len(res.Scores) != len(res.Workers) {
+			return fmt.Errorf("malformed response: task %d has %d scores for %d workers", t, len(res.Scores), len(res.Workers))
+		}
+	}
+	if !projecting {
+		return nil
+	}
+	if len(resp.Categories) != tasks || resp.CategoryVersion == "" {
+		return fmt.Errorf("malformed response: %d categories for %d tasks, version %q", len(resp.Categories), tasks, resp.CategoryVersion)
+	}
+	for t, cat := range resp.Categories {
+		if len(cat) == 0 || len(cat) != len(resp.Categories[0]) {
+			return fmt.Errorf("malformed response: category %d has %d components, category 0 has %d", t, len(cat), len(resp.Categories[0]))
+		}
+	}
+	return nil
+}
+
+// categoryMismatch reports a shard's 409 category_mismatch refusal.
+func categoryMismatch(err error) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Code == "category_mismatch"
+}
+
+// scatterScored runs one selection batch over the fleet in two phases
+// and returns the per-shard scored responses (nil for shards that
+// failed) plus the selector name.
+//
+// Phase 1: one shard — rotating per call, the next in rotation when it
+// fails — gets the texts, and answers its own scored lists plus the
+// category λ_c it projected for each task and its category version.
+// Phase 2: every other shard, in parallel, gets those categories in
+// place of the texts and only scores them over its own workers; λ_c
+// crosses the wire bit-exact, so the scores are the ones the shard would
+// have computed from the text. A shard whose category parameters differ
+// refuses with category_mismatch and gets that leg again as text.
+//
+// A leg that fails or answers a malformed response is that shard's
+// error: it is counted in Partials and the selection degrades to the
+// other shards' candidates; only a selection no shard answered fails.
 func (r *Router) scatterScored(ctx context.Context, tasks []crowddb.SubmitRequest) ([]*crowddb.SelectionsResponse, string, error) {
 	shards := r.snapshotShards()
 	out := make([]*crowddb.SelectionsResponse, len(shards))
 	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, m := range shards {
-		wg.Add(1)
-		go func(i int, m *Multi) {
-			defer wg.Done()
-			resp, err := m.SelectionsScored(ctx, tasks)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			out[i] = &resp
-		}(i, m)
-	}
-	wg.Wait()
-	model, ok := "", false
-	for _, resp := range out {
-		if resp != nil {
-			model, ok = resp.Model, true
-			break
+
+	var projected *crowddb.SelectionsResponse
+	start := nextIndex(&r.rrProject, len(shards))
+	for i := 0; i < len(shards) && projected == nil; i++ {
+		idx := (start + i) % len(shards)
+		resp, err := shards[idx].SelectionsProjected(ctx, tasks)
+		if err == nil {
+			err = checkLeg(&resp, len(tasks), true)
 		}
+		if err != nil {
+			errs[idx] = fmt.Errorf("shard %d: %w", idx, err)
+			continue
+		}
+		out[idx], projected = &resp, &resp
 	}
-	if !ok {
+	if projected == nil {
 		return nil, "", fmt.Errorf("selection failed on every shard: %w", errors.Join(errs...))
 	}
+
+	scoreOnly := make([]crowddb.SubmitRequest, len(tasks)) // the tasks without their texts
+	for i, t := range tasks {
+		scoreOnly[i].K = t.K
+	}
+	var wg sync.WaitGroup
+	for idx, m := range shards {
+		if out[idx] != nil || errs[idx] != nil {
+			continue // phase 1 already has this shard's answer
+		}
+		wg.Add(1)
+		go func(idx int, m *Multi) {
+			defer wg.Done()
+			resp, err := m.SelectionsByCategory(ctx, scoreOnly, projected.Categories, projected.CategoryVersion)
+			if categoryMismatch(err) {
+				r.fallbacks.Add(1)
+				resp, err = m.SelectionsScored(ctx, tasks)
+			}
+			if err == nil {
+				err = checkLeg(&resp, len(tasks), false)
+			}
+			if err != nil {
+				errs[idx] = fmt.Errorf("shard %d: %w", idx, err)
+				return
+			}
+			out[idx] = &resp
+		}(idx, m)
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			r.partials.Add(1)
 		}
 	}
-	return out, model, nil
+	return out, projected.Model, nil
 }
 
 // mergeScattered folds the per-shard scored responses into one global
@@ -319,7 +400,7 @@ func mergeScattered(legs []*crowddb.SelectionsResponse, tasks []crowddb.SubmitRe
 	for t := range tasks {
 		var lists [][]rank.Item
 		for _, leg := range legs {
-			if leg == nil || t >= len(leg.Results) {
+			if leg == nil {
 				continue
 			}
 			res := leg.Results[t]
@@ -392,10 +473,7 @@ func (r *Router) SubmitBatch(ctx context.Context, reqs []crowddb.SubmitRequest) 
 		pre[i] = crowddb.SubmitRequest{Text: req.Text, K: req.K, Workers: merged[i].Workers}
 	}
 	shards := r.snapshotShards()
-	start := int(r.rrHome.Add(1)-1) % len(shards)
-	if start < 0 {
-		start += len(shards)
-	}
+	start := nextIndex(&r.rrHome, len(shards))
 	var lastErr error
 	for i := 0; i < len(shards); i++ {
 		home := shards[(start+i)%len(shards)]

@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,17 @@ type Selector interface {
 // RankOnlyScored requires this interface.
 type ScoredBatchRanker interface {
 	RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error)
+}
+
+// CategoryRanker is the optional fleet hook (DESIGN §11, "The fleet
+// projects once"): a selector that can hand back the λ_c it projected
+// with the version of the category parameters it projected under, and
+// can rank against categories projected by another node at the same
+// version (core.ErrCategoryVersion otherwise). *core.ConcurrentModel
+// implements it.
+type CategoryRanker interface {
+	RankBatchProjected(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error)
+	RankCategoriesScored(ctx context.Context, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error)
 }
 
 // SkillUpdater is the optional incremental-learning hook: when the
@@ -333,36 +345,32 @@ func (m *Manager) validatePreassigned(workers []int) error {
 	return nil
 }
 
-// rankOnly is the pure selection path behind RankOnly and
-// RankOnlyScored: validate the batch, default each k, tokenize every
-// text into a bag, load the candidate set once, rank all bags at the
-// largest k and truncate each result to its own.
-func rankOnly[T any](ctx context.Context, m *Manager, reqs []TaskSubmission,
-	rank func(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]T, error)) ([][]T, error) {
-	if len(reqs) == 0 {
+// rankOnly is the pure selection path behind every RankOnly form:
+// validate the batch, default each requested k (ks is overwritten in
+// place), load the candidate set once, rank at the largest k and
+// truncate each result to its own.
+func rankOnly[T any](ctx context.Context, m *Manager, ks []int,
+	rank func(candidates []int, k int) ([][]T, error)) ([][]T, error) {
+	if len(ks) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bags := make([]text.Bag, len(reqs))
-	ks := make([]int, len(reqs))
 	kmax := 0
-	for i, r := range reqs {
-		ks[i] = r.K
+	for i := range ks {
 		if ks[i] <= 0 {
 			ks[i] = m.k
 		}
 		if ks[i] > kmax {
 			kmax = ks[i]
 		}
-		bags[i] = text.NewBagKnown(m.vocab, text.Tokenize(r.Text))
 	}
 	online := m.candidateWorkers()
 	if len(online) == 0 {
 		return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
 	}
-	ranked, err := rank(ctx, bags, online, kmax)
+	ranked, err := rank(online, kmax)
 	if err != nil {
 		return nil, err
 	}
@@ -374,6 +382,18 @@ func rankOnly[T any](ctx context.Context, m *Manager, reqs []TaskSubmission,
 	return ranked, nil
 }
 
+// textBatch is what rankOnly needs of a batch of task texts: each
+// task's requested k and its bag.
+func (m *Manager) textBatch(reqs []TaskSubmission) ([]int, []text.Bag) {
+	ks := make([]int, len(reqs))
+	bags := make([]text.Bag, len(reqs))
+	for i, r := range reqs {
+		ks[i] = r.K
+		bags[i] = text.NewBagKnown(m.vocab, text.Tokenize(r.Text))
+	}
+	return ks, bags
+}
+
 // RankOnly is the pure selection path: it projects and ranks a batch
 // of tasks against the online workers without storing anything — no
 // task rows, no assignments, no journal writes. This is the read-only
@@ -381,11 +401,14 @@ func rankOnly[T any](ctx context.Context, m *Manager, reqs []TaskSubmission,
 // ranking code) and the only selection path that stays available in
 // degraded read-only mode, when the store has sealed mutations.
 func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int, error) {
-	return rankOnly(ctx, m, reqs, m.rankBatch)
+	ks, bags := m.textBatch(reqs)
+	return rankOnly(ctx, m, ks, func(candidates []int, k int) ([][]int, error) {
+		return m.rankBatch(ctx, bags, candidates, k)
+	})
 }
 
-// RankOnlyScored is RankOnly keeping the Eq. 1 scores — the per-shard
-// leg of scatter-gather selection. It requires a selector with the
+// RankOnlyScored is RankOnly keeping the Eq. 1 scores — the text leg
+// of scatter-gather selection. It requires a selector with the
 // ScoredBatchRanker hook; baseline selectors that expose no scores get
 // ErrBadRequest (their rankings cannot be merged across shards).
 func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([][]rank.Item, error) {
@@ -393,7 +416,60 @@ func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([]
 	if !ok {
 		return nil, fmt.Errorf("%w: selector %s does not expose selection scores", ErrBadRequest, m.sel.Name())
 	}
-	return rankOnly(ctx, m, reqs, sbr.RankBatchScored)
+	ks, bags := m.textBatch(reqs)
+	return rankOnly(ctx, m, ks, func(candidates []int, k int) ([][]rank.Item, error) {
+		return sbr.RankBatchScored(ctx, bags, candidates, k)
+	})
+}
+
+// categoryRanker returns the selector's fleet hook, or ErrBadRequest
+// for a selector without a latent category space to share.
+func (m *Manager) categoryRanker() (CategoryRanker, error) {
+	cr, ok := m.sel.(CategoryRanker)
+	if !ok {
+		return nil, fmt.Errorf("%w: selector %s does not expose task categories", ErrBadRequest, m.sel.Name())
+	}
+	return cr, nil
+}
+
+// RankOnlyProjected is RankOnlyScored that also returns each task's
+// projected category and the category version they were projected
+// under — the projecting leg of a fleet selection.
+func (m *Manager) RankOnlyProjected(ctx context.Context, reqs []TaskSubmission) (ranked [][]rank.Item, cats [][]float64, version string, err error) {
+	cr, err := m.categoryRanker()
+	if err != nil {
+		return nil, nil, "", err
+	}
+	ks, bags := m.textBatch(reqs)
+	ranked, err = rankOnly(ctx, m, ks, func(candidates []int, k int) (items [][]rank.Item, err error) {
+		items, cats, version, err = cr.RankBatchProjected(ctx, bags, candidates, k)
+		return items, err
+	})
+	return ranked, cats, version, err
+}
+
+// RankOnlyCategories ranks the online workers against categories
+// another node projected — the score-only leg of a fleet selection: no
+// tokenizer, no projection cache, no CG. ks holds each task's requested
+// crowd size (≤ 0: the manager default) and is overwritten with the
+// effective one. A version other than the selector's own returns
+// core.ErrCategoryVersion; a category that is not a finite K-vector is
+// ErrBadRequest.
+func (m *Manager) RankOnlyCategories(ctx context.Context, ks []int, cats [][]float64, version string) ([][]rank.Item, error) {
+	cr, err := m.categoryRanker()
+	if err != nil {
+		return nil, err
+	}
+	if len(cats) != len(ks) {
+		return nil, fmt.Errorf("%w: %d categories for %d tasks", ErrBadRequest, len(cats), len(ks))
+	}
+	ranked, err := rankOnly(ctx, m, ks, func(candidates []int, k int) ([][]rank.Item, error) {
+		return cr.RankCategoriesScored(ctx, version, cats, candidates, k)
+	})
+	if errors.Is(err, core.ErrBadCategory) {
+		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return ranked, err
 }
 
 // ApplyModelFeedback folds feedback scores into owned workers'

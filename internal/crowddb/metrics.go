@@ -37,7 +37,19 @@ type Metrics struct {
 	shedReads    int64
 	shedWrites   int64
 	deadlineOver int64
+	legs         [numSelectionLegs]int64
 }
+
+// selectionLeg names the fleet-selection legs a node counts (DESIGN
+// §11, "The fleet projects once").
+type selectionLeg int
+
+const (
+	legProjected  selectionLeg = iota // texts in, scores + categories out
+	legScoredOnly                     // categories in, scores out
+	legMismatch                       // categories refused: category_mismatch
+	numSelectionLegs
+)
 
 // NewMetrics returns an empty registry with uptime anchored at now.
 func NewMetrics() *Metrics {
@@ -96,6 +108,25 @@ func (m *Metrics) ObserveDeadlineOverrun() {
 	m.mu.Unlock()
 }
 
+// observeSelectionLeg counts one fleet-selection leg by kind.
+func (m *Metrics) observeSelectionLeg(kind selectionLeg) {
+	m.mu.Lock()
+	m.legs[kind]++
+	m.mu.Unlock()
+}
+
+// SelectionLegsSnapshot counts the selections requests a coordinator
+// sent this node as legs of a fleet selection. A healthy fleet shows
+// Projected and ScoredOnly in the ratio 1 : N−1 summed over its nodes;
+// CategoryMismatch counts legs this node refused because its category
+// parameters differ from the projecting shard's — each one was then
+// re-sent as text and projected a second time.
+type SelectionLegsSnapshot struct {
+	Projected        int64 `json:"projected"`
+	ScoredOnly       int64 `json:"scored_only"`
+	CategoryMismatch int64 `json:"category_mismatch"`
+}
+
 // EndpointMetrics is one endpoint's externally visible counters;
 // latencies are reported in milliseconds.
 type EndpointMetrics struct {
@@ -124,8 +155,11 @@ type MetricsSnapshot struct {
 	Replication      *ReplicationStatus         `json:"replication,omitempty"`
 	Fencing          *FenceStatus               `json:"fencing,omitempty"`
 	Cache            *core.ProjectionCacheStats `json:"cache,omitempty"`
-	Shard            *ShardInfoSnapshot         `json:"shard,omitempty"`
-	Integrity        *IntegritySnapshot         `json:"integrity,omitempty"`
+	// SelectionLegs appears once this node has served a leg of a fleet
+	// selection.
+	SelectionLegs *SelectionLegsSnapshot `json:"selection_legs,omitempty"`
+	Shard         *ShardInfoSnapshot     `json:"shard,omitempty"`
+	Integrity     *IntegritySnapshot     `json:"integrity,omitempty"`
 	// Tenants appears on multi-tenant nodes (or when the default tenant
 	// carries a quota): per-tenant request, in-flight and shed counters.
 	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
@@ -164,6 +198,13 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		snap.Requests += st.count
 		snap.Errors += st.errors
 		snap.Endpoints[name] = em
+	}
+	if m.legs != [numSelectionLegs]int64{} {
+		snap.SelectionLegs = &SelectionLegsSnapshot{
+			Projected:        m.legs[legProjected],
+			ScoredOnly:       m.legs[legScoredOnly],
+			CategoryMismatch: m.legs[legMismatch],
+		}
 	}
 	return snap
 }

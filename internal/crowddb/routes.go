@@ -84,7 +84,7 @@ func APIRoutes() []Route {
 	return []Route{
 		{"POST", "/api/v1/tasks", "/api/v1/tasks", true, "submit one task, get its selected crowd"},
 		{"POST", "/api/v1/tasks:batch", "/api/v1/tasks:batch", true, "submit up to 1024 tasks in one round trip"},
-		{"POST", "/api/v1/selections", "/api/v1/selections", true, "pure selection: rank crowds, store nothing"},
+		{"POST", "/api/v1/selections", "/api/v1/selections", true, "pure selection: rank crowds, store nothing (with scores and task categories on request: the legs of a fleet selection)"},
 		{"GET", "/api/v1/tasks/{id}", "/api/v1/tasks/", true, "fetch one task"},
 		{"POST", "/api/v1/tasks/{id}/answers", "/api/v1/tasks/", true, "record a worker's answer"},
 		{"POST", "/api/v1/tasks/{id}/feedback", "/api/v1/tasks/", true, "resolve a task with feedback scores"},

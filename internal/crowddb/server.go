@@ -1003,12 +1003,25 @@ type SubmitResponse struct {
 
 // BatchSubmitRequest is the body of POST /api/v1/tasks:batch and
 // POST /api/v1/selections: up to maxBatchTasks submissions served in
-// one round trip. IncludeScores (selections only) returns each
-// worker's Eq. 1 score alongside the ranking — required by
-// scatter-gather coordinators, which merge per-shard lists by score.
+// one round trip. The remaining fields are read by selections only.
+// IncludeScores returns each worker's Eq. 1 score alongside the ranking
+// — required by scatter-gather coordinators, which merge per-shard lists
+// by score. IncludeCategories (with IncludeScores) also returns each
+// task's projected category and the category version, which a
+// coordinator hands to the other shards as Categories + CategoryVersion
+// in place of the texts: such a request carries one K-vector per task,
+// tasks with k only, and is answered with scores from the second phase
+// of Alg. 3 alone — or refused with 409 category_mismatch when this
+// node's category parameters are not the ones the vectors were
+// projected under. The vectors sit at request and response level, not
+// per task, so a request without them costs what it did before they
+// existed.
 type BatchSubmitRequest struct {
-	Tasks         []SubmitRequest `json:"tasks"`
-	IncludeScores bool            `json:"include_scores,omitempty"`
+	Tasks             []SubmitRequest `json:"tasks"`
+	IncludeScores     bool            `json:"include_scores,omitempty"`
+	IncludeCategories bool            `json:"include_categories,omitempty"`
+	Categories        [][]float64     `json:"categories,omitempty"`
+	CategoryVersion   string          `json:"category_version,omitempty"`
 }
 
 // BatchSubmitResponse carries one SubmitResponse per submitted task,
@@ -1072,15 +1085,22 @@ func (s *Server) handleTasksBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, resp)
 }
 
+// checkBatchSize bounds the tasks of one batch body: 1 to maxBatchTasks.
+func checkBatchSize(n int) error {
+	switch {
+	case n == 0:
+		return errors.New("empty batch")
+	case n > maxBatchTasks:
+		return fmt.Errorf("batch of %d tasks exceeds the limit of %d", n, maxBatchTasks)
+	}
+	return nil
+}
+
 // batchSubmissions validates a batch body shared by tasks:batch and
 // selections; on failure it writes the error and reports !ok.
 func (s *Server) batchSubmissions(w http.ResponseWriter, req BatchSubmitRequest) ([]TaskSubmission, bool) {
-	if len(req.Tasks) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return nil, false
-	}
-	if len(req.Tasks) > maxBatchTasks {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d tasks exceeds the limit of %d", len(req.Tasks), maxBatchTasks))
+	if err := checkBatchSize(len(req.Tasks)); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return nil, false
 	}
 	reqs := make([]TaskSubmission, len(req.Tasks))
@@ -1104,10 +1124,26 @@ type SelectionResult struct {
 
 // SelectionsResponse is the body of POST /api/v1/selections: one
 // result per requested task, in request order, plus the selector that
-// ranked them.
+// ranked them. Categories (parallel to Results) and CategoryVersion
+// answer include_categories.
 type SelectionsResponse struct {
-	Results []SelectionResult `json:"results"`
-	Model   string            `json:"model"`
+	Results         []SelectionResult `json:"results"`
+	Model           string            `json:"model"`
+	Categories      [][]float64       `json:"categories,omitempty"`
+	CategoryVersion string            `json:"category_version,omitempty"`
+}
+
+// scoredSelections shapes scored rankings as a selections response.
+func scoredSelections(scored [][]rank.Item, model string) SelectionsResponse {
+	resp := SelectionsResponse{Results: make([]SelectionResult, len(scored)), Model: model}
+	for i, items := range scored {
+		res := SelectionResult{Workers: rank.IDs(items), Scores: make([]float64, len(items))}
+		for j, it := range items {
+			res.Scores[j] = it.Score
+		}
+		resp.Results[i] = res
+	}
+	return resp
 }
 
 // handleSelections is the pure selection path: rank crowds for up to
@@ -1124,38 +1160,79 @@ func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
+	mgr := s.tenantFor(r).Manager
+	if req.Categories != nil || req.CategoryVersion != "" {
+		s.selectByCategory(w, r, mgr, req)
+		return
+	}
 	reqs, ok := s.batchSubmissions(w, req)
 	if !ok {
 		return
 	}
-	mgr := s.tenantFor(r).Manager
-	if req.IncludeScores {
+	switch {
+	case req.IncludeCategories && !req.IncludeScores:
+		httpError(w, http.StatusBadRequest, errors.New("include_categories needs include_scores"))
+	case req.IncludeCategories:
+		scored, cats, version, err := mgr.RankOnlyProjected(r.Context(), reqs)
+		if err != nil {
+			writeErr(w, r, err)
+			return
+		}
+		s.metrics.observeSelectionLeg(legProjected)
+		resp := scoredSelections(scored, mgr.SelectorName())
+		resp.Categories, resp.CategoryVersion = cats, version
+		writeJSON(w, http.StatusOK, resp)
+	case req.IncludeScores:
 		scored, err := mgr.RankOnlyScored(r.Context(), reqs)
 		if err != nil {
 			writeErr(w, r, err)
 			return
 		}
-		resp := SelectionsResponse{Results: make([]SelectionResult, len(scored)), Model: mgr.SelectorName()}
-		for i, items := range scored {
-			res := SelectionResult{Workers: rank.IDs(items), Scores: make([]float64, len(items))}
-			for j, it := range items {
-				res.Scores[j] = it.Score
-			}
-			resp.Results[i] = res
+		writeJSON(w, http.StatusOK, scoredSelections(scored, mgr.SelectorName()))
+	default:
+		crowds, err := mgr.RankOnly(r.Context(), reqs)
+		if err != nil {
+			writeErr(w, r, err)
+			return
+		}
+		resp := SelectionsResponse{Results: make([]SelectionResult, len(crowds)), Model: mgr.SelectorName()}
+		for i, c := range crowds {
+			resp.Results[i] = SelectionResult{Workers: c}
 		}
 		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// selectByCategory answers the score-only leg of a fleet selection: the
+// request names no text, only the categories another shard projected
+// and the version it projected them under.
+func (s *Server) selectByCategory(w http.ResponseWriter, r *http.Request, mgr *Manager, req BatchSubmitRequest) {
+	err := checkBatchSize(len(req.Tasks))
+	if err == nil && req.CategoryVersion == "" {
+		err = errors.New("categories need a category_version")
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	crowds, err := mgr.RankOnly(r.Context(), reqs)
+	ks := make([]int, len(req.Tasks))
+	for i, t := range req.Tasks {
+		if t.Text != "" || len(t.Workers) > 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("task index %d: categories replace text and workers", i))
+			return
+		}
+		ks[i] = t.K
+	}
+	scored, err := mgr.RankOnlyCategories(r.Context(), ks, req.Categories, req.CategoryVersion)
 	if err != nil {
+		if errors.Is(err, core.ErrCategoryVersion) {
+			s.metrics.observeSelectionLeg(legMismatch)
+		}
 		writeErr(w, r, err)
 		return
 	}
-	resp := SelectionsResponse{Results: make([]SelectionResult, len(crowds)), Model: mgr.SelectorName()}
-	for i, c := range crowds {
-		resp.Results[i] = SelectionResult{Workers: c}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.metrics.observeSelectionLeg(legScoredOnly)
+	writeJSON(w, http.StatusOK, scoredSelections(scored, mgr.SelectorName()))
 }
 
 type answerRequest struct {
@@ -1324,6 +1401,8 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		httpErrorCode(w, http.StatusConflict, codePromotionInProgress, err)
 	case errors.Is(err, ErrReplicaDiverged):
 		httpErrorCode(w, http.StatusConflict, codeReplicaDiverged, err)
+	case errors.Is(err, core.ErrCategoryVersion):
+		httpErrorCode(w, http.StatusConflict, codeCategoryMismatch, err)
 	case errors.Is(err, ErrWrongShard):
 		// Bare mapping (no owner headers) for callers that did not go
 		// through writeShardErr.
@@ -1391,6 +1470,10 @@ const (
 	// history, or its supervisor lease lapsed. 409, with an
 	// X-Crowdd-Primary hint when the new primary is known.
 	codeFenced = "fenced"
+	// codeCategoryMismatch refuses a selections request whose categories
+	// were projected under category parameters other than this node's
+	// (409): the coordinator sends that leg again as text.
+	codeCategoryMismatch = "category_mismatch"
 	// codePromotionInProgress is the loser of a promotion race: another
 	// promote holds the flip. 409; retry after the winner finishes.
 	codePromotionInProgress = "promotion_in_progress"
