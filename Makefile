@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race allocs bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api ci
+.PHONY: fmt build vet test race allocs bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
 
 # Formatting gate: fails, naming the files, if gofmt would rewrite any.
 fmt:
@@ -125,5 +125,10 @@ backup:
 # registrations (kept honest by TestAPIReferenceMatchesMux).
 readme-api:
 	$(GO) run ./tools/readme-api
+
+# Non-test Go source lines per package and in total, bench/ (a module
+# of its own) excluded: the arithmetic ROADMAP aim 2 and item 9 quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 ci: fmt vet build race allocs bench-test fuzz fuzz-repl fuzz-backup

@@ -410,8 +410,8 @@ type slice struct {
 	d      *corpus.Dataset
 	cm     *core.ConcurrentModel
 	mgr    *crowddb.Manager
-	digest crowddb.DigestFunc         // nil without a data dir
-	src    *crowddb.ReplicationSource // set by registerSlice; nil without a data dir
+	digest crowddb.DigestFunc      // nil without a data dir
+	src    *crowddb.TransferSource // set by registerSlice; nil without a data dir
 }
 
 // close releases the slice's data directory (and follower stream).
@@ -604,13 +604,10 @@ func registerSlice(srv *crowddb.Server, cfg daemonConfig, sl *slice, fence *crow
 		MaxInflight: cfg.tenantQuota,
 	}
 	if sl.db != nil {
-		sl.src = crowddb.NewReplicationSource(sl.db, crowddb.ReplicationSourceOptions{Logf: log.Printf})
+		sl.src = crowddb.NewTransferSource(sl.db, crowddb.TransferSourceOptions{Logf: log.Printf})
 		sl.src.SetFence(fence)
 		sl.src.SetDigest(sl.digest)
-		bsrc := crowddb.NewBackupSource(sl.db, crowddb.BackupSourceOptions{Logf: log.Printf})
-		bsrc.SetFence(fence)
-		bsrc.SetDigest(sl.digest)
-		tc.Degraded, tc.Digest, tc.ReplicationSource, tc.Backup = sl.db.Degraded, sl.digest, sl.src, bsrc
+		tc.Degraded, tc.Digest, tc.ReplicationSource, tc.Backup = sl.db.Degraded, sl.digest, sl.src.Stream(), sl.src.Segment()
 	}
 	if sl.name != crowddb.DefaultTenant {
 		return srv.AddTenant(sl.name, tc)

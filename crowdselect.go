@@ -325,9 +325,10 @@ type (
 	// ReplicaOptions configures StartReplica (primary URL, data
 	// directory, serving-stack builder).
 	ReplicaOptions = crowddb.ReplicaOptions
-	// ReplicationSource streams a primary's journal to followers over
-	// HTTP; wire it into a Server with SetReplicationSource.
-	ReplicationSource = crowddb.ReplicationSource
+	// TransferSource ships a node's state over HTTP: its Stream handler
+	// feeds followers (Server.SetReplicationSource), its Segment handler
+	// cuts backup archives (Server.SetBackupSource).
+	TransferSource = crowddb.TransferSource
 	// ReplicationStatus reports role, stream position and lag — the
 	// replication block of /readyz and /api/v1/metrics.
 	ReplicationStatus = crowddb.ReplicationStatus

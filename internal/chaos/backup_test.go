@@ -72,9 +72,9 @@ func bootBackupNode(t *testing.T, dir string, d *corpus.Dataset, m *core.Model) 
 	srv := crowddb.NewServer(mgr)
 	cutter := crowddb.NewDigestCutter(db, mgr)
 	srv.SetDigestProvider(cutter.Func())
-	bsrc := crowddb.NewBackupSource(db, crowddb.BackupSourceOptions{Logf: t.Logf})
+	bsrc := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Logf: t.Logf})
 	bsrc.SetDigest(cutter.Func())
-	srv.SetBackupSource(bsrc)
+	srv.SetBackupSource(bsrc.Segment())
 	ts := httptest.NewServer(srv)
 	var once sync.Once
 	kill := func() {

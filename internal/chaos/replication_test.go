@@ -75,12 +75,12 @@ func newReplPrimary(t *testing.T) *replRig {
 	srv := crowddb.NewServer(mgr)
 	srv.SetDegradedCheck(db.Degraded)
 	srv.SetDurabilityStats(db.Stats)
-	src := crowddb.NewReplicationSource(db, crowddb.ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	cutter := crowddb.NewDigestCutter(db, mgr)
 	src.SetDigest(cutter.Func())
 	srv.SetDigestProvider(cutter.Func())
 	srv.SetIntegrityStats(db.ScrubStats)
-	srv.SetReplicationSource(src)
+	srv.SetReplicationSource(src.Stream())
 	srv.SetReplicationStatus(src.Status)
 	fence := crowddb.NewFence(db)
 	srv.SetFence(fence)
@@ -138,11 +138,11 @@ func startFollowerDir(t *testing.T, primaryURL, dir string) (*crowddb.Replica, *
 	srv.SetFence(fence)
 	// A promoted standby must be able to feed followers of its own —
 	// the healed fleet re-converges by re-pointing at the winner.
-	src := crowddb.NewReplicationSource(rep.DB(), crowddb.ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := crowddb.NewTransferSource(rep.DB(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	src.SetFence(fence)
 	src.SetDigest(rep.Digest)
 	srv.SetDigestProvider(rep.Digest)
-	srv.SetReplicationSource(src)
+	srv.SetReplicationSource(src.Stream())
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.CloseClientConnections()

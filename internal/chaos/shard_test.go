@@ -83,8 +83,8 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 		srv := crowddb.NewServer(mgr)
 		srv.SetDegradedCheck(db.Degraded)
 		srv.SetDurabilityStats(db.Stats)
-		src := crowddb.NewReplicationSource(db, crowddb.ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
-		srv.SetReplicationSource(src)
+		src := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+		srv.SetReplicationSource(src.Stream())
 		srv.SetReplicationStatus(src.Status)
 		ts := httptest.NewServer(srv)
 		rig := &shardRig{db: db, mgr: mgr, cm: cm, ts: ts}

@@ -68,7 +68,7 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	src := crowddb.NewReplicationSource(db, crowddb.ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	src.SetFence(p.def.fence) // fencing is node-level; tenants share it
 
 	// Rebuild the HTTP shell so both tenants hang off one listener —
@@ -77,15 +77,15 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	srv := crowddb.NewServer(p.def.mgr)
 	srv.SetDegradedCheck(p.def.db.Degraded)
 	srv.SetDurabilityStats(p.def.db.Stats)
-	defSrc := crowddb.NewReplicationSource(p.def.db, crowddb.ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
-	srv.SetReplicationSource(defSrc)
+	defSrc := crowddb.NewTransferSource(p.def.db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	srv.SetReplicationSource(defSrc.Stream())
 	srv.SetReplicationStatus(defSrc.Status)
 	srv.SetFence(p.def.fence)
 	defSrc.SetFence(p.def.fence)
 	if err := srv.AddTenant("acme", crowddb.TenantConfig{
 		Manager:           mgr,
 		Degraded:          db.Degraded,
-		ReplicationSource: src,
+		ReplicationSource: src.Stream(),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,14 @@ func startTenantFollower(t *testing.T, primaryURL string) (def, acme *crowddb.Re
 	})
 	fence := crowddb.NewFence(def.DB())
 	srv.SetFence(fence)
-	defSrc := crowddb.NewReplicationSource(def.DB(), crowddb.ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
+	defSrc := crowddb.NewTransferSource(def.DB(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	defSrc.SetFence(fence)
-	srv.SetReplicationSource(defSrc)
-	acmeSrc := crowddb.NewReplicationSource(acme.DB(), crowddb.ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
+	srv.SetReplicationSource(defSrc.Stream())
+	acmeSrc := crowddb.NewTransferSource(acme.DB(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	acmeSrc.SetFence(fence)
 	if err := srv.AddTenant("acme", crowddb.TenantConfig{
 		Manager:           acme.Manager(),
-		ReplicationSource: acmeSrc,
+		ReplicationSource: acmeSrc.Stream(),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"crowdselect/internal/core"
@@ -63,6 +61,10 @@ type BackupManifest struct {
 	FencingEpoch uint64    `json:"fencing_epoch,omitempty"`
 	Generation   uint64    `json:"generation,omitempty"`
 	CreatedAt    time.Time `json:"created_at,omitempty"`
+	// Arch is the source's runtime.GOARCH; restore and verification
+	// refuse another architecture's archive with ErrArchMismatch.
+	// Absent from archives that predate the stamp, which are accepted.
+	Arch string `json:"arch,omitempty"`
 }
 
 // BackupTrailer closes a segment. Seq must equal both the manifest's
@@ -430,312 +432,6 @@ func CopyBackupStream(dst io.Writer, src io.Reader) (BackupStreamInfo, error) {
 	}
 }
 
-// BackupSourceOptions tunes a BackupSource.
-type BackupSourceOptions struct {
-	// DrainTimeout bounds how long a backup stream waits for live
-	// records to close the gap between the pinned journal file and the
-	// digest cut (default 10s). On expiry the stream ends without a
-	// trailer; the client resumes.
-	DrainTimeout time.Duration
-	// Logf receives stream lifecycle notices. nil is silent.
-	Logf func(format string, args ...any)
-}
-
-// BackupSource serves GET /api/v1/backup from a DB: one finite
-// response per request carrying a digest-stamped archive segment cut
-// under the generation pin. Wire it with Server.SetBackupSource.
-type BackupSource struct {
-	db     *DB
-	drain  time.Duration
-	logf   func(format string, args ...any)
-	fence  *Fence     // optional; an epoch-sealed node refuses backups
-	digest DigestFunc // optional; manifests then carry digest stamps
-
-	backups atomic.Int64 // full segments served
-	resumes atomic.Int64 // incremental segments served
-}
-
-// NewBackupSource builds a source over db.
-func NewBackupSource(db *DB, opts BackupSourceOptions) *BackupSource {
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 10 * time.Second
-	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
-	return &BackupSource{db: db, drain: opts.DrainTimeout, logf: opts.Logf}
-}
-
-// SetFence attaches the node's fencing state: a deposed lineage must
-// not hand out archives claiming its history.
-func (src *BackupSource) SetFence(f *Fence) { src.fence = f }
-
-// SetDigest wires the integrity digest: manifests then stamp the
-// (seq, digest) cut the archive promises, which restore and offline
-// verification prove against. Wire before serving.
-func (src *BackupSource) SetDigest(fn DigestFunc) { src.digest = fn }
-
-// Backups and Resumes count full and incremental segments served.
-func (src *BackupSource) Backups() int64 { return src.backups.Load() }
-func (src *BackupSource) Resumes() int64 { return src.resumes.Load() }
-
-// ServeHTTP streams one archive segment. Query parameters:
-//
-//	since    resume/incremental: stream records after this seq only
-//	history  required with since; must match this node's history
-//
-// Without since the segment is a full backup: bootstrap (dataset,
-// model, snapshot) plus records from the generation base to the cut.
-// since below the generation base is 410 backup_gone (compacted away;
-// take a full backup); since ahead of the cut, or a foreign history,
-// is 409 replica_diverged.
-func (src *BackupSource) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	if src.fence != nil && src.fence.SealedByEpoch() {
-		src.fence.Refuse(w, errors.New("backup source is fenced"))
-		return
-	}
-
-	// Subscribe before pinning, exactly like the replication source:
-	// every record up to the cut is then either in the snapshot, in the
-	// pinned journal file, or in the subscription.
-	sub := src.db.replSubscribe()
-	defer src.db.replUnsubscribe(sub)
-	gen, baseSeq, baseBytes, unpin, err := src.db.PinGeneration()
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	defer unpin()
-
-	// The cut fixes the archive's target: manifest and trailer both
-	// cite cut.Seq, and the digest stamps are taken at that exact seq.
-	var cut DigestCut
-	if src.digest != nil {
-		if cut, err = src.digest(); err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("digest cut: %w", err))
-			return
-		}
-	} else {
-		cut.Seq, cut.Bytes = src.db.ReplicationHead()
-		cut.Tenant = src.db.store.Tenant()
-		if cut.Tenant == "" {
-			cut.Tenant = DefaultTenant
-		}
-	}
-
-	ourHistory := src.db.ReplicationHistory()
-	full, from := true, baseSeq
-	q := r.URL.Query()
-	if s := q.Get("since"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil || v < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad since %q", s))
-			return
-		}
-		history := q.Get("history")
-		if history == "" {
-			httpError(w, http.StatusBadRequest, errors.New("incremental backup needs history"))
-			return
-		}
-		if history != ourHistory {
-			httpErrorCode(w, http.StatusConflict, codeReplicaDiverged,
-				fmt.Errorf("archive history %s does not match source history %s", history, ourHistory))
-			return
-		}
-		if v > cut.Seq {
-			httpErrorCode(w, http.StatusConflict, codeReplicaDiverged,
-				fmt.Errorf("since %d is ahead of the backup cut %d", v, cut.Seq))
-			return
-		}
-		if v < baseSeq {
-			httpErrorCode(w, http.StatusGone, codeBackupGone,
-				fmt.Errorf("records through %d were compacted away (base %d); take a full backup", v, baseSeq))
-			return
-		}
-		full, from = false, v
-	}
-
-	// Stage the files before committing to a streaming response so
-	// errors can still become proper HTTP statuses.
-	journal, err := os.ReadFile(src.db.journalPath(gen))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	var dataset, model, snapMsg []byte
-	if full {
-		if b, err := os.ReadFile(src.db.DatasetPath()); err == nil {
-			dataset = b
-		}
-		// A model checkpoint exists whenever a snapshotter is wired;
-		// baseline selectors back up store-only.
-		if b, err := os.ReadFile(filepath.Join(src.db.dir, fmt.Sprintf(modelPattern, gen))); err == nil {
-			model = b
-		} else if !errors.Is(err, os.ErrNotExist) {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("model checkpoint: %w", err))
-			return
-		}
-		snap, err := os.ReadFile(filepath.Join(src.db.dir, fmt.Sprintf(snapshotPattern, gen)))
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("store snapshot: %w", err))
-			return
-		}
-		if snapMsg, err = json.Marshal(replSnapshotMsg{Seq: baseSeq, Bytes: baseBytes, Store: snap}); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-
-	manifest := BackupManifest{
-		Format:       backupFormatVersion,
-		Tenant:       cut.Tenant,
-		History:      ourHistory,
-		Full:         full,
-		BaseSeq:      from,
-		Seq:          cut.Seq,
-		Bytes:        cut.Bytes,
-		Digest:       cut.Digest,
-		ModelDigest:  cut.Model,
-		StoreDigest:  cut.Store,
-		FencingEpoch: src.db.FencingEpoch(),
-		Generation:   gen,
-		CreatedAt:    time.Now().UTC(),
-	}
-	if full {
-		manifest.BaseBytes = baseBytes
-	}
-	mb, err := json.Marshal(manifest)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-
-	// The stream outlives any per-request read/write deadlines the
-	// serving http.Server configured.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Time{})
-	_ = rc.SetWriteDeadline(time.Time{})
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-
-	if full {
-		src.backups.Add(1)
-	} else {
-		src.resumes.Add(1)
-	}
-	src.logf("crowddb: backup: segment open (full=%v from=%d cut=%d gen=%d)", full, from, cut.Seq, gen)
-
-	if err := writeReplFrame(w, frameBackupManifest, mb); err != nil {
-		return
-	}
-	if full {
-		if dataset != nil {
-			if err := writeReplFrame(w, frameDataset, dataset); err != nil {
-				return
-			}
-		}
-		if model != nil {
-			if err := writeReplFrame(w, frameModel, model); err != nil {
-				return
-			}
-		}
-		if err := writeReplFrame(w, frameSnapshot, snapMsg); err != nil {
-			return
-		}
-	}
-
-	// Records already on disk in the pinned generation's journal, up to
-	// the cut — records committed after the cut belong to the next
-	// backup, not this one.
-	errStop := errors.New("stop")
-	lastSent, sentBytes := from, baseBytes
-	_, err = walkJournal(journal, func(idx int, _ int64, payload []byte) error {
-		seq := baseSeq + int64(idx) + 1
-		sentBytes += int64(recordHeaderSize + len(payload))
-		if seq <= lastSent {
-			return nil
-		}
-		if seq > cut.Seq {
-			return errStop
-		}
-		msg, err := json.Marshal(replRecordMsg{Seq: seq, Bytes: sentBytes, Event: payload})
-		if err != nil {
-			return err
-		}
-		if err := writeReplFrame(w, frameRecord, msg); err != nil {
-			return err
-		}
-		lastSent = seq
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStop) {
-		src.logf("crowddb: backup: segment ended streaming generation %d: %v", gen, err)
-		return
-	}
-
-	// Close any gap between the journal file and the cut from the live
-	// subscription (a compaction between pin and cut moves the tail
-	// there). Bounded: a gap that does not arrive means the stream ends
-	// without a trailer and the client resumes.
-	if lastSent < cut.Seq {
-		timer := time.NewTimer(src.drain)
-		defer timer.Stop()
-		ctx := r.Context()
-	drain:
-		for lastSent < cut.Seq {
-			select {
-			case <-ctx.Done():
-				return
-			case <-timer.C:
-				src.logf("crowddb: backup: gave up waiting for records %d..%d", lastSent+1, cut.Seq)
-				break drain
-			case msg, ok := <-sub.ch:
-				if !ok {
-					src.logf("crowddb: backup: stream overran the subscription buffer")
-					break drain
-				}
-				if msg.Seq <= lastSent {
-					continue
-				}
-				if msg.Seq != lastSent+1 {
-					src.logf("crowddb: backup: subscription gap (%d after %d)", msg.Seq, lastSent)
-					break drain
-				}
-				if msg.Seq > cut.Seq {
-					break drain
-				}
-				b, err := json.Marshal(msg)
-				if err != nil {
-					return
-				}
-				if err := writeReplFrame(w, frameRecord, b); err != nil {
-					return
-				}
-				lastSent = msg.Seq
-			}
-		}
-		if lastSent < cut.Seq {
-			// No trailer: the client sees a resumable, incomplete segment.
-			_ = rc.Flush()
-			return
-		}
-	}
-
-	tb, err := json.Marshal(BackupTrailer{Seq: cut.Seq, Records: lastSent - from})
-	if err != nil {
-		return
-	}
-	if err := writeReplFrame(w, frameBackupEnd, tb); err != nil {
-		return
-	}
-	_ = rc.Flush()
-	src.logf("crowddb: backup: segment complete (full=%v records=%d cut=%d)", full, lastSent-from, cut.Seq)
-}
-
 // RestoreOptions tunes RestoreBackup.
 type RestoreOptions struct {
 	// ToSeq, when positive, replays the archive only through this seq
@@ -813,7 +509,7 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 				lastKept = m.BaseSeq
 			}
 			cuts[m.Seq] = m
-			return nil
+			return checkArch(m.Arch)
 		},
 		dataset:  func(b []byte) error { dataset = append([]byte(nil), b...); return nil },
 		model:    func(b []byte) error { model = append([]byte(nil), b...); return nil },
@@ -847,20 +543,14 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 	}
 
 	if dataset != nil {
-		if err := writeFileAtomic(filepath.Join(dir, "dataset.json"), func(w io.Writer) error {
-			_, err := w.Write(dataset)
-			return err
-		}); err != nil {
+		if err := writeBytesAtomic(filepath.Join(dir, "dataset.json"), dataset); err != nil {
 			return nil, err
 		}
 	}
 	var modelDigest string
 	if model != nil {
 		modelDigest = sha256Hex(model)
-		if err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(modelPattern, gen)), func(w io.Writer) error {
-			_, err := w.Write(model)
-			return err
-		}); err != nil {
+		if err := writeBytesAtomic(filepath.Join(dir, fmt.Sprintf(modelPattern, gen)), model); err != nil {
 			return nil, err
 		}
 	}
@@ -889,10 +579,7 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 	// The snapshot is the generation's commit point, exactly as in a
 	// live compaction: write it last so a half-finished restore never
 	// looks like a bootable directory.
-	if err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(snapshotPattern, gen)), func(w io.Writer) error {
-		_, err := w.Write(snap.Store)
-		return err
-	}); err != nil {
+	if err := writeBytesAtomic(filepath.Join(dir, fmt.Sprintf(snapshotPattern, gen)), snap.Store); err != nil {
 		return nil, err
 	}
 	if err := syncDir(dir); err != nil {
@@ -979,7 +666,7 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 			if segment == 0 && m.Tenant != "" && m.Tenant != DefaultTenant {
 				store.SetTenant(m.Tenant)
 			}
-			return nil
+			return checkArch(m.Arch)
 		},
 		dataset: func(b []byte) error { dataset = append([]byte(nil), b...); return nil },
 		model:   func(b []byte) error { model = append([]byte(nil), b...); return nil },

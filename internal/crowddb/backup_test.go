@@ -21,7 +21,7 @@ import (
 
 // backupPrimary boots a durable primary with its dataset persisted and
 // a digest-stamping backup source served over httptest.
-func backupPrimary(t *testing.T) (*durableRig, *DigestCutter, *BackupSource, *httptest.Server) {
+func backupPrimary(t *testing.T) (*durableRig, *DigestCutter, *TransferSource, *httptest.Server) {
 	t.Helper()
 	d, model := trainedFixture(t)
 	rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways()})
@@ -30,9 +30,9 @@ func backupPrimary(t *testing.T) (*durableRig, *DigestCutter, *BackupSource, *ht
 		t.Fatal(err)
 	}
 	cutter := NewDigestCutter(rig.db, rig.mgr)
-	src := NewBackupSource(rig.db, BackupSourceOptions{})
+	src := NewTransferSource(rig.db, TransferSourceOptions{})
 	src.SetDigest(cutter.Func())
-	ts := httptest.NewServer(src)
+	ts := httptest.NewServer(src.Segment())
 	t.Cleanup(ts.Close)
 	return rig, cutter, src, ts
 }
@@ -515,9 +515,9 @@ func TestBackupEndpointRoutingGatingAndGone(t *testing.T) {
 	rig.resolveOneTask(t, "a task so the head moves past the base", []float64{4, 2})
 
 	srv := NewServer(rig.mgr)
-	srv.SetBackupSource(src)
+	srv.SetBackupSource(src.Segment())
 	srv.SetDigestProvider(cutter.Func())
-	if err := srv.AddTenant("acme", TenantConfig{Manager: rig.mgr, Backup: src}); err != nil {
+	if err := srv.AddTenant("acme", TenantConfig{Manager: rig.mgr, Backup: src.Segment()}); err != nil {
 		t.Fatal(err)
 	}
 	ws := httptest.NewServer(srv)

@@ -64,11 +64,13 @@ type Manager struct {
 	vocab *text.Vocabulary
 	sel   Selector
 	k     int
-	// resolveMu keeps the two halves of a resolve — the store commit
-	// and the model's posterior update — atomic with respect to
-	// durability checkpoints: ResolveTask holds it shared, Quiesce
-	// exclusively.
-	resolveMu sync.RWMutex
+	// resolveMu spans the two halves of a resolve — the store commit
+	// (which journals it) and the model's posterior update. Every
+	// resolver holds it exclusively, so posteriors fold in journal
+	// order and a replay rebuilds the live model_digest (a skill
+	// estimate depends on the order its evidence arrives in); Quiesce
+	// takes it to cut checkpoints where the store and the model agree.
+	resolveMu sync.Mutex
 	// shard is this node's identity in an N-shard fleet. When enabled,
 	// selection candidates shrink to owned workers, skill updates fold
 	// only owned posteriors, and ApplyModelFeedback refuses workers
@@ -502,8 +504,8 @@ func (m *Manager) ApplyModelFeedback(ctx context.Context, forwardOf int, taskTex
 		}
 	}
 	tokens := text.Tokenize(taskText)
-	m.resolveMu.RLock()
-	defer m.resolveMu.RUnlock()
+	m.resolveMu.Lock()
+	defer m.resolveMu.Unlock()
 	applied, err := m.store.LogSkillFeedback(tokens, scores, forwardOf)
 	if err != nil {
 		return err
@@ -594,8 +596,8 @@ func (m *Manager) ResolveTask(ctx context.Context, taskID int, scores map[int]fl
 	if err := ctx.Err(); err != nil {
 		return TaskRecord{}, err
 	}
-	m.resolveMu.RLock()
-	defer m.resolveMu.RUnlock()
+	m.resolveMu.Lock()
+	defer m.resolveMu.Unlock()
 	rec, err := m.store.Resolve(taskID, scores)
 	if err != nil {
 		return TaskRecord{}, err
@@ -645,8 +647,8 @@ func (m *Manager) ApplySkillFeedback(rec TaskRecord) error {
 // update are never split by a checkpoint — the replica-side twin of
 // ResolveTask's locking.
 func (m *Manager) applyReplicatedEvent(e event) error {
-	m.resolveMu.RLock()
-	defer m.resolveMu.RUnlock()
+	m.resolveMu.Lock()
+	defer m.resolveMu.Unlock()
 	return m.store.applyReplicated(e, m.applySkillFeedback)
 }
 

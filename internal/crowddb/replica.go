@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +88,7 @@ type Replica struct {
 	appliedBytes int64 // primary's byte count at our applied position
 	lastContact  time.Time
 	connected    bool
-	fatal        error // divergence; set once, stream stays down
+	fatal        error // divergence or a foreign-arch primary; set once, stream stays down
 
 	reconnects    atomic.Int64
 	framesApplied atomic.Int64
@@ -206,8 +205,9 @@ func (r *Replica) Manager() *Manager { return r.mgr }
 // Model exposes the continuously updated concurrent model.
 func (r *Replica) Model() *core.ConcurrentModel { return r.cm }
 
-// Err reports a permanent streaming failure (ErrReplicaDiverged), or
-// nil while the replica is healthy or merely reconnecting.
+// Err reports a permanent streaming failure (ErrReplicaDiverged or
+// ErrArchMismatch), or nil while the replica is healthy or merely
+// reconnecting.
 func (r *Replica) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -431,6 +431,10 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 		st.Close()
 		return nil, fmt.Errorf("crowddb: replication hello: %w", err)
 	}
+	if err := checkArch(st.hello.Arch); err != nil {
+		st.Close()
+		return nil, err
+	}
 	return st, nil
 }
 
@@ -441,6 +445,7 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 // store and model are swapped in place under their own locks and a
 // compaction checkpoints the adopted state as a new local generation.
 func (r *Replica) bootstrap(st *replStream, fresh bool) error {
+	var dataset []byte
 	var model *core.Model
 	var snap replSnapshotMsg
 	for {
@@ -449,9 +454,7 @@ func (r *Replica) bootstrap(st *replStream, fresh bool) error {
 			return err
 		}
 		if typ == frameDataset {
-			if err := os.WriteFile(r.db.DatasetPath(), payload, 0o644); err != nil {
-				return err
-			}
+			dataset = payload
 			continue
 		}
 		if typ == frameModel {
@@ -470,6 +473,14 @@ func (r *Replica) bootstrap(st *replStream, fresh bool) error {
 	}
 	if model == nil {
 		return errors.New("bootstrap stream carried no model checkpoint")
+	}
+	// The dataset is installed only once the whole bootstrap has
+	// arrived, and atomically: during a re-bootstrap the directory still
+	// holds a valid generation that restarts from the file it replaces.
+	if dataset != nil {
+		if err := writeBytesAtomic(r.db.DatasetPath(), dataset); err != nil {
+			return err
+		}
 	}
 	if err := r.db.Store().RestoreSnapshot(bytes.NewReader(snap.Store)); err != nil {
 		return fmt.Errorf("bootstrap snapshot: %w", err)
@@ -536,7 +547,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 			var err error
 			st, err = r.dial(ctx, applied, r.db.ReplicationHistory(), boot)
 			if err != nil {
-				if errors.Is(err, ErrReplicaDiverged) {
+				if errors.Is(err, ErrReplicaDiverged) || errors.Is(err, ErrArchMismatch) {
 					r.mu.Lock()
 					r.fatal = err
 					r.mu.Unlock()

@@ -10,12 +10,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -148,6 +145,10 @@ type replHello struct {
 	// whose epoch is below one it has already observed for this
 	// history — a deposed primary cannot re-recruit its old followers.
 	FencingEpoch uint64 `json:"fencing_epoch,omitempty"`
+	// Arch is the primary's runtime.GOARCH; a follower on another
+	// architecture stops with ErrArchMismatch. Absent from peers that
+	// predate the stamp, which are accepted.
+	Arch string `json:"arch,omitempty"`
 }
 
 // replRecordMsg is one journal event at its position: Seq is the
@@ -540,293 +541,4 @@ func (db *DB) replPinned(gen uint64) bool {
 	db.repl.mu.Lock()
 	defer db.repl.mu.Unlock()
 	return db.repl.pins[gen] > 0
-}
-
-// ReplicationSourceOptions tunes a ReplicationSource.
-type ReplicationSourceOptions struct {
-	// Heartbeat is how often an idle stream advertises the head
-	// position (default 500ms). Followers use it as their staleness
-	// clock, so it bounds how quickly a partition becomes visible.
-	Heartbeat time.Duration
-	// Logf receives stream lifecycle notices. nil is silent.
-	Logf func(format string, args ...any)
-}
-
-// ReplicationSource serves GET /api/v1/replication/stream from a DB:
-// one long-lived response per follower carrying a bootstrap (when the
-// follower is new, lapsed behind compaction, or from another history)
-// followed by the live journal. Wire it with Server.SetReplicationSource.
-type ReplicationSource struct {
-	db        *DB
-	heartbeat time.Duration
-	logf      func(format string, args ...any)
-	fence     *Fence     // optional; nil serves unfenced
-	digest    DigestFunc // optional; heartbeats then carry digest cuts
-
-	followers  atomic.Int64 // streams open right now
-	streams    atomic.Int64 // streams ever served
-	bootstraps atomic.Int64 // streams that began with a bootstrap
-}
-
-// SetFence attaches the node's fencing state: a sealed source refuses
-// to serve streams (409 fenced), and a follower presenting a higher
-// epoch in its stream request seals this source on the spot.
-func (src *ReplicationSource) SetFence(f *Fence) { src.fence = f }
-
-// SetDigest wires the anti-entropy digest: idle heartbeats then carry
-// a consistent (seq, bytes, digest) cut, which followers applied to
-// the same seq compare against their own state (DESIGN §14). Wire
-// before serving streams.
-func (src *ReplicationSource) SetDigest(fn DigestFunc) { src.digest = fn }
-
-// NewReplicationSource builds a source over db.
-func NewReplicationSource(db *DB, opts ReplicationSourceOptions) *ReplicationSource {
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 500 * time.Millisecond
-	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
-	return &ReplicationSource{db: db, heartbeat: opts.Heartbeat, logf: opts.Logf}
-}
-
-// Followers reports how many streams are open right now.
-func (src *ReplicationSource) Followers() int64 { return src.followers.Load() }
-
-// Status summarizes the source for /readyz and /api/v1/metrics on a
-// primary: its own head is by definition applied, so lag is zero.
-func (src *ReplicationSource) Status() ReplicationStatus {
-	head, headBytes := src.db.ReplicationHead()
-	return ReplicationStatus{
-		Role:          RolePrimary,
-		FencingEpoch:  src.db.FencingEpoch(),
-		Connected:     true,
-		History:       src.db.ReplicationHistory(),
-		AppliedSeq:    head,
-		HeadSeq:       head,
-		HeadBytes:     headBytes,
-		Followers:     src.followers.Load(),
-		StreamsServed: src.streams.Load(),
-		Bootstraps:    src.bootstraps.Load(),
-		Lag:           &ReplicationLag{},
-	}
-}
-
-// ServeHTTP streams the journal. Query parameters:
-//
-//	from     the follower's applied seq; records after it are streamed
-//	history  the follower's history id; a mismatch forces a bootstrap
-//	boot     "1" forces a bootstrap (fresh follower)
-//
-// A follower claiming a position ahead of this primary's head within
-// the same history has diverged (it was promoted, or this node lost
-// acked records) and is refused with 409 replica_diverged.
-func (src *ReplicationSource) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	q := r.URL.Query()
-	var from int64
-	if s := q.Get("from"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil || v < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad from %q", s))
-			return
-		}
-		from = v
-	}
-	history := q.Get("history")
-	wantBoot := q.Get("boot") == "1"
-	if src.fence != nil {
-		// A follower that has seen a newer primary tells us so: its
-		// epoch seals this source before a single frame is served.
-		if s := q.Get("epoch"); s != "" && history != "" {
-			if e, err := strconv.ParseUint(s, 10, 64); err == nil {
-				src.fence.Observe(history, e, "")
-			}
-		}
-		// Only an epoch seal darkens the stream: a deposed lineage must
-		// not feed followers. A lease seal (lapsed or stepped down for a
-		// drain) keeps serving — the node has stopped acking, so its
-		// committed tail is a frozen prefix followers still need.
-		if src.fence.SealedByEpoch() {
-			src.fence.Refuse(w, errors.New("replication source is fenced"))
-			return
-		}
-	}
-
-	// Subscribe before pinning: every record is then either ≤ the
-	// pinned base (in the snapshot), in the pinned journal file, or in
-	// the subscription — overlap is deduplicated by seq below.
-	sub := src.db.replSubscribe()
-	defer src.db.replUnsubscribe(sub)
-	gen, baseSeq, baseBytes, unpin, err := src.db.PinGeneration()
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	defer unpin()
-
-	ourHistory := src.db.ReplicationHistory()
-	head, headBytes := src.db.ReplicationHead()
-	bootstrap := wantBoot || from < baseSeq || (history != "" && history != ourHistory)
-	if !bootstrap && from > head {
-		httpErrorCode(w, http.StatusConflict, codeReplicaDiverged,
-			fmt.Errorf("follower position %d is ahead of primary head %d in history %s", from, head, ourHistory))
-		return
-	}
-
-	// Stage the files before committing to a streaming response so
-	// errors can still become proper HTTP statuses.
-	journal, err := os.ReadFile(src.db.journalPath(gen))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	var dataset, model, snapMsg []byte
-	if bootstrap {
-		if b, err := os.ReadFile(src.db.DatasetPath()); err == nil {
-			dataset = b
-		}
-		if model, err = os.ReadFile(filepath.Join(src.db.dir, fmt.Sprintf(modelPattern, gen))); err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("model checkpoint: %w", err))
-			return
-		}
-		snap, err := os.ReadFile(filepath.Join(src.db.dir, fmt.Sprintf(snapshotPattern, gen)))
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("store snapshot: %w", err))
-			return
-		}
-		if snapMsg, err = json.Marshal(replSnapshotMsg{Seq: baseSeq, Bytes: baseBytes, Store: snap}); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		from = baseSeq
-	}
-
-	// The stream outlives any per-request read/write deadlines the
-	// serving http.Server configured.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Time{})
-	_ = rc.SetWriteDeadline(time.Time{})
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-
-	src.streams.Add(1)
-	src.followers.Add(1)
-	defer src.followers.Add(-1)
-	if bootstrap {
-		src.bootstraps.Add(1)
-	}
-	src.logf("crowddb: replication: stream open (from=%d bootstrap=%v gen=%d head=%d)", from, bootstrap, gen, head)
-
-	hello, err := json.Marshal(replHello{History: ourHistory, Seq: head, Bytes: headBytes,
-		Generation: gen, Bootstrap: bootstrap, FencingEpoch: src.db.FencingEpoch()})
-	if err != nil {
-		return
-	}
-	if err := writeReplFrame(w, frameHello, hello); err != nil {
-		return
-	}
-	if bootstrap {
-		if dataset != nil {
-			if err := writeReplFrame(w, frameDataset, dataset); err != nil {
-				return
-			}
-		}
-		if err := writeReplFrame(w, frameModel, model); err != nil {
-			return
-		}
-		if err := writeReplFrame(w, frameSnapshot, snapMsg); err != nil {
-			return
-		}
-	}
-
-	// Records already on disk in the pinned generation's journal.
-	lastSent, sentBytes := from, baseBytes
-	_, err = walkJournal(journal, func(idx int, _ int64, payload []byte) error {
-		seq := baseSeq + int64(idx) + 1
-		sentBytes += int64(recordHeaderSize + len(payload))
-		if seq <= lastSent {
-			return nil
-		}
-		msg, err := json.Marshal(replRecordMsg{Seq: seq, Bytes: sentBytes, Event: payload})
-		if err != nil {
-			return err
-		}
-		if err := writeReplFrame(w, frameRecord, msg); err != nil {
-			return err
-		}
-		lastSent = seq
-		return nil
-	})
-	if err != nil {
-		src.logf("crowddb: replication: stream ended replaying generation %d: %v", gen, err)
-		return
-	}
-	if err := rc.Flush(); err != nil {
-		return
-	}
-
-	// Live tail: committed records from the hub, heartbeats while idle.
-	ticker := time.NewTicker(src.heartbeat)
-	defer ticker.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case msg, ok := <-sub.ch:
-			if !ok {
-				src.logf("crowddb: replication: follower overran the stream buffer; closing for resume")
-				return
-			}
-			if msg.Seq <= lastSent {
-				continue
-			}
-			if msg.Seq != lastSent+1 {
-				src.logf("crowddb: replication: stream gap (%d after %d); closing for resume", msg.Seq, lastSent)
-				return
-			}
-			b, err := json.Marshal(msg)
-			if err != nil {
-				return
-			}
-			if err := writeReplFrame(w, frameRecord, b); err != nil {
-				return
-			}
-			lastSent = msg.Seq
-			if err := rc.Flush(); err != nil {
-				return
-			}
-		case <-ticker.C:
-			if src.fence != nil && src.fence.SealedByEpoch() {
-				src.logf("crowddb: replication: source fenced; closing stream")
-				return
-			}
-			hb := replHeartbeat{At: time.Now()}
-			if src.digest != nil {
-				// The cut's (seq, bytes, digest) triple is internally
-				// consistent, which is what the follower-side comparison
-				// needs; a failed cut degrades to a plain heartbeat.
-				if cut, err := src.digest(); err == nil {
-					hb.Seq, hb.Bytes, hb.Digest = cut.Seq, cut.Bytes, cut.Digest
-				}
-			}
-			if hb.Digest == "" {
-				hb.Seq, hb.Bytes = src.db.ReplicationHead()
-			}
-			b, err := json.Marshal(hb)
-			if err != nil {
-				return
-			}
-			if err := writeReplFrame(w, frameHeartbeat, b); err != nil {
-				return
-			}
-			if err := rc.Flush(); err != nil {
-				return
-			}
-		}
-	}
 }

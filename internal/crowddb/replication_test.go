@@ -22,7 +22,7 @@ import (
 
 // replPrimary boots a durable primary with its dataset persisted and
 // its replication source served over httptest, ready for followers.
-func replPrimary(t *testing.T) (*durableRig, *ReplicationSource, *httptest.Server) {
+func replPrimary(t *testing.T) (*durableRig, *TransferSource, *httptest.Server) {
 	t.Helper()
 	d, model := trainedFixture(t)
 	rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways()})
@@ -30,9 +30,9 @@ func replPrimary(t *testing.T) (*durableRig, *ReplicationSource, *httptest.Serve
 	if err := d.SaveFile(rig.db.DatasetPath()); err != nil {
 		t.Fatal(err)
 	}
-	src := NewReplicationSource(rig.db, ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := NewTransferSource(rig.db, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	src.SetDigest(NewDigestCutter(rig.db, rig.mgr).Func())
-	ts := httptest.NewServer(src)
+	ts := httptest.NewServer(src.Stream())
 	t.Cleanup(ts.Close)
 	return rig, src, ts
 }
@@ -288,8 +288,8 @@ func TestPromotedReplicaFeedsItsOwnFollowers(t *testing.T) {
 
 	// Serve the promoted node's journal; a second-tier follower
 	// bootstraps from it and tracks its new writes.
-	src2 := NewReplicationSource(rep.DB(), ReplicationSourceOptions{Heartbeat: 20 * time.Millisecond})
-	ts2 := httptest.NewServer(src2)
+	src2 := NewTransferSource(rep.DB(), TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	ts2 := httptest.NewServer(src2.Stream())
 	defer ts2.Close()
 	rep2 := startTestReplica(t, ts2.URL, t.TempDir())
 	defer rep2.Close()

@@ -369,14 +369,14 @@ func (s *Server) Role() string {
 }
 
 // SetReplicationSource enables GET /api/v1/replication/stream for the
-// default tenant (typically a *ReplicationSource). Only a primary
+// default tenant (typically (*TransferSource).Stream). Only a primary
 // serves it.
 func (s *Server) SetReplicationSource(h http.Handler) {
 	s.tenants[DefaultTenant].ReplicationSource = h
 }
 
 // SetReplicationStatus adds a replication section to /readyz and
-// GET /api/v1/metrics (typically (*ReplicationSource).Status on a
+// GET /api/v1/metrics (typically (*TransferSource).Status on a
 // primary, or a composite over (*Replica).Status on a follower).
 func (s *Server) SetReplicationStatus(f func() ReplicationStatus) { s.replStatus = f }
 
@@ -392,7 +392,7 @@ func (s *Server) SetPromoter(f func(context.Context) error) { s.promoter = f }
 func (s *Server) SetDigestProvider(fn DigestFunc) { s.tenants[DefaultTenant].Digest = fn }
 
 // SetBackupSource enables GET /api/v1/backup for the default tenant
-// (see BackupSource); nil (the default) answers 501.
+// (typically (*TransferSource).Segment); nil (the default) answers 501.
 func (s *Server) SetBackupSource(h http.Handler) { s.tenants[DefaultTenant].Backup = h }
 
 // SetIntegrityStats adds the integrity section (scrub progress,
@@ -1510,6 +1510,8 @@ func codeOf(status int) string {
 		return codeNotPrimary
 	case http.StatusConflict:
 		return codeReplicaDiverged
+	case http.StatusGone:
+		return codeBackupGone
 	case http.StatusNotImplemented:
 		return "not_implemented"
 	case http.StatusServiceUnavailable:

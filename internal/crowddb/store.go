@@ -638,6 +638,14 @@ func writeFileAtomic(path string, fill func(io.Writer) error) error {
 	return syncDir(dir)
 }
 
+// writeBytesAtomic is writeFileAtomic for bytes already in hand.
+func writeBytesAtomic(path string, b []byte) error {
+	return writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
 // syncDir fsyncs a directory so renames and creates within it are
 // durable. Filesystems that cannot sync directories are tolerated.
 func syncDir(dir string) error {

@@ -1,0 +1,428 @@
+package crowddb
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// transferPrimary is replPrimary with both endings of its one source
+// on one listener: /stream and /segment.
+func transferPrimary(t *testing.T) (*durableRig, *httptest.Server) {
+	t.Helper()
+	rig, src, _ := replPrimary(t)
+	return rig, serveTransfers(t, src)
+}
+
+func serveTransfers(t *testing.T, src *TransferSource) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.Handle("/stream", src.Stream())
+	mux.Handle("/segment", src.Segment())
+	ts := httptest.NewServer(mux)
+	t.Cleanup(func() { killPrimary(ts) })
+	return ts
+}
+
+// transferred is one transfer taken apart: its header payload (hello
+// or manifest), the state it carried — dataset, model, snapshot and
+// record frames, re-framed byte for byte — how many frames of each
+// type that was, and the segment trailer if one closed it.
+type transferred struct {
+	header  []byte
+	state   []byte
+	count   map[byte]int
+	lastSeq int64
+	trailer []byte
+}
+
+// getTransfer reads a segment to its end and a stream up to its first
+// heartbeat, which a stream only sends once its journal replay is out.
+func getTransfer(t *testing.T, url string) transferred {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("GET %s: %s: %s", url, resp.Status, b)
+	}
+	got := transferred{count: map[byte]int{}}
+	var state bytes.Buffer
+	var off int64
+	for {
+		typ, payload, n, err := readReplFrame(resp.Body, off)
+		if errors.Is(err, io.EOF) || (err == nil && typ == frameHeartbeat) {
+			got.state = state.Bytes()
+			return got
+		}
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		off += n
+		switch typ {
+		case frameHello, frameBackupManifest:
+			got.header = payload
+		case frameBackupEnd:
+			got.trailer = payload
+		default:
+			if typ == frameRecord {
+				var msg replRecordMsg
+				if err := json.Unmarshal(payload, &msg); err != nil {
+					t.Fatal(err)
+				}
+				got.lastSeq = msg.Seq
+			}
+			got.count[typ]++
+			if err := writeReplFrame(&state, typ, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// refusal GETs a transfer that must be refused before its first frame.
+func refusal(t *testing.T, url string) (status int, code string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, decode[ErrorEnvelope](t, resp).Error.Code
+}
+
+// TestReplicationStreamEqualsBackupSegment pins the single emitter: on
+// a quiesced node a bootstrapping stream and a full segment carry the
+// same state bytes between their own headers and endings, and so do a
+// resumed stream and an incremental segment from the same position.
+func TestReplicationStreamEqualsBackupSegment(t *testing.T) {
+	rig, ts := transferPrimary(t)
+	rig.resolveOneTask(t, "first task in the journal", []float64{4, 2})
+	rig.resolveOneTask(t, "second task in the journal", []float64{5, 1})
+	head, _ := rig.db.ReplicationHead()
+	_, base, _, unpin, err := rig.db.PinGeneration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpin()
+
+	stream := getTransfer(t, ts.URL+"/stream?boot=1")
+	segment := getTransfer(t, ts.URL+"/segment")
+	if !bytes.Equal(stream.state, segment.state) {
+		t.Fatalf("a boot=1 stream carried %d state bytes %v, a full segment %d bytes %v: not the same frames",
+			len(stream.state), stream.count, len(segment.state), segment.count)
+	}
+	want := map[byte]int{frameDataset: 1, frameModel: 1, frameSnapshot: 1, frameRecord: int(head - base)}
+	if fmt.Sprint(stream.count) != fmt.Sprint(want) || head == base {
+		t.Fatalf("full transfer carried frames %v, want %v", stream.count, want)
+	}
+	if segment.trailer == nil || stream.trailer != nil {
+		t.Fatalf("trailers: segment %q, stream %q; only a segment ends with one", segment.trailer, stream.trailer)
+	}
+
+	mid := base + (head-base)/2
+	resume := fmt.Sprintf("=%d&history=%s", mid, rig.db.ReplicationHistory())
+	stream = getTransfer(t, ts.URL+"/stream?from"+resume)
+	segment = getTransfer(t, ts.URL+"/segment?since"+resume)
+	if !bytes.Equal(stream.state, segment.state) {
+		t.Fatalf("from=%d carried %v, since=%d carried %v: not the same frames", mid, stream.count, mid, segment.count)
+	}
+	want = map[byte]int{frameRecord: int(head - mid)}
+	if fmt.Sprint(stream.count) != fmt.Sprint(want) || stream.lastSeq != head {
+		t.Fatalf("resumed transfer carried frames %v through %d, want %v through %d", stream.count, stream.lastSeq, want, head)
+	}
+}
+
+// TestBackupSegmentDiffersFromStreamByArgumentOnly holds the four
+// differences the one procedure keeps between its endings.
+func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
+	rig, ts := transferPrimary(t)
+	rig.resolveOneTask(t, "a task before the cut", []float64{4, 2})
+	history := rig.db.ReplicationHistory()
+
+	t.Run("bound", func(t *testing.T) {
+		// A cut two records behind the journal's end: the segment stops
+		// there, mid-file, and says so; the stream does not stop.
+		head, _ := rig.db.ReplicationHead()
+		cutSeq := head - 2
+		src := NewTransferSource(rig.db, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+		src.SetDigest(func() (DigestCut, error) {
+			return DigestCut{Tenant: DefaultTenant, Seq: cutSeq}, nil
+		})
+		bounded := serveTransfers(t, src)
+		segment := getTransfer(t, bounded.URL+"/segment")
+		var tr BackupTrailer
+		if err := json.Unmarshal(segment.trailer, &tr); err != nil {
+			t.Fatalf("segment trailer %q: %v", segment.trailer, err)
+		}
+		if segment.lastSeq != cutSeq || tr.Seq != cutSeq || tr.Records != int64(segment.count[frameRecord]) {
+			t.Fatalf("segment ran through record %d with trailer %+v, want the cut %d", segment.lastSeq, tr, cutSeq)
+		}
+		if stream := getTransfer(t, bounded.URL+"/stream?boot=1"); stream.lastSeq != head {
+			t.Fatalf("stream ran through record %d, want the head %d", stream.lastSeq, head)
+		}
+	})
+
+	t.Run("missing model", func(t *testing.T) {
+		// A node with no model snapshotter checkpoints store-only: a
+		// follower cannot be built from that, an archive can.
+		db, err := Open(t.TempDir(), Options{Sync: SyncAlways()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if _, err := db.Store().AddWorker(0, "w0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		bare := serveTransfers(t, NewTransferSource(db, TransferSourceOptions{Heartbeat: 20 * time.Millisecond}))
+		if status, _ := refusal(t, bare.URL+"/stream?boot=1"); status != http.StatusInternalServerError {
+			t.Fatalf("stream without a model checkpoint got %d, want 500", status)
+		}
+		segment := getTransfer(t, bare.URL+"/segment")
+		if segment.count[frameModel] != 0 || segment.count[frameSnapshot] != 1 || segment.trailer == nil {
+			t.Fatalf("store-only segment carried %v (trailer %q), want a snapshot, no model, a trailer",
+				segment.count, segment.trailer)
+		}
+	})
+
+	t.Run("below base", func(t *testing.T) {
+		// Compaction moves the base past a resume point: a follower is
+		// re-bootstrapped in place, an archive cannot be.
+		stale, _ := rig.db.ReplicationHead()
+		rig.resolveOneTask(t, "a task the compaction folds away", []float64{3, 3})
+		if err := rig.db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		resume := fmt.Sprintf("=%d&history=%s", stale, history)
+		stream := getTransfer(t, ts.URL+"/stream?from"+resume)
+		var hello replHello
+		if err := json.Unmarshal(stream.header, &hello); err != nil {
+			t.Fatal(err)
+		}
+		if !hello.Bootstrap || stream.count[frameSnapshot] != 1 {
+			t.Fatalf("stream below the base: hello %+v, frames %v; want a bootstrap", hello, stream.count)
+		}
+		if status, code := refusal(t, ts.URL+"/segment?since"+resume); status != http.StatusGone || code != codeBackupGone {
+			t.Fatalf("segment below the base got %d %s, want 410 %s", status, code, codeBackupGone)
+		}
+	})
+
+	t.Run("ahead of head", func(t *testing.T) {
+		head, _ := rig.db.ReplicationHead()
+		resume := fmt.Sprintf("=%d&history=%s", head+10, history)
+		for _, u := range []string{"/stream?from" + resume, "/segment?since" + resume} {
+			if status, code := refusal(t, ts.URL+u); status != http.StatusConflict || code != codeReplicaDiverged {
+				t.Fatalf("%s got %d %s, want 409 %s", u, status, code, codeReplicaDiverged)
+			}
+		}
+	})
+}
+
+// forgeablePrimary fronts a real stream source; once forge is set,
+// dials are answered by it instead.
+type forgeablePrimary struct {
+	ts    *httptest.Server
+	forge atomic.Pointer[http.HandlerFunc]
+	dials atomic.Int64 // dials the forgery has answered
+}
+
+func newForgeablePrimary(t *testing.T, real http.Handler) *forgeablePrimary {
+	t.Helper()
+	p := &forgeablePrimary{}
+	p.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h := p.forge.Load(); h != nil {
+			p.dials.Add(1)
+			(*h)(w, r)
+			return
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { killPrimary(p.ts) })
+	return p
+}
+
+// forgeHello answers every later dial with hello and then whatever
+// rest writes, and severs the streams already open so followers redial.
+func (p *forgeablePrimary) forgeHello(t *testing.T, hello replHello, rest func(w http.ResponseWriter, r *http.Request)) {
+	t.Helper()
+	payload, err := json.Marshal(hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if writeReplFrame(w, frameHello, payload) == nil && http.NewResponseController(w).Flush() == nil {
+			rest(w, r)
+		}
+	})
+	p.forge.Store(&h)
+	p.ts.CloseClientConnections()
+}
+
+// helloOf is the hello that rig's own source would open a resumed
+// stream with, before the arch stamp.
+func helloOf(rig *durableRig) replHello {
+	seq, bytes := rig.db.ReplicationHead()
+	return replHello{History: rig.db.ReplicationHistory(), Seq: seq, Bytes: bytes,
+		Generation: rig.db.Generation(), FencingEpoch: rig.db.FencingEpoch()}
+}
+
+func holdOpen(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
+
+// TestReplicationArchMismatchRefused forges hellos: a follower keeps
+// following a primary of its own architecture or one that predates the
+// stamp, and stops for good — reads still served — on any other.
+func TestReplicationArchMismatchRefused(t *testing.T) {
+	rig, src, _ := replPrimary(t)
+	rig.resolveOneTask(t, "a task to replicate", []float64{4, 2})
+	foreign := "not-" + runtime.GOARCH
+	for _, tc := range []struct {
+		arch   string
+		refuse bool
+	}{{"", false}, {runtime.GOARCH, false}, {foreign, true}} {
+		t.Run("arch="+tc.arch, func(t *testing.T) {
+			front := newForgeablePrimary(t, src.Stream())
+			rep := startTestReplica(t, front.ts.URL, t.TempDir())
+			defer rep.Close()
+			waitCaughtUp(t, rig, rep)
+			hello := helloOf(rig)
+			hello.Arch = tc.arch
+			front.forgeHello(t, hello, holdOpen)
+			if !tc.refuse {
+				waitUntil(t, "follower to accept the forged hello", func() bool {
+					return front.dials.Load() > 0 && rep.Status().Connected
+				})
+				if err := rep.Err(); err != nil {
+					t.Fatalf("follower stopped on arch %q: %v", tc.arch, err)
+				}
+				return
+			}
+			waitUntil(t, "follower to stop on the foreign hello", func() bool { return rep.Err() != nil })
+			if err := rep.Err(); !errors.Is(err, ErrArchMismatch) {
+				t.Fatalf("follower stopped with %v, want ErrArchMismatch", err)
+			}
+			if _, err := rep.Manager().RankOnly(context.Background(), []TaskSubmission{{Text: "still answering reads", K: 2}}); err != nil {
+				t.Fatalf("stopped follower refuses reads: %v", err)
+			}
+			// A fresh follower never starts against it either.
+			_, err := StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
+				DB: Options{Sync: SyncAlways()}, Build: testReplicaBuilder()})
+			if !errors.Is(err, ErrArchMismatch) {
+				t.Fatalf("fresh follower of a foreign-arch primary: %v, want ErrArchMismatch", err)
+			}
+		})
+	}
+	var hello replHello
+	if err := json.Unmarshal(getTransfer(t, serveTransfers(t, src).URL+"/stream").header, &hello); err != nil {
+		t.Fatal(err)
+	}
+	if hello.Arch != runtime.GOARCH {
+		t.Fatalf("hello stamps arch %q, want %q", hello.Arch, runtime.GOARCH)
+	}
+}
+
+// TestBackupArchMismatchRefused forges manifests the same way for
+// restore and offline verification.
+func TestBackupArchMismatchRefused(t *testing.T) {
+	rig, _, _, ts := backupPrimary(t)
+	rig.resolveOneTask(t, "a task to archive", []float64{4, 2})
+	var raw bytes.Buffer
+	info, err := fetchBackup(t, ts.URL, &raw, -1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Manifest.Arch != runtime.GOARCH {
+		t.Fatalf("manifest stamps arch %q, want %q", info.Manifest.Arch, runtime.GOARCH)
+	}
+	for _, arch := range []string{"", runtime.GOARCH, "not-" + runtime.GOARCH} {
+		forged := writeArchive(t, reframeArchive(t, raw.Bytes(), func(typ byte, payload []byte) []byte {
+			if typ != frameBackupManifest {
+				return payload
+			}
+			var m BackupManifest
+			if err := json.Unmarshal(payload, &m); err != nil {
+				t.Fatal(err)
+			}
+			m.Arch = arch
+			out, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}))
+		_, restoreErr := RestoreBackup(filepath.Join(t.TempDir(), "restored"), []string{forged}, RestoreOptions{})
+		_, verifyErr := VerifyBackup([]string{forged}, VerifyBackupOptions{Build: testReplicaBuilder()})
+		for what, err := range map[string]error{"restore": restoreErr, "verify": verifyErr} {
+			asExpected := err == nil
+			if arch != "" && arch != runtime.GOARCH {
+				asExpected = errors.Is(err, ErrArchMismatch)
+			}
+			if !asExpected {
+				t.Fatalf("%s of an archive stamped arch %q: %v", what, arch, err)
+			}
+		}
+	}
+}
+
+// TestReplicaTornRebootstrapKeepsDataset tears a re-bootstrap after its
+// dataset frame: the follower's directory still holds a valid
+// generation, and the dataset file that generation restarts from must
+// not have been replaced by one whose model and snapshot never arrived.
+func TestReplicaTornRebootstrapKeepsDataset(t *testing.T) {
+	rig, src, _ := replPrimary(t)
+	front := newForgeablePrimary(t, src.Stream())
+	dir := t.TempDir()
+	rep := startTestReplica(t, front.ts.URL, dir)
+	rig.resolveOneTask(t, "a task the follower holds", []float64{4, 2})
+	waitCaughtUp(t, rig, rep)
+	before, err := os.ReadFile(rep.DB().DatasetPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hello := helloOf(rig)
+	hello.Bootstrap = true
+	front.forgeHello(t, hello, func(w http.ResponseWriter, _ *http.Request) {
+		_ = writeReplFrame(w, frameDataset, []byte(`{"workers": "torn`))
+		var model bytes.Buffer
+		_ = writeReplFrame(&model, frameModel, make([]byte, 256))
+		_, _ = w.Write(model.Bytes()[:replFrameHeaderSize+10]) // the connection dies mid-frame
+	})
+	// The follower redials only after it has given up on a torn stream.
+	waitUntil(t, "follower to work through a torn re-bootstrap", func() bool { return front.dials.Load() >= 2 })
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, "dataset.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a torn re-bootstrap replaced dataset.json (%d → %d bytes)", len(before), len(after))
+	}
+	front.forge.Store(nil)
+	rep = startTestReplica(t, front.ts.URL, dir)
+	defer rep.Close()
+	waitCaughtUp(t, rig, rep)
+}

@@ -54,7 +54,12 @@ func TestProxyPassThrough(t *testing.T) {
 	if string(body) != "pong" {
 		t.Errorf("body = %q, want pong", body)
 	}
+	// The proxy counts a chunk after writing it, so the client can hold
+	// the whole reply a moment before the byte counters say so.
 	st := p.Stats()
+	for deadline := time.Now().Add(2 * time.Second); (st.BytesUp == 0 || st.BytesDown == 0) && time.Now().Before(deadline); st = p.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Accepted != 1 || st.Dialed != 1 || st.BytesUp == 0 || st.BytesDown == 0 {
 		t.Errorf("stats = %+v", st)
 	}
