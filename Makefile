@@ -2,7 +2,7 @@
 # PR: gofmt, vet, build, the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
-# under -race), the benchmark module's tests and the three fuzz smokes.
+# under -race), the benchmark module's tests and the four fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -29,8 +29,10 @@ race:
 	$(GO) test -race ./...
 
 # The allocation gates of the projection kernel (DESIGN.md §6) and of
-# the single-node selections handler (§11: the fleet's category fields
-# must cost a request that names none nothing):
+# the single-node selections handler, hot (§11: the fleet's category
+# fields must cost a request that names none nothing) and cold (§6: a
+# miss against a full cache allocates one key string per text on the
+# text path, counted in allocations and bytes):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
@@ -46,14 +48,17 @@ bench-test:
 
 # One iteration of every Go benchmark: the paper-table benchmarks of the
 # root package and the layer benchmarks (projection kernel and training
-# sweep, top-k, online set, hot selection and the fleet selection).
+# sweep, top-k, online set, hot and cold selection and the fleet
+# selection).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb ./internal/crowdclient
 
-# Short coverage-guided fuzz of the journal replay path (CI runs the
-# same smoke; bump -fuzztime locally for longer hunts).
+# Short coverage-guided fuzz of the journal replay path and of the
+# one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form
+# (CI runs the same smokes; bump -fuzztime locally for longer hunts).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
 
 # Short coverage-guided fuzz of the replication frame decoder: typed
 # errors on any corruption, never a panic or hang.

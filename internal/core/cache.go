@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"encoding/binary"
 	"math"
 	"sync"
@@ -21,33 +20,58 @@ import (
 // InvalidateProjections can never serve a stale category. Skill updates
 // do not move the epoch and so evict nothing. Categories are cloned
 // both on the way in and on the way out: no caller ever holds a
-// reference into the cache.
+// reference into the cache, which is what lets an insert at capacity
+// overwrite the entry it evicts — vectors included — instead of
+// allocating a new one.
+//
+// A lookup presents the fingerprint as bytes and compares it in place
+// (indexing a map by string(key) does not allocate); only an insert
+// needs the key as a string, which the entry then keeps.
 type projectionCache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	hits     uint64
-	misses   uint64
+	items    map[string]*projectionEntry
+	// lru is the sentinel of an intrusive ring through the entries:
+	// lru.next is the most recently used, lru.prev the eviction victim.
+	lru    projectionEntry
+	hits   uint64
+	misses uint64
 }
 
 type projectionEntry struct {
-	key   string
-	epoch uint64
-	cat   TaskCategory // private clone
+	prev, next *projectionEntry
+	key        string
+	epoch      uint64
+	cat        TaskCategory // private copy
 }
 
 func newProjectionCache(capacity int) *projectionCache {
-	return &projectionCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
+	c := &projectionCache{capacity: capacity, items: make(map[string]*projectionEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
-// get returns the cached category for key if it was stored under the
-// same epoch. A stale entry is evicted and counted as a miss.
-func (c *projectionCache) get(key string, epoch uint64) (TaskCategory, bool) {
+func (e *projectionEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront links a detached entry in as the most recently used.
+func (c *projectionCache) pushFront(e *projectionEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// drop removes an entry from the ring and the index and returns it,
+// detached, for reuse.
+func (c *projectionCache) drop(e *projectionEntry) *projectionEntry {
+	e.unlink()
+	delete(c.items, e.key)
+	return e
+}
+
+// get returns a copy of the cached category for key if it was stored
+// under the same epoch. A stale entry is evicted and counted as a miss.
+func (c *projectionCache) get(key []byte, epoch uint64) (TaskCategory, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
@@ -57,43 +81,47 @@ func (c *projectionCache) get(key string, epoch uint64) (TaskCategory, bool) {
 		// untouched; stats() reports Disabled instead.
 		return TaskCategory{}, false
 	}
-	el, ok := c.items[key]
+	ent, ok := c.items[string(key)]
 	if !ok {
 		c.misses++
 		return TaskCategory{}, false
 	}
-	ent := el.Value.(*projectionEntry)
 	if ent.epoch != epoch {
-		c.ll.Remove(el)
-		delete(c.items, key)
+		c.drop(ent)
 		c.misses++
 		return TaskCategory{}, false
 	}
-	c.ll.MoveToFront(el)
+	ent.unlink()
+	c.pushFront(ent)
 	c.hits++
 	return ent.cat.clone(), true
 }
 
-// put stores a clone of cat under (key, epoch), evicting from the LRU
-// tail once the capacity is reached.
+// put stores a copy of cat under (key, epoch). At capacity the least
+// recently used entry is evicted and reused for the insert, so a full
+// cache allocates nothing here; key is kept as the entry's map key.
 func (c *projectionCache) put(key string, epoch uint64, cat TaskCategory) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*projectionEntry).epoch = epoch
-		el.Value.(*projectionEntry).cat = cat.clone()
-		c.ll.MoveToFront(el)
-		return
+	ent, ok := c.items[key]
+	if ok {
+		ent.unlink()
+	} else {
+		if len(c.items) >= c.capacity {
+			ent = c.drop(c.lru.prev) // the least recently used
+		} else {
+			ent = new(projectionEntry)
+		}
+		ent.key = key
+		c.items[key] = ent
 	}
-	c.items[key] = c.ll.PushFront(&projectionEntry{key: key, epoch: epoch, cat: cat.clone()})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*projectionEntry).key)
-	}
+	ent.epoch = epoch
+	ent.cat.Lambda = append(ent.cat.Lambda[:0], cat.Lambda...)
+	ent.cat.Nu2 = append(ent.cat.Nu2[:0], cat.Nu2...)
+	c.pushFront(ent)
 }
 
 // resize changes the capacity; n <= 0 disables caching and drops every
@@ -103,14 +131,12 @@ func (c *projectionCache) resize(n int) {
 	defer c.mu.Unlock()
 	c.capacity = n
 	if n <= 0 {
-		c.ll.Init()
-		c.items = make(map[string]*list.Element)
+		c.items = make(map[string]*projectionEntry)
+		c.lru.prev, c.lru.next = &c.lru, &c.lru
 		return
 	}
-	for c.ll.Len() > n {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*projectionEntry).key)
+	for len(c.items) > n {
+		c.drop(c.lru.prev)
 	}
 }
 
@@ -133,23 +159,22 @@ func (c *projectionCache) stats() ProjectionCacheStats {
 	return ProjectionCacheStats{
 		Hits:     c.hits,
 		Misses:   c.misses,
-		Entries:  c.ll.Len(),
+		Entries:  len(c.items),
 		Capacity: c.capacity,
 		Disabled: c.capacity <= 0,
 	}
 }
 
-// bagKey is the exact fingerprint of a bag: the (id, count) pairs in
-// their canonical sorted order, binary-packed. Two bags share a key
-// iff they are the same multiset of terms, so collisions are
-// impossible by construction.
-func bagKey(b text.Bag) string {
-	buf := make([]byte, 16*len(b.IDs))
+// appendBagKey appends the exact fingerprint of a bag to dst: the (id,
+// count) pairs in their canonical sorted order, binary-packed, 16 bytes
+// a term. Two bags share a key iff they are the same multiset of
+// terms, so collisions are impossible by construction.
+func appendBagKey(dst []byte, b text.Bag) []byte {
 	for i, id := range b.IDs {
-		binary.LittleEndian.PutUint64(buf[16*i:], uint64(id))
-		binary.LittleEndian.PutUint64(buf[16*i+8:], math.Float64bits(b.Counts[i]))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(id))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Counts[i]))
 	}
-	return string(buf)
+	return dst
 }
 
 // clone deep-copies a category so cache internals and callers never

@@ -159,6 +159,7 @@ func TestProjectionCacheCapacity(t *testing.T) {
 func TestBagKeyExactness(t *testing.T) {
 	a := text.Bag{IDs: []int{1, 2}, Counts: []float64{1, 2}}
 	b := text.Bag{IDs: []int{1, 2}, Counts: []float64{1, 2}}
+	bagKey := func(b text.Bag) string { return string(appendBagKey(nil, b)) }
 	if bagKey(a) != bagKey(b) {
 		t.Error("equal bags have different keys")
 	}

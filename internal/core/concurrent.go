@@ -154,13 +154,15 @@ func (c *ConcurrentModel) Project(bag text.Bag) TaskCategory {
 // read lock, which excludes Replace, so the model and the epoch read
 // here belong together for the whole computation.
 func (c *ConcurrentModel) projectLocked(bag text.Bag) TaskCategory {
-	key := bagKey(bag)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	sc.key = appendBagKey(sc.key[:0], bag)
 	epoch := c.epoch.Load()
-	if cat, ok := c.cache.get(key, epoch); ok {
+	if cat, ok := c.cache.get(sc.key, epoch); ok {
 		return cat
 	}
 	cat := c.m.Project(bag)
-	c.cache.put(key, epoch, cat)
+	c.cache.put(string(sc.key), epoch, cat)
 	return cat
 }
 
@@ -182,47 +184,70 @@ func (c *ConcurrentModel) ProjectAllCtx(ctx context.Context, bags []text.Bag, pa
 	return c.projectAllLocked(ctx, bags, parallelism)
 }
 
+// batchScratch is the working set of one cache-through batch that dies
+// with it: the key being looked up, the distinct misses (their output
+// slots, bags and the key strings the cache will keep) and the bags
+// that repeat one of them. Pooled, and released only once the batch's
+// projections have joined, since they read bags through it.
+type batchScratch struct {
+	key      []byte
+	missIdx  []int          // out index of each distinct missing bag
+	missBags []text.Bag     // parallel to missIdx
+	missKeys []string       // parallel to missIdx
+	pending  map[string]int // missing key → index into missIdx
+	repeats  []batchRepeat
+}
+
+// batchRepeat is a bag equal to an earlier miss of the same batch.
+type batchRepeat struct{ out, miss int }
+
+var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{pending: make(map[string]int)} }}
+
+// release empties the scratch — dropping its references to the
+// caller's bags and to the key strings — and pools it.
+func (sc *batchScratch) release() {
+	clear(sc.missBags)
+	clear(sc.missKeys)
+	clear(sc.pending)
+	sc.missIdx, sc.missBags, sc.missKeys, sc.repeats = sc.missIdx[:0], sc.missBags[:0], sc.missKeys[:0], sc.repeats[:0]
+	batchScratchPool.Put(sc)
+}
+
 func (c *ConcurrentModel) projectAllLocked(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
 	epoch := c.epoch.Load()
 	out := make([]TaskCategory, len(bags))
-	keys := make([]string, len(bags))
-	var (
-		missIdx  []int          // out index of each distinct missing bag
-		missBags []text.Bag     // parallel to missIdx
-		pending  map[string]int // missing key → index into missBags
-		repeats  []int          // out indices whose bag repeats an earlier miss
-	)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
 	for i, bag := range bags {
-		keys[i] = bagKey(bag)
+		sc.key = appendBagKey(sc.key[:0], bag)
 		// A bag equal to one already missed in this batch is neither
 		// looked up nor projected again: nothing is stored until the batch
 		// is projected, so it would miss too.
-		if _, ok := pending[keys[i]]; ok {
-			repeats = append(repeats, i)
+		if j, ok := sc.pending[string(sc.key)]; ok {
+			sc.repeats = append(sc.repeats, batchRepeat{out: i, miss: j})
 			continue
 		}
-		if cat, ok := c.cache.get(keys[i], epoch); ok {
+		if cat, ok := c.cache.get(sc.key, epoch); ok {
 			out[i] = cat
 			continue
 		}
-		if pending == nil {
-			pending = make(map[string]int)
-		}
-		pending[keys[i]] = len(missBags)
-		missIdx = append(missIdx, i)
-		missBags = append(missBags, bag)
+		// The one string a miss allocates: it keys the in-batch repeat
+		// detection now and the cache entry afterwards.
+		key := string(sc.key)
+		sc.pending[key] = len(sc.missIdx)
+		sc.missIdx = append(sc.missIdx, i)
+		sc.missBags = append(sc.missBags, bag)
+		sc.missKeys = append(sc.missKeys, key)
 	}
-	if len(missBags) > 0 {
-		cats, err := c.m.ProjectAllCtx(ctx, missBags, parallelism)
-		if err != nil {
+	if len(sc.missIdx) > 0 {
+		if err := c.m.projectInto(ctx, sc.missBags, sc.missIdx, out, parallelism); err != nil {
 			return nil, err
 		}
-		for j, i := range missIdx {
-			out[i] = cats[j]
-			c.cache.put(keys[i], epoch, cats[j])
+		for j, i := range sc.missIdx {
+			c.cache.put(sc.missKeys[j], epoch, out[i])
 		}
-		for _, i := range repeats {
-			out[i] = cats[pending[keys[i]]].clone()
+		for _, r := range sc.repeats {
+			out[r.out] = out[sc.missIdx[r.miss]].clone()
 		}
 	}
 	return out, nil

@@ -52,7 +52,10 @@ func TestProjectUnaffectedBySkillUpdates(t *testing.T) {
 // TestProjectResultOutlivesScratch: the optimizer's Result.X aliases
 // the pooled workspace, so Project must copy the optimum out before the
 // next round — and the next call — reuses it. A returned category keeps
-// its bits while later projections churn the same scratch.
+// its bits while later projections churn the same scratch. The same
+// holds one layer up: the projection cache overwrites the entry it
+// evicts, vectors included, so what a hit hands out must be a copy that
+// survives the entry's reuse.
 func TestProjectResultOutlivesScratch(t *testing.T) {
 	m, bags := firstBags(t, 5, 8)
 	first := m.Project(bags[0])
@@ -65,6 +68,23 @@ func TestProjectResultOutlivesScratch(t *testing.T) {
 	}
 	if again := m.Project(bags[0]); !reflect.DeepEqual(again, kept) {
 		t.Error("projection depends on what the scratch held before")
+	}
+
+	cm := NewConcurrentModel(m)
+	cm.SetProjectionCacheCapacity(1)
+	missed, hit := cm.Project(bags[0]), cm.Project(bags[0])
+	if st := cm.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("want one miss then one hit, got %+v", st)
+	}
+	for _, bag := range bags[1:] { // each insert evicts and reuses the one entry
+		cm.Project(bag)
+	}
+	if !reflect.DeepEqual(missed, kept) || !reflect.DeepEqual(hit, kept) {
+		t.Error("a category handed out by the cache changed when its entry was evicted and reused")
+	}
+	last := bags[len(bags)-1]
+	if got := cm.Project(last); !reflect.DeepEqual(got, m.Project(last)) || cm.CacheStats().Hits != 2 {
+		t.Errorf("the reused entry serves %v (stats %+v), want the projection of the bag stored last", got, cm.CacheStats())
 	}
 }
 

@@ -191,18 +191,29 @@ func (m *Model) ProjectAll(bags []text.Bag, parallelism int) []TaskCategory {
 // rather than projecting tasks nobody will read.
 func (m *Model) ProjectAllCtx(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
 	out := make([]TaskCategory, len(bags))
-	parallelFor(len(bags), parallelism, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			out[i] = m.Project(bags[i])
-		}
-	})
-	if err := ctx.Err(); err != nil {
+	if err := m.projectInto(ctx, bags, nil, out, parallelism); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// projectInto projects bags[j] into out[at[j]] (out[j] when at is nil)
+// with at most parallelism goroutines. It returns only after every one
+// of them has, cancelled or not, so the caller may reuse bags and at.
+func (m *Model) projectInto(ctx context.Context, bags []text.Bag, at []int, out []TaskCategory, parallelism int) error {
+	parallelFor(len(bags), parallelism, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			if ctx.Err() != nil {
+				return
+			}
+			i := j
+			if at != nil {
+				i = at[j]
+			}
+			out[i] = m.Project(bags[j])
+		}
+	})
+	return ctx.Err()
 }
 
 // SkillSpectrum returns the descending eigenvalues of the learned

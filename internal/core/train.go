@@ -220,7 +220,8 @@ func (tr *trainer) updateTasks() {
 }
 
 // parallelFor splits [0, n) into contiguous chunks across at most p
-// goroutines; p ≤ 1 runs fn(0, n) inline.
+// goroutines — the caller's own among them, which runs the last chunk —
+// and returns when every chunk has; p ≤ 1 runs fn(0, n) inline.
 func parallelFor(n, p int, fn func(lo, hi int)) {
 	if p <= 1 || n <= 1 {
 		fn(0, n)
@@ -231,16 +232,14 @@ func parallelFor(n, p int, fn func(lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (n + p - 1) / p
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	lo := 0
+	for ; lo+chunk < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
+	fn(lo, n)
 	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package crowddb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -51,7 +52,9 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 }
 
 // TestSubmitBatchValidation: empty batches and offline crowds are
-// rejected as bad requests.
+// rejected as bad requests, and a refused submit writes nothing: the
+// offline crowd is knowable before the first task row, so the refusal
+// must leave no open, unassigned tasks behind and no journal record.
 func TestSubmitBatchValidation(t *testing.T) {
 	mgr, _ := managerFixture(t)
 	if _, err := mgr.SubmitBatch(context.Background(), nil); !errors.Is(err, ErrBadRequest) {
@@ -62,9 +65,22 @@ func TestSubmitBatchValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := mgr.SubmitBatch(context.Background(), []TaskSubmission{{Text: "anything", K: 1}})
-	if !errors.Is(err, ErrBadRequest) {
-		t.Errorf("no online workers: %v", err)
+	var journal bytes.Buffer
+	mgr.Store().AttachJournal(&journal)
+	before := mgr.Store().NumTasks()
+	for name, reqs := range map[string][]TaskSubmission{
+		"one task":  {{Text: "anything", K: 1}},
+		"two tasks": {{Text: "anything", K: 1}, {Text: "anything else", K: 2}},
+	} {
+		if _, err := mgr.SubmitBatch(context.Background(), reqs); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s, no online workers: %v", name, err)
+		}
+	}
+	if got := mgr.Store().NumTasks(); got != before {
+		t.Errorf("refused submits stored %d task rows", got-before)
+	}
+	if journal.Len() != 0 {
+		t.Errorf("refused submits journaled %d bytes of records", journal.Len())
 	}
 }
 

@@ -142,9 +142,10 @@ func TestMetricsOmitSelectionLegsOffFleet(t *testing.T) {
 
 // selectionsHandlerAllocFence is what one POST /api/v1/selections of
 // eight cached texts, k = 10, allocates through Server.ServeHTTP on a
-// recorder, measured on the commit before the fleet's category fields
-// joined the request and response DTOs.
-const selectionsHandlerAllocFence = 131
+// recorder: 131 on the commit before the fleet's category fields joined
+// the request and response DTOs, 94 since bags and keys are built in
+// pooled scratch (the cold twin is coldSelectionAllocFence).
+const selectionsHandlerAllocFence = 94
 
 // TestSelectionsHandlerAllocationFence keeps the fleet's DTO fields out
 // of the single-node request: they ride at request and response level

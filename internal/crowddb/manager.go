@@ -14,7 +14,10 @@ import (
 )
 
 // Selector ranks candidate workers for a task. *core.Model and every
-// baseline in internal/baseline satisfy it.
+// baseline in internal/baseline satisfy it. A pure selection (RankOnly
+// and its forms) cuts the bags it hands a selector — here and through
+// the optional hooks below — from pooled storage: they are valid for
+// the duration of the call and must not be retained.
 type Selector interface {
 	Name() string
 	Rank(bag text.Bag, candidates []int) []int
@@ -240,8 +243,11 @@ func (m *Manager) SubmitTask(ctx context.Context, taskText string, k int) (Submi
 // Selections are element-wise identical to submitting the tasks one by
 // one with no interleaved feedback.
 //
-// The batch is not transactional: a mid-batch failure (or ctx
-// cancellation during ranking) returns the error and leaves already
+// What can be known up front is refused before any task row is written:
+// an empty batch, a bad preassigned crowd, and a batch that needs
+// ranking while no candidate worker is online. Past that point the
+// batch is not transactional: a failure while ranking or assigning (or
+// ctx cancellation during ranking) returns the error and leaves already
 // stored tasks open and unassigned, exactly as if their individual
 // submissions had failed at the same point.
 func (m *Manager) SubmitBatch(ctx context.Context, reqs []TaskSubmission) ([]Submission, error) {
@@ -251,9 +257,17 @@ func (m *Manager) SubmitBatch(ctx context.Context, reqs []TaskSubmission) ([]Sub
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	needRanking := false
 	for i, r := range reqs {
 		if err := m.validatePreassigned(r.Workers); err != nil {
 			return nil, fmt.Errorf("task index %d: %w", i, err)
+		}
+		needRanking = needRanking || len(r.Workers) == 0
+	}
+	var online []int
+	if needRanking {
+		if online = m.candidateWorkers(); len(online) == 0 {
+			return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
 		}
 	}
 	tasks := make([]TaskRecord, len(reqs))
@@ -283,10 +297,6 @@ func (m *Manager) SubmitBatch(ctx context.Context, reqs []TaskSubmission) ([]Sub
 	}
 	ranked := make([][]int, len(reqs))
 	if len(rankIdx) > 0 {
-		online := m.candidateWorkers()
-		if len(online) == 0 {
-			return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
-		}
 		parts, err := m.rankBatch(ctx, rankBags, online, kmax)
 		if err != nil {
 			return nil, err
@@ -384,16 +394,36 @@ func rankOnly[T any](ctx context.Context, m *Manager, ks []int,
 	return ranked, nil
 }
 
+// textScratch is the text leg of one pure selection, pooled: the bag
+// builder, the bags it cut (windows of the builder's storage) and each
+// task's requested k. Nothing a selector returns points into it —
+// rankings are fresh and categories are clones — so it is released as
+// soon as the ranking call has returned.
+type textScratch struct {
+	bb   text.BagBuilder
+	bags []text.Bag
+	ks   []int
+}
+
+var textScratchPool = sync.Pool{New: func() any { return new(textScratch) }}
+
+func (ts *textScratch) release() {
+	ts.bb.Reset()
+	clear(ts.bags)
+	ts.bags, ts.ks = ts.bags[:0], ts.ks[:0]
+	textScratchPool.Put(ts)
+}
+
 // textBatch is what rankOnly needs of a batch of task texts: each
-// task's requested k and its bag.
-func (m *Manager) textBatch(reqs []TaskSubmission) ([]int, []text.Bag) {
-	ks := make([]int, len(reqs))
-	bags := make([]text.Bag, len(reqs))
-	for i, r := range reqs {
-		ks[i] = r.K
-		bags[i] = text.NewBagKnown(m.vocab, text.Tokenize(r.Text))
+// task's requested k and its bag, built straight from the text. The
+// caller releases the scratch once the batch is ranked.
+func (m *Manager) textBatch(reqs []TaskSubmission) *textScratch {
+	ts := textScratchPool.Get().(*textScratch)
+	for _, r := range reqs {
+		ts.ks = append(ts.ks, r.K)
+		ts.bags = append(ts.bags, ts.bb.KnownText(m.vocab, r.Text))
 	}
-	return ks, bags
+	return ts
 }
 
 // RankOnly is the pure selection path: it projects and ranks a batch
@@ -403,9 +433,10 @@ func (m *Manager) textBatch(reqs []TaskSubmission) ([]int, []text.Bag) {
 // ranking code) and the only selection path that stays available in
 // degraded read-only mode, when the store has sealed mutations.
 func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int, error) {
-	ks, bags := m.textBatch(reqs)
-	return rankOnly(ctx, m, ks, func(candidates []int, k int) ([][]int, error) {
-		return m.rankBatch(ctx, bags, candidates, k)
+	ts := m.textBatch(reqs)
+	defer ts.release()
+	return rankOnly(ctx, m, ts.ks, func(candidates []int, k int) ([][]int, error) {
+		return m.rankBatch(ctx, ts.bags, candidates, k)
 	})
 }
 
@@ -418,9 +449,10 @@ func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([]
 	if !ok {
 		return nil, fmt.Errorf("%w: selector %s does not expose selection scores", ErrBadRequest, m.sel.Name())
 	}
-	ks, bags := m.textBatch(reqs)
-	return rankOnly(ctx, m, ks, func(candidates []int, k int) ([][]rank.Item, error) {
-		return sbr.RankBatchScored(ctx, bags, candidates, k)
+	ts := m.textBatch(reqs)
+	defer ts.release()
+	return rankOnly(ctx, m, ts.ks, func(candidates []int, k int) ([][]rank.Item, error) {
+		return sbr.RankBatchScored(ctx, ts.bags, candidates, k)
 	})
 }
 
@@ -442,9 +474,10 @@ func (m *Manager) RankOnlyProjected(ctx context.Context, reqs []TaskSubmission) 
 	if err != nil {
 		return nil, nil, "", err
 	}
-	ks, bags := m.textBatch(reqs)
-	ranked, err = rankOnly(ctx, m, ks, func(candidates []int, k int) (items [][]rank.Item, err error) {
-		items, cats, version, err = cr.RankBatchProjected(ctx, bags, candidates, k)
+	ts := m.textBatch(reqs)
+	defer ts.release()
+	ranked, err = rankOnly(ctx, m, ts.ks, func(candidates []int, k int) (items [][]rank.Item, err error) {
+		items, cats, version, err = cr.RankBatchProjected(ctx, ts.bags, candidates, k)
 		return items, err
 	})
 	return ranked, cats, version, err

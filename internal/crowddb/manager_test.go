@@ -12,13 +12,10 @@ import (
 	"crowdselect/internal/text"
 )
 
-// trainedFixture builds a small trained TDPM with its dataset.
-func trainedFixture(t testing.TB) (*corpus.Dataset, *core.Model) {
-	t.Helper()
-	p := corpus.Quora().Scaled(0.03)
-	p.Seed = 11
-	d := corpus.MustGenerate(p)
-	var tasks []core.ResolvedTask
+// trainingTasks is the dataset's resolved tasks as core.Train takes
+// them.
+func trainingTasks(d *corpus.Dataset) []core.ResolvedTask {
+	tasks := make([]core.ResolvedTask, 0, len(d.Tasks))
 	for _, task := range d.Tasks {
 		rt := core.ResolvedTask{Bag: task.Bag(d.Vocab)}
 		for _, r := range task.Responses {
@@ -26,9 +23,18 @@ func trainedFixture(t testing.TB) (*corpus.Dataset, *core.Model) {
 		}
 		tasks = append(tasks, rt)
 	}
+	return tasks
+}
+
+// trainedFixture builds a small trained TDPM with its dataset.
+func trainedFixture(t testing.TB) (*corpus.Dataset, *core.Model) {
+	t.Helper()
+	p := corpus.Quora().Scaled(0.03)
+	p.Seed = 11
+	d := corpus.MustGenerate(p)
 	cfg := core.NewConfig(5)
 	cfg.MaxIter = 5
-	m, _, err := core.Train(tasks, len(d.Workers), d.Vocab.Size(), cfg)
+	m, _, err := core.Train(trainingTasks(d), len(d.Workers), d.Vocab.Size(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

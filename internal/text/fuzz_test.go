@@ -1,6 +1,7 @@
 package text
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -73,6 +74,73 @@ func FuzzBagOps(f *testing.F) {
 		m := b1.Merge(b2)
 		if m.Total() != b1.Total()+b2.Total() {
 			t.Fatalf("merge total %v != %v + %v", m.Total(), b1.Total(), b2.Total())
+		}
+	})
+}
+
+// refBagKnown is the bag builder this package had before BagBuilder —
+// count into a map, sort the keys — over the strings.ToLower +
+// strings.FieldsFunc tokeniser. It is the oracle the one-pass builder
+// is held to.
+func refBagKnown(v *Vocabulary, s string) Bag {
+	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '+' && r != '#'
+	})
+	counts := make(map[int]float64)
+	for _, f := range fields {
+		if id, ok := v.ID(f); ok && !stopwords[f] {
+			counts[id]++
+		}
+	}
+	return BagFromCounts(counts)
+}
+
+func equalBags(a, b Bag) bool {
+	return slices.Equal(a.IDs, b.IDs) && slices.Equal(a.Counts, b.Counts)
+}
+
+// FuzzBagOfText: for arbitrary text the one-pass builder returns,
+// element for element, the bag of NewBagKnown(v, Tokenize(s)) and of
+// the map-based reference — whatever the builder held before, and
+// without disturbing a bag it cut earlier.
+func FuzzBagOfText(f *testing.F) {
+	v := NewVocabulary()
+	for _, term := range []string{
+		"b+", "tree", "c#", "go", "index", "ǆ", "i", "i̇", "ſ", "k", "s", "日本語", "🙂",
+		"the", // a stopword that is also interned must still be dropped
+		"a1", "1", "über", "straße", "ß", "ss",
+	} {
+		v.Intern(term)
+	}
+	for _, s := range []string{
+		"",
+		"What are the advantages of B+ Tree over B Tree?",
+		"C# vs Go 1.22: THE index, the Index",
+		"ǅ ǅǄ İ İi ſ ſS K KELVIN ÜBER Straße",
+		"tree\xfftree \xc3 index\xe2\x28\xa1go \xf0\x9f",
+		"a-b_c+d#e b+_tree c#+b+ ++ ##",
+		"日本語のトークン化 & emoji 🙂 test 日本語",
+		strings.Repeat("tree go ", 300),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := NewBagKnown(v, Tokenize(s))
+		if ref := refBagKnown(v, s); !equalBags(want, ref) {
+			t.Fatalf("NewBagKnown(Tokenize(%q)) = %+v, map reference %+v", s, want, ref)
+		}
+		var b BagBuilder
+		earlier := b.KnownText(v, "tree go tree index")
+		got := b.KnownText(v, s)
+		if !equalBags(got, want) {
+			t.Fatalf("KnownText(%q) = %+v, want %+v", s, got, want)
+		}
+		if !equalBags(earlier, Bag{IDs: []int{1, 3, 4}, Counts: []float64{2, 1, 1}}) {
+			t.Fatalf("building %q rewrote an earlier bag of the same builder: %+v", s, earlier)
+		}
+		b.Reset()
+		if again := b.KnownText(v, s); !equalBags(again, want) {
+			t.Fatalf("KnownText(%q) on a reset builder = %+v, want %+v", s, again, want)
 		}
 	})
 }

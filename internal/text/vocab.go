@@ -73,13 +73,18 @@ var stopwords = map[string]bool{
 // list used by Tokenize.
 func IsStopword(term string) bool { return stopwords[term] }
 
+// isSeparator is the token boundary rule: any rune that is not a
+// letter, a digit, '+' or '#'. Tokenize and the one-pass bag builder
+// (BagBuilder.KnownText) both apply it to the lower-cased rune.
+func isSeparator(r rune) bool {
+	return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '+' && r != '#'
+}
+
 // Tokenize lower-cases s, splits it on any run of characters that are
 // not letters, digits, '+' or '#' (so "b+" and "c#" survive, matching
 // the paper's B+-tree example), and drops stopwords.
 func Tokenize(s string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '+' && r != '#'
-	})
+	fields := strings.FieldsFunc(strings.ToLower(s), isSeparator)
 	out := fields[:0]
 	for _, f := range fields {
 		if stopwords[f] {
@@ -100,31 +105,28 @@ type Bag struct {
 
 // NewBag interns tokens into v and returns their bag representation.
 func NewBag(v *Vocabulary, tokens []string) Bag {
-	return newBag(tokens, v.Intern)
+	b := builderFor(len(tokens))
+	for _, tok := range tokens {
+		b.ids = append(b.ids, v.Intern(tok))
+	}
+	return b.seal(0)
 }
 
 // NewBagKnown builds a bag from tokens using only terms already in v;
 // unknown terms are dropped. It is used when projecting a new task
 // against a trained model whose β matrix is fixed.
 func NewBagKnown(v *Vocabulary, tokens []string) Bag {
-	counts := make(map[int]float64)
+	b := builderFor(len(tokens))
 	for _, tok := range tokens {
-		if id, ok := v.ID(tok); ok {
-			counts[id]++
+		if id, ok := v.byTerm[tok]; ok {
+			b.ids = append(b.ids, id)
 		}
 	}
-	return bagFromMap(counts)
+	return b.seal(0)
 }
 
-func newBag(tokens []string, intern func(string) int) Bag {
-	counts := make(map[int]float64)
-	for _, tok := range tokens {
-		counts[intern(tok)]++
-	}
-	return bagFromMap(counts)
-}
-
-func bagFromMap(counts map[int]float64) Bag {
+// BagFromCounts builds a bag directly from an id→count map.
+func BagFromCounts(counts map[int]float64) Bag {
 	ids := make([]int, 0, len(counts))
 	for id := range counts {
 		ids = append(ids, id)
@@ -136,9 +138,6 @@ func bagFromMap(counts map[int]float64) Bag {
 	}
 	return b
 }
-
-// BagFromCounts builds a bag directly from an id→count map.
-func BagFromCounts(counts map[int]float64) Bag { return bagFromMap(counts) }
 
 // Len returns the number of distinct terms.
 func (b Bag) Len() int { return len(b.IDs) }
@@ -202,14 +201,28 @@ func (b Bag) Cosine(o Bag) float64 {
 // Merge returns the union bag with counts added, i.e. the worker
 // history tᵢ_w = ∪ tⱼ of §7.2.1.
 func (b Bag) Merge(o Bag) Bag {
-	counts := make(map[int]float64, len(b.IDs)+len(o.IDs))
-	for i, id := range b.IDs {
-		counts[id] += b.Counts[i]
+	out := Bag{
+		IDs:    make([]int, 0, len(b.IDs)+len(o.IDs)),
+		Counts: make([]float64, 0, len(b.IDs)+len(o.IDs)),
 	}
-	for i, id := range o.IDs {
-		counts[id] += o.Counts[i]
+	i, j := 0, 0
+	for i < len(b.IDs) && j < len(o.IDs) {
+		switch {
+		case b.IDs[i] < o.IDs[j]:
+			out.IDs, out.Counts = append(out.IDs, b.IDs[i]), append(out.Counts, b.Counts[i])
+			i++
+		case b.IDs[i] > o.IDs[j]:
+			out.IDs, out.Counts = append(out.IDs, o.IDs[j]), append(out.Counts, o.Counts[j])
+			j++
+		default:
+			out.IDs, out.Counts = append(out.IDs, b.IDs[i]), append(out.Counts, b.Counts[i]+o.Counts[j])
+			i++
+			j++
+		}
 	}
-	return bagFromMap(counts)
+	out.IDs = append(append(out.IDs, b.IDs[i:]...), o.IDs[j:]...)
+	out.Counts = append(append(out.Counts, b.Counts[i:]...), o.Counts[j:]...)
+	return out
 }
 
 // Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of the two
