@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race allocs bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
+.PHONY: fmt build vet test race allocs kernel bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
 
 # Formatting gate: fails, naming the files, if gofmt would rewrite any.
 fmt:
@@ -39,6 +39,16 @@ race:
 allocs:
 	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core ./internal/crowddb
 
+# The projection kernel's two layer numbers, six readings each: a cold
+# Model.Project (time, the 2 allocations it returns, and evals/op and
+# grads/op — how often a projection evaluates the task objective and its
+# gradient) and one training sweep, whose E-step runs the same kernel.
+# Run it on both sides of any change under internal/core/estep.go or
+# internal/optimize, alternating, with nothing else running: the counts
+# repeat exactly, the times do not (not a CI gate).
+kernel:
+	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep' -benchmem -count 6 ./internal/core
+
 # The repository benchmark is a module of its own (bench/go.mod), so
 # ./... above never reaches its tests: schema agreement with
 # BENCHMARK.json, the statistics and the host-speed kernel (< 1 s, no
@@ -48,8 +58,8 @@ bench-test:
 
 # One iteration of every Go benchmark: the paper-table benchmarks of the
 # root package and the layer benchmarks (projection kernel and training
-# sweep, top-k, online set, hot and cold selection and the fleet
-# selection).
+# sweep, the adaptive-stop sizing of BenchmarkProjectTolerance, top-k,
+# online set, hot and cold selection and the fleet selection).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb ./internal/crowdclient
 

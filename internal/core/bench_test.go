@@ -1,10 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"crowdselect/internal/corpus"
+	"crowdselect/internal/linalg"
 	"crowdselect/internal/text"
 )
 
@@ -45,8 +51,12 @@ var sinkCategory TaskCategory
 
 // BenchmarkProject is Algorithm 3's first phase alone. miss is the
 // kernel (Model.Project over 512 distinct task bags, no cache in
-// front); hit is the same call answered by the ConcurrentModel's
-// projection cache (key, lookup, defensive clone).
+// front), with the mean number of objective and gradient evaluations a
+// projection of those bags makes (counted after the clock stops, on a
+// scratch whose solver is wrapped; evals/op ÷ grads/op ≈ Armijo trials
+// per CG iteration, all but one of them rejected); hit is the same
+// call answered by the ConcurrentModel's projection cache (key, lookup,
+// defensive clone).
 func BenchmarkProject(b *testing.B) {
 	m, bags := benchFixture(b)
 	b.Run("miss", func(b *testing.B) {
@@ -54,6 +64,13 @@ func BenchmarkProject(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sinkCategory = m.Project(bags[i%len(bags)])
 		}
+		b.StopTimer()
+		sc, evals, grads := countingScratch()
+		for _, bag := range bags {
+			m.projectWith(sc, bag)
+		}
+		b.ReportMetric(float64(*evals)/float64(len(bags)), "evals/op")
+		b.ReportMetric(float64(*grads)/float64(len(bags)), "grads/op")
 	})
 	b.Run("hit", func(b *testing.B) {
 		cm := NewConcurrentModel(m)
@@ -82,5 +99,109 @@ func BenchmarkTrainSweep(b *testing.B) {
 		if err := tr.m.refreshInverses(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchStyleBags draws n bags the way the repository benchmark draws its
+// never-seen texts (bench/platform.go genTexts): a platform task's tokens
+// with 30 % of them resampled uniformly from the vocabulary.
+func benchStyleBags(d *corpus.Dataset, n int) []text.Bag {
+	rng := rand.New(rand.NewSource(29))
+	bags := make([]text.Bag, n)
+	for i := range bags {
+		src := d.Tasks[rng.Intn(len(d.Tasks))].Tokens
+		toks := make([]string, len(src))
+		for p, tok := range src {
+			if rng.Float64() < 0.3 {
+				tok = d.Vocab.Term(rng.Intn(d.Vocab.Size()))
+			}
+			toks[p] = tok
+		}
+		bags[i] = text.NewBagKnown(d.Vocab, toks)
+	}
+	return bags
+}
+
+// BenchmarkProjectTolerance sizes an adaptive stop for Algorithm 3
+// (ROADMAP item 5) without building one. Round r of a projection is the
+// same computation whatever the cap, so Project under ProjectIters = r
+// returns the r-th iterate, and a rule "stop after the first round that
+// moves λ_c by at most tol in the ∞-norm" costs what Project costs under
+// the cap that rule would reach. Over 2 000 bench-style texts it logs the
+// quantiles of ‖Δλ_c‖∞ per round and, per tolerance, the histogram of the
+// stopping round; each sub-benchmark times the projections under their
+// stopping rounds and reports the mean round count and the share of
+// top-10 selections over a 95-worker crowd that differ from the 6-round
+// ones. tol = 0 never stops early: it is the kernel as shipped.
+func BenchmarkProjectTolerance(b *testing.B) {
+	m, _ := benchFixture(b)
+	if m.ProjectIters != 0 {
+		b.Fatal("the fixture's round cap is not the default")
+	}
+	defer func() { m.ProjectIters = 0 }()
+	const rounds = 6
+	bags := benchStyleBags(benchPlatform.d, 2000)
+	crowd := rand.New(rand.NewSource(31)).Perm(m.M)[:m.M/10]
+	sort.Ints(crowd)
+
+	// iterates[i][r] is λ_c of text i after r rounds (r = 0: the prior mean).
+	iterates := make([][]linalg.Vector, len(bags))
+	deltas := make([]linalg.Vector, rounds+1) // deltas[r][i] = ‖λ_r − λ_{r−1}‖∞ of text i
+	for r := 1; r <= rounds; r++ {
+		deltas[r] = make(linalg.Vector, len(bags))
+	}
+	for i, bag := range bags {
+		iterates[i] = append(iterates[i], m.MuC)
+		for r := 1; r <= rounds; r++ {
+			m.ProjectIters = r
+			lam := m.Project(bag).Lambda
+			for kk, v := range lam {
+				deltas[r][i] = math.Max(deltas[r][i], math.Abs(v-iterates[i][r-1][kk]))
+			}
+			iterates[i] = append(iterates[i], lam)
+		}
+	}
+	// Only a leaf benchmark's log is printed, so the first one carries the
+	// per-round table.
+	var report []string
+	for r := 1; r <= rounds; r++ {
+		sorted := deltas[r].Clone()
+		sort.Float64s(sorted)
+		q := func(p float64) float64 { return sorted[int(p*float64(len(sorted)-1))] }
+		report = append(report, fmt.Sprintf("round %d moves λ_c by ‖Δλ_c‖∞ p50 %.1e  p90 %.1e  p99 %.1e", r, q(0.5), q(0.9), q(0.99)))
+	}
+
+	for _, tol := range []float64{0, 1e-4, 1e-3, 1e-2} {
+		stop := make([]int, len(bags))
+		var hist [rounds + 1]int
+		var sum, changed int
+		for i := range bags {
+			stop[i] = rounds
+			for r := 1; r < rounds; r++ {
+				if deltas[r][i] <= tol {
+					stop[i] = r
+					break
+				}
+			}
+			hist[stop[i]]++
+			sum += stop[i]
+			early := m.SelectTopK(iterates[i][stop[i]], crowd, 10)
+			if full := m.SelectTopK(iterates[i][rounds], crowd, 10); !slices.Equal(early, full) {
+				changed++
+			}
+		}
+		report = append(report, fmt.Sprintf("tol %g stops after round 1..%d in %v of %d texts", tol, rounds, hist[1:], len(bags)))
+		b.Run(fmt.Sprintf("tol=%g", tol), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.ProjectIters = stop[i%len(bags)]
+				sinkCategory = m.Project(bags[i%len(bags)])
+			}
+			b.ReportMetric(float64(sum)/float64(len(bags)), "rounds/op")
+			b.ReportMetric(100*float64(changed)/float64(len(bags)), "%top10-changed")
+			for _, line := range report { // once: the function runs again for the real b.N
+				b.Log(line)
+			}
+			report = nil
+		})
 	}
 }

@@ -30,7 +30,8 @@ type taskObjective struct {
 
 	tokSum linalg.Vector // Σ_p count_p · φ_p
 	total  float64       // L, the token count
-	eps    float64
+	eps    float64       // the Taylor point ε of Eq. 13 …
+	logEps float64       // … and log ε, taken once per solve (setEps)
 
 	// Feedback aggregates over the task's respondents (zero when
 	// projecting a new task, Algorithm 3).
@@ -42,23 +43,43 @@ type taskObjective struct {
 	w2          linalg.Vector // Σ λ_w∘λ_w
 	nw2         linalg.Vector // Σ ν_w²
 
-	// Evaluation buffers, so value and grad allocate nothing: λ−μ_c, and
-	// one matrix–vector product at a time (Σ_c⁻¹(λ−μ_c), then Aλ).
-	d, mv linalg.Vector
+	// Per-point intermediates (DESIGN §6): everything value and grad both
+	// need of a point x = [λ; ρ], computed once by at(x) into buffers the
+	// objective owns, so neither allocates and the second of the two to
+	// visit a point recomputes nothing. They depend on x, μ_c, Σ_c⁻¹ and,
+	// with feedback, A — not on ε, tokSum or total — so reset (and with it
+	// loadTaskObjective) is what invalidates them.
+	point   linalg.Vector // the 2K floats the intermediates belong to
+	pointOK bool
+	d       linalg.Vector // λ−μ_c
+	pl      linalg.Vector // Σ_c⁻¹(λ−μ_c)
+	nu2     linalg.Vector // ν² = exp(ρ)
+	e       linalg.Vector // exp(λ + ν²/2)
+	al      linalg.Vector // Aλ (feedback only)
 }
 
 // reset readies the objective for a task of a model with K = k: it
-// binds the category prior, sizes the buffers and zeroes the token
-// aggregates and the feedback flag. The caller then sets eps, calls
-// addTokens and, for training, fills the feedback aggregates
-// (loadTaskObjective).
+// binds the category prior, sizes the buffers, zeroes the token
+// aggregates and the feedback flag and forgets the point last evaluated.
+// The caller then calls setEps and addTokens and, for training, fills the
+// feedback aggregates (loadTaskObjective).
 func (o *taskObjective) reset(k int, muC linalg.Vector, sigmaCInv *linalg.Matrix) {
 	o.k, o.muC, o.sigmaCInv = k, muC, sigmaCInv
 	o.tokSum = scratchVec(&o.tokSum, k)
 	o.total = 0
 	o.hasFeedback = false
+	o.pointOK = false
+	o.point = scratchVec(&o.point, 2*k)
 	o.d = scratchVec(&o.d, k)
-	o.mv = scratchVec(&o.mv, k)
+	o.pl = scratchVec(&o.pl, k)
+	o.nu2 = scratchVec(&o.nu2, k)
+	o.e = scratchVec(&o.e, k)
+	o.al = scratchVec(&o.al, k)
+}
+
+// setEps sets the Taylor point ε of Eq. 13 and its logarithm.
+func (o *taskObjective) setEps(eps float64) {
+	o.eps, o.logEps = eps, math.Log(eps)
 }
 
 // addTokens folds the φ rows of a task's distinct terms, weighted by
@@ -75,7 +96,7 @@ func (o *taskObjective) addTokens(counts []float64, phi *linalg.Matrix) {
 func (tr *trainer) loadTaskObjective(obj *taskObjective, j int, withFeedback bool) {
 	k := tr.cfg.K
 	obj.reset(k, tr.m.MuC, tr.m.sigmaCInv)
-	obj.eps = tr.eps[j]
+	obj.setEps(tr.eps[j])
 	obj.addTokens(tr.tasks[j].Bag.Counts, tr.phi[j])
 	if !withFeedback || len(tr.tasks[j].Responses) == 0 {
 		return
@@ -108,39 +129,65 @@ func (o *taskObjective) split(x linalg.Vector) (lam, rho linalg.Vector) {
 	return x[:o.k], x[o.k:]
 }
 
-// centered writes λ−μ_c into the d buffer and returns it.
-func (o *taskObjective) centered(lam linalg.Vector) linalg.Vector {
+// at makes the per-point intermediates those of x. A point bitwise equal
+// to the one they already belong to costs the comparison and nothing
+// else: every intermediate is a function of x and of what reset bound, so
+// recomputing it would reproduce the same bits.
+func (o *taskObjective) at(x linalg.Vector) {
+	if o.pointOK && sameBits(o.point, x) {
+		return
+	}
+	lam, rho := o.split(x)
 	for kk, v := range lam {
 		o.d[kk] = v - o.muC[kk]
 	}
-	return o.d
+	o.sigmaCInv.MulVecInto(o.pl, o.d)
+	for kk := 0; kk < o.k; kk++ {
+		nu2 := math.Exp(rho[kk])
+		o.nu2[kk] = nu2
+		o.e[kk] = math.Exp(lam[kk] + nu2/2)
+	}
+	if o.hasFeedback {
+		o.a.MulVecInto(o.al, lam)
+	}
+	copy(o.point, x)
+	o.pointOK = true
+}
+
+// sameBits reports whether a and b hold the same bit patterns: −0 is not
+// +0, and a NaN matches a NaN of the same payload.
+func sameBits(a, b linalg.Vector) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // value returns F(λ, ν²); see the type comment.
 func (o *taskObjective) value(x linalg.Vector) float64 {
+	o.at(x)
 	lam, rho := o.split(x)
 	f := 0.0
 	// Prior.
-	d := o.centered(lam)
-	f -= 0.5 * d.Dot(o.sigmaCInv.MulVecInto(o.mv, d))
+	f -= 0.5 * o.d.Dot(o.pl)
 	for kk := 0; kk < o.k; kk++ {
-		nu2 := math.Exp(rho[kk])
-		f -= 0.5 * o.sigmaCInv.At(kk, kk) * nu2
+		f -= 0.5 * o.sigmaCInv.At(kk, kk) * o.nu2[kk]
 		f += 0.5 * rho[kk] // entropy ½ log ν²
 	}
 	// Tokens.
 	f += o.tokSum.Dot(lam)
 	var expSum float64
 	for kk := 0; kk < o.k; kk++ {
-		expSum += math.Exp(lam[kk] + math.Exp(rho[kk])/2)
+		expSum += o.e[kk]
 	}
-	f -= o.total * (expSum/o.eps - 1 + math.Log(o.eps))
+	f -= o.total * (expSum/o.eps - 1 + o.logEps)
 	// Feedback.
 	if o.hasFeedback {
-		quad := o.s2 - 2*o.sw.Dot(lam) + lam.Dot(o.a.MulVecInto(o.mv, lam))
+		quad := o.s2 - 2*o.sw.Dot(lam) + lam.Dot(o.al)
 		for kk := 0; kk < o.k; kk++ {
-			nu2 := math.Exp(rho[kk])
-			quad += o.nw2[kk]*lam[kk]*lam[kk] + (o.w2[kk]+o.nw2[kk])*nu2
+			quad += o.nw2[kk]*lam[kk]*lam[kk] + (o.w2[kk]+o.nw2[kk])*o.nu2[kk]
 		}
 		f -= 0.5 * o.invTau2 * quad
 	}
@@ -149,30 +196,25 @@ func (o *taskObjective) value(x linalg.Vector) float64 {
 
 // grad writes ∇F over (λ, ρ) into g.
 func (o *taskObjective) grad(x, g linalg.Vector) {
-	lam, rho := o.split(x)
+	o.at(x)
+	lam, _ := o.split(x)
 	gl, gr := g[:o.k], g[o.k:]
 
-	// Prior + entropy.
-	pl := o.sigmaCInv.MulVecInto(o.mv, o.centered(lam))
+	tokRate := o.total / o.eps
 	for kk := 0; kk < o.k; kk++ {
-		nu2 := math.Exp(rho[kk])
-		gl[kk] = -pl[kk]
+		nu2, e := o.nu2[kk], o.e[kk]
+		// Prior + entropy.
+		gl[kk] = -o.pl[kk]
 		gr[kk] = (-0.5*o.sigmaCInv.At(kk, kk))*nu2 + 0.5
-	}
-	// Tokens.
-	for kk := 0; kk < o.k; kk++ {
-		nu2 := math.Exp(rho[kk])
-		e := math.Exp(lam[kk] + nu2/2)
-		gl[kk] += o.tokSum[kk] - o.total/o.eps*e
-		gr[kk] -= o.total / o.eps * e * nu2 / 2
+		// Tokens.
+		gl[kk] += o.tokSum[kk] - tokRate*e
+		gr[kk] -= tokRate * e * nu2 / 2
 	}
 	// Feedback.
 	if o.hasFeedback {
-		al := o.a.MulVecInto(o.mv, lam) // pl is spent: the buffer is free
 		for kk := 0; kk < o.k; kk++ {
-			nu2 := math.Exp(rho[kk])
-			gl[kk] += o.invTau2 * (o.sw[kk] - al[kk] - o.nw2[kk]*lam[kk])
-			gr[kk] -= 0.5 * o.invTau2 * (o.w2[kk] + o.nw2[kk]) * nu2
+			gl[kk] += o.invTau2 * (o.sw[kk] - o.al[kk] - o.nw2[kk]*lam[kk])
+			gr[kk] -= 0.5 * o.invTau2 * (o.w2[kk] + o.nw2[kk]) * o.nu2[kk]
 		}
 	}
 }
@@ -181,10 +223,15 @@ func (o *taskObjective) grad(x, g linalg.Vector) {
 // projection: one task objective, its negation as an optimize.Problem
 // (the two closures are bound to the objective once, here) and the
 // optimizer's workspace. After its first solve at a given K it
-// allocates nothing. It reuses buffers and never reorders arithmetic
+// allocates nothing. The optimizer asks for the gradient only at the
+// point whose value it has just taken (the start, then each accepted
+// Armijo trial), so every Grad finds the objective's per-point
+// intermediates in place and takes no exponential and no matrix–vector
+// product of its own. Operands and order of every operation are fixed
 // (DESIGN §6): a solve is bit-identical to one on a fresh objective
-// through the package-level optimize.ConjugateGradient, which
-// TestGoldenNumerics holds.
+// that recomputes everything at every call, through the package-level
+// optimize.ConjugateGradient — TestGoldenNumerics and
+// TestTaskObjectiveMatchesReference hold that.
 type taskSolver struct {
 	obj    taskObjective
 	prob   optimize.Problem

@@ -3,8 +3,10 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"crowdselect/internal/corpus"
 	"crowdselect/internal/linalg"
 	"crowdselect/internal/race"
 	"crowdselect/internal/text"
@@ -124,5 +126,55 @@ func TestTaskObjectiveAllocatesNothing(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { tr.updateLambdaNuC(s, 0, withFeedback) }); a != 0 {
 			t.Errorf("feedback=%v: a warm E-step solve allocates %v times, want 0", withFeedback, a)
 		}
+	}
+}
+
+// countingScratch is a projection scratch whose solver counts the
+// optimizer's calls into the task objective: the counters wrap prob.Eval
+// and prob.Grad here, so production code carries none.
+func countingScratch() (sc *projectScratch, evals, grads *int) {
+	sc = &projectScratch{solver: newTaskSolver()}
+	evals, grads = new(int), new(int)
+	eval, grad := sc.solver.prob.Eval, sc.solver.prob.Grad
+	sc.solver.prob.Eval = func(x linalg.Vector) float64 { *evals++; return eval(x) }
+	sc.solver.prob.Grad = func(x, g linalg.Vector) { *grads++; grad(x, g) }
+	return sc, evals, grads
+}
+
+// trainGolden trains the platform of TestGoldenNumerics (golden_test.go
+// stays byte-for-byte what it was, so the set-up is repeated here).
+func trainGolden(t *testing.T) (*Model, *corpus.Dataset) {
+	t.Helper()
+	p := corpus.Quora().Scaled(0.04)
+	p.Seed = 11
+	d := corpus.MustGenerate(p)
+	cfg := NewConfig(6)
+	cfg.MaxIter = 8
+	cfg.InnerIter = 2
+	cfg.Parallelism = 2
+	m, _, err := Train(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, d
+}
+
+// TestGoldenProjectionEvaluationCounts pins how often the 35 golden
+// projections evaluate the objective and its gradient. The counts are a
+// function of the iterate sequence, so a kernel change that reuses values
+// (DESIGN §6) leaves them where they are; like the digests they are
+// GOARCH=amd64 numbers.
+func TestGoldenProjectionEvaluationCounts(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the iterate sequence is pinned for GOARCH=amd64 (FMA fusion differs on %s)", runtime.GOARCH)
+	}
+	m, d := trainGolden(t)
+	sc, evals, grads := countingScratch()
+	for _, bag := range goldenBags(d) {
+		m.projectWith(sc, bag)
+	}
+	const wantEvals, wantGrads = 7956, 2187 // read on the kernel before the per-point intermediates
+	if *evals != wantEvals || *grads != wantGrads {
+		t.Errorf("35 golden projections made %d value and %d grad calls, want %d and %d", *evals, *grads, wantEvals, wantGrads)
 	}
 }

@@ -108,8 +108,11 @@ func meanOf(vs []linalg.Vector, k int) linalg.Vector {
 // (Eqs. 17, 19).
 func scatterOf(lams, nus []linalg.Vector, mu linalg.Vector, k int, ridge float64) *linalg.Matrix {
 	s := linalg.NewMatrix(k, k)
+	d := make(linalg.Vector, k) // λ−μ, one buffer for every item
 	for i, lam := range lams {
-		d := lam.Sub(mu)
+		for kk, v := range lam {
+			d[kk] = v - mu[kk]
+		}
 		s.AddOuterInPlace(1, d, d)
 		s.AddDiagInPlace(nus[i])
 	}

@@ -78,11 +78,16 @@ func (sc *projectScratch) phiFor(rows, cols int) *linalg.Matrix {
 // and LogBeta — never a worker posterior — which is why a skill update
 // cannot stale a cached projection.
 func (m *Model) Project(bag text.Bag) TaskCategory {
+	sc := projectScratchPool.Get().(*projectScratch)
+	defer projectScratchPool.Put(sc)
+	return m.projectWith(sc, bag)
+}
+
+// projectWith is Project on the caller's scratch.
+func (m *Model) projectWith(sc *projectScratch, bag text.Bag) TaskCategory {
 	k := m.K
 	lam := m.MuC.Clone()
 	nu2 := m.SigmaC.Diag()
-	sc := projectScratchPool.Get().(*projectScratch)
-	defer projectScratchPool.Put(sc)
 	// Keep only in-vocabulary terms.
 	ids, counts := sc.ids[:0], sc.counts[:0]
 	for p, v := range bag.IDs {
@@ -103,7 +108,7 @@ func (m *Model) Project(bag text.Bag) TaskCategory {
 		// point of Eq. 13; solve copies the optimum out of the optimizer's
 		// workspace into lam and nu2 before the next round reuses it.
 		s.obj.reset(k, m.MuC, m.sigmaCInv)
-		s.obj.eps = taylorPoint(lam, nu2)
+		s.obj.setEps(taylorPoint(lam, nu2))
 		s.obj.addTokens(counts, phi)
 		if !s.solve(lam, nu2, 15) {
 			break
@@ -312,7 +317,7 @@ func (m *Model) UpdateWorkerSkillDrift(worker int, cats []TaskCategory, scores [
 			return fmt.Errorf("%w: category %d has dimensions %d/%d, want %d", ErrBadUpdate, t, len(cat.Lambda), len(cat.Nu2), k)
 		}
 		prec.AddOuterInPlace(invTau2, cat.Lambda, cat.Lambda)
-		prec.AddDiagInPlace(cat.Nu2.Scale(invTau2))
+		prec.AddScaledDiagInPlace(invTau2, cat.Nu2)
 		rhs.AddScaledInPlace(invTau2*scores[t], cat.Lambda)
 		for kk := 0; kk < k; kk++ {
 			quad[kk] += cat.Lambda[kk]*cat.Lambda[kk] + cat.Nu2[kk]

@@ -167,7 +167,10 @@ func newTrainer(tasks []ResolvedTask, numWorkers, vocabSize int, cfg Config) *tr
 // updateWorkers applies the closed-form coordinate updates of
 // Eqs. 10–11 to every worker's variational posterior. Workers are
 // independent given the model parameters, so the loop parallelizes
-// without changing results.
+// without changing results. The precision matrix, the right-hand side
+// and the quadratic aggregate are per-chunk buffers and a response's
+// ν_c²/τ² goes onto the diagonal in place, so a sweep allocates what
+// SPDSolve does per worker and nothing per response.
 func (tr *trainer) updateWorkers() {
 	muWTerm := tr.m.sigmaWInv.MulVec(tr.m.MuW)
 	parallelFor(tr.m.M, tr.cfg.Parallelism, func(lo, hi int) {
@@ -185,7 +188,7 @@ func (tr *trainer) updateWorkers() {
 			for jj, j := range tr.workerTasks[i] {
 				lc, nc := tr.lambdaC[j], tr.nuC2[j]
 				prec.AddOuterInPlace(invTau2, lc, lc)
-				prec.AddDiagInPlace(nc.Scale(invTau2))
+				prec.AddScaledDiagInPlace(invTau2, nc)
 				rhs.AddScaledInPlace(invTau2*tr.workerScores[i][jj], lc)
 				for kk := 0; kk < k; kk++ {
 					quad[kk] += lc[kk]*lc[kk] + nc[kk]

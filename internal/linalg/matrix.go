@@ -146,6 +146,19 @@ func (m *Matrix) AddDiagInPlace(d Vector) *Matrix {
 	return m
 }
 
+// AddScaledDiagInPlace adds a·d to the main diagonal of the square
+// matrix m. Each product is rounded before it is added, so the result
+// carries the bits of AddDiagInPlace(d.Scale(a)) without the temporary.
+func (m *Matrix) AddScaledDiagInPlace(a float64, d Vector) *Matrix {
+	if m.Rows != m.Cols || m.Rows != len(d) {
+		panic(fmt.Sprintf("linalg: AddScaledDiagInPlace on %d×%d with len %d", m.Rows, m.Cols, len(d)))
+	}
+	for i, v := range d {
+		m.Data[i*m.Cols+i] += float64(a * v)
+	}
+	return m
+}
+
 // AddScalarDiagInPlace adds a to every diagonal entry of the square
 // matrix m (Tikhonov jitter).
 func (m *Matrix) AddScalarDiagInPlace(a float64) *Matrix {

@@ -92,6 +92,22 @@ func TestMatrixDiagOps(t *testing.T) {
 	}
 }
 
+func TestAddScaledDiagInPlaceMatchesScaleThenAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(8)
+		a, d := rng.NormFloat64(), randVec(rng, n)
+		m := randMatrix(rng, n, n)
+		want := m.Clone().AddDiagInPlace(d.Scale(a))
+		got := m.Clone().AddScaledDiagInPlace(a, d)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("trial %d: entry %d = %v, want %v bit for bit", trial, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestAddOuterInPlace(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.AddOuterInPlace(2, Vector{1, 2}, Vector{3, 4})
