@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race allocs kernel bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
+.PHONY: fmt build vet test race allocs kernel experiments bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
 
 # Formatting gate: fails, naming the files, if gofmt would rewrite any.
 fmt:
@@ -48,6 +48,14 @@ allocs:
 # repeat exactly, the times do not (not a CI gate).
 kernel:
 	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep' -benchmem -count 6 ./internal/core
+
+# Regenerate experiments_run.txt, the raw output EXPERIMENTS.md's tables
+# are copied from (≈ 2–3 min; every table, figure and ablation at a
+# quarter of the paper's platform sizes). Run it — and carry the TDPM
+# cells that moved into EXPERIMENTS.md — in any change that bumps
+# core.KernelVersion; the F4/F6/F8 timings in it are this host's.
+experiments:
+	$(GO) run ./cmd/crowdbench -exp all -scale 0.25 -testtasks 2000 > experiments_run.txt
 
 # The repository benchmark is a module of its own (bench/go.mod), so
 # ./... above never reaches its tests: schema agreement with

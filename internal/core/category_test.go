@@ -107,6 +107,20 @@ func TestCategoryVersionFollowsTheEpoch(t *testing.T) {
 	if got := NewConcurrentModel(fewer).CategoryVersion(); got == v0 {
 		t.Error("a model that projects with fewer rounds shares the version")
 	}
+
+	// Equal parameters under another kernel are another version: the
+	// binary before KernelVersion existed (1) and the next one.
+	orig := twin.Unwrap() // m itself carries the 1e-9 from above
+	if v0 != orig.categoryVersion(KernelVersion) {
+		t.Errorf("the served version is not the one of kernel %d", KernelVersion)
+	}
+	for _, kernel := range []int{KernelVersion - 1, KernelVersion + 1} {
+		other := NewConcurrentModel(cloneViaSave(t, orig))
+		other.LabelKernelForTest(kernel)
+		if got := other.CategoryVersion(); got == v0 || got != orig.categoryVersion(kernel) {
+			t.Errorf("kernel %d over equal parameters reports version %s (this binary: %s)", kernel, got, v0)
+		}
+	}
 }
 
 // TestRankCategoriesScoredEqualsRankBatchScored: scoring the categories
@@ -156,6 +170,14 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 
 	if _, err := scorer.RankCategoriesScored(ctx, "stale", received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
 		t.Errorf("a foreign version: %v, want ErrCategoryVersion", err)
+	}
+	// Categories from a binary of another kernel over the very same
+	// parameters are refused too: its λ_c is not the one this model
+	// would have produced.
+	old := NewConcurrentModel(cloneViaSave(t, m))
+	old.LabelKernelForTest(KernelVersion - 1)
+	if _, err := scorer.RankCategoriesScored(ctx, old.CategoryVersion(), received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
+		t.Errorf("categories of another kernel version: %v, want ErrCategoryVersion", err)
 	}
 	for name, bad := range map[string][]float64{
 		"short": received[0][:4],

@@ -66,6 +66,8 @@ type ConcurrentModel struct {
 	// version is the category-parameter digest of the epoch it was
 	// computed under (see CategoryVersion).
 	version atomic.Pointer[categoryVersionAt]
+	// kernel is KernelVersion outside tests (see LabelKernelForTest).
+	kernel int
 }
 
 type categoryVersionAt struct {
@@ -85,7 +87,16 @@ var ErrBadCategory = errors.New("core: malformed category")
 // NewConcurrentModel wraps m. The wrapper owns synchronization from
 // here on: callers must not keep mutating m directly.
 func NewConcurrentModel(m *Model) *ConcurrentModel {
-	return &ConcurrentModel{m: m, cache: newProjectionCache(defaultProjectionCacheCap)}
+	return &ConcurrentModel{m: m, cache: newProjectionCache(defaultProjectionCacheCap), kernel: KernelVersion}
+}
+
+// LabelKernelForTest makes c report the category version a binary of
+// kernel version v would report for c's parameters, so a test can stand
+// a two-version fleet up in one process. It relabels only: the arithmetic
+// stays this binary's. Call before serving; not for production use.
+func (c *ConcurrentModel) LabelKernelForTest(v int) {
+	c.kernel = v
+	c.InvalidateProjections()
 }
 
 // Unwrap returns the underlying Model for setup-time configuration or
@@ -129,7 +140,7 @@ func (c *ConcurrentModel) categoryVersionLocked() string {
 	if v := c.version.Load(); v != nil && v.epoch == epoch {
 		return v.digest
 	}
-	v := &categoryVersionAt{epoch: epoch, digest: c.m.categoryVersion()}
+	v := &categoryVersionAt{epoch: epoch, digest: c.m.categoryVersion(c.kernel)}
 	c.version.Store(v)
 	return v.digest
 }

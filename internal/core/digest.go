@@ -30,18 +30,36 @@ func (c *ConcurrentModel) Digest() (string, error) {
 	return c.m.Digest()
 }
 
-// categoryVersion is a hex SHA-256 over everything a projection reads:
-// K, V, the number of φ/ε/CG rounds and the bits of MuC, SigmaC and
+// KernelVersion names the arithmetic this binary runs where bits are a
+// contract: what a projection (Algorithm 3: the φ/ε rounds, the task
+// objective, the conjugate gradient and its line search) and a posterior
+// fold compute from given inputs. Any commit that changes the iterate
+// sequence of either — and with it the golden digests — bumps it. Two
+// binaries with different versions disagree on λ_c and on replayed
+// posteriors by design, not by corruption, so the version is hashed into
+// the category version (a fleet mixing them falls back to text legs) and
+// stamped on replication hellos and backup manifests (DESIGN §6).
+//
+//	1  every line search starts at InitialStep and halves (through PR 23;
+//	   what a header without the field means)
+//	2  the first trial comes from the previous search's decrease and a
+//	   rejected trial is followed by a safeguarded quadratic step
+const KernelVersion = 2
+
+// categoryVersion is a hex SHA-256 over everything a projection reads
+// and runs: the kernel version (KernelVersion, but for a test's relabelled
+// node), K, V, the number of φ/ε/CG rounds and the bits of MuC, SigmaC and
 // LogBeta. Two models with equal versions project every bag to the same
-// λ_c bit for bit, whatever their worker posteriors hold — which is
-// what lets one shard of a fleet project for all of them.
-func (m *Model) categoryVersion() string {
+// λ_c bit for bit, whatever their worker posteriors hold — which is what
+// lets one shard of a fleet project for all of them.
+func (m *Model) categoryVersion(kernel int) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(u uint64) {
 		binary.LittleEndian.PutUint64(b[:], u)
 		h.Write(b[:])
 	}
+	put(uint64(kernel))
 	put(uint64(m.K))
 	put(uint64(m.V))
 	put(uint64(m.projectInner()))

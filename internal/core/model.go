@@ -61,7 +61,8 @@ type Config struct {
 	MaxIter int
 	MinIter int
 	// Tol stops when the relative ELBO improvement stays below it for
-	// Patience consecutive sweeps.
+	// Patience consecutive sweeps, each at the ELBO's running maximum
+	// (a bound creeping up from a trough it sank into is not done).
 	Tol      float64
 	Patience int
 	// InnerIter is the number of φ/ε/CG rounds per task per sweep.

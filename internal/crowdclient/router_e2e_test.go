@@ -263,19 +263,31 @@ func TestRouterRotatesTheProjectingShard(t *testing.T) {
 }
 
 // TestRouterFallsBackToTextOnCategoryMismatch: a shard whose category
-// parameters differ from the projecting shard's refuses the categories
-// with the typed 409 and gets that one leg again as text; the result is
-// what scattering the text to every shard gives, never a ranking
-// against a λ_c the shard would not have produced.
+// parameters differ from the projecting shard's — or whose parameters are
+// equal but whose binary runs another core.KernelVersion, a fleet halfway
+// through an upgrade — refuses the categories with the typed 409 and gets
+// that one leg again as text; the result is what scattering the text to
+// every shard gives, never a ranking against a λ_c the shard would not
+// have produced.
 func TestRouterFallsBackToTextOnCategoryMismatch(t *testing.T) {
+	t.Run("parameters", func(t *testing.T) {
+		routerFallsBackToText(t, func(odd *core.ConcurrentModel) {
+			odd.Unwrap().MuC[0] += 0.25
+			odd.InvalidateProjections()
+		})
+	})
+	t.Run("kernel", func(t *testing.T) {
+		routerFallsBackToText(t, func(odd *core.ConcurrentModel) { odd.LabelKernelForTest(core.KernelVersion - 1) })
+	})
+}
+
+func routerFallsBackToText(t *testing.T, makeOdd func(*core.ConcurrentModel)) {
 	f := newFleet(t, 3)
 	r := f.router(t)
 	ctx := context.Background()
 	reqs := f.requests(4, 5)
 
-	odd := f.nodes[2].cm
-	odd.Unwrap().MuC[0] += 0.25
-	odd.InvalidateProjections()
+	makeOdd(f.nodes[2].cm)
 
 	// The refusal, seen directly.
 	projected, err := New(f.shards[0].URL, Options{}).SelectionsProjected(ctx, reqs)

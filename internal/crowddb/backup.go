@@ -65,6 +65,11 @@ type BackupManifest struct {
 	// refuse another architecture's archive with ErrArchMismatch.
 	// Absent from archives that predate the stamp, which are accepted.
 	Arch string `json:"arch,omitempty"`
+	// Kernel is the source's core.KernelVersion; restore and
+	// verification refuse another version's archive with
+	// ErrKernelMismatch. Absent from archives cut before the stamp,
+	// which were cut by kernel 1.
+	Kernel int `json:"kernel,omitempty"`
 }
 
 // BackupTrailer closes a segment. Seq must equal both the manifest's
@@ -509,7 +514,7 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 				lastKept = m.BaseSeq
 			}
 			cuts[m.Seq] = m
-			return checkArch(m.Arch)
+			return checkOrigin(m.Arch, m.Kernel)
 		},
 		dataset:  func(b []byte) error { dataset = append([]byte(nil), b...); return nil },
 		model:    func(b []byte) error { model = append([]byte(nil), b...); return nil },
@@ -666,7 +671,7 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 			if segment == 0 && m.Tenant != "" && m.Tenant != DefaultTenant {
 				store.SetTenant(m.Tenant)
 			}
-			return checkArch(m.Arch)
+			return checkOrigin(m.Arch, m.Kernel)
 		},
 		dataset: func(b []byte) error { dataset = append([]byte(nil), b...); return nil },
 		model:   func(b []byte) error { model = append([]byte(nil), b...); return nil },

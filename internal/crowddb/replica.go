@@ -205,9 +205,9 @@ func (r *Replica) Manager() *Manager { return r.mgr }
 // Model exposes the continuously updated concurrent model.
 func (r *Replica) Model() *core.ConcurrentModel { return r.cm }
 
-// Err reports a permanent streaming failure (ErrReplicaDiverged or
-// ErrArchMismatch), or nil while the replica is healthy or merely
-// reconnecting.
+// Err reports a permanent streaming failure (ErrReplicaDiverged,
+// ErrArchMismatch or ErrKernelMismatch), or nil while the replica is
+// healthy or merely reconnecting.
 func (r *Replica) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -431,7 +431,7 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 		st.Close()
 		return nil, fmt.Errorf("crowddb: replication hello: %w", err)
 	}
-	if err := checkArch(st.hello.Arch); err != nil {
+	if err := checkOrigin(st.hello.Arch, st.hello.Kernel); err != nil {
 		st.Close()
 		return nil, err
 	}
@@ -547,7 +547,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 			var err error
 			st, err = r.dial(ctx, applied, r.db.ReplicationHistory(), boot)
 			if err != nil {
-				if errors.Is(err, ErrReplicaDiverged) || errors.Is(err, ErrArchMismatch) {
+				if errors.Is(err, ErrReplicaDiverged) || errors.Is(err, ErrArchMismatch) || errors.Is(err, ErrKernelMismatch) {
 					r.mu.Lock()
 					r.fatal = err
 					r.mu.Unlock()

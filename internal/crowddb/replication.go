@@ -149,6 +149,10 @@ type replHello struct {
 	// architecture stops with ErrArchMismatch. Absent from peers that
 	// predate the stamp, which are accepted.
 	Arch string `json:"arch,omitempty"`
+	// Kernel is the primary's core.KernelVersion; a follower running
+	// another stops with ErrKernelMismatch. Absent from peers that
+	// predate the stamp, which run kernel 1.
+	Kernel int `json:"kernel,omitempty"`
 }
 
 // replRecordMsg is one journal event at its position: Seq is the

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"crowdselect/internal/core"
 )
 
 // ErrArchMismatch refuses state cut on another CPU architecture.
@@ -20,13 +22,29 @@ import (
 // streaming stops, reads are still served.
 var ErrArchMismatch = errors.New("crowddb: state was cut on another architecture")
 
-// checkArch accepts a header stamped with this node's architecture, or
-// one from a peer or archive that predates the stamp.
-func checkArch(arch string) error {
-	if arch == "" || arch == runtime.GOARCH {
-		return nil
+// ErrKernelMismatch refuses state cut by a binary of another
+// core.KernelVersion. Replaying its feedback here folds every posterior
+// through other arithmetic, so the digests the header promises cannot be
+// met — a version skew, which without this refusal would read as
+// corruption (ErrBackupDigestMismatch) or latch a pair diverged. Fatal
+// to a follower like ErrArchMismatch.
+var ErrKernelMismatch = errors.New("crowddb: state was cut by another kernel version")
+
+// checkOrigin accepts a header stamped with this node's architecture and
+// kernel version. A header that predates a stamp carries no value for
+// it: no architecture is accepted, no kernel version means 1, the
+// kernel before the stamp existed.
+func checkOrigin(arch string, kernel int) error {
+	if arch != "" && arch != runtime.GOARCH {
+		return fmt.Errorf("%w: %s, this node is %s", ErrArchMismatch, arch, runtime.GOARCH)
 	}
-	return fmt.Errorf("%w: %s, this node is %s", ErrArchMismatch, arch, runtime.GOARCH)
+	if kernel == 0 {
+		kernel = 1
+	}
+	if kernel != core.KernelVersion {
+		return fmt.Errorf("%w: %d, this node runs %d", ErrKernelMismatch, kernel, core.KernelVersion)
+	}
+	return nil
 }
 
 // TransferSourceOptions tunes a TransferSource.
@@ -363,7 +381,7 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hello := replHello{History: ourHistory, Seq: head, Bytes: headBytes, Generation: t.gen,
-		Bootstrap: bootstrap, FencingEpoch: src.db.FencingEpoch(), Arch: runtime.GOARCH}
+		Bootstrap: bootstrap, FencingEpoch: src.db.FencingEpoch(), Arch: runtime.GOARCH, Kernel: core.KernelVersion}
 	if err := t.stage(frameHello, hello, bootstrap, true); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -437,6 +455,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 		Generation:   t.gen,
 		CreatedAt:    time.Now().UTC(),
 		Arch:         runtime.GOARCH,
+		Kernel:       core.KernelVersion,
 	}
 	q := r.URL.Query()
 	if s := q.Get("since"); s != "" {

@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"crowdselect/internal/core"
 )
 
 // transferPrimary is replPrimary with both endings of its one source
@@ -285,10 +287,55 @@ func (p *forgeablePrimary) forgeHello(t *testing.T, hello replHello, rest func(w
 func helloOf(rig *durableRig) replHello {
 	seq, bytes := rig.db.ReplicationHead()
 	return replHello{History: rig.db.ReplicationHistory(), Seq: seq, Bytes: bytes,
-		Generation: rig.db.Generation(), FencingEpoch: rig.db.FencingEpoch()}
+		Generation: rig.db.Generation(), FencingEpoch: rig.db.FencingEpoch(), Kernel: core.KernelVersion}
 }
 
 func holdOpen(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
+
+// followForgedHello starts a follower behind a forgeable front of src,
+// lets it catch up, then answers its next dial with hello. With refusal
+// nil the follower must keep following; otherwise it must stop for good
+// with that sentinel — reads still served — and a fresh follower must
+// never start against such a primary.
+func followForgedHello(t *testing.T, rig *durableRig, src *TransferSource, hello replHello, refusal error) {
+	t.Helper()
+	front := newForgeablePrimary(t, src.Stream())
+	rep := startTestReplica(t, front.ts.URL, t.TempDir())
+	defer rep.Close()
+	waitCaughtUp(t, rig, rep)
+	front.forgeHello(t, hello, holdOpen)
+	if refusal == nil {
+		waitUntil(t, "follower to accept the forged hello", func() bool {
+			return front.dials.Load() > 0 && rep.Status().Connected
+		})
+		if err := rep.Err(); err != nil {
+			t.Fatalf("follower stopped on hello %+v: %v", hello, err)
+		}
+		return
+	}
+	waitUntil(t, "follower to stop on the foreign hello", func() bool { return rep.Err() != nil })
+	if err := rep.Err(); !errors.Is(err, refusal) {
+		t.Fatalf("follower stopped with %v, want %v", err, refusal)
+	}
+	if _, err := rep.Manager().RankOnly(context.Background(), []TaskSubmission{{Text: "still answering reads", K: 2}}); err != nil {
+		t.Fatalf("stopped follower refuses reads: %v", err)
+	}
+	_, err := StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
+		DB: Options{Sync: SyncAlways()}, Build: testReplicaBuilder()})
+	if !errors.Is(err, refusal) {
+		t.Fatalf("fresh follower of the foreign primary: %v, want %v", err, refusal)
+	}
+}
+
+// servedHello is the hello src opens a stream with.
+func servedHello(t *testing.T, src *TransferSource) replHello {
+	t.Helper()
+	var hello replHello
+	if err := json.Unmarshal(getTransfer(t, serveTransfers(t, src).URL+"/stream").header, &hello); err != nil {
+		t.Fatal(err)
+	}
+	return hello
+}
 
 // TestReplicationArchMismatchRefused forges hellos: a follower keeps
 // following a primary of its own architecture or one that predates the
@@ -296,49 +343,64 @@ func holdOpen(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
 func TestReplicationArchMismatchRefused(t *testing.T) {
 	rig, src, _ := replPrimary(t)
 	rig.resolveOneTask(t, "a task to replicate", []float64{4, 2})
-	foreign := "not-" + runtime.GOARCH
-	for _, tc := range []struct {
-		arch   string
-		refuse bool
-	}{{"", false}, {runtime.GOARCH, false}, {foreign, true}} {
-		t.Run("arch="+tc.arch, func(t *testing.T) {
-			front := newForgeablePrimary(t, src.Stream())
-			rep := startTestReplica(t, front.ts.URL, t.TempDir())
-			defer rep.Close()
-			waitCaughtUp(t, rig, rep)
+	for arch, refusal := range map[string]error{"": nil, runtime.GOARCH: nil, "not-" + runtime.GOARCH: ErrArchMismatch} {
+		t.Run("arch="+arch, func(t *testing.T) {
 			hello := helloOf(rig)
-			hello.Arch = tc.arch
-			front.forgeHello(t, hello, holdOpen)
-			if !tc.refuse {
-				waitUntil(t, "follower to accept the forged hello", func() bool {
-					return front.dials.Load() > 0 && rep.Status().Connected
-				})
-				if err := rep.Err(); err != nil {
-					t.Fatalf("follower stopped on arch %q: %v", tc.arch, err)
-				}
-				return
-			}
-			waitUntil(t, "follower to stop on the foreign hello", func() bool { return rep.Err() != nil })
-			if err := rep.Err(); !errors.Is(err, ErrArchMismatch) {
-				t.Fatalf("follower stopped with %v, want ErrArchMismatch", err)
-			}
-			if _, err := rep.Manager().RankOnly(context.Background(), []TaskSubmission{{Text: "still answering reads", K: 2}}); err != nil {
-				t.Fatalf("stopped follower refuses reads: %v", err)
-			}
-			// A fresh follower never starts against it either.
-			_, err := StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
-				DB: Options{Sync: SyncAlways()}, Build: testReplicaBuilder()})
-			if !errors.Is(err, ErrArchMismatch) {
-				t.Fatalf("fresh follower of a foreign-arch primary: %v, want ErrArchMismatch", err)
-			}
+			hello.Arch = arch
+			followForgedHello(t, rig, src, hello, refusal)
 		})
 	}
-	var hello replHello
-	if err := json.Unmarshal(getTransfer(t, serveTransfers(t, src).URL+"/stream").header, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Arch != runtime.GOARCH {
+	if hello := servedHello(t, src); hello.Arch != runtime.GOARCH {
 		t.Fatalf("hello stamps arch %q, want %q", hello.Arch, runtime.GOARCH)
+	}
+}
+
+// TestReplicationKernelMismatchRefused is the same for the kernel
+// version: a primary running this binary's kernel is followed; one that
+// predates the stamp ran kernel 1, and it and any other version replay
+// feedback through other arithmetic, so the follower stops with
+// ErrKernelMismatch instead of latching diverged at the next heartbeat.
+func TestReplicationKernelMismatchRefused(t *testing.T) {
+	rig, src, _ := replPrimary(t)
+	rig.resolveOneTask(t, "a task to replicate", []float64{4, 2})
+	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
+		t.Run(fmt.Sprintf("kernel=%d", kernel), func(t *testing.T) {
+			hello := helloOf(rig)
+			hello.Kernel = kernel
+			followForgedHello(t, rig, src, hello, refusal)
+		})
+	}
+	if hello := servedHello(t, src); hello.Kernel != core.KernelVersion {
+		t.Fatalf("hello stamps kernel %d, want %d", hello.Kernel, core.KernelVersion)
+	}
+}
+
+// restoreAndVerifyForged rewrites the manifest of a full archive and
+// hands the forgery to restore and to offline verification: both must
+// succeed when refusal is nil and fail with that sentinel otherwise.
+func restoreAndVerifyForged(t *testing.T, raw []byte, forge func(*BackupManifest), refusal error) {
+	t.Helper()
+	forged := writeArchive(t, reframeArchive(t, raw, func(typ byte, payload []byte) []byte {
+		if typ != frameBackupManifest {
+			return payload
+		}
+		var m BackupManifest
+		if err := json.Unmarshal(payload, &m); err != nil {
+			t.Fatal(err)
+		}
+		forge(&m)
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}))
+	_, restoreErr := RestoreBackup(filepath.Join(t.TempDir(), "restored"), []string{forged}, RestoreOptions{})
+	_, verifyErr := VerifyBackup([]string{forged}, VerifyBackupOptions{Build: testReplicaBuilder()})
+	for what, err := range map[string]error{"restore": restoreErr, "verify": verifyErr} {
+		if refusal == nil && err != nil || refusal != nil && !errors.Is(err, refusal) {
+			t.Fatalf("%s of the forged archive: %v, want %v", what, err, refusal)
+		}
 	}
 }
 
@@ -355,33 +417,29 @@ func TestBackupArchMismatchRefused(t *testing.T) {
 	if info.Manifest.Arch != runtime.GOARCH {
 		t.Fatalf("manifest stamps arch %q, want %q", info.Manifest.Arch, runtime.GOARCH)
 	}
-	for _, arch := range []string{"", runtime.GOARCH, "not-" + runtime.GOARCH} {
-		forged := writeArchive(t, reframeArchive(t, raw.Bytes(), func(typ byte, payload []byte) []byte {
-			if typ != frameBackupManifest {
-				return payload
-			}
-			var m BackupManifest
-			if err := json.Unmarshal(payload, &m); err != nil {
-				t.Fatal(err)
-			}
-			m.Arch = arch
-			out, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}))
-		_, restoreErr := RestoreBackup(filepath.Join(t.TempDir(), "restored"), []string{forged}, RestoreOptions{})
-		_, verifyErr := VerifyBackup([]string{forged}, VerifyBackupOptions{Build: testReplicaBuilder()})
-		for what, err := range map[string]error{"restore": restoreErr, "verify": verifyErr} {
-			asExpected := err == nil
-			if arch != "" && arch != runtime.GOARCH {
-				asExpected = errors.Is(err, ErrArchMismatch)
-			}
-			if !asExpected {
-				t.Fatalf("%s of an archive stamped arch %q: %v", what, arch, err)
-			}
-		}
+	for arch, refusal := range map[string]error{"": nil, runtime.GOARCH: nil, "not-" + runtime.GOARCH: ErrArchMismatch} {
+		restoreAndVerifyForged(t, raw.Bytes(), func(m *BackupManifest) { m.Arch = arch }, refusal)
+	}
+}
+
+// TestBackupKernelMismatchRefused: an archive cut by another kernel
+// version — one without the stamp was cut by kernel 1 — is refused as
+// what it is, a version skew. Verification would otherwise replay its
+// feedback through this binary's arithmetic, miss the manifest's digest
+// and call an honest archive corrupt (ErrBackupDigestMismatch).
+func TestBackupKernelMismatchRefused(t *testing.T) {
+	rig, _, _, ts := backupPrimary(t)
+	rig.resolveOneTask(t, "a task to archive", []float64{4, 2})
+	var raw bytes.Buffer
+	info, err := fetchBackup(t, ts.URL, &raw, -1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Manifest.Kernel != core.KernelVersion {
+		t.Fatalf("manifest stamps kernel %d, want %d", info.Manifest.Kernel, core.KernelVersion)
+	}
+	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
+		restoreAndVerifyForged(t, raw.Bytes(), func(m *BackupManifest) { m.Kernel = kernel }, refusal)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package optimize implements the smooth unconstrained minimizers used
 // by the variational algorithm of the paper: nonlinear conjugate
-// gradient (Polak–Ribière+ with automatic restarts and Armijo
-// backtracking), plain gradient descent for ablations, and a numerical
-// gradient checker for tests.
+// gradient (Polak–Ribière+ with automatic restarts and an Armijo line
+// search whose first trial comes from the previous search's decrease and
+// whose backtracking interpolates), plain gradient descent for ablations,
+// and a numerical gradient checker for tests.
 //
 // All routines minimize; callers maximizing a lower bound L′(q) pass
 // −L′ and −∇L′.
@@ -32,12 +33,15 @@ type Settings struct {
 	// FuncTol stops when the relative objective improvement over one
 	// iteration falls below FuncTol (default 1e-10).
 	FuncTol float64
-	// InitialStep is the first trial step of each line search
+	// InitialStep is the first trial step of a minimization's first
+	// line search and the cap on the first trial of every later one
 	// (default 1).
 	InitialStep float64
 	// ArmijoC is the sufficient-decrease constant (default 1e-4).
 	ArmijoC float64
-	// Backtrack is the step-shrink factor in (0, 1) (default 0.5).
+	// Backtrack is the step-shrink factor in (0, 1) a rejected trial
+	// falls back to when the quadratic through it has no minimizer in
+	// [0.1 t, 0.5 t], or the trial's value was not finite (default 0.5).
 	Backtrack float64
 	// MaxBacktracks bounds each line search (default 50).
 	MaxBacktracks int
@@ -135,8 +139,9 @@ func (w *Workspace) resize(n int) {
 
 // ConjugateGradient minimizes p starting from x0 using nonlinear CG
 // with the Polak–Ribière+ update (β = max(0, βPR), which subsumes
-// steepest-descent restarts) and an Armijo backtracking line search.
-// x0 is not modified.
+// steepest-descent restarts) and an Armijo backtracking line search
+// (see armijo for its first trial and its shrink rule). x0 is not
+// modified.
 func ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
 	return new(Workspace).ConjugateGradient(p, x0, s)
 }
@@ -157,7 +162,9 @@ func GradientDescent(p Problem, x0 linalg.Vector, s Settings) Result {
 
 // minimize is the one descent loop: conjugate selects the
 // Polak–Ribière+ direction update, otherwise every direction is the
-// negated gradient.
+// negated gradient. What one line search hands the next — the decrease it
+// accepted — is a local of this call, so a Workspace carries nothing from
+// one minimization into another.
 func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate bool) Result {
 	s = s.withDefaults()
 	w.resize(len(x0))
@@ -176,6 +183,8 @@ func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate 
 		return res
 	}
 
+	var decrease float64 // f before − f after the last accepted step
+	t0 := s.InitialStep  // the first search has no predecessor to learn from
 	for iter := 1; iter <= s.MaxIter; iter++ {
 		res.Iterations = iter
 		// Ensure d is a descent direction; restart on failure.
@@ -186,8 +195,11 @@ func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate 
 			}
 			slope = g.Dot(d)
 		}
+		if iter > 1 {
+			t0 = firstTrial(s.InitialStep, decrease, slope)
+		}
 
-		fNew, ok := w.armijo(p, f, slope, s)
+		fNew, ok := w.armijo(p, f, slope, t0, s)
 		if !ok {
 			res.Status = LineSearchFailed
 			return res
@@ -199,7 +211,8 @@ func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate 
 		copy(gPrev, g)
 		p.Grad(w.x, g)
 
-		relImp := (f - fNew) / (math.Abs(f) + 1e-12)
+		decrease = f - fNew
+		relImp := decrease / (math.Abs(f) + 1e-12)
 		f = fNew
 		res.X, res.F, res.GradNorm = w.x, f, g.NormInf()
 
@@ -235,12 +248,44 @@ func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate 
 	return res
 }
 
-// armijo backtracks from the initial step along w.d until
-// f(x+t·d) ≤ f + c·t·slope, leaving the accepted point in w.xt and
-// returning its objective.
-func (w *Workspace) armijo(p Problem, f, slope float64, s Settings) (float64, bool) {
+// firstTrial is the step a line search tries first when the previous one
+// lowered the objective by decrease and the new direction's slope is
+// slope < 0: the step at which a quadratic model of the new direction
+// would repeat that decrease, 2·decrease/(−slope), times 1.01 so that a
+// run of unit steps stays at the cap (Nocedal & Wright, Numerical
+// Optimization, eq. 3.60), capped at initial. A guess that is not a
+// positive finite number — no decrease, an overflow — is replaced by
+// initial.
+func firstTrial(initial, decrease, slope float64) float64 {
+	t := 1.01 * 2 * decrease / -slope
+	if !(t > 0) || math.IsInf(t, 0) {
+		return initial
+	}
+	return math.Min(initial, t)
+}
+
+// shrink is the step tried after the trial at t was rejected with value
+// ft: the minimizer of the quadratic through f, slope and ft when it lies
+// in [0.1 t, 0.5 t] — the safeguard keeps a flat or a wild model from
+// stalling or overshooting the search — and backtrack·t otherwise, which
+// is also what follows a trial whose value was not finite (nothing can be
+// fitted through it).
+func shrink(t, f, slope, ft, backtrack float64) float64 {
+	if finite(ft) {
+		if tq := -slope * t * t / (2 * (ft - f - slope*t)); tq >= 0.1*t && tq <= 0.5*t {
+			return tq
+		}
+	}
+	return backtrack * t
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// armijo backtracks from the step t along w.d until
+// f(x+t·d) ≤ f + c·t·slope, shrinking t by shrink's rule, leaving the
+// accepted point in w.xt and returning its objective.
+func (w *Workspace) armijo(p Problem, f, slope, t float64, s Settings) (float64, bool) {
 	x, d, xt := w.x, w.d, w.xt
-	t := s.InitialStep
 	for k := 0; k < s.MaxBacktracks; k++ {
 		for i := range x {
 			xt[i] = x[i] + t*d[i]
@@ -250,10 +295,10 @@ func (w *Workspace) armijo(p Problem, f, slope float64, s Settings) (float64, bo
 		// objective's domain; −Inf in particular would satisfy the
 		// sufficient-decrease inequality and poison the iterate, so any
 		// non-finite value rejects the step.
-		if !math.IsNaN(ft) && !math.IsInf(ft, 0) && ft <= f+s.ArmijoC*t*slope {
+		if finite(ft) && ft <= f+s.ArmijoC*t*slope {
 			return ft, true
 		}
-		t *= s.Backtrack
+		t = shrink(t, f, slope, ft, s.Backtrack)
 	}
 	return f, false
 }

@@ -110,15 +110,35 @@ func TestGradientDescentQuadratic(t *testing.T) {
 	}
 }
 
+// TestCGBeatsGDIterationsOnIllConditioned: conjugate directions are for
+// bowls where steepest descent zigzags. The bowl needs more than two
+// distinct curvatures for that: on a 2-D one a line search that lands
+// near the 1-D minimizer lets steepest descent finish in three steps (on
+// diag(1, 100) from (50, −50) it beats CG, 3 iterations to 5), so the
+// eigenvalues here spread geometrically over 1…100 in eight dimensions,
+// and CG must win on iterations and on objective evaluations both.
 func TestCGBeatsGDIterationsOnIllConditioned(t *testing.T) {
-	a := linalg.NewDiag(linalg.Vector{1, 100})
-	b := linalg.Vector{1, 100}
-	p := quadratic(a, b)
-	set := Settings{MaxIter: 5000, GradTol: 1e-8}
-	cg := ConjugateGradient(p, linalg.Vector{50, -50}, set)
-	gd := GradientDescent(p, linalg.Vector{50, -50}, set)
-	if cg.Iterations >= gd.Iterations {
-		t.Errorf("CG (%d iters) not faster than GD (%d iters)", cg.Iterations, gd.Iterations)
+	const n = 8
+	diag, x0 := make(linalg.Vector, n), make(linalg.Vector, n)
+	for i := range diag {
+		diag[i] = math.Pow(100, float64(i)/(n-1))
+		x0[i] = 50 - 100*float64(i%2)
+	}
+	base := quadratic(linalg.NewDiag(diag), diag) // minimum at (1, …, 1)
+	evals := 0
+	p := Problem{Eval: func(x linalg.Vector) float64 { evals++; return base.Eval(x) }, Grad: base.Grad}
+	set := Settings{MaxIter: 5000, GradTol: 1e-8, FuncTol: 1e-15}
+	cg := ConjugateGradient(p, x0, set)
+	cgEvals := evals
+	evals = 0
+	gd := GradientDescent(p, x0, set)
+	if 2*cg.Iterations >= gd.Iterations || 2*cgEvals >= evals {
+		t.Errorf("CG (%d iterations, %d evaluations) not twice as fast as GD (%d, %d)", cg.Iterations, cgEvals, gd.Iterations, evals)
+	}
+	for name, res := range map[string]Result{"cg": cg, "gd": gd} {
+		if !res.X.Equal(linalg.ConstVector(n, 1), 1e-3) {
+			t.Errorf("%s stopped at %v (status %v), want all ones", name, res.X, res.Status)
+		}
 	}
 }
 
