@@ -19,8 +19,8 @@ import (
 // projection → posterior fold, in journal order — so a change to how
 // bags are built (or to anything else between the request and the fold)
 // must leave it untouched. Like the kernel constants it is for
-// GOARCH=amd64.
-const goldenPostFeedbackModel = "4325530fae8ff43ecf999d1deaa5efaf1c3c98f545c46cfffc860befcfde2376"
+// GOARCH=amd64 and was last cut for core.KernelVersion 2.
+const goldenPostFeedbackModel = "61f2e6f0ddefd225f02df2fad33ce2062230b7540706ab32cbfe95a4b2c4b232"
 
 func TestGoldenModelDigestThroughStore(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
