@@ -23,8 +23,8 @@ var yahooK40ELBO = []float64{
 	-97792.226, -97418.120, -97110.225, -96844.829, -96608.825, -96395.974,
 }
 
-// stopsAt feeds a trajectory to the default configuration's stop rule and
-// returns the sweep it stops after, 0 if it never does.
+// stopsAt feeds a trajectory to cfg's stop rule and returns the sweep it
+// stops after, 0 if it never does.
 func stopsAt(cfg Config, elbo []float64) int {
 	stop := newStopRule(cfg)
 	for i, e := range elbo {

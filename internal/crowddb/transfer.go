@@ -31,9 +31,9 @@ var ErrArchMismatch = errors.New("crowddb: state was cut on another architecture
 var ErrKernelMismatch = errors.New("crowddb: state was cut by another kernel version")
 
 // checkOrigin accepts a header stamped with this node's architecture and
-// kernel version. A header that predates a stamp carries no value for
-// it: no architecture is accepted, no kernel version means 1, the
-// kernel before the stamp existed.
+// kernel version. A header that predates a stamp leaves its field empty:
+// an empty architecture is accepted as it always was, an empty kernel
+// version means 1, the kernel every binary ran before the stamp existed.
 func checkOrigin(arch string, kernel int) error {
 	if arch != "" && arch != runtime.GOARCH {
 		return fmt.Errorf("%w: %s, this node is %s", ErrArchMismatch, arch, runtime.GOARCH)

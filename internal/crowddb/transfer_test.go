@@ -375,6 +375,20 @@ func TestReplicationKernelMismatchRefused(t *testing.T) {
 	}
 }
 
+// oneTaskArchive is a full backup of a primary that resolved one task,
+// with the manifest it opens with.
+func oneTaskArchive(t *testing.T) ([]byte, BackupManifest) {
+	t.Helper()
+	rig, _, _, ts := backupPrimary(t)
+	rig.resolveOneTask(t, "a task to archive", []float64{4, 2})
+	var raw bytes.Buffer
+	info, err := fetchBackup(t, ts.URL, &raw, -1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw.Bytes(), info.Manifest
+}
+
 // restoreAndVerifyForged rewrites the manifest of a full archive and
 // hands the forgery to restore and to offline verification: both must
 // succeed when refusal is nil and fail with that sentinel otherwise.
@@ -407,18 +421,12 @@ func restoreAndVerifyForged(t *testing.T, raw []byte, forge func(*BackupManifest
 // TestBackupArchMismatchRefused forges manifests the same way for
 // restore and offline verification.
 func TestBackupArchMismatchRefused(t *testing.T) {
-	rig, _, _, ts := backupPrimary(t)
-	rig.resolveOneTask(t, "a task to archive", []float64{4, 2})
-	var raw bytes.Buffer
-	info, err := fetchBackup(t, ts.URL, &raw, -1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Manifest.Arch != runtime.GOARCH {
-		t.Fatalf("manifest stamps arch %q, want %q", info.Manifest.Arch, runtime.GOARCH)
+	raw, manifest := oneTaskArchive(t)
+	if manifest.Arch != runtime.GOARCH {
+		t.Fatalf("manifest stamps arch %q, want %q", manifest.Arch, runtime.GOARCH)
 	}
 	for arch, refusal := range map[string]error{"": nil, runtime.GOARCH: nil, "not-" + runtime.GOARCH: ErrArchMismatch} {
-		restoreAndVerifyForged(t, raw.Bytes(), func(m *BackupManifest) { m.Arch = arch }, refusal)
+		restoreAndVerifyForged(t, raw, func(m *BackupManifest) { m.Arch = arch }, refusal)
 	}
 }
 
@@ -428,18 +436,12 @@ func TestBackupArchMismatchRefused(t *testing.T) {
 // feedback through this binary's arithmetic, miss the manifest's digest
 // and call an honest archive corrupt (ErrBackupDigestMismatch).
 func TestBackupKernelMismatchRefused(t *testing.T) {
-	rig, _, _, ts := backupPrimary(t)
-	rig.resolveOneTask(t, "a task to archive", []float64{4, 2})
-	var raw bytes.Buffer
-	info, err := fetchBackup(t, ts.URL, &raw, -1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Manifest.Kernel != core.KernelVersion {
-		t.Fatalf("manifest stamps kernel %d, want %d", info.Manifest.Kernel, core.KernelVersion)
+	raw, manifest := oneTaskArchive(t)
+	if manifest.Kernel != core.KernelVersion {
+		t.Fatalf("manifest stamps kernel %d, want %d", manifest.Kernel, core.KernelVersion)
 	}
 	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
-		restoreAndVerifyForged(t, raw.Bytes(), func(m *BackupManifest) { m.Kernel = kernel }, refusal)
+		restoreAndVerifyForged(t, raw, func(m *BackupManifest) { m.Kernel = kernel }, refusal)
 	}
 }
 

@@ -183,8 +183,9 @@ func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate 
 		return res
 	}
 
-	var decrease float64 // f before − f after the last accepted step
-	t0 := s.InitialStep  // the first search has no predecessor to learn from
+	// What the last accepted step took off f: none yet, so the first
+	// search starts at InitialStep.
+	decrease := 0.0
 	for iter := 1; iter <= s.MaxIter; iter++ {
 		res.Iterations = iter
 		// Ensure d is a descent direction; restart on failure.
@@ -195,11 +196,8 @@ func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate 
 			}
 			slope = g.Dot(d)
 		}
-		if iter > 1 {
-			t0 = firstTrial(s.InitialStep, decrease, slope)
-		}
 
-		fNew, ok := w.armijo(p, f, slope, t0, s)
+		fNew, ok := w.armijo(p, f, slope, firstTrial(s.InitialStep, decrease, slope), s)
 		if !ok {
 			res.Status = LineSearchFailed
 			return res

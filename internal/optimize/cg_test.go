@@ -66,19 +66,7 @@ func TestCGRandomQuadratics(t *testing.T) {
 }
 
 func TestCGRosenbrock(t *testing.T) {
-	rosen := Problem{
-		Eval: func(x linalg.Vector) float64 {
-			a := 1 - x[0]
-			b := x[1] - x[0]*x[0]
-			return a*a + 100*b*b
-		},
-		Grad: func(x, g linalg.Vector) {
-			b := x[1] - x[0]*x[0]
-			g[0] = -2*(1-x[0]) - 400*x[0]*b
-			g[1] = 200 * b
-		},
-	}
-	res := ConjugateGradient(rosen, linalg.Vector{-1.2, 1}, Settings{MaxIter: 20000, GradTol: 1e-7})
+	res := ConjugateGradient(rosenbrock, linalg.Vector{-1.2, 1}, Settings{MaxIter: 20000, GradTol: 1e-7})
 	if !res.X.Equal(linalg.Vector{1, 1}, 1e-3) {
 		t.Errorf("Rosenbrock: got %v after %d iters (status %v)", res.X, res.Iterations, res.Status)
 	}

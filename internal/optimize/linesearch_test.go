@@ -33,6 +33,12 @@ func record(p Problem) *recorded {
 	return r
 }
 
+// start is a problem with the point a test minimizes it from.
+type start struct {
+	p  Problem
+	x0 linalg.Vector
+}
+
 var rosenbrock = Problem{
 	Eval: func(x linalg.Vector) float64 {
 		a := 1 - x[0]
@@ -67,22 +73,16 @@ func randomQuadratic(rng *rand.Rand) (Problem, int) {
 // t·d = x⁺ − x, so the right-hand side is f(x) + c·∇f(x)ᵀ(x⁺ − x).
 func TestAcceptedStepsSatisfyArmijo(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	problems := map[string]struct {
-		p  Problem
-		x0 linalg.Vector
-	}{
-		"rosenbrock": {rosenbrock, linalg.Vector{-1.2, 1}},
-		"cosh":       {coshBowl(linalg.Vector{1, 2, 3, 4}), linalg.Vector{5, -4, 3, -2}},
-	}
 	q, n := randomQuadratic(rng)
 	x0 := make(linalg.Vector, n)
 	for i := range x0 {
 		x0[i] = 10 * rng.NormFloat64()
 	}
-	problems["quadratic"] = struct {
-		p  Problem
-		x0 linalg.Vector
-	}{q, x0}
+	problems := map[string]start{
+		"rosenbrock": {rosenbrock, linalg.Vector{-1.2, 1}},
+		"cosh":       {coshBowl(linalg.Vector{1, 2, 3, 4}), linalg.Vector{5, -4, 3, -2}},
+		"quadratic":  {q, x0},
+	}
 
 	const c = 1e-4
 	for name, tc := range problems {
@@ -326,10 +326,7 @@ func TestInterleavedProblemsMatchFresh(t *testing.T) {
 	var w Workspace
 	for round := 0; round < 4; round++ {
 		s := Settings{MaxIter: 3 + 4*round}
-		for name, tc := range map[string]struct {
-			p  Problem
-			x0 linalg.Vector
-		}{"steep": {steep, xSteep}, "shallow": {shallow, xShallow}} {
+		for name, tc := range map[string]start{"steep": {steep, xSteep}, "shallow": {shallow, xShallow}} {
 			wantBits, want := fresh(tc.p, tc.x0, s)
 			got := record(tc.p)
 			if bits := resultBits(w.ConjugateGradient(got.Problem, tc.x0, s)); !reflect.DeepEqual(bits, wantBits) {
