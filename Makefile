@@ -123,7 +123,7 @@ fleet:
 # cross-tenant refusal, interleaved crash recovery, the two-tenant
 # failover drill, and the README/route-table agreement check.
 tenants:
-	$(GO) test -race -run 'TestTenant|TestValidTenantName|TestSplitTenantPath|TestUnknownTenant|TestAddTenantValidation|TestMultiTenant|TestClientTenant|TestDefaultJournalHasNoTenantStamps|TestAPIReferenceMatchesMux|TestErrorEnvelope|TestChaosTenantFailover|TestParseTenantsFlag|TestBuildServiceTenants|TestBootGateEnvelope' -v ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/ ./cmd/crowdd/
+	$(GO) test -race -run 'TestTenant|TestValidTenantName|TestSplitTenantPath|TestUnknownTenant|TestAddTenantValidation|TestMultiTenant|TestClientTenant|TestDefaultJournalHasNoTenantStamps|TestAPIReferenceMatchesMux|TestErrorEnvelope|TestGateMatrixByClass|TestMetricsLabel|TestChaosTenantFailover|TestParseTenantsFlag|TestBuildServiceTenants|TestBootGateEnvelope' -v ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/ ./cmd/crowdd/
 
 # The integrity suite (DESIGN.md §14) under the race detector: digest
 # determinism across replay/replication/compaction, the background

@@ -209,10 +209,6 @@ func (c *DigestCutter) Func() DigestFunc { return c.Cut }
 // cut for the request's tenant. 404 when the node has no digest
 // provider wired (no durable store behind the server).
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	fn := s.tenantFor(r).Digest
 	if fn == nil {
 		httpError(w, http.StatusNotFound, errors.New("no integrity digest available on this node"))

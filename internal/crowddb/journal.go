@@ -590,14 +590,15 @@ func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 	}
 }
 
-// decodeScores converts a journal event's string-keyed score map back
-// to worker ids.
+// decodeScores converts a string-keyed score map — a journal event's
+// or a feedback request's — back to worker ids. A key is a decimal
+// worker id and nothing else: "7x" is refused, not read as worker 7.
 func decodeScores(in map[string]float64) (map[int]float64, error) {
 	scores := make(map[int]float64, len(in))
 	for k, v := range in {
-		var id int
-		if _, err := fmt.Sscanf(k, "%d", &id); err != nil {
-			return nil, fmt.Errorf("%w: score key %q", ErrBadRequest, k)
+		id, err := strconv.Atoi(k)
+		if err != nil {
+			return nil, fmt.Errorf("%w: bad worker id %q in scores", ErrBadRequest, k)
 		}
 		scores[id] = v
 	}

@@ -112,6 +112,11 @@ func TestJournalReplayRejectsGarbage(t *testing.T) {
 		"bad score key": frameRecords(`{"kind":"add_worker","worker":0}`, `{"kind":"add_task","task":0}`,
 			`{"kind":"assign","task":0,"workers":[0]}`, `{"kind":"answer","task":0,"worker":0}`,
 			`{"kind":"resolve","task":0,"scores":{"zero":1}}`),
+		// A key is a decimal worker id and nothing else: "0x" must not
+		// replay as a score for worker 0.
+		"score key with a numeric prefix": frameRecords(`{"kind":"add_worker","worker":0}`, `{"kind":"add_task","task":0}`,
+			`{"kind":"assign","task":0,"workers":[0]}`, `{"kind":"answer","task":0,"worker":0}`,
+			`{"kind":"resolve","task":0,"scores":{"0x":1}}`),
 		"task id skew": frameRecords(`{"kind":"add_task","task":7,"text":"x"}`),
 	}
 	for name, payload := range cases {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -85,17 +86,85 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestEndpointLabelNormalizesIDs(t *testing.T) {
+// TestMetricsLabelIsTheRouteTemplate: a request is counted under METHOD
+// + the path template of the row that matched it, so
+// /api/v1/tasks/17/feedback and /api/v1/tasks/99/feedback share one
+// series — whatever the handler (or the 405) then answers.
+func TestMetricsLabelIsTheRouteTemplate(t *testing.T) {
+	mgr, _ := managerFixture(t)
+	srv := NewServer(mgr)
 	cases := map[string]string{
 		"/api/v1/tasks/17/feedback": "POST /api/v1/tasks/{id}/feedback",
 		"/api/v1/tasks/9":           "POST /api/v1/tasks/{id}",
 		"/api/v1/workers/0":         "POST /api/v1/workers/{id}",
 		"/api/v1/stats":             "POST /api/v1/stats",
 	}
+	for path := range cases {
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", path, strings.NewReader("{}")))
+	}
+	snap := srv.Metrics().Snapshot()
 	for path, want := range cases {
-		r := httptest.NewRequest("POST", path, nil)
-		if got := endpointLabel(r); got != want {
-			t.Errorf("endpointLabel(%s) = %q, want %q", path, got, want)
+		if snap.Endpoints[want].Count != 1 {
+			t.Errorf("POST %s: series %q count = %d, want 1 (have %v)", path, want, snap.Endpoints[want].Count, labelsOf(snap))
+		}
+	}
+	if len(snap.Endpoints) != len(cases) {
+		t.Errorf("series = %v, want exactly the %d templates", labelsOf(snap), len(cases))
+	}
+}
+
+func labelsOf(snap MetricsSnapshot) []string {
+	var labels []string
+	for l := range snap.Endpoints {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	return labels
+}
+
+// TestMetricsLabelsAreAFiniteSet: whatever bytes a client puts in the
+// path or the method token, the registry holds only labels spelled from
+// the route table — rows x the methods the table serves (plus OTHER),
+// the {unrouted} and unknown-tenant spellings — and never a byte of the
+// junk. Each series is a histogram kept for the life of the process, so
+// a client-chosen label is an unauthenticated memory leak.
+func TestMetricsLabelsAreAFiniteSet(t *testing.T) {
+	mgr, _ := managerFixture(t)
+	srv := NewServer(mgr)
+	serve := func(method, path string) {
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, nil))
+	}
+	for i := 0; i < 50; i++ {
+		junk := fmt.Sprintf("zq%dzq", i)
+		serve("GET", "/api/v1/tasks/"+junk)
+		serve("GET", "/api/v1/workers/0/"+junk)
+		serve("GET", "/api/v1/t/default/tasks/"+junk+"/answers")
+		serve("GET", "/api/v1/t/nosuch/"+junk)
+		serve("ZQ"+fmt.Sprint(i), "/api/v1/stats")
+	}
+	snap := srv.Metrics().Snapshot()
+	if snap.Requests != 250 {
+		t.Fatalf("requests = %d, want 250", snap.Requests)
+	}
+	methods := 3 // GET, POST, OTHER
+	if limit := (len(routes) + 2) * methods; len(snap.Endpoints) > limit {
+		t.Errorf("%d series after 250 junk requests, want <= %d", len(snap.Endpoints), limit)
+	}
+	for label := range snap.Endpoints {
+		if strings.Contains(strings.ToLower(label), "zq") {
+			t.Errorf("client-chosen bytes minted a series: %q", label)
+		}
+	}
+	want := map[string]int64{
+		"GET /api/v1/tasks/{id}":         50,
+		"GET {unrouted}":                 50,
+		"GET /api/v1/tasks/{id}/answers": 50,
+		"GET /api/v1/t/{tenant}":         50,
+		"OTHER /api/v1/stats":            50,
+	}
+	for label, n := range want {
+		if got := snap.Endpoints[label].Count; got != n {
+			t.Errorf("series %q count = %d, want %d (have %v)", label, got, n, labelsOf(snap))
 		}
 	}
 }

@@ -1,60 +1,165 @@
 package crowddb
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
-// The server's route surface is declared once, here, and consumed
-// twice: NewServer registers the mux from routeRegistrations, and the
-// README's API reference table is generated from APIRoutes (see
-// APIReferenceMarkdown). A test asserts that the two views and the
-// README agree, so a new endpoint cannot ship undocumented.
+// The server's route surface is declared once, in the routes table
+// below (DESIGN §8). ServeHTTP resolves a request to its row before the
+// first gate and takes everything from it: which gates apply (class),
+// the metrics label (METHOD path), the allowed methods of a 405, the
+// {id} parse and the handler. APIRoutes, APIReferenceMarkdown and the
+// README's table are views of the same rows.
 
-// routeRegistrations maps mux patterns to handlers. The catch-all "/"
-// entry turns every unmatched path into an enveloped 404 instead of
-// net/http's plain-text default, keeping the "every non-2xx carries
-// the JSON envelope" contract exhaustive.
-var routeRegistrations = []struct {
-	pattern string
-	handler func(*Server, http.ResponseWriter, *http.Request)
-}{
-	{"/api/v1/tasks", (*Server).handleTasks},
-	{"/api/v1/tasks:batch", (*Server).handleTasksBatch},
-	{"/api/v1/selections", (*Server).handleSelections},
-	{"/api/v1/tasks/", (*Server).handleTaskSubtree},
-	{"/api/v1/workers/", (*Server).handleWorkerSubtree},
-	{"/api/v1/stats", (*Server).handleStats},
-	{"/api/v1/digest", (*Server).handleDigest},
-	{"/api/v1/backup", (*Server).handleBackup},
-	{"/api/v1/query", (*Server).handleQuery},
-	{"/api/v1/metrics", (*Server).handleMetrics},
-	{"/api/v1/topology", (*Server).handleTopology},
-	{"/api/v1/skills:feedback", (*Server).handleSkillFeedback},
-	{"/api/v1/replication/stream", (*Server).handleReplStream},
-	{"/api/v1/replication/promote", (*Server).handlePromote},
-	{"/api/v1/replication/fence", (*Server).handleFence},
-	{"/api/v1/replication/lease", (*Server).handleLease},
-	{"/healthz", (*Server).handleHealthz},
-	{"/readyz", (*Server).handleReadyz},
-	{"/", (*Server).handleFallback},
+// routeClass is which of ServeHTTP's gates a route passes through.
+type routeClass uint8
+
+const (
+	// classRead: readiness, admission, tenant quota and the read budget;
+	// served sealed, on a replica and degraded.
+	classRead routeClass = iota
+	// classMutation: gated like a read but with mutation priority and the
+	// write budget, and refused 409 fenced when sealed, 421 not_primary
+	// on a replica, 503 degraded_read_only while the journal is down.
+	classMutation
+	// classQuery: a read for admission, budget and degraded mode — a
+	// statement may be a pure SELECT, and the store's own gate seals the
+	// mutating ones — but refused like a mutation when sealed or on a
+	// replica.
+	classQuery
+	// classAdmin: fleet administration that must reach replicas (a
+	// promoted standby already knows the layout) and sealed or degraded
+	// nodes (a router can steer around them); admitted and budgeted as a
+	// mutation when it POSTs.
+	classAdmin
+	// classFleet: the fleet plane. Readiness and the fleet token, then
+	// straight to the handler: streams are long-lived by design (no
+	// admission slot, deadline budget or body cap) and promote, fence
+	// and lease must reach nodes that refuse ordinary mutations.
+	classFleet
+	// classProbe: load-balancer probes; no gate at all.
+	classProbe
+)
+
+// route is one row of the table. A path holding {id} is served by
+// serveID, which receives the parsed id; any other by serve.
+type route struct {
+	methods string // "GET", "POST" or "GET, POST": the Allow header of a 405
+	path    string // template, also the metrics label's second half
+	class   routeClass
+	tenant  bool // documented as also served under /api/v1/t/{tenant}/...
+	doc     string
+	serve   func(*Server, http.ResponseWriter, *http.Request)
+	serveID func(*Server, http.ResponseWriter, *http.Request, int)
 }
 
-// handleFallback answers every path no route claims with the enveloped
-// 404, so even typo'd URLs honor the error-envelope contract.
-func (s *Server) handleFallback(w http.ResponseWriter, r *http.Request) {
-	httpError(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+var routes = []route{
+	{"POST", "/api/v1/tasks", classMutation, true, "submit one task, get its selected crowd", (*Server).handleTasks, nil},
+	{"POST", "/api/v1/tasks:batch", classMutation, true, "submit up to 1024 tasks in one round trip", (*Server).handleTasksBatch, nil},
+	{"POST", "/api/v1/selections", classRead, true, "pure selection: rank crowds, store nothing (with scores and task categories on request: the legs of a fleet selection)", (*Server).handleSelections, nil},
+	{"GET", "/api/v1/tasks/{id}", classRead, true, "fetch one task", nil, (*Server).handleGetTask},
+	{"POST", "/api/v1/tasks/{id}/answers", classMutation, true, "record a worker's answer", nil, (*Server).handleAnswer},
+	{"POST", "/api/v1/tasks/{id}/feedback", classMutation, true, "resolve a task with feedback scores", nil, (*Server).handleFeedback},
+	{"GET", "/api/v1/workers/{id}", classRead, true, "fetch one worker", nil, (*Server).handleGetWorker},
+	{"POST", "/api/v1/workers/{id}/presence", classMutation, true, "set a worker online/offline", nil, (*Server).handlePresence},
+	{"GET", "/api/v1/stats", classRead, true, "crowd database counters", (*Server).handleStats, nil},
+	{"GET", "/api/v1/digest", classRead, true, "integrity digest cut at the current applied position", (*Server).handleDigest, nil},
+	{"GET", "/api/v1/backup", classFleet, true, "digest-stamped backup archive stream (full or `?since=` incremental)", (*Server).handleBackup, nil},
+	{"POST", "/api/v1/query", classQuery, true, "run a crowdql statement", (*Server).handleQuery, nil},
+	{"POST", "/api/v1/skills:feedback", classMutation, true, "fold cross-shard feedback into owned posteriors", (*Server).handleSkillFeedback, nil},
+	{"GET", "/api/v1/replication/stream", classFleet, true, "long-lived journal stream for followers", (*Server).handleReplStream, nil},
+	{"GET", "/api/v1/metrics", classRead, false, "node metrics snapshot (all tenants)", (*Server).handleMetrics, nil},
+	{"GET, POST", "/api/v1/topology", classAdmin, false, "fleet topology document (GET) / admin update (POST)", (*Server).handleTopology, nil},
+	{"POST", "/api/v1/replication/promote", classFleet, false, "flip a replica to primary (all tenants)", (*Server).handlePromote, nil},
+	{"POST", "/api/v1/replication/fence", classFleet, false, "deliver a fencing order", (*Server).handleFence, nil},
+	{"POST", "/api/v1/replication/lease", classFleet, false, "renew or seal the supervisor mutation lease", (*Server).handleLease, nil},
+	{"GET", "/healthz", classProbe, false, "liveness probe", (*Server).handleHealthz, nil},
+	{"GET", "/readyz", classProbe, false, "readiness probe (role, fencing, replication lag)", (*Server).handleReadyz, nil},
 }
 
-// registerRoutes wires the route table into the server's mux.
-func (s *Server) registerRoutes() {
-	for _, rt := range routeRegistrations {
-		rt := rt
-		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
-			rt.handler(s, w, r)
-		})
+// allows reports whether the row answers method.
+func (rt *route) allows(method string) bool {
+	for rest := rt.methods; rest != ""; {
+		var m string
+		m, rest, _ = strings.Cut(rest, ", ")
+		if m == method {
+			return true
+		}
+	}
+	return false
+}
+
+// literalRoutes indexes the rows whose path holds no {id}; idRoutes are
+// the others, in table order. Both are derived from the table once: the
+// {id} templates are matched here and not as http.ServeMux wildcards
+// because a mux holding any wildcard pattern routes even literal paths
+// through its tree, which allocates (DESIGN §8 has the numbers).
+var literalRoutes, idRoutes = func() (map[string]*route, []*route) {
+	literal := make(map[string]*route, len(routes))
+	var ids []*route
+	for i := range routes {
+		if rt := &routes[i]; rt.serveID == nil {
+			literal[rt.path] = rt
+		} else {
+			ids = append(ids, rt)
+		}
+	}
+	return literal, ids
+}()
+
+// matchRoute resolves a path (tenant prefix already stripped) to its
+// row and, on an {id} template, the segment standing for the id. A nil
+// row is a path no route claims.
+func matchRoute(path string) (*route, string) {
+	if rt := literalRoutes[path]; rt != nil {
+		return rt, ""
+	}
+	for _, rt := range idRoutes {
+		prefix, suffix, _ := strings.Cut(rt.path, "{id}")
+		if rest, ok := strings.CutPrefix(path, prefix); ok {
+			if seg, ok := strings.CutSuffix(rest, suffix); ok && !strings.Contains(seg, "/") {
+				return rt, seg
+			}
+		}
+	}
+	return nil, ""
+}
+
+// labelMethod spells a request method for a metrics label: itself when
+// some row answers it, "OTHER" otherwise — the method token is the
+// client's to choose, and must not mint series.
+func labelMethod(method string) string {
+	for i := range routes {
+		if routes[i].allows(method) {
+			return method
+		}
+	}
+	return "OTHER"
+}
+
+// dispatch runs the matched row's handler once the gates have passed.
+// It is the one place an unclaimed path becomes the enveloped 404 (so
+// even typo'd URLs honor the error-envelope contract), a wrong method
+// the 405 naming what is allowed, and a non-numeric {id} the 400.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt *route, idSeg string) {
+	switch {
+	case rt == nil:
+		httpError(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+	case !rt.allows(r.Method):
+		w.Header().Set("Allow", rt.methods)
+		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s", rt.methods))
+	case rt.serveID != nil:
+		id, err := strconv.Atoi(idSeg)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad id %q in %s", idSeg, rt.path))
+			return
+		}
+		rt.serveID(s, w, r, id)
+	default:
+		rt.serve(s, w, r)
 	}
 }
 
@@ -63,12 +168,8 @@ type Route struct {
 	// Method is the verb the route answers ("GET", "POST", or
 	// "GET, POST").
 	Method string
-	// Path is the canonical documented path, with {id}/{tenant}
-	// placeholders.
+	// Path is the canonical documented path, with an {id} placeholder.
 	Path string
-	// Pattern is the mux pattern serving the path — several documented
-	// routes can share one subtree pattern.
-	Pattern string
 	// Tenant reports whether the route is tenant-scoped, i.e. also
 	// served under /api/v1/t/{tenant}/....
 	Tenant bool
@@ -76,34 +177,14 @@ type Route struct {
 	Doc string
 }
 
-// APIRoutes is the documented v1 API surface, in reference-table
-// order. Every entry's Pattern must be registered in
-// routeRegistrations (and vice versa for /api patterns) — asserted by
-// TestAPIReferenceMatchesMux.
+// APIRoutes is the documented v1 API surface: the route table, in
+// reference-table order.
 func APIRoutes() []Route {
-	return []Route{
-		{"POST", "/api/v1/tasks", "/api/v1/tasks", true, "submit one task, get its selected crowd"},
-		{"POST", "/api/v1/tasks:batch", "/api/v1/tasks:batch", true, "submit up to 1024 tasks in one round trip"},
-		{"POST", "/api/v1/selections", "/api/v1/selections", true, "pure selection: rank crowds, store nothing (with scores and task categories on request: the legs of a fleet selection)"},
-		{"GET", "/api/v1/tasks/{id}", "/api/v1/tasks/", true, "fetch one task"},
-		{"POST", "/api/v1/tasks/{id}/answers", "/api/v1/tasks/", true, "record a worker's answer"},
-		{"POST", "/api/v1/tasks/{id}/feedback", "/api/v1/tasks/", true, "resolve a task with feedback scores"},
-		{"GET", "/api/v1/workers/{id}", "/api/v1/workers/", true, "fetch one worker"},
-		{"POST", "/api/v1/workers/{id}/presence", "/api/v1/workers/", true, "set a worker online/offline"},
-		{"GET", "/api/v1/stats", "/api/v1/stats", true, "crowd database counters"},
-		{"GET", "/api/v1/digest", "/api/v1/digest", true, "integrity digest cut at the current applied position"},
-		{"GET", "/api/v1/backup", "/api/v1/backup", true, "digest-stamped backup archive stream (full or `?since=` incremental)"},
-		{"POST", "/api/v1/query", "/api/v1/query", true, "run a crowdql statement"},
-		{"POST", "/api/v1/skills:feedback", "/api/v1/skills:feedback", true, "fold cross-shard feedback into owned posteriors"},
-		{"GET", "/api/v1/replication/stream", "/api/v1/replication/stream", true, "long-lived journal stream for followers"},
-		{"GET", "/api/v1/metrics", "/api/v1/metrics", false, "node metrics snapshot (all tenants)"},
-		{"GET, POST", "/api/v1/topology", "/api/v1/topology", false, "fleet topology document (GET) / admin update (POST)"},
-		{"POST", "/api/v1/replication/promote", "/api/v1/replication/promote", false, "flip a replica to primary (all tenants)"},
-		{"POST", "/api/v1/replication/fence", "/api/v1/replication/fence", false, "deliver a fencing order"},
-		{"POST", "/api/v1/replication/lease", "/api/v1/replication/lease", false, "renew or seal the supervisor mutation lease"},
-		{"GET", "/healthz", "/healthz", false, "liveness probe"},
-		{"GET", "/readyz", "/readyz", false, "readiness probe (role, fencing, replication lag)"},
+	out := make([]Route, len(routes))
+	for i, rt := range routes {
+		out[i] = Route{Method: rt.methods, Path: rt.path, Tenant: rt.tenant, Doc: rt.doc}
 	}
+	return out
 }
 
 // APIReferenceMarkdown renders the API reference table embedded in the
@@ -123,19 +204,4 @@ func APIReferenceMarkdown() string {
 	b.WriteString("\nTenant-scoped routes are also served under `/api/v1/t/{tenant}/...`;\n")
 	b.WriteString("the un-prefixed spelling is an exact alias for the `default` tenant.\n")
 	return b.String()
-}
-
-// routePattern resolves which mux pattern would serve path, using a
-// throwaway request — the test-side half of the table/mux agreement
-// check.
-func (s *Server) routePattern(method, path string) (string, error) {
-	r, err := http.NewRequest(method, path, nil)
-	if err != nil {
-		return "", err
-	}
-	_, pattern := s.mux.Handler(r)
-	if pattern == "" {
-		return "", errors.New("no handler")
-	}
-	return pattern, nil
 }

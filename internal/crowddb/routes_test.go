@@ -1,0 +1,135 @@
+package crowddb
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// TestGateMatrixByClass is the contract a route's class makes: one
+// route of each class against every state ServeHTTP gates on. A
+// reviewer who reads a row's class in the route table reads its column
+// here. A cell is the status and envelope code the gate answers; a
+// class's "served" status means the request reached its handler.
+func TestGateMatrixByClass(t *testing.T) {
+	mgr, _ := managerFixture(t)
+
+	type probe struct {
+		class        routeClass
+		method, path string
+		body         string
+		served       int
+	}
+	probes := []probe{
+		{classProbe, "GET", "/healthz", "", 200},
+		{classFleet, "GET", "/api/v1/backup", "", 200},
+		{classAdmin, "POST", "/api/v1/topology", `{"epoch":1,"count":1,"shards":[{"index":0,"url":"http://shard0"}]}`, 200},
+		{classQuery, "POST", "/api/v1/query", `{"q":"SELECT 1"}`, 200},
+		{classRead, "POST", "/api/v1/selections", `{"tasks":[{"text":"index trees","k":2}]}`, 200},
+		{classMutation, "POST", "/api/v1/tasks", `{"text":"index trees","k":2}`, 201},
+	}
+	classes := make(map[routeClass]bool)
+	for _, p := range probes {
+		if rt, _ := matchRoute(p.path); rt == nil || rt.class != p.class {
+			t.Fatalf("%s is not a route of class %d: %+v", p.path, p.class, rt)
+		}
+		classes[p.class] = true
+	}
+	for _, rt := range routes {
+		if !classes[rt.class] {
+			t.Fatalf("class %d of %s has no column in this matrix", rt.class, rt.path)
+		}
+	}
+
+	type cell struct {
+		status int
+		code   string
+	}
+	served := cell{}
+	fenced := cell{http.StatusConflict, "fenced"}
+	notPrimary := cell{http.StatusMisdirectedRequest, "not_primary"}
+	unready := cell{http.StatusServiceUnavailable, "unavailable"}
+	full := cell{http.StatusTooManyRequests, "over_capacity"}
+	overQuota := cell{http.StatusTooManyRequests, "tenant_quota_exceeded"}
+	seal := func(t *testing.T, s *Server) {
+		f := NewFence(nil)
+		if !f.Observe(f.History(), 2, "http://new-primary") || !f.SealedByEpoch() {
+			t.Fatal("fence did not seal")
+		}
+		s.SetFence(f)
+	}
+	replica := func(s *Server) {
+		s.SetRole(RoleReplica)
+		s.SetReplicationStatus(func() ReplicationStatus { return ReplicationStatus{Primary: "http://primary"} })
+	}
+
+	states := []struct {
+		name  string
+		setup func(*testing.T, *Server)
+		// want is indexed like probes: probe, fleet, admin, query, read,
+		// mutation.
+		want [6]cell
+	}{
+		{"baseline", func(*testing.T, *Server) {},
+			[6]cell{served, served, served, served, served, served}},
+		{"not ready", func(_ *testing.T, s *Server) { s.SetReady(false) },
+			[6]cell{served, unready, unready, unready, unready, unready}},
+		{"epoch-sealed", seal,
+			[6]cell{served, served, served, fenced, served, fenced}},
+		{"replica", func(_ *testing.T, s *Server) { replica(s) },
+			[6]cell{served, served, served, notPrimary, served, notPrimary}},
+		{"epoch-sealed replica", func(t *testing.T, s *Server) { seal(t, s); replica(s) },
+			[6]cell{served, served, served, fenced, served, fenced}},
+		{"degraded tenant", func(_ *testing.T, s *Server) { s.SetDegradedCheck(func() bool { return true }) },
+			[6]cell{served, served, served, served, served, {http.StatusServiceUnavailable, "degraded_read_only"}}},
+		{"admission full", func(_ *testing.T, s *Server) {
+			s.SetMaxInFlight(1)
+			for ok := true; ok; ok, _ = s.adm.acquire(true) {
+			}
+		}, [6]cell{served, served, full, full, full, full}},
+		{"tenant over quota", func(t *testing.T, s *Server) {
+			if err := s.SetTenantQuota(DefaultTenant, 1); err != nil || !s.tenants[DefaultTenant].admit() {
+				t.Fatal("could not fill the default tenant's quota", err)
+			}
+		}, [6]cell{served, served, overQuota, overQuota, overQuota, overQuota}},
+		{"no fleet token", func(_ *testing.T, s *Server) { s.SetFleetToken("s3cret") },
+			[6]cell{served, {http.StatusForbidden, "forbidden"}, served, served, served, served}},
+	}
+	for _, st := range states {
+		t.Run(st.name, func(t *testing.T) {
+			srv := NewServer(mgr)
+			srv.SetQueryEngine(fixedEngine{})
+			srv.SetBackupSource(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				writeJSON(w, http.StatusOK, "archive")
+			}))
+			st.setup(t, srv)
+			for i, p := range probes {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(p.method, p.path, strings.NewReader(p.body)))
+				want := st.want[i]
+				if want == served {
+					if rec.Code != p.served {
+						t.Errorf("%s %s = %d (%s), want it served with %d", p.method, p.path, rec.Code, rec.Body, p.served)
+					}
+					continue
+				}
+				var env ErrorEnvelope
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+					t.Errorf("%s %s: body %q is not the envelope: %v", p.method, p.path, rec.Body, err)
+				}
+				if rec.Code != want.status || env.Error.Code != want.code {
+					t.Errorf("%s %s = %d %q, want %d %q", p.method, p.path, rec.Code, env.Error.Code, want.status, want.code)
+				}
+				// Both refusals that a client can act on by going elsewhere
+				// say where.
+				if want == notPrimary || want == fenced {
+					if got := rec.Header().Get("X-Crowdd-Primary"); got == "" {
+						t.Errorf("%s %s: %d without X-Crowdd-Primary", p.method, p.path, rec.Code)
+					}
+				}
+			}
+		})
+	}
+}

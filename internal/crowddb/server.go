@@ -17,21 +17,10 @@ import (
 	"crowdselect/internal/rank"
 )
 
-// Server exposes the crowd manager over a versioned HTTP API:
-//
-//	POST /api/v1/tasks                     {"text": "...", "k": 3}
-//	POST /api/v1/tasks:batch               {"tasks": [{"text": "...", "k": 3}, ...]}
-//	POST /api/v1/selections                {"tasks": [{"text": "...", "k": 3}, ...]}  (pure read: rank, store nothing)
-//	GET  /api/v1/tasks/{id}
-//	POST /api/v1/tasks/{id}/answers        {"worker": 2, "answer": "..."}
-//	POST /api/v1/tasks/{id}/feedback       {"scores": {"2": 4}}
-//	GET  /api/v1/workers/{id}
-//	POST /api/v1/workers/{id}/presence     {"online": false}
-//	GET  /api/v1/stats
-//	POST /api/v1/query                     {"q": "SELECT ..."}
-//	GET  /api/v1/metrics
-//	GET  /api/v1/replication/stream        long-lived journal stream for followers (primary only)
-//	POST /api/v1/replication/promote       flip a replica to primary
+// Server exposes the crowd manager over a versioned HTTP API. The
+// routes table (routes.go) is the one declaration of the surface —
+// methods, paths, which gates each passes — and the README's API
+// reference is generated from it.
 //
 // A node running as a read replica (SetRole) refuses mutations and
 // /api/v1/query with 421 + the not_primary code and an
@@ -43,7 +32,7 @@ import (
 // Tenant-scoped routes live under /api/v1/t/{tenant}/... (DESIGN §13):
 // ServeHTTP strips the tenant prefix before dispatch and threads the
 // tenant through the request context, so every data route serves every
-// tenant from one mux and one metrics series. The un-prefixed /api/v1/*
+// tenant from one table row and one metrics series. The un-prefixed /api/v1/*
 // routes are exact aliases for the "default" tenant, an ordinary entry
 // of the tenant registry. Unknown tenants get 404
 // with the unknown_tenant code; a tenant over its in-flight quota gets
@@ -81,7 +70,6 @@ import (
 // away without dropping in-flight requests. Both probes bypass the
 // load-shedding gate.
 type Server struct {
-	mux        *http.ServeMux
 	metrics    *Metrics
 	logf       func(format string, args ...any) // nil: quiet
 	ready      atomic.Bool
@@ -138,12 +126,11 @@ const statusClientClosedRequest = 499
 // recover state on boot call SetReady(false) before serving and flip
 // it once recovery completes.
 func NewServer(mgr *Manager) *Server {
-	s := &Server{mux: http.NewServeMux(), metrics: NewMetrics(), maxBody: defaultMaxBody}
+	s := &Server{metrics: NewMetrics(), maxBody: defaultMaxBody}
 	s.ready.Store(true)
 	s.tenants = map[string]*tenantEntry{
 		DefaultTenant: {name: DefaultTenant, TenantConfig: TenantConfig{Manager: mgr}},
 	}
-	s.registerRoutes()
 	s.role.Store(RolePrimary)
 	return s
 }
@@ -257,8 +244,6 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 			s.logf("topology updated to epoch %d (%d shards)", doc.Epoch, doc.Count)
 		}
 		writeJSON(w, http.StatusOK, s.Topology())
-	default:
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 	}
 }
 
@@ -277,10 +262,6 @@ type skillFeedbackRequest struct {
 }
 
 func (s *Server) handleSkillFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	var req skillFeedbackRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -289,14 +270,10 @@ func (s *Server) handleSkillFeedback(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errors.New("empty task text"))
 		return
 	}
-	scores := make(map[int]float64, len(req.Scores))
-	for k, v := range req.Scores {
-		wid, err := strconv.Atoi(k)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad worker id %q", k))
-			return
-		}
-		scores[wid] = v
+	scores, err := decodeScores(req.Scores)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	forwardOf := -1
 	if req.Task != nil {
@@ -332,7 +309,7 @@ func (s *Server) writeShardErr(w http.ResponseWriter, r *http.Request, err error
 	httpErrorCode(w, http.StatusMisdirectedRequest, codeWrongShard, wse)
 }
 
-// refuseUnownedTask gates the /tasks/{id} subtree on a sharded node:
+// refuseUnownedTask gates the /tasks/{id} routes on a sharded node:
 // a task homed elsewhere gets the typed 421 so the caller re-routes.
 // Reports true when the request was refused.
 func (s *Server) refuseUnownedTask(w http.ResponseWriter, r *http.Request, id int) bool {
@@ -478,10 +455,6 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 // mutations are accepted. Idempotent — promoting a primary reports
 // its status with 200.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	if s.fence != nil {
 		if st := s.fence.Status(); st.Sealed && st.SealedBy == "epoch" {
 			// A node deposed by epoch cannot be promoted in place — a
@@ -528,10 +501,6 @@ type FenceResponse struct {
 }
 
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	if s.fence == nil {
 		httpError(w, http.StatusNotImplemented, errors.New("fencing not configured"))
 		return
@@ -564,10 +533,6 @@ type LeaseRequest struct {
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	if s.fence == nil {
 		httpError(w, http.StatusNotImplemented, errors.New("fencing not configured"))
 		return
@@ -672,10 +637,6 @@ type queryRequest struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	query := s.tenantFor(r).Query
 	if query == nil {
 		httpError(w, http.StatusNotImplemented, errors.New("query engine not configured"))
@@ -697,22 +658,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// isMutation classifies a request for shedding priority, deadline
-// budgets and the degraded-mode gate. POSTs mutate the crowd database
-// — except /api/v1/selections (a pure model read) and /api/v1/query
-// (may be a pure SELECT; its mutating statements are sealed by the
-// store's own gate in degraded mode).
-func isMutation(r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		return false
-	}
-	switch r.URL.Path {
-	case "/api/v1/selections", "/api/v1/query":
-		return false
-	}
-	return true
-}
-
 // parentCtxKey carries the pre-budget request context so the error
 // mapper can tell a server-imposed deadline (503 deadline_exceeded,
 // overload signal) from a client disconnect (499).
@@ -729,17 +674,18 @@ func serverDeadlineFired(ctx context.Context) bool {
 }
 
 // ServeHTTP implements http.Handler. It is the middleware shell: strip
-// the /api/v1/t/{tenant} prefix into the request context, run the
-// readiness, degraded-mode, admission and tenant-quota gates, arm the
-// deadline budget, cap the request body, route, then record
-// status/latency per endpoint (one label for both spellings of a
-// tenant route) and turn handler panics into 500s.
+// the /api/v1/t/{tenant} prefix into the request context, resolve the
+// route once, run the gates the row's class names — readiness, fleet
+// token, seal, role, degraded mode, admission, tenant quota — arm the
+// deadline budget, cap the request body, dispatch, then record
+// status/latency under the row's label (one label for both spellings of
+// a tenant route) and turn handler panics into 500s.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w}
-	// label overrides the per-path metrics series where the path is
-	// client-chosen: arbitrary request paths must not mint unbounded
-	// label cardinality.
+	// label is METHOD + the matched row's path template, or one of two
+	// fixed spellings where no row matched: nothing the client chose
+	// beyond which row it hit reaches the metrics registry.
 	var label string
 	defer func() {
 		if p := recover(); p != nil {
@@ -751,14 +697,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		status := sw.status()
-		if label == "" && status == http.StatusNotFound {
-			if _, pattern := s.mux.Handler(r); pattern == "/" {
-				label = r.Method + " {unrouted}"
-			}
-		}
-		if label == "" {
-			label = endpointLabel(r)
-		}
 		s.metrics.Observe(label, status, time.Since(start))
 		if s.logf != nil {
 			s.logf("%s %s -> %d (%s)", r.Method, r.URL.Path, status, time.Since(start).Round(time.Microsecond))
@@ -777,112 +715,111 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sw.Header().Set("X-Crowdd-Fencing-Epoch", strconv.FormatUint(s.fence.ObservedEpoch(), 10))
 		sw.Header().Set("X-Crowdd-History", s.fence.History())
 	}
-	if probe := r.URL.Path == "/healthz" || r.URL.Path == "/readyz"; !probe {
-		// Tenant rewrite, before every gate: /api/v1/t/{name}/rest
-		// becomes /api/v1/rest with the tenant in the request context,
-		// so tenant-scoped and default spellings share one mux, one
-		// handler and one metrics series.
-		ten := s.tenants[DefaultTenant]
-		if name, v1, scoped := splitTenantPath(r.URL.Path); scoped {
-			e := s.tenants[name]
-			if e == nil {
-				label = r.Method + " /api/v1/t/{tenant}"
-				httpErrorCode(sw, http.StatusNotFound, codeUnknownTenant,
-					fmt.Errorf("unknown tenant %q", name))
-				return
-			}
-			ten = e
-			r = r.Clone(context.WithValue(r.Context(), tenantCtxKey{}, name))
-			r.URL.Path = v1
-		}
-		ten.requests.Add(1)
-		if !s.ready.Load() {
-			sw.Header().Set("Retry-After", "1")
-			httpError(sw, http.StatusServiceUnavailable, errors.New("service not ready"))
+	// Tenant rewrite, before the route is resolved: /api/v1/t/{name}/rest
+	// becomes /api/v1/rest with the tenant in the request context, so
+	// tenant-scoped and default spellings share one row, one handler and
+	// one metrics series.
+	ten := s.tenants[DefaultTenant]
+	if name, v1, scoped := splitTenantPath(r.URL.Path); scoped {
+		if ten = s.tenants[name]; ten == nil {
+			label = labelMethod(r.Method) + " /api/v1/t/{tenant}"
+			httpErrorCode(sw, http.StatusNotFound, codeUnknownTenant,
+				fmt.Errorf("unknown tenant %q", name))
 			return
 		}
-		if strings.HasPrefix(r.URL.Path, "/api/v1/replication/") || r.URL.Path == "/api/v1/backup" {
-			// Replication traffic manages its own lifetime: the stream
-			// is long-lived by design (no admission slot, no deadline
-			// budget, no body cap) and promote must reach a replica that
-			// refuses ordinary mutations. It is also the fleet-control
-			// surface — fence, lease, promote move a fleet's write
-			// availability — so it sits behind the fleet token. Backup
-			// streams are the same kind of bulk fleet-plane transfer and
-			// get the same treatment.
-			if !s.fleetAuthorized(r) {
-				httpErrorCode(sw, http.StatusForbidden, codeForbidden,
-					errors.New("fleet control requires the fleet token (Authorization: Bearer ...)"))
-				return
-			}
-			s.mux.ServeHTTP(sw, r)
-			return
-		}
-		mutation := isMutation(r)
-		// Topology updates are fleet admin, not data: they must reach
-		// replicas (so a promoted standby already knows the layout) and
-		// degraded nodes (so a router can steer around them), like
-		// promote does.
-		topoAdmin := r.URL.Path == "/api/v1/topology"
-		if s.fence != nil && (mutation || r.URL.Path == "/api/v1/query") && !topoAdmin && s.fence.Sealed() {
-			// Sealed node: refuse every mutation with the typed 409 and
-			// the new-primary hint. Checked before the replica gate — a
-			// fenced node's 421 would point at a deposed primary.
-			s.fence.Refuse(sw, errors.New("mutations are sealed on a fenced node"))
-			return
-		}
-		if s.Role() == RoleReplica && (mutation || r.URL.Path == "/api/v1/query") && !topoAdmin {
-			if s.replStatus != nil {
-				if p := s.replStatus().Primary; p != "" {
-					sw.Header().Set("X-Crowdd-Primary", p)
-				}
-			}
-			httpErrorCode(sw, http.StatusMisdirectedRequest, codeNotPrimary,
-				errors.New("this node is a read replica; send writes to the primary"))
-			return
-		}
-		if mutation && !topoAdmin && ten.degraded() {
-			httpErrorCode(sw, http.StatusServiceUnavailable, codeDegradedReadOnly,
-				errors.New("journal unavailable: mutations sealed, reads still served"))
-			return
-		}
-		if s.adm != nil {
-			ok, retryAfter := s.adm.acquire(mutation)
-			if !ok {
-				s.metrics.ObserveShed(mutation)
-				sw.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-				httpError(sw, http.StatusTooManyRequests, errors.New("server at capacity"))
-				return
-			}
-			defer func() {
-				overloaded := serverDeadlineFired(r.Context())
-				if overloaded {
-					s.metrics.ObserveDeadlineOverrun()
-				}
-				s.adm.release(time.Since(start), overloaded)
-			}()
-		}
-		// Per-tenant quota, after the node-wide admission gate: a noisy
-		// tenant sheds on its own budget before it can crowd out the
-		// others' share of the node's capacity.
-		if !ten.admit() {
-			sw.Header().Set("Retry-After", "1")
-			httpErrorCode(sw, http.StatusTooManyRequests, codeTenantQuotaExceeded,
-				fmt.Errorf("tenant %q is over its in-flight quota", ten.name))
-			return
-		}
-		defer ten.release()
-		if budget := s.budgetFor(mutation); budget > 0 {
-			parent := r.Context()
-			ctx, cancel := context.WithTimeout(context.WithValue(parent, parentCtxKey{}, parent), budget)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		if r.Method == http.MethodPost {
-			r.Body = http.MaxBytesReader(sw, r.Body, s.maxBody)
-		}
+		r = r.Clone(context.WithValue(r.Context(), tenantCtxKey{}, name))
+		r.URL.Path = v1
 	}
-	s.mux.ServeHTTP(sw, r)
+	// A path no row claims is gated as a read and answered 404 by
+	// dispatch.
+	rt, idSeg := matchRoute(r.URL.Path)
+	class, path := classRead, "{unrouted}"
+	if rt != nil {
+		class, path = rt.class, rt.path
+	}
+	label = labelMethod(r.Method) + " " + path
+	if class == classProbe {
+		s.dispatch(sw, r, rt, idSeg)
+		return
+	}
+	ten.requests.Add(1)
+	if !s.ready.Load() {
+		sw.Header().Set("Retry-After", "1")
+		httpError(sw, http.StatusServiceUnavailable, errors.New("service not ready"))
+		return
+	}
+	if class == classFleet {
+		if !s.fleetAuthorized(r) {
+			httpErrorCode(sw, http.StatusForbidden, codeForbidden,
+				errors.New("fleet control requires the fleet token (Authorization: Bearer ...)"))
+			return
+		}
+		s.dispatch(sw, r, rt, idSeg)
+		return
+	}
+	// mutation is the request's shedding priority and budget; writes
+	// says it may change the crowd database, which a sealed node or a
+	// replica must not.
+	mutation := class == classMutation || (class == classAdmin && r.Method == http.MethodPost)
+	writes := class == classMutation || class == classQuery
+	if s.fence != nil && writes && s.fence.Sealed() {
+		// Sealed node: refuse every mutation with the typed 409 and
+		// the new-primary hint. Checked before the replica gate — a
+		// fenced node's 421 would point at a deposed primary.
+		s.fence.Refuse(sw, errors.New("mutations are sealed on a fenced node"))
+		return
+	}
+	if writes && s.Role() == RoleReplica {
+		if s.replStatus != nil {
+			if p := s.replStatus().Primary; p != "" {
+				sw.Header().Set("X-Crowdd-Primary", p)
+			}
+		}
+		httpErrorCode(sw, http.StatusMisdirectedRequest, codeNotPrimary,
+			errors.New("this node is a read replica; send writes to the primary"))
+		return
+	}
+	if class == classMutation && ten.degraded() {
+		httpErrorCode(sw, http.StatusServiceUnavailable, codeDegradedReadOnly,
+			errors.New("journal unavailable: mutations sealed, reads still served"))
+		return
+	}
+	if s.adm != nil {
+		ok, retryAfter := s.adm.acquire(mutation)
+		if !ok {
+			s.metrics.ObserveShed(mutation)
+			sw.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+			httpError(sw, http.StatusTooManyRequests, errors.New("server at capacity"))
+			return
+		}
+		defer func() {
+			overloaded := serverDeadlineFired(r.Context())
+			if overloaded {
+				s.metrics.ObserveDeadlineOverrun()
+			}
+			s.adm.release(time.Since(start), overloaded)
+		}()
+	}
+	// Per-tenant quota, after the node-wide admission gate: a noisy
+	// tenant sheds on its own budget before it can crowd out the
+	// others' share of the node's capacity.
+	if !ten.admit() {
+		sw.Header().Set("Retry-After", "1")
+		httpErrorCode(sw, http.StatusTooManyRequests, codeTenantQuotaExceeded,
+			fmt.Errorf("tenant %q is over its in-flight quota", ten.name))
+		return
+	}
+	defer ten.release()
+	if budget := s.budgetFor(mutation); budget > 0 {
+		parent := r.Context()
+		ctx, cancel := context.WithTimeout(context.WithValue(parent, parentCtxKey{}, parent), budget)
+		defer cancel()
+		r = r.WithContext(ctx)
+	}
+	if r.Method == http.MethodPost {
+		r.Body = http.MaxBytesReader(sw, r.Body, s.maxBody)
+	}
+	s.dispatch(sw, r, rt, idSeg)
 }
 
 // budgetFor picks the deadline budget for a request class.
@@ -926,29 +863,7 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// endpointLabel normalizes a request to its route pattern — numeric
-// path segments collapse to {id} so /api/v1/tasks/17/feedback and
-// /api/v1/tasks/99/feedback share one metrics series. The tenant
-// prefix was stripped before this runs, so every tenant lands on the
-// same series.
-func endpointLabel(r *http.Request) string {
-	segs := strings.Split(r.URL.Path, "/")
-	for i, seg := range segs {
-		if seg == "" {
-			continue
-		}
-		if _, err := strconv.Atoi(seg); err == nil {
-			segs[i] = "{id}"
-		}
-	}
-	return r.Method + " " + strings.Join(segs, "/")
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	snap := s.metrics.Snapshot()
 	if s.durability != nil {
 		d := s.durability()
@@ -1031,10 +946,6 @@ type BatchSubmitResponse struct {
 }
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	var req SubmitRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -1059,10 +970,6 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTasksBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	var req BatchSubmitRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -1152,10 +1059,6 @@ func scoredSelections(scored [][]rank.Item, model string) SelectionsResponse {
 // degraded read-only mode — the property the paper's selection queries
 // need (§5.3: a selection needs only the last committed projection).
 func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	var req BatchSubmitRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -1244,98 +1147,80 @@ type feedbackRequest struct {
 	Scores map[string]float64 `json:"scores"`
 }
 
-func (s *Server) handleTaskSubtree(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/tasks/")
-	parts := strings.Split(rest, "/")
-	id, err := strconv.Atoi(parts[0])
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad task id %q", parts[0]))
-		return
-	}
+func (s *Server) handleGetTask(w http.ResponseWriter, r *http.Request, id int) {
 	if s.refuseUnownedTask(w, r, id) {
 		return
 	}
-	mgr := s.tenantFor(r).Manager
-	switch {
-	case len(parts) == 1 && r.Method == http.MethodGet:
-		task, err := mgr.Store().GetTask(id)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, task)
-	case len(parts) == 2 && parts[1] == "answers" && r.Method == http.MethodPost:
-		var req answerRequest
-		if !s.decodeJSON(w, r, &req) {
-			return
-		}
-		if err := mgr.CollectAnswer(id, req.Worker, req.Answer); err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case len(parts) == 2 && parts[1] == "feedback" && r.Method == http.MethodPost:
-		var req feedbackRequest
-		if !s.decodeJSON(w, r, &req) {
-			return
-		}
-		scores := make(map[int]float64, len(req.Scores))
-		for k, v := range req.Scores {
-			wid, err := strconv.Atoi(k)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad worker id %q", k))
-				return
-			}
-			scores[wid] = v
-		}
-		rec, err := mgr.ResolveTask(r.Context(), id, scores)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, rec)
-	default:
-		httpError(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+	task, err := s.tenantFor(r).Manager.Store().GetTask(id)
+	if err != nil {
+		writeErr(w, r, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, task)
+}
+
+func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id int) {
+	if s.refuseUnownedTask(w, r, id) {
+		return
+	}
+	var req answerRequest
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	if err := s.tenantFor(r).Manager.CollectAnswer(id, req.Worker, req.Answer); err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, id int) {
+	if s.refuseUnownedTask(w, r, id) {
+		return
+	}
+	var req feedbackRequest
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	scores, err := decodeScores(req.Scores)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	rec, err := s.tenantFor(r).Manager.ResolveTask(r.Context(), id, scores)
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, rec)
 }
 
 type presenceRequest struct {
 	Online bool `json:"online"`
 }
 
-func (s *Server) handleWorkerSubtree(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/workers/")
-	parts := strings.Split(rest, "/")
-	id, err := strconv.Atoi(parts[0])
+func (s *Server) handleGetWorker(w http.ResponseWriter, r *http.Request, id int) {
+	worker, err := s.tenantFor(r).Manager.Store().GetWorker(id)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad worker id %q", parts[0]))
+		writeErr(w, r, err)
 		return
 	}
-	mgr := s.tenantFor(r).Manager
-	switch {
-	case len(parts) == 1 && r.Method == http.MethodGet:
-		worker, err := mgr.Store().GetWorker(id)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, worker)
-	case len(parts) == 2 && parts[1] == "presence" && r.Method == http.MethodPost:
-		if s.refuseUnownedWorker(w, r, id) {
-			return
-		}
-		var req presenceRequest
-		if !s.decodeJSON(w, r, &req) {
-			return
-		}
-		if err := mgr.Store().SetOnline(id, req.Online); err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		httpError(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+	writeJSON(w, http.StatusOK, worker)
+}
+
+func (s *Server) handlePresence(w http.ResponseWriter, r *http.Request, id int) {
+	if s.refuseUnownedWorker(w, r, id) {
+		return
 	}
+	var req presenceRequest
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	if err := s.tenantFor(r).Manager.Store().SetOnline(id, req.Online); err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // StatsResponse is the body of GET /api/v1/stats: crowd database
@@ -1351,10 +1236,6 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	mgr := s.tenantFor(r).Manager
 	st := mgr.Store()
 	writeJSON(w, http.StatusOK, StatsResponse{

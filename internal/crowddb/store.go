@@ -541,11 +541,7 @@ func (s *Store) Resolve(taskID int, scores map[int]float64) (TaskRecord, error) 
 		s.workers[a.Worker].Resolved++
 	}
 	t.Status = TaskResolved
-	logScores := make(map[string]float64, len(scores))
-	for w, sc := range scores {
-		logScores[fmt.Sprint(w)] = sc
-	}
-	return cloneTask(t), s.logEvent(event{Kind: evResolve, Task: taskID, Scores: logScores})
+	return cloneTask(t), s.logEvent(event{Kind: evResolve, Task: taskID, Scores: encodeScores(scores)})
 }
 
 func cloneTask(t *TaskRecord) TaskRecord {

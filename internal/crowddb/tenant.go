@@ -59,17 +59,6 @@ func splitTenantPath(path string) (name, v1 string, ok bool) {
 // after the tenant rewrite; absent means the default tenant.
 type tenantCtxKey struct{}
 
-// TenantOf reports which tenant a request addresses after the tenant
-// rewrite ran — DefaultTenant for un-prefixed paths. Handlers behind
-// the Server's middleware may call it; it is also useful to custom
-// QueryEngine implementations.
-func TenantOf(r *http.Request) string {
-	if name, ok := r.Context().Value(tenantCtxKey{}).(string); ok {
-		return name
-	}
-	return DefaultTenant
-}
-
 // TenantConfig is one tenant's vertical slice as the Server sees it:
 // AddTenant registers a named tenant from it, and NewServer plus the
 // Set* methods fill the same struct for the default tenant. Only

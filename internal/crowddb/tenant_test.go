@@ -554,46 +554,48 @@ func TestAddTenantValidation(t *testing.T) {
 	}
 }
 
-// TestAPIReferenceMatchesMux: every documented route resolves on the
-// live mux to exactly the pattern the table claims, every registered
-// /api pattern is documented, and the README embeds the generated
-// table verbatim — the three views cannot drift apart.
+// TestAPIReferenceMatchesMux: every documented (method, path) is served
+// through ServeHTTP by its own row of the route table — under the
+// tenant prefix too, where the row says so — every row is documented,
+// and the README embeds the generated table verbatim: the views cannot
+// drift apart.
 func TestAPIReferenceMatchesMux(t *testing.T) {
 	mgr, _ := managerFixture(t)
 	srv := NewServer(mgr)
 
-	sample := func(path string) string {
-		path = strings.ReplaceAll(path, "{id}", "1")
-		return path
-	}
-	documented := make(map[string]bool)
-	for _, rt := range APIRoutes() {
-		documented[rt.Pattern] = true
-		for _, method := range strings.Split(rt.Method, ", ") {
-			got, err := srv.routePattern(method, sample(rt.Path))
-			if err != nil {
-				t.Errorf("%s %s: %v", method, rt.Path, err)
-				continue
-			}
-			if got != rt.Pattern {
-				t.Errorf("%s %s served by pattern %q, documented as %q", method, rt.Path, got, rt.Pattern)
+	// A request is counted under METHOD + the path of the row that
+	// served it, so the metrics series names the row.
+	served := func(method, path string) (label string, status int) {
+		before := srv.Metrics().Snapshot().Endpoints
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		for l, ep := range srv.Metrics().Snapshot().Endpoints {
+			if ep.Count == before[l].Count+1 {
+				label = l
 			}
 		}
-		// Tenant-scoped rows must also resolve through the tenant
-		// rewrite; spot-check via splitTenantPath, which ServeHTTP uses.
+		return label, rec.Code
+	}
+	documented := APIRoutes()
+	if len(documented) != len(routes) {
+		t.Fatalf("APIRoutes() documents %d routes, the table holds %d", len(documented), len(routes))
+	}
+	for i, rt := range documented {
+		if rt.Path != routes[i].path || rt.Method != routes[i].methods {
+			t.Errorf("APIRoutes()[%d] = %s %s, table row is %s %s", i, rt.Method, rt.Path, routes[i].methods, routes[i].path)
+		}
+		sample := strings.ReplaceAll(rt.Path, "{id}", "1")
+		spellings := []string{sample}
 		if rt.Tenant {
-			scoped := "/api/v1/t/default" + strings.TrimPrefix(sample(rt.Path), "/api/v1")
-			if _, v1, ok := splitTenantPath(scoped); !ok || v1 != sample(rt.Path) {
-				t.Errorf("%s does not round-trip the tenant rewrite (got %q, %v)", rt.Path, v1, ok)
+			spellings = append(spellings, "/api/v1/t/default"+strings.TrimPrefix(sample, "/api/v1"))
+		}
+		for _, method := range strings.Split(rt.Method, ", ") {
+			for _, path := range spellings {
+				label, status := served(method, path)
+				if want := method + " " + rt.Path; label != want || status == http.StatusMethodNotAllowed {
+					t.Errorf("%s %s served as %q with status %d, documented as %q", method, path, label, status, want)
+				}
 			}
-		}
-	}
-	for _, reg := range routeRegistrations {
-		if reg.pattern == "/" {
-			continue // catch-all 404, not an API route
-		}
-		if !documented[reg.pattern] {
-			t.Errorf("registered pattern %q is undocumented in APIRoutes", reg.pattern)
 		}
 	}
 

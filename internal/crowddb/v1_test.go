@@ -53,51 +53,73 @@ func TestErrorEnvelope(t *testing.T) {
 		do       func() *http.Response
 		status   int
 		wantCode string
+		allow    string // the Allow header a 405 must carry
 	}{
 		{"empty text", func() *http.Response {
 			return postJSON(t, ts+"/api/v1/tasks", map[string]any{"text": " "})
-		}, http.StatusBadRequest, "bad_request"},
+		}, http.StatusBadRequest, "bad_request", ""},
 		{"missing task", func() *http.Response {
 			resp, err := http.Get(ts + "/api/v1/tasks/999")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, http.StatusNotFound, "not_found"},
+		}, http.StatusNotFound, "not_found", ""},
 		{"wrong method", func() *http.Response {
 			resp, err := http.Get(ts + "/api/v1/tasks")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, http.StatusMethodNotAllowed, "method_not_allowed"},
+		}, http.StatusMethodNotAllowed, "method_not_allowed", "POST"},
+		{"wrong method on an {id} route", func() *http.Response {
+			return postJSON(t, ts+"/api/v1/tasks/5", map[string]any{})
+		}, http.StatusMethodNotAllowed, "method_not_allowed", "GET"},
+		{"wrong method below an {id}", func() *http.Response {
+			resp, err := http.Get(ts + "/api/v1/t/default/tasks/5/answers")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}, http.StatusMethodNotAllowed, "method_not_allowed", "POST"},
+		{"wrong method on a two-method route", func() *http.Response {
+			req, err := http.NewRequest(http.MethodDelete, ts+"/api/v1/topology", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}, http.StatusMethodNotAllowed, "method_not_allowed", "GET, POST"},
 		{"query unconfigured", func() *http.Response {
 			return postJSON(t, ts+"/api/v1/query", map[string]any{"q": "SELECT X"})
-		}, http.StatusNotImplemented, "not_implemented"},
+		}, http.StatusNotImplemented, "not_implemented", ""},
 		{"empty batch", func() *http.Response {
 			return postJSON(t, ts+"/api/v1/tasks:batch", map[string]any{"tasks": []any{}})
-		}, http.StatusBadRequest, "bad_request"},
+		}, http.StatusBadRequest, "bad_request", ""},
 		{"unrouted path", func() *http.Response {
 			resp, err := http.Get(ts + "/api/v1/nonexistent")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, http.StatusNotFound, "not_found"},
+		}, http.StatusNotFound, "not_found", ""},
 		{"root path", func() *http.Response {
 			resp, err := http.Get(ts + "/completely/elsewhere")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, http.StatusNotFound, "not_found"},
+		}, http.StatusNotFound, "not_found", ""},
 		{"unknown tenant", func() *http.Response {
 			resp, err := http.Get(ts + "/api/v1/t/nosuch/stats")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, http.StatusNotFound, "unknown_tenant"},
+		}, http.StatusNotFound, "unknown_tenant", ""},
 	}
 	for _, c := range cases {
 		resp := c.do()
@@ -110,6 +132,10 @@ func TestErrorEnvelope(t *testing.T) {
 		// clients dispatch on the code without sniffing bodies.
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: Content-Type = %q, want application/json", c.name, ct)
+		}
+		// RFC 9110 §15.5.6: a 405 names the methods the resource allows.
+		if got := resp.Header.Get("Allow"); got != c.allow {
+			t.Errorf("%s: Allow = %q, want %q", c.name, got, c.allow)
 		}
 		env := decode[ErrorEnvelope](t, resp)
 		if env.Error.Code != c.wantCode {
