@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race allocs kernel experiments bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
+.PHONY: fmt build vet test race allocs kernel experiments expdiff bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
 
 # Formatting gate: fails, naming the files, if gofmt would rewrite any.
 fmt:
@@ -40,14 +40,17 @@ allocs:
 	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core ./internal/crowddb
 
 # The projection kernel's two layer numbers, six readings each: a cold
-# Model.Project (time, the 2 allocations it returns, and evals/op and
-# grads/op — how often a projection evaluates the task objective and its
-# gradient) and one training sweep, whose E-step runs the same kernel.
-# Run it on both sides of any change under internal/core/estep.go or
-# internal/optimize, alternating, with nothing else running: the counts
-# repeat exactly, the times do not (not a CI gate).
+# Model.Project (time, the 2 allocations it returns, and evals/op, grads/op
+# and exps/op — how often a projection evaluates the task objective and its
+# gradient and how many exponentials it takes) and one training sweep,
+# whose E-step runs the same kernel; then the kernel's own exponential
+# beside math.Exp, on independent operands and on chained ones.
+# Run it on both sides of any change under internal/core/estep.go,
+# internal/core/exp.go or internal/optimize, alternating, with nothing else
+# running: the counts repeat exactly, the times do not (not a CI gate).
 kernel:
 	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep' -benchmem -count 6 ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkExp' -count 3 ./internal/core
 
 # Regenerate experiments_run.txt, the raw output EXPERIMENTS.md's tables
 # are copied from (≈ 2–3 min; every table, figure and ablation at a
@@ -56,6 +59,15 @@ kernel:
 # core.KernelVersion; the F4/F6/F8 timings in it are this host's.
 experiments:
 	$(GO) run ./cmd/crowdbench -exp all -scale 0.25 -testtasks 2000 > experiments_run.txt
+
+# EXPERIMENTS.md Note 4 as a program: the regenerated experiments_run.txt
+# in the working copy against the committed one. Prints the cells that
+# moved and fails when a TDPM ACCU / Top1 / Top2 cell moved by more than
+# 0.02, a platform's mean TDPM ACCU fell by more than 0.005 or anything but
+# a TDPM cell or a timing differs. Run it after `make experiments`,
+# before committing the file.
+expdiff:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && git show HEAD:experiments_run.txt > "$$tmp" && $(GO) run ./tools/expdiff "$$tmp" experiments_run.txt
 
 # The repository benchmark is a module of its own (bench/go.mod), so
 # ./... above never reaches its tests: schema agreement with

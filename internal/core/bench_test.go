@@ -51,10 +51,11 @@ var sinkCategory TaskCategory
 
 // BenchmarkProject is Algorithm 3's first phase alone. miss is the
 // kernel (Model.Project over 512 distinct task bags, no cache in
-// front), with the mean number of objective and gradient evaluations a
-// projection of those bags makes (counted after the clock stops, on a
-// scratch whose solver is wrapped; evals/op ÷ grads/op ≈ Armijo trials
-// per CG iteration, all but one of them rejected); hit is the same
+// front), with the mean number of objective and gradient evaluations and
+// of exponentials a projection of those bags makes (counted after the
+// clock stops, on a scratch whose solver is wrapped; evals/op ÷ grads/op
+// ≈ Armijo trials per CG iteration, all but one of them rejected; exps/op
+// is the count that repeats when the microseconds do not); hit is the same
 // call answered by the ConcurrentModel's projection cache (key, lookup,
 // defensive clone).
 func BenchmarkProject(b *testing.B) {
@@ -65,12 +66,18 @@ func BenchmarkProject(b *testing.B) {
 			sinkCategory = m.Project(bags[i%len(bags)])
 		}
 		b.StopTimer()
-		sc, evals, grads := countingScratch()
+		sc, evals, grads, points := countingScratch()
 		for _, bag := range bags {
 			m.projectWith(sc, bag)
 		}
 		b.ReportMetric(float64(*evals)/float64(len(bags)), "evals/op")
 		b.ReportMetric(float64(*grads)/float64(len(bags)), "grads/op")
+		// Exponentials: 2K (ν² and e^{λ+ν²/2}) at every point the objective
+		// moves to, and 3K in each round of a bag with a known term, as all
+		// of these have — e^λ for φ, ε, and ν² read back from ρ. Through
+		// KernelVersion 2 a round took K more per distinct term.
+		exps := m.K * (2**points + 3*m.projectInner()*len(bags))
+		b.ReportMetric(float64(exps)/float64(len(bags)), "exps/op")
 	})
 	b.Run("hit", func(b *testing.B) {
 		cm := NewConcurrentModel(m)
@@ -96,7 +103,7 @@ func BenchmarkTrainSweep(b *testing.B) {
 		tr.updateTasks()
 		tr.updateWorkers()
 		tr.mStep()
-		if err := tr.m.refreshInverses(); err != nil {
+		if err := tr.m.refreshDerived(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,4 +211,48 @@ func BenchmarkProjectTolerance(b *testing.B) {
 			report = nil
 		})
 	}
+}
+
+var sinkFloat float64
+
+// BenchmarkExp reads the kernel's exponential beside math.Exp twice: on
+// independent operands (throughput: what the K exponentials of a φ round
+// cost) and with each operand depending on the result before it (latency:
+// the exp(λ + exp(ρ)/2) of the task objective, whose second exponential
+// waits for the first). The four loops are spelled out: a func value would
+// put an indirect call in front of a 5-ns function.
+func BenchmarkExp(b *testing.B) {
+	xs := make([]float64, 1024)
+	rng := rand.New(rand.NewSource(37))
+	for i := range xs {
+		xs[i] = -12 + 16*rng.Float64()
+	}
+	b.Run("owned/independent", func(b *testing.B) {
+		var s float64
+		for i := 0; i < b.N; i++ {
+			s += exp(xs[i%len(xs)])
+		}
+		sinkFloat = s
+	})
+	b.Run("math/independent", func(b *testing.B) {
+		var s float64
+		for i := 0; i < b.N; i++ {
+			s += math.Exp(xs[i%len(xs)])
+		}
+		sinkFloat = s
+	})
+	b.Run("owned/chained", func(b *testing.B) {
+		var y float64
+		for i := 0; i < b.N; i++ {
+			y = exp(xs[i%len(xs)] + 0x1p-60*y)
+		}
+		sinkFloat = y
+	})
+	b.Run("math/chained", func(b *testing.B) {
+		var y float64
+		for i := 0; i < b.N; i++ {
+			y = math.Exp(xs[i%len(xs)] + 0x1p-60*y)
+		}
+		sinkFloat = y
+	})
 }

@@ -101,7 +101,7 @@ func TestTaskObjectiveGradient(t *testing.T) {
 		tr.m.LambdaW[0][kk] = rng.Normal(0, 0.5)
 	}
 	s := newTaskSolver()
-	s.updatePhi(tr.phi[0], tr.tasks[0].Bag.IDs, tr.lambdaC[0], tr.m.LogBeta)
+	s.updatePhi(tr.phi[0], tr.tasks[0].Bag.IDs, tr.lambdaC[0], tr.m.beta)
 	tr.eps[0] = taylorPoint(tr.lambdaC[0], tr.nuC2[0])
 
 	for _, withFeedback := range []bool{true, false} {

@@ -35,7 +35,7 @@ func (tr *trainer) elbo() float64 {
 		lc, nc := tr.lambdaC[j], tr.nuC2[j]
 		var expSum float64
 		for kk := range lc {
-			expSum += math.Exp(lc[kk] + nc[kk]/2)
+			expSum += exp(lc[kk] + nc[kk]/2)
 		}
 		var total float64
 		for p, v := range t.Bag.IDs {

@@ -143,9 +143,9 @@ func (o *taskObjective) at(x linalg.Vector) {
 	}
 	o.sigmaCInv.MulVecInto(o.pl, o.d)
 	for kk := 0; kk < o.k; kk++ {
-		nu2 := math.Exp(rho[kk])
+		nu2 := exp(rho[kk])
 		o.nu2[kk] = nu2
-		o.e[kk] = math.Exp(lam[kk] + nu2/2)
+		o.e[kk] = exp(lam[kk] + nu2/2)
 	}
 	if o.hasFeedback {
 		o.a.MulVecInto(o.al, lam)
@@ -237,7 +237,7 @@ type taskSolver struct {
 	prob   optimize.Problem
 	ws     optimize.Workspace
 	x0     linalg.Vector
-	logits linalg.Vector
+	expLam linalg.Vector // e^{λₖ − max λ}, per φ round
 }
 
 func newTaskSolver() *taskSolver {
@@ -252,15 +252,30 @@ func newTaskSolver() *taskSolver {
 	return s
 }
 
-// updatePhi applies Eq. 12 to every row of phi: φₚₖ ∝ exp(λₖ)·β_{k,v}
-// for the distinct term v = ids[p].
-func (s *taskSolver) updatePhi(phi *linalg.Matrix, ids []int, lam linalg.Vector, logBeta *linalg.Matrix) {
-	logits := scratchVec(&s.logits, len(lam))
+// updatePhi applies Eq. 12 as written to every row of phi: φₚₖ ∝ e^{λₖ}·β_{k,v}
+// for the distinct term v = ids[p]. The K exponentials are taken once per
+// call, shifted by max λ so the largest is 1; a term then costs the
+// contiguous K-row v of the term-major table beta = exp(LogBeta)
+// (Model.beta), a multiply, a sum and a divide. With BetaSmoothing > 0, β
+// is at least the smoothing floor in every category, the one whose factor
+// is 1 included, so the sum cannot vanish however far apart the λ are.
+func (s *taskSolver) updatePhi(phi *linalg.Matrix, ids []int, lam linalg.Vector, beta *linalg.Matrix) {
+	e := scratchVec(&s.expLam, len(lam))
+	lamMax := lam.Max()
+	for kk, v := range lam {
+		e[kk] = exp(v - lamMax)
+	}
 	for p, v := range ids {
-		for kk := range lam {
-			logits[kk] = lam[kk] + logBeta.At(kk, v)
+		row, b := phi.Row(p), beta.Row(v)
+		var sum float64
+		for kk, ek := range e {
+			w := ek * b[kk]
+			row[kk] = w
+			sum += w
 		}
-		linalg.SoftmaxInto(phi.Row(p), logits)
+		for kk := range row {
+			row[kk] /= sum
+		}
 	}
 }
 
@@ -268,7 +283,7 @@ func (s *taskSolver) updatePhi(phi *linalg.Matrix, ids []int, lam linalg.Vector,
 func taylorPoint(lam, nu2 linalg.Vector) float64 {
 	var eps float64
 	for kk := range lam {
-		eps += math.Exp(lam[kk] + nu2[kk]/2)
+		eps += exp(lam[kk] + nu2[kk]/2)
 	}
 	if eps < 1e-300 {
 		eps = 1e-300
@@ -301,7 +316,7 @@ func (s *taskSolver) solve(lam, nu2 linalg.Vector, maxIter int) bool {
 		if rho < -30 {
 			rho = -30
 		}
-		nu2[kk] = math.Exp(rho)
+		nu2[kk] = exp(rho)
 	}
 	return true
 }

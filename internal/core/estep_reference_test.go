@@ -40,7 +40,7 @@ func (o *referenceObjective) value(x linalg.Vector) float64 {
 	d := o.centered(lam)
 	f -= 0.5 * d.Dot(o.sigmaCInv.MulVecInto(o.mv, d))
 	for kk := 0; kk < o.k; kk++ {
-		nu2 := math.Exp(rho[kk])
+		nu2 := exp(rho[kk])
 		f -= 0.5 * o.sigmaCInv.At(kk, kk) * nu2
 		f += 0.5 * rho[kk] // entropy ½ log ν²
 	}
@@ -48,14 +48,14 @@ func (o *referenceObjective) value(x linalg.Vector) float64 {
 	f += o.tokSum.Dot(lam)
 	var expSum float64
 	for kk := 0; kk < o.k; kk++ {
-		expSum += math.Exp(lam[kk] + math.Exp(rho[kk])/2)
+		expSum += exp(lam[kk] + exp(rho[kk])/2)
 	}
 	f -= o.total * (expSum/o.eps - 1 + math.Log(o.eps))
 	// Feedback.
 	if o.hasFeedback {
 		quad := o.s2 - 2*o.sw.Dot(lam) + lam.Dot(o.a.MulVecInto(o.mv, lam))
 		for kk := 0; kk < o.k; kk++ {
-			nu2 := math.Exp(rho[kk])
+			nu2 := exp(rho[kk])
 			quad += o.nw2[kk]*lam[kk]*lam[kk] + (o.w2[kk]+o.nw2[kk])*nu2
 		}
 		f -= 0.5 * o.invTau2 * quad
@@ -71,14 +71,14 @@ func (o *referenceObjective) grad(x, g linalg.Vector) {
 	// Prior + entropy.
 	pl := o.sigmaCInv.MulVecInto(o.mv, o.centered(lam))
 	for kk := 0; kk < o.k; kk++ {
-		nu2 := math.Exp(rho[kk])
+		nu2 := exp(rho[kk])
 		gl[kk] = -pl[kk]
 		gr[kk] = (-0.5*o.sigmaCInv.At(kk, kk))*nu2 + 0.5
 	}
 	// Tokens.
 	for kk := 0; kk < o.k; kk++ {
-		nu2 := math.Exp(rho[kk])
-		e := math.Exp(lam[kk] + nu2/2)
+		nu2 := exp(rho[kk])
+		e := exp(lam[kk] + nu2/2)
 		gl[kk] += o.tokSum[kk] - o.total/o.eps*e
 		gr[kk] -= o.total / o.eps * e * nu2 / 2
 	}
@@ -86,7 +86,7 @@ func (o *referenceObjective) grad(x, g linalg.Vector) {
 	if o.hasFeedback {
 		al := o.a.MulVecInto(o.mv, lam) // pl is spent: the buffer is free
 		for kk := 0; kk < o.k; kk++ {
-			nu2 := math.Exp(rho[kk])
+			nu2 := exp(rho[kk])
 			gl[kk] += o.invTau2 * (o.sw[kk] - al[kk] - o.nw2[kk]*lam[kk])
 			gr[kk] -= 0.5 * o.invTau2 * (o.w2[kk] + o.nw2[kk]) * nu2
 		}
@@ -111,7 +111,7 @@ func TestTaskObjectiveMatchesReference(t *testing.T) {
 			tr.updateTasks()
 			tr.updateWorkers()
 			tr.mStep()
-			if err := tr.m.refreshInverses(); err != nil {
+			if err := tr.m.refreshDerived(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,5 +251,108 @@ func TestTaskObjectiveMatchesReference(t *testing.T) {
 	}
 	if step < 4000 {
 		t.Fatalf("only %d evaluations compared", step)
+	}
+}
+
+// referencePhi is Eq. 12 as it was evaluated through KernelVersion 2, a
+// softmax of logits: φₚₖ ∝ exp(λₖ + log β_kv − max), one exponential per
+// (term, category), log β read down a column of the K×V matrix. It is the
+// oracle the table form of taskSolver.updatePhi is held to.
+func referencePhi(phi *linalg.Matrix, ids []int, lam linalg.Vector, logBeta *linalg.Matrix) {
+	logits := make(linalg.Vector, len(lam))
+	for p, v := range ids {
+		for kk := range lam {
+			logits[kk] = lam[kk] + logBeta.At(kk, v)
+		}
+		max, row := logits.Max(), phi.Row(p)
+		var sum float64
+		for kk, l := range logits {
+			row[kk] = exp(l - max)
+			sum += row[kk]
+		}
+		for kk := range row {
+			row[kk] /= sum
+		}
+	}
+}
+
+// TestPhiTableMatchesSoftmaxReference: the two forms of Eq. 12 are the same
+// distribution. They are not the same bits — the softmax rounds λₖ + log β_kv
+// − max before exponentiating it, an error of half an ulp of the *argument*,
+// which the exponential hands on as a relative error of that many ulps times
+// the argument's size — so entries agree to 4 ulp of the row's scale (its
+// sum, 1) and, where the arguments are a few units, to 1e-14 of themselves.
+// Every row sums to 1 within 2⁻⁵⁰ and has its largest entry where the
+// reference does.
+func TestPhiTableMatchesSoftmaxReference(t *testing.T) {
+	const k, v = 6, 40
+	rng := rand.New(rand.NewSource(47))
+	cfg := NewConfig(k)
+	logBeta := linalg.NewMatrix(k, v)
+	for kk := 0; kk < k; kk++ { // rows as the M-step leaves them: smoothed counts, normalised
+		row, sum := logBeta.Row(kk), 0.0
+		for i := range row {
+			if rng.Intn(3) > 0 {
+				row[i] = 20 * rng.Float64() * rng.Float64()
+			}
+			row[i] += cfg.BetaSmoothing
+			sum += row[i]
+		}
+		for i := range row {
+			row[i] = math.Log(row[i] / sum)
+		}
+	}
+	beta := betaTable(logBeta)
+	ids := make([]int, v)
+	for i := range ids {
+		ids[i] = i
+	}
+	s := newTaskSolver()
+	got, want := linalg.NewMatrix(v, k), linalg.NewMatrix(v, k)
+
+	compare := func(name string, lam linalg.Vector, relTol float64) {
+		t.Helper()
+		s.updatePhi(got, ids, lam, beta)
+		referencePhi(want, ids, lam, logBeta)
+		for p := range ids {
+			g, w := got.Row(p), want.Row(p)
+			if !g.IsFinite() {
+				t.Fatalf("%s: term %d: φ = %v", name, p, g)
+			}
+			if math.Abs(g.Sum()-1) > 0x1p-50 {
+				t.Errorf("%s: term %d: φ sums to 1%+.3g", name, p, g.Sum()-1)
+			}
+			if g.ArgMax() != w.ArgMax() {
+				t.Errorf("%s: term %d: largest entry at %d, reference at %d", name, p, g.ArgMax(), w.ArgMax())
+			}
+			for kk := range g {
+				if diff := math.Abs(g[kk] - w[kk]); diff > 4*0x1p-52 || diff > relTol*w[kk] {
+					t.Errorf("%s: term %d: φ[%d] = %x, reference %x", name, p, kk, g[kk], w[kk])
+				}
+			}
+		}
+	}
+	for round := 0; round < 200; round++ {
+		lam := make(linalg.Vector, k)
+		for kk := range lam {
+			lam[kk] = 1.5 * rng.NormFloat64()
+		}
+		compare("random λ", lam, 1e-14)
+	}
+
+	// The underflow corner: λ spread over 600 with the max-λ category holding
+	// term 0 at the smoothing floor only, and every other category rich in it.
+	floor := math.Inf(1)
+	for kk := 0; kk < k; kk++ {
+		logBeta.Set(kk, 0, math.Log(0.2))
+		for _, lb := range logBeta.Row(kk) {
+			floor = math.Min(floor, lb)
+		}
+	}
+	logBeta.Set(2, 0, floor)
+	beta = betaTable(logBeta)
+	compare("underflow corner", linalg.Vector{-300, -120, 300, 0, -299.5, 250}, math.Inf(1))
+	if arg := got.Row(0).ArgMax(); arg != 2 {
+		t.Errorf("underflow corner: term 0 goes to category %d, want the max-λ category 2", arg)
 	}
 }

@@ -26,7 +26,11 @@ import (
 // search's decrease.
 //
 // The constants are for GOARCH=amd64: other ports may fuse a*b+c into
-// one FMA and round differently, so the test skips itself there.
+// one FMA and round differently, so the test skips itself there. Any
+// amd64, since KernelVersion 3: through version 2 they were the constants
+// of an amd64 *with FMA* — math.Exp picks its path by CPUID — which no
+// skip could see; the kernel now calls math.Log and math.Sqrt (neither
+// branches on the CPU) and its own exp (TestKernelCallsNoLibmExp).
 const (
 	goldenTrainedModel = "5920134b19f0c2e37529569bc3c10d5f4696bb1b7448cb7e1cd0a099cbf4b4f9"
 	goldenProjections  = "df387fd9d628a6855739f8ccae66ed9bc3b550fa7941511f7e4a5bf2416ed1c3"

@@ -71,7 +71,7 @@ func (m *Model) SaveFile(path string) (err error) {
 }
 
 // LoadModel reads a model saved by Save, validating dimensions and
-// rebuilding the cached covariance inverses.
+// rebuilding the derived state (covariance inverses, the β table).
 func LoadModel(r io.Reader) (*Model, error) {
 	var mj modelJSON
 	if err := json.NewDecoder(r).Decode(&mj); err != nil {
@@ -115,7 +115,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 			}
 		}
 	}
-	if err := m.refreshInverses(); err != nil {
+	if err := m.refreshDerived(); err != nil {
 		return nil, err
 	}
 	return m, nil

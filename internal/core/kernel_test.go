@@ -1,9 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"crowdselect/internal/corpus"
@@ -130,15 +138,23 @@ func TestTaskObjectiveAllocatesNothing(t *testing.T) {
 }
 
 // countingScratch is a projection scratch whose solver counts the
-// optimizer's calls into the task objective: the counters wrap prob.Eval
-// and prob.Grad here, so production code carries none.
-func countingScratch() (sc *projectScratch, evals, grads *int) {
+// optimizer's calls into the task objective, and how many of them find the
+// objective at another point (at's own test: those are the calls that take
+// exponentials, 2K each): the counters wrap prob.Eval and prob.Grad here,
+// so production code carries none.
+func countingScratch() (sc *projectScratch, evals, grads, points *int) {
 	sc = &projectScratch{solver: newTaskSolver()}
-	evals, grads = new(int), new(int)
+	evals, grads, points = new(int), new(int), new(int)
+	obj := &sc.solver.obj
+	visit := func(x linalg.Vector) {
+		if !obj.pointOK || !sameBits(obj.point, x) {
+			*points++
+		}
+	}
 	eval, grad := sc.solver.prob.Eval, sc.solver.prob.Grad
-	sc.solver.prob.Eval = func(x linalg.Vector) float64 { *evals++; return eval(x) }
-	sc.solver.prob.Grad = func(x, g linalg.Vector) { *grads++; grad(x, g) }
-	return sc, evals, grads
+	sc.solver.prob.Eval = func(x linalg.Vector) float64 { *evals++; visit(x); return eval(x) }
+	sc.solver.prob.Grad = func(x, g linalg.Vector) { *grads++; visit(x); grad(x, g) }
+	return sc, evals, grads, points
 }
 
 // trainGolden trains the platform of TestGoldenNumerics (golden_test.go
@@ -170,12 +186,112 @@ func TestGoldenProjectionEvaluationCounts(t *testing.T) {
 		t.Skipf("the iterate sequence is pinned for GOARCH=amd64 (FMA fusion differs on %s)", runtime.GOARCH)
 	}
 	m, d := trainGolden(t)
-	sc, evals, grads := countingScratch()
+	sc, evals, grads, _ := countingScratch()
 	for _, bag := range goldenBags(d) {
 		m.projectWith(sc, bag)
 	}
 	const wantEvals, wantGrads = 2919, 1703 // KernelVersion 2; 7956 and 2187 under the halving search of version 1
 	if *evals != wantEvals || *grads != wantGrads {
 		t.Errorf("35 golden projections made %d value and %d grad calls, want %d and %d", *evals, *grads, wantEvals, wantGrads)
+	}
+}
+
+// TestBetaTableFollowsLogBeta: the β table is derived state, and LogBeta is
+// its only source. Wherever a model comes from — a trainer's first state,
+// Train, a checkpoint, a ConcurrentModel saved and adopted by another, an
+// MCEM fit — the table holds the kernel's exp of the stored LogBeta bit for
+// bit; so the node that trained a model and the node that loaded it
+// project every golden bag to the same bits.
+func TestBetaTableFollowsLogBeta(t *testing.T) {
+	check := func(what string, m *Model) {
+		t.Helper()
+		if m.beta == nil || m.beta.Rows != m.V || m.beta.Cols != m.K {
+			t.Fatalf("%s: no V×K β table", what)
+		}
+		for kk := 0; kk < m.K; kk++ {
+			for v, lb := range m.LogBeta.Row(kk) {
+				if got, want := m.beta.At(v, kk), exp(lb); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: β[%d][%d] = %x, exp(LogBeta) = %x", what, v, kk, got, want)
+				}
+			}
+		}
+	}
+	reload := func(save func(io.Writer) error) *Model {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadModel(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	trained, d := trainGolden(t)
+	tasks := tasksFromDataset(d)
+	check("a new trainer", newTrainer(tasks, len(d.Workers), d.Vocab.Size(), NewConfig(6)).m)
+	check("trained", trained)
+	loaded := reload(trained.Save)
+	check("loaded", loaded)
+
+	// A follower re-bootstrapping: it adopts the primary's checkpoint in place.
+	primary := NewConcurrentModel(trained)
+	_, other, _ := trainSmall(t, 6)
+	follower := NewConcurrentModel(other)
+	follower.Replace(reload(primary.Save))
+	check("adopted by a follower", follower.Unwrap())
+
+	for i, bag := range goldenBags(d) {
+		want := trained.Project(bag)
+		if got := loaded.Project(bag); !reflect.DeepEqual(got, want) {
+			t.Fatalf("bag %d: the loaded model projects %v, the trained one %v", i, got, want)
+		}
+		if got := follower.Project(bag); !reflect.DeepEqual(got, want) {
+			t.Fatalf("bag %d: the follower projects %v, the primary's model %v", i, got, want)
+		}
+	}
+
+	cfg := NewMCEMConfig(4)
+	cfg.Sweeps, cfg.BurnIn = 12, 4
+	sampled, _, err := TrainMCEM(tasks, len(d.Workers), d.Vocab.Size(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("MCEM fit", sampled)
+}
+
+// TestKernelCallsNoLibmExp: every exponential under the bit contract is the
+// kernel's own. math.Exp on amd64 chooses a fused path by CPUID, so one call
+// of it — or of a function built on it — makes λ_c a function of the CPU
+// model again, which no version stamp records. Every source file of the
+// package is under the contract (estep, project, train, elbo, mstep, model,
+// exp, and whatever is added next) except mcem.go, a comparator sampler.
+func TestKernelCallsNoLibmExp(t *testing.T) {
+	banned := map[string]bool{"Exp": true, "Exp2": true, "Expm1": true, "Pow": true}
+	names, err := filepath.Glob("*.go")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no source files found: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") || name == "mcem.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "math" && banned[sel.Sel.Name] {
+				t.Errorf("%s: math.%s under the bit contract; use exp", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }

@@ -407,7 +407,7 @@ func (s *sampler) mStep() error {
 			dst[v] = math.Log((row[v] + s.cfg.BetaSmoothing) / rowSum)
 		}
 	}
-	return m.refreshInverses()
+	return m.refreshDerived()
 }
 
 // scatterOfSamples is scatterOf with zero within-sample variance.
@@ -454,7 +454,7 @@ func (s *sampler) finalize() (*Model, error) {
 			s.m.NuW2[i][kk] = v
 		}
 	}
-	if err := s.m.refreshInverses(); err != nil {
+	if err := s.m.refreshDerived(); err != nil {
 		return nil, err
 	}
 	return s.m, nil

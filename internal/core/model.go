@@ -176,9 +176,14 @@ type Model struct {
 	// Fewer rounds trade projection accuracy for selection latency.
 	ProjectIters int
 
-	// Cached inverses maintained alongside the parameters.
+	// Derived state, rebuilt from the parameters above by refreshDerived
+	// and never persisted: the covariance inverses and beta, the V×K
+	// term-major table exp(LogBeta) whose row v is what Eq. 12 reads of
+	// term v. Each is immutable once built and replaced whole, so
+	// concurrent projections share it.
 	sigmaWInv *linalg.Matrix
 	sigmaCInv *linalg.Matrix
+	beta      *linalg.Matrix
 
 	// allWorkers is the shared identity candidate slice [0, M), built
 	// lazily for SelectTopK's nil-candidates path so serving does not
@@ -198,8 +203,10 @@ func (m *Model) Skills(i int) linalg.Vector { return m.LambdaW[i] }
 // NumWorkers returns the number of workers the model was trained over.
 func (m *Model) NumWorkers() int { return m.M }
 
-// refreshInverses recomputes the cached Σ⁻¹ matrices.
-func (m *Model) refreshInverses() error {
+// refreshDerived rebuilds the model's derived state — the cached Σ⁻¹
+// matrices and the β table — from its parameters. Everything that writes
+// SigmaW, SigmaC or LogBeta calls it before the model is read again.
+func (m *Model) refreshDerived() error {
 	var err error
 	if m.sigmaWInv, err = linalg.SPDInverse(m.SigmaW); err != nil {
 		return fmt.Errorf("core: Σ_w not invertible: %w", err)
@@ -207,5 +214,21 @@ func (m *Model) refreshInverses() error {
 	if m.sigmaCInv, err = linalg.SPDInverse(m.SigmaC); err != nil {
 		return fmt.Errorf("core: Σ_c not invertible: %w", err)
 	}
+	m.beta = betaTable(m.LogBeta)
 	return nil
+}
+
+// betaTable returns exp(logBeta) transposed: V×K, one contiguous row per
+// term. It is always taken from the stored K×V LogBeta through the
+// kernel's exp — never from the counts the M-step normalised — so a node
+// that trained the model and one that loaded its checkpoint hold the same
+// bits.
+func betaTable(logBeta *linalg.Matrix) *linalg.Matrix {
+	t := linalg.NewMatrix(logBeta.Cols, logBeta.Rows)
+	for kk := 0; kk < logBeta.Rows; kk++ {
+		for v, lb := range logBeta.Row(kk) {
+			t.Set(v, kk, exp(lb))
+		}
+	}
+	return t
 }

@@ -34,9 +34,10 @@ func (t TaskCategory) Sample(rng *randx.RNG) linalg.Vector {
 
 // projectScratch holds the per-call working set of Project: the
 // in-vocabulary filter, the φ matrix and the task solver (objective,
-// optimizer workspace, start and logit vectors). Pooled because Project
-// is the serving hot path: with the scratch warm, a projection allocates
-// only the two vectors it returns, which never alias the scratch.
+// optimizer workspace, start vector and the round's e^λ). Pooled because
+// Project is the serving hot path: with the scratch warm, a projection
+// allocates only the two vectors it returns, which never alias the
+// scratch.
 type projectScratch struct {
 	ids    []int
 	counts []float64
@@ -74,9 +75,10 @@ func (sc *projectScratch) phiFor(rows, cols int) *linalg.Matrix {
 // update (Eq. 13) and the conjugate-gradient update of (λ_c, ν_c) with
 // the feedback terms removed (Eqs. 22–23), holding the trained model
 // parameters fixed. A task whose terms are all unknown projects to the
-// prior (λ = μ_c). It reads only MuC, SigmaC (and its cached inverse)
-// and LogBeta — never a worker posterior — which is why a skill update
-// cannot stale a cached projection.
+// prior (λ = μ_c). It reads only MuC, SigmaC (through its cached inverse)
+// and LogBeta (through the table of its exponentials) — never a worker
+// posterior — which is why a skill update cannot stale a cached
+// projection.
 func (m *Model) Project(bag text.Bag) TaskCategory {
 	sc := projectScratchPool.Get().(*projectScratch)
 	defer projectScratchPool.Put(sc)
@@ -103,7 +105,7 @@ func (m *Model) projectWith(sc *projectScratch, bag text.Bag) TaskCategory {
 	phi := sc.phiFor(len(ids), k)
 	s := sc.solver
 	for round := 0; round < m.projectInner(); round++ {
-		s.updatePhi(phi, ids, lam, m.LogBeta) // Eq. 12
+		s.updatePhi(phi, ids, lam, m.beta) // Eq. 12
 		// CG update of (λ, ν) without feedback (Eqs. 22–23) at the Taylor
 		// point of Eq. 13; solve copies the optimum out of the optimizer's
 		// workspace into lam and nu2 before the next round reuses it.

@@ -37,7 +37,7 @@ func Train(tasks []ResolvedTask, numWorkers, vocabSize int, cfg Config) (*Model,
 		tr.updateTasks()   // λ_c, ν_c (CG), φ (Eq. 12), ε (Eq. 13)
 		tr.updateWorkers() // λ_w (Eq. 10), ν_w (Eq. 11)
 		tr.mStep()         // μ_w, Σ_w, μ_c, Σ_c, τ², β (Eqs. 16–21)
-		if err := tr.m.refreshInverses(); err != nil {
+		if err := tr.m.refreshDerived(); err != nil {
 			return nil, nil, err
 		}
 		// Deliberately no inner equilibration of the skill side here:
@@ -161,6 +161,7 @@ func newTrainer(tasks []ResolvedTask, numWorkers, vocabSize int, cfg Config) *tr
 			row[v] = math.Log(row[v] / sum)
 		}
 	}
+	m.beta = betaTable(m.LogBeta)
 	for i := 0; i < numWorkers; i++ {
 		m.LambdaW[i] = linalg.NewVector(k)
 		m.NuW2[i] = linalg.ConstVector(k, 1)
@@ -184,7 +185,7 @@ func newTrainer(tasks []ResolvedTask, numWorkers, vocabSize int, cfg Config) *tr
 		for p := 0; p < t.Bag.Len(); p++ {
 			tr.phi[j].Row(p).Fill(1 / float64(k))
 		}
-		tr.eps[j] = float64(k) * math.Exp(0.5)
+		tr.eps[j] = float64(k) * exp(0.5)
 		for _, r := range t.Responses {
 			tr.workerTasks[r.Worker] = append(tr.workerTasks[r.Worker], j)
 			tr.workerScores[r.Worker] = append(tr.workerScores[r.Worker], r.Score)
@@ -244,7 +245,7 @@ func (tr *trainer) updateTasks() {
 		s := newTaskSolver() // one per chunk: reused by every task in it
 		for j := lo; j < hi; j++ {
 			for round := 0; round < tr.cfg.InnerIter; round++ {
-				s.updatePhi(tr.phi[j], tr.tasks[j].Bag.IDs, tr.lambdaC[j], tr.m.LogBeta)
+				s.updatePhi(tr.phi[j], tr.tasks[j].Bag.IDs, tr.lambdaC[j], tr.m.beta)
 				tr.eps[j] = taylorPoint(tr.lambdaC[j], tr.nuC2[j])
 				tr.updateLambdaNuC(s, j, true)
 			}
