@@ -44,7 +44,10 @@ func (c *ConcurrentModel) Digest() (string, error) {
 //	   what a header without the field means)
 //	2  the first trial comes from the previous search's decrease and a
 //	   rejected trial is followed by a safeguarded quadratic step
-const KernelVersion = 2
+//	3  every exponential is the package's own exp (math.Exp chose a fused
+//	   path by CPUID) and Eq. 12 multiplies e^λ into a table of exp(LogBeta)
+//	   where it took a softmax of logits
+const KernelVersion = 3
 
 // categoryVersion is a hex SHA-256 over everything a projection reads
 // and runs: the kernel version (KernelVersion, but for a test's relabelled

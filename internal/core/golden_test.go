@@ -22,8 +22,8 @@ import (
 // untouched and green; a change that reorders arithmetic on purpose
 // bumps KernelVersion and re-cuts the constants in a commit that says so
 // (the failure message prints the new values). They were last cut for
-// KernelVersion 2, the line search that starts from the previous
-// search's decrease.
+// KernelVersion 3, the kernel's own exponential and the table form of
+// Eq. 12.
 //
 // The constants are for GOARCH=amd64: other ports may fuse a*b+c into
 // one FMA and round differently, so the test skips itself there. Any
@@ -32,10 +32,10 @@ import (
 // skip could see; the kernel now calls math.Log and math.Sqrt (neither
 // branches on the CPU) and its own exp (TestKernelCallsNoLibmExp).
 const (
-	goldenTrainedModel = "5920134b19f0c2e37529569bc3c10d5f4696bb1b7448cb7e1cd0a099cbf4b4f9"
-	goldenProjections  = "df387fd9d628a6855739f8ccae66ed9bc3b550fa7941511f7e4a5bf2416ed1c3"
-	goldenSelections   = "78d7588c5e984785b7b0915c7ecd0ab3e2d2207c079d448cbe707eae4d4cfb0c"
-	goldenUpdatedModel = "7d4d2ad4217f5818c96dd7021f2095bdbba72d2ad6335d75c19e9c23a68720ef"
+	goldenTrainedModel = "e3f3990b6a1a8da0fb0e2f9a9a688971bfee5a364ce9c81ef19635ffffc1516f"
+	goldenProjections  = "b5bacf20e44c1c1c0e6bb36360c9d089cfa9f49573286c2cf4b8db876a256a04"
+	goldenSelections   = "a1d247b7cdd9d0dfc2bc56bd3f5fae3ee52f7d69ee737d49a9f27ed564885add"
+	goldenUpdatedModel = "f6fd99056cbd0a4eda26f13a44e3dc1288f188c7a1c1baf21eb87e25385cf81c"
 )
 
 // goldenBags is the fixed bag list: the first 32 task texts of the

@@ -190,7 +190,12 @@ func TestGoldenProjectionEvaluationCounts(t *testing.T) {
 	for _, bag := range goldenBags(d) {
 		m.projectWith(sc, bag)
 	}
-	const wantEvals, wantGrads = 2919, 1703 // KernelVersion 2; 7956 and 2187 under the halving search of version 1
+	// KernelVersion 3. Version 2 read 2919 and 1703 (7956 and 2187 under the
+	// halving search of version 1) — and still does on the model version 2
+	// trained: the projections of version 3 make exactly those calls on it,
+	// and version 2 makes exactly these on the model below. What moved the
+	// counts is the eight training sweeps arriving at other bits.
+	const wantEvals, wantGrads = 2964, 1758
 	if *evals != wantEvals || *grads != wantGrads {
 		t.Errorf("35 golden projections made %d value and %d grad calls, want %d and %d", *evals, *grads, wantEvals, wantGrads)
 	}

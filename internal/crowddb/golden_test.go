@@ -19,8 +19,8 @@ import (
 // projection → posterior fold, in journal order — so a change to how
 // bags are built (or to anything else between the request and the fold)
 // must leave it untouched. Like the kernel constants it is for
-// GOARCH=amd64 and was last cut for core.KernelVersion 2.
-const goldenPostFeedbackModel = "61f2e6f0ddefd225f02df2fad33ce2062230b7540706ab32cbfe95a4b2c4b232"
+// GOARCH=amd64 and was last cut for core.KernelVersion 3.
+const goldenPostFeedbackModel = "0eb1bbe20c676f723e7d1df432199435df1965bce0233902a4edd33da3bf54d8"
 
 func TestGoldenModelDigestThroughStore(t *testing.T) {
 	if runtime.GOARCH != "amd64" {

@@ -363,7 +363,7 @@ func TestReplicationArchMismatchRefused(t *testing.T) {
 func TestReplicationKernelMismatchRefused(t *testing.T) {
 	rig, src, _ := replPrimary(t)
 	rig.resolveOneTask(t, "a task to replicate", []float64{4, 2})
-	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
+	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion - 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
 		t.Run(fmt.Sprintf("kernel=%d", kernel), func(t *testing.T) {
 			hello := helloOf(rig)
 			hello.Kernel = kernel
@@ -440,7 +440,7 @@ func TestBackupKernelMismatchRefused(t *testing.T) {
 	if manifest.Kernel != core.KernelVersion {
 		t.Fatalf("manifest stamps kernel %d, want %d", manifest.Kernel, core.KernelVersion)
 	}
-	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
+	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion - 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
 		restoreAndVerifyForged(t, raw, func(m *BackupManifest) { m.Kernel = kernel }, refusal)
 	}
 }
