@@ -112,7 +112,9 @@ chaos:
 
 # The replication failover drill (DESIGN.md §10): a real primary/
 # follower pair through a faultnet partition, primary kill, verified
-# promotion — zero acked-mutation loss, byte-identical model.
+# promotion — zero acked-mutation loss, byte-identical model — and the
+# replica suite, whose bootstrap test holds a fresh follower's
+# generation 1 byte-equal to the primary's.
 replication:
 	$(GO) test -race -run 'TestChaosReplicationFailover|TestReplica|TestReplication' -v ./internal/chaos/ ./internal/crowddb
 
@@ -152,9 +154,11 @@ scrub:
 # offline verification against tampering, the digest-pinning hammer,
 # the slow-disk latency regression, and the chaos drill (primary
 # killed mid-backup, stream resumed, restore proven digest-identical
-# with every acked mutation exactly once).
+# with every acked mutation exactly once), a refused restore leaving
+# its destination as found, and the one generation writer's stamps
+# (a compaction's sidecar digests are the hashes of its files).
 backup:
-	$(GO) test -race -run 'TestBackup|TestVerifyBackup|TestDigestCutAtStableWhileWritesRace|TestSlowFsyncUnderIntervalStaysHealthy|TestFaultfsLatencyInjection|TestChaosBackupRestoreDrill' -v ./internal/crowddb/ ./internal/chaos/
+	$(GO) test -race -run 'TestBackup|TestVerifyBackup|TestCompactionRotatesGenerations|TestDigestCutAtStableWhileWritesRace|TestSlowFsyncUnderIntervalStaysHealthy|TestFaultfsLatencyInjection|TestChaosBackupRestoreDrill' -v ./internal/crowddb/ ./internal/chaos/
 
 # Regenerate the README's API reference table from the server's route
 # registrations (kept honest by TestAPIReferenceMatchesMux).

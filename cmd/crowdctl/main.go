@@ -21,7 +21,7 @@
 //	crowdctl [-addr ... -tenant t]        verify    -nodes http://a:8080,http://b:8081
 //	crowdctl [-addr ... -tenant t]        backup    -o crowd.backup [-since N -history <id>] [-resumes 5]
 //	crowdctl                              restore   -dir /var/lib/crowdd-restored [-to-seq N] crowd.backup [more.backup ...]
-//	crowdctl                              verify-backup [-crowd 3] crowd.backup [more.backup ...]
+//	crowdctl                              verify-backup [-scratch dir] crowd.backup [more.backup ...]
 //	crowdctl [-addr ...]                  promote
 //	crowdctl [-addr ...]                  topology [-push layout.json]
 //	crowdctl                              supervise -fleet fleet.json [-admin :9321] [-probe-interval 500ms] [-suspect-after 3] [-lease 1s]
@@ -46,8 +46,8 @@
 // restarts as a full backup once. restore materializes an archive
 // chain as a fresh data directory crowdd can boot from (-to-seq stops
 // the replay early: point-in-time restore). verify-backup proves an
-// archive offline — every CRC, the segment grammar, and a replay whose
-// digest must match the manifest stamp — without a running node.
+// archive offline — every CRC, the segment grammar, and a booted
+// restore whose digest must match the manifest stamp — without a node.
 //
 // promote asks the addressed node to become the primary — the failover
 // step after the old primary dies: point -addr at a caught-up replica
@@ -640,14 +640,13 @@ func runRestore(args []string, out io.Writer) error {
 }
 
 // runVerifyBackup proves an archive chain offline: CRCs, segment
-// grammar, and — when the chain starts with a full segment — a replay
-// through the same apply path boot recovery uses, whose digest must
-// match the manifest stamp. No running node is involved; exit 1 on any
+// grammar, and — when the chain starts with a full segment — a restore
+// booted exactly as crowdd would boot it, whose digest must match the
+// manifest stamp. No running node is involved; exit 1 on any
 // violation, down to a single flipped bit.
 func runVerifyBackup(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("verify-backup", flag.ContinueOnError)
-	crowdK := fs.Int("crowd", 3, "default crowd size for the replay manager (must not affect the digest; kept for parity with crowdd)")
-	scratch := fs.String("scratch", "", "scratch directory for the archive's dataset during replay (empty = temp dir)")
+	scratch := fs.String("scratch", "", "directory the archive is restored into and booted from, kept afterwards (must not exist or be empty; empty = temp dir)")
 	quiet := fs.Bool("q", false, "suppress progress notices")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -662,16 +661,16 @@ func runVerifyBackup(args []string, out io.Writer) error {
 	if *quiet {
 		logf = nil
 	}
-	// The same corpus-backed builder crowdd uses for replica streams:
-	// the archive carries its dataset, so the replay reconstructs the
-	// full manager stack and recomputes the model digest for real.
+	// crowdd's builder: the archive carries its dataset, so the boot
+	// reconstructs the full manager stack and recomputes the model
+	// digest for real. No digest depends on the crowd size (3).
 	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
 		d, err := corpus.LoadFile(datasetPath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("archive dataset: %w", err)
 		}
 		cm := core.NewConcurrentModel(model)
-		mgr, err := crowddb.NewManager(store, d.Vocab, cm, *crowdK)
+		mgr, err := crowddb.NewManager(store, d.Vocab, cm, 3)
 		if err != nil {
 			return nil, nil, err
 		}

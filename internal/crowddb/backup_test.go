@@ -12,10 +12,12 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 
+	"crowdselect/internal/core"
 	"crowdselect/internal/faultfs"
 )
 
@@ -57,13 +59,20 @@ func fetchBackup(t *testing.T, base string, dst io.Writer, since int64, history 
 	return CopyBackupStream(dst, resp.Body)
 }
 
-// reopenRestored boots a restored directory through the ordinary
-// recovery path — exactly what a crowdd pointed at the directory does.
+// reopenRestored boots a restored directory through the one boot,
+// RecoverWith — exactly what a crowdd pointed at the directory does.
 func reopenRestored(t *testing.T, dir string, rig *durableRig) (*durableRig, *DigestCutter) {
 	t.Helper()
-	rrig := openDurable(t, dir, rig.d, nil, Options{Sync: SyncAlways()})
-	t.Cleanup(func() { rrig.db.Close() })
-	return rrig, NewDigestCutter(rrig.db, rrig.mgr)
+	db, err := Open(dir, Options{Sync: SyncAlways()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	mgr, cm, err := db.RecoverWith(testReplicaBuilder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &durableRig{db: db, cm: cm, mgr: mgr, d: rig.d}, NewDigestCutter(db, mgr)
 }
 
 // resolveOneTaskE is resolveOneTask for goroutines: errors return
@@ -237,6 +246,16 @@ func TestBackupIncrementalChainAndPointInTime(t *testing.T) {
 	}
 	if _, err := rAll.db.Store().GetTask(rec2.ID); err != nil {
 		t.Fatalf("chain restore lost task %d: %v", rec2.ID, err)
+	}
+	// Verification is restore plus boot: it proves the digest the boot
+	// of the restored directory cuts, which is the final manifest stamp.
+	rep, err := VerifyBackup([]string{f1, f2}, VerifyBackupOptions{Build: testReplicaBuilder()})
+	if err != nil {
+		t.Fatalf("verify of the chain: %v", err)
+	}
+	if rep.Digest != gotAll.Digest || rep.StoreDigest != gotAll.Store || !rep.DigestVerified {
+		t.Fatalf("verify proved (%s, %s, %v), the restored boot cuts (%s, %s)",
+			rep.Digest, rep.StoreDigest, rep.DigestVerified, gotAll.Digest, gotAll.Store)
 	}
 
 	// Point-in-time: replay the same chain only through s1. The node
@@ -451,8 +470,8 @@ func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("verify of a clean chain: %v", err)
 	}
-	if !rep.DigestVerified || !rep.ModelReplayed {
-		t.Fatalf("report = %+v, want digest verified through a model replay", rep)
+	if !rep.DigestVerified {
+		t.Fatalf("report = %+v, want digest verified", rep)
 	}
 	if rep.Segments != 2 {
 		t.Fatalf("verified %d segments, want 2", rep.Segments)
@@ -507,6 +526,72 @@ func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 	forgedPath := writeArchive(t, forged)
 	if _, err := VerifyBackup([]string{forgedPath}, VerifyBackupOptions{Build: testReplicaBuilder()}); !errors.Is(err, ErrBackupDigestMismatch) {
 		t.Fatalf("forged snapshot verify err = %v, want ErrBackupDigestMismatch", err)
+	}
+
+	// A record re-framed with a valid CRC that does not apply fails the
+	// boot's journal replay, exactly as booting its restore would.
+	unapplied := reframeArchive(t, rawFull, func(typ byte, payload []byte) []byte {
+		if typ != frameRecord {
+			return payload
+		}
+		var rm replRecordMsg
+		if err := json.Unmarshal(payload, &rm); err != nil {
+			t.Fatal(err)
+		}
+		rm.Event = json.RawMessage(`{"kind":"resolve","task":424242}`)
+		out, err := json.Marshal(rm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
+	var ce *CorruptError
+	_, err = VerifyBackup([]string{writeArchive(t, unapplied)}, VerifyBackupOptions{Build: testReplicaBuilder()})
+	if !errors.As(err, &ce) || !errors.Is(err, ErrArchiveCorrupt) {
+		t.Fatalf("unappliable record verify err = %v, want the boot's *CorruptError as ErrArchiveCorrupt", err)
+	}
+}
+
+// TestBackupRefusedRestoreLeavesDestinationAsFound: whatever refuses a
+// restore — a truncated archive, a manifest from another kernel or
+// architecture, a to-seq beyond the archive — leaves an absent
+// destination absent (or empty) and an empty one empty, so the same
+// restore can be re-run there with a good archive.
+func TestBackupRefusedRestoreLeavesDestinationAsFound(t *testing.T) {
+	raw, manifest := oneTaskArchive(t)
+	good := writeArchive(t, raw)
+	refusals := []struct {
+		name    string
+		archive string
+		opts    RestoreOptions
+	}{
+		{"truncated", writeArchive(t, raw[:3]), RestoreOptions{}},
+		{"kernel", writeArchive(t, forgeManifest(t, raw, func(m *BackupManifest) { m.Kernel = core.KernelVersion + 1 })), RestoreOptions{}},
+		{"arch", writeArchive(t, forgeManifest(t, raw, func(m *BackupManifest) { m.Arch = "not-" + runtime.GOARCH })), RestoreOptions{}},
+		{"to-seq", good, RestoreOptions{ToSeq: manifest.Seq + 1}},
+	}
+	for _, c := range refusals {
+		for _, existed := range []bool{false, true} {
+			dest := filepath.Join(t.TempDir(), "dest")
+			if existed {
+				if err := os.Mkdir(dest, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := RestoreBackup(dest, []string{c.archive}, c.opts); err == nil {
+				t.Fatalf("%s: restore succeeded", c.name)
+			}
+			entries, err := os.ReadDir(dest)
+			if err != nil && !(errors.Is(err, os.ErrNotExist) && !existed) {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				t.Errorf("%s (existed=%v): refused restore left %s behind", c.name, existed, e.Name())
+			}
+			if _, err := RestoreBackup(dest, []string{good}, RestoreOptions{}); err != nil {
+				t.Fatalf("%s (existed=%v): good archive after the refusal: %v", c.name, existed, err)
+			}
+		}
 	}
 }
 

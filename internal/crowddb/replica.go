@@ -103,8 +103,7 @@ type Replica struct {
 	repairs     atomic.Int64
 	forceBoot   bool // next dial requests a bootstrap (guarded by mu)
 
-	cutterOnce sync.Once
-	cutter     *DigestCutter
+	cutter *DigestCutter // set once the stack is built, before run starts
 
 	promoted atomic.Bool // set only once a promotion SUCCEEDS
 	promBusy bool        // a Promote call is in flight (guarded by mu)
@@ -119,10 +118,12 @@ var errDigestMismatch = errors.New("crowddb: heartbeat digest mismatch")
 
 // StartReplica opens (or re-opens) the follower's data directory and
 // starts streaming from the primary. A fresh directory requires the
-// primary to be reachable now — the initial bootstrap is synchronous,
-// so a nil error means the replica is already serving real state. A
-// restored directory recovers locally first and catches up in the
-// background, so a follower can restart while the primary is down.
+// primary to be reachable now — the initial bootstrap is synchronous:
+// the primary's generation is installed verbatim as the follower's
+// generation 1, so a nil error means the replica is already serving
+// real state. Either way the directory then boots like any restart
+// (RecoverWith) and catches up in the background, so a follower can
+// restart while the primary is down.
 func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	if opts.Primary == "" {
 		return nil, errors.New("crowddb: replica needs a primary URL")
@@ -145,53 +146,60 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	if opts.Tenant != "" && !ValidTenantName(opts.Tenant) {
 		return nil, fmt.Errorf("crowddb: invalid replica tenant %q", opts.Tenant)
 	}
-	db, err := Open(opts.Dir, opts.DB)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Tenant != "" {
-		// Stamp the namespace before any replay or append, so recovery
-		// cross-checks records and re-journaled frames carry the name.
-		db.Store().SetTenant(opts.Tenant)
-	}
-	r := &Replica{opts: opts, db: db, done: make(chan struct{})}
+	r := &Replica{opts: opts, done: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	var st *replStream
-	if db.Fresh() {
-		st, err = r.dial(ctx, 0, "", true)
-		if err == nil {
-			err = r.bootstrap(st, true)
+	err := r.open()
+	if err == nil && r.db.Fresh() {
+		if st, err = r.dial(ctx, 0, "", true); err == nil {
+			err = r.install(st)
 		}
 		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			cancel()
-			db.Close()
-			return nil, fmt.Errorf("crowddb: replica bootstrap: %w", err)
+			err = fmt.Errorf("crowddb: replica bootstrap: %w", err)
+		} else {
+			// Boot the installed generation exactly as a restart would.
+			r.db.Close()
+			err = r.open()
 		}
-	} else {
-		model, err := db.LoadModel()
-		if err == nil {
-			r.mgr, r.cm, err = opts.Build(db.DatasetPath(), model, db.Store())
+	}
+	if err == nil {
+		r.mgr, r.cm, err = r.db.RecoverWith(opts.Build)
+	}
+	if err != nil {
+		if st != nil {
+			st.Close()
 		}
-		if err == nil {
-			db.SetModelSnapshotter(r.cm.Save)
-			db.SetQuiescer(r.mgr.Quiesce)
-			err = db.Recover(r.mgr.ApplySkillFeedback)
+		cancel()
+		if r.db != nil {
+			r.db.Close()
 		}
-		if err != nil {
-			cancel()
-			db.Close()
-			return nil, err
-		}
-		// Recovery replayed the journal tail through the manager, so
-		// everything in the local journal is fully applied.
-		r.appliedSeq, r.appliedBytes = db.ReplicationHead()
+		return nil, err
+	}
+	r.cutter = NewDigestCutter(r.db, r.mgr)
+	// Recovery replayed the journal tail through the manager, so
+	// everything in the local journal is fully applied.
+	r.appliedSeq, r.appliedBytes = r.db.ReplicationHead()
+	if st != nil {
+		r.bootstrapped(st.hello, r.appliedSeq, r.appliedBytes)
 	}
 	go r.run(ctx, st)
 	return r, nil
+}
+
+// open opens the follower's data directory, stamped with its tenant
+// before any replay or append, so recovery cross-checks records and
+// re-journaled frames carry the name.
+func (r *Replica) open() error {
+	db, err := Open(r.opts.Dir, r.opts.DB)
+	if err != nil {
+		return err
+	}
+	if r.opts.Tenant != "" {
+		db.Store().SetTenant(r.opts.Tenant)
+	}
+	r.db = db
+	return nil
 }
 
 // DB exposes the follower's durability layer (stats, compaction,
@@ -214,16 +222,9 @@ func (r *Replica) Err() error {
 	return r.fatal
 }
 
-// digestCutter lazily builds the replica's own cutter; mgr and db are
-// both set before run starts, so any later caller sees a stable pair.
-func (r *Replica) digestCutter() *DigestCutter {
-	r.cutterOnce.Do(func() { r.cutter = NewDigestCutter(r.db, r.mgr) })
-	return r.cutter
-}
-
 // Digest computes the replica's digest cut at its applied position —
 // the /api/v1/digest provider on a follower node.
-func (r *Replica) Digest() (DigestCut, error) { return r.digestCutter().Cut() }
+func (r *Replica) Digest() (DigestCut, error) { return r.cutter.Cut() }
 
 // Diverged reports whether the replica is quarantined by a digest
 // mismatch (refusing promotion, awaiting re-bootstrap repair).
@@ -438,90 +439,102 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 	return st, nil
 }
 
-// bootstrap consumes the dataset/model/snapshot frames at the head of
-// st and installs them. fresh means the local directory is empty (the
-// StartReplica path: build the stack and Begin); otherwise this is a
-// live re-bootstrap after falling behind the primary's compaction: the
-// store and model are swapped in place under their own locks and a
-// compaction checkpoints the adopted state as a new local generation.
-func (r *Replica) bootstrap(st *replStream, fresh bool) error {
-	var dataset []byte
-	var model *core.Model
-	var snap replSnapshotMsg
+// readBootstrap consumes the dataset/model/snapshot frames at the head
+// of st. A bootstrap without a model checkpoint cannot build a follower.
+func readBootstrap(st *replStream) (dataset, model []byte, snap replSnapshotMsg, err error) {
 	for {
 		typ, payload, err := st.next()
 		if err != nil {
-			return err
+			return nil, nil, snap, err
 		}
-		if typ == frameDataset {
+		switch typ {
+		case frameDataset:
 			dataset = payload
-			continue
-		}
-		if typ == frameModel {
-			if model, err = core.LoadModel(bytes.NewReader(payload)); err != nil {
-				return fmt.Errorf("bootstrap model: %w", err)
-			}
-			continue
-		}
-		if typ == frameSnapshot {
+		case frameModel:
+			model = payload
+		case frameSnapshot:
 			if err := json.Unmarshal(payload, &snap); err != nil {
-				return fmt.Errorf("bootstrap snapshot: %w", err)
+				return nil, nil, snap, fmt.Errorf("bootstrap snapshot: %w", err)
 			}
-			break
+			if model == nil {
+				return nil, nil, snap, errors.New("bootstrap stream carried no model checkpoint")
+			}
+			return dataset, model, snap, nil
+		default:
+			return nil, nil, snap, fmt.Errorf("unexpected frame type %d during bootstrap", typ)
 		}
-		return fmt.Errorf("unexpected frame type %d during bootstrap", typ)
 	}
-	if model == nil {
-		return errors.New("bootstrap stream carried no model checkpoint")
+}
+
+// install writes a fresh follower's generation 1: the primary's
+// dataset, model and snapshot frames verbatim, through the one
+// generation writer, under the hello's history and fencing epoch at the
+// snapshot's position.
+func (r *Replica) install(st *replStream) error {
+	dataset, model, snap, err := readBootstrap(st)
+	if err != nil {
+		return err
+	}
+	_, err = writeGeneration(r.opts.Dir, 1, generation{
+		dataset: dataset, model: fromBytes(model), store: fromBytes(snap.file()),
+		sidecar: adoptedSidecar(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch),
+		tenant:  r.db.Store().Tenant(),
+	})
+	return err
+}
+
+// rebootstrap is the live re-bootstrap of a serving follower that fell
+// behind the primary's compaction or was found diverged: the store and
+// model are swapped in place under their own locks and a compaction
+// checkpoints the adopted state as a new local generation.
+func (r *Replica) rebootstrap(st *replStream) error {
+	dataset, raw, snap, err := readBootstrap(st)
+	if err != nil {
+		return err
+	}
+	model, err := core.LoadModel(bytes.NewReader(raw))
+	if err != nil {
+		return fmt.Errorf("bootstrap model: %w", err)
 	}
 	// The dataset is installed only once the whole bootstrap has
-	// arrived, and atomically: during a re-bootstrap the directory still
-	// holds a valid generation that restarts from the file it replaces.
+	// arrived, and atomically: the directory still holds a valid
+	// generation that restarts from the file it replaces.
 	if dataset != nil {
-		if err := writeBytesAtomic(r.db.DatasetPath(), dataset); err != nil {
+		if err := writeFileAtomic(r.db.DatasetPath(), fromBytes(dataset)); err != nil {
 			return err
 		}
 	}
 	if err := r.db.Store().RestoreSnapshot(bytes.NewReader(snap.Store)); err != nil {
 		return fmt.Errorf("bootstrap snapshot: %w", err)
 	}
-	if fresh {
-		mgr, cm, err := r.opts.Build(r.db.DatasetPath(), model, r.db.Store())
-		if err != nil {
-			return err
-		}
-		r.mgr, r.cm = mgr, cm
-		r.db.SetModelSnapshotter(cm.Save)
-		r.db.SetQuiescer(mgr.Quiesce)
-		r.db.seedReplication(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch)
-		if err := r.db.Begin(); err != nil {
-			return err
-		}
-	} else {
-		r.cm.Replace(model)
-		r.db.seedReplication(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch)
-		if err := r.db.Compact(); err != nil {
-			return err
-		}
+	r.cm.Replace(model)
+	r.db.seedReplication(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch)
+	if err := r.db.Compact(); err != nil {
+		return err
 	}
+	r.bootstrapped(st.hello, snap.Seq, snap.Bytes)
+	return nil
+}
+
+// bootstrapped records a completed bootstrap, applied through record
+// seq at the primary's byte count bytes.
+func (r *Replica) bootstrapped(hello replHello, seq, bytes int64) {
 	r.bootstraps.Add(1)
 	r.mu.Lock()
-	r.headSeq, r.headBytes = st.hello.Seq, st.hello.Bytes
-	r.appliedSeq = snap.Seq
-	r.appliedBytes = snap.Bytes
+	r.headSeq, r.headBytes = hello.Seq, hello.Bytes
+	r.appliedSeq, r.appliedBytes = seq, bytes
 	r.lastContact = time.Now()
 	r.forceBoot = false
 	r.mu.Unlock()
 	// The adopted snapshot replaces local state wholesale — possibly at
 	// a position the cutter already cached a digest for — so the cache
 	// must not survive the swap.
-	r.digestCutter().Invalidate()
+	r.cutter.Invalidate()
 	if r.diverged.CompareAndSwap(true, false) {
 		r.repairs.Add(1)
-		r.opts.Logf("crowddb: replica: divergence repaired by re-bootstrap at record %d", snap.Seq)
+		r.opts.Logf("crowddb: replica: divergence repaired by re-bootstrap at record %d", seq)
 	}
-	r.opts.Logf("crowddb: replica bootstrapped at record %d of history %s (head %d)", snap.Seq, st.hello.History, st.hello.Seq)
-	return nil
+	r.opts.Logf("crowddb: replica bootstrapped at record %d of history %s (head %d)", seq, hello.History, hello.Seq)
 }
 
 // run is the streaming loop: consume the open stream, reconnect with
@@ -563,7 +576,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 			}
 			backoff = r.opts.ReconnectBackoff
 			if st.hello.Bootstrap {
-				if err := r.bootstrap(st, false); err != nil {
+				if err := r.rebootstrap(st); err != nil {
 					r.opts.Logf("crowddb: replica: re-bootstrap: %v", err)
 					st.Close()
 					st = nil
@@ -646,7 +659,7 @@ func (r *Replica) consume(ctx context.Context, st *replStream) error {
 				// this goroutine is the sole applier, so applied == hb.Seq
 				// means our state claims to equal the primary's cut state.
 				if applied, _ := r.db.ReplicationHead(); applied == hb.Seq {
-					cut, err := r.digestCutter().Cut()
+					cut, err := r.cutter.Cut()
 					if err != nil {
 						return fmt.Errorf("digest cut at record %d: %w", hb.Seq, err)
 					}

@@ -172,6 +172,13 @@ type replSnapshotMsg struct {
 	Store json.RawMessage `json:"store"`
 }
 
+// file is the snapshot file the frame was read from: json.Marshal
+// compacts the raw store and so drops the newline Store.Snapshot ends
+// the file with.
+func (m replSnapshotMsg) file() []byte {
+	return append(bytes.TrimRight(m.Store, "\n"), '\n')
+}
+
 // replHeartbeat advertises the primary's head while no records flow,
 // so a caught-up follower's staleness clock keeps ticking forward.
 // With a digest function wired (SetDigest), Seq/Bytes/Digest are one
@@ -264,24 +271,22 @@ type replSidecar struct {
 // order: db.mu and store.mu (and jw.mu) may be held when taking
 // repl.mu; never the reverse.
 type replState struct {
-	mu        sync.Mutex
-	history   string
-	seq       int64 // records committed since history start
-	bytes     int64 // framed journal bytes since history start
-	baseSeq   int64 // position of the current generation's snapshot
-	baseBytes int64
-	subs      map[*replSub]struct{}
-	pins      map[uint64]int // generation → open bootstrap/stream readers
+	mu      sync.Mutex
+	history string
+	seq     int64 // records committed since history start
+	bytes   int64 // framed journal bytes since history start
+	subs    map[*replSub]struct{}
+	pins    map[uint64]int // generation → open bootstrap/stream readers
 
 	fencingEpoch    uint64 // this node's own fencing epoch (≥ 1)
 	fencingObserved uint64 // highest epoch seen for this history (≥ own)
 
-	// base*Digest mirror the current generation's sidecar digest
-	// stamps, so fencing rewrites preserve them and the scrubber can
-	// hash-compare the at-rest files without re-reading the sidecar.
-	baseDigest      string
-	baseModelDigest string
-	baseStoreDigest string
+	// base is the current generation's sidecar as written: the
+	// snapshot's position and the digest stamps, which fencing rewrites
+	// preserve and the scrubber hash-compares the at-rest files against
+	// without re-reading the file. history and the fencing epochs above
+	// are the live values.
+	base replSidecar
 }
 
 // replSub is one live stream's subscription to committed records. The
@@ -322,17 +327,14 @@ func (db *DB) loadReplState() {
 		if data, err := os.ReadFile(db.replSidecarPath(db.gen)); err == nil {
 			var sc replSidecar
 			if err := json.Unmarshal(data, &sc); err == nil && sc.History != "" {
-				r.history = sc.History
+				// Pre-digest sidecars carry no stamps; the scrubber then
+				// parse-validates instead of hash-comparing.
+				r.history, r.base = sc.History, sc
 				r.seq, r.bytes = sc.Seq, sc.Bytes
-				r.baseSeq, r.baseBytes = sc.Seq, sc.Bytes
 				// Pre-fencing sidecars carry no epochs: epoch 1 is the
 				// floor every history starts at.
 				r.fencingEpoch = max(sc.FencingEpoch, 1)
 				r.fencingObserved = max(sc.FencingObserved, r.fencingEpoch)
-				// Pre-digest sidecars carry no stamps; the scrubber then
-				// parse-validates instead of hash-comparing.
-				r.baseDigest = sc.Digest
-				r.baseModelDigest, r.baseStoreDigest = sc.ModelDigest, sc.StoreDigest
 				return
 			}
 		}
@@ -341,18 +343,13 @@ func (db *DB) loadReplState() {
 	r.fencingEpoch, r.fencingObserved = 1, 1
 }
 
-// writeReplSidecarLocked persists gen's base position and digest
-// stamps; called inside the compaction cut so the sidecar, the
-// checkpoint files and the snapshot agree.
-func (db *DB) writeReplSidecarLocked(gen uint64, seq, bytes int64, digest, modelDigest, storeDigest string) error {
-	db.repl.mu.Lock()
-	sc := replSidecar{History: db.repl.history, Seq: seq, Bytes: bytes,
-		FencingEpoch: db.repl.fencingEpoch, FencingObserved: db.repl.fencingObserved,
-		Digest: digest, ModelDigest: modelDigest, StoreDigest: storeDigest}
-	db.repl.mu.Unlock()
-	return writeFileAtomic(db.replSidecarPath(gen), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(sc)
-	})
+// adoptedSidecar is the sidecar of a generation installed from another
+// node's state (a restore, a fresh follower): that node's history, the
+// snapshot's position and its fencing epoch, which this node observes
+// as its own.
+func adoptedSidecar(history string, seq, bytes int64, epoch uint64) replSidecar {
+	epoch = max(epoch, 1)
+	return replSidecar{History: history, Seq: seq, Bytes: bytes, FencingEpoch: epoch, FencingObserved: epoch}
 }
 
 // replPublish advances the position and fans the committed record out
@@ -418,15 +415,14 @@ func (db *DB) ReplicationHistory() string {
 }
 
 // seedReplication adopts a primary's history, position and fencing
-// epoch — the bootstrap path, before Begin (or before the
-// re-bootstrap Compact) persists them into the new generation's
-// sidecar.
+// epoch — a serving follower's live re-bootstrap, before its Compact
+// persists them into the new generation's sidecar.
 func (db *DB) seedReplication(history string, seq, bytes int64, epoch uint64) {
 	r := &db.repl
 	r.mu.Lock()
 	r.history = history
 	r.seq, r.bytes = seq, bytes
-	r.baseSeq, r.baseBytes = seq, bytes
+	r.base.Seq, r.base.Bytes = seq, bytes
 	r.fencingEpoch = max(epoch, 1)
 	r.fencingObserved = r.fencingEpoch
 	r.mu.Unlock()
@@ -487,9 +483,8 @@ func (db *DB) raiseFencing(own, observed uint64) error {
 		r.fencingObserved = observed
 		changed = true
 	}
-	sc := replSidecar{History: r.history, Seq: r.baseSeq, Bytes: r.baseBytes,
-		FencingEpoch: r.fencingEpoch, FencingObserved: r.fencingObserved,
-		Digest: r.baseDigest, ModelDigest: r.baseModelDigest, StoreDigest: r.baseStoreDigest}
+	sc := r.base
+	sc.History, sc.FencingEpoch, sc.FencingObserved = r.history, r.fencingEpoch, r.fencingObserved
 	r.mu.Unlock()
 	db.mu.Unlock()
 	if !changed || gen == 0 {
@@ -514,7 +509,7 @@ func (db *DB) PinGeneration() (gen uint64, baseSeq, baseBytes int64, unpin func(
 	gen = db.gen
 	r := &db.repl
 	r.mu.Lock()
-	baseSeq, baseBytes = r.baseSeq, r.baseBytes
+	baseSeq, baseBytes = r.base.Seq, r.base.Bytes
 	if r.pins == nil {
 		r.pins = make(map[uint64]int)
 	}

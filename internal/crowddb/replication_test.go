@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +67,20 @@ func startTestReplica(t *testing.T, primary, dir string) *Replica {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// readSidecar decodes generation gen's replication sidecar in dir.
+func readSidecar(t *testing.T, dir string, gen uint64) replSidecar {
+	t.Helper()
+	var sc replSidecar
+	b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(replPattern, gen)))
+	if err == nil {
+		err = json.Unmarshal(b, &sc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // killPrimary is the primary's crash, as seen from a follower: live
@@ -147,8 +162,38 @@ func TestReplicaBootstrapAndLiveStream(t *testing.T) {
 	rig, src, ts := replPrimary(t)
 	rig.resolveOneTask(t, "classify this photograph of a cat", []float64{4, 2})
 
-	rep := startTestReplica(t, ts.URL, t.TempDir())
+	dir := t.TempDir()
+	rep := startTestReplica(t, ts.URL, dir)
 	defer rep.Close()
+
+	// A fresh follower's generation 1 is the primary's generation, byte
+	// for byte, under the sidecar a restore of a full backup cut at the
+	// same position writes.
+	gen := rig.db.Generation()
+	for _, name := range []string{datasetName, fmt.Sprintf(modelPattern, gen), fmt.Sprintf(snapshotPattern, gen)} {
+		want, err := os.ReadFile(filepath.Join(rig.db.dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, strings.Replace(name, fmt.Sprintf("%08d", gen), "00000001", 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("follower's %s differs from the primary's generation %d (%d vs %d bytes)", name, gen, len(got), len(want))
+		}
+	}
+	var archive bytes.Buffer
+	if _, err := fetchBackup(t, serveTransfers(t, src).URL+"/segment", &archive, -1, ""); err != nil {
+		t.Fatal(err)
+	}
+	restored := filepath.Join(t.TempDir(), "restored")
+	if _, err := RestoreBackup(restored, []string{writeArchive(t, archive.Bytes())}, RestoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readSidecar(t, dir, 1), readSidecar(t, restored, 1); got != want {
+		t.Fatalf("follower sidecar %+v, a restore of the primary's full backup writes %+v", got, want)
+	}
 
 	// Live records after the bootstrap.
 	rig.resolveOneTask(t, "translate this sentence into french", []float64{5, 3})
@@ -158,6 +203,9 @@ func TestReplicaBootstrapAndLiveStream(t *testing.T) {
 	assertModelsEqual(t, rig.cm.Unwrap(), rep.Model().Unwrap())
 	if got, want := rep.DB().Store().NumTasks(), rig.db.Store().NumTasks(); got != want {
 		t.Fatalf("replica stores %d tasks, primary %d", got, want)
+	}
+	if got, err := rep.Digest(); err != nil || got != cutDigest(t, rig) {
+		t.Fatalf("follower digest cut %+v (%v), primary %+v", got, err, cutDigest(t, rig))
 	}
 	if rep.DB().ReplicationHistory() != rig.db.ReplicationHistory() {
 		t.Fatalf("replica history %s != primary %s", rep.DB().ReplicationHistory(), rig.db.ReplicationHistory())

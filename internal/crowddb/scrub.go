@@ -137,7 +137,7 @@ func (db *DB) scrubBasis() (gen uint64, modelDigest, storeDigest string) {
 	gen = db.gen
 	db.mu.Unlock()
 	db.repl.mu.Lock()
-	modelDigest, storeDigest = db.repl.baseModelDigest, db.repl.baseStoreDigest
+	modelDigest, storeDigest = db.repl.base.ModelDigest, db.repl.base.StoreDigest
 	db.repl.mu.Unlock()
 	return gen, modelDigest, storeDigest
 }

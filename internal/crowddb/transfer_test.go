@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,6 +208,16 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 			t.Fatalf("store-only segment carried %v (trailer %q), want a snapshot, no model, a trailer",
 				segment.count, segment.trailer)
 		}
+		// Verification boots the archive as a node would, and no node
+		// boots without a model checkpoint: it says which one is missing.
+		var raw bytes.Buffer
+		if _, err := fetchBackup(t, bare.URL+"/segment", &raw, -1, ""); err != nil {
+			t.Fatal(err)
+		}
+		_, err = VerifyBackup([]string{writeArchive(t, raw.Bytes())}, VerifyBackupOptions{Build: testReplicaBuilder()})
+		if err == nil || !strings.Contains(err.Error(), "model checkpoint") || !strings.Contains(err.Error(), "model-00000001.json") {
+			t.Fatalf("verify of a store-only archive: %v, want a refusal naming the missing model checkpoint", err)
+		}
 	})
 
 	t.Run("below base", func(t *testing.T) {
@@ -389,12 +400,10 @@ func oneTaskArchive(t *testing.T) ([]byte, BackupManifest) {
 	return raw.Bytes(), info.Manifest
 }
 
-// restoreAndVerifyForged rewrites the manifest of a full archive and
-// hands the forgery to restore and to offline verification: both must
-// succeed when refusal is nil and fail with that sentinel otherwise.
-func restoreAndVerifyForged(t *testing.T, raw []byte, forge func(*BackupManifest), refusal error) {
+// forgeManifest rewrites the manifest of a full archive, CRC and all.
+func forgeManifest(t *testing.T, raw []byte, forge func(*BackupManifest)) []byte {
 	t.Helper()
-	forged := writeArchive(t, reframeArchive(t, raw, func(typ byte, payload []byte) []byte {
+	return reframeArchive(t, raw, func(typ byte, payload []byte) []byte {
 		if typ != frameBackupManifest {
 			return payload
 		}
@@ -408,7 +417,15 @@ func restoreAndVerifyForged(t *testing.T, raw []byte, forge func(*BackupManifest
 			t.Fatal(err)
 		}
 		return out
-	}))
+	})
+}
+
+// restoreAndVerifyForged rewrites the manifest of a full archive and
+// hands the forgery to restore and to offline verification: both must
+// succeed when refusal is nil and fail with that sentinel otherwise.
+func restoreAndVerifyForged(t *testing.T, raw []byte, forge func(*BackupManifest), refusal error) {
+	t.Helper()
+	forged := writeArchive(t, forgeManifest(t, raw, forge))
 	_, restoreErr := RestoreBackup(filepath.Join(t.TempDir(), "restored"), []string{forged}, RestoreOptions{})
 	_, verifyErr := VerifyBackup([]string{forged}, VerifyBackupOptions{Build: testReplicaBuilder()})
 	for what, err := range map[string]error{"restore": restoreErr, "verify": verifyErr} {
