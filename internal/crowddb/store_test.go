@@ -2,9 +2,11 @@ package crowddb
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -189,6 +191,75 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if next.ID != 2 {
 		t.Errorf("next id = %d, want 2", next.ID)
 	}
+}
+
+// TestSnapshotStreamsTheWholeValueEncoding holds the row-at-a-time
+// snapshot to the bytes json.Encoder writes for the whole snapshot
+// value: store digests, replication and backups compare these bytes
+// across nodes and versions.
+func TestSnapshotStreamsTheWholeValueEncoding(t *testing.T) {
+	whole := func(s *Store) []byte {
+		snap := snapshot{NextTID: s.nextTID}
+		for _, wk := range s.workers {
+			snap.Workers = append(snap.Workers, *wk)
+		}
+		sort.Slice(snap.Workers, func(a, b int) bool { return snap.Workers[a].ID < snap.Workers[b].ID })
+		for _, task := range s.tasks {
+			snap.Tasks = append(snap.Tasks, cloneTask(task))
+		}
+		sort.Slice(snap.Tasks, func(a, b int) bool { return snap.Tasks[a].ID < snap.Tasks[b].ID })
+		for id := range s.appliedForwards {
+			snap.AppliedForwards = append(snap.AppliedForwards, id)
+		}
+		sort.Ints(snap.AppliedForwards)
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	check := func(name string, s *Store) {
+		t.Helper()
+		var got bytes.Buffer
+		if err := s.Snapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		if want := whole(s); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s:\n got %s\nwant %s", name, got.Bytes(), want)
+		}
+	}
+
+	check("empty", NewStore())
+	s := newTestStore(t, 4)
+	check("workers only", s)
+	if err := s.SetOnline(1, false); err != nil {
+		t.Fatal(err)
+	}
+	a := mustAddTask(t, s, `<b>"B+" & trees</b>`, []string{"b+", "trees"})
+	if err := s.Assign(a.ID, []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{0, 2} {
+		if err := s.RecordAnswer(a.ID, w, fmt.Sprintf("answer <%d>", w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Resolve(a.ID, map[int]float64{0: 4.5, 2: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b := mustAddTask(t, s, "assigned, one answer", []string{"assigned"})
+	if err := s.Assign(b.ID, []int{3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordAnswer(b.ID, 3, "x"); err != nil {
+		t.Fatal(err)
+	}
+	mustAddTask(t, s, "no tokens", nil)
+	empty := mustAddTask(t, s, "empty tokens", nil)
+	s.tasks[empty.ID].Tokens = []string{} // as decoded from a snapshot that wrote []
+	check("tasks", s)
+	s.appliedForwards[9], s.appliedForwards[3] = true, true
+	check("tasks and forwards", s)
 }
 
 func TestSnapshotFileAtomic(t *testing.T) {
