@@ -76,10 +76,12 @@ expdiff:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# One iteration of every Go benchmark: the paper-table benchmarks of the
-# root package and the layer benchmarks (projection kernel and training
-# sweep, the adaptive-stop sizing of BenchmarkProjectTolerance, top-k,
-# online set, hot and cold selection and the fleet selection).
+# One iteration of every Go benchmark: the ablations of the root package
+# (EXPERIMENTS.md "Ablations", DESIGN.md §4.5) and the layer benchmarks
+# (projection kernel and training sweep, the adaptive-stop sizing of
+# BenchmarkProjectTolerance, top-k, online set, hot and cold selection
+# and the fleet selection). The paper's tables and figures are
+# `make experiments`.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb ./internal/crowdclient
 

@@ -1,39 +1,26 @@
 package crowdselect
 
-// One benchmark per table and figure of the paper's evaluation section
-// (§7), plus the ablation benches called out in DESIGN.md §4.5. Each
-// bench reuses a shared Runner so datasets are generated and models
-// trained once per `go test -bench` invocation; the measured loop is
-// the experiment's evaluation work. The same rows the paper reports
-// are printed by `go run ./cmd/crowdbench -exp all`.
-//
-// Scale: benchmarks run the corpora at BenchScale (default 0.1× the
-// DESIGN.md sizes) so the full suite finishes in minutes. Override
-// with CROWDSELECT_BENCH_SCALE.
+// The ablation benchmarks cited by EXPERIMENTS.md "Ablations" and
+// DESIGN.md §4.5, and the training-parallelism sweep. Each reuses one
+// shared Runner, so datasets are generated and models trained once per
+// `go test -bench` invocation; the measured loop is the ablation's own
+// work and the custom metrics carry its ACCU / Top1 readings. The
+// paper's tables and figures come from `go run ./cmd/crowdbench -exp`.
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/eval"
-	"crowdselect/internal/randx"
-	"crowdselect/internal/sim"
 )
 
-func benchScale() float64 {
-	if s := os.Getenv("CROWDSELECT_BENCH_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0.1
-}
+// benchScale is the corpus scale, 0.1× the DESIGN.md sizes, that the
+// ablation readings in EXPERIMENTS.md were taken at.
+const benchScale = 0.1
 
 var (
 	benchOnce   sync.Once
@@ -43,7 +30,7 @@ var (
 func runner() *eval.Runner {
 	benchOnce.Do(func() {
 		benchRunner = eval.NewRunner(eval.ExpConfig{
-			Scale:        benchScale(),
+			Scale:        benchScale,
 			Seed:         1,
 			MaxTestTasks: 500,
 			RecallK:      10,
@@ -51,189 +38,6 @@ func runner() *eval.Runner {
 		})
 	})
 	return benchRunner
-}
-
-// --- Table 2 -------------------------------------------------------
-
-func BenchmarkTable2DatasetStats(b *testing.B) {
-	r := runner()
-	for _, name := range []string{"quora", "yahoo", "stackoverflow"} {
-		if _, err := r.Dataset(name); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, name := range []string{"quora", "yahoo", "stackoverflow"} {
-			d, _ := r.Dataset(name)
-			s := d.Stats()
-			if s.Tasks == 0 {
-				b.Fatal("empty dataset")
-			}
-		}
-	}
-}
-
-// --- Group-statistics figures (3, 5, 7) -----------------------------
-
-func benchGroupStats(b *testing.B, name string, thresholds []int) {
-	b.Helper()
-	r := runner()
-	if _, err := r.Dataset(name); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var rows []eval.GroupStatRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.GroupStats(name, thresholds)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[len(rows)-1].Coverage, "tail-coverage")
-	b.ReportMetric(float64(rows[len(rows)-1].Size), "tail-workers")
-}
-
-func BenchmarkFigure3QuoraGroupStats(b *testing.B) {
-	benchGroupStats(b, "quora", []int{1, 2, 3, 4, 5})
-}
-
-func BenchmarkFigure5YahooGroupStats(b *testing.B) {
-	benchGroupStats(b, "yahoo", []int{1, 10, 20, 30})
-}
-
-func BenchmarkFigure7StackGroupStats(b *testing.B) {
-	benchGroupStats(b, "stackoverflow", []int{1, 3, 6, 9, 12, 15})
-}
-
-// --- Precision tables (3, 5, 7) --------------------------------------
-
-func benchPrecision(b *testing.B, name string, groups []int) {
-	b.Helper()
-	r := runner()
-	ks := r.Config().PrecisionKs
-	// Train all models outside the timed loop.
-	if _, err := r.Precision(name, groups[:1], ks[:1]); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var cells []eval.PrecisionCell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = r.Precision(name, groups, ks)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	report := map[eval.Algo]float64{}
-	for _, c := range cells {
-		if c.Group == groups[0] && c.K == ks[0] {
-			report[c.Algo] = c.ACCU
-		}
-	}
-	for algo, accu := range report {
-		b.ReportMetric(accu, string(algo)+"-ACCU")
-	}
-}
-
-func BenchmarkTable3QuoraPrecision(b *testing.B) {
-	benchPrecision(b, "quora", []int{1, 5, 9})
-}
-
-func BenchmarkTable5YahooPrecision(b *testing.B) {
-	benchPrecision(b, "yahoo", []int{10, 15, 20})
-}
-
-func BenchmarkTable7StackPrecision(b *testing.B) {
-	benchPrecision(b, "stackoverflow", []int{1, 6, 12})
-}
-
-// --- Recall tables (4, 6, 8) ------------------------------------------
-
-func benchRecall(b *testing.B, name string, groups []int) {
-	b.Helper()
-	r := runner()
-	if _, err := r.RecallAndTime(name, groups[:1]); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var results []eval.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = r.RecallAndTime(name, groups)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for _, res := range results {
-		if res.Group == groups[0] {
-			b.ReportMetric(res.Top1, res.Algorithm+"-Top1")
-		}
-	}
-}
-
-func BenchmarkTable4QuoraRecall(b *testing.B) {
-	benchRecall(b, "quora", []int{1, 2, 3, 4, 5})
-}
-
-func BenchmarkTable6YahooRecall(b *testing.B) {
-	benchRecall(b, "yahoo", []int{10, 15, 20, 25, 30})
-}
-
-func BenchmarkTable8StackRecall(b *testing.B) {
-	benchRecall(b, "stackoverflow", []int{1, 3, 6, 9, 12})
-}
-
-// --- Running-time figures (4, 6, 8) ----------------------------------
-//
-// The figure's quantity is the per-task crowd-selection latency of
-// each algorithm; the sub-benchmark ns/op IS the figure's data point.
-
-func benchSelectionTime(b *testing.B, name string, topK int) {
-	b.Helper()
-	r := runner()
-	d, err := r.Dataset(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := eval.ExtractGroup(d, 1)
-	tasks := eval.TestTasks(d, g, 200, 7)
-	if len(tasks) == 0 {
-		b.Fatal("no test tasks")
-	}
-	for _, algo := range eval.AllAlgos {
-		sel, err := r.Selector(name, algo, r.Config().RecallK)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(string(algo), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t := d.Tasks[tasks[i%len(tasks)]]
-				ranked := sel.Rank(t.Bag(d.Vocab), eval.Candidates(t))
-				if len(ranked) > topK {
-					ranked = ranked[:topK]
-				}
-				if len(ranked) == 0 {
-					b.Fatal("empty selection")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFigure4QuoraSelectionTime(b *testing.B) {
-	benchSelectionTime(b, "quora", 1)
-}
-
-func BenchmarkFigure6YahooSelectionTime(b *testing.B) {
-	benchSelectionTime(b, "yahoo", 1)
-}
-
-func BenchmarkFigure8StackSelectionTime(b *testing.B) {
-	benchSelectionTime(b, "stackoverflow", 2)
 }
 
 // --- Ablations (DESIGN.md §4.5) ---------------------------------------
@@ -431,7 +235,7 @@ func BenchmarkAblationDriftTracking(b *testing.B) {
 }
 
 func quoraDriftProfile() corpus.Profile {
-	p := corpus.Quora().Scaled(benchScale())
+	p := corpus.Quora().Scaled(benchScale)
 	p.SkillDrift = 0.3
 	p.Seed = 31
 	return p
@@ -513,50 +317,6 @@ func BenchmarkAblationInferenceMethod(b *testing.B) {
 	})
 }
 
-// BenchmarkRoutingQuality runs the closed-loop simulation
-// (internal/sim) and reports the realized best-answer quality of
-// random, TDPM and oracle routing — the end-to-end payoff of
-// task-driven selection.
-func BenchmarkRoutingQuality(b *testing.B) {
-	r := runner()
-	d, err := r.Dataset("quora")
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := r.Selector("quora", eval.AlgoTDPM, r.Config().RecallK)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]int, 150)
-	for i := range ids {
-		ids[i] = i
-	}
-	cfg := sim.Config{CrowdK: 3, Noise: 0.3, Seed: 7}
-	quality := map[string]float64{}
-	for _, pol := range []sim.Policy{
-		sim.RandomPolicy{RNG: randx.New(2)},
-		sim.SelectorPolicy{Ranker: model},
-		sim.NewOraclePolicy(d),
-	} {
-		res, err := sim.Run(d, ids, pol, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		quality[res.Policy] = res.MeanBest
-	}
-	tdpmPol := sim.SelectorPolicy{Ranker: model}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(d, ids, tdpmPol, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for name, q := range quality {
-		b.ReportMetric(q, name+"-quality")
-	}
-}
-
 // BenchmarkTrainParallelism measures the variational EM wall-clock at
 // increasing E-step parallelism (results are bit-identical across
 // settings; see TestTrainParallelMatchesSequential).
@@ -578,31 +338,5 @@ func BenchmarkTrainParallelism(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- End-to-end pipeline bench ---------------------------------------
-
-// BenchmarkSelectForTask measures the complete Algorithm 3 path
-// (project + top-k selection over the whole crowd) — the operation the
-// crowd manager performs per submitted task.
-func BenchmarkSelectForTask(b *testing.B) {
-	r := runner()
-	d, err := r.Dataset("quora")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sel, err := r.Selector("quora", eval.AlgoTDPM, r.Config().RecallK)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := sel.(*core.Model)
-	rng := randx.New(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := d.Tasks[i%len(d.Tasks)]
-		if got := model.SelectForTask(t.Bag(d.Vocab), nil, 3, rng); len(got) != 3 {
-			b.Fatal("bad selection")
-		}
 	}
 }

@@ -4,9 +4,19 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
 	"crowdselect"
+	"crowdselect/internal/core"
+	"crowdselect/internal/crowddb"
 )
 
 // facadeTasks builds a tiny two-category history through the public
@@ -53,12 +63,12 @@ func TestFacadeTrainSelectRoundTrip(t *testing.T) {
 		t.Errorf("selected %v, want the database expert (0)", top)
 	}
 
-	// Persistence through the facade.
+	// The trained model persists.
 	var buf bytes.Buffer
 	if err := model.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := crowdselect.LoadModel(&buf)
+	loaded, err := core.LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,27 +77,8 @@ func TestFacadeTrainSelectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeDatasetAndEvaluation(t *testing.T) {
-	p := crowdselect.QuoraProfile().Scaled(0.03)
-	d, err := crowdselect.GenerateDataset(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := crowdselect.TrainAlgo(d, crowdselect.AlgoVSM, crowdselect.TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := crowdselect.ExtractGroup(d, 1)
-	tests := crowdselect.TestTasks(d, g, 50, 1)
-	res := crowdselect.Evaluate(d, sel, g, tests, 0)
-	if res.Tasks == 0 || res.ACCU < 0 || res.ACCU > 1 {
-		t.Errorf("result = %+v", res)
-	}
-	if crowdselect.ACCU(0, 5) != 1 {
-		t.Error("ACCU facade broken")
-	}
-}
-
+// TestFacadeCrowdPipeline: the model the quick start trains is the
+// selector a crowd manager serves.
 func TestFacadeCrowdPipeline(t *testing.T) {
 	vocab := crowdselect.NewVocabulary()
 	tasks := facadeTasks(vocab)
@@ -95,13 +86,13 @@ func TestFacadeCrowdPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := crowdselect.NewStore()
+	store := crowddb.NewStore()
 	for i := 0; i < 3; i++ {
 		if _, err := store.AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mgr, err := crowdselect.NewManager(store, vocab, model, 2)
+	mgr, err := crowddb.NewManager(store, vocab, model, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +111,122 @@ func TestFacadeCrowdPipeline(t *testing.T) {
 	}
 }
 
-func TestFacadeRNGAndJaccard(t *testing.T) {
-	rng := crowdselect.NewRNG(1)
-	if v := rng.Float64(); v < 0 || v >= 1 {
-		t.Errorf("Float64 = %v", v)
+// TestRootPackageIsTheQuickStart holds the root package to README's
+// quick start: every exported name it declares is spelled
+// crowdselect.<Name> in README's Quick start block or in
+// examples/quickstart, or is named in the signature of a name that is.
+// Everything else is imported from the internal packages directly.
+func TestRootPackageIsTheQuickStart(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	vocab := crowdselect.NewVocabulary()
-	a := crowdselect.NewBag(vocab, []string{"x", "y"})
-	b := crowdselect.NewBag(vocab, []string{"y", "z"})
-	if got := crowdselect.Jaccard(a, b); got <= 0 || got >= 1 {
-		t.Errorf("Jaccard = %v", got)
+	_, section, _ := strings.Cut(string(readme), "\n## Quick start\n")
+	_, block, _ := strings.Cut(section, "```go\n")
+	block, _, ok := strings.Cut(block, "\n```")
+	if !ok {
+		t.Fatal("README.md has no Go block under ## Quick start")
+	}
+	example, err := os.ReadFile(filepath.Join("examples", "quickstart", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled := map[string]bool{}
+	qualified := regexp.MustCompile(`\bcrowdselect\.([A-Z]\w*)`)
+	for _, src := range []string{block, string(example)} {
+		for _, m := range qualified.FindAllStringSubmatch(src, -1) {
+			spelled[m[1]] = true
+		}
+	}
+
+	// Every exported package-level name, with the identifiers of this
+	// package its signature (a function's parameters and results, a
+	// type's definition, a value's type) names.
+	sigs := map[string][]string{}
+	names := func(n ast.Node) []string {
+		var out []string
+		if n == nil { // a value declared without a type
+			return nil
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				return false // another package's name
+			case *ast.Ident:
+				out = append(out, n.Name)
+			}
+			return true
+		})
+		return out
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					sigs[d.Name.Name] = names(d.Type)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							sigs[sp.Name.Name] = names(sp.Type)
+						}
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							if id.IsExported() {
+								sigs[id.Name] = names(sp.Type)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for name := range spelled {
+		if _, ok := sigs[name]; !ok {
+			t.Errorf("the quick start spells crowdselect.%s, which the root package does not declare", name)
+		}
+	}
+	earned := map[string]bool{}
+	var queue []string
+	for name := range spelled {
+		earned[name] = true
+		queue = append(queue, name)
+	}
+	for len(queue) > 0 {
+		name := queue[0]
+		queue = queue[1:]
+		for _, used := range sigs[name] {
+			if _, declared := sigs[used]; declared && !earned[used] {
+				earned[used] = true
+				queue = append(queue, used)
+			}
+		}
+	}
+	var declared []string
+	for name := range sigs {
+		declared = append(declared, name)
+	}
+	sort.Strings(declared)
+	for _, name := range declared {
+		if !earned[name] {
+			t.Errorf("crowdselect.%s is neither in README's quick start nor in a signature it uses; import its internal package instead", name)
+		}
 	}
 }
 

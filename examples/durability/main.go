@@ -8,7 +8,7 @@
 // the manager's feedback path (DESIGN.md §7).
 //
 // This is the same lifecycle cmd/crowdd runs behind its -data-dir
-// flag, driven in process through the public API.
+// flag, driven in process through internal/crowddb.
 //
 // Run with:
 //
@@ -22,7 +22,10 @@ import (
 	"os"
 	"strings"
 
-	"crowdselect"
+	"crowdselect/internal/core"
+	"crowdselect/internal/corpus"
+	"crowdselect/internal/crowddb"
+	"crowdselect/internal/eval"
 )
 
 func main() {
@@ -34,20 +37,20 @@ func main() {
 
 	// ---- first process lifetime: train, serve, journal, shut down ----
 
-	d, err := crowdselect.GenerateDataset(crowdselect.QuoraProfile().Scaled(0.05))
+	d, err := corpus.Generate(corpus.Quora().Scaled(0.05))
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, _, err := crowdselect.Train(crowdselect.ResolvedTasksOf(d), len(d.Workers), d.Vocab.Size(), crowdselect.NewConfig(8))
+	model, _, err := core.Train(eval.ResolvedTasks(d), len(d.Workers), d.Vocab.Size(), core.NewConfig(8))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	db, err := crowdselect.OpenDurable(dir, crowdselect.DurabilityOptions{
+	db, err := crowddb.Open(dir, crowddb.Options{
 		// Every acknowledged mutation is fsynced before success —
 		// the strictest policy; see SyncEvery/SyncInterval for the
 		// group-commit trade-offs.
-		Sync: crowdselect.SyncAlways(),
+		Sync: crowddb.SyncAlways(),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -58,8 +61,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	cm := crowdselect.NewConcurrentModel(model)
-	mgr, err := crowdselect.NewManager(store, d.Vocab, cm, 3)
+	cm := core.NewConcurrentModel(model)
+	mgr, err := crowddb.NewManager(store, d.Vocab, cm, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,14 +115,14 @@ func main() {
 
 	// ---- second process lifetime: restore without retraining ----
 
-	db2, err := crowdselect.OpenDurable(dir, crowdselect.DurabilityOptions{Sync: crowdselect.SyncAlways()})
+	db2, err := crowddb.Open(dir, crowddb.Options{Sync: crowddb.SyncAlways()})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if db2.Fresh() {
 		log.Fatal("expected persisted state in the data directory")
 	}
-	d2, err := crowdselect.LoadDatasetFile(db2.DatasetPath())
+	d2, err := corpus.LoadFile(db2.DatasetPath())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,8 +130,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cm2 := crowdselect.NewConcurrentModel(model2)
-	mgr2, err := crowdselect.NewManager(db2.Store(), d2.Vocab, cm2, 3)
+	cm2 := core.NewConcurrentModel(model2)
+	mgr2, err := crowddb.NewManager(db2.Store(), d2.Vocab, cm2, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

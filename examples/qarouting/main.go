@@ -15,7 +15,10 @@ import (
 	"log"
 	"time"
 
-	"crowdselect"
+	"crowdselect/internal/corpus"
+	"crowdselect/internal/eval"
+	"crowdselect/internal/randx"
+	"crowdselect/internal/sim"
 )
 
 func main() {
@@ -23,30 +26,27 @@ func main() {
 	k := flag.Int("k", 10, "latent categories")
 	flag.Parse()
 
-	profile := crowdselect.QuoraProfile()
-	d, err := crowdselect.GenerateDataset(profile.Scaled(*scale))
+	d, err := corpus.Generate(corpus.Quora().Scaled(*scale))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated %d questions, %d workers\n\n", len(d.Tasks), len(d.Workers))
 
-	group := crowdselect.ExtractGroup(d, 1)
-	tests := crowdselect.TestTasks(d, group, 1000, 42)
+	group := eval.ExtractGroup(d, 1)
+	tests := eval.TestTasks(d, group, 1000, 42)
 	fmt.Printf("routing %d test questions (K=%d)\n\n", len(tests), *k)
 	fmt.Printf("%-6s %-8s %-8s %-8s %-10s %s\n", "algo", "ACCU", "Top1", "Top2", "select/task", "train")
 
-	selectors := map[crowdselect.Algo]crowdselect.Selector{}
-	for _, algo := range []crowdselect.Algo{
-		crowdselect.AlgoVSM, crowdselect.AlgoTSPM, crowdselect.AlgoDRM, crowdselect.AlgoTDPM,
-	} {
+	selectors := map[eval.Algo]eval.Selector{}
+	for _, algo := range []eval.Algo{eval.AlgoVSM, eval.AlgoTSPM, eval.AlgoDRM, eval.AlgoTDPM} {
 		start := time.Now()
-		sel, err := crowdselect.TrainAlgo(d, algo, crowdselect.TrainOptions{K: *k, Seed: 1})
+		sel, err := eval.Train(d, algo, eval.TrainOptions{K: *k, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
 		trainTime := time.Since(start)
 		selectors[algo] = sel
-		res := crowdselect.Evaluate(d, sel, group, tests, *k)
+		res := eval.Evaluate(d, sel, group, tests, *k)
 		fmt.Printf("%-6s %-8.3f %-8.3f %-8.3f %-10s %s\n",
 			algo, res.ACCU, res.Top1, res.Top2,
 			res.MeanSelect.Round(time.Microsecond), trainTime.Round(time.Millisecond))
@@ -55,15 +55,15 @@ func main() {
 	// Closed-loop view: route the same questions with each policy and
 	// measure the answer quality the asker would actually see.
 	fmt.Printf("\nclosed-loop routing (crowd of 3, realized best-answer quality):\n")
-	simCfg := crowdselect.RoutingConfig{CrowdK: 3, Noise: 0.3, Seed: 7}
-	policies := []crowdselect.RoutingPolicy{
-		crowdselect.RandomPolicy{RNG: crowdselect.NewRNG(2)},
-		crowdselect.SelectorPolicy{Ranker: selectors[crowdselect.AlgoVSM]},
-		crowdselect.SelectorPolicy{Ranker: selectors[crowdselect.AlgoTDPM]},
-		crowdselect.NewOraclePolicy(d),
+	simCfg := sim.Config{CrowdK: 3, Noise: 0.3, Seed: 7}
+	policies := []sim.Policy{
+		sim.RandomPolicy{RNG: randx.New(2)},
+		sim.SelectorPolicy{Ranker: selectors[eval.AlgoVSM]},
+		sim.SelectorPolicy{Ranker: selectors[eval.AlgoTDPM]},
+		sim.NewOraclePolicy(d),
 	}
 	for _, pol := range policies {
-		res, err := crowdselect.SimulateRouting(d, tests, pol, simCfg)
+		res, err := sim.Run(d, tests, pol, simCfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,30 +17,33 @@ import (
 	"net/http"
 	"net/http/httptest"
 
-	"crowdselect"
+	"crowdselect/internal/core"
+	"crowdselect/internal/corpus"
+	"crowdselect/internal/crowddb"
+	"crowdselect/internal/eval"
 )
 
 func main() {
 	// Build the platform: corpus → model → crowd database → manager.
-	d, err := crowdselect.GenerateDataset(crowdselect.QuoraProfile().Scaled(0.05))
+	d, err := corpus.Generate(corpus.Quora().Scaled(0.05))
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, _, err := crowdselect.Train(crowdselect.ResolvedTasksOf(d), len(d.Workers), d.Vocab.Size(), crowdselect.NewConfig(8))
+	model, _, err := core.Train(eval.ResolvedTasks(d), len(d.Workers), d.Vocab.Size(), core.NewConfig(8))
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := crowdselect.NewStore()
+	store := crowddb.NewStore()
 	for _, w := range d.Workers {
 		if _, err := store.AddWorker(w.ID, fmt.Sprintf("worker-%03d", w.ID)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	mgr, err := crowdselect.NewManager(store, d.Vocab, model, 3)
+	mgr, err := crowddb.NewManager(store, d.Vocab, model, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := httptest.NewServer(crowdselect.NewServer(mgr))
+	srv := httptest.NewServer(crowddb.NewServer(mgr))
 	defer srv.Close()
 	fmt.Printf("crowd manager (%s) serving %d workers at %s\n\n",
 		mgr.SelectorName(), store.NumWorkers(), srv.URL)

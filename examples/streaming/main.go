@@ -17,7 +17,9 @@ import (
 	"log"
 	"time"
 
-	"crowdselect"
+	"crowdselect/internal/core"
+	"crowdselect/internal/corpus"
+	"crowdselect/internal/eval"
 )
 
 func main() {
@@ -25,18 +27,18 @@ func main() {
 	k := flag.Int("k", 8, "latent categories")
 	flag.Parse()
 
-	d, err := crowdselect.GenerateDataset(crowdselect.YahooProfile().Scaled(*scale))
+	d, err := corpus.Generate(corpus.Yahoo().Scaled(*scale))
 	if err != nil {
 		log.Fatal(err)
 	}
-	all := crowdselect.ResolvedTasksOf(d)
+	all := eval.ResolvedTasks(d)
 	split := len(all) * 7 / 10
 	historical, stream := all[:split], all[split:]
 	fmt.Printf("history: %d tasks   stream: %d tasks   workers: %d\n\n",
 		len(historical), len(stream), len(d.Workers))
 
 	start := time.Now()
-	model, stats, err := crowdselect.Train(historical, len(d.Workers), d.Vocab.Size(), crowdselect.NewConfig(*k))
+	model, stats, err := core.Train(historical, len(d.Workers), d.Vocab.Size(), core.NewConfig(*k))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 		// Fold the stream task's feedback into the involved workers'
 		// skills (§4.2 issue 2 — crowd update).
 		for _, r := range task.Responses {
-			if err := model.UpdateWorkerSkill(r.Worker, []crowdselect.TaskCategory{cat}, []float64{r.Score}); err != nil {
+			if err := model.UpdateWorkerSkill(r.Worker, []core.TaskCategory{cat}, []float64{r.Score}); err != nil {
 				log.Fatal(err)
 			}
 		}

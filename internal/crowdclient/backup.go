@@ -22,7 +22,7 @@ import (
 // whether appending a continuation (Backup with since=info.LastSeq)
 // can complete the archive, and info.LastSeq is the resume point.
 //
-// The stream bypasses the client's retry/backoff/hedge machinery and
+// The stream bypasses the client's retry/backoff machinery and
 // per-request timeout: a backup is a long bulk transfer whose retry
 // unit is the resume, driven by the caller. ctx bounds it.
 func (c *Client) Backup(ctx context.Context, dst io.Writer, since int64, history string) (crowddb.BackupStreamInfo, error) {

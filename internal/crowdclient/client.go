@@ -6,12 +6,12 @@
 // may have reached the server is never sent twice), and 5xx responses
 // on idempotent requests (GETs and pure selections).
 //
-// On top of the per-request policy sit three client-wide guards: a
+// On top of the per-request policy sit two client-wide guards: a
 // closed/open/half-open circuit breaker that fails fast (ErrCircuitOpen)
-// once the server stops answering at the transport level, a token-bucket
-// retry budget so concurrent callers cannot multiply a retry storm, and
-// optional hedging of slow idempotent requests. Stats exposes their
-// counters.
+// once the server stops answering at the transport level, and a
+// token-bucket retry budget so concurrent callers cannot multiply a
+// retry storm.
+// ResilienceStats exposes their counters.
 //
 // Non-2xx responses decode the server's error envelope
 // {"error": {"code", "message"}} into *APIError, so callers can branch
@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"crowdselect/internal/crowddb"
@@ -71,11 +70,6 @@ type Options struct {
 	// and when the bucket is empty requests fail after their first
 	// attempt (default 10; negative disables the budget).
 	RetryBudget int
-	// HedgeDelay, when > 0, hedges idempotent requests: if no response
-	// arrives within the delay, a second identical request races the
-	// first and the earlier response wins. Spends latency variance,
-	// not correctness — only GETs and pure selections are hedged.
-	HedgeDelay time.Duration
 	// Seed seeds the client's private jitter source; 0 seeds from the
 	// clock. Each client owns its randomness — nothing touches the
 	// global math/rand state.
@@ -106,17 +100,13 @@ type Client struct {
 	fleetToken string
 	tenant     string // "": default tenant (un-prefixed paths)
 
-	brk        *breaker     // nil: breaker disabled
-	budget     *retryBudget // nil: unbounded retries
-	hedgeDelay time.Duration
+	brk    *breaker     // nil: breaker disabled
+	budget *retryBudget // nil: unbounded retries
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
 	gossip *epochGossip // never nil; shared across a Multi's clients
-
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
 }
 
 // epochGossip remembers the highest fencing epoch seen for the
@@ -197,7 +187,6 @@ func New(baseURL string, opts Options) *Client {
 		sleep:      opts.Sleep,
 		fleetToken: opts.FleetToken,
 		tenant:     normalizeTenant(opts.Tenant),
-		hedgeDelay: opts.HedgeDelay,
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		gossip:     &epochGossip{},
 	}
@@ -240,7 +229,6 @@ func (c *Client) ForTenant(name string) *Client {
 		tenant:     normalizeTenant(name),
 		brk:        c.brk,
 		budget:     c.budget,
-		hedgeDelay: c.hedgeDelay,
 		rng:        rand.New(rand.NewSource(seed)),
 		gossip:     c.gossip,
 	}
@@ -273,19 +261,12 @@ type ClientStats struct {
 	BreakerOpens     int64   `json:"breaker_opens"`
 	BreakerFastFails int64   `json:"breaker_fast_fails"`
 	RetryTokens      float64 `json:"retry_tokens"`
-	HedgesLaunched   int64   `json:"hedges_launched"`
-	HedgeWins        int64   `json:"hedge_wins"`
 }
 
-// ResilienceStats snapshots the breaker, retry-budget and hedging
-// counters. (Stats, by contrast, is the server's GET /api/v1/stats.)
+// ResilienceStats snapshots the breaker and retry-budget counters.
+// (Stats, by contrast, is the server's GET /api/v1/stats.)
 func (c *Client) ResilienceStats() ClientStats {
-	st := ClientStats{
-		BreakerState:   "disabled",
-		RetryTokens:    -1,
-		HedgesLaunched: c.hedges.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
-	}
+	st := ClientStats{BreakerState: "disabled", RetryTokens: -1}
 	if c.brk != nil {
 		st.BreakerState, st.BreakerOpens, st.BreakerFastFails = c.brk.snapshot()
 	}
@@ -371,14 +352,6 @@ func retriableErr(method, url string, err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// attemptResult carries one racing attempt's outcome; idx 1 marks the
-// hedge.
-type attemptResult struct {
-	resp *http.Response
-	err  error
-	idx  int
-}
-
 // attempt issues one HTTP request through the circuit breaker. The
 // breaker records only what the attempt proved: an HTTP response of
 // any status is a success (the server is alive), a transport error is
@@ -429,67 +402,14 @@ func (c *Client) attempt(ctx context.Context, method, url string, body []byte) (
 	return resp, err
 }
 
-// hedged races a second identical attempt against a slow first one:
-// the hedge launches if no response lands within HedgeDelay, and the
-// earlier response wins. The loser is drained in the background so
-// its connection returns to the pool. Only called for idempotent
-// requests.
-func (c *Client) hedged(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
-	ch := make(chan attemptResult, 2)
-	launch := func(idx int) {
-		go func() {
-			resp, err := c.attempt(ctx, method, url, body)
-			ch <- attemptResult{resp: resp, err: err, idx: idx}
-		}()
-	}
-	launch(0)
-	timer := time.NewTimer(c.hedgeDelay)
-	defer timer.Stop()
-	launched, received := 1, 0
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			received++
-			if r.err == nil {
-				if r.idx == 1 {
-					c.hedgeWins.Add(1)
-				}
-				if received < launched {
-					go func() {
-						if lose := <-ch; lose.resp != nil {
-							io.Copy(io.Discard, lose.resp.Body)
-							lose.resp.Body.Close()
-						}
-					}()
-				}
-				return r.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if received == launched {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if launched == 1 {
-				c.hedges.Add(1)
-				launch(1)
-				launched = 2
-			}
-		}
-	}
-}
-
 // do issues the request with the full resilience policy: the circuit
 // breaker fails fast while the server is unreachable, the token-bucket
 // retry budget bounds retries across the whole client, transport
 // errors retry per retriableErr, 5xx responses retry on idempotent
 // requests (honoring the server's Retry-After as a floor on the next
-// backoff), and slow idempotent requests may be hedged. The response
-// is the first success or non-retriable status; err is the final
-// failure after the per-request retry cap or the shared budget is
-// spent. A cancelled ctx stops the retry loop.
+// backoff). The response is the first success or non-retriable status;
+// err is the final failure after the per-request retry cap or the
+// shared budget is spent. A cancelled ctx stops the retry loop.
 func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
 	idem := idempotent(method, url)
 	var lastErr error
@@ -511,13 +431,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http
 				return nil, err
 			}
 		}
-		var resp *http.Response
-		var err error
-		if idem && c.hedgeDelay > 0 {
-			resp, err = c.hedged(ctx, method, url, body)
-		} else {
-			resp, err = c.attempt(ctx, method, url, body)
-		}
+		resp, err := c.attempt(ctx, method, url, body)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, ErrCircuitOpen) {
@@ -680,8 +594,7 @@ func (c *Client) selections(ctx context.Context, req crowddb.BatchSubmitRequest)
 // Selections ranks crowds for a batch of task texts without storing
 // anything (POST /api/v1/selections) — the pure read that keeps
 // answering while the server is in degraded read-only mode. It is
-// idempotent, so the client retries it on any transport failure and
-// hedges it when HedgeDelay is set.
+// idempotent, so the client retries it on any transport failure.
 func (c *Client) Selections(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
 	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks})
 }

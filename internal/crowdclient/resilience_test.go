@@ -195,52 +195,6 @@ func TestRetryBudgetRefundsOnSuccess(t *testing.T) {
 	}
 }
 
-// TestHedgingRacesIdempotentRequests: a slow first response triggers a
-// hedge whose faster answer wins; mutations are never hedged.
-func TestHedgingRacesIdempotentRequests(t *testing.T) {
-	var hits int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if atomic.AddInt32(&hits, 1) == 1 {
-			time.Sleep(300 * time.Millisecond) // only the first request is slow
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if r.Method == http.MethodPost {
-			fmt.Fprintln(w, `{"task_id": 1, "workers": [0], "model": "TDPM"}`)
-			return
-		}
-		fmt.Fprintln(w, `{"workers": 2}`)
-	}))
-	defer srv.Close()
-	cli := New(srv.URL, Options{HedgeDelay: 20 * time.Millisecond})
-
-	start := time.Now()
-	st, err := cli.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if elapsed := time.Since(start); elapsed >= 300*time.Millisecond {
-		t.Errorf("hedged GET took %v; the hedge should have won well under the slow path", elapsed)
-	}
-	rs := cli.ResilienceStats()
-	if rs.HedgesLaunched != 1 || rs.HedgeWins != 1 {
-		t.Errorf("hedges = %d launched, %d wins; want 1, 1", rs.HedgesLaunched, rs.HedgeWins)
-	}
-
-	// A mutation through the same client is sent exactly once, however
-	// slow the server is: hedging a POST /tasks could double-submit.
-	atomic.StoreInt32(&hits, 0) // handler fast from here on
-	before := cli.ResilienceStats().HedgesLaunched
-	if _, err := cli.SubmitTask(context.Background(), "not hedged", 1); err != nil {
-		t.Fatal(err)
-	}
-	if after := cli.ResilienceStats().HedgesLaunched; after != before {
-		t.Error("mutation was hedged")
-	}
-}
-
 // TestIdempotentClassification: only GETs and the pure selections POST
 // are replay-safe.
 func TestIdempotentClassification(t *testing.T) {

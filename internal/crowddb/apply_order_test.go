@@ -1,10 +1,10 @@
 package crowddb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -52,11 +52,9 @@ func (g *gateSelector) UpdateWorkerSkill(_ int, _ []core.TaskCategory, scores []
 // resolves concurrently. The wait below is only how long the fault is
 // given to show itself — ordered code cannot fail it.
 func TestResolveFoldsInJournalOrder(t *testing.T) {
-	path := t.TempDir() + "/crowd.journal"
-	store, closeFn, err := OpenJournaledStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := NewStore()
+	var journal bytes.Buffer
+	journalInto(store, &journal)
 	if _, err := store.AddWorker(0, "w0"); err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +99,8 @@ func TestResolveFoldsInJournalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := closeFn(); err != nil {
-		t.Fatal(err)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var journaled []float64
-	if _, err := walkJournal(data, func(_ int, _ int64, payload []byte) error {
+	if _, err := walkJournal(journal.Bytes(), func(_ int, _ int64, payload []byte) error {
 		var e event
 		if err := json.Unmarshal(payload, &e); err != nil {
 			return err

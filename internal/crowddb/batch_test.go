@@ -66,7 +66,7 @@ func TestSubmitBatchValidation(t *testing.T) {
 		}
 	}
 	var journal bytes.Buffer
-	mgr.Store().AttachJournal(&journal)
+	journalInto(mgr.Store(), &journal)
 	before := mgr.Store().NumTasks()
 	for name, reqs := range map[string][]TaskSubmission{
 		"one task":  {{Text: "anything", K: 1}},

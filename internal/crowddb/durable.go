@@ -420,7 +420,7 @@ func (db *DB) attachJournalLocked(gen uint64, initRecords, initBytes int64) erro
 	}
 	db.jw = db.newJournal(f)
 	db.jw.records, db.jw.bytes = initRecords, initBytes
-	db.store.attachSink(db.jw)
+	db.store.setJournal(db.jw)
 	return nil
 }
 
@@ -734,7 +734,7 @@ func (db *DB) Close() error {
 	if db.jw == nil {
 		return nil
 	}
-	db.store.attachSink(nil)
+	db.store.setJournal(nil)
 	jw := db.jw
 	db.jw = nil
 	if err := jw.Close(); err != nil {

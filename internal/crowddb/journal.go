@@ -118,28 +118,6 @@ func encodeRecord(payload []byte) []byte {
 	return buf
 }
 
-// journalSink receives events from store mutations; implementations
-// are called with the store lock held.
-type journalSink interface {
-	logRecord(e event) error
-}
-
-// writerSink frames events onto a plain io.Writer with no durability
-// guarantees — the AttachJournal compatibility path and the
-// building block for in-memory journals in tests.
-type writerSink struct{ w io.Writer }
-
-func (ws writerSink) logRecord(e event) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	if _, err := ws.w.Write(encodeRecord(payload)); err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	return nil
-}
-
 // SyncPolicy says when the journal fsyncs relative to appends. The
 // zero value never syncs explicitly (the OS decides); use SyncAlways,
 // SyncEvery or SyncInterval for a real durability contract.
@@ -342,26 +320,12 @@ func (jw *journalWriter) Size() (records, bytes int64) {
 	return jw.records, jw.bytes
 }
 
-// AttachJournal makes every subsequent mutation append one framed
-// record to w before the mutating call returns. Pass nil to detach.
-// The caller owns w's lifetime; no fsyncs are issued — use Open for
-// the full durability pipeline.
-func (s *Store) AttachJournal(w io.Writer) {
+// setJournal swaps the journal every later mutation appends to; nil
+// detaches it.
+func (s *Store) setJournal(jw *journalWriter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w == nil {
-		s.journal = nil
-		return
-	}
-	s.journal = writerSink{w: w}
-}
-
-// attachSink swaps the journal sink; callers may hold s.mu (Open and
-// compaction do, via attachSinkLocked).
-func (s *Store) attachSink(sink journalSink) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = sink
+	s.journal = jw
 }
 
 // logEvent appends an event; callers hold s.mu. Mutators that stamp a
@@ -395,20 +359,14 @@ type ReplayResult struct {
 	Torn bool
 }
 
-// ReplayJournal applies framed journal records from r to the store. A
+// replayJournal applies framed journal records from r to the store. A
 // torn final record (crash mid-append) is tolerated and discarded;
 // mid-file corruption or a record that fails to apply surfaces as a
-// *CorruptError. It is meant to run on a freshly constructed (or
-// snapshot-restored) store before new mutations are accepted.
-func (s *Store) ReplayJournal(r io.Reader) error {
-	_, err := s.replayJournal(r, nil)
-	return err
-}
-
-// replayJournal is ReplayJournal with the resolve hook used by
-// recovery to rebuild model posteriors: after each resolve event
-// commits to the store, onResolve receives the resolved record so the
-// caller can replay the feedback through the skill-update path.
+// *CorruptError. It runs on a freshly constructed (or
+// snapshot-restored) store before new mutations are accepted. After
+// each resolve event commits to the store, onResolve (when non-nil)
+// receives the resolved record so recovery can replay the feedback
+// through the skill-update path.
 func (s *Store) replayJournal(r io.Reader, onResolve func(TaskRecord) error) (ReplayResult, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -565,8 +523,8 @@ func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 		}
 		return nil
 	case evSkillFeedback:
-		// Store rows are untouched; re-journal (live sink only — replay
-		// runs with a nil sink) and hand the scores to the skill-update
+		// Store rows are untouched; re-journal (live journal only — replay
+		// runs with none attached) and hand the scores to the skill-update
 		// hook as a synthetic resolved record. A keyed forward already
 		// folded is skipped entirely — replay and replication apply are
 		// idempotent under the same dedupe the live path uses.
@@ -662,7 +620,7 @@ func (s *Store) LogSkillFeedback(tokens []string, scores map[int]float64, forwar
 
 // logReplayedSkillFeedback re-journals a replicated skill-feedback
 // event with its original timestamp and forward key; during boot
-// replay the sink is nil and this is a no-op. It reports applied=false
+// replay no journal is attached and this is a no-op. It reports applied=false
 // when the forward key was already folded (the event must then be
 // skipped, not just un-journaled).
 func (s *Store) logReplayedSkillFeedback(e event) (applied bool, err error) {
@@ -675,40 +633,6 @@ func (s *Store) logReplayedSkillFeedback(e event) (applied bool, err error) {
 		s.appliedForwards[*e.ForwardOf] = true
 	}
 	return true, s.logEvent(event{Kind: evSkillFeedback, Tokens: e.Tokens, Scores: e.Scores, ForwardOf: e.ForwardOf, At: e.At})
-}
-
-// OpenJournaledStore builds a store backed by the single journal file
-// at path: existing records are replayed (a torn tail is truncated
-// away), then the file is attached for appends with fsync on every
-// record. The returned close function syncs and closes the file.
-//
-// This is the minimal single-file form; Open adds snapshots,
-// compaction and model recovery on top.
-func OpenJournaledStore(path string) (*Store, func() error, error) {
-	s := NewStore()
-	res, err := replayJournalFile(s, path, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if res.Torn {
-		if err := os.Truncate(path, res.GoodBytes); err != nil {
-			return nil, nil, fmt.Errorf("crowddb: truncate torn journal: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("crowddb: open journal: %w", err)
-	}
-	jw := newJournalWriter(f, SyncAlways(), nil, nil)
-	s.attachSink(jw)
-	closeFn := func() error {
-		s.attachSink(nil)
-		if err := jw.Close(); err != nil {
-			return fmt.Errorf("crowddb: close journal: %w", err)
-		}
-		return nil
-	}
-	return s, closeFn, nil
 }
 
 // replayJournalFile replays path into s; a missing file is an empty

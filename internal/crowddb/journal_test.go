@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -53,15 +52,28 @@ func frameRecords(payloads ...string) []byte {
 	return buf.Bytes()
 }
 
+// bufferFile is an in-memory journal file: a bytes.Buffer whose Sync
+// does nothing.
+type bufferFile struct{ *bytes.Buffer }
+
+func (bufferFile) Sync() error  { return nil }
+func (bufferFile) Close() error { return nil }
+
+// journalInto attaches an in-memory journal to s: every later mutation
+// appends its framed record to buf.
+func journalInto(s *Store, buf *bytes.Buffer) {
+	s.setJournal(newJournalWriter(bufferFile{buf}, SyncPolicy{}, nil, nil))
+}
+
 func TestJournalReplayReproducesState(t *testing.T) {
 	var journal bytes.Buffer
 	s := NewStore()
 	s.SetClock(fixedClock())
-	s.AttachJournal(&journal)
+	journalInto(s, &journal)
 	journalScript(t, s)
 
 	replayed := NewStore()
-	if err := replayed.ReplayJournal(bytes.NewReader(journal.Bytes())); err != nil {
+	if _, err := replayed.replayJournal(bytes.NewReader(journal.Bytes()), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Compare via snapshots (timestamps differ between original clock
@@ -121,7 +133,7 @@ func TestJournalReplayRejectsGarbage(t *testing.T) {
 	}
 	for name, payload := range cases {
 		s := NewStore()
-		err := s.ReplayJournal(bytes.NewReader(payload))
+		_, err := s.replayJournal(bytes.NewReader(payload), nil)
 		if err == nil {
 			t.Errorf("%s: garbage accepted", name)
 			continue
@@ -141,7 +153,7 @@ func TestTornWriteTable(t *testing.T) {
 	var journal bytes.Buffer
 	s := NewStore()
 	s.SetClock(fixedClock())
-	s.AttachJournal(&journal)
+	journalInto(s, &journal)
 	journalScript(t, s)
 	full := journal.Bytes()
 
@@ -186,7 +198,7 @@ func TestMidFileCorruptionSurfacesOffset(t *testing.T) {
 	var journal bytes.Buffer
 	s := NewStore()
 	s.SetClock(fixedClock())
-	s.AttachJournal(&journal)
+	journalInto(s, &journal)
 	journalScript(t, s)
 	full := append([]byte(nil), journal.Bytes()...)
 
@@ -332,53 +344,31 @@ func TestSyncPolicies(t *testing.T) {
 	})
 }
 
-func TestOpenJournaledStorePersistsAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crowd.journal")
-
-	s1, close1, err := OpenJournaledStore(path)
-	if err != nil {
-		t.Fatal(err)
+// TestRecoverTruncatesTornTail: a torn final record must not block a
+// boot. Recover truncates it away, appends continue from the last good
+// byte, and they survive the next boot.
+func TestRecoverTruncatesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() *DB {
+		t.Helper()
+		db, err := Open(dir, Options{Sync: SyncAlways()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.Fresh() {
+			err = db.Begin()
+		} else {
+			err = db.Recover(nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
-	journalScript(t, s1)
-	if err := close1(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, close2, err := OpenJournaledStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer close2()
-	if s2.NumWorkers() != 3 || s2.NumTasks() != 2 {
-		t.Fatalf("reopened store has %d workers, %d tasks", s2.NumWorkers(), s2.NumTasks())
-	}
-	// New mutations append and survive another reopen.
-	if _, err := s2.AddWorker(3, "late"); err != nil {
-		t.Fatal(err)
-	}
-	if err := close2(); err != nil {
-		t.Fatal(err)
-	}
-	s3, close3, err := OpenJournaledStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer close3()
-	if s3.NumWorkers() != 4 {
-		t.Errorf("third open has %d workers, want 4", s3.NumWorkers())
-	}
-}
-
-// A torn final record must not block reopening: it is truncated away
-// and appends continue from the last good byte.
-func TestOpenJournaledStoreTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crowd.journal")
-	s1, close1, err := OpenJournaledStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	journalScript(t, s1)
-	if err := close1(); err != nil {
+	db := boot()
+	journalScript(t, db.Store())
+	path := db.journalPath(db.Generation())
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the final record.
@@ -390,48 +380,31 @@ func TestOpenJournaledStoreTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, close2, err := OpenJournaledStore(path)
-	if err != nil {
-		t.Fatalf("torn tail rejected: %v", err)
+	db = boot()
+	if !db.Stats().TornTailTruncated {
+		t.Error("torn tail not reported")
 	}
 	// The torn record was the second AddTask: one task short.
-	if s2.NumWorkers() != 3 || s2.NumTasks() != 1 {
-		t.Fatalf("after torn recovery: %d workers, %d tasks", s2.NumWorkers(), s2.NumTasks())
+	if db.Store().NumWorkers() != 3 || db.Store().NumTasks() != 1 {
+		t.Fatalf("after torn recovery: %d workers, %d tasks", db.Store().NumWorkers(), db.Store().NumTasks())
 	}
 	// Appends continue cleanly after the truncation point.
-	if _, err := s2.AddTask("replacement", nil); err != nil {
+	if _, err := db.Store().AddTask("replacement", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := close2(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, close3, err := OpenJournaledStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer close3()
-	if s3.NumTasks() != 2 {
-		t.Errorf("after torn recovery and append: %d tasks, want 2", s3.NumTasks())
-	}
-}
-
-func TestOpenJournaledStoreRejectsCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.journal")
-	// Mid-file corruption (bad CRC on a non-final record) is fatal.
-	data := frameRecords(`{"kind":"add_worker","worker":0}`, `{"kind":"add_worker","worker":1}`)
-	data[recordHeaderSize+2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenJournaledStore(path); err == nil {
-		t.Error("corrupt journal accepted")
+	db = boot()
+	defer db.Close()
+	if db.Store().NumTasks() != 2 {
+		t.Errorf("after torn recovery and append: %d tasks, want 2", db.Store().NumTasks())
 	}
 }
 
 func TestJournalWriteFailureSurfaces(t *testing.T) {
 	s := NewStore()
-	s.AttachJournal(failingWriter{})
+	s.setJournal(newJournalWriter(failingFile{}, SyncPolicy{}, nil, nil))
 	if _, err := s.AddWorker(0, "w"); !errors.Is(err, ErrJournal) {
 		t.Errorf("AddWorker err = %v, want ErrJournal", err)
 	}
@@ -440,12 +413,15 @@ func TestJournalWriteFailureSurfaces(t *testing.T) {
 		t.Error("mutation lost on journal failure")
 	}
 	// Detaching stops journaling.
-	s.AttachJournal(nil)
+	s.setJournal(nil)
 	if _, err := s.AddWorker(1, "w"); err != nil {
 		t.Errorf("after detach: %v", err)
 	}
 }
 
-type failingWriter struct{}
+// failingFile is a journal file whose every write fails.
+type failingFile struct{}
 
-func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (failingFile) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (failingFile) Sync() error               { return nil }
+func (failingFile) Close() error              { return nil }

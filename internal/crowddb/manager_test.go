@@ -242,11 +242,15 @@ func TestRedispatchExpired(t *testing.T) {
 // journal attached and verifies the journal replays to the same state.
 func TestManagerOverJournaledStore(t *testing.T) {
 	d, m := trainedFixture(t)
-	path := t.TempDir() + "/crowd.journal"
-	store, closeFn, err := OpenJournaledStore(path)
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Sync: SyncAlways()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	store := db.Store()
 	for i := range d.Workers {
 		if _, err := store.AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
 			t.Fatal(err)
@@ -266,15 +270,19 @@ func TestManagerOverJournaledStore(t *testing.T) {
 	if _, err := mgr.ResolveTask(context.Background(), sub.Task.ID, map[int]float64{sub.Workers[0]: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := closeFn(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	reopened, closeFn2, err := OpenJournaledStore(path)
+	db, err = Open(dir, Options{Sync: SyncAlways()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeFn2()
+	if err := db.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	reopened := db.Store()
 	if reopened.NumTasks() != 1 || reopened.NumWorkers() != len(d.Workers) {
 		t.Fatalf("reopened: %d tasks, %d workers", reopened.NumTasks(), reopened.NumWorkers())
 	}

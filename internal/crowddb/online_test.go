@@ -67,7 +67,7 @@ func TestOnlineSetModelBased(t *testing.T) {
 		s.SetClock(fixedClock())
 		var base []byte // snapshot the journal continues from
 		var journal bytes.Buffer
-		s.AttachJournal(&journal)
+		journalInto(s, &journal)
 		model := map[int]bool{}
 		type saved struct {
 			snap  []byte
@@ -124,10 +124,10 @@ func TestOnlineSetModelBased(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := s.ReplayJournal(bytes.NewReader(journal.Bytes())); err != nil {
+				if _, err := s.replayJournal(bytes.NewReader(journal.Bytes()), nil); err != nil {
 					t.Fatalf("seed %d step %d: replay: %v", seed, step, err)
 				}
-				s.AttachJournal(&journal)
+				journalInto(s, &journal)
 			}
 			if rng.Intn(3) == 0 {
 				continue

@@ -574,13 +574,13 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 				backoff = minDuration(backoff*2, 5*time.Second)
 				continue
 			}
-			backoff = r.opts.ReconnectBackoff
 			if st.hello.Bootstrap {
 				if err := r.rebootstrap(st); err != nil {
-					r.opts.Logf("crowddb: replica: re-bootstrap: %v", err)
+					r.opts.Logf("crowddb: replica: re-bootstrap: %v (retrying in %s)", err, backoff)
 					st.Close()
 					st = nil
 					r.sleep(ctx, backoff)
+					backoff = minDuration(backoff*2, 5*time.Second)
 					continue
 				}
 			} else {
@@ -600,6 +600,10 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 					_ = r.db.SetFencingEpoch(st.hello.FencingEpoch)
 				}
 			}
+			// Only a stream the follower goes on to consume resets the
+			// backoff: a dial whose bootstrap fails or whose primary is
+			// refused counts as a failed attempt.
+			backoff = r.opts.ReconnectBackoff
 		}
 		r.setConnected(true)
 		r.observeHead(st.hello.Seq, st.hello.Bytes)

@@ -112,7 +112,7 @@ type Store struct {
 	// posterior update. Persisted in snapshots and rebuilt by replay.
 	appliedForwards map[int]bool
 	clock           func() time.Time
-	journal         journalSink // nil unless a journal is attached
+	journal         *journalWriter // nil unless a journal is attached
 	// tenant is the namespace this store belongs to (DESIGN §13);
 	// empty means the default tenant. Non-default stores stamp the
 	// name on every journal record and refuse records stamped for a

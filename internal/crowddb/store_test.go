@@ -406,7 +406,7 @@ func TestExpiryJournalsAndReplays(t *testing.T) {
 	t0 := time.Date(2015, 3, 23, 9, 0, 0, 0, time.UTC)
 	now := t0
 	s.SetClock(func() time.Time { return now })
-	s.AttachJournal(&journal)
+	journalInto(s, &journal)
 	if _, err := s.AddWorker(0, "w"); err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestExpiryJournalsAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := NewStore()
-	if err := replayed.ReplayJournal(bytes.NewReader(journal.Bytes())); err != nil {
+	if _, err := replayed.replayJournal(bytes.NewReader(journal.Bytes()), nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := replayed.GetTask(task.ID)

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -502,4 +503,42 @@ func TestReplicaTornRebootstrapKeepsDataset(t *testing.T) {
 	rep = startTestReplica(t, front.ts.URL, dir)
 	defer rep.Close()
 	waitCaughtUp(t, rig, rep)
+}
+
+// TestReplicaFailingRebootstrapBacksOff: a re-bootstrap that fails after
+// a successful dial — here its model checkpoint never loads — is retried
+// with the doubling backoff of a failing dial. Retried at the initial
+// delay, a follower downloads the whole bootstrap four times a second.
+func TestReplicaFailingRebootstrapBacksOff(t *testing.T) {
+	rig, src, _ := replPrimary(t)
+	front := newForgeablePrimary(t, src.Stream())
+	rep := startTestReplica(t, front.ts.URL, t.TempDir())
+	defer rep.Close()
+	waitCaughtUp(t, rig, rep)
+
+	var mu sync.Mutex
+	var attempts []time.Time
+	hello := helloOf(rig)
+	hello.Bootstrap = true
+	front.forgeHello(t, hello, func(w http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		attempts = append(attempts, time.Now())
+		mu.Unlock()
+		_ = writeReplFrame(w, frameModel, []byte("not a model checkpoint"))
+		_ = writeReplFrame(w, frameSnapshot, []byte(`{"seq":0,"bytes":0,"store":{}}`))
+	})
+	const n = 6
+	waitUntil(t, "six re-bootstrap attempts", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(attempts) >= n
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	initial := 10 * time.Millisecond // startTestReplica's ReconnectBackoff
+	for i := 1; i < n; i++ {
+		if gap, want := attempts[i].Sub(attempts[i-1]), initial<<(i-1); gap < want {
+			t.Fatalf("re-bootstrap attempt %d came %v after the one before, want ≥ %v: the delay must double", i+1, gap, want)
+		}
+	}
 }
