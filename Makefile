@@ -2,7 +2,7 @@
 # PR: gofmt, vet, build, the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
-# under -race), the benchmark module's tests and the four fuzz smokes.
+# under -race), the benchmark module's tests and the five fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -28,16 +28,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation gates of the projection kernel (DESIGN.md §6) and of
-# the single-node selections handler, hot (§11: the fleet's category
-# fields must cost a request that names none nothing) and cold (§6: a
-# miss against a full cache allocates one key string per text on the
-# text path, counted in allocations and bytes):
+# The allocation gates of the projection kernel (DESIGN.md §6), of the
+# bounded top-k selection (§6: k Items below the candidate count,
+# whatever the count) and of the single-node selections handler, hot
+# (§11: the fleet's category fields must cost a request that names none
+# nothing) and cold (§6: a miss against a full cache allocates one key
+# string per text on the text path, counted in allocations and bytes):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
 allocs:
-	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core ./internal/crowddb
+	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core ./internal/rank ./internal/crowddb
 
 # The projection kernel's two layer numbers, six readings each: a cold
 # Model.Project (time, the 2 allocations it returns, and evals/op, grads/op
@@ -85,12 +86,15 @@ bench-test:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb ./internal/crowdclient
 
-# Short coverage-guided fuzz of the journal replay path and of the
-# one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form
-# (CI runs the same smokes; bump -fuzztime locally for longer hunts).
+# Short coverage-guided fuzz of the journal replay path, of the
+# one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form,
+# and of the bounded top-k selection against the full sort and a merged
+# split (CI runs the same smokes; bump -fuzztime locally for longer
+# hunts).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
+	$(GO) test -run '^$$' -fuzz FuzzTopKEqualsFullSort -fuzztime 20s ./internal/rank
 
 # Short coverage-guided fuzz of the replication frame decoder: typed
 # errors on any corruption, never a panic or hang.

@@ -9,12 +9,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"crowdselect"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	vocab := crowdselect.NewVocabulary()
 
 	// A tiny history of resolved question-answering tasks. Worker 0 is
@@ -24,16 +32,16 @@ func main() {
 	// Multinomial critique is about.
 	history := []struct {
 		question string
-		scores   map[int]float64
+		scores   []crowdselect.Scored
 	}{
-		{"What are the advantages of B+ Tree over B Tree?", map[int]float64{0: 5, 2: 1}},
-		{"How does a database index speed up range queries?", map[int]float64{0: 4, 2: 2}},
-		{"Why do relational databases use B+ tree indexes?", map[int]float64{0: 5, 2: 1}},
-		{"When should a database table be denormalized?", map[int]float64{0: 4, 2: 1}},
-		{"How do I keep a sourdough starter alive?", map[int]float64{1: 5, 2: 2}},
-		{"What flour ratio makes pizza dough stretchy?", map[int]float64{1: 4, 2: 1}},
-		{"How long should bread dough proof in the fridge?", map[int]float64{1: 5, 2: 2}},
-		{"Which pan sears a steak best?", map[int]float64{1: 4, 2: 2}},
+		{"What are the advantages of B+ Tree over B Tree?", []crowdselect.Scored{{Worker: 0, Score: 5}, {Worker: 2, Score: 1}}},
+		{"How does a database index speed up range queries?", []crowdselect.Scored{{Worker: 0, Score: 4}, {Worker: 2, Score: 2}}},
+		{"Why do relational databases use B+ tree indexes?", []crowdselect.Scored{{Worker: 0, Score: 5}, {Worker: 2, Score: 1}}},
+		{"When should a database table be denormalized?", []crowdselect.Scored{{Worker: 0, Score: 4}, {Worker: 2, Score: 1}}},
+		{"How do I keep a sourdough starter alive?", []crowdselect.Scored{{Worker: 1, Score: 5}, {Worker: 2, Score: 2}}},
+		{"What flour ratio makes pizza dough stretchy?", []crowdselect.Scored{{Worker: 1, Score: 4}, {Worker: 2, Score: 1}}},
+		{"How long should bread dough proof in the fridge?", []crowdselect.Scored{{Worker: 1, Score: 5}, {Worker: 2, Score: 2}}},
+		{"Which pan sears a steak best?", []crowdselect.Scored{{Worker: 1, Score: 4}, {Worker: 2, Score: 2}}},
 	}
 
 	// Each question was asked (in variants) several times; repeating
@@ -42,22 +50,19 @@ func main() {
 	var tasks []crowdselect.ResolvedTask
 	for round := 0; round < 4; round++ {
 		for _, h := range history {
-			rt := crowdselect.ResolvedTask{
-				Bag: crowdselect.NewBag(vocab, crowdselect.Tokenize(h.question)),
-			}
-			for w, s := range h.scores {
-				rt.Responses = append(rt.Responses, crowdselect.Scored{Worker: w, Score: s})
-			}
-			tasks = append(tasks, rt)
+			tasks = append(tasks, crowdselect.ResolvedTask{
+				Bag:       crowdselect.NewBag(vocab, crowdselect.Tokenize(h.question)),
+				Responses: h.scores,
+			})
 		}
 	}
 
 	cfg := crowdselect.NewConfig(2) // two latent categories
 	model, stats, err := crowdselect.Train(tasks, 3, vocab.Size(), cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("trained TDPM: %d sweeps, converged=%v\n\n", stats.Sweeps, stats.Converged)
+	fmt.Fprintf(out, "trained TDPM: %d sweeps, converged=%v\n\n", stats.Sweeps, stats.Converged)
 
 	names := []string{"db-expert", "cook", "generalist"}
 	for _, question := range []string{
@@ -67,10 +72,11 @@ func main() {
 		bag := crowdselect.NewBagKnown(vocab, crowdselect.Tokenize(question))
 		cat := model.Project(bag) // Algorithm 3: project into latent space
 		c := cat.Mean()
-		fmt.Printf("task: %q\n", question)
+		fmt.Fprintf(out, "task: %q\n", question)
 		for _, w := range model.SelectTopK(c, nil, 3) {
-			fmt.Printf("  %-12s predictive score %.2f\n", names[w], model.Score(w, c))
+			fmt.Fprintf(out, "  %-12s predictive score %.2f\n", names[w], model.Score(w, c))
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
+	return nil
 }

@@ -45,19 +45,55 @@ func TopK(candidates []int, score func(id int) float64, k int) []int {
 // Items, best first, under the same tie-break (score desc, id asc).
 // Scored lists are what a scatter-gather coordinator needs — per-shard
 // ranks alone cannot be merged, per-shard scores can.
+//
+// Each candidate is scored once. For k below the candidate count only k
+// Items are kept, in a heap whose root is the worst of them: a
+// candidate that does not beat the root costs one compare, one that
+// does costs a log k sift, and the k kept are sorted at the end.
 func TopKScored(candidates []int, score func(id int) float64, k int) []Item {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	items := make([]Item, len(candidates))
-	for i, id := range candidates {
-		items[i] = Item{ID: id, Score: score(id)}
+	h := make([]Item, min(k, len(candidates)))
+	for i, id := range candidates[:len(h)] {
+		h[i] = Item{ID: id, Score: score(id)}
 	}
-	sortItems(items)
-	if k > len(items) {
-		k = len(items)
+	if len(h) < len(candidates) {
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
+		}
+		for _, id := range candidates[len(h):] {
+			it := Item{ID: id, Score: score(id)}
+			// The float compare is false for NaN, so NaN and an equal
+			// score fall through to the full order.
+			if it.Score < h[0].Score || !before(it, h[0]) {
+				continue
+			}
+			h[0] = it
+			siftDown(h, 0)
+		}
 	}
-	return items[:k:k]
+	sortItems(h)
+	return h
+}
+
+// siftDown restores the heap order below h[i]: every item ranks after,
+// or equal to, each of its children, so h[0] is the worst of h.
+func siftDown(h []Item, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && before(h[c], h[r]) {
+			c = r
+		}
+		if !before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // MergeTopK merges per-shard top-k lists into the global top-k under

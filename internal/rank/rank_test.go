@@ -1,11 +1,16 @@
 package rank
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+
+	"crowdselect/internal/race"
 )
 
 func scoreOf(m map[int]float64) func(int) float64 {
@@ -123,11 +128,38 @@ func fullSort(candidates []int, score func(int) float64, k int) []Item {
 	return items[:k]
 }
 
+// sameItems is reflect.DeepEqual for ranked lists that may hold NaN
+// scores: ids equal and scores equal bit for bit.
+func sameItems(a, b []Item) bool {
+	return slices.EqualFunc(a, b, func(x, y Item) bool {
+		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
+// checkTopK holds TopKScored and TopK on one input to the first k of
+// the full sort, and the scored list to len == cap.
+func checkTopK(t *testing.T, what string, ids []int, score func(int) float64, k int) {
+	t.Helper()
+	want := fullSort(ids, score, k)
+	got := TopKScored(ids, score, k)
+	if !sameItems(got, want) {
+		t.Fatalf("%s (n=%d k=%d): TopKScored diverged\ngot:  %v\nwant: %v", what, len(ids), k, got, want)
+	}
+	if len(got) != cap(got) {
+		t.Fatalf("%s (n=%d k=%d): TopKScored returned len %d, cap %d", what, len(ids), k, len(got), cap(got))
+	}
+	if got := TopK(ids, score, k); !slices.Equal(got, IDs(want)) {
+		t.Fatalf("%s (n=%d k=%d): TopK diverged\ngot:  %v\nwant: %v", what, len(ids), k, got, IDs(want))
+	}
+}
+
 // TestTopKEqualsFullSort holds TopK and TopKScored to the first k of
 // the full sort, on quantised scores where ties are the rule, for every
-// regime of k: none, one, a few, all but one, all, more than all. It is
-// the oracle any cheaper selection (ROADMAP item 3: a size-k heap) has
-// to pass unchanged.
+// regime of k: none, one, a few, all but one, all, more than all. Then
+// on crowds of up to 3 000, where the bounded selection's heap is deep,
+// and on the fixed orders that drive its sift paths to their extremes:
+// ascending scores (every candidate displaces the root), descending
+// (none does), all equal (only ids decide) and all NaN.
 func TestTopKEqualsFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	for trial := 0; trial < 500; trial++ {
@@ -145,6 +177,121 @@ func TestTopKEqualsFullSort(t *testing.T) {
 			}
 			if got := TopK(ids, score, k); !reflect.DeepEqual(got, IDs(want)) {
 				t.Fatalf("trial %d (n=%d k=%d): TopK diverged\ngot:  %v\nwant: %v", trial, n, k, got, IDs(want))
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 100 + rng.Intn(2900)
+		ids := rng.Perm(2 * n)[:n]
+		scores := make(map[int]float64, n)
+		for _, id := range ids {
+			scores[id] = float64(rng.Intn(50)) / 7
+		}
+		for _, k := range []int{10, 64, n / 2} {
+			checkTopK(t, fmt.Sprintf("large trial %d", trial), ids, scoreOf(scores), k)
+		}
+	}
+	const n = 3000
+	inOrder, shuffled := make([]int, n), rng.Perm(n)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	for _, c := range []struct {
+		name  string
+		ids   []int
+		score func(int) float64
+	}{
+		{"ascending", inOrder, func(id int) float64 { return float64(id) }},
+		{"descending", inOrder, func(id int) float64 { return float64(n - id) }},
+		{"all equal", shuffled, func(int) float64 { return 1 }},
+		{"all NaN", shuffled, func(int) float64 { return math.NaN() }},
+	} {
+		for _, k := range []int{1, 10, 64, n / 2, n - 1} {
+			checkTopK(t, c.name, c.ids, c.score, k)
+		}
+	}
+}
+
+// FuzzTopKEqualsFullSort decodes its input into k, a shuffle seed and
+// one score per byte — NaN, ±Inf, ±0 or one of 251 quantised values, so
+// duplicates are the rule — and holds TopKScored to the full sort and to
+// MergeTopK of a random two-way split.
+func FuzzTopKEqualsFullSort(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 1, 2, 3, 4, 5, 6, 7, 200, 100, 100, 9})
+	f.Add([]byte{10, 2, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150})
+	f.Add([]byte{5, 3, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		specials := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+		seed, raw := int64(data[1]), data[2:]
+		k := int(data[0]) % (len(raw) + 2)
+		scores := make([]float64, len(raw))
+		for i, b := range raw {
+			if int(b) < len(specials) {
+				scores[i] = specials[b]
+			} else {
+				scores[i] = float64(int(b)-128) / 16
+			}
+		}
+		score := func(id int) float64 { return scores[id] }
+		rng := rand.New(rand.NewSource(seed))
+		ids := rng.Perm(len(raw))
+		want := fullSort(ids, score, k)
+		if got := TopKScored(ids, score, k); !sameItems(got, want) {
+			t.Fatalf("k=%d ids %v: TopKScored = %v, want %v", k, ids, got, want)
+		}
+		var parts [2][]int
+		for _, id := range ids {
+			s := rng.Intn(2)
+			parts[s] = append(parts[s], id)
+		}
+		merged := MergeTopK([][]Item{TopKScored(parts[0], score, k), TopKScored(parts[1], score, k)}, k)
+		if !sameItems(merged, want) {
+			t.Fatalf("k=%d split %v | %v: MergeTopK = %v, want %v", k, parts[0], parts[1], merged, want)
+		}
+	})
+}
+
+// TestTopKScoredAllocations is the allocation gate of the bounded
+// selection: below the candidate count it allocates the k Items it
+// returns and nothing for the candidates, whatever their number; at or
+// above it, the M Items of the full sort.
+func TestTopKScoredAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{100, 10000, 100000} {
+		ids, scores := make([]int, m), make([]float64, m)
+		for i := range ids {
+			ids[i], scores[i] = i, rng.NormFloat64()
+		}
+		score := func(id int) float64 { return scores[id] }
+		// 10 and 64 Items are 160 and 1 024 B, both size classes, so a
+		// k-Item allocation is exactly 16·k bytes.
+		for _, k := range []int{10, 64, m, m + 1} {
+			// The fewest bytes of three readings: the process's own
+			// background allocations land in one now and then.
+			const runs = 10
+			allocs, bytesPerRun := 0.0, math.Inf(1)
+			for try := 0; try < 3; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				allocs = testing.AllocsPerRun(runs, func() { sinkItems = TopKScored(ids, score, k) })
+				runtime.ReadMemStats(&after)
+				bytesPerRun = min(bytesPerRun, float64(after.TotalAlloc-before.TotalAlloc)/(runs+1)) // AllocsPerRun warms up once
+			}
+			if allocs != 1 {
+				t.Errorf("M=%d k=%d: %v allocations, want 1", m, k, allocs)
+			}
+			if k < m && bytesPerRun != float64(16*k) {
+				t.Errorf("M=%d k=%d: %.0f bytes, want %d (k Items)", m, k, bytesPerRun, 16*k)
+			}
+			// M Items, rounded up to a size class or to whole pages.
+			if k >= m && (bytesPerRun < float64(16*m) || bytesPerRun >= float64(16*m+8192)) {
+				t.Errorf("M=%d k=%d: %.0f bytes, want %d (M Items) rounded up", m, k, bytesPerRun, 16*m)
 			}
 		}
 	}
