@@ -2,7 +2,7 @@
 # PR: gofmt, vet, build, the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
-# under -race), the benchmark module's tests and the five fuzz smokes.
+# under -race), the benchmark module's tests and the six fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -32,8 +32,10 @@ race:
 # bounded top-k selection (§6: k Items below the candidate count,
 # whatever the count) and of the single-node selections handler, hot
 # (§11: the fleet's category fields must cost a request that names none
-# nothing) and cold (§6: a miss against a full cache allocates one key
-# string per text on the text path, counted in allocations and bytes):
+# nothing), cold (§6: a miss against a full cache allocates one key
+# string per text on the text path, counted in allocations and bytes)
+# and as a fleet's score-only leg (§8: a request body is decoded from a
+# pooled buffer, not through a decoder that grows its own):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
@@ -87,12 +89,15 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/core ./internal/rank ./internal/crowddb ./internal/crowdclient
 
 # Short coverage-guided fuzz of the journal replay path, of the
+# request-body decoder against the json.Decoder it replaced (same
+# status, envelope and value for any bytes, cap and read size), of the
 # one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form,
 # and of the bounded top-k selection against the full sort and a merged
 # split (CI runs the same smokes; bump -fuzztime locally for longer
 # hunts).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJSONMatchesDecoder -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
 	$(GO) test -run '^$$' -fuzz FuzzTopKEqualsFullSort -fuzztime 20s ./internal/rank
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -143,9 +144,12 @@ func TestMetricsOmitSelectionLegsOffFleet(t *testing.T) {
 // selectionsHandlerAllocFence is what one POST /api/v1/selections of
 // eight cached texts, k = 10, allocates through Server.ServeHTTP on a
 // recorder: 131 on the commit before the fleet's category fields joined
-// the request and response DTOs, 94 since bags and keys are built in
-// pooled scratch (the cold twin is coldSelectionAllocFence).
-const selectionsHandlerAllocFence = 94
+// the request and response DTOs, 86 once bags and keys were built in
+// pooled scratch, 81 since the body is decoded from a pooled buffer
+// rather than by a json.Decoder that grows a read buffer per request
+// (the cold twin is coldSelectionAllocFence). The fence is that count
+// plus 4, which the per-request decoder coming back would cross.
+const selectionsHandlerAllocFence = 85
 
 // TestSelectionsHandlerAllocationFence keeps the fleet's DTO fields out
 // of the single-node request: they ride at request and response level
@@ -180,5 +184,70 @@ func TestSelectionsHandlerAllocationFence(t *testing.T) {
 	t.Logf("POST /api/v1/selections, 8 cached texts: %.1f allocations", allocs)
 	if allocs > selectionsHandlerAllocFence {
 		t.Errorf("%.1f allocations per single-node selection, want <= %d", allocs, selectionsHandlerAllocFence)
+	}
+}
+
+// scoreOnlyLegAllocFence and scoreOnlyLegByteFence bound the score-only
+// leg of a fleet selection (eight K-vectors and k = 10 in place of
+// texts) through Server.ServeHTTP on a recorder: 105 allocations and
+// 16.4 KB while the body went through a json.Decoder with a read buffer
+// of its own, 100 and 14.2 KB decoded from a pooled buffer. Both fences
+// fail that decoder: the count is the measured one plus 4.
+const (
+	scoreOnlyLegAllocFence = 104
+	scoreOnlyLegByteFence  = 15 << 10
+)
+
+// TestScoreOnlyLegAllocationFence is the allocation gate of the request
+// every shard but the projecting one serves on fleet_cold: the decoded
+// vectors, eight scored rankings and the encoded response, and nothing
+// per request in the body's decoding that a pool could keep.
+func TestScoreOnlyLegAllocationFence(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
+	mgr, d := managerFixture(t)
+	srv := NewServer(mgr)
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/selections", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("selections = %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	projecting := BatchSubmitRequest{IncludeScores: true, IncludeCategories: true}
+	for _, task := range d.Tasks[:8] {
+		projecting.Tasks = append(projecting.Tasks, SubmitRequest{Text: strings.Join(task.Tokens, " "), K: 10})
+	}
+	body, err := json.Marshal(projecting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var projected SelectionsResponse
+	if err := json.Unmarshal(post(body).Body.Bytes(), &projected); err != nil {
+		t.Fatal(err)
+	}
+	leg := BatchSubmitRequest{Categories: projected.Categories, CategoryVersion: projected.CategoryVersion}
+	for range projecting.Tasks {
+		leg.Tasks = append(leg.Tasks, SubmitRequest{K: 10})
+	}
+	if body, err = json.Marshal(leg); err != nil {
+		t.Fatal(err)
+	}
+
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { post(body) })
+	runtime.ReadMemStats(&after)
+	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("POST /api/v1/selections, score-only leg of 8 K=%d categories: %.1f allocations, %.0f bytes",
+		len(leg.Categories[0]), allocs, bytesPerRun)
+	if allocs > scoreOnlyLegAllocFence {
+		t.Errorf("%.1f allocations per score-only leg, want <= %d", allocs, scoreOnlyLegAllocFence)
+	}
+	if bytesPerRun > scoreOnlyLegByteFence {
+		t.Errorf("%.0f bytes per score-only leg, want <= %d", bytesPerRun, scoreOnlyLegByteFence)
 	}
 }

@@ -126,12 +126,14 @@ func fillCache(tb testing.TB, d *corpus.Dataset, cm *core.ConcurrentModel, srv *
 // request keeps (the decoded body, eight categories, eight rankings, the
 // encoded response), eight cache keys, and the recorder. Before the text
 // path was made one pass over pooled scratch the same request took 217
-// allocations and 35.7 KB here; it takes 103 and 18.6 KB. The fences
-// leave room for a collection emptying the pools mid-run, not for a
-// map, a token slice or a cache entry per text.
+// allocations and 35.7 KB here, and 95 and 18.4 KB before the body was
+// decoded from a pooled buffer instead of through a json.Decoder and its
+// per-request read buffer; it takes 90 and 14.4 KB. The fences leave
+// room for a collection emptying the pools mid-run, not for a map, a
+// token slice or a cache entry per text, nor for that decoder.
 const (
-	coldSelectionAllocFence = 106
-	coldSelectionByteFence  = 20 << 10
+	coldSelectionAllocFence = 94
+	coldSelectionByteFence  = 16 << 10
 )
 
 // TestSelectionsColdAllocationFence is the allocation gate of the miss

@@ -549,13 +549,16 @@ func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 }
 
 // decodeScores converts a string-keyed score map — a journal event's
-// or a feedback request's — back to worker ids. A key is a decimal
-// worker id and nothing else: "7x" is refused, not read as worker 7.
+// or a feedback request's — back to worker ids. A key is a worker id
+// spelled as encodeScores spells it and nothing else: "7x" is refused,
+// not read as worker 7, and so are "07" and "+7", which would otherwise
+// name worker 7 twice in one map and keep whichever score map order
+// visited last.
 func decodeScores(in map[string]float64) (map[int]float64, error) {
 	scores := make(map[int]float64, len(in))
 	for k, v := range in {
 		id, err := strconv.Atoi(k)
-		if err != nil {
+		if err != nil || strconv.Itoa(id) != k {
 			return nil, fmt.Errorf("%w: bad worker id %q in scores", ErrBadRequest, k)
 		}
 		scores[id] = v
@@ -567,7 +570,7 @@ func decodeScores(in map[string]float64) (map[int]float64, error) {
 func encodeScores(scores map[int]float64) map[string]float64 {
 	out := make(map[string]float64, len(scores))
 	for w, sc := range scores {
-		out[fmt.Sprint(w)] = sc
+		out[strconv.Itoa(w)] = sc
 	}
 	return out
 }

@@ -1,15 +1,18 @@
 package crowddb
 
 import (
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,8 +29,9 @@ import (
 // /api/v1/query with 421 + the not_primary code and an
 // X-Crowdd-Primary header pointing at its primary; selections and
 // other reads keep serving from the replicated model. Replication
-// paths bypass admission, deadline budgets and the body cap — the
-// stream is long-lived by design.
+// paths bypass admission and deadline budgets — the stream is
+// long-lived by design — but their POSTs take the body cap like every
+// other POST.
 //
 // Tenant-scoped routes live under /api/v1/t/{tenant}/... (DESIGN §13):
 // ServeHTTP strips the tenant prefix before dispatch and threads the
@@ -179,9 +183,9 @@ func (s *Server) SetDeadlineBudgets(read, write time.Duration) {
 	s.readBudget, s.writeBudget = read, write
 }
 
-// SetMaxBodyBytes caps POST request bodies (default 1 MiB); oversized
-// requests get 413 with the request_too_large code. n <= 0 restores
-// the default.
+// SetMaxBodyBytes caps every POST request body, fleet control included
+// (default 1 MiB); oversized requests get 413 with the
+// request_too_large code. n <= 0 restores the default.
 func (s *Server) SetMaxBodyBytes(n int64) {
 	if n <= 0 {
 		n = defaultMaxBody
@@ -754,6 +758,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				errors.New("fleet control requires the fleet token (Authorization: Bearer ...)"))
 			return
 		}
+		// Promote, fence and lease are small JSON bodies and take the
+		// same cap as every other POST; streams and backups are GETs.
+		if r.Method == http.MethodPost {
+			r.Body = http.MaxBytesReader(sw, r.Body, s.maxBody)
+		}
 		s.dispatch(sw, r, rt, idSeg)
 		return
 	}
@@ -1297,11 +1306,38 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
+// bodyBufs holds the buffers decodeJSON reads request bodies into; one
+// grown past maxPooledBody is dropped rather than kept for every later
+// request.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
 // decodeJSON decodes a POST body into v; on failure it writes the
 // error response (413 request_too_large when the body cap tripped,
 // 400 otherwise) and reports false.
+//
+// The body is read into a pooled buffer and decoded with one
+// json.Unmarshal. Whatever Unmarshal could answer differently from a
+// json.Decoder on the body — trailing bytes after the first value, a
+// failed or capped read, a bad value — goes to such a decoder over the
+// same bytes and the body's terminal read error, so every body gets
+// the decoder's status, envelope and value.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(r.Body).Decode(v)
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	// Unmarshal only after a clean end of body: a value cut short by a
+	// read error can still be valid JSON ("null" at the cap), which the
+	// decoder refuses.
+	if _, err := buf.ReadFrom(r.Body); err == nil && json.Unmarshal(buf.Bytes(), v) == nil {
+		return true
+	}
+	err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body)).Decode(v)
 	if err == nil {
 		return true
 	}

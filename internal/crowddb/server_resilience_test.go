@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,6 +129,44 @@ func TestServerBodyCap(t *testing.T) {
 		t.Fatalf("small body = %d, want 201", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestFleetControlBodiesAreCapped: the fleet class skips admission and
+// budgets, not the body cap — a fence or lease body one byte over it is
+// a 413 like any other POST, and an order that does not fit is not
+// obeyed. Only the GET streams are uncapped.
+func TestFleetControlBodiesAreCapped(t *testing.T) {
+	mgr, _ := managerFixture(t)
+	srv := NewServer(mgr)
+	const maxBody = 256
+	srv.SetMaxBodyBytes(maxBody)
+	f := NewFence(nil)
+	srv.SetFence(f)
+
+	// pad closes the object head with a string field that brings the body
+	// to one byte over the cap: a valid order the parser would obey.
+	pad := func(head string) string {
+		fill := maxBody + 1 - len(head+`,"pad":""}`)
+		return head + `,"pad":"` + strings.Repeat("x", fill) + `"}`
+	}
+	bodies := map[string]string{
+		"/api/v1/replication/fence": pad(`{"history":"` + f.History() + `","epoch":2`),
+		"/api/v1/replication/lease": pad(`{"holder":"sup","ttl_ms":60000,"seal":true`),
+	}
+	for path, body := range bodies {
+		if len(body) != maxBody+1 {
+			t.Fatalf("%s: body of %d bytes, want %d", path, len(body), maxBody+1)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var env ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusRequestEntityTooLarge || env.Error.Code != "request_too_large" {
+			t.Errorf("POST %s of %d bytes = %d %s, want 413 request_too_large", path, len(body), rec.Code, rec.Body)
+		}
+	}
+	if st := f.Status(); st.Sealed || f.ObservedEpoch() != 1 {
+		t.Errorf("an over-cap fence or lease order was obeyed: %+v", st)
+	}
 }
 
 // stallEngine parks until the request context expires — the handler

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
+	"crowdselect/internal/core"
 	"crowdselect/internal/text"
 )
 
@@ -272,6 +274,69 @@ func TestServerErrorPaths(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.status)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestFeedbackRefusesNonCanonicalWorkerIDs: a score key is a worker id
+// as the journal spells it. "07" and "+7" parse as 7, so accepting them
+// let one body name a worker three times and store whichever score map
+// order visited last; both feedback routes answer 400 and fold nothing.
+func TestFeedbackRefusesNonCanonicalWorkerIDs(t *testing.T) {
+	ts, mgr := serverFixture(t)
+	resp := postJSON(t, ts.URL+"/api/v1/tasks", map[string]any{"text": "how do b+ trees differ from b trees", "k": 2})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	sub := decode[SubmitResponse](t, resp)
+	w := sub.Workers[0]
+	resp = postJSON(t, fmt.Sprintf("%s/api/v1/tasks/%d/answers", ts.URL, sub.TaskID), map[string]any{"worker": w, "answer": "x"})
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("answer = %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	digests := func() [2]string {
+		store, err := mgr.Store().Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := mgr.sel.(*core.ConcurrentModel).Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]string{store, model}
+	}
+	before := digests()
+
+	scores := func(spellings ...string) map[string]float64 {
+		m := make(map[string]float64)
+		for i, k := range spellings {
+			m[k] = 0.1 + 0.4*float64(i)
+		}
+		return m
+	}
+	id := strconv.Itoa(w)
+	cases := []struct {
+		name, path string
+		body       map[string]any
+	}{
+		{"leading zero", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "0"+id)}},
+		{"plus sign", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "+"+id)}},
+		{"three spellings", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "0"+id, "+"+id)}},
+		{"skills leading zero", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores("0" + id)}},
+		{"skills plus sign", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores(id, "+"+id)}},
+		{"skills negative zero", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores("-0")}},
+	}
+	for _, c := range cases {
+		resp := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", c.name, resp.StatusCode)
+		}
+		if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "bad worker id") {
+			t.Errorf("%s: envelope = %+v, want bad_request naming the worker id", c.name, env.Error)
+		}
+	}
+	if after := digests(); after != before {
+		t.Errorf("refused feedback moved the store or the model: digests %v -> %v", before, after)
 	}
 }
 
