@@ -35,7 +35,7 @@ func testServer(t *testing.T) *httptest.Server {
 			t.Fatal(err)
 		}
 	}
-	mgr, err := crowddb.NewManager(store, d.Vocab, model, 2)
+	mgr, err := crowddb.NewManager(store, d.Vocab, core.NewConcurrentModel(model), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

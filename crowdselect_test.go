@@ -77,8 +77,8 @@ func TestFacadeTrainSelectRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFacadeCrowdPipeline: the model the quick start trains is the
-// selector a crowd manager serves.
+// TestFacadeCrowdPipeline: the model the quick start trains, wrapped for
+// concurrent serving, is the selector a crowd manager serves.
 func TestFacadeCrowdPipeline(t *testing.T) {
 	vocab := crowdselect.NewVocabulary()
 	tasks := facadeTasks(vocab)
@@ -92,7 +92,7 @@ func TestFacadeCrowdPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mgr, err := crowddb.NewManager(store, vocab, model, 2)
+	mgr, err := crowddb.NewManager(store, vocab, core.NewConcurrentModel(model), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	mgr, err := crowddb.NewManager(store, d.Vocab, model, 3)
+	// The server handles each request on its own goroutine, so the model
+	// is wrapped for concurrent selection and feedback.
+	mgr, err := crowddb.NewManager(store, d.Vocab, core.NewConcurrentModel(model), 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,15 +30,18 @@ type AdmissionConfig struct {
 	// Max is the ceiling the limit never grows above (default 4096).
 	// Min == Max pins the limit: a fixed cap with no adaptation.
 	Max int
-	// Beta is the multiplicative-decrease factor applied on overload
-	// (default 0.7).
-	Beta float64
-	// DecreaseCooldown is the minimum spacing between two decreases, so
-	// one burst of deadline overruns counts once (default 100ms).
-	DecreaseCooldown time.Duration
 	// Clock replaces time.Now (tests).
 	Clock func() time.Time
 }
+
+const (
+	// admissionBeta is the multiplicative-decrease factor applied on
+	// overload.
+	admissionBeta = 0.7
+	// admissionCooldown is the minimum spacing between two decreases, so
+	// one burst of deadline overruns counts once.
+	admissionCooldown = 100 * time.Millisecond
+)
 
 // admission is the limiter state. All methods are safe for concurrent
 // use.
@@ -46,8 +49,6 @@ type admission struct {
 	mu           sync.Mutex
 	limit        float64
 	min, max     float64
-	beta         float64
-	cooldown     time.Duration
 	lastDecrease time.Time
 	inflight     int
 	avgLatency   float64 // EWMA, seconds
@@ -73,22 +74,14 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	if cfg.Initial > cfg.Max {
 		cfg.Initial = cfg.Max
 	}
-	if cfg.Beta <= 0 || cfg.Beta >= 1 {
-		cfg.Beta = 0.7
-	}
-	if cfg.DecreaseCooldown <= 0 {
-		cfg.DecreaseCooldown = 100 * time.Millisecond
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	return &admission{
-		limit:    float64(cfg.Initial),
-		min:      float64(cfg.Min),
-		max:      float64(cfg.Max),
-		beta:     cfg.Beta,
-		cooldown: cfg.DecreaseCooldown,
-		clock:    cfg.Clock,
+		limit: float64(cfg.Initial),
+		min:   float64(cfg.Min),
+		max:   float64(cfg.Max),
+		clock: cfg.Clock,
 	}
 }
 
@@ -167,9 +160,9 @@ func (a *admission) release(latency time.Duration, overloaded bool) {
 	if overloaded {
 		a.overruns++
 		now := a.clock()
-		if now.Sub(a.lastDecrease) >= a.cooldown {
+		if now.Sub(a.lastDecrease) >= admissionCooldown {
 			a.lastDecrease = now
-			a.limit *= a.beta
+			a.limit *= admissionBeta
 			if a.limit < a.min {
 				a.limit = a.min
 			}

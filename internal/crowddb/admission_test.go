@@ -30,29 +30,29 @@ func TestAdmissionAdditiveIncrease(t *testing.T) {
 
 func TestAdmissionMultiplicativeDecrease(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Initial: 100, Min: 1, Max: 100, Beta: 0.5, Clock: clk.Now})
+	a := newAdmission(AdmissionConfig{Initial: 100, Min: 1, Max: 100, Clock: clk.Now})
 	ok, _ := a.acquire(false)
 	if !ok {
 		t.Fatal("acquire refused")
 	}
 	a.release(time.Second, true)
-	if got := a.snapshot().Limit; got != 50 {
-		t.Fatalf("limit after overload = %v, want 50", got)
+	if got := a.snapshot().Limit; got != 70 {
+		t.Fatalf("limit after overload = %v, want 70 (β = 0.7)", got)
 	}
 	// A second overrun inside the decrease cooldown must NOT shrink the
 	// limit again: one burst counts once.
 	clk.Advance(10 * time.Millisecond)
 	a.acquire(false)
 	a.release(time.Second, true)
-	if got := a.snapshot().Limit; got != 50 {
-		t.Fatalf("limit after overload inside cooldown = %v, want 50", got)
+	if got := a.snapshot().Limit; got != 70 {
+		t.Fatalf("limit after overload inside cooldown = %v, want 70", got)
 	}
 	// After the cooldown it shrinks again.
 	clk.Advance(200 * time.Millisecond)
 	a.acquire(false)
 	a.release(time.Second, true)
-	if got := a.snapshot().Limit; got != 25 {
-		t.Fatalf("limit after overload past cooldown = %v, want 25", got)
+	if got := a.snapshot().Limit; got != 49 {
+		t.Fatalf("limit after overload past cooldown = %v, want 49", got)
 	}
 	if got := a.snapshot().DeadlineOverruns; got != 3 {
 		t.Fatalf("overruns = %d, want 3 (cooldown suppresses the decrease, not the count)", got)
@@ -61,8 +61,8 @@ func TestAdmissionMultiplicativeDecrease(t *testing.T) {
 
 func TestAdmissionFloorAndCeiling(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Initial: 4, Min: 3, Max: 5, Beta: 0.1, Clock: clk.Now})
-	// Shrink below Min is clamped.
+	a := newAdmission(AdmissionConfig{Initial: 4, Min: 3, Max: 5, Clock: clk.Now})
+	// Shrink below Min (4 × 0.7 = 2.8) is clamped.
 	a.acquire(false)
 	a.release(time.Second, true)
 	if got := a.snapshot().Limit; got != 3 {
@@ -79,7 +79,7 @@ func TestAdmissionFloorAndCeiling(t *testing.T) {
 }
 
 func TestAdmissionPinnedLimit(t *testing.T) {
-	// Min == Max pins the limit: SetMaxInFlight compatibility mode.
+	// Min == Max pins the limit: a fixed cap.
 	a := newAdmission(AdmissionConfig{Initial: 4, Min: 4, Max: 4})
 	for i := 0; i < 50; i++ {
 		a.acquire(false)

@@ -2,7 +2,6 @@ package crowddb
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"sync"
 	"testing"
 
 	"crowdselect/internal/core"
@@ -75,26 +73,6 @@ func reopenRestored(t *testing.T, dir string, rig *durableRig) (*durableRig, *Di
 	return &durableRig{db: db, cm: cm, mgr: mgr, d: rig.d}, NewDigestCutter(db, mgr)
 }
 
-// resolveOneTaskE is resolveOneTask for goroutines: errors return
-// instead of failing the test from off the main goroutine.
-func resolveOneTaskE(r *durableRig, text string) error {
-	sub, err := r.mgr.SubmitTask(context.Background(), text, 2)
-	if err != nil {
-		return err
-	}
-	for i, w := range sub.Workers {
-		if err := r.mgr.CollectAnswer(sub.Task.ID, w, fmt.Sprintf("answer %d", i)); err != nil {
-			return err
-		}
-	}
-	sc := make(map[int]float64, len(sub.Workers))
-	for _, w := range sub.Workers {
-		sc[w] = 3
-	}
-	_, err = r.mgr.ResolveTask(context.Background(), sub.Task.ID, sc)
-	return err
-}
-
 // writeArchive lands raw archive bytes in a temp file.
 func writeArchive(t *testing.T, raw []byte) string {
 	t.Helper()
@@ -147,12 +125,15 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if !info.Manifest.Full {
 		t.Fatal("full backup manifest not marked full")
 	}
-	srcCut, err := cutter.CutAt(info.Manifest.Seq)
+	// Nothing was written after the backup, so the source's head cut is
+	// the cut the manifest stamps.
+	man := info.Manifest
+	srcCut, err := cutter.Cut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Manifest.Digest != srcCut.Digest {
-		t.Fatalf("manifest digest %s, source cut %s", info.Manifest.Digest, srcCut.Digest)
+	if srcCut.Seq != man.Seq || srcCut.Digest != man.Digest || srcCut.Model != man.ModelDigest || srcCut.Store != man.StoreDigest {
+		t.Fatalf("manifest stamps (%d, %s, model %s, store %s), source cut %+v", man.Seq, man.Digest, man.ModelDigest, man.StoreDigest, srcCut)
 	}
 	if src.Backups() != 1 {
 		t.Fatalf("Backups() = %d, want 1", src.Backups())
@@ -164,8 +145,8 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if res.Seq != srcCut.Seq || res.Digest != srcCut.Digest {
-		t.Fatalf("restore result (%d, %s), want (%d, %s)", res.Seq, res.Digest, srcCut.Seq, srcCut.Digest)
+	if res.Seq != man.Seq || res.Digest != man.Digest {
+		t.Fatalf("restore result (%d, %s), want (%d, %s)", res.Seq, res.Digest, man.Seq, man.Digest)
 	}
 
 	rrig, rcutter := reopenRestored(t, dest, rig)
@@ -173,11 +154,11 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != srcCut.Seq {
-		t.Fatalf("restored node at seq %d, source cut at %d", got.Seq, srcCut.Seq)
+	if got.Seq != man.Seq {
+		t.Fatalf("restored node at seq %d, manifest cut at %d", got.Seq, man.Seq)
 	}
-	if got.Digest != srcCut.Digest {
-		t.Fatalf("restored digest %s != source digest %s at seq %d", got.Digest, srcCut.Digest, got.Seq)
+	if got.Digest != man.Digest || got.Model != man.ModelDigest || got.Store != man.StoreDigest {
+		t.Fatalf("restored cut %+v at seq %d, manifest stamps (%s, model %s, store %s)", got, got.Seq, man.Digest, man.ModelDigest, man.StoreDigest)
 	}
 	// Every acked mutation exactly once: each resolved task is present,
 	// resolved, and carries its scores.
@@ -291,7 +272,7 @@ func TestBackupIncrementalChainAndPointInTime(t *testing.T) {
 }
 
 func TestBackupStreamResumeAfterInterrupt(t *testing.T) {
-	rig, cutter, src, ts := backupPrimary(t)
+	rig, _, src, ts := backupPrimary(t)
 	rig.resolveOneTask(t, "question one before the interrupted backup", []float64{4, 2})
 	rig.resolveOneTask(t, "question two before the interrupted backup", []float64{3, 5})
 
@@ -335,17 +316,15 @@ func TestBackupStreamResumeAfterInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore of resumed archive: %v", err)
 	}
-	srcCut, err := cutter.CutAt(res.Seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	man := resumed.Manifest
 	_, rcutter := reopenRestored(t, dest, rig)
 	got, err := rcutter.Cut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Digest != srcCut.Digest {
-		t.Fatalf("resumed-archive restore digest %s, want %s", got.Digest, srcCut.Digest)
+	if res.Seq != man.Seq || got.Seq != man.Seq || got.Digest != man.Digest || got.Model != man.ModelDigest || got.Store != man.StoreDigest {
+		t.Fatalf("resumed-archive restore at %d cuts %+v, manifest stamps (%d, %s, model %s, store %s)",
+			res.Seq, got, man.Seq, man.Digest, man.ModelDigest, man.StoreDigest)
 	}
 }
 
@@ -679,67 +658,5 @@ func TestBackupEndpointRoutingGatingAndGone(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("foreign-history resume: %s, want 409", resp.Status)
-	}
-}
-
-// TestDigestCutAtStableWhileWritesRace pins a digest cut at one seq and
-// hammers the cutter from both sides — feedback writes advancing the
-// head, readers re-reading the pinned seq — asserting the pinned
-// digest never wavers. Run under -race this also proves the cutter's
-// retention cache is safe against concurrent cuts.
-func TestDigestCutAtStableWhileWritesRace(t *testing.T) {
-	rig, cutter, _, _ := backupPrimary(t)
-	rig.resolveOneTask(t, "the pinned task before the race starts", []float64{4, 2})
-	pinned, err := cutter.Cut()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const writers = 4
-	var wg sync.WaitGroup
-	errc := make(chan error, writers)
-	done := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errc <- resolveOneTaskE(rig, fmt.Sprintf("racing task %d pushing the head forward", w))
-		}(w)
-	}
-	go func() { wg.Wait(); close(done) }()
-
-	for racing := true; racing; {
-		select {
-		case <-done:
-			racing = false
-		default:
-		}
-		got, err := cutter.CutAt(pinned.Seq)
-		if err != nil {
-			t.Fatalf("CutAt(%d) while writes race: %v", pinned.Seq, err)
-		}
-		if got.Digest != pinned.Digest {
-			t.Fatalf("digest at pinned seq %d changed from %s to %s", pinned.Seq, pinned.Digest, got.Digest)
-		}
-		// Interleave fresh head cuts so the retention cache churns too.
-		if _, err := cutter.Cut(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for w := 0; w < writers; w++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	head, err := cutter.Cut()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head.Seq <= pinned.Seq {
-		t.Fatalf("head %d did not advance past the pinned seq %d", head.Seq, pinned.Seq)
-	}
-	got, err := cutter.CutAt(pinned.Seq)
-	if err != nil || got.Digest != pinned.Digest {
-		t.Fatalf("CutAt(%d) after the race = (%+v, %v), want the pinned digest", pinned.Seq, got, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
 
@@ -84,8 +85,6 @@ func TestSubmitBatchValidation(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchContextCancel: a cancelled context aborts the batch
-// before (or during) ranking.
 // TestSubmitBatchPreassignedValidation: the Workers preassignment
 // bypass is reachable from the public tasks endpoints, so the shard
 // must enforce the same presence contract ranking does for every
@@ -124,6 +123,8 @@ func TestSubmitBatchPreassignedValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchContextCancel: a context cancelled before the call
+// aborts a batch, a submit and a resolve.
 func TestSubmitBatchContextCancel(t *testing.T) {
 	mgr, d := managerFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -140,22 +141,27 @@ func TestSubmitBatchContextCancel(t *testing.T) {
 	}
 }
 
-// slowSelector blocks each Rank until released, so a test can cancel a
-// batch mid-flight.
+// slowSelector parks inside RankBatchScored until released, so a test
+// can cancel a batch mid-flight, and then answers as a ranker that
+// honours its context does.
 type slowSelector struct {
 	staticSelector
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (s *slowSelector) Rank(bag text.Bag, candidates []int) []int {
+func (s *slowSelector) RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
 	s.entered <- struct{}{}
 	<-s.release
-	return s.staticSelector.Rank(bag, candidates)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.staticSelector.RankBatchScored(ctx, bags, candidates, k)
 }
 
-// TestSubmitBatchCancelMidFlight: cancelling while the (sequential
-// fallback) ranking loop is in progress stops the remaining elements.
+// TestSubmitBatchCancelMidFlight: cancelling while the batch is being
+// ranked fails the whole batch with the context's error, and no task
+// of it is dispatched.
 func TestSubmitBatchCancelMidFlight(t *testing.T) {
 	d, _ := trainedFixture(t)
 	store := NewStore()
@@ -176,10 +182,13 @@ func TestSubmitBatchCancelMidFlight(t *testing.T) {
 		})
 		done <- err
 	}()
-	<-sel.entered // ranking element 0
+	<-sel.entered // ranking the batch
 	cancel()
 	close(sel.release)
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-flight cancel: %v", err)
+	}
+	for _, task := range store.ListTasks(TaskAssigned) {
+		t.Errorf("task %d dispatched by a cancelled batch", task.ID)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -37,9 +36,7 @@ func (s *Store) Digest() (string, error) {
 }
 
 // combineDigest binds the model and store component digests to the
-// tenant namespace under a versioned preimage. Empty components (a
-// selector with no model, a fresh store) participate as empty strings
-// — still deterministic, still comparable.
+// tenant namespace under a versioned preimage.
 func combineDigest(tenant, model, store string) string {
 	h := sha256.New()
 	io.WriteString(h, digestPreimageVersion+"\n")
@@ -47,14 +44,6 @@ func combineDigest(tenant, model, store string) string {
 	io.WriteString(h, model+"\n")
 	io.WriteString(h, store+"\n")
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// modelDigester is the optional hook a selector implements to expose a
-// canonical digest of its posteriors; *core.Model and
-// *core.ConcurrentModel both do. Selectors without it (the baselines)
-// contribute an empty model component.
-type modelDigester interface {
-	Digest() (string, error)
 }
 
 // DigestCut is one consistent integrity fingerprint: the combined
@@ -85,17 +74,7 @@ type DigestCutter struct {
 	mu     sync.Mutex
 	cached DigestCut
 	valid  bool
-	// recent retains the last digestCutKeep cuts keyed by seq, so a
-	// caller holding a pinned position (a backup stream, a drill
-	// asserting determinism) can re-read the digest at that exact seq
-	// after the head has moved past it. order tracks insertion for
-	// eviction.
-	recent map[int64]DigestCut
-	order  []int64
 }
-
-// digestCutKeep bounds how many past cuts a cutter retains for CutAt.
-const digestCutKeep = 32
 
 // NewDigestCutter builds a cutter over db and mgr (the manager whose
 // selector carries the model state journaled into db).
@@ -109,8 +88,6 @@ func NewDigestCutter(db *DB, mgr *Manager) *DigestCutter {
 func (c *DigestCutter) Invalidate() {
 	c.mu.Lock()
 	c.valid = false
-	c.recent = nil
-	c.order = nil
 	c.mu.Unlock()
 }
 
@@ -137,12 +114,9 @@ func (c *DigestCutter) Cut() (DigestCut, error) {
 		if cut.Tenant == "" {
 			cut.Tenant = DefaultTenant
 		}
-		if md, ok := c.mgr.sel.(modelDigester); ok {
-			d, err := md.Digest()
-			if err != nil {
-				return err
-			}
-			cut.Model = d
+		var err error
+		if cut.Model, err = c.mgr.sel.Digest(); err != nil {
+			return err
 		}
 		h := sha256.New()
 		if err := s.snapshotLocked(h); err != nil {
@@ -157,48 +131,7 @@ func (c *DigestCutter) Cut() (DigestCut, error) {
 	}
 	c.mu.Lock()
 	c.cached, c.valid = cut, true
-	c.retainLocked(cut)
 	c.mu.Unlock()
-	return cut, nil
-}
-
-// retainLocked records cut in the bounded seq-keyed history. Caller
-// holds c.mu.
-func (c *DigestCutter) retainLocked(cut DigestCut) {
-	if _, ok := c.recent[cut.Seq]; ok {
-		return
-	}
-	if c.recent == nil {
-		c.recent = make(map[int64]DigestCut, digestCutKeep)
-	}
-	for len(c.order) >= digestCutKeep {
-		delete(c.recent, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.recent[cut.Seq] = cut
-	c.order = append(c.order, cut.Seq)
-}
-
-// CutAt returns the digest cut at an exact seq: the retained cut if
-// one was taken there, or a fresh cut if seq is still the applied
-// head. Digest determinism (DESIGN §14) makes the answer stable — the
-// digest at a pinned seq never changes, no matter how many mutations
-// race past it. A seq never cut at and no longer current reports an
-// error rather than a guess.
-func (c *DigestCutter) CutAt(seq int64) (DigestCut, error) {
-	c.mu.Lock()
-	if cut, ok := c.recent[seq]; ok {
-		c.mu.Unlock()
-		return cut, nil
-	}
-	c.mu.Unlock()
-	cut, err := c.Cut()
-	if err != nil {
-		return DigestCut{}, err
-	}
-	if cut.Seq != seq {
-		return DigestCut{}, fmt.Errorf("crowddb: no digest cut retained at seq %d (head is %d)", seq, cut.Seq)
-	}
 	return cut, nil
 }
 

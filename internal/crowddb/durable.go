@@ -98,9 +98,6 @@ type Options struct {
 	// The compaction follows the append that crosses the threshold, or
 	// the boot of a journal recovered past it.
 	CompactEveryRecords int64
-	// CompactEveryBytes triggers automatic compaction once the current
-	// journal reaches this many bytes (0 disables).
-	CompactEveryBytes int64
 	// OpenJournalFile overrides how the append handle on a journal
 	// file is opened — the crash-injection hook. nil uses os.OpenFile.
 	OpenJournalFile func(path string) (JournalFile, error)
@@ -128,11 +125,10 @@ func (o Options) openJournal(path string) (JournalFile, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// overLimit reports whether a journal of this size has crossed a
-// compaction threshold.
-func (o Options) overLimit(records, bytes int64) bool {
-	return (o.CompactEveryRecords > 0 && records >= o.CompactEveryRecords) ||
-		(o.CompactEveryBytes > 0 && bytes >= o.CompactEveryBytes)
+// overLimit reports whether a journal holding this many records has
+// crossed the compaction threshold.
+func (o Options) overLimit(records int64) bool {
+	return o.CompactEveryRecords > 0 && records >= o.CompactEveryRecords
 }
 
 func (o Options) logf(format string, args ...any) {
@@ -433,7 +429,7 @@ func (db *DB) newJournal(f JournalFile) *journalWriter {
 	jw.onErr = db.enterDegraded
 	jw.onAppend = func(payload []byte, frameLen int) {
 		db.replPublish(payload, frameLen)
-		if db.opts.overLimit(jw.records, jw.bytes) {
+		if db.opts.overLimit(jw.records) {
 			select {
 			case db.kick <- struct{}{}:
 			default:
@@ -443,7 +439,7 @@ func (db *DB) newJournal(f JournalFile) *journalWriter {
 	return jw
 }
 
-// NeedsCompaction reports whether the current journal has crossed a
+// NeedsCompaction reports whether the current journal has crossed the
 // configured threshold.
 func (db *DB) NeedsCompaction() bool {
 	db.mu.Lock()
@@ -452,7 +448,8 @@ func (db *DB) NeedsCompaction() bool {
 	if jw == nil {
 		return false
 	}
-	return db.opts.overLimit(jw.Size())
+	records, _ := jw.Size()
+	return db.opts.overLimit(records)
 }
 
 // Compact writes a new generation — model checkpoint and store
@@ -677,11 +674,11 @@ func (db *DB) removeGenerationsThrough(g uint64) {
 }
 
 // startAutoCompaction launches the threshold watcher; callers hold
-// db.mu. It looks at the thresholds once at start (a journal recovered
-// past one) and then whenever an append crosses one; a failed
-// compaction is retried on the next append.
+// db.mu. It looks at the threshold once at start (a journal recovered
+// past it) and then whenever an append crosses it; a failed compaction
+// is retried on the next append.
 func (db *DB) startAutoCompaction() {
-	if db.opts.CompactEveryRecords <= 0 && db.opts.CompactEveryBytes <= 0 {
+	if db.opts.CompactEveryRecords <= 0 {
 		return
 	}
 	db.donec = make(chan struct{})

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"crowdselect/internal/core"
 )
 
 // TestApplyModelFeedbackForwardDedupe: a forward keyed to a task folds
@@ -22,7 +24,7 @@ func TestApplyModelFeedbackForwardDedupe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mgr, err := NewManager(store, d.Vocab, m, 3)
+	mgr, err := NewManager(store, d.Vocab, core.NewConcurrentModel(m), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,6 +298,66 @@ func TestScrubDetectsSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// TestScrubDetectsMissingFilesAndHeals: a live generation that lost a
+// file it must hold at rest — the model checkpoint its sidecar stamps,
+// its snapshot, its journal — fails the scrub naming that file and
+// degrades the node, and the probe loop heals it with a new generation
+// cut from memory. Only an unstamped model may be absent: a store-only
+// generation scrubs clean.
+func TestScrubDetectsMissingFilesAndHeals(t *testing.T) {
+	for name, pattern := range map[string]string{"model": modelPattern, "snapshot": snapshotPattern, "journal": journalPattern} {
+		t.Run(name, func(t *testing.T) {
+			d, model := trainedFixture(t)
+			rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways(), ProbeInterval: 10 * time.Millisecond})
+			defer rig.db.Close()
+			rig.resolveOneTask(t, "a committed task", []float64{4, 2})
+			if err := rig.db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			before := cutDigest(t, rig)
+			gen := rig.db.Generation()
+			path := filepath.Join(rig.db.dir, fmt.Sprintf(pattern, gen))
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+
+			var se *ScrubError
+			if err := rig.db.Scrub(); !errors.As(err, &se) || se.Path != path {
+				t.Fatalf("scrub with %s gone = %v, want *ScrubError naming it", path, err)
+			}
+			if !rig.db.Degraded() {
+				t.Fatal("a missing file did not degrade the node")
+			}
+			waitUntil(t, "probe loop healed the missing file", func() bool { return !rig.db.Degraded() })
+			if rig.db.Generation() <= gen {
+				t.Fatalf("healing did not cut a new generation (still %d)", rig.db.Generation())
+			}
+			if err := rig.db.Scrub(); err != nil {
+				t.Fatalf("scrub after heal: %v", err)
+			}
+			if after := cutDigest(t, rig); after != before {
+				t.Fatalf("state digest changed across the loss and the heal:\n%+v\n%+v", after, before)
+			}
+		})
+	}
+	t.Run("unstamped model", func(t *testing.T) {
+		db, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, err := db.Store().AddWorker(0, "w0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Begin(); err != nil { // no model snapshotter: store-only
+			t.Fatal(err)
+		}
+		if err := db.Scrub(); err != nil {
+			t.Fatalf("store-only generation: %v", err)
+		}
+	})
+}
+
 // TestBootFallsBackPastCorruptModelCheckpoint is the bugfix
 // regression: when the newest generation's model checkpoint is
 // corrupt, Open must fall back to the next older valid generation

@@ -41,7 +41,6 @@ const (
 	evAssign    eventKind = "assign"
 	evAnswer    eventKind = "answer"
 	evResolve   eventKind = "resolve"
-	evReopen    eventKind = "reopen"
 	// evSkillFeedback is model-only feedback: scores for workers this
 	// shard owns on a task homed elsewhere. No task row changes — the
 	// event exists so the posterior update survives recovery and
@@ -507,8 +506,6 @@ func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 		return s.Assign(e.Task, e.Workers)
 	case evAnswer:
 		return s.RecordAnswer(e.Task, e.Worker, e.Answer)
-	case evReopen:
-		return s.reopenTask(e.Task)
 	case evResolve:
 		scores, err := decodeScores(e.Scores)
 		if err != nil {

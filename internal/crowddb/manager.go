@@ -6,58 +6,48 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
 
-// Selector ranks candidate workers for a task. *core.Model and every
-// baseline in internal/baseline satisfy it. A pure selection (RankOnly
-// and its forms) cuts the bags it hands a selector — here and through
-// the optional hooks below — from pooled storage: they are valid for
-// the duration of the call and must not be retained.
+// Selector is the model the crowd manager serves: exactly the
+// *core.ConcurrentModel methods the manager calls. It is an interface
+// only so contract tests can substitute fakes; every deployment passes
+// a *core.ConcurrentModel, whose locking is what makes concurrent
+// selection and feedback safe.
+//
+//   - RankBatchScored ranks a batch of tasks in one call — projections
+//     fan out across cores and every selection sees one model version —
+//     keeping each candidate's Eq. 1 score, truncated to k and
+//     element-wise identical to ranking each bag alone. Scores are what
+//     make per-shard top-k lists mergeable into a global top-k.
+//   - RankBatchProjected also hands back each λ_c and the category
+//     version it was projected under; RankCategoriesScored ranks against
+//     categories another node projected at the same version
+//     (core.ErrCategoryVersion otherwise) — DESIGN §11, "The fleet
+//     projects once".
+//   - Project and UpdateWorkerSkill fold a resolved task's feedback into
+//     the answerers' skill posteriors — the crowd-update path of §4.2;
+//     an UpdateWorkerSkill error (invalid input, a failed solve) reaches
+//     the feedback caller.
+//   - Digest is the canonical hash of the posteriors (DESIGN §14).
+//
+// A pure selection (RankOnly and its forms) cuts the bags it hands a
+// selector from pooled storage: they are valid for the duration of the
+// call and must not be retained.
 type Selector interface {
 	Name() string
-	Rank(bag text.Bag, candidates []int) []int
-}
-
-// ScoredBatchRanker is the optional batched-selection hook: a Selector
-// that also implements it (as *core.ConcurrentModel does) ranks a whole
-// batch of tasks in one call — projections fan out across cores and
-// every selection sees one model version — and keeps each candidate's
-// Eq. 1 score beside the ranking. Every selection path uses it when
-// available (the id form is rank.IDs of the scored one) and falls back
-// to sequential Rank calls otherwise; results must be element-wise
-// identical to ranking each bag alone (truncated to k). Scores are also
-// what make per-shard top-k lists mergeable into a global top-k, so
-// RankOnlyScored requires this interface.
-type ScoredBatchRanker interface {
 	RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error)
-}
-
-// CategoryRanker is the optional fleet hook (DESIGN §11, "The fleet
-// projects once"): a selector that can hand back the λ_c it projected
-// with the version of the category parameters it projected under, and
-// can rank against categories projected by another node at the same
-// version (core.ErrCategoryVersion otherwise). *core.ConcurrentModel
-// implements it.
-type CategoryRanker interface {
 	RankBatchProjected(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error)
 	RankCategoriesScored(ctx context.Context, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error)
-}
-
-// SkillUpdater is the optional incremental-learning hook: when the
-// manager's Selector also implements it (as *core.Model and
-// *core.ConcurrentModel do), every resolved task's feedback is folded
-// into the answerers' skill posteriors — the crowd-update path of
-// §4.2. UpdateWorkerSkill reports invalid input or a failed solve; the
-// manager surfaces that error to the feedback caller.
-type SkillUpdater interface {
 	Project(bag text.Bag) core.TaskCategory
 	UpdateWorkerSkill(worker int, cats []core.TaskCategory, scores []float64) error
+	Digest() (string, error)
 }
+
+var _ Selector = (*core.ConcurrentModel)(nil)
 
 // Manager is the crowd manager of Figure 1: it projects incoming
 // tasks, selects the right online workers, drives the dispatcher, and
@@ -131,20 +121,12 @@ func NewManagerWith(cfg ManagerConfig) (*Manager, error) {
 // text to the term ids the selector was trained on; k is the default
 // crowd size per task; NewManagerWith also takes the shard identity and
 // tenant namespace.
-//
-// A bare *core.Model is wrapped in a core.ConcurrentModel: the manager
-// serves selection and feedback traffic concurrently (the HTTP server
-// handles each request on its own goroutine), and an unwrapped model
-// would race its posterior updates against selection reads.
 func NewManager(store *Store, vocab *text.Vocabulary, sel Selector, k int) (*Manager, error) {
 	if store == nil || vocab == nil || sel == nil {
 		return nil, fmt.Errorf("%w: manager needs a store, vocabulary and selector", ErrBadRequest)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("%w: crowd size %d", ErrBadRequest, k)
-	}
-	if m, ok := sel.(*core.Model); ok {
-		sel = core.NewConcurrentModel(m)
 	}
 	return &Manager{store: store, vocab: vocab, sel: sel, k: k}, nil
 }
@@ -237,9 +219,9 @@ func (m *Manager) SubmitTask(ctx context.Context, taskText string, k int) (Submi
 
 // SubmitBatch runs the blue path of Figure 1 for a whole batch in one
 // round trip: every task is stored (ids are assigned in input order),
-// all bags are projected and ranked together — through the selector's
-// ScoredBatchRanker fast path when available, which fans projections
-// across cores — and each task is dispatched to its own top-k crowd.
+// all bags are projected and ranked together in one RankBatchScored
+// call, which fans projections across cores — and each task is
+// dispatched to its own top-k crowd.
 // Selections are element-wise identical to submitting the tasks one by
 // one with no interleaved feedback.
 //
@@ -441,43 +423,23 @@ func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int,
 }
 
 // RankOnlyScored is RankOnly keeping the Eq. 1 scores — the text leg
-// of scatter-gather selection. It requires a selector with the
-// ScoredBatchRanker hook; baseline selectors that expose no scores get
-// ErrBadRequest (their rankings cannot be merged across shards).
+// of scatter-gather selection.
 func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([][]rank.Item, error) {
-	sbr, ok := m.sel.(ScoredBatchRanker)
-	if !ok {
-		return nil, fmt.Errorf("%w: selector %s does not expose selection scores", ErrBadRequest, m.sel.Name())
-	}
 	ts := m.textBatch(reqs)
 	defer ts.release()
 	return rankOnly(ctx, m, ts.ks, func(candidates []int, k int) ([][]rank.Item, error) {
-		return sbr.RankBatchScored(ctx, ts.bags, candidates, k)
+		return m.sel.RankBatchScored(ctx, ts.bags, candidates, k)
 	})
-}
-
-// categoryRanker returns the selector's fleet hook, or ErrBadRequest
-// for a selector without a latent category space to share.
-func (m *Manager) categoryRanker() (CategoryRanker, error) {
-	cr, ok := m.sel.(CategoryRanker)
-	if !ok {
-		return nil, fmt.Errorf("%w: selector %s does not expose task categories", ErrBadRequest, m.sel.Name())
-	}
-	return cr, nil
 }
 
 // RankOnlyProjected is RankOnlyScored that also returns each task's
 // projected category and the category version they were projected
 // under — the projecting leg of a fleet selection.
 func (m *Manager) RankOnlyProjected(ctx context.Context, reqs []TaskSubmission) (ranked [][]rank.Item, cats [][]float64, version string, err error) {
-	cr, err := m.categoryRanker()
-	if err != nil {
-		return nil, nil, "", err
-	}
 	ts := m.textBatch(reqs)
 	defer ts.release()
 	ranked, err = rankOnly(ctx, m, ts.ks, func(candidates []int, k int) (items [][]rank.Item, err error) {
-		items, cats, version, err = cr.RankBatchProjected(ctx, ts.bags, candidates, k)
+		items, cats, version, err = m.sel.RankBatchProjected(ctx, ts.bags, candidates, k)
 		return items, err
 	})
 	return ranked, cats, version, err
@@ -491,15 +453,11 @@ func (m *Manager) RankOnlyProjected(ctx context.Context, reqs []TaskSubmission) 
 // core.ErrCategoryVersion; a category that is not a finite K-vector is
 // ErrBadRequest.
 func (m *Manager) RankOnlyCategories(ctx context.Context, ks []int, cats [][]float64, version string) ([][]rank.Item, error) {
-	cr, err := m.categoryRanker()
-	if err != nil {
-		return nil, err
-	}
 	if len(cats) != len(ks) {
 		return nil, fmt.Errorf("%w: %d categories for %d tasks", ErrBadRequest, len(cats), len(ks))
 	}
 	ranked, err := rankOnly(ctx, m, ks, func(candidates []int, k int) ([][]rank.Item, error) {
-		return cr.RankCategoriesScored(ctx, version, cats, candidates, k)
+		return m.sel.RankCategoriesScored(ctx, version, cats, candidates, k)
 	})
 	if errors.Is(err, core.ErrBadCategory) {
 		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -528,9 +486,6 @@ func (m *Manager) ApplyModelFeedback(ctx context.Context, forwardOf int, taskTex
 	if len(scores) == 0 {
 		return fmt.Errorf("%w: no scores", ErrBadRequest)
 	}
-	if _, ok := m.sel.(SkillUpdater); !ok {
-		return fmt.Errorf("%w: selector %s does not learn from feedback", ErrBadRequest, m.sel.Name())
-	}
 	for w := range scores {
 		if !m.shard.OwnsWorker(w) {
 			return &WrongShardError{Resource: "worker", ID: w, Owner: ShardOfWorker(w, m.shard.Count)}
@@ -550,29 +505,15 @@ func (m *Manager) ApplyModelFeedback(ctx context.Context, forwardOf int, taskTex
 }
 
 // rankBatch ranks every bag against the candidate set, truncated to k:
-// the ids of one ScoredBatchRanker call when the selector supports it,
-// otherwise a sequential loop with a cancellation check per task.
+// the ids of one RankBatchScored call.
 func (m *Manager) rankBatch(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]int, error) {
-	out := make([][]int, len(bags))
-	if sbr, ok := m.sel.(ScoredBatchRanker); ok {
-		scored, err := sbr.RankBatchScored(ctx, bags, candidates, k)
-		if err != nil {
-			return nil, err
-		}
-		for i, items := range scored {
-			out[i] = rank.IDs(items)
-		}
-		return out, nil
+	scored, err := m.sel.RankBatchScored(ctx, bags, candidates, k)
+	if err != nil {
+		return nil, err
 	}
-	for i, bag := range bags {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ranked := m.sel.Rank(bag, candidates)
-		if len(ranked) > k {
-			ranked = ranked[:k]
-		}
-		out[i] = ranked
+	out := make([][]int, len(scored))
+	for i, items := range scored {
+		out[i] = rank.IDs(items)
 	}
 	return out, nil
 }
@@ -582,49 +523,13 @@ func (m *Manager) CollectAnswer(taskID, workerID int, answer string) error {
 	return m.store.RecordAnswer(taskID, workerID, answer)
 }
 
-// RedispatchExpired reopens assignments older than maxAge that got no
-// answers and dispatches each reopened task to a fresh crowd of k
-// workers (the dispatcher's timeout path). It returns the redispatched
-// task ids. ctx cancels the per-task selection loop.
-func (m *Manager) RedispatchExpired(ctx context.Context, maxAge time.Duration, k int) ([]int, error) {
-	if k <= 0 {
-		k = m.k
-	}
-	reopened, err := m.store.ExpireAssignments(maxAge)
-	if err != nil {
-		return nil, err
-	}
-	online := m.candidateWorkers()
-	if len(online) == 0 && len(reopened) > 0 {
-		return nil, fmt.Errorf("%w: no online workers to redispatch to", ErrBadRequest)
-	}
-	for _, id := range reopened {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		task, err := m.store.GetTask(id)
-		if err != nil {
-			return nil, err
-		}
-		ranked := m.sel.Rank(text.NewBagKnown(m.vocab, task.Tokens), online)
-		if len(ranked) > k {
-			ranked = ranked[:k]
-		}
-		if err := m.store.Assign(id, ranked); err != nil {
-			return nil, err
-		}
-	}
-	return reopened, nil
-}
-
 // ResolveTask records the feedback scores for a task's answers (the
-// red path of Figure 1) and, when the selector supports incremental
-// learning, updates the answerers' latent skills. A failed skill
-// update is reported alongside the already-resolved record: the store
-// transition committed, the model update did not. A ctx already
-// cancelled at entry aborts before the store commits; once the
-// resolve has committed the skill update always runs, so the model
-// never silently diverges from the store.
+// red path of Figure 1) and updates the answerers' latent skills. A
+// failed skill update is reported alongside the already-resolved
+// record: the store transition committed, the model update did not.
+// A ctx already cancelled at entry aborts before the store commits;
+// once the resolve has committed the skill update always runs, so the
+// model never silently diverges from the store.
 func (m *Manager) ResolveTask(ctx context.Context, taskID int, scores map[int]float64) (TaskRecord, error) {
 	if err := ctx.Err(); err != nil {
 		return TaskRecord{}, err
@@ -646,11 +551,7 @@ func (m *Manager) ResolveTask(ctx context.Context, taskID int, scores map[int]fl
 // verbatim when recovery replays resolve events so the rebuilt
 // posteriors match the pre-crash model element-wise.
 func (m *Manager) applySkillFeedback(rec TaskRecord) error {
-	up, ok := m.sel.(SkillUpdater)
-	if !ok {
-		return nil
-	}
-	cat := up.Project(text.NewBagKnown(m.vocab, rec.Tokens))
+	cat := m.sel.Project(text.NewBagKnown(m.vocab, rec.Tokens))
 	for _, a := range rec.Answers {
 		// A sharded node owns only its slice of the posterior state:
 		// foreign answerers' feedback reaches their owner shards through
@@ -660,7 +561,7 @@ func (m *Manager) applySkillFeedback(rec TaskRecord) error {
 		if !m.shard.OwnsWorker(a.Worker) {
 			continue
 		}
-		if err := up.UpdateWorkerSkill(a.Worker, []core.TaskCategory{cat}, []float64{a.Score}); err != nil {
+		if err := m.sel.UpdateWorkerSkill(a.Worker, []core.TaskCategory{cat}, []float64{a.Score}); err != nil {
 			return err
 		}
 	}

@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
-	"time"
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
+	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
 
@@ -51,7 +52,7 @@ func managerFixture(t *testing.T) (*Manager, *corpus.Dataset) {
 			t.Fatal(err)
 		}
 	}
-	mgr, err := NewManager(store, d.Vocab, m, 3)
+	mgr, err := NewManager(store, d.Vocab, core.NewConcurrentModel(m), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +61,11 @@ func managerFixture(t *testing.T) (*Manager, *corpus.Dataset) {
 
 func TestNewManagerValidation(t *testing.T) {
 	d, m := trainedFixture(t)
-	if _, err := NewManager(nil, d.Vocab, m, 3); err == nil {
+	cm := core.NewConcurrentModel(m)
+	if _, err := NewManager(nil, d.Vocab, cm, 3); err == nil {
 		t.Error("nil store accepted")
 	}
-	if _, err := NewManager(NewStore(), d.Vocab, m, 0); err == nil {
+	if _, err := NewManager(NewStore(), d.Vocab, cm, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -147,12 +149,7 @@ func TestSubmitRespectsPresence(t *testing.T) {
 
 func TestResolveUpdatesSkillsIncrementally(t *testing.T) {
 	mgr, d := managerFixture(t)
-	// NewManager must have wrapped the bare model for concurrent
-	// serving.
-	m, ok := mgr.sel.(*core.ConcurrentModel)
-	if !ok {
-		t.Fatalf("selector is %T, want *core.ConcurrentModel", mgr.sel)
-	}
+	m := mgr.sel.(*core.ConcurrentModel)
 
 	taskText := ""
 	for _, tok := range d.Tasks[1].Tokens {
@@ -175,69 +172,6 @@ func TestResolveUpdatesSkillsIncrementally(t *testing.T) {
 	}
 }
 
-func TestManagerWithBaselineSelector(t *testing.T) {
-	// A selector without the SkillUpdater hook must still work.
-	d, _ := trainedFixture(t)
-	store := NewStore()
-	for i := range d.Workers {
-		if _, err := store.AddWorker(i, "w"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mgr, err := NewManager(store, d.Vocab, staticSelector{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mgr.SelectorName() != "static" {
-		t.Errorf("SelectorName = %q", mgr.SelectorName())
-	}
-	sub, err := mgr.SubmitTask(context.Background(), "whatever", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.CollectAnswer(sub.Task.ID, sub.Workers[0], "a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.ResolveTask(context.Background(), sub.Task.ID, map[int]float64{sub.Workers[0]: 1}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRedispatchExpired(t *testing.T) {
-	mgr, _ := managerFixture(t)
-	t0 := time.Date(2015, 3, 23, 9, 0, 0, 0, time.UTC)
-	now := t0
-	mgr.Store().SetClock(func() time.Time { return now })
-
-	sub, err := mgr.SubmitTask(context.Background(), "a question nobody answers", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now = t0.Add(2 * time.Hour)
-	redispatched, err := mgr.RedispatchExpired(context.Background(), time.Hour, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(redispatched) != 1 || redispatched[0] != sub.Task.ID {
-		t.Fatalf("redispatched = %v", redispatched)
-	}
-	got, err := mgr.Store().GetTask(sub.Task.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != TaskAssigned || len(got.Assigned) != 3 {
-		t.Errorf("redispatched task = %+v", got)
-	}
-	// Nothing stale: no-op.
-	redispatched, err = mgr.RedispatchExpired(context.Background(), time.Hour, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(redispatched) != 0 {
-		t.Errorf("second pass redispatched %v", redispatched)
-	}
-}
-
 // TestManagerOverJournaledStore exercises the full pipeline with a
 // journal attached and verifies the journal replays to the same state.
 func TestManagerOverJournaledStore(t *testing.T) {
@@ -256,7 +190,7 @@ func TestManagerOverJournaledStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mgr, err := NewManager(store, d.Vocab, m, 2)
+	mgr, err := NewManager(store, d.Vocab, core.NewConcurrentModel(m), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,15 +229,43 @@ func TestManagerOverJournaledStore(t *testing.T) {
 	}
 }
 
-// staticSelector ranks candidates by id (lowest first).
+// staticSelector is the one test stub of the Selector contract: it
+// ranks candidates by id (lowest first, every score 0), projects every
+// task to the empty category and learns nothing. A fake that needs one
+// behaviour of its own embeds it and overrides that method.
 type staticSelector struct{}
 
 func (staticSelector) Name() string { return "static" }
-func (staticSelector) Rank(_ text.Bag, candidates []int) []int {
-	out := append([]int(nil), candidates...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+
+func (staticSelector) RankBatchScored(_ context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+	return byID(len(bags), candidates, k), nil
+}
+
+func (staticSelector) RankBatchProjected(_ context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error) {
+	return byID(len(bags), candidates, k), make([][]float64, len(bags)), "static", nil
+}
+
+func (staticSelector) RankCategoriesScored(_ context.Context, _ string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
+	return byID(len(cats), candidates, k), nil
+}
+
+func (staticSelector) Project(text.Bag) core.TaskCategory { return core.TaskCategory{} }
+
+func (staticSelector) UpdateWorkerSkill(int, []core.TaskCategory, []float64) error { return nil }
+
+func (staticSelector) Digest() (string, error) { return "", nil }
+
+// byID is n copies of the k lowest candidate ids.
+func byID(n int, candidates []int, k int) [][]rank.Item {
+	ids := slices.Clone(candidates)
+	slices.Sort(ids)
+	if len(ids) > k {
+		ids = ids[:k]
+	}
+	out := make([][]rank.Item, n)
+	for i := range out {
+		for _, id := range ids {
+			out[i] = append(out[i], rank.Item{ID: id})
 		}
 	}
 	return out

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"crowdselect/internal/core"
 )
 
 // naiveOnline is what OnlineWorkers computed before the set was
@@ -288,7 +290,7 @@ func bigCrowdFixture(tb testing.TB, workers int) *Manager {
 			tb.Fatal(err)
 		}
 	}
-	mgr, err := NewManager(store, d.Vocab, m, 10)
+	mgr, err := NewManager(store, d.Vocab, core.NewConcurrentModel(m), 10)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -48,9 +48,6 @@ type ReplicaOptions struct {
 	// Build assembles manager and concurrent model after bootstrap or
 	// local recovery. Required.
 	Build ReplicaBuilder
-	// HTTPClient overrides the streaming client. The default has no
-	// overall timeout (the stream is long-lived by design).
-	HTTPClient *http.Client
 	// ReconnectBackoff is the initial delay between connection
 	// attempts (default 250ms, doubling to a 5s cap).
 	ReconnectBackoff time.Duration
@@ -133,9 +130,6 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	}
 	if opts.Build == nil {
 		return nil, errors.New("crowddb: replica needs a builder")
-	}
-	if opts.HTTPClient == nil {
-		opts.HTTPClient = &http.Client{}
 	}
 	if opts.ReconnectBackoff <= 0 {
 		opts.ReconnectBackoff = 250 * time.Millisecond
@@ -404,7 +398,8 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 	if r.opts.FleetToken != "" {
 		req.Header.Set("Authorization", "Bearer "+r.opts.FleetToken)
 	}
-	resp, err := r.opts.HTTPClient.Do(req)
+	// No overall timeout: the stream is long-lived by design.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -484,8 +479,10 @@ func (r *Replica) install(st *replStream) error {
 }
 
 // rebootstrap is the live re-bootstrap of a serving follower that fell
-// behind the primary's compaction or was found diverged: the store and
-// model are swapped in place under their own locks and a compaction
+// behind the primary's compaction or was found diverged: the store, the
+// model and the replication position are swapped in place in one
+// quiesced step, so no digest cut sees the adopted store beside the old
+// model at the old seq, and a compaction (which quiesces itself)
 // checkpoints the adopted state as a new local generation.
 func (r *Replica) rebootstrap(st *replStream) error {
 	dataset, raw, snap, err := readBootstrap(st)
@@ -504,11 +501,17 @@ func (r *Replica) rebootstrap(st *replStream) error {
 			return err
 		}
 	}
-	if err := r.db.Store().RestoreSnapshot(bytes.NewReader(snap.Store)); err != nil {
-		return fmt.Errorf("bootstrap snapshot: %w", err)
+	err = r.mgr.Quiesce(func() error {
+		if err := r.db.Store().RestoreSnapshot(bytes.NewReader(snap.Store)); err != nil {
+			return fmt.Errorf("bootstrap snapshot: %w", err)
+		}
+		r.cm.Replace(model)
+		r.db.seedReplication(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	r.cm.Replace(model)
-	r.db.seedReplication(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch)
 	if err := r.db.Compact(); err != nil {
 		return err
 	}

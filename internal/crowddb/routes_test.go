@@ -85,7 +85,7 @@ func TestGateMatrixByClass(t *testing.T) {
 		{"degraded tenant", func(_ *testing.T, s *Server) { s.SetDegradedCheck(func() bool { return true }) },
 			[6]cell{served, served, served, served, served, {http.StatusServiceUnavailable, "degraded_read_only"}}},
 		{"admission full", func(_ *testing.T, s *Server) {
-			s.SetMaxInFlight(1)
+			s.SetAdmission(AdmissionConfig{Min: 1, Max: 1})
 			for ok := true; ok; ok, _ = s.adm.acquire(true) {
 			}
 		}, [6]cell{served, served, full, full, full, full}},

@@ -143,54 +143,58 @@ func (db *DB) scrubBasis() (gen uint64, modelDigest, storeDigest string) {
 }
 
 // scrubGeneration verifies generation gen's journal, snapshot and
-// model checkpoint. Missing files are skipped (a fresh follower's
-// generation may predate some of them); every finding is a typed
-// *ScrubError.
+// model checkpoint; every finding is a typed *ScrubError. A missing
+// file is a finding too: every writer of a generation (Begin,
+// compaction, restore, a follower's install) leaves a snapshot, and
+// the boot or compaction that makes it live opens its journal. Only an
+// unstamped model may be absent — a store-only or pre-digest
+// generation.
 func (db *DB) scrubGeneration(gen uint64, modelDigest, storeDigest string) error {
 	// Journal: re-walk every record's CRC. A torn tail is a live append
 	// in progress, not corruption; mid-file damage is.
 	jpath := db.journalPath(gen)
-	if data, err := os.ReadFile(jpath); err == nil {
-		res, err := walkJournal(data, func(int, int64, []byte) error { return nil })
-		if err != nil {
-			return &ScrubError{Path: jpath, Err: err}
-		}
-		db.scrub.records.Add(int64(res.Records))
-		db.scrub.files.Add(1)
-	} else if !errors.Is(err, os.ErrNotExist) {
+	data, err := os.ReadFile(jpath)
+	if err != nil {
 		return &ScrubError{Path: jpath, Err: err}
 	}
+	res, err := walkJournal(data, func(int, int64, []byte) error { return nil })
+	if err != nil {
+		return &ScrubError{Path: jpath, Err: err}
+	}
+	db.scrub.records.Add(int64(res.Records))
+	db.scrub.files.Add(1)
 
 	// Snapshot: byte-hash against the sidecar's stamp when present,
 	// full parse-validation otherwise (pre-digest generations).
 	spath := filepath.Join(db.dir, fmt.Sprintf(snapshotPattern, gen))
-	if data, err := os.ReadFile(spath); err == nil {
-		if storeDigest != "" {
-			if got := sha256Hex(data); got != storeDigest {
-				return &ScrubError{Path: spath, Err: fmt.Errorf("snapshot digest %s, sidecar stamped %s", got, storeDigest)}
-			}
-		} else if err := NewStore().RestoreSnapshotFile(spath); err != nil {
-			return &ScrubError{Path: spath, Err: err}
-		}
-		db.scrub.files.Add(1)
-	} else if !errors.Is(err, os.ErrNotExist) {
+	if data, err = os.ReadFile(spath); err != nil {
 		return &ScrubError{Path: spath, Err: err}
 	}
+	if storeDigest != "" {
+		if got := sha256Hex(data); got != storeDigest {
+			return &ScrubError{Path: spath, Err: fmt.Errorf("snapshot digest %s, sidecar stamped %s", got, storeDigest)}
+		}
+	} else if err := NewStore().RestoreSnapshotFile(spath); err != nil {
+		return &ScrubError{Path: spath, Err: err}
+	}
+	db.scrub.files.Add(1)
 
 	// Model checkpoint: same two-tier check.
 	mpath := filepath.Join(db.dir, fmt.Sprintf(modelPattern, gen))
-	if data, err := os.ReadFile(mpath); err == nil {
-		if modelDigest != "" {
-			if got := sha256Hex(data); got != modelDigest {
-				return &ScrubError{Path: mpath, Err: fmt.Errorf("model digest %s, sidecar stamped %s", got, modelDigest)}
-			}
-		} else if _, err := core.LoadModelFile(mpath); err != nil {
-			return &ScrubError{Path: mpath, Err: err}
+	if data, err = os.ReadFile(mpath); err != nil {
+		if modelDigest == "" && errors.Is(err, os.ErrNotExist) {
+			return nil
 		}
-		db.scrub.files.Add(1)
-	} else if !errors.Is(err, os.ErrNotExist) {
 		return &ScrubError{Path: mpath, Err: err}
 	}
+	if modelDigest != "" {
+		if got := sha256Hex(data); got != modelDigest {
+			return &ScrubError{Path: mpath, Err: fmt.Errorf("model digest %s, sidecar stamped %s", got, modelDigest)}
+		}
+	} else if _, err := core.LoadModelFile(mpath); err != nil {
+		return &ScrubError{Path: mpath, Err: err}
+	}
+	db.scrub.files.Add(1)
 	return nil
 }
 

@@ -152,23 +152,13 @@ func (s *Server) SetLogger(logf func(format string, args ...any)) { s.logf = log
 // balancers route elsewhere during recovery or shutdown drain.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// SetMaxInFlight pins a fixed concurrency cap on /api requests (no
-// AIMD adaptation): excess reads are shed immediately with 429 +
-// Retry-After; mutations keep a small reserve above the cap so they
-// are never shed before reads. n <= 0 removes the cap. Call before
-// serving traffic. For an adaptive limit use SetAdmission.
-func (s *Server) SetMaxInFlight(n int) {
-	if n <= 0 {
-		s.adm = nil
-		return
-	}
-	s.adm = newAdmission(AdmissionConfig{Initial: n, Min: n, Max: n})
-}
-
 // SetAdmission installs the adaptive AIMD admission controller: the
 // concurrency limit grows additively while requests finish inside
 // their deadline budget and shrinks multiplicatively on deadline
-// overruns, within [cfg.Min, cfg.Max]. Call before serving traffic.
+// overruns, within [cfg.Min, cfg.Max]. Min == Max pins a fixed cap.
+// Past the limit reads are shed with 429 + Retry-After; mutations keep
+// a small reserve above it so they are never shed before reads. Call
+// before serving traffic.
 func (s *Server) SetAdmission(cfg AdmissionConfig) {
 	s.adm = newAdmission(cfg)
 }

@@ -233,7 +233,7 @@ func TestServerMetricsAdmissionSection(t *testing.T) {
 	srv := NewServer(mgr)
 	be := blockingEngine{entered: make(chan struct{}), release: make(chan struct{})}
 	srv.SetQueryEngine(be)
-	srv.SetMaxInFlight(1)
+	srv.SetAdmission(AdmissionConfig{Min: 1, Max: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

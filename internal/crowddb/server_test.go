@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"crowdselect/internal/core"
+	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
 
@@ -167,10 +167,13 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	resp.Body.Close()
 }
 
-// panicSelector explodes on Rank to exercise the recovery middleware.
+// panicSelector explodes while ranking to exercise the recovery
+// middleware.
 type panicSelector struct{ staticSelector }
 
-func (panicSelector) Rank(_ text.Bag, _ []int) []int { panic("selector exploded") }
+func (panicSelector) RankBatchScored(context.Context, []text.Bag, []int, int) ([][]rank.Item, error) {
+	panic("selector exploded")
+}
 
 func TestServerRecoversFromHandlerPanic(t *testing.T) {
 	d, _ := trainedFixture(t)
@@ -299,7 +302,7 @@ func TestFeedbackRefusesNonCanonicalWorkerIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := mgr.sel.(*core.ConcurrentModel).Digest()
+		model, err := mgr.sel.Digest()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +401,7 @@ func TestServerLoadShedding(t *testing.T) {
 	srv := NewServer(mgr)
 	be := blockingEngine{entered: make(chan struct{}), release: make(chan struct{})}
 	srv.SetQueryEngine(be)
-	srv.SetMaxInFlight(1)
+	srv.SetAdmission(AdmissionConfig{Min: 1, Max: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

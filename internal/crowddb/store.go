@@ -454,63 +454,6 @@ func (s *Store) RecordAnswer(taskID, workerID int, answerText string) error {
 	return s.logEvent(event{Kind: evAnswer, Task: taskID, Worker: workerID, Answer: answerText, At: now})
 }
 
-// ExpireAssignments reopens assigned tasks whose dispatch is older
-// than maxAge and that have received no answers — the dispatcher's
-// timeout path for workers who never respond. It returns the reopened
-// task ids, sorted. Tasks with partial answers are left assigned (the
-// collected answers must not be dropped).
-func (s *Store) ExpireAssignments(maxAge time.Duration) ([]int, error) {
-	if maxAge <= 0 {
-		return nil, fmt.Errorf("%w: maxAge %v", ErrBadRequest, maxAge)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.sealedErrLocked(); err != nil {
-		return nil, err
-	}
-	cutoff := s.clock().Add(-maxAge)
-	var reopened []int
-	for _, t := range s.tasks {
-		if t.Status != TaskAssigned || len(t.Answers) > 0 {
-			continue
-		}
-		if t.AssignedAt.After(cutoff) {
-			continue
-		}
-		t.Status = TaskOpen
-		t.Assigned = nil
-		t.AssignedAt = time.Time{}
-		reopened = append(reopened, t.ID)
-	}
-	sort.Ints(reopened)
-	for _, id := range reopened {
-		if err := s.logEvent(event{Kind: evReopen, Task: id}); err != nil {
-			return reopened, err
-		}
-	}
-	return reopened, nil
-}
-
-// reopenTask is the journal-replay form of one expiry.
-func (s *Store) reopenTask(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.sealedErrLocked(); err != nil {
-		return err
-	}
-	t, ok := s.tasks[id]
-	if !ok {
-		return fmt.Errorf("%w: task %d", ErrNotFound, id)
-	}
-	if t.Status != TaskAssigned || len(t.Answers) > 0 {
-		return fmt.Errorf("%w: task %d is %v with %d answers", ErrBadState, id, t.Status, len(t.Answers))
-	}
-	t.Status = TaskOpen
-	t.Assigned = nil
-	t.AssignedAt = time.Time{}
-	return s.logEvent(event{Kind: evReopen, Task: id})
-}
-
 // Resolve records feedback scores for the answers of an assigned task,
 // moves it to TaskResolved, bumps the answerers' resolved counters and
 // returns the final record. Scores for workers who did not answer are

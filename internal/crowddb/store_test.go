@@ -347,93 +347,6 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	}
 }
 
-func TestExpireAssignments(t *testing.T) {
-	s := newTestStore(t, 3)
-	t0 := time.Date(2015, 3, 23, 9, 0, 0, 0, time.UTC)
-	now := t0
-	s.SetClock(func() time.Time { return now })
-
-	stale := mustAddTask(t, s, "stale", nil)
-	if err := s.Assign(stale.ID, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	answered := mustAddTask(t, s, "answered", nil)
-	if err := s.Assign(answered.ID, []int{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RecordAnswer(answered.ID, 1, "a"); err != nil {
-		t.Fatal(err)
-	}
-
-	// One hour later, a freshly submitted task joins.
-	now = t0.Add(time.Hour)
-	fresh := mustAddTask(t, s, "fresh", nil)
-	if err := s.Assign(fresh.ID, []int{2}); err != nil {
-		t.Fatal(err)
-	}
-
-	reopened, err := s.ExpireAssignments(30 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reopened) != 1 || reopened[0] != stale.ID {
-		t.Fatalf("reopened = %v, want [%d]", reopened, stale.ID)
-	}
-	got, _ := s.GetTask(stale.ID)
-	if got.Status != TaskOpen || got.Assigned != nil {
-		t.Errorf("stale task = %+v", got)
-	}
-	// The partially answered and fresh tasks stay assigned.
-	for _, id := range []int{answered.ID, fresh.ID} {
-		got, _ := s.GetTask(id)
-		if got.Status != TaskAssigned {
-			t.Errorf("task %d expired incorrectly: %v", id, got.Status)
-		}
-	}
-	// A reopened task can be re-assigned.
-	if err := s.Assign(stale.ID, []int{2}); err != nil {
-		t.Fatal(err)
-	}
-	// Bad maxAge rejected.
-	if _, err := s.ExpireAssignments(0); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("maxAge 0: %v", err)
-	}
-}
-
-func TestExpiryJournalsAndReplays(t *testing.T) {
-	var journal bytes.Buffer
-	s := NewStore()
-	t0 := time.Date(2015, 3, 23, 9, 0, 0, 0, time.UTC)
-	now := t0
-	s.SetClock(func() time.Time { return now })
-	journalInto(s, &journal)
-	if _, err := s.AddWorker(0, "w"); err != nil {
-		t.Fatal(err)
-	}
-	task, err := s.AddTask("t", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Assign(task.ID, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	now = t0.Add(time.Hour)
-	if _, err := s.ExpireAssignments(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	replayed := NewStore()
-	if _, err := replayed.replayJournal(bytes.NewReader(journal.Bytes()), nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := replayed.GetTask(task.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != TaskOpen {
-		t.Errorf("replayed status = %v, want open", got.Status)
-	}
-}
-
 func TestTaskStatusString(t *testing.T) {
 	for st, want := range map[TaskStatus]string{
 		TaskOpen: "open", TaskAssigned: "assigned", TaskResolved: "resolved",

@@ -53,14 +53,15 @@ type TransferSourceOptions struct {
 	// position (default 500ms). Followers use it as their staleness
 	// clock, so it bounds how quickly a partition becomes visible.
 	Heartbeat time.Duration
-	// DrainTimeout bounds how long a backup segment waits for live
-	// records to close the gap between the pinned journal file and the
-	// digest cut (default 10s). On expiry the segment ends without a
-	// trailer; the client resumes.
-	DrainTimeout time.Duration
 	// Logf receives transfer lifecycle notices. nil is silent.
 	Logf func(format string, args ...any)
 }
+
+// segmentDrainWait bounds how long a backup segment waits for live
+// records to close the gap between the pinned journal file and the
+// digest cut. On expiry the segment ends without a trailer; the client
+// resumes.
+const segmentDrainWait = 10 * time.Second
 
 // TransferSource is the one emitter of a DB's state (DESIGN.md §10,
 // §15): a copy of a node — a follower's or an archive's — is "store
@@ -69,7 +70,6 @@ type TransferSourceOptions struct {
 type TransferSource struct {
 	db        *DB
 	heartbeat time.Duration
-	drain     time.Duration
 	logf      func(format string, args ...any)
 	fence     *Fence     // optional; nil serves unfenced
 	digest    DigestFunc // optional; heartbeats and manifests then carry digest cuts
@@ -86,13 +86,10 @@ func NewTransferSource(db *DB, opts TransferSourceOptions) *TransferSource {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 500 * time.Millisecond
 	}
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 10 * time.Second
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	return &TransferSource{db: db, heartbeat: opts.Heartbeat, drain: opts.DrainTimeout, logf: opts.Logf}
+	return &TransferSource{db: db, heartbeat: opts.Heartbeat, logf: opts.Logf}
 }
 
 // SetFence attaches the node's fencing state: an epoch-sealed source
@@ -226,7 +223,7 @@ func (t *transfer) end() {
 // frame, the pinned journal and, for a bootstrap, the generation's
 // dataset, model checkpoint and snapshot. A model checkpoint exists
 // whenever a snapshotter is wired; only where needModel is false does
-// a baseline selector's node transfer store-only.
+// a store-only node transfer without one.
 func (t *transfer) stage(typ byte, header any, bootstrap, needModel bool) (err error) {
 	db := t.src.db
 	t.headerType = typ
@@ -491,7 +488,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 		src.resumes.Add(1)
 	}
 	src.logf("crowddb: backup: segment open (full=%v from=%d cut=%d gen=%d)", full, from, cut.Seq, t.gen)
-	complete := t.run(from, cut.Seq, src.drain, func() bool {
+	complete := t.run(from, cut.Seq, segmentDrainWait, func() bool {
 		src.logf("crowddb: backup: gave up waiting for records %d..%d", t.lastSent+1, cut.Seq)
 		return false
 	})

@@ -542,3 +542,71 @@ func TestReplicaFailingRebootstrapBacksOff(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicaRebootstrapSwapsInsideQuiesce: a live re-bootstrap adopts
+// the new store, model and replication position in one quiesced step,
+// so no digest cut — GET /api/v1/digest, or the heartbeat a follower
+// sends its own chained standby — hashes the adopted store beside the
+// old model at the old seq. While the test holds Quiesce, a whole
+// bootstrap of another lineage reaches the follower; none of it may be
+// adopted until the test lets go.
+func TestReplicaRebootstrapSwapsInsideQuiesce(t *testing.T) {
+	rig, src, _ := replPrimary(t)
+	front := newForgeablePrimary(t, src.Stream())
+	rep := startTestReplica(t, front.ts.URL, t.TempDir())
+	defer rep.Close()
+	rig.resolveOneTask(t, "a task the follower holds", []float64{4, 2})
+	waitCaughtUp(t, rig, rep)
+
+	// Another lineage: its source answers the follower's resume, from a
+	// history it never wrote, with a bootstrap.
+	other, otherSrc, _ := replPrimary(t)
+	other.resolveOneTask(t, "a task only the other lineage holds", []float64{5, 1})
+	other.resolveOneTask(t, "and a second one", []float64{2, 3})
+
+	storeDigest := func() string {
+		t.Helper()
+		d, err := rep.DB().Store().Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	wantStore := storeDigest()
+	wantSeq, wantBytes := rep.DB().ReplicationHead()
+	bootstraps := rep.Status().Bootstraps
+
+	held, release := make(chan struct{}), make(chan struct{})
+	quiesced := make(chan error, 1)
+	go func() {
+		quiesced <- rep.Manager().Quiesce(func() error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	forged := http.HandlerFunc(otherSrc.Stream().ServeHTTP)
+	front.forge.Store(&forged)
+	front.ts.CloseClientConnections()
+	waitUntil(t, "follower to dial the other lineage", func() bool { return front.dials.Load() > 0 })
+	// How long the fault is given to show itself: the bootstrap is a
+	// loopback read of a few kilobytes.
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		seq, bytes := rep.DB().ReplicationHead()
+		if got := storeDigest(); got != wantStore || seq != wantSeq || bytes != wantBytes {
+			close(release)
+			t.Fatalf("while Quiesce was held the follower moved to store %s at (%d, %d), from %s at (%d, %d)",
+				got, seq, bytes, wantStore, wantSeq, wantBytes)
+		}
+	}
+	close(release)
+	if err := <-quiesced; err != nil {
+		t.Fatal(err)
+	}
+	want := cutDigest(t, other)
+	waitUntil(t, "follower to adopt the other lineage", func() bool {
+		got, err := rep.Digest()
+		return err == nil && got == want && rep.Status().Bootstraps > bootstraps
+	})
+}

@@ -145,7 +145,7 @@ func engineFixture(t *testing.T) (*Engine, *corpus.Dataset) {
 			t.Fatal(err)
 		}
 	}
-	mgr, err := crowddb.NewManager(store, d.Vocab, m, 3)
+	mgr, err := crowddb.NewManager(store, d.Vocab, core.NewConcurrentModel(m), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
