@@ -2,7 +2,7 @@
 # PR: gofmt, vet, build, the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
-# under -race), the benchmark module's tests and the six fuzz smokes.
+# under -race), the benchmark module's tests and the seven fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -32,12 +32,13 @@ race:
 
 # The allocation gates of the projection kernel (DESIGN.md §6), of the
 # bounded top-k selection (§6: k Items below the candidate count,
-# whatever the count) and of the single-node selections handler, hot
-# (§11: the fleet's category fields must cost a request that names none
-# nothing), cold (§6: a miss against a full cache allocates one key
-# string per text on the text path, counted in allocations and bytes)
-# and as a fleet's score-only leg (§8: a request body is decoded from a
-# pooled buffer, not through a decoder that grows its own):
+# whatever the count, and no category for a cache hit) and of the
+# single-node selections handler, hot (§11: the fleet's category fields
+# must cost a request that names none nothing), cold (§6: a miss against
+# a full cache allocates its key string, a few bytes a term, and no
+# category, counted in allocations and bytes) and as a fleet's
+# score-only leg (§8: a request body is decoded from a pooled buffer,
+# not through a decoder that grows its own):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
@@ -94,13 +95,15 @@ bench:
 # request-body decoder against the json.Decoder it replaced (same
 # status, envelope and value for any bytes, cap and read size), of the
 # one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form,
-# and of the bounded top-k selection against the full sort and a merged
-# split (CI runs the same smokes; bump -fuzztime locally for longer
-# hunts).
+# of the projection cache's bag key against a decoder (any ids, any count
+# bits), and of the bounded top-k selection against the full sort and a
+# merged split (CI runs the same smokes; bump -fuzztime locally for
+# longer hunts).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJSONMatchesDecoder -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
+	$(GO) test -run '^$$' -fuzz FuzzBagKeyRoundTrip -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTopKEqualsFullSort -fuzztime 20s ./internal/rank
 
 # Short coverage-guided fuzz of the replication frame decoder: typed

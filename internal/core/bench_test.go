@@ -57,7 +57,7 @@ var sinkCategory TaskCategory
 // ≈ Armijo trials per CG iteration, all but one of them rejected; exps/op
 // is the count that repeats when the microseconds do not); hit is the same
 // call answered by the ConcurrentModel's projection cache (key, lookup,
-// defensive clone).
+// and a copy into the two vectors Project returns).
 func BenchmarkProject(b *testing.B) {
 	m, bags := benchFixture(b)
 	b.Run("miss", func(b *testing.B) {

@@ -18,11 +18,11 @@ import (
 // reads — they were computed under; a lookup whose epoch no longer
 // matches is treated as a miss and evicted, so Replace or
 // InvalidateProjections can never serve a stale category. Skill updates
-// do not move the epoch and so evict nothing. Categories are cloned
-// both on the way in and on the way out: no caller ever holds a
-// reference into the cache, which is what lets an insert at capacity
-// overwrite the entry it evicts — vectors included — instead of
-// allocating a new one.
+// do not move the epoch and so evict nothing. Categories are copied
+// both on the way in and on the way out, under the lock, into vectors
+// the caller owns: no caller ever holds a reference into the cache,
+// which is what lets an insert at capacity overwrite the entry it
+// evicts — vectors included — instead of allocating a new one.
 //
 // A lookup presents the fingerprint as bytes and compares it in place
 // (indexing a map by string(key) does not allocate); only an insert
@@ -69,9 +69,10 @@ func (c *projectionCache) drop(e *projectionEntry) *projectionEntry {
 	return e
 }
 
-// get returns a copy of the cached category for key if it was stored
-// under the same epoch. A stale entry is evicted and counted as a miss.
-func (c *projectionCache) get(key []byte, epoch uint64) (TaskCategory, bool) {
+// getInto copies the cached category for key into dst, whose two
+// vectors must have the model's K components, if it was stored under
+// the same epoch. A stale entry is evicted and counted as a miss.
+func (c *projectionCache) getInto(key []byte, epoch uint64, dst TaskCategory) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
@@ -79,22 +80,23 @@ func (c *projectionCache) get(key []byte, epoch uint64) (TaskCategory, bool) {
 		// lookups as misses would surface a 0% hit rate in metrics that
 		// is indistinguishable from real churn. Leave the counters
 		// untouched; stats() reports Disabled instead.
-		return TaskCategory{}, false
+		return false
 	}
 	ent, ok := c.items[string(key)]
 	if !ok {
 		c.misses++
-		return TaskCategory{}, false
+		return false
 	}
 	if ent.epoch != epoch {
 		c.drop(ent)
 		c.misses++
-		return TaskCategory{}, false
+		return false
 	}
 	ent.unlink()
 	c.pushFront(ent)
 	c.hits++
-	return ent.cat.clone(), true
+	dst.copyFrom(ent.cat)
+	return true
 }
 
 // put stores a copy of cat under (key, epoch). At capacity the least
@@ -165,14 +167,34 @@ func (c *projectionCache) stats() ProjectionCacheStats {
 	}
 }
 
-// appendBagKey appends the exact fingerprint of a bag to dst: the (id,
-// count) pairs in their canonical sorted order, binary-packed, 16 bytes
-// a term. Two bags share a key iff they are the same multiset of
-// terms, so collisions are impossible by construction.
+// appendBagKey appends the exact fingerprint of a bag to dst, term by
+// term in the bag's order:
+//   - the id's difference from the previous id (from 0 for the first),
+//     as a zigzag varint;
+//   - the count: uvarint(2n) when it is bit-equal to float64(n) for an
+//     integer 0 ≤ n < 2⁵², else the byte 0x01 and the count's 8
+//     little-endian Float64bits bytes (−0, NaN, ±Inf, fractions, huge
+//     values).
+//
+// The first byte of uvarint(2n) is even and the marker is odd, so each
+// term parses exactly one way and the encoding is invertible: two bags
+// share a key iff they are the same sequence of (id, count bits), and
+// collisions are impossible by construction. The bags of real texts
+// (sorted ids, small integer counts) take 2–3 bytes a term.
 func appendBagKey(dst []byte, b text.Bag) []byte {
+	prev := 0
 	for i, id := range b.IDs {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(id))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Counts[i]))
+		dst = binary.AppendVarint(dst, int64(id-prev))
+		prev = id
+		c := b.Counts[i]
+		if c >= 0 && c < 1<<52 {
+			if n := uint64(c); math.Float64bits(float64(n)) == math.Float64bits(c) {
+				dst = binary.AppendUvarint(dst, 2*n)
+				continue
+			}
+		}
+		dst = append(dst, 0x01)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c))
 	}
 	return dst
 }
@@ -181,4 +203,11 @@ func appendBagKey(dst []byte, b text.Bag) []byte {
 // share vectors.
 func (t TaskCategory) clone() TaskCategory {
 	return TaskCategory{Lambda: t.Lambda.Clone(), Nu2: t.Nu2.Clone()}
+}
+
+// copyFrom overwrites t's vectors, which must be as long as src's, with
+// src's values.
+func (t TaskCategory) copyFrom(src TaskCategory) {
+	copy(t.Lambda, src.Lambda)
+	copy(t.Nu2, src.Nu2)
 }

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"crowdselect/internal/corpus"
 	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
@@ -155,19 +159,28 @@ func TestProjectionCacheCapacity(t *testing.T) {
 }
 
 // TestBagKeyExactness: two different bags never share a fingerprint,
-// and equal bags always do.
+// and equal bags always do — equal meaning equal count bits, so +0 and
+// −0, and two NaN payloads, are different bags.
 func TestBagKeyExactness(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
 	a := text.Bag{IDs: []int{1, 2}, Counts: []float64{1, 2}}
 	b := text.Bag{IDs: []int{1, 2}, Counts: []float64{1, 2}}
 	bagKey := func(b text.Bag) string { return string(appendBagKey(nil, b)) }
 	if bagKey(a) != bagKey(b) {
 		t.Error("equal bags have different keys")
 	}
+	if x, y := (text.Bag{IDs: []int{4}, Counts: []float64{nan1}}), (text.Bag{IDs: []int{4}, Counts: []float64{nan1}}); bagKey(x) != bagKey(y) {
+		t.Error("bags with the same NaN payload have different keys")
+	}
 	variants := []text.Bag{
 		{IDs: []int{1, 3}, Counts: []float64{1, 2}},
 		{IDs: []int{1, 2}, Counts: []float64{1, 3}},
 		{IDs: []int{1}, Counts: []float64{1}},
 		{},
+		{IDs: []int{1, 2}, Counts: []float64{1, 0}},
+		{IDs: []int{1, 2}, Counts: []float64{1, math.Copysign(0, -1)}},
+		{IDs: []int{1, 2}, Counts: []float64{1, nan1}},
+		{IDs: []int{1, 2}, Counts: []float64{1, nan2}},
 	}
 	seen := map[string]bool{bagKey(a): true}
 	for i, v := range variants {
@@ -176,6 +189,136 @@ func TestBagKeyExactness(t *testing.T) {
 			t.Errorf("variant %d collides", i)
 		}
 		seen[k] = true
+	}
+}
+
+// decodeBagKey inverts appendBagKey. It lives only here: production code
+// compares keys and never reads one back.
+func decodeBagKey(key []byte) (text.Bag, error) {
+	var b text.Bag
+	prev := 0
+	for len(key) > 0 {
+		delta, n := binary.Varint(key)
+		if n <= 0 {
+			return b, errors.New("truncated id")
+		}
+		key = key[n:]
+		prev += int(delta)
+		var c float64
+		switch {
+		case len(key) == 0:
+			return b, errors.New("id without a count")
+		case key[0] == 0x01:
+			if len(key) < 9 {
+				return b, errors.New("truncated count bits")
+			}
+			c = math.Float64frombits(binary.LittleEndian.Uint64(key[1:9]))
+			key = key[9:]
+		default:
+			u, n := binary.Uvarint(key)
+			if n <= 0 || u%2 != 0 {
+				return b, errors.New("malformed integer count")
+			}
+			c = float64(u / 2)
+			key = key[n:]
+		}
+		b.IDs = append(b.IDs, prev)
+		b.Counts = append(b.Counts, c)
+	}
+	return b, nil
+}
+
+// fuzzBag reads a bag from arbitrary bytes. Per term a control byte
+// picks the id — a small step from the previous one (sorted ids, as
+// real bags have) or any 64-bit value — and the count: a small integer,
+// one of the edges of the integer encoding, or any 64 bits.
+func fuzzBag(raw []byte) text.Bag {
+	edges := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff8000000000abc), math.Inf(1), math.Inf(-1),
+		0x1p52 - 1, 0x1p52, 0x1p53, 0x1p53 + 2, 0x1p63, 0.5, 1.5, -1, 5e-324, math.MaxFloat64,
+	}
+	next := func(n int) []byte {
+		if len(raw) < n { // pad with zeros, never writing into the fuzzer's input
+			raw = append(raw[:len(raw):len(raw)], make([]byte, n-len(raw))...)
+		}
+		out := raw[:n]
+		raw = raw[n:]
+		return out
+	}
+	var b text.Bag
+	id := 0
+	for len(raw) > 0 {
+		ctl := next(1)[0]
+		if ctl&1 == 0 {
+			id += int(int8(next(1)[0]))
+		} else {
+			id = int(binary.LittleEndian.Uint64(next(8)))
+		}
+		var c float64
+		switch ctl >> 1 & 3 {
+		case 0, 1:
+			c = float64(next(1)[0])
+		case 2:
+			c = edges[int(next(1)[0])%len(edges)]
+		default:
+			c = math.Float64frombits(binary.LittleEndian.Uint64(next(8)))
+		}
+		b.IDs = append(b.IDs, id)
+		b.Counts = append(b.Counts, c)
+	}
+	return b
+}
+
+// FuzzBagKeyRoundTrip: decoding a bag's key gives the bag back, ids and
+// count bits alike, for any ids (negative, huge, unsorted) and counts.
+// An invertible encoding is an exact one: two bags share a key only if
+// they are the same bag.
+func FuzzBagKeyRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	// Ids 3 and 5 with counts 1 and 7.
+	f.Add([]byte{0, 3, 1, 0, 2, 7})
+	// Id −1 with count −0.
+	f.Add([]byte{5, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1})
+	// Counts 2⁵², 2⁵³+2 and 2⁶³, then 1.5 on a repeated id.
+	f.Add([]byte{4, 1, 8, 4, 1, 10, 4, 1, 11, 4, 0, 13})
+	// Id −2⁶³ with a NaN payload, then a step down that wraps to 2⁶³−5.
+	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0xfb, 9})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		bag := fuzzBag(raw)
+		key := appendBagKey(nil, bag)
+		got, err := decodeBagKey(key)
+		if err != nil {
+			t.Fatalf("key %x of %v: %v", key, bag, err)
+		}
+		if len(got.IDs) != len(bag.IDs) {
+			t.Fatalf("key %x decodes to %d terms, want %d", key, len(got.IDs), len(bag.IDs))
+		}
+		for i := range bag.IDs {
+			if got.IDs[i] != bag.IDs[i] || math.Float64bits(got.Counts[i]) != math.Float64bits(bag.Counts[i]) {
+				t.Fatalf("term %d: decoded (%d, %#x), want (%d, %#x)", i,
+					got.IDs[i], math.Float64bits(got.Counts[i]), bag.IDs[i], math.Float64bits(bag.Counts[i]))
+			}
+		}
+	})
+}
+
+// TestBagKeyBytesPerTerm: the key of a text's bag is a few bytes a term,
+// not 16. The bags are drawn as the cold selections of internal/crowddb
+// (coldBodies) and the repository benchmark draw their never-seen texts,
+// on the platform of its cold tests; each cache entry keeps one key.
+func TestBagKeyBytesPerTerm(t *testing.T) {
+	p := corpus.Quora().Scaled(0.03)
+	p.Seed = 11
+	var terms, bytes int
+	for _, bag := range benchStyleBags(corpus.MustGenerate(p), 800) {
+		terms += len(bag.IDs)
+		bytes += len(appendBagKey(nil, bag))
+	}
+	perTerm := float64(bytes) / float64(terms)
+	t.Logf("%.1f terms and %.1f key bytes a text, %.2f bytes a term", float64(terms)/800, float64(bytes)/800, perTerm)
+	if perTerm > 3 {
+		t.Errorf("the bag key takes %.2f bytes a term, want <= 3", perTerm)
 	}
 }
 

@@ -49,8 +49,10 @@ const defaultProjectionCacheCap = 8192
 // which no projection reads, so it leaves the epoch and every cached
 // entry alone (TestProjectUnaffectedBySkillUpdates holds the premise):
 // the incremental crowd update of §4.2(2) never makes the next task's
-// projection cold. Returned categories are defensive copies; callers
-// may mutate them freely.
+// projection cold. Project and ProjectAll[Ctx] return categories the
+// caller owns and may mutate freely; the ranking calls project into
+// pooled scratch they release before returning, so a category that is
+// only scored is never allocated.
 //
 // Methods not exposed here (training, TopTerms, …) are reached
 // through Unwrap, which hands back the underlying Model; the caller
@@ -161,20 +163,15 @@ func (c *ConcurrentModel) Project(bag text.Bag) TaskCategory {
 	return c.projectLocked(bag)
 }
 
-// projectLocked is the cache-through projection; the caller holds the
-// read lock, which excludes Replace, so the model and the epoch read
-// here belong together for the whole computation.
+// projectLocked is the cache-through projection, a batch of one; the
+// caller holds the read lock, which excludes Replace, so the model and
+// the epoch read here belong together for the whole computation.
 func (c *ConcurrentModel) projectLocked(bag text.Bag) TaskCategory {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer sc.release()
-	sc.key = appendBagKey(sc.key[:0], bag)
-	epoch := c.epoch.Load()
-	if cat, ok := c.cache.get(sc.key, epoch); ok {
-		return cat
-	}
-	cat := c.m.Project(bag)
-	c.cache.put(string(sc.key), epoch, cat)
-	return cat
+	// Only a cancelled ctx fails a batch, and this one cannot be cancelled.
+	_ = c.projectViewsLocked(context.Background(), sc, []text.Bag{bag}, 1)
+	return sc.views[0].clone()
 }
 
 // ProjectAll projects a batch of tasks; the read lock is held across
@@ -192,20 +189,33 @@ func (c *ConcurrentModel) ProjectAll(bags []text.Bag, parallelism int) []TaskCat
 func (c *ConcurrentModel) ProjectAllCtx(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.projectAllLocked(ctx, bags, parallelism)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	if err := c.projectViewsLocked(ctx, sc, bags, parallelism); err != nil {
+		return nil, err
+	}
+	out := make([]TaskCategory, len(bags))
+	for i, v := range sc.views {
+		out[i] = v.clone()
+	}
+	return out, nil
 }
 
 // batchScratch is the working set of one cache-through batch that dies
-// with it: the key being looked up, the distinct misses (their output
-// slots, bags and the key strings the cache will keep) and the bags
-// that repeat one of them. Pooled, and released only once the batch's
-// projections have joined, since they read bags through it.
+// with it: the key being looked up, every bag's category (views into
+// one flat array), the distinct misses (their bags, their views and the
+// key strings the cache will keep) and the bags that repeat one of
+// them. Pooled, and released only once the batch's projections have
+// joined — they read bags and write views through it — and its views
+// have been read.
 type batchScratch struct {
 	key      []byte
-	missIdx  []int          // out index of each distinct missing bag
-	missBags []text.Bag     // parallel to missIdx
-	missKeys []string       // parallel to missIdx
-	pending  map[string]int // missing key → index into missIdx
+	cats     []float64      // 2K per bag: λ_c, then ν_c²
+	views    []TaskCategory // bag i's category, cut from cats
+	missBags []text.Bag     // each distinct missing bag
+	missCats []TaskCategory // parallel to missBags: its view
+	missKeys []string       // parallel to missBags
+	pending  map[string]int // missing key → index into missBags
 	repeats  []batchRepeat
 }
 
@@ -214,21 +224,37 @@ type batchRepeat struct{ out, miss int }
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{pending: make(map[string]int)} }}
 
+// cutViews shapes views as n categories of k components over cats,
+// growing it as needed. The views are not zeroed: a batch writes every
+// component of each before reading it.
+func (sc *batchScratch) cutViews(n, k int) {
+	if cap(sc.cats) < 2*k*n {
+		sc.cats = make([]float64, 2*k*n)
+	}
+	sc.views = sc.views[:0]
+	for i := 0; i < n; i++ {
+		v := sc.cats[2*k*i : 2*k*(i+1) : 2*k*(i+1)]
+		sc.views = append(sc.views, TaskCategory{Lambda: v[:k:k], Nu2: v[k:]})
+	}
+}
+
 // release empties the scratch — dropping its references to the
 // caller's bags and to the key strings — and pools it.
 func (sc *batchScratch) release() {
 	clear(sc.missBags)
 	clear(sc.missKeys)
 	clear(sc.pending)
-	sc.missIdx, sc.missBags, sc.missKeys, sc.repeats = sc.missIdx[:0], sc.missBags[:0], sc.missKeys[:0], sc.repeats[:0]
+	sc.missBags, sc.missCats, sc.missKeys, sc.repeats = sc.missBags[:0], sc.missCats[:0], sc.missKeys[:0], sc.repeats[:0]
 	batchScratchPool.Put(sc)
 }
 
-func (c *ConcurrentModel) projectAllLocked(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
+// projectViewsLocked projects bags[i] into sc.views[i], through the
+// cache: a hit is copied into its view, each distinct miss is projected
+// straight into its own and then copied into the cache, and a bag that
+// repeats a miss copies that miss's view.
+func (c *ConcurrentModel) projectViewsLocked(ctx context.Context, sc *batchScratch, bags []text.Bag, parallelism int) error {
 	epoch := c.epoch.Load()
-	out := make([]TaskCategory, len(bags))
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
+	sc.cutViews(len(bags), c.m.K)
 	for i, bag := range bags {
 		sc.key = appendBagKey(sc.key[:0], bag)
 		// A bag equal to one already missed in this batch is neither
@@ -238,30 +264,30 @@ func (c *ConcurrentModel) projectAllLocked(ctx context.Context, bags []text.Bag,
 			sc.repeats = append(sc.repeats, batchRepeat{out: i, miss: j})
 			continue
 		}
-		if cat, ok := c.cache.get(sc.key, epoch); ok {
-			out[i] = cat
+		if c.cache.getInto(sc.key, epoch, sc.views[i]) {
 			continue
 		}
 		// The one string a miss allocates: it keys the in-batch repeat
 		// detection now and the cache entry afterwards.
 		key := string(sc.key)
-		sc.pending[key] = len(sc.missIdx)
-		sc.missIdx = append(sc.missIdx, i)
+		sc.pending[key] = len(sc.missBags)
 		sc.missBags = append(sc.missBags, bag)
+		sc.missCats = append(sc.missCats, sc.views[i])
 		sc.missKeys = append(sc.missKeys, key)
 	}
-	if len(sc.missIdx) > 0 {
-		if err := c.m.projectInto(ctx, sc.missBags, sc.missIdx, out, parallelism); err != nil {
-			return nil, err
-		}
-		for j, i := range sc.missIdx {
-			c.cache.put(sc.missKeys[j], epoch, out[i])
-		}
-		for _, r := range sc.repeats {
-			out[r.out] = out[sc.missIdx[r.miss]].clone()
-		}
+	if len(sc.missBags) == 0 {
+		return nil
 	}
-	return out, nil
+	if err := c.m.projectInto(ctx, sc.missBags, sc.missCats, parallelism); err != nil {
+		return err
+	}
+	for j, cat := range sc.missCats {
+		c.cache.put(sc.missKeys[j], epoch, cat)
+	}
+	for _, r := range sc.repeats {
+		sc.views[r.out].copyFrom(sc.missCats[r.miss])
+	}
+	return nil
 }
 
 // Score returns worker i's predictive performance wᵢ·c (§4.2).
@@ -309,23 +335,24 @@ func (c *ConcurrentModel) Rank(bag text.Bag, candidates []int) []int {
 func (c *ConcurrentModel) RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out, _, err := c.rankBatchLocked(ctx, bags, candidates, k)
-	return out, err
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	return c.rankBatchLocked(ctx, sc, bags, candidates, k)
 }
 
-func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []TaskCategory, error) {
-	cats, err := c.projectAllLocked(ctx, bags, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, nil, err
+// rankBatchLocked leaves each bag's category in sc.views.
+func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, sc *batchScratch, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+	if err := c.projectViewsLocked(ctx, sc, bags, runtime.GOMAXPROCS(0)); err != nil {
+		return nil, err
 	}
 	out := make([][]rank.Item, len(bags))
-	for i, cat := range cats {
+	for i, cat := range sc.views {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out[i] = c.m.SelectTopKScored(cat.Mean(), candidates, k)
 	}
-	return out, cats, nil
+	return out, nil
 }
 
 // RankBatchProjected is RankBatchScored that also hands back what it
@@ -337,13 +364,18 @@ func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, bags []text.Bag, 
 func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out, cats, err := c.rankBatchLocked(ctx, bags, candidates, k)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	out, err := c.rankBatchLocked(ctx, sc, bags, candidates, k)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	lambdas := make([][]float64, len(cats))
-	for i, cat := range cats {
-		lambdas[i] = cat.Mean()
+	dim := c.m.K
+	flat := make([]float64, dim*len(bags))
+	lambdas := make([][]float64, len(bags))
+	for i, cat := range sc.views {
+		lambdas[i] = flat[dim*i : dim*(i+1) : dim*(i+1)]
+		copy(lambdas[i], cat.Lambda)
 	}
 	return out, lambdas, c.categoryVersionLocked(), nil
 }

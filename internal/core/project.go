@@ -32,11 +32,11 @@ func (t TaskCategory) Sample(rng *randx.RNG) linalg.Vector {
 	return rng.NormalVecDiag(t.Lambda, sigma)
 }
 
-// projectScratch holds the per-call working set of Project: the
+// projectScratch holds the per-call working set of a projection: the
 // in-vocabulary filter, the φ matrix and the task solver (objective,
 // optimizer workspace, start vector and the round's e^λ). Pooled because
-// Project is the serving hot path: with the scratch warm, a projection
-// allocates only the two vectors it returns, which never alias the
+// projection is the serving hot path: with the scratch warm, a projection
+// writes only the two vectors it is given, which never alias the
 // scratch.
 type projectScratch struct {
 	ids    []int
@@ -87,9 +87,21 @@ func (m *Model) Project(bag text.Bag) TaskCategory {
 
 // projectWith is Project on the caller's scratch.
 func (m *Model) projectWith(sc *projectScratch, bag text.Bag) TaskCategory {
+	cat := TaskCategory{Lambda: make(linalg.Vector, m.K), Nu2: make(linalg.Vector, m.K)}
+	m.projectTo(sc, bag, cat)
+	return cat
+}
+
+// projectTo is Project written into cat, whose two vectors must have K
+// components: it starts them at the prior (λ = μ_c, ν² = diag Σ_c) and
+// leaves the projection in them.
+func (m *Model) projectTo(sc *projectScratch, bag text.Bag, cat TaskCategory) {
 	k := m.K
-	lam := m.MuC.Clone()
-	nu2 := m.SigmaC.Diag()
+	lam, nu2 := cat.Lambda, cat.Nu2
+	copy(lam, m.MuC)
+	for i := range nu2 {
+		nu2[i] = m.SigmaC.At(i, i)
+	}
 	// Keep only in-vocabulary terms.
 	ids, counts := sc.ids[:0], sc.counts[:0]
 	for p, v := range bag.IDs {
@@ -100,7 +112,7 @@ func (m *Model) projectWith(sc *projectScratch, bag text.Bag) TaskCategory {
 	}
 	sc.ids, sc.counts = ids, counts // keep grown capacity pooled
 	if len(ids) == 0 {
-		return TaskCategory{Lambda: lam, Nu2: nu2}
+		return
 	}
 	phi := sc.phiFor(len(ids), k)
 	s := sc.solver
@@ -116,7 +128,6 @@ func (m *Model) projectWith(sc *projectScratch, bag text.Bag) TaskCategory {
 			break
 		}
 	}
-	return TaskCategory{Lambda: lam, Nu2: nu2}
 }
 
 func (m *Model) projectInner() int {
@@ -198,26 +209,28 @@ func (m *Model) ProjectAll(bags []text.Bag, parallelism int) []TaskCategory {
 // rather than projecting tasks nobody will read.
 func (m *Model) ProjectAllCtx(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
 	out := make([]TaskCategory, len(bags))
-	if err := m.projectInto(ctx, bags, nil, out, parallelism); err != nil {
+	for i := range out {
+		out[i] = TaskCategory{Lambda: make(linalg.Vector, m.K), Nu2: make(linalg.Vector, m.K)}
+	}
+	if err := m.projectInto(ctx, bags, out, parallelism); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// projectInto projects bags[j] into out[at[j]] (out[j] when at is nil)
-// with at most parallelism goroutines. It returns only after every one
-// of them has, cancelled or not, so the caller may reuse bags and at.
-func (m *Model) projectInto(ctx context.Context, bags []text.Bag, at []int, out []TaskCategory, parallelism int) error {
+// projectInto projects bags[j] into out[j], whose vectors must have K
+// components, with at most parallelism goroutines, each on one pooled
+// scratch. It returns only after every one of them has, cancelled or
+// not, so the caller may reuse bags and out.
+func (m *Model) projectInto(ctx context.Context, bags []text.Bag, out []TaskCategory, parallelism int) error {
 	parallelFor(len(bags), parallelism, func(lo, hi int) {
+		sc := projectScratchPool.Get().(*projectScratch)
+		defer projectScratchPool.Put(sc)
 		for j := lo; j < hi; j++ {
 			if ctx.Err() != nil {
 				return
 			}
-			i := j
-			if at != nil {
-				i = at[j]
-			}
-			out[i] = m.Project(bags[j])
+			m.projectTo(sc, bags[j], out[j])
 		}
 	})
 	return ctx.Err()

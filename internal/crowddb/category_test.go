@@ -145,11 +145,13 @@ func TestMetricsOmitSelectionLegsOffFleet(t *testing.T) {
 // eight cached texts, k = 10, allocates through Server.ServeHTTP on a
 // recorder: 131 on the commit before the fleet's category fields joined
 // the request and response DTOs, 86 once bags and keys were built in
-// pooled scratch, 81 since the body is decoded from a pooled buffer
-// rather than by a json.Decoder that grows a read buffer per request
-// (the cold twin is coldSelectionAllocFence). The fence is that count
-// plus 4, which the per-request decoder coming back would cross.
-const selectionsHandlerAllocFence = 85
+// pooled scratch, 81 once the body was decoded from a pooled buffer
+// rather than by a json.Decoder that grows a read buffer per request,
+// 64 since a cache hit is copied into pooled batch scratch rather than
+// cloned (the cold twin is coldSelectionAllocFence). The fence is that
+// count plus 4, which the per-request decoder or the clones coming back
+// would cross.
+const selectionsHandlerAllocFence = 68
 
 // TestSelectionsHandlerAllocationFence keeps the fleet's DTO fields out
 // of the single-node request: they ride at request and response level

@@ -123,24 +123,27 @@ func fillCache(tb testing.TB, d *corpus.Dataset, cm *core.ConcurrentModel, srv *
 // coldSelectionAllocFence and coldSelectionByteFence bound one POST
 // /api/v1/selections of eight never-seen texts, k = 10, against a full
 // projection cache, through Server.ServeHTTP on a recorder: what the
-// request keeps (the decoded body, eight categories, eight rankings, the
-// encoded response), eight cache keys, and the recorder. Before the text
-// path was made one pass over pooled scratch the same request took 217
-// allocations and 35.7 KB here, and 95 and 18.4 KB before the body was
+// request keeps (the decoded body, eight rankings, the encoded
+// response), eight cache keys, and the recorder. Before the text path was
+// made one pass over pooled scratch the same request took 217
+// allocations and 35.7 KB here; 95 and 18.4 KB before the body was
 // decoded from a pooled buffer instead of through a json.Decoder and its
-// per-request read buffer; it takes 90 and 14.4 KB. The fences leave
-// room for a collection emptying the pools mid-run, not for a map, a
-// token slice or a cache entry per text, nor for that decoder.
+// per-request read buffer; 90 and 14.4 KB while the keys took 16 bytes a
+// term and every category was cloned into a slice of its own. It takes
+// 73 and ≈ 11.4 KB. The fences leave room for a collection emptying the
+// pools mid-run, not for a map, a token slice, a cache entry or a
+// category per text, nor for that decoder.
 const (
-	coldSelectionAllocFence = 94
-	coldSelectionByteFence  = 16 << 10
+	coldSelectionAllocFence = 77
+	coldSelectionByteFence  = 12 << 10
 )
 
 // TestSelectionsColdAllocationFence is the allocation gate of the miss
-// path: tokenising, bag building, key building, repeat detection and the
-// cache insert of a cold selection allocate one key string per text and
-// nothing else — no token strings, no count maps, no list elements, no
-// cache entries once the cache is full.
+// path: tokenising, bag building, key building, repeat detection,
+// projection and the cache insert of a cold selection allocate one key
+// string per text and nothing else — no token strings, no count maps,
+// no categories, no list elements, no cache entries once the cache is
+// full.
 func TestSelectionsColdAllocationFence(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")

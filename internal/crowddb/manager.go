@@ -379,8 +379,8 @@ func rankOnly[T any](ctx context.Context, m *Manager, ks []int,
 // textScratch is the text leg of one pure selection, pooled: the bag
 // builder, the bags it cut (windows of the builder's storage) and each
 // task's requested k. Nothing a selector returns points into it —
-// rankings are fresh and categories are clones — so it is released as
-// soon as the ranking call has returned.
+// rankings and categories are fresh slices — so it is released as soon
+// as the ranking call has returned.
 type textScratch struct {
 	bb   text.BagBuilder
 	bags []text.Bag

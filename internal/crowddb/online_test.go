@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"crowdselect/internal/core"
+	"crowdselect/internal/race"
 )
 
 // naiveOnline is what OnlineWorkers computed before the set was
@@ -311,10 +312,17 @@ func hotRequest(tb testing.TB, mgr *Manager) []TaskSubmission {
 // TestRankOnlyHotAllocationFence keeps a cache-hit selection over
 // 10 000 online workers from allocating anything for its candidates:
 // it ranks the shared online set into a k-Item heap, so nothing grows
-// with the crowd (≈ 430 B in 7 allocations). Before, the ranking sorted
-// one 16-B Item per candidate (160 KB), and before that the call also
-// built and sorted the id set, 336 KB of append growth per request.
+// with the crowd. Before, the ranking sorted one 16-B Item per
+// candidate (160 KB), and before that the call also built and sorted
+// the id set, 336 KB of append growth per request. Nor does the hit
+// allocate a category: it is copied into pooled batch scratch, so the
+// request takes 4 allocations and 288 B — the ranking, its ids and the
+// two slices holding them. Cloning the category out of the cache, as it
+// once did, took 3 more (its two vectors and the slice of categories).
 func TestRankOnlyHotAllocationFence(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
 	const workers = 10000
 	mgr := bigCrowdFixture(t, workers)
 	reqs := hotRequest(t, mgr)
@@ -330,8 +338,8 @@ func TestRankOnlyHotAllocationFence(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
 	t.Logf("RankOnly, %d online, k=10: %.0f allocations, %.0f bytes", workers, allocs, bytesPerRun)
-	if allocs > 20 {
-		t.Errorf("%.0f allocations per hot selection, want <= 20", allocs)
+	if allocs > 5 {
+		t.Errorf("%.0f allocations per hot selection, want <= 5 (no category)", allocs)
 	}
 	const fence = 2048
 	if bytesPerRun >= fence {

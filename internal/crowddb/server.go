@@ -1071,6 +1071,12 @@ func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	for i, t := range reqs {
+		if len(t.Workers) > 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("task index %d: a selection ranks its crowd; preassigned workers belong on tasks:batch", i))
+			return
+		}
+	}
 	switch {
 	case req.IncludeCategories && !req.IncludeScores:
 		httpError(w, http.StatusBadRequest, errors.New("include_categories needs include_scores"))

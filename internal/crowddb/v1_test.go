@@ -3,6 +3,7 @@ package crowddb
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -235,4 +236,36 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Errorf("over-cap status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestSelectionsRefuseWorkers: a pure selection ranks its crowd, so a
+// text task that names preassigned workers is a 400 naming its index on
+// every text form of POST /api/v1/selections, not a ranked crowd the
+// client did not ask for; tasks:batch still assigns them.
+func TestSelectionsRefuseWorkers(t *testing.T) {
+	ts, _ := serverFixture(t)
+	tasks := []map[string]any{
+		{"text": "how do b+ trees differ from b trees", "k": 2},
+		{"text": "which database index fits range queries", "k": 2, "workers": []int{1, 0}},
+	}
+	for _, extra := range []map[string]any{{}, {"include_scores": true}, {"include_scores": true, "include_categories": true}} {
+		body := map[string]any{"tasks": tasks}
+		for k, v := range extra {
+			body[k] = v
+		}
+		resp := postJSON(t, ts.URL+"/api/v1/selections", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%v: status = %d, want 400", extra, resp.StatusCode)
+		}
+		if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "index 1") {
+			t.Errorf("%v: envelope = %+v, want bad_request naming index 1", extra, env.Error)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/api/v1/tasks:batch", map[string]any{"tasks": tasks})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("tasks:batch with preassigned workers = %d, want 201", resp.StatusCode)
+	}
+	if got := decode[BatchSubmitResponse](t, resp).Results[1].Workers; !reflect.DeepEqual(got, []int{1, 0}) {
+		t.Errorf("tasks:batch assigned %v, want the preassigned [1 0]", got)
+	}
 }
