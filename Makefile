@@ -2,7 +2,7 @@
 # PR: gofmt, vet, build, the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
-# under -race), the benchmark module's tests and the seven fuzz smokes.
+# under -race), the benchmark module's tests and the nine fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -37,8 +37,8 @@ race:
 # must cost a request that names none nothing), cold (§6: a miss against
 # a full cache allocates its key string, a few bytes a term, and no
 # category, counted in allocations and bytes) and as a fleet's
-# score-only leg (§8: a request body is decoded from a pooled buffer,
-# not through a decoder that grows its own):
+# score-only leg (§8: the leg is scanned, ranked and answered inside
+# one pooled scratch, with nothing per task):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
@@ -94,6 +94,8 @@ bench:
 # Short coverage-guided fuzz of the journal replay path, of the
 # request-body decoder against the json.Decoder it replaced (same
 # status, envelope and value for any bytes, cap and read size), of the
+# selections codec against encoding/json (the score-only leg's scanner
+# against json.Unmarshal, the response writer against json.Encoder), of the
 # one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form,
 # of the projection cache's bag key against a decoder (any ids, any count
 # bits), and of the bounded top-k selection against the full sort and a
@@ -102,6 +104,8 @@ bench:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJSONMatchesDecoder -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzScoreOnlyLegMatchesUnmarshal -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzSelectionsResponseMatchesEncoder -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
 	$(GO) test -run '^$$' -fuzz FuzzBagKeyRoundTrip -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTopKEqualsFullSort -fuzztime 20s ./internal/rank
@@ -136,9 +140,10 @@ replication:
 
 # The sharding suite (DESIGN.md §11) under the race detector: the
 # merge-equivalence property, the fleet-vs-single-node e2e equality,
-# the wrong-shard routing contract and the shard kill/rebalance drill.
+# the pooled selection legs' aliasing oracle, the wrong-shard routing
+# contract and the shard kill/rebalance drill.
 shard:
-	$(GO) test -race -run 'TestMergeTopK|TestRouter|TestWrongShard|TestShardOfWorker|TestStoreStridedTaskIDs|TestChaosShardKillAndRebalance' -v ./internal/rank/ ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/
+	$(GO) test -race -run 'TestMergeTopK|TestRouter|TestSelectionsPoolIsNotShared|TestWrongShard|TestShardOfWorker|TestStoreStridedTaskIDs|TestChaosShardKillAndRebalance' -v ./internal/rank/ ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/
 
 # The fencing & supervision suite (DESIGN.md §12) under the race
 # detector: fencing-epoch semantics, the lease seal, the concurrent-

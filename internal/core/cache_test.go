@@ -336,7 +336,7 @@ func TestRankBatchMatchesSequentialRank(t *testing.T) {
 		bags = append(bags, d.Tasks[i].Bag(d.Vocab))
 	}
 	k := 3
-	got, err := cm.RankBatchScored(context.Background(), bags, cands, k)
+	got, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, cands, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestRankBatchMatchesSequentialRank(t *testing.T) {
 	// Cancelled context aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cm.RankBatchScored(ctx, bags, cands, k); err == nil {
+	if _, err := cm.RankBatchScored(ctx, new(rank.Arena), bags, cands, k); err == nil {
 		t.Error("cancelled RankBatchScored succeeded")
 	}
 }

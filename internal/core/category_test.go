@@ -10,13 +10,15 @@ import (
 	"testing"
 
 	"crowdselect/internal/rank"
+	"crowdselect/internal/selcodec"
 )
 
 // TestFloat64SurvivesJSONBitForBit holds the premise the fleet's
 // bitwise contract rests on since λ_c travels between shards as JSON:
 // encoding/json writes the shortest decimal that round-trips, so every
 // finite float64 — subnormals, −0 and the extremes included — comes
-// back with the bits it left with.
+// back with the bits it left with, through encoding/json and through
+// the hand codecs a fleet's selection legs go through.
 func TestFloat64SurvivesJSONBitForBit(t *testing.T) {
 	vals := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, math.Pi, 1e21, 1e-7, 123456789.125,
@@ -45,6 +47,26 @@ func TestFloat64SurvivesJSONBitForBit(t *testing.T) {
 	for i, v := range vals {
 		if math.Float64bits(back[i]) != math.Float64bits(v) {
 			t.Fatalf("value %d: sent bits %016x (%g), got %016x (%g)", i, math.Float64bits(v), v, math.Float64bits(back[i]), back[i])
+		}
+	}
+
+	// The fleet's own codecs (internal/selcodec) carry the same bits: the
+	// selections writer spells the values as encoding/json does, and the
+	// score-only leg's scanner reads encoding/json's spelling back.
+	resp, err := selcodec.AppendResponse(nil, nil, false, "", [][]float64{vals}, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"results":[],"model":"","categories":[` + string(wire) + `],"category_version":"v"}` + "\n"; string(resp) != want {
+		t.Fatal("the selections writer spells the values otherwise than encoding/json")
+	}
+	var leg selcodec.Leg
+	if !leg.Scan([]byte(`{"tasks":[{"text":"","k":1}],"categories":[` + string(wire) + `],"category_version":"v"}`)) {
+		t.Fatal("the score-only leg's scanner refused encoding/json's values")
+	}
+	for i, v := range vals {
+		if got := leg.Cats[0][i]; math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("value %d: sent bits %016x (%g), scanned %016x (%g)", i, math.Float64bits(v), v, math.Float64bits(got), got)
 		}
 	}
 }
@@ -136,16 +158,23 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 		cands[i] = i
 	}
 
-	want, err := scorer.RankBatchScored(ctx, bags, cands, 6)
+	want, err := scorer.RankBatchScored(ctx, new(rank.Arena), bags, cands, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, cats, version, err := projector.RankBatchProjected(ctx, bags, cands, 6)
+	own, flat, version, err := projector.RankBatchProjected(ctx, new(rank.Arena), []float64{-7}, bags, cands, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameItems(own, want) {
 		t.Fatal("RankBatchProjected ranks differently from RankBatchScored")
+	}
+	if len(flat) != 1+m.K*len(bags) || flat[0] != -7 {
+		t.Fatalf("RankBatchProjected appended %d components after the caller's one, want %d", len(flat)-1, m.K*len(bags))
+	}
+	cats := make([][]float64, len(bags))
+	for i := range cats {
+		cats[i] = flat[1+m.K*i : 1+m.K*(i+1)]
 	}
 	wire, err := json.Marshal(cats)
 	if err != nil {
@@ -157,7 +186,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 	}
 
 	before := scorer.CacheStats()
-	got, err := scorer.RankCategoriesScored(ctx, version, received, cands, 6)
+	got, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), version, received, cands, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +197,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 		t.Errorf("a score-only ranking touched the projection cache: %+v → %+v", before, after)
 	}
 
-	if _, err := scorer.RankCategoriesScored(ctx, "stale", received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
+	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), "stale", received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
 		t.Errorf("a foreign version: %v, want ErrCategoryVersion", err)
 	}
 	// Categories from a binary of another kernel over the very same
@@ -176,7 +205,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 	// would have produced.
 	old := NewConcurrentModel(cloneViaSave(t, m))
 	old.LabelKernelForTest(KernelVersion - 1)
-	if _, err := scorer.RankCategoriesScored(ctx, old.CategoryVersion(), received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
+	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), old.CategoryVersion(), received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
 		t.Errorf("categories of another kernel version: %v, want ErrCategoryVersion", err)
 	}
 	for name, bad := range map[string][]float64{
@@ -184,7 +213,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 		"NaN":   {0, 0, math.NaN(), 0, 0},
 		"Inf":   {0, 0, 0, math.Inf(-1), 0},
 	} {
-		if _, err := scorer.RankCategoriesScored(ctx, version, [][]float64{bad}, cands, 6); !errors.Is(err, ErrBadCategory) {
+		if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), version, [][]float64{bad}, cands, 6); !errors.Is(err, ErrBadCategory) {
 			t.Errorf("%s category: %v, want ErrBadCategory", name, err)
 		}
 	}

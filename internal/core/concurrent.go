@@ -332,50 +332,58 @@ func (c *ConcurrentModel) Rank(bag text.Bag, candidates []int) []int {
 // text leg of scatter-gather selection — the coordinator merges
 // these lists with rank.MergeTopK. A cancelled ctx abandons the batch
 // and returns ctx.Err().
-func (c *ConcurrentModel) RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+//
+// The rankings are lists cut from a (rank.Arena.Lists): they are valid
+// until the caller's next use of a, and a caller that keeps a ranks
+// without allocating.
+func (c *ConcurrentModel) RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer sc.release()
-	return c.rankBatchLocked(ctx, sc, bags, candidates, k)
+	return c.rankBatchLocked(ctx, a, sc, bags, candidates, k)
 }
 
 // rankBatchLocked leaves each bag's category in sc.views.
-func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, sc *batchScratch, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, a *rank.Arena, sc *batchScratch, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
 	if err := c.projectViewsLocked(ctx, sc, bags, runtime.GOMAXPROCS(0)); err != nil {
 		return nil, err
 	}
-	out := make([][]rank.Item, len(bags))
-	for i, cat := range sc.views {
+	return c.scoreLocked(ctx, a, len(bags), func(i int) linalg.Vector { return sc.views[i].Mean() }, candidates, k)
+}
+
+// scoreLocked is the second phase of Algorithm 3 over a batch: it ranks
+// the candidates against n categories, cat(i) the i-th, into lists cut
+// from a. The caller holds the read lock.
+func (c *ConcurrentModel) scoreLocked(ctx context.Context, a *rank.Arena, n int, cat func(i int) linalg.Vector, candidates []int, k int) ([][]rank.Item, error) {
+	out := a.Lists(n, max(0, min(k, len(candidates))))
+	for i := range out {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = c.m.SelectTopKScored(cat.Mean(), candidates, k)
+		out[i] = c.m.selectTopKScoredInto(out[i], cat(i), candidates, k)
 	}
 	return out, nil
 }
 
 // RankBatchProjected is RankBatchScored that also hands back what it
-// projected — each bag's λ_c, the vector the scores were taken against —
-// and the CategoryVersion it was projected under, all from one
-// read-lock scope. It is the projecting leg of a fleet selection: the
-// other shards score these categories (RankCategoriesScored) instead of
-// projecting the text again.
-func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error) {
+// projected — each bag's λ_c, the vector the scores were taken against,
+// appended to lambdas in bag order, K components each — and the
+// CategoryVersion it was projected under, all from one read-lock scope.
+// It is the projecting leg of a fleet selection: the other shards score
+// these categories (RankCategoriesScored) instead of projecting the
+// text again.
+func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []float64, string, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer sc.release()
-	out, err := c.rankBatchLocked(ctx, sc, bags, candidates, k)
+	out, err := c.rankBatchLocked(ctx, a, sc, bags, candidates, k)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, lambdas, "", err
 	}
-	dim := c.m.K
-	flat := make([]float64, dim*len(bags))
-	lambdas := make([][]float64, len(bags))
-	for i, cat := range sc.views {
-		lambdas[i] = flat[dim*i : dim*(i+1) : dim*(i+1)]
-		copy(lambdas[i], cat.Lambda)
+	for _, cat := range sc.views {
+		lambdas = append(lambdas, cat.Lambda...)
 	}
 	return out, lambdas, c.categoryVersionLocked(), nil
 }
@@ -387,8 +395,8 @@ func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, bags []text.Ba
 // lock the scoring holds), else ErrCategoryVersion; every category must
 // be a finite K-vector, else ErrBadCategory. Given equal versions the
 // result is what RankBatchScored returns for the bags the categories
-// were projected from.
-func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
+// were projected from, in lists cut from a like its.
+func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, a *rank.Arena, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if own := c.categoryVersionLocked(); version != own {
@@ -404,14 +412,7 @@ func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, version stri
 			}
 		}
 	}
-	out := make([][]rank.Item, len(cats))
-	for i, cat := range cats {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = c.m.SelectTopKScored(cat, candidates, k)
-	}
-	return out, nil
+	return c.scoreLocked(ctx, a, len(cats), func(i int) linalg.Vector { return cats[i] }, candidates, k)
 }
 
 // Skills returns a copy of worker i's posterior-mean skill vector.

@@ -161,10 +161,16 @@ func (m *Model) SelectTopK(c linalg.Vector, candidates []int, k int) []int {
 // wᵢ·cⱼ lives in the one shared latent space and is comparable across
 // shards.
 func (m *Model) SelectTopKScored(c linalg.Vector, candidates []int, k int) []rank.Item {
+	return m.selectTopKScoredInto(nil, c, candidates, k)
+}
+
+// selectTopKScoredInto is SelectTopKScored ranking into dst's storage
+// (rank.TopKScoredInto).
+func (m *Model) selectTopKScoredInto(dst []rank.Item, c linalg.Vector, candidates []int, k int) []rank.Item {
 	if candidates == nil {
 		candidates = m.allWorkerIDs()
 	}
-	return rank.TopKScored(candidates, func(id int) float64 { return m.Score(id, c) }, k)
+	return rank.TopKScoredInto(dst, candidates, func(id int) float64 { return m.Score(id, c) }, k)
 }
 
 // allWorkerIDs returns the shared identity candidate slice [0, M).

@@ -150,13 +150,13 @@ type slowSelector struct {
 	release chan struct{}
 }
 
-func (s *slowSelector) RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+func (s *slowSelector) RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
 	s.entered <- struct{}{}
 	<-s.release
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.staticSelector.RankBatchScored(ctx, bags, candidates, k)
+	return s.staticSelector.RankBatchScored(ctx, a, bags, candidates, k)
 }
 
 // TestSubmitBatchCancelMidFlight: cancelling while the batch is being

@@ -105,14 +105,28 @@ func TestSelectionsByCategory(t *testing.T) {
 		}
 	}
 
-	// The largest finite exponent is a valid category, not a decoder error.
-	resp, err = http.Post(url, "application/json", strings.NewReader(body(twoKs, "["+row("1e308")+","+row("-0")+"]", version)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("finite extreme categories = %d, want 200", resp.StatusCode)
+	// The extreme finite exponents are valid categories, not decoder
+	// errors. The smallest scores finitely; the largest overflows the
+	// scores to +Inf, which encoding/json refuses, so the answer is the
+	// 500 envelope — not a 200 whose body the encoder left empty.
+	for _, c := range []struct {
+		x      string
+		status int
+	}{{"5e-324", http.StatusOK}, {"1e308", http.StatusInternalServerError}} {
+		resp, err = http.Post(url, "application/json", strings.NewReader(body(twoKs, "["+row(c.x)+","+row("-0")+"]", version)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status {
+			t.Errorf("categories of %s = %d, want %d", c.x, resp.StatusCode, c.status)
+		}
+		if c.status == http.StatusOK {
+			if got := decode[SelectionsResponse](t, resp); len(got.Results) != 2 || len(got.Results[1].Scores) != 2 {
+				t.Errorf("categories of %s answered %+v", c.x, got)
+			}
+		} else if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "internal" || !strings.Contains(env.Error.Message, "+Inf") {
+			t.Errorf("categories of %s: envelope = %+v, want code internal naming +Inf", c.x, env.Error)
+		}
 	}
 
 	mresp, err := http.Get(ts.URL + "/api/v1/metrics")
@@ -120,8 +134,8 @@ func TestSelectionsByCategory(t *testing.T) {
 		t.Fatal(err)
 	}
 	legs := decode[MetricsSnapshot](t, mresp).SelectionLegs
-	if legs == nil || *legs != (SelectionLegsSnapshot{Projected: 1, ScoredOnly: 2, CategoryMismatch: 1}) {
-		t.Errorf("selection_legs = %+v, want 1 projected, 2 scored-only, 1 mismatch", legs)
+	if legs == nil || *legs != (SelectionLegsSnapshot{Projected: 1, ScoredOnly: 3, CategoryMismatch: 1}) {
+		t.Errorf("selection_legs = %+v, want 1 projected, 3 scored-only, 1 mismatch", legs)
 	}
 }
 
@@ -147,11 +161,13 @@ func TestMetricsOmitSelectionLegsOffFleet(t *testing.T) {
 // the request and response DTOs, 86 once bags and keys were built in
 // pooled scratch, 81 once the body was decoded from a pooled buffer
 // rather than by a json.Decoder that grows a read buffer per request,
-// 64 since a cache hit is copied into pooled batch scratch rather than
-// cloned (the cold twin is coldSelectionAllocFence). The fence is that
-// count plus 4, which the per-request decoder or the clones coming back
-// would cross.
-const selectionsHandlerAllocFence = 68
+// 64 once a cache hit was copied into pooled batch scratch rather than
+// cloned (the cold twin is coldSelectionAllocFence), 44 since the
+// rankings are cut from the request's pooled arena and the response is
+// appended straight from them, with no response DTO and no reflection.
+// The fence is that count plus 4, which per-task rankings, id slices or
+// the encoder coming back would cross.
+const selectionsHandlerAllocFence = 48
 
 // TestSelectionsHandlerAllocationFence keeps the fleet's DTO fields out
 // of the single-node request: they ride at request and response level
@@ -193,17 +209,22 @@ func TestSelectionsHandlerAllocationFence(t *testing.T) {
 // leg of a fleet selection (eight K-vectors and k = 10 in place of
 // texts) through Server.ServeHTTP on a recorder: 105 allocations and
 // 16.4 KB while the body went through a json.Decoder with a read buffer
-// of its own, 100 and 14.2 KB decoded from a pooled buffer. Both fences
-// fail that decoder: the count is the measured one plus 4.
+// of its own, 100 and 14.2 KB decoded from a pooled buffer by
+// json.Unmarshal, 23 and ≈ 8.4 KB since the leg is scanned into the
+// request's pooled scratch, ranked into its arena and written from it —
+// what is left is the recorder, the request and the middleware. The
+// count fence is the measured one plus 4; either fence fails a
+// reflective decode or a response DTO.
 const (
-	scoreOnlyLegAllocFence = 104
-	scoreOnlyLegByteFence  = 15 << 10
+	scoreOnlyLegAllocFence = 27
+	scoreOnlyLegByteFence  = 9 << 10
 )
 
 // TestScoreOnlyLegAllocationFence is the allocation gate of the request
-// every shard but the projecting one serves on fleet_cold: the decoded
-// vectors, eight scored rankings and the encoded response, and nothing
-// per request in the body's decoding that a pool could keep.
+// every shard but the projecting one serves on fleet_cold: nothing per
+// task — no decoded vector, no ranking, no response slice — and nothing
+// per request in the body's decoding or the response's encoding that a
+// pool could keep.
 func TestScoreOnlyLegAllocationFence(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")

@@ -122,20 +122,22 @@ func fillCache(tb testing.TB, d *corpus.Dataset, cm *core.ConcurrentModel, srv *
 
 // coldSelectionAllocFence and coldSelectionByteFence bound one POST
 // /api/v1/selections of eight never-seen texts, k = 10, against a full
-// projection cache, through Server.ServeHTTP on a recorder: what the
-// request keeps (the decoded body, eight rankings, the encoded
-// response), eight cache keys, and the recorder. Before the text path was
+// projection cache, through Server.ServeHTTP on a recorder: the decoded
+// body's strings and slices, eight cache keys, and the recorder. Before
+// the text path was
 // made one pass over pooled scratch the same request took 217
 // allocations and 35.7 KB here; 95 and 18.4 KB before the body was
 // decoded from a pooled buffer instead of through a json.Decoder and its
 // per-request read buffer; 90 and 14.4 KB while the keys took 16 bytes a
-// term and every category was cloned into a slice of its own. It takes
-// 73 and ≈ 11.4 KB. The fences leave room for a collection emptying the
-// pools mid-run, not for a map, a token slice, a cache entry or a
-// category per text, nor for that decoder.
+// term and every category was cloned into a slice of its own; 73 and
+// ≈ 11.4 KB while each ranking was a fresh slice and the response went
+// through a DTO and the reflective encoder. It takes 53 and ≈ 9.9 KB.
+// The fences leave room for a collection emptying the pools mid-run, not
+// for a map, a token slice, a cache entry, a category or a ranking per
+// text, nor for that decoder or encoder.
 const (
-	coldSelectionAllocFence = 77
-	coldSelectionByteFence  = 12 << 10
+	coldSelectionAllocFence = 57
+	coldSelectionByteFence  = 10<<10 + 512
 )
 
 // TestSelectionsColdAllocationFence is the allocation gate of the miss

@@ -23,11 +23,13 @@ import (
 //     keeping each candidate's Eq. 1 score, truncated to k and
 //     element-wise identical to ranking each bag alone. Scores are what
 //     make per-shard top-k lists mergeable into a global top-k.
-//   - RankBatchProjected also hands back each λ_c and the category
-//     version it was projected under; RankCategoriesScored ranks against
-//     categories another node projected at the same version
-//     (core.ErrCategoryVersion otherwise) — DESIGN §11, "The fleet
-//     projects once".
+//   - RankBatchProjected also appends each λ_c to the caller's flat
+//     slice and hands back the category version it was projected under;
+//     RankCategoriesScored ranks against categories another node
+//     projected at the same version (core.ErrCategoryVersion otherwise) —
+//     DESIGN §11, "The fleet projects once".
+//   - All three rank into lists cut from the caller's rank.Arena, valid
+//     until the caller reuses it.
 //   - Project and UpdateWorkerSkill fold a resolved task's feedback into
 //     the answerers' skill posteriors — the crowd-update path of §4.2;
 //     an UpdateWorkerSkill error (invalid input, a failed solve) reaches
@@ -39,9 +41,9 @@ import (
 // call and must not be retained.
 type Selector interface {
 	Name() string
-	RankBatchScored(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error)
-	RankBatchProjected(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error)
-	RankCategoriesScored(ctx context.Context, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error)
+	RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error)
+	RankBatchProjected(ctx context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []float64, string, error)
+	RankCategoriesScored(ctx context.Context, a *rank.Arena, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error)
 	Project(bag text.Bag) core.TaskCategory
 	UpdateWorkerSkill(worker int, cats []core.TaskCategory, scores []float64) error
 	Digest() (string, error)
@@ -343,8 +345,7 @@ func (m *Manager) validatePreassigned(workers []int) error {
 // validate the batch, default each requested k (ks is overwritten in
 // place), load the candidate set once, rank at the largest k and
 // truncate each result to its own.
-func rankOnly[T any](ctx context.Context, m *Manager, ks []int,
-	rank func(candidates []int, k int) ([][]T, error)) ([][]T, error) {
+func (m *Manager) rankOnly(ctx context.Context, ks []int, score func(candidates []int, k int) ([][]rank.Item, error)) ([][]rank.Item, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
 	}
@@ -364,7 +365,7 @@ func rankOnly[T any](ctx context.Context, m *Manager, ks []int,
 	if len(online) == 0 {
 		return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
 	}
-	ranked, err := rank(online, kmax)
+	ranked, err := score(online, kmax)
 	if err != nil {
 		return nil, err
 	}
@@ -379,8 +380,8 @@ func rankOnly[T any](ctx context.Context, m *Manager, ks []int,
 // textScratch is the text leg of one pure selection, pooled: the bag
 // builder, the bags it cut (windows of the builder's storage) and each
 // task's requested k. Nothing a selector returns points into it —
-// rankings and categories are fresh slices — so it is released as soon
-// as the ranking call has returned.
+// rankings and categories land in storage the caller passed — so it is
+// released as soon as the ranking call has returned.
 type textScratch struct {
 	bb   text.BagBuilder
 	bags []text.Bag
@@ -408,61 +409,102 @@ func (m *Manager) textBatch(reqs []TaskSubmission) *textScratch {
 	return ts
 }
 
+// arenas holds the rank.Arenas of the selections whose callers receive
+// ids copied out of them (RankOnly, SubmitBatch).
+var arenas = sync.Pool{New: func() any { return new(rank.Arena) }}
+
+// putArena pools a, unless a huge batch grew it past maxPooledItems.
+func putArena(a *rank.Arena) {
+	if a.Cap() <= maxPooledItems {
+		arenas.Put(a)
+	}
+}
+
 // RankOnly is the pure selection path: it projects and ranks a batch
 // of tasks against the online workers without storing anything — no
 // task rows, no assignments, no journal writes. This is the read-only
 // counterpart of SubmitBatch (selections are computed by the same
 // ranking code) and the only selection path that stays available in
-// degraded read-only mode, when the store has sealed mutations.
+// degraded read-only mode, when the store has sealed mutations. The
+// caller owns the result.
 func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int, error) {
-	ts := m.textBatch(reqs)
-	defer ts.release()
-	return rankOnly(ctx, m, ts.ks, func(candidates []int, k int) ([][]int, error) {
-		return m.rankBatch(ctx, ts.bags, candidates, k)
-	})
+	a := arenas.Get().(*rank.Arena)
+	defer putArena(a)
+	ranked, err := m.rankTexts(ctx, a, reqs)
+	if err != nil {
+		return nil, err
+	}
+	return ownedIDs(ranked), nil
 }
 
 // RankOnlyScored is RankOnly keeping the Eq. 1 scores — the text leg
-// of scatter-gather selection.
+// of scatter-gather selection. The caller owns the result.
 func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([][]rank.Item, error) {
+	return m.rankTexts(ctx, new(rank.Arena), reqs)
+}
+
+// rankTexts is RankOnlyScored ranking into lists cut from a.
+func (m *Manager) rankTexts(ctx context.Context, a *rank.Arena, reqs []TaskSubmission) ([][]rank.Item, error) {
 	ts := m.textBatch(reqs)
 	defer ts.release()
-	return rankOnly(ctx, m, ts.ks, func(candidates []int, k int) ([][]rank.Item, error) {
-		return m.sel.RankBatchScored(ctx, ts.bags, candidates, k)
+	return m.rankOnly(ctx, ts.ks, func(candidates []int, k int) ([][]rank.Item, error) {
+		return m.sel.RankBatchScored(ctx, a, ts.bags, candidates, k)
 	})
 }
 
-// RankOnlyProjected is RankOnlyScored that also returns each task's
-// projected category and the category version they were projected
-// under — the projecting leg of a fleet selection.
-func (m *Manager) RankOnlyProjected(ctx context.Context, reqs []TaskSubmission) (ranked [][]rank.Item, cats [][]float64, version string, err error) {
+// rankProjected is rankTexts that also appends each task's projected
+// λ_c to lambdas, in task order, and returns the category version they
+// were projected under — the projecting leg of a fleet selection.
+func (m *Manager) rankProjected(ctx context.Context, a *rank.Arena, lambdas []float64, reqs []TaskSubmission) (ranked [][]rank.Item, _ []float64, version string, err error) {
 	ts := m.textBatch(reqs)
 	defer ts.release()
-	ranked, err = rankOnly(ctx, m, ts.ks, func(candidates []int, k int) (items [][]rank.Item, err error) {
-		items, cats, version, err = m.sel.RankBatchProjected(ctx, ts.bags, candidates, k)
+	ranked, err = m.rankOnly(ctx, ts.ks, func(candidates []int, k int) (items [][]rank.Item, err error) {
+		items, lambdas, version, err = m.sel.RankBatchProjected(ctx, a, lambdas, ts.bags, candidates, k)
 		return items, err
 	})
-	return ranked, cats, version, err
+	return ranked, lambdas, version, err
 }
 
-// RankOnlyCategories ranks the online workers against categories
-// another node projected — the score-only leg of a fleet selection: no
-// tokenizer, no projection cache, no CG. ks holds each task's requested
-// crowd size (≤ 0: the manager default) and is overwritten with the
-// effective one. A version other than the selector's own returns
-// core.ErrCategoryVersion; a category that is not a finite K-vector is
-// ErrBadRequest.
-func (m *Manager) RankOnlyCategories(ctx context.Context, ks []int, cats [][]float64, version string) ([][]rank.Item, error) {
+// rankCategories ranks the online workers against categories another
+// node projected, into lists cut from a — the score-only leg of a fleet
+// selection: no tokenizer, no projection cache, no CG. ks holds each
+// task's requested crowd size (≤ 0: the manager default) and is
+// overwritten with the effective one. A version other than the
+// selector's own returns core.ErrCategoryVersion; a category that is not
+// a finite K-vector is ErrBadRequest.
+func (m *Manager) rankCategories(ctx context.Context, a *rank.Arena, ks []int, cats [][]float64, version string) ([][]rank.Item, error) {
 	if len(cats) != len(ks) {
 		return nil, fmt.Errorf("%w: %d categories for %d tasks", ErrBadRequest, len(cats), len(ks))
 	}
-	ranked, err := rankOnly(ctx, m, ks, func(candidates []int, k int) ([][]rank.Item, error) {
-		return m.sel.RankCategoriesScored(ctx, version, cats, candidates, k)
+	ranked, err := m.rankOnly(ctx, ks, func(candidates []int, k int) ([][]rank.Item, error) {
+		return m.sel.RankCategoriesScored(ctx, a, version, cats, candidates, k)
 	})
 	if errors.Is(err, core.ErrBadCategory) {
 		err = fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return ranked, err
+}
+
+// ownedIDs copies the ids of rankings out of an arena into one array
+// the caller owns, each list capped so that appending to one never
+// writes into the next; an empty ranking stays nil.
+func ownedIDs(ranked [][]rank.Item) [][]int {
+	n := 0
+	for _, items := range ranked {
+		n += len(items)
+	}
+	flat, out := make([]int, 0, n), make([][]int, len(ranked))
+	for i, items := range ranked {
+		if len(items) == 0 {
+			continue
+		}
+		start := len(flat)
+		for _, it := range items {
+			flat = append(flat, it.ID)
+		}
+		out[i] = flat[start:len(flat):len(flat)]
+	}
+	return out
 }
 
 // ApplyModelFeedback folds feedback scores into owned workers'
@@ -505,17 +547,16 @@ func (m *Manager) ApplyModelFeedback(ctx context.Context, forwardOf int, taskTex
 }
 
 // rankBatch ranks every bag against the candidate set, truncated to k:
-// the ids of one RankBatchScored call.
+// the ids of one RankBatchScored call, in slices the caller owns — a
+// submitted task's crowd never aliases pooled storage.
 func (m *Manager) rankBatch(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]int, error) {
-	scored, err := m.sel.RankBatchScored(ctx, bags, candidates, k)
+	a := arenas.Get().(*rank.Arena)
+	defer putArena(a)
+	scored, err := m.sel.RankBatchScored(ctx, a, bags, candidates, k)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]int, len(scored))
-	for i, items := range scored {
-		out[i] = rank.IDs(items)
-	}
-	return out, nil
+	return ownedIDs(scored), nil
 }
 
 // CollectAnswer records one worker's answer to a dispatched task.

@@ -230,23 +230,24 @@ func TestManagerOverJournaledStore(t *testing.T) {
 }
 
 // staticSelector is the one test stub of the Selector contract: it
-// ranks candidates by id (lowest first, every score 0), projects every
-// task to the empty category and learns nothing. A fake that needs one
-// behaviour of its own embeds it and overrides that method.
+// ranks candidates by id (lowest first, every score 0) into the
+// caller's arena, projects every task to the empty category (no λ_c
+// components) and learns nothing. A fake that needs one behaviour of its
+// own embeds it and overrides that method.
 type staticSelector struct{}
 
 func (staticSelector) Name() string { return "static" }
 
-func (staticSelector) RankBatchScored(_ context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
-	return byID(len(bags), candidates, k), nil
+func (staticSelector) RankBatchScored(_ context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+	return byID(a, len(bags), candidates, k), nil
 }
 
-func (staticSelector) RankBatchProjected(_ context.Context, bags []text.Bag, candidates []int, k int) ([][]rank.Item, [][]float64, string, error) {
-	return byID(len(bags), candidates, k), make([][]float64, len(bags)), "static", nil
+func (staticSelector) RankBatchProjected(_ context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []float64, string, error) {
+	return byID(a, len(bags), candidates, k), lambdas, "static", nil
 }
 
-func (staticSelector) RankCategoriesScored(_ context.Context, _ string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
-	return byID(len(cats), candidates, k), nil
+func (staticSelector) RankCategoriesScored(_ context.Context, a *rank.Arena, _ string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
+	return byID(a, len(cats), candidates, k), nil
 }
 
 func (staticSelector) Project(text.Bag) core.TaskCategory { return core.TaskCategory{} }
@@ -255,14 +256,14 @@ func (staticSelector) UpdateWorkerSkill(int, []core.TaskCategory, []float64) err
 
 func (staticSelector) Digest() (string, error) { return "", nil }
 
-// byID is n copies of the k lowest candidate ids.
-func byID(n int, candidates []int, k int) [][]rank.Item {
+// byID is n copies of the k lowest candidate ids, in lists cut from a.
+func byID(a *rank.Arena, n int, candidates []int, k int) [][]rank.Item {
 	ids := slices.Clone(candidates)
 	slices.Sort(ids)
 	if len(ids) > k {
 		ids = ids[:k]
 	}
-	out := make([][]rank.Item, n)
+	out := a.Lists(n, len(ids))
 	for i := range out {
 		for _, id := range ids {
 			out[i] = append(out[i], rank.Item{ID: id})

@@ -315,10 +315,12 @@ func hotRequest(tb testing.TB, mgr *Manager) []TaskSubmission {
 // with the crowd. Before, the ranking sorted one 16-B Item per
 // candidate (160 KB), and before that the call also built and sorted
 // the id set, 336 KB of append growth per request. Nor does the hit
-// allocate a category: it is copied into pooled batch scratch, so the
-// request takes 4 allocations and 288 B — the ranking, its ids and the
-// two slices holding them. Cloning the category out of the cache, as it
-// once did, took 3 more (its two vectors and the slice of categories).
+// allocate a category: it is copied into pooled batch scratch, and the
+// ranking lands in a pooled arena, so the request takes 2 allocations
+// and ≈ 114 B — the ids copied out and the slice holding them. A fresh
+// ranking per request took 2 more, and cloning the category out of the
+// cache, as it once did, 3 more (its two vectors and the slice of
+// categories).
 func TestRankOnlyHotAllocationFence(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")

@@ -18,6 +18,7 @@ import (
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/rank"
+	"crowdselect/internal/selcodec"
 )
 
 // Server exposes the crowd manager over a versioned HTTP API. The
@@ -1039,17 +1040,47 @@ type SelectionsResponse struct {
 	CategoryVersion string            `json:"category_version,omitempty"`
 }
 
-// scoredSelections shapes scored rankings as a selections response.
-func scoredSelections(scored [][]rank.Item, model string) SelectionsResponse {
-	resp := SelectionsResponse{Results: make([]SelectionResult, len(scored)), Model: model}
-	for i, items := range scored {
-		res := SelectionResult{Workers: rank.IDs(items), Scores: make([]float64, len(items))}
-		for j, it := range items {
-			res.Scores[j] = it.Score
-		}
-		resp.Results[i] = res
+// selectionsScratch is the working set of one POST /api/v1/selections,
+// pooled: the body it read, a score-only leg scanned from it, the
+// rankings, the projected categories and the response bytes. The
+// response is written before the scratch is released, so only the wire
+// bytes leave it.
+type selectionsScratch struct {
+	body    bytes.Buffer
+	leg     selcodec.Leg
+	arena   rank.Arena
+	lambdas []float64   // the projecting leg's λ_c, K per task
+	rows    [][]float64 // views of lambdas, one per task
+	out     []byte
+}
+
+var selectionsPool = sync.Pool{New: func() any { return new(selectionsScratch) }}
+
+// release pools the scratch, unless its body, response or arena grew
+// past what a pool keeps (maxPooledBody, maxPooledItems): one huge
+// request is not kept for every later one.
+func (sc *selectionsScratch) release() {
+	if sc.body.Cap() > maxPooledBody || cap(sc.out) > maxPooledBody || sc.arena.Cap() > maxPooledItems {
+		return
 	}
-	return resp
+	clear(sc.rows)
+	selectionsPool.Put(sc)
+}
+
+// writeSelections is the one writer of a selections response, for all
+// four forms: ids only, with scores, the projecting leg (scores,
+// categories and their version) and the score-only leg (scores). The
+// bytes are encoding/json's (selcodec.AppendResponse), built in the
+// scratch and sent in one write; a non-finite score or category is a
+// 500, as writeJSON answers a value encoding/json refuses.
+func writeSelections(w http.ResponseWriter, sc *selectionsScratch, ranked [][]rank.Item, scores bool, model string, cats [][]float64, version string) {
+	out, err := selcodec.AppendResponse(sc.out[:0], ranked, scores, model, cats, version)
+	sc.out = out
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, http.StatusOK, out)
 }
 
 // handleSelections is the pure selection path: rank crowds for up to
@@ -1057,14 +1088,29 @@ func scoredSelections(scored [][]rank.Item, model string) SelectionsResponse {
 // committed model and the online-worker set, so it keeps answering in
 // degraded read-only mode — the property the paper's selection queries
 // need (§5.3: a selection needs only the last committed projection).
+//
+// A body a fleet router sends as a score-only leg is scanned straight
+// into the scratch (selcodec.Leg.Scan); every other body is decoded as
+// decodeJSON decodes it.
 func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
-	var req BatchSubmitRequest
-	if !s.decodeJSON(w, r, &req) {
+	sc := selectionsPool.Get().(*selectionsScratch)
+	defer sc.release()
+	mgr := s.tenantFor(r).Manager
+	readErr := readBody(&sc.body, r)
+	if readErr == nil && sc.leg.Scan(sc.body.Bytes()) {
+		s.selectByCategory(w, r, mgr, sc, &sc.leg, nil)
 		return
 	}
-	mgr := s.tenantFor(r).Manager
+	var req BatchSubmitRequest
+	if !decodeBody(w, r, &sc.body, readErr, &req) {
+		return
+	}
 	if req.Categories != nil || req.CategoryVersion != "" {
-		s.selectByCategory(w, r, mgr, req)
+		leg := selcodec.Leg{Ks: make([]int, len(req.Tasks)), Cats: req.Categories, Version: req.CategoryVersion}
+		for i, t := range req.Tasks {
+			leg.Ks[i] = t.K
+		}
+		s.selectByCategory(w, r, mgr, sc, &leg, req.Tasks)
 		return
 	}
 	reqs, ok := s.batchSubmissions(w, req)
@@ -1077,61 +1123,62 @@ func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	switch {
-	case req.IncludeCategories && !req.IncludeScores:
+	if req.IncludeCategories && !req.IncludeScores {
 		httpError(w, http.StatusBadRequest, errors.New("include_categories needs include_scores"))
-	case req.IncludeCategories:
-		scored, cats, version, err := mgr.RankOnlyProjected(r.Context(), reqs)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		s.metrics.observeSelectionLeg(legProjected)
-		resp := scoredSelections(scored, mgr.SelectorName())
-		resp.Categories, resp.CategoryVersion = cats, version
-		writeJSON(w, http.StatusOK, resp)
-	case req.IncludeScores:
-		scored, err := mgr.RankOnlyScored(r.Context(), reqs)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, scoredSelections(scored, mgr.SelectorName()))
-	default:
-		crowds, err := mgr.RankOnly(r.Context(), reqs)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		resp := SelectionsResponse{Results: make([]SelectionResult, len(crowds)), Model: mgr.SelectorName()}
-		for i, c := range crowds {
-			resp.Results[i] = SelectionResult{Workers: c}
-		}
-		writeJSON(w, http.StatusOK, resp)
+		return
 	}
+	var (
+		ranked  [][]rank.Item
+		version string
+		err     error
+	)
+	if req.IncludeCategories {
+		ranked, sc.lambdas, version, err = mgr.rankProjected(r.Context(), &sc.arena, sc.lambdas[:0], reqs)
+	} else {
+		ranked, err = mgr.rankTexts(r.Context(), &sc.arena, reqs)
+	}
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	var cats [][]float64
+	if req.IncludeCategories {
+		s.metrics.observeSelectionLeg(legProjected)
+		// A selector that projects no components answers null rows.
+		dim := len(sc.lambdas) / len(ranked)
+		sc.rows = sc.rows[:0]
+		for i := range ranked {
+			var row []float64
+			if dim > 0 {
+				row = sc.lambdas[i*dim : (i+1)*dim : (i+1)*dim]
+			}
+			sc.rows = append(sc.rows, row)
+		}
+		cats = sc.rows
+	}
+	writeSelections(w, sc, ranked, req.IncludeScores, mgr.SelectorName(), cats, version)
 }
 
 // selectByCategory answers the score-only leg of a fleet selection: the
 // request names no text, only the categories another shard projected
-// and the version it projected them under.
-func (s *Server) selectByCategory(w http.ResponseWriter, r *http.Request, mgr *Manager, req BatchSubmitRequest) {
-	err := checkBatchSize(len(req.Tasks))
-	if err == nil && req.CategoryVersion == "" {
+// and the version it projected them under. tasks is the decoded body's
+// task list, nil for a scanned leg, which carries no text or workers.
+func (s *Server) selectByCategory(w http.ResponseWriter, r *http.Request, mgr *Manager, sc *selectionsScratch, leg *selcodec.Leg, tasks []SubmitRequest) {
+	err := checkBatchSize(len(leg.Ks))
+	if err == nil && leg.Version == "" {
 		err = errors.New("categories need a category_version")
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ks := make([]int, len(req.Tasks))
-	for i, t := range req.Tasks {
+	for i, t := range tasks {
 		if t.Text != "" || len(t.Workers) > 0 {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("task index %d: categories replace text and workers", i))
 			return
 		}
-		ks[i] = t.K
 	}
-	scored, err := mgr.RankOnlyCategories(r.Context(), ks, req.Categories, req.CategoryVersion)
+	ranked, err := mgr.rankCategories(r.Context(), &sc.arena, leg.Ks, leg.Cats, leg.Version)
 	if err != nil {
 		if errors.Is(err, core.ErrCategoryVersion) {
 			s.metrics.observeSelectionLeg(legMismatch)
@@ -1140,7 +1187,7 @@ func (s *Server) selectByCategory(w http.ResponseWriter, r *http.Request, mgr *M
 		return
 	}
 	s.metrics.observeSelectionLeg(legScoredOnly)
-	writeJSON(w, http.StatusOK, scoredSelections(scored, mgr.SelectorName()))
+	writeSelections(w, sc, ranked, true, mgr.SelectorName(), nil, "")
 }
 
 type answerRequest struct {
@@ -1302,12 +1349,16 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// bodyBufs holds the buffers decodeJSON reads request bodies into; one
-// grown past maxPooledBody is dropped rather than kept for every later
-// request.
+// bodyBufs holds the buffers decodeJSON reads request bodies into and
+// writeJSON encodes responses into; one grown past maxPooledBody is
+// dropped rather than kept for every later request.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 64 << 10
+
+// maxPooledItems is maxPooledBody's bound for a pooled rank.Arena: 64 KB
+// of 16-byte Items.
+const maxPooledItems = maxPooledBody / 16
 
 // decodeJSON decodes a POST body into v; on failure it writes the
 // error response (413 request_too_large when the body cap tripped,
@@ -1321,16 +1372,32 @@ const maxPooledBody = 64 << 10
 // the decoder's status, envelope and value.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	return decodeBody(w, r, buf, readBody(buf, r), v)
+}
+
+// putBuf pools a buffer of bodyBufs unless it grew past maxPooledBody.
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+}
+
+// readBody reads r's body into buf, emptied first; a nil error is a
+// clean end of body.
+func readBody(buf *bytes.Buffer, r *http.Request) error {
 	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyBufs.Put(buf)
-		}
-	}()
+	_, err := buf.ReadFrom(r.Body)
+	return err
+}
+
+// decodeBody is decodeJSON past the read: buf holds what readBody read
+// and readErr is what it returned.
+func decodeBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, readErr error, v any) bool {
 	// Unmarshal only after a clean end of body: a value cut short by a
 	// read error can still be valid JSON ("null" at the cap), which the
 	// decoder refuses.
-	if _, err := buf.ReadFrom(r.Body); err == nil && json.Unmarshal(buf.Bytes(), v) == nil {
+	if readErr == nil && json.Unmarshal(buf.Bytes(), v) == nil {
 		return true
 	}
 	err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body)).Decode(v)
@@ -1347,10 +1414,26 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	return false
 }
 
+// writeJSON answers status with v encoded by a json.Encoder. The value
+// is encoded into a pooled buffer before the status is committed, so a
+// value encoding/json refuses (a NaN score) is a 500 with the error
+// envelope, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody answers status with a JSON body in one write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write is the client's to notice
 }
 
 // ErrorBody is the payload of the error envelope every non-2xx

@@ -171,7 +171,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 // middleware.
 type panicSelector struct{ staticSelector }
 
-func (panicSelector) RankBatchScored(context.Context, []text.Bag, []int, int) ([][]rank.Item, error) {
+func (panicSelector) RankBatchScored(context.Context, *rank.Arena, []text.Bag, []int, int) ([][]rank.Item, error) {
 	panic("selector exploded")
 }
 

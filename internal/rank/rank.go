@@ -51,10 +51,21 @@ func TopK(candidates []int, score func(id int) float64, k int) []int {
 // candidate that does not beat the root costs one compare, one that
 // does costs a log k sift, and the k kept are sorted at the end.
 func TopKScored(candidates []int, score func(id int) float64, k int) []Item {
+	return TopKScoredInto(nil, candidates, score, k)
+}
+
+// TopKScoredInto is TopKScored ranking into dst's storage: it returns
+// dst[:n], n = min(k, len(candidates)), holding the n best candidates,
+// and allocates only when cap(dst) < n.
+func TopKScoredInto(dst []Item, candidates []int, score func(id int) float64, k int) []Item {
 	if k <= 0 || len(candidates) == 0 {
-		return nil
+		return dst[:0]
 	}
-	h := make([]Item, min(k, len(candidates)))
+	n := min(k, len(candidates))
+	if cap(dst) < n {
+		dst = make([]Item, n)
+	}
+	h := dst[:n]
 	for i, id := range candidates[:len(h)] {
 		h[i] = Item{ID: id, Score: score(id)}
 	}
@@ -76,6 +87,32 @@ func TopKScored(candidates []int, score func(id int) float64, k int) []Item {
 	sortItems(h)
 	return h
 }
+
+// Arena holds the storage of a batch of rankings: n lists of capacity k
+// in one backing array, which the next Lists call reuses. A caller that
+// keeps an Arena ranks batch after batch without allocating.
+type Arena struct {
+	items []Item
+	lists [][]Item
+}
+
+// Lists cuts n empty lists of capacity k from the arena, invalidating
+// the lists of the previous call. Each is capped at k, so appending to
+// one never writes into the next.
+func (a *Arena) Lists(n, k int) [][]Item {
+	if cap(a.items) < n*k {
+		a.items = make([]Item, n*k)
+	}
+	a.lists = a.lists[:0]
+	for i := 0; i < n; i++ {
+		a.lists = append(a.lists, a.items[i*k:i*k:(i+1)*k])
+	}
+	return a.lists
+}
+
+// Cap reports how many Items the arena's storage holds, so that a pool
+// can drop an arena one huge batch grew.
+func (a *Arena) Cap() int { return cap(a.items) }
 
 // siftDown restores the heap order below h[i]: every item ranks after,
 // or equal to, each of its children, so h[0] is the worst of h.

@@ -148,6 +148,14 @@ func checkTopK(t *testing.T, what string, ids []int, score func(int) float64, k 
 	if len(got) != cap(got) {
 		t.Fatalf("%s (n=%d k=%d): TopKScored returned len %d, cap %d", what, len(ids), k, len(got), cap(got))
 	}
+	// Into a list of an arena whose storage holds an earlier ranking.
+	var a Arena
+	stale := a.Lists(2, k)
+	stale[0] = TopKScoredInto(stale[0], ids, func(int) float64 { return -1 }, k)
+	lists := a.Lists(2, k)
+	if into := TopKScoredInto(lists[0], ids, score, k); !sameItems(into, want) || &into[0] != &lists[0][:1][0] {
+		t.Fatalf("%s (n=%d k=%d): TopKScoredInto diverged or left the arena\ngot:  %v\nwant: %v", what, len(ids), k, into, want)
+	}
 	if got := TopK(ids, score, k); !slices.Equal(got, IDs(want)) {
 		t.Fatalf("%s (n=%d k=%d): TopK diverged\ngot:  %v\nwant: %v", what, len(ids), k, got, IDs(want))
 	}
@@ -257,7 +265,8 @@ func FuzzTopKEqualsFullSort(f *testing.F) {
 // TestTopKScoredAllocations is the allocation gate of the bounded
 // selection: below the candidate count it allocates the k Items it
 // returns and nothing for the candidates, whatever their number; at or
-// above it, the M Items of the full sort.
+// above it, the M Items of the full sort. TopKScoredInto a list of an
+// Arena allocates nothing at all.
 func TestTopKScoredAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")
@@ -292,6 +301,19 @@ func TestTopKScoredAllocations(t *testing.T) {
 			// M Items, rounded up to a size class or to whole pages.
 			if k >= m && (bytesPerRun < float64(16*m) || bytesPerRun >= float64(16*m+8192)) {
 				t.Errorf("M=%d k=%d: %.0f bytes, want %d (M Items) rounded up", m, k, bytesPerRun, 16*m)
+			}
+			if k >= m {
+				continue
+			}
+			var a Arena
+			a.Lists(8, k) // the arena's storage, grown once
+			into := testing.AllocsPerRun(runs, func() {
+				for i, l := range a.Lists(8, k) {
+					sinkItems = TopKScoredInto(l, ids[i*m/8:], score, k)
+				}
+			})
+			if into != 0 {
+				t.Errorf("M=%d k=%d: TopKScoredInto an arena allocates %v times per batch, want 0", m, k, into)
 			}
 		}
 	}
