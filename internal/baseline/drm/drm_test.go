@@ -39,13 +39,13 @@ func TestSkillsAreMultinomial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < 3; w++ {
-		if math.Abs(s.Skill(w).Sum()-1) > 1e-9 {
-			t.Errorf("worker %d skill sums to %v", w, s.Skill(w).Sum())
+		if math.Abs(s.skills[w].Sum()-1) > 1e-9 {
+			t.Errorf("worker %d skill sums to %v", w, s.skills[w].Sum())
 		}
 	}
 	// Idle workers carry the uniform skill.
-	if math.Abs(s.Skill(2)[0]-0.5) > 1e-9 {
-		t.Errorf("idle worker skill = %v, want uniform", s.Skill(2))
+	if math.Abs(s.skills[2][0]-0.5) > 1e-9 {
+		t.Errorf("idle worker skill = %v, want uniform", s.skills[2])
 	}
 }
 

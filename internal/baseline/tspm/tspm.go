@@ -77,9 +77,6 @@ func (s *Selector) Infer(bag text.Bag) linalg.Vector {
 	return s.model.Infer(bag, randx.New(s.seed))
 }
 
-// Skill returns worker w's Multinomial skill vector.
-func (s *Selector) Skill(w int) linalg.Vector { return s.skills[w] }
-
 // Rank orders the candidate workers best first by wᵢ·cⱼ.
 func (s *Selector) Rank(bag text.Bag, candidates []int) []int {
 	c := s.Infer(bag)

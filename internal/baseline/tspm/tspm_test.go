@@ -47,7 +47,7 @@ func TestSkillsAreMultinomial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < 3; w++ {
-		skill := s.Skill(w)
+		skill := s.skills[w]
 		if math.Abs(skill.Sum()-1) > 1e-9 {
 			t.Errorf("worker %d skill sums to %v", w, skill.Sum())
 		}

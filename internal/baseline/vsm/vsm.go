@@ -111,6 +111,3 @@ func (s *Selector) Score(w int, bag text.Bag) float64 {
 func (s *Selector) Rank(bag text.Bag, candidates []int) []int {
 	return rank.RankAll(candidates, func(id int) float64 { return s.Score(id, bag) })
 }
-
-// History exposes worker w's union bag (for tests and diagnostics).
-func (s *Selector) History(w int) text.Bag { return s.histories[w] }

@@ -73,10 +73,10 @@ func TestHistoryMergesCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 0 answered the db bag twice: counts double.
-	h := s.History(0)
+	h := s.histories[0]
 	want := text.BagFromCounts(map[int]float64{0: 4, 1: 2, 2: 2})
 	if !reflect.DeepEqual(h, want) {
-		t.Errorf("History(0) = %+v, want %+v", h, want)
+		t.Errorf("history of worker 0 = %+v, want %+v", h, want)
 	}
 }
 

@@ -178,7 +178,7 @@ func TestChaosDegradedReadOnly(t *testing.T) {
 		}
 	}
 	// The server still reports ready: selections serve.
-	if err := cli.Ready(ctx); err != nil {
+	if _, err := cli.ReadyStatus(ctx); err != nil {
 		t.Fatalf("readyz while degraded: %v", err)
 	}
 

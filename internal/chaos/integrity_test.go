@@ -82,7 +82,7 @@ func TestChaosFollowerAtRestCorruptionQuarantineAndRepair(t *testing.T) {
 		text := fmt.Sprintf("integrity drill question %d about index selection", i)
 		acked[resolveVia(t, ctx, multi, text)] = text
 	}
-	waitFor(t, "follower caught up before the corruption", caughtUp(rep))
+	waitFor(t, "follower caught up before the corruption", caughtUp(rep.Replica))
 
 	// Phase 2: stop the follower and flip a posterior digit at rest.
 	gen := rep.DB().Generation()
@@ -124,9 +124,9 @@ func TestChaosFollowerAtRestCorruptionQuarantineAndRepair(t *testing.T) {
 		text := fmt.Sprintf("post-repair question %d about join ordering", i)
 		acked[resolveVia(t, ctx, multi, text)] = text
 	}
-	waitFor(t, "follower caught up after the repair", caughtUp(rep2))
+	waitFor(t, "follower caught up after the repair", caughtUp(rep2.Replica))
 
-	if !bytes.Equal(modelBytes(t, primary.cm), modelBytes(t, rep2.Model())) {
+	if !bytes.Equal(modelBytes(t, primary.cm), modelBytes(t, rep2.cm)) {
 		t.Fatal("follower model not byte-identical to the primary after repair")
 	}
 	if got, want := rep2.DB().Store().NumTasks(), primary.db.Store().NumTasks(); got != want {

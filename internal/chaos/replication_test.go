@@ -94,10 +94,49 @@ func newReplPrimary(t *testing.T) *replRig {
 	return &replRig{db: db, mgr: mgr, cm: cm, d: d, ts: ts, fence: fence}
 }
 
+// follower is a warm standby a drill started, beside the serving stack
+// its builder assembled: the manager it serves and the model it keeps
+// current.
+type follower struct {
+	*crowddb.Replica
+	mgr *crowddb.Manager
+	cm  *core.ConcurrentModel
+}
+
+// builder is cmd/crowdd's replica builder in miniature, for shard sp; it
+// keeps the stack it builds in f.
+func (f *follower) builder(sp crowddb.ShardSpec) crowddb.ReplicaBuilder {
+	return func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
+		d, err := corpus.LoadFile(datasetPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		f.cm = core.NewConcurrentModel(model)
+		if f.mgr, err = crowddb.NewManager(store, d.Vocab, f.cm, 2); err != nil {
+			return nil, nil, err
+		}
+		f.mgr.SetShard(sp)
+		return f.mgr, f.cm, nil
+	}
+}
+
+// startReplica starts a follower with opts, its builder included.
+func startReplica(t *testing.T, opts crowddb.ReplicaOptions, sp crowddb.ShardSpec) *follower {
+	t.Helper()
+	f := &follower{}
+	opts.Build = f.builder(sp)
+	rep, err := crowddb.StartReplica(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Replica = rep
+	return f
+}
+
 // startFollower runs a warm standby streaming from primaryURL, served
 // read-only over httptest with promotion wired, mirroring cmd/crowdd's
 // replica mode.
-func startFollower(t *testing.T, primaryURL string) (*crowddb.Replica, *httptest.Server) {
+func startFollower(t *testing.T, primaryURL string) (*follower, *httptest.Server) {
 	t.Helper()
 	return startFollowerDir(t, primaryURL, t.TempDir())
 }
@@ -105,31 +144,15 @@ func startFollower(t *testing.T, primaryURL string) (*crowddb.Replica, *httptest
 // startFollowerDir is startFollower with a caller-owned data
 // directory, so drills can stop a follower, damage its at-rest files,
 // and restart it over the same state.
-func startFollowerDir(t *testing.T, primaryURL, dir string) (*crowddb.Replica, *httptest.Server) {
+func startFollowerDir(t *testing.T, primaryURL, dir string) (*follower, *httptest.Server) {
 	t.Helper()
-	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		cm := core.NewConcurrentModel(model)
-		mgr, err := crowddb.NewManager(store, d.Vocab, cm, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mgr, cm, nil
-	}
-	rep, err := crowddb.StartReplica(crowddb.ReplicaOptions{
+	rep := startReplica(t, crowddb.ReplicaOptions{
 		Primary:          primaryURL,
 		Dir:              dir,
 		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		Build:            build,
 		ReconnectBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := crowddb.NewServer(rep.Manager())
+	}, crowddb.ShardSpec{})
+	srv := crowddb.NewServer(rep.mgr)
 	srv.SetRole(crowddb.RoleReplica)
 	srv.SetDurabilityStats(rep.DB().Stats)
 	srv.SetReplicationStatus(rep.Status)
@@ -251,7 +274,7 @@ func TestChaosReplicationFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRank, err := rep.Manager().RankOnly(ctx, selReq)
+	gotRank, err := rep.mgr.RankOnly(ctx, selReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +339,7 @@ func TestChaosReplicationFailover(t *testing.T) {
 			t.Fatalf("acked task %d (%q) applied %d times", id, text, textCount[text])
 		}
 	}
-	if got := modelBytes(t, rep.Model()); !bytes.Equal(got, wantModel) {
+	if got := modelBytes(t, rep.cm); !bytes.Equal(got, wantModel) {
 		t.Fatalf("promoted model diverges from the primary's last committed state (%d vs %d bytes)", len(got), len(wantModel))
 	}
 

@@ -108,32 +108,15 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 // startShardFollower runs a warm standby for one shard, applying the
 // replicated journal — including cross-shard skills:feedback frames —
 // under the same shard filter as its primary.
-func startShardFollower(t *testing.T, primaryURL string, sp crowddb.ShardSpec) (*crowddb.Replica, *httptest.Server) {
+func startShardFollower(t *testing.T, primaryURL string, sp crowddb.ShardSpec) (*follower, *httptest.Server) {
 	t.Helper()
-	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		cm := core.NewConcurrentModel(model)
-		mgr, err := crowddb.NewManager(store, d.Vocab, cm, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr.SetShard(sp)
-		return mgr, cm, nil
-	}
-	rep, err := crowddb.StartReplica(crowddb.ReplicaOptions{
+	rep := startReplica(t, crowddb.ReplicaOptions{
 		Primary:          primaryURL,
 		Dir:              t.TempDir(),
 		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		Build:            build,
 		ReconnectBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := crowddb.NewServer(rep.Manager())
+	}, sp)
+	srv := crowddb.NewServer(rep.mgr)
 	srv.SetRole(crowddb.RoleReplica)
 	srv.SetDurabilityStats(rep.DB().Stats)
 	srv.SetReplicationStatus(rep.Status)
@@ -263,7 +246,7 @@ func TestChaosShardKillAndRebalance(t *testing.T) {
 	if got := rep.DB().Store().NumTasks(); got != wantShard1Tasks {
 		t.Fatalf("promoted shard has %d tasks, primary had %d", got, wantShard1Tasks)
 	}
-	if got := modelBytes(t, rep.Model()); !bytes.Equal(got, wantModel) {
+	if got := modelBytes(t, rep.cm); !bytes.Equal(got, wantModel) {
 		t.Fatalf("promoted shard model diverges from the dead primary's committed state (%d vs %d bytes)", len(got), len(wantModel))
 	}
 	textCount := make(map[string]int)

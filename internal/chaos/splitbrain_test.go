@@ -193,7 +193,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 	if got := rep.DB().Store().NumTasks(); got != wantTasks {
 		t.Fatalf("promoted store has %d tasks, primary had %d", got, wantTasks)
 	}
-	if got := modelBytes(t, rep.Model()); !bytes.Equal(got, wantModel) {
+	if got := modelBytes(t, rep.cm); !bytes.Equal(got, wantModel) {
 		t.Fatalf("promoted model diverges from the deposed primary's last committed state (%d vs %d bytes)", len(got), len(wantModel))
 	}
 
@@ -240,7 +240,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 		pseq, _ := rep.DB().ReplicationHead()
 		return rep2.Status().AppliedSeq == pseq && pseq > 0
 	})
-	if got, want := modelBytes(t, rep2.Model()), modelBytes(t, rep.Model()); !bytes.Equal(got, want) {
+	if got, want := modelBytes(t, rep2.cm), modelBytes(t, rep.cm); !bytes.Equal(got, want) {
 		t.Fatalf("healed fleet models diverge (%d vs %d bytes)", len(got), len(want))
 	}
 	for _, store := range []*crowddb.Store{rep.DB().Store(), rep2.DB().Store()} {

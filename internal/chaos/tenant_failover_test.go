@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"crowdselect/internal/core"
-	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowdclient"
 	"crowdselect/internal/crowddb"
 )
@@ -103,42 +102,22 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 // streams its own tenant's journal from primaryURL — behind a single
 // read-only server whose promoter promotes every tenant, mirroring
 // cmd/crowdd's replica mode with -tenants.
-func startTenantFollower(t *testing.T, primaryURL string) (def, acme *crowddb.Replica, ts *httptest.Server) {
+func startTenantFollower(t *testing.T, primaryURL string) (def, acme *follower, ts *httptest.Server) {
 	t.Helper()
-	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		cm := core.NewConcurrentModel(model)
-		mgr, err := crowddb.NewManager(store, d.Vocab, cm, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mgr, cm, nil
-	}
-	def, err := crowddb.StartReplica(crowddb.ReplicaOptions{
+	def = startReplica(t, crowddb.ReplicaOptions{
 		Primary:          primaryURL,
 		Dir:              t.TempDir(),
 		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		Build:            build,
 		ReconnectBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acme, err = crowddb.StartReplica(crowddb.ReplicaOptions{
+	}, crowddb.ShardSpec{})
+	acme = startReplica(t, crowddb.ReplicaOptions{
 		Primary:          primaryURL,
 		Tenant:           "acme",
 		Dir:              t.TempDir(),
 		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		Build:            build,
 		ReconnectBackoff: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := crowddb.NewServer(def.Manager())
+	}, crowddb.ShardSpec{})
+	srv := crowddb.NewServer(def.mgr)
 	srv.SetRole(crowddb.RoleReplica)
 	srv.SetDurabilityStats(def.DB().Stats)
 	srv.SetReplicationStatus(def.Status)
@@ -161,7 +140,7 @@ func startTenantFollower(t *testing.T, primaryURL string) (def, acme *crowddb.Re
 	acmeSrc := crowddb.NewTransferSource(acme.DB(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	acmeSrc.SetFence(fence)
 	if err := srv.AddTenant("acme", crowddb.TenantConfig{
-		Manager:           acme.Manager(),
+		Manager:           acme.mgr,
 		ReplicationSource: acmeSrc.Stream(),
 	}); err != nil {
 		t.Fatal(err)
@@ -237,10 +216,10 @@ func TestChaosTenantFailover(t *testing.T) {
 
 	// Byte-identical per tenant: models and task counts match the dead
 	// primary exactly, and neither tenant absorbed the other's tasks.
-	if got := modelBytes(t, defRep.Model()); !bytes.Equal(got, wantDefModel) {
+	if got := modelBytes(t, defRep.cm); !bytes.Equal(got, wantDefModel) {
 		t.Fatal("promoted default-tenant model diverges from the primary's last committed state")
 	}
-	if got := modelBytes(t, acmeRep.Model()); !bytes.Equal(got, wantAcmeModel) {
+	if got := modelBytes(t, acmeRep.cm); !bytes.Equal(got, wantAcmeModel) {
 		t.Fatal("promoted acme-tenant model diverges from the primary's last committed state")
 	}
 	if got := defRep.DB().Store().NumTasks(); got != wantDefTasks {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestProjectionCacheHitsAndEpoch(t *testing.T) {
 	if st := cm.CacheStats(); st.Hits != 1 {
 		t.Fatalf("repeat projection did not hit the cache: %+v", st)
 	}
-	if !first.Lambda.Equal(second.Lambda, 0) || !first.Nu2.Equal(second.Nu2, 0) {
+	if !slices.Equal(first.Lambda, second.Lambda) || !slices.Equal(first.Nu2, second.Nu2) {
 		t.Error("cached projection differs from computed projection")
 	}
 	// Returned categories are private copies: mutating one must not
@@ -45,12 +46,12 @@ func TestProjectionCacheHitsAndEpoch(t *testing.T) {
 	}
 
 	// A committed skill update moves neither the epoch nor the cache.
-	epoch, pre := cm.Epoch(), cm.CacheStats()
+	epoch, pre := cm.epoch.Load(), cm.CacheStats()
 	if err := cm.UpdateWorkerSkill(0, []TaskCategory{first}, []float64{3}); err != nil {
 		t.Fatal(err)
 	}
-	if cm.Epoch() != epoch {
-		t.Fatalf("epoch = %d after a skill update, want %d (unchanged)", cm.Epoch(), epoch)
+	if cm.epoch.Load() != epoch {
+		t.Fatalf("epoch = %d after a skill update, want %d (unchanged)", cm.epoch.Load(), epoch)
 	}
 	if st := cm.CacheStats(); st != pre {
 		t.Fatalf("skill update touched the cache: %+v -> %+v", pre, st)
@@ -59,7 +60,7 @@ func TestProjectionCacheHitsAndEpoch(t *testing.T) {
 	if st := cm.CacheStats(); st.Hits != pre.Hits+1 || st.Misses != pre.Misses {
 		t.Errorf("post-update projection was recomputed: %+v -> %+v", pre, st)
 	}
-	if !after.Lambda.Equal(first.Lambda, 0) || !after.Nu2.Equal(first.Nu2, 0) {
+	if !slices.Equal(after.Lambda, first.Lambda) || !slices.Equal(after.Nu2, first.Nu2) {
 		t.Error("post-update projection differs")
 	}
 
@@ -69,10 +70,10 @@ func TestProjectionCacheHitsAndEpoch(t *testing.T) {
 		"Replace":               func() { cm.Replace(m) },
 		"InvalidateProjections": cm.InvalidateProjections,
 	} {
-		epoch, pre = cm.Epoch(), cm.CacheStats()
+		epoch, pre = cm.epoch.Load(), cm.CacheStats()
 		orphan()
-		if cm.Epoch() != epoch+1 {
-			t.Errorf("%s: epoch = %d, want %d", name, cm.Epoch(), epoch+1)
+		if cm.epoch.Load() != epoch+1 {
+			t.Errorf("%s: epoch = %d, want %d", name, cm.epoch.Load(), epoch+1)
 		}
 		cm.Project(bag)
 		if st := cm.CacheStats(); st.Misses != pre.Misses+1 || st.Hits != pre.Hits {
@@ -87,17 +88,17 @@ func TestProjectionCacheHitsAndEpoch(t *testing.T) {
 func TestProjectionCacheEpochOnFailedUpdate(t *testing.T) {
 	_, m, _ := trainSmall(t, 4)
 	cm := NewConcurrentModel(m)
-	epoch := cm.Epoch()
+	epoch := cm.epoch.Load()
 	if err := cm.UpdateWorkerSkill(-1, []TaskCategory{{}}, []float64{1}); err == nil {
 		t.Fatal("invalid update accepted")
 	}
-	if cm.Epoch() != epoch {
+	if cm.epoch.Load() != epoch {
 		t.Errorf("epoch bumped by a failed update")
 	}
 	if err := cm.UpdateWorkerSkill(0, nil, nil); err != nil {
 		t.Fatalf("empty update: %v", err)
 	}
-	if cm.Epoch() != epoch {
+	if cm.epoch.Load() != epoch {
 		t.Errorf("epoch bumped by an empty (no-op) update")
 	}
 }
@@ -327,7 +328,7 @@ func TestBagKeyBytesPerTerm(t *testing.T) {
 func TestRankBatchMatchesSequentialRank(t *testing.T) {
 	d, m, _ := trainSmall(t, 6)
 	cm := NewConcurrentModel(m)
-	cands := make([]int, m.NumWorkers())
+	cands := make([]int, m.M)
 	for i := range cands {
 		cands[i] = i
 	}
@@ -362,15 +363,20 @@ func TestBatchProjectsRepeatedBagOnce(t *testing.T) {
 	cm := NewConcurrentModel(m)
 	a, b := d.Tasks[0].Bag(d.Vocab), d.Tasks[1].Bag(d.Vocab)
 	bags := []text.Bag{a, b, a}
+	cands := make([]int, m.M)
+	for i := range cands {
+		cands[i] = i
+	}
+	const k = 4
 
-	first, err := cm.ProjectAllCtx(context.Background(), bags, 2)
+	first, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, cands, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cm.CacheStats(); st.Misses != 2 || st.Hits != 0 || st.Entries != 2 {
 		t.Fatalf("2 equal + 1 distinct bag: %+v, want 2 misses and 2 entries", st)
 	}
-	again, err := cm.ProjectAllCtx(context.Background(), bags, 2)
+	again, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, cands, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,17 +384,15 @@ func TestBatchProjectsRepeatedBagOnce(t *testing.T) {
 		t.Fatalf("second batch: %+v, want 3 hits", st)
 	}
 	for i, bag := range bags {
-		want := m.Project(bag)
-		for _, got := range []TaskCategory{first[i], again[i]} {
+		want := m.SelectTopKScored(m.Project(bag).Mean(), cands, k)
+		for _, got := range [][]rank.Item{first[i], again[i]} {
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("bag %d: batch projection %v, sequential %v", i, got, want)
+				t.Fatalf("bag %d: batch ranking %v, sequential %v", i, got, want)
 			}
 		}
-	}
-	// The repeat is a private copy like every other returned category.
-	first[0].Lambda[0] += 1e6
-	if first[2].Lambda[0] == first[0].Lambda[0] {
-		t.Error("repeated bag's categories share storage")
+		if got := cm.Project(bag); !reflect.DeepEqual(got, m.Project(bag)) {
+			t.Fatalf("bag %d: cached projection %v, sequential %v", i, got, m.Project(bag))
+		}
 	}
 }
 

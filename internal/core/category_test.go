@@ -84,6 +84,14 @@ func cloneViaSave(t *testing.T, m *Model) *Model {
 	return c
 }
 
+// versionOf is c's category version, read under its read lock as the
+// ranking calls read it.
+func versionOf(c *ConcurrentModel) string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.categoryVersionLocked()
+}
+
 // TestCategoryVersionFollowsTheEpoch: the version is a function of the
 // category parameters alone. It is equal on two copies of one model
 // whatever their worker posteriors hold, survives skill updates, and
@@ -91,11 +99,11 @@ func cloneViaSave(t *testing.T, m *Model) *Model {
 func TestCategoryVersionFollowsTheEpoch(t *testing.T) {
 	m, bags := firstBags(t, 5, 4)
 	cm, twin := NewConcurrentModel(m), NewConcurrentModel(cloneViaSave(t, m))
-	v0 := cm.CategoryVersion()
+	v0 := versionOf(cm)
 	if len(v0) != 64 {
 		t.Fatalf("version %q is not a hex sha256", v0)
 	}
-	if got := twin.CategoryVersion(); got != v0 {
+	if got := versionOf(twin); got != v0 {
 		t.Fatalf("a reloaded copy has version %s, the original %s", got, v0)
 	}
 
@@ -105,28 +113,28 @@ func TestCategoryVersionFollowsTheEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cm.CategoryVersion(); got != v0 {
+	if got := versionOf(cm); got != v0 {
 		t.Errorf("skill updates moved the version: %s → %s", v0, got)
 	}
 
 	cm.Unwrap().MuC[0] += 1e-9
-	if got := cm.CategoryVersion(); got != v0 {
+	if got := versionOf(cm); got != v0 {
 		t.Errorf("the version was rehashed without an epoch advance")
 	}
 	cm.InvalidateProjections()
-	v1 := cm.CategoryVersion()
+	v1 := versionOf(cm)
 	if v1 == v0 {
 		t.Error("InvalidateProjections after a MuC change kept the version")
 	}
 
 	cm.Replace(twin.Unwrap())
-	if got := cm.CategoryVersion(); got != v0 {
+	if got := versionOf(cm); got != v0 {
 		t.Errorf("Replace with the original parameters: version %s, want %s", got, v0)
 	}
 
 	fewer := cloneViaSave(t, m)
 	fewer.ProjectIters = 2
-	if got := NewConcurrentModel(fewer).CategoryVersion(); got == v0 {
+	if got := versionOf(NewConcurrentModel(fewer)); got == v0 {
 		t.Error("a model that projects with fewer rounds shares the version")
 	}
 
@@ -139,7 +147,7 @@ func TestCategoryVersionFollowsTheEpoch(t *testing.T) {
 	for _, kernel := range []int{KernelVersion - 1, KernelVersion + 1} {
 		other := NewConcurrentModel(cloneViaSave(t, orig))
 		other.LabelKernelForTest(kernel)
-		if got := other.CategoryVersion(); got == v0 || got != orig.categoryVersion(kernel) {
+		if got := versionOf(other); got == v0 || got != orig.categoryVersion(kernel) {
 			t.Errorf("kernel %d over equal parameters reports version %s (this binary: %s)", kernel, got, v0)
 		}
 	}
@@ -205,7 +213,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 	// would have produced.
 	old := NewConcurrentModel(cloneViaSave(t, m))
 	old.LabelKernelForTest(KernelVersion - 1)
-	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), old.CategoryVersion(), received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
+	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), versionOf(old), received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
 		t.Errorf("categories of another kernel version: %v, want ErrCategoryVersion", err)
 	}
 	for name, bad := range map[string][]float64{

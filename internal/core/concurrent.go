@@ -49,12 +49,12 @@ const defaultProjectionCacheCap = 8192
 // which no projection reads, so it leaves the epoch and every cached
 // entry alone (TestProjectUnaffectedBySkillUpdates holds the premise):
 // the incremental crowd update of §4.2(2) never makes the next task's
-// projection cold. Project and ProjectAll[Ctx] return categories the
-// caller owns and may mutate freely; the ranking calls project into
-// pooled scratch they release before returning, so a category that is
-// only scored is never allocated.
+// projection cold. Project returns categories the caller owns and may
+// mutate freely; the ranking calls project into pooled scratch they
+// release before returning, so a category that is only scored is never
+// allocated.
 //
-// Methods not exposed here (training, TopTerms, …) are reached
+// Methods not exposed here (training, saving, …) are reached
 // through Unwrap, which hands back the underlying Model; the caller
 // must ensure no concurrent wrapper calls are in flight while using it
 // for anything that mutates, and must call InvalidateProjections
@@ -66,7 +66,7 @@ type ConcurrentModel struct {
 	epoch atomic.Uint64
 	cache *projectionCache
 	// version is the category-parameter digest of the epoch it was
-	// computed under (see CategoryVersion).
+	// computed under (see categoryVersionLocked).
 	version atomic.Pointer[categoryVersionAt]
 	// kernel is KernelVersion outside tests (see LabelKernelForTest).
 	kernel int
@@ -109,34 +109,18 @@ func (c *ConcurrentModel) Unwrap() *Model { return c.m }
 // Name identifies the algorithm in reports, like (*Model).Name.
 func (c *ConcurrentModel) Name() string { return c.m.Name() }
 
-// NumWorkers returns the number of workers the model was trained over.
-func (c *ConcurrentModel) NumWorkers() int { return c.m.NumWorkers() }
-
-// Epoch returns the category-parameter version: it advances on Replace
-// and InvalidateProjections — never on a skill update — and tags
-// projection-cache entries so none outlives the MuC/SigmaC/LogBeta it
-// was computed from.
-func (c *ConcurrentModel) Epoch() uint64 { return c.epoch.Load() }
-
 // InvalidateProjections advances the epoch, orphaning every cached
 // projection. Call it after mutating the model through Unwrap.
 func (c *ConcurrentModel) InvalidateProjections() { c.epoch.Add(1) }
 
-// CategoryVersion identifies the category parameters — everything a
-// projection reads (see (*Model).categoryVersion) — as a digest that is
+// categoryVersionLocked identifies the category parameters — everything
+// a projection reads (see (*Model).categoryVersion) — as a digest that is
 // equal on two nodes exactly when they project every task alike. It is
-// kept beside the epoch and recomputed only by the first caller after
-// the epoch advanced (Replace, InvalidateProjections); a skill update
-// never changes it.
-func (c *ConcurrentModel) CategoryVersion() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.categoryVersionLocked()
-}
-
-// categoryVersionLocked needs the read lock, which keeps the model and
-// the epoch it is hashed under together. Two first callers may both
-// hash; they store the same answer.
+// kept beside the epoch and recomputed only by the first caller after the
+// epoch advanced (Replace, InvalidateProjections); a skill update never
+// changes it. It needs the read lock, which keeps the model and the epoch
+// it is hashed under together. Two first callers may both hash; they
+// store the same answer.
 func (c *ConcurrentModel) categoryVersionLocked() string {
 	epoch := c.epoch.Load()
 	if v := c.version.Load(); v != nil && v.epoch == epoch {
@@ -172,33 +156,6 @@ func (c *ConcurrentModel) projectLocked(bag text.Bag) TaskCategory {
 	// Only a cancelled ctx fails a batch, and this one cannot be cancelled.
 	_ = c.projectViewsLocked(context.Background(), sc, []text.Bag{bag}, 1)
 	return sc.views[0].clone()
-}
-
-// ProjectAll projects a batch of tasks; the read lock is held across
-// the whole batch so every projection sees one model version.
-func (c *ConcurrentModel) ProjectAll(bags []text.Bag, parallelism int) []TaskCategory {
-	out, _ := c.ProjectAllCtx(context.Background(), bags, parallelism)
-	return out
-}
-
-// ProjectAllCtx projects a batch with cancellation: cache hits are
-// filled first, then each distinct missing bag fans out once through
-// the model's parallel projection, all under one read lock (one model
-// version per batch). A cancelled ctx abandons the remaining
-// projections and returns ctx.Err().
-func (c *ConcurrentModel) ProjectAllCtx(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
-	if err := c.projectViewsLocked(ctx, sc, bags, parallelism); err != nil {
-		return nil, err
-	}
-	out := make([]TaskCategory, len(bags))
-	for i, v := range sc.views {
-		out[i] = v.clone()
-	}
-	return out, nil
 }
 
 // batchScratch is the working set of one cache-through batch that dies
@@ -290,13 +247,6 @@ func (c *ConcurrentModel) projectViewsLocked(ctx context.Context, sc *batchScrat
 	return nil
 }
 
-// Score returns worker i's predictive performance wᵢ·c (§4.2).
-func (c *ConcurrentModel) Score(worker int, cat linalg.Vector) float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.m.Score(worker, cat)
-}
-
 // SelectTopK implements Eq. 1 under the read lock.
 func (c *ConcurrentModel) SelectTopK(cat linalg.Vector, candidates []int, k int) []int {
 	c.mu.RLock()
@@ -369,7 +319,7 @@ func (c *ConcurrentModel) scoreLocked(ctx context.Context, a *rank.Arena, n int,
 // RankBatchProjected is RankBatchScored that also hands back what it
 // projected — each bag's λ_c, the vector the scores were taken against,
 // appended to lambdas in bag order, K components each — and the
-// CategoryVersion it was projected under, all from one read-lock scope.
+// category version it was projected under, all from one read-lock scope.
 // It is the projecting leg of a fleet selection: the other shards score
 // these categories (RankCategoriesScored) instead of projecting the
 // text again.
@@ -391,7 +341,7 @@ func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, a *rank.Arena,
 // RankCategoriesScored is the second phase of Algorithm 3 alone: it
 // ranks the candidates against categories projected elsewhere, touching
 // neither the tokenizer, the projection cache nor the CG solver. version
-// must equal this model's CategoryVersion (checked under the same read
+// must equal this model's category version (checked under the same read
 // lock the scoring holds), else ErrCategoryVersion; every category must
 // be a finite K-vector, else ErrBadCategory. Given equal versions the
 // result is what RankBatchScored returns for the bags the categories
@@ -413,15 +363,6 @@ func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, a *rank.Aren
 		}
 	}
 	return c.scoreLocked(ctx, a, len(cats), func(i int) linalg.Vector { return cats[i] }, candidates, k)
-}
-
-// Skills returns a copy of worker i's posterior-mean skill vector.
-// Unlike (*Model).Skills it does not alias model state: a snapshot is
-// the only read that stays coherent once updates resume.
-func (c *ConcurrentModel) Skills(i int) linalg.Vector {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.m.Skills(i).Clone()
 }
 
 // Save serializes the model under the read lock, so a checkpoint

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,13 +11,13 @@ import (
 func TestConcurrentModelDelegates(t *testing.T) {
 	d, m, _ := trainSmall(t, 5)
 	cm := NewConcurrentModel(m)
-	if cm.Name() != m.Name() || cm.NumWorkers() != m.NumWorkers() {
-		t.Errorf("identity mismatch: %s/%d", cm.Name(), cm.NumWorkers())
+	if cm.Name() != m.Name() {
+		t.Errorf("name mismatch: %s", cm.Name())
 	}
 	bag := d.Tasks[0].Bag(d.Vocab)
 	want := m.Project(bag)
 	got := cm.Project(bag)
-	if !got.Lambda.Equal(want.Lambda, 0) || !got.Nu2.Equal(want.Nu2, 0) {
+	if !slices.Equal(got.Lambda, want.Lambda) || !slices.Equal(got.Nu2, want.Nu2) {
 		t.Error("Project differs from the underlying model")
 	}
 	cands := []int{0, 1, 2, 3, 4}
@@ -27,21 +28,8 @@ func TestConcurrentModelDelegates(t *testing.T) {
 			t.Fatalf("Rank = %v, want %v", gotRank, wantRank)
 		}
 	}
-	if cm.Score(0, want.Mean()) != m.Score(0, want.Mean()) {
-		t.Error("Score differs from the underlying model")
-	}
 	if cm.Unwrap() != m {
 		t.Error("Unwrap did not return the wrapped model")
-	}
-}
-
-func TestConcurrentModelSkillsIsACopy(t *testing.T) {
-	_, m, _ := trainSmall(t, 4)
-	cm := NewConcurrentModel(m)
-	s := cm.Skills(0)
-	s[0] += 100
-	if m.Skills(0)[0] == s[0] {
-		t.Error("Skills aliases model state; mutation leaked through")
 	}
 }
 
@@ -54,7 +42,7 @@ func TestConcurrentModelSelectVsUpdateRace(t *testing.T) {
 	cm := NewConcurrentModel(m)
 	bag := d.Tasks[1].Bag(d.Vocab)
 	cat := cm.Project(bag)
-	cands := make([]int, m.NumWorkers())
+	cands := make([]int, m.M)
 	for i := range cands {
 		cands[i] = i
 	}

@@ -52,24 +52,6 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: save model: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("core: save model: %w", cerr)
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	if err := m.Save(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // LoadModel reads a model saved by Save, validating dimensions and
 // rebuilding the derived state (covariance inverses, the β table).
 func LoadModel(r io.Reader) (*Model, error) {

@@ -196,13 +196,6 @@ type Model struct {
 // ErrNoData is returned when Train is given nothing to learn from.
 var ErrNoData = errors.New("core: no resolved tasks with responses")
 
-// Skills returns worker i's posterior-mean skill vector (aliases model
-// state; callers must not modify it).
-func (m *Model) Skills(i int) linalg.Vector { return m.LambdaW[i] }
-
-// NumWorkers returns the number of workers the model was trained over.
-func (m *Model) NumWorkers() int { return m.M }
-
 // refreshDerived rebuilds the model's derived state — the cached Σ⁻¹
 // matrices and the β table — from its parameters. Everything that writes
 // SigmaW, SigmaC or LogBeta calls it before the model is read again.

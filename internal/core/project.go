@@ -199,31 +199,6 @@ func (m *Model) SelectForTask(bag text.Bag, candidates []int, k int, rng *randx.
 	return m.SelectTopK(c, candidates, k)
 }
 
-// ProjectAll projects a batch of tasks concurrently with at most
-// parallelism goroutines (≤ 1 runs sequentially). Results are
-// identical to calling Project on each bag: projections share only
-// read-only model state. It serves the high-rate arrival setting the
-// paper motivates incremental crowd-selection with (§1).
-func (m *Model) ProjectAll(bags []text.Bag, parallelism int) []TaskCategory {
-	out, _ := m.ProjectAllCtx(context.Background(), bags, parallelism)
-	return out
-}
-
-// ProjectAllCtx is ProjectAll with cancellation: each worker checks ctx
-// between projections and the call returns ctx.Err() once the batch is
-// abandoned, so a disconnected client stops burning CPU mid-batch
-// rather than projecting tasks nobody will read.
-func (m *Model) ProjectAllCtx(ctx context.Context, bags []text.Bag, parallelism int) ([]TaskCategory, error) {
-	out := make([]TaskCategory, len(bags))
-	for i := range out {
-		out[i] = TaskCategory{Lambda: make(linalg.Vector, m.K), Nu2: make(linalg.Vector, m.K)}
-	}
-	if err := m.projectInto(ctx, bags, out, parallelism); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // projectInto projects bags[j] into out[j], whose vectors must have K
 // components, with at most parallelism goroutines, each on one pooled
 // scratch. It returns only after every one of them has, cancelled or
@@ -240,34 +215,6 @@ func (m *Model) projectInto(ctx context.Context, bags []text.Bag, out []TaskCate
 		}
 	})
 	return ctx.Err()
-}
-
-// SkillSpectrum returns the descending eigenvalues of the learned
-// skill covariance Σ_w and their effective rank — a diagnostic for how
-// many latent skill dimensions the crowd actually varies along. An
-// effective rank far below K suggests K is larger than the data
-// supports (cf. the K sweeps of Tables 3/5/7).
-func (m *Model) SkillSpectrum() (spectrum linalg.Vector, effectiveRank float64, err error) {
-	spectrum, _, err = linalg.SymEigen(m.SigmaW)
-	if err != nil {
-		return nil, 0, err
-	}
-	return spectrum, linalg.EffectiveRank(spectrum), nil
-}
-
-// TopTerms returns the n highest-probability vocabulary term ids of
-// latent category k — the interpretability hook for inspecting what
-// each learned category is "about".
-func (m *Model) TopTerms(k, n int) []int {
-	if k < 0 || k >= m.K || n < 1 {
-		return nil
-	}
-	row := m.LogBeta.Row(k)
-	ids := make([]int, m.V)
-	for v := range ids {
-		ids[v] = v
-	}
-	return rank.TopK(ids, func(v int) float64 { return row[v] }, n)
 }
 
 // Name identifies the algorithm in reports (TDPM, §7.2.1).

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"testing"
 
+	"crowdselect/internal/linalg"
 	"crowdselect/internal/randx"
 	"crowdselect/internal/text"
 )
@@ -46,7 +49,7 @@ func TestProjectDeterministic(t *testing.T) {
 		bag := task.Bag(d.Vocab)
 		a := m.Project(bag)
 		b := m.Project(bag)
-		if !a.Lambda.Equal(b.Lambda, 0) || !a.Nu2.Equal(b.Nu2, 0) {
+		if !slices.Equal(a.Lambda, b.Lambda) || !slices.Equal(a.Nu2, b.Nu2) {
 			t.Fatalf("projection not deterministic on task %d", task.ID)
 		}
 	}
@@ -105,16 +108,17 @@ func TestTrainParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range m1.LambdaW {
-		if !m1.LambdaW[i].Equal(m2.LambdaW[i], 0) || !m1.NuW2[i].Equal(m2.NuW2[i], 0) {
+		if !slices.Equal(m1.LambdaW[i], m2.LambdaW[i]) || !slices.Equal(m1.NuW2[i], m2.NuW2[i]) {
 			t.Fatalf("worker %d posterior differs between sequential and parallel", i)
 		}
 	}
-	if m1.Tau2 != m2.Tau2 || !m1.MuC.Equal(m2.MuC, 0) {
+	if m1.Tau2 != m2.Tau2 || !slices.Equal(m1.MuC, m2.MuC) {
 		t.Error("model parameters differ between sequential and parallel")
 	}
 }
 
-// ProjectAll must agree with per-bag Project at any parallelism.
+// The batch projection behind every cache miss (projectInto) must
+// agree with per-bag Project at any parallelism.
 func TestProjectAllMatchesProject(t *testing.T) {
 	d, m, _ := trainSmall(t, 4)
 	var inputs []text.Bag
@@ -122,13 +126,16 @@ func TestProjectAllMatchesProject(t *testing.T) {
 		inputs = append(inputs, task.Bag(d.Vocab))
 	}
 	for _, p := range []int{0, 1, 3, 8} {
-		got := m.ProjectAll(inputs, p)
-		if len(got) != len(inputs) {
-			t.Fatalf("p=%d: %d results", p, len(got))
+		got := make([]TaskCategory, len(inputs))
+		for i := range got {
+			got[i] = TaskCategory{Lambda: make(linalg.Vector, m.K), Nu2: make(linalg.Vector, m.K)}
+		}
+		if err := m.projectInto(context.Background(), inputs, got, p); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
 		for i, bag := range inputs {
 			want := m.Project(bag)
-			if !got[i].Lambda.Equal(want.Lambda, 0) || !got[i].Nu2.Equal(want.Nu2, 0) {
+			if !slices.Equal(got[i].Lambda, want.Lambda) || !slices.Equal(got[i].Nu2, want.Nu2) {
 				t.Fatalf("p=%d: projection %d differs", p, i)
 			}
 		}
@@ -150,7 +157,7 @@ func TestTrainBudgetsProduceValidModels(t *testing.T) {
 		if st.Sweeps != iters {
 			t.Errorf("iters=%d: ran %d sweeps", iters, st.Sweeps)
 		}
-		if m.Tau2 <= 0 || !m.MuW.IsFinite() || !m.SigmaW.IsFinite() {
+		if m.Tau2 <= 0 || !m.MuW.IsFinite() || !linalg.Vector(m.SigmaW.Data).IsFinite() {
 			t.Fatalf("iters=%d: invalid model state", iters)
 		}
 		for i := 0; i < m.M; i++ {

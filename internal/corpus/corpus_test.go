@@ -218,16 +218,21 @@ func TestStats(t *testing.T) {
 
 func TestWorkerHistory(t *testing.T) {
 	d := MustGenerate(testProfile())
-	h := d.WorkerHistory()
-	var fromHistory int
-	for w, tasks := range h {
-		fromHistory += len(tasks)
-		if len(tasks) != d.Workers[w].TaskCount {
-			t.Fatalf("worker %d history %d != TaskCount %d", w, len(tasks), d.Workers[w].TaskCount)
+	answered := make([]int, len(d.Workers))
+	var total int
+	for _, task := range d.Tasks {
+		for _, r := range task.Responses {
+			answered[r.Worker]++
+			total++
 		}
 	}
-	if fromHistory != d.Stats().Answers {
-		t.Errorf("history total %d != answers %d", fromHistory, d.Stats().Answers)
+	for w, n := range answered {
+		if n != d.Workers[w].TaskCount {
+			t.Fatalf("worker %d answered %d tasks, TaskCount %d", w, n, d.Workers[w].TaskCount)
+		}
+	}
+	if total != d.Stats().Answers {
+		t.Errorf("%d responses, %d answers", total, d.Stats().Answers)
 	}
 }
 
@@ -337,7 +342,7 @@ func TestVocabularyOnlyKnownTerms(t *testing.T) {
 	d := MustGenerate(testProfile())
 	for _, task := range d.Tasks {
 		for _, tok := range task.Tokens {
-			if _, ok := d.Vocab.ID(tok); !ok {
+			if text.NewBagKnown(d.Vocab, []string{tok}).Len() == 0 {
 				t.Fatalf("task token %q not in vocabulary", tok)
 			}
 		}

@@ -151,15 +151,3 @@ func (d *Dataset) Validate() error {
 	}
 	return nil
 }
-
-// WorkerHistory returns, for each worker, the ids of the tasks they
-// answered (the task-assignment matrix A of §4.1.4 in adjacency form).
-func (d *Dataset) WorkerHistory() [][]int {
-	h := make([][]int, len(d.Workers))
-	for _, t := range d.Tasks {
-		for _, r := range t.Responses {
-			h[r.Worker] = append(h[r.Worker], t.ID)
-		}
-	}
-	return h
-}

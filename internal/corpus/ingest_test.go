@@ -3,6 +3,8 @@ package corpus
 import (
 	"strings"
 	"testing"
+
+	"crowdselect/internal/text"
 )
 
 func sampleRecords() []Record {
@@ -41,7 +43,7 @@ func TestFromRecords(t *testing.T) {
 		t.Errorf("q2 best = %d", best)
 	}
 	// Text is tokenized and interned.
-	if _, ok := d.Vocab.ID("tree"); !ok {
+	if text.NewBagKnown(d.Vocab, []string{"tree"}).Len() == 0 {
 		t.Error("vocabulary missing task terms")
 	}
 	if d.Workers[workers["alice"]].TaskCount != 3 {
@@ -82,9 +84,16 @@ func TestFromRecordsTrainsEndToEnd(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	h := d.WorkerHistory()
-	if len(h[0]) != 3 {
-		t.Errorf("alice history = %v", h[0])
+	answered := 0
+	for _, task := range d.Tasks {
+		for _, r := range task.Responses {
+			if r.Worker == 0 {
+				answered++
+			}
+		}
+	}
+	if answered != 3 {
+		t.Errorf("alice answered %d tasks, want 3", answered)
 	}
 }
 

@@ -714,19 +714,6 @@ func (c *Client) Query(ctx context.Context, q string) (json.RawMessage, error) {
 	return c.Do(ctx, http.MethodPost, "/api/v1/query", map[string]string{"q": q})
 }
 
-// MetricsRaw fetches the metrics snapshot (GET /api/v1/metrics) as raw
-// JSON.
-func (c *Client) MetricsRaw(ctx context.Context) (json.RawMessage, error) {
-	return c.Do(ctx, http.MethodGet, "/api/v1/metrics", nil)
-}
-
-// Ready reports nil once GET /readyz answers 200 — the readiness probe
-// for scripts that wait out boot-time recovery.
-func (c *Client) Ready(ctx context.Context) error {
-	_, err := c.Do(ctx, http.MethodGet, "/readyz", nil)
-	return err
-}
-
 // ReadyStatus fetches the full readiness payload (GET /readyz),
 // including the server's replication role and lag when it reports
 // them. Unlike Ready it decodes the body, so operators and the Multi

@@ -107,7 +107,7 @@ func reframeArchive(t *testing.T, raw []byte, mutate func(typ byte, payload []by
 }
 
 func TestBackupRestoreRoundTrip(t *testing.T) {
-	rig, cutter, src, ts := backupPrimary(t)
+	rig, cutter, _, ts := backupPrimary(t)
 	recs := []TaskRecord{
 		rig.resolveOneTask(t, "how do neural networks learn from data", []float64{4, 2}),
 		rig.resolveOneTask(t, "what is the capital city of france", []float64{3, 5}),
@@ -134,9 +134,6 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	}
 	if srcCut.Seq != man.Seq || srcCut.Digest != man.Digest || srcCut.Model != man.ModelDigest || srcCut.Store != man.StoreDigest {
 		t.Fatalf("manifest stamps (%d, %s, model %s, store %s), source cut %+v", man.Seq, man.Digest, man.ModelDigest, man.StoreDigest, srcCut)
-	}
-	if src.Backups() != 1 {
-		t.Fatalf("Backups() = %d, want 1", src.Backups())
 	}
 
 	arch := writeArchive(t, buf.Bytes())
@@ -176,7 +173,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 }
 
 func TestBackupIncrementalChainAndPointInTime(t *testing.T) {
-	rig, _, src, ts := backupPrimary(t)
+	rig, _, _, ts := backupPrimary(t)
 	rec1 := rig.resolveOneTask(t, "first question before the full backup", []float64{4, 2})
 
 	var a1 bytes.Buffer
@@ -201,9 +198,6 @@ func TestBackupIncrementalChainAndPointInTime(t *testing.T) {
 	s2 := info2.Manifest.Seq
 	if s2 <= s1 {
 		t.Fatalf("incremental cut %d did not advance past %d", s2, s1)
-	}
-	if src.Resumes() != 1 {
-		t.Fatalf("Resumes() = %d, want 1", src.Resumes())
 	}
 
 	f1, f2 := writeArchive(t, a1.Bytes()), writeArchive(t, a2.Bytes())
@@ -272,7 +266,7 @@ func TestBackupIncrementalChainAndPointInTime(t *testing.T) {
 }
 
 func TestBackupStreamResumeAfterInterrupt(t *testing.T) {
-	rig, _, src, ts := backupPrimary(t)
+	rig, _, _, ts := backupPrimary(t)
 	rig.resolveOneTask(t, "question one before the interrupted backup", []float64{4, 2})
 	rig.resolveOneTask(t, "question two before the interrupted backup", []float64{3, 5})
 
@@ -305,8 +299,8 @@ func TestBackupStreamResumeAfterInterrupt(t *testing.T) {
 	if !resumed.Complete {
 		t.Fatalf("resume info = %+v, want complete", resumed)
 	}
-	if src.Resumes() != 1 {
-		t.Fatalf("Resumes() = %d, want 1", src.Resumes())
+	if resumed.Manifest.Full {
+		t.Fatal("resumed segment manifest marked full")
 	}
 
 	// The patched-together file restores to the source's exact digest.

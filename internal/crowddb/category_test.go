@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/race"
+	"crowdselect/internal/rank"
 )
 
 // TestSelectionsByCategory drives the two fleet legs of POST
@@ -35,7 +37,11 @@ func TestSelectionsByCategory(t *testing.T) {
 	if !reflect.DeepEqual(projected.Results, want.Results) {
 		t.Fatalf("projecting leg ranked %+v, scored selection %+v", projected.Results, want.Results)
 	}
-	if len(projected.Categories) != 2 || len(projected.Categories[0]) != cm.Unwrap().K || projected.CategoryVersion != cm.CategoryVersion() {
+	_, _, served, err := cm.RankBatchProjected(context.Background(), new(rank.Arena), nil, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(projected.Categories) != 2 || len(projected.Categories[0]) != cm.Unwrap().K || projected.CategoryVersion != served {
 		t.Fatalf("projecting leg returned categories %v at version %q", projected.Categories, projected.CategoryVersion)
 	}
 	if want.Categories != nil || want.CategoryVersion != "" {

@@ -124,25 +124,6 @@ func (f *Fence) observed() uint64 {
 	return f.memObserved
 }
 
-// Bump raises the node's own epoch to at least e (promotion) and
-// clears any provisional lease seal. Monotone: a lower e is a no-op.
-func (f *Fence) Bump(e uint64) error {
-	var err error
-	if f.db != nil {
-		err = f.db.SetFencingEpoch(e)
-	} else {
-		f.mu.Lock()
-		if e > f.memEpoch {
-			f.memEpoch = e
-		}
-		if f.memObserved < f.memEpoch {
-			f.memObserved = f.memEpoch
-		}
-		f.mu.Unlock()
-	}
-	return err
-}
-
 // Observe records that epoch e exists for history h, optionally with
 // the new primary's base URL. When h is this node's history and e
 // exceeds its own epoch the node seals — permanently, until it is

@@ -58,15 +58,6 @@ func TestFenceEpochSemantics(t *testing.T) {
 	if !f.Sealed() || f.ObservedEpoch() != 3 {
 		t.Fatalf("lower epoch rewound the fence: sealed=%v observed=%d", f.Sealed(), f.ObservedEpoch())
 	}
-
-	// Promotion bumps the node's own epoch past what it observed — the
-	// only way out of an epoch seal.
-	if err := f.Bump(4); err != nil {
-		t.Fatal(err)
-	}
-	if f.Sealed() || f.Epoch() != 4 || f.ObservedEpoch() != 4 {
-		t.Fatalf("bump to 4: sealed=%v epochs=%d/%d", f.Sealed(), f.Epoch(), f.ObservedEpoch())
-	}
 }
 
 func TestFenceLeaseSealsLazilyAndRenewalUnseals(t *testing.T) {
@@ -449,7 +440,7 @@ func TestConcurrentPromotionSingleWinner(t *testing.T) {
 	waitCaughtUp(t, rig, rep)
 	killPrimary(ts)
 
-	srv := NewServer(rep.Manager())
+	srv := NewServer(rep.mgr)
 	srv.SetRole(RoleReplica)
 	srv.SetReplicationStatus(rep.Status)
 	srv.SetPromoter(rep.Promote)
@@ -466,7 +457,7 @@ func TestConcurrentPromotionSingleWinner(t *testing.T) {
 			close(entered)
 			<-release
 		})
-		return rep.Manager().Quiesce(fn)
+		return rep.mgr.Quiesce(fn)
 	})
 
 	winner := make(chan error, 1)
@@ -536,7 +527,7 @@ func TestPromotionFailureIsRetryable(t *testing.T) {
 		if b {
 			return errors.New("boom: checkpoint died mid-promotion")
 		}
-		return rep.Manager().Quiesce(fn)
+		return rep.mgr.Quiesce(fn)
 	})
 
 	if err := rep.Promote(context.Background()); err == nil {

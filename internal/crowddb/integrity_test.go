@@ -525,8 +525,8 @@ func TestReadyzAndMetricsCarryIntegrity(t *testing.T) {
 // cannot race the apply path or a digest cut.
 func tamperReplicaModel(t *testing.T, rep *Replica) {
 	t.Helper()
-	err := rep.Manager().Quiesce(func() error {
-		rep.Model().Unwrap().LambdaW[0][0] += 0.25
+	err := rep.mgr.Quiesce(func() error {
+		rep.cm.Unwrap().LambdaW[0][0] += 0.25
 		return nil
 	})
 	if err != nil {
@@ -555,11 +555,11 @@ func TestHeartbeatDigestDetectsDivergenceAndRepairs(t *testing.T) {
 	waitUntil(t, "divergence detected", func() bool { return rep.Status().Divergences >= 1 })
 
 	// While quarantined, promotion is refused — locally and over HTTP.
-	if rep.Diverged() {
+	if rep.diverged.Load() {
 		if err := rep.Promote(t.Context()); !errors.Is(err, ErrReplicaDiverged) {
 			t.Fatalf("promote while diverged = %v, want ErrReplicaDiverged", err)
 		}
-		srv := NewServer(rep.Manager())
+		srv := NewServer(rep.mgr)
 		srv.SetRole(RoleReplica)
 		srv.SetReplicationStatus(rep.Status)
 		srv.SetPromoter(rep.Promote)
@@ -591,7 +591,7 @@ func TestHeartbeatDigestDetectsDivergenceAndRepairs(t *testing.T) {
 		return st.Repairs >= 1 && !st.Diverged
 	})
 	waitCaughtUp(t, rig, rep)
-	assertModelsEqual(t, rig.cm.Unwrap(), rep.Model().Unwrap())
+	assertModelsEqual(t, rig.cm.Unwrap(), rep.cm.Unwrap())
 
 	want := cutDigest(t, rig)
 	got, err := rep.Digest()

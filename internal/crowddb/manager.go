@@ -155,9 +155,6 @@ func (m *Manager) Shard() ShardSpec { return m.shard }
 // against the right namespace.
 func (m *Manager) SetTenant(name string) { m.store.SetTenant(name) }
 
-// Tenant reports the manager's namespace (DefaultTenant when unset).
-func (m *Manager) Tenant() string { return m.store.Tenant() }
-
 // candidateWorkers is the selection candidate set: online workers,
 // restricted to the ones this shard owns. The global top-k over all
 // shards' candidates equals the single-node top-k because the parts

@@ -160,14 +160,14 @@ func TestResolveUpdatesSkillsIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	w0 := sub.Workers[0]
-	before := m.Skills(w0).Clone()
+	before := m.Unwrap().LambdaW[w0].Clone()
 	if err := mgr.CollectAnswer(sub.Task.ID, w0, "a"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mgr.ResolveTask(context.Background(), sub.Task.ID, map[int]float64{w0: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Skills(w0).Equal(before, 0) {
+	if slices.Equal(m.Unwrap().LambdaW[w0], before) {
 		t.Error("feedback did not update the worker's skills")
 	}
 }

@@ -85,7 +85,7 @@ type Replica struct {
 	appliedBytes int64 // primary's byte count at our applied position
 	lastContact  time.Time
 	connected    bool
-	fatal        error // divergence or a foreign-arch primary; set once, stream stays down
+	fatal        error // a refusal that stops streaming for good; set once, reported as Status().Stopped
 
 	reconnects    atomic.Int64
 	framesApplied atomic.Int64
@@ -200,29 +200,9 @@ func (r *Replica) open() error {
 // shutdown). The caller owns closing it after Stop.
 func (r *Replica) DB() *DB { return r.db }
 
-// Manager exposes the serving stack over the replicated state; wire it
-// into a Server for read-only selections.
-func (r *Replica) Manager() *Manager { return r.mgr }
-
-// Model exposes the continuously updated concurrent model.
-func (r *Replica) Model() *core.ConcurrentModel { return r.cm }
-
-// Err reports a permanent streaming failure (ErrReplicaDiverged,
-// ErrArchMismatch or ErrKernelMismatch), or nil while the replica is
-// healthy or merely reconnecting.
-func (r *Replica) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fatal
-}
-
 // Digest computes the replica's digest cut at its applied position —
 // the /api/v1/digest provider on a follower node.
 func (r *Replica) Digest() (DigestCut, error) { return r.cutter.Cut() }
-
-// Diverged reports whether the replica is quarantined by a digest
-// mismatch (refusing promotion, awaiting re-bootstrap repair).
-func (r *Replica) Diverged() bool { return r.diverged.Load() }
 
 // markDiverged quarantines the replica and arms the forced-bootstrap
 // repair.
@@ -242,7 +222,7 @@ func (r *Replica) Status() ReplicationStatus {
 	r.mu.Lock()
 	applied := r.appliedSeq
 	head, headBytes, appliedBytes := r.headSeq, r.headBytes, r.appliedBytes
-	connected, lastContact := r.connected, r.lastContact
+	connected, lastContact, fatal := r.connected, r.lastContact, r.fatal
 	r.mu.Unlock()
 	if r.promoted.Load() {
 		// A promoted node journals its own mutations; the journal head
@@ -260,7 +240,7 @@ func (r *Replica) Status() ReplicationStatus {
 	if !lastContact.IsZero() {
 		lag.Seconds = time.Since(lastContact).Seconds()
 	}
-	return ReplicationStatus{
+	st := ReplicationStatus{
 		Role:          role,
 		FencingEpoch:  r.db.FencingEpoch(),
 		Primary:       r.opts.Primary,
@@ -277,6 +257,10 @@ func (r *Replica) Status() ReplicationStatus {
 		Divergences:   r.divergences.Load(),
 		Repairs:       r.repairs.Load(),
 	}
+	if fatal != nil {
+		st.Stopped = fatal.Error()
+	}
+	return st
 }
 
 // Promote seals the stream and flips this node to primary: the stream

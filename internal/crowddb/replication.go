@@ -241,6 +241,11 @@ type ReplicationStatus struct {
 	Diverged    bool  `json:"diverged,omitempty"`
 	Divergences int64 `json:"divergences,omitempty"`
 	Repairs     int64 `json:"repairs,omitempty"`
+	// Stopped is why a follower stopped streaming for good — its primary
+	// refused its position (ErrReplicaDiverged) or speaks another arch or
+	// kernel (ErrArchMismatch, ErrKernelMismatch). It still serves reads.
+	// Empty while the follower streams or reconnects.
+	Stopped string `json:"stopped,omitempty"`
 }
 
 // replPattern is the per-generation sidecar recording the history id

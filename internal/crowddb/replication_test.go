@@ -200,7 +200,7 @@ func TestReplicaBootstrapAndLiveStream(t *testing.T) {
 	rig.resolveOneTask(t, "is this review positive or negative", []float64{1, 4})
 	waitCaughtUp(t, rig, rep)
 
-	assertModelsEqual(t, rig.cm.Unwrap(), rep.Model().Unwrap())
+	assertModelsEqual(t, rig.cm.Unwrap(), rep.cm.Unwrap())
 	if got, want := rep.DB().Store().NumTasks(), rig.db.Store().NumTasks(); got != want {
 		t.Fatalf("replica stores %d tasks, primary %d", got, want)
 	}
@@ -217,7 +217,7 @@ func TestReplicaBootstrapAndLiveStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rep.Manager().RankOnly(context.Background(), reqs)
+	got, err := rep.mgr.RankOnly(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestReplicaRestartResumesFromItsOwnJournal(t *testing.T) {
 	rep = startTestReplica(t, ts.URL, dir)
 	defer rep.Close()
 	waitCaughtUp(t, rig, rep)
-	assertModelsEqual(t, rig.cm.Unwrap(), rep.Model().Unwrap())
+	assertModelsEqual(t, rig.cm.Unwrap(), rep.cm.Unwrap())
 	if rep.Status().Bootstraps != 0 {
 		t.Fatalf("restart re-bootstrapped (%d) instead of resuming", rep.Status().Bootstraps)
 	}
@@ -280,7 +280,7 @@ func TestReplicaRebootstrapsWhenBehindCompaction(t *testing.T) {
 	if rep.Status().Bootstraps == 0 {
 		t.Fatal("follower behind compaction never re-bootstrapped")
 	}
-	assertModelsEqual(t, rig.cm.Unwrap(), rep.Model().Unwrap())
+	assertModelsEqual(t, rig.cm.Unwrap(), rep.cm.Unwrap())
 	if got, want := rep.DB().Store().NumTasks(), rig.db.Store().NumTasks(); got != want {
 		t.Fatalf("replica stores %d tasks, primary %d", got, want)
 	}
@@ -301,11 +301,11 @@ func TestReplicaPromote(t *testing.T) {
 	if st := rep.Status(); st.Role != RolePrimary {
 		t.Fatalf("promoted replica reports role %q", st.Role)
 	}
-	assertModelsEqual(t, wantModel, rep.Model().Unwrap())
+	assertModelsEqual(t, wantModel, rep.cm.Unwrap())
 
 	// The promoted node accepts and journals new mutations.
 	before, _ := rep.DB().ReplicationHead()
-	sub, err := rep.Manager().SubmitTask(context.Background(), "a brand new task on the new primary", 2)
+	sub, err := rep.mgr.SubmitTask(context.Background(), "a brand new task on the new primary", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestPromotedReplicaFeedsItsOwnFollowers(t *testing.T) {
 	rep2 := startTestReplica(t, ts2.URL, t.TempDir())
 	defer rep2.Close()
 
-	if _, err := rep.Manager().SubmitTask(context.Background(), "written after failover", 2); err != nil {
+	if _, err := rep.mgr.SubmitTask(context.Background(), "written after failover", 2); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "second-tier follower caught up", func() bool {
@@ -350,7 +350,7 @@ func TestPromotedReplicaFeedsItsOwnFollowers(t *testing.T) {
 		rseq, _ := rep2.DB().ReplicationHead()
 		return rseq == pseq
 	})
-	assertModelsEqual(t, rep.Model().Unwrap(), rep2.Model().Unwrap())
+	assertModelsEqual(t, rep.cm.Unwrap(), rep2.cm.Unwrap())
 }
 
 func TestReplicaDivergenceRefused(t *testing.T) {
@@ -386,7 +386,7 @@ func TestServerReplicaGate(t *testing.T) {
 	defer rep.Close()
 	waitCaughtUp(t, rig, rep)
 
-	srv := NewServer(rep.Manager())
+	srv := NewServer(rep.mgr)
 	srv.SetRole(RoleReplica)
 	srv.SetReplicationStatus(rep.Status)
 	srv.SetPromoter(rep.Promote)

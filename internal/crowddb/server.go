@@ -401,9 +401,6 @@ func (s *Server) fleetAuthorized(r *http.Request) bool {
 	return ok && subtle.ConstantTimeCompare([]byte(tok), []byte(s.fleetToken)) == 1
 }
 
-// Fence returns the installed fencing state, or nil.
-func (s *Server) Fence() *Fence { return s.fence }
-
 // roleNow is the effective role: the stored role, overridden by
 // "fenced" while the node is sealed.
 func (s *Server) roleNow() string {

@@ -169,20 +169,6 @@ func ShardOfWorker(id, count int) int {
 	return r.owner[i]
 }
 
-// PartitionWorkers splits ids by owning shard, preserving input order
-// within each part. Used by the candidate filter and by tests.
-func PartitionWorkers(ids []int, count int) [][]int {
-	if count <= 1 {
-		return [][]int{append([]int(nil), ids...)}
-	}
-	parts := make([][]int, count)
-	for _, id := range ids {
-		s := ShardOfWorker(id, count)
-		parts[s] = append(parts[s], id)
-	}
-	return parts
-}
-
 // ErrWrongShard tags mutations routed to a shard that does not own the
 // worker or task they touch. Sentinel for errors.Is; the concrete type
 // carrying the owner hint is WrongShardError.

@@ -79,30 +79,26 @@ func TestShardOfWorkerDeterministicAndComplete(t *testing.T) {
 	}
 }
 
-func TestPartitionWorkersCoversEveryID(t *testing.T) {
-	ids := make([]int, 200)
-	for i := range ids {
-		ids[i] = i * 7
-	}
-	parts := PartitionWorkers(ids, 4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d parts", len(parts))
-	}
-	total := 0
-	for s, part := range parts {
-		total += len(part)
-		for _, id := range part {
-			if ShardOfWorker(id, 4) != s {
-				t.Errorf("id %d landed in part %d, owner is %d", id, s, ShardOfWorker(id, 4))
+// TestShardOfWorkerOwnsEveryIDOnce: the shards of a fleet partition the
+// crowd — every worker id is owned by exactly one ShardSpec, the one
+// ShardOfWorker names — and an unsharded spec owns them all.
+func TestShardOfWorkerOwnsEveryIDOnce(t *testing.T) {
+	for id := 0; id < 1400; id += 7 {
+		owners := 0
+		for i := 0; i < 4; i++ {
+			if (ShardSpec{Index: i, Count: 4}).OwnsWorker(id) {
+				owners++
+				if ShardOfWorker(id, 4) != i {
+					t.Errorf("id %d owned by shard %d, ShardOfWorker says %d", id, i, ShardOfWorker(id, 4))
+				}
 			}
 		}
-	}
-	if total != len(ids) {
-		t.Errorf("partition covers %d of %d ids", total, len(ids))
-	}
-	solo := PartitionWorkers(ids, 1)
-	if len(solo) != 1 || len(solo[0]) != len(ids) {
-		t.Errorf("count=1 must keep all ids in one part")
+		if owners != 1 {
+			t.Errorf("id %d has %d owners among 4 shards, want 1", id, owners)
+		}
+		if !(ShardSpec{}).OwnsWorker(id) || !(ShardSpec{Index: 0, Count: 1}).OwnsWorker(id) {
+			t.Errorf("an unsharded spec does not own id %d", id)
+		}
 	}
 }
 

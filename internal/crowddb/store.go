@@ -154,9 +154,6 @@ func (s *Store) Seal() { s.sealed.Store(true) }
 // Unseal reopens the store for mutations after the disk has healed.
 func (s *Store) Unseal() { s.sealed.Store(false) }
 
-// Sealed reports whether the store is in degraded read-only mode.
-func (s *Store) Sealed() bool { return s.sealed.Load() }
-
 // sealedErrLocked is the mutation gate; callers hold s.mu.
 func (s *Store) sealedErrLocked() error {
 	if s.sealed.Load() {
@@ -604,16 +601,6 @@ func (rw *rowWriter) array(n int, at func(int) any) {
 		rw.value(at(i))
 	}
 	rw.raw("]")
-}
-
-// SnapshotFile writes a snapshot atomically and durably to path
-// (write to a temp file in the same directory, fsync, rename, fsync
-// the directory).
-func (s *Store) SnapshotFile(path string) error {
-	if err := writeFileAtomic(path, s.Snapshot); err != nil {
-		return fmt.Errorf("crowddb: snapshot: %w", err)
-	}
-	return nil
 }
 
 // writeFileAtomic writes fill's output to path via temp+fsync+rename

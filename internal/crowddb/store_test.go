@@ -267,7 +267,7 @@ func TestSnapshotFileAtomic(t *testing.T) {
 	path := filepath.Join(dir, "db.json")
 	s := newTestStore(t, 1)
 	mustAddTask(t, s, "t", nil)
-	if err := s.SnapshotFile(path); err != nil {
+	if err := writeFileAtomic(path, s.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	restored := NewStore()

@@ -188,7 +188,7 @@ func TestTenantAliasMatchesDefault(t *testing.T) {
 		return TenantConfig{
 			Manager:           mgr,
 			Query:             fixedEngine{},
-			Digest:            func() (DigestCut, error) { return DigestCut{Tenant: mgr.Tenant(), Seq: 7}, nil },
+			Digest:            func() (DigestCut, error) { return DigestCut{Tenant: mgr.store.Tenant(), Seq: 7}, nil },
 			ReplicationSource: okHandler,
 			Backup:            okHandler,
 		}

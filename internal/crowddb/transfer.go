@@ -140,10 +140,6 @@ func (src *TransferSource) Segment() http.Handler { return http.HandlerFunc(src.
 // Followers reports how many streams are open right now.
 func (src *TransferSource) Followers() int64 { return src.followers.Load() }
 
-// Backups and Resumes count full and incremental segments served.
-func (src *TransferSource) Backups() int64 { return src.backups.Load() }
-func (src *TransferSource) Resumes() int64 { return src.resumes.Load() }
-
 // Status summarizes the source for /readyz and /api/v1/metrics on a
 // primary: its own head is by definition applied, so lag is zero.
 func (src *TransferSource) Status() ReplicationStatus {

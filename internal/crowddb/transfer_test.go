@@ -307,8 +307,9 @@ func holdOpen(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
 // followForgedHello starts a follower behind a forgeable front of src,
 // lets it catch up, then answers its next dial with hello. With refusal
 // nil the follower must keep following; otherwise it must stop for good
-// with that sentinel — reads still served — and a fresh follower must
-// never start against such a primary.
+// with that sentinel — named in its status and in its /readyz, reads
+// still served — and a fresh follower must never start against such a
+// primary.
 func followForgedHello(t *testing.T, rig *durableRig, src *TransferSource, hello replHello, refusal error) {
 	t.Helper()
 	front := newForgeablePrimary(t, src.Stream())
@@ -320,19 +321,32 @@ func followForgedHello(t *testing.T, rig *durableRig, src *TransferSource, hello
 		waitUntil(t, "follower to accept the forged hello", func() bool {
 			return front.dials.Load() > 0 && rep.Status().Connected
 		})
-		if err := rep.Err(); err != nil {
-			t.Fatalf("follower stopped on hello %+v: %v", hello, err)
+		if st := rep.Status(); st.Stopped != "" {
+			t.Fatalf("follower stopped on hello %+v: %s", hello, st.Stopped)
 		}
 		return
 	}
-	waitUntil(t, "follower to stop on the foreign hello", func() bool { return rep.Err() != nil })
-	if err := rep.Err(); !errors.Is(err, refusal) {
-		t.Fatalf("follower stopped with %v, want %v", err, refusal)
+	waitUntil(t, "follower to stop on the foreign hello", func() bool { return rep.Status().Stopped != "" })
+	if st := rep.Status(); !strings.Contains(st.Stopped, refusal.Error()) || st.Connected {
+		t.Fatalf("follower stopped with %q (connected %v), want %q", st.Stopped, st.Connected, refusal)
 	}
-	if _, err := rep.Manager().RankOnly(context.Background(), []TaskSubmission{{Text: "still answering reads", K: 2}}); err != nil {
+	srv := NewServer(rep.mgr)
+	srv.SetRole(RoleReplica)
+	srv.SetReplicationStatus(rep.Status)
+	rts := httptest.NewServer(srv)
+	defer rts.Close()
+	resp, err := http.Get(rts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := decode[ReadyzResponse](t, resp)
+	if ready.Replication == nil || !strings.Contains(ready.Replication.Stopped, refusal.Error()) {
+		t.Fatalf("the stopped follower's /readyz replication = %+v, want stopped naming %q", ready.Replication, refusal)
+	}
+	if _, err := rep.mgr.RankOnly(context.Background(), []TaskSubmission{{Text: "still answering reads", K: 2}}); err != nil {
 		t.Fatalf("stopped follower refuses reads: %v", err)
 	}
-	_, err := StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
+	_, err = StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
 		DB: Options{Sync: SyncAlways()}, Build: testReplicaBuilder()})
 	if !errors.Is(err, refusal) {
 		t.Fatalf("fresh follower of the foreign primary: %v, want %v", err, refusal)
@@ -579,7 +593,7 @@ func TestReplicaRebootstrapSwapsInsideQuiesce(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	quiesced := make(chan error, 1)
 	go func() {
-		quiesced <- rep.Manager().Quiesce(func() error {
+		quiesced <- rep.mgr.Quiesce(func() error {
 			close(held)
 			<-release
 			return nil

@@ -3,7 +3,6 @@ package crowdql
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"crowdselect/internal/core"
@@ -245,18 +244,6 @@ func TestEngineTasksAndMutations(t *testing.T) {
 	// Duplicate insert surfaces the store error.
 	if _, err := eng.Execute("INSERT WORKER 999 NAME 'dup'"); err == nil {
 		t.Error("duplicate insert accepted")
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	r := Result{Columns: []string{"id", "name"}, Rows: [][]string{{"1", "alice"}, {"22", "b"}}}
-	out := r.FormatTable()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("table:\n%s", out)
-	}
-	if !strings.HasPrefix(lines[1], "1 ") || !strings.HasPrefix(lines[2], "22") {
-		t.Errorf("table:\n%s", out)
 	}
 }
 

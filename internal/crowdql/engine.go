@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"crowdselect/internal/crowddb"
 )
@@ -42,11 +41,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, input string) (Result, erro
 		return Result{}, err
 	}
 	return e.RunContext(ctx, q)
-}
-
-// Run executes a parsed query with no cancellation.
-func (e *Engine) Run(q Query) (Result, error) {
-	return e.RunContext(context.Background(), q)
 }
 
 // RunContext executes a parsed query under ctx.
@@ -223,31 +217,4 @@ func (a HTTPAdapter) Execute(ctx context.Context, q string) (any, error) {
 		return nil, fmt.Errorf("%w: %v", crowddb.ErrBadRequest, err)
 	}
 	return a.Engine.RunContext(ctx, parsed)
-}
-
-// FormatTable renders a result as an aligned text table.
-func (r Result) FormatTable() string {
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range r.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var sb strings.Builder
-	for i, c := range r.Columns {
-		fmt.Fprintf(&sb, "%-*s  ", widths[i], c)
-	}
-	sb.WriteByte('\n')
-	for _, row := range r.Rows {
-		for i, cell := range row {
-			fmt.Fprintf(&sb, "%-*s  ", widths[i], cell)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

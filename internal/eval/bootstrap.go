@@ -51,15 +51,3 @@ func quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(i)
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }
-
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range values {
-		sum += v
-	}
-	return sum / float64(len(values))
-}

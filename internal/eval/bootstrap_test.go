@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"crowdselect/internal/linalg"
 	"crowdselect/internal/randx"
 )
 
@@ -37,7 +38,7 @@ func TestBootstrapCICoversTrueMean(t *testing.T) {
 		if lo > hi {
 			t.Fatalf("lo %v > hi %v", lo, hi)
 		}
-		m := Mean(values)
+		m := linalg.Vector(values).Sum() / float64(len(values))
 		if m < lo-1e-9 || m > hi+1e-9 {
 			t.Fatalf("sample mean %v outside CI [%v, %v]", m, lo, hi)
 		}
@@ -78,47 +79,6 @@ func TestBootstrapCIDegenerate(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestRecallCurve(t *testing.T) {
-	d := evalDataset(t)
-	g := ExtractGroup(d, 1)
-	tasks := TestTasks(d, g, 80, 1)
-	curve := RecallCurve(d, oracleSelector{d: d}, g, tasks, 4)
-	if len(curve) != 4 {
-		t.Fatalf("curve length %d", len(curve))
-	}
-	// Monotone non-decreasing, bounded, and the oracle's Top1 is 1.
-	if curve[0] != 1 {
-		t.Errorf("oracle Top1 = %v", curve[0])
-	}
-	for k := 1; k < len(curve); k++ {
-		if curve[k] < curve[k-1] || curve[k] > 1 {
-			t.Fatalf("curve not monotone in [0,1]: %v", curve)
-		}
-	}
-	// Consistency with Evaluate's Top1/Top2.
-	res := Evaluate(d, oracleSelector{d: d}, g, tasks, 0)
-	worst := RecallCurve(d, oracleSelector{d: d, invert: true}, g, tasks, 2)
-	worstRes := Evaluate(d, oracleSelector{d: d, invert: true}, g, tasks, 0)
-	if math.Abs(curve[0]-res.Top1) > 1e-12 || math.Abs(curve[1]-res.Top2) > 1e-12 {
-		t.Errorf("curve %v inconsistent with Evaluate %v/%v", curve[:2], res.Top1, res.Top2)
-	}
-	if math.Abs(worst[0]-worstRes.Top1) > 1e-12 || math.Abs(worst[1]-worstRes.Top2) > 1e-12 {
-		t.Errorf("worst curve %v inconsistent with Evaluate %v/%v", worst, worstRes.Top1, worstRes.Top2)
-	}
-	if RecallCurve(d, oracleSelector{d: d}, g, tasks, 0) != nil {
-		t.Error("maxK=0 did not return nil")
-	}
-}
-
 func TestEvaluateCollectsPerTaskACCU(t *testing.T) {
 	d := evalDataset(t)
 	g := ExtractGroup(d, 1)
@@ -127,8 +87,8 @@ func TestEvaluateCollectsPerTaskACCU(t *testing.T) {
 	if len(res.PerTaskACCU) != res.Tasks {
 		t.Fatalf("collected %d values for %d tasks", len(res.PerTaskACCU), res.Tasks)
 	}
-	if math.Abs(Mean(res.PerTaskACCU)-res.ACCU) > 1e-12 {
-		t.Errorf("per-task mean %v != ACCU %v", Mean(res.PerTaskACCU), res.ACCU)
+	if mean := linalg.Vector(res.PerTaskACCU).Sum() / float64(res.Tasks); math.Abs(mean-res.ACCU) > 1e-12 {
+		t.Errorf("per-task mean %v != ACCU %v", mean, res.ACCU)
 	}
 	lo, hi, err := res.ACCUInterval(200, 0.05, 1)
 	if err != nil {

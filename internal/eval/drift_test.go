@@ -93,7 +93,7 @@ func TestSkillDriftGeneratorChangesSkills(t *testing.T) {
 	moved := 0
 	for i := range base.Workers {
 		if drifted.Workers[i].TaskCount > 0 &&
-			!base.Workers[i].TrueSkill.Equal(drifted.Workers[i].TrueSkill, 1e-9) {
+			base.Workers[i].TrueSkill.Sub(drifted.Workers[i].TrueSkill).NormInf() > 1e-9 {
 			moved++
 		}
 	}

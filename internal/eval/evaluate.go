@@ -33,50 +33,6 @@ func (r Result) ACCUInterval(iters int, alpha float64, seed int64) (lo, hi float
 	return BootstrapCI(r.PerTaskACCU, iters, alpha, seed)
 }
 
-// RecallCurve returns Top-k recall for k = 1..maxK — the full curve
-// behind the paper's Top1/Top2 columns. Entry k−1 is the fraction of
-// tasks whose right worker ranked within the top k.
-func RecallCurve(d *corpus.Dataset, sel Selector, g Group, taskIDs []int, maxK int) []float64 {
-	if maxK < 1 {
-		return nil
-	}
-	hits := make([]int, maxK)
-	total := 0
-	for _, id := range taskIDs {
-		t := d.Tasks[id]
-		best, ok := t.BestWorker()
-		if !ok || !g.Contains(best) {
-			continue
-		}
-		cands := Candidates(t)
-		if len(cands) < 2 {
-			continue
-		}
-		ranked := sel.Rank(t.Bag(d.Vocab), cands)
-		rbest := -1
-		for i, w := range ranked {
-			if w == best {
-				rbest = i
-				break
-			}
-		}
-		if rbest < 0 {
-			continue
-		}
-		total++
-		for k := rbest; k < maxK; k++ {
-			hits[k]++
-		}
-	}
-	curve := make([]float64, maxK)
-	if total > 0 {
-		for k := range curve {
-			curve[k] = float64(hits[k]) / float64(total)
-		}
-	}
-	return curve
-}
-
 // String renders the result as one table row.
 func (r Result) String() string {
 	return fmt.Sprintf("%-5s %s%-3d K=%-3d tasks=%-6d ACCU=%.3f Top1=%.3f Top2=%.3f select=%s",

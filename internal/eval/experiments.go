@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"crowdselect/internal/randx"
@@ -311,17 +310,4 @@ func cellWidth(name string, g, k int) int {
 
 func topWidth(name string, g, top int) int {
 	return len(fmt.Sprintf("%s%d/Top%d", shortName(name), g, top))
-}
-
-// SortCells orders precision cells deterministically (tests).
-func SortCells(cells []PrecisionCell) {
-	sort.Slice(cells, func(a, b int) bool {
-		if cells[a].Algo != cells[b].Algo {
-			return cells[a].Algo < cells[b].Algo
-		}
-		if cells[a].Group != cells[b].Group {
-			return cells[a].Group < cells[b].Group
-		}
-		return cells[a].K < cells[b].K
-	})
 }

@@ -217,16 +217,3 @@ func TestResultString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
-
-func TestSortCells(t *testing.T) {
-	cells := []PrecisionCell{
-		{Algo: AlgoTDPM, Group: 1, K: 20},
-		{Algo: AlgoDRM, Group: 5, K: 10},
-		{Algo: AlgoDRM, Group: 1, K: 10},
-		{Algo: AlgoDRM, Group: 1, K: 5},
-	}
-	SortCells(cells)
-	if cells[0].Algo != AlgoDRM || cells[0].K != 5 || cells[2].Group != 5 || cells[3].Algo != AlgoTDPM {
-		t.Errorf("sorted = %+v", cells)
-	}
-}

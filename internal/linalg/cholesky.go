@@ -64,9 +64,6 @@ func NewCholeskyJittered(a *Matrix, jitter0 float64, maxTries int) (*Cholesky, e
 	return nil, err
 }
 
-// Size returns the dimension n of the factorized matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // SolveVec solves A·x = b and returns x.
 func (c *Cholesky) SolveVec(b Vector) Vector {
 	if len(b) != c.n {
@@ -128,23 +125,6 @@ func (c *Cholesky) L() *Matrix {
 		}
 	}
 	return m
-}
-
-// MulLVec returns L·x, used to transform standard-normal draws into
-// draws with covariance A.
-func (c *Cholesky) MulLVec(x Vector) Vector {
-	if len(x) != c.n {
-		panic(fmt.Sprintf("linalg: Cholesky.MulLVec with len %d, want %d", len(x), c.n))
-	}
-	out := make(Vector, c.n)
-	for i := 0; i < c.n; i++ {
-		var s float64
-		for j := 0; j <= i; j++ {
-			s += c.l[i*c.n+j] * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // SPDInverse inverts the SPD matrix a via Cholesky with defensive

@@ -23,12 +23,3 @@ func ExampleSPDSolve() {
 	fmt.Printf("%.4f %.4f\n", x[0], x[1])
 	// Output: 0.0909 0.6364
 }
-
-func ExampleSymEigen() {
-	vals, _, err := linalg.SymEigen(linalg.NewMatrixFrom(2, 2, []float64{2, 1, 1, 2}))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%.0f %.0f\n", vals[0], vals[1])
-	// Output: 3 1
-}

@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -89,16 +88,6 @@ func (m *Matrix) Diag() Vector {
 	return d
 }
 
-// Add returns m + b as a new matrix.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.mustSameShape("Add", b)
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v + b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace sets m ← m + b and returns m.
 func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
 	m.mustSameShape("AddInPlace", b)
@@ -106,25 +95,6 @@ func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
 		m.Data[i] += v
 	}
 	return m
-}
-
-// Sub returns m − b as a new matrix.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.mustSameShape("Sub", b)
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v - b.Data[i]
-	}
-	return out
-}
-
-// Scale returns a·m as a new matrix.
-func (m *Matrix) Scale(a float64) *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = a * v
-	}
-	return out
 }
 
 // ScaleInPlace sets m ← a·m and returns m.
@@ -206,54 +176,9 @@ func (m *Matrix) MulVecInto(dst, x Vector) Vector {
 	return dst
 }
 
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul %d×%d by %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for r := 0; r < m.Rows; r++ {
-		mrow := m.Data[r*m.Cols : (r+1)*m.Cols]
-		orow := out.Data[r*out.Cols : (r+1)*out.Cols]
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for c, bv := range brow {
-				orow[c] += mv * bv
-			}
-		}
-	}
-	return out
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			out.Data[c*out.Cols+r] = m.Data[r*m.Cols+c]
-		}
-	}
-	return out
-}
-
 // QuadForm returns xᵀ·m·y for the square matrix m.
 func (m *Matrix) QuadForm(x, y Vector) float64 {
 	return x.Dot(m.MulVec(y))
-}
-
-// Trace returns the sum of the diagonal of the square matrix m.
-func (m *Matrix) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("linalg: Trace of %d×%d", m.Rows, m.Cols))
-	}
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		s += m.Data[i*m.Cols+i]
-	}
-	return s
 }
 
 // Symmetrize sets m ← (m + mᵀ)/2 in place and returns m. It is used to
@@ -271,30 +196,6 @@ func (m *Matrix) Symmetrize() *Matrix {
 		}
 	}
 	return m
-}
-
-// Equal reports whether m and b have the same shape and all entries
-// agree within tol.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if math.Abs(v-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IsFinite reports whether every entry of m is finite.
-func (m *Matrix) IsFinite() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

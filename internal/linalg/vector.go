@@ -1,7 +1,7 @@
 // Package linalg provides the small dense linear-algebra kernel used by
 // the crowd-selection models: vectors, row-major matrices, symmetric
-// positive-definite solvers (Cholesky), and a handful of numerically
-// careful scalar helpers (log-sum-exp, softmax).
+// positive-definite solvers (Cholesky), and a numerically careful
+// softmax.
 //
 // The latent-category dimension K in the paper is small (10–50), so the
 // package favours clarity and predictable allocation over blocked or
@@ -114,9 +114,6 @@ func (x Vector) ScaleInPlace(a float64) Vector {
 	return x
 }
 
-// Norm2 returns the Euclidean norm ‖x‖₂.
-func (x Vector) Norm2() float64 { return math.Sqrt(x.Dot(x)) }
-
 // NormInf returns the max-absolute-value norm ‖x‖∞.
 func (x Vector) NormInf() float64 {
 	var m float64
@@ -151,47 +148,6 @@ func (x Vector) Max() float64 {
 	return m
 }
 
-// ArgMax returns the index of the maximum entry (first on ties). It
-// panics on an empty vector.
-func (x Vector) ArgMax() int {
-	if len(x) == 0 {
-		panic("linalg: ArgMax of empty vector")
-	}
-	best, m := 0, x[0]
-	for i, v := range x {
-		if v > m {
-			best, m = i, v
-		}
-	}
-	return best
-}
-
-// Hadamard returns the element-wise product x∘y as a new vector.
-func (x Vector) Hadamard(y Vector) Vector {
-	if len(x) != len(y) {
-		panic(dimErr("Hadamard", len(x), len(y)))
-	}
-	z := make(Vector, len(x))
-	for i, v := range x {
-		z[i] = v * y[i]
-	}
-	return z
-}
-
-// Equal reports whether x and y have the same length and every entry
-// agrees within tol.
-func (x Vector) Equal(y Vector, tol float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i, v := range x {
-		if math.Abs(v-y[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // IsFinite reports whether every entry of x is finite (no NaN or ±Inf).
 func (x Vector) IsFinite() bool {
 	for _, v := range x {
@@ -200,23 +156,6 @@ func (x Vector) IsFinite() bool {
 		}
 	}
 	return true
-}
-
-// LogSumExp returns log Σᵢ exp(xᵢ) computed stably. It returns −Inf for
-// an empty vector.
-func LogSumExp(x Vector) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	m := x.Max()
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Exp(v - m)
-	}
-	return m + math.Log(s)
 }
 
 // Softmax returns the logistic transform of Eq. 4 of the paper:

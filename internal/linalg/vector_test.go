@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -14,17 +13,14 @@ func TestVectorBasicOps(t *testing.T) {
 	if got := x.Dot(y); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
-	if got := x.Add(y); !got.Equal(Vector{5, 7, 9}, 0) {
+	if got := x.Add(y); !near(got, Vector{5, 7, 9}, 0) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := y.Sub(x); !got.Equal(Vector{3, 3, 3}, 0) {
+	if got := y.Sub(x); !near(got, Vector{3, 3, 3}, 0) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := x.Scale(2); !got.Equal(Vector{2, 4, 6}, 0) {
+	if got := x.Scale(2); !near(got, Vector{2, 4, 6}, 0) {
 		t.Errorf("Scale = %v", got)
-	}
-	if got := x.Hadamard(y); !got.Equal(Vector{4, 10, 18}, 0) {
-		t.Errorf("Hadamard = %v", got)
 	}
 	if got := x.Sum(); got != 6 {
 		t.Errorf("Sum = %v, want 6", got)
@@ -32,33 +28,27 @@ func TestVectorBasicOps(t *testing.T) {
 	if got := x.Max(); got != 3 {
 		t.Errorf("Max = %v, want 3", got)
 	}
-	if got := x.ArgMax(); got != 2 {
-		t.Errorf("ArgMax = %v, want 2", got)
-	}
 	if got := (Vector{-5, 3}).NormInf(); got != 5 {
 		t.Errorf("NormInf = %v, want 5", got)
-	}
-	if got := (Vector{3, 4}).Norm2(); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
 	}
 }
 
 func TestVectorInPlaceOps(t *testing.T) {
 	x := Vector{1, 2, 3}
 	x.AddScaledInPlace(2, Vector{1, 1, 1})
-	if !x.Equal(Vector{3, 4, 5}, 0) {
+	if !near(x, Vector{3, 4, 5}, 0) {
 		t.Errorf("AddScaledInPlace = %v", x)
 	}
 	x.ScaleInPlace(0.5)
-	if !x.Equal(Vector{1.5, 2, 2.5}, 0) {
+	if !near(x, Vector{1.5, 2, 2.5}, 0) {
 		t.Errorf("ScaleInPlace = %v", x)
 	}
 	x.Fill(7)
-	if !x.Equal(Vector{7, 7, 7}, 0) {
+	if !near(x, Vector{7, 7, 7}, 0) {
 		t.Errorf("Fill = %v", x)
 	}
 	x.Zero()
-	if !x.Equal(Vector{0, 0, 0}, 0) {
+	if !near(x, Vector{0, 0, 0}, 0) {
 		t.Errorf("Zero = %v", x)
 	}
 }
@@ -74,7 +64,7 @@ func TestVectorCloneIndependence(t *testing.T) {
 
 func TestConstVector(t *testing.T) {
 	v := ConstVector(4, 2.5)
-	if !v.Equal(Vector{2.5, 2.5, 2.5, 2.5}, 0) {
+	if !near(v, Vector{2.5, 2.5, 2.5, 2.5}, 0) {
 		t.Errorf("ConstVector = %v", v)
 	}
 }
@@ -86,32 +76,6 @@ func TestVectorDimensionPanics(t *testing.T) {
 		}
 	}()
 	Vector{1}.Dot(Vector{1, 2})
-}
-
-func TestArgMaxFirstOnTies(t *testing.T) {
-	if got := (Vector{2, 5, 5, 1}).ArgMax(); got != 1 {
-		t.Errorf("ArgMax tie = %d, want 1", got)
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	cases := []struct {
-		in   Vector
-		want float64
-	}{
-		{Vector{0, 0}, math.Log(2)},
-		{Vector{math.Log(1), math.Log(2), math.Log(3)}, math.Log(6)},
-		{Vector{1000, 1000}, 1000 + math.Log(2)}, // must not overflow
-		{Vector{-1000, -1000}, -1000 + math.Log(2)},
-	}
-	for _, c := range cases {
-		if got := LogSumExp(c.in); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("LogSumExp(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Errorf("LogSumExp(empty) = %v, want -Inf", got)
-	}
 }
 
 func TestSoftmaxSumsToOne(t *testing.T) {
@@ -149,28 +113,6 @@ func TestIsFinite(t *testing.T) {
 	}
 	if (Vector{math.Inf(1)}).IsFinite() {
 		t.Error("Inf vector reported finite")
-	}
-}
-
-// Property: LogSumExp is invariant under the identity
-// LSE(x + a) = LSE(x) + a.
-func TestLogSumExpShiftProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(8)
-		x := make(Vector, n)
-		for i := range x {
-			x[i] = rng.NormFloat64() * 10
-		}
-		a := rng.NormFloat64() * 5
-		shifted := x.Clone()
-		for i := range shifted {
-			shifted[i] += a
-		}
-		l1, l2 := LogSumExp(x)+a, LogSumExp(shifted)
-		if math.Abs(l1-l2) > 1e-8 {
-			t.Fatalf("shift property violated: %v vs %v", l1, l2)
-		}
 	}
 }
 

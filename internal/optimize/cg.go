@@ -2,8 +2,8 @@
 // by the variational algorithm of the paper: nonlinear conjugate
 // gradient (Polak–Ribière+ with automatic restarts and an Armijo line
 // search whose first trial comes from the previous search's decrease and
-// whose backtracking interpolates), plain gradient descent for ablations,
-// and a numerical gradient checker for tests.
+// whose backtracking interpolates) and a numerical gradient checker for
+// tests.
 //
 // All routines minimize; callers maximizing a lower bound L′(q) pass
 // −L′ and −∇L′.
@@ -140,32 +140,13 @@ func (w *Workspace) resize(n int) {
 // ConjugateGradient minimizes p starting from x0 using nonlinear CG
 // with the Polak–Ribière+ update (β = max(0, βPR), which subsumes
 // steepest-descent restarts) and an Armijo backtracking line search
-// (see armijo for its first trial and its shrink rule). x0 is not
-// modified.
-func ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
-	return new(Workspace).ConjugateGradient(p, x0, s)
-}
-
-// ConjugateGradient is the package-level ConjugateGradient run in w's
-// vectors: the same iteration, operation for operation, allocating
-// nothing once w has seen a problem of this size. See Result.X for the
-// lifetime of the returned iterate.
+// (see armijo for its first trial and its shrink rule), in w's vectors:
+// it allocates nothing once w has seen a problem of this size. x0 is
+// not modified; see Result.X for the lifetime of the returned iterate.
+// What one line search hands the next — the decrease it accepted — is a
+// local of this call, so a Workspace carries nothing from one
+// minimization into another.
 func (w *Workspace) ConjugateGradient(p Problem, x0 linalg.Vector, s Settings) Result {
-	return w.minimize(p, x0, s, true)
-}
-
-// GradientDescent minimizes p with steepest descent and the same
-// Armijo line search. It exists for ablation comparisons against CG.
-func GradientDescent(p Problem, x0 linalg.Vector, s Settings) Result {
-	return new(Workspace).minimize(p, x0, s, false)
-}
-
-// minimize is the one descent loop: conjugate selects the
-// Polak–Ribière+ direction update, otherwise every direction is the
-// negated gradient. What one line search hands the next — the decrease it
-// accepted — is a local of this call, so a Workspace carries nothing from
-// one minimization into another.
-func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate bool) Result {
 	s = s.withDefaults()
 	w.resize(len(x0))
 	copy(w.x, x0)
@@ -223,12 +204,6 @@ func (w *Workspace) minimize(p Problem, x0 linalg.Vector, s Settings, conjugate 
 			return res
 		}
 
-		if !conjugate {
-			for i := range d {
-				d[i] = -g[i]
-			}
-			continue
-		}
 		// Polak–Ribière+ direction update.
 		var num, den float64
 		for i := range g {

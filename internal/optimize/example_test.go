@@ -7,7 +7,7 @@ import (
 	"crowdselect/internal/optimize"
 )
 
-func ExampleConjugateGradient() {
+func ExampleWorkspace_ConjugateGradient() {
 	// Minimize f(x, y) = (x−1)² + 2(y+3)².
 	p := optimize.Problem{
 		Eval: func(x linalg.Vector) float64 {
@@ -18,7 +18,7 @@ func ExampleConjugateGradient() {
 			g[1] = 4 * (x[1] + 3)
 		},
 	}
-	res := optimize.ConjugateGradient(p, linalg.Vector{0, 0}, optimize.Settings{})
+	res := new(optimize.Workspace).ConjugateGradient(p, linalg.Vector{0, 0}, optimize.Settings{})
 	fmt.Printf("%.3f %.3f\n", res.X[0], res.X[1])
 	// Output: 1.000 -3.000
 }

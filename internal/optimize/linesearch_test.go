@@ -52,14 +52,24 @@ var rosenbrock = Problem{
 	},
 }
 
+// randomSPD returns rawᵀ·raw + n·I for a random n×n raw, summed as one
+// outer product per row of raw.
+func randomSPD(rng *rand.Rand, n int) *linalg.Matrix {
+	a := linalg.NewMatrix(n, n)
+	row := make(linalg.Vector, n)
+	for r := 0; r < n; r++ {
+		for i := range row {
+			row[i] = rng.NormFloat64()
+		}
+		a.AddOuterInPlace(1, row, row)
+	}
+	return a.AddScalarDiagInPlace(float64(n)).Symmetrize()
+}
+
 // randomQuadratic is one of the SPD bowls TestCGRandomQuadratics solves.
 func randomQuadratic(rng *rand.Rand) (Problem, int) {
 	n := 2 + rng.Intn(8)
-	raw := linalg.NewMatrix(n, n)
-	for i := range raw.Data {
-		raw.Data[i] = rng.NormFloat64()
-	}
-	a := raw.T().Mul(raw).AddScalarDiagInPlace(float64(n)).Symmetrize()
+	a := randomSPD(rng, n)
 	b := make(linalg.Vector, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
@@ -86,29 +96,24 @@ func TestAcceptedStepsSatisfyArmijo(t *testing.T) {
 
 	const c = 1e-4
 	for name, tc := range problems {
-		for alg, min := range map[string]func(Problem, linalg.Vector, Settings) Result{
-			"cg": ConjugateGradient,
-			"gd": GradientDescent,
-		} {
-			r := record(tc.p)
-			res := min(r.Problem, tc.x0, Settings{MaxIter: 300, ArmijoC: c})
-			if len(r.accepted) != res.Iterations+1 {
-				t.Fatalf("%s/%s: %d gradients for %d iterations", name, alg, len(r.accepted), res.Iterations)
+		r := record(tc.p)
+		res := conjugateGradient(r.Problem, tc.x0, Settings{MaxIter: 300, ArmijoC: c})
+		if len(r.accepted) != res.Iterations+1 {
+			t.Fatalf("%s: %d gradients for %d iterations", name, len(r.accepted), res.Iterations)
+		}
+		g := make(linalg.Vector, len(tc.x0))
+		for k := 1; k < len(r.accepted); k++ {
+			x, next := r.accepted[k-1], r.accepted[k]
+			f, fNext := tc.p.Eval(x), tc.p.Eval(next)
+			tc.p.Grad(x, g)
+			bound := f + c*g.Dot(next.Sub(x))
+			if !finite(fNext) || !next.IsFinite() {
+				t.Fatalf("%s: step %d accepted a non-finite point", name, k)
 			}
-			g := make(linalg.Vector, len(tc.x0))
-			for k := 1; k < len(r.accepted); k++ {
-				x, next := r.accepted[k-1], r.accepted[k]
-				f, fNext := tc.p.Eval(x), tc.p.Eval(next)
-				tc.p.Grad(x, g)
-				bound := f + c*g.Dot(next.Sub(x))
-				if !finite(fNext) || !next.IsFinite() {
-					t.Fatalf("%s/%s: step %d accepted a non-finite point", name, alg, k)
-				}
-				// t·d is rounded when it is added to x, so the slope term is
-				// recovered to a few ulps of f, not exactly.
-				if fNext > bound+1e-12*(1+math.Abs(f)) {
-					t.Errorf("%s/%s: step %d accepted f=%v above the Armijo bound %v", name, alg, k, fNext, bound)
-				}
+			// t·d is rounded when it is added to x, so the slope term is
+			// recovered to a few ulps of f, not exactly.
+			if fNext > bound+1e-12*(1+math.Abs(f)) {
+				t.Errorf("%s: step %d accepted f=%v above the Armijo bound %v", name, k, fNext, bound)
 			}
 		}
 	}
@@ -297,7 +302,7 @@ func TestNeverMoreEvaluationsThanHalving(t *testing.T) {
 	}
 	for i, b := range bowls {
 		now, before := record(b.p), record(b.p)
-		res := ConjugateGradient(now.Problem, b.x0, b.s)
+		res := conjugateGradient(now.Problem, b.x0, b.s)
 		ref := halvingCG(before.Problem, b.x0, b.s)
 		if res.Status == IterationLimit || res.Status == LineSearchFailed {
 			t.Errorf("bowl %d (%s): stopped on %v", i, b.name, res.Status)
@@ -321,7 +326,7 @@ func TestInterleavedProblemsMatchFresh(t *testing.T) {
 	xSteep, xShallow := linalg.Vector{3, -2, 6}, linalg.Vector{1, 2, 3, 4}
 	fresh := func(p Problem, x0 linalg.Vector, s Settings) ([]uint64, *recorded) {
 		r := record(p)
-		return resultBits(ConjugateGradient(r.Problem, x0, s)), r
+		return resultBits(conjugateGradient(r.Problem, x0, s)), r
 	}
 	var w Workspace
 	for round := 0; round < 4; round++ {

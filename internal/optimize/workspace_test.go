@@ -41,7 +41,7 @@ func resultBits(r Result) []uint64 {
 
 // TestWorkspaceReuseMatchesFresh: one workspace carried across problems
 // of different sizes — growing, shrinking, repeating — returns, bit for
-// bit, the Result a fresh ConjugateGradient call returns for each.
+// bit, the Result a fresh workspace returns for each.
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var w Workspace
@@ -52,7 +52,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		}
 		p, s := coshBowl(c), Settings{MaxIter: 5 + 10*trial}
 		start := x0.Clone()
-		fresh := ConjugateGradient(p, x0, s)
+		fresh := conjugateGradient(p, x0, s)
 		reused := w.ConjugateGradient(p, x0, s)
 		if !reflect.DeepEqual(resultBits(reused), resultBits(fresh)) {
 			t.Errorf("trial %d (n=%d): reused workspace %+v, fresh %+v", trial, n, reused, fresh)
@@ -68,8 +68,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 
 // TestWorkspaceResultAliasing pins the lifetime documented on Result.X:
 // a Workspace method's X is the workspace's own storage and the next
-// call overwrites it, while the package-level entry points hand back an
-// iterate nobody else holds.
+// call overwrites it, while a fresh workspace's iterate is nobody
+// else's.
 func TestWorkspaceResultAliasing(t *testing.T) {
 	c := linalg.Vector{1, 2, 3}
 	p := coshBowl(c)
@@ -81,15 +81,14 @@ func TestWorkspaceResultAliasing(t *testing.T) {
 		t.Error("a second solve on the workspace left the first Result.X intact: X no longer aliases, update the doc")
 	}
 
-	a := ConjugateGradient(p, linalg.Vector{4, 4, 4}, Settings{})
+	a := conjugateGradient(p, linalg.Vector{4, 4, 4}, Settings{})
 	snapshot := a.X.Clone()
-	ConjugateGradient(p, linalg.Vector{-9, 0, 9}, Settings{MaxIter: 1})
-	GradientDescent(p, linalg.Vector{-9, 0, 9}, Settings{MaxIter: 1})
+	conjugateGradient(p, linalg.Vector{-9, 0, 9}, Settings{MaxIter: 1})
 	if !reflect.DeepEqual(a.X, snapshot) {
-		t.Error("package-level ConjugateGradient results share storage")
+		t.Error("fresh-workspace results share storage")
 	}
 	if !reflect.DeepEqual(a.X, kept) {
-		t.Errorf("workspace and package-level solves disagree: %v vs %v", kept, a.X)
+		t.Errorf("reused and fresh workspaces disagree: %v vs %v", kept, a.X)
 	}
 }
 

@@ -7,7 +7,6 @@ package plsa
 
 import (
 	"fmt"
-	"math"
 
 	"crowdselect/internal/linalg"
 	"crowdselect/internal/randx"
@@ -174,26 +173,4 @@ func (m *Model) Infer(doc text.Bag) linalg.Vector {
 		}
 	}
 	return pz
-}
-
-// LogLikelihood returns the log likelihood of the documents under the
-// model with the given per-document aspect distributions. Training
-// increases it; the tests assert that.
-func (m *Model) LogLikelihood(docs []text.Bag, pzd []linalg.Vector) float64 {
-	var ll float64
-	for d, bag := range docs {
-		for p, v := range bag.IDs {
-			if v < 0 || v >= m.V {
-				continue
-			}
-			var pwd float64
-			for kk := 0; kk < m.K; kk++ {
-				pwd += pzd[d][kk] * m.PW.At(kk, v)
-			}
-			if pwd > 0 {
-				ll += bag.Counts[p] * math.Log(pwd)
-			}
-		}
-	}
-	return ll
 }

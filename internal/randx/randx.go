@@ -1,9 +1,9 @@
 // Package randx provides the deterministic random sampling used by the
 // generative process of the paper (Algorithm 1) and by the incremental
-// selection algorithm (Algorithm 3, line 6): univariate and
-// multivariate Normal, Gamma, Beta, Dirichlet, Poisson, Zipf and
-// categorical draws, all driven by an explicitly seeded source so that
-// corpora and experiments are reproducible run to run.
+// selection algorithm (Algorithm 3, line 6): Normal, diagonal
+// multivariate Normal, Gamma, Beta, Dirichlet, Poisson and categorical
+// draws, all driven by an explicitly seeded source so that corpora and
+// experiments are reproducible run to run.
 package randx
 
 import (
@@ -16,7 +16,7 @@ import (
 
 // RNG wraps a seeded math/rand source with the distribution samplers
 // the models need. It is not safe for concurrent use; create one RNG
-// per goroutine (Split derives independent streams).
+// per goroutine.
 type RNG struct {
 	src *rand.Rand
 }
@@ -26,22 +26,11 @@ func New(seed int64) *RNG {
 	return &RNG{src: rand.New(rand.NewSource(seed))}
 }
 
-// Split derives a new independent RNG from this one. The derived
-// stream is a deterministic function of the parent state, so a fixed
-// top-level seed still yields a reproducible run even when streams are
-// handed to different components.
-func (r *RNG) Split() *RNG {
-	return New(r.src.Int63())
-}
-
 // Float64 returns a uniform draw in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 
 // Intn returns a uniform draw in [0, n).
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
-
-// Int63 returns a non-negative uniform 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
@@ -78,29 +67,6 @@ func (r *RNG) NormalVecDiag(mu, sigma linalg.Vector) linalg.Vector {
 		v[i] = r.Normal(mu[i], sigma[i])
 	}
 	return v
-}
-
-// MVNormal returns a draw from the multivariate Normal(mu, cov) used
-// for worker skills (Eq. 2) and task categories (Eq. 3). cov must be
-// symmetric positive definite (defensive jitter is applied).
-func (r *RNG) MVNormal(mu linalg.Vector, cov *linalg.Matrix) (linalg.Vector, error) {
-	if cov.Rows != len(mu) || cov.Cols != len(mu) {
-		return nil, fmt.Errorf("randx: MVNormal mean len %d with %d×%d cov", len(mu), cov.Rows, cov.Cols)
-	}
-	ch, err := linalg.NewCholeskyJittered(cov, 1e-10, 8)
-	if err != nil {
-		return nil, fmt.Errorf("randx: MVNormal: %w", err)
-	}
-	z := r.StdNormalVec(len(mu))
-	return mu.Add(ch.MulLVec(z)), nil
-}
-
-// Exponential returns a draw from Exponential(rate).
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic(fmt.Sprintf("randx: Exponential with rate %g <= 0", rate))
-	}
-	return r.src.ExpFloat64() / rate
 }
 
 // Gamma returns a draw from Gamma(shape, scale) using the
@@ -227,9 +193,3 @@ func (r *RNG) Categorical(weights linalg.Vector) int {
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }
-
-// Zipf returns a sampler of Zipf-distributed values in [0, imax] with
-// exponent s > 1 and offset v ≥ 1, matching math/rand.Zipf semantics.
-func (r *RNG) Zipf(s, v float64, imax uint64) *rand.Zipf {
-	return rand.NewZipf(r.src, s, v, imax)
-}

@@ -27,16 +27,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitIndependentButDeterministic(t *testing.T) {
-	p1, p2 := New(7), New(7)
-	c1, c2 := p1.Split(), p2.Split()
-	for i := 0; i < 50; i++ {
-		if c1.Float64() != c2.Float64() {
-			t.Fatal("Split is not deterministic")
-		}
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(1)
 	const n = 200000
@@ -193,56 +183,6 @@ func TestCategoricalAllZeroPanics(t *testing.T) {
 	New(1).Categorical(linalg.Vector{0, 0})
 }
 
-func TestMVNormalCovariance(t *testing.T) {
-	r := New(8)
-	mu := linalg.Vector{1, -1}
-	cov := linalg.NewMatrixFrom(2, 2, []float64{2, 0.8, 0.8, 1})
-	const n = 100000
-	mean := make(linalg.Vector, 2)
-	var c00, c01, c11 float64
-	draws := make([]linalg.Vector, n)
-	for i := 0; i < n; i++ {
-		x, err := r.MVNormal(mu, cov)
-		if err != nil {
-			t.Fatal(err)
-		}
-		draws[i] = x
-		mean.AddScaledInPlace(1, x)
-	}
-	mean.ScaleInPlace(1 / float64(n))
-	for _, x := range draws {
-		d0, d1 := x[0]-mean[0], x[1]-mean[1]
-		c00 += d0 * d0
-		c01 += d0 * d1
-		c11 += d1 * d1
-	}
-	c00, c01, c11 = c00/n, c01/n, c11/n
-	if !mean.Equal(mu, 0.02) {
-		t.Errorf("mean = %v, want %v", mean, mu)
-	}
-	if math.Abs(c00-2) > 0.05 || math.Abs(c01-0.8) > 0.05 || math.Abs(c11-1) > 0.05 {
-		t.Errorf("cov = [%v %v; %v %v]", c00, c01, c01, c11)
-	}
-}
-
-func TestMVNormalShapeError(t *testing.T) {
-	if _, err := New(1).MVNormal(linalg.Vector{1}, linalg.Identity(2)); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(9)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("Exponential(2) mean = %v, want 0.5", mean)
-	}
-}
-
 func TestAliasTableFrequencies(t *testing.T) {
 	r := New(10)
 	w := linalg.Vector{1, 2, 3, 0, 4}
@@ -291,18 +231,5 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 	if got := float64(hits) / n; math.Abs(got-0.3) > 0.01 {
 		t.Errorf("Bernoulli(0.3) frequency = %v", got)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(12)
-	z := r.Zipf(1.5, 1, 99)
-	counts := make([]int, 100)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		counts[z.Uint64()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Errorf("Zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
 	}
 }

@@ -12,10 +12,3 @@ func ExampleTopK() {
 	fmt.Println(top)
 	// Output: [3 9]
 }
-
-func ExampleRankOf() {
-	skills := map[int]float64{1: 0.2, 2: 0.8, 3: 0.5}
-	r, ok := rank.RankOf([]int{1, 2, 3}, func(id int) float64 { return skills[id] }, 3)
-	fmt.Println(r, ok)
-	// Output: 1 true
-}

@@ -188,24 +188,6 @@ func RankAll(candidates []int, score func(id int) float64) []int {
 	return TopK(candidates, score, len(candidates))
 }
 
-// RankOf returns the 0-based rank of target among candidates under
-// score (0 = best), and false when target is not a candidate. It is
-// the position RankAll would put target at, found by counting the
-// candidates that rank before it: O(M), no allocation.
-func RankOf(candidates []int, score func(id int) float64, target int) (int, bool) {
-	if !slices.Contains(candidates, target) {
-		return 0, false
-	}
-	t := Item{ID: target, Score: score(target)}
-	r := 0
-	for _, id := range candidates {
-		if id != target && before(Item{ID: id, Score: score(id)}, t) {
-			r++
-		}
-	}
-	return r, true
-}
-
 func sortItems(items []Item) {
 	slices.SortFunc(items, func(a, b Item) int {
 		switch {

@@ -48,19 +48,6 @@ func TestTopKTiesBreakByID(t *testing.T) {
 	}
 }
 
-func TestRankOf(t *testing.T) {
-	scores := map[int]float64{1: 0.5, 2: 0.9, 3: 0.1}
-	if r, ok := RankOf([]int{1, 2, 3}, scoreOf(scores), 1); !ok || r != 1 {
-		t.Errorf("RankOf(1) = %d, %v", r, ok)
-	}
-	if r, ok := RankOf([]int{1, 2, 3}, scoreOf(scores), 2); !ok || r != 0 {
-		t.Errorf("RankOf(2) = %d, %v", r, ok)
-	}
-	if _, ok := RankOf([]int{1, 2}, scoreOf(scores), 99); ok {
-		t.Error("missing target reported found")
-	}
-}
-
 func TestRankAllIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
@@ -320,9 +307,9 @@ func TestTopKScoredAllocations(t *testing.T) {
 }
 
 // TestOrderIsTotalWithNaN is the regression test for the comparator
-// that was not a strict weak order once a score was NaN: the sort, the
-// merge and the counted rank must agree on one ranking in which NaN
-// comes after every number, ±Inf included, and ties go to the lower id.
+// that was not a strict weak order once a score was NaN: the sort and
+// the merge must agree on one ranking in which NaN comes after every
+// number, ±Inf included, and ties go to the lower id.
 func TestOrderIsTotalWithNaN(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	scores := map[int]float64{
@@ -346,11 +333,6 @@ func TestOrderIsTotalWithNaN(t *testing.T) {
 				t.Fatalf("order %v cut %d k=%d: merged = %v, want %v", ids, cut, k, got, wantK)
 			}
 		}
-		for r, id := range want {
-			if got, ok := RankOf(ids, scoreOf(scores), id); !ok || got != r {
-				t.Fatalf("order %v: RankOf(%d) = %d, %v, want %d", ids, id, got, ok, r)
-			}
-		}
 	}
 	// A duplicate id keeps its best score under the same order: a
 	// number beats NaN whichever list comes first.
@@ -361,35 +343,5 @@ func TestOrderIsTotalWithNaN(t *testing.T) {
 		if got := MergeTopK(lists, 1); len(got) != 1 || got[0].Score != 0.2 {
 			t.Errorf("MergeTopK(%v) = %v, want score 0.2", lists, got)
 		}
-	}
-}
-
-// TestRankOfMatchesRankAll: the counted rank is the position the full
-// ranking gives, ties included, and costs no allocation.
-func TestRankOfMatchesRankAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
-		ids := rng.Perm(n)
-		scores := make(map[int]float64, n)
-		for _, id := range ids {
-			scores[id] = float64(rng.Intn(4))
-		}
-		for r, id := range RankAll(ids, scoreOf(scores)) {
-			if got, ok := RankOf(ids, scoreOf(scores), id); !ok || got != r {
-				t.Fatalf("trial %d: RankOf(%d) = %d, %v, want %d", trial, id, got, ok, r)
-			}
-		}
-		if _, ok := RankOf(ids, scoreOf(scores), n); ok {
-			t.Fatalf("trial %d: a non-candidate was ranked", trial)
-		}
-	}
-	ids, scores := rng.Perm(1000), make([]float64, 1000)
-	for i := range scores {
-		scores[i] = rng.Float64()
-	}
-	score := func(id int) float64 { return scores[id] }
-	if a := testing.AllocsPerRun(10, func() { RankOf(ids, score, 500) }); a != 0 {
-		t.Errorf("RankOf allocates %v times per call, want 0", a)
 	}
 }

@@ -49,6 +49,11 @@ func TestBagFormsMatchMapForm(t *testing.T) {
 	var bb text.BagBuilder
 	fresh := text.NewVocabulary()
 	freshRef := text.NewVocabulary()
+	ids := make(map[string]int, d.Vocab.Size())
+	for id, term := range d.Vocab.Terms() {
+		ids[term] = id
+	}
+	known := func(tok string) (int, bool) { id, ok := ids[tok]; return id, ok }
 	for j, task := range d.Tasks {
 		tokens := append([]string(nil), task.Tokens...)
 		if j%2 == 1 {
@@ -58,7 +63,7 @@ func TestBagFormsMatchMapForm(t *testing.T) {
 				}
 			}
 		}
-		want := mapBag(tokens, d.Vocab.ID)
+		want := mapBag(tokens, known)
 		if got := text.NewBagKnown(d.Vocab, tokens); !reflect.DeepEqual(got, want) {
 			t.Fatalf("task %d: NewBagKnown = %+v, map form %+v", j, got, want)
 		}
@@ -72,7 +77,7 @@ func TestBagFormsMatchMapForm(t *testing.T) {
 		// Generated terms are spelled "c09_t0179" and the tokeniser
 		// splits on '_': respell them so the text survives it whole.
 		safe := strings.ReplaceAll(strings.Join(tokens, " "), "_", "")
-		wantText := mapBag(text.Tokenize(safe), d.Vocab.ID)
+		wantText := mapBag(text.Tokenize(safe), known)
 		if got := bb.KnownText(d.Vocab, safe); !sameTerms(got, wantText) {
 			t.Fatalf("task %d: BagBuilder.KnownText = %+v, map form %+v", j, got, wantText)
 		}
@@ -81,7 +86,7 @@ func TestBagFormsMatchMapForm(t *testing.T) {
 			t.Fatalf("task %d: NewBag = %+v, map form %+v", j, got, wantNew)
 		}
 	}
-	if got, want := text.NewBagKnown(d.Vocab, nil), mapBag(nil, d.Vocab.ID); !reflect.DeepEqual(got, want) {
+	if got, want := text.NewBagKnown(d.Vocab, nil), mapBag(nil, known); !reflect.DeepEqual(got, want) {
 		t.Errorf("empty NewBagKnown = %#v, map form %#v", got, want)
 	}
 }

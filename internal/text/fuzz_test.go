@@ -32,7 +32,7 @@ func FuzzTokenize(f *testing.F) {
 			if tok != strings.ToLower(tok) {
 				t.Fatalf("token %q not lower-case", tok)
 			}
-			if IsStopword(tok) {
+			if stopwords[tok] {
 				t.Fatalf("stopword %q survived", tok)
 			}
 			for _, r := range tok {
@@ -71,10 +71,6 @@ func FuzzBagOps(f *testing.F) {
 		if j := Jaccard(b1, b2); j < 0 || j > 1 {
 			t.Fatalf("jaccard out of range: %v", j)
 		}
-		m := b1.Merge(b2)
-		if m.Total() != b1.Total()+b2.Total() {
-			t.Fatalf("merge total %v != %v + %v", m.Total(), b1.Total(), b2.Total())
-		}
 	})
 }
 
@@ -88,7 +84,7 @@ func refBagKnown(v *Vocabulary, s string) Bag {
 	})
 	counts := make(map[int]float64)
 	for _, f := range fields {
-		if id, ok := v.ID(f); ok && !stopwords[f] {
+		if id, ok := v.byTerm[f]; ok && !stopwords[f] {
 			counts[id]++
 		}
 	}

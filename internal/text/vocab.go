@@ -36,12 +36,6 @@ func (v *Vocabulary) Intern(term string) int {
 	return id
 }
 
-// ID returns the id for term and whether it is known.
-func (v *Vocabulary) ID(term string) (int, bool) {
-	id, ok := v.byTerm[term]
-	return id, ok
-}
-
 // Term returns the term with the given id. It panics on an unknown id.
 func (v *Vocabulary) Term(id int) string { return v.terms[id] }
 
@@ -68,10 +62,6 @@ var stopwords = map[string]bool{
 	"which": true, "who": true, "why": true, "will": true, "with": true,
 	"you": true, "your": true,
 }
-
-// IsStopword reports whether the (lower-case) term is in the stopword
-// list used by Tokenize.
-func IsStopword(term string) bool { return stopwords[term] }
 
 // isSeparator is the token boundary rule: any rune that is not a
 // letter, a digit, '+' or '#'. Tokenize and the one-pass bag builder
@@ -151,15 +141,6 @@ func (b Bag) Total() float64 {
 	return s
 }
 
-// Count returns the count of term id, or 0 when absent.
-func (b Bag) Count(id int) float64 {
-	i := sort.SearchInts(b.IDs, id)
-	if i < len(b.IDs) && b.IDs[i] == id {
-		return b.Counts[i]
-	}
-	return 0
-}
-
 // Dot returns the sparse inner product of two bags.
 func (b Bag) Dot(o Bag) float64 {
 	var s float64
@@ -198,33 +179,6 @@ func (b Bag) Cosine(o Bag) float64 {
 	return b.Dot(o) / (nb * no)
 }
 
-// Merge returns the union bag with counts added, i.e. the worker
-// history tᵢ_w = ∪ tⱼ of §7.2.1.
-func (b Bag) Merge(o Bag) Bag {
-	out := Bag{
-		IDs:    make([]int, 0, len(b.IDs)+len(o.IDs)),
-		Counts: make([]float64, 0, len(b.IDs)+len(o.IDs)),
-	}
-	i, j := 0, 0
-	for i < len(b.IDs) && j < len(o.IDs) {
-		switch {
-		case b.IDs[i] < o.IDs[j]:
-			out.IDs, out.Counts = append(out.IDs, b.IDs[i]), append(out.Counts, b.Counts[i])
-			i++
-		case b.IDs[i] > o.IDs[j]:
-			out.IDs, out.Counts = append(out.IDs, o.IDs[j]), append(out.Counts, o.Counts[j])
-			j++
-		default:
-			out.IDs, out.Counts = append(out.IDs, b.IDs[i]), append(out.Counts, b.Counts[i]+o.Counts[j])
-			i++
-			j++
-		}
-	}
-	out.IDs = append(append(out.IDs, b.IDs[i:]...), o.IDs[j:]...)
-	out.Counts = append(append(out.Counts, b.Counts[i:]...), o.Counts[j:]...)
-	return out
-}
-
 // Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of the two
 // bags' term sets. Two empty bags have similarity 1.
 func Jaccard(a, b Bag) float64 {
@@ -248,6 +202,3 @@ func Jaccard(a, b Bag) float64 {
 	union := len(a.IDs) + len(b.IDs) - inter
 	return float64(inter) / float64(union)
 }
-
-// JaccardDistance returns 1 − Jaccard(a, b).
-func JaccardDistance(a, b Bag) float64 { return 1 - Jaccard(a, b) }
