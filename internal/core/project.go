@@ -300,7 +300,7 @@ func (m *Model) UpdateWorkerSkillDrift(worker int, cats []TaskCategory, scores [
 		nu2[kk] = 1 / (1/widened[kk] + quad[kk]*invTau2)
 	}
 	// Commit both moments as a swap of fresh slices: a reader holding a
-	// reference from Skills never observes in-place mutation.
+	// LambdaW row never observes in-place mutation.
 	m.LambdaW[worker] = lw
 	m.NuW2[worker] = nu2
 	return nil

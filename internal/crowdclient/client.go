@@ -716,8 +716,8 @@ func (c *Client) Query(ctx context.Context, q string) (json.RawMessage, error) {
 
 // ReadyStatus fetches the full readiness payload (GET /readyz),
 // including the server's replication role and lag when it reports
-// them. Unlike Ready it decodes the body, so operators and the Multi
-// client can tell a primary from a replica.
+// them, so operators and the Multi client can tell a primary from a
+// replica.
 func (c *Client) ReadyStatus(ctx context.Context) (crowddb.ReadyzResponse, error) {
 	var out crowddb.ReadyzResponse
 	err := c.get(ctx, "/readyz", &out)
