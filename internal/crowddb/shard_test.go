@@ -79,10 +79,10 @@ func TestShardOfWorkerDeterministicAndComplete(t *testing.T) {
 	}
 }
 
-// TestShardOfWorkerOwnsEveryIDOnce: the shards of a fleet partition the
+// TestPartitionWorkersCoversEveryID: the shards of a fleet partition the
 // crowd — every worker id is owned by exactly one ShardSpec, the one
 // ShardOfWorker names — and an unsharded spec owns them all.
-func TestShardOfWorkerOwnsEveryIDOnce(t *testing.T) {
+func TestPartitionWorkersCoversEveryID(t *testing.T) {
 	for id := 0; id < 1400; id += 7 {
 		owners := 0
 		for i := 0; i < 4; i++ {
