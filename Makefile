@@ -123,7 +123,7 @@ fuzz-backup:
 
 # The crash-injection durability suite under the race detector.
 crash:
-	$(GO) test -race -run 'TestCrashRecoveryLosesNothing|TestTornWriteTable' -v ./internal/crowddb
+	$(GO) test -race -run 'TestCrashRecoveryLosesNothing|TestTornWriteTable|TestCompactionKeepsAckedWrites|TestFailedGenerationWriteSeals|TestJournalPastNewestSnapshot' -v ./internal/crowddb
 
 # The network/disk chaos suite (faultnet + faultfs through a real
 # client) and the proxy's own tests, under the race detector.
@@ -162,12 +162,13 @@ tenants:
 
 # The integrity suite (DESIGN.md §14) under the race detector: digest
 # determinism across replay/replication/compaction, the background
-# scrubber's corruption detection and heal, the boot fallback past a
-# corrupt checkpoint, heartbeat anti-entropy (divergence quarantine +
-# forced re-bootstrap), the supervisor's refusal of unsafe standbys,
+# scrubber's corruption detection and heal, the boot's refusal of a
+# generation that fails the same verification (and a follower's
+# re-bootstrap past one), heartbeat anti-entropy (divergence quarantine
+# + forced re-bootstrap), the supervisor's refusal of unsafe standbys,
 # and the at-rest corruption chaos drills.
 scrub:
-	$(GO) test -race -run 'TestDigest|TestReplicatedDigest|TestScrub|TestBootFallsBack|TestHeartbeatDigest|TestReadyzAndMetricsCarryIntegrity|TestMetricsIntegritySchema|TestAtRestCorruption|TestSupervisorRefusesUnsafeStandby|TestSupervisorUnsafeFlagClears|TestChaosFollowerAtRestCorruption|TestChaosPrimaryScrubber' -v ./internal/crowddb/ ./internal/faultfs/ ./internal/fleet/ ./internal/chaos/
+	$(GO) test -race -run 'TestDigest|TestReplicatedDigest|TestScrub|TestBootRefuses|TestOpenRefuses|TestReplicaBootstrapsPast|TestHeartbeatDigest|TestReadyzAndMetricsCarryIntegrity|TestMetricsIntegritySchema|TestAtRestCorruption|TestSupervisorRefusesUnsafeStandby|TestSupervisorUnsafeFlagClears|TestChaosFollowerAtRestCorruption|TestChaosPrimaryScrubber' -v ./internal/crowddb/ ./internal/faultfs/ ./internal/fleet/ ./internal/chaos/
 
 # The backup & disaster-recovery suite (DESIGN.md §15) under the race
 # detector: archive round-trip, incremental chains, point-in-time

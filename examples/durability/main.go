@@ -4,8 +4,8 @@
 // and shuts down cleanly. The second lifetime reopens the same
 // directory and restores everything — store rows, and the skill
 // posteriors the feedback taught the model — without retraining,
-// by loading the model checkpoint and replaying the journal through
-// the manager's feedback path (DESIGN.md §7).
+// through DB.RecoverWith: the verified model checkpoint, then the
+// journal replayed through the manager's feedback path (DESIGN.md §7).
 //
 // This is the same lifecycle cmd/crowdd runs behind its -data-dir
 // flag, driven in process through internal/crowddb.
@@ -122,24 +122,23 @@ func main() {
 	if db2.Fresh() {
 		log.Fatal("expected persisted state in the data directory")
 	}
-	d2, err := corpus.LoadFile(db2.DatasetPath())
+	// RecoverWith is the one boot of a written generation: it hands the
+	// model checkpoint Open verified to the builder, wires the built
+	// stack into compaction and replays the journal tail, resolve events
+	// flowing through the manager's feedback path to rebuild the exact
+	// skill posteriors.
+	var d2 *corpus.Dataset
+	mgr2, _, err := db2.RecoverWith(func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
+		d, err := corpus.LoadFile(datasetPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		d2 = d
+		cm := core.NewConcurrentModel(model)
+		mgr, err := crowddb.NewManager(store, d.Vocab, cm, 3)
+		return mgr, cm, err
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	model2, err := db2.LoadModel()
-	if err != nil {
-		log.Fatal(err)
-	}
-	cm2 := core.NewConcurrentModel(model2)
-	mgr2, err := crowddb.NewManager(db2.Store(), d2.Vocab, cm2, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	db2.SetModelSnapshotter(cm2.Save)
-	db2.SetQuiescer(mgr2.Quiesce)
-	// Replay the journal tail; resolve events flow through the
-	// manager's feedback path, rebuilding the exact skill posteriors.
-	if err := db2.Recover(mgr2.ApplySkillFeedback); err != nil {
 		log.Fatal(err)
 	}
 	st2 := db2.Stats()

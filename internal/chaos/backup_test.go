@@ -38,8 +38,20 @@ func bootBackupNode(t *testing.T, dir string, d *corpus.Dataset, m *core.Model) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cm *core.ConcurrentModel
-	if db.Fresh() {
+	var (
+		cm  *core.ConcurrentModel
+		mgr *crowddb.Manager
+	)
+	if !db.Fresh() {
+		mgr, cm, err = db.RecoverWith(func(_ string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
+			cm := core.NewConcurrentModel(model)
+			mgr, err := crowddb.NewManager(store, d.Vocab, cm, 2)
+			return mgr, cm, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	} else {
 		cm = core.NewConcurrentModel(m)
 		for i := range d.Workers {
 			if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
@@ -49,25 +61,14 @@ func bootBackupNode(t *testing.T, dir string, d *corpus.Dataset, m *core.Model) 
 		if err := d.SaveFile(db.DatasetPath()); err != nil {
 			t.Fatal(err)
 		}
-	} else {
-		restored, err := db.LoadModel()
-		if err != nil {
+		if mgr, err = crowddb.NewManager(db.Store(), d.Vocab, cm, 2); err != nil {
 			t.Fatal(err)
 		}
-		cm = core.NewConcurrentModel(restored)
-	}
-	mgr, err := crowddb.NewManager(db.Store(), d.Vocab, cm, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetModelSnapshotter(cm.Save)
-	db.SetQuiescer(mgr.Quiesce)
-	if db.Fresh() {
+		db.SetModelSnapshotter(cm.Save)
+		db.SetQuiescer(mgr.Quiesce)
 		if err := db.Begin(); err != nil {
 			t.Fatal(err)
 		}
-	} else if err := db.Recover(mgr.ApplySkillFeedback); err != nil {
-		t.Fatal(err)
 	}
 	srv := crowddb.NewServer(mgr)
 	cutter := crowddb.NewDigestCutter(db, mgr)

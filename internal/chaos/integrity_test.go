@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -19,8 +18,8 @@ import (
 
 // corruptModelValue flips one stored posterior digit inside an at-rest
 // model checkpoint, keeping the JSON parseable: the damage survives a
-// parse-validating boot and is only observable as a wrong value — the
-// exact rot the digest heartbeat exists to catch.
+// parse and is only observable as bytes that no longer match the
+// digest stamped when the file was written.
 func corruptModelValue(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -48,12 +47,15 @@ func corruptModelValue(t *testing.T, path string) {
 
 // TestChaosFollowerAtRestCorruptionQuarantineAndRepair is the headline
 // integrity drill. A follower is stopped, one posterior digit in its
-// at-rest model checkpoint is flipped (still valid JSON, so recovery
-// replays it without complaint), and the follower restarts over the
-// rotted state. The digest-carrying heartbeat catches the divergence
-// as soon as positions match, the follower quarantines itself, forces
-// a re-bootstrap through the snapshot stream, and converges back to a
-// byte-identical model with every acked mutation applied exactly once.
+// at-rest model checkpoint is flipped (still valid JSON), and the
+// follower restarts. Its boot verifies the checkpoint against the
+// digest stamped at its cut, refuses it, and quarantines the rotten
+// generation on disk while the follower repairs itself at start-up:
+// a bootstrap from the primary installed as the next generation. The
+// rotten value is never served — the follower comes up byte-identical
+// to the primary — and every acked mutation is applied exactly once.
+// Detection of state that rots in memory, and the refused promotion
+// while quarantined, is TestHeartbeatDigestDetectsDivergenceAndRepairs.
 func TestChaosFollowerAtRestCorruptionQuarantineAndRepair(t *testing.T) {
 	primary := newReplPrimary(t)
 	ctx := context.Background()
@@ -89,37 +91,30 @@ func TestChaosFollowerAtRestCorruptionQuarantineAndRepair(t *testing.T) {
 	if err := rep.Close(); err != nil {
 		t.Fatal(err)
 	}
-	corruptModelValue(t, filepath.Join(dir, fmt.Sprintf("model-%08d.json", gen)))
+	rotten := filepath.Join(dir, fmt.Sprintf("model-%08d.json", gen))
+	corruptModelValue(t, rotten)
 
-	// Phase 3: the follower restarts over the rotted checkpoint.
-	// Recovery parses it fine — nothing is locally wrong — but the
-	// first digest heartbeat at matching positions exposes it.
-	rep2, ts2 := startFollowerDir(t, primary.ts.URL, dir)
-	waitFor(t, "divergence detected by heartbeat", func() bool {
-		return rep2.Status().Divergences >= 1
-	})
-
-	// While quarantined the follower refuses promotion with the typed
-	// 409; the auto-repair races this probe, so a success is accepted
-	// only once the quarantine has provably lifted.
-	cli := crowdclient.New(ts2.URL, crowdclient.Options{Timeout: 5 * time.Second})
-	if _, err := cli.Promote(ctx); err != nil {
-		var he *crowdclient.APIError
-		if !errors.As(err, &he) || he.StatusCode != http.StatusConflict || he.Code != "replica_diverged" {
-			t.Fatalf("promote while diverged = %v, want 409 replica_diverged", err)
-		}
-	} else if st := rep2.Status(); st.Diverged {
-		t.Fatalf("promotion succeeded while still quarantined: %+v", st)
-	} else {
-		t.Fatal("promotion succeeded before the repair completed")
+	// Phase 3: the restarted follower refuses the rotted generation and
+	// repairs at boot. Once it has applied the records since the
+	// primary's snapshot it equals the primary, before any further
+	// traffic: the rotten checkpoint was never loaded.
+	rep2, _ := startFollowerDir(t, primary.ts.URL, dir)
+	st := rep2.Status()
+	if st.Bootstraps < 1 {
+		t.Fatalf("restarted follower did not bootstrap: %+v", st)
+	}
+	if got := rep2.DB().Generation(); got != gen+1 {
+		t.Fatalf("repair installed generation %d, want %d beside the rotten one", got, gen+1)
+	}
+	if _, err := os.Stat(rotten); err != nil {
+		t.Fatalf("the rotten generation was deleted before the primary answered: %v", err)
+	}
+	waitFor(t, "follower applied the primary's journal tail", caughtUp(rep2.Replica))
+	if !bytes.Equal(modelBytes(t, primary.cm), modelBytes(t, rep2.cm)) {
+		t.Fatal("follower booted a model that is not the primary's")
 	}
 
-	// Phase 4: forced re-bootstrap repairs it; more acked traffic, then
-	// byte-identical convergence.
-	waitFor(t, "quarantine lifted by re-bootstrap", func() bool {
-		st := rep2.Status()
-		return st.Repairs >= 1 && !st.Diverged
-	})
+	// Phase 4: more acked traffic, then byte-identical convergence.
 	for i := 0; i < 3; i++ {
 		text := fmt.Sprintf("post-repair question %d about join ordering", i)
 		acked[resolveVia(t, ctx, multi, text)] = text
@@ -147,6 +142,9 @@ func TestChaosFollowerAtRestCorruptionQuarantineAndRepair(t *testing.T) {
 	}
 	if gotCut != wantCut {
 		t.Fatalf("digests disagree after repair:\nprimary %+v\nfollower %+v", wantCut, gotCut)
+	}
+	if st := rep2.Status(); st.Divergences != 0 {
+		t.Fatalf("a heartbeat saw the follower diverge: %+v", st)
 	}
 }
 

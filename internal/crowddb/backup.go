@@ -465,8 +465,9 @@ type RestoreResult struct {
 // a journal holding the archived records, then the dataset, model
 // checkpoint, replication sidecar and store snapshot through the one
 // generation writer compaction uses, so the sidecar's digest stamps are
-// the hashes of the exact bytes written. Booting the directory
-// (RecoverWith) then replays it — replay determinism (DESIGN §14) makes
+// the hashes of the exact bytes written, and the boot verifies the
+// generation against them (Open) before RecoverWith replays the
+// journal — replay determinism (DESIGN §14) makes
 // the restored node byte-identical to the source at the backup seq:
 // same digest, able to serve, re-seed followers, and join supervision.
 // The directory must not exist or must be empty, and a refused restore
@@ -539,8 +540,9 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 	}
 
 	// The journal lands before the generation's commit point, so a
-	// crash mid-restore leaves a directory that refuses to boot, never
-	// one that boots without its records.
+	// crash mid-restore leaves a journal with no snapshot, which Open
+	// refuses: never a directory that boots without its records, or
+	// that reads as fresh.
 	const gen = 1
 	if err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(journalPattern, gen)), fromBytes(journal.Bytes())); err != nil {
 		return nil, err
@@ -611,8 +613,9 @@ type BackupVerifyReport struct {
 // VerifyBackup proves an archive chain offline, without a running
 // node: every frame's CRC and the segment grammar (via the walker),
 // then — when the chain starts with a full segment — exactly what a
-// restore boots: RestoreBackup into the scratch directory, the
-// manifest's tenant stamped, RecoverWith, and a digest cut compared
+// restore boots: RestoreBackup into the scratch directory, Open (which
+// verifies the generation against its stamps), the manifest's tenant
+// stamped, RecoverWith, and a digest cut compared
 // against the final manifest's stamps. Any flipped bit fails one of
 // them: CRC catches payload damage, the digest anything subtler, and a
 // record that does not apply fails the boot's replay (*CorruptError).

@@ -1,6 +1,8 @@
 package crowddb
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,22 +23,24 @@ import (
 // store.go and journal.go: a data directory of numbered generations,
 // each an atomic snapshot of the crowd database plus the model's
 // skill posteriors, followed by a checksummed journal of everything
-// since. Recovery restores the newest valid generation and replays
-// its journal — including routing resolve events back through the
-// manager's feedback path so LambdaW/NuW2 match the pre-crash model.
+// since. A boot verifies the newest generation (verifyGeneration, as
+// the scrubber does) and replays its journal — including routing
+// resolve events back through the manager's feedback path so
+// LambdaW/NuW2 match the pre-crash model.
 //
 // Data directory layout (generation g):
 //
 //	snapshot-%08d.json   store snapshot (the generation's commit point)
 //	model-%08d.json      model posteriors as of the snapshot
+//	repl-%08d.json       replication sidecar: position, fencing epochs, digest stamps
 //	journal-%08d.wal     framed mutations since the snapshot
 //	dataset.json         vocabulary source: the daemon's, or installed with a generation
 //
-// Compaction writes generation g+1 through writeGeneration (model
-// first, then the snapshot — the rename of snapshot-%08d.json commits
-// the generation), rotates the journal, and removes older generations.
-// A crash between any two steps leaves either generation fully usable.
-// Restore and a fresh follower write their generation 1 through the
+// Compaction opens journal g+1, writes generation g+1 through
+// writeGeneration (the rename of snapshot-%08d.json commits it),
+// switches appends to the new journal, and removes older generations.
+// A crash between any two steps boots one generation with every acked
+// record. Restore and a follower write their generation through the
 // same function, and every boot of a written generation is RecoverWith.
 
 const (
@@ -53,12 +57,12 @@ type DurabilityStats struct {
 	BytesWritten   atomic.Int64
 	Fsyncs         atomic.Int64
 	Compactions    atomic.Int64
-	// RecoveryMillis is the wall time of the last Recover call.
+	// RecoveryMillis is the wall time of the boot's journal replay.
 	RecoveryMillis atomic.Int64
-	// RecoveredRecords is how many journal records the last Recover
-	// replayed on top of the snapshot.
+	// RecoveredRecords is how many journal records the boot replayed
+	// on top of the snapshot.
 	RecoveredRecords atomic.Int64
-	// TornTailTruncated reports whether the last Recover discarded a
+	// TornTailTruncated reports whether the boot discarded a
 	// torn final record (1) or not (0).
 	TornTailTruncated atomic.Int64
 	// DegradedEnters / DegradedExits count transitions into and out of
@@ -110,8 +114,8 @@ type Options struct {
 	// degraded (default 1s).
 	ProbeInterval time.Duration
 	// ScrubInterval is how often the background scrubber re-verifies
-	// the at-rest files of the current generation (journal CRCs,
-	// snapshot and model-checkpoint digests). 0 disables scrubbing.
+	// the current generation at rest (journal CRCs, verifyGeneration),
+	// stretched so a pass runs at most a tenth of the time. 0 disables.
 	ScrubInterval time.Duration
 	// Logf receives lifecycle notices (recovery, compaction). nil is
 	// silent.
@@ -137,20 +141,21 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// DB manages a crowd database rooted in a data directory: snapshot
-// restore on open, journal replay on Recover, appends under the sync
-// policy, and periodic compaction. Mutations go through Store() as
-// usual; the DB owns the files.
+// DB manages a crowd database rooted in a data directory: a verified
+// snapshot restore on open, journal replay on RecoverWith, appends
+// under the sync policy, and periodic compaction. Mutations go through
+// Store() as usual; the DB owns the files.
 type DB struct {
 	dir   string
 	opts  Options
 	store *Store
 	stats DurabilityStats
 
-	mu        sync.Mutex // generation state: gen, jw, live
+	mu        sync.Mutex // generation state: gen, jw, live, model
 	gen       uint64
 	jw        *journalWriter
 	live      bool
+	model     *core.Model // the checkpoint Open verified, until RecoverWith takes it
 	saveModel func(io.Writer) error
 	quiesce   func(func() error) error
 
@@ -174,12 +179,14 @@ type DB struct {
 	repl replState
 }
 
-// Open scans dir (creating it if needed), restores the newest valid
-// snapshot generation into a fresh store, and returns a DB that is
-// not yet accepting journaled writes: boot it with RecoverWith (load
-// the model, wire the manager, Recover) — or, for an empty directory,
-// populate the store and call Begin. Invalid newer generations are
-// skipped in favour of older intact ones.
+// Open scans dir (creating it if needed), verifies its newest
+// generation — the highest snapshot-%08d.json — with verifyGeneration,
+// and returns a DB holding that generation's store and model, not yet
+// accepting journaled writes: boot it with RecoverWith, or, for an
+// empty directory, populate the store and call Begin. Any finding (a
+// generation that fails verification, an unparseable sidecar, a
+// journal no snapshot accounts for) is a *ScrubError naming the file,
+// and nothing is rewritten. Older generations are never booted instead.
 func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("crowddb: open %s: %w", dir, err)
@@ -194,55 +201,103 @@ func Open(dir string, opts Options) (*DB, error) {
 		stopc: make(chan struct{}),
 		kick:  make(chan struct{}, 1),
 	}
-	gens, err := listGenerations(dir)
+	gens, journals, err := listGenerations(dir)
 	if err != nil {
 		return nil, err
 	}
-	for i := len(gens) - 1; i >= 0; i-- {
-		g := gens[i]
-		s := NewStore()
-		if err := s.RestoreSnapshotFile(filepath.Join(dir, fmt.Sprintf(snapshotPattern, g))); err != nil {
-			opts.logf("crowddb: generation %d snapshot unusable (%v); falling back", g, err)
-			continue
-		}
-		// A generation is only usable if its model checkpoint parses
-		// too: the caller loads it right after Open, and failing open
-		// here would strand an older intact generation behind one rotten
-		// file. Directories that never checkpoint a model are fine.
-		mpath := filepath.Join(dir, fmt.Sprintf(modelPattern, g))
-		if _, err := os.Stat(mpath); err == nil {
-			if _, merr := core.LoadModelFile(mpath); merr != nil {
-				opts.logf("crowddb: generation %d model checkpoint unusable (%v); falling back", g, merr)
-				continue
-			}
-		}
-		db.store = s
-		db.gen = g
-		break
+	if len(gens) > 0 {
+		db.gen = gens[len(gens)-1]
 	}
-	db.loadReplState()
+	// A journal past the newest snapshot is an interrupted restore or a
+	// generation that lost its snapshot, unless it is the empty one of
+	// a compaction cut short before its commit.
+	for g, size := range journals {
+		if g > db.gen && (db.gen == 0 || size > 0) {
+			return nil, &ScrubError{Path: db.journalPath(g), Err: errors.New("journal past the newest snapshot")}
+		}
+	}
+	var sc replSidecar
+	if db.gen != 0 {
+		if sc, err = loadSidecar(db.replSidecarPath(db.gen)); err != nil {
+			return nil, err
+		}
+		if db.store, db.model, err = verifyGeneration(dir, db.gen, sc); err != nil {
+			return nil, err
+		}
+	}
+	db.loadReplState(sc)
 	return db, nil
 }
 
 // listGenerations returns the generation numbers with a snapshot file
-// present, ascending.
-func listGenerations(dir string) ([]uint64, error) {
+// present, ascending, and the size of every journal file by generation.
+func listGenerations(dir string) (gens []uint64, journals map[uint64]int64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("crowddb: scan %s: %w", dir, err)
+		return nil, nil, fmt.Errorf("crowddb: scan %s: %w", dir, err)
 	}
-	var gens []uint64
+	journals = map[uint64]int64{}
 	for _, e := range entries {
 		var g uint64
 		if _, err := fmt.Sscanf(e.Name(), snapshotPattern, &g); err == nil {
 			gens = append(gens, g)
+		} else if _, err := fmt.Sscanf(e.Name(), journalPattern, &g); err == nil {
+			if info, err := e.Info(); err == nil { // else removed mid-scan
+				journals[g] = info.Size()
+			}
 		}
 	}
 	sort.Slice(gens, func(a, b int) bool { return gens[a] < gens[b] })
-	return gens, nil
+	return gens, journals, nil
 }
 
-// Store returns the crowd database. Before Recover/Begin it holds the
+// verifyGeneration is the one check of a written generation, run by
+// every boot and every scrub pass: it reads generation g's snapshot
+// and model checkpoint once each, compares each file's SHA-256 with its
+// stamp in sc when set, and parses it. The model may be absent (a nil
+// model) only when unstamped: a store-only or pre-digest generation.
+// Every finding is a *ScrubError naming the file.
+func verifyGeneration(dir string, g uint64, sc replSidecar) (*Store, *core.Model, error) {
+	spath := filepath.Join(dir, fmt.Sprintf(snapshotPattern, g))
+	data, err := readStamped(spath, sc.StoreDigest)
+	if err != nil {
+		return nil, nil, err
+	}
+	store := NewStore()
+	if err := store.RestoreSnapshot(bytes.NewReader(data)); err != nil {
+		return nil, nil, &ScrubError{Path: spath, Err: err}
+	}
+	mpath := filepath.Join(dir, fmt.Sprintf(modelPattern, g))
+	data, err = readStamped(mpath, sc.ModelDigest)
+	if err != nil {
+		if sc.ModelDigest == "" && errors.Is(err, os.ErrNotExist) {
+			return store, nil, nil
+		}
+		return nil, nil, err
+	}
+	model, err := core.LoadModel(bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, &ScrubError{Path: mpath, Err: err}
+	}
+	return store, model, nil
+}
+
+// readStamped reads path whole and, when stamp is set, checks the
+// bytes' SHA-256 against it.
+func readStamped(path, stamp string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, &ScrubError{Path: path, Err: err}
+	}
+	if stamp != "" {
+		if got := sha256Hex(data); got != stamp {
+			return nil, &ScrubError{Path: path, Err: fmt.Errorf("digest %s, sidecar stamped %s", got, stamp)}
+		}
+	}
+	return data, nil
+}
+
+// Store returns the crowd database. Before RecoverWith/Begin it holds the
 // restored snapshot only; mutations are journaled once the DB is
 // live.
 func (db *DB) Store() *Store { return db.store }
@@ -255,8 +310,9 @@ func (db *DB) Generation() uint64 {
 	return db.gen
 }
 
-// Fresh reports whether Open found no usable snapshot — the caller
-// must bootstrap state and call Begin instead of Recover.
+// Fresh reports whether Open found no snapshot and no journal file:
+// the caller must bootstrap state and call Begin instead of
+// RecoverWith.
 func (db *DB) Fresh() bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -270,26 +326,6 @@ func (db *DB) Fresh() bool {
 // builders and tools agree.
 func (db *DB) DatasetPath() string {
 	return filepath.Join(db.dir, datasetName)
-}
-
-// ModelPath returns the current generation's model file ("" when
-// fresh).
-func (db *DB) ModelPath() string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.gen == 0 {
-		return ""
-	}
-	return filepath.Join(db.dir, fmt.Sprintf(modelPattern, db.gen))
-}
-
-// LoadModel reads the model checkpoint of the restored generation.
-func (db *DB) LoadModel() (*core.Model, error) {
-	path := db.ModelPath()
-	if path == "" {
-		return nil, errors.New("crowddb: no model checkpoint in a fresh data directory")
-	}
-	return core.LoadModelFile(path)
 }
 
 // SetModelSnapshotter installs the function that serializes the
@@ -312,16 +348,40 @@ func (db *DB) SetQuiescer(q func(func() error) error) {
 	db.quiesce = q
 }
 
-// Recover replays the restored generation's journal into the store —
-// routing each resolve through onResolve so the caller can rebuild
-// skill posteriors — truncates a torn tail, then attaches the journal
-// for appends under the sync policy and starts the auto-compaction
-// loop. After Recover returns nil the DB is live.
-func (db *DB) Recover(onResolve func(TaskRecord) error) error {
+// RecoverWith is the one boot of a written generation — a restart, a
+// follower, a restore and verify-backup all come up through it: it
+// hands the model checkpoint Open verified to build, wires the built
+// stack into compaction (SetModelSnapshotter, SetQuiescer) and replays
+// the journal through the manager's feedback path.
+func (db *DB) RecoverWith(build ReplicaBuilder) (*Manager, *core.ConcurrentModel, error) {
+	db.mu.Lock()
+	gen, model := db.gen, db.model
+	db.model = nil
+	db.mu.Unlock()
+	if model == nil {
+		return nil, nil, fmt.Errorf("crowddb: model checkpoint of generation %d: %s: %w",
+			gen, filepath.Join(db.dir, fmt.Sprintf(modelPattern, gen)), os.ErrNotExist)
+	}
+	mgr, cm, err := build(db.DatasetPath(), model, db.store)
+	if err != nil {
+		return nil, nil, err
+	}
+	db.SetModelSnapshotter(cm.Save)
+	db.SetQuiescer(mgr.Quiesce)
+	if err := db.recoverJournal(mgr.applySkillFeedback); err != nil {
+		return nil, nil, err
+	}
+	return mgr, cm, nil
+}
+
+// recoverJournal replays the generation's journal into the store,
+// each resolve through onResolve, truncates a torn tail, attaches the
+// journal for appends and starts the compaction and scrub loops.
+func (db *DB) recoverJournal(onResolve func(TaskRecord) error) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.live {
-		return errors.New("crowddb: Recover on a live DB")
+		return errors.New("crowddb: recovery of a live DB")
 	}
 	start := time.Now()
 	path := db.journalPath(db.gen)
@@ -357,29 +417,6 @@ func (db *DB) Recover(onResolve func(TaskRecord) error) error {
 	return nil
 }
 
-// RecoverWith is the one boot of a restored data directory — a
-// restart, a fresh follower, a restore and verify-backup all come up
-// through it: it loads the generation's model checkpoint, builds the
-// serving stack over the restored store, wires the stack into
-// compaction (SetModelSnapshotter, SetQuiescer) and replays the
-// journal through the manager's feedback path (Recover).
-func (db *DB) RecoverWith(build ReplicaBuilder) (*Manager, *core.ConcurrentModel, error) {
-	model, err := db.LoadModel()
-	if err != nil {
-		return nil, nil, fmt.Errorf("crowddb: model checkpoint of generation %d: %w", db.Generation(), err)
-	}
-	mgr, cm, err := build(db.DatasetPath(), model, db.store)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.SetModelSnapshotter(cm.Save)
-	db.SetQuiescer(mgr.Quiesce)
-	if err := db.Recover(mgr.ApplySkillFeedback); err != nil {
-		return nil, nil, err
-	}
-	return mgr, cm, nil
-}
-
 // Begin makes a freshly bootstrapped DB live: it writes generation 1
 // (model checkpoint + store snapshot), opens an empty journal and
 // starts the auto-compaction loop. The store must already hold the
@@ -391,7 +428,7 @@ func (db *DB) Begin() error {
 		return errors.New("crowddb: Begin on a live DB")
 	}
 	if db.gen != 0 {
-		return errors.New("crowddb: Begin on a restored data directory (use Recover)")
+		return errors.New("crowddb: Begin on a restored data directory (use RecoverWith)")
 	}
 	if err := db.compactLocked(); err != nil {
 		return err
@@ -478,28 +515,29 @@ func (db *DB) compactLocked() error {
 		defer db.store.mu.Unlock()
 		// Read the tenant field directly: Store.Tenant() would self-
 		// deadlock on the write lock held here.
-		tenant := db.store.tenant
-		if tenant == "" {
-			tenant = DefaultTenant
-		}
+		tenant := cmp.Or(db.store.tenant, DefaultTenant)
 		r := &db.repl
 		r.mu.Lock()
 		head := replSidecar{History: r.history, Seq: r.seq, Bytes: r.bytes,
 			FencingEpoch: r.fencingEpoch, FencingObserved: r.fencingObserved}
 		r.mu.Unlock()
-		var err error
-		sc, err = writeGeneration(db.dir, next, generation{
-			model: db.saveModel, store: db.store.snapshotLocked, sidecar: head, tenant: tenant,
-		})
-		if err != nil {
-			return fmt.Errorf("crowddb: compact: %w", err)
-		}
+		// The next journal is open before the snapshot's rename commits
+		// the generation, so a journal that cannot be opened fails the
+		// compaction while appends still belong to the current one.
 		f, err := db.opts.openJournal(db.journalPath(next))
 		if err != nil {
 			return fmt.Errorf("crowddb: compact journal: %w", err)
 		}
-		if err := syncDir(db.dir); err != nil {
+		sc, err = writeGeneration(db.dir, next, generation{
+			model: db.saveModel, store: db.store.snapshotLocked, sidecar: head, tenant: tenant,
+		})
+		if err != nil {
+			// The rename may have committed generation next before the
+			// error, and then appends to the current journal would be
+			// lost to the next boot. Seal mutations until the probe loop
+			// writes generation next again and adopts it.
 			f.Close()
+			db.enterDegraded(err)
 			return fmt.Errorf("crowddb: compact: %w", err)
 		}
 		old := db.jw
@@ -653,13 +691,17 @@ func (db *DB) probe() error {
 }
 
 // removeGenerationsThrough deletes the files of every generation up
-// to and including g, except generations pinned by an open replication
-// bootstrap reader (unpinning sweeps them). Best effort: stale files
-// are ignored by recovery anyway.
+// to and including g — a journal whose snapshot is gone too — except
+// generations pinned by an open replication bootstrap reader
+// (unpinning sweeps them). Best effort: a boot opens only the newest
+// generation.
 func (db *DB) removeGenerationsThrough(g uint64) {
-	gens, err := listGenerations(db.dir)
+	gens, journals, err := listGenerations(db.dir)
 	if err != nil {
 		return
+	}
+	for gen := range journals {
+		gens = append(gens, gen)
 	}
 	for _, gen := range gens {
 		if gen > g || db.replPinned(gen) {
@@ -669,8 +711,6 @@ func (db *DB) removeGenerationsThrough(g uint64) {
 			os.Remove(filepath.Join(db.dir, fmt.Sprintf(pat, gen)))
 		}
 	}
-	// A generation-0 bootstrap has no snapshot, but may have left a
-	// journal (it never does today; keep the sweep simple).
 }
 
 // startAutoCompaction launches the threshold watcher; callers hold

@@ -2,14 +2,19 @@ package crowddb
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
+	"crowdselect/internal/faultfs"
 )
 
 // durableRig is a full durable pipeline over a data directory: DB,
@@ -24,48 +29,48 @@ type durableRig struct {
 // openDurable boots (or re-boots) the durable pipeline in dir. On a
 // fresh directory it registers the dataset's workers and snapshots
 // generation 1 from the supplied model; on a restored directory it
-// loads the model checkpoint and replays the journal through the
-// manager's feedback path.
+// boots through RecoverWith, over d's vocabulary.
 func openDurable(t *testing.T, dir string, d *corpus.Dataset, fresh *core.Model, opts Options) *durableRig {
 	t.Helper()
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cm *core.ConcurrentModel
-	if db.Fresh() {
-		if fresh == nil {
-			t.Fatal("fresh data dir but no model supplied")
-		}
-		cm = core.NewConcurrentModel(fresh)
-		for i := range d.Workers {
-			if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	} else {
-		m, err := db.LoadModel()
-		if err != nil {
+	rig := &durableRig{db: db, d: d}
+	if !db.Fresh() {
+		if rig.mgr, rig.cm, err = db.RecoverWith(datasetBuilder(d)); err != nil {
 			t.Fatal(err)
 		}
-		cm = core.NewConcurrentModel(m)
+		return rig
 	}
-	mgr, err := NewManager(db.Store(), d.Vocab, cm, 2)
-	if err != nil {
+	if fresh == nil {
+		t.Fatal("fresh data dir but no model supplied")
+	}
+	for i := range d.Workers {
+		if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig.cm = core.NewConcurrentModel(fresh)
+	if rig.mgr, err = NewManager(db.Store(), d.Vocab, rig.cm, 2); err != nil {
 		t.Fatal(err)
 	}
-	db.SetModelSnapshotter(cm.Save)
-	db.SetQuiescer(mgr.Quiesce)
-	if db.Fresh() {
-		if err := db.Begin(); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		if err := db.Recover(mgr.ApplySkillFeedback); err != nil {
-			t.Fatal(err)
-		}
+	db.SetModelSnapshotter(rig.cm.Save)
+	db.SetQuiescer(rig.mgr.Quiesce)
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
 	}
-	return &durableRig{db: db, cm: cm, mgr: mgr, d: d}
+	return rig
+}
+
+// datasetBuilder is a ReplicaBuilder over d's vocabulary, whatever
+// dataset file the directory holds.
+func datasetBuilder(d *corpus.Dataset) ReplicaBuilder {
+	return func(_ string, model *core.Model, store *Store) (*Manager, *core.ConcurrentModel, error) {
+		cm := core.NewConcurrentModel(model)
+		mgr, err := NewManager(store, d.Vocab, cm, 2)
+		return mgr, cm, err
+	}
 }
 
 // resolveOneTask pushes one task end to end: submit, both answers,
@@ -232,7 +237,49 @@ func TestCompactionRotatesGenerations(t *testing.T) {
 	assertModelsEqual(t, preModel, rig2.cm.Unwrap())
 }
 
-func TestOpenFallsBackPastCorruptSnapshot(t *testing.T) {
+// dirContents maps every file in dir to its bytes: a refused boot must
+// leave it exactly as it found it.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// assertBootRefused opens dir and fails unless Open refuses with a
+// *ScrubError naming path and leaves every file in dir as it was.
+func assertBootRefused(t *testing.T, dir, path string) {
+	t.Helper()
+	before := dirContents(t, dir)
+	db, err := Open(dir, Options{Sync: SyncAlways()})
+	var se *ScrubError
+	if !errors.As(err, &se) || se.Path != path {
+		if db != nil {
+			t.Errorf("booted generation %d (fresh=%v, %d tasks)", db.Generation(), db.Fresh(), db.Store().NumTasks())
+			db.Close()
+		}
+		t.Fatalf("Open = %v, want a *ScrubError naming %s", err, path)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused boot rewrote the data directory")
+	}
+}
+
+// TestOpenRefusesCorruptNewestSnapshot: the newest snapshot is the only
+// boot candidate. An unparseable one refuses the boot, naming it — an
+// older intact generation beside it is a leftover, not a fallback that
+// would drop whatever was acked after it.
+func TestOpenRefusesCorruptNewestSnapshot(t *testing.T) {
 	d, model := trainedFixture(t)
 	dir := t.TempDir()
 	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
@@ -240,19 +287,173 @@ func TestOpenFallsBackPastCorruptSnapshot(t *testing.T) {
 	if err := rig.db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A corrupt newer snapshot generation must not mask the valid one.
 	bad := filepath.Join(dir, fmt.Sprintf(snapshotPattern, uint64(9)))
 	if err := os.WriteFile(bad, []byte("{not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	assertBootRefused(t, dir, bad)
+}
 
+// TestBootRefusesRottenSoleGeneration: one unparseable byte in the only
+// snapshot refuses the boot. The directory must not read as fresh: a
+// daemon would re-seed it and write a new generation 1 over the acked
+// journal.
+func TestBootRefusesRottenSoleGeneration(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
+	rig.resolveOneTask(t, "acked in the sole generation", []float64{4, 2})
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spath := filepath.Join(dir, fmt.Sprintf(snapshotPattern, uint64(1)))
+	if err := faultfs.OverwriteByte(spath, 0, 'X'); err != nil {
+		t.Fatal(err)
+	}
+	assertBootRefused(t, dir, spath)
+}
+
+// TestOpenRefusesJournalWithoutSnapshot: a directory holding a journal
+// and no snapshot — a restore interrupted before its commit — is not
+// fresh: seeding it would replay the archived records over a new model.
+func TestOpenRefusesJournalWithoutSnapshot(t *testing.T) {
+	d, model := trainedFixture(t)
+	src := t.TempDir()
+	rig := openDurable(t, src, d, model, Options{Sync: SyncAlways()})
+	rig.resolveOneTask(t, "an archived record", []float64{4, 2})
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf(journalPattern, uint64(1))
+	journal, err := os.ReadFile(filepath.Join(src, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertBootRefused(t, dir, filepath.Join(dir, name))
+}
+
+// TestCompactionKeepsAckedWritesWhenNewJournalFails: a compaction whose
+// next journal cannot be opened fails before its commit, so the writes
+// acked after it land in a journal the next boot replays.
+func TestCompactionKeepsAckedWritesWhenNewJournalFails(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	next := filepath.Join(dir, fmt.Sprintf(journalPattern, uint64(2)))
+	opts := Options{Sync: SyncAlways(), OpenJournalFile: func(path string) (JournalFile, error) {
+		if path == next {
+			return nil, errDiskGone
+		}
+		return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	}}
+	rig := openDurable(t, dir, d, model, opts)
+	rig.resolveOneTask(t, "acked before the compaction", []float64{4, 2})
+	if err := rig.db.Compact(); !errors.Is(err, errDiskGone) {
+		t.Fatalf("Compact = %v, want the journal open failure", err)
+	}
+	if gen := rig.db.Generation(); gen != 1 {
+		t.Fatalf("failed compaction moved the DB to generation %d", gen)
+	}
+	rig.resolveOneTask(t, "acked after the failed compaction", []float64{5, 3})
+	live := rig.db.Store().NumTasks()
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	rig2 := openDurable(t, dir, d, nil, Options{Sync: SyncAlways()})
 	defer rig2.db.Close()
-	if rig2.db.Generation() != 1 {
-		t.Fatalf("recovered generation %d, want fallback to 1", rig2.db.Generation())
+	if got := rig2.db.Store().NumTasks(); got != live {
+		t.Fatalf("reboot holds %d tasks, %d were acked", got, live)
 	}
-	if rig2.db.Store().NumTasks() != 1 {
-		t.Errorf("fallback recovery lost the journaled task")
+}
+
+// TestJournalPastNewestSnapshot: a compaction opens its journal before
+// its commit, so a crash in between leaves an empty journal past the
+// newest snapshot. That leftover boots, and the next compaction reuses
+// it; a journal there that holds records lost its snapshot and refuses
+// the boot.
+func TestJournalPastNewestSnapshot(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
+	rig.resolveOneTask(t, "acked in generation one", []float64{4, 2})
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(dir, fmt.Sprintf(journalPattern, uint64(2)))
+	if err := os.WriteFile(next, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rig = openDurable(t, dir, d, nil, Options{Sync: SyncAlways()})
+	if gen, n := rig.db.Generation(), rig.db.Store().NumTasks(); gen != 1 || n != 1 {
+		t.Fatalf("booted generation %d with %d tasks, want 1 with 1", gen, n)
+	}
+	snap1 := filepath.Join(dir, fmt.Sprintf(snapshotPattern, uint64(1)))
+	saved, err := os.ReadFile(snap1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rig.resolveOneTask(t, "acked in generation two", []float64{5, 3})
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Generation 2 loses its snapshot, and generation 1's, left behind
+	// by an interrupted sweep, is all that remains before its journal.
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf(snapshotPattern, uint64(2)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap1, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertBootRefused(t, dir, next)
+}
+
+// TestFailedGenerationWriteSealsUntilHealed: a compaction whose
+// generation write fails may have committed by its rename before the
+// error, so the DB stops acknowledging into the current journal. The
+// probe loop writes the generation again, reusing the journal the
+// failed attempt opened, and every acked write survives a reboot.
+func TestFailedGenerationWriteSealsUntilHealed(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways(), ProbeInterval: 5 * time.Millisecond})
+	rig.resolveOneTask(t, "acked before the failed compaction", []float64{4, 2})
+	var broken atomic.Bool
+	broken.Store(true)
+	rig.db.SetModelSnapshotter(func(w io.Writer) error {
+		if broken.Load() {
+			return errDiskGone
+		}
+		return rig.cm.Save(w)
+	})
+	if err := rig.db.Compact(); !errors.Is(err, errDiskGone) {
+		t.Fatalf("Compact = %v, want the generation write failure", err)
+	}
+	if !rig.db.Degraded() {
+		t.Fatal("a failed generation write left mutations open")
+	}
+	if _, err := rig.mgr.SubmitTask(t.Context(), "refused while sealed", 2); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("mutation after a failed generation write = %v, want ErrDegraded", err)
+	}
+	broken.Store(false)
+	waitUntil(t, "probe loop healed the generation write", func() bool { return !rig.db.Degraded() })
+	if gen := rig.db.Generation(); gen != 2 {
+		t.Fatalf("healed at generation %d, want 2", gen)
+	}
+	rig.resolveOneTask(t, "acked after the heal", []float64{5, 3})
+	live := rig.db.Store().NumTasks()
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rig = openDurable(t, dir, d, nil, Options{Sync: SyncAlways()})
+	defer rig.db.Close()
+	if got := rig.db.Store().NumTasks(); got != live {
+		t.Fatalf("reboot holds %d tasks, %d were acked", got, live)
 	}
 }
 

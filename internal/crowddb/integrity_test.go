@@ -1,6 +1,7 @@
 package crowddb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -358,19 +359,15 @@ func TestScrubDetectsMissingFilesAndHeals(t *testing.T) {
 	})
 }
 
-// TestBootFallsBackPastCorruptModelCheckpoint is the bugfix
-// regression: when the newest generation's model checkpoint is
-// corrupt, Open must fall back to the next older valid generation
-// instead of failing recovery later at LoadModel. Older generations
-// normally get swept by compaction; a crash in the window between the
-// snapshot rename and the sweep legitimately leaves them behind, which
-// is the exact situation the fallback exists for.
-func TestBootFallsBackPastCorruptModelCheckpoint(t *testing.T) {
+// TestBootRefusesCorruptModelCheckpoint: when the newest generation's
+// model checkpoint is corrupt, the boot refuses naming it. The older
+// generation a crash left behind before its sweep is not a fallback:
+// booting it would drop the task acked in the newer one.
+func TestBootRefusesCorruptModelCheckpoint(t *testing.T) {
 	d, model := trainedFixture(t)
 	dir := t.TempDir()
 	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
 	rig.resolveOneTask(t, "task in generation one", []float64{4, 2})
-	tasksGen1 := rig.db.Store().NumTasks()
 
 	// Preserve generation 1's files, then compact past it (simulating
 	// the sweep never running because the process died).
@@ -397,23 +394,132 @@ func TestBootFallsBackPastCorruptModelCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Destroy generation 2's model checkpoint: invalid JSON, so even
-	// parse-validation cannot accept it.
 	mpath := filepath.Join(dir, fmt.Sprintf(modelPattern, gen2))
 	if err := faultfs.OverwriteByte(mpath, 0, 'X'); err != nil {
 		t.Fatal(err)
 	}
+	assertBootRefused(t, dir, mpath)
+}
 
-	rig2 := openDurable(t, dir, d, nil, Options{Sync: SyncAlways()})
-	defer rig2.db.Close()
-	if rig2.db.Generation() != gen1 {
-		t.Fatalf("recovered generation %d, want fallback to %d", rig2.db.Generation(), gen1)
+// flipModelDigit changes the first posterior digit of an at-rest model
+// checkpoint, keeping the JSON parseable: only the digest stamp can
+// tell the file is not the one written.
+func flipModelDigit(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := rig2.db.Store().NumTasks(); got != tasksGen1 {
-		t.Fatalf("fallback recovered %d tasks, want %d", got, tasksGen1)
+	at := bytes.Index(data, []byte(`"lambda_w":[[`))
+	if at < 0 {
+		t.Fatalf("no lambda_w posteriors in %s", path)
 	}
-	// The fallen-back node still serves and mutates.
-	rig2.resolveOneTask(t, "life goes on after the fallback", []float64{3, 3})
+	for i := at; i < len(data); i++ {
+		if c := data[i]; c >= '0' && c <= '8' {
+			if err := faultfs.OverwriteByte(path, int64(i), c+1); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("no posterior digit in %s", path)
+}
+
+// TestBootRefusesParseableModelRot: a stamped model checkpoint whose
+// bytes changed but still parse refuses the boot — the same finding
+// the scrubber reports on the running node.
+func TestBootRefusesParseableModelRot(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
+	rig.resolveOneTask(t, "a committed task", []float64{4, 2})
+	if err := rig.db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, fmt.Sprintf(modelPattern, rig.db.Generation()))
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flipModelDigit(t, mpath)
+	rotten, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadModel(bytes.NewReader(rotten)); err != nil {
+		t.Fatalf("the rot must still parse: %v", err)
+	}
+	assertBootRefused(t, dir, mpath)
+}
+
+// TestBootRefusesRottenSidecarOfSealedNode: a deposed node's sidecar
+// carries the epoch that seals it. Read as absent, the node would boot
+// unsealed under a new history; so an unparseable sidecar refuses the
+// boot instead.
+func TestBootRefusesRottenSidecarOfSealedNode(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
+	if err := rig.db.ObserveFencingEpoch(7); err != nil {
+		t.Fatal(err)
+	}
+	if rig.db.FencingObserved() <= rig.db.FencingEpoch() {
+		t.Fatal("observing epoch 7 did not seal the node")
+	}
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := filepath.Join(dir, fmt.Sprintf(replPattern, uint64(1)))
+	if err := faultfs.OverwriteByte(sidecar, 0, 'X'); err != nil {
+		t.Fatal(err)
+	}
+	assertBootRefused(t, dir, sidecar)
+}
+
+// TestReplicaBootstrapsPastRottenNewestGeneration: a follower whose
+// newest generation fails verification re-bootstraps from its primary
+// at start-up. The bootstrap lands as the next generation, so the
+// rotten files stay until the next compaction sweeps them, and the
+// follower serves the primary's state exactly.
+func TestReplicaBootstrapsPastRottenNewestGeneration(t *testing.T) {
+	rig, _, ts := replPrimary(t)
+	rig.resolveOneTask(t, "acked before the follower stops", []float64{4, 2})
+	dir := t.TempDir()
+	rep := startTestReplica(t, ts.URL, dir)
+	waitCaughtUp(t, rig, rep)
+	gen := rep.DB().Generation()
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rotten := filepath.Join(dir, fmt.Sprintf(modelPattern, gen))
+	flipModelDigit(t, rotten)
+	rig.resolveOneTask(t, "acked while the follower is down", []float64{5, 3})
+
+	rep = startTestReplica(t, ts.URL, dir)
+	defer rep.Close()
+	if got := rep.DB().Generation(); got != gen+1 {
+		t.Fatalf("follower came up at generation %d, want %d", got, gen+1)
+	}
+	if rep.Status().Bootstraps < 1 {
+		t.Fatalf("follower did not bootstrap: %+v", rep.Status())
+	}
+	if _, err := os.Stat(rotten); err != nil {
+		t.Fatalf("the rotten generation was deleted before the next compaction: %v", err)
+	}
+	waitCaughtUp(t, rig, rep)
+	assertModelsEqual(t, rig.cm.Unwrap(), rep.cm.Unwrap())
+	if got, want := rep.DB().Store().NumTasks(), rig.db.Store().NumTasks(); got != want {
+		t.Fatalf("follower holds %d tasks, primary %d", got, want)
+	}
+	want := cutDigest(t, rig)
+	if got, err := rep.Digest(); err != nil || got != want {
+		t.Fatalf("follower digest %+v (err %v), primary %+v", got, err, want)
+	}
+	if err := rep.DB().Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(rotten); !os.IsNotExist(err) {
+		t.Fatalf("compaction left the rotten generation behind: %v", err)
+	}
 }
 
 // TestDigestEndpoint drives GET /api/v1/digest over HTTP: 404 without

@@ -345,7 +345,7 @@ func TestSyncPolicies(t *testing.T) {
 }
 
 // TestRecoverTruncatesTornTail: a torn final record must not block a
-// boot. Recover truncates it away, appends continue from the last good
+// boot. The replay truncates it away, appends continue from the last good
 // byte, and they survive the next boot.
 func TestRecoverTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
@@ -358,7 +358,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 		if db.Fresh() {
 			err = db.Begin()
 		} else {
-			err = db.Recover(nil)
+			err = db.recoverJournal(nil)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -606,13 +606,6 @@ func (m *Manager) applySkillFeedback(rec TaskRecord) error {
 	return nil
 }
 
-// ApplySkillFeedback is the journal-recovery hook (DB.Recover's
-// onResolve): it replays a resolved record's feedback through the
-// same skill-update path ResolveTask uses live.
-func (m *Manager) ApplySkillFeedback(rec TaskRecord) error {
-	return m.applySkillFeedback(rec)
-}
-
 // applyReplicatedEvent applies one replicated journal event through
 // the same replay path boot recovery uses, holding the resolve lock
 // across the whole application so a resolve's store commit and skill

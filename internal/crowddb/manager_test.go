@@ -212,7 +212,7 @@ func TestManagerOverJournaledStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Recover(nil); err != nil {
+	if err := db.recoverJournal(nil); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()

@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -114,13 +115,13 @@ type Replica struct {
 var errDigestMismatch = errors.New("crowddb: heartbeat digest mismatch")
 
 // StartReplica opens (or re-opens) the follower's data directory and
-// starts streaming from the primary. A fresh directory requires the
-// primary to be reachable now — the initial bootstrap is synchronous:
-// the primary's generation is installed verbatim as the follower's
-// generation 1, so a nil error means the replica is already serving
-// real state. Either way the directory then boots like any restart
-// (RecoverWith) and catches up in the background, so a follower can
-// restart while the primary is down.
+// starts streaming from the primary. A fresh directory, or one whose
+// newest generation Open refuses (*ScrubError), requires the primary to
+// be reachable now — the bootstrap is synchronous (install), so a nil
+// error means the replica is already serving real state. Either way
+// the directory then boots like any restart (RecoverWith) and catches
+// up in the background, so a follower can restart while the primary is
+// down.
 func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	if opts.Primary == "" {
 		return nil, errors.New("crowddb: replica needs a primary URL")
@@ -145,7 +146,11 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	r.cancel = cancel
 	var st *replStream
 	err := r.open()
-	if err == nil && r.db.Fresh() {
+	var rotten *ScrubError
+	if errors.As(err, &rotten) {
+		opts.Logf("crowddb: replica: %v; bootstrapping from the primary", err)
+	}
+	if rotten != nil || err == nil && r.db.Fresh() {
 		if st, err = r.dial(ctx, 0, "", true); err == nil {
 			err = r.install(st)
 		}
@@ -153,7 +158,9 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 			err = fmt.Errorf("crowddb: replica bootstrap: %w", err)
 		} else {
 			// Boot the installed generation exactly as a restart would.
-			r.db.Close()
+			if r.db != nil {
+				r.db.Close()
+			}
 			err = r.open()
 		}
 	}
@@ -236,7 +243,7 @@ func (r *Replica) Status() ReplicationStatus {
 	if r.promoted.Load() {
 		role = RolePrimary
 	}
-	lag := ReplicationLag{Records: head - applied, Bytes: maxInt64(0, headBytes-appliedBytes)}
+	lag := ReplicationLag{Records: head - applied, Bytes: max(0, headBytes-appliedBytes)}
 	if !lastContact.IsZero() {
 		lag.Seconds = time.Since(lastContact).Seconds()
 	}
@@ -445,19 +452,31 @@ func readBootstrap(st *replStream) (dataset, model []byte, snap replSnapshotMsg,
 	}
 }
 
-// install writes a fresh follower's generation 1: the primary's
-// dataset, model and snapshot frames verbatim, through the one
-// generation writer, under the hello's history and fencing epoch at the
-// snapshot's position.
+// install writes the primary's dataset, model and snapshot frames
+// verbatim through the one generation writer, under the hello's history
+// and fencing epoch at the snapshot's position, as the generation after
+// every local one: nothing local is deleted before the primary has
+// answered, and the next compaction sweeps a refused generation.
 func (r *Replica) install(st *replStream) error {
 	dataset, model, snap, err := readBootstrap(st)
 	if err != nil {
 		return err
 	}
-	_, err = writeGeneration(r.opts.Dir, 1, generation{
+	gens, journals, err := listGenerations(r.opts.Dir)
+	if err != nil {
+		return err
+	}
+	next := uint64(1)
+	for g := range journals {
+		next = max(next, g+1)
+	}
+	for _, g := range gens {
+		next = max(next, g+1)
+	}
+	_, err = writeGeneration(r.opts.Dir, next, generation{
 		dataset: dataset, model: fromBytes(model), store: fromBytes(snap.file()),
 		sidecar: adoptedSidecar(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch),
-		tenant:  r.db.Store().Tenant(),
+		tenant:  cmp.Or(r.opts.Tenant, DefaultTenant),
 	})
 	return err
 }
@@ -558,7 +577,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 					r.opts.Logf("crowddb: replica: connect: %v (retrying in %s)", err, backoff)
 				}
 				r.sleep(ctx, backoff)
-				backoff = minDuration(backoff*2, 5*time.Second)
+				backoff = min(backoff*2, 5*time.Second)
 				continue
 			}
 			if st.hello.Bootstrap {
@@ -567,7 +586,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 					st.Close()
 					st = nil
 					r.sleep(ctx, backoff)
-					backoff = minDuration(backoff*2, 5*time.Second)
+					backoff = min(backoff*2, 5*time.Second)
 					continue
 				}
 			} else {
@@ -580,7 +599,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 					st.Close()
 					st = nil
 					r.sleep(ctx, backoff)
-					backoff = minDuration(backoff*2, 5*time.Second)
+					backoff = min(backoff*2, 5*time.Second)
 					continue
 				}
 				if st.hello.FencingEpoch > r.db.FencingEpoch() {
@@ -705,18 +724,4 @@ func (r *Replica) sleep(ctx context.Context, d time.Duration) {
 	case <-ctx.Done():
 	case <-t.C:
 	}
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -320,32 +321,37 @@ func (db *DB) replSidecarPath(gen uint64) string {
 	return filepath.Join(db.dir, fmt.Sprintf(replPattern, gen))
 }
 
-// loadReplState seeds the replication position from the restored
-// generation's sidecar. A directory from before replication existed
-// (no sidecar) starts a fresh history at position zero — internally
-// consistent, which is all followers need.
-func (db *DB) loadReplState() {
-	r := &db.repl
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if db.gen != 0 {
-		if data, err := os.ReadFile(db.replSidecarPath(db.gen)); err == nil {
-			var sc replSidecar
-			if err := json.Unmarshal(data, &sc); err == nil && sc.History != "" {
-				// Pre-digest sidecars carry no stamps; the scrubber then
-				// parse-validates instead of hash-comparing.
-				r.history, r.base = sc.History, sc
-				r.seq, r.bytes = sc.Seq, sc.Bytes
-				// Pre-fencing sidecars carry no epochs: epoch 1 is the
-				// floor every history starts at.
-				r.fencingEpoch = max(sc.FencingEpoch, 1)
-				r.fencingObserved = max(sc.FencingObserved, r.fencingEpoch)
-				return
-			}
-		}
+// loadSidecar reads a generation's replication sidecar. A missing one
+// is a directory from before replication existed: the zero sidecar. One
+// that does not parse, or names no history, is a *ScrubError.
+func loadSidecar(path string) (sc replSidecar, err error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return sc, nil
 	}
-	r.history = newHistoryID()
-	r.fencingEpoch, r.fencingObserved = 1, 1
+	if err == nil {
+		err = json.Unmarshal(data, &sc)
+	}
+	if err == nil && sc.History == "" {
+		err = errors.New("sidecar names no history")
+	}
+	if err != nil {
+		err = &ScrubError{Path: path, Err: err}
+	}
+	return sc, err
+}
+
+// loadReplState seeds the replication position from the booted
+// generation's sidecar. The zero sidecar (a fresh or pre-replication
+// directory) starts a new history at position zero; epoch 1 is the
+// floor every history starts at.
+func (db *DB) loadReplState(sc replSidecar) {
+	sc.History = cmp.Or(sc.History, newHistoryID())
+	r := &db.repl
+	r.history, r.base = sc.History, sc
+	r.seq, r.bytes = sc.Seq, sc.Bytes
+	r.fencingEpoch = max(sc.FencingEpoch, 1)
+	r.fencingObserved = max(sc.FencingObserved, r.fencingEpoch)
 }
 
 // adoptedSidecar is the sidecar of a generation installed from another

@@ -3,37 +3,32 @@ package crowddb
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"crowdselect/internal/core"
 )
 
 // Background scrubbing (DESIGN.md §14): a low-priority loop that
-// re-reads the current generation's at-rest files between requests and
-// verifies them — journal record CRCs, snapshot and model-checkpoint
-// checksums against the digests stamped in the replication sidecar
-// (parse-validation when an old sidecar carries none). Corruption is
-// handled exactly like a journal write failure: the node flips to
-// degraded read-only mode with a typed *ScrubError before the rotten
-// bytes can be served to a bootstrap or survive into a promotion, and
-// the existing probe loop heals by cutting a fresh generation from the
-// intact in-memory state.
+// re-reads the current generation's at-rest files between requests —
+// journal record CRCs, then the check every boot runs (verifyGeneration).
+// Corruption is handled exactly like a journal write failure: the node
+// flips to degraded read-only mode with a typed *ScrubError before the
+// rotten bytes can be served to a bootstrap or survive into a
+// promotion, and the existing probe loop heals by cutting a fresh
+// generation from the in-memory state the boot verified.
 
-// ScrubError is the typed degraded-mode reason for at-rest corruption
-// found by the scrubber.
+// ScrubError is the one typed at-rest error, for boot and scrub alike:
+// a generation's file that is missing, differs from its digest stamp or
+// does not parse. Open refuses with it; the scrubber degrades with it.
 type ScrubError struct {
 	Path string
 	Err  error
 }
 
 func (e *ScrubError) Error() string {
-	return fmt.Sprintf("crowddb: scrub: at-rest corruption in %s: %v", e.Path, e.Err)
+	return fmt.Sprintf("crowddb: at-rest corruption in %s: %v", e.Path, e.Err)
 }
 
 func (e *ScrubError) Unwrap() error { return e.Err }
@@ -102,11 +97,14 @@ func (db *DB) Scrub() error {
 	if db.degraded.Load() {
 		return nil // the probe loop owns the disk while degraded
 	}
-	gen, modelDigest, storeDigest := db.scrubBasis()
+	gen := db.Generation()
+	db.repl.mu.Lock()
+	stamps := db.repl.base
+	db.repl.mu.Unlock()
 	if gen == 0 {
 		return nil // nothing durable yet
 	}
-	err := db.scrubGeneration(gen, modelDigest, storeDigest)
+	err := db.scrubGeneration(gen, stamps)
 	if err == nil {
 		db.scrub.passes.Add(1)
 		db.scrub.failed.Store(false)
@@ -115,10 +113,7 @@ func (db *DB) Scrub() error {
 	// Re-confirm the generation is still current: a compaction racing
 	// the pass deletes or supersedes the files mid-read, which is not
 	// corruption. The next pass verifies the new generation.
-	db.mu.Lock()
-	cur := db.gen
-	db.mu.Unlock()
-	if cur != gen || db.degraded.Load() {
+	if db.Generation() != gen || db.degraded.Load() {
 		return nil
 	}
 	db.scrub.passes.Add(1)
@@ -129,27 +124,11 @@ func (db *DB) Scrub() error {
 	return err
 }
 
-// scrubBasis captures the generation to verify together with the
-// sidecar digests stamped at its cut, consistently enough that a
-// racing compaction is caught by Scrub's re-confirmation.
-func (db *DB) scrubBasis() (gen uint64, modelDigest, storeDigest string) {
-	db.mu.Lock()
-	gen = db.gen
-	db.mu.Unlock()
-	db.repl.mu.Lock()
-	modelDigest, storeDigest = db.repl.base.ModelDigest, db.repl.base.StoreDigest
-	db.repl.mu.Unlock()
-	return gen, modelDigest, storeDigest
-}
-
-// scrubGeneration verifies generation gen's journal, snapshot and
-// model checkpoint; every finding is a typed *ScrubError. A missing
-// file is a finding too: every writer of a generation (Begin,
-// compaction, restore, a follower's install) leaves a snapshot, and
-// the boot or compaction that makes it live opens its journal. Only an
-// unstamped model may be absent — a store-only or pre-digest
-// generation.
-func (db *DB) scrubGeneration(gen uint64, modelDigest, storeDigest string) error {
+// scrubGeneration verifies generation gen's journal, then its snapshot
+// and model checkpoint (verifyGeneration); every finding is a typed
+// *ScrubError. A missing journal is a finding too: the boot or
+// compaction that makes a generation live opens its journal.
+func (db *DB) scrubGeneration(gen uint64, stamps replSidecar) error {
 	// Journal: re-walk every record's CRC. A torn tail is a live append
 	// in progress, not corruption; mid-file damage is.
 	jpath := db.journalPath(gen)
@@ -164,37 +143,14 @@ func (db *DB) scrubGeneration(gen uint64, modelDigest, storeDigest string) error
 	db.scrub.records.Add(int64(res.Records))
 	db.scrub.files.Add(1)
 
-	// Snapshot: byte-hash against the sidecar's stamp when present,
-	// full parse-validation otherwise (pre-digest generations).
-	spath := filepath.Join(db.dir, fmt.Sprintf(snapshotPattern, gen))
-	if data, err = os.ReadFile(spath); err != nil {
-		return &ScrubError{Path: spath, Err: err}
-	}
-	if storeDigest != "" {
-		if got := sha256Hex(data); got != storeDigest {
-			return &ScrubError{Path: spath, Err: fmt.Errorf("snapshot digest %s, sidecar stamped %s", got, storeDigest)}
-		}
-	} else if err := NewStore().RestoreSnapshotFile(spath); err != nil {
-		return &ScrubError{Path: spath, Err: err}
+	_, model, err := verifyGeneration(db.dir, gen, stamps)
+	if err != nil {
+		return err
 	}
 	db.scrub.files.Add(1)
-
-	// Model checkpoint: same two-tier check.
-	mpath := filepath.Join(db.dir, fmt.Sprintf(modelPattern, gen))
-	if data, err = os.ReadFile(mpath); err != nil {
-		if modelDigest == "" && errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return &ScrubError{Path: mpath, Err: err}
+	if model != nil {
+		db.scrub.files.Add(1)
 	}
-	if modelDigest != "" {
-		if got := sha256Hex(data); got != modelDigest {
-			return &ScrubError{Path: mpath, Err: fmt.Errorf("model digest %s, sidecar stamped %s", got, modelDigest)}
-		}
-	} else if _, err := core.LoadModelFile(mpath); err != nil {
-		return &ScrubError{Path: mpath, Err: err}
-	}
-	db.scrub.files.Add(1)
 	return nil
 }
 
@@ -203,8 +159,10 @@ func sha256Hex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// startScrubber launches the periodic scrub loop (Options.ScrubInterval
-// <= 0 disables it); callers hold db.mu.
+// startScrubber launches the scrub loop (Options.ScrubInterval <= 0
+// disables it); callers hold db.mu. Passes start ScrubInterval apart, or
+// ten pass-lengths apart when a pass takes longer than a tenth of it:
+// a low-priority loop spends at most a tenth of its time scrubbing.
 func (db *DB) startScrubber() {
 	if db.opts.ScrubInterval <= 0 {
 		return
@@ -212,17 +170,20 @@ func (db *DB) startScrubber() {
 	db.scrubDonec = make(chan struct{})
 	go func() {
 		defer close(db.scrubDonec)
-		ticker := time.NewTicker(db.opts.ScrubInterval)
-		defer ticker.Stop()
+		timer := time.NewTimer(db.opts.ScrubInterval)
+		defer timer.Stop()
 		for {
 			select {
 			case <-db.stopc:
 				return
-			case <-ticker.C:
-				if err := db.Scrub(); err != nil {
-					db.opts.logf("crowddb: %v; entered degraded read-only mode", err)
-				}
+			case <-timer.C:
 			}
+			start := time.Now()
+			if err := db.Scrub(); err != nil {
+				db.opts.logf("crowddb: %v; entered degraded read-only mode", err)
+			}
+			d := time.Since(start)
+			timer.Reset(max(db.opts.ScrubInterval, 10*d) - d)
 		}
 	}()
 }

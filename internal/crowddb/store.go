@@ -9,6 +9,7 @@ package crowddb
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -220,10 +221,7 @@ func (s *Store) SetTenant(name string) {
 func (s *Store) Tenant() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.tenant == "" {
-		return DefaultTenant
-	}
-	return s.tenant
+	return cmp.Or(s.tenant, DefaultTenant)
 }
 
 // AddWorker inserts a worker with the given id (the id must match the
@@ -718,14 +716,4 @@ func (s *Store) RestoreSnapshot(r io.Reader) error {
 	// stay on it.
 	s.alignTIDLocked()
 	return nil
-}
-
-// RestoreSnapshotFile reads a snapshot from path.
-func (s *Store) RestoreSnapshotFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("crowddb: restore: %w", err)
-	}
-	defer f.Close()
-	return s.RestoreSnapshot(bufio.NewReader(f))
 }

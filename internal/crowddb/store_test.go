@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -270,15 +271,19 @@ func TestSnapshotFileAtomic(t *testing.T) {
 	if err := writeFileAtomic(path, s.Snapshot); err != nil {
 		t.Fatal(err)
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	restored := NewStore()
-	if err := restored.RestoreSnapshotFile(path); err != nil {
+	if err := restored.RestoreSnapshot(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	if restored.NumTasks() != 1 {
 		t.Errorf("restored %d tasks", restored.NumTasks())
 	}
-	if err := restored.RestoreSnapshotFile(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing snapshot accepted")
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("directory holds %d entries (%v), want the snapshot alone", len(entries), err)
 	}
 }
 

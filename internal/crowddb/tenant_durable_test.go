@@ -22,37 +22,30 @@ func openTenantDurable(t *testing.T, dir, tenant string, d *corpus.Dataset, fres
 		t.Fatal(err)
 	}
 	db.Store().SetTenant(tenant)
-	var cm *core.ConcurrentModel
-	if db.Fresh() {
-		cm = core.NewConcurrentModel(fresh)
-		for i := range d.Workers {
-			if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-				t.Fatal(err)
-			}
+	rig := &durableRig{db: db, d: d}
+	if !db.Fresh() {
+		if rig.mgr, rig.cm, err = db.RecoverWith(datasetBuilder(d)); err != nil {
+			db.Close()
+			return nil, err
 		}
-	} else {
-		m, err := db.LoadModel()
-		if err != nil {
+		return rig, nil
+	}
+	for i := range d.Workers {
+		if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		cm = core.NewConcurrentModel(m)
 	}
-	mgr, err := NewManager(db.Store(), d.Vocab, cm, 2)
-	if err != nil {
+	rig.cm = core.NewConcurrentModel(fresh)
+	if rig.mgr, err = NewManager(db.Store(), d.Vocab, rig.cm, 2); err != nil {
 		t.Fatal(err)
 	}
-	db.SetModelSnapshotter(cm.Save)
-	db.SetQuiescer(mgr.Quiesce)
-	if db.Fresh() {
-		err = db.Begin()
-	} else {
-		err = db.Recover(mgr.ApplySkillFeedback)
-	}
-	if err != nil {
+	db.SetModelSnapshotter(rig.cm.Save)
+	db.SetQuiescer(rig.mgr.Quiesce)
+	if err := db.Begin(); err != nil {
 		db.Close()
 		return nil, err
 	}
-	return &durableRig{db: db, cm: cm, mgr: mgr, d: d}, nil
+	return rig, nil
 }
 
 // journalBytes concatenates every journal generation in dir.
