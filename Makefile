@@ -21,8 +21,10 @@ fmt:
 build:
 	$(GO) build ./...
 
+# bench is a module of its own, which `go vet ./...` never reaches.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -498,11 +498,14 @@ func openSlice(cfg daemonConfig, name string, seed func() (*corpus.Dataset, *cor
 	// checkpoint posteriors consistently while requests are served.
 	stack := func(d *corpus.Dataset, model *core.Model, store *crowddb.Store) (err error) {
 		sl.d, sl.cm = d, core.NewConcurrentModel(model)
-		sl.mgr, err = crowddb.NewManagerWith(crowddb.ManagerConfig{
-			Store: store, Vocab: d.Vocab, Selector: sl.cm, CrowdK: cfg.crowdK,
-			Shard: cfg.shard, Tenant: name,
-		})
-		return err
+		if sl.mgr, err = crowddb.NewManager(store, d.Vocab, sl.cm, cfg.crowdK); err != nil {
+			return err
+		}
+		// Shard and tenant are set before any mutation is journaled or
+		// replayed.
+		sl.mgr.SetShard(cfg.shard)
+		sl.mgr.SetTenant(name)
+		return nil
 	}
 	// build boots a written generation (crowddb.DB.RecoverWith): its
 	// dataset is the vocabulary source.

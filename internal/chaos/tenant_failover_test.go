@@ -53,12 +53,11 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 		t.Fatal(err)
 	}
 	cm := core.NewConcurrentModel(m)
-	mgr, err := crowddb.NewManagerWith(crowddb.ManagerConfig{
-		Store: db.Store(), Vocab: d.Vocab, Selector: cm, CrowdK: 2, Tenant: "acme",
-	})
+	mgr, err := crowddb.NewManager(db.Store(), d.Vocab, cm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.SetTenant("acme")
 	db.SetModelSnapshotter(cm.Save)
 	db.SetQuiescer(mgr.Quiesce)
 	if err := d.SaveFile(db.DatasetPath()); err != nil {

@@ -78,13 +78,11 @@ func benchFleet(b *testing.B) (*corpus.Dataset, []*core.ConcurrentModel, *Router
 			b.Fatal(err)
 		}
 		cm := core.NewConcurrentModel(own)
-		mgr, err := crowddb.NewManagerWith(crowddb.ManagerConfig{
-			Store: store, Vocab: d.Vocab, Selector: cm, CrowdK: 10,
-			Shard: crowddb.ShardSpec{Index: i, Count: shards},
-		})
+		mgr, err := crowddb.NewManager(store, d.Vocab, cm, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
+		mgr.SetShard(crowddb.ShardSpec{Index: i, Count: shards})
 		srv := crowddb.NewServer(mgr)
 		hs := httptest.NewServer(srv)
 		b.Cleanup(hs.Close)

@@ -64,15 +64,17 @@ type DigestCut struct {
 type DigestFunc func() (DigestCut, error)
 
 // DigestCutter computes digest cuts over a DB + Manager pair with a
-// position-keyed cache: while no records commit, repeated cuts (every
-// idle heartbeat, every /api/v1/digest poll) cost one mutex hit, not a
-// model serialization.
+// cache keyed on (generation, seq): while no records commit, repeated
+// cuts (every idle heartbeat, every /api/v1/digest poll) cost one mutex
+// hit, not a model serialization. A follower's re-bootstrap may adopt
+// state at a seq already cut, but always in a new generation.
 type DigestCutter struct {
 	db  *DB
 	mgr *Manager
 
 	mu     sync.Mutex
 	cached DigestCut
+	gen    uint64 // the generation cached was cut in
 	valid  bool
 }
 
@@ -82,23 +84,17 @@ func NewDigestCutter(db *DB, mgr *Manager) *DigestCutter {
 	return &DigestCutter{db: db, mgr: mgr}
 }
 
-// Invalidate drops the cached cut. Call after any state change that
-// does not advance the replication position — a follower re-bootstrap
-// adopts a whole new snapshot at a position it may have already cut.
-func (c *DigestCutter) Invalidate() {
-	c.mu.Lock()
-	c.valid = false
-	c.mu.Unlock()
-}
-
 // Cut computes (or returns the cached) digest at the current applied
 // position. The cut quiesces resolves and read-locks the store so the
 // model hash, the store hash and the replication position all observe
 // the same instant — the same cut discipline compaction uses.
 func (c *DigestCutter) Cut() (DigestCut, error) {
+	// The generation is read first and outside Quiesce (db.mu is never
+	// taken inside it), so a cut is never cached under a newer one.
+	gen := c.db.Generation()
 	seq, _ := c.db.ReplicationHead()
 	c.mu.Lock()
-	if c.valid && c.cached.Seq == seq {
+	if c.valid && c.gen == gen && c.cached.Seq == seq {
 		cut := c.cached
 		c.mu.Unlock()
 		return cut, nil
@@ -130,7 +126,7 @@ func (c *DigestCutter) Cut() (DigestCut, error) {
 		return DigestCut{}, err
 	}
 	c.mu.Lock()
-	c.cached, c.valid = cut, true
+	c.cached, c.gen, c.valid = cut, gen, true
 	c.mu.Unlock()
 	return cut, nil
 }

@@ -36,12 +36,13 @@ import (
 //	journal-%08d.wal     framed mutations since the snapshot
 //	dataset.json         vocabulary source: the daemon's, or installed with a generation
 //
-// Compaction opens journal g+1, writes generation g+1 through
-// writeGeneration (the rename of snapshot-%08d.json commits it),
-// switches appends to the new journal, and removes older generations.
-// A crash between any two steps boots one generation with every acked
-// record. Restore and a follower write their generation through the
-// same function, and every boot of a written generation is RecoverWith.
+// Compaction and a serving follower's live re-bootstrap are one switch
+// (switchLocked): open journal g+1, write generation g+1 through
+// writeGeneration (the rename of snapshot-%08d.json commits it), switch
+// appends to the new journal, and remove older generations. A crash
+// between any two steps boots one generation with every acked record.
+// Restore and a fresh follower write their generation through the same
+// writer, and every boot of a written generation is RecoverWith.
 
 const (
 	snapshotPattern = "snapshot-%08d.json"
@@ -430,7 +431,7 @@ func (db *DB) Begin() error {
 	if db.gen != 0 {
 		return errors.New("crowddb: Begin on a restored data directory (use RecoverWith)")
 	}
-	if err := db.compactLocked(); err != nil {
+	if err := db.switchLocked(nil, nil); err != nil {
 		return err
 	}
 	db.live = true
@@ -497,41 +498,47 @@ func (db *DB) NeedsCompaction() bool {
 func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.compactLocked()
+	return db.switchLocked(nil, nil)
 }
 
-func (db *DB) compactLocked() error {
+// adopt is a serving follower's live re-bootstrap: the switch to a
+// generation holding g, its primary's state, whose model replace hands
+// to the serving selector.
+func (db *DB) adopt(g generation, replace func(*core.Model)) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.switchLocked(&g, replace)
+}
+
+// switchLocked is the one switch to generation gen+1, run by compaction
+// (adopted nil: the generation holds the live state) and by a follower's
+// live re-bootstrap (adopted: its primary's state, read back through
+// verifyGeneration and moved into the live store, model and position).
+// It opens the next journal, writes the generation, rotates appends to
+// the new journal and sweeps older generations. A journal that cannot
+// be opened fails the switch before anything moves; any later failure
+// enters degraded mode, so nothing is acknowledged into a superseded
+// journal. Callers hold db.mu.
+func (db *DB) switchLocked(adopted *generation, replace func(*core.Model)) error {
 	run := db.quiesce
 	if run == nil {
 		run = func(f func() error) error { return f() }
 	}
 	next := db.gen + 1
-	var sc replSidecar
 	err := run(func() error {
 		// With resolves quiesced and the store write-locked, the store
 		// snapshot, the model checkpoint, the journal rotation and the
 		// replication position all observe the same instant.
 		db.store.mu.Lock()
 		defer db.store.mu.Unlock()
-		// Read the tenant field directly: Store.Tenant() would self-
-		// deadlock on the write lock held here.
-		tenant := cmp.Or(db.store.tenant, DefaultTenant)
-		r := &db.repl
-		r.mu.Lock()
-		head := replSidecar{History: r.history, Seq: r.seq, Bytes: r.bytes,
-			FencingEpoch: r.fencingEpoch, FencingObserved: r.fencingObserved}
-		r.mu.Unlock()
 		// The next journal is open before the snapshot's rename commits
 		// the generation, so a journal that cannot be opened fails the
-		// compaction while appends still belong to the current one.
+		// switch while appends still belong to the current one.
 		f, err := db.opts.openJournal(db.journalPath(next))
 		if err != nil {
 			return fmt.Errorf("crowddb: compact journal: %w", err)
 		}
-		sc, err = writeGeneration(db.dir, next, generation{
-			model: db.saveModel, store: db.store.snapshotLocked, sidecar: head, tenant: tenant,
-		})
-		if err != nil {
+		if err = db.writeNextLocked(next, adopted, replace); err != nil {
 			// The rename may have committed generation next before the
 			// error, and then appends to the current journal would be
 			// lost to the next boot. Seal mutations until the probe loop
@@ -555,12 +562,42 @@ func (db *DB) compactLocked() error {
 	}
 	prev := db.gen
 	db.gen = next
-	db.repl.mu.Lock()
-	db.repl.base = sc
-	db.repl.mu.Unlock()
 	db.stats.Compactions.Add(1)
 	db.removeGenerationsThrough(prev)
 	db.opts.logf("crowddb: compacted to generation %d", next)
+	return nil
+}
+
+// writeNextLocked writes generation next — the live state, or adopted
+// read back and moved into the live store and model — and loads the
+// replication position from its sidecar as written. Callers hold
+// db.mu, the quiescer and store.mu.
+func (db *DB) writeNextLocked(next uint64, adopted *generation, replace func(*core.Model)) error {
+	g := adopted
+	if g == nil {
+		r := &db.repl
+		r.mu.Lock()
+		head := replSidecar{History: r.history, Seq: r.seq, Bytes: r.bytes,
+			FencingEpoch: r.fencingEpoch, FencingObserved: r.fencingObserved}
+		r.mu.Unlock()
+		// Read the tenant field directly: Store.Tenant() would self-
+		// deadlock on the write lock held here.
+		g = &generation{model: db.saveModel, store: db.store.snapshotLocked, sidecar: head,
+			tenant: cmp.Or(db.store.tenant, DefaultTenant)}
+	}
+	sc, err := writeGeneration(db.dir, next, *g)
+	if err != nil {
+		return err
+	}
+	if adopted != nil {
+		rows, model, err := verifyGeneration(db.dir, next, sc)
+		if err != nil {
+			return err
+		}
+		db.store.takeRowsLocked(rows)
+		replace(model)
+	}
+	db.loadReplState(sc)
 	return nil
 }
 

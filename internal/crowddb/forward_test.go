@@ -3,6 +3,7 @@ package crowddb
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -119,5 +120,63 @@ func TestForwardDedupeSurvivesSnapshotAndReplay(t *testing.T) {
 	}
 	if folds != 3 {
 		t.Fatalf("replay folded %d times, want 3 (keyed once + unkeyed twice)", folds)
+	}
+}
+
+// TestSealedStoreRefusesReplicatedSkillFeedback: replicated skill
+// feedback passes the seal gate every other store mutation passes. A
+// store sealed by a failed append refuses a keyed skill_feedback record
+// before anything moves — no position, no forward key, no fold — so the
+// record folds once when it is sent again after the disk heals, instead
+// of being skipped as a duplicate of a fold that never happened.
+func TestSealedStoreRefusesReplicatedSkillFeedback(t *testing.T) {
+	d, model := trainedFixture(t)
+	disk := &flakyDisk{}
+	rig := openDurable(t, t.TempDir(), d, model, degradedOptions(disk))
+	defer rig.db.Close()
+	save := func() []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := rig.cm.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	disk.broken.Store(true)
+	if _, err := rig.mgr.SubmitTask(context.Background(), "the append that seals", 2); !errors.Is(err, ErrJournal) {
+		t.Fatalf("mutation during disk failure = %v, want ErrJournal", err)
+	}
+	before, head := save(), func() int64 { seq, _ := rig.db.ReplicationHead(); return seq }
+	seq := head()
+	online := false
+	key := 7
+	records := map[string]event{
+		"presence":       {Kind: evPresence, Worker: 0, Online: &online, At: time.Now()},
+		"skill_feedback": {Kind: evSkillFeedback, Tokens: d.Tasks[0].Tokens, Scores: encodeScores(map[int]float64{0: 0.8, 1: 0.4}), ForwardOf: &key, At: time.Now()},
+	}
+	for kind, e := range records {
+		if err := rig.mgr.applyReplicatedEvent(e); !errors.Is(err, ErrDegraded) {
+			t.Fatalf("replicated %s on a sealed store = %v, want ErrDegraded", kind, err)
+		}
+		if got := head(); got != seq {
+			t.Fatalf("refused %s moved the replication position %d → %d", kind, seq, got)
+		}
+	}
+	if !bytes.Equal(save(), before) {
+		t.Fatal("refused skill feedback folded into the model")
+	}
+
+	disk.broken.Store(false)
+	waitUntil(t, "the disk to heal", func() bool { return !rig.db.Degraded() })
+	seq = head()
+	if err := rig.mgr.applyReplicatedEvent(records["skill_feedback"]); err != nil {
+		t.Fatal(err)
+	}
+	if got := head(); got != seq+1 {
+		t.Fatalf("skill feedback sent again moved the position %d → %d, want one record", seq, got)
+	}
+	if bytes.Equal(save(), before) {
+		t.Fatal("skill feedback sent again after the heal was skipped as a duplicate")
 	}
 }

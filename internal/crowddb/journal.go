@@ -520,26 +520,23 @@ func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 		}
 		return nil
 	case evSkillFeedback:
-		// Store rows are untouched; re-journal (live journal only — replay
-		// runs with none attached) and hand the scores to the skill-update
-		// hook as a synthetic resolved record. A keyed forward already
-		// folded is skipped entirely — replay and replication apply are
-		// idempotent under the same dedupe the live path uses.
-		applied, err := s.logReplayedSkillFeedback(e)
+		// Store rows are untouched; journal through the live path (its
+		// dedupe and seal gate; the pinned clock keeps the record's At)
+		// and hand the scores to the skill-update hook as a synthetic
+		// resolved record. A keyed forward already folded is skipped.
+		scores, err := decodeScores(e.Scores)
 		if err != nil {
 			return err
 		}
-		if !applied {
-			return nil
+		forwardOf := -1
+		if e.ForwardOf != nil {
+			forwardOf = *e.ForwardOf
 		}
-		if onResolve != nil {
-			scores, err := decodeScores(e.Scores)
-			if err != nil {
-				return err
-			}
-			return onResolve(syntheticFeedbackRecord(e.Tokens, scores))
+		applied, err := s.LogSkillFeedback(e.Tokens, scores, forwardOf)
+		if err != nil || !applied || onResolve == nil {
+			return err
 		}
-		return nil
+		return onResolve(syntheticFeedbackRecord(e.Tokens, scores))
 	default:
 		return fmt.Errorf("%w: unknown journal event %q", ErrBadRequest, e.Kind)
 	}
@@ -616,23 +613,6 @@ func (s *Store) LogSkillFeedback(tokens []string, scores map[int]float64, forwar
 		s.appliedForwards[forwardOf] = true
 	}
 	return true, nil
-}
-
-// logReplayedSkillFeedback re-journals a replicated skill-feedback
-// event with its original timestamp and forward key; during boot
-// replay no journal is attached and this is a no-op. It reports applied=false
-// when the forward key was already folded (the event must then be
-// skipped, not just un-journaled).
-func (s *Store) logReplayedSkillFeedback(e event) (applied bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.ForwardOf != nil {
-		if s.appliedForwards[*e.ForwardOf] {
-			return false, nil
-		}
-		s.appliedForwards[*e.ForwardOf] = true
-	}
-	return true, s.logEvent(event{Kind: evSkillFeedback, Tokens: e.Tokens, Scores: e.Scores, ForwardOf: e.ForwardOf, At: e.At})
 }
 
 // replayJournalFile replays path into s; a missing file is an empty

@@ -86,43 +86,10 @@ type ownedSet struct {
 	ids []int
 }
 
-// ManagerConfig collects a Manager's dependencies for NewManagerWith.
-type ManagerConfig struct {
-	// Store is the crowd database the manager serves (required).
-	Store *Store
-	// Vocab maps task text to the term ids the selector was trained on
-	// (required).
-	Vocab *text.Vocabulary
-	// Selector ranks workers for a task (required).
-	Selector Selector
-	// CrowdK is the default crowd size per task (required, >= 1).
-	CrowdK int
-	// Shard is the node's slice of a sharded fleet (zero: unsharded).
-	Shard ShardSpec
-	// Tenant namespaces the manager's journal records (empty or
-	// "default": the un-prefixed default tenant).
-	Tenant string
-}
-
-// NewManagerWith is the options-struct form of NewManager; it also
-// applies the shard identity and tenant namespace, which must both be
-// set before any mutation is journaled or replayed.
-func NewManagerWith(cfg ManagerConfig) (*Manager, error) {
-	m, err := NewManager(cfg.Store, cfg.Vocab, cfg.Selector, cfg.CrowdK)
-	if err != nil {
-		return nil, err
-	}
-	m.SetShard(cfg.Shard)
-	if cfg.Tenant != "" {
-		m.SetTenant(cfg.Tenant)
-	}
-	return m, nil
-}
-
 // NewManager wires a crowd manager over the store. vocab maps task
 // text to the term ids the selector was trained on; k is the default
-// crowd size per task; NewManagerWith also takes the shard identity and
-// tenant namespace.
+// crowd size per task. SetShard and SetTenant name the node's shard
+// and tenant before any mutation is journaled or replayed.
 func NewManager(store *Store, vocab *text.Vocabulary, sel Selector, k int) (*Manager, error) {
 	if store == nil || vocab == nil || sel == nil {
 		return nil, fmt.Errorf("%w: manager needs a store, vocabulary and selector", ErrBadRequest)

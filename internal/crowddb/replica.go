@@ -1,7 +1,6 @@
 package crowddb
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -425,13 +424,17 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 	return st, nil
 }
 
-// readBootstrap consumes the dataset/model/snapshot frames at the head
-// of st. A bootstrap without a model checkpoint cannot build a follower.
-func readBootstrap(st *replStream) (dataset, model []byte, snap replSnapshotMsg, err error) {
+// readGeneration consumes the dataset/model/snapshot frames at the head
+// of st as the generation they make: the primary's bytes verbatim,
+// under the hello's history and fencing epoch at the snapshot's
+// position. A bootstrap without a model checkpoint cannot build a
+// follower. Start-up (install) and the live re-bootstrap both write it.
+func (r *Replica) readGeneration(st *replStream) (generation, error) {
+	var dataset, model []byte
 	for {
 		typ, payload, err := st.next()
 		if err != nil {
-			return nil, nil, snap, err
+			return generation{}, err
 		}
 		switch typ {
 		case frameDataset:
@@ -439,26 +442,30 @@ func readBootstrap(st *replStream) (dataset, model []byte, snap replSnapshotMsg,
 		case frameModel:
 			model = payload
 		case frameSnapshot:
+			var snap replSnapshotMsg
 			if err := json.Unmarshal(payload, &snap); err != nil {
-				return nil, nil, snap, fmt.Errorf("bootstrap snapshot: %w", err)
+				return generation{}, fmt.Errorf("bootstrap snapshot: %w", err)
 			}
 			if model == nil {
-				return nil, nil, snap, errors.New("bootstrap stream carried no model checkpoint")
+				return generation{}, errors.New("bootstrap stream carried no model checkpoint")
 			}
-			return dataset, model, snap, nil
+			return generation{
+				dataset: dataset, model: fromBytes(model), store: fromBytes(snap.file()),
+				sidecar: adoptedSidecar(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch),
+				tenant:  cmp.Or(r.opts.Tenant, DefaultTenant),
+			}, nil
 		default:
-			return nil, nil, snap, fmt.Errorf("unexpected frame type %d during bootstrap", typ)
+			return generation{}, fmt.Errorf("unexpected frame type %d during bootstrap", typ)
 		}
 	}
 }
 
-// install writes the primary's dataset, model and snapshot frames
-// verbatim through the one generation writer, under the hello's history
-// and fencing epoch at the snapshot's position, as the generation after
-// every local one: nothing local is deleted before the primary has
-// answered, and the next compaction sweeps a refused generation.
+// install writes the bootstrap at the head of st through the one
+// generation writer as the generation after every local one: nothing
+// local is deleted before the primary has answered, and the next
+// compaction sweeps a refused generation.
 func (r *Replica) install(st *replStream) error {
-	dataset, model, snap, err := readBootstrap(st)
+	g, err := r.readGeneration(st)
 	if err != nil {
 		return err
 	}
@@ -467,58 +474,31 @@ func (r *Replica) install(st *replStream) error {
 		return err
 	}
 	next := uint64(1)
-	for g := range journals {
-		next = max(next, g+1)
+	for n := range journals {
+		next = max(next, n+1)
 	}
-	for _, g := range gens {
-		next = max(next, g+1)
+	for _, n := range gens {
+		next = max(next, n+1)
 	}
-	_, err = writeGeneration(r.opts.Dir, next, generation{
-		dataset: dataset, model: fromBytes(model), store: fromBytes(snap.file()),
-		sidecar: adoptedSidecar(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch),
-		tenant:  cmp.Or(r.opts.Tenant, DefaultTenant),
-	})
+	_, err = writeGeneration(r.opts.Dir, next, g)
 	return err
 }
 
 // rebootstrap is the live re-bootstrap of a serving follower that fell
-// behind the primary's compaction or was found diverged: the store, the
-// model and the replication position are swapped in place in one
-// quiesced step, so no digest cut sees the adopted store beside the old
-// model at the old seq, and a compaction (which quiesces itself)
-// checkpoints the adopted state as a new local generation.
+// behind the primary's compaction or was found diverged: the switch
+// compaction runs, to a generation holding the primary's state (DB.adopt).
+// The store, the model and the replication position move in one quiesced
+// step, so no digest cut sees the adopted store beside the old model at
+// the old seq, and they move only once that generation is on disk.
 func (r *Replica) rebootstrap(st *replStream) error {
-	dataset, raw, snap, err := readBootstrap(st)
+	g, err := r.readGeneration(st)
 	if err != nil {
 		return err
 	}
-	model, err := core.LoadModel(bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("bootstrap model: %w", err)
-	}
-	// The dataset is installed only once the whole bootstrap has
-	// arrived, and atomically: the directory still holds a valid
-	// generation that restarts from the file it replaces.
-	if dataset != nil {
-		if err := writeFileAtomic(r.db.DatasetPath(), fromBytes(dataset)); err != nil {
-			return err
-		}
-	}
-	err = r.mgr.Quiesce(func() error {
-		if err := r.db.Store().RestoreSnapshot(bytes.NewReader(snap.Store)); err != nil {
-			return fmt.Errorf("bootstrap snapshot: %w", err)
-		}
-		r.cm.Replace(model)
-		r.db.seedReplication(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch)
-		return nil
-	})
-	if err != nil {
+	if err := r.db.adopt(g, r.cm.Replace); err != nil {
 		return err
 	}
-	if err := r.db.Compact(); err != nil {
-		return err
-	}
-	r.bootstrapped(st.hello, snap.Seq, snap.Bytes)
+	r.bootstrapped(st.hello, g.sidecar.Seq, g.sidecar.Bytes)
 	return nil
 }
 
@@ -532,10 +512,6 @@ func (r *Replica) bootstrapped(hello replHello, seq, bytes int64) {
 	r.lastContact = time.Now()
 	r.forceBoot = false
 	r.mu.Unlock()
-	// The adopted snapshot replaces local state wholesale — possibly at
-	// a position the cutter already cached a digest for — so the cache
-	// must not survive the swap.
-	r.cutter.Invalidate()
 	if r.diverged.CompareAndSwap(true, false) {
 		r.repairs.Add(1)
 		r.opts.Logf("crowddb: replica: divergence repaired by re-bootstrap at record %d", seq)

@@ -341,13 +341,15 @@ func loadSidecar(path string) (sc replSidecar, err error) {
 	return sc, err
 }
 
-// loadReplState seeds the replication position from the booted
-// generation's sidecar. The zero sidecar (a fresh or pre-replication
-// directory) starts a new history at position zero; epoch 1 is the
-// floor every history starts at.
+// loadReplState seeds the replication position from the sidecar of the
+// generation booted or switched to. The zero sidecar (a fresh or
+// pre-replication directory) starts a new history at position zero;
+// epoch 1 is the floor every history starts at.
 func (db *DB) loadReplState(sc replSidecar) {
 	sc.History = cmp.Or(sc.History, newHistoryID())
 	r := &db.repl
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.history, r.base = sc.History, sc
 	r.seq, r.bytes = sc.Seq, sc.Bytes
 	r.fencingEpoch = max(sc.FencingEpoch, 1)
@@ -423,20 +425,6 @@ func (db *DB) ReplicationHistory() string {
 	db.repl.mu.Lock()
 	defer db.repl.mu.Unlock()
 	return db.repl.history
-}
-
-// seedReplication adopts a primary's history, position and fencing
-// epoch — a serving follower's live re-bootstrap, before its Compact
-// persists them into the new generation's sidecar.
-func (db *DB) seedReplication(history string, seq, bytes int64, epoch uint64) {
-	r := &db.repl
-	r.mu.Lock()
-	r.history = history
-	r.seq, r.bytes = seq, bytes
-	r.base.Seq, r.base.Bytes = seq, bytes
-	r.fencingEpoch = max(epoch, 1)
-	r.fencingObserved = r.fencingEpoch
-	r.mu.Unlock()
 }
 
 // FencingEpoch returns this node's own fencing epoch (DESIGN §12).

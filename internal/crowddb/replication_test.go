@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,6 +284,92 @@ func TestReplicaRebootstrapsWhenBehindCompaction(t *testing.T) {
 	assertModelsEqual(t, rig.cm.Unwrap(), rep.cm.Unwrap())
 	if got, want := rep.DB().Store().NumTasks(), rig.db.Store().NumTasks(); got != want {
 		t.Fatalf("replica stores %d tasks, primary %d", got, want)
+	}
+
+	// The live re-bootstrap's generation is the primary's, byte for
+	// byte, as a fresh follower's is.
+	gen, local := rig.db.Generation(), rep.DB().Generation()
+	for _, name := range []string{datasetName, fmt.Sprintf(modelPattern, gen), fmt.Sprintf(snapshotPattern, gen)} {
+		want, err := os.ReadFile(filepath.Join(rig.db.dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, strings.Replace(name, fmt.Sprintf("%08d", gen), fmt.Sprintf("%08d", local), 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("follower's generation %d %s differs from the primary's generation %d (%d vs %d bytes)", local, name, gen, len(got), len(want))
+		}
+	}
+	rebootServesSameDigest(t, rep, ts, dir)
+}
+
+// rebootServesSameDigest closes a caught-up follower, kills its
+// primary, and reboots the follower's directory: the rebooted node must
+// cut the digest the follower served.
+func rebootServesSameDigest(t *testing.T, rep *Replica, ts *httptest.Server, dir string) {
+	t.Helper()
+	served, err := rep.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	killPrimary(ts)
+	rep = startTestReplica(t, ts.URL, dir)
+	defer rep.Close()
+	if got, err := rep.Digest(); err != nil || got != served {
+		t.Fatalf("rebooted follower cuts %+v (%v), it served %+v", got, err, served)
+	}
+}
+
+// TestReplicaRebootstrapRetriesWhenJournalOpenFails: a live
+// re-bootstrap whose next journal cannot be opened fails before anything
+// moves and is retried. Adopting the primary's state in memory and only
+// then failing to switch generations would append the adopted history's
+// records to the superseded journal, and the directory would not reboot.
+func TestReplicaRebootstrapRetriesWhenJournalOpenFails(t *testing.T) {
+	rig, _, ts := replPrimary(t)
+	dir := t.TempDir()
+	rep := startTestReplica(t, ts.URL, dir)
+	rig.resolveOneTask(t, "first task before the follower naps", []float64{4, 2})
+	waitCaughtUp(t, rig, rep)
+	next := filepath.Join(dir, fmt.Sprintf(journalPattern, rep.DB().Generation()+1))
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rig.resolveOneTask(t, "second task while the follower is down", []float64{5, 1})
+	if err := rig.db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rig.resolveOneTask(t, "third task lands in the fresh journal", []float64{2, 4})
+
+	var failed atomic.Bool
+	rep, err := StartReplica(ReplicaOptions{
+		Primary: ts.URL,
+		Dir:     dir,
+		DB: Options{Sync: SyncAlways(), OpenJournalFile: func(path string) (JournalFile, error) {
+			if path == next && failed.CompareAndSwap(false, true) {
+				return nil, errDiskGone
+			}
+			return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		}},
+		Build:            testReplicaBuilder(),
+		ReconnectBackoff: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, rig, rep)
+	if !failed.Load() {
+		t.Fatal("the re-bootstrap never opened the next journal")
+	}
+	bootstraps := rep.Status().Bootstraps
+	rebootServesSameDigest(t, rep, ts, dir)
+	if bootstraps != 1 {
+		t.Fatalf("follower counted %d re-bootstraps, want the one that succeeded", bootstraps)
 	}
 }
 

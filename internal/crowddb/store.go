@@ -706,14 +706,18 @@ func (s *Store) RestoreSnapshot(r io.Reader) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.workers = workers
+	s.takeRowsLocked(&Store{workers: workers, tasks: tasks, nextTID: snap.NextTID, appliedForwards: forwards})
+	return nil
+}
+
+// takeRowsLocked moves from's rows — workers, tasks, next id and the
+// applied-forward set — into s, which keeps its journal, tenant, stride
+// and seal. Callers hold s.mu; from is not used again.
+func (s *Store) takeRowsLocked(from *Store) {
+	s.workers, s.tasks, s.nextTID, s.appliedForwards = from.workers, from.tasks, from.nextTID, from.appliedForwards
 	s.online.Store(nil)
-	s.tasks = tasks
-	s.nextTID = snap.NextTID
-	s.appliedForwards = forwards
 	// A snapshot written before this node was sharded may leave nextTID
 	// off this shard's stride; realign forward so freshly minted ids
 	// stay on it.
 	s.alignTIDLocked()
-	return nil
 }

@@ -71,12 +71,11 @@ func newTenantRig(t *testing.T, d *corpus.Dataset, m *core.Model, tenant string)
 		}
 	}
 	cm := core.NewConcurrentModel(cloneModel(t, m))
-	mgr, err := NewManagerWith(ManagerConfig{
-		Store: store, Vocab: d.Vocab, Selector: cm, CrowdK: 3, Tenant: tenant,
-	})
+	mgr, err := NewManager(store, d.Vocab, cm, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr.SetTenant(tenant)
 	return &tenantRig{mgr: mgr, cm: cm}
 }
 
