@@ -33,6 +33,7 @@ race:
 	$(GO) test -race ./...
 
 # The allocation gates of the projection kernel (DESIGN.md §6), of the
+# skill fold (§4.3: the two posterior vectors it commits), of the
 # bounded top-k selection (§6: k Items below the candidate count,
 # whatever the count, and no category for a cache hit) and of the
 # single-node selections handler, hot (§11: the fleet's category fields
@@ -47,17 +48,19 @@ race:
 allocs:
 	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core ./internal/rank ./internal/crowddb
 
-# The projection kernel's two layer numbers, six readings each: a cold
-# Model.Project (time, the 2 allocations it returns, and evals/op, grads/op
-# and exps/op — how often a projection evaluates the task objective and its
-# gradient and how many exponentials it takes) and one training sweep,
-# whose E-step runs the same kernel; then the kernel's own exponential
-# beside math.Exp, on independent operands and on chained ones.
-# Run it on both sides of any change under internal/core/estep.go,
-# internal/core/exp.go or internal/optimize, alternating, with nothing else
+# The kernels' layer numbers, six readings each: a cold Model.Project
+# (time, the 2 allocations it returns, and evals/op, grads/op and exps/op —
+# how often a projection evaluates the task objective and its gradient and
+# how many exponentials it takes), one training sweep, whose E-step runs
+# the same kernel, and one skill fold (one category into one worker through
+# ConcurrentModel: time and the 2 allocations it commits); then the
+# kernel's own exponential beside math.Exp, on independent operands and on
+# chained ones. Run it on both sides of any change under
+# internal/core/estep.go, internal/core/exp.go, internal/optimize or the
+# fold in internal/core/project.go, alternating, with nothing else
 # running: the counts repeat exactly, the times do not (not a CI gate).
 kernel:
-	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep' -benchmem -count 6 ./internal/core
+	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep|UpdateWorkerSkill' -benchmem -count 6 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkExp' -count 3 ./internal/core
 
 # Regenerate experiments_run.txt, the raw output EXPERIMENTS.md's tables

@@ -90,6 +90,28 @@ func BenchmarkProject(b *testing.B) {
 	})
 }
 
+var sinkErr error
+
+// BenchmarkUpdateWorkerSkill is the crowd-update fold of §4.2 issue (2)
+// as a resolve runs it per answerer: one projected category and one
+// score folded into one worker's posterior through ConcurrentModel's
+// write lock, cycling over the workers. The fold swaps LambdaW/NuW2
+// rows and never writes one in place, so restoring the two row slices
+// afterwards leaves the shared fixture as trained.
+func BenchmarkUpdateWorkerSkill(b *testing.B) {
+	m, bags := benchFixture(b)
+	lambdaW, nuW2 := slices.Clone(m.LambdaW), slices.Clone(m.NuW2)
+	defer func() { m.LambdaW, m.NuW2 = lambdaW, nuW2 }()
+	cm := NewConcurrentModel(m)
+	cats, scores := []TaskCategory{m.Project(bags[0])}, []float64{0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scores[0] = float64(i % 6)
+		sinkErr = cm.UpdateWorkerSkill(i%m.M, cats, scores)
+	}
+}
+
 // BenchmarkTrainSweep is one variational EM sweep of Algorithm 2 over
 // the platform (the E-step runs the same task objective and conjugate
 // gradient as Project, with the feedback terms), sequentially.

@@ -47,7 +47,10 @@ func (c *ConcurrentModel) Digest() (string, error) {
 //	3  every exponential is the package's own exp (math.Exp chose a fused
 //	   path by CPUID) and Eq. 12 multiplies e^λ into a table of exp(LogBeta)
 //	   where it took a softmax of logits
-const KernelVersion = 3
+//	4  the skill fold solves its precision D + τ⁻²·ΛΛᵀ by Woodbury
+//	   (Sherman–Morrison for one category) where it took a jittered
+//	   Cholesky factor of the dense K×K matrix; ν_w² did not move
+const KernelVersion = 4
 
 // categoryVersion is a hex SHA-256 over everything a projection reads
 // and runs: the kernel version (KernelVersion, but for a test's relabelled

@@ -115,6 +115,30 @@ func TestProjectMissAllocations(t *testing.T) {
 	}
 }
 
+// TestUpdateWorkerSkillAllocations is the fold's allocation gate: a
+// one-category fold through ConcurrentModel, the one the manager, the
+// journal replay and the streaming example run per answerer, allocates
+// the two vectors it commits (λ_w and ν_w²) and nothing else — no K×K
+// precision, no factor and no working vectors.
+func TestUpdateWorkerSkillAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
+	m, bags := firstBags(t, 5, 1)
+	cm := NewConcurrentModel(m)
+	cats, scores := []TaskCategory{cm.Project(bags[0])}, []float64{3}
+	w := 0
+	a := testing.AllocsPerRun(64, func() {
+		if err := cm.UpdateWorkerSkillDrift(w%m.M, cats, scores, 0.01); err != nil {
+			t.Fatal(err)
+		}
+		w++
+	})
+	if a != 2 {
+		t.Errorf("a one-category fold allocates %v times, want 2 (λ_w and ν_w²)", a)
+	}
+}
+
 func TestTaskObjectiveAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")

@@ -31,9 +31,10 @@ import (
 //   - All three rank into lists cut from the caller's rank.Arena, valid
 //     until the caller reuses it.
 //   - Project and UpdateWorkerSkill fold a resolved task's feedback into
-//     the answerers' skill posteriors — the crowd-update path of §4.2;
-//     an UpdateWorkerSkill error (invalid input, a failed solve) reaches
-//     the feedback caller.
+//     the answerers' skill posteriors — the crowd-update path of §4.2.
+//     The fold has no solve that can fail, so an UpdateWorkerSkill error
+//     means invalid input (core.ErrBadUpdate); it reaches the feedback
+//     caller. UpdateWorkerSkill retains neither slice it is handed.
 //   - Digest is the canonical hash of the posteriors (DESIGN §14).
 //
 // A pure selection (RankOnly and its forms) cuts the bags it hands a
@@ -556,7 +557,8 @@ func (m *Manager) ResolveTask(ctx context.Context, taskID int, scores map[int]fl
 // verbatim when recovery replays resolve events so the rebuilt
 // posteriors match the pre-crash model element-wise.
 func (m *Manager) applySkillFeedback(rec TaskRecord) error {
-	cat := m.sel.Project(text.NewBagKnown(m.vocab, rec.Tokens))
+	cats := []core.TaskCategory{m.sel.Project(text.NewBagKnown(m.vocab, rec.Tokens))}
+	score := []float64{0}
 	for _, a := range rec.Answers {
 		// A sharded node owns only its slice of the posterior state:
 		// foreign answerers' feedback reaches their owner shards through
@@ -566,7 +568,8 @@ func (m *Manager) applySkillFeedback(rec TaskRecord) error {
 		if !m.shard.OwnsWorker(a.Worker) {
 			continue
 		}
-		if err := m.sel.UpdateWorkerSkill(a.Worker, []core.TaskCategory{cat}, []float64{a.Score}); err != nil {
+		score[0] = a.Score
+		if err := m.sel.UpdateWorkerSkill(a.Worker, cats, score); err != nil {
 			return err
 		}
 	}
