@@ -21,9 +21,9 @@ import (
 // replicas), so a kernel change that reuses buffers must leave this test
 // untouched and green; a change that reorders arithmetic on purpose
 // bumps KernelVersion and re-cuts the constants in a commit that says so
-// (the failure message prints the new values). They were last cut for
-// KernelVersion 3, the kernel's own exponential and the table form of
-// Eq. 12.
+// (the failure message prints the new values). (a)–(c) were last cut
+// for KernelVersion 3, the kernel's own exponential and the table form
+// of Eq. 12; (d) for KernelVersion 4, the Woodbury skill fold.
 //
 // The constants are for GOARCH=amd64: other ports may fuse a*b+c into
 // one FMA and round differently, so the test skips itself there. Any
@@ -35,7 +35,7 @@ const (
 	goldenTrainedModel = "e3f3990b6a1a8da0fb0e2f9a9a688971bfee5a364ce9c81ef19635ffffc1516f"
 	goldenProjections  = "b5bacf20e44c1c1c0e6bb36360c9d089cfa9f49573286c2cf4b8db876a256a04"
 	goldenSelections   = "a1d247b7cdd9d0dfc2bc56bd3f5fae3ee52f7d69ee737d49a9f27ed564885add"
-	goldenUpdatedModel = "f6fd99056cbd0a4eda26f13a44e3dc1288f188c7a1c1baf21eb87e25385cf81c"
+	goldenUpdatedModel = "e1f7476560515fe52c7bddd023e1268d5cecc400bc440ecd9b8525d534ff3e4a"
 )
 
 // goldenBags is the fixed bag list: the first 32 task texts of the

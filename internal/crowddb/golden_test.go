@@ -19,8 +19,8 @@ import (
 // projection → posterior fold, in journal order — so a change to how
 // bags are built (or to anything else between the request and the fold)
 // must leave it untouched. Like the kernel constants it is for
-// GOARCH=amd64 and was last cut for core.KernelVersion 3.
-const goldenPostFeedbackModel = "0eb1bbe20c676f723e7d1df432199435df1965bce0233902a4edd33da3bf54d8"
+// GOARCH=amd64 and was last cut for core.KernelVersion 4.
+const goldenPostFeedbackModel = "1f3172443e3dd67f6400f1fddbf1e26cf8471162f85ccaf8af1351b5e5cf444d"
 
 func TestGoldenModelDigestThroughStore(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
