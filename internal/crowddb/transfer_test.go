@@ -383,13 +383,18 @@ func TestReplicationArchMismatchRefused(t *testing.T) {
 
 // TestReplicationKernelMismatchRefused is the same for the kernel
 // version: a primary running this binary's kernel is followed; one that
-// predates the stamp ran kernel 1, and it and any other version replay
-// feedback through other arithmetic, so the follower stops with
-// ErrKernelMismatch instead of latching diverged at the next heartbeat.
+// predates the stamp ran kernel 1, and it, every other earlier version
+// and a later one replay feedback through other arithmetic, so the
+// follower stops with ErrKernelMismatch instead of latching diverged at
+// the next heartbeat.
 func TestReplicationKernelMismatchRefused(t *testing.T) {
 	rig, src, _ := replPrimary(t)
 	rig.resolveOneTask(t, "a task to replicate", []float64{4, 2})
-	for kernel, refusal := range map[int]error{core.KernelVersion: nil, 0: ErrKernelMismatch, 1: ErrKernelMismatch, core.KernelVersion - 1: ErrKernelMismatch, core.KernelVersion + 1: ErrKernelMismatch} {
+	refusals := map[int]error{core.KernelVersion: nil, core.KernelVersion + 1: ErrKernelMismatch}
+	for kernel := 0; kernel < core.KernelVersion; kernel++ {
+		refusals[kernel] = ErrKernelMismatch
+	}
+	for kernel, refusal := range refusals {
 		t.Run(fmt.Sprintf("kernel=%d", kernel), func(t *testing.T) {
 			hello := helloOf(rig)
 			hello.Kernel = kernel
