@@ -48,16 +48,18 @@ race:
 allocs:
 	$(GO) test -run 'Alloc' ./internal/optimize ./internal/core ./internal/rank ./internal/crowddb
 
-# The kernels' layer numbers, six readings each: a cold Model.Project
-# (time, the 2 allocations it returns, and evals/op, grads/op and exps/op —
-# how often a projection evaluates the task objective and its gradient and
-# how many exponentials it takes), one training sweep, whose E-step runs
-# the same kernel, and one skill fold (one category into one worker through
-# ConcurrentModel: time and the 2 allocations it commits); then the
-# kernel's own exponential beside math.Exp, on independent operands and on
-# chained ones. Run it on both sides of any change under
-# internal/core/estep.go, internal/core/exp.go, internal/optimize or the
-# fold in internal/core/project.go, alternating, with nothing else
+# The kernels' layer numbers, six readings each: a cold Model.Project,
+# the Newton projection (time, the 2 allocations it returns, and steps/op,
+# evals/op, grads/op and exps/op — how many Newton steps a projection takes,
+# how often it evaluates the task objective and its gradient and how many
+# exponentials it takes), one training sweep, whose E-step maximizes the
+# same task objective by conjugate gradient, and one skill fold (one
+# category into one worker through ConcurrentModel: time and the 2
+# allocations it commits); then the kernel's own exponential beside
+# math.Exp, on independent operands and on chained ones. Run it on both
+# sides of any change under internal/core/estep.go, internal/core/exp.go,
+# internal/optimize or the projection and the fold in
+# internal/core/project.go, alternating, with nothing else
 # running: the counts repeat exactly, the times do not (not a CI gate).
 kernel:
 	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep|UpdateWorkerSkill' -benchmem -count 6 ./internal/core

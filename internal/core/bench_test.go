@@ -51,13 +51,13 @@ var sinkCategory TaskCategory
 
 // BenchmarkProject is Algorithm 3's first phase alone. miss is the
 // kernel (Model.Project over 512 distinct task bags, no cache in
-// front), with the mean number of objective and gradient evaluations and
-// of exponentials a projection of those bags makes (counted after the
-// clock stops, on a scratch whose solver is wrapped; evals/op ÷ grads/op
-// ≈ Armijo trials per CG iteration, all but one of them rejected; exps/op
-// is the count that repeats when the microseconds do not); hit is the same
-// call answered by the ConcurrentModel's projection cache (key, lookup,
-// and a copy into the two vectors Project returns).
+// front), with the mean number of Newton steps (K×K factorizations), of
+// objective and gradient evaluations and of exponentials a projection of
+// those bags makes (counted after the clock stops, on a scratch whose
+// solver is wrapped; evals/op − steps/op is the line searches' rejected
+// trials; exps/op is the count that repeats when the microseconds do
+// not); hit is the same call answered by the ConcurrentModel's projection
+// cache (key, lookup, and a copy into the two vectors Project returns).
 func BenchmarkProject(b *testing.B) {
 	m, bags := benchFixture(b)
 	b.Run("miss", func(b *testing.B) {
@@ -66,18 +66,24 @@ func BenchmarkProject(b *testing.B) {
 			sinkCategory = m.Project(bags[i%len(bags)])
 		}
 		b.StopTimer()
-		sc, evals, grads, points := countingScratch()
+		sc, evals, grads, factors, points := countingScratch()
+		rounds := 0
 		for _, bag := range bags {
+			if ids, _ := inVocabulary(m, bag); len(ids) > 0 {
+				rounds += m.projectInner()
+			}
 			m.projectWith(sc, bag)
 		}
-		b.ReportMetric(float64(*evals)/float64(len(bags)), "evals/op")
-		b.ReportMetric(float64(*grads)/float64(len(bags)), "grads/op")
+		perOp := func(n int) float64 { return float64(n) / float64(len(bags)) }
+		b.ReportMetric(perOp(*factors), "steps/op")
+		b.ReportMetric(perOp(*evals), "evals/op")
+		b.ReportMetric(perOp(*grads), "grads/op")
 		// Exponentials: 2K (ν² and e^{λ+ν²/2}) at every point the objective
-		// moves to, and 3K in each round of a bag with a known term, as all
-		// of these have — e^λ for φ, ε, and ν² read back from ρ. Through
-		// KernelVersion 2 a round took K more per distinct term.
-		exps := m.K * (2**points + 3*m.projectInner()*len(bags))
-		b.ReportMetric(float64(exps)/float64(len(bags)), "exps/op")
+		// moves to, and 3K in each round — e^λ for φ, ε, and ν² read back
+		// from ρ — of a bag with an in-vocabulary term (a bag without one
+		// runs no round). Through KernelVersion 2 a round took K more per
+		// distinct term.
+		b.ReportMetric(perOp(m.K*(2**points+3*rounds)), "exps/op")
 	})
 	b.Run("hit", func(b *testing.B) {
 		cm := NewConcurrentModel(m)
@@ -113,8 +119,8 @@ func BenchmarkUpdateWorkerSkill(b *testing.B) {
 }
 
 // BenchmarkTrainSweep is one variational EM sweep of Algorithm 2 over
-// the platform (the E-step runs the same task objective and conjugate
-// gradient as Project, with the feedback terms), sequentially.
+// the platform (the E-step maximizes the same task objective as Project,
+// with the feedback terms, by conjugate gradient), sequentially.
 func BenchmarkTrainSweep(b *testing.B) {
 	benchFixture(b)
 	p := &benchPlatform

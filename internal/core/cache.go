@@ -10,7 +10,7 @@ import (
 
 // projectionCache memoizes Project results by bag fingerprint for the
 // serving path: online platforms see the same (or near-duplicate)
-// tasks arrive repeatedly, and a projection is a conjugate-gradient
+// tasks arrive repeatedly, and a projection is six rounds of a Newton
 // solve — orders of magnitude more expensive than a map lookup.
 //
 // Entries carry the ConcurrentModel epoch — the version of the category

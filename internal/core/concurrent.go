@@ -30,7 +30,7 @@ const defaultProjectionCacheCap = 8192
 //
 // The wrapper holds an RWMutex: selection and projection take the read
 // lock (so any number run in parallel, which matters — projection is
-// the expensive conjugate-gradient step), and posterior updates take
+// the expensive Newton solve), and posterior updates take
 // the write lock for the short solve-and-swap. Together with the
 // update's commit-after-solve discipline this guarantees readers never
 // observe a half-applied posterior.
@@ -39,7 +39,7 @@ const defaultProjectionCacheCap = 8192
 //
 // The wrapper memoizes Project results by exact bag fingerprint in a
 // bounded LRU: arrival streams repeat task texts, and a cache hit
-// replaces a conjugate-gradient solve with a map lookup. Every cached
+// replaces a Newton solve with a map lookup. Every cached
 // category is tagged with the wrapper's epoch, and a lookup under a
 // newer epoch is a miss. The epoch is the version of the *category
 // parameters*: Project reads only MuC, SigmaC and LogBeta, so only the
@@ -340,7 +340,7 @@ func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, a *rank.Arena,
 
 // RankCategoriesScored is the second phase of Algorithm 3 alone: it
 // ranks the candidates against categories projected elsewhere, touching
-// neither the tokenizer, the projection cache nor the CG solver. version
+// neither the tokenizer, the projection cache nor the Newton solver. version
 // must equal this model's category version (checked under the same read
 // lock the scoring holds), else ErrCategoryVersion; every category must
 // be a finite K-vector, else ErrBadCategory. Given equal versions the

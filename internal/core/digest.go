@@ -32,7 +32,7 @@ func (c *ConcurrentModel) Digest() (string, error) {
 
 // KernelVersion names the arithmetic this binary runs where bits are a
 // contract: what a projection (Algorithm 3: the φ/ε rounds, the task
-// objective, the conjugate gradient and its line search) and a posterior
+// objective, the Newton solve and its line search) and a posterior
 // fold compute from given inputs. Any commit that changes the iterate
 // sequence of either — and with it the golden digests — bumps it. Two
 // binaries with different versions disagree on λ_c and on replayed
@@ -50,11 +50,14 @@ func (c *ConcurrentModel) Digest() (string, error) {
 //	4  the skill fold solves its precision D + τ⁻²·ΛΛᵀ by Woodbury
 //	   (Sherman–Morrison for one category) where it took a jittered
 //	   Cholesky factor of the dense K×K matrix; ν_w² did not move
-const KernelVersion = 4
+//	5  a projection maximizes each round's bound by damped Newton steps
+//	   where it ran Polak–Ribière+ conjugate gradient; training did not
+//	   move
+const KernelVersion = 5
 
 // categoryVersion is a hex SHA-256 over everything a projection reads
 // and runs: the kernel version (KernelVersion, but for a test's relabelled
-// node), K, V, the number of φ/ε/CG rounds and the bits of MuC, SigmaC and
+// node), K, V, the number of φ/ε/Newton rounds and the bits of MuC, SigmaC and
 // LogBeta. Two models with equal versions project every bag to the same
 // λ_c bit for bit, whatever their worker posteriors hold — which is what
 // lets one shard of a fleet project for all of them.

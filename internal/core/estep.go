@@ -9,8 +9,9 @@ import (
 
 // taskObjective is the portion of the variational bound L′(q) that
 // depends on one task's (λ_c, ν_c), with everything else held fixed.
-// It is optimized by conjugate gradient over x = [λ; ρ], ρ = log ν²
-// (the log re-parameterization keeps ν² positive, cf. §5.2).
+// It is maximized over x = [λ; ρ], ρ = log ν² (the log
+// re-parameterization keeps ν² positive, cf. §5.2): by conjugate gradient
+// in training (solve), by Newton's method in projection (solveNewton).
 //
 // Up to constants, with L the task's token count and ε its Taylor
 // point:
@@ -221,16 +222,16 @@ func (o *taskObjective) grad(x, g linalg.Vector) {
 
 // taskSolver is the reusable (λ_c, ν_c) update shared by training and
 // projection: one task objective, its negation as an optimize.Problem
-// (the two closures are bound to the objective once, here) and the
-// optimizer's workspace. After its first solve at a given K it
-// allocates nothing. The optimizer asks for the gradient only at the
-// point whose value it has just taken (the start, then each accepted
-// Armijo trial), so every Grad finds the objective's per-point
+// (the two closures are bound to the objective once, here), the
+// conjugate-gradient workspace training's solve uses and the working set
+// of projection's Newton solve (solveNewton). After its first solve at a
+// given K it allocates nothing. Both methods ask for the gradient only at
+// the point whose value they have just taken (the start, then each
+// accepted Armijo trial), so every Grad finds the objective's per-point
 // intermediates in place and takes no exponential and no matrix–vector
 // product of its own. Operands and order of every operation are fixed
 // (DESIGN §6): a solve is bit-identical to one on a fresh objective
-// that recomputes everything at every call, through the package-level
-// optimize.ConjugateGradient — TestGoldenNumerics and
+// that recomputes everything at every call — TestGoldenNumerics and
 // TestTaskObjectiveMatchesReference hold that.
 type taskSolver struct {
 	obj    taskObjective
@@ -238,10 +239,17 @@ type taskSolver struct {
 	ws     optimize.Workspace
 	x0     linalg.Vector
 	expLam linalg.Vector // e^{λₖ − max λ}, per φ round
+
+	// Newton's working set: the gradient, the step, the trial point, the
+	// ρ-block curvature c and the K×K matrix S, factored in place. factor
+	// is cholesky, bound here so a test can count the factorizations.
+	factor      func(a linalg.Vector, n int) bool
+	g, p, xt, c linalg.Vector
+	schur       linalg.Vector
 }
 
 func newTaskSolver() *taskSolver {
-	s := new(taskSolver)
+	s := &taskSolver{factor: cholesky}
 	s.prob = optimize.Problem{
 		Eval: func(x linalg.Vector) float64 { return -s.obj.value(x) },
 		Grad: func(x, g linalg.Vector) {
@@ -291,25 +299,50 @@ func taylorPoint(lam, nu2 linalg.Vector) float64 {
 	return eps
 }
 
+// taskGradTol is where both solves stop: ‖∇F‖∞ ≤ taskGradTol.
+const taskGradTol = 1e-5
+
 // solve maximizes the loaded objective over (λ, ρ = log ν²) by
 // conjugate gradient from the given state and writes the optimum back
 // into lam and nu2, ν² clamped so downstream exp() stays finite. It
 // reports false, leaving lam and nu2 untouched, on numerical failure.
 func (s *taskSolver) solve(lam, nu2 linalg.Vector, maxIter int) bool {
+	res := s.ws.ConjugateGradient(s.prob, s.start(lam, nu2), optimize.Settings{MaxIter: maxIter, GradTol: taskGradTol})
+	// res.X aliases the workspace: finish copies it out before the next solve.
+	return s.finish(res.X, lam, nu2)
+}
+
+// solveNewton is solve by newton, for an objective without feedback
+// terms (Algorithm 3's projection).
+func (s *taskSolver) solveNewton(lam, nu2 linalg.Vector, maxIter int) bool {
+	x := s.start(lam, nu2)
+	s.newton(x, maxIter)
+	return s.finish(x, lam, nu2)
+}
+
+// start writes the point [λ; log ν²] of a solve into the solver's x0
+// and returns it.
+func (s *taskSolver) start(lam, nu2 linalg.Vector) linalg.Vector {
 	k := s.obj.k
 	x0 := scratchVec(&s.x0, 2*k)
 	copy(x0[:k], lam)
 	for kk := 0; kk < k; kk++ {
 		x0[k+kk] = math.Log(nu2[kk])
 	}
-	res := s.ws.ConjugateGradient(s.prob, x0, optimize.Settings{MaxIter: maxIter, GradTol: 1e-5})
-	if !res.X.IsFinite() {
+	return x0
+}
+
+// finish writes the optimum x of a solve into lam and nu2, ρ clamped to
+// ±30, and reports true; on a non-finite x it reports false and writes
+// nothing.
+func (s *taskSolver) finish(x, lam, nu2 linalg.Vector) bool {
+	if !x.IsFinite() {
 		return false
 	}
-	// res.X aliases the workspace: copy out before the next solve.
-	copy(lam, res.X[:k])
+	k := s.obj.k
+	copy(lam, x[:k])
 	for kk := 0; kk < k; kk++ {
-		rho := res.X[k+kk]
+		rho := x[k+kk]
 		if rho > 30 {
 			rho = 30
 		}
@@ -319,6 +352,157 @@ func (s *taskSolver) solve(lam, nu2 linalg.Vector, maxIter int) bool {
 		nu2[kk] = exp(rho)
 	}
 	return true
+}
+
+// newtonStop says why newton returned.
+type newtonStop int
+
+const (
+	newtonConverged  newtonStop = iota // ‖∇F‖∞ ≤ taskGradTol
+	newtonStepCap                      // maxIter steps taken
+	newtonLineSearch                   // no trial of the line search passed Armijo
+	newtonNoStep                       // S had no factor, or the step was no ascent direction
+)
+
+// Newton's line search: the sufficient-increase constant (optimize's
+// default) and the number of halvings of the unit step before a search
+// gives up.
+const (
+	newtonArmijoC       = 1e-4
+	newtonMaxBacktracks = 30
+)
+
+// newton maximizes the loaded objective, which must carry no feedback
+// terms, over x = [λ; ρ] in place by damped Newton steps, from x as
+// given, and reports why it stopped. F is jointly concave (the prior is a
+// concave quadratic, −exp(λ + e^ρ/2) is concave, −½(Σ_c⁻¹)ₖₖe^ρ too,
+// and ½ρ is linear), so its negative Hessian is positive definite:
+//
+//	H = [ Σ_c⁻¹ + r·diag(e)   diag(b) ]    r = L/ε, e = exp(λ + ν²/2),
+//	    [ diag(b)             diag(c) ]    b = r·e·ν²/2,
+//	                                       c = ½(Σ_c⁻¹)ₖₖν² + b·(1 + ν²/2).
+//
+// The ρ block is diagonal, so the step H·[Δλ; Δρ] = ∇F eliminates it
+// through its Schur complement: S = Σ_c⁻¹ + diag(r·e − b²/c), which is
+// positive definite too (b²/c < r·e), is factored by Cholesky in place,
+// S·Δλ = ∇_λF − b∘∇_ρF/c is solved and Δρ = (∇_ρF − b∘Δλ)/c. The step is
+// taken at the first t of 1, ½, ¼, … whose F is finite and gains at least
+// newtonArmijoC·t·∇Fᵀ[Δλ; Δρ]. H is read from the intermediates the
+// objective keeps for its last point — e and ν² — which are those of x:
+// the last value taken is the accepted trial's, and its gradient follows.
+// A step costs one value and one gradient at t = 1, no exponential beyond
+// the value's 2K, and one K×K factorization.
+//
+// It runs on the negated problem, as solve does (the sign flips are
+// exact), so a test that wraps s.prob counts its calls; every product
+// that feeds a sum is rounded by a float64 conversion, so no port may
+// fuse it (DESIGN §6).
+func (s *taskSolver) newton(x linalg.Vector, maxIter int) newtonStop {
+	o := &s.obj
+	k := o.k
+	// g holds −∇F, which s.prob.Grad writes; p is the step, whose Δλ is
+	// first the right-hand side and whose Δρ first holds b.
+	g, p, xt := scratchVec(&s.g, 2*k), scratchVec(&s.p, 2*k), scratchVec(&s.xt, 2*k)
+	c, sm := scratchVec(&s.c, k), scratchVec(&s.schur, k*k)
+	gl, gr, pl, pr := g[:k], g[k:], p[:k], p[k:]
+	r := o.total / o.eps
+	f := s.prob.Eval(x)
+	s.prob.Grad(x, g)
+	for step := 0; ; step++ {
+		gn := 0.0
+		for _, v := range g {
+			if a := math.Abs(v); !(a <= gn) { // a NaN sticks
+				gn = a
+			}
+		}
+		if gn <= taskGradTol {
+			return newtonConverged
+		}
+		if step == maxIter {
+			return newtonStepCap
+		}
+		copy(sm, o.sigmaCInv.Data)
+		for kk := 0; kk < k; kk++ {
+			nu2, re := o.nu2[kk], float64(r*o.e[kk])
+			b := float64(re*nu2) / 2
+			ck := float64(float64(o.sigmaCInv.Data[kk*k+kk]*nu2)/2) + float64(b*(1+float64(nu2/2)))
+			sm[kk*k+kk] += re - float64(b*b)/ck
+			c[kk], pr[kk] = ck, b
+			pl[kk] = float64(b*gr[kk])/ck - gl[kk]
+		}
+		if !s.factor(sm, k) {
+			return newtonNoStep
+		}
+		cholSolve(sm, k, pl)
+		slope := 0.0 // −∇Fᵀp, negative along an ascent step
+		for kk := 0; kk < k; kk++ {
+			pr[kk] = -(gr[kk] + float64(pr[kk]*pl[kk])) / c[kk]
+			slope += float64(gl[kk]*pl[kk]) + float64(gr[kk]*pr[kk])
+		}
+		if !(slope < 0) {
+			return newtonNoStep
+		}
+		t := 1.0
+		for bt := 0; ; bt++ {
+			if bt == newtonMaxBacktracks {
+				return newtonLineSearch
+			}
+			for i, v := range x {
+				xt[i] = v + float64(t*p[i])
+			}
+			// A non-finite trial left the objective's domain: −Inf of −F
+			// would pass the test below, so any non-finite value rejects.
+			if ft := s.prob.Eval(xt); finite(ft) && ft <= f+float64(float64(newtonArmijoC*t)*slope) {
+				f = ft
+				break
+			}
+			t /= 2
+		}
+		copy(x, xt)
+		s.prob.Grad(x, g)
+	}
+}
+
+// cholesky factors the symmetric positive definite n×n matrix a
+// (row-major; only its lower triangle is read) as L·Lᵀ in place, L in the
+// lower triangle. It reports false at a pivot that is not positive and
+// finite, leaving a partly overwritten.
+func cholesky(a linalg.Vector, n int) bool {
+	for j := 0; j < n; j++ {
+		for i := j; i < n; i++ {
+			v := a[i*n+j]
+			for q := 0; q < j; q++ {
+				v -= float64(a[i*n+q] * a[j*n+q])
+			}
+			if i > j {
+				a[i*n+j] = v / a[j*n+j]
+				continue
+			}
+			if !(v > 0) || !finite(v) {
+				return false
+			}
+			a[j*n+j] = math.Sqrt(v)
+		}
+	}
+	return true
+}
+
+// cholSolve overwrites y with (L·Lᵀ)⁻¹y for the factor cholesky left in a.
+func cholSolve(a linalg.Vector, n int, y linalg.Vector) {
+	for i := 0; i < n; i++ {
+		v := y[i]
+		for q := 0; q < i; q++ {
+			v -= float64(a[i*n+q] * y[q])
+		}
+		y[i] = v / a[i*n+i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		v := y[i]
+		for q := i + 1; q < n; q++ {
+			v -= float64(a[q*n+i] * y[q])
+		}
+		y[i] = v / a[i*n+i]
+	}
 }
 
 // updateLambdaNuC maximizes task j's objective over (λ_c, ν_c) on the

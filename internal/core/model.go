@@ -65,14 +65,12 @@ type Config struct {
 	// (a bound creeping up from a trough it sank into is not done).
 	Tol      float64
 	Patience int
-	// InnerIter is the number of φ/ε/CG rounds per task per sweep.
+	// InnerIter is the number of φ/ε/conjugate-gradient rounds per task
+	// per sweep.
 	InnerIter int
 	// CGIter bounds the conjugate-gradient iterations of each λc/νc
-	// update (§5.2).
+	// update of training's E-step (§5.2; a projection runs Newton).
 	CGIter int
-	// ProjectInner is the number of φ/ε/CG rounds when projecting a
-	// new task (Algorithm 3's nmax).
-	ProjectInner int
 	// TauFloor keeps τ² away from zero.
 	TauFloor float64
 	// CovRidge is added to the diagonals of Σ_w and Σ_c each M-step.
@@ -108,7 +106,6 @@ func NewConfig(k int) Config {
 		Patience:      3,
 		InnerIter:     1,
 		CGIter:        12,
-		ProjectInner:  8,
 		TauFloor:      1e-3,
 		CovRidge:      0, // automatic: 0.004·K
 		BetaSmoothing: 0.01,
@@ -127,7 +124,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MinIter = %d", c.MinIter)
 	case c.Patience < 0:
 		return fmt.Errorf("core: Patience = %d", c.Patience)
-	case c.InnerIter < 1 || c.CGIter < 1 || c.ProjectInner < 1:
+	case c.InnerIter < 1 || c.CGIter < 1:
 		return fmt.Errorf("core: iteration counts must be positive")
 	case c.TauFloor <= 0 || c.CovRidge < 0 || c.BetaSmoothing < 0:
 		return fmt.Errorf("core: invalid regularization")
@@ -171,7 +168,7 @@ type Model struct {
 	// LogBeta is the K×V log language model (rows normalized).
 	LogBeta *linalg.Matrix
 
-	// ProjectIters overrides the number of φ/ε/CG rounds Project runs
+	// ProjectIters overrides the number of φ/ε/Newton rounds Project runs
 	// on a new task (Algorithm 3's nmax); 0 uses the default of 6.
 	// Fewer rounds trade projection accuracy for selection latency.
 	ProjectIters int

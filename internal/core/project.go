@@ -34,7 +34,7 @@ func (t TaskCategory) Sample(rng *randx.RNG) linalg.Vector {
 
 // projectScratch holds the per-call working set of a projection: the
 // in-vocabulary filter, the φ matrix and the task solver (objective,
-// optimizer workspace, start vector and the round's e^λ). Pooled because
+// Newton working set, start vector and the round's e^λ). Pooled because
 // projection is the serving hot path: with the scratch warm, a projection
 // writes only the two vectors it is given, which never alias the
 // scratch.
@@ -72,8 +72,8 @@ func (sc *projectScratch) phiFor(rows, cols int) *linalg.Matrix {
 
 // Project estimates the latent category of a new, unscored task
 // (Algorithm 3, first phase): it iterates the φ update (Eq. 12), the ε
-// update (Eq. 13) and the conjugate-gradient update of (λ_c, ν_c) with
-// the feedback terms removed (Eqs. 22–23), holding the trained model
+// update (Eq. 13) and the Newton update of (λ_c, ν_c) with the feedback
+// terms removed (Eqs. 22–23), holding the trained model
 // parameters fixed. A task whose terms are all unknown projects to the
 // prior (λ = μ_c). It reads only MuC, SigmaC (through its cached inverse)
 // and LogBeta (through the table of its exponentials) — never a worker
@@ -118,18 +118,19 @@ func (m *Model) projectTo(sc *projectScratch, bag text.Bag, cat TaskCategory) {
 	s := sc.solver
 	for round := 0; round < m.projectInner(); round++ {
 		s.updatePhi(phi, ids, lam, m.beta) // Eq. 12
-		// CG update of (λ, ν) without feedback (Eqs. 22–23) at the Taylor
-		// point of Eq. 13; solve copies the optimum out of the optimizer's
-		// workspace into lam and nu2 before the next round reuses it.
+		// Newton update of (λ, ν) without feedback (Eqs. 22–23) at the
+		// Taylor point of Eq. 13, written back into lam and nu2.
 		s.obj.reset(k, m.MuC, m.sigmaCInv)
 		s.obj.setEps(taylorPoint(lam, nu2))
 		s.obj.addTokens(counts, phi)
-		if !s.solve(lam, nu2, 15) {
+		if !s.solveNewton(lam, nu2, 15) {
 			break
 		}
 	}
 }
 
+// projectInner is the number of φ/ε/Newton rounds Project runs:
+// ProjectIters, or 6.
 func (m *Model) projectInner() int {
 	if m.ProjectIters > 0 {
 		return m.ProjectIters

@@ -432,7 +432,7 @@ func (m *Manager) rankProjected(ctx context.Context, a *rank.Arena, lambdas []fl
 
 // rankCategories ranks the online workers against categories another
 // node projected, into lists cut from a — the score-only leg of a fleet
-// selection: no tokenizer, no projection cache, no CG. ks holds each
+// selection: no tokenizer, no projection cache, no solve. ks holds each
 // task's requested crowd size (≤ 0: the manager default) and is
 // overwritten with the effective one. A version other than the
 // selector's own returns core.ErrCategoryVersion; a category that is not
