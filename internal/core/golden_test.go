@@ -21,9 +21,9 @@ import (
 // replicas), so a kernel change that reuses buffers must leave this test
 // untouched and green; a change that reorders arithmetic on purpose
 // bumps KernelVersion and re-cuts the constants in a commit that says so
-// (the failure message prints the new values). (a)–(c) were last cut
-// for KernelVersion 3, the kernel's own exponential and the table form
-// of Eq. 12; (d) for KernelVersion 4, the Woodbury skill fold.
+// (the failure message prints the new values). (a) was last cut for
+// KernelVersion 3, the kernel's own exponential and the table form of
+// Eq. 12; (b)–(d) for KernelVersion 5, the Newton projection.
 //
 // The constants are for GOARCH=amd64: other ports may fuse a*b+c into
 // one FMA and round differently, so the test skips itself there. Any
@@ -33,9 +33,9 @@ import (
 // branches on the CPU) and its own exp (TestKernelCallsNoLibmExp).
 const (
 	goldenTrainedModel = "e3f3990b6a1a8da0fb0e2f9a9a688971bfee5a364ce9c81ef19635ffffc1516f"
-	goldenProjections  = "b5bacf20e44c1c1c0e6bb36360c9d089cfa9f49573286c2cf4b8db876a256a04"
-	goldenSelections   = "a1d247b7cdd9d0dfc2bc56bd3f5fae3ee52f7d69ee737d49a9f27ed564885add"
-	goldenUpdatedModel = "e1f7476560515fe52c7bddd023e1268d5cecc400bc440ecd9b8525d534ff3e4a"
+	goldenProjections  = "48da3425a1142c3c23609450580d22507d7c5076e377783ecaeaebc218eda3c6"
+	goldenSelections   = "53d805380b8585b2283ae3cfc6ac72cbfb70b3552699482aad37f1f215126603"
+	goldenUpdatedModel = "b109903a9846023904352b37e26de00da797bb83c46d1ec146eca838a751f29e"
 )
 
 // goldenBags is the fixed bag list: the first 32 task texts of the

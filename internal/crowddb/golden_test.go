@@ -19,8 +19,8 @@ import (
 // projection → posterior fold, in journal order — so a change to how
 // bags are built (or to anything else between the request and the fold)
 // must leave it untouched. Like the kernel constants it is for
-// GOARCH=amd64 and was last cut for core.KernelVersion 4.
-const goldenPostFeedbackModel = "1f3172443e3dd67f6400f1fddbf1e26cf8471162f85ccaf8af1351b5e5cf444d"
+// GOARCH=amd64 and was last cut for core.KernelVersion 5.
+const goldenPostFeedbackModel = "cc3671cef74ced6e1e3a05c27859da82e0635e8912693d773476d9e34bea7847"
 
 func TestGoldenModelDigestThroughStore(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
