@@ -8,7 +8,6 @@ import (
 
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/linalg"
-	"crowdselect/internal/optimize"
 	"crowdselect/internal/randx"
 	"crowdselect/internal/text"
 )
@@ -115,7 +114,7 @@ func TestTaskObjectiveGradient(t *testing.T) {
 		ga := make(linalg.Vector, len(x))
 		gn := make(linalg.Vector, len(x))
 		obj.grad(x, ga)
-		optimize.NumericalGradient(obj.value, x, 1e-5, gn)
+		numericalGradient(obj.value, x, 1e-5, gn)
 		if ga.Sub(gn).NormInf() > 1e-4 {
 			t.Errorf("feedback=%v: analytic %v vs numeric %v", withFeedback, ga, gn)
 		}

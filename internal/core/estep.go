@@ -4,14 +4,14 @@ import (
 	"math"
 
 	"crowdselect/internal/linalg"
-	"crowdselect/internal/optimize"
 )
 
 // taskObjective is the portion of the variational bound L′(q) that
 // depends on one task's (λ_c, ν_c), with everything else held fixed.
 // It is maximized over x = [λ; ρ], ρ = log ν² (the log
 // re-parameterization keeps ν² positive, cf. §5.2): by conjugate gradient
-// in training (solve), by Newton's method in projection (solveNewton).
+// in training (solve, cg), by Newton's method in projection (solveNewton,
+// newton).
 //
 // Up to constants, with L the task's token count and ε its Taylor
 // point:
@@ -221,36 +221,45 @@ func (o *taskObjective) grad(x, g linalg.Vector) {
 }
 
 // taskSolver is the reusable (λ_c, ν_c) update shared by training and
-// projection: one task objective, its negation as an optimize.Problem
-// (the two closures are bound to the objective once, here), the
-// conjugate-gradient workspace training's solve uses and the working set
-// of projection's Newton solve (solveNewton). After its first solve at a
-// given K it allocates nothing. Both methods ask for the gradient only at
-// the point whose value they have just taken (the start, then each
-// accepted Armijo trial), so every Grad finds the objective's per-point
-// intermediates in place and takes no exponential and no matrix–vector
-// product of its own. Operands and order of every operation are fixed
-// (DESIGN §6): a solve is bit-identical to one on a fresh objective
-// that recomputes everything at every call — TestGoldenNumerics and
-// TestTaskObjectiveMatchesReference hold that.
+// projection: one task objective, its negation as a problem (the two
+// closures are bound to the objective once, here) and the working set of
+// both solves, training's conjugate gradient (cg) and projection's Newton
+// iteration (newton). After its first solve at a given K it allocates
+// nothing. Both methods ask for the gradient only at the point whose
+// value they have just taken (the start, then each accepted Armijo
+// trial), so every Grad finds the objective's per-point intermediates in
+// place and takes no exponential and no matrix–vector product of its own.
+// Operands and order of every operation are fixed (DESIGN §6): a solve is
+// bit-identical to one on a fresh objective that recomputes everything at
+// every call — TestGoldenNumerics and TestTaskObjectiveMatchesReference
+// hold that.
 type taskSolver struct {
 	obj    taskObjective
-	prob   optimize.Problem
-	ws     optimize.Workspace
+	prob   problem
 	x0     linalg.Vector
 	expLam linalg.Vector // e^{λₖ − max λ}, per φ round
 
-	// Newton's working set: the gradient, the step, the trial point, the
-	// ρ-block curvature c and the K×K matrix S, factored in place. factor
-	// is cholesky, bound here so a test can count the factorizations.
-	factor      func(a linalg.Vector, n int) bool
-	g, p, xt, c linalg.Vector
-	schur       linalg.Vector
+	// The working set: the gradient of prob, the step (cg's search
+	// direction, newton's Newton step) and the trial point; cg's previous
+	// gradient; newton's ρ-block curvature c and the K×K matrix S,
+	// factored in place. factor is cholesky, bound here so a test can
+	// count the factorizations.
+	factor          func(a linalg.Vector, n int) bool
+	g, p, xt        linalg.Vector
+	gPrev, c, schur linalg.Vector
+}
+
+// problem is an objective to minimize and its gradient.
+type problem struct {
+	// Eval returns the objective value at x.
+	Eval func(x linalg.Vector) float64
+	// Grad writes the gradient at x into g (len(g) == len(x)).
+	Grad func(x, g linalg.Vector)
 }
 
 func newTaskSolver() *taskSolver {
 	s := &taskSolver{factor: cholesky}
-	s.prob = optimize.Problem{
+	s.prob = problem{
 		Eval: func(x linalg.Vector) float64 { return -s.obj.value(x) },
 		Grad: func(x, g linalg.Vector) {
 			s.obj.grad(x, g)
@@ -299,17 +308,29 @@ func taylorPoint(lam, nu2 linalg.Vector) float64 {
 	return eps
 }
 
-// taskGradTol is where both solves stop: ‖∇F‖∞ ≤ taskGradTol.
-const taskGradTol = 1e-5
+// The two solves' constants: where both stop (‖∇F‖∞ ≤ taskGradTol), the
+// sufficient-increase constant of both line searches, the iteration caps
+// of training's conjugate gradient and of projection's Newton iteration,
+// the relative gain below which cg stops and how many trials each line
+// search makes before it gives up.
+const (
+	taskGradTol         = 1e-5
+	armijoC             = 1e-4
+	trainCGIter         = 12
+	projectNewtonIter   = 15
+	cgFuncTol           = 1e-10
+	cgMaxBacktracks     = 50
+	newtonMaxBacktracks = 30
+)
 
 // solve maximizes the loaded objective over (λ, ρ = log ν²) by
 // conjugate gradient from the given state and writes the optimum back
 // into lam and nu2, ν² clamped so downstream exp() stays finite. It
 // reports false, leaving lam and nu2 untouched, on numerical failure.
 func (s *taskSolver) solve(lam, nu2 linalg.Vector, maxIter int) bool {
-	res := s.ws.ConjugateGradient(s.prob, s.start(lam, nu2), optimize.Settings{MaxIter: maxIter, GradTol: taskGradTol})
-	// res.X aliases the workspace: finish copies it out before the next solve.
-	return s.finish(res.X, lam, nu2)
+	x := s.start(lam, nu2)
+	s.cg(x, maxIter)
+	return s.finish(x, lam, nu2)
 }
 
 // solveNewton is solve by newton, for an objective without feedback
@@ -354,23 +375,141 @@ func (s *taskSolver) finish(x, lam, nu2 linalg.Vector) bool {
 	return true
 }
 
-// newtonStop says why newton returned.
-type newtonStop int
+// solveStop says why cg or newton returned.
+type solveStop int
 
 const (
-	newtonConverged  newtonStop = iota // ‖∇F‖∞ ≤ taskGradTol
-	newtonStepCap                      // maxIter steps taken
-	newtonLineSearch                   // no trial of the line search passed Armijo
-	newtonNoStep                       // S had no factor, or the step was no ascent direction
+	stopConverged  solveStop = iota // ‖∇F‖∞ ≤ taskGradTol
+	stopStepCap                     // maxIter steps taken
+	stopLineSearch                  // no trial of the line search passed Armijo
+	stopNoStep                      // newton: S had no factor, or the step was no ascent direction
+	stopStalled                     // cg: the last step gained less than cgFuncTol of F
 )
 
-// Newton's line search: the sufficient-increase constant (optimize's
-// default) and the number of halvings of the unit step before a search
-// gives up.
-const (
-	newtonArmijoC       = 1e-4
-	newtonMaxBacktracks = 30
-)
+// cg minimizes s.prob over x in place by nonlinear conjugate gradient with
+// the Polak–Ribière+ update (β = max(0, βPR), which subsumes
+// steepest-descent restarts) and an Armijo backtracking line search (see
+// armijo for its first trial and its shrink rule), from x as given, and
+// reports why it stopped; x is then the last accepted iterate. It works in
+// the solver's vectors, sized by len(x), so a warm solver allocates
+// nothing. What one line search hands the next — the decrease it accepted
+// — is a local of this call, so a solver carries nothing from one solve
+// into another.
+func (s *taskSolver) cg(x linalg.Vector, maxIter int) solveStop {
+	n := len(x)
+	s.g, s.gPrev, s.p, s.xt = scratchVec(&s.g, n), scratchVec(&s.gPrev, n), scratchVec(&s.p, n), scratchVec(&s.xt, n)
+	g, gPrev, d := s.g, s.gPrev, s.p
+
+	f := s.prob.Eval(x)
+	s.prob.Grad(x, g)
+	for i := range d {
+		d[i] = -g[i]
+	}
+	if g.NormInf() <= taskGradTol {
+		return stopConverged
+	}
+
+	// What the last accepted step took off f: none yet, so the first
+	// search starts at 1.
+	decrease := 0.0
+	for iter := 1; iter <= maxIter; iter++ {
+		// Ensure d is a descent direction; restart on failure.
+		slope := g.Dot(d)
+		if slope >= 0 {
+			for i := range d {
+				d[i] = -g[i]
+			}
+			slope = g.Dot(d)
+		}
+
+		fNew, ok := s.armijo(x, f, slope, firstTrial(decrease, slope))
+		if !ok {
+			return stopLineSearch
+		}
+		copy(x, s.xt)
+
+		copy(gPrev, g)
+		s.prob.Grad(x, g)
+
+		decrease = f - fNew
+		relImp := decrease / (math.Abs(f) + 1e-12)
+		f = fNew
+
+		if g.NormInf() <= taskGradTol {
+			return stopConverged
+		}
+		if relImp >= 0 && relImp < cgFuncTol {
+			return stopStalled
+		}
+
+		// Polak–Ribière+ direction update.
+		var num, den float64
+		for i := range g {
+			num += g[i] * (g[i] - gPrev[i])
+			den += gPrev[i] * gPrev[i]
+		}
+		beta := 0.0
+		if den > 0 {
+			beta = math.Max(0, num/den)
+		}
+		for i := range d {
+			d[i] = -g[i] + beta*d[i]
+		}
+	}
+	return stopStepCap
+}
+
+// firstTrial is the step a line search tries first when the previous one
+// lowered the objective by decrease and the new direction's slope is
+// slope < 0: the step at which a quadratic model of the new direction
+// would repeat that decrease, 2·decrease/(−slope), times 1.01 so that a
+// run of unit steps stays at the cap (Nocedal & Wright, Numerical
+// Optimization, eq. 3.60), capped at 1. A guess that is not a positive
+// finite number — no decrease, an overflow — is replaced by 1.
+func firstTrial(decrease, slope float64) float64 {
+	t := 1.01 * 2 * decrease / -slope
+	if !(t > 0) || math.IsInf(t, 0) {
+		return 1
+	}
+	return math.Min(1, t)
+}
+
+// shrink is the step tried after the trial at t was rejected with value
+// ft: the minimizer of the quadratic through f, slope and ft when it lies
+// in [0.1 t, 0.5 t] — the safeguard keeps a flat or a wild model from
+// stalling or overshooting the search — and t/2 otherwise, which is also
+// what follows a trial whose value was not finite (nothing can be fitted
+// through it).
+func shrink(t, f, slope, ft float64) float64 {
+	if finite(ft) {
+		if tq := -slope * t * t / (2 * (ft - f - slope*t)); tq >= 0.1*t && tq <= 0.5*t {
+			return tq
+		}
+	}
+	return t / 2
+}
+
+// armijo backtracks from the step t along s.p until
+// f(x+t·p) ≤ f + armijoC·t·slope, shrinking t by shrink's rule, leaving
+// the accepted point in s.xt and returning its objective.
+func (s *taskSolver) armijo(x linalg.Vector, f, slope, t float64) (float64, bool) {
+	d, xt := s.p, s.xt
+	for k := 0; k < cgMaxBacktracks; k++ {
+		for i := range x {
+			xt[i] = x[i] + t*d[i]
+		}
+		ft := s.prob.Eval(xt)
+		// A trial value of NaN or ±Inf means the step left the
+		// objective's domain; −Inf in particular would satisfy the
+		// sufficient-decrease inequality and poison the iterate, so any
+		// non-finite value rejects the step.
+		if finite(ft) && ft <= f+armijoC*t*slope {
+			return ft, true
+		}
+		t = shrink(t, f, slope, ft)
+	}
+	return f, false
+}
 
 // newton maximizes the loaded objective, which must carry no feedback
 // terms, over x = [λ; ρ] in place by damped Newton steps, from x as
@@ -387,17 +526,17 @@ const (
 // positive definite too (b²/c < r·e), is factored by Cholesky in place,
 // S·Δλ = ∇_λF − b∘∇_ρF/c is solved and Δρ = (∇_ρF − b∘Δλ)/c. The step is
 // taken at the first t of 1, ½, ¼, … whose F is finite and gains at least
-// newtonArmijoC·t·∇Fᵀ[Δλ; Δρ]. H is read from the intermediates the
+// armijoC·t·∇Fᵀ[Δλ; Δρ]. H is read from the intermediates the
 // objective keeps for its last point — e and ν² — which are those of x:
 // the last value taken is the accepted trial's, and its gradient follows.
 // A step costs one value and one gradient at t = 1, no exponential beyond
 // the value's 2K, and one K×K factorization.
 //
-// It runs on the negated problem, as solve does (the sign flips are
+// It runs on the negated problem, as cg does (the sign flips are
 // exact), so a test that wraps s.prob counts its calls; every product
 // that feeds a sum is rounded by a float64 conversion, so no port may
 // fuse it (DESIGN §6).
-func (s *taskSolver) newton(x linalg.Vector, maxIter int) newtonStop {
+func (s *taskSolver) newton(x linalg.Vector, maxIter int) solveStop {
 	o := &s.obj
 	k := o.k
 	// g holds −∇F, which s.prob.Grad writes; p is the step, whose Δλ is
@@ -416,10 +555,10 @@ func (s *taskSolver) newton(x linalg.Vector, maxIter int) newtonStop {
 			}
 		}
 		if gn <= taskGradTol {
-			return newtonConverged
+			return stopConverged
 		}
 		if step == maxIter {
-			return newtonStepCap
+			return stopStepCap
 		}
 		copy(sm, o.sigmaCInv.Data)
 		for kk := 0; kk < k; kk++ {
@@ -431,7 +570,7 @@ func (s *taskSolver) newton(x linalg.Vector, maxIter int) newtonStop {
 			pl[kk] = float64(b*gr[kk])/ck - gl[kk]
 		}
 		if !s.factor(sm, k) {
-			return newtonNoStep
+			return stopNoStep
 		}
 		cholSolve(sm, k, pl)
 		slope := 0.0 // −∇Fᵀp, negative along an ascent step
@@ -440,19 +579,19 @@ func (s *taskSolver) newton(x linalg.Vector, maxIter int) newtonStop {
 			slope += float64(gl[kk]*pl[kk]) + float64(gr[kk]*pr[kk])
 		}
 		if !(slope < 0) {
-			return newtonNoStep
+			return stopNoStep
 		}
 		t := 1.0
 		for bt := 0; ; bt++ {
 			if bt == newtonMaxBacktracks {
-				return newtonLineSearch
+				return stopLineSearch
 			}
 			for i, v := range x {
 				xt[i] = v + float64(t*p[i])
 			}
 			// A non-finite trial left the objective's domain: −Inf of −F
 			// would pass the test below, so any non-finite value rejects.
-			if ft := s.prob.Eval(xt); finite(ft) && ft <= f+float64(float64(newtonArmijoC*t)*slope) {
+			if ft := s.prob.Eval(xt); finite(ft) && ft <= f+float64(float64(armijoC*t)*slope) {
 				f = ft
 				break
 			}
@@ -510,5 +649,5 @@ func cholSolve(a linalg.Vector, n int, y linalg.Vector) {
 // numerical failure the previous iterate is kept.
 func (tr *trainer) updateLambdaNuC(s *taskSolver, j int, withFeedback bool) {
 	tr.loadTaskObjective(&s.obj, j, withFeedback)
-	s.solve(tr.lambdaC[j], tr.nuC2[j], tr.cfg.CGIter)
+	s.solve(tr.lambdaC[j], tr.nuC2[j], trainCGIter)
 }

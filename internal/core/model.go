@@ -68,9 +68,6 @@ type Config struct {
 	// InnerIter is the number of φ/ε/conjugate-gradient rounds per task
 	// per sweep.
 	InnerIter int
-	// CGIter bounds the conjugate-gradient iterations of each λc/νc
-	// update of training's E-step (§5.2; a projection runs Newton).
-	CGIter int
 	// TauFloor keeps τ² away from zero.
 	TauFloor float64
 	// CovRidge is added to the diagonals of Σ_w and Σ_c each M-step.
@@ -105,7 +102,6 @@ func NewConfig(k int) Config {
 		Tol:           1e-5,
 		Patience:      3,
 		InnerIter:     1,
-		CGIter:        12,
 		TauFloor:      1e-3,
 		CovRidge:      0, // automatic: 0.004·K
 		BetaSmoothing: 0.01,
@@ -124,8 +120,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MinIter = %d", c.MinIter)
 	case c.Patience < 0:
 		return fmt.Errorf("core: Patience = %d", c.Patience)
-	case c.InnerIter < 1 || c.CGIter < 1:
-		return fmt.Errorf("core: iteration counts must be positive")
+	case c.InnerIter < 1:
+		return fmt.Errorf("core: InnerIter = %d", c.InnerIter)
 	case c.TauFloor <= 0 || c.CovRidge < 0 || c.BetaSmoothing < 0:
 		return fmt.Errorf("core: invalid regularization")
 	}

@@ -123,7 +123,7 @@ func (m *Model) projectTo(sc *projectScratch, bag text.Bag, cat TaskCategory) {
 		s.obj.reset(k, m.MuC, m.sigmaCInv)
 		s.obj.setEps(taylorPoint(lam, nu2))
 		s.obj.addTokens(counts, phi)
-		if !s.solveNewton(lam, nu2, 15) {
+		if !s.solveNewton(lam, nu2, projectNewtonIter) {
 			break
 		}
 	}
