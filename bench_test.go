@@ -1,7 +1,8 @@
 package crowdselect
 
 // The ablation benchmarks cited by EXPERIMENTS.md "Ablations" and
-// DESIGN.md §4.5, and the training-parallelism sweep. Each reuses one
+// DESIGN.md §4.5 (the variational-vs-MCEM one is internal/core's, beside
+// its sampler), and the training-parallelism sweep. Each reuses one
 // shared Runner, so datasets are generated and models trained once per
 // `go test -bench` invocation; the measured loop is the ablation's own
 // work and the custom metrics carry its ACCU / Top1 readings. The
@@ -270,51 +271,6 @@ func BenchmarkAblationVSMWeighting(b *testing.B) {
 	for algo, v := range accu {
 		b.ReportMetric(v, string(algo)+"-ACCU")
 	}
-}
-
-// BenchmarkAblationInferenceMethod compares the paper's variational
-// algorithm against the Monte-Carlo EM sampler on the same data:
-// ns/op is the training time of each engine; the reported metrics are
-// the resulting selection precisions.
-func BenchmarkAblationInferenceMethod(b *testing.B) {
-	r := runner()
-	d, err := r.Dataset("quora")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tasks := eval.ResolvedTasks(d)
-	g := eval.ExtractGroup(d, 1)
-	testIDs := eval.TestTasks(d, g, 300, 3)
-	k := r.Config().RecallK
-
-	vb, _, err := core.Train(tasks, len(d.Workers), d.Vocab.Size(), core.NewConfig(k))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mcemCfg := core.NewMCEMConfig(k)
-	mcem, _, err := core.TrainMCEM(tasks, len(d.Workers), d.Vocab.Size(), mcemCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vbACCU := eval.Evaluate(d, vb, g, testIDs, k).ACCU
-	mcemACCU := eval.Evaluate(d, mcem, g, testIDs, k).ACCU
-
-	b.Run("variational", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Train(tasks, len(d.Workers), d.Vocab.Size(), core.NewConfig(k)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(vbACCU, "ACCU")
-	})
-	b.Run("mcem", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.TrainMCEM(tasks, len(d.Workers), d.Vocab.Size(), mcemCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(mcemACCU, "ACCU")
-	})
 }
 
 // BenchmarkTrainParallelism measures the variational EM wall-clock at

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
+	"testing/quick"
 
+	"crowdselect/internal/linalg"
 	"crowdselect/internal/text"
 )
 
@@ -133,5 +136,37 @@ func TestMCEMModelRoundTripsThroughSave(t *testing.T) {
 	bag := d.Tasks[0].Bag(d.Vocab)
 	if got.Project(bag).Lambda.Sub(m.Project(bag).Lambda).NormInf() > 1e-9 {
 		t.Error("reloaded MCEM model projects differently")
+	}
+}
+
+// The sampler's softmax (mcem_engine_test.go).
+
+func TestSoftmaxSumsToOne(t *testing.T) {
+	clamp := func(v float64) float64 {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0
+		}
+		return math.Max(-100, math.Min(100, v))
+	}
+	f := func(a, b, c float64) bool {
+		s := softmax(linalg.Vector{clamp(a), clamp(b), clamp(c)})
+		return math.Abs(s.Sum()-1) < 1e-9 && s.IsFinite()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSoftmaxOrderPreserving(t *testing.T) {
+	s := softmax(linalg.Vector{1, 3, 2})
+	if !(s[1] > s[2] && s[2] > s[0]) {
+		t.Errorf("softmax not order-preserving: %v", s)
+	}
+}
+
+func TestSoftmaxExtremes(t *testing.T) {
+	s := softmax(linalg.Vector{1e4, 0})
+	if math.Abs(s[0]-1) > 1e-9 || s[1] < 0 {
+		t.Errorf("softmax extreme = %v", s)
 	}
 }

@@ -62,7 +62,7 @@ func TestScoreLinearity(t *testing.T) {
 	_, m, _ := trainSmall(t, 5)
 	rng := randx.New(23)
 	for trial := 0; trial < 100; trial++ {
-		c := rng.StdNormalVec(m.K)
+		c := stdNormalVec(rng, m.K)
 		w := rng.Intn(m.M)
 		a := 0.5 + rng.Float64()*3
 		lhs := m.Score(w, c.Scale(a))

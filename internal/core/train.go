@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -55,6 +56,38 @@ func Train(tasks []ResolvedTask, numWorkers, vocabSize int, cfg Config) (*Model,
 		}
 	}
 	return tr.m, stats, nil
+}
+
+// validateTasks checks Train's input: worker and term references in
+// range, finite scores and at least one response.
+func validateTasks(tasks []ResolvedTask, numWorkers, vocabSize int) error {
+	if numWorkers < 1 {
+		return fmt.Errorf("core: numWorkers = %d", numWorkers)
+	}
+	if vocabSize < 1 {
+		return fmt.Errorf("core: vocabSize = %d", vocabSize)
+	}
+	responses := 0
+	for j, t := range tasks {
+		for _, r := range t.Responses {
+			if r.Worker < 0 || r.Worker >= numWorkers {
+				return fmt.Errorf("core: task %d references worker %d of %d", j, r.Worker, numWorkers)
+			}
+			if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+				return fmt.Errorf("core: task %d has non-finite score", j)
+			}
+			responses++
+		}
+		for _, id := range t.Bag.IDs {
+			if id < 0 || id >= vocabSize {
+				return fmt.Errorf("core: task %d references term %d of %d", j, id, vocabSize)
+			}
+		}
+	}
+	if len(tasks) == 0 || responses == 0 {
+		return ErrNoData
+	}
+	return nil
 }
 
 // stopRule is Train's convergence test: stop once the ELBO has been flat

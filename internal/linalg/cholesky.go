@@ -116,17 +116,6 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// L returns a copy of the lower-triangular factor as a full matrix.
-func (c *Cholesky) L() *Matrix {
-	m := NewMatrix(c.n, c.n)
-	for i := 0; i < c.n; i++ {
-		for j := 0; j <= i; j++ {
-			m.Data[i*c.n+j] = c.l[i*c.n+j]
-		}
-	}
-	return m
-}
-
 // SPDInverse inverts the SPD matrix a via Cholesky with defensive
 // jitter. It is the inversion routine used throughout the models.
 func SPDInverse(a *Matrix) (*Matrix, error) {

@@ -14,7 +14,7 @@ func TestCholeskyKnownFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := ch.L()
+	l := ch.lower()
 	if math.Abs(l.At(0, 0)-2) > 1e-12 || math.Abs(l.At(1, 0)-1) > 1e-12 ||
 		math.Abs(l.At(1, 1)-math.Sqrt(2)) > 1e-12 || l.At(0, 1) != 0 {
 		t.Errorf("L = %v", l)
@@ -30,7 +30,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		l := ch.L()
+		l := ch.lower()
 		if got := mul(l, transpose(l)); !near(got.Data, a.Data, 1e-8) {
 			t.Fatalf("trial %d: L·Lᵀ ≠ A", trial)
 		}
@@ -114,4 +114,9 @@ func TestSPDSolve(t *testing.T) {
 	if !near(x, Vector{1, 2}, 1e-12) {
 		t.Errorf("SPDSolve = %v", x)
 	}
+}
+
+// lower returns the factor L as a full matrix.
+func (c *Cholesky) lower() *Matrix {
+	return NewMatrixFrom(c.n, c.n, c.l)
 }

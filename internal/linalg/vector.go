@@ -158,32 +158,6 @@ func (x Vector) IsFinite() bool {
 	return true
 }
 
-// Softmax returns the logistic transform of Eq. 4 of the paper:
-// softmax(x)ᵢ = exp(xᵢ)/Σ exp(xⱼ), computed stably.
-func Softmax(x Vector) Vector { return SoftmaxInto(make(Vector, len(x)), x) }
-
-// SoftmaxInto writes softmax(x) into dst (len(dst) == len(x)) and
-// returns dst; it is Softmax without the allocation. dst may alias x.
-func SoftmaxInto(dst, x Vector) Vector {
-	if len(dst) != len(x) {
-		panic(dimErr("SoftmaxInto", len(dst), len(x)))
-	}
-	if len(x) == 0 {
-		return dst
-	}
-	m := x.Max()
-	var s float64
-	for i, v := range x {
-		e := math.Exp(v - m)
-		dst[i] = e
-		s += e
-	}
-	for i := range dst {
-		dst[i] /= s
-	}
-	return dst
-}
-
 func dimErr(op string, a, b int) error {
 	return fmt.Errorf("%w: %s on lengths %d and %d", ErrDimension, op, a, b)
 }

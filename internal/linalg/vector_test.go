@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestVectorBasicOps(t *testing.T) {
@@ -78,32 +77,6 @@ func TestVectorDimensionPanics(t *testing.T) {
 	Vector{1}.Dot(Vector{1, 2})
 }
 
-func TestSoftmaxSumsToOne(t *testing.T) {
-	f := func(a, b, c float64) bool {
-		x := Vector{clampT(a), clampT(b), clampT(c)}
-		s := Softmax(x)
-		return math.Abs(s.Sum()-1) < 1e-9 && s.IsFinite()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSoftmaxOrderPreserving(t *testing.T) {
-	x := Vector{1, 3, 2}
-	s := Softmax(x)
-	if !(s[1] > s[2] && s[2] > s[0]) {
-		t.Errorf("Softmax not order-preserving: %v", s)
-	}
-}
-
-func TestSoftmaxExtremes(t *testing.T) {
-	s := Softmax(Vector{1e4, 0})
-	if math.Abs(s[0]-1) > 1e-9 || s[1] < 0 {
-		t.Errorf("Softmax extreme = %v", s)
-	}
-}
-
 func TestIsFinite(t *testing.T) {
 	if !(Vector{1, 2}).IsFinite() {
 		t.Error("finite vector reported non-finite")
@@ -114,17 +87,4 @@ func TestIsFinite(t *testing.T) {
 	if (Vector{math.Inf(1)}).IsFinite() {
 		t.Error("Inf vector reported finite")
 	}
-}
-
-func clampT(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	if v > 100 {
-		return 100
-	}
-	if v < -100 {
-		return -100
-	}
-	return v
 }

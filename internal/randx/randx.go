@@ -46,15 +46,6 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*r.src.NormFloat64()
 }
 
-// StdNormalVec fills a length-n vector with independent N(0,1) draws.
-func (r *RNG) StdNormalVec(n int) linalg.Vector {
-	v := make(linalg.Vector, n)
-	for i := range v {
-		v[i] = r.src.NormFloat64()
-	}
-	return v
-}
-
 // NormalVecDiag returns a draw from Normal(mu, diag(sigma²)), i.e.
 // independent per-coordinate Gaussians — the variational posterior
 // family of §5.1 of the paper.
