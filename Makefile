@@ -2,7 +2,8 @@
 # PR: gofmt, vet, build, the full test suite under the race detector
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
-# under -race), the benchmark module's tests and the nine fuzz smokes.
+# under -race), the golden numerics on 386, the benchmark module's tests
+# and the nine fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -12,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race allocs kernel experiments expdiff bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
+.PHONY: fmt build vet test race allocs golden-386 kernel experiments expdiff bench-test bench fuzz fuzz-repl fuzz-backup crash chaos replication shard fleet tenants scrub backup readme-api loc ci
 
 # Formatting gate: fails, naming the files, if gofmt would rewrite any.
 fmt:
@@ -47,6 +48,13 @@ race:
 # here.
 allocs:
 	$(GO) test -run 'Alloc' ./internal/core ./internal/rank ./internal/crowddb
+
+# The golden numerics on a second port (DESIGN.md §6): the digests of
+# internal/core and the store's golden model digest hold bit for bit on
+# 386 as on amd64, neither of whose compilers fuses a multiply-add into
+# an FMA; other ports skip the golden tests.
+golden-386:
+	GOARCH=386 $(GO) test -run 'Golden' ./internal/core ./internal/crowddb
 
 # The kernels' layer numbers, six readings each: a cold Model.Project,
 # the Newton projection (time, the 2 allocations it returns, and steps/op,
@@ -203,4 +211,4 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 	@find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l | awk '{ printf "%7d total in _test.go files\n", $$1 }'
 
-ci: fmt vet build race allocs bench-test fuzz fuzz-repl fuzz-backup
+ci: fmt vet build race allocs golden-386 bench-test fuzz fuzz-repl fuzz-backup

@@ -10,7 +10,6 @@ package crowdselect
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -270,29 +269,5 @@ func BenchmarkAblationVSMWeighting(b *testing.B) {
 	b.StopTimer()
 	for algo, v := range accu {
 		b.ReportMetric(v, string(algo)+"-ACCU")
-	}
-}
-
-// BenchmarkTrainParallelism measures the variational EM wall-clock at
-// increasing E-step parallelism (results are bit-identical across
-// settings; see TestTrainParallelMatchesSequential).
-func BenchmarkTrainParallelism(b *testing.B) {
-	r := runner()
-	d, err := r.Dataset("quora")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tasks := eval.ResolvedTasks(d)
-	for _, p := range []int{1, 2, 4, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			cfg := core.NewConfig(10)
-			cfg.MaxIter = 5
-			cfg.Parallelism = p
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Train(tasks, len(d.Workers), d.Vocab.Size(), cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

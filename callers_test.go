@@ -1,13 +1,16 @@
 package crowdselect_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,130 +31,272 @@ var callerAllowlist = map[string]string{
 	"internal/crowdclient.Client.ResilienceStats":              "the breaker and retry-budget counters the resilience and chaos tests read",
 }
 
-// stdInterfaceMethods are method names that standard-library interfaces
-// declare and this module's types implement — error, fmt.Stringer,
-// sort.Interface, heap.Interface, io's readers, writers and closers,
-// http.Handler and the json (un)marshalers — so they are called through
-// the interface, never by name.
-var stdInterfaceMethods = map[string]bool{
-	"Error": true, "String": true, "Len": true, "Less": true, "Swap": true,
-	"Push": true, "Pop": true, "Read": true, "Write": true, "Close": true,
-	"ReadFrom": true, "WriteTo": true, "ServeHTTP": true,
-	"MarshalJSON": true, "UnmarshalJSON": true,
+// fieldAllowlist is the configuration kept although no program sets it,
+// each entry with its reason. A key is "dir.Type.Field".
+var fieldAllowlist = map[string]string{
+	"internal/core.Config.InnerIter":                   "the golden tests train at 2 rounds; re-cutting their digests at 1 is a change of its own",
+	"internal/crowdclient.Options.BreakerCooldown":     "the resilience and chaos tests shorten the breaker's cooldown to watch it half-open",
+	"internal/crowdclient.Options.Clock":               "the breaker and retry-budget tests inject a fake clock",
+	"internal/crowddb.Options.OpenJournalFile":         "the crash and chaos drills open the journal on a fault-injecting filesystem",
+	"internal/crowddb.Options.Probe":                   "the degraded-mode and chaos tests stand in a failing disk probe",
+	"internal/crowddb.Options.ProbeInterval":           "the degraded-mode tests heal within a test's time; kept until one injected clock serves every timer",
+	"internal/crowddb.ReplicaOptions.ReconnectBackoff": "the replication tests reconnect within a test's time; kept until one injected clock serves every timer",
+	"internal/crowddb.TransferSourceOptions.Heartbeat": "the integrity and replication tests heartbeat within a test's time; kept until one injected clock serves every timer",
+	"internal/eval.ExpConfig.LDABurn":                  "the runner test's training budget",
+	"internal/eval.ExpConfig.PLSAIters":                "the runner test's training budget",
 }
 
-// TestInternalFuncsHaveCallers fails, naming file:line, on any function
-// or method declared in non-test internal/... code that no non-test code
-// references outside the declaration's own body: a function as pkg.Name
-// from another package or as a bare Name in its own, a method as any
-// .Name selector. It matches by name, so it is a lower bound on dead
-// code. Programs are every non-test file of the module and of bench/,
-// which compiles against internal/crowddb. main, init, methods whose
-// name an interface declares and callerAllowlist are exempt.
-func TestInternalFuncsHaveCallers(t *testing.T) {
-	type use struct {
-		file *ast.File
-		pos  token.Pos
+// stdInterfaces are the standard-library interfaces through which the
+// standard library, not this module, calls a method this module
+// declares: the last is what http.ResponseController unwraps a
+// middleware's ResponseWriter with.
+const stdInterfaces = `package std
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+)
+
+type (
+	_ interface{ error }
+	_ interface{ fmt.Stringer }
+	_ interface{ io.Reader }
+	_ interface{ io.Writer }
+	_ interface{ io.Closer }
+	_ interface{ io.ReaderFrom }
+	_ interface{ io.WriterTo }
+	_ interface{ http.Handler }
+	_ interface{ http.ResponseWriter }
+	_ interface{ json.Marshaler }
+	_ interface{ json.Unmarshaler }
+	_ interface{ Unwrap() error }
+	_ interface{ Is(error) bool }
+	_ interface{ Unwrap() http.ResponseWriter }
+)
+`
+
+// loadedPackage is one type-checked package of non-test files.
+type loadedPackage struct {
+	dir   string // slash-separated, relative to the module root
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// moduleImporter type-checks the module's packages from source, on
+// first import, and takes the standard library from the compiler's
+// export data, which the go command builds on a cache miss.
+type moduleImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*loadedPackage // by import path
+	errs []error
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	p, ok := im.pkgs[path]
+	if !ok {
+		return im.std.Import(path)
 	}
-	type decl struct {
-		dir, recv string // recv is the receiver's type name, "" for a function
-		fn        *ast.FuncDecl
-		file      *ast.File
+	if p.pkg == nil {
+		p.pkg = types.NewPackage(path, "")
+		conf := &types.Config{Importer: im, Error: func(err error) { im.errs = append(im.errs, err) }}
+		types.NewChecker(conf, im.fset, p.pkg, p.info).Files(p.files)
 	}
-	var (
-		fset     = token.NewFileSet()
-		decls    []decl
-		bare     = map[string][]use{} // "dir.Name": an identifier Name in dir
-		imported = map[string][]use{} // "dir.Name": pkg.Name, dir the package's
-		selected = map[string][]use{} // "Name": any x.Name
-		ifaces   = map[string]bool{}  // method names an interface declares
-	)
+	return p.pkg, nil
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
+// loadProgram type-checks every non-test file of the module and of
+// bench/, which compiles against the module's internal packages, as
+// the build for this platform selects them.
+func loadProgram(t *testing.T) (*token.FileSet, []*loadedPackage, []*types.Interface) {
+	t.Helper()
+	fset := token.NewFileSet()
+	im := &moduleImporter{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "gc", nil),
+		pkgs: map[string]*loadedPackage{},
+	}
+	var paths []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		bp, err := build.ImportDir(path, 0)
+		if errors.As(err, new(*build.NoGoError)) {
 			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
+		} else if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imports := map[string]string{} // local name → module directory
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			rel, ok := strings.CutPrefix(p, "crowdselect/")
-			if !ok {
-				continue
+		p := &loadedPackage{dir: filepath.ToSlash(path), info: newInfo()}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(path, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
-			name := rel[strings.LastIndex(rel, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = rel
+			p.files = append(p.files, f)
 		}
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if strings.HasPrefix(dir, "internal/") {
-					dc := decl{dir: dir, fn: n, file: f}
-					if n.Recv != nil {
-						dc.recv = receiverName(n.Recv.List[0].Type)
-					}
-					decls = append(decls, dc)
-				}
-				// Everything but the declared name, which is no use of it.
-				if n.Recv != nil {
-					ast.Inspect(n.Recv, visit)
-				}
-				ast.Inspect(n.Type, visit)
-				if n.Body != nil {
-					ast.Inspect(n.Body, visit)
-				}
-				return false
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, id := range m.Names {
-						ifaces[id.Name] = true
-					}
-				}
-			case *ast.SelectorExpr:
-				u := use{f, n.Sel.Pos()}
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						imported[p+"."+n.Sel.Name] = append(imported[p+"."+n.Sel.Name], u)
-						return false
-					}
-				}
-				selected[n.Sel.Name] = append(selected[n.Sel.Name], u)
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				bare[dir+"."+n.Name] = append(bare[dir+"."+n.Name], use{f, n.Pos()})
-			}
-			return true
+		importPath := "crowdselect"
+		if p.dir != "." {
+			importPath += "/" + p.dir
 		}
-		ast.Inspect(f, visit)
+		im.pkgs[importPath] = p
+		paths = append(paths, importPath)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pkgs []*loadedPackage
+	for _, path := range paths {
+		im.Import(path)
+		pkgs = append(pkgs, im.pkgs[path])
+	}
+	std, err := parser.ParseFile(fset, "std.go", stdInterfaces, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdInfo := newInfo()
+	if _, err := (&types.Config{Importer: im}).Check("std", fset, []*ast.File{std}, stdInfo); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range im.errs {
+		t.Error(err)
+	}
+	ifaces := interfacesOf(std, stdInfo)
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			ifaces = append(ifaces, interfacesOf(f, p.info)...)
+		}
+	}
+	return fset, pkgs, ifaces
+}
 
-	// called reports whether some use lies outside d's own body.
-	called := func(d decl, uses []use) bool {
-		body := d.fn.Body
-		for _, u := range uses {
-			if u.file != d.file || body == nil || u.pos < body.Pos() || u.pos >= body.End() {
+// interfacesOf returns every interface type f spells out.
+func interfacesOf(f *ast.File, info *types.Info) []*types.Interface {
+	var out []*types.Interface
+	ast.Inspect(f, func(n ast.Node) bool {
+		if it, ok := n.(*ast.InterfaceType); ok {
+			if i, ok := info.TypeOf(it).(*types.Interface); ok && i.NumMethods() > 0 {
+				out = append(out, i)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestInternalFuncsHaveCallers fails, naming file:line, on internal code
+// and configuration that no program uses. Programs are every non-test
+// file of the module and of bench/, type-checked, so a use is of one
+// object, never of a name.
+//
+// A function or method declared in non-test internal/... code must be
+// used by non-test code outside its own body, or, for a method, its
+// receiver must implement an interface that declares the method: one
+// this module spells out, or one of stdInterfaces. init and
+// callerAllowlist are exempt.
+//
+// Every field of an internal/... struct type named *Config or *Options
+// must be assigned by non-test code a value that is not a constant, or
+// any value from outside the struct's package: a constant its own
+// package assigns is a default, and a field nothing else sets is a
+// constant. fieldAllowlist is exempt.
+func TestInternalFuncsHaveCallers(t *testing.T) {
+	fset, pkgs, ifaces := loadProgram(t)
+
+	// uses is every position at which non-test code uses a function.
+	uses := map[*types.Func][]token.Pos{}
+	// set is the fields assigned by some program.
+	set := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				uses[fn.Origin()] = append(uses[fn.Origin()], id.Pos())
+			}
+		}
+		assign := func(field types.Object, value ast.Expr) {
+			v, ok := field.(*types.Var)
+			if !ok || !v.IsField() {
+				return
+			}
+			if value == nil || v.Pkg() != p.pkg {
+				set[v] = true
+			} else if tv := p.info.Types[value]; tv.Value == nil && !tv.IsNil() {
+				set[v] = true
+			}
+		}
+		fieldOf := func(x ast.Expr) types.Object {
+			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					return s.Obj()
+				}
+			}
+			return nil
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := p.info.TypeOf(n)
+					if ptr, ok := typ.(*types.Pointer); ok { // an element of []*T{{…}}
+						typ = ptr.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							assign(p.info.Uses[kv.Key.(*ast.Ident)], kv.Value)
+						} else {
+							assign(st.Field(i), elt)
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						var value ast.Expr // nil: the value is no expression of its own
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							value = n.Rhs[i]
+						}
+						if field := fieldOf(lhs); field != nil {
+							assign(field, value)
+						}
+					}
+				case *ast.IncDecStmt:
+					if field := fieldOf(n.X); field != nil {
+						assign(field, nil)
+					}
+				case *ast.UnaryExpr: // &x.Field: a flag or a decoder sets it
+					if field := fieldOf(n.X); n.Op == token.AND && field != nil {
+						assign(field, nil)
+					}
+				}
 				return true
+			})
+		}
+	}
+
+	implemented := func(recv types.Type, method string) bool {
+		for _, i := range ifaces {
+			for m := 0; m < i.NumMethods(); m++ {
+				if i.Method(m).Name() == method && (types.Implements(recv, i) || types.Implements(types.NewPointer(recv), i)) {
+					return true
+				}
 			}
 		}
 		return false
@@ -165,19 +310,66 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		return false
 	}
 	var dead []string
-	for _, d := range decls {
-		name := d.fn.Name.Name
-		if d.recv != "" {
-			if allowed(d.dir, d.dir+"."+d.recv, d.dir+"."+d.recv+"."+name) ||
-				ifaces[name] || stdInterfaceMethods[name] || called(d, selected[name]) {
-				continue
-			}
-			name = d.recv + "." + name
-		} else if allowed(d.dir, d.dir+"."+name) || name == "main" || name == "init" ||
-			called(d, bare[d.dir+"."+name]) || called(d, imported[d.dir+"."+name]) {
+	stale := map[string]bool{} // fieldAllowlist keys naming no field
+	for key := range fieldAllowlist {
+		stale[key] = true
+	}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		dead = append(dead, fset.Position(d.fn.Pos()).String()+": "+name+" has no caller outside tests")
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				name, keys := fd.Name.Name, []string{p.dir, p.dir + "." + fd.Name.Name}
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					named := derefNamed(recv.Type())
+					if implemented(named, name) {
+						continue
+					}
+					typ := named.Obj().Name()
+					name = typ + "." + name
+					keys = []string{p.dir, p.dir + "." + typ, p.dir + "." + name}
+				}
+				if allowed(keys...) || usedOutside(uses[fn], fd.Body) {
+					continue
+				}
+				dead = append(dead, fset.Position(fd.Pos()).String()+": "+name+" has no caller outside tests")
+			}
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					name := ts.Name.Name
+					st, ok := p.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+					if !ok || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						field := st.Field(i)
+						key := p.dir + "." + name + "." + field.Name()
+						_, exempt := fieldAllowlist[key]
+						delete(stale, key)
+						switch {
+						case exempt && set[field]:
+							dead = append(dead, fset.Position(field.Pos()).String()+": "+name+"."+field.Name()+" is set by a program; drop its fieldAllowlist entry")
+						case !exempt && !set[field]:
+							dead = append(dead, fset.Position(field.Pos()).String()+": "+name+"."+field.Name()+" is set by no program")
+						}
+					}
+				}
+			}
+		}
+	}
+	for key := range stale {
+		dead = append(dead, "fieldAllowlist entry "+key+" names no field")
 	}
 	sort.Strings(dead)
 	for _, msg := range dead {
@@ -186,23 +378,26 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 	if len(callerAllowlist) > 9 {
 		t.Errorf("the allowlist has %d entries; keep it to 9", len(callerAllowlist))
 	}
+	if len(fieldAllowlist) > 10 {
+		t.Errorf("the field allowlist has %d entries; keep it to 10", len(fieldAllowlist))
+	}
 }
 
-// receiverName is the type name of a method receiver: T for T, *T,
-// T[P] and *T[P].
-func receiverName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return ""
+// usedOutside reports whether some use lies outside body, the using
+// function's own.
+func usedOutside(uses []token.Pos, body *ast.BlockStmt) bool {
+	for _, pos := range uses {
+		if body == nil || pos < body.Pos() || pos >= body.End() {
+			return true
 		}
 	}
+	return false
+}
+
+// derefNamed is the named type of a method receiver, T or *T.
+func derefNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
 }

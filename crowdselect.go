@@ -35,7 +35,10 @@ import (
 
 // Core model types (the paper's contribution, §§4–6).
 type (
-	// Config controls TDPM training; see NewConfig for defaults.
+	// Config controls TDPM training: the latent dimension K, the sweep
+	// cap MaxIter, the φ/ε/CG rounds per task and sweep, and the seed.
+	// The regularization and the stop rule are fixed (DESIGN §4.2). See
+	// NewConfig for defaults.
 	Config = core.Config
 	// Model is a trained TDPM.
 	Model = core.Model

@@ -29,6 +29,15 @@ func numericalGradient(eval func(linalg.Vector) float64, x linalg.Vector, h floa
 	}
 }
 
+// diagMatrix returns a square matrix with d on the diagonal.
+func diagMatrix(d ...float64) *linalg.Matrix {
+	m := linalg.NewMatrix(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, v)
+	}
+	return m
+}
+
 // quadratic builds f(x) = ½ xᵀAx − bᵀx with SPD A; the minimum solves
 // Ax = b.
 func quadratic(a *linalg.Matrix, b linalg.Vector) problem {
@@ -490,7 +499,7 @@ func TestNeverMoreEvaluationsThanHalving(t *testing.T) {
 	bowls := []bowl{
 		{"2x2", quadratic(linalg.NewMatrixFrom(2, 2, []float64{3, 1, 1, 2}), linalg.Vector{1, 2}), linalg.Vector{10, -10}, 200},
 		{"diag(2,4)", quadratic(linalg.NewMatrixFrom(2, 2, []float64{2, 0, 0, 4}), linalg.Vector{2, 4}), linalg.Vector{9, 9}, 2000},
-		{"diag(1,100)", quadratic(linalg.NewDiag(linalg.Vector{1, 100}), linalg.Vector{1, 100}), linalg.Vector{50, -50}, 5000},
+		{"diag(1,100)", quadratic(diagMatrix(1, 100), linalg.Vector{1, 100}), linalg.Vector{50, -50}, 5000},
 	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -529,7 +538,7 @@ func cgBits(x linalg.Vector, stop solveStop) []uint64 {
 // sequential rests on this, DESIGN §8).
 func TestInterleavedProblemsMatchFresh(t *testing.T) {
 	steep := coshBowl(linalg.Vector{40, 90, 10})
-	shallow := quadratic(linalg.NewDiag(linalg.Vector{1e-3, 2e-3, 5e-4, 1e-3}), linalg.Vector{1e-3, 0, -1e-3, 2e-3})
+	shallow := quadratic(diagMatrix(1e-3, 2e-3, 5e-4, 1e-3), linalg.Vector{1e-3, 0, -1e-3, 2e-3})
 	xSteep, xShallow := linalg.Vector{3, -2, 6}, linalg.Vector{1, 2, 3, 4}
 	s := newTaskSolver()
 	for round := 0; round < 4; round++ {

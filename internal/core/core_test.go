@@ -53,9 +53,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("K=0 accepted")
 	}
 	bad = NewConfig(5)
-	bad.TauFloor = 0
+	bad.InnerIter = 0
 	if err := bad.Validate(); err == nil {
-		t.Error("TauFloor=0 accepted")
+		t.Error("InnerIter=0 accepted")
 	}
 }
 
@@ -423,33 +423,6 @@ func TestUpdateWorkerSkillMatchesCholesky(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestTrainDiagonalCovariance(t *testing.T) {
-	d := smallDataset(t)
-	cfg := NewConfig(5)
-	cfg.MaxIter = 8
-	cfg.DiagonalCov = true
-	m, _, err := Train(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < cfg.K; r++ {
-		for c := 0; c < cfg.K; c++ {
-			if r != c && (m.SigmaW.At(r, c) != 0 || m.SigmaC.At(r, c) != 0) {
-				t.Fatalf("off-diagonal covariance survived at (%d,%d)", r, c)
-			}
-		}
-	}
-	// The constrained model must still produce a usable ranking.
-	task := d.Tasks[0]
-	cands := make([]int, len(task.Responses))
-	for i, r := range task.Responses {
-		cands[i] = r.Worker
-	}
-	if got := m.Rank(task.Bag(d.Vocab), cands); len(got) != len(cands) {
-		t.Errorf("Rank returned %d of %d candidates", len(got), len(cands))
 	}
 }
 

@@ -20,7 +20,7 @@ func TestGaussianCrossAtMeanWithPointMass(t *testing.T) {
 	// With λ = μ and ν² → 0, E_q[log N(x; μ, Σ)] → log N(μ; μ, Σ)
 	// = −K/2·log2π − ½log|Σ|.
 	k := 2.0
-	sigma := linalg.NewDiag(linalg.Vector{2, 3})
+	sigma := diagMatrix(2, 3)
 	inv, err := linalg.SPDInverse(sigma)
 	if err != nil {
 		t.Fatal(err)

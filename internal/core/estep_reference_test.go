@@ -288,7 +288,6 @@ func referencePhi(phi *linalg.Matrix, ids []int, lam linalg.Vector, logBeta *lin
 func TestPhiTableMatchesSoftmaxReference(t *testing.T) {
 	const k, v = 6, 40
 	rng := rand.New(rand.NewSource(47))
-	cfg := NewConfig(k)
 	logBeta := linalg.NewMatrix(k, v)
 	for kk := 0; kk < k; kk++ { // rows as the M-step leaves them: smoothed counts, normalised
 		row, sum := logBeta.Row(kk), 0.0
@@ -296,7 +295,7 @@ func TestPhiTableMatchesSoftmaxReference(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				row[i] = 20 * rng.Float64() * rng.Float64()
 			}
-			row[i] += cfg.BetaSmoothing
+			row[i] += betaSmoothing
 			sum += row[i]
 		}
 		for i := range row {

@@ -25,12 +25,13 @@ import (
 // KernelVersion 3, the kernel's own exponential and the table form of
 // Eq. 12; (b)–(d) for KernelVersion 5, the Newton projection.
 //
-// The constants are for GOARCH=amd64: other ports may fuse a*b+c into
-// one FMA and round differently, so the test skips itself there. Any
-// amd64, since KernelVersion 3: through version 2 they were the constants
-// of an amd64 *with FMA* — math.Exp picks its path by CPUID — which no
-// skip could see; the kernel now calls math.Log and math.Sqrt (neither
-// branches on the CPU) and its own exp (TestKernelCallsNoLibmExp).
+// The constants are for GOARCH=amd64 and 386, whose compilers never fuse
+// a*b+c into one FMA: other ports may, and round differently, so the
+// test skips itself there. Any amd64, since KernelVersion 3: through
+// version 2 they were the constants of an amd64 *with FMA* — math.Exp
+// picks its path by CPUID — which no skip could see; the kernel now
+// calls math.Log and math.Sqrt (neither branches on the CPU) and its own
+// exp (TestKernelCallsNoLibmExp).
 const (
 	goldenTrainedModel = "e3f3990b6a1a8da0fb0e2f9a9a688971bfee5a364ce9c81ef19635ffffc1516f"
 	goldenProjections  = "48da3425a1142c3c23609450580d22507d7c5076e377783ecaeaebc218eda3c6"
@@ -72,8 +73,8 @@ func hashModel(t *testing.T, m *Model) string {
 }
 
 func TestGoldenNumerics(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden constants are for GOARCH=amd64 (FMA fusion differs on %s)", runtime.GOARCH)
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("golden constants are for GOARCH=amd64 and 386 (FMA fusion differs on %s)", runtime.GOARCH)
 	}
 	p := corpus.Quora().Scaled(0.04)
 	p.Seed = 11
@@ -81,7 +82,6 @@ func TestGoldenNumerics(t *testing.T) {
 	cfg := NewConfig(6)
 	cfg.MaxIter = 8
 	cfg.InnerIter = 2
-	cfg.Parallelism = 2
 	m, _, err := Train(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), cfg)
 	if err != nil {
 		t.Fatal(err)

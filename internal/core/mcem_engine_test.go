@@ -46,11 +46,9 @@ type MCEMConfig struct {
 	// category per sweep.
 	MHSteps int
 	MHStep  float64
-	// MStepEvery is the hyperparameter re-estimation cadence.
+	// MStepEvery is the hyperparameter re-estimation cadence. The
+	// M-step regularizes exactly as the variational one does.
 	MStepEvery int
-	// TauFloor, CovRidge and BetaSmoothing regularize exactly as in
-	// the variational Config (CovRidge 0 = automatic 0.004·K).
-	TauFloor, CovRidge, BetaSmoothing float64
 	// Seed drives all sampling.
 	Seed int64
 }
@@ -58,16 +56,13 @@ type MCEMConfig struct {
 // NewMCEMConfig returns defaults for K categories.
 func NewMCEMConfig(k int) MCEMConfig {
 	return MCEMConfig{
-		K:             k,
-		Sweeps:        150,
-		BurnIn:        50,
-		MHSteps:       4,
-		MHStep:        0.25,
-		MStepEvery:    5,
-		TauFloor:      1e-3,
-		CovRidge:      0,
-		BetaSmoothing: 0.01,
-		Seed:          1,
+		K:          k,
+		Sweeps:     150,
+		BurnIn:     50,
+		MHSteps:    4,
+		MHStep:     0.25,
+		MStepEvery: 5,
+		Seed:       1,
 	}
 }
 
@@ -82,14 +77,8 @@ func (c MCEMConfig) Validate() error {
 		return fmt.Errorf("core: mcem: MH steps %d, step %g", c.MHSteps, c.MHStep)
 	case c.MStepEvery < 1:
 		return fmt.Errorf("core: mcem: MStepEvery = %d", c.MStepEvery)
-	case c.TauFloor <= 0 || c.CovRidge < 0 || c.BetaSmoothing < 0:
-		return fmt.Errorf("core: mcem: invalid regularization")
 	}
 	return nil
-}
-
-func (c MCEMConfig) effCovRidge() float64 {
-	return Config{K: c.K, CovRidge: c.CovRidge}.effCovRidge()
 }
 
 // MCEMStats reports sampler behaviour.
@@ -261,7 +250,7 @@ func (s *sampler) sweepTasks() (int, int) {
 		cur := s.c[j]
 		lp := s.logDensityC(j, cur)
 		for step := 0; step < s.cfg.MHSteps; step++ {
-			prop := cur.Add(stdNormalVec(s.rng, s.cfg.K).ScaleInPlace(s.cfg.MHStep))
+			prop := add(cur, stdNormalVec(s.rng, s.cfg.K).ScaleInPlace(s.cfg.MHStep))
 			lpProp := s.logDensityC(j, prop)
 			proposed++
 			if math.Log(s.rng.Float64()+1e-300) < lpProp-lp {
@@ -300,7 +289,7 @@ func (s *sampler) sweepWorkers() {
 		cholSolve(l, k, mean)
 		// Draw from N(mean, prec⁻¹): mean + L⁻ᵀ·z.
 		z := stdNormalVec(s.rng, k)
-		draw := mean.Add(solveLT(l, z))
+		draw := add(mean, solveLT(l, z))
 		s.w[i] = draw
 	}
 }
@@ -358,6 +347,15 @@ func softmax(x linalg.Vector) linalg.Vector {
 	return dst
 }
 
+// add returns x + y as a new vector.
+func add(x, y linalg.Vector) linalg.Vector {
+	z := make(linalg.Vector, len(x))
+	for i, v := range x {
+		z[i] = v + y[i]
+	}
+	return z
+}
+
 // stdNormalVec draws a length-n vector of independent N(0, 1) variates.
 func stdNormalVec(r *randx.RNG, n int) linalg.Vector {
 	v := make(linalg.Vector, n)
@@ -392,7 +390,7 @@ func (s *sampler) sweepTokens() {
 func (s *sampler) mStep() error {
 	k := s.cfg.K
 	m := s.m
-	ridge := s.cfg.effCovRidge()
+	ridge := Config{K: k}.covRidge()
 
 	m.MuW = meanOf(m.LambdaW, k)
 	m.SigmaW = scatterOfSamples(m.LambdaW, m.MuW, k, ridge)
@@ -409,19 +407,19 @@ func (s *sampler) mStep() error {
 	if s.numResponses > 0 {
 		m.Tau2 = sum / float64(s.numResponses)
 	}
-	if m.Tau2 < s.cfg.TauFloor {
-		m.Tau2 = s.cfg.TauFloor
+	if m.Tau2 < tauFloor {
+		m.Tau2 = tauFloor
 	}
 
 	for kk := 0; kk < k; kk++ {
 		row := s.zCounts.Row(kk)
 		var rowSum float64
 		for v := 0; v < m.V; v++ {
-			rowSum += row[v] + s.cfg.BetaSmoothing
+			rowSum += row[v] + betaSmoothing
 		}
 		dst := m.LogBeta.Row(kk)
 		for v := 0; v < m.V; v++ {
-			dst[v] = math.Log((row[v] + s.cfg.BetaSmoothing) / rowSum)
+			dst[v] = math.Log((row[v] + betaSmoothing) / rowSum)
 		}
 	}
 	return m.refreshDerived()

@@ -54,59 +54,37 @@ type ResolvedTask struct {
 type Config struct {
 	// K is the number of latent categories.
 	K int
-	// MaxIter bounds the variational EM sweeps (Algorithm 2's nmax);
-	// MinIter floors them — the coupled skill/category ramp routinely
-	// plateaus in ELBO mid-training while selection quality is still
-	// improving, so early sweeps must not trigger the stop rule.
+	// MaxIter bounds the variational EM sweeps (Algorithm 2's nmax).
 	MaxIter int
-	MinIter int
-	// Tol stops when the relative ELBO improvement stays below it for
-	// Patience consecutive sweeps, each at the ELBO's running maximum
-	// (a bound creeping up from a trough it sank into is not done).
-	Tol      float64
-	Patience int
 	// InnerIter is the number of φ/ε/conjugate-gradient rounds per task
 	// per sweep.
 	InnerIter int
-	// TauFloor keeps τ² away from zero.
-	TauFloor float64
-	// CovRidge is added to the diagonals of Σ_w and Σ_c each M-step.
-	// 0 selects the automatic setting 0.004·K (clamped to
-	// [0.02, 0.3]): the empirical-Bayes covariances need proportionally
-	// more damping as the latent dimension grows past what a short
-	// task text identifies, or the skill regression overfits.
-	CovRidge float64
-	// BetaSmoothing is the additive smoothing of the language model β.
-	BetaSmoothing float64
-	// DiagonalCov constrains Σ_w and Σ_c to diagonal matrices — the
-	// independent-skills special case the paper notes under Eq. 2
-	// ("a special way is to assume the independence of skills on
-	// latent categories; in that case, Σ_w is a diagonal matrix").
-	DiagonalCov bool
-	// Parallelism bounds the goroutines used for the per-task and
-	// per-worker E-step updates (they are independent given the model
-	// parameters, so parallel and sequential runs produce identical
-	// results). ≤ 1 runs sequentially; 0 is treated as 1.
-	Parallelism int
 	// Seed initializes β and the variational state.
 	Seed int64
 }
 
+// Training's fixed regularization and stop rule.
+const (
+	// minIter floors the sweeps — the coupled skill/category ramp
+	// routinely plateaus in ELBO mid-training while selection quality is
+	// still improving, so early sweeps must not trigger the stop rule.
+	minIter = 30
+	// stopTol stops training when the relative ELBO improvement stays
+	// below it for stopPatience consecutive sweeps, each at the ELBO's
+	// running maximum (a bound creeping up from a trough it sank into
+	// is not done).
+	stopTol      = 1e-5
+	stopPatience = 3
+	// tauFloor keeps τ² away from zero.
+	tauFloor = 1e-3
+	// betaSmoothing is the additive smoothing of the language model β.
+	betaSmoothing = 0.01
+)
+
 // NewConfig returns the default configuration with K latent
 // categories.
 func NewConfig(k int) Config {
-	return Config{
-		K:             k,
-		MaxIter:       60,
-		MinIter:       30,
-		Tol:           1e-5,
-		Patience:      3,
-		InnerIter:     1,
-		TauFloor:      1e-3,
-		CovRidge:      0, // automatic: 0.004·K
-		BetaSmoothing: 0.01,
-		Seed:          1,
-	}
+	return Config{K: k, MaxIter: 60, InnerIter: 1, Seed: 1}
 }
 
 // Validate reports the first problem with the configuration.
@@ -116,23 +94,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: K = %d", c.K)
 	case c.MaxIter < 1:
 		return fmt.Errorf("core: MaxIter = %d", c.MaxIter)
-	case c.MinIter < 0:
-		return fmt.Errorf("core: MinIter = %d", c.MinIter)
-	case c.Patience < 0:
-		return fmt.Errorf("core: Patience = %d", c.Patience)
 	case c.InnerIter < 1:
 		return fmt.Errorf("core: InnerIter = %d", c.InnerIter)
-	case c.TauFloor <= 0 || c.CovRidge < 0 || c.BetaSmoothing < 0:
-		return fmt.Errorf("core: invalid regularization")
 	}
 	return nil
 }
 
-// effCovRidge resolves the automatic covariance ridge.
-func (c Config) effCovRidge() float64 {
-	if c.CovRidge > 0 {
-		return c.CovRidge
-	}
+// covRidge is added to the diagonals of Σ_w and Σ_c each M-step:
+// 0.004·K, clamped to [0.02, 0.3]. The empirical-Bayes covariances need
+// proportionally more damping as the latent dimension grows past what a
+// short task text identifies, or the skill regression overfits.
+func (c Config) covRidge() float64 {
 	r := 0.004 * float64(c.K)
 	if r < 0.02 {
 		r = 0.02

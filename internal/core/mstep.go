@@ -18,10 +18,7 @@ func (tr *trainer) mStep() {
 
 	// μ_c and Σ_c over tasks (Eqs. 18–19).
 	m.MuC = meanOf(tr.lambdaC, k)
-	m.SigmaC = scatterOf(tr.lambdaC, tr.nuC2, m.MuC, k, tr.cfg.effCovRidge())
-	if tr.cfg.DiagonalCov {
-		m.SigmaC = linalg.NewDiag(m.SigmaC.Diag())
-	}
+	m.SigmaC = scatterOf(tr.lambdaC, tr.nuC2, m.MuC, k, tr.cfg.covRidge())
 
 	// β (Eq. 21): βₖᵥ ∝ Σⱼ Σₚ φⱼₚₖ·countⱼₚ·1[vⱼₚ = v], smoothed.
 	counts := linalg.NewMatrix(k, m.V)
@@ -38,7 +35,7 @@ func (tr *trainer) mStep() {
 		row := counts.Row(kk)
 		var rowSum float64
 		for v := 0; v < m.V; v++ {
-			row[v] += tr.cfg.BetaSmoothing
+			row[v] += betaSmoothing
 			rowSum += row[v]
 		}
 		dst := m.LogBeta.Row(kk)
@@ -56,10 +53,7 @@ func (tr *trainer) mStepSkillSide() {
 	k := tr.cfg.K
 	m := tr.m
 	m.MuW = meanOf(m.LambdaW, k)
-	m.SigmaW = scatterOf(m.LambdaW, m.NuW2, m.MuW, k, tr.cfg.effCovRidge())
-	if tr.cfg.DiagonalCov {
-		m.SigmaW = linalg.NewDiag(m.SigmaW.Diag())
-	}
+	m.SigmaW = scatterOf(m.LambdaW, m.NuW2, m.MuW, k, tr.cfg.covRidge())
 
 	// τ² (Eq. 20): the expected squared residual of the feedback
 	// regression, averaged over all assignments.
@@ -73,8 +67,8 @@ func (tr *trainer) mStepSkillSide() {
 	if tr.numResponses > 0 {
 		m.Tau2 = sum / float64(tr.numResponses)
 	}
-	if m.Tau2 < tr.cfg.TauFloor {
-		m.Tau2 = tr.cfg.TauFloor
+	if m.Tau2 < tauFloor {
+		m.Tau2 = tauFloor
 	}
 }
 

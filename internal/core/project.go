@@ -218,6 +218,31 @@ func (m *Model) projectInto(ctx context.Context, bags []text.Bag, out []TaskCate
 	return ctx.Err()
 }
 
+// parallelFor splits [0, n) into contiguous chunks across at most p
+// goroutines — the caller's own among them, which runs the last chunk —
+// and returns when every chunk has; p ≤ 1 runs fn(0, n) inline.
+func parallelFor(n, p int, fn func(lo, hi int)) {
+	if p <= 1 || n <= 1 {
+		fn(0, n)
+		return
+	}
+	if p > n {
+		p = n
+	}
+	var wg sync.WaitGroup
+	chunk := (n + p - 1) / p
+	lo := 0
+	for ; lo+chunk < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, lo+chunk)
+	}
+	fn(lo, n)
+	wg.Wait()
+}
+
 // Name identifies the algorithm in reports (TDPM, §7.2.1).
 func (m *Model) Name() string { return "TDPM" }
 

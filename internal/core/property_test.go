@@ -90,33 +90,6 @@ func TestProjectVariancesPositive(t *testing.T) {
 	}
 }
 
-// Parallel training must produce bit-identical models to sequential
-// training: E-step updates are independent across tasks and workers.
-func TestTrainParallelMatchesSequential(t *testing.T) {
-	d := smallDataset(t)
-	tasks := tasksFromDataset(d)
-	seq := NewConfig(4)
-	seq.MaxIter = 5
-	par := seq
-	par.Parallelism = 4
-	m1, _, err := Train(tasks, len(d.Workers), d.Vocab.Size(), seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := Train(tasks, len(d.Workers), d.Vocab.Size(), par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.LambdaW {
-		if !slices.Equal(m1.LambdaW[i], m2.LambdaW[i]) || !slices.Equal(m1.NuW2[i], m2.NuW2[i]) {
-			t.Fatalf("worker %d posterior differs between sequential and parallel", i)
-		}
-	}
-	if m1.Tau2 != m2.Tau2 || !slices.Equal(m1.MuC, m2.MuC) {
-		t.Error("model parameters differ between sequential and parallel")
-	}
-}
-
 // The batch projection behind every cache miss (projectInto) must
 // agree with per-bag Project at any parallelism.
 func TestProjectAllMatchesProject(t *testing.T) {

@@ -23,10 +23,15 @@ var yahooK40ELBO = []float64{
 	-97792.226, -97418.120, -97110.225, -96844.829, -96608.825, -96395.974,
 }
 
-// stopsAt feeds a trajectory to cfg's stop rule and returns the sweep it
+// rule is a stop rule with the given settings, fresh as newStopRule
+// returns one.
+func rule(tol float64, patience, minIter int) stopRule {
+	return stopRule{tol: tol, patience: patience, minIter: minIter, best: math.Inf(-1)}
+}
+
+// stopsAt feeds a trajectory to a stop rule and returns the sweep it
 // stops after, 0 if it never does.
-func stopsAt(cfg Config, elbo []float64) int {
-	stop := newStopRule(cfg)
+func stopsAt(stop stopRule, elbo []float64) int {
 	for i, e := range elbo {
 		if stop.observe(e) {
 			return i + 1
@@ -37,7 +42,7 @@ func stopsAt(cfg Config, elbo []float64) int {
 
 // TestStopRuleIgnoresTheTrough: the turn at the bottom of the recorded
 // trajectory is three consecutive sweeps of relative improvement in
-// [0, Tol) past MinIter — the stop rule used to fire there, at sweep 32,
+// [0, stopTol) past minIter — the stop rule used to fire there, at sweep 32,
 // 8 % of ELBO short of where training ends (and the Yahoo K = 40 cell of
 // Table 5 fell from 0.89 to 0.65). A sweep below the running maximum is
 // not flat, whatever it did relative to the sweep before.
@@ -45,28 +50,29 @@ func TestStopRuleIgnoresTheTrough(t *testing.T) {
 	cfg := NewConfig(40)
 	for s := 30; s <= 32; s++ {
 		prev, cur := yahooK40ELBO[s-2], yahooK40ELBO[s-1]
-		if rel := (cur - prev) / math.Abs(prev); rel < 0 || rel >= cfg.Tol {
+		if rel := (cur - prev) / math.Abs(prev); rel < 0 || rel >= stopTol {
 			t.Fatalf("sweep %d improves by %g of the sweep before: the recorded trajectory is not the trap it should be", s, rel)
 		}
 	}
-	if s := stopsAt(cfg, yahooK40ELBO); s != 0 {
+	if s := stopsAt(newStopRule(cfg), yahooK40ELBO); s != 0 {
 		t.Errorf("stopped after sweep %d at ELBO %.0f, below the running maximum %.0f", s, yahooK40ELBO[s-1], yahooK40ELBO[3])
 	}
 	// Once the climb passes the old peak and levels off, the rule fires
-	// as it always did: Patience flat sweeps at the maximum.
+	// as it always did: stopPatience flat sweeps at the maximum.
 	levelled := append([]float64(nil), yahooK40ELBO...)
 	top := levelled[len(levelled)-1]
 	for i := 1; i <= 5; i++ {
 		levelled = append(levelled, top+1e-3*float64(i))
 	}
-	if s, want := stopsAt(cfg, levelled), len(yahooK40ELBO)+cfg.Patience; s != want {
+	if s, want := stopsAt(newStopRule(cfg), levelled), len(yahooK40ELBO)+stopPatience; s != want {
 		t.Errorf("levelled-off trajectory stops after sweep %d, want %d", s, want)
 	}
 }
 
 // TestStopRuleStopsOnMonotoneConvergence: on a bound that only climbs the
 // running maximum is the current value, and the rule is the plain one —
-// Patience sweeps of improvement below Tol, MinIter at the earliest.
+// stopPatience sweeps of improvement below stopTol, minIter at the
+// earliest.
 func TestStopRuleStopsOnMonotoneConvergence(t *testing.T) {
 	monotone := make([]float64, 60)
 	for i := range monotone {
@@ -75,20 +81,15 @@ func TestStopRuleStopsOnMonotoneConvergence(t *testing.T) {
 	// The improvement of sweep s is 500·2⁻ˢ/1000.25…, below 1e-5 from sweep 16
 	// on: flat for the third time at sweep 18.
 	cfg := NewConfig(5)
-	if s := stopsAt(cfg, monotone); s != cfg.MinIter {
-		t.Errorf("default config stops after sweep %d, want MinIter = %d", s, cfg.MinIter)
+	if s := stopsAt(newStopRule(cfg), monotone); s != minIter {
+		t.Errorf("default config stops after sweep %d, want minIter = %d", s, minIter)
 	}
-	cfg.MinIter = 0
-	if s := stopsAt(cfg, monotone); s != 18 {
+	if s := stopsAt(rule(stopTol, stopPatience, 0), monotone); s != 18 {
 		t.Errorf("without a floor the rule stops after sweep %d, want 18", s)
 	}
-	cfg.Patience = 0 // treated as 1
-	if s := stopsAt(cfg, monotone); s != 16 {
-		t.Errorf("with Patience 0 the rule stops after sweep %d, want 16", s)
-	}
-	cfg.MinIter, cfg.MaxIter = 30, 10 // the floor never exceeds the cap
-	if s := stopsAt(cfg, append(monotone[:9:9], monotone[8])); s != 10 {
-		t.Errorf("MinIter above MaxIter: stopped after sweep %d, want 10", s)
+	cfg.MaxIter = 10 // the floor never exceeds the cap
+	if s := stopsAt(newStopRule(cfg), append(monotone[:7:7], monotone[6], monotone[6], monotone[6])); s != 10 {
+		t.Errorf("minIter above MaxIter: stopped after sweep %d, want 10", s)
 	}
 }
 
@@ -99,9 +100,8 @@ func TestStopRuleOnlyFiresAtTheRunningMaximum(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	fired := 0
 	for trial := 0; trial < 2000; trial++ {
-		cfg := NewConfig(5)
-		cfg.MinIter, cfg.Patience = rng.Intn(10), rng.Intn(4)
-		stop := newStopRule(cfg)
+		floor, patience := rng.Intn(10), max(1, rng.Intn(4))
+		stop := rule(stopTol, patience, floor)
 		e, best := -1000.0, math.Inf(-1)
 		for s := 0; s < 60; s++ {
 			// Mostly tiny moves in either direction, now and then a jump.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"crowdselect/internal/linalg"
 	"crowdselect/internal/randx"
@@ -91,8 +90,8 @@ func validateTasks(tasks []ResolvedTask, numWorkers, vocabSize int) error {
 }
 
 // stopRule is Train's convergence test: stop once the ELBO has been flat
-// — a relative improvement in [0, Tol) over the sweep before — for
-// Patience consecutive sweeps, MinIter sweeps at the earliest. A sweep
+// — a relative improvement in [0, tol) over the sweep before — for
+// patience consecutive sweeps, minIter sweeps at the earliest. A sweep
 // counts as flat only while the ELBO is at its running maximum. The
 // empirical-Bayes ramp (see Train) does not climb monotonically: on the
 // larger platforms the bound peaks within a few sweeps, sinks for twenty
@@ -109,18 +108,11 @@ type stopRule struct {
 	flat       int
 }
 
+// newStopRule is Train's stop rule for cfg. minIter is a floor under the
+// stop rule, never under MaxIter: a caller capping MaxIter below it gets
+// exactly MaxIter sweeps.
 func newStopRule(cfg Config) stopRule {
-	r := stopRule{tol: cfg.Tol, patience: cfg.Patience, minIter: cfg.MinIter, best: math.Inf(-1)}
-	if r.patience < 1 {
-		r.patience = 1
-	}
-	// MinIter is a floor under the stop rule, never under MaxIter: a
-	// caller capping MaxIter below the default MinIter gets exactly
-	// MaxIter sweeps.
-	if r.minIter > cfg.MaxIter {
-		r.minIter = cfg.MaxIter
-	}
-	return r
+	return stopRule{tol: stopTol, patience: stopPatience, minIter: min(minIter, cfg.MaxIter), best: math.Inf(-1)}
 }
 
 // observe takes the ELBO after the next sweep and reports whether
@@ -229,84 +221,53 @@ func newTrainer(tasks []ResolvedTask, numWorkers, vocabSize int, cfg Config) *tr
 }
 
 // updateWorkers applies the closed-form coordinate updates of
-// Eqs. 10–11 to every worker's variational posterior. Workers are
-// independent given the model parameters, so the loop parallelizes
-// without changing results. The precision matrix, the right-hand side
-// and the quadratic aggregate are per-chunk buffers and a response's
-// ν_c²/τ² goes onto the diagonal in place, so a sweep allocates what
-// SPDSolve does per worker and nothing per response.
+// Eqs. 10–11 to every worker's variational posterior. The precision
+// matrix, the right-hand side and the quadratic aggregate are buffers of
+// the sweep and a response's ν_c²/τ² goes onto the diagonal in place, so
+// a sweep allocates what SPDSolve does per worker and nothing per
+// response.
 func (tr *trainer) updateWorkers() {
-	muWTerm := tr.m.sigmaWInv.MulVec(tr.m.MuW)
-	parallelFor(tr.m.M, tr.cfg.Parallelism, func(lo, hi int) {
-		k := tr.cfg.K
-		m := tr.m
-		invTau2 := 1 / m.Tau2
-		prec := linalg.NewMatrix(k, k)
-		rhs := linalg.NewVector(k)
-		quad := linalg.NewVector(k) // Σ_j λc_k² + νc_k²
-		for i := lo; i < hi; i++ {
-			prec.Zero()
-			prec.AddInPlace(m.sigmaWInv)
-			copy(rhs, muWTerm)
-			quad.Zero()
-			for jj, j := range tr.workerTasks[i] {
-				lc, nc := tr.lambdaC[j], tr.nuC2[j]
-				prec.AddOuterInPlace(invTau2, lc, lc)
-				prec.AddScaledDiagInPlace(invTau2, nc)
-				rhs.AddScaledInPlace(invTau2*tr.workerScores[i][jj], lc)
-				for kk := 0; kk < k; kk++ {
-					quad[kk] += lc[kk]*lc[kk] + nc[kk]
-				}
-			}
-			lw, err := linalg.SPDSolve(prec.Symmetrize(), rhs)
-			if err == nil {
-				m.LambdaW[i] = lw
-			}
+	k := tr.cfg.K
+	m := tr.m
+	muWTerm := m.sigmaWInv.MulVec(m.MuW)
+	invTau2 := 1 / m.Tau2
+	prec := linalg.NewMatrix(k, k)
+	rhs := linalg.NewVector(k)
+	quad := linalg.NewVector(k) // Σ_j λc_k² + νc_k²
+	for i := 0; i < m.M; i++ {
+		prec.Zero()
+		prec.AddInPlace(m.sigmaWInv)
+		copy(rhs, muWTerm)
+		quad.Zero()
+		for jj, j := range tr.workerTasks[i] {
+			lc, nc := tr.lambdaC[j], tr.nuC2[j]
+			prec.AddOuterInPlace(invTau2, lc, lc)
+			prec.AddScaledDiagInPlace(invTau2, nc)
+			rhs.AddScaledInPlace(invTau2*tr.workerScores[i][jj], lc)
 			for kk := 0; kk < k; kk++ {
-				m.NuW2[i][kk] = 1 / (quad[kk]*invTau2 + m.sigmaWInv.At(kk, kk))
+				quad[kk] += lc[kk]*lc[kk] + nc[kk]
 			}
 		}
-	})
+		lw, err := linalg.SPDSolve(prec.Symmetrize(), rhs)
+		if err == nil {
+			m.LambdaW[i] = lw
+		}
+		for kk := 0; kk < k; kk++ {
+			m.NuW2[i][kk] = 1 / (quad[kk]*invTau2 + m.sigmaWInv.At(kk, kk))
+		}
+	}
 }
 
 // updateTasks runs, for every task, InnerIter rounds of the φ update
 // (Eq. 12), the ε update (Eq. 13), and the conjugate-gradient update
-// of (λ_c, ν_c) (§5.2). Each task touches only its own variational
-// state, so the loop parallelizes without changing results.
+// of (λ_c, ν_c) (§5.2), on one solver reused by every task.
 func (tr *trainer) updateTasks() {
-	parallelFor(len(tr.tasks), tr.cfg.Parallelism, func(lo, hi int) {
-		s := newTaskSolver() // one per chunk: reused by every task in it
-		for j := lo; j < hi; j++ {
-			for round := 0; round < tr.cfg.InnerIter; round++ {
-				s.updatePhi(tr.phi[j], tr.tasks[j].Bag.IDs, tr.lambdaC[j], tr.m.beta)
-				tr.eps[j] = taylorPoint(tr.lambdaC[j], tr.nuC2[j])
-				tr.updateLambdaNuC(s, j, true)
-			}
+	s := newTaskSolver()
+	for j := range tr.tasks {
+		for round := 0; round < tr.cfg.InnerIter; round++ {
+			s.updatePhi(tr.phi[j], tr.tasks[j].Bag.IDs, tr.lambdaC[j], tr.m.beta)
+			tr.eps[j] = taylorPoint(tr.lambdaC[j], tr.nuC2[j])
+			tr.updateLambdaNuC(s, j, true)
 		}
-	})
-}
-
-// parallelFor splits [0, n) into contiguous chunks across at most p
-// goroutines — the caller's own among them, which runs the last chunk —
-// and returns when every chunk has; p ≤ 1 runs fn(0, n) inline.
-func parallelFor(n, p int, fn func(lo, hi int)) {
-	if p <= 1 || n <= 1 {
-		fn(0, n)
-		return
 	}
-	if p > n {
-		p = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + p - 1) / p
-	lo := 0
-	for ; lo+chunk < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, lo+chunk)
-	}
-	fn(lo, n)
-	wg.Wait()
 }

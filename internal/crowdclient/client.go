@@ -785,6 +785,3 @@ func (c *Client) SealLease(ctx context.Context, holder string) (crowddb.ReadyzRe
 	}, &out)
 	return out, err
 }
-
-// Base returns the client's base URL.
-func (c *Client) Base() string { return c.base }

@@ -24,17 +24,6 @@ import (
 // fleets never compare digests computed under different rules.
 const digestPreimageVersion = "crowd-digest/v1"
 
-// Digest returns the hex SHA-256 of the store's canonical snapshot
-// bytes (exactly what Snapshot writes): worker rows, task rows, next
-// id and the applied-forward set, all in sorted order.
-func (s *Store) Digest() (string, error) {
-	h := sha256.New()
-	if err := s.Snapshot(h); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // combineDigest binds the model and store component digests to the
 // tenant namespace under a versioned preimage.
 func combineDigest(tenant, model, store string) string {

@@ -777,17 +777,6 @@ func (db *DB) startAutoCompaction() {
 	}()
 }
 
-// Sync forces an fsync of the current journal regardless of policy.
-func (db *DB) Sync() error {
-	db.mu.Lock()
-	jw := db.jw
-	db.mu.Unlock()
-	if jw == nil {
-		return nil
-	}
-	return jw.Sync()
-}
-
 // Close stops the compaction loop, detaches the journal, and syncs
 // and closes the journal file. It does not snapshot; call Compact
 // first for a clean shutdown checkpoint.

@@ -2,6 +2,8 @@ package crowddb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +17,17 @@ import (
 	"crowdselect/internal/core"
 	"crowdselect/internal/faultfs"
 )
+
+// Digest returns the hex SHA-256 of the store's canonical snapshot
+// bytes (exactly what Snapshot writes): worker rows, task rows, next
+// id and the applied-forward set, all in sorted order.
+func (s *Store) Digest() (string, error) {
+	h := sha256.New()
+	if err := s.Snapshot(h); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
 
 // cutDigest computes a fresh digest cut over a rig — a new cutter per
 // call, so nothing comes from a cache.

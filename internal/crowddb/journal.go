@@ -282,22 +282,6 @@ func (jw *journalWriter) syncLocked() error {
 	return nil
 }
 
-// Sync forces an fsync regardless of policy (shutdown, rotation). A
-// failure here is the same disk-loss signal as a failing append, so it
-// reaches the onErr observer too.
-func (jw *journalWriter) Sync() error {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	if jw.unsynced == 0 {
-		return nil
-	}
-	if err := jw.syncLocked(); err != nil {
-		jw.failed(err)
-		return err
-	}
-	return nil
-}
-
 // Close syncs and closes the underlying file.
 func (jw *journalWriter) Close() error {
 	jw.mu.Lock()

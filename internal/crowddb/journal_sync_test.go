@@ -10,6 +10,22 @@ import (
 	"crowdselect/internal/faultfs"
 )
 
+// Sync forces an fsync regardless of policy. A failure here is the same
+// disk-loss signal as a failing append, so it reaches the onErr observer
+// too.
+func (jw *journalWriter) Sync() error {
+	jw.mu.Lock()
+	defer jw.mu.Unlock()
+	if jw.unsynced == 0 {
+		return nil
+	}
+	if err := jw.syncLocked(); err != nil {
+		jw.failed(err)
+		return err
+	}
+	return nil
+}
+
 // TestSyncIntervalFailedFsyncDoesNotAdvanceClock is the regression
 // test for the SyncInterval edge: an append whose fsync fails must
 // leave lastSync (and the unsynced count) untouched, or the first

@@ -9,6 +9,17 @@ import (
 	"crowdselect/internal/faultfs"
 )
 
+// Sync forces an fsync of the current journal regardless of policy.
+func (db *DB) Sync() error {
+	db.mu.Lock()
+	jw := db.jw
+	db.mu.Unlock()
+	if jw == nil {
+		return nil
+	}
+	return jw.Sync()
+}
+
 // syncSignalFile wraps a faultfs journal file and fires signal when an
 // fsync begins (before faultfs serves its injected delay), so a test
 // can act while the slow fsync is provably in flight.

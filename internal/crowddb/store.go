@@ -504,16 +504,9 @@ type snapshot struct {
 	AppliedForwards []int        `json:"applied_forwards,omitempty"`
 }
 
-// Snapshot writes a consistent JSON snapshot of the database to w.
-func (s *Store) Snapshot(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snapshotLocked(w)
-}
-
-// snapshotLocked is Snapshot with s.mu already held (compaction holds
-// the write lock so the snapshot and the journal rotation are one
-// atomic cut). It writes json.Encoder's encoding of a snapshot value
+// snapshotLocked writes a consistent JSON snapshot of the store to w
+// with s.mu already held (compaction holds the write lock so the
+// snapshot and the journal rotation are one atomic cut). It writes json.Encoder's encoding of a snapshot value
 // byte for byte, but one row at a time, so a snapshot costs row-sized
 // buffers rather than one the size of the whole store.
 func (s *Store) snapshotLocked(w io.Writer) error {

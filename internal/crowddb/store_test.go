@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +14,13 @@ import (
 	"testing"
 	"time"
 )
+
+// Snapshot writes a consistent JSON snapshot of the database to w.
+func (s *Store) Snapshot(w io.Writer) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.snapshotLocked(w)
+}
 
 func fixedClock() func() time.Time {
 	t0 := time.Date(2015, 3, 23, 9, 0, 0, 0, time.UTC) // EDBT 2015 day 1

@@ -1,6 +1,7 @@
 package crowdql
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -127,6 +128,15 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// execute parses and runs one statement.
+func execute(e *Engine, input string) (Result, error) {
+	q, err := Parse(input)
+	if err != nil {
+		return Result{}, err
+	}
+	return e.RunContext(context.Background(), q)
+}
+
 // engineFixture wires an engine over a small trained TDPM.
 func engineFixture(t *testing.T) (*Engine, *corpus.Dataset) {
 	t.Helper()
@@ -157,7 +167,7 @@ func engineFixture(t *testing.T) (*Engine, *corpus.Dataset) {
 
 func TestEngineSelectCrowd(t *testing.T) {
 	eng, _ := engineFixture(t)
-	res, err := eng.Execute("SELECT CROWD FOR TASK 'some question text' LIMIT 2")
+	res, err := execute(eng, "SELECT CROWD FOR TASK 'some question text' LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +187,7 @@ func TestEngineSelectWorkers(t *testing.T) {
 	eng, d := engineFixture(t)
 	eng.mgr.Store().SetOnline(0, false)
 
-	res, err := eng.Execute("SELECT WORKERS WHERE online = false")
+	res, err := execute(eng, "SELECT WORKERS WHERE online = false")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestEngineSelectWorkers(t *testing.T) {
 		t.Errorf("offline workers = %v", res.Rows)
 	}
 
-	res, err = eng.Execute("SELECT WORKERS WHERE id >= 2 AND id < 5 ORDER BY id DESC")
+	res, err = execute(eng, "SELECT WORKERS WHERE id >= 2 AND id < 5 ORDER BY id DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +203,7 @@ func TestEngineSelectWorkers(t *testing.T) {
 		t.Errorf("ranged workers = %v", res.Rows)
 	}
 
-	res, err = eng.Execute("SELECT WORKERS LIMIT 3")
+	res, err = execute(eng, "SELECT WORKERS LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +211,7 @@ func TestEngineSelectWorkers(t *testing.T) {
 		t.Errorf("limited workers = %v", res.Rows)
 	}
 
-	res, err = eng.Execute("SELECT WORKERS WHERE name = 'worker-01'")
+	res, err = execute(eng, "SELECT WORKERS WHERE name = 'worker-01'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,25 +223,25 @@ func TestEngineSelectWorkers(t *testing.T) {
 
 func TestEngineTasksAndMutations(t *testing.T) {
 	eng, _ := engineFixture(t)
-	if _, err := eng.Execute("SELECT CROWD FOR TASK 'route me' LIMIT 2"); err != nil {
+	if _, err := execute(eng, "SELECT CROWD FOR TASK 'route me' LIMIT 2"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Execute("SELECT TASKS WHERE status = 'assigned'")
+	res, err := execute(eng, "SELECT TASKS WHERE status = 'assigned'")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][1] != "assigned" {
 		t.Errorf("assigned tasks = %v", res.Rows)
 	}
-	if res, err = eng.Execute("SELECT TASKS"); err != nil || len(res.Rows) != 1 {
+	if res, err = execute(eng, "SELECT TASKS"); err != nil || len(res.Rows) != 1 {
 		t.Errorf("all tasks = %v, %v", res.Rows, err)
 	}
 
 	// Insert and update via SQL.
-	if _, err := eng.Execute("INSERT WORKER 999 NAME 'late joiner'"); err != nil {
+	if _, err := execute(eng, "INSERT WORKER 999 NAME 'late joiner'"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Execute("UPDATE WORKER 999 SET online = false"); err != nil {
+	if _, err := execute(eng, "UPDATE WORKER 999 SET online = false"); err != nil {
 		t.Fatal(err)
 	}
 	w, err := eng.mgr.Store().GetWorker(999)
@@ -242,7 +252,7 @@ func TestEngineTasksAndMutations(t *testing.T) {
 		t.Errorf("worker = %+v", w)
 	}
 	// Duplicate insert surfaces the store error.
-	if _, err := eng.Execute("INSERT WORKER 999 NAME 'dup'"); err == nil {
+	if _, err := execute(eng, "INSERT WORKER 999 NAME 'dup'"); err == nil {
 		t.Error("duplicate insert accepted")
 	}
 }

@@ -28,21 +28,6 @@ type Result struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// Execute parses and runs one statement with no cancellation.
-func (e *Engine) Execute(input string) (Result, error) {
-	return e.ExecuteContext(context.Background(), input)
-}
-
-// ExecuteContext parses and runs one statement; ctx cancels
-// crowd-selection work (the SELECT CROWD path projects and ranks).
-func (e *Engine) ExecuteContext(ctx context.Context, input string) (Result, error) {
-	q, err := Parse(input)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.RunContext(ctx, q)
-}
-
 // RunContext executes a parsed query under ctx.
 func (e *Engine) RunContext(ctx context.Context, q Query) (Result, error) {
 	switch q := q.(type) {

@@ -122,10 +122,6 @@ type Options struct {
 	// gate their fleet-control surface (crowdd -fleet-token). Empty
 	// for open fleets.
 	FleetToken string
-	// Client overrides the per-node client options. Retries are forced
-	// to zero — a missed probe must count as missed, not be papered
-	// over.
-	Client crowdclient.Options
 	// Logf receives lifecycle notices. nil is silent.
 	Logf func(format string, args ...any)
 }
@@ -239,13 +235,6 @@ func New(spec Spec, opts Options) (*Supervisor, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	if opts.Client.Timeout <= 0 {
-		opts.Client.Timeout = opts.ProbeTimeout
-	}
-	opts.Client.Retries = -1 // a missed probe counts as missed
-	if opts.FleetToken != "" {
-		opts.Client.FleetToken = opts.FleetToken
-	}
 	s := &Supervisor{opts: opts, clients: make(map[string]*crowdclient.Client)}
 	for _, sh := range spec.Shards {
 		st := &shardState{
@@ -270,7 +259,9 @@ func (s *Supervisor) client(url string) *crowdclient.Client {
 	if c, ok := s.clients[url]; ok {
 		return c
 	}
-	c := crowdclient.New(url, s.opts.Client)
+	// Retries: -1 is none: a missed probe must count as missed, not be
+	// papered over.
+	c := crowdclient.New(url, crowdclient.Options{Timeout: s.opts.ProbeTimeout, Retries: -1, FleetToken: s.opts.FleetToken})
 	s.clients[url] = c
 	return c
 }

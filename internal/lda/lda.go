@@ -17,22 +17,26 @@ import (
 type Config struct {
 	// K is the number of topics.
 	K int
-	// Alpha and Beta are the symmetric Dirichlet hyperparameters of
-	// the document-topic and topic-word distributions.
-	Alpha, Beta float64
 	// Burn is the number of Gibbs sweeps.
 	Burn int
-	// InferSweeps is the number of fold-in sweeps used by Infer.
-	InferSweeps int
 	// Seed drives the sampler.
 	Seed int64
 }
 
-// NewConfig returns sensible defaults for K topics. Alpha is small
-// because crowdsourced tasks are short documents: a large smoothing
-// mass would drown the handful of observed tokens.
+// The sampler's fixed settings. alpha and beta are the symmetric
+// Dirichlet hyperparameters of the document-topic and topic-word
+// distributions; alpha is small because crowdsourced tasks are short
+// documents: a large smoothing mass would drown the handful of observed
+// tokens. inferSweeps is the number of fold-in sweeps Infer runs.
+const (
+	alpha       = 0.1
+	beta        = 0.01
+	inferSweeps = 24
+)
+
+// NewConfig returns sensible defaults for K topics.
 func NewConfig(k int) Config {
-	return Config{K: k, Alpha: 0.1, Beta: 0.01, Burn: 120, InferSweeps: 24, Seed: 1}
+	return Config{K: k, Burn: 120, Seed: 1}
 }
 
 // Validate reports the first problem with the configuration.
@@ -40,10 +44,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.K < 1:
 		return fmt.Errorf("lda: K = %d", c.K)
-	case c.Alpha <= 0 || c.Beta <= 0:
-		return fmt.Errorf("lda: non-positive hyperparameters α=%g β=%g", c.Alpha, c.Beta)
-	case c.Burn < 1 || c.InferSweeps < 1:
-		return fmt.Errorf("lda: sweep counts must be positive")
+	case c.Burn < 1:
+		return fmt.Errorf("lda: Burn = %d", c.Burn)
 	}
 	return nil
 }
@@ -51,7 +53,6 @@ func (c Config) Validate() error {
 // Model is a trained LDA topic model.
 type Model struct {
 	K, V int
-	cfg  Config
 	// Phi is the K×V topic-word matrix (rows sum to 1).
 	Phi *linalg.Matrix
 }
@@ -103,7 +104,7 @@ func Train(docs []text.Bag, vocabSize int, cfg Config) (*Model, []linalg.Vector,
 		}
 	}
 
-	vBeta := float64(vocabSize) * cfg.Beta
+	vBeta := float64(vocabSize) * beta
 	weights := make(linalg.Vector, k)
 	for sweep := 0; sweep < cfg.Burn; sweep++ {
 		for d := range tdocs {
@@ -115,7 +116,7 @@ func Train(docs []text.Bag, vocabSize int, cfg Config) (*Model, []linalg.Vector,
 				nkv.AddAt(z, w, -1)
 				nk[z]--
 				for kk := 0; kk < k; kk++ {
-					weights[kk] = (drow[kk] + cfg.Alpha) * (nkv.At(kk, w) + cfg.Beta) / (nk[kk] + vBeta)
+					weights[kk] = (drow[kk] + alpha) * (nkv.At(kk, w) + beta) / (nk[kk] + vBeta)
 				}
 				z = rng.Categorical(weights)
 				doc.topics[p] = z
@@ -126,16 +127,16 @@ func Train(docs []text.Bag, vocabSize int, cfg Config) (*Model, []linalg.Vector,
 		}
 	}
 
-	m := &Model{K: k, V: vocabSize, cfg: cfg, Phi: linalg.NewMatrix(k, vocabSize)}
+	m := &Model{K: k, V: vocabSize, Phi: linalg.NewMatrix(k, vocabSize)}
 	for kk := 0; kk < k; kk++ {
 		row := m.Phi.Row(kk)
 		for v := 0; v < vocabSize; v++ {
-			row[v] = (nkv.At(kk, v) + cfg.Beta) / (nk[kk] + vBeta)
+			row[v] = (nkv.At(kk, v) + beta) / (nk[kk] + vBeta)
 		}
 	}
 	thetas := make([]linalg.Vector, len(docs))
 	for d := range tdocs {
-		thetas[d] = thetaOf(ndk.Row(d), cfg.Alpha)
+		thetas[d] = thetaOf(ndk.Row(d), alpha)
 	}
 	return m, thetas, nil
 }
@@ -157,7 +158,7 @@ func (m *Model) Infer(doc text.Bag, rng *randx.RNG) linalg.Vector {
 	}
 	counts := linalg.NewVector(k)
 	if len(words) == 0 {
-		return thetaOf(counts, m.cfg.Alpha)
+		return thetaOf(counts, alpha)
 	}
 	topics := make([]int, len(words))
 	for p := range words {
@@ -166,19 +167,19 @@ func (m *Model) Infer(doc text.Bag, rng *randx.RNG) linalg.Vector {
 		counts[z]++
 	}
 	weights := make(linalg.Vector, k)
-	for sweep := 0; sweep < m.cfg.InferSweeps; sweep++ {
+	for sweep := 0; sweep < inferSweeps; sweep++ {
 		for p, w := range words {
 			z := topics[p]
 			counts[z]--
 			for kk := 0; kk < k; kk++ {
-				weights[kk] = (counts[kk] + m.cfg.Alpha) * m.Phi.At(kk, w)
+				weights[kk] = (counts[kk] + alpha) * m.Phi.At(kk, w)
 			}
 			z = rng.Categorical(weights)
 			topics[p] = z
 			counts[z]++
 		}
 	}
-	return thetaOf(counts, m.cfg.Alpha)
+	return thetaOf(counts, alpha)
 }
 
 // thetaOf normalizes topic counts with the Dirichlet prior.

@@ -33,11 +33,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("K=0 accepted")
 	}
-	bad = NewConfig(3)
-	bad.Beta = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("Beta=0 accepted")
-	}
 }
 
 func TestTrainInputValidation(t *testing.T) {

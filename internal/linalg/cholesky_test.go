@@ -71,7 +71,7 @@ func TestCholeskyInverse(t *testing.T) {
 }
 
 func TestCholeskyLogDet(t *testing.T) {
-	a := NewDiag(Vector{2, 3, 4})
+	a := diag(Vector{2, 3, 4})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestCholeskyJitteredRecovers(t *testing.T) {
 }
 
 func TestSPDSolve(t *testing.T) {
-	a := NewDiag(Vector{2, 4})
+	a := diag(Vector{2, 4})
 	x, err := SPDSolve(a, Vector{2, 8})
 	if err != nil {
 		t.Fatal(err)

@@ -39,16 +39,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// NewDiag returns a square matrix with d on the diagonal.
-func NewDiag(d Vector) *Matrix {
-	n := len(d)
-	m := NewMatrix(n, n)
-	for i, v := range d {
-		m.Data[i*n+i] = v
-	}
-	return m
-}
-
 // At returns the (r, c) entry.
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
@@ -73,19 +63,6 @@ func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// Diag returns a copy of the main diagonal.
-func (m *Matrix) Diag() Vector {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	d := make(Vector, n)
-	for i := range d {
-		d[i] = m.At(i, i)
-	}
-	return d
 }
 
 // AddInPlace sets m ← m + b and returns m.

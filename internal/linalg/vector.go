@@ -62,18 +62,6 @@ func (x Vector) Dot(y Vector) float64 {
 	return s
 }
 
-// Add returns x + y as a new vector.
-func (x Vector) Add(y Vector) Vector {
-	if len(x) != len(y) {
-		panic(dimErr("Add", len(x), len(y)))
-	}
-	z := make(Vector, len(x))
-	for i, v := range x {
-		z[i] = v + y[i]
-	}
-	return z
-}
-
 // Sub returns x − y as a new vector.
 func (x Vector) Sub(y Vector) Vector {
 	if len(x) != len(y) {

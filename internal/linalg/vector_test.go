@@ -12,9 +12,6 @@ func TestVectorBasicOps(t *testing.T) {
 	if got := x.Dot(y); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
-	if got := x.Add(y); !near(got, Vector{5, 7, 9}, 0) {
-		t.Errorf("Add = %v", got)
-	}
 	if got := y.Sub(x); !near(got, Vector{3, 3, 3}, 0) {
 		t.Errorf("Sub = %v", got)
 	}

@@ -17,18 +17,23 @@ import (
 type Config struct {
 	// K is the number of latent aspects.
 	K int
-	// Iterations is the number of EM sweeps; FoldIterations is used by
-	// Infer on new documents.
-	Iterations, FoldIterations int
-	// Smoothing is added to every count in the M-step to avoid zeros.
-	Smoothing float64
+	// Iterations is the number of EM sweeps.
+	Iterations int
 	// Seed randomizes the initialization.
 	Seed int64
 }
 
+// The fixed settings of EM. foldIterations is the number of sweeps Infer
+// runs on a new document; smoothing is added to every count in the
+// M-step to avoid zeros.
+const (
+	foldIterations = 30
+	smoothing      = 1e-3
+)
+
 // NewConfig returns sensible defaults for K aspects.
 func NewConfig(k int) Config {
-	return Config{K: k, Iterations: 60, FoldIterations: 30, Smoothing: 1e-3, Seed: 1}
+	return Config{K: k, Iterations: 60, Seed: 1}
 }
 
 // Validate reports the first problem with the configuration.
@@ -36,10 +41,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.K < 1:
 		return fmt.Errorf("plsa: K = %d", c.K)
-	case c.Iterations < 1 || c.FoldIterations < 1:
-		return fmt.Errorf("plsa: iteration counts must be positive")
-	case c.Smoothing < 0:
-		return fmt.Errorf("plsa: Smoothing = %g", c.Smoothing)
+	case c.Iterations < 1:
+		return fmt.Errorf("plsa: Iterations = %d", c.Iterations)
 	}
 	return nil
 }
@@ -47,7 +50,6 @@ func (c Config) Validate() error {
 // Model is a trained PLSA model: the aspect-word distributions.
 type Model struct {
 	K, V int
-	cfg  Config
 	// PW is the K×V matrix of p(w|z) (rows sum to 1).
 	PW *linalg.Matrix
 }
@@ -114,9 +116,9 @@ func Train(docs []text.Bag, vocabSize int, cfg Config) (*Model, []linalg.Vector,
 				}
 			}
 			// M-step for p(z|d).
-			total := nextPZ.Sum() + float64(k)*cfg.Smoothing
+			total := nextPZ.Sum() + float64(k)*smoothing
 			for kk := 0; kk < k; kk++ {
-				pzd[d][kk] = (nextPZ[kk] + cfg.Smoothing) / total
+				pzd[d][kk] = (nextPZ[kk] + smoothing) / total
 			}
 		}
 		// M-step for p(w|z).
@@ -124,14 +126,14 @@ func Train(docs []text.Bag, vocabSize int, cfg Config) (*Model, []linalg.Vector,
 			row := nextPW.Row(kk)
 			var sum float64
 			for v := 0; v < vocabSize; v++ {
-				row[v] += cfg.Smoothing
+				row[v] += smoothing
 				sum += row[v]
 			}
 			row.ScaleInPlace(1 / sum)
 		}
 		pw = nextPW
 	}
-	return &Model{K: k, V: vocabSize, cfg: cfg, PW: pw}, pzd, nil
+	return &Model{K: k, V: vocabSize, PW: pw}, pzd, nil
 }
 
 // Infer folds a new document in by EM over p(z|d) with p(w|z) fixed
@@ -152,7 +154,7 @@ func (m *Model) Infer(doc text.Bag) linalg.Vector {
 		return pz
 	}
 	post := make(linalg.Vector, k)
-	for it := 0; it < m.cfg.FoldIterations; it++ {
+	for it := 0; it < foldIterations; it++ {
 		next := linalg.NewVector(k)
 		for p, v := range ids {
 			var sum float64
@@ -167,9 +169,9 @@ func (m *Model) Infer(doc text.Bag) linalg.Vector {
 				next[kk] += counts[p] * post[kk] / sum
 			}
 		}
-		total := next.Sum() + float64(k)*m.cfg.Smoothing
+		total := next.Sum() + float64(k)*smoothing
 		for kk := 0; kk < k; kk++ {
-			pz[kk] = (next[kk] + m.cfg.Smoothing) / total
+			pz[kk] = (next[kk] + smoothing) / total
 		}
 	}
 	return pz

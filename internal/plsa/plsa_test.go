@@ -26,11 +26,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("K=0 accepted")
 	}
-	bad = NewConfig(2)
-	bad.Smoothing = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative smoothing accepted")
-	}
 }
 
 func TestTrainInputValidation(t *testing.T) {

@@ -70,9 +70,6 @@ func NewAliasTable(weights linalg.Vector) (*AliasTable, error) {
 	return t, nil
 }
 
-// Len returns the number of categories.
-func (t *AliasTable) Len() int { return len(t.prob) }
-
 // Sample draws one category index using r.
 func (t *AliasTable) Sample(r *RNG) int {
 	i := r.Intn(len(t.prob))

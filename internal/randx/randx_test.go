@@ -190,8 +190,8 @@ func TestAliasTableFrequencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 5 {
-		t.Errorf("Len = %d", tab.Len())
+	if len(tab.prob) != 5 {
+		t.Errorf("%d categories, want 5", len(tab.prob))
 	}
 	counts := make([]float64, 5)
 	const n = 200000
