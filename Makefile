@@ -33,10 +33,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation gates of the projection kernel (DESIGN.md §6), of the
-# skill fold (§4.3: the two posterior vectors it commits), of the
-# bounded top-k selection (§6: k Items below the candidate count,
-# whatever the count, and no category for a cache hit) and of the
+# The allocation gates of the projection kernel (DESIGN.md §6), of
+# training's worker update (§6: each worker's new λ_w and the sweep's
+# fixed buffers), of the skill fold (§4.3: the two posterior vectors it
+# commits), of the bounded top-k selection (§6: k Items below the
+# candidate count, whatever the count, and no category for a cache hit)
+# and of the
 # single-node selections handler, hot (§11: the fleet's category fields
 # must cost a request that names none nothing), cold (§6: a miss against
 # a full cache allocates its key string, a few bytes a term, and no

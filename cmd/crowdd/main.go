@@ -314,9 +314,8 @@ func run(cfg daemonConfig) error {
 		// Adaptive AIMD between the floor and the flag's ceiling; the
 		// limit starts at the ceiling and backs off on deadline overruns.
 		srv.SetAdmission(crowddb.AdmissionConfig{
-			Initial: cfg.maxInflight,
-			Min:     cfg.admissionMin,
-			Max:     cfg.maxInflight,
+			Min: cfg.admissionMin,
+			Max: cfg.maxInflight,
 		})
 	}
 	srv.SetDeadlineBudgets(cfg.readBudget, cfg.writeBudget)

@@ -158,10 +158,7 @@ func cgFresh(p problem, x0 linalg.Vector, maxIter int) (linalg.Vector, solveStop
 func TestCGQuadratic(t *testing.T) {
 	a := linalg.NewMatrixFrom(2, 2, []float64{3, 1, 1, 2})
 	b := linalg.Vector{1, 2}
-	want, err := linalg.SPDSolve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustSPDSolve(t, a, b)
 	x, stop := cgFresh(quadratic(a, b), linalg.Vector{10, -10}, 200)
 	if x.Sub(want).NormInf() > 1e-4 {
 		t.Errorf("CG = %v (stop %d), want %v", x, stop, want)
@@ -180,10 +177,7 @@ func TestCGRandomQuadratics(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		want, err := linalg.SPDSolve(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustSPDSolve(t, a, b)
 		x, _ := cgFresh(quadratic(a, b), make(linalg.Vector, n), 500)
 		if x.Sub(want).NormInf() > 1e-4 {
 			t.Fatalf("trial %d: CG off by %v", trial, x.Sub(want).NormInf())

@@ -84,10 +84,12 @@ func gaussianEntropy(nu2 linalg.Vector) float64 {
 	return h
 }
 
+// logDetSPD returns log det(a) through spdFactor, −Inf when it finds no
+// factor.
 func logDetSPD(a *linalg.Matrix) float64 {
-	ch, err := linalg.NewCholeskyJittered(a, 1e-10, 8)
-	if err != nil {
+	l := make(linalg.Vector, len(a.Data))
+	if !spdFactor(l, a) {
 		return math.Inf(-1)
 	}
-	return ch.LogDet()
+	return cholLogDet(l, a.Rows)
 }

@@ -644,6 +644,64 @@ func cholSolve(a linalg.Vector, n int, y linalg.Vector) {
 	}
 }
 
+// spdJitterTries bounds spdFactor's retries: the diagonal jitter runs
+// 1e-10, 1e-9, … 1e-3.
+const spdJitterTries = 8
+
+// spdFactor copies the SPD matrix a into l (n×n, row-major) and factors
+// it there by cholesky. A covariance estimate accumulated in floating
+// point can go marginally indefinite, so a failed pivot retries on a
+// fresh copy with spdJitterTries geometrically growing jitters added to
+// the diagonal. It reports whether a factor was found.
+func spdFactor(l linalg.Vector, a *linalg.Matrix) bool {
+	n := a.Rows
+	copy(l, a.Data)
+	jitter := 1e-10
+	for try := 0; !cholesky(l, n); try++ {
+		if try == spdJitterTries {
+			return false
+		}
+		copy(l, a.Data)
+		for i := 0; i < n; i++ {
+			l[i*n+i] += jitter
+		}
+		jitter *= 10
+	}
+	return true
+}
+
+// spdInverse returns A⁻¹ for the SPD matrix a: spdFactor, then cholSolve
+// on one unit vector per column, symmetrized. It reports false when
+// spdFactor finds no factor.
+func spdInverse(a *linalg.Matrix) (*linalg.Matrix, bool) {
+	n := a.Rows
+	l := make(linalg.Vector, n*n)
+	if !spdFactor(l, a) {
+		return nil, false
+	}
+	inv := linalg.NewMatrix(n, n)
+	col := make(linalg.Vector, n)
+	for j := 0; j < n; j++ {
+		col.Zero()
+		col[j] = 1
+		cholSolve(l, n, col)
+		for i, v := range col {
+			inv.Data[i*n+j] = v
+		}
+	}
+	return inv.Symmetrize(), true
+}
+
+// cholLogDet returns log det(L·Lᵀ) = 2·Σ log Lᵢᵢ for the factor cholesky
+// left in l.
+func cholLogDet(l linalg.Vector, n int) float64 {
+	var s float64
+	for i := 0; i < n; i++ {
+		s += math.Log(l[i*n+i])
+	}
+	return 2 * s
+}
+
 // updateLambdaNuC maximizes task j's objective over (λ_c, ν_c) on the
 // caller's solver, starting from the current variational state; on
 // numerical failure the previous iterate is kept.

@@ -33,9 +33,9 @@ func foldCholesky(m *Model, worker int, cats []TaskCategory, scores []float64, p
 			quad[kk] += cat.Lambda[kk]*cat.Lambda[kk] + cat.Nu2[kk]
 		}
 	}
-	lw, err = linalg.SPDSolve(prec.Symmetrize(), rhs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reference fold for worker %d: %w", worker, err)
+	lw, ok := spdSolve(prec.Symmetrize(), rhs)
+	if !ok {
+		return nil, nil, fmt.Errorf("reference fold for worker %d: no Cholesky factor", worker)
 	}
 	nu2 = make(linalg.Vector, k)
 	for kk := 0; kk < k; kk++ {

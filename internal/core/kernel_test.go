@@ -139,6 +139,23 @@ func TestUpdateWorkerSkillAllocations(t *testing.T) {
 	}
 }
 
+// TestUpdateWorkersAllocations is training's worker-update gate: one
+// pass of Eqs. 10–11 allocates each worker's new λ_w and the sweep's six
+// fixed buffers (Σ_w⁻¹μ_w, the precision matrix and its storage, its
+// Cholesky factor, the right-hand side and the quadratic aggregate) —
+// nothing per response and no factor per worker.
+func TestUpdateWorkersAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
+	d := smallDataset(t)
+	tr := newTrainer(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), NewConfig(5))
+	tr.updateTasks()
+	if a, want := testing.AllocsPerRun(4, tr.updateWorkers), float64(tr.m.M+6); a != want {
+		t.Errorf("updateWorkers over %d workers allocates %v times, want %v", tr.m.M, a, want)
+	}
+}
+
 func TestTaskObjectiveAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")

@@ -271,6 +271,7 @@ func (s *sampler) sweepWorkers() {
 	invTau2 := 1 / m.Tau2
 	muTerm := m.sigmaWInv.MulVec(m.MuW)
 	prec := linalg.NewMatrix(k, k)
+	l := linalg.NewVector(k * k)
 	rhs := linalg.NewVector(k)
 	for i := 0; i < m.M; i++ {
 		prec.Zero()
@@ -281,8 +282,7 @@ func (s *sampler) sweepWorkers() {
 			prec.AddOuterInPlace(invTau2, cj, cj)
 			rhs.AddScaledInPlace(invTau2*s.workerScores[i][jj], cj)
 		}
-		l, ok := choleskyJittered(prec.Symmetrize())
-		if !ok {
+		if !spdFactor(l, prec.Symmetrize()) {
 			continue // keep previous sample on numerical failure
 		}
 		mean := slices.Clone(rhs)
@@ -292,22 +292,6 @@ func (s *sampler) sweepWorkers() {
 		draw := add(mean, solveLT(l, z))
 		s.w[i] = draw
 	}
-}
-
-// choleskyJittered is linalg.NewCholeskyJittered(a, 1e-10, 8) by the
-// E-step's cholesky: it factors a, adding diagonal jitter 1e-10, 1e-9, …
-// until the factor exists, and returns L row-major in a new slice.
-func choleskyJittered(a *linalg.Matrix) (linalg.Vector, bool) {
-	l := slices.Clone(a.Data)
-	jitter := 1e-10
-	for try := 0; !cholesky(l, a.Rows); try++ {
-		if try == 8 {
-			return nil, false
-		}
-		l = a.Clone().AddScalarDiagInPlace(jitter).Data
-		jitter *= 10
-	}
-	return l, true
 }
 
 // solveLT solves Lᵀ x = z for the Cholesky factor L of the precision

@@ -165,12 +165,12 @@ var ErrNoData = errors.New("core: no resolved tasks with responses")
 // matrices and the β table — from its parameters. Everything that writes
 // SigmaW, SigmaC or LogBeta calls it before the model is read again.
 func (m *Model) refreshDerived() error {
-	var err error
-	if m.sigmaWInv, err = linalg.SPDInverse(m.SigmaW); err != nil {
-		return fmt.Errorf("core: Σ_w not invertible: %w", err)
+	var ok bool
+	if m.sigmaWInv, ok = spdInverse(m.SigmaW); !ok {
+		return errors.New("core: Σ_w is not symmetric positive definite")
 	}
-	if m.sigmaCInv, err = linalg.SPDInverse(m.SigmaC); err != nil {
-		return fmt.Errorf("core: Σ_c not invertible: %w", err)
+	if m.sigmaCInv, ok = spdInverse(m.SigmaC); !ok {
+		return errors.New("core: Σ_c is not symmetric positive definite")
 	}
 	m.beta = betaTable(m.LogBeta)
 	return nil

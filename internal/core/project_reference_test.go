@@ -203,11 +203,7 @@ func newtonDecrement(t *testing.T, o *taskObjective, x linalg.Vector) float64 {
 	t.Helper()
 	g := make(linalg.Vector, len(x))
 	o.grad(x, g)
-	p, err := linalg.SPDSolve(newtonHessian(o, x), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g.Dot(p)
+	return g.Dot(mustSPDSolve(t, newtonHessian(o, x), g))
 }
 
 // TestNewtonStepSolvesHessian checks newton's Schur-complement step
@@ -254,10 +250,7 @@ func TestNewtonStepSolvesHessian(t *testing.T) {
 			}
 			g := make(linalg.Vector, 2*k)
 			s.obj.grad(x, g)
-			want, err := linalg.SPDSolve(h, g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := mustSPDSolve(t, h, g)
 			if g.NormInf() <= taskGradTol {
 				continue
 			}
@@ -294,41 +287,4 @@ func TestNewtonProjectionNearCG(t *testing.T) {
 		}
 	}
 	t.Logf("max ‖λ_Newton − λ_CG‖∞ = %.2g", worst)
-}
-
-// TestCholeskySolve: cholesky and cholSolve invert random SPD matrices,
-// and cholesky refuses what has no factor.
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, n := range []int{1, 2, 5, 10, 50} {
-		a := linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				v := rng.NormFloat64()
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-			a.AddAt(i, i, 2*float64(n))
-		}
-		want := linalg.NewVector(n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		y := a.MulVec(want)
-		f := slices.Clone(a.Data)
-		if !cholesky(f, n) {
-			t.Fatalf("n=%d: no factor of an SPD matrix", n)
-		}
-		cholSolve(f, n, y)
-		for i := range y {
-			if math.Abs(y[i]-want[i]) > 1e-10 {
-				t.Fatalf("n=%d: x[%d] = %g, want %g", n, i, y[i], want[i])
-			}
-		}
-	}
-	for _, bad := range [][]float64{{0}, {-1}, {math.NaN()}, {math.Inf(1)}, {1, 2, 2, 1}} {
-		if cholesky(slices.Clone(bad), int(math.Sqrt(float64(len(bad))))) {
-			t.Errorf("%v factored", bad)
-		}
-	}
 }

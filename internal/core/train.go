@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"crowdselect/internal/linalg"
 	"crowdselect/internal/randx"
@@ -222,16 +223,17 @@ func newTrainer(tasks []ResolvedTask, numWorkers, vocabSize int, cfg Config) *tr
 
 // updateWorkers applies the closed-form coordinate updates of
 // Eqs. 10–11 to every worker's variational posterior. The precision
-// matrix, the right-hand side and the quadratic aggregate are buffers of
-// the sweep and a response's ν_c²/τ² goes onto the diagonal in place, so
-// a sweep allocates what SPDSolve does per worker and nothing per
-// response.
+// matrix, its Cholesky factor, the right-hand side and the quadratic
+// aggregate are buffers of the sweep and a response's ν_c²/τ² goes onto
+// the diagonal in place, so a sweep allocates one new λ_w per worker and
+// nothing per response.
 func (tr *trainer) updateWorkers() {
 	k := tr.cfg.K
 	m := tr.m
 	muWTerm := m.sigmaWInv.MulVec(m.MuW)
 	invTau2 := 1 / m.Tau2
 	prec := linalg.NewMatrix(k, k)
+	factor := linalg.NewVector(k * k)
 	rhs := linalg.NewVector(k)
 	quad := linalg.NewVector(k) // Σ_j λc_k² + νc_k²
 	for i := 0; i < m.M; i++ {
@@ -248,8 +250,9 @@ func (tr *trainer) updateWorkers() {
 				quad[kk] += lc[kk]*lc[kk] + nc[kk]
 			}
 		}
-		lw, err := linalg.SPDSolve(prec.Symmetrize(), rhs)
-		if err == nil {
+		if spdFactor(factor, prec.Symmetrize()) {
+			lw := slices.Clone(rhs)
+			cholSolve(factor, k, lw)
 			m.LambdaW[i] = lw
 		}
 		for kk := 0; kk < k; kk++ {

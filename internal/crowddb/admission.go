@@ -23,12 +23,11 @@ import (
 // AdmissionConfig tunes the adaptive limiter. The zero value of a
 // field selects the default noted on it.
 type AdmissionConfig struct {
-	// Initial is the starting concurrency limit (default: Min).
-	Initial int
 	// Min is the floor the limit never shrinks below (default 1).
 	Min int
-	// Max is the ceiling the limit never grows above (default 4096).
-	// Min == Max pins the limit: a fixed cap with no adaptation.
+	// Max is the ceiling the limit never grows above (default 4096) and
+	// the limit it starts at. Min == Max pins the limit: a fixed cap with
+	// no adaptation.
 	Max int
 	// Clock replaces time.Now (tests).
 	Clock func() time.Time
@@ -68,17 +67,11 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	if cfg.Max < cfg.Min {
 		cfg.Max = cfg.Min
 	}
-	if cfg.Initial <= 0 {
-		cfg.Initial = cfg.Min
-	}
-	if cfg.Initial > cfg.Max {
-		cfg.Initial = cfg.Max
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	return &admission{
-		limit: float64(cfg.Initial),
+		limit: float64(cfg.Max),
 		min:   float64(cfg.Min),
 		max:   float64(cfg.Max),
 		clock: cfg.Clock,

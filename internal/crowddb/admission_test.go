@@ -11,8 +11,20 @@ type fakeClock struct{ now time.Time }
 func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
+// overrunToFloor drives a's limit down to its floor with deadline
+// overruns, each one past the decrease cooldown on clk.
+func overrunToFloor(a *admission, clk *fakeClock) {
+	for a.limit > a.min {
+		clk.Advance(admissionCooldown)
+		a.acquire(false)
+		a.release(time.Second, true)
+	}
+}
+
 func TestAdmissionAdditiveIncrease(t *testing.T) {
-	a := newAdmission(AdmissionConfig{Initial: 2, Min: 1, Max: 100})
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	a := newAdmission(AdmissionConfig{Min: 2, Max: 100, Clock: clk.Now})
+	overrunToFloor(a, clk)
 	// Each healthy completion adds 1/limit; after `limit` completions
 	// the limit should have grown by roughly one.
 	for i := 0; i < 2; i++ {
@@ -30,7 +42,7 @@ func TestAdmissionAdditiveIncrease(t *testing.T) {
 
 func TestAdmissionMultiplicativeDecrease(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Initial: 100, Min: 1, Max: 100, Clock: clk.Now})
+	a := newAdmission(AdmissionConfig{Min: 1, Max: 100, Clock: clk.Now})
 	ok, _ := a.acquire(false)
 	if !ok {
 		t.Fatal("acquire refused")
@@ -61,8 +73,18 @@ func TestAdmissionMultiplicativeDecrease(t *testing.T) {
 
 func TestAdmissionFloorAndCeiling(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Initial: 4, Min: 3, Max: 5, Clock: clk.Now})
-	// Shrink below Min (4 × 0.7 = 2.8) is clamped.
+	a := newAdmission(AdmissionConfig{Min: 3, Max: 5, Clock: clk.Now})
+	// The limit starts at Max.
+	if got := a.snapshot().Limit; got != 5 {
+		t.Fatalf("initial limit = %v, want Max = 5", got)
+	}
+	a.acquire(false)
+	a.release(time.Second, true)
+	if got := a.snapshot().Limit; got != 3.5 {
+		t.Fatalf("limit after overload = %v, want 3.5", got)
+	}
+	// Shrink below Min (3.5 × 0.7 = 2.45) is clamped.
+	clk.Advance(admissionCooldown)
 	a.acquire(false)
 	a.release(time.Second, true)
 	if got := a.snapshot().Limit; got != 3 {
@@ -80,7 +102,7 @@ func TestAdmissionFloorAndCeiling(t *testing.T) {
 
 func TestAdmissionPinnedLimit(t *testing.T) {
 	// Min == Max pins the limit: a fixed cap.
-	a := newAdmission(AdmissionConfig{Initial: 4, Min: 4, Max: 4})
+	a := newAdmission(AdmissionConfig{Min: 4, Max: 4})
 	for i := 0; i < 50; i++ {
 		a.acquire(false)
 		a.release(time.Millisecond, false)
@@ -93,7 +115,7 @@ func TestAdmissionPinnedLimit(t *testing.T) {
 }
 
 func TestAdmissionReadsShedBeforeMutations(t *testing.T) {
-	a := newAdmission(AdmissionConfig{Initial: 4, Min: 4, Max: 4})
+	a := newAdmission(AdmissionConfig{Min: 4, Max: 4})
 	// Fill the read limit.
 	for i := 0; i < 4; i++ {
 		if ok, _ := a.acquire(false); !ok {
@@ -122,7 +144,7 @@ func TestAdmissionReadsShedBeforeMutations(t *testing.T) {
 }
 
 func TestAdmissionRetryAfterFromDrainRate(t *testing.T) {
-	a := newAdmission(AdmissionConfig{Initial: 2, Min: 2, Max: 2})
+	a := newAdmission(AdmissionConfig{Min: 2, Max: 2})
 	// Teach the EWMA a 1s service time: rate = limit/lat = 2/s.
 	a.acquire(false)
 	a.release(time.Second, false)
@@ -158,14 +180,16 @@ func TestAdmissionRetryAfterFromDrainRate(t *testing.T) {
 }
 
 func TestAdmissionSnapshotRounding(t *testing.T) {
-	a := newAdmission(AdmissionConfig{Initial: 3, Min: 1, Max: 100})
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	a := newAdmission(AdmissionConfig{Min: 3, Max: 100, Clock: clk.Now})
+	overrunToFloor(a, clk)
 	a.acquire(false)
 	a.release(time.Millisecond, false) // limit = 3 + 1/3 = 3.3333...
 	if got := a.snapshot().Limit; got != 3.33 {
 		t.Fatalf("snapshot limit = %v, want 3.33 (2dp rounding)", got)
 	}
 	snap := a.snapshot()
-	if snap.MinLimit != 1 || snap.MaxLimit != 100 {
-		t.Fatalf("snapshot bounds = [%d, %d], want [1, 100]", snap.MinLimit, snap.MaxLimit)
+	if snap.MinLimit != 3 || snap.MaxLimit != 100 {
+		t.Fatalf("snapshot bounds = [%d, %d], want [3, 100]", snap.MinLimit, snap.MaxLimit)
 	}
 }

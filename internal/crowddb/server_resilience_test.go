@@ -186,7 +186,7 @@ func TestServerDeadlineBudget(t *testing.T) {
 	mgr, _ := managerFixture(t)
 	srv := NewServer(mgr)
 	srv.SetQueryEngine(stallEngine{})
-	srv.SetAdmission(AdmissionConfig{Initial: 8, Min: 1, Max: 8})
+	srv.SetAdmission(AdmissionConfig{Min: 1, Max: 8})
 	srv.SetDeadlineBudgets(20*time.Millisecond, 20*time.Millisecond)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

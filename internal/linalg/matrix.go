@@ -51,13 +51,6 @@ func (m *Matrix) AddAt(r, c int, v float64) { m.Data[r*m.Cols+c] += v }
 // Row returns row r as a slice aliasing the matrix storage.
 func (m *Matrix) Row(r int) Vector { return Vector(m.Data[r*m.Cols : (r+1)*m.Cols]) }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Zero sets every entry to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {

@@ -30,13 +30,13 @@ func TestIdentityMulVec(t *testing.T) {
 func TestMatrixAddSubScale(t *testing.T) {
 	a := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
 	b := NewMatrixFrom(2, 2, []float64{5, 6, 7, 8})
-	c := a.Clone()
+	c := NewMatrixFrom(2, 2, a.Data)
 	c.AddInPlace(b).ScaleInPlace(0.5)
 	if !near(c.Data, []float64{3, 4, 5, 6}, 0) {
 		t.Errorf("AddInPlace/ScaleInPlace = %v", c)
 	}
 	if a.At(0, 0) != 1 {
-		t.Errorf("Clone aliases the original: %v", a)
+		t.Errorf("NewMatrixFrom aliases its data: %v", a)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestAddScaledDiagInPlaceMatchesScaleThenAdd(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		a, d := rng.NormFloat64(), randVec(rng, n)
 		m := randMatrix(rng, n, n)
-		want := m.Clone().AddDiagInPlace(d.Scale(a))
-		got := m.Clone().AddScaledDiagInPlace(a, d)
+		want := NewMatrixFrom(n, n, m.Data).AddDiagInPlace(d.Scale(a))
+		got := NewMatrixFrom(n, n, m.Data).AddScaledDiagInPlace(a, d)
 		for i := range want.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("trial %d: entry %d = %v, want %v bit for bit", trial, i, got.Data[i], want.Data[i])
@@ -169,13 +169,6 @@ func randVec(rng *rand.Rand, n int) Vector {
 	return v
 }
 
-// randSPD returns a random symmetric positive-definite matrix
-// A = BᵀB + n·I.
-func randSPD(rng *rand.Rand, n int) *Matrix {
-	b := randMatrix(rng, n, n)
-	return mul(transpose(b), b).AddScalarDiagInPlace(float64(n)).Symmetrize()
-}
-
 // mul returns the product a·b.
 func mul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)
@@ -184,17 +177,6 @@ func mul(a, b *Matrix) *Matrix {
 			for k := 0; k < a.Cols; k++ {
 				out.AddAt(r, c, a.At(r, k)*b.At(k, c))
 			}
-		}
-	}
-	return out
-}
-
-// transpose returns aᵀ.
-func transpose(a *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, a.Rows)
-	for r := 0; r < a.Rows; r++ {
-		for c := 0; c < a.Cols; c++ {
-			out.Set(c, r, a.At(r, c))
 		}
 	}
 	return out

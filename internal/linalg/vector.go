@@ -1,7 +1,7 @@
 // Package linalg provides the small dense linear-algebra kernel used by
-// the crowd-selection models: vectors, row-major matrices, symmetric
-// positive-definite solvers (Cholesky), and a numerically careful
-// softmax.
+// the crowd-selection models: vectors and row-major matrices. It holds no
+// factorization: the models' symmetric positive-definite solves run
+// internal/core's in-place Cholesky.
 //
 // The latent-category dimension K in the paper is small (10–50), so the
 // package favours clarity and predictable allocation over blocked or
