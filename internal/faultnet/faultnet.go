@@ -207,13 +207,14 @@ func (p *Proxy) forget(c net.Conn) {
 }
 
 // reset kills a connection with a RST (SetLinger(0) forces the reset
-// instead of a graceful FIN) and counts it.
+// instead of a graceful FIN) and counts it. It counts first, so a peer
+// that has seen the RST also sees it in Stats.
 func (p *Proxy) reset(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetLinger(0)
 	}
-	c.Close()
 	p.resets.Add(1)
+	c.Close()
 }
 
 // handle owns one client connection end to end.
@@ -276,6 +277,10 @@ type connPair struct {
 	client, backend net.Conn
 	up, down        atomic.Int64 // forwarded bytes per direction
 	dead            atomic.Bool
+	// spent is set before the chunk that reaches ResetAfterBytes goes
+	// up, so no reply the backend sends to it can reach the client
+	// before the reset.
+	spent atomic.Bool
 }
 
 // kill resets both legs once.
@@ -306,8 +311,15 @@ func (p *Proxy) pump(pair *connPair, up bool) {
 				// Swallow from here on; the connection stays up but
 				// goes silent (in this direction, for the one-way drops).
 				p.blackholed.Add(1)
+			case !up && pair.spent.Load():
+				p.kill(pair)
+				return
 			default:
 				chunk := buf[:n]
+				spent := up && f.ResetAfterBytes > 0 && total.Load()+int64(n) >= f.ResetAfterBytes
+				if spent {
+					pair.spent.Store(true)
+				}
 				if f.Latency > 0 {
 					time.Sleep(f.Latency)
 				}
@@ -338,7 +350,7 @@ func (p *Proxy) pump(pair *connPair, up bool) {
 				}
 				total.Add(int64(len(chunk)))
 				dirBytes.Add(int64(len(chunk)))
-				if up && f.ResetAfterBytes > 0 && total.Load() >= f.ResetAfterBytes {
+				if spent {
 					p.kill(pair)
 					return
 				}

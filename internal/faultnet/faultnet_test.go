@@ -118,8 +118,8 @@ func TestProxyPartialWrite(t *testing.T) {
 func TestProxyResetAfterBytes(t *testing.T) {
 	p := proxyFor(t, echoBackend(t))
 	p.Set(Faults{ResetAfterBytes: 10})
-	// The request line alone exceeds 10 bytes, so the upstream leg dies
-	// mid-request.
+	// The request line alone exceeds 10 bytes, so the connection dies
+	// with the request's first chunk and no reply gets back.
 	if _, err := shortClient(2 * time.Second).Get(p.URL()); err == nil {
 		t.Fatal("request through byte-budget reset succeeded")
 	}
