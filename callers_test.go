@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -44,6 +45,13 @@ var fieldAllowlist = map[string]string{
 	"internal/crowddb.TransferSourceOptions.Heartbeat": "the integrity and replication tests heartbeat within a test's time; kept until one injected clock serves every timer",
 	"internal/eval.ExpConfig.LDABurn":                  "the runner test's training budget",
 	"internal/eval.ExpConfig.PLSAIters":                "the runner test's training budget",
+}
+
+// wireFieldAllowlist is the JSON-tagged fields of unexported structs
+// kept although no program reads them, each entry with its reason. A key
+// is "dir.Type.Field".
+var wireFieldAllowlist = map[string]string{
+	"internal/crowddb.replSidecar.Digest": "DESIGN §14's at-rest stamp of the generation's combined digest, for operators reading repl-*.json",
 }
 
 // stdInterfaces are the standard-library interfaces through which the
@@ -400,4 +408,93 @@ func derefNamed(t types.Type) *types.Named {
 		t = p.Elem()
 	}
 	return t.(*types.Named)
+}
+
+// TestInternalWireFieldsAreRead fails, naming file:line, on a
+// JSON-tagged field of an unexported struct in non-test internal/...
+// code that no program reads: a field only written — a composite-literal
+// key or an assignment target — is on the wire or at rest for no
+// decision. Reads are uses of the field object in non-test code of the
+// module and of bench/, type-checked. wireFieldAllowlist is exempt.
+func TestInternalWireFieldsAreRead(t *testing.T) {
+	fset, pkgs, _ := loadProgram(t)
+
+	read := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			written := map[*ast.SelectorExpr]bool{}
+			target := func(x ast.Expr) {
+				if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+					written[sel] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.SelectorExpr:
+					if s := p.info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !written[n] {
+						read[s.Obj().(*types.Var)] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var dead []string
+	stale := map[string]bool{} // wireFieldAllowlist keys naming no field
+	for key := range wireFieldAllowlist {
+		stale[key] = true
+	}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := p.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+					if !ok || ts.Name.IsExported() {
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						field := st.Field(i)
+						if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); !ok || tag == "-" {
+							continue
+						}
+						name := ts.Name.Name + "." + field.Name()
+						key := p.dir + "." + name
+						_, exempt := wireFieldAllowlist[key]
+						delete(stale, key)
+						switch {
+						case exempt && read[field]:
+							dead = append(dead, fset.Position(field.Pos()).String()+": "+name+" is read by a program; drop its wireFieldAllowlist entry")
+						case !exempt && !read[field]:
+							dead = append(dead, fset.Position(field.Pos()).String()+": "+name+" is read by no program")
+						}
+					}
+				}
+			}
+		}
+	}
+	for key := range stale {
+		dead = append(dead, "wireFieldAllowlist entry "+key+" names no field")
+	}
+	sort.Strings(dead)
+	for _, msg := range dead {
+		t.Error(msg)
+	}
+	if len(wireFieldAllowlist) > 1 {
+		t.Errorf("the wire field allowlist has %d entries; keep it to 1", len(wireFieldAllowlist))
+	}
 }

@@ -73,7 +73,7 @@ func TestChaosFollowerAtRestCorruptionQuarantineAndRepair(t *testing.T) {
 	rep, _ := startFollowerDir(t, primary.ts.URL, dir)
 	caughtUp := func(r *crowddb.Replica) func() bool {
 		return func() bool {
-			pseq, _ := primary.db.ReplicationHead()
+			pseq := primary.db.ReplicationHead()
 			return r.Status().AppliedSeq == pseq
 		}
 	}

@@ -246,7 +246,7 @@ func TestChaosReplicationFailover(t *testing.T) {
 	}
 	ctx := context.Background()
 	caughtUp := func() bool {
-		pseq, _ := primary.db.ReplicationHead()
+		pseq := primary.db.ReplicationHead()
 		// AppliedSeq includes the record's side effects, so model
 		// comparisons after this wait see a settled follower.
 		return rep.Status().AppliedSeq == pseq

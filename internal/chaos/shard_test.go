@@ -178,7 +178,7 @@ func TestChaosShardKillAndRebalance(t *testing.T) {
 	}
 
 	caughtUp := func() bool {
-		pseq, _ := rigs[1].db.ReplicationHead()
+		pseq := rigs[1].db.ReplicationHead()
 		return rep.Status().AppliedSeq == pseq
 	}
 

@@ -126,7 +126,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 	}()
 
 	caughtUp := func() bool {
-		pseq, _ := primary.db.ReplicationHead()
+		pseq := primary.db.ReplicationHead()
 		return rep.Status().AppliedSeq == pseq
 	}
 
@@ -237,7 +237,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 	// task — pre-partition and partition-era — is there exactly once.
 	rep2, _ := startFollower(t, followerTS.URL)
 	waitFor(t, "re-pointed follower caught up to the new primary", func() bool {
-		pseq, _ := rep.DB().ReplicationHead()
+		pseq := rep.DB().ReplicationHead()
 		return rep2.Status().AppliedSeq == pseq && pseq > 0
 	})
 	if got, want := modelBytes(t, rep2.cm), modelBytes(t, rep.cm); !bytes.Equal(got, want) {

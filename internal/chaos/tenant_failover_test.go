@@ -178,8 +178,8 @@ func TestChaosTenantFailover(t *testing.T) {
 	ctx := context.Background()
 
 	caughtUp := func() bool {
-		dseq, _ := primary.def.db.ReplicationHead()
-		aseq, _ := primary.acme.db.ReplicationHead()
+		dseq := primary.def.db.ReplicationHead()
+		aseq := primary.acme.db.ReplicationHead()
 		return defRep.Status().AppliedSeq == dseq && acmeRep.Status().AppliedSeq == aseq
 	}
 

@@ -50,9 +50,7 @@ type BackupManifest struct {
 	History      string    `json:"history"`
 	Full         bool      `json:"full"`
 	BaseSeq      int64     `json:"base_seq"`
-	BaseBytes    int64     `json:"base_bytes,omitempty"`
 	Seq          int64     `json:"seq"`
-	Bytes        int64     `json:"bytes,omitempty"`
 	Digest       string    `json:"digest,omitempty"`
 	ModelDigest  string    `json:"model_digest,omitempty"`
 	StoreDigest  string    `json:"store_digest,omitempty"`
@@ -499,7 +497,6 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 		dataset, model []byte
 		journal        bytes.Buffer
 		snap           replSnapshotMsg
-		fullManifest   BackupManifest
 		written        int64
 		lastKept       int64
 		cuts           = map[int64]BackupManifest{}
@@ -513,7 +510,6 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 				if opts.ToSeq > 0 && opts.ToSeq < m.BaseSeq {
 					return fmt.Errorf("crowddb: to-seq %d predates the archive base %d", opts.ToSeq, m.BaseSeq)
 				}
-				fullManifest = m
 				lastKept = m.BaseSeq
 			}
 			cuts[m.Seq] = m
@@ -550,7 +546,7 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 	g := generation{
 		dataset: dataset,
 		store:   fromBytes(snap.file()),
-		sidecar: adoptedSidecar(info.History, info.BaseSeq, fullManifest.BaseBytes, info.Manifest.FencingEpoch),
+		sidecar: adoptedSidecar(info.History, info.BaseSeq, info.Manifest.FencingEpoch),
 		tenant:  info.Tenant,
 	}
 	if model != nil {

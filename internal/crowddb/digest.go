@@ -42,7 +42,6 @@ func combineDigest(tenant, model, store string) string {
 type DigestCut struct {
 	Tenant string `json:"tenant"`
 	Seq    int64  `json:"seq"`
-	Bytes  int64  `json:"bytes,omitempty"`
 	Digest string `json:"digest"`
 	Model  string `json:"model_digest,omitempty"`
 	Store  string `json:"store_digest,omitempty"`
@@ -81,7 +80,7 @@ func (c *DigestCutter) Cut() (DigestCut, error) {
 	// The generation is read first and outside Quiesce (db.mu is never
 	// taken inside it), so a cut is never cached under a newer one.
 	gen := c.db.Generation()
-	seq, _ := c.db.ReplicationHead()
+	seq := c.db.ReplicationHead()
 	c.mu.Lock()
 	if c.valid && c.gen == gen && c.cached.Seq == seq {
 		cut := c.cached
@@ -94,7 +93,7 @@ func (c *DigestCutter) Cut() (DigestCut, error) {
 		s := c.db.store
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		cut.Seq, cut.Bytes = c.db.ReplicationHead()
+		cut.Seq = c.db.ReplicationHead()
 		cut.Tenant = s.tenant
 		if cut.Tenant == "" {
 			cut.Tenant = DefaultTenant

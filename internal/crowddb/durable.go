@@ -174,8 +174,8 @@ type DB struct {
 	// scrub is the background integrity scrubber's state (scrub.go).
 	scrub scrubState
 
-	// repl tracks the replication position (records and bytes since
-	// history start), the per-stream fan-out hub, and generation pins
+	// repl tracks the replication position (records since history
+	// start), the per-stream fan-out hub, and generation pins
 	// held by bootstrap readers. See replication.go.
 	repl replState
 }
@@ -396,14 +396,13 @@ func (db *DB) recoverJournal(onResolve func(TaskRecord) error) error {
 		}
 		db.opts.logf("crowddb: discarded torn journal tail after byte %d", res.GoodBytes)
 	}
-	if err := db.attachJournalLocked(db.gen, int64(res.Records), res.GoodBytes); err != nil {
+	if err := db.attachJournalLocked(db.gen, int64(res.Records)); err != nil {
 		return err
 	}
 	// The replayed records advance the replication position past the
 	// restored generation's base, exactly as their original appends did.
 	db.repl.mu.Lock()
 	db.repl.seq = db.repl.base.Seq + int64(res.Records)
-	db.repl.bytes = db.repl.base.Bytes + res.GoodBytes
 	db.repl.mu.Unlock()
 	db.stats.RecoveryMillis.Store(time.Since(start).Milliseconds())
 	db.stats.RecoveredRecords.Store(int64(res.Records))
@@ -445,15 +444,15 @@ func (db *DB) journalPath(gen uint64) string {
 }
 
 // attachJournalLocked opens generation gen's journal for appends and
-// wires it into the store. initRecords/initBytes seed the rotation
-// thresholds with what the journal already holds on disk.
-func (db *DB) attachJournalLocked(gen uint64, initRecords, initBytes int64) error {
+// wires it into the store. initRecords seeds the compaction threshold
+// with what the journal already holds on disk.
+func (db *DB) attachJournalLocked(gen uint64, initRecords int64) error {
 	f, err := db.opts.openJournal(db.journalPath(gen))
 	if err != nil {
 		return fmt.Errorf("crowddb: open journal: %w", err)
 	}
 	db.jw = db.newJournal(f)
-	db.jw.records, db.jw.bytes = initRecords, initBytes
+	db.jw.records = initRecords
 	db.store.setJournal(db.jw)
 	return nil
 }
@@ -465,8 +464,8 @@ func (db *DB) attachJournalLocked(gen uint64, initRecords, initBytes int64) erro
 func (db *DB) newJournal(f JournalFile) *journalWriter {
 	jw := newJournalWriter(f, db.opts.Sync, &db.stats, nil)
 	jw.onErr = db.enterDegraded
-	jw.onAppend = func(payload []byte, frameLen int) {
-		db.replPublish(payload, frameLen)
+	jw.onAppend = func(payload []byte) {
+		db.replPublish(payload)
 		if db.opts.overLimit(jw.records) {
 			select {
 			case db.kick <- struct{}{}:
@@ -486,8 +485,7 @@ func (db *DB) NeedsCompaction() bool {
 	if jw == nil {
 		return false
 	}
-	records, _ := jw.Size()
-	return db.opts.overLimit(records)
+	return db.opts.overLimit(jw.Records())
 }
 
 // Compact writes a new generation — model checkpoint and store
@@ -577,7 +575,7 @@ func (db *DB) writeNextLocked(next uint64, adopted *generation, replace func(*co
 	if g == nil {
 		r := &db.repl
 		r.mu.Lock()
-		head := replSidecar{History: r.history, Seq: r.seq, Bytes: r.bytes,
+		head := replSidecar{History: r.history, Seq: r.seq,
 			FencingEpoch: r.fencingEpoch, FencingObserved: r.fencingObserved}
 		r.mu.Unlock()
 		// Read the tenant field directly: Store.Tenant() would self-

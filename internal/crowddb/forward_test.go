@@ -147,7 +147,7 @@ func TestSealedStoreRefusesReplicatedSkillFeedback(t *testing.T) {
 	if _, err := rig.mgr.SubmitTask(context.Background(), "the append that seals", 2); !errors.Is(err, ErrJournal) {
 		t.Fatalf("mutation during disk failure = %v, want ErrJournal", err)
 	}
-	before, head := save(), func() int64 { seq, _ := rig.db.ReplicationHead(); return seq }
+	before, head := save(), rig.db.ReplicationHead
 	seq := head()
 	online := false
 	key := 7

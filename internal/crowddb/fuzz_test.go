@@ -98,6 +98,14 @@ func FuzzBackupArchiveDecoder(f *testing.F) {
 	mut := append([]byte(nil), full...)
 	mut[replFrameHeaderSize+4] ^= 0x20
 	f.Add(mut) // payload bit flip under a stale CRC
+	// The manifest older builds wrote, with byte positions.
+	oldManifest := `{"format":1,"history":"h1","full":true,"base_seq":0,"base_bytes":0,"seq":1,"bytes":70,"fencing_epoch":1,"generation":1}`
+	f.Add(archive(
+		[2]any{frameBackupManifest, oldManifest},
+		[2]any{frameSnapshot, snapshot},
+		[2]any{frameRecord, record},
+		[2]any{frameBackupEnd, trailer},
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typedOnly := func(err error) {
 			if err == nil {

@@ -201,7 +201,6 @@ type journalWriter struct {
 	unsynced int
 	lastSync time.Time
 	records  int64
-	bytes    int64
 	stats    *DurabilityStats
 	clock    func() time.Time
 	// onErr observes append/fsync failures (the durability layer's
@@ -213,7 +212,7 @@ type journalWriter struct {
 	// applied the mutation by the time it journals (replication
 	// mirrors the store, not the disk). Called with jw.mu held; must
 	// not block or re-enter the store.
-	onAppend func(payload []byte, frameLen int)
+	onAppend func(payload []byte)
 }
 
 func newJournalWriter(f JournalFile, policy SyncPolicy, stats *DurabilityStats, clock func() time.Time) *journalWriter {
@@ -232,14 +231,13 @@ func (jw *journalWriter) logRecord(e event) error {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	if jw.onAppend != nil {
-		defer jw.onAppend(payload, len(frame))
+		defer jw.onAppend(payload)
 	}
 	if _, err := jw.f.Write(frame); err != nil {
 		jw.failed(err)
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	jw.records++
-	jw.bytes += int64(len(frame))
 	jw.unsynced++
 	if jw.stats != nil {
 		jw.stats.recordWritten(int64(len(frame)))
@@ -295,12 +293,12 @@ func (jw *journalWriter) Close() error {
 	return jw.f.Close()
 }
 
-// Size reports bytes appended through this writer (not the file size
-// it was opened at).
-func (jw *journalWriter) Size() (records, bytes int64) {
+// Records reports how many records the journal file holds: those it
+// was opened with plus those appended through this writer.
+func (jw *journalWriter) Records() int64 {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	return jw.records, jw.bytes
+	return jw.records
 }
 
 // setJournal swaps the journal every later mutation appends to; nil

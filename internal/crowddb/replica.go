@@ -78,14 +78,12 @@ type Replica struct {
 	mgr  *Manager
 	cm   *core.ConcurrentModel
 
-	mu           sync.Mutex
-	headSeq      int64 // primary's head, as last advertised
-	headBytes    int64
-	appliedSeq   int64 // last record fully applied, side effects included
-	appliedBytes int64 // primary's byte count at our applied position
-	lastContact  time.Time
-	connected    bool
-	fatal        error // a refusal that stops streaming for good; set once, reported as Status().Stopped
+	mu          sync.Mutex
+	headSeq     int64 // primary's head, as last advertised
+	appliedSeq  int64 // last record fully applied, side effects included
+	lastContact time.Time
+	connected   bool
+	fatal       error // a refusal that stops streaming for good; set once, reported as Status().Stopped
 
 	reconnects    atomic.Int64
 	framesApplied atomic.Int64
@@ -179,9 +177,9 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	r.cutter = NewDigestCutter(r.db, r.mgr)
 	// Recovery replayed the journal tail through the manager, so
 	// everything in the local journal is fully applied.
-	r.appliedSeq, r.appliedBytes = r.db.ReplicationHead()
+	r.appliedSeq = r.db.ReplicationHead()
 	if st != nil {
-		r.bootstrapped(st.hello, r.appliedSeq, r.appliedBytes)
+		r.bootstrapped(st.hello, r.appliedSeq)
 	}
 	go r.run(ctx, st)
 	return r, nil
@@ -226,14 +224,13 @@ func (r *Replica) markDiverged(seq int64, want, got string) {
 // Status reports role, position and lag for /readyz and metrics.
 func (r *Replica) Status() ReplicationStatus {
 	r.mu.Lock()
-	applied := r.appliedSeq
-	head, headBytes, appliedBytes := r.headSeq, r.headBytes, r.appliedBytes
+	applied, head := r.appliedSeq, r.headSeq
 	connected, lastContact, fatal := r.connected, r.lastContact, r.fatal
 	r.mu.Unlock()
 	if r.promoted.Load() {
 		// A promoted node journals its own mutations; the journal head
 		// is the applied position again.
-		applied, _ = r.db.ReplicationHead()
+		applied = r.db.ReplicationHead()
 	}
 	if applied > head {
 		head = applied
@@ -242,7 +239,7 @@ func (r *Replica) Status() ReplicationStatus {
 	if r.promoted.Load() {
 		role = RolePrimary
 	}
-	lag := ReplicationLag{Records: head - applied, Bytes: max(0, headBytes-appliedBytes)}
+	lag := ReplicationLag{Records: head - applied}
 	if !lastContact.IsZero() {
 		lag.Seconds = time.Since(lastContact).Seconds()
 	}
@@ -254,7 +251,6 @@ func (r *Replica) Status() ReplicationStatus {
 		History:       r.db.ReplicationHistory(),
 		AppliedSeq:    applied,
 		HeadSeq:       head,
-		HeadBytes:     headBytes,
 		Reconnects:    r.reconnects.Load(),
 		FramesApplied: r.framesApplied.Load(),
 		Bootstraps:    r.bootstraps.Load(),
@@ -328,7 +324,7 @@ func (r *Replica) promote(ctx context.Context) error {
 	if err := r.db.Compact(); err != nil {
 		return fmt.Errorf("crowddb: promote checkpoint: %w", err)
 	}
-	applied, _ := r.db.ReplicationHead()
+	applied := r.db.ReplicationHead()
 	r.opts.Logf("crowddb: replica promoted to primary at record %d (history %s, fencing epoch %d)",
 		applied, r.db.ReplicationHistory(), epoch)
 	return nil
@@ -451,7 +447,7 @@ func (r *Replica) readGeneration(st *replStream) (generation, error) {
 			}
 			return generation{
 				dataset: dataset, model: fromBytes(model), store: fromBytes(snap.file()),
-				sidecar: adoptedSidecar(st.hello.History, snap.Seq, snap.Bytes, st.hello.FencingEpoch),
+				sidecar: adoptedSidecar(st.hello.History, snap.Seq, st.hello.FencingEpoch),
 				tenant:  cmp.Or(r.opts.Tenant, DefaultTenant),
 			}, nil
 		default:
@@ -498,17 +494,15 @@ func (r *Replica) rebootstrap(st *replStream) error {
 	if err := r.db.adopt(g, r.cm.Replace); err != nil {
 		return err
 	}
-	r.bootstrapped(st.hello, g.sidecar.Seq, g.sidecar.Bytes)
+	r.bootstrapped(st.hello, g.sidecar.Seq)
 	return nil
 }
 
-// bootstrapped records a completed bootstrap, applied through record
-// seq at the primary's byte count bytes.
-func (r *Replica) bootstrapped(hello replHello, seq, bytes int64) {
+// bootstrapped records a completed bootstrap, applied through record seq.
+func (r *Replica) bootstrapped(hello replHello, seq int64) {
 	r.bootstraps.Add(1)
 	r.mu.Lock()
-	r.headSeq, r.headBytes = hello.Seq, hello.Bytes
-	r.appliedSeq, r.appliedBytes = seq, bytes
+	r.headSeq, r.appliedSeq = hello.Seq, seq
 	r.lastContact = time.Now()
 	r.forceBoot = false
 	r.mu.Unlock()
@@ -535,7 +529,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 			return
 		}
 		if st == nil {
-			applied, _ := r.db.ReplicationHead()
+			applied := r.db.ReplicationHead()
 			r.mu.Lock()
 			boot := r.forceBoot
 			r.mu.Unlock()
@@ -588,7 +582,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 			backoff = r.opts.ReconnectBackoff
 		}
 		r.setConnected(true)
-		r.observeHead(st.hello.Seq, st.hello.Bytes)
+		r.observeHead(st.hello.Seq)
 		err := r.consume(ctx, st)
 		st.Close()
 		st = nil
@@ -618,7 +612,7 @@ func (r *Replica) consume(ctx context.Context, st *replStream) error {
 			if err := json.Unmarshal(payload, &msg); err != nil {
 				return fmt.Errorf("record frame: %w", err)
 			}
-			applied, _ := r.db.ReplicationHead()
+			applied := r.db.ReplicationHead()
 			if msg.Seq <= applied {
 				continue // overlap between the file replay and the live tail
 			}
@@ -633,18 +627,18 @@ func (r *Replica) consume(ctx context.Context, st *replStream) error {
 				return fmt.Errorf("apply record %d: %w", msg.Seq, err)
 			}
 			r.framesApplied.Add(1)
-			r.observeApplied(msg.Seq, msg.Bytes)
+			r.observeApplied(msg.Seq)
 		case frameHeartbeat:
 			var hb replHeartbeat
 			if err := json.Unmarshal(payload, &hb); err != nil {
 				return fmt.Errorf("heartbeat frame: %w", err)
 			}
-			r.observeHead(hb.Seq, hb.Bytes)
+			r.observeHead(hb.Seq)
 			if hb.Digest != "" && !r.promoted.Load() {
 				// Compare only when fully applied to the heartbeat's cut:
 				// this goroutine is the sole applier, so applied == hb.Seq
 				// means our state claims to equal the primary's cut state.
-				if applied, _ := r.db.ReplicationHead(); applied == hb.Seq {
+				if r.db.ReplicationHead() == hb.Seq {
 					cut, err := r.cutter.Cut()
 					if err != nil {
 						return fmt.Errorf("digest cut at record %d: %w", hb.Seq, err)
@@ -661,27 +655,20 @@ func (r *Replica) consume(ctx context.Context, st *replStream) error {
 	}
 }
 
-func (r *Replica) observeApplied(seq, bytes int64) {
+func (r *Replica) observeApplied(seq int64) {
 	r.mu.Lock()
 	if seq > r.headSeq {
 		r.headSeq = seq
 	}
-	if bytes > r.headBytes {
-		r.headBytes = bytes
-	}
 	r.appliedSeq = seq
-	r.appliedBytes = bytes
 	r.lastContact = time.Now()
 	r.mu.Unlock()
 }
 
-func (r *Replica) observeHead(seq, bytes int64) {
+func (r *Replica) observeHead(seq int64) {
 	r.mu.Lock()
 	if seq > r.headSeq {
 		r.headSeq = seq
-	}
-	if bytes > r.headBytes {
-		r.headBytes = bytes
 	}
 	r.lastContact = time.Now()
 	r.mu.Unlock()

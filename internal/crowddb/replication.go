@@ -27,13 +27,11 @@ import (
 // uses, journals it locally, and so can itself recover, resume, or be
 // promoted.
 //
-// Positions are (seq, bytes) pairs counted from the start of a
-// replication history: seq is the number of journal records ever
-// committed under this primary's history id, bytes the framed journal
-// bytes they occupied. The pair survives compaction — each generation
-// records its base position in a repl-%08d.json sidecar — so a
-// follower's resume point stays meaningful across snapshot cuts on
-// either side.
+// A position is a seq counted from the start of a replication history:
+// the number of journal records ever committed under this primary's
+// history id. It survives compaction — each generation records its
+// base position in a repl-%08d.json sidecar — so a follower's resume
+// point stays meaningful across snapshot cuts on either side.
 //
 // Replication frame wire format (distinct from the journal's 8-byte
 // frame; the extra leading byte carries the frame type):
@@ -133,14 +131,12 @@ func readReplFrame(r io.Reader, off int64) (typ byte, payload []byte, n int64, e
 }
 
 // replHello opens every stream: the primary's history id, its head
-// position, the generation serving this stream, and whether a
-// bootstrap (dataset + model + snapshot frames) follows.
+// position, and whether a bootstrap (dataset + model + snapshot frames)
+// follows.
 type replHello struct {
-	History    string `json:"history"`
-	Seq        int64  `json:"seq"`
-	Bytes      int64  `json:"bytes"`
-	Generation uint64 `json:"generation"`
-	Bootstrap  bool   `json:"bootstrap"`
+	History   string `json:"history"`
+	Seq       int64  `json:"seq"`
+	Bootstrap bool   `json:"bootstrap"`
 	// FencingEpoch is the primary's fencing epoch (DESIGN §12). A
 	// follower adopts it at bootstrap and refuses to follow a primary
 	// whose epoch is below one it has already observed for this
@@ -157,11 +153,9 @@ type replHello struct {
 }
 
 // replRecordMsg is one journal event at its position: Seq is the
-// record's ordinal since history start, Bytes the cumulative framed
-// journal bytes through this record.
+// record's ordinal since history start.
 type replRecordMsg struct {
 	Seq   int64           `json:"seq"`
-	Bytes int64           `json:"bytes"`
 	Event json.RawMessage `json:"event,omitempty"`
 }
 
@@ -169,7 +163,6 @@ type replRecordMsg struct {
 // represents: a follower restoring Store starts applying at Seq+1.
 type replSnapshotMsg struct {
 	Seq   int64           `json:"seq"`
-	Bytes int64           `json:"bytes"`
 	Store json.RawMessage `json:"store"`
 }
 
@@ -182,14 +175,12 @@ func (m replSnapshotMsg) file() []byte {
 
 // replHeartbeat advertises the primary's head while no records flow,
 // so a caught-up follower's staleness clock keeps ticking forward.
-// With a digest function wired (SetDigest), Seq/Bytes/Digest are one
+// With a digest function wired (SetDigest), Seq and Digest are one
 // consistent cut: a follower applied to the same Seq whose own digest
 // differs has diverged (DESIGN §14).
 type replHeartbeat struct {
-	Seq    int64     `json:"seq"`
-	Bytes  int64     `json:"bytes"`
-	At     time.Time `json:"at"`
-	Digest string    `json:"digest,omitempty"`
+	Seq    int64  `json:"seq"`
+	Digest string `json:"digest,omitempty"`
 }
 
 // Server roles. A node is born a primary unless it runs with
@@ -205,14 +196,12 @@ const (
 	RoleFenced = "fenced"
 )
 
-// ReplicationLag is a follower's distance behind its primary:
-// journal records, journal bytes (as counted by the primary), and
-// seconds since the follower last heard from the primary at all
-// (records/bytes bound staleness while connected; Seconds exposes a
-// partition, during which the other two cannot grow).
+// ReplicationLag is a follower's distance behind its primary: journal
+// records, and seconds since the follower last heard from the primary
+// at all (records bound staleness while connected; Seconds exposes a
+// partition, during which Records cannot grow).
 type ReplicationLag struct {
 	Records int64   `json:"records"`
-	Bytes   int64   `json:"bytes"`
 	Seconds float64 `json:"seconds"`
 }
 
@@ -228,7 +217,6 @@ type ReplicationStatus struct {
 	History       string          `json:"history,omitempty"`
 	AppliedSeq    int64           `json:"applied_seq"`
 	HeadSeq       int64           `json:"head_seq"`
-	HeadBytes     int64           `json:"head_bytes,omitempty"`
 	Followers     int64           `json:"followers"`
 	StreamsServed int64           `json:"streams_served,omitempty"`
 	Bootstraps    int64           `json:"bootstraps,omitempty"`
@@ -250,13 +238,12 @@ type ReplicationStatus struct {
 }
 
 // replPattern is the per-generation sidecar recording the history id
-// and the (seq, bytes) position of the generation's snapshot cut.
+// and the seq of the generation's snapshot cut.
 const replPattern = "repl-%08d.json"
 
 type replSidecar struct {
 	History string `json:"history"`
 	Seq     int64  `json:"seq"`
-	Bytes   int64  `json:"bytes"`
 	// FencingEpoch is this node's own epoch; FencingObserved the
 	// highest epoch it has seen for its history (from a promotion
 	// header, a fence order, or a follower's hello). Observed > own
@@ -280,7 +267,6 @@ type replState struct {
 	mu      sync.Mutex
 	history string
 	seq     int64 // records committed since history start
-	bytes   int64 // framed journal bytes since history start
 	subs    map[*replSub]struct{}
 	pins    map[uint64]int // generation → open bootstrap/stream readers
 
@@ -351,7 +337,7 @@ func (db *DB) loadReplState(sc replSidecar) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.history, r.base = sc.History, sc
-	r.seq, r.bytes = sc.Seq, sc.Bytes
+	r.seq = sc.Seq
 	r.fencingEpoch = max(sc.FencingEpoch, 1)
 	r.fencingObserved = max(sc.FencingObserved, r.fencingEpoch)
 }
@@ -360,9 +346,9 @@ func (db *DB) loadReplState(sc replSidecar) {
 // node's state (a restore, a fresh follower): that node's history, the
 // snapshot's position and its fencing epoch, which this node observes
 // as its own.
-func adoptedSidecar(history string, seq, bytes int64, epoch uint64) replSidecar {
+func adoptedSidecar(history string, seq int64, epoch uint64) replSidecar {
 	epoch = max(epoch, 1)
-	return replSidecar{History: history, Seq: seq, Bytes: bytes, FencingEpoch: epoch, FencingObserved: epoch}
+	return replSidecar{History: history, Seq: seq, FencingEpoch: epoch, FencingObserved: epoch}
 }
 
 // replPublish advances the position and fans the committed record out
@@ -371,12 +357,11 @@ func adoptedSidecar(history string, seq, bytes int64, epoch uint64) replSidecar 
 // one whose write or fsync failed, because the store applied the
 // mutation regardless and followers mirror the store, not the disk
 // (degraded mode then seals further mutations either way).
-func (db *DB) replPublish(payload []byte, frameLen int) {
+func (db *DB) replPublish(payload []byte) {
 	r := &db.repl
 	r.mu.Lock()
 	r.seq++
-	r.bytes += int64(frameLen)
-	msg := replRecordMsg{Seq: r.seq, Bytes: r.bytes, Event: payload}
+	msg := replRecordMsg{Seq: r.seq, Event: payload}
 	for sub := range r.subs {
 		select {
 		case sub.ch <- msg:
@@ -409,14 +394,13 @@ func (db *DB) replUnsubscribe(sub *replSub) {
 }
 
 // ReplicationHead returns the committed position: how many journal
-// records this node has applied since its history began, and the
-// framed bytes they occupied. On a follower this is its applied
-// position (the follower journals every replicated record itself, so
-// the counters advance in lockstep with the primary's).
-func (db *DB) ReplicationHead() (seq, bytes int64) {
+// records this node has applied since its history began. On a follower
+// this is its applied position (the follower journals every replicated
+// record itself, so the count advances in lockstep with the primary's).
+func (db *DB) ReplicationHead() int64 {
 	db.repl.mu.Lock()
 	defer db.repl.mu.Unlock()
-	return db.repl.seq, db.repl.bytes
+	return db.repl.seq
 }
 
 // ReplicationHistory returns the history id naming this node's
@@ -494,21 +478,21 @@ func (db *DB) raiseFencing(own, observed uint64) error {
 	})
 }
 
-// PinGeneration takes a reference on the current generation so its
+// pinGeneration takes a reference on the current generation so its
 // files survive compaction GC while a bootstrap or resume reader
-// streams them, and returns the generation with its base position.
+// streams them, and returns the generation with its base seq.
 // unpin releases the reference (idempotent) and sweeps any
 // generations the pin kept alive.
-func (db *DB) PinGeneration() (gen uint64, baseSeq, baseBytes int64, unpin func(), err error) {
+func (db *DB) pinGeneration() (gen uint64, baseSeq int64, unpin func(), err error) {
 	db.mu.Lock()
 	if db.gen == 0 {
 		db.mu.Unlock()
-		return 0, 0, 0, nil, errors.New("crowddb: no committed generation to pin")
+		return 0, 0, nil, errors.New("crowddb: no committed generation to pin")
 	}
 	gen = db.gen
 	r := &db.repl
 	r.mu.Lock()
-	baseSeq, baseBytes = r.base.Seq, r.base.Bytes
+	baseSeq = r.base.Seq
 	if r.pins == nil {
 		r.pins = make(map[uint64]int)
 	}
@@ -531,7 +515,7 @@ func (db *DB) PinGeneration() (gen uint64, baseSeq, baseBytes int64, unpin func(
 			}
 		})
 	}
-	return gen, baseSeq, baseBytes, unpin, nil
+	return gen, baseSeq, unpin, nil
 }
 
 // replPinned reports whether generation gen has open readers.

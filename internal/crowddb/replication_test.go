@@ -98,7 +98,7 @@ func killPrimary(ts *httptest.Server) {
 func waitCaughtUp(t *testing.T, rig *durableRig, rep *Replica) {
 	t.Helper()
 	waitUntil(t, "replica caught up", func() bool {
-		pseq, _ := rig.db.ReplicationHead()
+		pseq := rig.db.ReplicationHead()
 		// Status().AppliedSeq advances only after a record's side
 		// effects (model updates included) finish, so tests that
 		// inspect the model after this wait are race-free.
@@ -391,7 +391,7 @@ func TestReplicaPromote(t *testing.T) {
 	assertModelsEqual(t, wantModel, rep.cm.Unwrap())
 
 	// The promoted node accepts and journals new mutations.
-	before, _ := rep.DB().ReplicationHead()
+	before := rep.DB().ReplicationHead()
 	sub, err := rep.mgr.SubmitTask(context.Background(), "a brand new task on the new primary", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestReplicaPromote(t *testing.T) {
 	if len(sub.Workers) == 0 {
 		t.Fatal("promoted primary selected no workers")
 	}
-	after, _ := rep.DB().ReplicationHead()
+	after := rep.DB().ReplicationHead()
 	if after <= before {
 		t.Fatalf("promotion left the journal position stuck at %d", after)
 	}
@@ -433,8 +433,8 @@ func TestPromotedReplicaFeedsItsOwnFollowers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "second-tier follower caught up", func() bool {
-		pseq, _ := rep.DB().ReplicationHead()
-		rseq, _ := rep2.DB().ReplicationHead()
+		pseq := rep.DB().ReplicationHead()
+		rseq := rep2.DB().ReplicationHead()
 		return rseq == pseq
 	})
 	assertModelsEqual(t, rep.cm.Unwrap(), rep2.cm.Unwrap())
@@ -443,7 +443,7 @@ func TestPromotedReplicaFeedsItsOwnFollowers(t *testing.T) {
 func TestReplicaDivergenceRefused(t *testing.T) {
 	rig, _, ts := replPrimary(t)
 	rig.resolveOneTask(t, "only committed task", []float64{4, 2})
-	head, _ := rig.db.ReplicationHead()
+	head := rig.db.ReplicationHead()
 
 	// A follower claiming records the primary never committed, in the
 	// primary's own history, must be refused — not silently rewound.
@@ -571,7 +571,7 @@ func TestPinnedGenerationSurvivesCompaction(t *testing.T) {
 	rig, _, _ := replPrimary(t)
 	rig.resolveOneTask(t, "a task in the pinned generation", []float64{4, 2})
 
-	gen, _, _, unpin, err := rig.db.PinGeneration()
+	gen, _, unpin, err := rig.db.pinGeneration()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,6 +632,11 @@ func FuzzReplicationFrameDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(valid([]byte(`{"history":"abc","seq":1}`)))
 	f.Add(valid([]byte(`{"seq":1,"bytes":10,"event":{}}`), []byte(`{"seq":2}`), []byte{}))
+	// The layout older builds wrote: byte positions, the hello's
+	// generation and the heartbeat's timestamp.
+	f.Add(valid([]byte(`{"history":"abc","seq":2,"bytes":40,"generation":3,"bootstrap":false,"fencing_epoch":1}`),
+		[]byte(`{"seq":2,"bytes":40,"event":{"kind":"add_worker","worker":0,"name":"w"}}`),
+		[]byte(`{"seq":2,"bytes":40,"at":"2026-10-17T16:21:04.5Z","digest":"ab"}`)))
 	f.Add(valid([]byte(`x`))[:3]) // truncated header
 	corrupt := valid([]byte(`{"seq":9}`))
 	corrupt[len(corrupt)-2] ^= 0x41

@@ -99,7 +99,7 @@ func NewTransferSource(db *DB, opts TransferSourceOptions) *TransferSource {
 func (src *TransferSource) SetFence(f *Fence) { src.fence = f }
 
 // SetDigest wires the integrity digest. Idle heartbeats then carry a
-// consistent (seq, bytes, digest) cut, which followers applied to the
+// consistent (seq, digest) cut, which followers applied to the
 // same seq compare against their own state (DESIGN §14), and manifests
 // stamp the cut the archive promises, which restore and offline
 // verification prove against. Wire before serving.
@@ -143,7 +143,7 @@ func (src *TransferSource) Followers() int64 { return src.followers.Load() }
 // Status summarizes the source for /readyz and /api/v1/metrics on a
 // primary: its own head is by definition applied, so lag is zero.
 func (src *TransferSource) Status() ReplicationStatus {
-	head, headBytes := src.db.ReplicationHead()
+	head := src.db.ReplicationHead()
 	return ReplicationStatus{
 		Role:          RolePrimary,
 		FencingEpoch:  src.db.FencingEpoch(),
@@ -151,7 +151,6 @@ func (src *TransferSource) Status() ReplicationStatus {
 		History:       src.db.ReplicationHistory(),
 		AppliedSeq:    head,
 		HeadSeq:       head,
-		HeadBytes:     headBytes,
 		Followers:     src.followers.Load(),
 		StreamsServed: src.streams.Load(),
 		Bootstraps:    src.bootstraps.Load(),
@@ -168,11 +167,11 @@ type transfer struct {
 	r    *http.Request
 	name string // log prefix
 
-	sub                *replSub
-	unpin              func()
-	gen                uint64 // the pinned generation…
-	baseSeq, baseBytes int64  // …and its snapshot's position
-	journal            []byte // its journal file
+	sub     *replSub
+	unpin   func()
+	gen     uint64 // the pinned generation…
+	baseSeq int64  // …and its snapshot's position
+	journal []byte // its journal file
 	// Staged frame payloads; nil is a frame this transfer does not
 	// carry (no bootstrap, no dataset file, a store-only node).
 	headerType                       byte
@@ -201,7 +200,7 @@ func (src *TransferSource) begin(w http.ResponseWriter, r *http.Request, name st
 	// the subscription — overlap is deduplicated by seq in run.
 	t.sub = src.db.replSubscribe()
 	var err error
-	if t.gen, t.baseSeq, t.baseBytes, t.unpin, err = src.db.PinGeneration(); err != nil {
+	if t.gen, t.baseSeq, t.unpin, err = src.db.pinGeneration(); err != nil {
 		src.db.replUnsubscribe(t.sub)
 		httpError(w, http.StatusServiceUnavailable, err)
 		return nil
@@ -243,7 +242,7 @@ func (t *transfer) stage(typ byte, header any, bootstrap, needModel bool) (err e
 	if err != nil {
 		return fmt.Errorf("store snapshot: %w", err)
 	}
-	t.snapshot, err = json.Marshal(replSnapshotMsg{Seq: t.baseSeq, Bytes: t.baseBytes, Store: snap})
+	t.snapshot, err = json.Marshal(replSnapshotMsg{Seq: t.baseSeq, Store: snap})
 	return err
 }
 
@@ -293,10 +292,8 @@ func (t *transfer) run(from, bound int64, every time.Duration, idle func() bool)
 	}
 
 	// Records already on disk in the pinned generation's journal.
-	sentBytes := t.baseBytes
 	_, err := walkJournal(t.journal, func(idx int, _ int64, payload []byte) error {
-		sentBytes += int64(recordHeaderSize + len(payload))
-		return send(replRecordMsg{Seq: t.baseSeq + int64(idx) + 1, Bytes: sentBytes, Event: payload})
+		return send(replRecordMsg{Seq: t.baseSeq + int64(idx) + 1, Event: payload})
 	})
 	t.journal = nil
 	if err != nil {
@@ -362,7 +359,7 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ourHistory := src.db.ReplicationHistory()
-	head, headBytes := src.db.ReplicationHead()
+	head := src.db.ReplicationHead()
 	// A resume point the pinned generation no longer covers, or one
 	// from another history, is answered with a bootstrap.
 	bootstrap := q.Get("boot") == "1" || from < t.baseSeq || (history != "" && history != ourHistory)
@@ -373,8 +370,7 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("follower position %d is ahead of primary head %d in history %s", from, head, ourHistory))
 		return
 	}
-	hello := replHello{History: ourHistory, Seq: head, Bytes: headBytes, Generation: t.gen,
-		Bootstrap: bootstrap, FencingEpoch: src.db.FencingEpoch(), Arch: runtime.GOARCH, Kernel: core.KernelVersion}
+	hello := replHello{History: ourHistory, Seq: head, Bootstrap: bootstrap, FencingEpoch: src.db.FencingEpoch(), Arch: runtime.GOARCH, Kernel: core.KernelVersion}
 	if err := t.stage(frameHello, hello, bootstrap, true); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -397,14 +393,13 @@ func (t *transfer) heartbeat() bool {
 		src.logf("crowddb: replication: source fenced; closing stream")
 		return false
 	}
-	hb := replHeartbeat{At: time.Now()}
-	hb.Seq, hb.Bytes = src.db.ReplicationHead()
+	hb := replHeartbeat{Seq: src.db.ReplicationHead()}
 	if src.digest != nil {
-		// The cut's (seq, bytes, digest) triple is internally
-		// consistent, which is what the follower-side comparison
-		// needs; a failed cut leaves a plain heartbeat.
+		// The cut's (seq, digest) pair is internally consistent, which
+		// is what the follower-side comparison needs; a failed cut
+		// leaves a plain heartbeat.
 		if cut, err := src.digest(); err == nil {
-			hb.Seq, hb.Bytes, hb.Digest = cut.Seq, cut.Bytes, cut.Digest
+			hb.Seq, hb.Digest = cut.Seq, cut.Digest
 		}
 	}
 	b, err := json.Marshal(hb)
@@ -427,7 +422,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 	} else {
-		cut.Seq, cut.Bytes = src.db.ReplicationHead()
+		cut.Seq = src.db.ReplicationHead()
 		if cut.Tenant = src.db.store.Tenant(); cut.Tenant == "" {
 			cut.Tenant = DefaultTenant
 		}
@@ -438,9 +433,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 		History:      src.db.ReplicationHistory(),
 		Full:         true,
 		BaseSeq:      t.baseSeq,
-		BaseBytes:    t.baseBytes,
 		Seq:          cut.Seq,
-		Bytes:        cut.Bytes,
 		Digest:       cut.Digest,
 		ModelDigest:  cut.Model,
 		StoreDigest:  cut.Store,
@@ -471,7 +464,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 			httpError(w, status, err)
 			return
 		}
-		manifest.Full, manifest.BaseSeq, manifest.BaseBytes = false, since, 0
+		manifest.Full, manifest.BaseSeq = false, since
 	}
 	full, from := manifest.Full, manifest.BaseSeq
 	if err := t.stage(frameBackupManifest, manifest, full, false); err != nil {

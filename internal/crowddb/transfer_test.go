@@ -122,8 +122,8 @@ func TestReplicationStreamEqualsBackupSegment(t *testing.T) {
 	rig, ts := transferPrimary(t)
 	rig.resolveOneTask(t, "first task in the journal", []float64{4, 2})
 	rig.resolveOneTask(t, "second task in the journal", []float64{5, 1})
-	head, _ := rig.db.ReplicationHead()
-	_, base, _, unpin, err := rig.db.PinGeneration()
+	head := rig.db.ReplicationHead()
+	_, base, unpin, err := rig.db.pinGeneration()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 	t.Run("bound", func(t *testing.T) {
 		// A cut two records behind the journal's end: the segment stops
 		// there, mid-file, and says so; the stream does not stop.
-		head, _ := rig.db.ReplicationHead()
+		head := rig.db.ReplicationHead()
 		cutSeq := head - 2
 		src := NewTransferSource(rig.db, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 		src.SetDigest(func() (DigestCut, error) {
@@ -224,7 +224,7 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 	t.Run("below base", func(t *testing.T) {
 		// Compaction moves the base past a resume point: a follower is
 		// re-bootstrapped in place, an archive cannot be.
-		stale, _ := rig.db.ReplicationHead()
+		stale := rig.db.ReplicationHead()
 		rig.resolveOneTask(t, "a task the compaction folds away", []float64{3, 3})
 		if err := rig.db.Compact(); err != nil {
 			t.Fatal(err)
@@ -244,7 +244,7 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 	})
 
 	t.Run("ahead of head", func(t *testing.T) {
-		head, _ := rig.db.ReplicationHead()
+		head := rig.db.ReplicationHead()
 		resume := fmt.Sprintf("=%d&history=%s", head+10, history)
 		for _, u := range []string{"/stream?from" + resume, "/segment?since" + resume} {
 			if status, code := refusal(t, ts.URL+u); status != http.StatusConflict || code != codeReplicaDiverged {
@@ -297,9 +297,8 @@ func (p *forgeablePrimary) forgeHello(t *testing.T, hello replHello, rest func(w
 // helloOf is the hello that rig's own source would open a resumed
 // stream with, before the arch stamp.
 func helloOf(rig *durableRig) replHello {
-	seq, bytes := rig.db.ReplicationHead()
-	return replHello{History: rig.db.ReplicationHistory(), Seq: seq, Bytes: bytes,
-		Generation: rig.db.Generation(), FencingEpoch: rig.db.FencingEpoch(), Kernel: core.KernelVersion}
+	return replHello{History: rig.db.ReplicationHistory(), Seq: rig.db.ReplicationHead(),
+		FencingEpoch: rig.db.FencingEpoch(), Kernel: core.KernelVersion}
 }
 
 func holdOpen(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
@@ -592,7 +591,7 @@ func TestReplicaRebootstrapSwapsInsideQuiesce(t *testing.T) {
 		return d
 	}
 	wantStore := storeDigest()
-	wantSeq, wantBytes := rep.DB().ReplicationHead()
+	wantSeq := rep.DB().ReplicationHead()
 	bootstraps := rep.Status().Bootstraps
 
 	held, release := make(chan struct{}), make(chan struct{})
@@ -612,11 +611,11 @@ func TestReplicaRebootstrapSwapsInsideQuiesce(t *testing.T) {
 	// How long the fault is given to show itself: the bootstrap is a
 	// loopback read of a few kilobytes.
 	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		seq, bytes := rep.DB().ReplicationHead()
-		if got := storeDigest(); got != wantStore || seq != wantSeq || bytes != wantBytes {
+		seq := rep.DB().ReplicationHead()
+		if got := storeDigest(); got != wantStore || seq != wantSeq {
 			close(release)
-			t.Fatalf("while Quiesce was held the follower moved to store %s at (%d, %d), from %s at (%d, %d)",
-				got, seq, bytes, wantStore, wantSeq, wantBytes)
+			t.Fatalf("while Quiesce was held the follower moved to store %s at %d, from %s at %d",
+				got, seq, wantStore, wantSeq)
 		}
 	}
 	close(release)
