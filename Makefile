@@ -3,7 +3,7 @@
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
 # under -race), the golden numerics on 386, the benchmark module's tests
-# and the nine fuzz smokes.
+# and the ten fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -37,8 +37,10 @@ race:
 # training's worker update (§6: each worker's new λ_w and the sweep's
 # fixed buffers), of the skill fold (§4.3: the two posterior vectors it
 # commits), of the bounded top-k selection (§6: k Items below the
-# candidate count, whatever the count, and no category for a cache hit)
-# and of the
+# candidate count, whatever the count, and no category for a cache hit),
+# of the skill index (§6: a pruned selection over 10⁴ candidates
+# allocates nothing once its scratch is warm, and a fold re-bounds its
+# block in place) and of the
 # single-node selections handler, hot (§11: the fleet's category fields
 # must cost a request that names none nothing), cold (§6: a miss against
 # a full cache allocates its key string, a few bytes a term, and no
@@ -65,14 +67,17 @@ golden-386:
 # exponentials it takes), one training sweep, whose E-step maximizes the
 # same task objective by conjugate gradient, and one skill fold (one
 # category into one worker through ConcurrentModel: time and the 2
-# allocations it commits); then the kernel's own exponential beside
-# math.Exp, on independent operands and on chained ones. Run it on both
-# sides of any change under internal/core/estep.go (the task objective
-# and both of its solves), internal/core/exp.go or the projection and the
-# fold in internal/core/project.go, alternating, with nothing else
+# allocations it commits) and Eq. 1's top-10 over a whole crowd of 10³,
+# 10⁴ and 10⁵ workers, by the full scan and by the skill index (time
+# and scored/op, the workers a query scores); then the kernel's own
+# exponential beside math.Exp, on independent operands and on chained
+# ones. Run it on both sides of any change under internal/core/estep.go
+# (the task objective and both of its solves), internal/core/exp.go, the
+# projection and the fold in internal/core/project.go or the skill index
+# in internal/core/skillindex.go, alternating, with nothing else
 # running: the counts repeat exactly, the times do not (not a CI gate).
 kernel:
-	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep|UpdateWorkerSkill' -benchmem -count 6 ./internal/core
+	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep|UpdateWorkerSkill|SelectTopK' -benchmem -count 6 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkExp' -count 3 ./internal/core
 
 # Regenerate experiments_run.txt, the raw output EXPERIMENTS.md's tables
@@ -116,9 +121,11 @@ bench:
 # against json.Unmarshal, the response writer against json.Encoder), of the
 # one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form,
 # of the projection cache's bag key against a decoder (any ids, any count
-# bits), and of the bounded top-k selection against the full sort and a
-# merged split (CI runs the same smokes; bump -fuzztime locally for
-# longer hunts).
+# bits), of the bounded top-k selection against the full sort and a
+# merged split, and of the skill index's top-k against the full scan
+# (random crowds, ties, ±0, non-finite skills, presence and shard
+# subsets, folds between queries). CI runs the same smokes; bump
+# -fuzztime locally for longer hunts.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJSONMatchesDecoder -fuzztime 20s ./internal/crowddb
@@ -127,6 +134,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
 	$(GO) test -run '^$$' -fuzz FuzzBagKeyRoundTrip -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTopKEqualsFullSort -fuzztime 20s ./internal/rank
+	$(GO) test -run '^$$' -fuzz FuzzSelectTopKMatchesScan -fuzztime 20s ./internal/core
 
 # Short coverage-guided fuzz of the replication frame decoder: typed
 # errors on any corruption, never a panic or hang.

@@ -27,8 +27,8 @@ var benchPlatform struct {
 	d     *corpus.Dataset
 }
 
-func benchFixture(b *testing.B) (*Model, []text.Bag) {
-	b.Helper()
+func benchFixture(tb testing.TB) (*Model, []text.Bag) {
+	tb.Helper()
 	p := &benchPlatform
 	p.once.Do(func() {
 		p.d = corpus.MustGenerate(corpus.Quora())

@@ -337,7 +337,7 @@ func TestRankBatchMatchesSequentialRank(t *testing.T) {
 		bags = append(bags, d.Tasks[i].Bag(d.Vocab))
 	}
 	k := 3
-	got, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, cands, k)
+	got, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, NewCandidates(cands), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestRankBatchMatchesSequentialRank(t *testing.T) {
 	// Cancelled context aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cm.RankBatchScored(ctx, new(rank.Arena), bags, cands, k); err == nil {
+	if _, err := cm.RankBatchScored(ctx, new(rank.Arena), bags, NewCandidates(cands), k); err == nil {
 		t.Error("cancelled RankBatchScored succeeded")
 	}
 }
@@ -369,14 +369,14 @@ func TestBatchProjectsRepeatedBagOnce(t *testing.T) {
 	}
 	const k = 4
 
-	first, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, cands, k)
+	first, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, NewCandidates(cands), k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cm.CacheStats(); st.Misses != 2 || st.Hits != 0 || st.Entries != 2 {
 		t.Fatalf("2 equal + 1 distinct bag: %+v, want 2 misses and 2 entries", st)
 	}
-	again, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, cands, k)
+	again, err := cm.RankBatchScored(context.Background(), new(rank.Arena), bags, NewCandidates(cands), k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestFloat64SurvivesJSONBitForBit(t *testing.T) {
 	}
 }
 
-func cloneViaSave(t *testing.T, m *Model) *Model {
+func cloneViaSave(t testing.TB, m *Model) *Model {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -166,11 +166,11 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 		cands[i] = i
 	}
 
-	want, err := scorer.RankBatchScored(ctx, new(rank.Arena), bags, cands, 6)
+	want, err := scorer.RankBatchScored(ctx, new(rank.Arena), bags, NewCandidates(cands), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, flat, version, err := projector.RankBatchProjected(ctx, new(rank.Arena), []float64{-7}, bags, cands, 6)
+	own, flat, version, err := projector.RankBatchProjected(ctx, new(rank.Arena), []float64{-7}, bags, NewCandidates(cands), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 	}
 
 	before := scorer.CacheStats()
-	got, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), version, received, cands, 6)
+	got, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), version, received, NewCandidates(cands), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 		t.Errorf("a score-only ranking touched the projection cache: %+v → %+v", before, after)
 	}
 
-	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), "stale", received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
+	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), "stale", received, NewCandidates(cands), 6); !errors.Is(err, ErrCategoryVersion) {
 		t.Errorf("a foreign version: %v, want ErrCategoryVersion", err)
 	}
 	// Categories from a binary of another kernel over the very same
@@ -213,7 +213,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 	// would have produced.
 	old := NewConcurrentModel(cloneViaSave(t, m))
 	old.LabelKernelForTest(KernelVersion - 1)
-	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), versionOf(old), received, cands, 6); !errors.Is(err, ErrCategoryVersion) {
+	if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), versionOf(old), received, NewCandidates(cands), 6); !errors.Is(err, ErrCategoryVersion) {
 		t.Errorf("categories of another kernel version: %v, want ErrCategoryVersion", err)
 	}
 	for name, bad := range map[string][]float64{
@@ -221,7 +221,7 @@ func TestRankCategoriesScoredEqualsRankBatchScored(t *testing.T) {
 		"NaN":   {0, 0, math.NaN(), 0, 0},
 		"Inf":   {0, 0, 0, math.Inf(-1), 0},
 	} {
-		if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), version, [][]float64{bad}, cands, 6); !errors.Is(err, ErrBadCategory) {
+		if _, err := scorer.RankCategoriesScored(ctx, new(rank.Arena), version, [][]float64{bad}, NewCandidates(cands), 6); !errors.Is(err, ErrBadCategory) {
 			t.Errorf("%s category: %v, want ErrBadCategory", name, err)
 		}
 	}

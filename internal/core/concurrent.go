@@ -103,7 +103,10 @@ func (c *ConcurrentModel) LabelKernelForTest(v int) {
 
 // Unwrap returns the underlying Model for setup-time configuration or
 // exclusive-access operations (saving, diagnostics). See the type
-// comment for the safety contract.
+// comment for the safety contract. Once the model has ranked, its skill
+// rows are written only by UpdateWorkerSkill[Drift]: a write to LambdaW
+// outside the fold is not allowed, because the skill index that prunes
+// the ranking would not see it (replace the model instead).
 func (c *ConcurrentModel) Unwrap() *Model { return c.m }
 
 // Name identifies the algorithm in reports, like (*Model).Name.
@@ -174,6 +177,7 @@ type batchScratch struct {
 	missKeys []string       // parallel to missBags
 	pending  map[string]int // missing key → index into missBags
 	repeats  []batchRepeat
+	index    indexScratch // the rankings' skill-index queries
 }
 
 // batchRepeat is a bag equal to an earlier miss of the same batch.
@@ -286,7 +290,7 @@ func (c *ConcurrentModel) Rank(bag text.Bag, candidates []int) []int {
 // The rankings are lists cut from a (rank.Arena.Lists): they are valid
 // until the caller's next use of a, and a caller that keeps a ranks
 // without allocating.
-func (c *ConcurrentModel) RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+func (c *ConcurrentModel) RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates Candidates, k int) ([][]rank.Item, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sc := batchScratchPool.Get().(*batchScratch)
@@ -295,23 +299,24 @@ func (c *ConcurrentModel) RankBatchScored(ctx context.Context, a *rank.Arena, ba
 }
 
 // rankBatchLocked leaves each bag's category in sc.views.
-func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, a *rank.Arena, sc *batchScratch, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, a *rank.Arena, sc *batchScratch, bags []text.Bag, candidates Candidates, k int) ([][]rank.Item, error) {
 	if err := c.projectViewsLocked(ctx, sc, bags, runtime.GOMAXPROCS(0)); err != nil {
 		return nil, err
 	}
-	return c.scoreLocked(ctx, a, len(bags), func(i int) linalg.Vector { return sc.views[i].Mean() }, candidates, k)
+	return c.scoreLocked(ctx, a, &sc.index, len(bags), func(i int) linalg.Vector { return sc.views[i].Mean() }, candidates, k)
 }
 
 // scoreLocked is the second phase of Algorithm 3 over a batch: it ranks
 // the candidates against n categories, cat(i) the i-th, into lists cut
-// from a. The caller holds the read lock.
-func (c *ConcurrentModel) scoreLocked(ctx context.Context, a *rank.Arena, n int, cat func(i int) linalg.Vector, candidates []int, k int) ([][]rank.Item, error) {
-	out := a.Lists(n, max(0, min(k, len(candidates))))
+// from a, on the skill index's scratch sc. The caller holds the read
+// lock.
+func (c *ConcurrentModel) scoreLocked(ctx context.Context, a *rank.Arena, sc *indexScratch, n int, cat func(i int) linalg.Vector, candidates Candidates, k int) ([][]rank.Item, error) {
+	out := a.Lists(n, max(0, min(k, len(candidates.ids))))
 	for i := range out {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = c.m.selectTopKScoredInto(out[i], cat(i), candidates, k)
+		out[i] = c.m.rankInto(out[i], sc, cat(i), candidates, k)
 	}
 	return out, nil
 }
@@ -323,7 +328,7 @@ func (c *ConcurrentModel) scoreLocked(ctx context.Context, a *rank.Arena, n int,
 // It is the projecting leg of a fleet selection: the other shards score
 // these categories (RankCategoriesScored) instead of projecting the
 // text again.
-func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []float64, string, error) {
+func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates Candidates, k int) ([][]rank.Item, []float64, string, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sc := batchScratchPool.Get().(*batchScratch)
@@ -346,7 +351,7 @@ func (c *ConcurrentModel) RankBatchProjected(ctx context.Context, a *rank.Arena,
 // be a finite K-vector, else ErrBadCategory. Given equal versions the
 // result is what RankBatchScored returns for the bags the categories
 // were projected from, in lists cut from a like its.
-func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, a *rank.Arena, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
+func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, a *rank.Arena, version string, cats [][]float64, candidates Candidates, k int) ([][]rank.Item, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if own := c.categoryVersionLocked(); version != own {
@@ -362,7 +367,9 @@ func (c *ConcurrentModel) RankCategoriesScored(ctx context.Context, a *rank.Aren
 			}
 		}
 	}
-	return c.scoreLocked(ctx, a, len(cats), func(i int) linalg.Vector { return cats[i] }, candidates, k)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	return c.scoreLocked(ctx, a, &sc.index, len(cats), func(i int) linalg.Vector { return cats[i] }, candidates, k)
 }
 
 // Save serializes the model under the read lock, so a checkpoint

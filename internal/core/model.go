@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"crowdselect/internal/linalg"
 	"crowdselect/internal/text"
@@ -123,7 +124,9 @@ type Model struct {
 	M int // workers
 
 	// LambdaW[i] and NuW2[i] are the variational posterior mean and
-	// per-coordinate variance of worker i's skills (q(wᵢ) of §5.1).
+	// per-coordinate variance of worker i's skills (q(wᵢ) of §5.1). Once
+	// the model has ranked, only UpdateWorkerSkillDrift writes a row:
+	// the skill index (skills) bounds the rows it has seen.
 	LambdaW []linalg.Vector
 	NuW2    []linalg.Vector
 
@@ -150,12 +153,18 @@ type Model struct {
 	sigmaCInv *linalg.Matrix
 	beta      *linalg.Matrix
 
-	// allWorkers is the shared identity candidate slice [0, M), built
-	// lazily for SelectTopK's nil-candidates path so serving does not
-	// allocate an M-element slice per selection. rank.TopK only reads
-	// candidates, so sharing one slice across goroutines is safe.
+	// allWorkers is the shared candidate set of every worker [0, M),
+	// built lazily for SelectTopK's nil-candidates path so serving does
+	// not allocate an M-element slice per selection. Ranking only reads
+	// candidates, so sharing one set across goroutines is safe.
 	allWorkersOnce sync.Once
-	allWorkers     []int
+	allWorkers     Candidates
+
+	// skills is the block-max index over LambdaW that Eq. 1's top-k
+	// prunes with (skillIndex), built by the first ranking that takes it
+	// and kept exact by UpdateWorkerSkillDrift, the one writer of a
+	// LambdaW row once the model ranks.
+	skills atomic.Pointer[skillIndex]
 }
 
 // ErrNoData is returned when Train is given nothing to learn from.

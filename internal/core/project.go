@@ -146,13 +146,10 @@ func (m *Model) Score(worker int, c linalg.Vector) float64 {
 
 // SelectTopK implements Eq. 1: among candidates, the k workers
 // maximizing wᵢ·cⱼ, best first. A nil candidates slice means all
-// workers; that path shares one lazily built [0, M) slice instead of
-// allocating M ints per call (rank.TopK never mutates candidates).
+// workers; that path shares one lazily built set instead of allocating
+// M ints per call. candidates is only read.
 func (m *Model) SelectTopK(c linalg.Vector, candidates []int, k int) []int {
-	if candidates == nil {
-		candidates = m.allWorkerIDs()
-	}
-	return rank.TopK(candidates, func(id int) float64 { return m.Score(id, c) }, k)
+	return rank.IDs(m.SelectTopKScored(c, candidates, k))
 }
 
 // SelectTopKScored is SelectTopK keeping the Eq. 1 scores: the k best
@@ -160,29 +157,56 @@ func (m *Model) SelectTopK(c linalg.Vector, candidates []int, k int) []int {
 // scatter-gather coordinator must return scores — per-shard ranks
 // cannot be merged into a global top-k, per-shard scores can, because
 // wᵢ·cⱼ lives in the one shared latent space and is comparable across
-// shards.
+// shards. All workers (nil candidates) rank through the skill index; a
+// candidate slice is scanned.
 func (m *Model) SelectTopKScored(c linalg.Vector, candidates []int, k int) []rank.Item {
-	return m.selectTopKScoredInto(nil, c, candidates, k)
-}
-
-// selectTopKScoredInto is SelectTopKScored ranking into dst's storage
-// (rank.TopKScoredInto).
-func (m *Model) selectTopKScoredInto(dst []rank.Item, c linalg.Vector, candidates []int, k int) []rank.Item {
-	if candidates == nil {
-		candidates = m.allWorkerIDs()
+	if candidates != nil {
+		return m.rankInto(nil, nil, c, Candidates{ids: candidates}, k)
 	}
-	return rank.TopKScoredInto(dst, candidates, func(id int) float64 { return m.Score(id, c) }, k)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	return m.rankInto(nil, &sc.index, c, m.allCandidates(), k)
 }
 
-// allWorkerIDs returns the shared identity candidate slice [0, M).
-// Callers must treat it as read-only.
-func (m *Model) allWorkerIDs() []int {
+// rankInto is Eq. 1 over cands into dst's storage: it returns dst[:n],
+// n = min(k, the candidate count), holding the n best candidates. A set
+// the skill index can rank — one with a bitset, ids below M, more than
+// k ≥ 1 of them, at least indexMinCandidates and M/indexMinDensity of
+// them, in a crowd the index covers — goes through the index on the
+// scratch sc, any other through the scan (rank.TopKScoredInto), which is
+// also the index's oracle: both return the same list, ids and score
+// bits.
+func (m *Model) rankInto(dst []rank.Item, sc *indexScratch, c linalg.Vector, cands Candidates, k int) []rank.Item {
+	ids := cands.ids
+	if cands.bits == nil || k <= 0 || k >= len(ids) || len(ids) < indexMinCandidates || indexMinDensity*len(ids) < m.M ||
+		len(c) != m.K || ids[len(ids)-1] >= m.M || m.M > maxIndexedWorkers {
+		return rank.TopKScoredInto(dst, ids, func(id int) float64 { return m.Score(id, c) }, k)
+	}
+	return m.index().topK(dst, sc, m, c, cands.bits, k)
+}
+
+// index returns the skill index over LambdaW, building it on first use.
+// Concurrent first callers may each build one; all of them use the one
+// published first.
+func (m *Model) index() *skillIndex {
+	if x := m.skills.Load(); x != nil {
+		return x
+	}
+	x := newSkillIndex(m.LambdaW[:m.M], m.K)
+	if !m.skills.CompareAndSwap(nil, x) {
+		x = m.skills.Load()
+	}
+	return x
+}
+
+// allCandidates returns the shared candidate set of every worker, [0, M).
+func (m *Model) allCandidates() Candidates {
 	m.allWorkersOnce.Do(func() {
 		ids := make([]int, m.M)
 		for i := range ids {
 			ids[i] = i
 		}
-		m.allWorkers = ids
+		m.allWorkers = NewCandidates(ids)
 	})
 	return m.allWorkers
 }
@@ -369,9 +393,13 @@ func (m *Model) UpdateWorkerSkillDrift(worker int, cats []TaskCategory, scores [
 		}
 	}
 	// Commit both moments as a swap of fresh slices: a reader holding a
-	// LambdaW row never observes in-place mutation.
+	// LambdaW row never observes in-place mutation. The skill index, once
+	// built, re-bounds the worker's block in place.
 	m.LambdaW[worker] = lw
 	m.NuW2[worker] = nu2
+	if x := m.skills.Load(); x != nil {
+		x.refresh(m.LambdaW, worker)
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdselect/internal/core"
 	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
@@ -150,7 +151,7 @@ type slowSelector struct {
 	release chan struct{}
 }
 
-func (s *slowSelector) RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+func (s *slowSelector) RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates core.Candidates, k int) ([][]rank.Item, error) {
 	s.entered <- struct{}{}
 	<-s.release
 	if err := ctx.Err(); err != nil {

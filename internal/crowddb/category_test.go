@@ -37,7 +37,7 @@ func TestSelectionsByCategory(t *testing.T) {
 	if !reflect.DeepEqual(projected.Results, want.Results) {
 		t.Fatalf("projecting leg ranked %+v, scored selection %+v", projected.Results, want.Results)
 	}
-	_, _, served, err := cm.RankBatchProjected(context.Background(), new(rank.Arena), nil, nil, nil, 0)
+	_, _, served, err := cm.RankBatchProjected(context.Background(), new(rank.Arena), nil, nil, core.Candidates{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

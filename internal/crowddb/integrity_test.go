@@ -16,6 +16,7 @@ import (
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/faultfs"
+	"crowdselect/internal/linalg"
 )
 
 // Digest returns the hex SHA-256 of the store's canonical snapshot
@@ -638,15 +639,19 @@ func TestReadyzAndMetricsCarryIntegrity(t *testing.T) {
 	}
 }
 
-// tamperReplicaModel perturbs one posterior on the follower outside
-// the replicated log — the "silently diverged state" the anti-entropy
-// protocol exists to catch. The write goes through Quiesce so it
-// cannot race the apply path or a digest cut.
+// tamperReplicaModel folds made-up feedback into one posterior on the
+// follower outside the replicated log — the "silently diverged state"
+// the anti-entropy protocol exists to catch. It writes through the
+// fold, which keeps the skill index exact (a write to LambdaW behind it
+// would leave the index stale), and through Quiesce so it cannot race
+// the apply path or a digest cut.
 func tamperReplicaModel(t *testing.T, rep *Replica) {
 	t.Helper()
 	err := rep.mgr.Quiesce(func() error {
-		rep.cm.Unwrap().LambdaW[0][0] += 0.25
-		return nil
+		k := rep.cm.Unwrap().K
+		cat := core.TaskCategory{Lambda: make(linalg.Vector, k), Nu2: make(linalg.Vector, k)}
+		cat.Lambda[0] = 1
+		return rep.cm.UpdateWorkerSkill(0, []core.TaskCategory{cat}, []float64{4})
 	})
 	if err != nil {
 		t.Fatal(err)

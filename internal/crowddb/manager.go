@@ -29,7 +29,10 @@ import (
 //     projected at the same version (core.ErrCategoryVersion otherwise) —
 //     DESIGN §11, "The fleet projects once".
 //   - All three rank into lists cut from the caller's rank.Arena, valid
-//     until the caller reuses it.
+//     until the caller reuses it, and take the candidates as a
+//     core.Candidates: the ids with the membership bitset the presence
+//     snapshot built once, so the skill index ranks without rebuilding
+//     membership per request.
 //   - Project and UpdateWorkerSkill fold a resolved task's feedback into
 //     the answerers' skill posteriors — the crowd-update path of §4.2.
 //     The fold has no solve that can fail, so an UpdateWorkerSkill error
@@ -42,9 +45,9 @@ import (
 // call and must not be retained.
 type Selector interface {
 	Name() string
-	RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error)
-	RankBatchProjected(ctx context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []float64, string, error)
-	RankCategoriesScored(ctx context.Context, a *rank.Arena, version string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error)
+	RankBatchScored(ctx context.Context, a *rank.Arena, bags []text.Bag, candidates core.Candidates, k int) ([][]rank.Item, error)
+	RankBatchProjected(ctx context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates core.Candidates, k int) ([][]rank.Item, []float64, string, error)
+	RankCategoriesScored(ctx context.Context, a *rank.Arena, version string, cats [][]float64, candidates core.Candidates, k int) ([][]rank.Item, error)
 	Project(bag text.Bag) core.TaskCategory
 	UpdateWorkerSkill(worker int, cats []core.TaskCategory, scores []float64) error
 	Digest() (string, error)
@@ -81,10 +84,11 @@ type Manager struct {
 }
 
 // ownedSet is the subset of the online snapshot `of` that this shard
-// owns, sorted, len == cap, shared and read-only like the snapshot.
+// owns, sorted, len == cap, with its membership bitset, shared and
+// read-only like the snapshot.
 type ownedSet struct {
-	of  *onlineSet
-	ids []int
+	of    *onlineSet
+	cands core.Candidates
 }
 
 // NewManager wires a crowd manager over the store. vocab maps task
@@ -129,23 +133,23 @@ func (m *Manager) SetTenant(name string) { m.store.SetTenant(name) }
 // partition the online set. The slice is shared between requests and
 // must not be modified; a request loads it once, so every task of a
 // batch is ranked against one online set.
-func (m *Manager) candidateWorkers() []int {
+func (m *Manager) candidateWorkers() core.Candidates {
 	online := m.store.onlineSnapshot()
 	if !m.shard.Enabled() {
-		return online.ids
+		return online.cands
 	}
 	if o := m.owned.Load(); o != nil && o.of == online {
-		return o.ids
+		return o.cands
 	}
 	var ids []int
-	for _, id := range online.ids {
+	for _, id := range online.cands.IDs() {
 		if m.shard.OwnsWorker(id) {
 			ids = append(ids, id)
 		}
 	}
-	ids = ids[:len(ids):len(ids)]
-	m.owned.Store(&ownedSet{of: online, ids: ids})
-	return ids
+	cands := core.NewCandidates(ids[:len(ids):len(ids)])
+	m.owned.Store(&ownedSet{of: online, cands: cands})
+	return cands
 }
 
 // SelectorName reports which algorithm backs the manager.
@@ -213,9 +217,9 @@ func (m *Manager) SubmitBatch(ctx context.Context, reqs []TaskSubmission) ([]Sub
 		}
 		needRanking = needRanking || len(r.Workers) == 0
 	}
-	var online []int
+	var online core.Candidates
 	if needRanking {
-		if online = m.candidateWorkers(); len(online) == 0 {
+		if online = m.candidateWorkers(); len(online.IDs()) == 0 {
 			return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
 		}
 	}
@@ -310,7 +314,7 @@ func (m *Manager) validatePreassigned(workers []int) error {
 // validate the batch, default each requested k (ks is overwritten in
 // place), load the candidate set once, rank at the largest k and
 // truncate each result to its own.
-func (m *Manager) rankOnly(ctx context.Context, ks []int, score func(candidates []int, k int) ([][]rank.Item, error)) ([][]rank.Item, error) {
+func (m *Manager) rankOnly(ctx context.Context, ks []int, score func(candidates core.Candidates, k int) ([][]rank.Item, error)) ([][]rank.Item, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
 	}
@@ -327,7 +331,7 @@ func (m *Manager) rankOnly(ctx context.Context, ks []int, score func(candidates 
 		}
 	}
 	online := m.candidateWorkers()
-	if len(online) == 0 {
+	if len(online.IDs()) == 0 {
 		return nil, fmt.Errorf("%w: no online workers", ErrBadRequest)
 	}
 	ranked, err := score(online, kmax)
@@ -412,7 +416,7 @@ func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([]
 func (m *Manager) rankTexts(ctx context.Context, a *rank.Arena, reqs []TaskSubmission) ([][]rank.Item, error) {
 	ts := m.textBatch(reqs)
 	defer ts.release()
-	return m.rankOnly(ctx, ts.ks, func(candidates []int, k int) ([][]rank.Item, error) {
+	return m.rankOnly(ctx, ts.ks, func(candidates core.Candidates, k int) ([][]rank.Item, error) {
 		return m.sel.RankBatchScored(ctx, a, ts.bags, candidates, k)
 	})
 }
@@ -423,7 +427,7 @@ func (m *Manager) rankTexts(ctx context.Context, a *rank.Arena, reqs []TaskSubmi
 func (m *Manager) rankProjected(ctx context.Context, a *rank.Arena, lambdas []float64, reqs []TaskSubmission) (ranked [][]rank.Item, _ []float64, version string, err error) {
 	ts := m.textBatch(reqs)
 	defer ts.release()
-	ranked, err = m.rankOnly(ctx, ts.ks, func(candidates []int, k int) (items [][]rank.Item, err error) {
+	ranked, err = m.rankOnly(ctx, ts.ks, func(candidates core.Candidates, k int) (items [][]rank.Item, err error) {
 		items, lambdas, version, err = m.sel.RankBatchProjected(ctx, a, lambdas, ts.bags, candidates, k)
 		return items, err
 	})
@@ -441,7 +445,7 @@ func (m *Manager) rankCategories(ctx context.Context, a *rank.Arena, ks []int, c
 	if len(cats) != len(ks) {
 		return nil, fmt.Errorf("%w: %d categories for %d tasks", ErrBadRequest, len(cats), len(ks))
 	}
-	ranked, err := m.rankOnly(ctx, ks, func(candidates []int, k int) ([][]rank.Item, error) {
+	ranked, err := m.rankOnly(ctx, ks, func(candidates core.Candidates, k int) ([][]rank.Item, error) {
 		return m.sel.RankCategoriesScored(ctx, a, version, cats, candidates, k)
 	})
 	if errors.Is(err, core.ErrBadCategory) {
@@ -514,7 +518,7 @@ func (m *Manager) ApplyModelFeedback(ctx context.Context, forwardOf int, taskTex
 // rankBatch ranks every bag against the candidate set, truncated to k:
 // the ids of one RankBatchScored call, in slices the caller owns — a
 // submitted task's crowd never aliases pooled storage.
-func (m *Manager) rankBatch(ctx context.Context, bags []text.Bag, candidates []int, k int) ([][]int, error) {
+func (m *Manager) rankBatch(ctx context.Context, bags []text.Bag, candidates core.Candidates, k int) ([][]int, error) {
 	a := arenas.Get().(*rank.Arena)
 	defer putArena(a)
 	scored, err := m.sel.RankBatchScored(ctx, a, bags, candidates, k)

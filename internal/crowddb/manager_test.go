@@ -238,15 +238,15 @@ type staticSelector struct{}
 
 func (staticSelector) Name() string { return "static" }
 
-func (staticSelector) RankBatchScored(_ context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+func (staticSelector) RankBatchScored(_ context.Context, a *rank.Arena, bags []text.Bag, candidates core.Candidates, k int) ([][]rank.Item, error) {
 	return byID(a, len(bags), candidates, k), nil
 }
 
-func (staticSelector) RankBatchProjected(_ context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates []int, k int) ([][]rank.Item, []float64, string, error) {
+func (staticSelector) RankBatchProjected(_ context.Context, a *rank.Arena, lambdas []float64, bags []text.Bag, candidates core.Candidates, k int) ([][]rank.Item, []float64, string, error) {
 	return byID(a, len(bags), candidates, k), lambdas, "static", nil
 }
 
-func (staticSelector) RankCategoriesScored(_ context.Context, a *rank.Arena, _ string, cats [][]float64, candidates []int, k int) ([][]rank.Item, error) {
+func (staticSelector) RankCategoriesScored(_ context.Context, a *rank.Arena, _ string, cats [][]float64, candidates core.Candidates, k int) ([][]rank.Item, error) {
 	return byID(a, len(cats), candidates, k), nil
 }
 
@@ -257,8 +257,8 @@ func (staticSelector) UpdateWorkerSkill(int, []core.TaskCategory, []float64) err
 func (staticSelector) Digest() (string, error) { return "", nil }
 
 // byID is n copies of the k lowest candidate ids, in lists cut from a.
-func byID(a *rank.Arena, n int, candidates []int, k int) [][]rank.Item {
-	ids := slices.Clone(candidates)
+func byID(a *rank.Arena, n int, candidates core.Candidates, k int) [][]rank.Item {
+	ids := slices.Clone(candidates.IDs())
 	slices.Sort(ids)
 	if len(ids) > k {
 		ids = ids[:k]

@@ -262,7 +262,7 @@ func TestSelectionsRacePresence(t *testing.T) {
 					owned = append(owned, id)
 				}
 			}
-			if got := mgr.candidateWorkers(); !slices.Equal(got, owned) {
+			if got := mgr.candidateWorkers().IDs(); !slices.Equal(got, owned) {
 				t.Errorf("quiesced candidates = %v, want %v", got, owned)
 			}
 		})

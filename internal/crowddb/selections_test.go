@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"crowdselect/internal/core"
 	"crowdselect/internal/rank"
 	"crowdselect/internal/selcodec"
 	"crowdselect/internal/text"
@@ -37,7 +38,7 @@ func TestWriteJSONRefusesUnencodableValue(t *testing.T) {
 // nanSelector scores every candidate NaN.
 type nanSelector struct{ staticSelector }
 
-func (nanSelector) RankBatchScored(_ context.Context, a *rank.Arena, bags []text.Bag, candidates []int, k int) ([][]rank.Item, error) {
+func (nanSelector) RankBatchScored(_ context.Context, a *rank.Arena, bags []text.Bag, candidates core.Candidates, k int) ([][]rank.Item, error) {
 	out := byID(a, len(bags), candidates, k)
 	for _, items := range out {
 		for i := range items {

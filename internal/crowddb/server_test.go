@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdselect/internal/core"
 	"crowdselect/internal/rank"
 	"crowdselect/internal/text"
 )
@@ -171,7 +172,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 // middleware.
 type panicSelector struct{ staticSelector }
 
-func (panicSelector) RankBatchScored(context.Context, *rank.Arena, []text.Bag, []int, int) ([][]rank.Item, error) {
+func (panicSelector) RankBatchScored(context.Context, *rank.Arena, []text.Bag, core.Candidates, int) ([][]rank.Item, error) {
 	panic("selector exploded")
 }
 

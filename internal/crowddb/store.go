@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"crowdselect/internal/core"
 )
 
 // TaskStatus tracks a task through the Figure 1 pipeline.
@@ -131,10 +133,12 @@ type Store struct {
 }
 
 // onlineSet is one immutable snapshot of the online worker ids,
-// sorted, with len == cap. Its identity stands for its contents: the
-// store publishes a new one only after presence changed, so a holder
-// may key derived data on the pointer (Manager.candidateWorkers).
-type onlineSet struct{ ids []int }
+// sorted, with len == cap, and their membership bitset, built once per
+// presence change so that no selection rebuilds it. Its identity stands
+// for its contents: the store publishes a new one only after presence
+// changed, so a holder may key derived data on the pointer
+// (Manager.candidateWorkers).
+type onlineSet struct{ cands core.Candidates }
 
 // NewStore returns an empty crowd database.
 func NewStore() *Store {
@@ -281,10 +285,10 @@ func (s *Store) SetOnline(id int, online bool) error {
 // it. Its len equals its cap, so appending to it copies. A presence
 // change is seen by the next call; a slice already returned never
 // changes.
-func (s *Store) OnlineWorkers() []int { return s.onlineSnapshot().ids }
+func (s *Store) OnlineWorkers() []int { return s.onlineSnapshot().cands.IDs() }
 
 // NumOnline returns the number of online workers.
-func (s *Store) NumOnline() int { return len(s.onlineSnapshot().ids) }
+func (s *Store) NumOnline() int { return len(s.onlineSnapshot().cands.IDs()) }
 
 // onlineSnapshot returns the current online set without taking mu
 // unless a presence change dropped it; then the first reader rebuilds
@@ -306,7 +310,7 @@ func (s *Store) onlineSnapshot() *onlineSet {
 		}
 	}
 	sort.Ints(ids)
-	set := &onlineSet{ids: ids[:len(ids):len(ids)]}
+	set := &onlineSet{cands: core.NewCandidates(ids[:len(ids):len(ids)])}
 	// Readers that raced past the check above built the same set; all
 	// of them return the one that was published first.
 	if !s.online.CompareAndSwap(nil, set) {

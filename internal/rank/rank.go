@@ -61,31 +61,73 @@ func TopKScoredInto(dst []Item, candidates []int, score func(id int) float64, k 
 	if k <= 0 || len(candidates) == 0 {
 		return dst[:0]
 	}
-	n := min(k, len(candidates))
+	b := NewBounded(dst, min(k, len(candidates)))
+	for _, id := range candidates {
+		b.Offer(Item{ID: id, Score: score(id)})
+	}
+	return b.Sorted()
+}
+
+// Bounded keeps the n best of the Items offered to it, under the one
+// order: the first n fill a heap whose root is the worst of them, and
+// from then on an Item that does not beat the root costs one compare,
+// one that does a log n sift. TopKScoredInto offers it every candidate;
+// a caller that chooses which candidates to score reads Full and Worst
+// to stop: once Full, an Item that does not rank ahead of Worst cannot
+// be among the n.
+type Bounded struct {
+	h []Item
+	n int
+}
+
+// NewBounded returns an empty Bounded keeping n Items in dst's storage;
+// it allocates only when cap(dst) < n.
+func NewBounded(dst []Item, n int) Bounded {
 	if cap(dst) < n {
-		dst = make([]Item, n)
+		dst = make([]Item, 0, n)
 	}
-	h := dst[:n]
-	for i, id := range candidates[:len(h)] {
-		h[i] = Item{ID: id, Score: score(id)}
+	return Bounded{h: dst[:0], n: n}
+}
+
+// Offer keeps it if it ranks among the n best offered so far. Its first
+// test is the common case of a scan, an Item scoring below the root,
+// kept small enough to inline; offer decides the rest.
+func (b *Bounded) Offer(it Item) {
+	if len(b.h) == b.n && it.Score < b.h[0].Score {
+		return
 	}
-	if len(h) < len(candidates) {
-		for i := len(h)/2 - 1; i >= 0; i-- {
-			siftDown(h, i)
-		}
-		for _, id := range candidates[len(h):] {
-			it := Item{ID: id, Score: score(id)}
-			// The float compare is false for NaN, so NaN and an equal
-			// score fall through to the full order.
-			if it.Score < h[0].Score || !before(it, h[0]) {
-				continue
+	b.offer(it)
+}
+
+func (b *Bounded) offer(it Item) {
+	if len(b.h) < b.n {
+		b.h = append(b.h, it)
+		if len(b.h) == b.n {
+			for i := len(b.h)/2 - 1; i >= 0; i-- {
+				siftDown(b.h, i)
 			}
-			h[0] = it
-			siftDown(h, 0)
 		}
+		return
 	}
-	sortItems(h)
-	return h
+	// A NaN score fails every float compare, so it and an equal score
+	// are decided by the full order.
+	if !before(it, b.h[0]) {
+		return
+	}
+	b.h[0] = it
+	siftDown(b.h, 0)
+}
+
+// Full reports whether n Items are kept.
+func (b *Bounded) Full() bool { return len(b.h) == b.n }
+
+// Worst is the last of the kept Items; it is defined once b is Full.
+func (b *Bounded) Worst() Item { return b.h[0] }
+
+// Sorted returns the kept Items, best first.
+func (b *Bounded) Sorted() []Item {
+	sortItems(b.h)
+	return b.h
 }
 
 // Arena holds the storage of a batch of rankings: n lists of capacity k

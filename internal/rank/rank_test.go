@@ -146,6 +146,31 @@ func checkTopK(t *testing.T, what string, ids []int, score func(int) float64, k 
 	if got := TopK(ids, score, k); !slices.Equal(got, IDs(want)) {
 		t.Fatalf("%s (n=%d k=%d): TopK diverged\ngot:  %v\nwant: %v", what, len(ids), k, got, IDs(want))
 	}
+	// Offered one by one, as the skill index offers the candidates it
+	// scores; Worst, once Full, is the last of the kept.
+	if n := min(k, len(ids)); n > 0 {
+		b := NewBounded(nil, n)
+		for _, id := range ids {
+			b.Offer(Item{ID: id, Score: score(id)})
+			if b.Full() && !sameItems([]Item{sortedWorst(b.h)}, []Item{b.Worst()}) {
+				t.Fatalf("%s (n=%d k=%d): Bounded's Worst %v is not the last of its items", what, len(ids), k, b.Worst())
+			}
+		}
+		if got := b.Sorted(); !sameItems(got, want) {
+			t.Fatalf("%s (n=%d k=%d): Bounded diverged\ngot:  %v\nwant: %v", what, len(ids), k, got, want)
+		}
+	}
+}
+
+// sortedWorst is the last of items under the package order.
+func sortedWorst(items []Item) Item {
+	worst := items[0]
+	for _, it := range items[1:] {
+		if before(worst, it) {
+			worst = it
+		}
+	}
+	return worst
 }
 
 // TestTopKEqualsFullSort holds TopK and TopKScored to the first k of
