@@ -173,11 +173,12 @@ shard:
 
 # The fencing & supervision suite (DESIGN.md §12) under the race
 # detector: fencing-epoch semantics, the lease seal, the concurrent-
-# promotion race, the supervisor state machine, and the split-brain
-# chaos drill — asymmetric partition, auto-promotion, zero
-# dual-primary acks, zero acked-mutation loss.
+# promotion race, the supervisor state machine, the Multi's
+# route-policy contract, and the split-brain chaos drill — asymmetric
+# partition, auto-promotion, zero dual-primary acks, zero
+# acked-mutation loss.
 fleet:
-	$(GO) test -race -run 'TestFence|TestFencing|TestFenced|TestFleetToken|TestLease|TestConcurrentPromotion|TestPromotionFailure|TestSupervisor|TestMultiWriteFollowsFencedRedirect|TestMultiFencedRedirectIsBounded|TestProxyOneWay|TestChaosSplitBrainFencedFailover' -v ./internal/crowddb/ ./internal/fleet/ ./internal/crowdclient/ ./internal/faultnet/ ./internal/chaos/
+	$(GO) test -race -run 'TestFence|TestFencing|TestFenced|TestFleetToken|TestLease|TestConcurrentPromotion|TestPromotionFailure|TestSupervisor|TestMultiWriteFollowsFencedRedirect|TestMultiFencedRedirectIsBounded|TestMultiRoutePolicy|TestProxyOneWay|TestChaosSplitBrainFencedFailover' -v ./internal/crowddb/ ./internal/fleet/ ./internal/crowdclient/ ./internal/faultnet/ ./internal/chaos/
 
 # The tenancy suite (DESIGN.md §13) under the race detector: alias
 # equivalence, tenant isolation, quota shedding, journal stamping and

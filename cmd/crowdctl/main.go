@@ -4,7 +4,7 @@
 // request timeouts and bounded retries with exponential backoff plus
 // jitter — connection errors always (for POSTs only when the dial
 // failed, so a mutation is never sent twice), and 5xx responses on
-// idempotent GETs.
+// idempotent requests: GETs and pure selections.
 //
 // Usage:
 //
@@ -251,6 +251,9 @@ func run(cli *crowdclient.Client, args []string, out io.Writer) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
+		if *id < 0 {
+			return fmt.Errorf("task: -id is required")
+		}
 		task, err := cli.GetTask(ctx, *id)
 		if err != nil {
 			return err
@@ -261,6 +264,9 @@ func run(cli *crowdclient.Client, args []string, out io.Writer) error {
 		id := fs.Int("id", -1, "worker id")
 		if err := fs.Parse(rest); err != nil {
 			return err
+		}
+		if *id < 0 {
+			return fmt.Errorf("worker: -id is required")
 		}
 		w, err := cli.GetWorker(ctx, *id)
 		if err != nil {
@@ -273,6 +279,9 @@ func run(cli *crowdclient.Client, args []string, out io.Writer) error {
 		online := fs.Bool("online", true, "online flag")
 		if err := fs.Parse(rest); err != nil {
 			return err
+		}
+		if *id < 0 {
+			return fmt.Errorf("presence: -id is required")
 		}
 		if err := cli.SetPresence(ctx, *id, *online); err != nil {
 			return err

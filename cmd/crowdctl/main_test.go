@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +188,25 @@ func TestCLIErrors(t *testing.T) {
 		if err := run(testClient(srv.URL), args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+
+	// A missing -id is a usage error caught before any request: without
+	// the check the flag's default sends one for id -1 (presence a
+	// mutation).
+	var hits atomic.Int64
+	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer counting.Close()
+	for _, args := range [][]string{{"task"}, {"worker"}, {"presence"}} {
+		out.Reset()
+		if err := run(testClient(counting.URL), args, &out); err == nil || !strings.Contains(err.Error(), "-id") {
+			t.Errorf("args %v: err = %v, want a usage error naming -id", args, err)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("the server saw %d requests from commands missing -id", n)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -92,6 +91,8 @@ type Options struct {
 
 // Client talks to one crowdd base URL. It is safe for concurrent use.
 type Client struct {
+	api // the typed data surface, over call
+
 	base       string
 	hc         *http.Client
 	retries    int
@@ -190,6 +191,7 @@ func New(baseURL string, opts Options) *Client {
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		gossip:     &epochGossip{},
 	}
+	c.api = api{c}
 	if opts.BreakerThreshold > 0 {
 		c.brk = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock)
 	}
@@ -219,7 +221,7 @@ func (c *Client) ForTenant(name string) *Client {
 	c.rngMu.Lock()
 	seed := c.rng.Int63()
 	c.rngMu.Unlock()
-	return &Client{
+	v := &Client{
 		base:       c.base,
 		hc:         c.hc,
 		retries:    c.retries,
@@ -232,6 +234,8 @@ func (c *Client) ForTenant(name string) *Client {
 		rng:        rand.New(rand.NewSource(seed)),
 		gossip:     c.gossip,
 	}
+	v.api = api{v}
+	return v
 }
 
 // Tenant reports the namespace this client is scoped to ("default"
@@ -328,28 +332,14 @@ func (c *Client) backoffFor(n int) time.Duration {
 	return d - time.Duration(jitter)
 }
 
-// idempotent reports whether a request may be repeated safely: GETs,
-// and POST .../selections — a pure model read that stores nothing, so
-// replaying it cannot double-apply. The suffix match covers both the
-// un-prefixed and the tenant-scoped (/api/v1/t/{tenant}/selections)
-// spellings. POST .../query is not on the list: a SELECT CROWD
-// submits tasks.
-func idempotent(method, url string) bool {
-	return method == http.MethodGet ||
-		(method == http.MethodPost && strings.HasSuffix(url, "/selections") && strings.Contains(url, "/api/"))
-}
-
-// retriableErr reports whether a transport error may be retried for
-// the given request. Idempotent requests are fair game on any
-// transport failure; for mutating requests only dial errors are safe —
-// the request never reached the server, so retrying cannot
-// double-apply.
-func retriableErr(method, url string, err error) bool {
-	if idempotent(method, url) {
-		return true
-	}
-	var op *net.OpError
-	return errors.As(err, &op) && op.Op == "dial"
+// idempotent reports whether a request on a canonical path may be
+// repeated safely. The route table decides (crowddb.RouteOf): GETs,
+// and POST /api/v1/selections — a pure model read that stores nothing,
+// so replaying it cannot double-apply. POST /api/v1/query is not: a
+// SELECT CROWD submits tasks.
+func idempotent(method, path string) bool {
+	read, _, _ := crowddb.RouteOf(method, path)
+	return read
 }
 
 // attempt issues one HTTP request through the circuit breaker. The
@@ -405,13 +395,13 @@ func (c *Client) attempt(ctx context.Context, method, url string, body []byte) (
 // do issues the request with the full resilience policy: the circuit
 // breaker fails fast while the server is unreachable, the token-bucket
 // retry budget bounds retries across the whole client, transport
-// errors retry per retriableErr, 5xx responses retry on idempotent
-// requests (honoring the server's Retry-After as a floor on the next
+// errors retry when idem or when the dial failed (a mutation that
+// never reached the server cannot double-apply), 5xx responses retry
+// when idem (honoring the server's Retry-After as a floor on the next
 // backoff). The response is the first success or non-retriable status;
 // err is the final failure after the per-request retry cap or the
 // shared budget is spent. A cancelled ctx stops the retry loop.
-func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
-	idem := idempotent(method, url)
+func (c *Client) do(ctx context.Context, method, url string, idem bool, body []byte) (*http.Response, error) {
 	var lastErr error
 	var retryHint time.Duration
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -439,7 +429,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http
 				// burning retries against it helps nobody.
 				return nil, fmt.Errorf("after %d attempts: %w", attempt+1, err)
 			}
-			if ctx.Err() != nil || !retriableErr(method, url, err) {
+			if ctx.Err() != nil || !(idem || dialErr(err)) {
 				return nil, err
 			}
 			continue
@@ -468,9 +458,10 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http
 // is relative to the base URL (e.g. "/api/v1/stats") and a non-nil
 // body is sent as JSON. On a tenant-scoped client, /api/v1/... paths
 // are rewritten into the tenant namespace before they leave. Non-2xx
-// responses return *APIError. Typed methods below cover the whole v1
-// surface; Do is the escape hatch for endpoints with free-form
-// payloads (query, metrics).
+// responses return *APIError. The typed methods cover the v1 surface
+// but for the metrics snapshot; Do is the escape hatch for it and for
+// hand-built requests. path is the canonical spelling: its route-table
+// row decides whether the request is retried (idempotent).
 func (c *Client) Do(ctx context.Context, method, path string, body any) ([]byte, error) {
 	var payload []byte
 	if body != nil {
@@ -480,7 +471,7 @@ func (c *Client) Do(ctx context.Context, method, path string, body any) ([]byte,
 		}
 		payload = b
 	}
-	resp, err := c.do(ctx, method, c.base+c.scopePath(path), payload)
+	resp, err := c.do(ctx, method, c.base+c.scopePath(path), idempotent(method, path), payload)
 	if err != nil {
 		return nil, err
 	}
@@ -546,109 +537,14 @@ func parseRetryAfter(h string) time.Duration {
 	return 0
 }
 
-// get decodes a GET response into out.
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	b, err := c.Do(ctx, http.MethodGet, path, nil)
-	if err != nil {
+// call sends one request and, when out is non-nil, decodes the
+// response into it.
+func (c *Client) call(ctx context.Context, method, path string, body, out any) error {
+	b, err := c.Do(ctx, method, path, body)
+	if err != nil || out == nil {
 		return err
 	}
 	return json.Unmarshal(b, out)
-}
-
-// post sends body and, when out is non-nil, decodes the response.
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	b, err := c.Do(ctx, http.MethodPost, path, body)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(b, out)
-}
-
-// SubmitTask submits one task (POST /api/v1/tasks); k ≤ 0 selects the
-// server's default crowd size.
-func (c *Client) SubmitTask(ctx context.Context, text string, k int) (crowddb.SubmitResponse, error) {
-	var out crowddb.SubmitResponse
-	err := c.post(ctx, "/api/v1/tasks", crowddb.SubmitRequest{Text: text, K: k}, &out)
-	return out, err
-}
-
-// SubmitBatch submits a whole batch in one round trip
-// (POST /api/v1/tasks:batch) and returns one result per task, in
-// request order.
-func (c *Client) SubmitBatch(ctx context.Context, tasks []crowddb.SubmitRequest) ([]crowddb.SubmitResponse, error) {
-	var out crowddb.BatchSubmitResponse
-	err := c.post(ctx, "/api/v1/tasks:batch", crowddb.BatchSubmitRequest{Tasks: tasks}, &out)
-	return out.Results, err
-}
-
-// selections posts one POST /api/v1/selections body.
-func (c *Client) selections(ctx context.Context, req crowddb.BatchSubmitRequest) (crowddb.SelectionsResponse, error) {
-	var out crowddb.SelectionsResponse
-	err := c.post(ctx, "/api/v1/selections", req, &out)
-	return out, err
-}
-
-// Selections ranks crowds for a batch of task texts without storing
-// anything (POST /api/v1/selections) — the pure read that keeps
-// answering while the server is in degraded read-only mode. It is
-// idempotent, so the client retries it on any transport failure.
-func (c *Client) Selections(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks})
-}
-
-// SelectionsScored is Selections with include_scores set: each result
-// carries the workers' Eq. 1 scores, parallel to the ranking. Scored
-// selections are the text leg of scatter-gather — scores are what
-// make per-shard top-k lists mergeable.
-func (c *Client) SelectionsScored(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, IncludeScores: true})
-}
-
-// SelectionsProjected is SelectionsScored with include_categories set:
-// the response also carries each task's projected category and the
-// server's category version — the projecting leg of a fleet selection.
-func (c *Client) SelectionsProjected(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, IncludeScores: true, IncludeCategories: true})
-}
-
-// SelectionsByCategory asks for scored selections against categories
-// another node projected (SelectionsProjected) instead of task texts —
-// the score-only leg of a fleet selection. tasks carry k only. A server
-// whose category parameters are not the ones version names refuses with
-// 409 category_mismatch.
-func (c *Client) SelectionsByCategory(ctx context.Context, tasks []crowddb.SubmitRequest, categories [][]float64, version string) (crowddb.SelectionsResponse, error) {
-	return c.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, Categories: categories, CategoryVersion: version})
-}
-
-// SkillFeedback folds feedback scores into the posteriors of workers
-// this server owns, without touching a task row
-// (POST /api/v1/skills:feedback) — the cross-shard red path. A server
-// that does not own one of the scored workers refuses with 421
-// wrong_shard and an owner hint. forwardOf >= 0 keys the request to
-// the home-shard task it forwards, making it idempotent at the owner:
-// retrying a failed leg cannot double-fold a posterior. forwardOf < 0
-// sends unkeyed model-only feedback.
-func (c *Client) SkillFeedback(ctx context.Context, forwardOf int, taskText string, scores map[int]float64) error {
-	wire := make(map[string]float64, len(scores))
-	for w, s := range scores {
-		wire[strconv.Itoa(w)] = s
-	}
-	body := map[string]any{"text": taskText, "scores": wire}
-	if forwardOf >= 0 {
-		body["task"] = forwardOf
-	}
-	return c.post(ctx, "/api/v1/skills:feedback", body, nil)
-}
-
-// Topology fetches the server's live fleet layout
-// (GET /api/v1/topology). Every node serves it, replicas included.
-func (c *Client) Topology(ctx context.Context) (crowddb.Topology, error) {
-	var out crowddb.Topology
-	err := c.get(ctx, "/api/v1/topology", &out)
-	return out, err
 }
 
 // PushTopology installs a new fleet layout on the server
@@ -656,62 +552,8 @@ func (c *Client) Topology(ctx context.Context) (crowddb.Topology, error) {
 // server's current one is refused with 409 stale_epoch.
 func (c *Client) PushTopology(ctx context.Context, doc crowddb.Topology) (crowddb.Topology, error) {
 	var out crowddb.Topology
-	err := c.post(ctx, "/api/v1/topology", doc, &out)
+	err := c.call(ctx, http.MethodPost, "/api/v1/topology", doc, &out)
 	return out, err
-}
-
-// GetTask fetches a stored task (GET /api/v1/tasks/{id}).
-func (c *Client) GetTask(ctx context.Context, id int) (crowddb.TaskRecord, error) {
-	var out crowddb.TaskRecord
-	err := c.get(ctx, "/api/v1/tasks/"+strconv.Itoa(id), &out)
-	return out, err
-}
-
-// Answer records one worker's answer
-// (POST /api/v1/tasks/{id}/answers).
-func (c *Client) Answer(ctx context.Context, taskID, workerID int, answer string) error {
-	return c.post(ctx, fmt.Sprintf("/api/v1/tasks/%d/answers", taskID),
-		map[string]any{"worker": workerID, "answer": answer}, nil)
-}
-
-// Feedback resolves a task with per-worker scores
-// (POST /api/v1/tasks/{id}/feedback) and returns the resolved record.
-func (c *Client) Feedback(ctx context.Context, taskID int, scores map[int]float64) (crowddb.TaskRecord, error) {
-	wire := make(map[string]float64, len(scores))
-	for w, s := range scores {
-		wire[strconv.Itoa(w)] = s
-	}
-	var out crowddb.TaskRecord
-	err := c.post(ctx, fmt.Sprintf("/api/v1/tasks/%d/feedback", taskID),
-		map[string]any{"scores": wire}, &out)
-	return out, err
-}
-
-// GetWorker fetches a worker row (GET /api/v1/workers/{id}).
-func (c *Client) GetWorker(ctx context.Context, id int) (crowddb.Worker, error) {
-	var out crowddb.Worker
-	err := c.get(ctx, "/api/v1/workers/"+strconv.Itoa(id), &out)
-	return out, err
-}
-
-// SetPresence flips a worker's online flag
-// (POST /api/v1/workers/{id}/presence).
-func (c *Client) SetPresence(ctx context.Context, id int, online bool) error {
-	return c.post(ctx, fmt.Sprintf("/api/v1/workers/%d/presence", id),
-		map[string]any{"online": online}, nil)
-}
-
-// Stats fetches the crowd database counters (GET /api/v1/stats).
-func (c *Client) Stats(ctx context.Context) (crowddb.StatsResponse, error) {
-	var out crowddb.StatsResponse
-	err := c.get(ctx, "/api/v1/stats", &out)
-	return out, err
-}
-
-// Query runs one crowdql statement (POST /api/v1/query) and returns
-// the raw JSON result.
-func (c *Client) Query(ctx context.Context, q string) (json.RawMessage, error) {
-	return c.Do(ctx, http.MethodPost, "/api/v1/query", map[string]string{"q": q})
 }
 
 // ReadyStatus fetches the full readiness payload (GET /readyz),
@@ -720,7 +562,7 @@ func (c *Client) Query(ctx context.Context, q string) (json.RawMessage, error) {
 // replica.
 func (c *Client) ReadyStatus(ctx context.Context) (crowddb.ReadyzResponse, error) {
 	var out crowddb.ReadyzResponse
-	err := c.get(ctx, "/readyz", &out)
+	err := c.call(ctx, http.MethodGet, "/readyz", nil, &out)
 	return out, err
 }
 
@@ -731,7 +573,7 @@ func (c *Client) ReadyStatus(ctx context.Context) (crowddb.ReadyzResponse, error
 // with it.
 func (c *Client) Digest(ctx context.Context) (crowddb.DigestCut, error) {
 	var out crowddb.DigestCut
-	err := c.get(ctx, "/api/v1/digest", &out)
+	err := c.call(ctx, http.MethodGet, "/api/v1/digest", nil, &out)
 	return out, err
 }
 
@@ -742,7 +584,7 @@ func (c *Client) Digest(ctx context.Context) (crowddb.DigestCut, error) {
 // the post-promotion state.
 func (c *Client) Promote(ctx context.Context) (crowddb.ReplicationStatus, error) {
 	var out crowddb.ReplicationStatus
-	err := c.post(ctx, "/api/v1/replication/promote", nil, &out)
+	err := c.call(ctx, http.MethodPost, "/api/v1/replication/promote", nil, &out)
 	return out, err
 }
 
@@ -753,7 +595,7 @@ func (c *Client) Promote(ctx context.Context) (crowddb.ReplicationStatus, error)
 // Fencing.Observed rather than inferring from the status code.
 func (c *Client) FenceNode(ctx context.Context, history string, epoch uint64, newPrimary string) (crowddb.FenceResponse, error) {
 	var out crowddb.FenceResponse
-	err := c.post(ctx, "/api/v1/replication/fence", crowddb.FenceRequest{
+	err := c.call(ctx, http.MethodPost, "/api/v1/replication/fence", crowddb.FenceRequest{
 		History: history, Epoch: epoch, NewPrimary: newPrimary,
 	}, &out)
 	return out, err
@@ -767,7 +609,7 @@ func (c *Client) FenceNode(ctx context.Context, history string, epoch uint64, ne
 // refuses with 409 fenced.
 func (c *Client) RenewLease(ctx context.Context, holder string, ttl time.Duration) (crowddb.ReadyzResponse, error) {
 	var out crowddb.ReadyzResponse
-	err := c.post(ctx, "/api/v1/replication/lease", crowddb.LeaseRequest{
+	err := c.call(ctx, http.MethodPost, "/api/v1/replication/lease", crowddb.LeaseRequest{
 		Holder: holder, TTLMs: ttl.Milliseconds(),
 	}, &out)
 	return out, err
@@ -780,7 +622,7 @@ func (c *Client) RenewLease(ctx context.Context, holder string, ttl time.Duratio
 // freezing its head, before verifying the successor caught up.
 func (c *Client) SealLease(ctx context.Context, holder string) (crowddb.ReadyzResponse, error) {
 	var out crowddb.ReadyzResponse
-	err := c.post(ctx, "/api/v1/replication/lease", crowddb.LeaseRequest{
+	err := c.call(ctx, http.MethodPost, "/api/v1/replication/lease", crowddb.LeaseRequest{
 		Holder: holder, Seal: true,
 	}, &out)
 	return out, err

@@ -2,11 +2,11 @@ package crowdclient
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync/atomic"
 
@@ -14,13 +14,16 @@ import (
 )
 
 // Multi fans one logical client across a primary and its read
-// replicas. It routes by operation class:
+// replicas. It routes each request by its route-table row
+// (crowddb.RouteOf), so the policy is the server's gate seen from the
+// client:
 //
-//   - Reads (selections, gets, stats) round-robin across every
-//     endpoint and fail over to the next on transport errors, an open
+//   - Reads (every GET and the pure selection POST) round-robin across
+//     every endpoint and fail over to the next on transport errors, an open
 //     breaker, 5xx, or a not_primary refusal — any healthy copy of the
 //     model answers a read.
-//   - Writes go to the believed primary only. Failover is deliberately
+//   - Writes (every other row: mutations and crowdql statements) go
+//     to the believed primary only. Failover is deliberately
 //     narrow: the Multi moves to another endpoint only when the error
 //     proves the mutation was not applied — the breaker was open or
 //     the dial failed (the request never reached a server), or the
@@ -35,6 +38,8 @@ import (
 // write as the new believed primary, so steady-state traffic pays no
 // discovery cost. It is safe for concurrent use.
 type Multi struct {
+	api // the typed data surface, over call
+
 	clients   []*Client
 	endpoints []string
 	primary   atomic.Int64 // index of the believed primary
@@ -50,6 +55,7 @@ func NewMulti(endpoints []string, opts Options) (*Multi, error) {
 		return nil, errors.New("crowdclient: NewMulti needs at least one endpoint")
 	}
 	m := &Multi{}
+	m.api = api{m}
 	for _, e := range endpoints {
 		c := New(e, opts)
 		m.clients = append(m.clients, c)
@@ -72,6 +78,7 @@ func NewMulti(endpoints []string, opts Options) (*Multi, error) {
 // true for the others. Failover counters start fresh per view.
 func (m *Multi) ForTenant(name string) *Multi {
 	nm := &Multi{endpoints: append([]string(nil), m.endpoints...)}
+	nm.api = api{nm}
 	for _, c := range m.clients {
 		nm.clients = append(nm.clients, c.ForTenant(name))
 	}
@@ -247,168 +254,22 @@ func (m *Multi) read(fn func(c *Client) error) error {
 	return fmt.Errorf("read failed on every endpoint: %w", lastErr)
 }
 
-// Selections ranks crowds for a batch of task texts on any available
-// endpoint (replicas serve this read).
-func (m *Multi) Selections(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	var out crowddb.SelectionsResponse
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.Selections(ctx, tasks)
-		return e
-	})
-	return out, err
-}
-
-// GetTask fetches a stored task from any available endpoint.
-func (m *Multi) GetTask(ctx context.Context, id int) (crowddb.TaskRecord, error) {
-	var out crowddb.TaskRecord
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.GetTask(ctx, id)
-		return e
-	})
-	return out, err
-}
-
-// Stats fetches the database counters from any available endpoint.
-func (m *Multi) Stats(ctx context.Context) (crowddb.StatsResponse, error) {
-	var out crowddb.StatsResponse
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.Stats(ctx)
-		return e
-	})
-	return out, err
-}
-
-// SubmitTask submits one task to the primary, failing over per the
-// write policy.
-func (m *Multi) SubmitTask(ctx context.Context, text string, k int) (crowddb.SubmitResponse, error) {
-	var out crowddb.SubmitResponse
-	err := m.write(func(c *Client) error {
-		var e error
-		out, e = c.SubmitTask(ctx, text, k)
-		return e
-	})
-	return out, err
-}
-
-// SubmitBatch submits a batch to the primary.
-func (m *Multi) SubmitBatch(ctx context.Context, tasks []crowddb.SubmitRequest) ([]crowddb.SubmitResponse, error) {
-	var out []crowddb.SubmitResponse
-	err := m.write(func(c *Client) error {
-		var e error
-		out, e = c.SubmitBatch(ctx, tasks)
-		return e
-	})
-	return out, err
-}
-
-// Answer records a worker's answer on the primary.
-func (m *Multi) Answer(ctx context.Context, taskID, workerID int, answer string) error {
-	return m.write(func(c *Client) error {
-		return c.Answer(ctx, taskID, workerID, answer)
-	})
-}
-
-// Feedback resolves a task with per-worker scores on the primary.
-func (m *Multi) Feedback(ctx context.Context, taskID int, scores map[int]float64) (crowddb.TaskRecord, error) {
-	var out crowddb.TaskRecord
-	err := m.write(func(c *Client) error {
-		var e error
-		out, e = c.Feedback(ctx, taskID, scores)
-		return e
-	})
-	return out, err
-}
-
-// Query runs one crowdql statement on the primary (a SELECT CROWD
-// submits tasks, so the whole endpoint routes as a write).
-func (m *Multi) Query(ctx context.Context, q string) (json.RawMessage, error) {
-	var out json.RawMessage
-	err := m.write(func(c *Client) error {
-		var e error
-		out, e = c.Query(ctx, q)
-		return e
-	})
-	return out, err
-}
-
-// GetWorker fetches a worker row from any available endpoint.
-func (m *Multi) GetWorker(ctx context.Context, id int) (crowddb.Worker, error) {
-	var out crowddb.Worker
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.GetWorker(ctx, id)
-		return e
-	})
-	return out, err
-}
-
-// SetPresence flips a worker's online flag on the primary.
-func (m *Multi) SetPresence(ctx context.Context, id int, online bool) error {
-	return m.write(func(c *Client) error {
-		return c.SetPresence(ctx, id, online)
-	})
-}
-
-// SelectionsScored is Selections with per-worker Eq. 1 scores, served
-// by primary or replica alike.
-func (m *Multi) SelectionsScored(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	var out crowddb.SelectionsResponse
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.SelectionsScored(ctx, tasks)
-		return e
-	})
-	return out, err
-}
-
-// SelectionsProjected is SelectionsScored that also returns the
-// projected categories and their version, served by primary or replica
-// alike.
-func (m *Multi) SelectionsProjected(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	var out crowddb.SelectionsResponse
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.SelectionsProjected(ctx, tasks)
-		return e
-	})
-	return out, err
-}
-
-// SelectionsByCategory scores categories projected elsewhere on any
-// available endpoint. A 409 category_mismatch is the shard's answer, not
-// an endpoint fault, and is returned without failing over.
-func (m *Multi) SelectionsByCategory(ctx context.Context, tasks []crowddb.SubmitRequest, categories [][]float64, version string) (crowddb.SelectionsResponse, error) {
-	var out crowddb.SelectionsResponse
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.SelectionsByCategory(ctx, tasks, categories, version)
-		return e
-	})
-	return out, err
-}
-
-// SkillFeedback folds feedback into locally-owned posteriors on the
-// primary (mutation — follows not_primary redirects). forwardOf >= 0
-// keys the request for owner-side deduplication; see
-// Client.SkillFeedback.
-func (m *Multi) SkillFeedback(ctx context.Context, forwardOf int, taskText string, scores map[int]float64) error {
-	return m.write(func(c *Client) error {
-		return c.SkillFeedback(ctx, forwardOf, taskText, scores)
-	})
-}
-
-// Topology reads the fleet layout from whichever endpoint answers.
-func (m *Multi) Topology(ctx context.Context) (crowddb.Topology, error) {
-	var out crowddb.Topology
-	err := m.read(func(c *Client) error {
-		var e error
-		out, e = c.Topology(ctx)
-		return e
-	})
-	return out, err
+// call sends one request by its route-table row (crowddb.RouteOf): a
+// request any copy may serve reads round-robin, every other one writes
+// to the believed primary. A failed attempt leaves out zeroed, so the
+// next endpoint decodes into a clean value.
+func (m *Multi) call(ctx context.Context, method, path string, body, out any) error {
+	send := func(c *Client) error {
+		err := c.call(ctx, method, path, body, out)
+		if err != nil && out != nil {
+			reflect.ValueOf(out).Elem().SetZero()
+		}
+		return err
+	}
+	if read, _, _ := crowddb.RouteOf(method, path); read {
+		return m.read(send)
+	}
+	return m.write(send)
 }
 
 // Client returns the per-endpoint client at index i, for direct

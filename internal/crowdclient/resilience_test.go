@@ -202,11 +202,11 @@ func TestIdempotentClassification(t *testing.T) {
 		method, url string
 		want        bool
 	}{
-		{http.MethodGet, "http://x/api/v1/stats", true},
-		{http.MethodPost, "http://x/api/v1/selections", true},
-		{http.MethodPost, "http://x/api/v1/tasks", false},
-		{http.MethodPost, "http://x/api/v1/query", false},
-		{http.MethodPost, "http://x/api/v1/tasks/1/feedback", false},
+		{http.MethodGet, "/api/v1/stats", true},
+		{http.MethodPost, "/api/v1/selections", true},
+		{http.MethodPost, "/api/v1/tasks", false},
+		{http.MethodPost, "/api/v1/query", false},
+		{http.MethodPost, "/api/v1/tasks/1/feedback", false},
 	}
 	for _, c := range cases {
 		if got := idempotent(c.method, c.url); got != c.want {

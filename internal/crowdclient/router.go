@@ -26,11 +26,12 @@ import (
 //     others score those categories (see scatterScored).
 //     Shards that are entirely unreachable are skipped: selections
 //     degrade to the surviving shards' candidates instead of failing.
-//   - Task reads and mutations (get, answer, feedback) go to the
-//     task's home shard, identified by id mod count — shards mint
-//     strided task ids precisely so the id carries its owner.
-//   - Worker presence goes to the worker's owner under the consistent-
-//     hash ring shared with the servers.
+//   - A request whose route names a task or a worker goes to the
+//     shard that owns it, by the route-table row's key
+//     (crowddb.RouteOf): a task to its home shard, id mod count —
+//     shards mint strided task ids precisely so the id carries its
+//     owner — and a worker (get, presence) to its owner under the
+//     consistent-hash ring shared with the servers.
 //   - Feedback resolves at the home shard, then forwards each foreign
 //     answerer's score to that worker's owner shard over
 //     skills:feedback, so every posterior lands exactly once.
@@ -233,20 +234,6 @@ func (r *Router) snapshotShards() []*Multi {
 	return append([]*Multi(nil), r.shards...)
 }
 
-func (r *Router) shardForTask(id int) (*Multi, int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	idx := crowddb.ShardOfTask(id, r.topo.Count)
-	return r.shards[idx], idx
-}
-
-func (r *Router) shardForWorker(id int) (*Multi, int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	idx := crowddb.ShardOfWorker(id, r.topo.Count)
-	return r.shards[idx], idx
-}
-
 // wrongShardErr extracts the *APIError when err is a 421 wrong_shard
 // refusal (possibly wrapped by a Multi's failover report).
 func wrongShardErr(err error) *APIError {
@@ -257,12 +244,22 @@ func wrongShardErr(err error) *APIError {
 	return nil
 }
 
-// rerouted runs do against the shard picked by pick; on a wrong_shard
-// refusal it refreshes the topology and retries once — at the owner the
-// server hinted when the hint is in range, else at pick's new answer.
-func (r *Router) rerouted(ctx context.Context, pick func() (*Multi, int), do func(m *Multi) error) error {
-	m, _ := pick()
-	err := do(m)
+// call sends one {id}-keyed request to the shard that owns the id under
+// its route-table row's key (crowddb.RouteOf), through that shard's
+// Multi. On a wrong_shard refusal it refreshes the topology and retries
+// once — at the owner the server hinted when the hint is in range, else
+// at the new layout's owner.
+func (r *Router) call(ctx context.Context, method, path string, body, out any) error {
+	_, key, id := crowddb.RouteOf(method, path)
+	if key == crowddb.KeyNone {
+		return fmt.Errorf("crowdclient: %s %s names no owning shard", method, path)
+	}
+	owner := func() *Multi {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return r.shards[key.ShardOf(id, r.topo.Count)]
+	}
+	err := owner().call(ctx, method, path, body, out)
 	ae := wrongShardErr(err)
 	if ae == nil {
 		return err
@@ -270,19 +267,16 @@ func (r *Router) rerouted(ctx context.Context, pick func() (*Multi, int), do fun
 	if rerr := r.Refresh(ctx); rerr != nil {
 		return errors.Join(err, rerr)
 	}
-	if ae.ShardOwner >= 0 {
-		r.mu.RLock()
-		inRange := ae.ShardOwner < len(r.shards)
-		if inRange {
-			m = r.shards[ae.ShardOwner]
-		}
-		r.mu.RUnlock()
-		if inRange {
-			return do(m)
-		}
+	var m *Multi
+	r.mu.RLock()
+	if ae.ShardOwner >= 0 && ae.ShardOwner < len(r.shards) {
+		m = r.shards[ae.ShardOwner]
 	}
-	m, _ = pick()
-	return do(m)
+	r.mu.RUnlock()
+	if m == nil {
+		m = owner()
+	}
+	return m.call(ctx, method, path, body, out)
 }
 
 // checkLeg validates the shape of one shard's scored response where it
@@ -497,22 +491,12 @@ func (r *Router) SubmitTask(ctx context.Context, text string, k int) (crowddb.Su
 
 // GetTask fetches a task from its home shard.
 func (r *Router) GetTask(ctx context.Context, id int) (crowddb.TaskRecord, error) {
-	var out crowddb.TaskRecord
-	err := r.rerouted(ctx,
-		func() (*Multi, int) { return r.shardForTask(id) },
-		func(m *Multi) error {
-			var e error
-			out, e = m.GetTask(ctx, id)
-			return e
-		})
-	return out, err
+	return api{r}.GetTask(ctx, id)
 }
 
 // Answer records a worker's answer on the task's home shard.
 func (r *Router) Answer(ctx context.Context, taskID, workerID int, text string) error {
-	return r.rerouted(ctx,
-		func() (*Multi, int) { return r.shardForTask(taskID) },
-		func(m *Multi) error { return m.Answer(ctx, taskID, workerID, text) })
+	return api{r}.Answer(ctx, taskID, workerID, text)
 }
 
 // Feedback resolves a task at its home shard, then forwards each
@@ -531,15 +515,9 @@ func (r *Router) Answer(ctx context.Context, taskID, workerID int, text string) 
 // retry the whole call until it returns nil, and every posterior still
 // folds exactly once.
 func (r *Router) Feedback(ctx context.Context, taskID int, scores map[int]float64) (crowddb.TaskRecord, error) {
-	var rec crowddb.TaskRecord
-	_, home := r.shardForTask(taskID)
-	err := r.rerouted(ctx,
-		func() (*Multi, int) { return r.shardForTask(taskID) },
-		func(m *Multi) error {
-			var e error
-			rec, e = m.Feedback(ctx, taskID, scores)
-			return e
-		})
+	count := r.Count()
+	home := crowddb.ShardOfTask(taskID, count)
+	rec, err := api{r}.Feedback(ctx, taskID, scores)
 	if err != nil {
 		// The resolve may have committed on an earlier attempt whose
 		// forwards never drained (the home shard answers bad-state
@@ -551,7 +529,6 @@ func (r *Router) Feedback(ctx context.Context, taskID int, scores map[int]float6
 		}
 		rec = stored
 	}
-	count := r.Count()
 	foreign := make(map[int]map[int]float64)
 	for _, a := range rec.Answers {
 		owner := crowddb.ShardOfWorker(a.Worker, count)
@@ -581,23 +558,13 @@ func (r *Router) Feedback(ctx context.Context, taskID int, scores map[int]float6
 // SetPresence flips a worker's availability on the shard that owns the
 // worker.
 func (r *Router) SetPresence(ctx context.Context, id int, online bool) error {
-	return r.rerouted(ctx,
-		func() (*Multi, int) { return r.shardForWorker(id) },
-		func(m *Multi) error { return m.SetPresence(ctx, id, online) })
+	return api{r}.SetPresence(ctx, id, online)
 }
 
 // GetWorker fetches a worker's roster entry from its owner shard (the
-// owner holds the authoritative presence bit).
+// owner holds the authoritative presence bit; the others refuse).
 func (r *Router) GetWorker(ctx context.Context, id int) (crowddb.Worker, error) {
-	var out crowddb.Worker
-	err := r.rerouted(ctx,
-		func() (*Multi, int) { return r.shardForWorker(id) },
-		func(m *Multi) error {
-			var e error
-			out, e = m.GetWorker(ctx, id)
-			return e
-		})
-	return out, err
+	return api{r}.GetWorker(ctx, id)
 }
 
 // FleetStats returns every shard's stats, indexed by shard.

@@ -11,8 +11,9 @@ import (
 // below (DESIGN §8). ServeHTTP resolves a request to its row before the
 // first gate and takes everything from it: which gates apply (class),
 // the metrics label (METHOD path), the allowed methods of a 405, the
-// {id} parse and the handler. APIRoutes, APIReferenceMarkdown and the
-// README's table are views of the same rows.
+// {id} parse, the shard that owns the id (key) and the handler.
+// APIRoutes, APIReferenceMarkdown, the README's table and the client's
+// routing (RouteOf) are views of the same rows.
 
 // routeClass is which of ServeHTTP's gates a route passes through.
 type routeClass uint8
@@ -44,40 +45,65 @@ const (
 	classProbe
 )
 
+// PartitionKey is what a route's {id} stands for in a sharded fleet
+// (DESIGN §11): the shard that owns the id serves the route, and every
+// other shard refuses it with 421 wrong_shard. A KeyNone route names no
+// partitioned resource.
+type PartitionKey uint8
+
+const (
+	KeyNone   PartitionKey = iota
+	KeyTask                // a task id, homed on ShardOfTask
+	KeyWorker              // a worker id, owned under ShardOfWorker
+)
+
+// ShardOf returns the shard of a count-shard fleet that owns id under a
+// task or worker key.
+func (k PartitionKey) ShardOf(id, count int) int {
+	if k == KeyWorker {
+		return ShardOfWorker(id, count)
+	}
+	return ShardOfTask(id, count)
+}
+
+// String names the partitioned resource.
+func (k PartitionKey) String() string { return [...]string{"none", "task", "worker"}[k] }
+
 // route is one row of the table. A path holding {id} is served by
 // serveID, which receives the parsed id; any other by serve.
 type route struct {
 	methods string // "GET", "POST" or "GET, POST": the Allow header of a 405
 	path    string // template, also the metrics label's second half
 	class   routeClass
-	tenant  bool // documented as also served under /api/v1/t/{tenant}/...
+	key     PartitionKey // what {id} names; its owner serves the route
+	tenant  bool         // documented as also served under /api/v1/t/{tenant}/...
 	doc     string
 	serve   func(*Server, http.ResponseWriter, *http.Request)
 	serveID func(*Server, http.ResponseWriter, *http.Request, int)
 }
 
 var routes = []route{
-	{"POST", "/api/v1/tasks", classMutation, true, "submit one task, get its selected crowd", (*Server).handleTasks, nil},
-	{"POST", "/api/v1/tasks:batch", classMutation, true, "submit up to 1024 tasks in one round trip", (*Server).handleTasksBatch, nil},
-	{"POST", "/api/v1/selections", classRead, true, "pure selection: rank crowds, store nothing (with scores and task categories on request: the legs of a fleet selection)", (*Server).handleSelections, nil},
-	{"GET", "/api/v1/tasks/{id}", classRead, true, "fetch one task", nil, (*Server).handleGetTask},
-	{"POST", "/api/v1/tasks/{id}/answers", classMutation, true, "record a worker's answer", nil, (*Server).handleAnswer},
-	{"POST", "/api/v1/tasks/{id}/feedback", classMutation, true, "resolve a task with feedback scores", nil, (*Server).handleFeedback},
-	{"GET", "/api/v1/workers/{id}", classRead, true, "fetch one worker", nil, (*Server).handleGetWorker},
-	{"POST", "/api/v1/workers/{id}/presence", classMutation, true, "set a worker online/offline", nil, (*Server).handlePresence},
-	{"GET", "/api/v1/stats", classRead, true, "crowd database counters", (*Server).handleStats, nil},
-	{"GET", "/api/v1/digest", classRead, true, "integrity digest cut at the current applied position", (*Server).handleDigest, nil},
-	{"GET", "/api/v1/backup", classFleet, true, "digest-stamped backup archive stream (full or `?since=` incremental)", (*Server).handleBackup, nil},
-	{"POST", "/api/v1/query", classQuery, true, "run a crowdql statement", (*Server).handleQuery, nil},
-	{"POST", "/api/v1/skills:feedback", classMutation, true, "fold cross-shard feedback into owned posteriors", (*Server).handleSkillFeedback, nil},
-	{"GET", "/api/v1/replication/stream", classFleet, true, "long-lived journal stream for followers", (*Server).handleReplStream, nil},
-	{"GET", "/api/v1/metrics", classRead, false, "node metrics snapshot (all tenants)", (*Server).handleMetrics, nil},
-	{"GET, POST", "/api/v1/topology", classAdmin, false, "fleet topology document (GET) / admin update (POST)", (*Server).handleTopology, nil},
-	{"POST", "/api/v1/replication/promote", classFleet, false, "flip a replica to primary (all tenants)", (*Server).handlePromote, nil},
-	{"POST", "/api/v1/replication/fence", classFleet, false, "deliver a fencing order", (*Server).handleFence, nil},
-	{"POST", "/api/v1/replication/lease", classFleet, false, "renew or seal the supervisor mutation lease", (*Server).handleLease, nil},
-	{"GET", "/healthz", classProbe, false, "liveness probe", (*Server).handleHealthz, nil},
-	{"GET", "/readyz", classProbe, false, "readiness probe (role, fencing, replication lag)", (*Server).handleReadyz, nil},
+	{"POST", "/api/v1/tasks", classMutation, KeyNone, true, "submit one task, get its selected crowd", (*Server).handleTasks, nil},
+	{"POST", "/api/v1/tasks:batch", classMutation, KeyNone, true, "submit up to 1024 tasks in one round trip", (*Server).handleTasksBatch, nil},
+	{"POST", "/api/v1/selections", classRead, KeyNone, true, "pure selection: rank crowds, store nothing (with scores and task categories on request: the legs of a fleet selection)", (*Server).handleSelections, nil},
+	{"GET", "/api/v1/tasks/{id}", classRead, KeyTask, true, "fetch one task", nil, (*Server).handleGetTask},
+	{"POST", "/api/v1/tasks/{id}/answers", classMutation, KeyTask, true, "record a worker's answer", nil, (*Server).handleAnswer},
+	{"POST", "/api/v1/tasks/{id}/feedback", classMutation, KeyTask, true, "resolve a task with feedback scores", nil, (*Server).handleFeedback},
+	{"GET", "/api/v1/workers/{id}", classRead, KeyWorker, true, "fetch one worker", nil, (*Server).handleGetWorker},
+	{"POST", "/api/v1/workers/{id}/presence", classMutation, KeyWorker, true, "set a worker online/offline", nil, (*Server).handlePresence},
+	{"GET", "/api/v1/stats", classRead, KeyNone, true, "crowd database counters", (*Server).handleStats, nil},
+	{"GET", "/api/v1/digest", classRead, KeyNone, true, "integrity digest cut at the current applied position", (*Server).handleDigest, nil},
+	{"GET", "/api/v1/backup", classFleet, KeyNone, true, "digest-stamped backup archive stream (full or `?since=` incremental)", (*Server).handleBackup, nil},
+	{"POST", "/api/v1/query", classQuery, KeyNone, true, "run a crowdql statement", (*Server).handleQuery, nil},
+	{"POST", "/api/v1/skills:feedback", classMutation, KeyNone, true, "fold cross-shard feedback into owned posteriors", (*Server).handleSkillFeedback, nil},
+	{"GET", "/api/v1/replication/stream", classFleet, KeyNone, true, "long-lived journal stream for followers", (*Server).handleReplStream, nil},
+	{"GET", "/api/v1/metrics", classRead, KeyNone, false, "node metrics snapshot (all tenants)", (*Server).handleMetrics, nil},
+	{"GET, POST", "/api/v1/topology", classAdmin, KeyNone, false, "fleet topology document (GET) / admin update (POST)", (*Server).handleTopology, nil},
+	{"POST", "/api/v1/replication/promote", classFleet, KeyNone, false, "flip a replica to primary (all tenants)", (*Server).handlePromote, nil},
+	{"POST", "/api/v1/replication/fence", classFleet, KeyNone, false, "deliver a fencing order", (*Server).handleFence, nil},
+	{"POST", "/api/v1/replication/lease", classFleet, KeyNone, false, "renew or seal the supervisor mutation lease", (*Server).handleLease, nil},
+	{"GET", "/healthz", classProbe, KeyNone, false, "liveness probe", (*Server).handleHealthz, nil},
+	{"GET", "/readyz", classProbe, KeyNone, false, "readiness probe (role, fencing, replication lag)", (*Server).handleReadyz, nil},
 }
 
 // allows reports whether the row answers method.
@@ -140,10 +166,27 @@ func labelMethod(method string) string {
 	return "OTHER"
 }
 
+// RouteOf resolves a canonical (unscoped) request to the client's view
+// of its row: read reports whether any copy may serve it and repeat it
+// (a GET, or a classRead row: the pure selection POST); key and id name
+// the partition whose owner serves it, KeyNone when there is none.
+func RouteOf(method, path string) (read bool, key PartitionKey, id int) {
+	rt, idSeg := matchRoute(path)
+	if rt == nil || !rt.allows(method) {
+		return method == http.MethodGet, KeyNone, 0
+	}
+	read = method == http.MethodGet || rt.class == classRead
+	if n, err := strconv.Atoi(idSeg); err == nil {
+		return read, rt.key, n
+	}
+	return read, KeyNone, 0
+}
+
 // dispatch runs the matched row's handler once the gates have passed.
 // It is the one place an unclaimed path becomes the enveloped 404 (so
 // even typo'd URLs honor the error-envelope contract), a wrong method
-// the 405 naming what is allowed, and a non-numeric {id} the 400.
+// the 405 naming what is allowed, a non-numeric {id} the 400, and an
+// id another shard owns the 421 wrong_shard.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt *route, idSeg string) {
 	switch {
 	case rt == nil:
@@ -155,6 +198,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt *route, idS
 		id, err := strconv.Atoi(idSeg)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad id %q in %s", idSeg, rt.path))
+			return
+		}
+		if sp := s.shard(); !sp.Owns(rt.key, id) {
+			s.writeShardErr(w, r, &WrongShardError{Resource: rt.key.String(), ID: id, Owner: rt.key.ShardOf(id, sp.Count)})
 			return
 		}
 		rt.serveID(s, w, r, id)

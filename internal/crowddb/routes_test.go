@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -131,5 +132,50 @@ func TestGateMatrixByClass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWrongShardGetWorker: on a sharded fleet the row's worker key
+// gates GET /api/v1/workers/{id} like presence. A non-owner never sees
+// the worker's presence flips, so it refuses with the 421 and the owner
+// hint instead of answering a bit frozen at its boot value; the owner
+// answers the bit it was set to.
+func TestWrongShardGetWorker(t *testing.T) {
+	var nodes [2]*httptest.Server
+	for i := range nodes {
+		mgr, _ := managerFixture(t)
+		mgr.SetShard(ShardSpec{Index: i, Count: 2})
+		nodes[i] = httptest.NewServer(NewServer(mgr))
+		t.Cleanup(nodes[i].Close)
+	}
+	id := 0
+	for ShardOfWorker(id, 2) != 1 {
+		id++
+	}
+	worker := "/api/v1/workers/" + strconv.Itoa(id)
+	if resp := postJSON(t, nodes[1].URL+worker+"/presence", map[string]any{"online": false}); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("owner presence flip: %d", resp.StatusCode)
+	}
+
+	resp, err := http.Get(nodes[0].URL + worker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner := resp.Header.Get("X-Crowdd-Shard-Owner"); resp.StatusCode != http.StatusMisdirectedRequest || owner != "1" {
+		t.Errorf("non-owner GET %s: %d with owner hint %q, want 421 naming shard 1", worker, resp.StatusCode, owner)
+	}
+	if env := decode[ErrorEnvelope](t, resp); env.Error.Code != codeWrongShard {
+		t.Errorf("non-owner envelope code %q, want %q", env.Error.Code, codeWrongShard)
+	}
+
+	resp, err = http.Get(nodes[1].URL + worker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner GET %s: %d", worker, resp.StatusCode)
+	}
+	if w := decode[Worker](t, resp); w.ID != id || w.Online {
+		t.Errorf("owner answered %+v, want worker %d offline", w, id)
 	}
 }

@@ -298,32 +298,9 @@ func (s *Server) writeShardErr(w http.ResponseWriter, r *http.Request, err error
 	}
 	w.Header().Set("X-Crowdd-Shard-Owner", strconv.Itoa(wse.Owner))
 	if url := s.topo.get().URLOf(wse.Owner); url != "" {
-		wse.OwnerURL = url
 		w.Header().Set("X-Crowdd-Shard-Owner-URL", url)
 	}
 	httpErrorCode(w, http.StatusMisdirectedRequest, codeWrongShard, wse)
-}
-
-// refuseUnownedTask gates the /tasks/{id} routes on a sharded node:
-// a task homed elsewhere gets the typed 421 so the caller re-routes.
-// Reports true when the request was refused.
-func (s *Server) refuseUnownedTask(w http.ResponseWriter, r *http.Request, id int) bool {
-	sp := s.shard()
-	if sp.OwnsTask(id) {
-		return false
-	}
-	s.writeShardErr(w, r, &WrongShardError{Resource: "task", ID: id, Owner: ShardOfTask(id, sp.Count)})
-	return true
-}
-
-// refuseUnownedWorker gates worker mutations (presence) the same way.
-func (s *Server) refuseUnownedWorker(w http.ResponseWriter, r *http.Request, id int) bool {
-	sp := s.shard()
-	if sp.OwnsWorker(id) {
-		return false
-	}
-	s.writeShardErr(w, r, &WrongShardError{Resource: "worker", ID: id, Owner: ShardOfWorker(id, sp.Count)})
-	return true
 }
 
 // SetRole declares this node's replication role. A replica refuses
@@ -1197,9 +1174,6 @@ type feedbackRequest struct {
 }
 
 func (s *Server) handleGetTask(w http.ResponseWriter, r *http.Request, id int) {
-	if s.refuseUnownedTask(w, r, id) {
-		return
-	}
 	task, err := s.tenantFor(r).Manager.Store().GetTask(id)
 	if err != nil {
 		writeErr(w, r, err)
@@ -1209,9 +1183,6 @@ func (s *Server) handleGetTask(w http.ResponseWriter, r *http.Request, id int) {
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id int) {
-	if s.refuseUnownedTask(w, r, id) {
-		return
-	}
 	var req answerRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -1224,9 +1195,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id int) {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, id int) {
-	if s.refuseUnownedTask(w, r, id) {
-		return
-	}
 	var req feedbackRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -1258,9 +1226,6 @@ func (s *Server) handleGetWorker(w http.ResponseWriter, r *http.Request, id int)
 }
 
 func (s *Server) handlePresence(w http.ResponseWriter, r *http.Request, id int) {
-	if s.refuseUnownedWorker(w, r, id) {
-		return
-	}
 	var req presenceRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -1333,10 +1298,6 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		httpErrorCode(w, http.StatusConflict, codeReplicaDiverged, err)
 	case errors.Is(err, core.ErrCategoryVersion):
 		httpErrorCode(w, http.StatusConflict, codeCategoryMismatch, err)
-	case errors.Is(err, ErrWrongShard):
-		// Bare mapping (no owner headers) for callers that did not go
-		// through writeShardErr.
-		httpErrorCode(w, http.StatusMisdirectedRequest, codeWrongShard, err)
 	case serverDeadlineFired(r.Context()) &&
 		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)):
 		w.Header().Set("Retry-After", "1")

@@ -72,22 +72,14 @@ func (sp ShardSpec) String() string {
 	return fmt.Sprintf("%d/%d", sp.Index, sp.Count)
 }
 
-// OwnsWorker reports whether this shard owns worker id on the ring.
-func (sp ShardSpec) OwnsWorker(id int) bool {
-	if !sp.Enabled() {
-		return true
-	}
-	return ShardOfWorker(id, sp.Count) == sp.Index
+// Owns reports whether this shard owns id under key k: always on an
+// unsharded node or for KeyNone.
+func (sp ShardSpec) Owns(k PartitionKey, id int) bool {
+	return !sp.Enabled() || k == KeyNone || k.ShardOf(id, sp.Count) == sp.Index
 }
 
-// OwnsTask reports whether task id is homed on this shard under the
-// strided id scheme.
-func (sp ShardSpec) OwnsTask(id int) bool {
-	if !sp.Enabled() {
-		return true
-	}
-	return ShardOfTask(id, sp.Count) == sp.Index
-}
+// OwnsWorker reports whether this shard owns worker id on the ring.
+func (sp ShardSpec) OwnsWorker(id int) bool { return sp.Owns(KeyWorker, id) }
 
 // ShardOfTask returns the home shard of a strided task id.
 func ShardOfTask(id, count int) int {
@@ -179,8 +171,7 @@ var ErrWrongShard = errors.New("wrong shard")
 type WrongShardError struct {
 	Resource string // "worker" | "task"
 	ID       int
-	Owner    int    // owning shard index
-	OwnerURL string // owner's base URL when the topology is known ("" otherwise)
+	Owner    int // owning shard index
 }
 
 func (e *WrongShardError) Error() string {

@@ -35,7 +35,7 @@ func TestShardSpecOwnership(t *testing.T) {
 	if solo.Enabled() {
 		t.Error("zero spec reports enabled")
 	}
-	if !solo.OwnsWorker(42) || !solo.OwnsTask(42) {
+	if !solo.OwnsWorker(42) || !solo.Owns(KeyTask, 42) {
 		t.Error("unsharded node must own everything")
 	}
 	sp := ShardSpec{Index: 1, Count: 3}
@@ -43,8 +43,8 @@ func TestShardSpecOwnership(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 	for id := 0; id < 50; id++ {
-		if sp.OwnsTask(id) != (id%3 == 1) {
-			t.Errorf("OwnsTask(%d) wrong under stride", id)
+		if sp.Owns(KeyTask, id) != (id%3 == 1) {
+			t.Errorf("Owns(KeyTask, %d) wrong under stride", id)
 		}
 		if sp.OwnsWorker(id) != (ShardOfWorker(id, 3) == 1) {
 			t.Errorf("OwnsWorker(%d) disagrees with ShardOfWorker", id)
