@@ -599,9 +599,7 @@ func registerSlice(srv *crowddb.Server, cfg daemonConfig, sl *slice, fence *crow
 		MaxInflight: cfg.tenantQuota,
 	}
 	if sl.db != nil {
-		sl.src = crowddb.NewTransferSource(sl.db, crowddb.TransferSourceOptions{Logf: log.Printf})
-		sl.src.SetFence(fence)
-		sl.src.SetDigest(sl.digest)
+		sl.src = crowddb.NewTransferSource(sl.db, fence, sl.digest, crowddb.TransferSourceOptions{Logf: log.Printf})
 		tc.Degraded, tc.Digest, tc.ReplicationSource, tc.Backup = sl.db.Degraded, sl.digest, sl.src.Stream(), sl.src.Segment()
 	}
 	if sl.name != crowddb.DefaultTenant {

@@ -73,8 +73,9 @@ func bootBackupNode(t *testing.T, dir string, d *corpus.Dataset, m *core.Model) 
 	srv := crowddb.NewServer(mgr)
 	cutter := crowddb.NewDigestCutter(db, mgr)
 	srv.SetDigestProvider(cutter.Func())
-	bsrc := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Logf: t.Logf})
-	bsrc.SetDigest(cutter.Func())
+	fence := crowddb.NewFence(db)
+	srv.SetFence(fence)
+	bsrc := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{Logf: t.Logf})
 	srv.SetBackupSource(bsrc.Segment())
 	ts := httptest.NewServer(srv)
 	var once sync.Once

@@ -75,16 +75,14 @@ func newReplPrimary(t *testing.T) *replRig {
 	srv := crowddb.NewServer(mgr)
 	srv.SetDegradedCheck(db.Degraded)
 	srv.SetDurabilityStats(db.Stats)
-	src := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	fence := crowddb.NewFence(db)
+	srv.SetFence(fence)
 	cutter := crowddb.NewDigestCutter(db, mgr)
-	src.SetDigest(cutter.Func())
+	src := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	srv.SetDigestProvider(cutter.Func())
 	srv.SetIntegrityStats(db.ScrubStats)
 	srv.SetReplicationSource(src.Stream())
 	srv.SetReplicationStatus(src.Status)
-	fence := crowddb.NewFence(db)
-	srv.SetFence(fence)
-	src.SetFence(fence)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.CloseClientConnections()
@@ -161,9 +159,7 @@ func startFollowerDir(t *testing.T, primaryURL, dir string) (*follower, *httptes
 	srv.SetFence(fence)
 	// A promoted standby must be able to feed followers of its own —
 	// the healed fleet re-converges by re-pointing at the winner.
-	src := crowddb.NewTransferSource(rep.DB(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	src.SetFence(fence)
-	src.SetDigest(rep.Digest)
+	src := crowddb.NewTransferSource(rep.DB(), fence, rep.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	srv.SetDigestProvider(rep.Digest)
 	srv.SetReplicationSource(src.Stream())
 	ts := httptest.NewServer(srv)

@@ -83,7 +83,9 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 		srv := crowddb.NewServer(mgr)
 		srv.SetDegradedCheck(db.Degraded)
 		srv.SetDurabilityStats(db.Stats)
-		src := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+		fence := crowddb.NewFence(db)
+		srv.SetFence(fence)
+		src := crowddb.NewTransferSource(db, fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 		srv.SetReplicationSource(src.Stream())
 		srv.SetReplicationStatus(src.Status)
 		ts := httptest.NewServer(srv)

@@ -66,8 +66,8 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	src := crowddb.NewTransferSource(db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	src.SetFence(p.def.fence) // fencing is node-level; tenants share it
+	// Fencing is node-level; tenants share it.
+	src := crowddb.NewTransferSource(db, p.def.fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 
 	// Rebuild the HTTP shell so both tenants hang off one listener —
 	// newReplPrimary already started a server for the default tenant,
@@ -75,11 +75,10 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	srv := crowddb.NewServer(p.def.mgr)
 	srv.SetDegradedCheck(p.def.db.Degraded)
 	srv.SetDurabilityStats(p.def.db.Stats)
-	defSrc := crowddb.NewTransferSource(p.def.db, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	defSrc := crowddb.NewTransferSource(p.def.db, p.def.fence, crowddb.NewDigestCutter(p.def.db, p.def.mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	srv.SetReplicationSource(defSrc.Stream())
 	srv.SetReplicationStatus(defSrc.Status)
 	srv.SetFence(p.def.fence)
-	defSrc.SetFence(p.def.fence)
 	if err := srv.AddTenant("acme", crowddb.TenantConfig{
 		Manager:           mgr,
 		Degraded:          db.Degraded,
@@ -133,11 +132,9 @@ func startTenantFollower(t *testing.T, primaryURL string) (def, acme *follower, 
 	})
 	fence := crowddb.NewFence(def.DB())
 	srv.SetFence(fence)
-	defSrc := crowddb.NewTransferSource(def.DB(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	defSrc.SetFence(fence)
+	defSrc := crowddb.NewTransferSource(def.DB(), fence, def.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	srv.SetReplicationSource(defSrc.Stream())
-	acmeSrc := crowddb.NewTransferSource(acme.DB(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	acmeSrc.SetFence(fence)
+	acmeSrc := crowddb.NewTransferSource(acme.DB(), fence, acme.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	if err := srv.AddTenant("acme", crowddb.TenantConfig{
 		Manager:           acme.mgr,
 		ReplicationSource: acmeSrc.Stream(),

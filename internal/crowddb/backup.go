@@ -20,8 +20,9 @@ import (
 // cut it was taken under — (history, seq, digest), stamped from the
 // same quiesced digest cut /api/v1/digest serves — and closes with a
 // trailer proving the segment arrived whole. A full segment carries
-// the generation's bootstrap (dataset, model checkpoint, store
-// snapshot) followed by the journal records up to the cut; an
+// the generation's bootstrap (the dataset when the source has one, then
+// the model checkpoint and the store snapshot, both required) followed
+// by the journal records up to the cut; an
 // incremental segment carries only records. Interrupted transfers
 // resume by appending an incremental segment that chains exactly at
 // the last record received, so one file can accumulate a full backup
@@ -243,6 +244,9 @@ func (wk *backupWalker) feed(typ byte, payload []byte, off int64) error {
 	case frameSnapshot:
 		if !wk.inSegment || wk.closed || !wk.m.Full || wk.bootstrapDone {
 			return archiveErr(off, ErrArchiveCorrupt, "snapshot frame outside a full segment's bootstrap")
+		}
+		if !wk.sawModel {
+			return archiveErr(off, ErrArchiveCorrupt, "full segment without a model checkpoint")
 		}
 		var sm replSnapshotMsg
 		if err := json.Unmarshal(payload, &sm); err != nil {
@@ -545,12 +549,10 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 	}
 	g := generation{
 		dataset: dataset,
+		model:   fromBytes(model),
 		store:   fromBytes(snap.file()),
 		sidecar: adoptedSidecar(info.History, info.BaseSeq, info.Manifest.FencingEpoch),
 		tenant:  info.Tenant,
-	}
-	if model != nil {
-		g.model = fromBytes(model)
 	}
 	sc, err := writeGeneration(dir, gen, g)
 	if err != nil {
@@ -615,8 +617,6 @@ type BackupVerifyReport struct {
 // against the final manifest's stamps. Any flipped bit fails one of
 // them: CRC catches payload damage, the digest anything subtler, and a
 // record that does not apply fails the boot's replay (*CorruptError).
-// An archive without a model checkpoint fails the boot as it would on
-// a node.
 func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyReport, error) {
 	if opts.Build == nil {
 		return nil, errors.New("crowddb: verify-backup needs a builder")

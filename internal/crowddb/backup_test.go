@@ -30,8 +30,7 @@ func backupPrimary(t *testing.T) (*durableRig, *DigestCutter, *TransferSource, *
 		t.Fatal(err)
 	}
 	cutter := NewDigestCutter(rig.db, rig.mgr)
-	src := NewTransferSource(rig.db, TransferSourceOptions{})
-	src.SetDigest(cutter.Func())
+	src := NewTransferSource(rig.db, NewFence(rig.db), cutter.Func(), TransferSourceOptions{})
 	ts := httptest.NewServer(src.Segment())
 	t.Cleanup(ts.Close)
 	return rig, cutter, src, ts
@@ -565,6 +564,55 @@ func TestBackupRefusedRestoreLeavesDestinationAsFound(t *testing.T) {
 				t.Fatalf("%s (existed=%v): good archive after the refusal: %v", c.name, existed, err)
 			}
 		}
+	}
+}
+
+// TestBackupRefusesSegmentWithoutModel: a full segment must carry the
+// model checkpoint before its snapshot, because no node boots a
+// generation without one. An archive whose model frame was cut out at a
+// frame boundary is codec-valid, so the grammar refuses it: the walk,
+// the streaming copy, verification and restore all answer
+// ErrArchiveCorrupt, and the refused restore writes nothing.
+func TestBackupRefusesSegmentWithoutModel(t *testing.T) {
+	raw, _ := oneTaskArchive(t)
+	var cut bytes.Buffer
+	r := bytes.NewReader(raw)
+	for off := int64(0); ; {
+		typ, _, n, err := readReplFrame(r, off)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != frameModel {
+			cut.Write(raw[off : off+n])
+		}
+		off += n
+	}
+	if cut.Len() == len(raw) {
+		t.Fatal("the archive carried no model frame to cut")
+	}
+	path := writeArchive(t, cut.Bytes())
+	if _, err := walkBackupArchive(bytes.NewReader(cut.Bytes()), backupSink{}); !errors.Is(err, ErrArchiveCorrupt) {
+		t.Fatalf("walk of a model-less segment = %v, want ErrArchiveCorrupt", err)
+	}
+	if _, err := CopyBackupStream(io.Discard, bytes.NewReader(cut.Bytes())); !errors.Is(err, ErrArchiveCorrupt) {
+		t.Fatalf("copy of a model-less segment = %v, want ErrArchiveCorrupt", err)
+	}
+	if _, err := VerifyBackup([]string{path}, VerifyBackupOptions{Build: testReplicaBuilder()}); !errors.Is(err, ErrArchiveCorrupt) {
+		t.Fatalf("verify of a model-less segment = %v, want ErrArchiveCorrupt", err)
+	}
+	dest := filepath.Join(t.TempDir(), "dest")
+	if _, err := RestoreBackup(dest, []string{path}, RestoreOptions{}); !errors.Is(err, ErrArchiveCorrupt) {
+		t.Fatalf("restore of a model-less segment = %v, want ErrArchiveCorrupt", err)
+	}
+	entries, err := os.ReadDir(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("refused restore left %s behind", e.Name())
 	}
 }
 

@@ -170,9 +170,10 @@ func TestMetricsOmitSelectionLegsOffFleet(t *testing.T) {
 // 64 once a cache hit was copied into pooled batch scratch rather than
 // cloned (the cold twin is coldSelectionAllocFence), 44 since the
 // rankings are cut from the request's pooled arena and the response is
-// appended straight from them, with no response DTO and no reflection.
-// The fence is that count plus 4, which per-task rankings, id slices or
-// the encoder coming back would cross.
+// appended straight from them, with no response DTO and no reflection,
+// 46 since every server is fenced and each response carries the two
+// fencing gossip headers. The fence is 44 plus 4, which per-task
+// rankings, id slices or the encoder coming back would cross.
 const selectionsHandlerAllocFence = 48
 
 // TestSelectionsHandlerAllocationFence keeps the fleet's DTO fields out
@@ -216,11 +217,13 @@ func TestSelectionsHandlerAllocationFence(t *testing.T) {
 // texts) through Server.ServeHTTP on a recorder: 105 allocations and
 // 16.4 KB while the body went through a json.Decoder with a read buffer
 // of its own, 100 and 14.2 KB decoded from a pooled buffer by
-// json.Unmarshal, 23 and ≈ 8.4 KB since the leg is scanned into the
-// request's pooled scratch, ranked into its arena and written from it —
-// what is left is the recorder, the request and the middleware. The
-// count fence is the measured one plus 4; either fence fails a
-// reflective decode or a response DTO.
+// json.Unmarshal, 23 and ≈ 8.4 KB once the leg was scanned into the
+// request's pooled scratch, ranked into its arena and written from it,
+// 25 and ≈ 8.4–8.5 KB since every server is fenced and each response
+// carries the two fencing gossip headers — what is left is the
+// recorder, the request, the middleware and those headers. The count
+// fence is 23 plus 4; either fence fails a reflective decode or a
+// response DTO.
 const (
 	scoreOnlyLegAllocFence = 27
 	scoreOnlyLegByteFence  = 9 << 10

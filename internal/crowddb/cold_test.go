@@ -131,7 +131,9 @@ func fillCache(tb testing.TB, d *corpus.Dataset, cm *core.ConcurrentModel, srv *
 // per-request read buffer; 90 and 14.4 KB while the keys took 16 bytes a
 // term and every category was cloned into a slice of its own; 73 and
 // ≈ 11.4 KB while each ranking was a fresh slice and the response went
-// through a DTO and the reflective encoder. It takes 53 and ≈ 9.9 KB.
+// through a DTO and the reflective encoder; 53 and ≈ 9.9 KB before every
+// server was fenced. It takes 55 and ≈ 10.0–10.3 KB, the two more being
+// the fencing gossip headers every response carries.
 // The fences leave room for a collection emptying the pools mid-run, not
 // for a map, a token slice, a cache entry, a category or a ranking per
 // text, nor for that decoder or encoder.

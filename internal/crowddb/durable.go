@@ -255,9 +255,8 @@ func listGenerations(dir string) (gens []uint64, journals map[uint64]int64, err 
 // verifyGeneration is the one check of a written generation, run by
 // every boot and every scrub pass: it reads generation g's snapshot
 // and model checkpoint once each, compares each file's SHA-256 with its
-// stamp in sc when set, and parses it. The model may be absent (a nil
-// model) only when unstamped: a store-only or pre-digest generation.
-// Every finding is a *ScrubError naming the file.
+// stamp in sc when set, and parses it. Every finding, a missing model
+// checkpoint included, is a *ScrubError naming the file.
 func verifyGeneration(dir string, g uint64, sc replSidecar) (*Store, *core.Model, error) {
 	spath := filepath.Join(dir, fmt.Sprintf(snapshotPattern, g))
 	data, err := readStamped(spath, sc.StoreDigest)
@@ -269,11 +268,7 @@ func verifyGeneration(dir string, g uint64, sc replSidecar) (*Store, *core.Model
 		return nil, nil, &ScrubError{Path: spath, Err: err}
 	}
 	mpath := filepath.Join(dir, fmt.Sprintf(modelPattern, g))
-	data, err = readStamped(mpath, sc.ModelDigest)
-	if err != nil {
-		if sc.ModelDigest == "" && errors.Is(err, os.ErrNotExist) {
-			return store, nil, nil
-		}
+	if data, err = readStamped(mpath, sc.ModelDigest); err != nil {
 		return nil, nil, err
 	}
 	model, err := core.LoadModel(bytes.NewReader(data))
@@ -343,6 +338,7 @@ func (db *DB) SetModelSnapshotter(save func(io.Writer) error) {
 // snapshot with no resolve half-applied between the store and the
 // model (Manager.ResolveTask commits to the store first, then updates
 // posteriors — a snapshot between the two would desynchronize them).
+// Must be set before Begin and before any compaction.
 func (db *DB) SetQuiescer(q func(func() error) error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -420,7 +416,8 @@ func (db *DB) recoverJournal(onResolve func(TaskRecord) error) error {
 // Begin makes a freshly bootstrapped DB live: it writes generation 1
 // (model checkpoint + store snapshot), opens an empty journal and
 // starts the auto-compaction loop. The store must already hold the
-// initial state (registered workers).
+// initial state (registered workers), and SetModelSnapshotter and
+// SetQuiescer must have wired the model the generation checkpoints.
 func (db *DB) Begin() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -429,6 +426,9 @@ func (db *DB) Begin() error {
 	}
 	if db.gen != 0 {
 		return errors.New("crowddb: Begin on a restored data directory (use RecoverWith)")
+	}
+	if db.saveModel == nil || db.quiesce == nil {
+		return errors.New("crowddb: Begin needs SetModelSnapshotter and SetQuiescer")
 	}
 	if err := db.switchLocked(nil, nil); err != nil {
 		return err
@@ -518,12 +518,8 @@ func (db *DB) adopt(g generation, replace func(*core.Model)) error {
 // enters degraded mode, so nothing is acknowledged into a superseded
 // journal. Callers hold db.mu.
 func (db *DB) switchLocked(adopted *generation, replace func(*core.Model)) error {
-	run := db.quiesce
-	if run == nil {
-		run = func(f func() error) error { return f() }
-	}
 	next := db.gen + 1
-	err := run(func() error {
+	err := db.quiesce(func() error {
 		// With resolves quiesced and the store write-locked, the store
 		// snapshot, the model checkpoint, the journal rotation and the
 		// replication position all observe the same instant.
@@ -578,8 +574,8 @@ func (db *DB) writeNextLocked(next uint64, adopted *generation, replace func(*co
 		head := replSidecar{History: r.history, Seq: r.seq,
 			FencingEpoch: r.fencingEpoch, FencingObserved: r.fencingObserved}
 		r.mu.Unlock()
-		// Read the tenant field directly: Store.Tenant() would self-
-		// deadlock on the write lock held here.
+		// The tenant field is read directly: the store's write lock is
+		// held here.
 		g = &generation{model: db.saveModel, store: db.store.snapshotLocked, sidecar: head,
 			tenant: cmp.Or(db.store.tenant, DefaultTenant)}
 	}
@@ -599,13 +595,12 @@ func (db *DB) writeNextLocked(next uint64, adopted *generation, replace func(*co
 	return nil
 }
 
-// generation is what writeGeneration writes. dataset is the vocabulary
-// source of a generation installed from another node's state (a
-// restore, a fresh follower); compaction leaves the directory's dataset
-// alone and passes nil. A nil model writes a store-only generation (a
-// node without a model snapshotter). sidecar carries the history, the
-// snapshot's position and the fencing epochs; the writer adds the
-// digests, bound to tenant.
+// generation is what writeGeneration writes: a model checkpoint and a
+// store snapshot, always both. dataset is the vocabulary source of a
+// generation installed from another node's state (a restore, a fresh
+// follower); compaction leaves the directory's dataset alone and passes
+// nil. sidecar carries the history, the snapshot's position and the
+// fencing epochs; the writer adds the digests, bound to tenant.
 type generation struct {
 	dataset      []byte
 	model, store func(io.Writer) error
@@ -626,17 +621,15 @@ func writeGeneration(dir string, n uint64, g generation) (replSidecar, error) {
 			return sc, fmt.Errorf("dataset: %w", err)
 		}
 	}
-	if g.model != nil {
-		h := sha256.New()
-		err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(modelPattern, n)), func(w io.Writer) error {
-			return g.model(io.MultiWriter(w, h))
-		})
-		if err != nil {
-			return sc, fmt.Errorf("model checkpoint: %w", err)
-		}
-		sc.ModelDigest = hex.EncodeToString(h.Sum(nil))
-	}
 	h := sha256.New()
+	err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(modelPattern, n)), func(w io.Writer) error {
+		return g.model(io.MultiWriter(w, h))
+	})
+	if err != nil {
+		return sc, fmt.Errorf("model checkpoint: %w", err)
+	}
+	sc.ModelDigest = hex.EncodeToString(h.Sum(nil))
+	h = sha256.New()
 	snapshot := filepath.Join(dir, fmt.Sprintf(snapshotPattern, n))
 	tmp, err := stageFile(snapshot, func(w io.Writer) error { return g.store(io.MultiWriter(w, h)) })
 	if err != nil {

@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -311,6 +312,33 @@ func TestBootRefusesRottenSoleGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBootRefused(t, dir, spath)
+}
+
+// TestBootRefusesMissingUnstampedModel: every generation holds a model
+// checkpoint, so one without it refuses the boot naming the file, even
+// when its sidecar predates digest stamps and so promises no model.
+func TestBootRefusesMissingUnstampedModel(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
+	rig.resolveOneTask(t, "acked in the sole generation", []float64{4, 2})
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sc := readSidecar(t, dir, 1)
+	sc.Digest, sc.ModelDigest, sc.StoreDigest = "", "", ""
+	b, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(replPattern, uint64(1))), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, fmt.Sprintf(modelPattern, uint64(1)))
+	if err := os.Remove(mpath); err != nil {
+		t.Fatal(err)
+	}
+	assertBootRefused(t, dir, mpath)
 }
 
 // TestOpenRefusesJournalWithoutSnapshot: a directory holding a journal

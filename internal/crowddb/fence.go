@@ -30,9 +30,10 @@ import (
 // node's own epoch un-seals it, so a supervisor restart does not
 // permanently fence a healthy primary. A supervisor that waits out
 // K missed probes with LeaseTTL < K×probe-interval is guaranteed the
-// old primary stopped acking before the new one is promoted. Nodes
-// never granted a lease (no supervisor) are never lease-sealed —
-// fencing stays opt-in for hand-operated fleets.
+// old primary stopped acking before the new one is promoted. Every
+// server has a Fence (NewServer starts with a memory-only one), but the
+// lease stays opt-in: nodes never granted a lease (no supervisor) are
+// never lease-sealed, so a hand-operated fleet runs unsupervised.
 
 // ErrFenced reports that a node is sealed: a higher fencing epoch
 // exists for its history, or its supervisor lease lapsed.
@@ -61,8 +62,8 @@ type FenceStatus struct {
 
 // Fence is one node's fencing state. Backed by a durable DB the
 // epochs persist in the replication sidecar; with db nil (an
-// in-memory server) they live in the Fence itself. Safe for
-// concurrent use.
+// in-memory server, and every server until SetFence replaces it) they
+// live in the Fence itself. Safe for concurrent use.
 type Fence struct {
 	db *DB // nil: memory-only epochs
 

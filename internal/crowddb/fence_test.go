@@ -150,6 +150,36 @@ func TestFencingEpochPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestFencedByDefault: a server built without SetFence is fenced all
+// the same, by the memory-only fence an in-memory node runs. It gossips
+// its epoch and history, obeys a fence order for that history, and
+// then refuses mutations with the typed 409.
+func TestFencedByDefault(t *testing.T) {
+	mgr, _ := managerFixture(t)
+	api := httptest.NewServer(NewServer(mgr))
+	defer api.Close()
+
+	resp, err := http.Get(api.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	history := resp.Header.Get("X-Crowdd-History")
+	if got := resp.Header.Get("X-Crowdd-Fencing-Epoch"); got != "1" || history == "" {
+		t.Fatalf("bare server gossips epoch %q history %q, want epoch 1 and a history", got, history)
+	}
+
+	resp = postJSON(t, api.URL+"/api/v1/replication/fence", FenceRequest{History: history, Epoch: 2})
+	if fr := decode[FenceResponse](t, resp); resp.StatusCode != http.StatusOK || fr.Role != RoleFenced || !fr.Fencing.Sealed {
+		t.Fatalf("fence order on a bare server = %s %+v, want 200 fenced", resp.Status, fr)
+	}
+	resp = postJSON(t, api.URL+"/api/v1/tasks", SubmitRequest{Text: "a write after the deposition", K: 1})
+	if env := decode[ErrorEnvelope](t, resp); resp.StatusCode != http.StatusConflict || env.Error.Code != codeFenced {
+		t.Fatalf("mutation on a fenced bare server = %s %+v, want 409 %s", resp.Status, env, codeFenced)
+	}
+}
+
 // TestFencedServerGate drives the HTTP layer end to end: an explicit
 // fence order seals a deposed primary (inbound gossip headers are
 // untrusted and must NOT), mutations refuse with the typed 409 and
@@ -159,8 +189,7 @@ func TestFencedServerGate(t *testing.T) {
 	rig, src, ts := replPrimary(t)
 	rig.resolveOneTask(t, "one committed task before the deposition", []float64{4, 2})
 
-	fence := NewFence(rig.db)
-	src.SetFence(fence)
+	fence := src.fence
 	srv := NewServer(rig.mgr)
 	srv.SetFence(fence)
 	api := httptest.NewServer(srv)

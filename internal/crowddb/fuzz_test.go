@@ -81,6 +81,7 @@ func FuzzBackupArchiveDecoder(f *testing.F) {
 	full := archive(
 		[2]any{frameBackupManifest, manifest},
 		[2]any{frameDataset, `{"workers":[],"tasks":[]}`},
+		[2]any{frameModel, `{}`},
 		[2]any{frameSnapshot, snapshot},
 		[2]any{frameRecord, record},
 		[2]any{frameBackupEnd, trailer},
@@ -102,6 +103,15 @@ func FuzzBackupArchiveDecoder(f *testing.F) {
 	oldManifest := `{"format":1,"history":"h1","full":true,"base_seq":0,"base_bytes":0,"seq":1,"bytes":70,"fencing_epoch":1,"generation":1}`
 	f.Add(archive(
 		[2]any{frameBackupManifest, oldManifest},
+		[2]any{frameModel, `{}`},
+		[2]any{frameSnapshot, snapshot},
+		[2]any{frameRecord, record},
+		[2]any{frameBackupEnd, trailer},
+	))
+	// A full segment whose model frame was cut out at its boundary.
+	f.Add(archive(
+		[2]any{frameBackupManifest, manifest},
+		[2]any{frameDataset, `{"workers":[],"tasks":[]}`},
 		[2]any{frameSnapshot, snapshot},
 		[2]any{frameRecord, record},
 		[2]any{frameBackupEnd, trailer},

@@ -317,8 +317,7 @@ func TestScrubDetectsSnapshotCorruption(t *testing.T) {
 // file it must hold at rest — the model checkpoint its sidecar stamps,
 // its snapshot, its journal — fails the scrub naming that file and
 // degrades the node, and the probe loop heals it with a new generation
-// cut from memory. Only an unstamped model may be absent: a store-only
-// generation scrubs clean.
+// cut from memory.
 func TestScrubDetectsMissingFilesAndHeals(t *testing.T) {
 	for name, pattern := range map[string]string{"model": modelPattern, "snapshot": snapshotPattern, "journal": journalPattern} {
 		t.Run(name, func(t *testing.T) {
@@ -355,22 +354,6 @@ func TestScrubDetectsMissingFilesAndHeals(t *testing.T) {
 			}
 		})
 	}
-	t.Run("unstamped model", func(t *testing.T) {
-		db, err := Open(t.TempDir(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		if _, err := db.Store().AddWorker(0, "w0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Begin(); err != nil { // no model snapshotter: store-only
-			t.Fatal(err)
-		}
-		if err := db.Scrub(); err != nil {
-			t.Fatalf("store-only generation: %v", err)
-		}
-	})
 }
 
 // TestBootRefusesCorruptModelCheckpoint: when the newest generation's

@@ -8,6 +8,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"crowdselect/internal/core"
 )
 
 // journalScript drives a store through a representative mutation
@@ -348,6 +350,7 @@ func TestSyncPolicies(t *testing.T) {
 // boot. The replay truncates it away, appends continue from the last good
 // byte, and they survive the next boot.
 func TestRecoverTruncatesTornTail(t *testing.T) {
+	d, model := trainedFixture(t)
 	dir := t.TempDir()
 	boot := func() *DB {
 		t.Helper()
@@ -356,6 +359,13 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		if db.Fresh() {
+			cm := core.NewConcurrentModel(model)
+			mgr, err := NewManager(db.Store(), d.Vocab, cm, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.SetModelSnapshotter(cm.Save)
+			db.SetQuiescer(mgr.Quiesce)
 			err = db.Begin()
 		} else {
 			err = db.recoverJournal(nil)

@@ -181,18 +181,21 @@ func TestManagerOverJournaledStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := db.Store()
+	cm := core.NewConcurrentModel(m)
+	mgr, err := NewManager(store, d.Vocab, cm, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetModelSnapshotter(cm.Save)
+	db.SetQuiescer(mgr.Quiesce)
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	store := db.Store()
 	for i := range d.Workers {
 		if _, err := store.AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	mgr, err := NewManager(store, d.Vocab, core.NewConcurrentModel(m), 2)
-	if err != nil {
-		t.Fatal(err)
 	}
 	sub, err := mgr.SubmitTask(context.Background(), "some task about anything", 2)
 	if err != nil {

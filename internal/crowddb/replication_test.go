@@ -32,8 +32,7 @@ func replPrimary(t *testing.T) (*durableRig, *TransferSource, *httptest.Server) 
 	if err := d.SaveFile(rig.db.DatasetPath()); err != nil {
 		t.Fatal(err)
 	}
-	src := NewTransferSource(rig.db, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	src.SetDigest(NewDigestCutter(rig.db, rig.mgr).Func())
+	src := NewTransferSource(rig.db, NewFence(rig.db), NewDigestCutter(rig.db, rig.mgr).Func(), TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	ts := httptest.NewServer(src.Stream())
 	t.Cleanup(ts.Close)
 	return rig, src, ts
@@ -423,7 +422,7 @@ func TestPromotedReplicaFeedsItsOwnFollowers(t *testing.T) {
 
 	// Serve the promoted node's journal; a second-tier follower
 	// bootstraps from it and tracks its new writes.
-	src2 := NewTransferSource(rep.DB(), TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src2 := NewTransferSource(rep.DB(), NewFence(rep.DB()), rep.Digest, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 	ts2 := httptest.NewServer(src2.Stream())
 	defer ts2.Close()
 	rep2 := startTestReplica(t, ts2.URL, t.TempDir())

@@ -143,14 +143,10 @@ func (db *DB) scrubGeneration(gen uint64, stamps replSidecar) error {
 	db.scrub.records.Add(int64(res.Records))
 	db.scrub.files.Add(1)
 
-	_, model, err := verifyGeneration(db.dir, gen, stamps)
-	if err != nil {
+	if _, _, err := verifyGeneration(db.dir, gen, stamps); err != nil {
 		return err
 	}
-	db.scrub.files.Add(1)
-	if model != nil {
-		db.scrub.files.Add(1)
-	}
+	db.scrub.files.Add(2)
 	return nil
 }
 

@@ -88,7 +88,7 @@ type Server struct {
 	role       atomic.Value             // RolePrimary | RoleReplica
 	replStatus func() ReplicationStatus // nil: no replication section
 	promoter   func(context.Context) error
-	fence      *Fence // nil: no fencing (hand-operated fleets)
+	fence      *Fence // NewFence(nil) until SetFence installs the durable one
 	fleetToken string // non-empty: bearer token gating /api/v1/replication/*
 
 	cacheStats func() core.ProjectionCacheStats // nil: no cache section
@@ -131,7 +131,7 @@ const statusClientClosedRequest = 499
 // recover state on boot call SetReady(false) before serving and flip
 // it once recovery completes.
 func NewServer(mgr *Manager) *Server {
-	s := &Server{metrics: NewMetrics(), maxBody: defaultMaxBody}
+	s := &Server{metrics: NewMetrics(), maxBody: defaultMaxBody, fence: NewFence(nil)}
 	s.ready.Store(true)
 	s.tenants = map[string]*tenantEntry{
 		DefaultTenant: {name: DefaultTenant, TenantConfig: TenantConfig{Manager: mgr}},
@@ -350,13 +350,14 @@ func (s *Server) SetBackupSource(h http.Handler) { s.tenants[DefaultTenant].Back
 // replica's divergence counters on a follower).
 func (s *Server) SetIntegrityStats(f func() IntegritySnapshot) { s.integrity = f }
 
-// SetFence installs the node's fencing state (DESIGN §12): every
-// response then advertises the highest fencing epoch this node has
-// seen via X-Crowdd-Fencing-Epoch, sealed nodes refuse mutations with
-// 409 fenced, and POST /api/v1/replication/{fence,lease} come alive.
-// Epoch observations arrive only through those endpoints and the
-// replication stream — never from request headers, which any client
-// can forge.
+// SetFence replaces the node's fencing state (DESIGN §12); a durable
+// node installs the Fence over its DB, whose epochs persist, in place of
+// the memory-only one NewServer starts with. Every response advertises
+// the highest fencing epoch this node has seen via
+// X-Crowdd-Fencing-Epoch, sealed nodes refuse mutations with 409
+// fenced, and POST /api/v1/replication/{fence,lease} serve. Epoch
+// observations arrive only through those endpoints and the replication
+// stream — never from request headers, which any client can forge.
 func (s *Server) SetFence(f *Fence) { s.fence = f }
 
 // SetFleetToken arms the fleet-control gate: with a non-empty token,
@@ -381,7 +382,7 @@ func (s *Server) fleetAuthorized(r *http.Request) bool {
 // roleNow is the effective role: the stored role, overridden by
 // "fenced" while the node is sealed.
 func (s *Server) roleNow() string {
-	if s.fence != nil && s.fence.Sealed() {
+	if s.fence.Sealed() {
 		return RoleFenced
 	}
 	return s.Role()
@@ -395,7 +396,7 @@ func (s *Server) replicationStatusNow() ReplicationStatus {
 		st = s.replStatus()
 		st.Role = s.roleNow()
 	}
-	if s.fence != nil && st.FencingEpoch == 0 {
+	if st.FencingEpoch == 0 {
 		st.FencingEpoch = s.fence.Epoch()
 	}
 	return st
@@ -424,13 +425,11 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 // mutations are accepted. Idempotent — promoting a primary reports
 // its status with 200.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.fence != nil {
-		if st := s.fence.Status(); st.Sealed && st.SealedBy == "epoch" {
-			// A node deposed by epoch cannot be promoted in place — a
-			// newer primary exists; re-point this node as its follower.
-			s.fence.Refuse(w, errors.New("cannot promote a fenced node"))
-			return
-		}
+	if s.fence.SealedByEpoch() {
+		// A node deposed by epoch cannot be promoted in place — a newer
+		// primary exists; re-point this node as its follower.
+		s.fence.Refuse(w, errors.New("cannot promote a fenced node"))
+		return
 	}
 	if s.Role() == RolePrimary {
 		writeJSON(w, http.StatusOK, s.replicationStatusNow())
@@ -470,10 +469,6 @@ type FenceResponse struct {
 }
 
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
-	if s.fence == nil {
-		httpError(w, http.StatusNotImplemented, errors.New("fencing not configured"))
-		return
-	}
 	var req FenceRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -502,10 +497,6 @@ type LeaseRequest struct {
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	if s.fence == nil {
-		httpError(w, http.StatusNotImplemented, errors.New("fencing not configured"))
-		return
-	}
 	var req LeaseRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -515,15 +506,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			s.fence.Refuse(w, errors.New("step-down refused: node already deposed"))
 			return
 		}
-		writeJSON(w, http.StatusOK, ReadyzResponse{
-			Status:       "ready",
-			Role:         s.roleNow(),
-			FencingEpoch: s.fence.Epoch(),
-			Replication:  s.replicationSection(),
-		})
-		return
-	}
-	if err := s.fence.Renew(req.Holder, time.Duration(req.TTLMs)*time.Millisecond); err != nil {
+	} else if err := s.fence.Renew(req.Holder, time.Duration(req.TTLMs)*time.Millisecond); err != nil {
 		if errors.Is(err, ErrFenced) {
 			s.fence.Refuse(w, errors.New("lease refused: node already deposed"))
 			return
@@ -569,12 +552,8 @@ type ReadyzResponse struct {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	resp := ReadyzResponse{Status: "ready", Role: s.roleNow()}
-	if s.fence != nil {
-		fs := s.fence.Status()
-		resp.FencingEpoch = fs.Epoch
-		resp.Fencing = &fs
-	}
+	fs := s.fence.Status()
+	resp := ReadyzResponse{Status: "ready", Role: s.roleNow(), FencingEpoch: fs.Epoch, Fencing: &fs}
 	if s.replStatus != nil {
 		st := s.replicationStatusNow()
 		resp.Replication = &st
@@ -671,19 +650,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.logf("%s %s -> %d (%s)", r.Method, r.URL.Path, status, time.Since(start).Round(time.Microsecond))
 		}
 	}()
-	if s.fence != nil {
-		// Epoch gossip, outbound only: every response advertises the
-		// highest fencing epoch this node has seen, so clients learn of
-		// a deposition from the first node that heard of the new epoch
-		// and re-resolve. Inbound request headers are never trusted —
-		// the history string rides every response, so a request echoing
-		// it with a huge epoch would let any unauthenticated client
-		// permanently brick a primary. Epoch observations enter only
-		// through the fence endpoint and the replication stream, both
-		// behind the fleet token when one is configured.
-		sw.Header().Set("X-Crowdd-Fencing-Epoch", strconv.FormatUint(s.fence.ObservedEpoch(), 10))
-		sw.Header().Set("X-Crowdd-History", s.fence.History())
-	}
+	// Epoch gossip, outbound only: every response advertises the
+	// highest fencing epoch this node has seen, so clients learn of a
+	// deposition from the first node that heard of the new epoch and
+	// re-resolve. Inbound request headers are never trusted — the
+	// history string rides every response, so a request echoing it with
+	// a huge epoch would let any unauthenticated client permanently
+	// brick a primary. Epoch observations enter only through the fence
+	// endpoint and the replication stream, both behind the fleet token
+	// when one is configured.
+	sw.Header().Set("X-Crowdd-Fencing-Epoch", strconv.FormatUint(s.fence.ObservedEpoch(), 10))
+	sw.Header().Set("X-Crowdd-History", s.fence.History())
 	// Tenant rewrite, before the route is resolved: /api/v1/t/{name}/rest
 	// becomes /api/v1/rest with the tenant in the request context, so
 	// tenant-scoped and default spellings share one row, one handler and
@@ -736,7 +713,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// replica must not.
 	mutation := class == classMutation || (class == classAdmin && r.Method == http.MethodPost)
 	writes := class == classMutation || class == classQuery
-	if s.fence != nil && writes && s.fence.Sealed() {
+	if writes && s.fence.Sealed() {
 		// Sealed node: refuse every mutation with the typed 409 and
 		// the new-primary hint. Checked before the replica gate — a
 		// fenced node's 421 would point at a deposed primary.
@@ -858,10 +835,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if sp := s.shard(); sp.Enabled() {
 		snap.Shard = &ShardInfoSnapshot{Index: sp.Index, Count: sp.Count, Epoch: s.topo.get().Epoch}
 	}
-	if s.fence != nil {
-		fs := s.fence.Status()
-		snap.Fencing = &fs
-	}
+	fs := s.fence.Status()
+	snap.Fencing = &fs
 	if s.integrity != nil {
 		is := s.integrity()
 		snap.Integrity = &is

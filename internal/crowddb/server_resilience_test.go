@@ -91,8 +91,8 @@ func TestServerDegradedReadOnly(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("readyz while degraded = %d, want 200", r.StatusCode)
 	}
-	if body := decode[map[string]string](t, r); body["mode"] != "degraded_read_only" {
-		t.Fatalf("readyz body = %v, want mode detail", body)
+	if body := decode[ReadyzResponse](t, r); body.Mode != "degraded_read_only" {
+		t.Fatalf("readyz body = %+v, want mode detail", body)
 	}
 
 	degraded.Store(false)

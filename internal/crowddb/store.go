@@ -9,7 +9,6 @@ package crowddb
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,13 +218,6 @@ func (s *Store) SetTenant(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tenant = name
-}
-
-// Tenant reports the store's namespace (DefaultTenant when unset).
-func (s *Store) Tenant() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return cmp.Or(s.tenant, DefaultTenant)
 }
 
 // AddWorker inserts a worker with the given id (the id must match the

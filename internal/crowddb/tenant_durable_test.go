@@ -90,7 +90,7 @@ func TestDefaultJournalHasNoTenantStamps(t *testing.T) {
 		t.Fatalf("pre-tenant journal refused by default-stamped store: %v", err)
 	}
 	defer rec.db.Close()
-	if got := rec.db.Store().Tenant(); got != DefaultTenant {
+	if got := rec.db.Store().tenant; got != DefaultTenant {
 		t.Errorf("recovered store tenant = %q", got)
 	}
 	assertModelsEqual(t, pre, rec.cm.Unwrap())

@@ -1,6 +1,7 @@
 package crowddb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -185,9 +186,11 @@ func TestTenantAliasMatchesDefault(t *testing.T) {
 	okHandler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
 	wired := func(mgr *Manager) TenantConfig {
 		return TenantConfig{
-			Manager:           mgr,
-			Query:             fixedEngine{},
-			Digest:            func() (DigestCut, error) { return DigestCut{Tenant: mgr.store.Tenant(), Seq: 7}, nil },
+			Manager: mgr,
+			Query:   fixedEngine{},
+			Digest: func() (DigestCut, error) {
+				return DigestCut{Tenant: cmp.Or(mgr.store.tenant, DefaultTenant), Seq: 7}, nil
+			},
 			ReplicationSource: okHandler,
 			Backup:            okHandler,
 		}

@@ -67,12 +67,20 @@ const segmentDrainWait = 10 * time.Second
 // §15): a copy of a node — a follower's or an archive's — is "store
 // snapshot + model checkpoint + ordered journal tail", and its two
 // handlers, Stream and Segment, are endings of the same transfer.
+//
+// The node's fence seals the source: an epoch-sealed source refuses
+// streams and segments alike (409 fenced), and a follower presenting a
+// higher epoch in its stream request seals it on the spot. The digest
+// stamps every idle heartbeat with a consistent (seq, digest) cut,
+// which followers applied to the same seq compare against their own
+// state (DESIGN §14), and every manifest with the cut the archive
+// promises, which restore and offline verification prove against.
 type TransferSource struct {
 	db        *DB
 	heartbeat time.Duration
 	logf      func(format string, args ...any)
-	fence     *Fence     // optional; nil serves unfenced
-	digest    DigestFunc // optional; heartbeats and manifests then carry digest cuts
+	fence     *Fence
+	digest    DigestFunc
 
 	followers  atomic.Int64 // streams open right now
 	streams    atomic.Int64 // streams ever served
@@ -81,29 +89,17 @@ type TransferSource struct {
 	resumes    atomic.Int64 // incremental segments served
 }
 
-// NewTransferSource builds a source over db.
-func NewTransferSource(db *DB, opts TransferSourceOptions) *TransferSource {
+// NewTransferSource builds a source over db, sealed by fence and
+// stamped by digest.
+func NewTransferSource(db *DB, fence *Fence, digest DigestFunc, opts TransferSourceOptions) *TransferSource {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 500 * time.Millisecond
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	return &TransferSource{db: db, heartbeat: opts.Heartbeat, logf: opts.Logf}
+	return &TransferSource{db: db, heartbeat: opts.Heartbeat, logf: opts.Logf, fence: fence, digest: digest}
 }
-
-// SetFence attaches the node's fencing state: an epoch-sealed source
-// refuses streams and segments alike (409 fenced), and a follower
-// presenting a higher epoch in its stream request seals this source on
-// the spot.
-func (src *TransferSource) SetFence(f *Fence) { src.fence = f }
-
-// SetDigest wires the integrity digest. Idle heartbeats then carry a
-// consistent (seq, digest) cut, which followers applied to the
-// same seq compare against their own state (DESIGN §14), and manifests
-// stamp the cut the archive promises, which restore and offline
-// verification prove against. Wire before serving.
-func (src *TransferSource) SetDigest(fn DigestFunc) { src.digest = fn }
 
 // Stream serves GET /api/v1/replication/stream (wire it with
 // Server.SetReplicationSource): one long-lived response per follower
@@ -173,7 +169,7 @@ type transfer struct {
 	baseSeq int64  // …and its snapshot's position
 	journal []byte // its journal file
 	// Staged frame payloads; nil is a frame this transfer does not
-	// carry (no bootstrap, no dataset file, a store-only node).
+	// carry (no bootstrap, no dataset file).
 	headerType                       byte
 	header, dataset, model, snapshot []byte
 	lastSent                         int64 // seq of the last record sent
@@ -190,7 +186,7 @@ func (src *TransferSource) begin(w http.ResponseWriter, r *http.Request, name st
 		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return nil
 	}
-	if src.fence != nil && src.fence.SealedByEpoch() {
+	if src.fence.SealedByEpoch() {
 		src.fence.Refuse(w, fmt.Errorf("%s source is fenced", name))
 		return nil
 	}
@@ -216,10 +212,8 @@ func (t *transfer) end() {
 // stage reads everything the transfer will send, before its first
 // byte, so errors can still become proper HTTP statuses: the header
 // frame, the pinned journal and, for a bootstrap, the generation's
-// dataset, model checkpoint and snapshot. A model checkpoint exists
-// whenever a snapshotter is wired; only where needModel is false does
-// a store-only node transfer without one.
-func (t *transfer) stage(typ byte, header any, bootstrap, needModel bool) (err error) {
+// dataset, model checkpoint and snapshot.
+func (t *transfer) stage(typ byte, header any, bootstrap bool) (err error) {
 	db := t.src.db
 	t.headerType = typ
 	if t.header, err = json.Marshal(header); err != nil {
@@ -234,8 +228,7 @@ func (t *transfer) stage(typ byte, header any, bootstrap, needModel bool) (err e
 	if b, err := os.ReadFile(db.DatasetPath()); err == nil {
 		t.dataset = b
 	}
-	t.model, err = os.ReadFile(filepath.Join(db.dir, fmt.Sprintf(modelPattern, t.gen)))
-	if err != nil && (needModel || !errors.Is(err, os.ErrNotExist)) {
+	if t.model, err = os.ReadFile(filepath.Join(db.dir, fmt.Sprintf(modelPattern, t.gen))); err != nil {
 		return fmt.Errorf("model checkpoint: %w", err)
 	}
 	snap, err := os.ReadFile(filepath.Join(db.dir, fmt.Sprintf(snapshotPattern, t.gen)))
@@ -338,7 +331,7 @@ func (t *transfer) run(from, bound int64, every time.Duration, idle func() bool)
 func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	history := q.Get("history")
-	if s := q.Get("epoch"); src.fence != nil && s != "" && history != "" {
+	if s := q.Get("epoch"); s != "" && history != "" {
 		// A follower that has seen a newer primary tells us so: its
 		// epoch seals this source before a single frame is served.
 		if e, err := strconv.ParseUint(s, 10, 64); err == nil {
@@ -371,7 +364,7 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hello := replHello{History: ourHistory, Seq: head, Bootstrap: bootstrap, FencingEpoch: src.db.FencingEpoch(), Arch: runtime.GOARCH, Kernel: core.KernelVersion}
-	if err := t.stage(frameHello, hello, bootstrap, true); err != nil {
+	if err := t.stage(frameHello, hello, bootstrap); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -386,21 +379,19 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // heartbeat is the stream's idle tick: the head position, as one
-// consistent digest cut when a digest function is wired.
+// consistent digest cut.
 func (t *transfer) heartbeat() bool {
 	src := t.src
-	if src.fence != nil && src.fence.SealedByEpoch() {
+	if src.fence.SealedByEpoch() {
 		src.logf("crowddb: replication: source fenced; closing stream")
 		return false
 	}
+	// The cut's (seq, digest) pair is internally consistent, which is
+	// what the follower-side comparison needs; a failed cut leaves a
+	// plain heartbeat.
 	hb := replHeartbeat{Seq: src.db.ReplicationHead()}
-	if src.digest != nil {
-		// The cut's (seq, digest) pair is internally consistent, which
-		// is what the follower-side comparison needs; a failed cut
-		// leaves a plain heartbeat.
-		if cut, err := src.digest(); err == nil {
-			hb.Seq, hb.Digest = cut.Seq, cut.Digest
-		}
+	if cut, err := src.digest(); err == nil {
+		hb.Seq, hb.Digest = cut.Seq, cut.Digest
 	}
 	b, err := json.Marshal(hb)
 	return err == nil && writeReplFrame(t.w, frameHeartbeat, b) == nil
@@ -414,18 +405,10 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 	defer t.end()
 	// The cut fixes the archive's target: manifest and trailer both
 	// cite cut.Seq, and the digest stamps are taken at that exact seq.
-	var cut DigestCut
-	if src.digest != nil {
-		var err error
-		if cut, err = src.digest(); err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("digest cut: %w", err))
-			return
-		}
-	} else {
-		cut.Seq = src.db.ReplicationHead()
-		if cut.Tenant = src.db.store.Tenant(); cut.Tenant == "" {
-			cut.Tenant = DefaultTenant
-		}
+	cut, err := src.digest()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("digest cut: %w", err))
+		return
 	}
 	manifest := BackupManifest{
 		Format:       backupFormatVersion,
@@ -467,7 +450,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 		manifest.Full, manifest.BaseSeq = false, since
 	}
 	full, from := manifest.Full, manifest.BaseSeq
-	if err := t.stage(frameBackupManifest, manifest, full, false); err != nil {
+	if err := t.stage(frameBackupManifest, manifest, full); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}

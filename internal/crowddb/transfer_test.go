@@ -156,7 +156,7 @@ func TestReplicationStreamEqualsBackupSegment(t *testing.T) {
 	}
 }
 
-// TestBackupSegmentDiffersFromStreamByArgumentOnly holds the four
+// TestBackupSegmentDiffersFromStreamByArgumentOnly holds the three
 // differences the one procedure keeps between its endings.
 func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 	rig, ts := transferPrimary(t)
@@ -168,10 +168,9 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 		// there, mid-file, and says so; the stream does not stop.
 		head := rig.db.ReplicationHead()
 		cutSeq := head - 2
-		src := NewTransferSource(rig.db, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-		src.SetDigest(func() (DigestCut, error) {
+		src := NewTransferSource(rig.db, NewFence(rig.db), func() (DigestCut, error) {
 			return DigestCut{Tenant: DefaultTenant, Seq: cutSeq}, nil
-		})
+		}, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
 		bounded := serveTransfers(t, src)
 		segment := getTransfer(t, bounded.URL+"/segment")
 		var tr BackupTrailer
@@ -183,41 +182,6 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 		}
 		if stream := getTransfer(t, bounded.URL+"/stream?boot=1"); stream.lastSeq != head {
 			t.Fatalf("stream ran through record %d, want the head %d", stream.lastSeq, head)
-		}
-	})
-
-	t.Run("missing model", func(t *testing.T) {
-		// A node with no model snapshotter checkpoints store-only: a
-		// follower cannot be built from that, an archive can.
-		db, err := Open(t.TempDir(), Options{Sync: SyncAlways()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		if _, err := db.Store().AddWorker(0, "w0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		bare := serveTransfers(t, NewTransferSource(db, TransferSourceOptions{Heartbeat: 20 * time.Millisecond}))
-		if status, _ := refusal(t, bare.URL+"/stream?boot=1"); status != http.StatusInternalServerError {
-			t.Fatalf("stream without a model checkpoint got %d, want 500", status)
-		}
-		segment := getTransfer(t, bare.URL+"/segment")
-		if segment.count[frameModel] != 0 || segment.count[frameSnapshot] != 1 || segment.trailer == nil {
-			t.Fatalf("store-only segment carried %v (trailer %q), want a snapshot, no model, a trailer",
-				segment.count, segment.trailer)
-		}
-		// Verification boots the archive as a node would, and no node
-		// boots without a model checkpoint: it says which one is missing.
-		var raw bytes.Buffer
-		if _, err := fetchBackup(t, bare.URL+"/segment", &raw, -1, ""); err != nil {
-			t.Fatal(err)
-		}
-		_, err = VerifyBackup([]string{writeArchive(t, raw.Bytes())}, VerifyBackupOptions{Build: testReplicaBuilder()})
-		if err == nil || !strings.Contains(err.Error(), "model checkpoint") || !strings.Contains(err.Error(), "model-00000001.json") {
-			t.Fatalf("verify of a store-only archive: %v, want a refusal naming the missing model checkpoint", err)
 		}
 	})
 

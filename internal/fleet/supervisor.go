@@ -486,7 +486,7 @@ func (s *Supervisor) failover(ctx context.Context, sh *shardState) {
 		s.opts.Logf("fleet: shard %d: no reachable standby to promote; will retry", sh.spec.Shard)
 		return
 	}
-	pctx, cancel := context.WithTimeout(ctx, maxDuration(10*s.opts.ProbeTimeout, 5*time.Second))
+	pctx, cancel := context.WithTimeout(ctx, max(10*s.opts.ProbeTimeout, 5*time.Second))
 	st, err := s.client(target.URL).Promote(pctx)
 	cancel()
 	if err != nil {
@@ -748,28 +748,14 @@ func (s *Supervisor) drainPrimary(ctx context.Context, sh *shardState) error {
 	// Seal before the final lag check: mutations acked between the
 	// check above and this seal would otherwise be on the primary but
 	// not the candidate when the roles swap.
-	sealed := true
 	sctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
 	_, err = s.client(primary.URL).SealLease(sctx, s.opts.Holder)
 	cancel()
-	if err != nil {
-		switch {
-		case isFencedRefusal(err):
-			// Already epoch-sealed: frozen harder than we need.
-		case isNotImplemented(err):
-			// No fencing configured on this node: nothing to seal with.
-			// Proceed with the handoff anyway — the pre-check above is
-			// then the only loss guard, as it was for unfenced fleets.
-			sealed = false
-			s.opts.Logf("fleet: drain %s: node has no fencing; handing off without a seal", primary.URL)
-		default:
-			return fmt.Errorf("fleet: drain %s: seal: %w", primary.URL, err)
-		}
+	// An epoch-sealed node refuses the seal: frozen harder than needed.
+	if err != nil && !isFencedRefusal(err) {
+		return fmt.Errorf("fleet: drain %s: seal: %w", primary.URL, err)
 	}
 	unseal := func() {
-		if !sealed {
-			return
-		}
 		uctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
 		_, err := s.client(primary.URL).RenewLease(uctx, s.opts.Holder, s.opts.LeaseTTL)
 		cancel()
@@ -791,7 +777,7 @@ func (s *Supervisor) drainPrimary(ctx context.Context, sh *shardState) error {
 	}
 
 	// Wait for the candidate to drain the sealed primary's tail.
-	deadline := time.Now().Add(maxDuration(10*s.opts.ProbeTimeout, 5*time.Second))
+	deadline := time.Now().Add(max(10*s.opts.ProbeTimeout, 5*time.Second))
 	for {
 		cctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
 		cst, cerr := s.client(target.URL).ReadyStatus(cctx)
@@ -927,21 +913,8 @@ func copyMap[K comparable, V any](m map[K]V) map[K]V {
 	return out
 }
 
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // isFencedRefusal reports whether err is a node's 409 fenced refusal.
 func isFencedRefusal(err error) bool {
 	var ae *crowdclient.APIError
 	return errors.As(err, &ae) && ae.Code == "fenced"
-}
-
-// isNotImplemented reports a 501 — the node has no fencing wired.
-func isNotImplemented(err error) bool {
-	var ae *crowdclient.APIError
-	return errors.As(err, &ae) && ae.StatusCode == http.StatusNotImplemented
 }
