@@ -34,8 +34,11 @@ race:
 	$(GO) test -race ./...
 
 # The allocation gates of the projection kernel (DESIGN.md §6), of
-# training's worker update (§6: each worker's new λ_w and the sweep's
-# fixed buffers), of the skill fold (§4.3: the two posterior vectors it
+# training's worker update (§6: each worker's new λ_w, Σ_w⁻¹μ_w and the
+# fan-out's closure, M + 2 at widths 1 and 2; M + 6 before its buffers
+# moved into the fan-out's slots) and of its ELBO (§6: 4 — two
+# log-determinants and two closures — whatever the crowd, the task count
+# and the width), of the skill fold (§4.3: the two posterior vectors it
 # commits), of the bounded top-k selection (§6: k Items below the
 # candidate count, whatever the count, and no category for a cache hit),
 # of the skill index (§6: a pruned selection over 10⁴ candidates
@@ -64,21 +67,27 @@ golden-386:
 # the Newton projection (time, the 2 allocations it returns, and steps/op,
 # evals/op, grads/op and exps/op — how many Newton steps a projection takes,
 # how often it evaluates the task objective and its gradient and how many
-# exponentials it takes), one training sweep, whose E-step maximizes the
-# same task objective by conjugate gradient, and one skill fold (one
+# exponentials it takes), one skill fold (one
 # category into one worker through ConcurrentModel: time and the 2
 # allocations it commits) and Eq. 1's top-10 over a whole crowd of 10³,
 # 10⁴ and 10⁵ workers, by the full scan and by the skill index (time
 # and scored/op, the workers a query scores); then the kernel's own
 # exponential beside math.Exp, on independent operands and on chained
-# ones. Run it on both sides of any change under internal/core/estep.go
-# (the task objective and both of its solves), internal/core/exp.go, the
-# projection and the fold in internal/core/project.go or the skill index
-# in internal/core/skillindex.go, alternating, with nothing else
-# running: the counts repeat exactly, the times do not (not a CI gate).
+# ones; then one training sweep, whose E-step maximizes the same task
+# objective by conjugate gradient, at GOMAXPROCS 1 and 2 (-cpu 1,2): the
+# sweep fans out across GOMAXPROCS goroutines with the same bits at
+# every width, so the -2 row is the one a boot pays on this 2-core host
+# and the plain row the sequential cost. Run it on both sides of any
+# change under internal/core/estep.go (the task objective and both of
+# its solves), internal/core/exp.go, the projection and the fold in
+# internal/core/project.go, the skill index in internal/core/skillindex.go
+# or training in internal/core/train.go, elbo.go and fanout.go,
+# alternating, with nothing else running: the counts repeat exactly, the
+# times do not (not a CI gate).
 kernel:
-	$(GO) test -run '^$$' -bench 'Project/miss|TrainSweep|UpdateWorkerSkill|SelectTopK' -benchmem -count 6 ./internal/core
+	$(GO) test -run '^$$' -bench 'Project/miss|UpdateWorkerSkill|SelectTopK' -benchmem -count 6 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkExp' -count 3 ./internal/core
+	$(GO) test -run '^$$' -bench 'TrainSweep' -benchmem -benchtime 3x -cpu 1,2 -count 6 ./internal/core
 
 # Regenerate experiments_run.txt, the raw output EXPERIMENTS.md's tables
 # are copied from (≈ 2–3 min; every table, figure and ablation at a

@@ -120,7 +120,9 @@ func BenchmarkUpdateWorkerSkill(b *testing.B) {
 
 // BenchmarkTrainSweep is one variational EM sweep of Algorithm 2 over
 // the platform (the E-step maximizes the same task objective as Project,
-// with the feedback terms, by conjugate gradient), sequentially.
+// with the feedback terms, by conjugate gradient), its task and worker
+// updates fanned out across GOMAXPROCS goroutines as Train runs them:
+// `make kernel` reads it at -cpu 1,2. The ELBO is not part of it.
 func BenchmarkTrainSweep(b *testing.B) {
 	benchFixture(b)
 	p := &benchPlatform

@@ -160,7 +160,7 @@ func TestCGQuadratic(t *testing.T) {
 	b := linalg.Vector{1, 2}
 	want := mustSPDSolve(t, a, b)
 	x, stop := cgFresh(quadratic(a, b), linalg.Vector{10, -10}, 200)
-	if x.Sub(want).NormInf() > 1e-4 {
+	if sub(x, want).NormInf() > 1e-4 {
 		t.Errorf("CG = %v (stop %d), want %v", x, stop, want)
 	}
 	if stop != stopConverged && stop != stopStalled {
@@ -179,15 +179,15 @@ func TestCGRandomQuadratics(t *testing.T) {
 		}
 		want := mustSPDSolve(t, a, b)
 		x, _ := cgFresh(quadratic(a, b), make(linalg.Vector, n), 500)
-		if x.Sub(want).NormInf() > 1e-4 {
-			t.Fatalf("trial %d: CG off by %v", trial, x.Sub(want).NormInf())
+		if sub(x, want).NormInf() > 1e-4 {
+			t.Fatalf("trial %d: CG off by %v", trial, sub(x, want).NormInf())
 		}
 	}
 }
 
 func TestCGRosenbrock(t *testing.T) {
 	x, stop := cgFresh(rosenbrock, linalg.Vector{-1.2, 1}, 20000)
-	if x.Sub(linalg.Vector{1, 1}).NormInf() > 1e-3 {
+	if sub(x, linalg.Vector{1, 1}).NormInf() > 1e-3 {
 		t.Errorf("Rosenbrock: got %v (stop %d)", x, stop)
 	}
 }
@@ -220,7 +220,7 @@ func TestNumericalGradientMatchesAnalytic(t *testing.T) {
 	gn := make(linalg.Vector, 3)
 	p.Grad(x, ga)
 	numericalGradient(p.Eval, x, 1e-6, gn)
-	if ga.Sub(gn).NormInf() > 1e-5 {
+	if sub(ga, gn).NormInf() > 1e-5 {
 		t.Errorf("analytic %v vs numeric %v", ga, gn)
 	}
 }
@@ -317,7 +317,7 @@ func TestAcceptedStepsSatisfyArmijo(t *testing.T) {
 			x, next := r.accepted[k-1], r.accepted[k]
 			f, fNext := tc.p.Eval(x), tc.p.Eval(next)
 			tc.p.Grad(x, g)
-			bound := f + armijoC*g.Dot(next.Sub(x))
+			bound := f + armijoC*g.Dot(sub(next, x))
 			if !finite(fNext) || !next.IsFinite() {
 				t.Fatalf("%s: step %d accepted a non-finite point", name, k)
 			}

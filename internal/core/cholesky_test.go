@@ -72,7 +72,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if !cholesky(l, n) {
 			t.Fatalf("trial %d: no factor", trial)
 		}
-		if got := lowerTimesUpper(l, n); linalg.Vector(got.Data).Sub(a.Data).NormInf() > 1e-8 {
+		if got := lowerTimesUpper(l, n); sub(got.Data, a.Data).NormInf() > 1e-8 {
 			t.Fatalf("trial %d: L·Lᵀ ≠ A", trial)
 		}
 	}
@@ -126,8 +126,8 @@ func TestCholeskySolveRandomSPD(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		if got := mustSPDSolve(t, a, a.MulVec(x)); got.Sub(x).NormInf() > 1e-7 {
-			t.Fatalf("trial %d: solve error %v", trial, got.Sub(x).NormInf())
+		if got := mustSPDSolve(t, a, a.MulVec(x)); sub(got, x).NormInf() > 1e-7 {
+			t.Fatalf("trial %d: solve error %v", trial, sub(got, x).NormInf())
 		}
 	}
 }
@@ -144,7 +144,7 @@ func TestCholeskyInverse(t *testing.T) {
 		for j := 0; j < n; j++ {
 			e := linalg.NewVector(n)
 			e[j] = 1
-			if got := a.MulVec(inv.MulVec(e)); got.Sub(e).NormInf() > 1e-7 {
+			if got := a.MulVec(inv.MulVec(e)); sub(got, e).NormInf() > 1e-7 {
 				t.Fatalf("trial %d: column %d of A·A⁻¹ is %v", trial, j, got)
 			}
 		}
@@ -190,7 +190,7 @@ func TestCholeskyJitteredRecovers(t *testing.T) {
 }
 
 func TestSPDSolve(t *testing.T) {
-	if x := mustSPDSolve(t, diagMatrix(2, 4), linalg.Vector{2, 8}); x.Sub(linalg.Vector{1, 2}).NormInf() > 1e-12 {
+	if x := mustSPDSolve(t, diagMatrix(2, 4), linalg.Vector{2, 8}); sub(x, linalg.Vector{1, 2}).NormInf() > 1e-12 {
 		t.Errorf("spdSolve = %v", x)
 	}
 }

@@ -157,7 +157,7 @@ func (c *ConcurrentModel) projectLocked(bag text.Bag) TaskCategory {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer sc.release()
 	// Only a cancelled ctx fails a batch, and this one cannot be cancelled.
-	_ = c.projectViewsLocked(context.Background(), sc, []text.Bag{bag}, 1)
+	_ = c.projectViewsLocked(context.Background(), sc, []text.Bag{bag})
 	return sc.views[0].clone()
 }
 
@@ -178,6 +178,7 @@ type batchScratch struct {
 	pending  map[string]int // missing key → index into missBags
 	repeats  []batchRepeat
 	index    indexScratch // the rankings' skill-index queries
+	fan      *fanOut      // the misses' projections, GOMAXPROCS wide
 }
 
 // batchRepeat is a bag equal to an earlier miss of the same batch.
@@ -212,8 +213,9 @@ func (sc *batchScratch) release() {
 // projectViewsLocked projects bags[i] into sc.views[i], through the
 // cache: a hit is copied into its view, each distinct miss is projected
 // straight into its own and then copied into the cache, and a bag that
-// repeats a miss copies that miss's view.
-func (c *ConcurrentModel) projectViewsLocked(ctx context.Context, sc *batchScratch, bags []text.Bag, parallelism int) error {
+// repeats a miss copies that miss's view. The misses fan out across
+// GOMAXPROCS goroutines; a single miss is projected inline.
+func (c *ConcurrentModel) projectViewsLocked(ctx context.Context, sc *batchScratch, bags []text.Bag) error {
 	epoch := c.epoch.Load()
 	sc.cutViews(len(bags), c.m.K)
 	for i, bag := range bags {
@@ -239,7 +241,10 @@ func (c *ConcurrentModel) projectViewsLocked(ctx context.Context, sc *batchScrat
 	if len(sc.missBags) == 0 {
 		return nil
 	}
-	if err := c.m.projectInto(ctx, sc.missBags, sc.missCats, parallelism); err != nil {
+	if w := runtime.GOMAXPROCS(0); sc.fan == nil || sc.fan.width() != w {
+		sc.fan = newFanOut(w)
+	}
+	if err := c.m.projectInto(ctx, sc.fan, sc.missBags, sc.missCats); err != nil {
 		return err
 	}
 	for j, cat := range sc.missCats {
@@ -300,7 +305,7 @@ func (c *ConcurrentModel) RankBatchScored(ctx context.Context, a *rank.Arena, ba
 
 // rankBatchLocked leaves each bag's category in sc.views.
 func (c *ConcurrentModel) rankBatchLocked(ctx context.Context, a *rank.Arena, sc *batchScratch, bags []text.Bag, candidates Candidates, k int) ([][]rank.Item, error) {
-	if err := c.projectViewsLocked(ctx, sc, bags, runtime.GOMAXPROCS(0)); err != nil {
+	if err := c.projectViewsLocked(ctx, sc, bags); err != nil {
 		return nil, err
 	}
 	return c.scoreLocked(ctx, a, &sc.index, len(bags), func(i int) linalg.Vector { return sc.views[i].Mean() }, candidates, k)

@@ -115,7 +115,7 @@ func TestTaskObjectiveGradient(t *testing.T) {
 		gn := make(linalg.Vector, len(x))
 		obj.grad(x, ga)
 		numericalGradient(obj.value, x, 1e-5, gn)
-		if ga.Sub(gn).NormInf() > 1e-4 {
+		if sub(ga, gn).NormInf() > 1e-4 {
 			t.Errorf("feedback=%v: analytic %v vs numeric %v", withFeedback, ga, gn)
 		}
 	}
@@ -215,7 +215,7 @@ func TestProjectRecoversCategorySignal(t *testing.T) {
 	}
 	c0 := m.Project(catTasks[0].Bag(d.Vocab)).Mean()
 	c1 := m.Project(catTasks[1].Bag(d.Vocab)).Mean()
-	if c0.Sub(c1).NormInf() < 1e-6 {
+	if sub(c0, c1).NormInf() < 1e-6 {
 		t.Error("tasks from different categories project to the same point")
 	}
 }
@@ -223,11 +223,11 @@ func TestProjectRecoversCategorySignal(t *testing.T) {
 func TestProjectUnknownTermsFallsBackToPrior(t *testing.T) {
 	_, m, _ := trainSmall(t, 5)
 	cat := m.Project(text.BagFromCounts(map[int]float64{m.V + 5: 3}))
-	if cat.Lambda.Sub(m.MuC).NormInf() > 1e-12 {
+	if sub(cat.Lambda, m.MuC).NormInf() > 1e-12 {
 		t.Errorf("empty projection λ = %v, want prior mean %v", cat.Lambda, m.MuC)
 	}
 	cat = m.Project(text.Bag{})
-	if cat.Lambda.Sub(m.MuC).NormInf() > 1e-12 {
+	if sub(cat.Lambda, m.MuC).NormInf() > 1e-12 {
 		t.Error("empty bag did not project to prior")
 	}
 }
@@ -267,7 +267,7 @@ func TestTaskCategorySample(t *testing.T) {
 		mean.AddScaledInPlace(1, cat.Sample(rng))
 	}
 	mean.ScaleInPlace(1.0 / n)
-	if mean.Sub(cat.Lambda).NormInf() > 0.02 {
+	if sub(mean, cat.Lambda).NormInf() > 0.02 {
 		t.Errorf("sample mean %v, want %v", mean, cat.Lambda)
 	}
 }
@@ -414,7 +414,7 @@ func TestUpdateWorkerSkillMatchesCholesky(t *testing.T) {
 				if err := m.UpdateWorkerSkillDrift(worker, ev, sc, q); err != nil {
 					t.Fatalf("n=%d q=%g: %v", n, q, err)
 				}
-				diff := m.LambdaW[worker].Sub(wantL)
+				diff := sub(m.LambdaW[worker], wantL)
 				if rel := math.Sqrt(diff.Dot(diff) / wantL.Dot(wantL)); !(rel <= 1e-12) {
 					t.Errorf("n=%d q=%g worker %d: λ_w differs from the Cholesky fold by %.3g relative", n, q, worker, rel)
 				}
@@ -483,4 +483,13 @@ func TestSkillsComparableAcrossWorkers(t *testing.T) {
 		t.Errorf("prolific low-scorer outranks high-scorer on its category: %v vs %v",
 			m.Score(0, c), m.Score(1, c))
 	}
+}
+
+// sub returns x − y as a new vector.
+func sub(x, y linalg.Vector) linalg.Vector {
+	d := make(linalg.Vector, len(x))
+	for i, v := range x {
+		d[i] = v - y[i]
+	}
+	return d
 }

@@ -27,7 +27,7 @@ func TestGaussianCrossAtMeanWithPointMass(t *testing.T) {
 	}
 	logDet := math.Log(6)
 	mu := linalg.Vector{1, -1}
-	got := gaussianCross(mu, linalg.Vector{0, 0}, mu, inv, logDet, k)
+	got := gaussianCross(make(linalg.Vector, 2), mu, linalg.Vector{0, 0}, mu, inv, logDet, k)
 	want := -0.5*k*log2Pi - 0.5*logDet
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("cross = %v, want %v", got, want)
@@ -37,8 +37,9 @@ func TestGaussianCrossAtMeanWithPointMass(t *testing.T) {
 func TestGaussianCrossPenalizesDistance(t *testing.T) {
 	sigmaInv := linalg.Identity(2)
 	mu := linalg.Vector{0, 0}
-	near := gaussianCross(linalg.Vector{0.1, 0}, linalg.Vector{0.1, 0.1}, mu, sigmaInv, 0, 2)
-	far := gaussianCross(linalg.Vector{3, 0}, linalg.Vector{0.1, 0.1}, mu, sigmaInv, 0, 2)
+	d := make(linalg.Vector, 2)
+	near := gaussianCross(d, linalg.Vector{0.1, 0}, linalg.Vector{0.1, 0.1}, mu, sigmaInv, 0, 2)
+	far := gaussianCross(d, linalg.Vector{3, 0}, linalg.Vector{0.1, 0.1}, mu, sigmaInv, 0, 2)
 	if far >= near {
 		t.Errorf("cross-entropy did not penalize distance: near %v, far %v", near, far)
 	}
@@ -67,6 +68,79 @@ func TestELBOFiniteThroughoutTraining(t *testing.T) {
 	for i, e := range st.ELBO {
 		if math.IsNaN(e) || math.IsInf(e, 0) {
 			t.Fatalf("ELBO[%d] = %v", i, e)
+		}
+	}
+}
+
+// elboSequential is the bound as one loop adds it, summand by summand
+// into one sum, with a fresh λ−μ per Gaussian cross term: the form elbo
+// had before it fanned out, kept as the oracle of its bits.
+func elboSequential(tr *trainer) float64 {
+	m := tr.m
+	k := float64(tr.cfg.K)
+	var l float64
+	cross := func(lam, nu2, mu linalg.Vector, sigmaInv *linalg.Matrix, logDet float64) float64 {
+		return gaussianCross(make(linalg.Vector, len(lam)), lam, nu2, mu, sigmaInv, logDet, k)
+	}
+	ldW := logDetSPD(m.SigmaW)
+	for i := 0; i < m.M; i++ {
+		l += cross(m.LambdaW[i], m.NuW2[i], m.MuW, m.sigmaWInv, ldW)
+		l += gaussianEntropy(m.NuW2[i])
+	}
+	ldC := logDetSPD(m.SigmaC)
+	for j := range tr.tasks {
+		l += cross(tr.lambdaC[j], tr.nuC2[j], m.MuC, m.sigmaCInv, ldC)
+		l += gaussianEntropy(tr.nuC2[j])
+	}
+	for j, t := range tr.tasks {
+		lc, nc := tr.lambdaC[j], tr.nuC2[j]
+		var expSum float64
+		for kk := range lc {
+			expSum += exp(lc[kk] + nc[kk]/2)
+		}
+		var total float64
+		for p, v := range t.Bag.IDs {
+			cnt := t.Bag.Counts[p]
+			total += cnt
+			row := tr.phi[j].Row(p)
+			for kk, ph := range row {
+				if ph <= 0 {
+					continue
+				}
+				l += cnt * ph * (lc[kk] + m.LogBeta.At(kk, v) - math.Log(ph))
+			}
+		}
+		l -= total * (expSum/tr.eps[j] - 1 + math.Log(tr.eps[j]))
+	}
+	logTau := math.Log(2 * math.Pi * m.Tau2)
+	for j, t := range tr.tasks {
+		lc, nc := tr.lambdaC[j], tr.nuC2[j]
+		for _, r := range t.Responses {
+			res := expectedSquaredResidual(r.Score, m.LambdaW[r.Worker], m.NuW2[r.Worker], lc, nc)
+			l += -0.5*logTau - res/(2*m.Tau2)
+		}
+	}
+	return l
+}
+
+// The fanned-out bound is the sequential one bit for bit, after every
+// sweep and at every width: its second phase adds the same summands in
+// the same order.
+func TestELBOMatchesSequential(t *testing.T) {
+	d := smallDataset(t)
+	for _, width := range []int{1, 2, 3, 7} {
+		tr := newTrainer(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), NewConfig(5))
+		tr.setWidth(width)
+		for sweep := 1; sweep <= 6; sweep++ {
+			tr.updateTasks()
+			tr.updateWorkers()
+			tr.mStep()
+			if err := tr.m.refreshDerived(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := tr.elbo(), elboSequential(tr); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("width %d sweep %d: elbo %v, sequential %v", width, sweep, got, want)
+			}
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestLoadedModelProjects(t *testing.T) {
 	bag := d.Tasks[1].Bag(d.Vocab)
 	a := m.Project(bag).Mean()
 	b := got.Project(bag).Mean()
-	if a.Sub(b).NormInf() > 1e-9 {
+	if sub(a, b).NormInf() > 1e-9 {
 		t.Errorf("projection changed after reload: %v vs %v", a, b)
 	}
 	_ = text.Bag{}

@@ -140,19 +140,45 @@ func TestUpdateWorkerSkillAllocations(t *testing.T) {
 }
 
 // TestUpdateWorkersAllocations is training's worker-update gate: one
-// pass of Eqs. 10–11 allocates each worker's new λ_w and the sweep's six
-// fixed buffers (Σ_w⁻¹μ_w, the precision matrix and its storage, its
-// Cholesky factor, the right-hand side and the quadratic aggregate) —
-// nothing per response and no factor per worker.
+// pass of Eqs. 10–11 allocates each worker's new λ_w, the sweep's
+// Σ_w⁻¹μ_w and the fan-out's closure — M + 2 at every width, the
+// precision matrix, its Cholesky factor, the right-hand side and the
+// quadratic aggregate being buffers of the trainer's slots (M + 6 when
+// they were the sweep's own) — nothing per response and no factor per
+// worker. Width 2 runs the fan-out's second goroutine.
 func TestUpdateWorkersAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")
 	}
 	d := smallDataset(t)
-	tr := newTrainer(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), NewConfig(5))
-	tr.updateTasks()
-	if a, want := testing.AllocsPerRun(4, tr.updateWorkers), float64(tr.m.M+6); a != want {
-		t.Errorf("updateWorkers over %d workers allocates %v times, want %v", tr.m.M, a, want)
+	for _, width := range []int{1, 2} {
+		tr := newTrainer(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), NewConfig(5))
+		tr.setWidth(width)
+		tr.updateTasks()
+		if a, want := testing.AllocsPerRun(4, tr.updateWorkers), float64(tr.m.M+2); a != want {
+			t.Errorf("width %d: updateWorkers over %d workers allocates %v times, want %v", width, tr.m.M, a, want)
+		}
+	}
+}
+
+// TestELBOAllocations is the bound's gate: once the trainer's term
+// buffers exist, elbo allocates the two log-determinants' factors and
+// the fan-out's two closures — 4, whatever the number of workers, tasks
+// and terms and whatever the width. Each Gaussian cross term used to
+// allocate its λ−μ: M + N more.
+func TestELBOAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
+	d := smallDataset(t)
+	for _, width := range []int{1, 2} {
+		tr := newTrainer(tasksFromDataset(d), len(d.Workers), d.Vocab.Size(), NewConfig(5))
+		tr.setWidth(width)
+		tr.updateTasks()
+		tr.updateWorkers()
+		if a := testing.AllocsPerRun(4, func() { tr.elbo() }); a != 4 {
+			t.Errorf("width %d: elbo over %d workers and %d tasks allocates %v times, want 4", width, tr.m.M, len(tr.tasks), a)
+		}
 	}
 }
 

@@ -219,7 +219,7 @@ func newSampler(tasks []ResolvedTask, numWorkers, vocabSize int, cfg MCEMConfig)
 func (s *sampler) logDensityC(j int, c linalg.Vector) float64 {
 	m := s.m
 	// Prior.
-	d := c.Sub(m.MuC)
+	d := sub(c, m.MuC)
 	lp := -0.5 * m.sigmaCInv.QuadForm(d, d)
 	// Tokens: Σ #v log Σₖ πₖ β_{k,v}.
 	pi := softmax(c)
@@ -413,7 +413,7 @@ func (s *sampler) mStep() error {
 func scatterOfSamples(xs []linalg.Vector, mu linalg.Vector, k int, ridge float64) *linalg.Matrix {
 	out := linalg.NewMatrix(k, k)
 	for _, x := range xs {
-		d := x.Sub(mu)
+		d := sub(x, mu)
 		out.AddOuterInPlace(1, d, d)
 	}
 	if len(xs) > 0 {

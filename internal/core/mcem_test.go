@@ -134,7 +134,7 @@ func TestMCEMModelRoundTripsThroughSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	bag := d.Tasks[0].Bag(d.Vocab)
-	if got.Project(bag).Lambda.Sub(m.Project(bag).Lambda).NormInf() > 1e-9 {
+	if sub(got.Project(bag).Lambda, m.Project(bag).Lambda).NormInf() > 1e-9 {
 		t.Error("reloaded MCEM model projects differently")
 	}
 }

@@ -225,11 +225,12 @@ func (m *Model) SelectForTask(bag text.Bag, candidates []int, k int, rng *randx.
 }
 
 // projectInto projects bags[j] into out[j], whose vectors must have K
-// components, with at most parallelism goroutines, each on one pooled
-// scratch. It returns only after every one of them has, cancelled or
-// not, so the caller may reuse bags and out.
-func (m *Model) projectInto(ctx context.Context, bags []text.Bag, out []TaskCategory, parallelism int) error {
-	parallelFor(len(bags), parallelism, func(lo, hi int) {
+// components, on f's goroutines: a batch of n bags is cut into blocks of
+// ⌈n/width⌉, one per goroutine, each block on one pooled scratch. It
+// returns only after every block has, cancelled or not, so the caller
+// may reuse bags and out.
+func (m *Model) projectInto(ctx context.Context, f *fanOut, bags []text.Bag, out []TaskCategory) error {
+	f.run(len(bags), len(bags), func(_, lo, hi int) {
 		sc := projectScratchPool.Get().(*projectScratch)
 		defer projectScratchPool.Put(sc)
 		for j := lo; j < hi; j++ {
@@ -240,31 +241,6 @@ func (m *Model) projectInto(ctx context.Context, bags []text.Bag, out []TaskCate
 		}
 	})
 	return ctx.Err()
-}
-
-// parallelFor splits [0, n) into contiguous chunks across at most p
-// goroutines — the caller's own among them, which runs the last chunk —
-// and returns when every chunk has; p ≤ 1 runs fn(0, n) inline.
-func parallelFor(n, p int, fn func(lo, hi int)) {
-	if p <= 1 || n <= 1 {
-		fn(0, n)
-		return
-	}
-	if p > n {
-		p = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + p - 1) / p
-	lo := 0
-	for ; lo+chunk < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, lo+chunk)
-	}
-	fn(lo, n)
-	wg.Wait()
 }
 
 // Name identifies the algorithm in reports (TDPM, §7.2.1).

@@ -91,7 +91,7 @@ func TestProjectVariancesPositive(t *testing.T) {
 }
 
 // The batch projection behind every cache miss (projectInto) must
-// agree with per-bag Project at any parallelism.
+// agree with per-bag Project at any width.
 func TestProjectAllMatchesProject(t *testing.T) {
 	d, m, _ := trainSmall(t, 4)
 	var inputs []text.Bag
@@ -103,7 +103,7 @@ func TestProjectAllMatchesProject(t *testing.T) {
 		for i := range got {
 			got[i] = TaskCategory{Lambda: make(linalg.Vector, m.K), Nu2: make(linalg.Vector, m.K)}
 		}
-		if err := m.projectInto(context.Background(), inputs, got, p); err != nil {
+		if err := m.projectInto(context.Background(), newFanOut(p), inputs, got); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		for i, bag := range inputs {

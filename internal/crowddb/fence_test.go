@@ -456,6 +456,60 @@ func TestLeaseEndpointSealsOnLapse(t *testing.T) {
 	}
 }
 
+// TestLeaseAnswerCarriesTheFence holds the lease endpoint's answer and
+// /readyz to one fence block: a supervisor sees sealed and sealed_by in
+// the answer to its own seal, the renewal's answer shows the seal gone,
+// and on both endpoints fencing_epoch is fencing.epoch.
+func TestLeaseAnswerCarriesTheFence(t *testing.T) {
+	rig, _, _ := replPrimary(t)
+	srv := NewServer(rig.mgr)
+	srv.SetFence(NewFence(rig.db))
+	api := httptest.NewServer(srv)
+	defer api.Close()
+
+	answer := func(method, path, body string) ReadyzResponse {
+		t.Helper()
+		req, err := http.NewRequest(method, api.URL+path, bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ready ReadyzResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s = %s", method, path, resp.Status)
+		}
+		if ready.Fencing == nil {
+			t.Fatalf("%s %s: no fencing block", method, path)
+		}
+		if ready.Fencing.Epoch == 0 || ready.FencingEpoch != ready.Fencing.Epoch {
+			t.Fatalf("%s %s: fencing_epoch %d, fencing.epoch %d", method, path, ready.FencingEpoch, ready.Fencing.Epoch)
+		}
+		return ready
+	}
+
+	sealed := answer(http.MethodPost, "/api/v1/replication/lease", `{"holder":"sup","seal":true}`)
+	if !sealed.Fencing.Sealed || sealed.Fencing.SealedBy != "lease" {
+		t.Fatalf("the seal's answer: sealed %v by %q, want true by lease", sealed.Fencing.Sealed, sealed.Fencing.SealedBy)
+	}
+	if probe := answer(http.MethodGet, "/readyz", ""); !probe.Fencing.Sealed {
+		t.Fatal("/readyz after the seal: not sealed")
+	}
+	renewed := answer(http.MethodPost, "/api/v1/replication/lease", `{"holder":"sup","ttl_ms":60000}`)
+	if renewed.Fencing.Sealed || renewed.Fencing.LeaseHolder != "sup" {
+		t.Fatalf("the renewal's answer: sealed %v, lease holder %q", renewed.Fencing.Sealed, renewed.Fencing.LeaseHolder)
+	}
+	if probe := answer(http.MethodGet, "/readyz", ""); probe.Fencing.Sealed {
+		t.Fatal("/readyz after the renewal: still sealed")
+	}
+}
+
 // TestConcurrentPromotionSingleWinner races promotions at a blocked
 // replica: exactly one caller runs the promotion, concurrent callers
 // get the typed ErrPromotionInProgress mid-flight (409

@@ -514,22 +514,21 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ReadyzResponse{
-		Status:       "ready",
-		Role:         s.roleNow(),
-		FencingEpoch: s.fence.Epoch(),
-		Replication:  s.replicationSection(),
-	})
+	writeJSON(w, http.StatusOK, s.readyzNow())
 }
 
-// replicationSection returns the replication status pointer for
-// payloads that carry it optionally.
-func (s *Server) replicationSection() *ReplicationStatus {
-	if s.replStatus == nil {
-		return nil
+// readyzNow is the answer /readyz and the lease endpoint share: ready,
+// the role, and the fence's fields cut from one FenceStatus, so that
+// fencing_epoch is always fencing.epoch and a supervisor sees sealed and
+// sealed_by in the answer to its own seal.
+func (s *Server) readyzNow() ReadyzResponse {
+	fs := s.fence.Status()
+	resp := ReadyzResponse{Status: "ready", Role: s.roleNow(), FencingEpoch: fs.Epoch, Fencing: &fs}
+	if s.replStatus != nil {
+		st := s.replicationStatusNow()
+		resp.Replication = &st
 	}
-	st := s.replicationStatusNow()
-	return &st
+	return resp
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -552,12 +551,7 @@ type ReadyzResponse struct {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	fs := s.fence.Status()
-	resp := ReadyzResponse{Status: "ready", Role: s.roleNow(), FencingEpoch: fs.Epoch, Fencing: &fs}
-	if s.replStatus != nil {
-		st := s.replicationStatusNow()
-		resp.Replication = &st
-	}
+	resp := s.readyzNow()
 	if s.integrity != nil {
 		is := s.integrity()
 		resp.Integrity = &is

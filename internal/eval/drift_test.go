@@ -5,6 +5,7 @@ import (
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
+	"crowdselect/internal/linalg"
 )
 
 // streamTop1 trains on the first 60% of the corpus (in arrival order)
@@ -93,7 +94,7 @@ func TestSkillDriftGeneratorChangesSkills(t *testing.T) {
 	moved := 0
 	for i := range base.Workers {
 		if drifted.Workers[i].TaskCount > 0 &&
-			base.Workers[i].TrueSkill.Sub(drifted.Workers[i].TrueSkill).NormInf() > 1e-9 {
+			sub(base.Workers[i].TrueSkill, drifted.Workers[i].TrueSkill).NormInf() > 1e-9 {
 			moved++
 		}
 	}
@@ -113,4 +114,13 @@ func TestSkillDriftGeneratorChangesSkills(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("negative drift accepted")
 	}
+}
+
+// sub returns x − y as a new vector.
+func sub(x, y linalg.Vector) linalg.Vector {
+	d := make(linalg.Vector, len(x))
+	for i, v := range x {
+		d[i] = v - y[i]
+	}
+	return d
 }

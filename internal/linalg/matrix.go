@@ -146,9 +146,22 @@ func (m *Matrix) MulVecInto(dst, x Vector) Vector {
 	return dst
 }
 
-// QuadForm returns xᵀ·m·y for the square matrix m.
+// QuadForm returns xᵀ·m·y for the square matrix m without allocating:
+// it is x.Dot(m.MulVec(y)), each row's product with y formed and then
+// multiplied into the sum in that order, bit for bit.
 func (m *Matrix) QuadForm(x, y Vector) float64 {
-	return x.Dot(m.MulVec(y))
+	if m.Cols != len(y) || m.Rows != len(x) {
+		panic(fmt.Sprintf("linalg: QuadForm %d×%d with lens %d, %d", m.Rows, m.Cols, len(x), len(y)))
+	}
+	var s float64
+	for r, xr := range x {
+		var my float64
+		for c, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+			my += v * y[c]
+		}
+		s += xr * my
+	}
+	return s
 }
 
 // Symmetrize sets m ← (m + mᵀ)/2 in place and returns m. It is used to

@@ -62,18 +62,6 @@ func (x Vector) Dot(y Vector) float64 {
 	return s
 }
 
-// Sub returns x − y as a new vector.
-func (x Vector) Sub(y Vector) Vector {
-	if len(x) != len(y) {
-		panic(dimErr("Sub", len(x), len(y)))
-	}
-	z := make(Vector, len(x))
-	for i, v := range x {
-		z[i] = v - y[i]
-	}
-	return z
-}
-
 // Scale returns a·x as a new vector.
 func (x Vector) Scale(a float64) Vector {
 	z := make(Vector, len(x))

@@ -12,9 +12,6 @@ func TestVectorBasicOps(t *testing.T) {
 	if got := x.Dot(y); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
-	if got := y.Sub(x); !near(got, Vector{3, 3, 3}, 0) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := x.Scale(2); !near(got, Vector{2, 4, 6}, 0) {
 		t.Errorf("Scale = %v", got)
 	}
