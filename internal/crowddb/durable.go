@@ -462,9 +462,8 @@ func (db *DB) attachJournalLocked(gen uint64, initRecords int64) error {
 // append that crosses a compaction threshold wakes the auto-compaction
 // loop.
 func (db *DB) newJournal(f JournalFile) *journalWriter {
-	jw := newJournalWriter(f, db.opts.Sync, &db.stats, nil)
-	jw.onErr = db.enterDegraded
-	jw.onAppend = func(payload []byte) {
+	var jw *journalWriter
+	jw = newJournalWriter(f, db.opts.Sync, &db.stats, db.enterDegraded, func(payload []byte) {
 		db.replPublish(payload)
 		if db.opts.overLimit(jw.records) {
 			select {
@@ -472,7 +471,7 @@ func (db *DB) newJournal(f JournalFile) *journalWriter {
 			default:
 			}
 		}
-	}
+	}, time.Now)
 	return jw
 }
 

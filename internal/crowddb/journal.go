@@ -215,11 +215,8 @@ type journalWriter struct {
 	onAppend func(payload []byte)
 }
 
-func newJournalWriter(f JournalFile, policy SyncPolicy, stats *DurabilityStats, clock func() time.Time) *journalWriter {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &journalWriter{f: f, policy: policy, stats: stats, lastSync: clock(), clock: clock}
+func newJournalWriter(f JournalFile, policy SyncPolicy, stats *DurabilityStats, onErr func(error), onAppend func(payload []byte), clock func() time.Time) *journalWriter {
+	return &journalWriter{f: f, policy: policy, stats: stats, onErr: onErr, onAppend: onAppend, lastSync: clock(), clock: clock}
 }
 
 func (jw *journalWriter) logRecord(e event) error {
@@ -230,32 +227,21 @@ func (jw *journalWriter) logRecord(e event) error {
 	frame := encodeRecord(payload)
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	if jw.onAppend != nil {
-		defer jw.onAppend(payload)
-	}
+	defer jw.onAppend(payload)
 	if _, err := jw.f.Write(frame); err != nil {
-		jw.failed(err)
+		jw.onErr(err)
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	jw.records++
 	jw.unsynced++
-	if jw.stats != nil {
-		jw.stats.recordWritten(int64(len(frame)))
-	}
+	jw.stats.recordWritten(int64(len(frame)))
 	if jw.shouldSync() {
 		if err := jw.syncLocked(); err != nil {
-			jw.failed(err)
+			jw.onErr(err)
 			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
 	return nil
-}
-
-// failed reports one append/fsync failure to the onErr observer.
-func (jw *journalWriter) failed(err error) {
-	if jw.onErr != nil {
-		jw.onErr(err)
-	}
 }
 
 func (jw *journalWriter) shouldSync() bool {
@@ -274,9 +260,7 @@ func (jw *journalWriter) syncLocked() error {
 	}
 	jw.unsynced = 0
 	jw.lastSync = jw.clock()
-	if jw.stats != nil {
-		jw.stats.Fsyncs.Add(1)
-	}
+	jw.stats.Fsyncs.Add(1)
 	return nil
 }
 

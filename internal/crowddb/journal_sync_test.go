@@ -20,7 +20,7 @@ func (jw *journalWriter) Sync() error {
 		return nil
 	}
 	if err := jw.syncLocked(); err != nil {
-		jw.failed(err)
+		jw.onErr(err)
 		return err
 	}
 	return nil
@@ -42,9 +42,9 @@ func TestSyncIntervalFailedFsyncDoesNotAdvanceClock(t *testing.T) {
 
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	jw := newJournalWriter(f, SyncInterval(10*time.Millisecond), nil, clock)
 	var observed []error
-	jw.onErr = func(err error) { observed = append(observed, err) }
+	jw := newJournalWriter(f, SyncInterval(10*time.Millisecond), new(DurabilityStats),
+		func(err error) { observed = append(observed, err) }, func([]byte) {}, clock)
 	ev := func(i int) event {
 		return event{Kind: evAddTask, Task: i, Text: "t", At: now}
 	}

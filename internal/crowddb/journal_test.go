@@ -64,7 +64,13 @@ func (bufferFile) Close() error { return nil }
 // journalInto attaches an in-memory journal to s: every later mutation
 // appends its framed record to buf.
 func journalInto(s *Store, buf *bytes.Buffer) {
-	s.setJournal(newJournalWriter(bufferFile{buf}, SyncPolicy{}, nil, nil))
+	s.setJournal(testJournalWriter(bufferFile{buf}, SyncPolicy{}, time.Now))
+}
+
+// testJournalWriter is a journal writer with fresh counters and no-op
+// observers.
+func testJournalWriter(f JournalFile, policy SyncPolicy, clock func() time.Time) *journalWriter {
+	return newJournalWriter(f, policy, new(DurabilityStats), func(error) {}, func([]byte) {}, clock)
 }
 
 func TestJournalReplayReproducesState(t *testing.T) {
@@ -278,7 +284,7 @@ func TestSyncPolicies(t *testing.T) {
 
 	t.Run("always", func(t *testing.T) {
 		f := &countingFile{}
-		jw := newJournalWriter(f, SyncAlways(), nil, nil)
+		jw := testJournalWriter(f, SyncAlways(), time.Now)
 		for i := 0; i < 5; i++ {
 			if err := jw.logRecord(ev); err != nil {
 				t.Fatal(err)
@@ -291,7 +297,7 @@ func TestSyncPolicies(t *testing.T) {
 
 	t.Run("every=3", func(t *testing.T) {
 		f := &countingFile{}
-		jw := newJournalWriter(f, SyncEvery(3), nil, nil)
+		jw := testJournalWriter(f, SyncEvery(3), time.Now)
 		for i := 0; i < 7; i++ {
 			if err := jw.logRecord(ev); err != nil {
 				t.Fatal(err)
@@ -312,7 +318,7 @@ func TestSyncPolicies(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
 		f := &countingFile{}
 		now := time.Unix(0, 0)
-		jw := newJournalWriter(f, SyncInterval(time.Minute), nil, func() time.Time { return now })
+		jw := testJournalWriter(f, SyncInterval(time.Minute), func() time.Time { return now })
 		if err := jw.logRecord(ev); err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +337,7 @@ func TestSyncPolicies(t *testing.T) {
 	t.Run("stats", func(t *testing.T) {
 		f := &countingFile{}
 		var stats DurabilityStats
-		jw := newJournalWriter(f, SyncAlways(), &stats, nil)
+		jw := newJournalWriter(f, SyncAlways(), &stats, func(error) {}, func([]byte) {}, time.Now)
 		for i := 0; i < 4; i++ {
 			if err := jw.logRecord(ev); err != nil {
 				t.Fatal(err)
@@ -414,7 +420,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 
 func TestJournalWriteFailureSurfaces(t *testing.T) {
 	s := NewStore()
-	s.setJournal(newJournalWriter(failingFile{}, SyncPolicy{}, nil, nil))
+	s.setJournal(testJournalWriter(failingFile{}, SyncPolicy{}, time.Now))
 	if _, err := s.AddWorker(0, "w"); !errors.Is(err, ErrJournal) {
 		t.Errorf("AddWorker err = %v, want ErrJournal", err)
 	}
