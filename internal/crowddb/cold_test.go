@@ -152,14 +152,8 @@ func TestSelectionsColdAllocationFence(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")
 	}
-	p := corpus.Quora().Scaled(0.03)
-	p.Seed = 11
-	d, cm, mgr := coldPlatform(t, p, 5, 5, 64)
-	srv := NewServer(mgr)
-	rng := rand.New(rand.NewSource(3))
-	fillCache(t, d, cm, srv, rng)
 	const runs = 100
-	bodies := coldBodies(t, d, rng, runs+1) // AllocsPerRun warms up once
+	srv, cm, bodies := coldFenceNode(t, runs+1) // AllocsPerRun warms up once
 	i := 0
 	var before, after runtime.MemStats
 	pre := cm.CacheStats()
@@ -167,16 +161,63 @@ func TestSelectionsColdAllocationFence(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() { serveSelection(t, srv, bodies[i]); i++ })
 	runtime.ReadMemStats(&after)
 	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-	st := cm.CacheStats()
 	t.Logf("POST /api/v1/selections, 8 never-seen texts, full cache: %.1f allocations, %.0f bytes", allocs, bytesPerRun)
-	if st.Hits != pre.Hits || st.Misses-pre.Misses < 8*runs || st.Entries != st.Capacity {
-		t.Fatalf("the requests were not cold against a full cache: %+v -> %+v", pre, st)
-	}
+	checkCold(t, cm, pre, runs)
 	if allocs > coldSelectionAllocFence {
 		t.Errorf("%.1f allocations per cold selection, want <= %d", allocs, coldSelectionAllocFence)
 	}
 	if bytesPerRun > coldSelectionByteFence {
 		t.Errorf("%.0f bytes per cold selection, want <= %d", bytesPerRun, coldSelectionByteFence)
+	}
+}
+
+// TestSelectionsColdAllocationFenceAtWidthTwo holds the cold selection
+// to the same fence at GOMAXPROCS 2, the width the program runs at on a
+// two-core host. testing.AllocsPerRun pins GOMAXPROCS to 1, so the batch
+// projection's fan-out across two goroutines is counted only here, from
+// runtime.MemStats around a loop of cold selections.
+func TestSelectionsColdAllocationFenceAtWidthTwo(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const runs = 200
+	srv, cm, bodies := coldFenceNode(t, runs+1)
+	serveSelection(t, srv, bodies[runs]) // warm-up
+	var before, after runtime.MemStats
+	pre := cm.CacheStats()
+	runtime.ReadMemStats(&before)
+	for _, body := range bodies[:runs] {
+		serveSelection(t, srv, body)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("POST /api/v1/selections at GOMAXPROCS 2, 8 never-seen texts, full cache: %.2f allocations", allocs)
+	checkCold(t, cm, pre, runs)
+	if allocs > coldSelectionAllocFence {
+		t.Errorf("%.2f allocations per cold selection at width 2, want <= %d", allocs, coldSelectionAllocFence)
+	}
+}
+
+// coldFenceNode is the cold fences' node: a 0.03-scale Quora platform
+// behind NewServer with its 64-entry projection cache full, and n
+// bodies of eight never-seen texts.
+func coldFenceNode(t *testing.T, n int) (*Server, *core.ConcurrentModel, [][]byte) {
+	p := corpus.Quora().Scaled(0.03)
+	p.Seed = 11
+	d, cm, mgr := coldPlatform(t, p, 5, 5, 64)
+	srv := NewServer(mgr)
+	rng := rand.New(rand.NewSource(3))
+	fillCache(t, d, cm, srv, rng)
+	return srv, cm, coldBodies(t, d, rng, n)
+}
+
+// checkCold fails the test unless the last runs selections since pre
+// all missed a full cache.
+func checkCold(t *testing.T, cm *core.ConcurrentModel, pre core.ProjectionCacheStats, runs int) {
+	t.Helper()
+	if st := cm.CacheStats(); st.Hits != pre.Hits || st.Misses-pre.Misses < uint64(8*runs) || st.Entries != st.Capacity {
+		t.Fatalf("the requests were not cold against a full cache: %+v -> %+v", pre, st)
 	}
 }
 
