@@ -47,7 +47,9 @@ race:
 # single-node selections handler, hot (§11: the fleet's category fields
 # must cost a request that names none nothing), cold (§6: a miss against
 # a full cache allocates its key string, a few bytes a term, and no
-# category, counted in allocations and bytes) and as a fleet's
+# category, counted in allocations and bytes, and counted again at
+# GOMAXPROCS 2 from runtime.MemStats, since AllocsPerRun pins the width
+# to 1 and hides the batch projection's fan-out) and as a fleet's
 # score-only leg (§8: the leg is scanned, ranked and answered inside
 # one pooled scratch, with nothing per task):
 # testing.AllocsPerRun counts are exact only without the race detector,
@@ -194,7 +196,7 @@ fleet:
 # cross-tenant refusal, interleaved crash recovery, the two-tenant
 # failover drill, and the README/route-table agreement check.
 tenants:
-	$(GO) test -race -run 'TestTenant|TestValidTenantName|TestSplitTenantPath|TestUnknownTenant|TestAddTenantValidation|TestMultiTenant|TestClientTenant|TestDefaultJournalHasNoTenantStamps|TestAPIReferenceMatchesMux|TestErrorEnvelope|TestGateMatrixByClass|TestMetricsLabel|TestChaosTenantFailover|TestParseTenantsFlag|TestBuildServiceTenants|TestBootGateEnvelope' -v ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/ ./cmd/crowdd/
+	$(GO) test -race -run 'TestTenant|TestValidTenantName|TestSplitTenantPath|TestUnknownTenant|TestNewValidatesTheDescription|TestMultiTenant|TestClientTenant|TestDefaultJournalHasNoTenantStamps|TestAPIReferenceMatchesMux|TestErrorEnvelope|TestGateMatrixByClass|TestMetricsLabel|TestChaosTenantFailover|TestParseTenantsFlag|TestBuildServiceTenants|TestBootGateEnvelope' -v ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/ ./cmd/crowdd/
 
 # The integrity suite (DESIGN.md §14) under the race detector: digest
 # determinism across replay/replication/compaction, the background

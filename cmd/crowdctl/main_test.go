@@ -40,12 +40,16 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := crowddb.NewServer(mgr)
 	engine, err := crowdql.NewEngine(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.SetQueryEngine(crowdql.HTTPAdapter{Engine: engine})
+	server, err := crowddb.New(crowddb.NodeConfig{Tenants: []crowddb.TenantConfig{{
+		Name: crowddb.DefaultTenant, Manager: mgr, Query: crowdql.HTTPAdapter{Engine: engine},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 	return srv

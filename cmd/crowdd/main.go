@@ -309,17 +309,6 @@ func run(cfg daemonConfig) error {
 		<-errc
 		return err
 	}
-	srv.SetLogger(log.Printf)
-	if cfg.maxInflight > 0 {
-		// Adaptive AIMD between the floor and the flag's ceiling; the
-		// limit starts at the ceiling and backs off on deadline overruns.
-		srv.SetAdmission(crowddb.AdmissionConfig{
-			Min: cfg.admissionMin,
-			Max: cfg.maxInflight,
-		})
-	}
-	srv.SetDeadlineBudgets(cfg.readBudget, cfg.writeBudget)
-	srv.SetMaxBodyBytes(cfg.maxBody)
 	gate.srv.Store(srv)
 	log.Printf("crowd-selection service ready on %s (%d tenants, %d workers online)", ln.Addr(), len(srv.Tenants()), online)
 
@@ -583,17 +572,19 @@ func openSlice(cfg daemonConfig, name string, seed func() (*corpus.Dataset, *cor
 	return sl, nil
 }
 
-// registerSlice wires an opened slice's per-tenant facilities into the
-// server; this and TenantConfig are the only places one is added. A
-// durable slice can feed warm standbys and backups on a follower too:
-// after promotion the remaining standbys re-point at it, and a backup
-// taken off a standby stays off the primary's serving path.
-func registerSlice(srv *crowddb.Server, cfg daemonConfig, sl *slice, fence *crowddb.Fence) error {
+// registerSlice turns an opened slice into its tenant's part of the
+// node description; this and TenantConfig are the only places a
+// per-tenant facility is added. A durable slice can feed warm standbys
+// and backups on a follower too: after promotion the remaining standbys
+// re-point at it, and a backup taken off a standby stays off the
+// primary's serving path.
+func registerSlice(cfg daemonConfig, sl *slice, fence *crowddb.Fence) (crowddb.TenantConfig, error) {
 	engine, err := crowdql.NewEngine(sl.mgr)
 	if err != nil {
-		return err
+		return crowddb.TenantConfig{}, err
 	}
 	tc := crowddb.TenantConfig{
+		Name:        sl.name,
 		Manager:     sl.mgr,
 		Query:       crowdql.HTTPAdapter{Engine: engine},
 		MaxInflight: cfg.tenantQuota,
@@ -602,21 +593,11 @@ func registerSlice(srv *crowddb.Server, cfg daemonConfig, sl *slice, fence *crow
 		sl.src = crowddb.NewTransferSource(sl.db, fence, sl.digest, crowddb.TransferSourceOptions{Logf: log.Printf})
 		tc.Degraded, tc.Digest, tc.ReplicationSource, tc.Backup = sl.db.Degraded, sl.digest, sl.src.Stream(), sl.src.Segment()
 	}
-	if sl.name != crowddb.DefaultTenant {
-		return srv.AddTenant(sl.name, tc)
-	}
-	// The default tenant's entry exists from NewServer (it carries the
-	// manager); the rest of its slice goes in through the setters.
-	srv.SetQueryEngine(tc.Query)
-	srv.SetDegradedCheck(tc.Degraded)
-	srv.SetDigestProvider(tc.Digest)
-	srv.SetReplicationSource(tc.ReplicationSource)
-	srv.SetBackupSource(tc.Backup)
-	return srv.SetTenantQuota(sl.name, tc.MaxInflight)
+	return tc, nil
 }
 
 // buildNode assembles the node: a slice for the default tenant and one
-// per -tenants name, registered on one server whose node-level state
+// per -tenants name, described to one server whose node-level state
 // (fence, topology, role, status sections) reads off the default slice.
 // A fresh named tenant is seeded with the default tenant's dataset and
 // a clone of its model: every crowd shares one latent space until its
@@ -646,56 +627,62 @@ func buildNode(cfg daemonConfig) (_ *crowddb.Server, slices []*slice, err error)
 	}
 
 	def := slices[0]
-	srv := crowddb.NewServer(def.mgr)
-	srv.SetCacheStats(def.cm.CacheStats)
-	if err := seedTopology(srv, cfg); err != nil {
-		return nil, slices, err
+	node := crowddb.NodeConfig{
+		Fence:      crowddb.NewFence(def.db),
+		FleetToken: cfg.fleetToken,
+		Topology:   seedTopology(cfg),
+		Logf:       log.Printf,
+		// Adaptive AIMD between the floor and the flag's ceiling; the
+		// limit starts at the ceiling and backs off on deadline overruns.
+		// -max-inflight 0 runs no controller.
+		Admission:   crowddb.AdmissionConfig{Min: cfg.admissionMin, Max: cfg.maxInflight},
+		ReadBudget:  cfg.readBudget,
+		WriteBudget: cfg.writeBudget,
+		MaxBody:     cfg.maxBody,
+		CacheStats:  def.cm.CacheStats,
 	}
-	fence := crowddb.NewFence(def.db)
-	srv.SetFence(fence)
-	srv.SetFleetToken(cfg.fleetToken)
 	for _, sl := range slices {
-		if err := registerSlice(srv, cfg, sl, fence); err != nil {
+		tc, err := registerSlice(cfg, sl, node.Fence)
+		if err != nil {
 			return nil, slices, fmt.Errorf("tenant %s: %w", sl.name, err)
 		}
+		node.Tenants = append(node.Tenants, tc)
 	}
-	if def.db == nil {
-		return srv, slices, nil
-	}
-	srv.SetDurabilityStats(def.db.Stats)
-	if def.rep == nil {
-		srv.SetIntegrityStats(def.db.ScrubStats)
-		srv.SetReplicationStatus(def.src.Status)
-		return srv, slices, nil
-	}
-	// A follower serves read-only behind the role gate; its status
-	// sections merge the stream's view with the local scrubber and the
-	// divergence state machine.
-	srv.SetRole(crowddb.RoleReplica)
-	srv.SetIntegrityStats(func() crowddb.IntegritySnapshot {
-		is := def.db.ScrubStats()
-		st := def.rep.Status()
-		is.Diverged, is.Divergences, is.Repairs = st.Diverged, st.Divergences, st.Repairs
-		return is
-	})
-	srv.SetReplicationStatus(func() crowddb.ReplicationStatus {
-		st := def.rep.Status()
-		st.Followers = def.src.Followers()
-		return st
-	})
-	// Promote every tenant's stream; the node-level role flips only
-	// after all succeed, so a failover never strands a namespace.
-	// Replica.Promote is idempotent on success, so a retried promotion
-	// re-drives only the tenants that failed.
-	srv.SetPromoter(func(ctx context.Context) error {
-		for _, sl := range slices {
-			if err := sl.rep.Promote(ctx); err != nil {
-				return fmt.Errorf("tenant %s: %w", sl.name, err)
-			}
+	switch {
+	case def.db == nil:
+	case def.rep == nil:
+		node.Durability, node.Integrity, node.Replication = def.db.Stats, def.db.ScrubStats, def.src.Status
+	default:
+		// A follower serves read-only behind the role gate; its status
+		// sections merge the stream's view with the local scrubber and the
+		// divergence state machine.
+		node.Durability, node.Role = def.db.Stats, crowddb.RoleReplica
+		node.Integrity = func() crowddb.IntegritySnapshot {
+			is := def.db.ScrubStats()
+			st := def.rep.Status()
+			is.Diverged, is.Divergences, is.Repairs = st.Diverged, st.Divergences, st.Repairs
+			return is
 		}
-		return nil
-	})
-	return srv, slices, nil
+		node.Replication = func() crowddb.ReplicationStatus {
+			st := def.rep.Status()
+			st.Followers = def.src.Followers()
+			return st
+		}
+		// Promote every tenant's stream; the node-level role flips only
+		// after all succeed, so a failover never strands a namespace.
+		// Replica.Promote is idempotent on success, so a retried promotion
+		// re-drives only the tenants that failed.
+		node.Promoter = func(ctx context.Context) error {
+			for _, sl := range slices {
+				if err := sl.rep.Promote(ctx); err != nil {
+					return fmt.Errorf("tenant %s: %w", sl.name, err)
+				}
+			}
+			return nil
+		}
+	}
+	srv, err := crowddb.New(node)
+	return srv, slices, err
 }
 
 // buildService assembles a primary (or in-memory) node and returns the
@@ -734,16 +721,16 @@ func buildReplica(cfg daemonConfig) (*crowddb.Server, []*crowddb.Replica, int, e
 	return srv, reps, slices[0].mgr.Store().NumOnline(), nil
 }
 
-// seedTopology installs the epoch-1 fleet layout from -shard-peers so
+// seedTopology is the epoch-1 fleet layout from -shard-peers, so
 // routers can discover the fleet from any node before an operator
-// pushes a newer epoch via crowdctl topology.
-func seedTopology(srv *crowddb.Server, cfg daemonConfig) error {
+// pushes a newer epoch via crowdctl topology; nil without peers.
+func seedTopology(cfg daemonConfig) *crowddb.Topology {
 	if len(cfg.shardPeers) == 0 {
 		return nil
 	}
-	doc := crowddb.Topology{Epoch: 1, Count: cfg.shard.Count}
+	doc := &crowddb.Topology{Epoch: 1, Count: cfg.shard.Count}
 	for i, u := range cfg.shardPeers {
 		doc.Shards = append(doc.Shards, crowddb.ShardAddr{Index: i, URL: u})
 	}
-	return srv.SetTopology(doc)
+	return doc
 }

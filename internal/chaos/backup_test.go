@@ -70,14 +70,11 @@ func bootBackupNode(t *testing.T, dir string, d *corpus.Dataset, m *core.Model) 
 			t.Fatal(err)
 		}
 	}
-	srv := crowddb.NewServer(mgr)
 	cutter := crowddb.NewDigestCutter(db, mgr)
-	srv.SetDigestProvider(cutter.Func())
 	fence := crowddb.NewFence(db)
-	srv.SetFence(fence)
 	bsrc := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{Logf: t.Logf})
-	srv.SetBackupSource(bsrc.Segment())
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: mgr, Digest: cutter.Func(), Backup: bsrc.Segment()},
+		crowddb.NodeConfig{Fence: fence}))
 	var once sync.Once
 	kill := func() {
 		once.Do(func() {

@@ -67,15 +67,26 @@ func newRig(t *testing.T, opts crowddb.Options) *rig {
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	srv := crowddb.NewServer(mgr)
-	srv.SetDegradedCheck(db.Degraded)
-	srv.SetDurabilityStats(db.Stats)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded}, crowddb.NodeConfig{Durability: db.Stats}))
 	t.Cleanup(func() {
 		ts.Close()
 		db.Close()
 	})
 	return &rig{db: db, mgr: mgr, ts: ts}
+}
+
+// newNode is crowddb.New for the drills: def is the default tenant (its
+// name filled in), cfg the rest of the node. A refused description
+// fails the test.
+func newNode(t *testing.T, def crowddb.TenantConfig, cfg crowddb.NodeConfig) *crowddb.Server {
+	t.Helper()
+	def.Name = crowddb.DefaultTenant
+	cfg.Tenants = append([]crowddb.TenantConfig{def}, cfg.Tenants...)
+	srv, err := crowddb.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 // allTasks gathers every task row regardless of status.

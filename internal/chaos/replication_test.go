@@ -72,18 +72,12 @@ func newReplPrimary(t *testing.T) *replRig {
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	srv := crowddb.NewServer(mgr)
-	srv.SetDegradedCheck(db.Degraded)
-	srv.SetDurabilityStats(db.Stats)
 	fence := crowddb.NewFence(db)
-	srv.SetFence(fence)
 	cutter := crowddb.NewDigestCutter(db, mgr)
 	src := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	srv.SetDigestProvider(cutter.Func())
-	srv.SetIntegrityStats(db.ScrubStats)
-	srv.SetReplicationSource(src.Stream())
-	srv.SetReplicationStatus(src.Status)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t,
+		crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded, Digest: cutter.Func(), ReplicationSource: src.Stream()},
+		crowddb.NodeConfig{Durability: db.Stats, Fence: fence, Integrity: db.ScrubStats, Replication: src.Status}))
 	t.Cleanup(func() {
 		ts.CloseClientConnections()
 		ts.Close()
@@ -150,19 +144,14 @@ func startFollowerDir(t *testing.T, primaryURL, dir string) (*follower, *httptes
 		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
 		ReconnectBackoff: 10 * time.Millisecond,
 	}, crowddb.ShardSpec{})
-	srv := crowddb.NewServer(rep.mgr)
-	srv.SetRole(crowddb.RoleReplica)
-	srv.SetDurabilityStats(rep.DB().Stats)
-	srv.SetReplicationStatus(rep.Status)
-	srv.SetPromoter(rep.Promote)
 	fence := crowddb.NewFence(rep.DB())
-	srv.SetFence(fence)
 	// A promoted standby must be able to feed followers of its own —
 	// the healed fleet re-converges by re-pointing at the winner.
 	src := crowddb.NewTransferSource(rep.DB(), fence, rep.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	srv.SetDigestProvider(rep.Digest)
-	srv.SetReplicationSource(src.Stream())
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: rep.mgr, Digest: rep.Digest, ReplicationSource: src.Stream()},
+		crowddb.NodeConfig{
+			Role: crowddb.RoleReplica, Durability: rep.DB().Stats, Replication: rep.Status, Promoter: rep.Promote, Fence: fence,
+		}))
 	t.Cleanup(func() {
 		ts.CloseClientConnections()
 		ts.Close()

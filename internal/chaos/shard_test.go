@@ -80,15 +80,11 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 		if err := db.Begin(); err != nil {
 			t.Fatal(err)
 		}
-		srv := crowddb.NewServer(mgr)
-		srv.SetDegradedCheck(db.Degraded)
-		srv.SetDurabilityStats(db.Stats)
 		fence := crowddb.NewFence(db)
-		srv.SetFence(fence)
 		src := crowddb.NewTransferSource(db, fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-		srv.SetReplicationSource(src.Stream())
-		srv.SetReplicationStatus(src.Status)
-		ts := httptest.NewServer(srv)
+		ts := httptest.NewServer(newNode(t,
+			crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded, ReplicationSource: src.Stream()},
+			crowddb.NodeConfig{Durability: db.Stats, Fence: fence, Replication: src.Status}))
 		rig := &shardRig{db: db, mgr: mgr, cm: cm, ts: ts}
 		rigs[i] = rig
 		doc.Shards = append(doc.Shards, crowddb.ShardAddr{Index: i, URL: ts.URL})
@@ -118,12 +114,9 @@ func startShardFollower(t *testing.T, primaryURL string, sp crowddb.ShardSpec) (
 		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
 		ReconnectBackoff: 10 * time.Millisecond,
 	}, sp)
-	srv := crowddb.NewServer(rep.mgr)
-	srv.SetRole(crowddb.RoleReplica)
-	srv.SetDurabilityStats(rep.DB().Stats)
-	srv.SetReplicationStatus(rep.Status)
-	srv.SetPromoter(rep.Promote)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: rep.mgr}, crowddb.NodeConfig{
+		Role: crowddb.RoleReplica, Durability: rep.DB().Stats, Replication: rep.Status, Promoter: rep.Promote,
+	}))
 	t.Cleanup(func() {
 		ts.CloseClientConnections()
 		ts.Close()

@@ -71,22 +71,14 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 
 	// Rebuild the HTTP shell so both tenants hang off one listener —
 	// newReplPrimary already started a server for the default tenant,
-	// but AddTenant must happen before traffic, so serve a fresh one.
-	srv := crowddb.NewServer(p.def.mgr)
-	srv.SetDegradedCheck(p.def.db.Degraded)
-	srv.SetDurabilityStats(p.def.db.Stats)
+	// but a node is described whole, so serve a fresh one.
 	defSrc := crowddb.NewTransferSource(p.def.db, p.def.fence, crowddb.NewDigestCutter(p.def.db, p.def.mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	srv.SetReplicationSource(defSrc.Stream())
-	srv.SetReplicationStatus(defSrc.Status)
-	srv.SetFence(p.def.fence)
-	if err := srv.AddTenant("acme", crowddb.TenantConfig{
-		Manager:           mgr,
-		Degraded:          db.Degraded,
-		ReplicationSource: src.Stream(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t,
+		crowddb.TenantConfig{Manager: p.def.mgr, Degraded: p.def.db.Degraded, ReplicationSource: defSrc.Stream()},
+		crowddb.NodeConfig{
+			Durability: p.def.db.Stats, Replication: defSrc.Status, Fence: p.def.fence,
+			Tenants: []crowddb.TenantConfig{{Name: "acme", Manager: mgr, Degraded: db.Degraded, ReplicationSource: src.Stream()}},
+		}))
 	t.Cleanup(func() {
 		ts.CloseClientConnections()
 		ts.Close()
@@ -115,33 +107,27 @@ func startTenantFollower(t *testing.T, primaryURL string) (def, acme *follower, 
 		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
 		ReconnectBackoff: 10 * time.Millisecond,
 	}, crowddb.ShardSpec{})
-	srv := crowddb.NewServer(def.mgr)
-	srv.SetRole(crowddb.RoleReplica)
-	srv.SetDurabilityStats(def.DB().Stats)
-	srv.SetReplicationStatus(def.Status)
-	srv.SetPromoter(func(ctx context.Context) error {
-		// Promote every tenant; Replica.Promote caches only success,
-		// so a retry after a partial failure re-drives just the rest.
-		if err := def.Promote(ctx); err != nil {
-			return fmt.Errorf("tenant default: %w", err)
-		}
-		if err := acme.Promote(ctx); err != nil {
-			return fmt.Errorf("tenant acme: %w", err)
-		}
-		return nil
-	})
 	fence := crowddb.NewFence(def.DB())
-	srv.SetFence(fence)
 	defSrc := crowddb.NewTransferSource(def.DB(), fence, def.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	srv.SetReplicationSource(defSrc.Stream())
 	acmeSrc := crowddb.NewTransferSource(acme.DB(), fence, acme.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	if err := srv.AddTenant("acme", crowddb.TenantConfig{
-		Manager:           acme.mgr,
-		ReplicationSource: acmeSrc.Stream(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ts = httptest.NewServer(srv)
+	ts = httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: def.mgr, ReplicationSource: defSrc.Stream()}, crowddb.NodeConfig{
+		Role:        crowddb.RoleReplica,
+		Durability:  def.DB().Stats,
+		Replication: def.Status,
+		Fence:       fence,
+		Tenants:     []crowddb.TenantConfig{{Name: "acme", Manager: acme.mgr, ReplicationSource: acmeSrc.Stream()}},
+		Promoter: func(ctx context.Context) error {
+			// Promote every tenant; Replica.Promote caches only success,
+			// so a retry after a partial failure re-drives just the rest.
+			if err := def.Promote(ctx); err != nil {
+				return fmt.Errorf("tenant default: %w", err)
+			}
+			if err := acme.Promote(ctx); err != nil {
+				return fmt.Errorf("tenant acme: %w", err)
+			}
+			return nil
+		},
+	}))
 	t.Cleanup(func() {
 		ts.CloseClientConnections()
 		ts.Close()

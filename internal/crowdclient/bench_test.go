@@ -90,9 +90,7 @@ func benchFleet(b *testing.B) (*corpus.Dataset, []*core.ConcurrentModel, *Router
 		doc.Shards = append(doc.Shards, crowddb.ShardAddr{Index: i, URL: hs.URL})
 	}
 	for _, srv := range servers {
-		if err := srv.SetTopology(doc); err != nil {
-			b.Fatal(err)
-		}
+		pushTopology(b, srv, doc)
 	}
 	r, err := NewRouter(context.Background(), []string{doc.Shards[0].URL}, Options{})
 	if err != nil {

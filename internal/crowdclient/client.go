@@ -76,7 +76,7 @@ type Options struct {
 	// Clock replaces time.Now for the breaker cooldown (test hook).
 	Clock func() time.Time
 	// FleetToken authenticates fleet-control requests when the server
-	// gates /api/v1/replication/* (Server.SetFleetToken). Sent as
+	// gates /api/v1/replication/* (crowddb.NodeConfig.FleetToken). Sent as
 	// "Authorization: Bearer <token>" on every request; empty sends
 	// nothing.
 	FleetToken string

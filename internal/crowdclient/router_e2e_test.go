@@ -130,9 +130,23 @@ func newFleetWrapped(t *testing.T, count int, wrap func(http.Handler) http.Handl
 func (f *fleetFixture) setTopology(t *testing.T, doc crowddb.Topology) {
 	t.Helper()
 	for _, n := range f.nodes {
-		if err := n.srv.SetTopology(doc); err != nil {
-			t.Fatal(err)
-		}
+		pushTopology(t, n.srv, doc)
+	}
+}
+
+// pushTopology installs doc on srv through its admin route, POST
+// /api/v1/topology, in process: a node learns its fleet's addresses
+// only once their servers listen.
+func pushTopology(t testing.TB, srv *crowddb.Server, doc crowddb.Topology) {
+	t.Helper()
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/topology", bytes.NewReader(b)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /api/v1/topology = %d: %s", rec.Code, rec.Body)
 	}
 }
 
@@ -478,11 +492,9 @@ func TestRouterTreatsMalformedLegAsShardError(t *testing.T) {
 	fake := &malformedShard{}
 	fakeHS := httptest.NewServer(fake)
 	t.Cleanup(fakeHS.Close)
-	if err := real.srv.SetTopology(crowddb.Topology{Epoch: 1, Count: 2, Shards: []crowddb.ShardAddr{
+	pushTopology(t, real.srv, crowddb.Topology{Epoch: 1, Count: 2, Shards: []crowddb.ShardAddr{
 		{Index: 0, URL: real.hs.URL}, {Index: 1, URL: fakeHS.URL},
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	ctx := context.Background()
 	f := &fleetFixture{dataset: d}
 	reqs := f.requests(3, 4)

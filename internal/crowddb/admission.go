@@ -25,9 +25,9 @@ import (
 type AdmissionConfig struct {
 	// Min is the floor the limit never shrinks below (default 1).
 	Min int
-	// Max is the ceiling the limit never grows above (default 4096) and
-	// the limit it starts at. Min == Max pins the limit: a fixed cap with
-	// no adaptation.
+	// Max is the ceiling the limit never grows above and the limit it
+	// starts at; a node given Max <= 0 runs no controller. Min == Max
+	// pins the limit: a fixed cap with no adaptation.
 	Max int
 	// Clock replaces time.Now (tests).
 	Clock func() time.Time
@@ -60,9 +60,6 @@ type admission struct {
 func newAdmission(cfg AdmissionConfig) *admission {
 	if cfg.Min <= 0 {
 		cfg.Min = 1
-	}
-	if cfg.Max <= 0 {
-		cfg.Max = 4096
 	}
 	if cfg.Max < cfg.Min {
 		cfg.Max = cfg.Min

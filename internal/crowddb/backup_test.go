@@ -620,13 +620,10 @@ func TestBackupEndpointRoutingGatingAndGone(t *testing.T) {
 	rig, cutter, src, _ := backupPrimary(t)
 	rig.resolveOneTask(t, "a task so the head moves past the base", []float64{4, 2})
 
-	srv := NewServer(rig.mgr)
-	srv.SetBackupSource(src.Segment())
-	srv.SetDigestProvider(cutter.Func())
-	if err := srv.AddTenant("acme", TenantConfig{Manager: rig.mgr, Backup: src.Segment()}); err != nil {
-		t.Fatal(err)
-	}
-	ws := httptest.NewServer(srv)
+	def := TenantConfig{Manager: rig.mgr, Backup: src.Segment(), Digest: cutter.Func()}
+	ws := httptest.NewServer(newNode(t, def, NodeConfig{
+		Tenants: []TenantConfig{{Name: "acme", Manager: rig.mgr, Backup: src.Segment()}},
+	}))
 	t.Cleanup(ws.Close)
 
 	var buf bytes.Buffer
@@ -640,8 +637,9 @@ func TestBackupEndpointRoutingGatingAndGone(t *testing.T) {
 
 	// With a fleet token set, the backup stream is part of the gated
 	// fleet plane.
-	srv.SetFleetToken("s3cr3t")
-	resp, err := http.Get(ws.URL + "/api/v1/backup")
+	gated := httptest.NewServer(newNode(t, def, NodeConfig{FleetToken: "s3cr3t"}))
+	t.Cleanup(gated.Close)
+	resp, err := http.Get(gated.URL + "/api/v1/backup")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +647,7 @@ func TestBackupEndpointRoutingGatingAndGone(t *testing.T) {
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("ungated backup with fleet token set: %s, want 403", resp.Status)
 	}
-	req, _ := http.NewRequest(http.MethodGet, ws.URL+"/api/v1/backup", nil)
+	req, _ := http.NewRequest(http.MethodGet, gated.URL+"/api/v1/backup", nil)
 	req.Header.Set("Authorization", "Bearer s3cr3t")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -659,7 +657,6 @@ func TestBackupEndpointRoutingGatingAndGone(t *testing.T) {
 		t.Fatalf("authorized backup stream: %v", err)
 	}
 	resp.Body.Close()
-	srv.SetFleetToken("")
 
 	// A node with no source answers 501.
 	bare := httptest.NewServer(NewServer(rig.mgr))

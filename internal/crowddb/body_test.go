@@ -84,7 +84,7 @@ func FuzzDecodeJSONMatchesDecoder(f *testing.F) {
 	add("null x", 3, false)                                               // a complete literal exactly at the cap
 	add("null", 255, true)                                                // a complete literal, then the client left
 	f.Add([]byte(`{"scores":{"7":0.5}, "history":"h", "epoch":1}`), uint8(255), uint8(1), false)
-	srv := NewServer(nil)
+	srv := new(Server) // decodeJSON reads nothing of the node
 	targets := []func() any{
 		func() any { return new(BatchSubmitRequest) },
 		func() any { return new(feedbackRequest) },
@@ -143,7 +143,7 @@ func BenchmarkDecodeBody(b *testing.B) {
 		{"texts=8", eight},
 		{"categories=8", leg},
 	}
-	srv := NewServer(nil)
+	srv := new(Server) // decodeJSON reads nothing of the node
 	for _, c := range bodies {
 		body, err := json.Marshal(c.req)
 		if err != nil {

@@ -62,7 +62,7 @@ type FenceStatus struct {
 
 // Fence is one node's fencing state. Backed by a durable DB the
 // epochs persist in the replication sidecar; with db nil (an
-// in-memory server, and every server until SetFence replaces it) they
+// in-memory server, and every server described without a Fence) they
 // live in the Fence itself. Safe for concurrent use.
 type Fence struct {
 	db *DB // nil: memory-only epochs

@@ -150,7 +150,7 @@ func TestFencingEpochPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestFencedByDefault: a server built without SetFence is fenced all
+// TestFencedByDefault: a server described without a Fence is fenced all
 // the same, by the memory-only fence an in-memory node runs. It gossips
 // its epoch and history, obeys a fence order for that history, and
 // then refuses mutations with the typed 409.
@@ -190,9 +190,7 @@ func TestFencedServerGate(t *testing.T) {
 	rig.resolveOneTask(t, "one committed task before the deposition", []float64{4, 2})
 
 	fence := src.fence
-	srv := NewServer(rig.mgr)
-	srv.SetFence(fence)
-	api := httptest.NewServer(srv)
+	api := httptest.NewServer(newNode(t, TenantConfig{Manager: rig.mgr}, NodeConfig{Fence: fence}))
 	defer api.Close()
 	history := rig.db.ReplicationHistory()
 
@@ -337,10 +335,7 @@ func TestFencedServerGate(t *testing.T) {
 func TestFleetTokenGatesControlSurface(t *testing.T) {
 	rig, _, _ := replPrimary(t)
 	fence := NewFence(rig.db)
-	srv := NewServer(rig.mgr)
-	srv.SetFence(fence)
-	srv.SetFleetToken("drill-token")
-	api := httptest.NewServer(srv)
+	api := httptest.NewServer(newNode(t, TenantConfig{Manager: rig.mgr}, NodeConfig{Fence: fence, FleetToken: "drill-token"}))
 	defer api.Close()
 	history := rig.db.ReplicationHistory()
 
@@ -399,9 +394,7 @@ func TestFleetTokenGatesControlSurface(t *testing.T) {
 func TestLeaseEndpointSealsOnLapse(t *testing.T) {
 	rig, _, _ := replPrimary(t)
 	fence := NewFence(rig.db)
-	srv := NewServer(rig.mgr)
-	srv.SetFence(fence)
-	api := httptest.NewServer(srv)
+	api := httptest.NewServer(newNode(t, TenantConfig{Manager: rig.mgr}, NodeConfig{Fence: fence}))
 	defer api.Close()
 
 	renew := func(ttlMs int64) *http.Response {
@@ -462,9 +455,7 @@ func TestLeaseEndpointSealsOnLapse(t *testing.T) {
 // and on both endpoints fencing_epoch is fencing.epoch.
 func TestLeaseAnswerCarriesTheFence(t *testing.T) {
 	rig, _, _ := replPrimary(t)
-	srv := NewServer(rig.mgr)
-	srv.SetFence(NewFence(rig.db))
-	api := httptest.NewServer(srv)
+	api := httptest.NewServer(newNode(t, TenantConfig{Manager: rig.mgr}, NodeConfig{Fence: NewFence(rig.db)}))
 	defer api.Close()
 
 	answer := func(method, path, body string) ReadyzResponse {
@@ -523,11 +514,9 @@ func TestConcurrentPromotionSingleWinner(t *testing.T) {
 	waitCaughtUp(t, rig, rep)
 	killPrimary(ts)
 
-	srv := NewServer(rep.mgr)
-	srv.SetRole(RoleReplica)
-	srv.SetReplicationStatus(rep.Status)
-	srv.SetPromoter(rep.Promote)
-	rts := httptest.NewServer(srv)
+	rts := httptest.NewServer(newNode(t, TenantConfig{Manager: rep.mgr}, NodeConfig{
+		Role: RoleReplica, Replication: rep.Status, Promoter: rep.Promote,
+	}))
 	defer rts.Close()
 
 	// Block the winner mid-promotion (Promote compacts, compaction

@@ -527,11 +527,10 @@ func TestDigestEndpoint(t *testing.T) {
 	defer rig.db.Close()
 	rig.resolveOneTask(t, "a committed task", []float64{4, 2})
 
-	srv := NewServer(rig.mgr)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	bare := httptest.NewServer(NewServer(rig.mgr))
+	defer bare.Close()
 
-	resp, err := http.Get(ts.URL + "/api/v1/digest")
+	resp, err := http.Get(bare.URL + "/api/v1/digest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +539,18 @@ func TestDigestEndpoint(t *testing.T) {
 		t.Fatalf("digest without provider got %s, want 404", resp.Status)
 	}
 
-	srv.SetDigestProvider(NewDigestCutter(rig.db, rig.mgr).Func())
+	// A tenant without its own provider answers 404 on its scoped path;
+	// the default tenant's provider must not leak across namespaces.
+	d2, model2 := trainedFixture(t)
+	store2 := NewStore()
+	store2.SetTenant("blue")
+	mgr2, err := NewManager(store2, d2.Vocab, core.NewConcurrentModel(model2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newNode(t, TenantConfig{Manager: rig.mgr, Digest: NewDigestCutter(rig.db, rig.mgr).Func()},
+		NodeConfig{Tenants: []TenantConfig{{Name: "blue", Manager: mgr2}}}))
+	defer ts.Close()
 	resp, err = http.Get(ts.URL + "/api/v1/digest")
 	if err != nil {
 		t.Fatal(err)
@@ -557,18 +567,6 @@ func TestDigestEndpoint(t *testing.T) {
 		t.Fatalf("endpoint cut %+v, want %+v", cut, want)
 	}
 
-	// A tenant without its own provider answers 404 on its scoped path;
-	// the default tenant's provider must not leak across namespaces.
-	d2, model2 := trainedFixture(t)
-	store2 := NewStore()
-	store2.SetTenant("blue")
-	mgr2, err := NewManager(store2, d2.Vocab, core.NewConcurrentModel(model2), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddTenant("blue", TenantConfig{Manager: mgr2}); err != nil {
-		t.Fatal(err)
-	}
 	resp, err = http.Get(ts.URL + "/api/v1/t/blue/digest")
 	if err != nil {
 		t.Fatal(err)
@@ -590,9 +588,7 @@ func TestReadyzAndMetricsCarryIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := NewServer(rig.mgr)
-	srv.SetIntegrityStats(rig.db.ScrubStats)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t, TenantConfig{Manager: rig.mgr}, NodeConfig{Integrity: rig.db.ScrubStats}))
 	defer ts.Close()
 
 	var ready ReadyzResponse
@@ -666,11 +662,9 @@ func TestHeartbeatDigestDetectsDivergenceAndRepairs(t *testing.T) {
 		if err := rep.Promote(t.Context()); !errors.Is(err, ErrReplicaDiverged) {
 			t.Fatalf("promote while diverged = %v, want ErrReplicaDiverged", err)
 		}
-		srv := NewServer(rep.mgr)
-		srv.SetRole(RoleReplica)
-		srv.SetReplicationStatus(rep.Status)
-		srv.SetPromoter(rep.Promote)
-		rts := httptest.NewServer(srv)
+		rts := httptest.NewServer(newNode(t, TenantConfig{Manager: rep.mgr}, NodeConfig{
+			Role: RoleReplica, Replication: rep.Status, Promoter: rep.Promote,
+		}))
 		resp, err := http.Post(rts.URL+"/api/v1/replication/promote", "application/json", nil)
 		if err != nil {
 			t.Fatal(err)

@@ -187,14 +187,12 @@ func TestMetricsEndpointReportsCacheAndShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.SetShard(ShardSpec{Index: 1, Count: 2})
-	srv := NewServer(mgr)
-	srv.SetCacheStats(cm.CacheStats)
-	if err := srv.SetTopology(Topology{Epoch: 7, Count: 2, Shards: []ShardAddr{
-		{Index: 0, URL: "http://a"}, {Index: 1, URL: "http://b"},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
+	hs := httptest.NewServer(newNode(t, TenantConfig{Manager: mgr}, NodeConfig{
+		CacheStats: cm.CacheStats,
+		Topology: &Topology{Epoch: 7, Count: 2, Shards: []ShardAddr{
+			{Index: 0, URL: "http://a"}, {Index: 1, URL: "http://b"},
+		}},
+	}))
 	defer hs.Close()
 
 	fetch := func() MetricsSnapshot {

@@ -52,7 +52,7 @@ type ReplicaOptions struct {
 	// attempts (default 250ms, doubling to a 5s cap).
 	ReconnectBackoff time.Duration
 	// FleetToken authenticates the stream dial when the primary gates
-	// its /api/v1/replication/* surface (Server.SetFleetToken). Empty
+	// its /api/v1/replication/* surface (NodeConfig.FleetToken). Empty
 	// for open fleets.
 	FleetToken string
 	// Tenant scopes the replica to one tenant namespace (DESIGN §13):

@@ -472,11 +472,9 @@ func TestServerReplicaGate(t *testing.T) {
 	defer rep.Close()
 	waitCaughtUp(t, rig, rep)
 
-	srv := NewServer(rep.mgr)
-	srv.SetRole(RoleReplica)
-	srv.SetReplicationStatus(rep.Status)
-	srv.SetPromoter(rep.Promote)
-	rts := httptest.NewServer(srv)
+	rts := httptest.NewServer(newNode(t, TenantConfig{Manager: rep.mgr}, NodeConfig{
+		Role: RoleReplica, Replication: rep.Status, Promoter: rep.Promote,
+	}))
 	defer rts.Close()
 
 	// Mutations are refused with the primary's address attached.

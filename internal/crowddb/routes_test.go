@@ -1,6 +1,7 @@
 package crowddb
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -54,58 +55,72 @@ func TestGateMatrixByClass(t *testing.T) {
 	unready := cell{http.StatusServiceUnavailable, "unavailable"}
 	full := cell{http.StatusTooManyRequests, "over_capacity"}
 	overQuota := cell{http.StatusTooManyRequests, "tenant_quota_exceeded"}
-	seal := func(t *testing.T, s *Server) {
+	seal := func(t *testing.T, c *NodeConfig) {
 		f := NewFence(nil)
 		if !f.Observe(f.History(), 2, "http://new-primary") || !f.SealedByEpoch() {
 			t.Fatal("fence did not seal")
 		}
-		s.SetFence(f)
+		c.Fence = f
 	}
-	replica := func(s *Server) {
-		s.SetRole(RoleReplica)
-		s.SetReplicationStatus(func() ReplicationStatus { return ReplicationStatus{Primary: "http://primary"} })
+	replica := func(c *NodeConfig) {
+		c.Role = RoleReplica
+		c.Replication = func() ReplicationStatus { return ReplicationStatus{Primary: "http://primary"} }
+		c.Promoter = func(context.Context) error { return nil }
 	}
+	nothing := func(*testing.T, *NodeConfig) {}
 
 	states := []struct {
-		name  string
-		setup func(*testing.T, *Server)
+		name string
+		// node describes the node, whose Tenants[0] is the default
+		// tenant; live then moves the built server into the state.
+		node func(*testing.T, *NodeConfig)
+		live func(*testing.T, *Server)
 		// want is indexed like probes: probe, fleet, admin, query, read,
 		// mutation.
 		want [6]cell
 	}{
-		{"baseline", func(*testing.T, *Server) {},
+		{"baseline", nothing, nil,
 			[6]cell{served, served, served, served, served, served}},
-		{"not ready", func(_ *testing.T, s *Server) { s.SetReady(false) },
+		{"not ready", nothing, func(_ *testing.T, s *Server) { s.SetReady(false) },
 			[6]cell{served, unready, unready, unready, unready, unready}},
-		{"epoch-sealed", seal,
+		{"epoch-sealed", seal, nil,
 			[6]cell{served, served, served, fenced, served, fenced}},
-		{"replica", func(_ *testing.T, s *Server) { replica(s) },
+		{"replica", func(_ *testing.T, c *NodeConfig) { replica(c) }, nil,
 			[6]cell{served, served, served, notPrimary, served, notPrimary}},
-		{"epoch-sealed replica", func(t *testing.T, s *Server) { seal(t, s); replica(s) },
+		{"epoch-sealed replica", func(t *testing.T, c *NodeConfig) { seal(t, c); replica(c) }, nil,
 			[6]cell{served, served, served, fenced, served, fenced}},
-		{"degraded tenant", func(_ *testing.T, s *Server) { s.SetDegradedCheck(func() bool { return true }) },
+		{"degraded tenant", func(_ *testing.T, c *NodeConfig) { c.Tenants[0].Degraded = func() bool { return true } }, nil,
 			[6]cell{served, served, served, served, served, {http.StatusServiceUnavailable, "degraded_read_only"}}},
-		{"admission full", func(_ *testing.T, s *Server) {
-			s.SetAdmission(AdmissionConfig{Min: 1, Max: 1})
-			for ok := true; ok; ok, _ = s.adm.acquire(true) {
-			}
-		}, [6]cell{served, served, full, full, full, full}},
-		{"tenant over quota", func(t *testing.T, s *Server) {
-			if err := s.SetTenantQuota(DefaultTenant, 1); err != nil || !s.tenants[DefaultTenant].admit() {
-				t.Fatal("could not fill the default tenant's quota", err)
-			}
-		}, [6]cell{served, served, overQuota, overQuota, overQuota, overQuota}},
-		{"no fleet token", func(_ *testing.T, s *Server) { s.SetFleetToken("s3cret") },
+		{"admission full", func(_ *testing.T, c *NodeConfig) { c.Admission = AdmissionConfig{Min: 1, Max: 1} },
+			func(_ *testing.T, s *Server) {
+				for ok := true; ok; ok, _ = s.adm.acquire(true) {
+				}
+			}, [6]cell{served, served, full, full, full, full}},
+		{"tenant over quota", func(_ *testing.T, c *NodeConfig) { c.Tenants[0].MaxInflight = 1 },
+			func(t *testing.T, s *Server) {
+				if !s.tenants[DefaultTenant].admit() {
+					t.Fatal("could not fill the default tenant's quota")
+				}
+			}, [6]cell{served, served, overQuota, overQuota, overQuota, overQuota}},
+		{"no fleet token", func(_ *testing.T, c *NodeConfig) { c.FleetToken = "s3cret" }, nil,
 			[6]cell{served, {http.StatusForbidden, "forbidden"}, served, served, served, served}},
 	}
 	for _, st := range states {
 		t.Run(st.name, func(t *testing.T) {
-			srv := NewServer(mgr)
-			srv.SetQueryEngine(fixedEngine{})
-			srv.SetBackupSource(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-				writeJSON(w, http.StatusOK, "archive")
-			}))
-			st.setup(t, srv)
+			cfg := NodeConfig{Tenants: []TenantConfig{{
+				Name: DefaultTenant, Manager: mgr, Query: fixedEngine{},
+				Backup: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+					writeJSON(w, http.StatusOK, "archive")
+				}),
+			}}}
+			st.node(t, &cfg)
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.live != nil {
+				st.live(t, srv)
+			}
 			for i, p := range probes {
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, httptest.NewRequest(p.method, p.path, strings.NewReader(p.body)))

@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -26,10 +27,11 @@ import (
 // methods, paths, which gates each passes — and the README's API
 // reference is generated from it.
 //
-// A node running as a read replica (SetRole) refuses mutations and
-// /api/v1/query with 421 + the not_primary code and an
-// X-Crowdd-Primary header pointing at its primary; selections and
-// other reads keep serving from the replicated model. Replication
+// New builds a node from one NodeConfig; nothing is registered on it
+// afterwards. A node running as a read replica (NodeConfig.Role)
+// refuses mutations and /api/v1/query with 421 + the not_primary code
+// and an X-Crowdd-Primary header pointing at its primary; selections
+// and other reads keep serving from the replicated model. Replication
 // paths bypass admission and deadline budgets — the stream is
 // long-lived by design — but their POSTs take the body cap like every
 // other POST.
@@ -41,7 +43,7 @@ import (
 // routes are exact aliases for the "default" tenant, an ordinary entry
 // of the tenant registry. Unknown tenants get 404
 // with the unknown_tenant code; a tenant over its in-flight quota gets
-// 429 with tenant_quota_exceeded. See AddTenant / SetTenantQuota.
+// 429 with tenant_quota_exceeded. See TenantConfig.
 //
 // Every non-2xx response carries one JSON error envelope:
 //
@@ -75,32 +77,28 @@ import (
 // away without dropping in-flight requests. Both probes bypass the
 // load-shedding gate.
 type Server struct {
-	metrics    *Metrics
-	logf       func(format string, args ...any) // nil: quiet
-	ready      atomic.Bool
-	adm        *admission    // nil: unlimited
-	readBudget time.Duration // server-side deadline for reads (0: none)
-
-	writeBudget time.Duration             // server-side deadline for mutations (0: none)
-	maxBody     int64                     // request-body cap for POSTs
-	durability  func() DurabilitySnapshot // nil: no durability section
-
-	role       atomic.Value             // RolePrimary | RoleReplica
-	replStatus func() ReplicationStatus // nil: no replication section
-	promoter   func(context.Context) error
-	fence      *Fence // NewFence(nil) until SetFence installs the durable one
-	fleetToken string // non-empty: bearer token gating /api/v1/replication/*
-
-	cacheStats func() core.ProjectionCacheStats // nil: no cache section
-	topo       topologyState                    // live topology document
-
-	integrity func() IntegritySnapshot // nil: no integrity section
+	metrics     *Metrics
+	logf        func(format string, args ...any)
+	logRequest  func(method, path string, status int, took time.Duration) // the request log line, to logf
+	ready       atomic.Bool
+	adm         *admission                  // nil: unlimited
+	readBudget  time.Duration               // server-side deadline for reads (0: none)
+	writeBudget time.Duration               // server-side deadline for mutations (0: none)
+	maxBody     int64                       // request-body cap for POSTs
+	durability  func() DurabilitySnapshot   // nil: no durability section
+	role        atomic.Value                // RolePrimary | RoleReplica
+	replStatus  func() ReplicationStatus    // nil: no replication section
+	promoter    func(context.Context) error // nil only on a primary
+	fence       *Fence
+	fleetToken  string                           // non-empty: bearer token gating /api/v1/replication/*
+	cacheStats  func() core.ProjectionCacheStats // nil: no cache section
+	topo        topologyState                    // live topology document
+	integrity   func() IntegritySnapshot         // nil: no integrity section
 
 	// tenants is the tenant registry (DESIGN §13): every per-tenant
 	// facility (manager, query engine, degraded check, replication and
-	// backup sources, digest) lives in its entry and nowhere else.
-	// NewServer fills tenants[DefaultTenant]; AddTenant registers more at
-	// boot time.
+	// backup sources, digest) lives in its entry and nowhere else. New
+	// fills it once; nothing adds to it afterwards.
 	tenants map[string]*tenantEntry
 }
 
@@ -117,8 +115,9 @@ type QueryEngine interface {
 // with more tasks split them across requests.
 const maxBatchTasks = 1024
 
-// defaultMaxBody caps a POST request body unless SetMaxBodyBytes says
-// otherwise; oversized bodies get 413 with the request_too_large code.
+// defaultMaxBody caps a POST request body unless NodeConfig.MaxBody
+// says otherwise; oversized bodies get 413 with the request_too_large
+// code.
 const defaultMaxBody = 1 << 20
 
 // statusClientClosedRequest reports a request aborted because the
@@ -127,84 +126,156 @@ const defaultMaxBody = 1 << 20
 // for it.
 const statusClientClosedRequest = 499
 
-// NewServer wraps a manager. The server starts ready; daemons that
-// recover state on boot call SetReady(false) before serving and flip
-// it once recovery completes.
-func NewServer(mgr *Manager) *Server {
-	s := &Server{metrics: NewMetrics(), maxBody: defaultMaxBody, fence: NewFence(nil)}
-	s.ready.Store(true)
-	s.tenants = map[string]*tenantEntry{
-		DefaultTenant: {name: DefaultTenant, TenantConfig: TenantConfig{Manager: mgr}},
+// NodeConfig describes a node: its tenants, the default among them,
+// and the node-level parts they share (DESIGN §13). A nil part leaves
+// its facility out: an in-memory node has no durability, integrity or
+// replication section.
+type NodeConfig struct {
+	// Tenants are the node's crowds, one of them named DefaultTenant.
+	Tenants []TenantConfig
+	// Fence is the node's fencing state (DESIGN §12): the one over a
+	// durable node's DB, whose epochs persist; nil is memory-only.
+	Fence *Fence
+	// FleetToken, when set, is the bearer token every fleet-control
+	// request (/api/v1/replication/*) must carry or be refused 403.
+	FleetToken string
+	// Role is RolePrimary ("" too) or RoleReplica, which refuses writes
+	// with 421 not_primary until Promoter flips it.
+	Role string
+	// Topology seeds GET /api/v1/topology (nil: none until POSTed).
+	Topology *Topology
+	// Logf is the request/panic log sink (log.Printf shaped); nil is
+	// silent.
+	Logf func(format string, args ...any)
+	// Admission is the adaptive AIMD limit on in-flight requests within
+	// [Min, Max], shrunk by deadline overruns; past it reads shed with 429
+	// before mutations do. Max <= 0 runs no controller.
+	Admission AdmissionConfig
+	// ReadBudget and WriteBudget are server-side deadlines for reads
+	// (GETs, selections, query) and mutations (0: none); an overrun
+	// answers 503 deadline_exceeded and signals overload to admission.
+	ReadBudget, WriteBudget time.Duration
+	// MaxBody caps every POST body, fleet control included, with 413
+	// request_too_large (<= 0: 1 MiB).
+	MaxBody int64
+	// CacheStats, Durability, Integrity and Replication feed the
+	// sections of /api/v1/metrics so named, the last two /readyz's too:
+	// typically (*core.ConcurrentModel).CacheStats, (*DB).Stats,
+	// (*DB).ScrubStats and (*TransferSource).Status, a follower's merged
+	// with its replicas' status.
+	CacheStats  func() core.ProjectionCacheStats
+	Durability  func() DurabilitySnapshot
+	Integrity   func() IntegritySnapshot
+	Replication func() ReplicationStatus
+	// Promoter serves POST /api/v1/replication/promote on a replica,
+	// which needs one (typically (*Replica).Promote).
+	Promoter func(context.Context) error
+}
+
+// New builds a node from its description. It refuses a node without
+// the default tenant, a tenant with an invalid or repeated name or no
+// manager, and a replica without a promoter. The server starts ready.
+func New(cfg NodeConfig) (*Server, error) {
+	s := &Server{
+		metrics:     NewMetrics(),
+		logf:        cfg.Logf,
+		logRequest:  requestLogger(cfg.Logf),
+		readBudget:  cfg.ReadBudget,
+		writeBudget: cfg.WriteBudget,
+		maxBody:     cfg.MaxBody,
+		durability:  cfg.Durability,
+		replStatus:  cfg.Replication,
+		promoter:    cfg.Promoter,
+		fence:       cfg.Fence,
+		fleetToken:  cfg.FleetToken,
+		cacheStats:  cfg.CacheStats,
+		integrity:   cfg.Integrity,
+		tenants:     make(map[string]*tenantEntry, len(cfg.Tenants)),
 	}
-	s.role.Store(RolePrimary)
+	for _, tc := range cfg.Tenants {
+		switch {
+		case !ValidTenantName(tc.Name):
+			return nil, fmt.Errorf("invalid tenant name %q", tc.Name)
+		case s.tenants[tc.Name] != nil:
+			return nil, fmt.Errorf("tenant %q listed twice", tc.Name)
+		case tc.Manager == nil:
+			return nil, fmt.Errorf("tenant %q needs a manager", tc.Name)
+		}
+		tc.MaxInflight = max(tc.MaxInflight, 0)
+		s.tenants[tc.Name] = &tenantEntry{TenantConfig: tc}
+	}
+	if s.tenants[DefaultTenant] == nil {
+		return nil, fmt.Errorf("a node needs the %q tenant", DefaultTenant)
+	}
+	role := cmp.Or(cfg.Role, RolePrimary)
+	if role != RolePrimary && (role != RoleReplica || cfg.Promoter == nil) {
+		return nil, fmt.Errorf("role %q: a node is a primary or a replica with a promoter", role)
+	}
+	s.role.Store(role)
+	if s.logf == nil {
+		s.logf = func(string, ...any) {}
+	}
+	if s.fence == nil {
+		s.fence = NewFence(nil)
+	}
+	if s.maxBody <= 0 {
+		s.maxBody = defaultMaxBody
+	}
+	if cfg.Admission.Max > 0 {
+		s.adm = newAdmission(cfg.Admission)
+	}
+	if cfg.Topology != nil {
+		if err := s.topo.set(*cfg.Topology); err != nil {
+			return nil, err
+		}
+	}
+	s.ready.Store(true)
+	return s, nil
+}
+
+// NewServer is the one-tenant, in-memory node: New with mgr as the
+// default tenant's manager and nothing else.
+func NewServer(mgr *Manager) *Server {
+	s, err := New(NodeConfig{Tenants: []TenantConfig{{Name: DefaultTenant, Manager: mgr}}})
+	if err != nil {
+		panic(err)
+	}
 	return s
 }
 
-// SetQueryEngine enables POST /api/v1/query {"q": "SELECT ..."} for the
-// default tenant.
-func (s *Server) SetQueryEngine(e QueryEngine) { s.tenants[DefaultTenant].Query = e }
+// SetLogger replaces NodeConfig.Logf; it is kept only for
+// bench/replay.go until that file builds its server with New.
+func (s *Server) SetLogger(logf func(string, ...any)) {
+	s.logf, s.logRequest = logf, requestLogger(logf)
+}
 
-// SetLogger installs a request/panic log sink (log.Printf shaped).
-// The default is silent.
-func (s *Server) SetLogger(logf func(format string, args ...any)) { s.logf = logf }
+// requestLogger writes the request log line to logf; without a sink it
+// is a no-op that boxes none of its arguments, so it allocates nothing.
+func requestLogger(logf func(string, ...any)) func(method, path string, status int, took time.Duration) {
+	if logf == nil {
+		return func(string, string, int, time.Duration) {}
+	}
+	return func(method, path string, status int, took time.Duration) {
+		logf("%s %s -> %d (%s)", method, path, status, took.Round(time.Microsecond))
+	}
+}
 
 // SetReady flips the readiness gate: while false, /readyz reports 503
 // and /api/* requests are refused with 503 + Retry-After so load
 // balancers route elsewhere during recovery or shutdown drain.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// SetAdmission installs the adaptive AIMD admission controller: the
-// concurrency limit grows additively while requests finish inside
-// their deadline budget and shrinks multiplicatively on deadline
-// overruns, within [cfg.Min, cfg.Max]. Min == Max pins a fixed cap.
-// Past the limit reads are shed with 429 + Retry-After; mutations keep
-// a small reserve above it so they are never shed before reads. Call
-// before serving traffic.
-func (s *Server) SetAdmission(cfg AdmissionConfig) {
-	s.adm = newAdmission(cfg)
-}
-
-// SetDeadlineBudgets installs per-request server-side deadlines: read
-// requests (GETs, selections, query) get read, mutations get write.
-// Zero disables that class's budget. The budget is threaded through
-// the request context, so handler work is actually abandoned at the
-// deadline; the response is 503 with the deadline_exceeded code, and
-// each overrun is an overload signal to the admission controller.
-func (s *Server) SetDeadlineBudgets(read, write time.Duration) {
-	s.readBudget, s.writeBudget = read, write
-}
-
-// SetMaxBodyBytes caps every POST request body, fleet control included
-// (default 1 MiB); oversized requests get 413 with the
-// request_too_large code. n <= 0 restores the default.
-func (s *Server) SetMaxBodyBytes(n int64) {
-	if n <= 0 {
-		n = defaultMaxBody
-	}
-	s.maxBody = n
-}
-
-// SetDegradedCheck wires the default tenant's degraded-mode flag
-// (typically (*DB).Degraded): while it reports true, mutations are
-// refused up front with 503 + degraded_read_only and /readyz carries a
-// mode detail, while selections and other reads keep serving from the
-// last committed model.
+// SetDegradedCheck replaces the default tenant's Degraded; it is kept
+// only for bench/replay.go until that file builds its server with New.
 func (s *Server) SetDegradedCheck(f func() bool) { s.tenants[DefaultTenant].Degraded = f }
 
-// SetDurabilityStats adds a durability section to GET /api/v1/metrics,
-// fed by the given snapshot function (typically (*DB).Stats).
+// SetDurabilityStats replaces NodeConfig.Durability; it is kept only
+// for bench/replay.go until that file builds its server with New.
 func (s *Server) SetDurabilityStats(f func() DurabilitySnapshot) { s.durability = f }
 
-// SetCacheStats adds a projection-cache section to GET /api/v1/metrics,
-// fed by the given snapshot function (typically
-// (*core.ConcurrentModel).CacheStats). A disabled cache reports
-// disabled: true rather than an ever-growing miss count.
+// SetCacheStats replaces NodeConfig.CacheStats; it is kept only for
+// bench/replay.go until that file builds its server with New.
 func (s *Server) SetCacheStats(f func() core.ProjectionCacheStats) { s.cacheStats = f }
-
-// SetTopology installs (or updates) the fleet topology document served
-// at GET /api/v1/topology. The first call at boot seeds the epoch;
-// later calls follow the same stale-epoch rule as the admin endpoint.
-func (s *Server) SetTopology(doc Topology) error { return s.topo.set(doc) }
 
 // Topology returns the current topology document with Self stamped to
 // this node's shard index.
@@ -235,9 +306,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, r, err)
 			return
 		}
-		if s.logf != nil {
-			s.logf("topology updated to epoch %d (%d shards)", doc.Epoch, doc.Count)
-		}
+		s.logf("topology updated to epoch %d (%d shards)", doc.Epoch, doc.Count)
 		writeJSON(w, http.StatusOK, s.Topology())
 	}
 }
@@ -303,72 +372,12 @@ func (s *Server) writeShardErr(w http.ResponseWriter, r *http.Request, err error
 	httpErrorCode(w, http.StatusMisdirectedRequest, codeWrongShard, wse)
 }
 
-// SetRole declares this node's replication role. A replica refuses
-// mutations (and /api/v1/query, which may mutate) with 421 +
-// not_primary and an X-Crowdd-Primary redirect header; promotion
-// flips the role back to primary. The default is RolePrimary.
-func (s *Server) SetRole(role string) { s.role.Store(role) }
-
 // Role reports the node's current replication role.
-func (s *Server) Role() string {
-	if v, ok := s.role.Load().(string); ok {
-		return v
-	}
-	return RolePrimary
-}
+func (s *Server) Role() string { return s.role.Load().(string) }
 
-// SetReplicationSource enables GET /api/v1/replication/stream for the
-// default tenant (typically (*TransferSource).Stream). Only a primary
-// serves it.
-func (s *Server) SetReplicationSource(h http.Handler) {
-	s.tenants[DefaultTenant].ReplicationSource = h
-}
-
-// SetReplicationStatus adds a replication section to /readyz and
-// GET /api/v1/metrics (typically (*TransferSource).Status on a
-// primary, or a composite over (*Replica).Status on a follower).
-func (s *Server) SetReplicationStatus(f func() ReplicationStatus) { s.replStatus = f }
-
-// SetPromoter enables POST /api/v1/replication/promote on a replica
-// (typically (*Replica).Promote). On success the server's role flips
-// to primary.
-func (s *Server) SetPromoter(f func(context.Context) error) { s.promoter = f }
-
-// SetDigestProvider enables GET /api/v1/digest for the default tenant
-// (DESIGN §14): fn is typically a DigestCutter's Cut on a primary, or
-// (*Replica).Digest on a follower. Tenant-scoped digests install via
-// TenantConfig.Digest.
-func (s *Server) SetDigestProvider(fn DigestFunc) { s.tenants[DefaultTenant].Digest = fn }
-
-// SetBackupSource enables GET /api/v1/backup for the default tenant
-// (typically (*TransferSource).Segment); nil (the default) answers 501.
-func (s *Server) SetBackupSource(h http.Handler) { s.tenants[DefaultTenant].Backup = h }
-
-// SetIntegrityStats adds the integrity section (scrub progress,
-// divergence state) to GET /api/v1/metrics and /readyz, fed by the
-// given snapshot function (typically (*DB).ScrubStats, merged with the
-// replica's divergence counters on a follower).
-func (s *Server) SetIntegrityStats(f func() IntegritySnapshot) { s.integrity = f }
-
-// SetFence replaces the node's fencing state (DESIGN §12); a durable
-// node installs the Fence over its DB, whose epochs persist, in place of
-// the memory-only one NewServer starts with. Every response advertises
-// the highest fencing epoch this node has seen via
-// X-Crowdd-Fencing-Epoch, sealed nodes refuse mutations with 409
-// fenced, and POST /api/v1/replication/{fence,lease} serve. Epoch
-// observations arrive only through those endpoints and the replication
-// stream — never from request headers, which any client can forge.
+// SetFence replaces NodeConfig.Fence; it is kept only for
+// bench/replay.go until that file builds its server with New.
 func (s *Server) SetFence(f *Fence) { s.fence = f }
-
-// SetFleetToken arms the fleet-control gate: with a non-empty token,
-// every /api/v1/replication/* request (stream, promote, fence, lease)
-// must carry "Authorization: Bearer <token>" or is refused 403
-// forbidden. Those endpoints move a fleet's write availability — a
-// fence order seals a primary until it is re-pointed — so they must
-// come from the supervisor, an operator, or a follower, not from any
-// client that can reach the port. Empty (the default) leaves the
-// surface open for hand-operated fleets on trusted networks.
-func (s *Server) SetFleetToken(token string) { s.fleetToken = token }
 
 // fleetAuthorized checks the fleet-control gate for one request.
 func (s *Server) fleetAuthorized(r *http.Request) bool {
@@ -435,18 +444,12 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.replicationStatusNow())
 		return
 	}
-	if s.promoter == nil {
-		httpError(w, http.StatusNotImplemented, errors.New("no promoter configured"))
-		return
-	}
 	if err := s.promoter(r.Context()); err != nil {
 		writeErr(w, r, err)
 		return
 	}
-	s.SetRole(RolePrimary)
-	if s.logf != nil {
-		s.logf("promoted to primary")
-	}
+	s.role.Store(RolePrimary)
+	s.logf("promoted to primary")
 	writeJSON(w, http.StatusOK, s.replicationStatusNow())
 }
 
@@ -631,18 +634,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var label string
 	defer func() {
 		if p := recover(); p != nil {
-			if s.logf != nil {
-				s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
-			}
+			s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 			if !sw.wrote {
 				httpError(sw, http.StatusInternalServerError, errors.New("internal server error"))
 			}
 		}
 		status := sw.status()
 		s.metrics.Observe(label, status, time.Since(start))
-		if s.logf != nil {
-			s.logf("%s %s -> %d (%s)", r.Method, r.URL.Path, status, time.Since(start).Round(time.Microsecond))
-		}
+		s.logRequest(r.Method, r.URL.Path, status, time.Since(start))
 	}()
 	// Epoch gossip, outbound only: every response advertises the
 	// highest fencing epoch this node has seen, so clients learn of a
@@ -751,7 +750,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !ten.admit() {
 		sw.Header().Set("Retry-After", "1")
 		httpErrorCode(sw, http.StatusTooManyRequests, codeTenantQuotaExceeded,
-			fmt.Errorf("tenant %q is over its in-flight quota", ten.name))
+			fmt.Errorf("tenant %q is over its in-flight quota", ten.Name))
 		return
 	}
 	defer ten.release()
@@ -1404,7 +1403,7 @@ const (
 	// token (403) when one is configured.
 	codeForbidden = "forbidden"
 	// codeUnknownTenant answers /api/v1/t/{name}/... for a name no
-	// AddTenant registered (404).
+	// tenant of the node carries (404).
 	codeUnknownTenant = "unknown_tenant"
 	// codeTenantQuotaExceeded sheds a request from a tenant over its
 	// per-tenant in-flight budget (429 + Retry-After); the node itself

@@ -51,10 +51,8 @@ func TestServerSelectionsEndpoint(t *testing.T) {
 // reads keep answering, and /readyz carries the mode detail.
 func TestServerDegradedReadOnly(t *testing.T) {
 	mgr, _ := managerFixture(t)
-	srv := NewServer(mgr)
 	var degraded atomic.Bool
-	srv.SetDegradedCheck(degraded.Load)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t, TenantConfig{Manager: mgr, Degraded: degraded.Load}, NodeConfig{}))
 	t.Cleanup(ts.Close)
 
 	degraded.Store(true)
@@ -107,9 +105,7 @@ func TestServerDegradedReadOnly(t *testing.T) {
 // request_too_large code instead of a connection reset or a 400.
 func TestServerBodyCap(t *testing.T) {
 	mgr, _ := managerFixture(t)
-	srv := NewServer(mgr)
-	srv.SetMaxBodyBytes(256)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newNode(t, TenantConfig{Manager: mgr}, NodeConfig{MaxBody: 256}))
 	t.Cleanup(ts.Close)
 
 	big := `{"text": "` + strings.Repeat("x", 1024) + `", "k": 1}`
@@ -137,11 +133,9 @@ func TestServerBodyCap(t *testing.T) {
 // obeyed. Only the GET streams are uncapped.
 func TestFleetControlBodiesAreCapped(t *testing.T) {
 	mgr, _ := managerFixture(t)
-	srv := NewServer(mgr)
 	const maxBody = 256
-	srv.SetMaxBodyBytes(maxBody)
 	f := NewFence(nil)
-	srv.SetFence(f)
+	srv := newNode(t, TenantConfig{Manager: mgr}, NodeConfig{MaxBody: maxBody, Fence: f})
 
 	// pad closes the object head with a string field that brings the body
 	// to one byte over the cap: a valid order the parser would obey.
@@ -184,10 +178,10 @@ func (stallEngine) Execute(ctx context.Context, q string) (any, error) {
 // controller as an overload signal.
 func TestServerDeadlineBudget(t *testing.T) {
 	mgr, _ := managerFixture(t)
-	srv := NewServer(mgr)
-	srv.SetQueryEngine(stallEngine{})
-	srv.SetAdmission(AdmissionConfig{Min: 1, Max: 8})
-	srv.SetDeadlineBudgets(20*time.Millisecond, 20*time.Millisecond)
+	srv := newNode(t, TenantConfig{Manager: mgr, Query: stallEngine{}}, NodeConfig{
+		Admission:  AdmissionConfig{Min: 1, Max: 8},
+		ReadBudget: 20 * time.Millisecond, WriteBudget: 20 * time.Millisecond,
+	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -230,10 +224,8 @@ func TestServerDeadlineBudget(t *testing.T) {
 // once a limiter is installed, and shed requests split by class.
 func TestServerMetricsAdmissionSection(t *testing.T) {
 	mgr, _ := managerFixture(t)
-	srv := NewServer(mgr)
 	be := blockingEngine{entered: make(chan struct{}), release: make(chan struct{})}
-	srv.SetQueryEngine(be)
-	srv.SetAdmission(AdmissionConfig{Min: 1, Max: 1})
+	srv := newNode(t, TenantConfig{Manager: mgr, Query: be}, NodeConfig{Admission: AdmissionConfig{Min: 1, Max: 1}})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

@@ -24,6 +24,19 @@ func serverFixture(t *testing.T) (*httptest.Server, *Manager) {
 	return ts, mgr
 }
 
+// newNode is New for tests: def is the default tenant (its name filled
+// in), cfg the rest of the node. A refused description fails the test.
+func newNode(t testing.TB, def TenantConfig, cfg NodeConfig) *Server {
+	t.Helper()
+	def.Name = DefaultTenant
+	cfg.Tenants = append([]TenantConfig{def}, cfg.Tenants...)
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -186,9 +199,8 @@ func TestServerRecoversFromHandlerPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(mgr)
 	var logged bool
-	srv.SetLogger(func(string, ...any) { logged = true })
+	srv := newNode(t, TenantConfig{Manager: mgr}, NodeConfig{Logf: func(string, ...any) { logged = true }})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -399,10 +411,8 @@ func TestServerHealthAndReadiness(t *testing.T) {
 // up in metrics.
 func TestServerLoadShedding(t *testing.T) {
 	mgr, _ := managerFixture(t)
-	srv := NewServer(mgr)
 	be := blockingEngine{entered: make(chan struct{}), release: make(chan struct{})}
-	srv.SetQueryEngine(be)
-	srv.SetAdmission(AdmissionConfig{Min: 1, Max: 1})
+	srv := newNode(t, TenantConfig{Manager: mgr, Query: be}, NodeConfig{Admission: AdmissionConfig{Min: 1, Max: 1}})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -468,10 +478,9 @@ func (e blockingEngine) Execute(context.Context, string) (any, error) {
 // /api/v1/metrics when a stats source is installed.
 func TestServerDurabilityMetrics(t *testing.T) {
 	mgr, _ := managerFixture(t)
-	srv := NewServer(mgr)
-	srv.SetDurabilityStats(func() DurabilitySnapshot {
+	srv := newNode(t, TenantConfig{Manager: mgr}, NodeConfig{Durability: func() DurabilitySnapshot {
 		return DurabilitySnapshot{Generation: 3, RecordsWritten: 42}
-	})
+	}})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

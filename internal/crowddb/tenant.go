@@ -1,7 +1,6 @@
 package crowddb
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -59,13 +58,15 @@ func splitTenantPath(path string) (name, v1 string, ok bool) {
 // after the tenant rewrite; absent means the default tenant.
 type tenantCtxKey struct{}
 
-// TenantConfig is one tenant's vertical slice as the Server sees it:
-// AddTenant registers a named tenant from it, and NewServer plus the
-// Set* methods fill the same struct for the default tenant. Only
-// Manager is required; nil optional fields disable that facility for
-// the tenant (a tenant without a Query engine answers /query with 501,
-// one without a ReplicationSource answers its stream with 501).
+// TenantConfig is one tenant's vertical slice as the Server sees it;
+// NodeConfig.Tenants lists one per tenant, the default included. Name
+// and Manager are required; nil optional fields disable that facility
+// for the tenant (a tenant without a Query engine answers /query with
+// 501, one without a ReplicationSource answers its stream with 501).
 type TenantConfig struct {
+	// Name is DefaultTenant or a ValidTenantName, served under
+	// /api/v1/t/{name}/.
+	Name string
 	// Manager owns the tenant's store, model and selection path.
 	Manager *Manager
 	// Query answers POST /api/v1/t/{name}/query.
@@ -78,7 +79,10 @@ type TenantConfig struct {
 	// so followers replicate this tenant's journal.
 	ReplicationSource http.Handler
 	// MaxInflight caps the tenant's concurrent in-flight API requests
-	// (0: unlimited). Breaches shed with 429 tenant_quota_exceeded.
+	// (<= 0: unlimited). It applies to every API request of the tenant —
+	// reads and mutations alike, after the node-wide admission gate — so
+	// one noisy tenant cannot starve the rest; breaches shed with 429 and
+	// the stable tenant_quota_exceeded code.
 	MaxInflight int
 	// Digest serves GET /api/v1/t/{name}/digest, the tenant's integrity
 	// digest cut (DESIGN §14); nil answers 404.
@@ -88,10 +92,9 @@ type TenantConfig struct {
 	Backup http.Handler
 }
 
-// tenantEntry is the server-side state of one tenant: its name, the
-// slice it was registered with, and its request accounting.
+// tenantEntry is the server-side state of one tenant: the slice it was
+// built with and its request accounting.
 type tenantEntry struct {
-	name string
 	TenantConfig
 
 	requests atomic.Int64 // API requests routed to this tenant
@@ -120,43 +123,6 @@ func (e *tenantEntry) release() {
 	if e.MaxInflight > 0 {
 		e.inflight.Add(-1)
 	}
-}
-
-// AddTenant registers a named tenant. Call before serving traffic,
-// alongside the other Set* wiring — the registry is not synchronized
-// against in-flight requests. The default tenant is registered by
-// NewServer, so re-adding it is a duplicate; the Set* methods and
-// SetTenantQuota fill in the rest of its entry.
-func (s *Server) AddTenant(name string, cfg TenantConfig) error {
-	if !ValidTenantName(name) {
-		return fmt.Errorf("invalid tenant name %q", name)
-	}
-	if _, dup := s.tenants[name]; dup {
-		return fmt.Errorf("tenant %q already registered", name)
-	}
-	if cfg.Manager == nil {
-		return fmt.Errorf("tenant %q needs a manager", name)
-	}
-	s.tenants[name] = &tenantEntry{name: name, TenantConfig: cfg}
-	return nil
-}
-
-// SetTenantQuota caps one tenant's concurrent in-flight API requests
-// (n <= 0: unlimited). It applies to every API request of that tenant
-// — reads and mutations alike, after the node-wide admission gate —
-// so one noisy tenant cannot starve the rest; breaches shed with 429
-// and the stable tenant_quota_exceeded code. Call before serving
-// traffic. Unknown tenants report an error.
-func (s *Server) SetTenantQuota(name string, n int) error {
-	e, ok := s.tenants[name]
-	if !ok {
-		return fmt.Errorf("unknown tenant %q", name)
-	}
-	if n < 0 {
-		n = 0
-	}
-	e.MaxInflight = n
-	return nil
 }
 
 // Tenants lists the registered tenant names, default first, the rest

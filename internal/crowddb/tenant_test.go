@@ -90,12 +90,10 @@ func multiTenantFixture(t *testing.T) (*httptest.Server, *Server, map[string]*te
 		"acme":        newTenantRig(t, d, m, "acme"),
 		"globex":      newTenantRig(t, d, m, "globex"),
 	}
-	srv := NewServer(rigs[DefaultTenant].mgr)
-	for _, name := range []string{"acme", "globex"} {
-		if err := srv.AddTenant(name, TenantConfig{Manager: rigs[name].mgr}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	srv := newNode(t, TenantConfig{Manager: rigs[DefaultTenant].mgr}, NodeConfig{Tenants: []TenantConfig{
+		{Name: "acme", Manager: rigs["acme"].mgr},
+		{Name: "globex", Manager: rigs["globex"].mgr},
+	}})
 	hts := httptest.NewServer(srv)
 	t.Cleanup(hts.Close)
 	return hts, srv, rigs
@@ -257,17 +255,10 @@ func TestTenantAliasMatchesDefault(t *testing.T) {
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			def := mode.cfg(newTenantRig(t, d, m, "").mgr)
-			srv := NewServer(def.Manager)
-			srv.SetQueryEngine(def.Query)
-			srv.SetDegradedCheck(def.Degraded)
-			srv.SetDigestProvider(def.Digest)
-			srv.SetReplicationSource(def.ReplicationSource)
-			srv.SetBackupSource(def.Backup)
-			if err := srv.AddTenant("acme", mode.cfg(newTenantRig(t, d, m, "acme").mgr)); err != nil {
-				t.Fatal(err)
-			}
-			hts := httptest.NewServer(srv)
+			// Both tenants come in through the same TenantConfig.
+			acme := mode.cfg(newTenantRig(t, d, m, "acme").mgr)
+			acme.Name = "acme"
+			hts := httptest.NewServer(newNode(t, mode.cfg(newTenantRig(t, d, m, "").mgr), NodeConfig{Tenants: []TenantConfig{acme}}))
 			defer hts.Close()
 
 			for _, rt := range APIRoutes() {
@@ -476,11 +467,9 @@ func TestTenantQuota(t *testing.T) {
 	def := newTenantRig(t, d, m, "")
 	acme := newTenantRig(t, d, m, "acme")
 	bq := blockingQuery{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := NewServer(def.mgr)
-	if err := srv.AddTenant("acme", TenantConfig{Manager: acme.mgr, Query: bq, MaxInflight: 1}); err != nil {
-		t.Fatal(err)
-	}
-	hts := httptest.NewServer(srv)
+	hts := httptest.NewServer(newNode(t, TenantConfig{Manager: def.mgr}, NodeConfig{Tenants: []TenantConfig{
+		{Name: "acme", Manager: acme.mgr, Query: bq, MaxInflight: 1},
+	}}))
 	t.Cleanup(hts.Close)
 
 	done := make(chan struct{})
@@ -529,27 +518,29 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
-// TestAddTenantValidation: the registry refuses invalid names, the
-// built-in default, duplicates, and nil managers.
-func TestAddTenantValidation(t *testing.T) {
-	hts, srv, _ := multiTenantFixture(t)
-	_ = hts
+// TestNewValidatesTheDescription: New refuses a node without the
+// default tenant, a tenant with an invalid or repeated name or without
+// a manager, a replica without a promoter, an unknown role and an
+// invalid seed topology; a valid node lists its tenants default first.
+func TestNewValidatesTheDescription(t *testing.T) {
+	_, srv, _ := multiTenantFixture(t)
 	d, m := trainedFixture(t)
-	rig := newTenantRig(t, d, m, "fresh")
-	if err := srv.AddTenant("Bad Name", TenantConfig{Manager: rig.mgr}); err == nil {
-		t.Error("invalid name accepted")
-	}
-	if err := srv.AddTenant(DefaultTenant, TenantConfig{Manager: rig.mgr}); err == nil {
-		t.Error("re-adding default accepted")
-	}
-	if err := srv.AddTenant("acme", TenantConfig{Manager: rig.mgr}); err == nil {
-		t.Error("duplicate tenant accepted")
-	}
-	if err := srv.AddTenant("fresh", TenantConfig{}); err == nil {
-		t.Error("nil manager accepted")
-	}
-	if err := srv.SetTenantQuota("nosuch", 5); err == nil {
-		t.Error("quota on unknown tenant accepted")
+	mgr := newTenantRig(t, d, m, "fresh").mgr
+	def := TenantConfig{Name: DefaultTenant, Manager: mgr}
+	for name, cfg := range map[string]NodeConfig{
+		"no tenant":                {},
+		"no default tenant":        {Tenants: []TenantConfig{{Name: "fresh", Manager: mgr}}},
+		"invalid name":             {Tenants: []TenantConfig{def, {Name: "Bad Name", Manager: mgr}}},
+		"default twice":            {Tenants: []TenantConfig{def, def}},
+		"named tenant twice":       {Tenants: []TenantConfig{def, {Name: "acme", Manager: mgr}, {Name: "acme", Manager: mgr}}},
+		"no manager":               {Tenants: []TenantConfig{def, {Name: "fresh"}}},
+		"replica without promoter": {Tenants: []TenantConfig{def}, Role: RoleReplica},
+		"unknown role":             {Tenants: []TenantConfig{def}, Role: RoleFenced},
+		"invalid seed topology":    {Tenants: []TenantConfig{def}, Topology: &Topology{Epoch: 1, Count: 2}},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 	if got := srv.Tenants(); len(got) != 3 || got[0] != DefaultTenant || got[1] != "acme" || got[2] != "globex" {
 		t.Errorf("Tenants() = %v", got)

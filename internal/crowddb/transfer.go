@@ -101,8 +101,8 @@ func NewTransferSource(db *DB, fence *Fence, digest DigestFunc, opts TransferSou
 	return &TransferSource{db: db, heartbeat: opts.Heartbeat, logf: opts.Logf, fence: fence, digest: digest}
 }
 
-// Stream serves GET /api/v1/replication/stream (wire it with
-// Server.SetReplicationSource): one long-lived response per follower
+// Stream serves GET /api/v1/replication/stream (wire it as
+// TenantConfig.ReplicationSource): one long-lived response per follower
 // carrying a bootstrap when the follower is new, lapsed behind
 // compaction or from another history, then the journal without a
 // bound, heartbeats while it is idle. Query parameters:
@@ -117,8 +117,8 @@ func NewTransferSource(db *DB, fence *Fence, digest DigestFunc, opts TransferSou
 // acked records) and is refused with 409 replica_diverged.
 func (src *TransferSource) Stream() http.Handler { return http.HandlerFunc(src.serveStream) }
 
-// Segment serves GET /api/v1/backup (wire it with
-// Server.SetBackupSource): one finite response carrying an archive
+// Segment serves GET /api/v1/backup (wire it as
+// TenantConfig.Backup): one finite response carrying an archive
 // segment that stops at a digest cut and closes with a trailer. Query
 // parameters:
 //

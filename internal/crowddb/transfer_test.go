@@ -293,10 +293,9 @@ func followForgedHello(t *testing.T, rig *durableRig, src *TransferSource, hello
 	if st := rep.Status(); !strings.Contains(st.Stopped, refusal.Error()) || st.Connected {
 		t.Fatalf("follower stopped with %q (connected %v), want %q", st.Stopped, st.Connected, refusal)
 	}
-	srv := NewServer(rep.mgr)
-	srv.SetRole(RoleReplica)
-	srv.SetReplicationStatus(rep.Status)
-	rts := httptest.NewServer(srv)
+	rts := httptest.NewServer(newNode(t, TenantConfig{Manager: rep.mgr}, NodeConfig{
+		Role: RoleReplica, Replication: rep.Status, Promoter: rep.Promote,
+	}))
 	defer rts.Close()
 	resp, err := http.Get(rts.URL + "/readyz")
 	if err != nil {
