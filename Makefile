@@ -160,7 +160,7 @@ fuzz-backup:
 
 # The crash-injection durability suite under the race detector.
 crash:
-	$(GO) test -race -run 'TestCrashRecoveryLosesNothing|TestTornWriteTable|TestCompactionKeepsAckedWrites|TestFailedGenerationWriteSeals|TestJournalPastNewestSnapshot' -v ./internal/crowddb
+	$(GO) test -race -run 'TestCrashRecoveryLosesNothing|TestTornWriteTable|TestCompactionKeepsAckedWrites|TestFailedGenerationWriteSeals|TestJournalPastNewestSnapshot|TestOneMaintenanceLoop' -v ./internal/crowddb
 
 # The network/disk chaos suite (faultnet + faultfs through a real
 # client) and the proxy's own tests, under the race detector.

@@ -290,40 +290,32 @@ func run(cfg daemonConfig) error {
 	go func() { errc <- serve(ctx, ln, handler, cfg.drain, cfg.timeouts, gate.drainStarted) }()
 	log.Printf("listening on %s (not ready: building service)", ln.Addr())
 
-	var (
-		srv    *crowddb.Server
-		dbs    []*crowddb.DB
-		reps   []*crowddb.Replica
-		online int
-	)
-	if cfg.replicaOf != "" {
-		srv, reps, online, err = buildReplica(cfg)
-		for _, rp := range reps {
-			dbs = append(dbs, rp.DB())
-		}
-	} else {
-		srv, dbs, online, err = buildService(cfg)
-	}
+	srv, slices, err := buildNode(cfg)
 	if err != nil {
 		stop()
 		<-errc
 		return err
 	}
 	gate.srv.Store(srv)
-	log.Printf("crowd-selection service ready on %s (%d tenants, %d workers online)", ln.Addr(), len(srv.Tenants()), online)
+	log.Printf("crowd-selection service ready on %s (%d tenants, %d workers online)", ln.Addr(), len(srv.Tenants()), slices[0].mgr.Store().NumOnline())
 
 	err = serveErr(<-errc)
-	for _, rp := range reps {
-		// Stop streaming before the shared DBs are compacted and closed.
-		rp.Stop()
-	}
-	for _, db := range dbs {
-		// Snapshot on graceful shutdown so the next boot restores
-		// without replay.
-		if cerr := db.Compact(); cerr != nil {
-			log.Printf("shutdown compaction failed: %v", cerr)
+	// Shut down default tenant first: every follower stream stops
+	// before the DBs it shares are touched, then each DB compacts, so
+	// the next boot restores without replay, and closes.
+	for _, sl := range slices {
+		if sl.rep != nil {
+			sl.rep.Stop()
 		}
-		if cerr := db.Close(); cerr != nil && err == nil {
+	}
+	for _, sl := range slices {
+		if sl.db == nil {
+			continue
+		}
+		if cerr := sl.db.Compact(); cerr != nil {
+			log.Printf("tenant %s: shutdown compaction failed: %v", sl.name, cerr)
+		}
+		if cerr := sl.db.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -395,7 +387,7 @@ type slice struct {
 	name   string
 	db     *crowddb.DB      // nil without -data-dir
 	rep    *crowddb.Replica // nil unless -replica-of
-	d      *corpus.Dataset
+	d      *corpus.Dataset  // the seed dataset, until buildNode is done
 	cm     *core.ConcurrentModel
 	mgr    *crowddb.Manager
 	digest crowddb.DigestFunc      // nil without a data dir
@@ -601,8 +593,12 @@ func registerSlice(cfg daemonConfig, sl *slice, fence *crowddb.Fence) (crowddb.T
 // (fence, topology, role, status sections) reads off the default slice.
 // A fresh named tenant is seeded with the default tenant's dataset and
 // a clone of its model: every crowd shares one latent space until its
-// own feedback diverges it. On error every opened slice is closed.
+// own feedback diverges it. A follower (-replica-of) needs -data-dir.
+// On error every opened slice is closed.
 func buildNode(cfg daemonConfig) (_ *crowddb.Server, slices []*slice, err error) {
+	if cfg.replicaOf != "" && cfg.dataDir == "" {
+		return nil, nil, errors.New("-replica-of requires -data-dir")
+	}
 	defer func() {
 		if err != nil {
 			for _, sl := range slices {
@@ -624,6 +620,11 @@ func buildNode(cfg daemonConfig) (_ *crowddb.Server, slices []*slice, err error)
 		}
 		slices = append(slices, sl)
 		log.Printf("tenant %s ready (%d workers online)", name, sl.mgr.Store().NumOnline())
+	}
+	// The dataset only seeds fresh tenants: run holds the slices until
+	// shutdown, and must not hold the training set with them.
+	for _, sl := range slices {
+		sl.d = nil
 	}
 
 	def := slices[0]
@@ -683,42 +684,6 @@ func buildNode(cfg daemonConfig) (_ *crowddb.Server, slices []*slice, err error)
 	}
 	srv, err := crowddb.New(node)
 	return srv, slices, err
-}
-
-// buildService assembles a primary (or in-memory) node and returns the
-// HTTP server, the durable DBs in shutdown order (default tenant first;
-// empty without -data-dir) and the number of online workers.
-func buildService(cfg daemonConfig) (*crowddb.Server, []*crowddb.DB, int, error) {
-	srv, slices, err := buildNode(cfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var dbs []*crowddb.DB
-	for _, sl := range slices {
-		if sl.db != nil {
-			dbs = append(dbs, sl.db)
-		}
-	}
-	return srv, dbs, slices[0].mgr.Store().NumOnline(), nil
-}
-
-// buildReplica assembles the warm-standby node: one Replica per tenant,
-// each streaming its namespace's journal from -replica-of into its own
-// durable directory, served read-only by one HTTP server. The returned
-// replicas are in shutdown order, default first.
-func buildReplica(cfg daemonConfig) (*crowddb.Server, []*crowddb.Replica, int, error) {
-	if cfg.dataDir == "" {
-		return nil, nil, 0, errors.New("-replica-of requires -data-dir")
-	}
-	srv, slices, err := buildNode(cfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var reps []*crowddb.Replica
-	for _, sl := range slices {
-		reps = append(reps, sl.rep)
-	}
-	return srv, reps, slices[0].mgr.Store().NumOnline(), nil
 }
 
 // seedTopology is the epoch-1 fleet layout from -shard-peers, so

@@ -25,15 +25,26 @@ func testConfig() daemonConfig {
 	}
 }
 
+// durableDBs lists a built node's data directories, default tenant
+// first.
+func durableDBs(slices []*slice) (dbs []*crowddb.DB) {
+	for _, sl := range slices {
+		if sl.db != nil {
+			dbs = append(dbs, sl.db)
+		}
+	}
+	return dbs
+}
+
 func TestBuildServiceServes(t *testing.T) {
-	handler, dbs, online, err := buildService(testConfig())
+	handler, slices, err := buildNode(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dbs) != 0 {
+	if len(durableDBs(slices)) != 0 {
 		t.Fatal("in-memory config produced a durable DB")
 	}
-	if online == 0 {
+	if slices[0].mgr.Store().NumOnline() == 0 {
 		t.Fatal("no workers online")
 	}
 	srv := httptest.NewServer(handler)
@@ -112,7 +123,7 @@ func TestBuildServiceFromDataFile(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.profile, cfg.scale, cfg.data, cfg.sweeps = "", 0, path, 3
-	if _, _, _, err := buildService(cfg); err != nil {
+	if _, _, err := buildNode(cfg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,10 +135,11 @@ func TestBuildServicePersistsAcrossRestart(t *testing.T) {
 	cfg := testConfig()
 	cfg.dataDir = t.TempDir()
 
-	handler, dbs, _, err := buildService(cfg)
+	handler, slices, err := buildNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dbs := durableDBs(slices)
 	if len(dbs) == 0 {
 		t.Fatal("durable config produced no DB")
 	}
@@ -153,12 +165,12 @@ func TestBuildServicePersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	handler2, dbs2, online, err := buildService(cfg)
+	handler2, slices2, err := buildNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dbs2[0].Close()
-	if online == 0 {
+	defer durableDBs(slices2)[0].Close()
+	if slices2[0].mgr.Store().NumOnline() == 0 {
 		t.Fatal("no workers online after restart")
 	}
 	srv2 := httptest.NewServer(handler2)
@@ -306,7 +318,7 @@ func TestParseShardFlagsDefaults(t *testing.T) {
 	if shard.Enabled() || len(peers) != 0 {
 		t.Fatalf("default flags = %v peers %v, want unsharded", shard, peers)
 	}
-	if _, _, _, err := buildService(testConfig()); err != nil {
+	if _, _, err := buildNode(testConfig()); err != nil {
 		t.Fatalf("unsharded default config failed to build: %v", err)
 	}
 
@@ -325,15 +337,30 @@ func TestParseShardFlagsDefaults(t *testing.T) {
 	}
 }
 
+// TestReplicaOfRequiresDataDir: a follower streams its primary's
+// journal into a data directory, so -replica-of without -data-dir is
+// refused before any tenant is built.
+func TestReplicaOfRequiresDataDir(t *testing.T) {
+	cfg := testConfig()
+	cfg.replicaOf = "http://127.0.0.1:1"
+	srv, slices, err := buildNode(cfg)
+	if err == nil || err.Error() != "-replica-of requires -data-dir" {
+		t.Fatalf("buildNode(-replica-of without -data-dir) = %v, want the refusal", err)
+	}
+	if srv != nil || len(slices) != 0 {
+		t.Fatalf("refused build returned a server %v and %d slices", srv, len(slices))
+	}
+}
+
 func TestBuildServiceErrors(t *testing.T) {
 	cfg := testConfig()
 	cfg.profile = "reddit"
-	if _, _, _, err := buildService(cfg); err == nil {
+	if _, _, err := buildNode(cfg); err == nil {
 		t.Error("unknown profile accepted")
 	}
 	cfg = testConfig()
 	cfg.profile, cfg.scale, cfg.data = "", 0, "/no/such/file.json"
-	if _, _, _, err := buildService(cfg); err == nil {
+	if _, _, err := buildNode(cfg); err == nil {
 		t.Error("missing data file accepted")
 	}
 }

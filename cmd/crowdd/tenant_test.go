@@ -41,11 +41,11 @@ func TestParseTenantsFlag(t *testing.T) {
 func TestBuildServiceTenants(t *testing.T) {
 	cfg := testConfig()
 	cfg.tenants = []string{"acme"}
-	handler, dbs, _, err := buildService(cfg)
+	handler, slices, err := buildNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dbs) != 0 {
+	if len(durableDBs(slices)) != 0 {
 		t.Fatal("in-memory config produced durable DBs")
 	}
 	srv := httptest.NewServer(handler)
@@ -134,10 +134,11 @@ func TestBuildServiceTenantsDurable(t *testing.T) {
 	cfg.dataDir = t.TempDir()
 	cfg.tenants = []string{"acme"}
 
-	handler, dbs, _, err := buildService(cfg)
+	handler, slices, err := buildNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dbs := durableDBs(slices)
 	if len(dbs) != 2 {
 		t.Fatalf("durable two-tenant config produced %d DBs, want 2", len(dbs))
 	}
@@ -164,12 +165,12 @@ func TestBuildServiceTenantsDurable(t *testing.T) {
 		t.Fatalf("acme tenant directory missing: %v", err)
 	}
 
-	handler2, dbs2, _, err := buildService(cfg)
+	handler2, slices2, err := buildNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		for _, db := range dbs2 {
+		for _, db := range durableDBs(slices2) {
 			db.Close()
 		}
 	}()
@@ -212,14 +213,14 @@ func TestBuildServiceTenantsDigestAcrossRestart(t *testing.T) {
 
 			boot := func() (*httptest.Server, func()) {
 				t.Helper()
-				handler, dbs, _, err := buildService(cfg)
+				handler, slices, err := buildNode(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				srv := httptest.NewServer(handler)
 				return srv, func() {
 					srv.Close()
-					for _, db := range dbs {
+					for _, db := range durableDBs(slices) {
 						if err := db.Close(); err != nil {
 							t.Error(err)
 						}

@@ -155,7 +155,15 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 	proxy.CutActive()
 
 	// The lease lapses and the primary seals itself — before the
-	// supervisor's miss budget can possibly run out.
+	// supervisor's miss budget can possibly run out. A renewal sent
+	// before the cut can still land and re-arm the lease, so first wait
+	// for the supervisor to count a miss: its ticks run one after
+	// another, the attempt it last sent counts only after ProbeTimeout,
+	// and it sends no renewal to a primary whose /readyz goes
+	// unanswered. Only a seal after that holds.
+	waitFor(t, "supervisor counts a missed probe", func() bool {
+		return sup.Status().Shards[0].Misses >= 1
+	})
 	waitFor(t, "deposed primary seals on lease lapse", func() bool {
 		return primary.fence.Sealed()
 	})

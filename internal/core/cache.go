@@ -16,8 +16,8 @@ import (
 // Entries carry the ConcurrentModel epoch — the version of the category
 // parameters (MuC, SigmaC, LogBeta), the only model state a projection
 // reads — they were computed under; a lookup whose epoch no longer
-// matches is treated as a miss and evicted, so Replace or
-// InvalidateProjections can never serve a stale category. Skill updates
+// matches is treated as a miss and evicted, so a Replace can never
+// serve a stale category. Skill updates
 // do not move the epoch and so evict nothing. Categories are copied
 // both on the way in and on the way out, under the lock, into vectors
 // the caller owns: no caller ever holds a reference into the cache,

@@ -103,8 +103,8 @@ func TestProjectionCacheEpochOnFailedUpdate(t *testing.T) {
 	}
 }
 
-// TestInvalidateProjections: the Unwrap-mutation escape hatch orphans
-// every cached entry.
+// TestInvalidateProjections: the epoch bump bench/replay.go calls
+// orphans every cached entry.
 func TestInvalidateProjections(t *testing.T) {
 	d, m, _ := trainSmall(t, 4)
 	cm := NewConcurrentModel(m)

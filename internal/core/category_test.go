@@ -121,10 +121,10 @@ func TestCategoryVersionFollowsTheEpoch(t *testing.T) {
 	if got := versionOf(cm); got != v0 {
 		t.Errorf("the version was rehashed without an epoch advance")
 	}
-	cm.InvalidateProjections()
+	cm.Replace(cm.Unwrap())
 	v1 := versionOf(cm)
 	if v1 == v0 {
-		t.Error("InvalidateProjections after a MuC change kept the version")
+		t.Error("Replace after a MuC change kept the version")
 	}
 
 	cm.Replace(twin.Unwrap())

@@ -42,9 +42,8 @@ const defaultProjectionCacheCap = 8192
 // replaces a Newton solve with a map lookup. Every cached
 // category is tagged with the wrapper's epoch, and a lookup under a
 // newer epoch is a miss. The epoch is the version of the *category
-// parameters*: Project reads only MuC, SigmaC and LogBeta, so only the
-// two ways those can change — Replace and a mutation through Unwrap
-// followed by InvalidateProjections — advance it. A committed
+// parameters*: Project reads only MuC, SigmaC and LogBeta, so only
+// Replace, the one way those change, advances it. A committed
 // UpdateWorkerSkill[Drift] writes only one worker's LambdaW/NuW2 row,
 // which no projection reads, so it leaves the epoch and every cached
 // entry alone (TestProjectUnaffectedBySkillUpdates holds the premise):
@@ -55,11 +54,8 @@ const defaultProjectionCacheCap = 8192
 // allocated.
 //
 // Methods not exposed here (training, saving, …) are reached
-// through Unwrap, which hands back the underlying Model; the caller
-// must ensure no concurrent wrapper calls are in flight while using it
-// for anything that mutates, and must call InvalidateProjections
-// afterwards so cached projections of the pre-mutation model are
-// dropped.
+// through Unwrap, which hands back the underlying Model for reading. A
+// change to the category parameters goes through Replace.
 type ConcurrentModel struct {
 	mu    sync.RWMutex
 	m     *Model
@@ -98,32 +94,33 @@ func NewConcurrentModel(m *Model) *ConcurrentModel {
 // stays this binary's. Call before serving; not for production use.
 func (c *ConcurrentModel) LabelKernelForTest(v int) {
 	c.kernel = v
-	c.InvalidateProjections()
+	c.epoch.Add(1)
 }
 
-// Unwrap returns the underlying Model for setup-time configuration or
-// exclusive-access operations (saving, diagnostics). See the type
-// comment for the safety contract. Once the model has ranked, its skill
-// rows are written only by UpdateWorkerSkill[Drift]: a write to LambdaW
-// outside the fold is not allowed, because the skill index that prunes
-// the ranking would not see it (replace the model instead).
+// Unwrap returns the underlying Model for exclusive-access reads
+// (saving, diagnostics). A write through it is not allowed: its skill
+// rows are written only by UpdateWorkerSkill[Drift], because the skill
+// index that prunes the ranking would not see another write, and its
+// category parameters only by Replace, because cached projections
+// would not see one.
 func (c *ConcurrentModel) Unwrap() *Model { return c.m }
 
 // Name identifies the algorithm in reports, like (*Model).Name.
 func (c *ConcurrentModel) Name() string { return c.m.Name() }
 
 // InvalidateProjections advances the epoch, orphaning every cached
-// projection. Call it after mutating the model through Unwrap.
+// projection. No program calls it: it is held only for bench/replay.go,
+// which compiles against it, until a benchmark change re-points that
+// file; a change to the category parameters goes through Replace.
 func (c *ConcurrentModel) InvalidateProjections() { c.epoch.Add(1) }
 
 // categoryVersionLocked identifies the category parameters — everything
 // a projection reads (see (*Model).categoryVersion) — as a digest that is
 // equal on two nodes exactly when they project every task alike. It is
 // kept beside the epoch and recomputed only by the first caller after the
-// epoch advanced (Replace, InvalidateProjections); a skill update never
-// changes it. It needs the read lock, which keeps the model and the epoch
-// it is hashed under together. Two first callers may both hash; they
-// store the same answer.
+// epoch advanced (Replace); a skill update never changes it. It needs
+// the read lock, which keeps the model and the epoch it is hashed under
+// together. Two first callers may both hash; they store the same answer.
 func (c *ConcurrentModel) categoryVersionLocked() string {
 	epoch := c.epoch.Load()
 	if v := c.version.Load(); v != nil && v.epoch == epoch {

@@ -287,7 +287,7 @@ func TestRouterFallsBackToTextOnCategoryMismatch(t *testing.T) {
 	t.Run("parameters", func(t *testing.T) {
 		routerFallsBackToText(t, func(odd *core.ConcurrentModel) {
 			odd.Unwrap().MuC[0] += 0.25
-			odd.InvalidateProjections()
+			odd.Replace(odd.Unwrap())
 		})
 	})
 	t.Run("kernel", func(t *testing.T) {

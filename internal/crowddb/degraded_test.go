@@ -1,10 +1,13 @@
 package crowddb
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,4 +194,67 @@ func TestDegradedStateSurvivesReopen(t *testing.T) {
 	}
 	// The recovered process accepts mutations again.
 	rig2.resolveOneTask(t, "life after the fault", []float64{3, 2})
+}
+
+// TestOneMaintenanceLoop: a live DB does its background disk work —
+// compaction, scrubbing, healing a degraded disk — on one goroutine,
+// which starts when the DB goes live and stops with Close. The count
+// is of goroutine dump entries created by a DB method, as a delta
+// against the test's start.
+func TestOneMaintenanceLoop(t *testing.T) {
+	loops := func() int {
+		buf := make([]byte, 1<<20)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				return bytes.Count(buf[:n], []byte("created by crowdselect/internal/crowddb.(*DB)"))
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	base := loops()
+	want := func(stage string, n int) {
+		t.Helper()
+		waitUntil(t, fmt.Sprintf("%d DB goroutines %s", n, stage), func() bool { return loops()-base == n })
+	}
+
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	disk := &flakyDisk{}
+	opts := degradedOptions(disk)
+	opts.CompactEveryRecords = 4
+	opts.ScrubInterval = 10 * time.Millisecond
+	seed := openDurable(t, dir, d, model, opts)
+	if err := seed.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("opened, not live", 0)
+	rig := &durableRig{db: db, d: d}
+	if rig.mgr, rig.cm, err = db.RecoverWith(datasetBuilder(d)); err != nil {
+		t.Fatal(err)
+	}
+	want("live", 1)
+	rig.resolveOneTask(t, "a task past the compaction threshold", []float64{4, 2})
+	waitUntil(t, "auto-compaction", func() bool { return db.Generation() > 1 })
+	waitUntil(t, "a scrub pass", func() bool { return db.ScrubStats().ScrubPasses > 0 })
+	want("compacting and scrubbing", 1)
+
+	disk.broken.Store(true)
+	if _, err := rig.mgr.SubmitTask(t.Context(), "doomed submission", 2); !errors.Is(err, ErrJournal) {
+		t.Fatalf("mutation during disk failure = %v, want ErrJournal", err)
+	}
+	want("degraded", 1)
+	disk.broken.Store(false)
+	waitUntil(t, "degraded mode to clear", func() bool { return !db.Degraded() })
+	want("healed", 1)
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want("closed", 0)
 }

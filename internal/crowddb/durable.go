@@ -144,7 +144,7 @@ func (o Options) logf(format string, args ...any) {
 
 // DB manages a crowd database rooted in a data directory: a verified
 // snapshot restore on open, journal replay on RecoverWith, appends
-// under the sync policy, and periodic compaction. Mutations go through
+// under the sync policy, and a maintenance loop. Mutations go through
 // Store() as usual; the DB owns the files.
 type DB struct {
 	dir   string
@@ -160,16 +160,14 @@ type DB struct {
 	saveModel func(io.Writer) error
 	quiesce   func(func() error) error
 
-	stopOnce   sync.Once
-	stopc      chan struct{}
-	kick       chan struct{} // an append crossed a compaction threshold
-	donec      chan struct{} // non-nil once the auto-compaction loop runs
-	scrubDonec chan struct{} // non-nil once the scrub loop runs
+	stopOnce sync.Once
+	stopc    chan struct{}
+	wakec    chan struct{} // a compaction threshold crossed, or degraded mode entered
+	donec    chan struct{} // non-nil once the maintenance loop runs
 
-	// degraded read-only mode: set on journal write failure, cleared
-	// when the probe loop heals the disk with a fresh generation.
+	// degraded read-only mode: set on a journal or scrub failure, cleared
+	// when the maintenance loop heals the disk with a fresh generation.
 	degraded atomic.Bool
-	probeWG  sync.WaitGroup
 
 	// scrub is the background integrity scrubber's state (scrub.go).
 	scrub scrubState
@@ -200,7 +198,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		opts:  opts,
 		store: NewStore(),
 		stopc: make(chan struct{}),
-		kick:  make(chan struct{}, 1),
+		wakec: make(chan struct{}, 1),
 	}
 	gens, journals, err := listGenerations(dir)
 	if err != nil {
@@ -373,7 +371,7 @@ func (db *DB) RecoverWith(build ReplicaBuilder) (*Manager, *core.ConcurrentModel
 
 // recoverJournal replays the generation's journal into the store,
 // each resolve through onResolve, truncates a torn tail, attaches the
-// journal for appends and starts the compaction and scrub loops.
+// journal for appends and starts the maintenance loop.
 func (db *DB) recoverJournal(onResolve func(TaskRecord) error) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -405,9 +403,7 @@ func (db *DB) recoverJournal(onResolve func(TaskRecord) error) error {
 	if res.Torn {
 		db.stats.TornTailTruncated.Store(1)
 	}
-	db.live = true
-	db.startAutoCompaction()
-	db.startScrubber()
+	db.goLiveLocked()
 	db.opts.logf("crowddb: recovered generation %d (%d journal records, torn=%v) in %s",
 		db.gen, res.Records, res.Torn, time.Since(start).Round(time.Millisecond))
 	return nil
@@ -415,7 +411,7 @@ func (db *DB) recoverJournal(onResolve func(TaskRecord) error) error {
 
 // Begin makes a freshly bootstrapped DB live: it writes generation 1
 // (model checkpoint + store snapshot), opens an empty journal and
-// starts the auto-compaction loop. The store must already hold the
+// starts the maintenance loop. The store must already hold the
 // initial state (registered workers), and SetModelSnapshotter and
 // SetQuiescer must have wired the model the generation checkpoints.
 func (db *DB) Begin() error {
@@ -433,9 +429,7 @@ func (db *DB) Begin() error {
 	if err := db.switchLocked(nil, nil); err != nil {
 		return err
 	}
-	db.live = true
-	db.startAutoCompaction()
-	db.startScrubber()
+	db.goLiveLocked()
 	return nil
 }
 
@@ -459,17 +453,14 @@ func (db *DB) attachJournalLocked(gen uint64, initRecords int64) error {
 
 // newJournal wraps f as the DB's journal writer: a failed append enters
 // degraded mode, every record is published to replication, and the
-// append that crosses a compaction threshold wakes the auto-compaction
+// append that crosses a compaction threshold wakes the maintenance
 // loop.
 func (db *DB) newJournal(f JournalFile) *journalWriter {
 	var jw *journalWriter
 	jw = newJournalWriter(f, db.opts.Sync, &db.stats, db.enterDegraded, func(payload []byte) {
 		db.replPublish(payload)
 		if db.opts.overLimit(jw.records) {
-			select {
-			case db.kick <- struct{}{}:
-			default:
-			}
+			db.wake()
 		}
 	}, time.Now)
 	return jw
@@ -534,8 +525,8 @@ func (db *DB) switchLocked(adopted *generation, replace func(*core.Model)) error
 		if err = db.writeNextLocked(next, adopted, replace); err != nil {
 			// The rename may have committed generation next before the
 			// error, and then appends to the current journal would be
-			// lost to the next boot. Seal mutations until the probe loop
-			// writes generation next again and adopts it.
+			// lost to the next boot. Seal mutations until the maintenance
+			// loop heals by writing generation next again.
 			f.Close()
 			db.enterDegraded(err)
 			return fmt.Errorf("crowddb: compact: %w", err)
@@ -650,17 +641,17 @@ func writeGeneration(dir string, n uint64, g generation) (replSidecar, error) {
 }
 
 // Degraded reports whether the DB is in degraded read-only mode: a
-// journal append or fsync failed, mutations are sealed, and the probe
-// loop is waiting for the disk to heal. Selections and other reads
-// keep serving from the last committed state.
+// journal append, fsync or scrub failed, mutations are sealed, and the
+// maintenance loop is waiting for the disk to heal. Selections and
+// other reads keep serving from the last committed state.
 func (db *DB) Degraded() bool { return db.degraded.Load() }
 
 // enterDegraded flips the DB into degraded read-only mode on the
-// first journal failure: it seals the store so no further mutation is
-// acknowledged that the journal would not survive, and starts the
-// probe loop that watches for the disk to come back. Called from
+// first failure: it seals the store so no further mutation is
+// acknowledged that the journal would not survive, and wakes the
+// maintenance loop to probe for the disk coming back. Called from
 // inside a failing journal append with the store lock held, so it
-// only touches atomics and spawns the prober.
+// only touches atomics and sends a non-blocking wake-up.
 func (db *DB) enterDegraded(err error) {
 	if !db.degraded.CompareAndSwap(false, true) {
 		return
@@ -668,39 +659,25 @@ func (db *DB) enterDegraded(err error) {
 	db.stats.DegradedEnters.Add(1)
 	db.store.Seal()
 	db.opts.logf("crowddb: journal write failed (%v); entering degraded read-only mode", err)
-	db.probeWG.Add(1)
-	go func() {
-		defer db.probeWG.Done()
-		db.probeLoop()
-	}()
+	db.wake()
 }
 
-// probeLoop runs while degraded: every ProbeInterval it checks the
-// disk and, once writable, heals by compacting to a fresh generation —
-// the new snapshot + journal make whatever the failed journal lost or
-// tore irrelevant — then unseals mutations.
-func (db *DB) probeLoop() {
-	ticker := time.NewTicker(db.opts.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-db.stopc:
-			return
-		case <-ticker.C:
-			if err := db.probe(); err != nil {
-				continue
-			}
-			if err := db.Compact(); err != nil {
-				db.opts.logf("crowddb: degraded: probe passed but healing compaction failed: %v", err)
-				continue
-			}
-			db.store.Unseal()
-			db.degraded.Store(false)
-			db.stats.DegradedExits.Add(1)
-			db.opts.logf("crowddb: disk healed; left degraded read-only mode at generation %d", db.Generation())
-			return
-		}
+// heal is one probe of a degraded DB: once the disk looks writable it
+// compacts to a fresh generation, whose snapshot and journal make
+// whatever the failed journal lost or tore irrelevant, and unseals
+// mutations.
+func (db *DB) heal() {
+	if db.probe() != nil {
+		return
 	}
+	if err := db.Compact(); err != nil {
+		db.opts.logf("crowddb: degraded: probe passed but healing compaction failed: %v", err)
+		return
+	}
+	db.store.Unseal()
+	db.degraded.Store(false)
+	db.stats.DegradedExits.Add(1)
+	db.opts.logf("crowddb: disk healed; left degraded read-only mode at generation %d", db.Generation())
 }
 
 // probe is one disk-health check: the Options hook, or a write + fsync
@@ -740,48 +717,75 @@ func (db *DB) removeGenerationsThrough(g uint64) {
 	}
 }
 
-// startAutoCompaction launches the threshold watcher; callers hold
-// db.mu. It looks at the threshold once at start (a journal recovered
-// past it) and then whenever an append crosses it; a failed compaction
-// is retried on the next append.
-func (db *DB) startAutoCompaction() {
-	if db.opts.CompactEveryRecords <= 0 {
-		return
-	}
+// goLiveLocked marks the DB live and starts its maintenance loop;
+// callers hold db.mu.
+func (db *DB) goLiveLocked() {
+	db.live = true
 	db.donec = make(chan struct{})
-	go func() {
-		defer close(db.donec)
-		for {
-			// While degraded the probe loop owns the disk.
-			if !db.degraded.Load() && db.NeedsCompaction() {
-				if err := db.Compact(); err != nil {
-					db.opts.logf("crowddb: auto-compaction failed: %v", err)
-				}
-			}
+	go db.maintain()
+}
+
+// wake nudges the maintenance loop without blocking: callers may hold
+// the store lock, and one pending wake-up stands for any number.
+func (db *DB) wake() {
+	select {
+	case db.wakec <- struct{}{}:
+	default:
+	}
+}
+
+// maintain is the DB's one background goroutine, the only one to touch
+// the disk unasked. While degraded it heals every ProbeInterval;
+// otherwise it compacts a journal past CompactEveryRecords (at start,
+// then after the append that crosses it; a failed compaction waits for
+// the next append) and scrubs. One job at a time excludes them from
+// each other, at the price that a compaction may wait behind a scrub
+// pass and a pass behind a compaction.
+func (db *DB) maintain() {
+	defer close(db.donec)
+	var scrub *time.Timer
+	var scrubc <-chan time.Time
+	if db.opts.ScrubInterval > 0 {
+		scrub = time.NewTimer(db.opts.ScrubInterval)
+		defer scrub.Stop()
+		scrubc = scrub.C
+	}
+	for {
+		if db.degraded.Load() {
 			select {
 			case <-db.stopc:
 				return
-			case <-db.kick:
+			case <-time.After(db.opts.ProbeInterval):
+				db.heal()
+			}
+			continue
+		}
+		if db.NeedsCompaction() {
+			if err := db.Compact(); err != nil {
+				db.opts.logf("crowddb: auto-compaction failed: %v", err)
 			}
 		}
-	}()
+		select {
+		case <-db.stopc:
+			return
+		case <-db.wakec:
+		case <-scrubc:
+			db.scrubPass(scrub)
+		}
+	}
 }
 
-// Close stops the compaction loop, detaches the journal, and syncs
+// Close stops the maintenance loop, detaches the journal, and syncs
 // and closes the journal file. It does not snapshot; call Compact
 // first for a clean shutdown checkpoint.
 func (db *DB) Close() error {
 	db.stopOnce.Do(func() { close(db.stopc) })
 	db.mu.Lock()
-	donec, scrubDonec := db.donec, db.scrubDonec
+	donec := db.donec
 	db.mu.Unlock()
 	if donec != nil {
 		<-donec
 	}
-	if scrubDonec != nil {
-		<-scrubDonec
-	}
-	db.probeWG.Wait()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.jw == nil {

@@ -10,13 +10,13 @@ import (
 	"time"
 )
 
-// Background scrubbing (DESIGN.md §14): a low-priority loop that
-// re-reads the current generation's at-rest files between requests —
-// journal record CRCs, then the check every boot runs (verifyGeneration).
-// Corruption is handled exactly like a journal write failure: the node
-// flips to degraded read-only mode with a typed *ScrubError before the
-// rotten bytes can be served to a bootstrap or survive into a
-// promotion, and the existing probe loop heals by cutting a fresh
+// Background scrubbing (DESIGN.md §14): a low-priority job of the DB's
+// maintenance loop that re-reads the current generation's at-rest files
+// between requests — journal record CRCs, then the check every boot runs
+// (verifyGeneration). Corruption is handled exactly like a journal write
+// failure: the node flips to degraded read-only mode with a typed
+// *ScrubError before the rotten bytes can be served to a bootstrap or
+// survive into a promotion, and the same loop heals by cutting a fresh
 // generation from the in-memory state the boot verified.
 
 // ScrubError is the one typed at-rest error, for boot and scrub alike:
@@ -95,7 +95,7 @@ func (db *DB) ScrubStats() IntegritySnapshot {
 // before anything is declared corrupt.
 func (db *DB) Scrub() error {
 	if db.degraded.Load() {
-		return nil // the probe loop owns the disk while degraded
+		return nil // sealed already; healing replaces these files
 	}
 	gen := db.Generation()
 	db.repl.mu.Lock()
@@ -155,31 +155,15 @@ func sha256Hex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// startScrubber launches the scrub loop (Options.ScrubInterval <= 0
-// disables it); callers hold db.mu. Passes start ScrubInterval apart, or
-// ten pass-lengths apart when a pass takes longer than a tenth of it:
-// a low-priority loop spends at most a tenth of its time scrubbing.
-func (db *DB) startScrubber() {
-	if db.opts.ScrubInterval <= 0 {
-		return
+// scrubPass is the maintenance loop's scrub job: one Scrub, then the
+// next pass armed ScrubInterval later, or ten pass-lengths when the pass
+// took longer than a tenth of it, so scrubbing takes at most a tenth of
+// the loop's time.
+func (db *DB) scrubPass(next *time.Timer) {
+	start := time.Now()
+	if err := db.Scrub(); err != nil {
+		db.opts.logf("crowddb: %v; entered degraded read-only mode", err)
 	}
-	db.scrubDonec = make(chan struct{})
-	go func() {
-		defer close(db.scrubDonec)
-		timer := time.NewTimer(db.opts.ScrubInterval)
-		defer timer.Stop()
-		for {
-			select {
-			case <-db.stopc:
-				return
-			case <-timer.C:
-			}
-			start := time.Now()
-			if err := db.Scrub(); err != nil {
-				db.opts.logf("crowddb: %v; entered degraded read-only mode", err)
-			}
-			d := time.Since(start)
-			timer.Reset(max(db.opts.ScrubInterval, 10*d) - d)
-		}
-	}()
+	d := time.Since(start)
+	next.Reset(max(db.opts.ScrubInterval, 10*d) - d)
 }
