@@ -147,10 +147,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTopKEqualsFullSort -fuzztime 20s ./internal/rank
 	$(GO) test -run '^$$' -fuzz FuzzSelectTopKMatchesScan -fuzztime 20s ./internal/core
 
-# Short coverage-guided fuzz of the replication frame decoder: typed
+# Short coverage-guided fuzz of the one frame codec: byte soup read as
+# typed frames (a replication stream or backup archive) and, with the
+# type bytes removed, as a journal gives the same payloads at the same
+# offsets; the encoder writes every frame back byte for byte; typed
 # errors on any corruption, never a panic or hang.
 fuzz-repl:
-	$(GO) test -run '^$$' -fuzz FuzzReplicationFrameDecoder -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzFrameCodec -fuzztime 20s ./internal/crowddb
 
 # Short coverage-guided fuzz of the backup archive decoder: restore
 # and verify parse operator-supplied files, so any byte soup must fail

@@ -69,10 +69,6 @@ type Options struct {
 	// and when the bucket is empty requests fail after their first
 	// attempt (default 10; negative disables the budget).
 	RetryBudget int
-	// Seed seeds the client's private jitter source; 0 seeds from the
-	// clock. Each client owns its randomness — nothing touches the
-	// global math/rand state.
-	Seed int64
 	// Clock replaces time.Now for the breaker cooldown (test hook).
 	Clock func() time.Time
 	// FleetToken authenticates fleet-control requests when the server
@@ -177,9 +173,6 @@ func New(baseURL string, opts Options) *Client {
 	if opts.RetryBudget == 0 {
 		opts.RetryBudget = 10
 	}
-	if opts.Seed == 0 {
-		opts.Seed = time.Now().UnixNano()
-	}
 	c := &Client{
 		base:       strings.TrimRight(baseURL, "/"),
 		hc:         opts.HTTPClient,
@@ -188,7 +181,7 @@ func New(baseURL string, opts Options) *Client {
 		sleep:      opts.Sleep,
 		fleetToken: opts.FleetToken,
 		tenant:     normalizeTenant(opts.Tenant),
-		rng:        rand.New(rand.NewSource(opts.Seed)),
+		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 		gossip:     &epochGossip{},
 	}
 	c.api = api{c}

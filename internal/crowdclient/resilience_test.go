@@ -246,29 +246,3 @@ func TestSelectionsTypedAndRetried(t *testing.T) {
 		t.Errorf("server hit %d times, want 2 (5xx retried: selections are idempotent)", got)
 	}
 }
-
-// TestSeededJitterIsDeterministic: two clients with the same seed
-// produce identical backoff sequences; the client owns its randomness
-// rather than the global math/rand state.
-func TestSeededJitterIsDeterministic(t *testing.T) {
-	a := New("http://x", Options{Seed: 42})
-	b := New("http://x", Options{Seed: 42})
-	c := New("http://x", Options{Seed: 7})
-	var sameAll, diffAny bool
-	sameAll = true
-	for i := 1; i <= 8; i++ {
-		av, bv, cv := a.backoffFor(i), b.backoffFor(i), c.backoffFor(i)
-		if av != bv {
-			sameAll = false
-		}
-		if av != cv {
-			diffAny = true
-		}
-	}
-	if !sameAll {
-		t.Error("identical seeds diverged")
-	}
-	if !diffAny {
-		t.Error("different seeds produced identical jitter (suspicious)")
-	}
-}

@@ -1,7 +1,6 @@
 package crowddb
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,21 +112,6 @@ func (e *ArchiveError) Unwrap() error { return e.Err }
 
 func archiveErr(off int64, sentinel error, format string, args ...any) error {
 	return &ArchiveError{Offset: off, Err: fmt.Errorf("%w: %s", sentinel, fmt.Sprintf(format, args...))}
-}
-
-// classifyFrameErr maps a codec-level read failure onto the archive
-// sentinels: a frame cut short is truncation, anything else (bad CRC,
-// bad type, lying length) is corruption.
-func classifyFrameErr(err error) error {
-	var fe *FrameError
-	if errors.As(err, &fe) {
-		sentinel := ErrArchiveCorrupt
-		if errors.Is(fe.Err, io.ErrUnexpectedEOF) {
-			sentinel = ErrArchiveTruncated
-		}
-		return &ArchiveError{Offset: fe.Offset, Err: fmt.Errorf("%w: %v", sentinel, fe.Err)}
-	}
-	return err
 }
 
 // backupSink receives a validated archive's contents as they decode.
@@ -336,22 +320,43 @@ func (wk *backupWalker) info() *BackupArchiveInfo {
 // fully validated archive; any flaw is a typed *ArchiveError.
 func walkBackupArchive(r io.Reader, sink backupSink) (*BackupArchiveInfo, error) {
 	wk := &backupWalker{sink: sink}
-	var off int64
+	if _, err := wk.copy(nil, r); err != nil {
+		return nil, err
+	}
+	return wk.info(), nil
+}
+
+// errArchiveWrite wraps a failed write of a validated frame.
+var errArchiveWrite = errors.New("writing backup archive")
+
+// copy feeds src's frames through the grammar to the archive's end,
+// writing each validated frame to dst (nil: nowhere), and returns the
+// length of the validated prefix. A frame the codec refuses is an
+// *ArchiveError like a grammar flaw: truncated if it was cut short,
+// corrupt otherwise.
+func (wk *backupWalker) copy(dst io.Writer, src io.Reader) (int64, error) {
+	fr := &frameReader{r: src}
 	for {
-		typ, payload, n, err := readReplFrame(r, off)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				if err := wk.finish(off); err != nil {
-					return nil, err
-				}
-				return wk.info(), nil
+		off := fr.off
+		typ, payload, err := fr.next()
+		if errors.Is(err, io.EOF) {
+			return off, wk.finish(off)
+		}
+		if ce := (*CorruptError)(nil); errors.As(err, &ce) {
+			sentinel := ErrArchiveCorrupt
+			if errors.Is(ce.Err, io.ErrUnexpectedEOF) {
+				sentinel = ErrArchiveTruncated
 			}
-			return nil, classifyFrameErr(err)
+			return off, &ArchiveError{Offset: off, Err: fmt.Errorf("%w: %v", sentinel, ce.Err)}
 		}
 		if err := wk.feed(typ, payload, off); err != nil {
-			return nil, err
+			return off, err
 		}
-		off += n
+		if dst != nil {
+			if err := writeReplFrame(dst, typ, payload); err != nil {
+				return off, fmt.Errorf("%w: %w", errArchiveWrite, err)
+			}
+		}
 	}
 }
 
@@ -395,46 +400,20 @@ type BackupStreamInfo struct {
 // meaningful either way (it drives resume).
 func CopyBackupStream(dst io.Writer, src io.Reader) (BackupStreamInfo, error) {
 	wk := &backupWalker{}
-	info := BackupStreamInfo{LastSeq: -1}
-	var off int64
-	sync := func() {
-		info.HaveManifest = wk.haveFirst
-		if wk.haveFirst {
-			info.Manifest = wk.m
-			info.LastSeq = wk.lastSeq
-		}
-		info.Records = wk.records
-		info.Bytes = off
-		info.Resumable = wk.haveFirst && wk.bootstrapDone
+	n, err := wk.copy(dst, src)
+	info := BackupStreamInfo{
+		HaveManifest: wk.haveFirst,
+		LastSeq:      -1,
+		Records:      wk.records,
+		Bytes:        n,
+		Complete:     err == nil,
+		// A torn write leaves dst mid-frame: appending cannot heal it.
+		Resumable: wk.haveFirst && wk.bootstrapDone && !errors.Is(err, errArchiveWrite),
 	}
-	for {
-		typ, payload, n, err := readReplFrame(src, off)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				if err := wk.finish(off); err != nil {
-					sync()
-					return info, err
-				}
-				sync()
-				info.Complete = true
-				return info, nil
-			}
-			sync()
-			return info, classifyFrameErr(err)
-		}
-		if err := wk.feed(typ, payload, off); err != nil {
-			sync()
-			return info, err
-		}
-		if err := writeReplFrame(dst, typ, payload); err != nil {
-			sync()
-			// A torn write leaves dst mid-frame: appending cannot heal it.
-			info.Resumable = false
-			return info, fmt.Errorf("writing backup archive: %w", err)
-		}
-		off += n
-		sync()
+	if wk.haveFirst {
+		info.Manifest, info.LastSeq = wk.m, wk.lastSeq
 	}
+	return info, err
 }
 
 // RestoreOptions tunes RestoreBackup.
@@ -499,7 +478,7 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 
 	var (
 		dataset, model []byte
-		journal        bytes.Buffer
+		journal        []byte
 		snap           replSnapshotMsg
 		written        int64
 		lastKept       int64
@@ -526,7 +505,11 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 			if opts.ToSeq > 0 && m.Seq > opts.ToSeq {
 				return nil // validate the rest of the archive, journal none of it
 			}
-			journal.Write(encodeRecord(m.Event))
+			var err error
+			if journal, err = appendFrame(journal, m.Event, maxRecordSize); err != nil {
+				// A journal holding it would not boot.
+				return fmt.Errorf("crowddb: restore: record %d: %w", m.Seq, err)
+			}
 			written++
 			lastKept = m.Seq
 			return nil
@@ -544,7 +527,7 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 	// refuses: never a directory that boots without its records, or
 	// that reads as fresh.
 	const gen = 1
-	if err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(journalPattern, gen)), fromBytes(journal.Bytes())); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, fmt.Sprintf(journalPattern, gen)), fromBytes(journal)); err != nil {
 		return nil, err
 	}
 	g := generation{

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"crowdselect/internal/core"
@@ -88,10 +89,9 @@ func writeArchive(t *testing.T, raw []byte) string {
 func reframeArchive(t *testing.T, raw []byte, mutate func(typ byte, payload []byte) []byte) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	r := bytes.NewReader(raw)
-	var off int64
+	fr := &frameReader{r: bytes.NewReader(raw)}
 	for {
-		typ, payload, n, err := readReplFrame(r, off)
+		typ, payload, err := fr.next()
 		if errors.Is(err, io.EOF) {
 			return out.Bytes()
 		}
@@ -101,7 +101,6 @@ func reframeArchive(t *testing.T, raw []byte, mutate func(typ byte, payload []by
 		if err := writeReplFrame(&out, typ, mutate(typ, payload)); err != nil {
 			t.Fatal(err)
 		}
-		off += n
 	}
 }
 
@@ -341,7 +340,7 @@ func TestBackupArchiveTypedErrors(t *testing.T) {
 	}
 
 	flipped := append([]byte(nil), raw...)
-	flipped[replFrameHeaderSize+2] ^= 0x01 // inside the manifest payload: CRC must catch it
+	flipped[1+recordHeaderSize+2] ^= 0x01 // inside the manifest payload: CRC must catch it
 	var ae *ArchiveError
 	if _, err := walkBackupArchive(bytes.NewReader(flipped), nosink); !errors.Is(err, ErrArchiveCorrupt) || !errors.As(err, &ae) {
 		t.Fatalf("flipped-bit archive err = %v, want *ArchiveError wrapping ErrArchiveCorrupt", err)
@@ -353,10 +352,9 @@ func TestBackupArchiveTypedErrors(t *testing.T) {
 		typ     byte
 		payload []byte
 	}
-	r := bytes.NewReader(raw)
-	var off int64
+	fr := &frameReader{r: bytes.NewReader(raw)}
 	for {
-		typ, payload, n, err := readReplFrame(r, off)
+		typ, payload, err := fr.next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -367,7 +365,6 @@ func TestBackupArchiveTypedErrors(t *testing.T) {
 			typ     byte
 			payload []byte
 		}{typ, payload})
-		off += n
 	}
 	var recIdx []int
 	for i, f := range frames {
@@ -454,7 +451,7 @@ func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, offset := range []int64{replFrameHeaderSize + 1, st.Size() / 2, st.Size() - 2} {
+	for _, offset := range []int64{1 + recordHeaderSize + 1, st.Size() / 2, st.Size() - 2} {
 		tampered := filepath.Join(t.TempDir(), fmt.Sprintf("bitflip-%d.backup", offset))
 		orig, err := os.ReadFile(f1)
 		if err != nil {
@@ -576,9 +573,10 @@ func TestBackupRefusedRestoreLeavesDestinationAsFound(t *testing.T) {
 func TestBackupRefusesSegmentWithoutModel(t *testing.T) {
 	raw, _ := oneTaskArchive(t)
 	var cut bytes.Buffer
-	r := bytes.NewReader(raw)
-	for off := int64(0); ; {
-		typ, _, n, err := readReplFrame(r, off)
+	fr := &frameReader{r: bytes.NewReader(raw)}
+	for {
+		off := fr.off
+		typ, _, err := fr.next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -586,9 +584,8 @@ func TestBackupRefusesSegmentWithoutModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if typ != frameModel {
-			cut.Write(raw[off : off+n])
+			cut.Write(raw[off:fr.off])
 		}
-		off += n
 	}
 	if cut.Len() == len(raw) {
 		t.Fatal("the archive carried no model frame to cut")
@@ -606,6 +603,36 @@ func TestBackupRefusesSegmentWithoutModel(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "dest")
 	if _, err := RestoreBackup(dest, []string{path}, RestoreOptions{}); !errors.Is(err, ErrArchiveCorrupt) {
 		t.Fatalf("restore of a model-less segment = %v, want ErrArchiveCorrupt", err)
+	}
+	entries, err := os.ReadDir(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("refused restore left %s behind", e.Name())
+	}
+}
+
+// TestBackupRestoreRefusesOversizeRecord: a record over the journal's
+// record cap (one an older build could acknowledge) still fits an
+// archive frame, but a journal holding it would not boot, so restore
+// refuses it with ErrFrameTooLarge and writes nothing.
+func TestBackupRestoreRefusesOversizeRecord(t *testing.T) {
+	raw, _ := oneTaskArchive(t)
+	text := strings.Repeat("x", maxRecordSize)
+	path := writeArchive(t, reframeArchive(t, raw, func(typ byte, payload []byte) []byte {
+		if typ != frameRecord {
+			return payload
+		}
+		var m replRecordMsg
+		if err := json.Unmarshal(payload, &m); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Appendf(nil, `{"seq":%d,"event":{"kind":"add_task","task":0,"text":%q}}`, m.Seq, text)
+	}))
+	dest := filepath.Join(t.TempDir(), "dest")
+	if _, err := RestoreBackup(dest, []string{path}, RestoreOptions{}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("restore of an oversize record = %v, want ErrFrameTooLarge", err)
 	}
 	entries, err := os.ReadDir(dest)
 	if err != nil {

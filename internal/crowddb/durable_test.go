@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,6 +116,59 @@ func assertModelsEqual(t *testing.T, want, got *core.Model) {
 				t.Fatalf("NuW2[%d][%d] = %v, want %v", i, k, got.NuW2[i][k], want.NuW2[i][k])
 			}
 		}
+	}
+}
+
+// TestOversizeRecordRefusedBeforeTheStoreChanges: a task body under the
+// 1 MiB body cap can make an add_task record over the journal's 1 MiB
+// record cap (each '<' is six bytes escaped, and every token is written
+// again). Acknowledging it wrote a journal the next boot refused as
+// corrupt; the mutation is now refused 413 request_too_large before the
+// store changes, the node stays writable, and the restart boots with
+// the acknowledged tasks and nothing else.
+func TestOversizeRecordRefusedBeforeTheStoreChanges(t *testing.T) {
+	d, model := trainedFixture(t)
+	dir := t.TempDir()
+	opts := Options{Sync: SyncAlways()}
+	rig := openDurable(t, dir, d, model, opts)
+	ts := httptest.NewServer(newNode(t, TenantConfig{Manager: rig.mgr, Degraded: rig.db.Degraded}, NodeConfig{}))
+	defer ts.Close()
+	submit := func(text string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/v1/tasks", "application/json", strings.NewReader(`{"text":"`+text+`","k":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := submit("a small question about trees"); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("small task: %s", resp.Status)
+	}
+
+	big := strings.Repeat("word< ", 119_467) // a 716 819-byte body
+	resp := submit(big)
+	env := decode[ErrorEnvelope](t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != codeRequestTooLarge {
+		t.Fatalf("oversize record: %s %+v, want 413 %s", resp.Status, env.Error, codeRequestTooLarge)
+	}
+	if n := rig.db.Store().NumTasks(); n != 1 {
+		t.Fatalf("the refused task changed the store: %d tasks, want 1", n)
+	}
+	if rig.db.Degraded() {
+		t.Fatal("the refusal entered degraded mode")
+	}
+	if resp := submit("another small question"); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("a task after the refusal: %s", resp.Status)
+	}
+	ts.Close()
+	if err := rig.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rig = openDurable(t, dir, d, nil, opts)
+	defer rig.db.Close()
+	if n := rig.db.Store().NumTasks(); n != 2 {
+		t.Fatalf("restart recovered %d tasks, want 2", n)
 	}
 }
 

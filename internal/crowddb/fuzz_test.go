@@ -38,7 +38,7 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Add(string(frameRecords(`{"kind":"add_worker","worker":0}`))[:10])
 	f.Fuzz(func(t *testing.T, payload string) {
 		s := NewStore()
-		res, err := s.replayJournal(strings.NewReader(payload), nil)
+		res, err := s.replayJournal([]byte(payload), nil)
 		if err != nil {
 			return
 		}
@@ -97,7 +97,7 @@ func FuzzBackupArchiveDecoder(f *testing.F) {
 	f.Add(append(append([]byte(nil), full...), full...))         // full-after-full chain
 	f.Add([]byte("\x07\xff\xff\xff\x7f\x00\x00\x00\x00"))        // oversize manifest frame
 	mut := append([]byte(nil), full...)
-	mut[replFrameHeaderSize+4] ^= 0x20
+	mut[1+recordHeaderSize+4] ^= 0x20
 	f.Add(mut) // payload bit flip under a stale CRC
 	// The manifest older builds wrote, with byte positions.
 	oldManifest := `{"format":1,"history":"h1","full":true,"base_seq":0,"base_bytes":0,"seq":1,"bytes":70,"fencing_epoch":1,"generation":1}`

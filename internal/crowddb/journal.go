@@ -1,11 +1,9 @@
 package crowddb
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -22,11 +20,8 @@ import (
 // because crowd updates arrive continuously (§2: crowd insertion,
 // crowd update, crowd retrieval).
 //
-// Journal wire format: a sequence of framed records,
-//
-//	[4B little-endian payload length][4B little-endian CRC32 (IEEE) of payload][payload]
-//
-// where the payload is one JSON-encoded event. The frame makes a torn
+// Journal wire format: a sequence of frames of the one frame codec
+// (frame.go), each payload one JSON-encoded event. The frame makes a torn
 // final record (a crash mid-append) detectable and truncatable, and
 // the checksum turns silent mid-file corruption into a typed error
 // carrying the byte offset of the bad record.
@@ -84,18 +79,12 @@ type event struct {
 // ErrJournal wraps journal write failures.
 var ErrJournal = errors.New("crowddb: journal write failed")
 
-// recordHeaderSize is the framing overhead per record.
-const recordHeaderSize = 8
-
-// maxRecordSize bounds a single record's payload. A header announcing
-// more than this is treated as corruption, not a huge record.
-const maxRecordSize = 1 << 20
-
-// CorruptError reports a journal record that is present in full but
-// fails its checksum or cannot be decoded or applied — mid-file
-// corruption, as opposed to a torn final record (which replay
-// tolerates by truncation). Offset is the byte offset of the corrupt
-// record's frame; Record is its zero-based index.
+// CorruptError is the frame codec's one typed error: a journal record
+// present in full that fails the codec or cannot be decoded or applied
+// — mid-file corruption, unlike a torn final record (which replay
+// tolerates by truncation) — or a typed frame of a stream or archive
+// that is cut short or fails the codec. Offset is the byte offset of
+// the frame; Record is its zero-based index.
 type CorruptError struct {
 	Offset int64
 	Record int
@@ -103,19 +92,10 @@ type CorruptError struct {
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("crowddb: journal corrupt at record %d (byte offset %d): %v", e.Record, e.Offset, e.Err)
+	return fmt.Sprintf("crowddb: corrupt at frame %d (byte offset %d): %v", e.Record, e.Offset, e.Err)
 }
 
 func (e *CorruptError) Unwrap() error { return e.Err }
-
-// encodeRecord frames one JSON payload.
-func encodeRecord(payload []byte) []byte {
-	buf := make([]byte, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeaderSize:], payload)
-	return buf
-}
 
 // SyncPolicy says when the journal fsyncs relative to appends. The
 // zero value never syncs explicitly (the OS decides); use SyncAlways,
@@ -219,15 +199,11 @@ func newJournalWriter(f JournalFile, policy SyncPolicy, stats *DurabilityStats, 
 	return &journalWriter{f: f, policy: policy, stats: stats, onErr: onErr, onAppend: onAppend, lastSync: clock(), clock: clock}
 }
 
-func (jw *journalWriter) logRecord(e event) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	frame := encodeRecord(payload)
+// append writes one record's frame in one Write.
+func (jw *journalWriter) append(frame []byte) error {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	defer jw.onAppend(payload)
+	defer jw.onAppend(frame[recordHeaderSize:])
 	if _, err := jw.f.Write(frame); err != nil {
 		jw.onErr(err)
 		return fmt.Errorf("%w: %v", ErrJournal, err)
@@ -293,14 +269,18 @@ func (s *Store) setJournal(jw *journalWriter) {
 	s.journal = jw
 }
 
-// logEvent appends an event; callers hold s.mu. Mutators that stamp a
-// timestamp into the row pass the same instant in e.At so replay
-// reproduces the row exactly; otherwise the event is stamped here.
-// Non-default tenants stamp their namespace on every record; the
-// default tenant leaves the field absent so its journal stays
-// byte-identical to a pre-tenant one.
-func (s *Store) logEvent(e event) error {
+// logEvent journals the mutation apply makes; callers hold s.mu. The
+// record is framed before apply runs, so one over maxRecordSize, which
+// no boot could read back, is refused (ErrFrameTooLarge) with the
+// store as it was and no degraded mode; then apply changes the store
+// and the record is appended. Mutators that stamp a timestamp into the
+// row pass the same instant in e.At so replay reproduces the row
+// exactly; otherwise the event is stamped here. Non-default tenants
+// stamp their namespace on every record; the default tenant leaves the
+// field absent so its journal stays byte-identical to a pre-tenant one.
+func (s *Store) logEvent(e event, apply func()) error {
 	if s.journal == nil {
+		apply()
 		return nil
 	}
 	if e.At.IsZero() {
@@ -309,7 +289,16 @@ func (s *Store) logEvent(e event) error {
 	if e.Tenant == "" && s.tenant != "" && s.tenant != DefaultTenant {
 		e.Tenant = s.tenant
 	}
-	return s.journal.logRecord(e)
+	payload, err := json.Marshal(e)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrJournal, err)
+	}
+	frame, err := appendFrame(nil, payload, maxRecordSize)
+	if err != nil {
+		return err
+	}
+	apply()
+	return s.journal.append(frame)
 }
 
 // ReplayResult reports what a journal replay consumed.
@@ -324,7 +313,7 @@ type ReplayResult struct {
 	Torn bool
 }
 
-// replayJournal applies framed journal records from r to the store. A
+// replayJournal applies a journal's framed records to the store. A
 // torn final record (crash mid-append) is tolerated and discarded;
 // mid-file corruption or a record that fails to apply surfaces as a
 // *CorruptError. It runs on a freshly constructed (or
@@ -332,44 +321,30 @@ type ReplayResult struct {
 // each resolve event commits to the store, onResolve (when non-nil)
 // receives the resolved record so recovery can replay the feedback
 // through the skill-update path.
-func (s *Store) replayJournal(r io.Reader, onResolve func(TaskRecord) error) (ReplayResult, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return ReplayResult{}, fmt.Errorf("crowddb: replay: %w", err)
-	}
-	// Replay re-executes mutations through the normal store methods,
-	// which stamp timestamps from the clock. Pin the clock to each
-	// event's recorded time so the rebuilt state matches the original
-	// byte for byte, then restore the live clock.
-	s.mu.Lock()
-	origClock := s.clock
-	s.mu.Unlock()
-	defer s.SetClock(origClock)
-
+func (s *Store) replayJournal(data []byte, onResolve func(TaskRecord) error) (ReplayResult, error) {
 	return walkJournal(data, func(idx int, off int64, payload []byte) error {
 		var e event
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return &CorruptError{Offset: off, Record: idx, Err: err}
+		err := json.Unmarshal(payload, &e)
+		if err == nil {
+			err = s.applyPinned(e, onResolve)
 		}
-		at := e.At
-		s.SetClock(func() time.Time { return at })
-		if err := s.applyEvent(e, onResolve); err != nil {
+		if err != nil {
 			return &CorruptError{Offset: off, Record: idx, Err: err}
 		}
 		return nil
 	})
 }
 
-// walkJournal is the one reader of the journal's frame format
-// ([length | crc32 | payload], see encodeRecord): it calls fn with the
-// index, byte offset and payload of every record whose frame is whole
-// and whose checksum matches, and reports how many records fn accepted
-// and where the last of them ends. A torn final record — a partial
-// header or payload at EOF, or a full-length last record with wrong
-// bytes, all of which a crash mid-append leaves behind — ends the walk
-// cleanly with Torn set; a bad length or checksum anywhere before that
-// is a *CorruptError. An error from fn stops the walk and is returned
-// as is, with the result counting the records before it.
+// walkJournal is the journal's reader of the frame codec (frame.go):
+// it calls fn with the index, byte offset and payload of every record
+// whose frame is whole and whose checksum matches, and reports how many
+// records fn accepted and where the last of them ends. A torn final
+// record — a partial header or payload at EOF, or a full-length last
+// record with wrong bytes, all of which a crash mid-append leaves
+// behind — ends the walk cleanly with Torn set; a length over
+// maxRecordSize or a bad checksum anywhere before that is a
+// *CorruptError. An error from fn stops the walk and is returned as is,
+// with the result counting the records before it.
 func walkJournal(data []byte, fn func(idx int, off int64, payload []byte) error) (ReplayResult, error) {
 	var res ReplayResult
 	size := int64(len(data))
@@ -380,42 +355,42 @@ func walkJournal(data []byte, fn func(idx int, off int64, payload []byte) error)
 			res.Torn = true // partial header at EOF
 			return res, nil
 		}
-		length := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length > maxRecordSize {
-			return res, &CorruptError{Offset: off, Record: res.Records,
-				Err: fmt.Errorf("record length %d exceeds %d", length, maxRecordSize)}
+		h := frameHeader(rest[:recordHeaderSize])
+		length, err := h.length(maxRecordSize)
+		if err != nil {
+			return res, &CorruptError{Offset: off, Record: res.Records, Err: err}
 		}
-		if int64(len(rest)) < recordHeaderSize+length {
+		end := recordHeaderSize + length
+		if len(rest) < end {
 			res.Torn = true // partial payload at EOF
 			return res, nil
 		}
-		payload := rest[recordHeaderSize : recordHeaderSize+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			if off+recordHeaderSize+length == size {
+		payload := rest[recordHeaderSize:end]
+		if err := h.check(payload); err != nil {
+			if len(rest) == end {
 				// The final record is present at full length but its
 				// bytes are wrong — a torn write inside the payload.
 				res.Torn = true
 				return res, nil
 			}
-			return res, &CorruptError{Offset: off, Record: res.Records, Err: errors.New("checksum mismatch")}
+			return res, &CorruptError{Offset: off, Record: res.Records, Err: err}
 		}
 		if err := fn(res.Records, off, payload); err != nil {
 			return res, err
 		}
 		res.Records++
-		res.GoodBytes = off + recordHeaderSize + length
+		res.GoodBytes = off + int64(end)
 	}
 	return res, nil
 }
 
-// applyReplicated applies one replicated event with the clock pinned
-// to the event's recorded time, so a follower's rows match the
-// primary's byte for byte — the streaming counterpart of replay's
-// per-record clock pinning. Unlike replay, the store has a live
-// journal attached, so the application also journals the event
-// locally (that is what makes a follower durable in its own right).
-func (s *Store) applyReplicated(e event, onResolve func(TaskRecord) error) error {
+// applyPinned applies one journaled event — replayed or replicated —
+// through the normal store methods with the clock pinned to the
+// event's recorded time, so the rebuilt rows match the original byte
+// for byte. A follower's store has a live journal attached, so there
+// the application also journals the event locally (that is what makes
+// a follower durable in its own right).
+func (s *Store) applyPinned(e event, onResolve func(TaskRecord) error) error {
 	s.mu.Lock()
 	origClock := s.clock
 	s.mu.Unlock()
@@ -572,7 +547,7 @@ func (s *Store) LogSkillFeedback(tokens []string, scores map[int]float64, forwar
 		key := forwardOf
 		e.ForwardOf = &key
 	}
-	if err := s.logEvent(e); err != nil {
+	if err := s.logEvent(e, func() {}); err != nil {
 		return false, err
 	}
 	if forwardOf >= 0 {
@@ -584,13 +559,12 @@ func (s *Store) LogSkillFeedback(tokens []string, scores map[int]float64, forwar
 // replayJournalFile replays path into s; a missing file is an empty
 // journal.
 func replayJournalFile(s *Store, path string, onResolve func(TaskRecord) error) (ReplayResult, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return ReplayResult{}, nil
 	}
 	if err != nil {
-		return ReplayResult{}, fmt.Errorf("crowddb: open journal: %w", err)
+		return ReplayResult{}, fmt.Errorf("crowddb: read journal: %w", err)
 	}
-	defer f.Close()
-	return s.replayJournal(f, onResolve)
+	return s.replayJournal(data, onResolve)
 }

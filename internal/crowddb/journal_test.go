@@ -3,6 +3,7 @@ package crowddb
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -47,11 +48,24 @@ func journalScript(t *testing.T, s *Store) {
 
 // frameRecords frames raw JSON payloads in the journal wire format.
 func frameRecords(payloads ...string) []byte {
-	var buf bytes.Buffer
+	var buf []byte
 	for _, p := range payloads {
-		buf.Write(encodeRecord([]byte(p)))
+		buf, _ = appendFrame(buf, []byte(p), maxRecordSize)
 	}
-	return buf.Bytes()
+	return buf
+}
+
+// logRecord frames and appends one record.
+func (jw *journalWriter) logRecord(e event) error {
+	payload, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	frame, err := appendFrame(nil, payload, maxRecordSize)
+	if err != nil {
+		return err
+	}
+	return jw.append(frame)
 }
 
 // bufferFile is an in-memory journal file: a bytes.Buffer whose Sync
@@ -81,7 +95,7 @@ func TestJournalReplayReproducesState(t *testing.T) {
 	journalScript(t, s)
 
 	replayed := NewStore()
-	if _, err := replayed.replayJournal(bytes.NewReader(journal.Bytes()), nil); err != nil {
+	if _, err := replayed.replayJournal(journal.Bytes(), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Compare via snapshots (timestamps differ between original clock
@@ -141,7 +155,7 @@ func TestJournalReplayRejectsGarbage(t *testing.T) {
 	}
 	for name, payload := range cases {
 		s := NewStore()
-		_, err := s.replayJournal(bytes.NewReader(payload), nil)
+		_, err := s.replayJournal(payload, nil)
 		if err == nil {
 			t.Errorf("%s: garbage accepted", name)
 			continue
@@ -185,7 +199,7 @@ func TestTornWriteTable(t *testing.T) {
 
 	for cut := 0; cut <= len(full); cut++ {
 		replayed := NewStore()
-		res, err := replayed.replayJournal(bytes.NewReader(full[:cut]), nil)
+		res, err := replayed.replayJournal(full[:cut], nil)
 		if err != nil {
 			t.Fatalf("cut at %d: replay error %v (torn tails must be tolerated)", cut, err)
 		}
@@ -216,7 +230,7 @@ func TestMidFileCorruptionSurfacesOffset(t *testing.T) {
 	full[secondOff+recordHeaderSize+2] ^= 0xFF
 
 	replayed := NewStore()
-	res, err := replayed.replayJournal(bytes.NewReader(full), nil)
+	res, err := replayed.replayJournal(full, nil)
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("replay of corrupted journal returned %v, want *CorruptError", err)
@@ -235,7 +249,7 @@ func TestCorruptFinalRecordTreatedAsTorn(t *testing.T) {
 	full := frameRecords(`{"kind":"add_worker","worker":0,"name":"w"}`, `{"kind":"add_worker","worker":1,"name":"x"}`)
 	full[len(full)-1] ^= 0xFF
 	s := NewStore()
-	res, err := s.replayJournal(bytes.NewReader(full), nil)
+	res, err := s.replayJournal(full, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

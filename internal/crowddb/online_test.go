@@ -127,7 +127,7 @@ func TestOnlineSetModelBased(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if _, err := s.replayJournal(bytes.NewReader(journal.Bytes()), nil); err != nil {
+				if _, err := s.replayJournal(journal.Bytes(), nil); err != nil {
 					t.Fatalf("seed %d step %d: replay: %v", seed, step, err)
 				}
 				journalInto(s, &journal)

@@ -343,21 +343,13 @@ func (r *Replica) Close() error {
 	return r.db.Close()
 }
 
-// replStream is one open stream: the response body, a frame cursor,
-// and the primary's hello.
+// replStream is one open stream: the response body, a frame cursor
+// over it, and the primary's hello.
 type replStream struct {
-	body  io.ReadCloser
-	off   int64
+	io.Closer // the response body
+	frameReader
 	hello replHello
 }
-
-func (st *replStream) next() (typ byte, payload []byte, err error) {
-	typ, payload, n, err := readReplFrame(st.body, st.off)
-	st.off += n
-	return typ, payload, err
-}
-
-func (st *replStream) Close() { st.body.Close() }
 
 // dial opens the stream and reads the hello frame.
 func (r *Replica) dial(ctx context.Context, from int64, history string, boot bool) (*replStream, error) {
@@ -399,7 +391,7 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 		}
 		return nil, fmt.Errorf("crowddb: replication stream refused: %s (%s)", resp.Status, env.Error.Message)
 	}
-	st := &replStream{body: resp.Body}
+	st := &replStream{Closer: resp.Body, frameReader: frameReader{r: resp.Body}}
 	typ, payload, err := st.next()
 	if err != nil {
 		st.Close()

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -33,13 +31,10 @@ import (
 // base position in a repl-%08d.json sidecar — so a follower's resume
 // point stays meaningful across snapshot cuts on either side.
 //
-// Replication frame wire format (distinct from the journal's 8-byte
-// frame; the extra leading byte carries the frame type):
-//
-//	[1B type][4B little-endian payload length][4B little-endian CRC32 (IEEE) of payload][payload]
-//
-// Decoding never panics: a clean end between frames is io.EOF, and a
-// truncated or corrupt frame is a *FrameError.
+// Replication frame wire format: a type byte in front of one frame of
+// the journal's codec (frame.go). Decoding never panics: a clean end
+// between frames is io.EOF, and a truncated or corrupt frame is a
+// *CorruptError (frameReader).
 
 // Replication frame types.
 const (
@@ -50,85 +45,12 @@ const (
 	frameRecord    byte = 5 // one journal event with its position
 	frameHeartbeat byte = 6 // head position while the journal is idle
 
-	// Backup archive frames (DESIGN §15). Backups reuse the replication
-	// codec so the same CRC/length validation covers archives at rest;
+	// Backup archive frames (DESIGN §15). Backups reuse the typed frames
+	// so the same CRC/length validation covers archives at rest;
 	// these two types never appear on a live replication stream.
 	frameBackupManifest byte = 7 // segment header: cut identity and digest stamps
 	frameBackupEnd      byte = 8 // segment trailer: proves the segment is complete
 )
-
-// replFrameHeaderSize is the framing overhead per replication frame.
-const replFrameHeaderSize = 9
-
-// maxReplFrameSize bounds one frame's payload. Record frames stay
-// within the journal's 1 MiB record cap plus envelope, but bootstrap
-// frames carry whole snapshots and model checkpoints.
-const maxReplFrameSize = 64 << 20
-
-// FrameError reports a truncated or corrupt replication frame at a
-// byte offset within the stream. Clean end-of-stream between frames is
-// io.EOF, not a FrameError.
-type FrameError struct {
-	Offset int64
-	Err    error
-}
-
-func (e *FrameError) Error() string {
-	return fmt.Sprintf("crowddb: replication frame at byte offset %d: %v", e.Offset, e.Err)
-}
-
-func (e *FrameError) Unwrap() error { return e.Err }
-
-// writeReplFrame frames one payload onto w.
-func writeReplFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [replFrameHeaderSize]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readReplFrame reads one frame from r; off is the stream offset of
-// the frame's first byte, used only for error reporting. n is the
-// frame's total length on the wire. A clean EOF before any header byte
-// is io.EOF; everything else wrong is a *FrameError.
-func readReplFrame(r io.Reader, off int64) (typ byte, payload []byte, n int64, err error) {
-	var hdr [replFrameHeaderSize]byte
-	nr, err := io.ReadFull(r, hdr[:])
-	if err != nil {
-		if nr == 0 && errors.Is(err, io.EOF) {
-			return 0, nil, 0, io.EOF
-		}
-		return 0, nil, 0, &FrameError{Offset: off, Err: io.ErrUnexpectedEOF}
-	}
-	typ = hdr[0]
-	length := binary.LittleEndian.Uint32(hdr[1:5])
-	sum := binary.LittleEndian.Uint32(hdr[5:9])
-	if typ < frameHello || typ > frameBackupEnd {
-		return 0, nil, 0, &FrameError{Offset: off, Err: fmt.Errorf("unknown frame type 0x%02x", typ)}
-	}
-	if length > maxReplFrameSize {
-		return 0, nil, 0, &FrameError{Offset: off, Err: fmt.Errorf("frame length %d exceeds %d", length, maxReplFrameSize)}
-	}
-	// CopyN rather than a pre-sized ReadFull so a lying length header
-	// cannot force a huge allocation before the truncation is noticed.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(length)); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, 0, &FrameError{Offset: off, Err: err}
-	}
-	payload = buf.Bytes()
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, 0, &FrameError{Offset: off, Err: errors.New("checksum mismatch")}
-	}
-	return typ, payload, replFrameHeaderSize + int64(length), nil
-}
 
 // replHello opens every stream: the primary's history id, its head
 // position, and whether a bootstrap (dataset + model + snapshot frames)

