@@ -223,8 +223,10 @@ scrub:
 backup:
 	$(GO) test -race -run 'TestBackup|TestVerifyBackup|TestCompactionRotatesGenerations|TestSlowFsyncUnderIntervalStaysHealthy|TestFaultfsLatencyInjection|TestChaosBackupRestoreDrill' -v ./internal/crowddb/ ./internal/chaos/
 
-# Regenerate the README's API reference table from the server's route
-# registrations (kept honest by TestAPIReferenceMatchesMux).
+# Regenerate the README's two generated tables: the API reference from
+# the server's route registrations and the error codes from the server's
+# error table (kept honest by TestAPIReferenceMatchesMux and
+# TestErrorTableMatchesREADME).
 readme-api:
 	$(GO) run ./tools/readme-api
 

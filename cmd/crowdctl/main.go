@@ -574,8 +574,7 @@ func runBackup(ctx context.Context, cli *crowdclient.Client, args []string, out 
 		if err == nil {
 			break
 		}
-		var apiErr *crowdclient.APIError
-		if errors.As(err, &apiErr) && apiErr.Code == "backup_gone" && !restartedFull {
+		if errors.Is(err, crowddb.ErrBackupGone) && !restartedFull {
 			// The incremental base was compacted away on the source; the
 			// only way forward is a fresh full archive.
 			restartedFull = true
@@ -770,7 +769,8 @@ func runDrain(ctx context.Context, args []string, out io.Writer) error {
 	return printRaw(out, payload)
 }
 
-// parseScores parses "2=4,7=1.5" into {2: 4, 7: 1.5}.
+// parseScores parses "2=4,7=1.5" into {2: 4, 7: 1.5}; a worker scored
+// twice is refused, not settled by whichever score came last.
 func parseScores(s string) (map[int]float64, error) {
 	out := make(map[int]float64)
 	if strings.TrimSpace(s) == "" {
@@ -788,6 +788,9 @@ func parseScores(s string) (map[int]float64, error) {
 		v, err := strconv.ParseFloat(kv[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad score %q", kv[1])
+		}
+		if _, dup := out[w]; dup {
+			return nil, fmt.Errorf("worker %d scored twice", w)
 		}
 		out[w] = v
 	}

@@ -77,7 +77,7 @@ func TestParseScores(t *testing.T) {
 	if got, err := parseScores(""); err != nil || len(got) != 0 {
 		t.Errorf("empty = %v, %v", got, err)
 	}
-	for _, bad := range []string{"x=1", "2=y", "nope"} {
+	for _, bad := range []string{"x=1", "2=y", "nope", "2=4,2=1"} {
 		if _, err := parseScores(bad); err == nil {
 			t.Errorf("parseScores(%q) accepted", bad)
 		}

@@ -302,7 +302,14 @@ type APIError struct {
 	// (X-Crowdd-Fencing-Epoch); on a 409 fenced refusal it is the
 	// epoch that deposed the node. Zero when absent.
 	FencingEpoch uint64
+
+	kind error // the error table's typed error for StatusCode and Code
 }
+
+// Unwrap is the refusal's typed error in the server's error table
+// (crowddb.ErrorFor), so callers test errors.Is(err, crowddb.ErrFenced);
+// nil for a code the table does not hold.
+func (e *APIError) Unwrap() error { return e.kind }
 
 func (e *APIError) Error() string {
 	if e.Code != "" {
@@ -506,6 +513,7 @@ func apiError(resp *http.Response, body []byte) *APIError {
 		e.Code = env.Error.Code
 		e.Message = env.Error.Message
 	}
+	e.kind = crowddb.ErrorFor(e.StatusCode, e.Code)
 	return e
 }
 

@@ -11,6 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"crowdselect/internal/crowddb"
+	"crowdselect/internal/text"
 )
 
 // testClient retries without real sleeping so tests stay fast.
@@ -167,6 +170,56 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	_, err = testClient(srv2.URL).SubmitTask(context.Background(), "x", 1)
 	if !errors.As(err, &apiErr) || apiErr.Code != "" || !strings.Contains(apiErr.Message, "plain text") {
 		t.Errorf("plain error = %v", err)
+	}
+}
+
+// failingEngine is a query engine that fails every statement with err,
+// so the server's own writer answers whatever refusal a test names.
+type failingEngine struct{ err error }
+
+func (e *failingEngine) Execute(context.Context, string) (any, error) { return nil, e.err }
+
+// idleSelector stands in for the model of a node whose test selects
+// nothing.
+type idleSelector struct{ crowddb.Selector }
+
+// TestErrorTableRoundTrip: every row of the server's error table,
+// written by the server's writer, reads back as the row's status, code
+// and typed error; a response without an envelope reads as its
+// status's default row, and a code the table does not hold as no typed
+// error.
+func TestErrorTableRoundTrip(t *testing.T) {
+	mgr, err := crowddb.NewManager(crowddb.NewStore(), text.NewVocabulary(), idleSelector{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := &failingEngine{}
+	srv, err := crowddb.New(crowddb.NodeConfig{Tenants: []crowddb.TenantConfig{{Name: crowddb.DefaultTenant, Manager: mgr, Query: engine}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := crowddb.ErrorTable()
+	for _, row := range rows {
+		engine.err = row.Err
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", strings.NewReader(`{"q":"SELECT 1"}`)))
+		ae := apiError(rec.Result(), rec.Body.Bytes())
+		if ae.StatusCode != row.Status || ae.Code != row.Code || !errors.Is(ae, row.Err) {
+			t.Errorf("row %d %s read back as %d %s (%v), errors.Is = %v", row.Status, row.Code, ae.StatusCode, ae.Code, ae.Unwrap(), errors.Is(ae, row.Err))
+		}
+	}
+
+	read := func(status int, body string) *APIError {
+		return apiError(&http.Response{StatusCode: status, Status: http.StatusText(status), Header: http.Header{}}, []byte(body))
+	}
+	if ae := read(http.StatusMisdirectedRequest, "misdirected\n"); !errors.Is(ae, crowddb.ErrNotPrimary) {
+		t.Errorf("envelope-less 421 unwraps to %v, want ErrNotPrimary", ae.Unwrap())
+	}
+	ae := read(http.StatusConflict, `{"error":{"code":"no_such_code","message":"m"}}`)
+	for _, row := range rows {
+		if errors.Is(ae, row.Err) {
+			t.Errorf("unknown code reads as %s", row.Code)
+		}
 	}
 }
 

@@ -117,41 +117,14 @@ func (m *Multi) indexOf(base string) int {
 	return -1
 }
 
-// notPrimaryErr extracts the *APIError when err is a replica's 421
-// not_primary refusal.
-func notPrimaryErr(err error) *APIError {
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Code == "wrong_shard" {
-		// wrong_shard is also 421, but it is a property of the whole
-		// shard, not of this endpoint — failing over within the shard
-		// cannot help. The Router handles it by re-routing.
-		return nil
-	}
-	if ae.Code == "not_primary" || ae.StatusCode == http.StatusMisdirectedRequest {
-		return ae
-	}
-	return nil
-}
-
-// fencedErr extracts the *APIError when err is a sealed node's 409
-// fenced refusal — the mutation provably was not applied, and the
-// X-Crowdd-Primary hint (when present) names the node that deposed
-// the refuser.
-func fencedErr(err error) *APIError {
-	var ae *APIError
-	if errors.As(err, &ae) && ae.Code == "fenced" {
-		return ae
-	}
-	return nil
-}
-
-// redirectErr merges the two refusals that carry a better primary: a
-// replica's 421 not_primary and a sealed node's 409 fenced.
+// redirectErr extracts the *APIError when err is a refusal that carries
+// a better primary: a replica's not_primary or a sealed node's fenced.
 func redirectErr(err error) *APIError {
-	if ae := notPrimaryErr(err); ae != nil {
+	var ae *APIError
+	if (errors.Is(err, crowddb.ErrNotPrimary) || errors.Is(err, crowddb.ErrFenced)) && errors.As(err, &ae) {
 		return ae
 	}
-	return fencedErr(err)
+	return nil
 }
 
 // dialErr reports whether err proves the request never reached a
@@ -174,7 +147,7 @@ func writeFailover(err error) bool {
 func readFailover(err error) bool {
 	var ae *APIError
 	if errors.As(err, &ae) {
-		if ae.Code == "wrong_shard" {
+		if errors.Is(ae, crowddb.ErrWrongShard) {
 			return false // every copy of this shard refuses identically
 		}
 		return ae.StatusCode >= 500 || ae.StatusCode == http.StatusMisdirectedRequest

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"crowdselect/internal/core"
 	"crowdselect/internal/crowddb"
 	"crowdselect/internal/rank"
 )
@@ -234,16 +235,6 @@ func (r *Router) snapshotShards() []*Multi {
 	return append([]*Multi(nil), r.shards...)
 }
 
-// wrongShardErr extracts the *APIError when err is a 421 wrong_shard
-// refusal (possibly wrapped by a Multi's failover report).
-func wrongShardErr(err error) *APIError {
-	var ae *APIError
-	if errors.As(err, &ae) && ae.Code == "wrong_shard" {
-		return ae
-	}
-	return nil
-}
-
 // call sends one {id}-keyed request to the shard that owns the id under
 // its route-table row's key (crowddb.RouteOf), through that shard's
 // Multi. On a wrong_shard refusal it refreshes the topology and retries
@@ -260,8 +251,8 @@ func (r *Router) call(ctx context.Context, method, path string, body, out any) e
 		return r.shards[key.ShardOf(id, r.topo.Count)]
 	}
 	err := owner().call(ctx, method, path, body, out)
-	ae := wrongShardErr(err)
-	if ae == nil {
+	var ae *APIError
+	if !errors.Is(err, crowddb.ErrWrongShard) || !errors.As(err, &ae) {
 		return err
 	}
 	if rerr := r.Refresh(ctx); rerr != nil {
@@ -304,12 +295,6 @@ func checkLeg(resp *crowddb.SelectionsResponse, tasks int, projecting bool) erro
 		}
 	}
 	return nil
-}
-
-// categoryMismatch reports a shard's 409 category_mismatch refusal.
-func categoryMismatch(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Code == "category_mismatch"
 }
 
 // scatterScored runs one selection batch over the fleet in two phases
@@ -364,7 +349,7 @@ func (r *Router) scatterScored(ctx context.Context, tasks []crowddb.SubmitReques
 		go func(idx int, m *Multi) {
 			defer wg.Done()
 			resp, err := m.SelectionsByCategory(ctx, scoreOnly, projected.Categories, projected.CategoryVersion)
-			if categoryMismatch(err) {
+			if errors.Is(err, core.ErrCategoryVersion) {
 				r.fallbacks.Add(1)
 				resp, err = m.SelectionsScored(ctx, tasks)
 			}

@@ -32,12 +32,6 @@ import (
 // manifests from a different format rather than guessing.
 const backupFormatVersion = 1
 
-// codeBackupGone is the typed refusal for an incremental backup whose
-// base has been compacted away on the source: the caller must take a
-// full backup instead. 410 rather than 409 — the position was valid
-// once and is permanently unservable now.
-const codeBackupGone = "backup_gone"
-
 // BackupManifest opens every archive segment: the identity of the cut
 // the segment was taken under. BaseSeq is the position the segment
 // continues from (the snapshot's position for a full segment, the
@@ -688,7 +682,7 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request) {
 	h := s.tenantFor(r).Backup
 	if h == nil {
-		httpError(w, http.StatusNotImplemented, errors.New("no backup source on this node"))
+		writeErr(w, r, refuse(errNotImplemented, "no backup source on this node"))
 		return
 	}
 	h.ServeHTTP(w, r)

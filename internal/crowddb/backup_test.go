@@ -713,8 +713,8 @@ func TestBackupEndpointRoutingGatingAndGone(t *testing.T) {
 		t.Fatalf("compacted-away resume: %s, want 410", resp.Status)
 	}
 	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != codeBackupGone {
-		t.Fatalf("compacted-away resume envelope %s, want code %s", body, codeBackupGone)
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "backup_gone" {
+		t.Fatalf("compacted-away resume envelope %s, want code %s", body, "backup_gone")
 	}
 	// A foreign history cannot produce a chaining archive at all.
 	resp, err = http.Get(ws.URL + "/api/v1/backup?since=0&history=someone-elses-history")

@@ -26,11 +26,11 @@ func decodeJSONByDecoder(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		httpErrorCode(w, http.StatusRequestEntityTooLarge, codeRequestTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorEnvelope{Error: ErrorBody{Code: "request_too_large",
+			Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}})
 		return false
 	}
-	httpError(w, http.StatusBadRequest, err)
+	writeJSON(w, http.StatusBadRequest, ErrorEnvelope{Error: ErrorBody{Code: "bad_request", Message: err.Error()}})
 	return false
 }
 

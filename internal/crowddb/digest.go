@@ -3,7 +3,6 @@ package crowddb
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -128,7 +127,7 @@ func (c *DigestCutter) Func() DigestFunc { return c.Cut }
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	fn := s.tenantFor(r).Digest
 	if fn == nil {
-		httpError(w, http.StatusNotFound, errors.New("no integrity digest available on this node"))
+		writeErr(w, r, refuse(ErrNotFound, "no integrity digest available on this node"))
 		return
 	}
 	cut, err := fn()

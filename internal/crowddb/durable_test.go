@@ -148,8 +148,8 @@ func TestOversizeRecordRefusedBeforeTheStoreChanges(t *testing.T) {
 	big := strings.Repeat("word< ", 119_467) // a 716 819-byte body
 	resp := submit(big)
 	env := decode[ErrorEnvelope](t, resp)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != codeRequestTooLarge {
-		t.Fatalf("oversize record: %s %+v, want 413 %s", resp.Status, env.Error, codeRequestTooLarge)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != "request_too_large" {
+		t.Fatalf("oversize record: %s %+v, want 413 %s", resp.Status, env.Error, "request_too_large")
 	}
 	if n := rig.db.Store().NumTasks(); n != 1 {
 		t.Fatalf("the refused task changed the store: %d tasks, want 1", n)

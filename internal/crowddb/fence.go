@@ -255,9 +255,9 @@ func (f *Fence) Status() FenceStatus {
 	return st
 }
 
-// Refuse writes the typed 409 fenced refusal, stamping the new
+// Refuse answers r with the typed 409 fenced refusal, stamping the new
 // primary hint and this node's epoch so clients can re-resolve.
-func (f *Fence) Refuse(w http.ResponseWriter, err error) {
+func (f *Fence) Refuse(w http.ResponseWriter, r *http.Request, err error) {
 	f.refusals.Add(1)
 	if p := f.NewPrimary(); p != "" {
 		w.Header().Set("X-Crowdd-Primary", p)
@@ -265,6 +265,5 @@ func (f *Fence) Refuse(w http.ResponseWriter, err error) {
 	w.Header().Set("X-Crowdd-Fencing-Epoch", strconv.FormatUint(f.observed(), 10))
 	w.Header().Set("X-Crowdd-History", f.History())
 	_, by := f.sealedBy()
-	httpErrorCode(w, http.StatusConflict, codeFenced,
-		fmt.Errorf("node is fenced (sealed by %s: own epoch %d, observed %d): %v", by, f.Epoch(), f.observed(), err))
+	writeErr(w, r, refuse(ErrFenced, "node is fenced (sealed by %s: own epoch %d, observed %d): %v", by, f.Epoch(), f.observed(), err))
 }

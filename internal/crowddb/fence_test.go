@@ -175,8 +175,8 @@ func TestFencedByDefault(t *testing.T) {
 		t.Fatalf("fence order on a bare server = %s %+v, want 200 fenced", resp.Status, fr)
 	}
 	resp = postJSON(t, api.URL+"/api/v1/tasks", SubmitRequest{Text: "a write after the deposition", K: 1})
-	if env := decode[ErrorEnvelope](t, resp); resp.StatusCode != http.StatusConflict || env.Error.Code != codeFenced {
-		t.Fatalf("mutation on a fenced bare server = %s %+v, want 409 %s", resp.Status, env, codeFenced)
+	if env := decode[ErrorEnvelope](t, resp); resp.StatusCode != http.StatusConflict || env.Error.Code != "fenced" {
+		t.Fatalf("mutation on a fenced bare server = %s %+v, want 409 %s", resp.Status, env, "fenced")
 	}
 }
 
@@ -255,8 +255,8 @@ func TestFencedServerGate(t *testing.T) {
 		t.Fatalf("mutation on fenced node got %s (%s), want 409", resp.Status, raw)
 	}
 	var env ErrorEnvelope
-	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != codeFenced {
-		t.Fatalf("fenced refusal envelope = %s, want code %s", raw, codeFenced)
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != "fenced" {
+		t.Fatalf("fenced refusal envelope = %s, want code %s", raw, "fenced")
 	}
 	if got := resp.Header.Get("X-Crowdd-Primary"); got != "http://new-primary.example" {
 		t.Fatalf("X-Crowdd-Primary = %q, want the fence order's hint", got)
@@ -559,8 +559,8 @@ func TestConcurrentPromotionSingleWinner(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	var env ErrorEnvelope
-	if resp.StatusCode != http.StatusConflict || json.Unmarshal(raw, &env) != nil || env.Error.Code != codePromotionInProgress {
-		t.Fatalf("HTTP loser got %s (%s), want 409 %s", resp.Status, raw, codePromotionInProgress)
+	if resp.StatusCode != http.StatusConflict || json.Unmarshal(raw, &env) != nil || env.Error.Code != "promotion_in_progress" {
+		t.Fatalf("HTTP loser got %s (%s), want 409 %s", resp.Status, raw, "promotion_in_progress")
 	}
 
 	close(release)

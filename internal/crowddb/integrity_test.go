@@ -676,8 +676,8 @@ func TestHeartbeatDigestDetectsDivergenceAndRepairs(t *testing.T) {
 		// The repair may have landed between the check and the POST; a
 		// still-diverged node must answer the typed 409.
 		if resp.StatusCode == http.StatusConflict {
-			if merr != nil || env.Error.Code != codeReplicaDiverged {
-				t.Fatalf("diverged promote envelope = %+v (err %v), want code %s", env, merr, codeReplicaDiverged)
+			if merr != nil || env.Error.Code != "replica_diverged" {
+				t.Fatalf("diverged promote envelope = %+v (err %v), want code %s", env, merr, "replica_diverged")
 			}
 		} else if !rep.Status().Diverged && resp.StatusCode == http.StatusOK {
 			// repaired before the request landed — acceptable

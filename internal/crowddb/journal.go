@@ -76,8 +76,9 @@ type event struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// ErrJournal wraps journal write failures.
-var ErrJournal = errors.New("crowddb: journal write failed")
+// ErrJournal wraps journal write failures; a mutation it fails is
+// refused as degraded_read_only, like the ones the seal refuses after.
+var ErrJournal = refuse(ErrDegraded, "crowddb: journal write failed")
 
 // CorruptError is the frame codec's one typed error: a journal record
 // present in full that fails the codec or cannot be decoded or applied

@@ -386,7 +386,7 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 		resp.Body.Close()
 		var env ErrorEnvelope
 		_ = json.Unmarshal(body, &env)
-		if resp.StatusCode == http.StatusConflict && env.Error.Code == codeReplicaDiverged {
+		if errors.Is(ErrorFor(resp.StatusCode, env.Error.Code), ErrReplicaDiverged) {
 			return nil, fmt.Errorf("%w: %s", ErrReplicaDiverged, env.Error.Message)
 		}
 		return nil, fmt.Errorf("crowddb: replication stream refused: %s (%s)", resp.Status, env.Error.Message)

@@ -460,8 +460,8 @@ func TestReplicaDivergenceRefused(t *testing.T) {
 		t.Fatalf("diverged resume got %s, want 409", resp.Status)
 	}
 	var env ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != codeReplicaDiverged {
-		t.Fatalf("diverged resume envelope = %+v (err %v), want code %s", env, err, codeReplicaDiverged)
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != "replica_diverged" {
+		t.Fatalf("diverged resume envelope = %+v (err %v), want code %s", env, err, "replica_diverged")
 	}
 }
 
@@ -495,8 +495,8 @@ func TestServerReplicaGate(t *testing.T) {
 		t.Fatalf("X-Crowdd-Primary = %q, want %q", got, ts.URL)
 	}
 	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != codeNotPrimary {
-		t.Fatalf("replica refusal envelope = %s, want code %s", body, codeNotPrimary)
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "not_primary" {
+		t.Fatalf("replica refusal envelope = %s, want code %s", body, "not_primary")
 	}
 
 	// Pure selections keep serving.

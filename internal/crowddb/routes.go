@@ -190,18 +190,20 @@ func RouteOf(method, path string) (read bool, key PartitionKey, id int) {
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, rt *route, idSeg string) {
 	switch {
 	case rt == nil:
-		httpError(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+		writeErr(w, r, refuse(ErrNotFound, "no route %s %s", r.Method, r.URL.Path))
 	case !rt.allows(r.Method):
 		w.Header().Set("Allow", rt.methods)
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s", rt.methods))
+		writeErr(w, r, refuse(errMethodNotAllowed, "use %s", rt.methods))
 	case rt.serveID != nil:
 		id, err := strconv.Atoi(idSeg)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad id %q in %s", idSeg, rt.path))
+			writeErr(w, r, refuse(ErrBadRequest, "bad id %q in %s", idSeg, rt.path))
 			return
 		}
 		if sp := s.shard(); !sp.Owns(rt.key, id) {
-			s.writeShardErr(w, r, &WrongShardError{Resource: rt.key.String(), ID: id, Owner: rt.key.ShardOf(id, sp.Count)})
+			err := &WrongShardError{Resource: rt.key.String(), ID: id, Owner: rt.key.ShardOf(id, sp.Count)}
+			s.hintShardOwner(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		rt.serveID(s, w, r, id)

@@ -179,8 +179,8 @@ func TestWrongShardGetWorker(t *testing.T) {
 	if owner := resp.Header.Get("X-Crowdd-Shard-Owner"); resp.StatusCode != http.StatusMisdirectedRequest || owner != "1" {
 		t.Errorf("non-owner GET %s: %d with owner hint %q, want 421 naming shard 1", worker, resp.StatusCode, owner)
 	}
-	if env := decode[ErrorEnvelope](t, resp); env.Error.Code != codeWrongShard {
-		t.Errorf("non-owner envelope code %q, want %q", env.Error.Code, codeWrongShard)
+	if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "wrong_shard" {
+		t.Errorf("non-owner envelope code %q, want %q", env.Error.Code, "wrong_shard")
 	}
 
 	resp, err = http.Get(nodes[1].URL + worker)

@@ -49,12 +49,8 @@ import (
 //
 //	{"error": {"code": "bad_request", "message": "empty task text"}}
 //
-// where code is a stable machine-readable class (bad_request,
-// not_found, method_not_allowed, request_too_large, over_capacity,
-// client_closed_request, unavailable, degraded_read_only,
-// deadline_exceeded, not_primary, replica_diverged, unknown_tenant,
-// tenant_quota_exceeded, not_implemented, internal) and message is
-// human-readable detail.
+// where code is the stable code of the refusal's row in the error
+// table (errors.go) and message is human-readable detail.
 //
 // Handlers thread the request context into the manager, so a client
 // that disconnects mid-request cancels the in-flight selection work;
@@ -119,12 +115,6 @@ const maxBatchTasks = 1024
 // says otherwise; oversized bodies get 413 with the request_too_large
 // code.
 const defaultMaxBody = 1 << 20
-
-// statusClientClosedRequest reports a request aborted because the
-// client went away (context cancelled or deadline exceeded) — the
-// de facto 499 status popularized by nginx; net/http has no name
-// for it.
-const statusClientClosedRequest = 499
 
 // NodeConfig describes a node: its tenants, the default among them,
 // and the node-level parts they share (DESIGN §13). A nil part leaves
@@ -331,45 +321,41 @@ func (s *Server) handleSkillFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Text) == "" {
-		httpError(w, http.StatusBadRequest, errors.New("empty task text"))
+		writeErr(w, r, refuse(ErrBadRequest, "empty task text"))
 		return
 	}
 	scores, err := decodeScores(req.Scores)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		writeErr(w, r, err)
 		return
 	}
 	forwardOf := -1
 	if req.Task != nil {
 		if *req.Task < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad task id %d", *req.Task))
+			writeErr(w, r, refuse(ErrBadRequest, "bad task id %d", *req.Task))
 			return
 		}
 		forwardOf = *req.Task
 	}
 	if err := s.tenantFor(r).Manager.ApplyModelFeedback(r.Context(), forwardOf, req.Text, scores); err != nil {
-		s.writeShardErr(w, r, err)
+		s.hintShardOwner(w, err)
+		writeErr(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// writeShardErr is writeErr plus the wrong-shard mapping: a typed 421
-// with the stable wrong_shard code and owner-hint headers
-// (X-Crowdd-Shard-Owner, and X-Crowdd-Shard-Owner-URL when the
-// topology knows the owner's address), so a router with a stale view
-// can re-aim without a directory service.
-func (s *Server) writeShardErr(w http.ResponseWriter, r *http.Request, err error) {
+// hintShardOwner stamps a wrong-shard refusal with the owner's index
+// and, when the topology knows it, address: a router re-aims by them.
+func (s *Server) hintShardOwner(w http.ResponseWriter, err error) {
 	var wse *WrongShardError
 	if !errors.As(err, &wse) {
-		writeErr(w, r, err)
 		return
 	}
 	w.Header().Set("X-Crowdd-Shard-Owner", strconv.Itoa(wse.Owner))
 	if url := s.topo.get().URLOf(wse.Owner); url != "" {
 		w.Header().Set("X-Crowdd-Shard-Owner-URL", url)
 	}
-	httpErrorCode(w, http.StatusMisdirectedRequest, codeWrongShard, wse)
 }
 
 // Role reports the node's current replication role.
@@ -418,12 +404,11 @@ func (s *Server) replicationStatusNow() ReplicationStatus {
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	src := s.tenantFor(r).ReplicationSource
 	if src == nil {
-		httpError(w, http.StatusNotImplemented, errors.New("replication source not configured"))
+		writeErr(w, r, refuse(errNotImplemented, "replication source not configured"))
 		return
 	}
 	if s.Role() != RolePrimary {
-		httpErrorCode(w, http.StatusServiceUnavailable, codeNotPrimary,
-			errors.New("a replica does not serve the replication stream; connect to the primary"))
+		writeErr(w, r, errReplicaStream)
 		return
 	}
 	src.ServeHTTP(w, r)
@@ -437,7 +422,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.fence.SealedByEpoch() {
 		// A node deposed by epoch cannot be promoted in place — a newer
 		// primary exists; re-point this node as its follower.
-		s.fence.Refuse(w, errors.New("cannot promote a fenced node"))
+		s.fence.Refuse(w, r, errors.New("cannot promote a fenced node"))
 		return
 	}
 	if s.Role() == RolePrimary {
@@ -477,7 +462,7 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.History == "" || req.Epoch == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("fence needs history and epoch"))
+		writeErr(w, r, refuse(ErrBadRequest, "fence needs history and epoch"))
 		return
 	}
 	s.fence.Observe(req.History, req.Epoch, req.NewPrimary)
@@ -506,15 +491,15 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Seal {
 		if err := s.fence.StepDown(req.Holder); err != nil {
-			s.fence.Refuse(w, errors.New("step-down refused: node already deposed"))
+			s.fence.Refuse(w, r, errors.New("step-down refused: node already deposed"))
 			return
 		}
 	} else if err := s.fence.Renew(req.Holder, time.Duration(req.TTLMs)*time.Millisecond); err != nil {
 		if errors.Is(err, ErrFenced) {
-			s.fence.Refuse(w, errors.New("lease refused: node already deposed"))
+			s.fence.Refuse(w, r, errors.New("lease refused: node already deposed"))
 			return
 		}
-		httpError(w, http.StatusBadRequest, err)
+		writeErr(w, r, refuse(ErrBadRequest, "%v", err))
 		return
 	}
 	writeJSON(w, http.StatusOK, s.readyzNow())
@@ -584,7 +569,7 @@ type queryRequest struct {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	query := s.tenantFor(r).Query
 	if query == nil {
-		httpError(w, http.StatusNotImplemented, errors.New("query engine not configured"))
+		writeErr(w, r, refuse(errNotImplemented, "query engine not configured"))
 		return
 	}
 	var req queryRequest
@@ -592,7 +577,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Q) == "" {
-		httpError(w, http.StatusBadRequest, errors.New("empty query"))
+		writeErr(w, r, refuse(ErrBadRequest, "empty query"))
 		return
 	}
 	res, err := query.Execute(r.Context(), req.Q)
@@ -636,7 +621,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if p := recover(); p != nil {
 			s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 			if !sw.wrote {
-				httpError(sw, http.StatusInternalServerError, errors.New("internal server error"))
+				writeErr(sw, r, refuse(errInternal, "internal server error"))
 			}
 		}
 		status := sw.status()
@@ -662,8 +647,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if name, v1, scoped := splitTenantPath(r.URL.Path); scoped {
 		if ten = s.tenants[name]; ten == nil {
 			label = labelMethod(r.Method) + " /api/v1/t/{tenant}"
-			httpErrorCode(sw, http.StatusNotFound, codeUnknownTenant,
-				fmt.Errorf("unknown tenant %q", name))
+			writeErr(sw, r, refuse(errUnknownTenant, "unknown tenant %q", name))
 			return
 		}
 		r = r.Clone(context.WithValue(r.Context(), tenantCtxKey{}, name))
@@ -684,13 +668,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ten.requests.Add(1)
 	if !s.ready.Load() {
 		sw.Header().Set("Retry-After", "1")
-		httpError(sw, http.StatusServiceUnavailable, errors.New("service not ready"))
+		writeErr(sw, r, refuse(errUnavailable, "service not ready"))
 		return
 	}
 	if class == classFleet {
 		if !s.fleetAuthorized(r) {
-			httpErrorCode(sw, http.StatusForbidden, codeForbidden,
-				errors.New("fleet control requires the fleet token (Authorization: Bearer ...)"))
+			writeErr(sw, r, refuse(errForbidden, "fleet control requires the fleet token (Authorization: Bearer ...)"))
 			return
 		}
 		// Promote, fence and lease are small JSON bodies and take the
@@ -710,7 +693,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Sealed node: refuse every mutation with the typed 409 and
 		// the new-primary hint. Checked before the replica gate — a
 		// fenced node's 421 would point at a deposed primary.
-		s.fence.Refuse(sw, errors.New("mutations are sealed on a fenced node"))
+		s.fence.Refuse(sw, r, errors.New("mutations are sealed on a fenced node"))
 		return
 	}
 	if writes && s.Role() == RoleReplica {
@@ -719,13 +702,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				sw.Header().Set("X-Crowdd-Primary", p)
 			}
 		}
-		httpErrorCode(sw, http.StatusMisdirectedRequest, codeNotPrimary,
-			errors.New("this node is a read replica; send writes to the primary"))
+		writeErr(sw, r, refuse(ErrNotPrimary, "this node is a read replica; send writes to the primary"))
 		return
 	}
 	if class == classMutation && ten.degraded() {
-		httpErrorCode(sw, http.StatusServiceUnavailable, codeDegradedReadOnly,
-			errors.New("journal unavailable: mutations sealed, reads still served"))
+		writeErr(sw, r, refuse(ErrDegraded, "journal unavailable: mutations sealed, reads still served"))
 		return
 	}
 	if s.adm != nil {
@@ -733,7 +714,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			s.metrics.ObserveShed(mutation)
 			sw.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-			httpError(sw, http.StatusTooManyRequests, errors.New("server at capacity"))
+			writeErr(sw, r, refuse(errOverCapacity, "server at capacity"))
 			return
 		}
 		defer func() {
@@ -749,8 +730,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// others' share of the node's capacity.
 	if !ten.admit() {
 		sw.Header().Set("Retry-After", "1")
-		httpErrorCode(sw, http.StatusTooManyRequests, codeTenantQuotaExceeded,
-			fmt.Errorf("tenant %q is over its in-flight quota", ten.Name))
+		writeErr(sw, r, refuse(errTenantQuota, "tenant %q is over its in-flight quota", ten.Name))
 		return
 	}
 	defer ten.release()
@@ -893,7 +873,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Text) == "" {
-		httpError(w, http.StatusBadRequest, errors.New("empty task text"))
+		writeErr(w, r, refuse(ErrBadRequest, "empty task text"))
 		return
 	}
 	// A single submit is a batch of one, so the Workers preassignment
@@ -949,13 +929,13 @@ func checkBatchSize(n int) error {
 // selections; on failure it writes the error and reports !ok.
 func (s *Server) batchSubmissions(w http.ResponseWriter, req BatchSubmitRequest) ([]TaskSubmission, bool) {
 	if err := checkBatchSize(len(req.Tasks)); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		writeErr(w, nil, refuse(ErrBadRequest, "%v", err))
 		return nil, false
 	}
 	reqs := make([]TaskSubmission, len(req.Tasks))
 	for i, t := range req.Tasks {
 		if strings.TrimSpace(t.Text) == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("empty task text at index %d", i))
+			writeErr(w, nil, refuse(ErrBadRequest, "empty task text at index %d", i))
 			return nil, false
 		}
 		reqs[i] = TaskSubmission{Text: t.Text, K: t.K, Workers: t.Workers}
@@ -1019,7 +999,7 @@ func writeSelections(w http.ResponseWriter, sc *selectionsScratch, ranked [][]ra
 	out, err := selcodec.AppendResponse(sc.out[:0], ranked, scores, model, cats, version)
 	sc.out = out
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		writeErr(w, nil, refuse(errInternal, "%v", err))
 		return
 	}
 	writeBody(w, http.StatusOK, out)
@@ -1061,12 +1041,12 @@ func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, t := range reqs {
 		if len(t.Workers) > 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("task index %d: a selection ranks its crowd; preassigned workers belong on tasks:batch", i))
+			writeErr(w, r, refuse(ErrBadRequest, "task index %d: a selection ranks its crowd; preassigned workers belong on tasks:batch", i))
 			return
 		}
 	}
 	if req.IncludeCategories && !req.IncludeScores {
-		httpError(w, http.StatusBadRequest, errors.New("include_categories needs include_scores"))
+		writeErr(w, r, refuse(ErrBadRequest, "include_categories needs include_scores"))
 		return
 	}
 	var (
@@ -1111,12 +1091,12 @@ func (s *Server) selectByCategory(w http.ResponseWriter, r *http.Request, mgr *M
 		err = errors.New("categories need a category_version")
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		writeErr(w, r, refuse(ErrBadRequest, "%v", err))
 		return
 	}
 	for i, t := range tasks {
 		if t.Text != "" || len(t.Workers) > 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("task index %d: categories replace text and workers", i))
+			writeErr(w, r, refuse(ErrBadRequest, "task index %d: categories replace text and workers", i))
 			return
 		}
 	}
@@ -1169,7 +1149,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, id int) 
 	}
 	scores, err := decodeScores(req.Scores)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		writeErr(w, r, err)
 		return
 	}
 	rec, err := s.tenantFor(r).Manager.ResolveTask(r.Context(), id, scores)
@@ -1231,52 +1211,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return statusClientClosedRequest
-	case errors.Is(err, ErrDegraded), errors.Is(err, ErrJournal):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, ErrFrameTooLarge):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrBadState), errors.Is(err, ErrNotAsked),
-		errors.Is(err, ErrDuplicate), errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// writeErr maps a handler error onto the envelope, aware of the
-// request context: a server-imposed deadline overrun becomes 503
-// deadline_exceeded (the client is still there; retrying is correct),
-// a client disconnect stays 499, and sealed mutations in degraded
-// read-only mode carry the stable degraded_read_only code.
-func writeErr(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, ErrDegraded), errors.Is(err, ErrJournal):
-		httpErrorCode(w, http.StatusServiceUnavailable, codeDegradedReadOnly, err)
-	case errors.Is(err, ErrStaleEpoch):
-		httpErrorCode(w, http.StatusConflict, codeStaleEpoch, err)
-	case errors.Is(err, ErrFenced):
-		httpErrorCode(w, http.StatusConflict, codeFenced, err)
-	case errors.Is(err, ErrPromotionInProgress):
-		httpErrorCode(w, http.StatusConflict, codePromotionInProgress, err)
-	case errors.Is(err, ErrReplicaDiverged):
-		httpErrorCode(w, http.StatusConflict, codeReplicaDiverged, err)
-	case errors.Is(err, core.ErrCategoryVersion):
-		httpErrorCode(w, http.StatusConflict, codeCategoryMismatch, err)
-	case serverDeadlineFired(r.Context()) &&
-		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)):
-		w.Header().Set("Retry-After", "1")
-		httpErrorCode(w, http.StatusServiceUnavailable, codeDeadlineExceeded, err)
-	default:
-		httpError(w, statusOf(err), err)
-	}
-}
-
 // bodyBufs holds the buffers decodeJSON reads request bodies into and
 // writeJSON encodes responses into; one grown past maxPooledBody is
 // dropped rather than kept for every later request.
@@ -1334,11 +1268,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, readE
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		httpErrorCode(w, http.StatusRequestEntityTooLarge, codeRequestTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		writeErr(w, r, refuse(ErrFrameTooLarge, "request body exceeds %d bytes", tooBig.Limit))
 		return false
 	}
-	httpError(w, http.StatusBadRequest, err)
+	writeErr(w, r, refuse(ErrBadRequest, "%v", err))
 	return false
 }
 
@@ -1351,7 +1284,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	defer putBuf(buf)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		writeErr(w, nil, refuse(errInternal, "%v", err))
 		return
 	}
 	writeBody(w, status, buf.Bytes())
@@ -1362,95 +1295,4 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a failed write is the client's to notice
-}
-
-// ErrorBody is the payload of the error envelope every non-2xx
-// response carries: a stable machine-readable code plus human-readable
-// detail.
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// ErrorEnvelope is the JSON shape of every non-2xx response:
-// {"error": {"code": "...", "message": "..."}}.
-type ErrorEnvelope struct {
-	Error ErrorBody `json:"error"`
-}
-
-// Stable error codes that refine the status-derived default: sealed
-// mutations in degraded read-only mode, server-side deadline overruns,
-// and request bodies over the POST cap.
-const (
-	codeDegradedReadOnly = "degraded_read_only"
-	codeDeadlineExceeded = "deadline_exceeded"
-	codeRequestTooLarge  = "request_too_large"
-	codeNotPrimary       = "not_primary"
-	codeReplicaDiverged  = "replica_diverged"
-	codeWrongShard       = "wrong_shard"
-	codeStaleEpoch       = "stale_epoch"
-	// codeFenced refuses mutations (and promotion, and replication
-	// serving) on a sealed node: a higher fencing epoch exists for its
-	// history, or its supervisor lease lapsed. 409, with an
-	// X-Crowdd-Primary hint when the new primary is known.
-	codeFenced = "fenced"
-	// codeCategoryMismatch refuses a selections request whose categories
-	// were projected under category parameters other than this node's
-	// (409): the coordinator sends that leg again as text.
-	codeCategoryMismatch = "category_mismatch"
-	// codePromotionInProgress is the loser of a promotion race: another
-	// promote holds the flip. 409; retry after the winner finishes.
-	codePromotionInProgress = "promotion_in_progress"
-	// codeForbidden refuses fleet-control requests that lack the fleet
-	// token (403) when one is configured.
-	codeForbidden = "forbidden"
-	// codeUnknownTenant answers /api/v1/t/{name}/... for a name no
-	// tenant of the node carries (404).
-	codeUnknownTenant = "unknown_tenant"
-	// codeTenantQuotaExceeded sheds a request from a tenant over its
-	// per-tenant in-flight budget (429 + Retry-After); the node itself
-	// still has capacity — other tenants keep serving.
-	codeTenantQuotaExceeded = "tenant_quota_exceeded"
-)
-
-// codeOf maps an HTTP status to the envelope's stable error code.
-func codeOf(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusRequestEntityTooLarge:
-		return codeRequestTooLarge
-	case http.StatusTooManyRequests:
-		return "over_capacity"
-	case statusClientClosedRequest:
-		return "client_closed_request"
-	case http.StatusForbidden:
-		return codeForbidden
-	case http.StatusMisdirectedRequest:
-		return codeNotPrimary
-	case http.StatusConflict:
-		return codeReplicaDiverged
-	case http.StatusGone:
-		return codeBackupGone
-	case http.StatusNotImplemented:
-		return "not_implemented"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	default:
-		return "internal"
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	httpErrorCode(w, status, codeOf(status), err)
-}
-
-// httpErrorCode writes the envelope with an explicit code, for errors
-// whose code is more specific than the status-derived default.
-func httpErrorCode(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: err.Error()}})
 }

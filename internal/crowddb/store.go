@@ -84,9 +84,9 @@ type TaskRecord struct {
 // Errors returned by the store.
 var (
 	ErrNotFound   = errors.New("crowddb: not found")
-	ErrBadState   = errors.New("crowddb: invalid task state for operation")
-	ErrNotAsked   = errors.New("crowddb: worker was not assigned this task")
-	ErrDuplicate  = errors.New("crowddb: duplicate answer")
+	ErrBadState   = refuse(ErrBadRequest, "crowddb: invalid task state for operation")
+	ErrNotAsked   = refuse(ErrBadRequest, "crowddb: worker was not assigned this task")
+	ErrDuplicate  = refuse(ErrBadRequest, "crowddb: duplicate answer")
 	ErrBadRequest = errors.New("crowddb: invalid request")
 	// ErrDegraded seals mutations while the database is in degraded
 	// read-only mode after a journal write failure: reads and pure

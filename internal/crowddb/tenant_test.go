@@ -197,7 +197,7 @@ func TestTenantAliasMatchesDefault(t *testing.T) {
 		status int
 		code   string
 	}
-	sealed := answer{http.StatusServiceUnavailable, codeDegradedReadOnly}
+	sealed := answer{http.StatusServiceUnavailable, "degraded_read_only"}
 	modes := []struct {
 		name string
 		cfg  func(*Manager) TenantConfig

@@ -183,11 +183,11 @@ type transfer struct {
 // committed tail is a frozen prefix followers still need.
 func (src *TransferSource) begin(w http.ResponseWriter, r *http.Request, name string) *transfer {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+		writeErr(w, r, refuse(errMethodNotAllowed, "use GET"))
 		return nil
 	}
 	if src.fence.SealedByEpoch() {
-		src.fence.Refuse(w, fmt.Errorf("%s source is fenced", name))
+		src.fence.Refuse(w, r, fmt.Errorf("%s source is fenced", name))
 		return nil
 	}
 	t := &transfer{src: src, w: w, r: r, name: name}
@@ -198,7 +198,7 @@ func (src *TransferSource) begin(w http.ResponseWriter, r *http.Request, name st
 	var err error
 	if t.gen, t.baseSeq, t.unpin, err = src.db.pinGeneration(); err != nil {
 		src.db.replUnsubscribe(t.sub)
-		httpError(w, http.StatusServiceUnavailable, err)
+		writeErr(w, r, refuse(errUnavailable, "%v", err))
 		return nil
 	}
 	return t
@@ -347,7 +347,7 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("from"); s != "" {
 		var err error
 		if from, err = strconv.ParseInt(s, 10, 64); err != nil || from < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad from %q", s))
+			writeErr(w, r, refuse(ErrBadRequest, "bad from %q", s))
 			return
 		}
 	}
@@ -359,13 +359,12 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 	if bootstrap {
 		from = t.baseSeq
 	} else if from > head {
-		httpErrorCode(w, http.StatusConflict, codeReplicaDiverged,
-			fmt.Errorf("follower position %d is ahead of primary head %d in history %s", from, head, ourHistory))
+		writeErr(w, r, refuse(ErrReplicaDiverged, "follower position %d is ahead of primary head %d in history %s", from, head, ourHistory))
 		return
 	}
 	hello := replHello{History: ourHistory, Seq: head, Bootstrap: bootstrap, FencingEpoch: src.db.FencingEpoch(), Arch: runtime.GOARCH, Kernel: core.KernelVersion}
 	if err := t.stage(frameHello, hello, bootstrap); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		writeErr(w, r, refuse(errInternal, "%v", err))
 		return
 	}
 	src.streams.Add(1)
@@ -407,7 +406,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 	// cite cut.Seq, and the digest stamps are taken at that exact seq.
 	cut, err := src.digest()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("digest cut: %w", err))
+		writeErr(w, r, refuse(errInternal, "digest cut: %v", err))
 		return
 	}
 	manifest := BackupManifest{
@@ -429,29 +428,28 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 	q := r.URL.Query()
 	if s := q.Get("since"); s != "" {
 		since, err := strconv.ParseInt(s, 10, 64)
-		status := http.StatusConflict // replica_diverged
+		kind := ErrReplicaDiverged
 		switch history := q.Get("history"); {
 		case err != nil || since < 0:
-			status, err = http.StatusBadRequest, fmt.Errorf("bad since %q", s)
+			kind, err = ErrBadRequest, fmt.Errorf("bad since %q", s)
 		case history == "":
-			status, err = http.StatusBadRequest, errors.New("incremental backup needs history")
+			kind, err = ErrBadRequest, errors.New("incremental backup needs history")
 		case history != manifest.History:
 			err = fmt.Errorf("archive history %s does not match source history %s", history, manifest.History)
 		case since > cut.Seq:
 			err = fmt.Errorf("since %d is ahead of the backup cut %d", since, cut.Seq)
 		case since < t.baseSeq:
-			status = http.StatusGone // backup_gone
-			err = fmt.Errorf("records through %d were compacted away (base %d); take a full backup", since, t.baseSeq)
+			kind, err = ErrBackupGone, fmt.Errorf("records through %d were compacted away (base %d); take a full backup", since, t.baseSeq)
 		}
 		if err != nil {
-			httpError(w, status, err)
+			writeErr(w, r, refuse(kind, "%v", err))
 			return
 		}
 		manifest.Full, manifest.BaseSeq = false, since
 	}
 	full, from := manifest.Full, manifest.BaseSeq
 	if err := t.stage(frameBackupManifest, manifest, full); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		writeErr(w, r, refuse(errInternal, "%v", err))
 		return
 	}
 	if full {

@@ -201,8 +201,8 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 		if !hello.Bootstrap || stream.count[frameSnapshot] != 1 {
 			t.Fatalf("stream below the base: hello %+v, frames %v; want a bootstrap", hello, stream.count)
 		}
-		if status, code := refusal(t, ts.URL+"/segment?since"+resume); status != http.StatusGone || code != codeBackupGone {
-			t.Fatalf("segment below the base got %d %s, want 410 %s", status, code, codeBackupGone)
+		if status, code := refusal(t, ts.URL+"/segment?since"+resume); status != http.StatusGone || code != "backup_gone" {
+			t.Fatalf("segment below the base got %d %s, want 410 %s", status, code, "backup_gone")
 		}
 	})
 
@@ -210,8 +210,8 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 		head := rig.db.ReplicationHead()
 		resume := fmt.Sprintf("=%d&history=%s", head+10, history)
 		for _, u := range []string{"/stream?from" + resume, "/segment?since" + resume} {
-			if status, code := refusal(t, ts.URL+u); status != http.StatusConflict || code != codeReplicaDiverged {
-				t.Fatalf("%s got %d %s, want 409 %s", u, status, code, codeReplicaDiverged)
+			if status, code := refusal(t, ts.URL+u); status != http.StatusConflict || code != "replica_diverged" {
+				t.Fatalf("%s got %d %s, want 409 %s", u, status, code, "replica_diverged")
 			}
 		}
 	})

@@ -1,6 +1,8 @@
 package crowddb
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -121,6 +123,15 @@ func TestErrorEnvelope(t *testing.T) {
 			}
 			return resp
 		}, http.StatusNotFound, "unknown_tenant", ""},
+		{"topology epoch below the current one", func() *http.Response {
+			doc := func(epoch uint64) Topology {
+				return Topology{Epoch: epoch, Count: 1, Shards: []ShardAddr{{Index: 0, URL: "http://shard-0"}}}
+			}
+			if resp := postJSON(t, ts+"/api/v1/topology", doc(2)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("installing epoch 2 = %s", resp.Status)
+			}
+			return postJSON(t, ts+"/api/v1/topology", doc(1))
+		}, http.StatusConflict, "stale_epoch", ""},
 	}
 	for _, c := range cases {
 		resp := c.do()
@@ -161,6 +172,23 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 	if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "unavailable" {
 		t.Errorf("not-ready code = %q", env.Error.Code)
+	}
+	srv.SetReady(true)
+
+	// A client gone before the handler answers is 499, an error of the
+	// route's series.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/tasks", strings.NewReader(`{"text":"a question nobody waits for","k":2}`)).WithContext(ctx)
+	before := srv.Metrics().Snapshot().Endpoints["POST /api/v1/tasks"].Errors
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	var env ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != 499 || env.Error.Code != "client_closed_request" {
+		t.Errorf("cancelled request = %d %s (%v), want 499 client_closed_request", rec.Code, rec.Body, err)
+	}
+	if got := srv.Metrics().Snapshot().Endpoints["POST /api/v1/tasks"].Errors; got != before+1 {
+		t.Errorf("cancelled request errors = %d, want %d", got, before+1)
 	}
 }
 

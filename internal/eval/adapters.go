@@ -3,8 +3,7 @@ package eval
 import (
 	"fmt"
 
-	"crowdselect/internal/baseline/drm"
-	"crowdselect/internal/baseline/tspm"
+	"crowdselect/internal/baseline/multinomial"
 	"crowdselect/internal/baseline/vsm"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
@@ -90,7 +89,7 @@ func Train(d *corpus.Dataset, algo Algo, opts TrainOptions) (Selector, error) {
 		if opts.LDABurn > 0 {
 			cfg.Burn = opts.LDABurn
 		}
-		return tspm.Train(bags, resp, len(d.Workers), d.Vocab.Size(), cfg)
+		return multinomial.TrainTSPM(bags, resp, len(d.Workers), d.Vocab.Size(), cfg)
 	case AlgoDRM:
 		bags, resp := bagsAndRespondents(d)
 		cfg := plsa.NewConfig(opts.K)
@@ -98,7 +97,7 @@ func Train(d *corpus.Dataset, algo Algo, opts TrainOptions) (Selector, error) {
 		if opts.PLSAIters > 0 {
 			cfg.Iterations = opts.PLSAIters
 		}
-		return drm.Train(bags, resp, len(d.Workers), d.Vocab.Size(), cfg)
+		return multinomial.TrainDRM(bags, resp, len(d.Workers), d.Vocab.Size(), cfg)
 	case AlgoTDPM:
 		cfg := core.NewConfig(opts.K)
 		cfg.Seed = opts.Seed

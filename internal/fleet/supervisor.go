@@ -348,7 +348,7 @@ func (s *Supervisor) tickShard(ctx context.Context, sh *shardState) {
 			sh.epoch = pst.FencingEpoch
 		}
 		s.mu.Unlock()
-	case isFencedRefusal(perr) || errors.Is(perr, errNodeDeposed):
+	case errors.Is(perr, crowddb.ErrFenced) || errors.Is(perr, errNodeDeposed):
 		// The declared primary is already deposed (a failover this
 		// supervisor no longer remembers, or another supervisor's).
 		// Reconcile now rather than waiting out the miss budget.
@@ -752,7 +752,7 @@ func (s *Supervisor) drainPrimary(ctx context.Context, sh *shardState) error {
 	_, err = s.client(primary.URL).SealLease(sctx, s.opts.Holder)
 	cancel()
 	// An epoch-sealed node refuses the seal: frozen harder than needed.
-	if err != nil && !isFencedRefusal(err) {
+	if err != nil && !errors.Is(err, crowddb.ErrFenced) {
 		return fmt.Errorf("fleet: drain %s: seal: %w", primary.URL, err)
 	}
 	unseal := func() {
@@ -911,10 +911,4 @@ func copyMap[K comparable, V any](m map[K]V) map[K]V {
 		out[k] = v
 	}
 	return out
-}
-
-// isFencedRefusal reports whether err is a node's 409 fenced refusal.
-func isFencedRefusal(err error) bool {
-	var ae *crowdclient.APIError
-	return errors.As(err, &ae) && ae.Code == "fenced"
 }

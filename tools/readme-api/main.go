@@ -1,8 +1,11 @@
-// Command readme-api regenerates the README's API reference table from
-// the server's route registrations (crowddb.APIReferenceMarkdown),
-// replacing whatever sits between the api-reference markers. Run it via
-// `make readme-api` after changing the route surface; the crowddb test
-// TestAPIReferenceMatchesMux fails while the README is stale.
+// Command readme-api regenerates the README's two generated tables:
+// the API reference from the server's route registrations
+// (crowddb.APIReferenceMarkdown) and the error codes from the server's
+// error table (crowddb.ErrorTableMarkdown), each replacing whatever
+// sits between its markers. Run it via `make readme-api` after changing
+// the route surface or the error table; the crowddb tests
+// TestAPIReferenceMatchesMux and TestErrorTableMatchesREADME fail while
+// the README is stale.
 package main
 
 import (
@@ -11,11 +14,6 @@ import (
 	"strings"
 
 	"crowdselect/internal/crowddb"
-)
-
-const (
-	begin = "<!-- api-reference:begin -->"
-	end   = "<!-- api-reference:end -->"
 )
 
 func main() {
@@ -28,15 +26,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "readme-api:", err)
 		os.Exit(1)
 	}
-	s := string(b)
-	i := strings.Index(s, begin)
-	j := strings.Index(s, end)
-	if i < 0 || j < 0 || j < i {
-		fmt.Fprintf(os.Stderr, "readme-api: %s has no %s / %s markers\n", path, begin, end)
-		os.Exit(1)
+	in := string(b)
+	out := in
+	for _, table := range []struct{ name, markdown string }{
+		{"api-reference", crowddb.APIReferenceMarkdown()},
+		{"error-table", crowddb.ErrorTableMarkdown()},
+	} {
+		begin, end := "<!-- "+table.name+":begin -->", "<!-- "+table.name+":end -->"
+		i := strings.Index(out, begin)
+		j := strings.Index(out, end)
+		if i < 0 || j < 0 || j < i {
+			fmt.Fprintf(os.Stderr, "readme-api: %s has no %s / %s markers\n", path, begin, end)
+			os.Exit(1)
+		}
+		out = out[:i] + begin + "\n" + table.markdown + end + out[j+len(end):]
 	}
-	out := s[:i] + begin + "\n" + crowddb.APIReferenceMarkdown() + end + s[j+len(end):]
-	if out == s {
+	if out == in {
 		return
 	}
 	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
