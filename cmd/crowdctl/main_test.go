@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowdclient"
@@ -61,7 +62,7 @@ func testClient(baseURL string) *crowdclient.Client {
 		Timeout: 5 * time.Second,
 		Retries: 3,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 }
 

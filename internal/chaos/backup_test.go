@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowdclient"
@@ -87,27 +89,6 @@ func bootBackupNode(t *testing.T, dir string, d *corpus.Dataset, m *core.Model) 
 	return &backupNode{db: db, mgr: mgr, cm: cm, cutter: cutter, ts: ts, kill: kill}
 }
 
-// cutWriter passes validated archive frames through to w and fires
-// cut once the byte count crosses limit — the drill's trigger for
-// killing the stream at a point that is known to be mid-archive.
-type cutWriter struct {
-	w     io.Writer
-	n     int64
-	limit int64
-	cut   func()
-	fired bool
-}
-
-func (c *cutWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	if !c.fired && c.n >= c.limit {
-		c.fired = true
-		c.cut()
-	}
-	return n, err
-}
-
 // resolveAcked pushes n tasks end to end through the client and
 // records each acked id → text.
 func resolveAcked(t *testing.T, multi *crowdclient.Multi, acked map[int]string, n int, tag string) {
@@ -149,7 +130,7 @@ func TestChaosBackupRestoreDrill(t *testing.T) {
 	dir := t.TempDir()
 	node := bootBackupNode(t, dir, d, m)
 	multi, err := crowdclient.NewMulti([]string{node.ts.URL}, crowdclient.Options{
-		Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,14 +138,24 @@ func TestChaosBackupRestoreDrill(t *testing.T) {
 	acked := make(map[int]string)
 	resolveAcked(t, multi, acked, 6, "pre-crash")
 
-	// Probe the archive over a clean connection and find the smallest
-	// prefix that is already resumable (bootstrap fully delivered) —
-	// the drill below tears the stream just past that point.
+	// The operator's backup runs through a link that dies mid-transfer
+	// — the client-visible shape of the primary crashing under it. First
+	// a probe over the clean link: its archive gives the smallest prefix
+	// that is already resumable (bootstrap fully delivered), its size on
+	// the wire the response's header and chunk overhead.
+	proxy, err := faultnet.Listen(node.ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	probeTr := &http.Transport{}
 	var probe bytes.Buffer
-	cleanCli := crowdclient.New(node.ts.URL, crowdclient.Options{})
-	if _, err := cleanCli.Backup(context.Background(), &probe, -1, ""); err != nil {
+	probeCli := crowdclient.New(proxy.URL(), crowdclient.Options{HTTPClient: &http.Client{Transport: probeTr}})
+	if _, err := probeCli.Backup(context.Background(), &probe, -1, ""); err != nil {
 		t.Fatalf("probe backup: %v", err)
 	}
+	probeTr.CloseIdleConnections()
+	wire := proxy.Stats().BytesDown
 	resumableAt := func(k int) bool {
 		info, _ := crowddb.CopyBackupStream(io.Discard, bytes.NewReader(probe.Bytes()[:k]))
 		return info.Resumable
@@ -182,63 +173,41 @@ func TestChaosBackupRestoreDrill(t *testing.T) {
 		t.Fatalf("no resumable prefix below the full archive (%d bytes)", probe.Len())
 	}
 
-	// The operator's backup runs through a link that dies mid-transfer
-	// — the client-visible shape of the primary crashing under it. Only
-	// whole validated frames land in the file, so what it holds is a
-	// well-formed archive prefix with an exact resume point.
-	proxy, err := faultnet.Listen(node.ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	// The tear: the link passes the resumable prefix with every byte of
+	// the response's overhead on top, and resets halfway from there to
+	// the end, inside the record tail. Only whole validated frames land
+	// in the file, so what it holds is a well-formed archive prefix with
+	// an exact resume point.
+	past := int64(lo) + wire - int64(probe.Len())
+	tear := (past + wire) / 2
+	if tear <= past || tear >= wire {
+		t.Fatalf("record tail of %d wire bytes is too short to tear inside", wire-past)
 	}
-	t.Cleanup(func() { proxy.Close() })
 	file := filepath.Join(t.TempDir(), "drill.backup")
 	f, err := os.OpenFile(file, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	chaosCli := crowdclient.New(proxy.URL(), crowdclient.Options{})
-	// Throttle the link so the tail is still in flight, and reset every
-	// proxied connection the instant the client has validated past the
-	// minimal resumable prefix: the primary dies under a backup that is
-	// provably mid-stream yet past its bootstrap. An RST discards
-	// whatever the kernel had buffered beyond that point, so where the
-	// tear lands inside the record tail is genuinely chaotic; the
-	// archive prefix on disk stays valid and resumable regardless.
-	proxy.Set(faultnet.Faults{BandwidthBytesPerSec: 1 << 20})
-	var info crowddb.BackupStreamInfo
-	torn := false
-	for attempt := 0; attempt < 5 && !torn; attempt++ {
-		if err := f.Truncate(0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Seek(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		cw := &cutWriter{w: f, limit: int64(lo) + 512, cut: proxy.CutActive}
-		var berr error
-		info, berr = chaosCli.Backup(context.Background(), cw, -1, "")
-		if berr == nil || info.Complete {
-			continue // the tail outran the reset; tear again
-		}
-		if !info.Resumable {
-			t.Fatalf("stream torn past the bootstrap yet not resumable: %+v: %v", info, berr)
-		}
-		torn = true
+	proxy.Set(faultnet.Faults{PartialWriteBytes: tear})
+	info, berr := crowdclient.New(proxy.URL(), crowdclient.Options{}).Backup(context.Background(), f, -1, "")
+	if berr == nil || info.Complete {
+		t.Fatalf("backup torn at wire byte %d of %d completed: %+v", tear, wire, info)
 	}
-	if !torn {
-		t.Fatalf("the reset never tore the stream mid-flight (last info %+v)", info)
+	if !info.Resumable {
+		t.Fatalf("stream torn past the bootstrap yet not resumable: %+v: %v", info, berr)
 	}
 	if st := proxy.Stats(); st.Resets == 0 {
 		t.Fatal("the proxy never tore the stream; the drill proved nothing")
 	}
+	proxy.Heal()
 
 	// The primary dies for real, reboots over its own directory, and
 	// serves more acked traffic before the operator resumes.
 	node.kill()
 	node2 := bootBackupNode(t, dir, d, m)
 	multi2, err := crowdclient.NewMulti([]string{node2.ts.URL}, crowdclient.Options{
-		Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +293,7 @@ func TestChaosBackupRestoreDrill(t *testing.T) {
 		t.Fatalf("restored node ranks differently:\nsource   %v\nrestored %v", wantRank, gotRank)
 	}
 	multi3, err := crowdclient.NewMulti([]string{restored.ts.URL}, crowdclient.Options{
-		Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowdclient"
@@ -48,6 +49,7 @@ func newRig(t *testing.T, opts crowddb.Options) *rig {
 		t.Fatal(err)
 	}
 
+	opts.Clock = testClock(t)
 	db, err := crowddb.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +122,11 @@ func TestChaosDegradedReadOnly(t *testing.T) {
 			}
 			return errors.New("chaos: disk still gone")
 		},
-		ProbeInterval: 5 * time.Millisecond,
 	}
 	r := newRig(t, opts)
 	cli := crowdclient.New(r.ts.URL, crowdclient.Options{
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	ctx := context.Background()
 
@@ -195,13 +196,7 @@ func TestChaosDegradedReadOnly(t *testing.T) {
 
 	// Disk comes back: the probe loop heals by compaction and unseals.
 	healed.Store(true)
-	deadline := time.Now().Add(5 * time.Second)
-	for r.db.Degraded() && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if r.db.Degraded() {
-		t.Fatal("degraded mode never cleared after the disk healed")
-	}
+	waitFor(t, "degraded mode to clear after the disk healed", func() bool { return !r.db.Degraded() })
 	stats := r.db.Stats()
 	if stats.DegradedEnters != 1 || stats.DegradedExits != 1 {
 		t.Fatalf("degraded transitions = %d in, %d out; want 1, 1", stats.DegradedEnters, stats.DegradedExits)
@@ -244,7 +239,7 @@ func TestChaosResetsNoAckedMutationLost(t *testing.T) {
 		Timeout: 2 * time.Second,
 		Retries: 3,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	ctx := context.Background()
 
@@ -319,7 +314,7 @@ func TestChaosBreakerUnderBlackhole(t *testing.T) {
 		Timeout:          150 * time.Millisecond, // blackholed calls fail by timeout
 		Retries:          -1,                     // isolate the breaker from the retry loop
 		BreakerThreshold: 3,
-		BreakerCooldown:  100 * time.Millisecond,
+		Clock:            testClock(t), // the breaker half-opens as waitFor steps it
 	})
 	ctx := context.Background()
 
@@ -362,16 +357,10 @@ func TestChaosBreakerUnderBlackhole(t *testing.T) {
 	// it again without any outside intervention.
 	proxy.Heal()
 	proxy.CutActive()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := cli.Stats(ctx); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client never recovered after the network healed")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor(t, "the client to recover after the network healed", func() bool {
+		_, err := cli.Stats(ctx)
+		return err == nil
+	})
 	if st := cli.ResilienceStats(); st.BreakerState != "closed" {
 		t.Fatalf("breaker after heal = %q, want closed", st.BreakerState)
 	}

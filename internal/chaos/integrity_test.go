@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowdclient"
 	"crowdselect/internal/crowddb"
 	"crowdselect/internal/faultfs"
@@ -63,7 +64,7 @@ func TestChaosFollowerAtRestCorruptionQuarantineAndRepair(t *testing.T) {
 		Timeout: 2 * time.Second,
 		Retries: 2,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func TestChaosPrimaryScrubberCatchesAtRestCorruption(t *testing.T) {
 		Timeout: 2 * time.Second,
 		Retries: 2,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowdclient"
@@ -50,7 +53,7 @@ func newReplPrimary(t *testing.T) *replRig {
 		t.Fatal(err)
 	}
 
-	db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways(), ScrubInterval: 25 * time.Millisecond})
+	db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways(), ScrubInterval: pollStep, Clock: testClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func newReplPrimary(t *testing.T) *replRig {
 	}
 	fence := crowddb.NewFence(db)
 	cutter := crowddb.NewDigestCutter(db, mgr)
-	src := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{})
 	ts := httptest.NewServer(newNode(t,
 		crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded, Digest: cutter.Func(), ReplicationSource: src.Stream()},
 		crowddb.NodeConfig{Durability: db.Stats, Fence: fence, Integrity: db.ScrubStats, Replication: src.Status}))
@@ -139,15 +142,14 @@ func startFollower(t *testing.T, primaryURL string) (*follower, *httptest.Server
 func startFollowerDir(t *testing.T, primaryURL, dir string) (*follower, *httptest.Server) {
 	t.Helper()
 	rep := startReplica(t, crowddb.ReplicaOptions{
-		Primary:          primaryURL,
-		Dir:              dir,
-		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		ReconnectBackoff: 10 * time.Millisecond,
+		Primary: primaryURL,
+		Dir:     dir,
+		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
 	}, crowddb.ShardSpec{})
 	fence := crowddb.NewFence(rep.DB())
 	// A promoted standby must be able to feed followers of its own —
 	// the healed fleet re-converges by re-pointing at the winner.
-	src := crowddb.NewTransferSource(rep.DB(), fence, rep.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := crowddb.NewTransferSource(rep.DB(), fence, rep.Digest, crowddb.TransferSourceOptions{})
 	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: rep.mgr, Digest: rep.Digest, ReplicationSource: src.Stream()},
 		crowddb.NodeConfig{
 			Role: crowddb.RoleReplica, Durability: rep.DB().Stats, Replication: rep.Status, Promoter: rep.Promote, Fence: fence,
@@ -160,6 +162,25 @@ func startFollowerDir(t *testing.T, primaryURL, dir string) (*follower, *httptes
 	return rep, ts
 }
 
+// clocks holds each top-level test's manual clock (testClock).
+var clocks sync.Map // test name → *clock.Manual
+
+// testClock is t's manual clock, one per top-level test and shared by
+// its subtests. The DBs, fences, transfer sources and replicas a drill
+// builds run on it, so the drill's time moves only in waitFor's steps.
+func testClock(t *testing.T) *clock.Manual {
+	root, _, _ := strings.Cut(t.Name(), "/")
+	c, _ := clocks.LoadOrStore(root, new(clock.Manual))
+	return c.(*clock.Manual)
+}
+
+// pollStep is how far waitFor moves the test's clock between polls:
+// the split-brain drill's probe interval, under its lease.
+const pollStep = 25 * time.Millisecond
+
+// waitFor polls cond, stepping t's clock by pollStep between polls, so
+// heartbeats, reconnects, heal probes, scrubs and breaker cooldowns
+// come due while the drill waits.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -167,6 +188,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
+		testClock(t).Sleep(context.Background(), pollStep)
 		time.Sleep(2 * time.Millisecond)
 	}
 }
@@ -224,7 +246,7 @@ func TestChaosReplicationFailover(t *testing.T) {
 		Timeout: 2 * time.Second,
 		Retries: 2,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowdclient"
@@ -57,7 +58,7 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways()})
+		db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 			t.Fatal(err)
 		}
 		fence := crowddb.NewFence(db)
-		src := crowddb.NewTransferSource(db, fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+		src := crowddb.NewTransferSource(db, fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{})
 		ts := httptest.NewServer(newNode(t,
 			crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded, ReplicationSource: src.Stream()},
 			crowddb.NodeConfig{Durability: db.Stats, Fence: fence, Replication: src.Status}))
@@ -109,10 +110,9 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 func startShardFollower(t *testing.T, primaryURL string, sp crowddb.ShardSpec) (*follower, *httptest.Server) {
 	t.Helper()
 	rep := startReplica(t, crowddb.ReplicaOptions{
-		Primary:          primaryURL,
-		Dir:              t.TempDir(),
-		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		ReconnectBackoff: 10 * time.Millisecond,
+		Primary: primaryURL,
+		Dir:     t.TempDir(),
+		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
 	}, sp)
 	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: rep.mgr}, crowddb.NodeConfig{
 		Role: crowddb.RoleReplica, Durability: rep.DB().Stats, Replication: rep.Status, Promoter: rep.Promote,
@@ -166,7 +166,7 @@ func TestChaosShardKillAndRebalance(t *testing.T) {
 		Timeout: 2 * time.Second,
 		Retries: 2,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowdclient"
 	"crowdselect/internal/crowddb"
 	"crowdselect/internal/faultnet"
@@ -61,6 +62,12 @@ func (l *drillLog) dump(t *testing.T) {
 // the lease, so the invariants only hold because the supervisor stops
 // renewing a suspect primary and waits out the lease it may have
 // armed.
+//
+// The drill is the supervisor's clock: it drives Tick itself, once per
+// poll of waitFor, which steps the clock the primary's fence, the
+// follower and the supervisor share by one probe interval between
+// polls. The lease can lapse only while the drill waits, never under a
+// loaded host's scheduling.
 func TestChaosSplitBrainFencedFailover(t *testing.T) {
 	t.Run("requests swallowed", func(t *testing.T) {
 		runSplitBrainDrill(t, faultnet.Faults{DropUpstream: true})
@@ -86,7 +93,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 		Timeout: 2 * time.Second,
 		Retries: 2,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,26 +106,25 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 		Primary:  fleet.Node{Name: "p0", URL: proxy.URL()},
 		Standbys: []fleet.Node{{Name: "s0", URL: followerTS.URL}},
 	}}}, fleet.Options{
-		ProbeInterval: 25 * time.Millisecond,
+		ProbeInterval: pollStep,
 		ProbeTimeout:  250 * time.Millisecond,
 		SuspectAfter:  4,
 		LeaseTTL:      60 * time.Millisecond, // < 4 × 25ms: sealed before promotable
 		Holder:        "drill-supervisor",
 		Logf:          log.logf,
+		Clock:         testClock(t),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	supCtx, supCancel := context.WithCancel(ctx)
-	supDone := make(chan struct{})
-	go func() {
-		defer close(supDone)
-		sup.Run(supCtx)
-	}()
-	t.Cleanup(func() {
-		supCancel()
-		<-supDone
-	})
+	// tickFor waits for cond with the supervisor ticking once a poll.
+	tickFor := func(what string, cond func() bool) {
+		t.Helper()
+		waitFor(t, what, func() bool {
+			sup.Tick(ctx)
+			return cond()
+		})
+	}
 	defer func() {
 		if t.Failed() {
 			log.dump(t)
@@ -137,10 +143,10 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 		text := fmt.Sprintf("split-brain drill question %d about isolation levels", i)
 		acked[resolveVia(t, ctx, multi, text)] = text
 	}
-	waitFor(t, "primary under supervisor lease", func() bool {
+	tickFor("primary under supervisor lease", func() bool {
 		return primary.fence.Status().LeaseHolder == "drill-supervisor"
 	})
-	waitFor(t, "follower at lag zero before the partition", func() bool {
+	tickFor("follower at lag zero before the partition", func() bool {
 		st := rep.Status()
 		return caughtUp() && st.Lag != nil && st.Lag.Records == 0
 	})
@@ -161,10 +167,10 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 	// another, the attempt it last sent counts only after ProbeTimeout,
 	// and it sends no renewal to a primary whose /readyz goes
 	// unanswered. Only a seal after that holds.
-	waitFor(t, "supervisor counts a missed probe", func() bool {
+	tickFor("supervisor counts a missed probe", func() bool {
 		return sup.Status().Shards[0].Misses >= 1
 	})
-	waitFor(t, "deposed primary seals on lease lapse", func() bool {
+	tickFor("deposed primary seals on lease lapse", func() bool {
 		return primary.fence.Sealed()
 	})
 
@@ -184,7 +190,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 
 	// The supervisor waits out the miss budget and promotes the
 	// follower — the only candidate, and a fully caught-up one.
-	waitFor(t, "supervisor promotes the follower", func() bool {
+	tickFor("supervisor promotes the follower", func() bool {
 		return sup.Status().Failovers >= 1 && rep.Status().Role == crowddb.RolePrimary
 	})
 	st := sup.Status()
@@ -222,7 +228,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 	// Phase 3: heal. The supervisor's retried fence order finally lands
 	// on the old primary and pins it at the new epoch with the hint.
 	proxy.Heal()
-	waitFor(t, "fence order acknowledged after heal", func() bool {
+	tickFor("fence order acknowledged after heal", func() bool {
 		return sup.Status().Fences >= 1
 	})
 	fs := primary.fence.Status()
@@ -244,7 +250,7 @@ func runSplitBrainDrill(t *testing.T, fault faultnet.Faults) {
 	// at the winner replays its way to the same model, and every acked
 	// task — pre-partition and partition-era — is there exactly once.
 	rep2, _ := startFollower(t, followerTS.URL)
-	waitFor(t, "re-pointed follower caught up to the new primary", func() bool {
+	tickFor("re-pointed follower caught up to the new primary", func() bool {
 		pseq := rep.DB().ReplicationHead()
 		return rep2.Status().AppliedSeq == pseq && pseq > 0
 	})

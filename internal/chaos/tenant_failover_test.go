@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/crowdclient"
 	"crowdselect/internal/crowddb"
@@ -34,7 +35,7 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	p := &tenantPrimary{def: newReplPrimary(t)}
 	d := p.def.d
 
-	db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways()})
+	db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,12 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 		t.Fatal(err)
 	}
 	// Fencing is node-level; tenants share it.
-	src := crowddb.NewTransferSource(db, p.def.fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := crowddb.NewTransferSource(db, p.def.fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{})
 
 	// Rebuild the HTTP shell so both tenants hang off one listener —
 	// newReplPrimary already started a server for the default tenant,
 	// but a node is described whole, so serve a fresh one.
-	defSrc := crowddb.NewTransferSource(p.def.db, p.def.fence, crowddb.NewDigestCutter(p.def.db, p.def.mgr).Func(), crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	defSrc := crowddb.NewTransferSource(p.def.db, p.def.fence, crowddb.NewDigestCutter(p.def.db, p.def.mgr).Func(), crowddb.TransferSourceOptions{})
 	ts := httptest.NewServer(newNode(t,
 		crowddb.TenantConfig{Manager: p.def.mgr, Degraded: p.def.db.Degraded, ReplicationSource: defSrc.Stream()},
 		crowddb.NodeConfig{
@@ -95,21 +96,19 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 func startTenantFollower(t *testing.T, primaryURL string) (def, acme *follower, ts *httptest.Server) {
 	t.Helper()
 	def = startReplica(t, crowddb.ReplicaOptions{
-		Primary:          primaryURL,
-		Dir:              t.TempDir(),
-		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		ReconnectBackoff: 10 * time.Millisecond,
+		Primary: primaryURL,
+		Dir:     t.TempDir(),
+		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
 	}, crowddb.ShardSpec{})
 	acme = startReplica(t, crowddb.ReplicaOptions{
-		Primary:          primaryURL,
-		Tenant:           "acme",
-		Dir:              t.TempDir(),
-		DB:               crowddb.Options{Sync: crowddb.SyncAlways()},
-		ReconnectBackoff: 10 * time.Millisecond,
+		Primary: primaryURL,
+		Tenant:  "acme",
+		Dir:     t.TempDir(),
+		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
 	}, crowddb.ShardSpec{})
 	fence := crowddb.NewFence(def.DB())
-	defSrc := crowddb.NewTransferSource(def.DB(), fence, def.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
-	acmeSrc := crowddb.NewTransferSource(acme.DB(), fence, acme.Digest, crowddb.TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	defSrc := crowddb.NewTransferSource(def.DB(), fence, def.Digest, crowddb.TransferSourceOptions{})
+	acmeSrc := crowddb.NewTransferSource(acme.DB(), fence, acme.Digest, crowddb.TransferSourceOptions{})
 	ts = httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: def.mgr, ReplicationSource: defSrc.Stream()}, crowddb.NodeConfig{
 		Role:        crowddb.RoleReplica,
 		Durability:  def.DB().Stats,
@@ -152,7 +151,7 @@ func TestChaosTenantFailover(t *testing.T) {
 		Timeout: 2 * time.Second,
 		Retries: 2,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)

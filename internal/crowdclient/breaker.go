@@ -4,12 +4,14 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"crowdselect/internal/clock"
 )
 
 // ErrCircuitOpen is returned without touching the network while the
 // client's circuit breaker is open: the server has been unreachable at
 // the transport level for BreakerThreshold consecutive attempts, and
-// the cooldown since the last failure has not yet elapsed. Callers
+// breakerCooldown since the last failure has not yet elapsed. Callers
 // branch with errors.Is.
 var ErrCircuitOpen = errors.New("crowdclient: circuit breaker open")
 
@@ -42,8 +44,7 @@ func (s breakerState) String() string {
 type breaker struct {
 	mu        sync.Mutex
 	threshold int
-	cooldown  time.Duration
-	clock     func() time.Time
+	clock     clock.Clock
 
 	state    breakerState
 	failures int       // consecutive transport failures while closed
@@ -54,12 +55,10 @@ type breaker struct {
 	fastFails int64 // requests refused without touching the network
 }
 
-func newBreaker(threshold int, cooldown time.Duration, clock func() time.Time) *breaker {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown, clock: clock}
-}
+// breakerCooldown is how long the breaker stays open before one
+// half-open trial request is let through. The trial's outcome closes
+// the breaker or re-opens it for another cooldown.
+const breakerCooldown = time.Second
 
 // allow gates one attempt. While open it fails fast until the cooldown
 // elapses, then admits exactly one half-open trial; concurrent
@@ -71,7 +70,7 @@ func (b *breaker) allow() error {
 	case bkClosed:
 		return nil
 	case bkOpen:
-		if b.clock().Sub(b.openedAt) < b.cooldown {
+		if b.clock.Now().Sub(b.openedAt) < breakerCooldown {
 			b.fastFails++
 			return ErrCircuitOpen
 		}
@@ -101,7 +100,7 @@ func (b *breaker) record(success bool) {
 			return
 		}
 		b.state = bkOpen
-		b.openedAt = b.clock()
+		b.openedAt = b.clock.Now()
 		b.opens++
 		return
 	}
@@ -112,7 +111,7 @@ func (b *breaker) record(success bool) {
 	b.failures++
 	if b.state == bkClosed && b.failures >= b.threshold {
 		b.state = bkOpen
-		b.openedAt = b.clock()
+		b.openedAt = b.clock.Now()
 		b.opens++
 	}
 }
@@ -143,10 +142,6 @@ type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
 	limit  float64
-}
-
-func newRetryBudget(limit int) *retryBudget {
-	return &retryBudget{tokens: float64(limit), limit: float64(limit)}
 }
 
 // take spends one token; false means the budget is exhausted.

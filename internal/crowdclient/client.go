@@ -20,6 +20,7 @@ package crowdclient
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
 )
 
@@ -50,8 +52,6 @@ type Options struct {
 	Backoff time.Duration
 	// HTTPClient overrides the transport entirely (tests, custom TLS).
 	HTTPClient *http.Client
-	// Sleep replaces time.Sleep between retries (test hook).
-	Sleep func(time.Duration)
 
 	// BreakerThreshold is the number of consecutive transport failures
 	// that opens the circuit breaker (default 5; negative disables the
@@ -59,18 +59,15 @@ type Options struct {
 	// HTTP status — even 503 — is alive, so shed and degraded responses
 	// never open the breaker and selections keep flowing.
 	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before one
-	// half-open trial request is let through (default 1s). The trial's
-	// outcome closes the breaker or re-opens it for another cooldown.
-	BreakerCooldown time.Duration
 	// RetryBudget is a token bucket bounding retries across the whole
 	// client, so many concurrent callers cannot multiply a retry storm:
 	// each retry spends one token, each successful request refunds one,
 	// and when the bucket is empty requests fail after their first
 	// attempt (default 10; negative disables the budget).
 	RetryBudget int
-	// Clock replaces time.Now for the breaker cooldown (test hook).
-	Clock func() time.Time
+	// Clock times the retry backoff and the breaker's cooldown
+	// (default clock.Real).
+	Clock clock.Clock
 	// FleetToken authenticates fleet-control requests when the server
 	// gates /api/v1/replication/* (crowddb.NodeConfig.FleetToken). Sent as
 	// "Authorization: Bearer <token>" on every request; empty sends
@@ -93,7 +90,7 @@ type Client struct {
 	hc         *http.Client
 	retries    int
 	backoff    time.Duration
-	sleep      func(time.Duration)
+	clock      clock.Clock
 	fleetToken string
 	tenant     string // "": default tenant (un-prefixed paths)
 
@@ -161,14 +158,8 @@ func New(baseURL string, opts Options) *Client {
 	if opts.HTTPClient == nil {
 		opts.HTTPClient = &http.Client{Timeout: opts.Timeout}
 	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
-	}
 	if opts.BreakerThreshold == 0 {
 		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = time.Second
 	}
 	if opts.RetryBudget == 0 {
 		opts.RetryBudget = 10
@@ -178,7 +169,7 @@ func New(baseURL string, opts Options) *Client {
 		hc:         opts.HTTPClient,
 		retries:    opts.Retries,
 		backoff:    opts.Backoff,
-		sleep:      opts.Sleep,
+		clock:      cmp.Or(opts.Clock, clock.Real),
 		fleetToken: opts.FleetToken,
 		tenant:     normalizeTenant(opts.Tenant),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -186,10 +177,10 @@ func New(baseURL string, opts Options) *Client {
 	}
 	c.api = api{c}
 	if opts.BreakerThreshold > 0 {
-		c.brk = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock)
+		c.brk = &breaker{threshold: opts.BreakerThreshold, clock: c.clock}
 	}
 	if opts.RetryBudget > 0 {
-		c.budget = newRetryBudget(opts.RetryBudget)
+		c.budget = &retryBudget{tokens: float64(opts.RetryBudget), limit: float64(opts.RetryBudget)}
 	}
 	return c
 }
@@ -219,7 +210,7 @@ func (c *Client) ForTenant(name string) *Client {
 		hc:         c.hc,
 		retries:    c.retries,
 		backoff:    c.backoff,
-		sleep:      c.sleep,
+		clock:      c.clock,
 		fleetToken: c.fleetToken,
 		tenant:     normalizeTenant(name),
 		brk:        c.brk,
@@ -416,8 +407,7 @@ func (c *Client) do(ctx context.Context, method, url string, idem bool, body []b
 				delay = retryHint
 			}
 			retryHint = 0
-			c.sleep(delay)
-			if err := ctx.Err(); err != nil {
+			if err := c.clock.Sleep(ctx, delay); err != nil {
 				return nil, err
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
 	"crowdselect/internal/text"
 )
@@ -22,7 +23,7 @@ func testClient(baseURL string) *Client {
 		Timeout: 5 * time.Second,
 		Retries: 3,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) {},
+		Clock:   new(clock.Manual),
 	})
 }
 
@@ -105,30 +106,33 @@ func TestRetryConnectionRefused(t *testing.T) {
 	ln.Close() // nothing listening: first attempts get connection refused
 
 	started := make(chan *httptest.Server, 1)
-	attempt := 0
+	dials := 0
+	dialer := &net.Dialer{}
 	cli := New("http://"+addr, Options{
-		Timeout: 5 * time.Second,
 		Retries: 3,
 		Backoff: time.Millisecond,
-		Sleep: func(time.Duration) {
-			attempt++
-			if attempt == 2 {
-				// Bring the server up on the probed address before the
-				// third attempt.
-				l, err := net.Listen("tcp", addr)
-				if err != nil {
-					t.Errorf("relisten: %v", err)
-					return
+		Clock:   new(clock.Manual),
+		HTTPClient: &http.Client{Timeout: 5 * time.Second, Transport: &http.Transport{
+			DialContext: func(ctx context.Context, network, address string) (net.Conn, error) {
+				dials++
+				if dials == 3 {
+					// Bring the server up on the probed address before the
+					// third attempt dials it.
+					l, err := net.Listen("tcp", addr)
+					if err != nil {
+						return nil, err
+					}
+					s := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						w.WriteHeader(http.StatusNoContent)
+					}))
+					s.Listener.Close()
+					s.Listener = l
+					s.Start()
+					started <- s
 				}
-				s := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					w.WriteHeader(http.StatusNoContent)
-				}))
-				s.Listener.Close()
-				s.Listener = l
-				s.Start()
-				started <- s
-			}
-		},
+				return dialer.DialContext(ctx, network, address)
+			},
+		}},
 	})
 	if err := cli.SetPresence(context.Background(), 0, false); err != nil {
 		t.Fatalf("POST after server came up: %v", err)
@@ -227,23 +231,50 @@ func TestErrorTableRoundTrip(t *testing.T) {
 // loop instead of burning the whole budget.
 func TestContextCancelStopsRetries(t *testing.T) {
 	var hits int32
+	ctx, cancel := context.WithCancel(context.Background())
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		atomic.AddInt32(&hits, 1)
+		cancel()
 		http.Error(w, "down", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
 	cli := New(srv.URL, Options{
 		Timeout: 5 * time.Second,
 		Retries: 3,
 		Backoff: time.Millisecond,
-		Sleep:   func(time.Duration) { cancel() },
+		Clock:   new(clock.Manual),
 	})
 	if _, err := cli.Stats(ctx); err == nil {
 		t.Fatal("cancelled request reported success")
 	}
 	if got := atomic.LoadInt32(&hits); got != 1 {
 		t.Errorf("server hit %d times after cancel, want 1", got)
+	}
+}
+
+// TestCancelEndsRetryBackoff: a caller that cancels while the client
+// waits out a shedding server's Retry-After gets context.Canceled at
+// once, not after the backoff.
+func TestCancelEndsRetryBackoff(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelled atomic.Int64 // wall time of the cancel, in ns
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "10")
+		http.Error(w, "shed", http.StatusServiceUnavailable)
+		// Cancel once the client is well into its 10 s backoff.
+		time.AfterFunc(50*time.Millisecond, func() {
+			cancelled.Store(time.Now().UnixNano())
+			cancel()
+		})
+	}))
+	defer srv.Close()
+
+	_, err := New(srv.URL, Options{Timeout: 5 * time.Second, Retries: 1}).Stats(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call = %v, want context.Canceled", err)
+	}
+	if took := time.Since(time.Unix(0, cancelled.Load())); took > 100*time.Millisecond {
+		t.Fatalf("call returned %v after its cancel, want < 100ms", took)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
 )
 
@@ -53,7 +54,7 @@ func TestMultiWriteFollowsFencedRedirect(t *testing.T) {
 
 	// The deposed node is listed first: the initial believed primary.
 	m, err := NewMulti([]string{oldPrimary.URL, newPrimary.URL}, Options{
-		Timeout: 5 * time.Second, Retries: 1, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 5 * time.Second, Retries: 1, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +107,7 @@ func TestMultiFencedRedirectIsBounded(t *testing.T) {
 	urlA, urlB = a.URL, b.URL
 
 	m, err := NewMulti([]string{a.URL, b.URL}, Options{
-		Timeout: 5 * time.Second, Retries: 0, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 5 * time.Second, Retries: 0, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)

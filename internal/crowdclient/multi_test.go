@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
 )
 
@@ -52,21 +53,22 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var slept []time.Duration
+	clk := new(clock.Manual)
+	start := clk.Now()
 	cli := New(srv.URL, Options{
 		Timeout: 5 * time.Second,
 		Retries: 3,
 		Backoff: time.Millisecond,
-		Sleep:   func(d time.Duration) { slept = append(slept, d) },
+		Clock:   clk,
 	})
 	if _, err := cli.Stats(context.Background()); err != nil {
 		t.Fatalf("GET through shedding server: %v", err)
 	}
-	if len(slept) != 1 {
-		t.Fatalf("slept %d times, want 1 (one shed, one success)", len(slept))
+	if got := atomic.LoadInt32(&hits); got != 2 {
+		t.Fatalf("server hit %d times, want 2 (one shed, one success)", got)
 	}
-	if slept[0] < 3*time.Second {
-		t.Errorf("backoff after shed = %v, want >= 3s (the Retry-After floor)", slept[0])
+	if slept := clk.Now().Sub(start); slept < 3*time.Second {
+		t.Errorf("backoff after shed = %v, want >= 3s (the Retry-After floor)", slept)
 	}
 }
 
@@ -84,18 +86,19 @@ func TestRetryAfterCapped(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var slept []time.Duration
+	clk := new(clock.Manual)
+	start := clk.Now()
 	cli := New(srv.URL, Options{
 		Timeout: 5 * time.Second,
 		Retries: 2,
 		Backoff: time.Millisecond,
-		Sleep:   func(d time.Duration) { slept = append(slept, d) },
+		Clock:   clk,
 	})
 	if _, err := cli.Stats(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(slept) != 1 || slept[0] != 10*time.Second {
-		t.Errorf("slept %v, want exactly one 10s sleep (capped hint)", slept)
+	if got, slept := atomic.LoadInt32(&hits), clk.Now().Sub(start); got != 2 || slept != 10*time.Second {
+		t.Errorf("%d hits after sleeping %v, want 2 after exactly one 10s sleep (capped hint)", got, slept)
 	}
 }
 
@@ -136,7 +139,7 @@ func TestMultiWriteFollowsPrimaryRedirect(t *testing.T) {
 
 	// The replica is listed first, so the first write starts wrong.
 	m, err := NewMulti([]string{replica.URL, primary.URL}, Options{
-		Timeout: 5 * time.Second, Retries: 1, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 5 * time.Second, Retries: 1, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +181,7 @@ func TestMultiWriteFailsOverOnDialError(t *testing.T) {
 	defer alive.Close()
 
 	m, err := NewMulti([]string{deadURL, alive.URL}, Options{
-		Timeout: 2 * time.Second, Retries: 0, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 2 * time.Second, Retries: 0, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +207,7 @@ func TestMultiWriteDoesNotFailoverOnAmbiguous5xx(t *testing.T) {
 	defer other.Close()
 
 	m, err := NewMulti([]string{bad.URL, other.URL}, Options{
-		Timeout: 2 * time.Second, Retries: 0, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 2 * time.Second, Retries: 0, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +239,7 @@ func TestMultiReadFailsOverToAnyEndpoint(t *testing.T) {
 	defer up.Close()
 
 	m, err := NewMulti([]string{down.URL, up.URL}, Options{
-		Timeout: 2 * time.Second, Retries: 0, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Timeout: 2 * time.Second, Retries: 0, Backoff: time.Millisecond, Clock: new(clock.Manual),
 	})
 	if err != nil {
 		t.Fatal(err)

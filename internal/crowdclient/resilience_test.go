@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
 )
 
@@ -35,7 +36,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	cli := New("http://"+addr, Options{
 		Retries:          -1, // one attempt per call: failures count cleanly
 		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour, // stays open for the whole test
+		Clock:            new(clock.Manual), // stands still: stays open for the whole test
 		Timeout:          2 * time.Second,
 	})
 	ctx := context.Background()
@@ -61,13 +62,11 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 // closes it.
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	addr := deadAddr(t)
-	var nowNanos atomic.Int64
-	clock := func() time.Time { return time.Unix(0, nowNanos.Load()) }
+	clk := new(clock.Manual)
 	cli := New("http://"+addr, Options{
 		Retries:          -1,
 		BreakerThreshold: 2,
-		BreakerCooldown:  time.Second,
-		Clock:            clock,
+		Clock:            clk,
 		Timeout:          2 * time.Second,
 	})
 	ctx := context.Background()
@@ -78,7 +77,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	}
 	// Cooldown elapses but the server is still down: the half-open
 	// trial fails and re-opens the breaker.
-	nowNanos.Add(int64(2 * time.Second))
+	clk.Sleep(ctx, 2*breakerCooldown)
 	if _, err := cli.Stats(ctx); err == nil || errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("half-open trial = %v, want a transport error", err)
 	}
@@ -101,7 +100,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	nowNanos.Add(int64(2 * time.Second))
+	clk.Sleep(ctx, 2*breakerCooldown)
 	if _, err := cli.Stats(ctx); err != nil {
 		t.Fatalf("trial against recovered server: %v", err)
 	}
@@ -142,7 +141,7 @@ func TestRetryBudgetBoundsRetryStorm(t *testing.T) {
 	cli := New(srv.URL, Options{
 		Retries:     3,
 		Backoff:     time.Millisecond,
-		Sleep:       func(time.Duration) {},
+		Clock:       new(clock.Manual),
 		RetryBudget: 2,
 	})
 	// First call: 1 attempt + 2 budgeted retries, then the bucket runs
@@ -183,7 +182,7 @@ func TestRetryBudgetRefundsOnSuccess(t *testing.T) {
 	cli := New(srv.URL, Options{
 		Retries:     3,
 		Backoff:     time.Millisecond,
-		Sleep:       func(time.Duration) {},
+		Clock:       new(clock.Manual),
 		RetryBudget: 10,
 	})
 	if _, err := cli.Stats(context.Background()); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
 )
 
@@ -108,7 +109,7 @@ func TestMultiRoutePolicyMatchesRouteTable(t *testing.T) {
 		primary := newPolicyNode(t, mode, nil, write)
 		replica := newPolicyNode(t, "ok", primary, write)
 		m, err := NewMulti([]string{primary.URL, replica.URL}, Options{
-			Timeout: 5 * time.Second, Retries: 1, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+			Timeout: 5 * time.Second, Retries: 1, Backoff: time.Millisecond, Clock: new(clock.Manual),
 			BreakerThreshold: -1, RetryBudget: -1,
 		})
 		if err != nil {

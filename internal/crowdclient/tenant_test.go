@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crowdselect/internal/clock"
 )
 
 // pathRecorder answers every request with an empty JSON object and
@@ -44,7 +46,7 @@ func TestClientTenantScoping(t *testing.T) {
 	ts := httptest.NewServer(rec)
 	defer ts.Close()
 	ctx := context.Background()
-	opts := Options{Timeout: 2 * time.Second, Sleep: func(time.Duration) {}}
+	opts := Options{Timeout: 2 * time.Second, Clock: new(clock.Manual)}
 
 	plain := New(ts.URL, opts)
 	if got := plain.Tenant(); got != "default" {
@@ -60,7 +62,7 @@ func TestClientTenantScoping(t *testing.T) {
 	// The default tenant's explicit name normalizes to un-prefixed —
 	// the two spellings are one namespace, so clients must not split
 	// them across cache keys or metrics labels.
-	def := New(ts.URL, Options{Timeout: 2 * time.Second, Tenant: "default", Sleep: func(time.Duration) {}})
+	def := New(ts.URL, Options{Timeout: 2 * time.Second, Tenant: "default", Clock: new(clock.Manual)})
 	if _, err := def.Stats(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestClientTenantSharesResilience(t *testing.T) {
 	// working — see TestBreakerIgnoresHTTPErrors).
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	ts.Close()
-	parent := New(ts.URL, Options{Timeout: time.Second, Retries: 0, Sleep: func(time.Duration) {}})
+	parent := New(ts.URL, Options{Timeout: time.Second, Retries: 0, Clock: new(clock.Manual)})
 	acme := parent.ForTenant("acme")
 
 	ctx := context.Background()
@@ -128,7 +130,7 @@ func TestMultiTenantScoping(t *testing.T) {
 	rec := &pathRecorder{}
 	ts := httptest.NewServer(rec)
 	defer ts.Close()
-	m, err := NewMulti([]string{ts.URL}, Options{Timeout: 2 * time.Second, Sleep: func(time.Duration) {}})
+	m, err := NewMulti([]string{ts.URL}, Options{Timeout: 2 * time.Second, Clock: new(clock.Manual)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"crowdselect/internal/clock"
 )
 
 // Adaptive admission control for the HTTP server: an AIMD concurrency
@@ -29,8 +31,6 @@ type AdmissionConfig struct {
 	// starts at; a node given Max <= 0 runs no controller. Min == Max
 	// pins the limit: a fixed cap with no adaptation.
 	Max int
-	// Clock replaces time.Now (tests).
-	Clock func() time.Time
 }
 
 const (
@@ -54,24 +54,21 @@ type admission struct {
 	shedReads    int64
 	shedWrites   int64
 	overruns     int64
-	clock        func() time.Time
+	clock        clock.Clock // spaces the decreases
 }
 
-func newAdmission(cfg AdmissionConfig) *admission {
+func newAdmission(cfg AdmissionConfig, clk clock.Clock) *admission {
 	if cfg.Min <= 0 {
 		cfg.Min = 1
 	}
 	if cfg.Max < cfg.Min {
 		cfg.Max = cfg.Min
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	return &admission{
 		limit: float64(cfg.Max),
 		min:   float64(cfg.Min),
 		max:   float64(cfg.Max),
-		clock: cfg.Clock,
+		clock: clk,
 	}
 }
 
@@ -149,7 +146,7 @@ func (a *admission) release(latency time.Duration, overloaded bool) {
 	}
 	if overloaded {
 		a.overruns++
-		now := a.clock()
+		now := a.clock.Now()
 		if now.Sub(a.lastDecrease) >= admissionCooldown {
 			a.lastDecrease = now
 			a.limit *= admissionBeta

@@ -3,27 +3,23 @@ package crowddb
 import (
 	"testing"
 	"time"
+
+	"crowdselect/internal/clock"
 )
-
-// fakeClock is a hand-advanced clock for admission tests.
-type fakeClock struct{ now time.Time }
-
-func (c *fakeClock) Now() time.Time          { return c.now }
-func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
 // overrunToFloor drives a's limit down to its floor with deadline
 // overruns, each one past the decrease cooldown on clk.
-func overrunToFloor(a *admission, clk *fakeClock) {
+func overrunToFloor(a *admission, clk *clock.Manual) {
 	for a.limit > a.min {
-		clk.Advance(admissionCooldown)
+		step(clk, admissionCooldown)
 		a.acquire(false)
 		a.release(time.Second, true)
 	}
 }
 
 func TestAdmissionAdditiveIncrease(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Min: 2, Max: 100, Clock: clk.Now})
+	clk := new(clock.Manual)
+	a := newAdmission(AdmissionConfig{Min: 2, Max: 100}, clk)
 	overrunToFloor(a, clk)
 	// Each healthy completion adds 1/limit; after `limit` completions
 	// the limit should have grown by roughly one.
@@ -41,8 +37,8 @@ func TestAdmissionAdditiveIncrease(t *testing.T) {
 }
 
 func TestAdmissionMultiplicativeDecrease(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Min: 1, Max: 100, Clock: clk.Now})
+	clk := new(clock.Manual)
+	a := newAdmission(AdmissionConfig{Min: 1, Max: 100}, clk)
 	ok, _ := a.acquire(false)
 	if !ok {
 		t.Fatal("acquire refused")
@@ -53,14 +49,14 @@ func TestAdmissionMultiplicativeDecrease(t *testing.T) {
 	}
 	// A second overrun inside the decrease cooldown must NOT shrink the
 	// limit again: one burst counts once.
-	clk.Advance(10 * time.Millisecond)
+	step(clk, 10*time.Millisecond)
 	a.acquire(false)
 	a.release(time.Second, true)
 	if got := a.snapshot().Limit; got != 70 {
 		t.Fatalf("limit after overload inside cooldown = %v, want 70", got)
 	}
 	// After the cooldown it shrinks again.
-	clk.Advance(200 * time.Millisecond)
+	step(clk, 200*time.Millisecond)
 	a.acquire(false)
 	a.release(time.Second, true)
 	if got := a.snapshot().Limit; got != 49 {
@@ -72,8 +68,8 @@ func TestAdmissionMultiplicativeDecrease(t *testing.T) {
 }
 
 func TestAdmissionFloorAndCeiling(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Min: 3, Max: 5, Clock: clk.Now})
+	clk := new(clock.Manual)
+	a := newAdmission(AdmissionConfig{Min: 3, Max: 5}, clk)
 	// The limit starts at Max.
 	if got := a.snapshot().Limit; got != 5 {
 		t.Fatalf("initial limit = %v, want Max = 5", got)
@@ -84,7 +80,7 @@ func TestAdmissionFloorAndCeiling(t *testing.T) {
 		t.Fatalf("limit after overload = %v, want 3.5", got)
 	}
 	// Shrink below Min (3.5 × 0.7 = 2.45) is clamped.
-	clk.Advance(admissionCooldown)
+	step(clk, admissionCooldown)
 	a.acquire(false)
 	a.release(time.Second, true)
 	if got := a.snapshot().Limit; got != 3 {
@@ -102,7 +98,7 @@ func TestAdmissionFloorAndCeiling(t *testing.T) {
 
 func TestAdmissionPinnedLimit(t *testing.T) {
 	// Min == Max pins the limit: a fixed cap.
-	a := newAdmission(AdmissionConfig{Min: 4, Max: 4})
+	a := newAdmission(AdmissionConfig{Min: 4, Max: 4}, new(clock.Manual))
 	for i := 0; i < 50; i++ {
 		a.acquire(false)
 		a.release(time.Millisecond, false)
@@ -115,7 +111,7 @@ func TestAdmissionPinnedLimit(t *testing.T) {
 }
 
 func TestAdmissionReadsShedBeforeMutations(t *testing.T) {
-	a := newAdmission(AdmissionConfig{Min: 4, Max: 4})
+	a := newAdmission(AdmissionConfig{Min: 4, Max: 4}, new(clock.Manual))
 	// Fill the read limit.
 	for i := 0; i < 4; i++ {
 		if ok, _ := a.acquire(false); !ok {
@@ -144,7 +140,7 @@ func TestAdmissionReadsShedBeforeMutations(t *testing.T) {
 }
 
 func TestAdmissionRetryAfterFromDrainRate(t *testing.T) {
-	a := newAdmission(AdmissionConfig{Min: 2, Max: 2})
+	a := newAdmission(AdmissionConfig{Min: 2, Max: 2}, new(clock.Manual))
 	// Teach the EWMA a 1s service time: rate = limit/lat = 2/s.
 	a.acquire(false)
 	a.release(time.Second, false)
@@ -180,8 +176,8 @@ func TestAdmissionRetryAfterFromDrainRate(t *testing.T) {
 }
 
 func TestAdmissionSnapshotRounding(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	a := newAdmission(AdmissionConfig{Min: 3, Max: 100, Clock: clk.Now})
+	clk := new(clock.Manual)
+	a := newAdmission(AdmissionConfig{Min: 3, Max: 100}, clk)
 	overrunToFloor(a, clk)
 	a.acquire(false)
 	a.release(time.Millisecond, false) // limit = 3 + 1/3 = 3.3333...

@@ -8,9 +8,13 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"crowdselect/internal/clock"
 )
 
 // errDiskGone is the injected failure for degraded-mode tests.
@@ -56,17 +60,44 @@ func (ff *flakyFile) Sync() error {
 
 func (ff *flakyFile) Close() error { return ff.f.Close() }
 
-// degradedOptions wires a flakyDisk into the durability layer with a
-// fast probe so tests heal in milliseconds.
+// degradedOptions wires the flaky disk into both the journal and the
+// probe.
 func degradedOptions(disk *flakyDisk) Options {
 	return Options{
 		Sync:            SyncAlways(),
 		OpenJournalFile: disk.openJournal,
 		Probe:           disk.probe,
-		ProbeInterval:   5 * time.Millisecond,
 	}
 }
 
+// clocks holds each top-level test's manual clock (testClock).
+var clocks sync.Map // test name → *clock.Manual
+
+// testClock is t's manual clock, one per top-level test and shared by
+// its subtests. Every DB, replica, fence and transfer source a test
+// builds through this package's helpers runs on it, so the test's time
+// moves only when the test steps it.
+func testClock(t *testing.T) *clock.Manual {
+	root, _, _ := strings.Cut(t.Name(), "/")
+	c, _ := clocks.LoadOrStore(root, new(clock.Manual))
+	return c.(*clock.Manual)
+}
+
+// step moves clk forward by d, firing every timer due by then.
+func step(clk *clock.Manual, d time.Duration) { clk.Sleep(context.Background(), d) }
+
+// stacks is every goroutine's stack, as runtime.Stack dumps them.
+func stacks() []byte {
+	for buf := make([]byte, 1<<20); ; buf = make([]byte, 2*len(buf)) {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return buf[:n]
+		}
+	}
+}
+
+// waitUntil polls cond, stepping t's clock by a second between polls,
+// so every timer on it — the heal probe, heartbeats, reconnect backoff
+// and the scrubber — comes due while the test waits.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -74,6 +105,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
+		step(testClock(t), time.Second)
 		time.Sleep(2 * time.Millisecond)
 	}
 }
@@ -203,14 +235,7 @@ func TestDegradedStateSurvivesReopen(t *testing.T) {
 // against the test's start.
 func TestOneMaintenanceLoop(t *testing.T) {
 	loops := func() int {
-		buf := make([]byte, 1<<20)
-		for {
-			n := runtime.Stack(buf, true)
-			if n < len(buf) {
-				return bytes.Count(buf[:n], []byte("created by crowdselect/internal/crowddb.(*DB)"))
-			}
-			buf = make([]byte, 2*len(buf))
-		}
+		return bytes.Count(stacks(), []byte("created by crowdselect/internal/crowddb.(*DB)"))
 	}
 	base := loops()
 	want := func(stage string, n int) {
@@ -222,6 +247,7 @@ func TestOneMaintenanceLoop(t *testing.T) {
 	dir := t.TempDir()
 	disk := &flakyDisk{}
 	opts := degradedOptions(disk)
+	opts.Clock = testClock(t)
 	opts.CompactEveryRecords = 4
 	opts.ScrubInterval = 10 * time.Millisecond
 	seed := openDurable(t, dir, d, model, opts)

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 )
 
@@ -72,11 +73,6 @@ type DurabilityStats struct {
 	DegradedExits  atomic.Int64
 }
 
-func (st *DurabilityStats) recordWritten(n int64) {
-	st.RecordsWritten.Add(1)
-	st.BytesWritten.Add(n)
-}
-
 // DurabilitySnapshot is the JSON form of DurabilityStats for
 // /api/v1/metrics.
 type DurabilitySnapshot struct {
@@ -111,9 +107,6 @@ type Options struct {
 	// writable again and the DB may try to heal. nil uses a default
 	// that writes, fsyncs and removes a scratch file in the data dir.
 	Probe func() error
-	// ProbeInterval is how often the recovery probe runs while
-	// degraded (default 1s).
-	ProbeInterval time.Duration
 	// ScrubInterval is how often the background scrubber re-verifies
 	// the current generation at rest (journal CRCs, verifyGeneration),
 	// stretched so a pass runs at most a tenth of the time. 0 disables.
@@ -121,7 +114,13 @@ type Options struct {
 	// Logf receives lifecycle notices (recovery, compaction). nil is
 	// silent.
 	Logf func(format string, args ...any)
+	// Clock times the DB's store, journal, maintenance, fence, transfer
+	// source and replica (default clock.Real).
+	Clock clock.Clock
 }
+
+// probeInterval is how often the recovery probe runs while degraded.
+const probeInterval = time.Second
 
 func (o Options) openJournal(path string) (JournalFile, error) {
 	if o.OpenJournalFile != nil {
@@ -190,9 +189,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("crowddb: open %s: %w", dir, err)
 	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = time.Second
-	}
+	opts.Clock = cmp.Or(opts.Clock, clock.Real)
 	db := &DB{
 		dir:   dir,
 		opts:  opts,
@@ -224,6 +221,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
+	db.store.clock = opts.Clock
 	db.loadReplState(sc)
 	return db, nil
 }
@@ -462,7 +460,7 @@ func (db *DB) newJournal(f JournalFile) *journalWriter {
 		if db.opts.overLimit(jw.records) {
 			db.wake()
 		}
-	}, time.Now)
+	}, db.opts.Clock)
 	return jw
 }
 
@@ -735,7 +733,7 @@ func (db *DB) wake() {
 }
 
 // maintain is the DB's one background goroutine, the only one to touch
-// the disk unasked. While degraded it heals every ProbeInterval;
+// the disk unasked. While degraded it heals every probeInterval;
 // otherwise it compacts a journal past CompactEveryRecords (at start,
 // then after the append that crosses it; a failed compaction waits for
 // the next append) and scrubs. One job at a time excludes them from
@@ -743,19 +741,16 @@ func (db *DB) wake() {
 // pass and a pass behind a compaction.
 func (db *DB) maintain() {
 	defer close(db.donec)
-	var scrub *time.Timer
 	var scrubc <-chan time.Time
 	if db.opts.ScrubInterval > 0 {
-		scrub = time.NewTimer(db.opts.ScrubInterval)
-		defer scrub.Stop()
-		scrubc = scrub.C
+		scrubc = db.opts.Clock.After(db.opts.ScrubInterval)
 	}
 	for {
 		if db.degraded.Load() {
 			select {
 			case <-db.stopc:
 				return
-			case <-time.After(db.opts.ProbeInterval):
+			case <-db.opts.Clock.After(probeInterval):
 				db.heal()
 			}
 			continue
@@ -770,7 +765,7 @@ func (db *DB) maintain() {
 			return
 		case <-db.wakec:
 		case <-scrubc:
-			db.scrubPass(scrub)
+			scrubc = db.opts.Clock.After(db.scrubPass())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package crowddb
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,8 +15,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/faultfs"
@@ -36,6 +37,7 @@ type durableRig struct {
 // boots through RecoverWith, over d's vocabulary.
 func openDurable(t *testing.T, dir string, d *corpus.Dataset, fresh *core.Model, opts Options) *durableRig {
 	t.Helper()
+	opts.Clock = cmp.Or[clock.Clock](opts.Clock, testClock(t))
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +507,7 @@ func TestJournalPastNewestSnapshot(t *testing.T) {
 func TestFailedGenerationWriteSealsUntilHealed(t *testing.T) {
 	d, model := trainedFixture(t)
 	dir := t.TempDir()
-	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways(), ProbeInterval: 5 * time.Millisecond})
+	rig := openDurable(t, dir, d, model, Options{Sync: SyncAlways()})
 	rig.resolveOneTask(t, "acked before the failed compaction", []float64{4, 2})
 	var broken atomic.Bool
 	broken.Store(true)
@@ -553,13 +555,7 @@ func TestAutoCompactionTriggersOnRecordCount(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rig.resolveOneTask(t, fmt.Sprintf("auto compaction question %d", i), []float64{3, 1})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rig.db.Generation() < 2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if gen := rig.db.Generation(); gen < 2 {
-		t.Fatalf("auto-compaction never fired (generation %d)", gen)
-	}
+	waitUntil(t, "auto-compaction", func() bool { return rig.db.Generation() >= 2 })
 	if rig.db.Stats().Compactions == 0 {
 		t.Error("compaction counter not bumped")
 	}
@@ -578,10 +574,7 @@ func TestAutoCompactionOfARecoveredJournal(t *testing.T) {
 	}
 	rig = openDurable(t, dir, d, nil, Options{Sync: SyncAlways(), CompactEveryRecords: 5})
 	defer rig.db.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for rig.db.Generation() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(t, "compaction at boot", func() bool { return rig.db.Generation() >= 2 })
 	if gen := rig.db.Generation(); gen != 2 {
 		t.Fatalf("generation %d after recovering a journal past the threshold, want 2", gen)
 	}

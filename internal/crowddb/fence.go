@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"crowdselect/internal/clock"
 )
 
 // Split-brain fencing (DESIGN §12): every node carries a monotone
@@ -63,9 +65,11 @@ type FenceStatus struct {
 // Fence is one node's fencing state. Backed by a durable DB the
 // epochs persist in the replication sidecar; with db nil (an
 // in-memory server, and every server described without a Fence) they
-// live in the Fence itself. Safe for concurrent use.
+// live in the Fence itself. Its lease runs on db's clock. Safe for
+// concurrent use.
 type Fence struct {
-	db *DB // nil: memory-only epochs
+	db    *DB // nil: memory-only epochs
+	clock clock.Clock
 
 	mu          sync.Mutex
 	memHistory  string // used only when db == nil
@@ -75,7 +79,6 @@ type Fence struct {
 	leaseHolder string
 	leaseExpiry time.Time // zero until the first renewal arms the lease
 
-	now      func() time.Time // test hook
 	seals    atomic.Int64
 	refusals atomic.Int64
 }
@@ -83,8 +86,10 @@ type Fence struct {
 // NewFence builds the fencing state for one node. db may be nil for
 // an in-memory server; a fresh lineage starts at epoch 1.
 func NewFence(db *DB) *Fence {
-	f := &Fence{db: db, now: time.Now}
-	if db == nil {
+	f := &Fence{db: db, clock: clock.Real}
+	if db != nil {
+		f.clock = db.opts.Clock
+	} else {
 		f.memHistory = newHistoryID()
 		f.memEpoch, f.memObserved = 1, 1
 	}
@@ -170,7 +175,7 @@ func (f *Fence) Renew(holder string, ttl time.Duration) error {
 	}
 	f.mu.Lock()
 	f.leaseHolder = holder
-	f.leaseExpiry = f.now().Add(ttl)
+	f.leaseExpiry = f.clock.Now().Add(ttl)
 	f.mu.Unlock()
 	return nil
 }
@@ -205,7 +210,7 @@ func (f *Fence) StepDown(holder string) error {
 	}
 	f.mu.Lock()
 	f.leaseHolder = holder
-	f.leaseExpiry = f.now().Add(-time.Nanosecond) // armed, and already lapsed
+	f.leaseExpiry = f.clock.Now().Add(-time.Nanosecond) // armed, and already lapsed
 	f.mu.Unlock()
 	return nil
 }
@@ -216,7 +221,7 @@ func (f *Fence) sealedBy() (bool, string) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.leaseExpiry.IsZero() && f.now().After(f.leaseExpiry) {
+	if !f.leaseExpiry.IsZero() && f.clock.Now().After(f.leaseExpiry) {
 		return true, "lease"
 	}
 	return false, ""
@@ -247,7 +252,7 @@ func (f *Fence) Status() FenceStatus {
 	st.NewPrimary = f.newPrimary
 	st.LeaseHolder = f.leaseHolder
 	if !f.leaseExpiry.IsZero() {
-		if left := f.leaseExpiry.Sub(f.now()).Seconds(); left > 0 {
+		if left := f.leaseExpiry.Sub(f.clock.Now()).Seconds(); left > 0 {
 			st.LeaseTTLLeft = left
 		}
 	}

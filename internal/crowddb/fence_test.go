@@ -62,10 +62,8 @@ func TestFenceEpochSemantics(t *testing.T) {
 
 func TestFenceLeaseSealsLazilyAndRenewalUnseals(t *testing.T) {
 	f := NewFence(nil)
-	var mu sync.Mutex
-	clock := time.Unix(1000, 0)
-	f.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
-	advance := func(d time.Duration) { mu.Lock(); clock = clock.Add(d); mu.Unlock() }
+	f.clock = testClock(t)
+	advance := func(d time.Duration) { step(testClock(t), d) }
 
 	// No supervisor has ever renewed: the lease never seals.
 	advance(time.Hour)

@@ -108,8 +108,8 @@ func TestForwardDedupeSurvivesSnapshotAndReplay(t *testing.T) {
 	// Journal replay of a duplicated keyed event folds exactly once;
 	// unkeyed events always fold.
 	key := 9
-	keyed := event{Kind: evSkillFeedback, Tokens: tokens, Scores: encodeScores(scores), ForwardOf: &key, At: time.Now()}
-	unkeyed := event{Kind: evSkillFeedback, Tokens: tokens, Scores: encodeScores(scores), At: time.Now()}
+	keyed := event{Kind: evSkillFeedback, Tokens: tokens, Scores: scores, ForwardOf: &key, At: time.Now()}
+	unkeyed := event{Kind: evSkillFeedback, Tokens: tokens, Scores: scores, At: time.Now()}
 	replayed := NewStore()
 	folds := 0
 	count := func(TaskRecord) error { folds++; return nil }
@@ -153,7 +153,7 @@ func TestSealedStoreRefusesReplicatedSkillFeedback(t *testing.T) {
 	key := 7
 	records := map[string]event{
 		"presence":       {Kind: evPresence, Worker: 0, Online: &online, At: time.Now()},
-		"skill_feedback": {Kind: evSkillFeedback, Tokens: d.Tasks[0].Tokens, Scores: encodeScores(map[int]float64{0: 0.8, 1: 0.4}), ForwardOf: &key, At: time.Now()},
+		"skill_feedback": {Kind: evSkillFeedback, Tokens: d.Tasks[0].Tokens, Scores: map[int]float64{0: 0.8, 1: 0.4}, ForwardOf: &key, At: time.Now()},
 	}
 	for kind, e := range records {
 		if err := rig.mgr.applyReplicatedEvent(e); !errors.Is(err, ErrDegraded) {

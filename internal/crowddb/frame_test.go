@@ -8,6 +8,7 @@ import (
 	"io"
 	"testing"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/race"
 )
 
@@ -19,7 +20,7 @@ import (
 func TestFrameGoldenBytes(t *testing.T) {
 	var journal bytes.Buffer
 	s := NewStore()
-	s.SetClock(fixedClock())
+	s.clock = new(clock.Manual)
 	journalInto(s, &journal)
 	if _, err := s.AddWorker(3, "w"); err != nil {
 		t.Fatal(err)
@@ -57,8 +58,9 @@ func TestJournalAppendAllocations(t *testing.T) {
 		t.Skip("allocation counts are not exact under -race; run `make allocs`")
 	}
 	s := NewStore()
-	s.setJournal(testJournalWriter(discardFile{}, SyncPolicy{}, fixedClock()))
-	e := event{Kind: evAddTask, Task: 7, Text: "what is a b+ tree", Tokens: []string{"b+", "tree"}, At: fixedClock()()}
+	clk := new(clock.Manual)
+	s.setJournal(testJournalWriter(discardFile{}, SyncPolicy{}, clk))
+	e := event{Kind: evAddTask, Task: 7, Text: "what is a b+ tree", Tokens: []string{"b+", "tree"}, At: clk.Now()}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := s.logEvent(e, func() {}); err != nil {
 			t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/faultfs"
@@ -249,7 +248,7 @@ func TestScrubTornTailTolerated(t *testing.T) {
 // cutting a fresh generation from the intact in-memory state.
 func TestScrubDetectsModelCheckpointCorruptionAndHeals(t *testing.T) {
 	d, model := trainedFixture(t)
-	rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways(), ProbeInterval: 10 * time.Millisecond})
+	rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways()})
 	defer rig.db.Close()
 	rig.resolveOneTask(t, "a committed task", []float64{4, 2})
 	if err := rig.db.Compact(); err != nil { // stamp digests into the sidecar
@@ -322,7 +321,7 @@ func TestScrubDetectsMissingFilesAndHeals(t *testing.T) {
 	for name, pattern := range map[string]string{"model": modelPattern, "snapshot": snapshotPattern, "journal": journalPattern} {
 		t.Run(name, func(t *testing.T) {
 			d, model := trainedFixture(t)
-			rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways(), ProbeInterval: 10 * time.Millisecond})
+			rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways()})
 			defer rig.db.Close()
 			rig.resolveOneTask(t, "a committed task", []float64{4, 2})
 			if err := rig.db.Compact(); err != nil {
@@ -727,7 +726,14 @@ func TestHeartbeatDigestIgnoredWhileLagging(t *testing.T) {
 		rig.resolveOneTask(t, fmt.Sprintf("burst task %d", i), []float64{4, 2})
 	}
 	waitCaughtUp(t, rig, rep)
-	time.Sleep(60 * time.Millisecond) // a few heartbeats at matching positions
+	for i := 0; i < 3; i++ { // a few heartbeats at matching positions
+		since := testClock(t).Now()
+		waitUntil(t, "a heartbeat", func() bool {
+			rep.mu.Lock()
+			defer rep.mu.Unlock()
+			return rep.lastContact.After(since)
+		})
+	}
 	if st := rep.Status(); st.Divergences != 0 || st.Diverged {
 		t.Fatalf("healthy catch-up counted as divergence: %+v", st)
 	}

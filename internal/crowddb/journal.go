@@ -1,6 +1,7 @@
 package crowddb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"crowdselect/internal/clock"
 )
 
 // The crowd database persists in two complementary ways: point-in-time
@@ -47,16 +50,16 @@ const (
 // event is one journal record. Only the fields relevant to its kind
 // are set.
 type event struct {
-	Kind    eventKind          `json:"kind"`
-	Worker  int                `json:"worker,omitempty"`
-	Name    string             `json:"name,omitempty"`
-	Online  *bool              `json:"online,omitempty"`
-	Task    int                `json:"task,omitempty"`
-	Text    string             `json:"text,omitempty"`
-	Tokens  []string           `json:"tokens,omitempty"`
-	Workers []int              `json:"workers,omitempty"`
-	Answer  string             `json:"answer,omitempty"`
-	Scores  map[string]float64 `json:"scores,omitempty"`
+	Kind    eventKind    `json:"kind"`
+	Worker  int          `json:"worker,omitempty"`
+	Name    string       `json:"name,omitempty"`
+	Online  *bool        `json:"online,omitempty"`
+	Task    int          `json:"task,omitempty"`
+	Text    string       `json:"text,omitempty"`
+	Tokens  []string     `json:"tokens,omitempty"`
+	Workers []int        `json:"workers,omitempty"`
+	Answer  string       `json:"answer,omitempty"`
+	Scores  workerScores `json:"scores,omitempty"`
 	// ForwardOf keys an evSkillFeedback record to the home-shard task
 	// whose resolution it forwards. Set (task ids start at 0, hence a
 	// pointer), it makes the record idempotent: an owner shard folds
@@ -183,7 +186,7 @@ type journalWriter struct {
 	lastSync time.Time
 	records  int64
 	stats    *DurabilityStats
-	clock    func() time.Time
+	clock    clock.Clock
 	// onErr observes append/fsync failures (the durability layer's
 	// degraded-mode trigger). Called with jw.mu — and typically the
 	// store lock — held, so it must not block or re-enter the store.
@@ -196,8 +199,8 @@ type journalWriter struct {
 	onAppend func(payload []byte)
 }
 
-func newJournalWriter(f JournalFile, policy SyncPolicy, stats *DurabilityStats, onErr func(error), onAppend func(payload []byte), clock func() time.Time) *journalWriter {
-	return &journalWriter{f: f, policy: policy, stats: stats, onErr: onErr, onAppend: onAppend, lastSync: clock(), clock: clock}
+func newJournalWriter(f JournalFile, policy SyncPolicy, stats *DurabilityStats, onErr func(error), onAppend func(payload []byte), clk clock.Clock) *journalWriter {
+	return &journalWriter{f: f, policy: policy, stats: stats, onErr: onErr, onAppend: onAppend, lastSync: clk.Now(), clock: clk}
 }
 
 // append writes one record's frame in one Write.
@@ -211,7 +214,8 @@ func (jw *journalWriter) append(frame []byte) error {
 	}
 	jw.records++
 	jw.unsynced++
-	jw.stats.recordWritten(int64(len(frame)))
+	jw.stats.RecordsWritten.Add(1)
+	jw.stats.BytesWritten.Add(int64(len(frame)))
 	if jw.shouldSync() {
 		if err := jw.syncLocked(); err != nil {
 			jw.onErr(err)
@@ -225,7 +229,7 @@ func (jw *journalWriter) shouldSync() bool {
 	if jw.policy.every > 0 && jw.unsynced >= jw.policy.every {
 		return true
 	}
-	if jw.policy.interval > 0 && jw.clock().Sub(jw.lastSync) >= jw.policy.interval {
+	if jw.policy.interval > 0 && jw.clock.Now().Sub(jw.lastSync) >= jw.policy.interval {
 		return true
 	}
 	return false
@@ -236,7 +240,7 @@ func (jw *journalWriter) syncLocked() error {
 		return err
 	}
 	jw.unsynced = 0
-	jw.lastSync = jw.clock()
+	jw.lastSync = jw.clock.Now()
 	jw.stats.Fsyncs.Add(1)
 	return nil
 }
@@ -274,18 +278,15 @@ func (s *Store) setJournal(jw *journalWriter) {
 // record is framed before apply runs, so one over maxRecordSize, which
 // no boot could read back, is refused (ErrFrameTooLarge) with the
 // store as it was and no degraded mode; then apply changes the store
-// and the record is appended. Mutators that stamp a timestamp into the
-// row pass the same instant in e.At so replay reproduces the row
-// exactly; otherwise the event is stamped here. Non-default tenants
+// and the record is appended. Every mutator stamps its time in e.At,
+// the same instant it writes into the row, so replay reproduces the
+// row exactly. Non-default tenants
 // stamp their namespace on every record; the default tenant leaves the
 // field absent so its journal stays byte-identical to a pre-tenant one.
 func (s *Store) logEvent(e event, apply func()) error {
 	if s.journal == nil {
 		apply()
 		return nil
-	}
-	if e.At.IsZero() {
-		e.At = s.clock()
 	}
 	if e.Tenant == "" && s.tenant != "" && s.tenant != DefaultTenant {
 		e.Tenant = s.tenant
@@ -327,7 +328,7 @@ func (s *Store) replayJournal(data []byte, onResolve func(TaskRecord) error) (Re
 		var e event
 		err := json.Unmarshal(payload, &e)
 		if err == nil {
-			err = s.applyPinned(e, onResolve)
+			err = s.applyEvent(e, onResolve)
 		}
 		if err != nil {
 			return &CorruptError{Offset: off, Record: idx, Err: err}
@@ -385,22 +386,6 @@ func walkJournal(data []byte, fn func(idx int, off int64, payload []byte) error)
 	return res, nil
 }
 
-// applyPinned applies one journaled event — replayed or replicated —
-// through the normal store methods with the clock pinned to the
-// event's recorded time, so the rebuilt rows match the original byte
-// for byte. A follower's store has a live journal attached, so there
-// the application also journals the event locally (that is what makes
-// a follower durable in its own right).
-func (s *Store) applyPinned(e event, onResolve func(TaskRecord) error) error {
-	s.mu.Lock()
-	origClock := s.clock
-	s.mu.Unlock()
-	at := e.At
-	s.SetClock(func() time.Time { return at })
-	defer s.SetClock(origClock)
-	return s.applyEvent(e, onResolve)
-}
-
 // tenantMismatch is the namespace cross-check on replay and replicated
 // apply: a record stamped for another tenant must never fold into this
 // store's model. An unstamped record is accepted anywhere — it is
@@ -422,21 +407,28 @@ func (s *Store) tenantMismatch(e event) error {
 	return nil
 }
 
+// applyEvent applies one journaled event — replayed or replicated —
+// through the store's mutators, whose lower-case twins take the
+// event's recorded time, so the rebuilt rows match the original byte
+// for byte. A follower's store has
+// a live journal attached, so there the application also journals the
+// event locally (that is what makes a follower durable in its own
+// right).
 func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 	if err := s.tenantMismatch(e); err != nil {
 		return err
 	}
 	switch e.Kind {
 	case evAddWorker:
-		_, err := s.AddWorker(e.Worker, e.Name)
+		_, err := s.addWorker(e.At, e.Worker, e.Name)
 		return err
 	case evPresence:
 		if e.Online == nil {
 			return fmt.Errorf("%w: presence event without online flag", ErrBadRequest)
 		}
-		return s.SetOnline(e.Worker, *e.Online)
+		return s.setOnline(e.At, e.Worker, *e.Online)
 	case evAddTask:
-		t, err := s.AddTask(e.Text, e.Tokens)
+		t, err := s.addTask(e.At, e.Text, e.Tokens)
 		if err != nil {
 			return err
 		}
@@ -445,15 +437,11 @@ func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 		}
 		return nil
 	case evAssign:
-		return s.Assign(e.Task, e.Workers)
+		return s.assign(e.At, e.Task, e.Workers)
 	case evAnswer:
-		return s.RecordAnswer(e.Task, e.Worker, e.Answer)
+		return s.recordAnswer(e.At, e.Task, e.Worker, e.Answer)
 	case evResolve:
-		scores, err := decodeScores(e.Scores)
-		if err != nil {
-			return err
-		}
-		rec, err := s.Resolve(e.Task, scores)
+		rec, err := s.resolve(e.At, e.Task, e.Scores)
 		if err != nil {
 			return err
 		}
@@ -463,52 +451,55 @@ func (s *Store) applyEvent(e event, onResolve func(TaskRecord) error) error {
 		return nil
 	case evSkillFeedback:
 		// Store rows are untouched; journal through the live path (its
-		// dedupe and seal gate; the pinned clock keeps the record's At)
+		// dedupe and seal gate, at the record's At)
 		// and hand the scores to the skill-update hook as a synthetic
 		// resolved record. A keyed forward already folded is skipped.
-		scores, err := decodeScores(e.Scores)
-		if err != nil {
-			return err
-		}
 		forwardOf := -1
 		if e.ForwardOf != nil {
 			forwardOf = *e.ForwardOf
 		}
-		applied, err := s.LogSkillFeedback(e.Tokens, scores, forwardOf)
+		applied, err := s.logSkillFeedback(e.At, e.Tokens, e.Scores, forwardOf)
 		if err != nil || !applied || onResolve == nil {
 			return err
 		}
-		return onResolve(syntheticFeedbackRecord(e.Tokens, scores))
+		return onResolve(syntheticFeedbackRecord(e.Tokens, e.Scores))
 	default:
 		return fmt.Errorf("%w: unknown journal event %q", ErrBadRequest, e.Kind)
 	}
 }
 
-// decodeScores converts a string-keyed score map — a journal event's
-// or a feedback request's — back to worker ids. A key is a worker id
-// spelled as encodeScores spells it and nothing else: "7x" is refused,
-// not read as worker 7, and so are "07" and "+7", which would otherwise
-// name worker 7 twice in one map and keep whichever score map order
-// visited last.
-func decodeScores(in map[string]float64) (map[int]float64, error) {
-	scores := make(map[int]float64, len(in))
-	for k, v := range in {
+// workerScores is a score per worker id — a journal event's or a
+// feedback request's. On the wire each key is a worker id as
+// strconv.Itoa spells it, in encoding/json's sorted order, and nothing
+// else: "7x" is refused, not read as worker 7, and so are "07" and
+// "+7". A worker named twice is refused by name, where a map of the
+// keys would keep its last score and drop the first.
+type workerScores map[int]float64
+
+func (m *workerScores) UnmarshalJSON(b []byte) error {
+	var keyed map[string]float64
+	if err := json.Unmarshal(b, &keyed); err != nil {
+		return err
+	}
+	if bytes.Count(b, []byte{':'}) > len(keyed) { // a key repeated, or one holding a colon
+		dec, seen := json.NewDecoder(bytes.NewReader(b)), map[string]bool{}
+		for tok, err := dec.Token(); err == nil; tok, err = dec.Token() {
+			k, key := tok.(string) // every value is a number, so a string is a key
+			if key && seen[k] {
+				return fmt.Errorf("%w: worker %s scored twice", ErrBadRequest, k)
+			}
+			seen[k] = key
+		}
+	}
+	*m = make(workerScores, len(keyed))
+	for k, v := range keyed {
 		id, err := strconv.Atoi(k)
 		if err != nil || strconv.Itoa(id) != k {
-			return nil, fmt.Errorf("%w: bad worker id %q in scores", ErrBadRequest, k)
+			return fmt.Errorf("%w: bad worker id %q in scores", ErrBadRequest, k)
 		}
-		scores[id] = v
+		(*m)[id] = v
 	}
-	return scores, nil
-}
-
-// encodeScores is the journaling counterpart of decodeScores.
-func encodeScores(scores map[int]float64) map[string]float64 {
-	out := make(map[string]float64, len(scores))
-	for w, sc := range scores {
-		out[strconv.Itoa(w)] = sc
-	}
-	return out
+	return nil
 }
 
 // syntheticFeedbackRecord shapes model-only skill feedback like a
@@ -535,6 +526,10 @@ func syntheticFeedbackRecord(tokens []string, scores map[int]float64) TaskRecord
 // reporting applied=false, so the caller skips the model fold.
 // forwardOf < 0 is unkeyed feedback, always applied.
 func (s *Store) LogSkillFeedback(tokens []string, scores map[int]float64, forwardOf int) (applied bool, err error) {
+	return s.logSkillFeedback(s.clock.Now(), tokens, scores, forwardOf)
+}
+
+func (s *Store) logSkillFeedback(at time.Time, tokens []string, scores map[int]float64, forwardOf int) (applied bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if forwardOf >= 0 && s.appliedForwards[forwardOf] {
@@ -543,7 +538,7 @@ func (s *Store) LogSkillFeedback(tokens []string, scores map[int]float64, forwar
 	if err := s.sealedErrLocked(); err != nil {
 		return false, err
 	}
-	e := event{Kind: evSkillFeedback, Tokens: append([]string(nil), tokens...), Scores: encodeScores(scores)}
+	e := event{Kind: evSkillFeedback, Tokens: append([]string(nil), tokens...), Scores: scores, At: at}
 	if forwardOf >= 0 {
 		key := forwardOf
 		e.ForwardOf = &key

@@ -40,13 +40,12 @@ func TestSyncIntervalFailedFsyncDoesNotAdvanceClock(t *testing.T) {
 	}
 	defer f.Close()
 
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
+	clk := testClock(t)
 	var observed []error
 	jw := newJournalWriter(f, SyncInterval(10*time.Millisecond), new(DurabilityStats),
-		func(err error) { observed = append(observed, err) }, func([]byte) {}, clock)
+		func(err error) { observed = append(observed, err) }, func([]byte) {}, clk)
 	ev := func(i int) event {
-		return event{Kind: evAddTask, Task: i, Text: "t", At: now}
+		return event{Kind: evAddTask, Task: i, Text: "t", At: clk.Now()}
 	}
 
 	// Within the interval: append lands, no sync attempted.
@@ -57,7 +56,7 @@ func TestSyncIntervalFailedFsyncDoesNotAdvanceClock(t *testing.T) {
 
 	// Past the interval with the disk refusing fsync: the append must
 	// fail loudly and must not advance the sync clock.
-	now = now.Add(20 * time.Millisecond)
+	step(clk, 20*time.Millisecond)
 	budget.FailSyncs(true)
 	err = jw.logRecord(ev(1))
 	if !errors.Is(err, ErrJournal) {
@@ -79,14 +78,14 @@ func TestSyncIntervalFailedFsyncDoesNotAdvanceClock(t *testing.T) {
 	// Healed disk: the very next append retries the overdue sync
 	// immediately instead of waiting out a fresh interval.
 	budget.FailSyncs(false)
-	now = now.Add(time.Millisecond)
+	step(clk, time.Millisecond)
 	if err := jw.logRecord(ev(2)); err != nil {
 		t.Fatal(err)
 	}
 	jw.mu.Lock()
 	lastSync, unsynced = jw.lastSync, jw.unsynced
 	jw.mu.Unlock()
-	if !lastSync.Equal(now) {
+	if now := clk.Now(); !lastSync.Equal(now) {
 		t.Fatalf("healed append did not sync: lastSync %v, want %v", lastSync, now)
 	}
 	if unsynced != 0 {

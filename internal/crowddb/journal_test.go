@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 )
 
@@ -78,19 +79,19 @@ func (bufferFile) Close() error { return nil }
 // journalInto attaches an in-memory journal to s: every later mutation
 // appends its framed record to buf.
 func journalInto(s *Store, buf *bytes.Buffer) {
-	s.setJournal(testJournalWriter(bufferFile{buf}, SyncPolicy{}, time.Now))
+	s.setJournal(testJournalWriter(bufferFile{buf}, SyncPolicy{}, clock.Real))
 }
 
 // testJournalWriter is a journal writer with fresh counters and no-op
 // observers.
-func testJournalWriter(f JournalFile, policy SyncPolicy, clock func() time.Time) *journalWriter {
-	return newJournalWriter(f, policy, new(DurabilityStats), func(error) {}, func([]byte) {}, clock)
+func testJournalWriter(f JournalFile, policy SyncPolicy, clk clock.Clock) *journalWriter {
+	return newJournalWriter(f, policy, new(DurabilityStats), func(error) {}, func([]byte) {}, clk)
 }
 
 func TestJournalReplayReproducesState(t *testing.T) {
 	var journal bytes.Buffer
 	s := NewStore()
-	s.SetClock(fixedClock())
+	s.clock = new(clock.Manual)
 	journalInto(s, &journal)
 	journalScript(t, s)
 
@@ -174,7 +175,7 @@ func TestJournalReplayRejectsGarbage(t *testing.T) {
 func TestTornWriteTable(t *testing.T) {
 	var journal bytes.Buffer
 	s := NewStore()
-	s.SetClock(fixedClock())
+	s.clock = new(clock.Manual)
 	journalInto(s, &journal)
 	journalScript(t, s)
 	full := journal.Bytes()
@@ -219,7 +220,7 @@ func TestTornWriteTable(t *testing.T) {
 func TestMidFileCorruptionSurfacesOffset(t *testing.T) {
 	var journal bytes.Buffer
 	s := NewStore()
-	s.SetClock(fixedClock())
+	s.clock = new(clock.Manual)
 	journalInto(s, &journal)
 	journalScript(t, s)
 	full := append([]byte(nil), journal.Bytes()...)
@@ -298,7 +299,7 @@ func TestSyncPolicies(t *testing.T) {
 
 	t.Run("always", func(t *testing.T) {
 		f := &countingFile{}
-		jw := testJournalWriter(f, SyncAlways(), time.Now)
+		jw := testJournalWriter(f, SyncAlways(), clock.Real)
 		for i := 0; i < 5; i++ {
 			if err := jw.logRecord(ev); err != nil {
 				t.Fatal(err)
@@ -311,7 +312,7 @@ func TestSyncPolicies(t *testing.T) {
 
 	t.Run("every=3", func(t *testing.T) {
 		f := &countingFile{}
-		jw := testJournalWriter(f, SyncEvery(3), time.Now)
+		jw := testJournalWriter(f, SyncEvery(3), clock.Real)
 		for i := 0; i < 7; i++ {
 			if err := jw.logRecord(ev); err != nil {
 				t.Fatal(err)
@@ -331,15 +332,15 @@ func TestSyncPolicies(t *testing.T) {
 
 	t.Run("interval", func(t *testing.T) {
 		f := &countingFile{}
-		now := time.Unix(0, 0)
-		jw := testJournalWriter(f, SyncInterval(time.Minute), func() time.Time { return now })
+		clk := testClock(t)
+		jw := testJournalWriter(f, SyncInterval(time.Minute), clk)
 		if err := jw.logRecord(ev); err != nil {
 			t.Fatal(err)
 		}
 		if f.syncs != 0 {
 			t.Errorf("interval: synced before the interval elapsed")
 		}
-		now = now.Add(2 * time.Minute)
+		step(clk, 2*time.Minute)
 		if err := jw.logRecord(ev); err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +352,7 @@ func TestSyncPolicies(t *testing.T) {
 	t.Run("stats", func(t *testing.T) {
 		f := &countingFile{}
 		var stats DurabilityStats
-		jw := newJournalWriter(f, SyncAlways(), &stats, func(error) {}, func([]byte) {}, time.Now)
+		jw := newJournalWriter(f, SyncAlways(), &stats, func(error) {}, func([]byte) {}, clock.Real)
 		for i := 0; i < 4; i++ {
 			if err := jw.logRecord(ev); err != nil {
 				t.Fatal(err)
@@ -434,7 +435,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 
 func TestJournalWriteFailureSurfaces(t *testing.T) {
 	s := NewStore()
-	s.setJournal(testJournalWriter(failingFile{}, SyncPolicy{}, time.Now))
+	s.setJournal(testJournalWriter(failingFile{}, SyncPolicy{}, clock.Real))
 	if _, err := s.AddWorker(0, "w"); !errors.Is(err, ErrJournal) {
 		t.Errorf("AddWorker err = %v, want ErrJournal", err)
 	}

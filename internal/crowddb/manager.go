@@ -588,7 +588,7 @@ func (m *Manager) applySkillFeedback(rec TaskRecord) error {
 func (m *Manager) applyReplicatedEvent(e event) error {
 	m.resolveMu.Lock()
 	defer m.resolveMu.Unlock()
-	return m.store.applyPinned(e, m.applySkillFeedback)
+	return m.store.applyEvent(e, m.applySkillFeedback)
 }
 
 // Quiesce runs f with no resolve in flight: the durability layer's

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/rank"
@@ -46,7 +47,7 @@ func managerFixture(t *testing.T) (*Manager, *corpus.Dataset) {
 	t.Helper()
 	d, m := trainedFixture(t)
 	store := NewStore()
-	store.SetClock(fixedClock())
+	store.clock = new(clock.Manual)
 	for i := range d.Workers {
 		if _, err := store.AddWorker(i, fmt.Sprintf("worker-%d", i)); err != nil {
 			t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"crowdselect/internal/core"
 )
@@ -112,7 +111,7 @@ func TestOldFormatsStillRead(t *testing.T) {
 			logs []string
 		)
 		rep, err := StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
-			DB: Options{Sync: SyncAlways()}, Build: testReplicaBuilder(), ReconnectBackoff: 10 * time.Millisecond,
+			DB: Options{Sync: SyncAlways(), Clock: testClock(t)}, Build: testReplicaBuilder(),
 			Logf: func(format string, args ...any) {
 				mu.Lock()
 				logs = append(logs, fmt.Sprintf(format, args...))

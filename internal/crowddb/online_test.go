@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/race"
 )
@@ -67,7 +68,7 @@ func TestOnlineSetModelBased(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewStore()
-		s.SetClock(fixedClock())
+		s.clock = new(clock.Manual)
 		var base []byte // snapshot the journal continues from
 		var journal bytes.Buffer
 		journalInto(s, &journal)
@@ -121,7 +122,7 @@ func TestOnlineSetModelBased(t *testing.T) {
 				// Restart: a new store from the base snapshot and the
 				// journal written since, which then carries on.
 				s = NewStore()
-				s.SetClock(fixedClock())
+				s.clock = new(clock.Manual)
 				if base != nil {
 					if err := s.RestoreSnapshot(bytes.NewReader(base)); err != nil {
 						t.Fatal(err)

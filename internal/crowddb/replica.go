@@ -43,14 +43,11 @@ type ReplicaOptions struct {
 	// Dir is the follower's own data directory: it keeps a full
 	// generation + journal lifecycle so it can recover and resume.
 	Dir string
-	// DB configures the follower's durability layer.
+	// DB configures the follower's durability layer and clock.
 	DB Options
 	// Build assembles manager and concurrent model after bootstrap or
 	// local recovery. Required.
 	Build ReplicaBuilder
-	// ReconnectBackoff is the initial delay between connection
-	// attempts (default 250ms, doubling to a 5s cap).
-	ReconnectBackoff time.Duration
 	// FleetToken authenticates the stream dial when the primary gates
 	// its /api/v1/replication/* surface (NodeConfig.FleetToken). Empty
 	// for open fleets.
@@ -106,6 +103,10 @@ type Replica struct {
 	done     chan struct{}
 }
 
+// reconnectBackoff is the initial delay between connection attempts,
+// doubling to a 5s cap.
+const reconnectBackoff = 250 * time.Millisecond
+
 // errDigestMismatch ends a consume loop after a heartbeat digest
 // disagreed: the stream reconnects with a forced bootstrap. Internal —
 // distinct from ErrReplicaDiverged, which is fatal on the dial path.
@@ -128,9 +129,6 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	}
 	if opts.Build == nil {
 		return nil, errors.New("crowddb: replica needs a builder")
-	}
-	if opts.ReconnectBackoff <= 0 {
-		opts.ReconnectBackoff = 250 * time.Millisecond
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -241,7 +239,7 @@ func (r *Replica) Status() ReplicationStatus {
 	}
 	lag := ReplicationLag{Records: head - applied}
 	if !lastContact.IsZero() {
-		lag.Seconds = time.Since(lastContact).Seconds()
+		lag.Seconds = r.db.opts.Clock.Now().Sub(lastContact).Seconds()
 	}
 	st := ReplicationStatus{
 		Role:          role,
@@ -495,7 +493,7 @@ func (r *Replica) bootstrapped(hello replHello, seq int64) {
 	r.bootstraps.Add(1)
 	r.mu.Lock()
 	r.headSeq, r.appliedSeq = hello.Seq, seq
-	r.lastContact = time.Now()
+	r.lastContact = r.db.opts.Clock.Now()
 	r.forceBoot = false
 	r.mu.Unlock()
 	if r.diverged.CompareAndSwap(true, false) {
@@ -512,7 +510,7 @@ func (r *Replica) bootstrapped(hello replHello, seq int64) {
 func (r *Replica) run(ctx context.Context, st *replStream) {
 	defer close(r.done)
 	defer r.setConnected(false)
-	backoff := r.opts.ReconnectBackoff
+	backoff := reconnectBackoff
 	for {
 		if ctx.Err() != nil || r.promoted.Load() {
 			if st != nil {
@@ -538,8 +536,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 				if ctx.Err() == nil {
 					r.opts.Logf("crowddb: replica: connect: %v (retrying in %s)", err, backoff)
 				}
-				r.sleep(ctx, backoff)
-				backoff = min(backoff*2, 5*time.Second)
+				backoff = r.backOff(ctx, backoff)
 				continue
 			}
 			if st.hello.Bootstrap {
@@ -547,8 +544,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 					r.opts.Logf("crowddb: replica: re-bootstrap: %v (retrying in %s)", err, backoff)
 					st.Close()
 					st = nil
-					r.sleep(ctx, backoff)
-					backoff = min(backoff*2, 5*time.Second)
+					backoff = r.backOff(ctx, backoff)
 					continue
 				}
 			} else {
@@ -560,8 +556,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 						st.hello.FencingEpoch, r.db.FencingObserved())
 					st.Close()
 					st = nil
-					r.sleep(ctx, backoff)
-					backoff = min(backoff*2, 5*time.Second)
+					backoff = r.backOff(ctx, backoff)
 					continue
 				}
 				if st.hello.FencingEpoch > r.db.FencingEpoch() {
@@ -571,7 +566,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 			// Only a stream the follower goes on to consume resets the
 			// backoff: a dial whose bootstrap fails or whose primary is
 			// refused counts as a failed attempt.
-			backoff = r.opts.ReconnectBackoff
+			backoff = reconnectBackoff
 		}
 		r.setConnected(true)
 		r.observeHead(st.hello.Seq)
@@ -584,7 +579,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 		}
 		r.opts.Logf("crowddb: replica: stream ended: %v; reconnecting", err)
 		r.reconnects.Add(1)
-		r.sleep(ctx, backoff)
+		r.backOff(ctx, backoff)
 	}
 }
 
@@ -653,7 +648,7 @@ func (r *Replica) observeApplied(seq int64) {
 		r.headSeq = seq
 	}
 	r.appliedSeq = seq
-	r.lastContact = time.Now()
+	r.lastContact = r.db.opts.Clock.Now()
 	r.mu.Unlock()
 }
 
@@ -662,7 +657,7 @@ func (r *Replica) observeHead(seq int64) {
 	if seq > r.headSeq {
 		r.headSeq = seq
 	}
-	r.lastContact = time.Now()
+	r.lastContact = r.db.opts.Clock.Now()
 	r.mu.Unlock()
 }
 
@@ -672,11 +667,12 @@ func (r *Replica) setConnected(c bool) {
 	r.mu.Unlock()
 }
 
-func (r *Replica) sleep(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
+// backOff waits d on the DB's clock, never stepping a manual one, or
+// until ctx ends, and returns the next delay: d doubled, up to 5s.
+func (r *Replica) backOff(ctx context.Context, d time.Duration) time.Duration {
 	select {
 	case <-ctx.Done():
-	case <-t.C:
+	case <-r.db.opts.Clock.After(d):
 	}
+	return min(2*d, 5*time.Second)
 }

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
@@ -31,7 +30,7 @@ func replPrimary(t *testing.T) (*durableRig, *TransferSource, *httptest.Server) 
 	if err := d.SaveFile(rig.db.DatasetPath()); err != nil {
 		t.Fatal(err)
 	}
-	src := NewTransferSource(rig.db, NewFence(rig.db), NewDigestCutter(rig.db, rig.mgr).Func(), TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src := NewTransferSource(rig.db, NewFence(rig.db), NewDigestCutter(rig.db, rig.mgr).Func(), TransferSourceOptions{})
 	ts := httptest.NewServer(src.Stream())
 	t.Cleanup(ts.Close)
 	return rig, src, ts
@@ -56,11 +55,10 @@ func testReplicaBuilder() ReplicaBuilder {
 func startTestReplica(t *testing.T, primary, dir string) *Replica {
 	t.Helper()
 	rep, err := StartReplica(ReplicaOptions{
-		Primary:          primary,
-		Dir:              dir,
-		DB:               Options{Sync: SyncAlways()},
-		Build:            testReplicaBuilder(),
-		ReconnectBackoff: 10 * time.Millisecond,
+		Primary: primary,
+		Dir:     dir,
+		DB:      Options{Sync: SyncAlways(), Clock: testClock(t)},
+		Build:   testReplicaBuilder(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,14 +351,13 @@ func TestReplicaRebootstrapRetriesWhenJournalOpenFails(t *testing.T) {
 	rep, err := StartReplica(ReplicaOptions{
 		Primary: ts.URL,
 		Dir:     dir,
-		DB: Options{Sync: SyncAlways(), OpenJournalFile: func(path string) (JournalFile, error) {
+		DB: Options{Sync: SyncAlways(), Clock: testClock(t), OpenJournalFile: func(path string) (JournalFile, error) {
 			if path == next && failed.CompareAndSwap(false, true) {
 				return nil, errDiskGone
 			}
 			return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		}},
-		Build:            testReplicaBuilder(),
-		ReconnectBackoff: 10 * time.Millisecond,
+		Build: testReplicaBuilder(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +423,7 @@ func TestPromotedReplicaFeedsItsOwnFollowers(t *testing.T) {
 
 	// Serve the promoted node's journal; a second-tier follower
 	// bootstraps from it and tracks its new writes.
-	src2 := NewTransferSource(rep.DB(), NewFence(rep.DB()), rep.Digest, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+	src2 := NewTransferSource(rep.DB(), NewFence(rep.DB()), rep.Digest, TransferSourceOptions{})
 	ts2 := httptest.NewServer(src2.Stream())
 	defer ts2.Close()
 	rep2 := startTestReplica(t, ts2.URL, t.TempDir())

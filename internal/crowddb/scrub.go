@@ -155,15 +155,15 @@ func sha256Hex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// scrubPass is the maintenance loop's scrub job: one Scrub, then the
-// next pass armed ScrubInterval later, or ten pass-lengths when the pass
-// took longer than a tenth of it, so scrubbing takes at most a tenth of
-// the loop's time.
-func (db *DB) scrubPass(next *time.Timer) {
-	start := time.Now()
+// scrubPass is the maintenance loop's scrub job, one Scrub. It returns
+// the wait before the next pass: ScrubInterval, or ten pass-lengths when
+// the pass took longer than a tenth of it, so scrubbing takes at most a
+// tenth of the loop's time.
+func (db *DB) scrubPass() time.Duration {
+	start := db.opts.Clock.Now()
 	if err := db.Scrub(); err != nil {
 		db.opts.logf("crowddb: %v; entered degraded read-only mode", err)
 	}
-	d := time.Since(start)
-	next.Reset(max(db.opts.ScrubInterval, 10*d) - d)
+	d := db.opts.Clock.Now().Sub(start)
+	return max(db.opts.ScrubInterval, 10*d) - d
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/rank"
 	"crowdselect/internal/selcodec"
@@ -212,7 +213,7 @@ func New(cfg NodeConfig) (*Server, error) {
 		s.maxBody = defaultMaxBody
 	}
 	if cfg.Admission.Max > 0 {
-		s.adm = newAdmission(cfg.Admission)
+		s.adm = newAdmission(cfg.Admission, clock.Real)
 	}
 	if cfg.Topology != nil {
 		if err := s.topo.set(*cfg.Topology); err != nil {
@@ -310,9 +311,9 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 // failed forward leg without double-applying (task ids start at 0,
 // hence the pointer).
 type skillFeedbackRequest struct {
-	Text   string             `json:"text"`
-	Scores map[string]float64 `json:"scores"`
-	Task   *int               `json:"task,omitempty"`
+	Text   string       `json:"text"`
+	Scores workerScores `json:"scores"`
+	Task   *int         `json:"task,omitempty"`
 }
 
 func (s *Server) handleSkillFeedback(w http.ResponseWriter, r *http.Request) {
@@ -324,11 +325,6 @@ func (s *Server) handleSkillFeedback(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, refuse(ErrBadRequest, "empty task text"))
 		return
 	}
-	scores, err := decodeScores(req.Scores)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
 	forwardOf := -1
 	if req.Task != nil {
 		if *req.Task < 0 {
@@ -337,7 +333,7 @@ func (s *Server) handleSkillFeedback(w http.ResponseWriter, r *http.Request) {
 		}
 		forwardOf = *req.Task
 	}
-	if err := s.tenantFor(r).Manager.ApplyModelFeedback(r.Context(), forwardOf, req.Text, scores); err != nil {
+	if err := s.tenantFor(r).Manager.ApplyModelFeedback(r.Context(), forwardOf, req.Text, req.Scores); err != nil {
 		s.hintShardOwner(w, err)
 		writeErr(w, r, err)
 		return
@@ -1118,7 +1114,7 @@ type answerRequest struct {
 }
 
 type feedbackRequest struct {
-	Scores map[string]float64 `json:"scores"`
+	Scores workerScores `json:"scores"`
 }
 
 func (s *Server) handleGetTask(w http.ResponseWriter, r *http.Request, id int) {
@@ -1147,12 +1143,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, id int) 
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	scores, err := decodeScores(req.Scores)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	rec, err := s.tenantFor(r).Manager.ResolveTask(r.Context(), id, scores)
+	rec, err := s.tenantFor(r).Manager.ResolveTask(r.Context(), id, req.Scores)
 	if err != nil {
 		writeErr(w, r, err)
 		return

@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -331,23 +332,27 @@ func TestFeedbackRefusesNonCanonicalWorkerIDs(t *testing.T) {
 		return m
 	}
 	id := strconv.Itoa(w)
+	twice := func(body string) json.RawMessage { return json.RawMessage(fmt.Sprintf(body, id, id)) }
 	cases := []struct {
 		name, path string
-		body       map[string]any
+		body       any
+		want       string // in the message; "bad worker id" when empty
 	}{
-		{"leading zero", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "0"+id)}},
-		{"plus sign", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "+"+id)}},
-		{"three spellings", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "0"+id, "+"+id)}},
-		{"skills leading zero", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores("0" + id)}},
-		{"skills plus sign", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores(id, "+"+id)}},
-		{"skills negative zero", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores("-0")}},
+		{"leading zero", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "0"+id)}, ""},
+		{"plus sign", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "+"+id)}, ""},
+		{"three spellings", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), map[string]any{"scores": scores(id, "0"+id, "+"+id)}, ""},
+		{"skills leading zero", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores("0" + id)}, ""},
+		{"skills plus sign", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores(id, "+"+id)}, ""},
+		{"skills negative zero", "/api/v1/skills:feedback", map[string]any{"text": "index trees", "scores": scores("-0")}, ""},
+		{"repeated worker", fmt.Sprintf("/api/v1/tasks/%d/feedback", sub.TaskID), twice(`{"scores":{%q:4,%q:1}}`), "worker " + id + " scored twice"},
+		{"skills repeated worker", "/api/v1/skills:feedback", twice(`{"text":"index trees","scores":{%q:4,%q:1}}`), "worker " + id + " scored twice"},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", c.name, resp.StatusCode)
 		}
-		if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "bad worker id") {
+		if env := decode[ErrorEnvelope](t, resp); env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, cmp.Or(c.want, "bad worker id")) {
 			t.Errorf("%s: envelope = %+v, want bad_request naming the worker id", c.name, env.Error)
 		}
 	}

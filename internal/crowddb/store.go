@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 )
 
@@ -113,7 +114,7 @@ type Store struct {
 	// coordinator retrying a failed leg cannot double-apply a
 	// posterior update. Persisted in snapshots and rebuilt by replay.
 	appliedForwards map[int]bool
-	clock           func() time.Time
+	clock           clock.Clock    // stamps mutations; set before the store is shared
 	journal         *journalWriter // nil unless a journal is attached
 	// tenant is the namespace this store belongs to (DESIGN §13);
 	// empty means the default tenant. Non-default stores stamp the
@@ -145,7 +146,7 @@ func NewStore() *Store {
 		workers:         make(map[int]*Worker),
 		tasks:           make(map[int]*TaskRecord),
 		appliedForwards: make(map[int]bool),
-		clock:           time.Now,
+		clock:           clock.Real,
 	}
 }
 
@@ -194,21 +195,6 @@ func (s *Store) alignTIDLocked() {
 	}
 }
 
-// tidStrideLocked is the id increment between consecutive tasks.
-func (s *Store) tidStrideLocked() int {
-	if s.shardCnt <= 1 {
-		return 1
-	}
-	return s.shardCnt
-}
-
-// SetClock replaces the time source (tests).
-func (s *Store) SetClock(clock func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = clock
-}
-
 // SetTenant names the tenant namespace this store belongs to
 // (DESIGN §13). Call once at boot, before mutations: a non-default
 // name is stamped on every journal record, and replay/replication
@@ -226,6 +212,10 @@ func (s *Store) SetTenant(name string) {
 // the journal write fails; the returned error then reports the journal
 // failure.
 func (s *Store) AddWorker(id int, name string) (Worker, error) {
+	return s.addWorker(s.clock.Now(), id, name)
+}
+
+func (s *Store) addWorker(at time.Time, id int, name string) (Worker, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.sealedErrLocked(); err != nil {
@@ -234,9 +224,8 @@ func (s *Store) AddWorker(id int, name string) (Worker, error) {
 	if _, ok := s.workers[id]; ok {
 		return Worker{}, fmt.Errorf("%w: worker %d exists", ErrBadRequest, id)
 	}
-	now := s.clock()
-	w := &Worker{ID: id, Name: name, Online: true, Joined: now}
-	return *w, s.logEvent(event{Kind: evAddWorker, Worker: id, Name: name, At: now}, func() {
+	w := &Worker{ID: id, Name: name, Online: true, Joined: at}
+	return *w, s.logEvent(event{Kind: evAddWorker, Worker: id, Name: name, At: at}, func() {
 		s.workers[id] = w
 		s.online.Store(nil)
 	})
@@ -255,7 +244,9 @@ func (s *Store) GetWorker(id int) (Worker, error) {
 
 // SetOnline flips a worker's presence flag (the "workers online"
 // filter of §2).
-func (s *Store) SetOnline(id int, online bool) error {
+func (s *Store) SetOnline(id int, online bool) error { return s.setOnline(s.clock.Now(), id, online) }
+
+func (s *Store) setOnline(at time.Time, id int, online bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.sealedErrLocked(); err != nil {
@@ -265,7 +256,7 @@ func (s *Store) SetOnline(id int, online bool) error {
 	if !ok {
 		return fmt.Errorf("%w: worker %d", ErrNotFound, id)
 	}
-	return s.logEvent(event{Kind: evPresence, Worker: id, Online: &online}, func() {
+	return s.logEvent(event{Kind: evPresence, Worker: id, Online: &online, At: at}, func() {
 		if w.Online != online {
 			w.Online = online
 			s.online.Store(nil)
@@ -336,21 +327,24 @@ func (s *Store) Workers() []Worker {
 // AddTask inserts a new open task and returns it. Journal write failures are
 // reported after the insertion is applied.
 func (s *Store) AddTask(text string, tokens []string) (TaskRecord, error) {
+	return s.addTask(s.clock.Now(), text, tokens)
+}
+
+func (s *Store) addTask(at time.Time, text string, tokens []string) (TaskRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.sealedErrLocked(); err != nil {
 		return TaskRecord{}, err
 	}
-	now := s.clock()
 	t := &TaskRecord{
 		ID:      s.nextTID,
 		Text:    text,
 		Tokens:  append([]string(nil), tokens...),
 		Status:  TaskOpen,
-		Created: now,
+		Created: at,
 	}
-	return *t, s.logEvent(event{Kind: evAddTask, Task: t.ID, Text: text, Tokens: t.Tokens, At: now}, func() {
-		s.nextTID += s.tidStrideLocked()
+	return *t, s.logEvent(event{Kind: evAddTask, Task: t.ID, Text: text, Tokens: t.Tokens, At: at}, func() {
+		s.nextTID += max(s.shardCnt, 1) // the shard stride; shardCnt is 0 or >= 2
 		s.tasks[t.ID] = t
 	})
 }
@@ -390,6 +384,10 @@ func (s *Store) NumTasks() int {
 // Assign records the dispatcher's selection for an open task and moves
 // it to TaskAssigned. Every assigned worker must exist.
 func (s *Store) Assign(taskID int, workers []int) error {
+	return s.assign(s.clock.Now(), taskID, workers)
+}
+
+func (s *Store) assign(at time.Time, taskID int, workers []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.sealedErrLocked(); err != nil {
@@ -407,16 +405,19 @@ func (s *Store) Assign(taskID int, workers []int) error {
 			return fmt.Errorf("%w: worker %d", ErrNotFound, w)
 		}
 	}
-	now := s.clock()
-	return s.logEvent(event{Kind: evAssign, Task: taskID, Workers: workers, At: now}, func() {
+	return s.logEvent(event{Kind: evAssign, Task: taskID, Workers: workers, At: at}, func() {
 		t.Assigned = append([]int(nil), workers...)
 		t.Status = TaskAssigned
-		t.AssignedAt = now
+		t.AssignedAt = at
 	})
 }
 
 // RecordAnswer stores an answer from an assigned worker.
 func (s *Store) RecordAnswer(taskID, workerID int, answerText string) error {
+	return s.recordAnswer(s.clock.Now(), taskID, workerID, answerText)
+}
+
+func (s *Store) recordAnswer(at time.Time, taskID, workerID int, answerText string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.sealedErrLocked(); err != nil {
@@ -444,9 +445,8 @@ func (s *Store) RecordAnswer(taskID, workerID int, answerText string) error {
 			return fmt.Errorf("%w: worker %d on task %d", ErrDuplicate, workerID, taskID)
 		}
 	}
-	now := s.clock()
-	return s.logEvent(event{Kind: evAnswer, Task: taskID, Worker: workerID, Answer: answerText, At: now}, func() {
-		t.Answers = append(t.Answers, Answer{Worker: workerID, Text: answerText, At: now})
+	return s.logEvent(event{Kind: evAnswer, Task: taskID, Worker: workerID, Answer: answerText, At: at}, func() {
+		t.Answers = append(t.Answers, Answer{Worker: workerID, Text: answerText, At: at})
 	})
 }
 
@@ -455,6 +455,10 @@ func (s *Store) RecordAnswer(taskID, workerID int, answerText string) error {
 // returns the final record. Scores for workers who did not answer are
 // rejected.
 func (s *Store) Resolve(taskID int, scores map[int]float64) (TaskRecord, error) {
+	return s.resolve(s.clock.Now(), taskID, scores)
+}
+
+func (s *Store) resolve(at time.Time, taskID int, scores map[int]float64) (TaskRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.sealedErrLocked(); err != nil {
@@ -476,7 +480,7 @@ func (s *Store) Resolve(taskID int, scores map[int]float64) (TaskRecord, error) 
 			return TaskRecord{}, fmt.Errorf("%w: score for worker %d who did not answer task %d", ErrBadRequest, w, taskID)
 		}
 	}
-	err := s.logEvent(event{Kind: evResolve, Task: taskID, Scores: encodeScores(scores)}, func() {
+	err := s.logEvent(event{Kind: evResolve, Task: taskID, Scores: scores, At: at}, func() {
 		for w, sc := range scores {
 			t.Answers[answered[w]].Score = sc
 		}

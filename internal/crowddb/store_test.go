@@ -12,7 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"crowdselect/internal/clock"
 )
 
 // Snapshot writes a consistent JSON snapshot of the database to w.
@@ -22,15 +23,10 @@ func (s *Store) Snapshot(w io.Writer) error {
 	return s.snapshotLocked(w)
 }
 
-func fixedClock() func() time.Time {
-	t0 := time.Date(2015, 3, 23, 9, 0, 0, 0, time.UTC) // EDBT 2015 day 1
-	return func() time.Time { return t0 }
-}
-
 func newTestStore(t *testing.T, workers int) *Store {
 	t.Helper()
 	s := NewStore()
-	s.SetClock(fixedClock())
+	s.clock = new(clock.Manual)
 	for i := 0; i < workers; i++ {
 		if _, err := s.AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 )
@@ -65,7 +66,7 @@ type tenantRig struct {
 func newTenantRig(t *testing.T, d *corpus.Dataset, m *core.Model, tenant string) *tenantRig {
 	t.Helper()
 	store := NewStore()
-	store.SetClock(fixedClock())
+	store.clock = new(clock.Manual)
 	for i := range d.Workers {
 		if _, err := store.AddWorker(i, fmt.Sprintf("worker-%d", i)); err != nil {
 			t.Fatal(err)

@@ -49,13 +49,14 @@ func checkOrigin(arch string, kernel int) error {
 
 // TransferSourceOptions tunes a TransferSource.
 type TransferSourceOptions struct {
-	// Heartbeat is how often an idle stream advertises the head
-	// position (default 500ms). Followers use it as their staleness
-	// clock, so it bounds how quickly a partition becomes visible.
-	Heartbeat time.Duration
 	// Logf receives transfer lifecycle notices. nil is silent.
 	Logf func(format string, args ...any)
 }
+
+// heartbeat is how often an idle stream advertises the head position.
+// It is the followers' staleness clock: it bounds how quickly a
+// partition becomes visible.
+const heartbeat = 500 * time.Millisecond
 
 // segmentDrainWait bounds how long a backup segment waits for live
 // records to close the gap between the pinned journal file and the
@@ -76,11 +77,10 @@ const segmentDrainWait = 10 * time.Second
 // state (DESIGN §14), and every manifest with the cut the archive
 // promises, which restore and offline verification prove against.
 type TransferSource struct {
-	db        *DB
-	heartbeat time.Duration
-	logf      func(format string, args ...any)
-	fence     *Fence
-	digest    DigestFunc
+	db     *DB
+	logf   func(format string, args ...any)
+	fence  *Fence
+	digest DigestFunc
 
 	followers  atomic.Int64 // streams open right now
 	streams    atomic.Int64 // streams ever served
@@ -92,13 +92,10 @@ type TransferSource struct {
 // NewTransferSource builds a source over db, sealed by fence and
 // stamped by digest.
 func NewTransferSource(db *DB, fence *Fence, digest DigestFunc, opts TransferSourceOptions) *TransferSource {
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 500 * time.Millisecond
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	return &TransferSource{db: db, heartbeat: opts.Heartbeat, logf: opts.Logf, fence: fence, digest: digest}
+	return &TransferSource{db: db, logf: opts.Logf, fence: fence, digest: digest}
 }
 
 // Stream serves GET /api/v1/replication/stream (wire it as
@@ -296,8 +293,7 @@ func (t *transfer) run(from, bound int64, every time.Duration, idle func() bool)
 
 	// Live tail: committed records from the hub — where a compaction
 	// between pin and cut moves a segment's tail, too.
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
+	tick := t.src.db.opts.Clock.After(every)
 	for {
 		if err := rc.Flush(); err != nil {
 			return false
@@ -308,10 +304,11 @@ func (t *transfer) run(from, bound int64, every time.Duration, idle func() bool)
 		select {
 		case <-t.r.Context().Done():
 			return false
-		case <-ticker.C:
+		case <-tick:
 			if !idle() {
 				return false
 			}
+			tick = t.src.db.opts.Clock.After(every)
 		case msg, ok := <-t.sub.ch:
 			if !ok {
 				t.src.logf("crowddb: %s overran the subscription buffer; closing for resume", t.name)
@@ -374,7 +371,7 @@ func (src *TransferSource) serveStream(w http.ResponseWriter, r *http.Request) {
 		src.bootstraps.Add(1)
 	}
 	src.logf("crowddb: replication: stream open (from=%d bootstrap=%v gen=%d head=%d)", from, bootstrap, t.gen, head)
-	t.run(from, noBound, src.heartbeat, t.heartbeat)
+	t.run(from, noBound, heartbeat, t.heartbeat)
 }
 
 // heartbeat is the stream's idle tick: the head position, as one

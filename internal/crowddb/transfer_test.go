@@ -52,7 +52,8 @@ type transferred struct {
 }
 
 // getTransfer reads a segment to its end and a stream up to its first
-// heartbeat, which a stream only sends once its journal replay is out.
+// heartbeat, which a stream only sends once its journal replay is out
+// and the test's clock has moved a heartbeat on.
 func getTransfer(t *testing.T, url string) transferred {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -72,15 +73,34 @@ func getTransfer(t *testing.T, url string) transferred {
 	}
 	got := transferred{count: map[byte]int{}}
 	var state bytes.Buffer
-	fr := &frameReader{r: resp.Body}
+	done := make(chan error, 1)
+	go func() { done <- readTransfer(&frameReader{r: resp.Body}, &got, &state) }()
+	var rerr error
+	waitUntil(t, "the end of "+url, func() bool {
+		select {
+		case rerr = <-done:
+			return true
+		default:
+			return false
+		}
+	})
+	if rerr != nil {
+		t.Fatalf("GET %s: %v", url, rerr)
+	}
+	got.state = state.Bytes()
+	return got
+}
+
+// readTransfer takes apart the frames of fr into got, re-framing its
+// state into state, up to the end or the first heartbeat.
+func readTransfer(fr *frameReader, got *transferred, state *bytes.Buffer) error {
 	for {
 		typ, payload, err := fr.next()
 		if errors.Is(err, io.EOF) || (err == nil && typ == frameHeartbeat) {
-			got.state = state.Bytes()
-			return got
+			return nil
 		}
 		if err != nil {
-			t.Fatalf("GET %s: %v", url, err)
+			return err
 		}
 		switch typ {
 		case frameHello, frameBackupManifest:
@@ -91,13 +111,13 @@ func getTransfer(t *testing.T, url string) transferred {
 			if typ == frameRecord {
 				var msg replRecordMsg
 				if err := json.Unmarshal(payload, &msg); err != nil {
-					t.Fatal(err)
+					return err
 				}
 				got.lastSeq = msg.Seq
 			}
 			got.count[typ]++
-			if err := writeReplFrame(&state, typ, payload); err != nil {
-				t.Fatal(err)
+			if err := writeReplFrame(state, typ, payload); err != nil {
+				return err
 			}
 		}
 	}
@@ -169,7 +189,7 @@ func TestBackupSegmentDiffersFromStreamByArgumentOnly(t *testing.T) {
 		cutSeq := head - 2
 		src := NewTransferSource(rig.db, NewFence(rig.db), func() (DigestCut, error) {
 			return DigestCut{Tenant: DefaultTenant, Seq: cutSeq}, nil
-		}, TransferSourceOptions{Heartbeat: 20 * time.Millisecond})
+		}, TransferSourceOptions{})
 		bounded := serveTransfers(t, src)
 		segment := getTransfer(t, bounded.URL+"/segment")
 		var tr BackupTrailer
@@ -308,7 +328,7 @@ func followForgedHello(t *testing.T, rig *durableRig, src *TransferSource, hello
 		t.Fatalf("stopped follower refuses reads: %v", err)
 	}
 	_, err = StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
-		DB: Options{Sync: SyncAlways()}, Build: testReplicaBuilder()})
+		DB: Options{Sync: SyncAlways(), Clock: testClock(t)}, Build: testReplicaBuilder()})
 	if !errors.Is(err, refusal) {
 		t.Fatalf("fresh follower of the foreign primary: %v, want %v", err, refusal)
 	}
@@ -502,7 +522,7 @@ func TestReplicaFailingRebootstrapBacksOff(t *testing.T) {
 	hello.Bootstrap = true
 	front.forgeHello(t, hello, func(w http.ResponseWriter, _ *http.Request) {
 		mu.Lock()
-		attempts = append(attempts, time.Now())
+		attempts = append(attempts, testClock(t).Now())
 		mu.Unlock()
 		_ = writeReplFrame(w, frameModel, []byte("not a model checkpoint"))
 		_ = writeReplFrame(w, frameSnapshot, []byte(`{"seq":0,"bytes":0,"store":{}}`))
@@ -515,9 +535,8 @@ func TestReplicaFailingRebootstrapBacksOff(t *testing.T) {
 	})
 	mu.Lock()
 	defer mu.Unlock()
-	initial := 10 * time.Millisecond // startTestReplica's ReconnectBackoff
 	for i := 1; i < n; i++ {
-		if gap, want := attempts[i].Sub(attempts[i-1]), initial<<(i-1); gap < want {
+		if gap, want := attempts[i].Sub(attempts[i-1]), reconnectBackoff<<(i-1); gap < want {
 			t.Fatalf("re-bootstrap attempt %d came %v after the one before, want ≥ %v: the delay must double", i+1, gap, want)
 		}
 	}
@@ -569,16 +588,15 @@ func TestReplicaRebootstrapSwapsInsideQuiesce(t *testing.T) {
 	forged := http.HandlerFunc(otherSrc.Stream().ServeHTTP)
 	front.forge.Store(&forged)
 	front.ts.CloseClientConnections()
-	waitUntil(t, "follower to dial the other lineage", func() bool { return front.dials.Load() > 0 })
-	// How long the fault is given to show itself: the bootstrap is a
-	// loopback read of a few kilobytes.
-	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		seq := rep.DB().ReplicationHead()
-		if got := storeDigest(); got != wantStore || seq != wantSeq {
-			close(release)
-			t.Fatalf("while Quiesce was held the follower moved to store %s at %d, from %s at %d",
-				got, seq, wantStore, wantSeq)
-		}
+	// The follower reads the whole bootstrap and parks on the held
+	// Quiesce inside adopt; until the test lets go nothing may move.
+	waitUntil(t, "follower to park its adoption on the held Quiesce", func() bool {
+		return bytes.Contains(stacks(), []byte("crowdselect/internal/crowddb.(*DB).adopt"))
+	})
+	if seq, got := rep.DB().ReplicationHead(), storeDigest(); got != wantStore || seq != wantSeq {
+		close(release)
+		t.Fatalf("while Quiesce was held the follower moved to store %s at %d, from %s at %d",
+			got, seq, wantStore, wantSeq)
 	}
 	close(release)
 	if err := <-quiesced; err != nil {

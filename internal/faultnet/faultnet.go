@@ -54,8 +54,8 @@ type Faults struct {
 	// the backend is still dialed.
 	DropUpstream   bool
 	DropDownstream bool
-	// PartialWriteBytes, when > 0, lets only that many server→client
-	// bytes through per connection, then resets — a torn response.
+	// PartialWriteBytes, when > 0, lets exactly that many server→client
+	// bytes through per connection, then tears it — a torn response.
 	PartialWriteBytes int64
 	// BandwidthBytesPerSec, when > 0, caps the forwarding rate in each
 	// direction.
@@ -292,6 +292,15 @@ func (p *Proxy) kill(pair *connPair) {
 	p.reset(pair.backend)
 }
 
+// tear is kill for a torn response: the client leg closes with a FIN
+// behind the prefix written, which a reset would let its kernel drop.
+func (p *Proxy) tear(pair *connPair) {
+	if pair.dead.CompareAndSwap(false, true) {
+		pair.client.Close()
+		p.reset(pair.backend)
+	}
+}
+
 // pump forwards one direction, applying the live fault plan per chunk.
 // up is client→server.
 func (p *Proxy) pump(pair *connPair, up bool) {
@@ -320,29 +329,16 @@ func (p *Proxy) pump(pair *connPair, up bool) {
 				if spent {
 					pair.spent.Store(true)
 				}
+				// Torn response: only a prefix of the reply reaches the client.
+				torn := !up && f.PartialWriteBytes > 0 && total.Load()+int64(n) >= f.PartialWriteBytes
+				if torn {
+					chunk = chunk[:max(f.PartialWriteBytes-total.Load(), 0)]
+				}
 				if f.Latency > 0 {
 					time.Sleep(f.Latency)
 				}
 				if f.BandwidthBytesPerSec > 0 {
 					time.Sleep(time.Duration(int64(n) * int64(time.Second) / f.BandwidthBytesPerSec))
-				}
-				// Torn response: only a prefix of the backend's reply
-				// may reach the client.
-				if !up && f.PartialWriteBytes > 0 {
-					remain := f.PartialWriteBytes - total.Load()
-					if remain <= 0 {
-						p.kill(pair)
-						return
-					}
-					if int64(len(chunk)) > remain {
-						chunk = chunk[:remain]
-						if _, werr := dst.Write(chunk); werr == nil {
-							total.Add(int64(len(chunk)))
-							dirBytes.Add(int64(len(chunk)))
-						}
-						p.kill(pair)
-						return
-					}
 				}
 				if _, werr := dst.Write(chunk); werr != nil {
 					p.kill(pair)
@@ -350,6 +346,10 @@ func (p *Proxy) pump(pair *connPair, up bool) {
 				}
 				total.Add(int64(len(chunk)))
 				dirBytes.Add(int64(len(chunk)))
+				if torn {
+					p.tear(pair)
+					return
+				}
 				if spent {
 					p.kill(pair)
 					return

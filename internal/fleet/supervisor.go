@@ -47,6 +47,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,6 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowdclient"
 	"crowdselect/internal/crowddb"
 )
@@ -124,6 +126,8 @@ type Options struct {
 	FleetToken string
 	// Logf receives lifecycle notices. nil is silent.
 	Logf func(format string, args ...any)
+	// Clock paces probes and ages leases (default clock.Real).
+	Clock clock.Clock
 }
 
 // fenceOrder is an unacknowledged fence: retried every tick until the
@@ -235,6 +239,7 @@ func New(spec Spec, opts Options) (*Supervisor, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
+	opts.Clock = cmp.Or(opts.Clock, clock.Real)
 	s := &Supervisor{opts: opts, clients: make(map[string]*crowdclient.Client)}
 	for _, sh := range spec.Shards {
 		st := &shardState{
@@ -261,7 +266,7 @@ func (s *Supervisor) client(url string) *crowdclient.Client {
 	}
 	// Retries: -1 is none: a missed probe must count as missed, not be
 	// papered over.
-	c := crowdclient.New(url, crowdclient.Options{Timeout: s.opts.ProbeTimeout, Retries: -1, FleetToken: s.opts.FleetToken})
+	c := crowdclient.New(url, crowdclient.Options{Timeout: s.opts.ProbeTimeout, Retries: -1, FleetToken: s.opts.FleetToken, Clock: s.opts.Clock})
 	s.clients[url] = c
 	return c
 }
@@ -269,14 +274,13 @@ func (s *Supervisor) client(url string) *crowdclient.Client {
 // Run probes until ctx ends. The first tick fires immediately so a
 // fleet is under lease within one probe timeout of supervisor start.
 func (s *Supervisor) Run(ctx context.Context) error {
-	ticker := time.NewTicker(s.opts.ProbeInterval)
-	defer ticker.Stop()
 	for {
+		next := s.opts.Clock.After(s.opts.ProbeInterval)
 		s.Tick(ctx)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-ticker.C:
+		case <-next:
 		}
 	}
 }
@@ -363,7 +367,7 @@ func (s *Supervisor) tickShard(ctx context.Context, sh *shardState) {
 		sh.misses++
 		sh.reachable[primary.URL] = false
 		misses := sh.misses
-		leaseAge := time.Since(sh.lastLease)
+		leaseAge := s.opts.Clock.Now().Sub(sh.lastLease)
 		armed := !sh.lastLease.IsZero()
 		s.mu.Unlock()
 		if misses < s.opts.SuspectAfter {
@@ -407,9 +411,7 @@ func (s *Supervisor) probePrimary(ctx context.Context, sh *shardState, primary N
 	if !suspect {
 		return s.renewLease(ctx, sh, primary)
 	}
-	pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
-	st, err := s.client(primary.URL).ReadyStatus(pctx)
-	cancel()
+	st, err := s.ready(ctx, primary.URL)
 	if err != nil {
 		return st, err
 	}
@@ -419,13 +421,20 @@ func (s *Supervisor) probePrimary(ctx context.Context, sh *shardState, primary N
 	return s.renewLease(ctx, sh, primary)
 }
 
+// ready probes url's /readyz within one ProbeTimeout.
+func (s *Supervisor) ready(ctx context.Context, url string) (crowddb.ReadyzResponse, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
+	defer cancel()
+	return s.client(url).ReadyStatus(ctx)
+}
+
 // renewLease sends one lease renewal, recording the attempt's start
 // time first — the failover gate reasons about when a request COULD
 // have re-armed the lease, which is any time before the attempt's
 // timeout, regardless of whether a response came back.
 func (s *Supervisor) renewLease(ctx context.Context, sh *shardState, primary Node) (crowddb.ReadyzResponse, error) {
 	s.mu.Lock()
-	sh.lastLease = time.Now()
+	sh.lastLease = s.opts.Clock.Now()
 	s.mu.Unlock()
 	pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
 	st, err := s.client(primary.URL).RenewLease(pctx, s.opts.Holder, s.opts.LeaseTTL)
@@ -439,9 +448,7 @@ func (s *Supervisor) probeStandbys(ctx context.Context, sh *shardState, standbys
 		wg.Add(1)
 		go func(n Node) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
-			st, err := s.client(n.URL).ReadyStatus(pctx)
-			cancel()
+			st, err := s.ready(ctx, n.URL)
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if err != nil {
@@ -719,9 +726,7 @@ func (s *Supervisor) drainPrimary(ctx context.Context, sh *shardState) error {
 	standbys := append([]Node(nil), sh.spec.Standbys...)
 	s.mu.Unlock()
 
-	pctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
-	st, err := s.client(primary.URL).ReadyStatus(pctx)
-	cancel()
+	st, err := s.ready(ctx, primary.URL)
 	if err != nil {
 		return fmt.Errorf("fleet: drain %s: primary unreachable (use failover, not drain): %w", primary.URL, err)
 	}
@@ -765,9 +770,7 @@ func (s *Supervisor) drainPrimary(ctx context.Context, sh *shardState) error {
 	}
 
 	// The head re-read after the seal is the frozen one.
-	fctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
-	st, err = s.client(primary.URL).ReadyStatus(fctx)
-	cancel()
+	st, err = s.ready(ctx, primary.URL)
 	if err != nil {
 		unseal()
 		return fmt.Errorf("fleet: drain %s: re-reading sealed head: %w", primary.URL, err)
@@ -779,9 +782,7 @@ func (s *Supervisor) drainPrimary(ctx context.Context, sh *shardState) error {
 	// Wait for the candidate to drain the sealed primary's tail.
 	deadline := time.Now().Add(max(10*s.opts.ProbeTimeout, 5*time.Second))
 	for {
-		cctx, cancel := context.WithTimeout(ctx, s.opts.ProbeTimeout)
-		cst, cerr := s.client(target.URL).ReadyStatus(cctx)
-		cancel()
+		cst, cerr := s.ready(ctx, target.URL)
 		if cerr == nil && cst.Replication != nil {
 			s.mu.Lock()
 			sh.applied[target.URL] = cst.Replication.AppliedSeq
@@ -797,11 +798,9 @@ func (s *Supervisor) drainPrimary(ctx context.Context, sh *shardState) error {
 			return fmt.Errorf("fleet: drain %s: standby %s did not reach the sealed head %d in time; primary un-sealed, retry later",
 				primary.URL, target.URL, head)
 		}
-		select {
-		case <-ctx.Done():
+		if err := s.opts.Clock.Sleep(ctx, s.opts.ProbeInterval); err != nil {
 			unseal()
-			return ctx.Err()
-		case <-time.After(s.opts.ProbeInterval):
+			return err
 		}
 	}
 

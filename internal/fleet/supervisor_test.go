@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
 )
 
@@ -199,21 +200,23 @@ func testOptions() Options {
 		SuspectAfter: 3,
 		LeaseTTL:     20 * time.Millisecond,
 		Holder:       "test-supervisor",
+		Clock:        new(clock.Manual),
 	}
 }
 
-// tickUntil drives the supervisor until cond holds — the lease-lapse
-// gate makes the exact number of ticks to a failover timing-dependent
-// by design.
+// tickUntil drives the supervisor until cond holds, one probe interval
+// of its clock between ticks, as Run paces them — the lease-lapse gate
+// makes the exact number of ticks to a failover timing-dependent by
+// design.
 func tickUntil(t *testing.T, sup *Supervisor, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached within 5s of ticking")
+	ctx := context.Background()
+	for ticks := 0; !cond(); ticks++ {
+		if ticks == 1000 {
+			t.Fatal("condition not reached within 1000 ticks")
 		}
-		sup.Tick(context.Background())
-		time.Sleep(5 * time.Millisecond)
+		sup.Tick(ctx)
+		sup.opts.Clock.Sleep(ctx, sup.opts.ProbeInterval)
 	}
 }
 
@@ -462,7 +465,7 @@ func TestSupervisorLostRenewalResponsesStopTheLease(t *testing.T) {
 
 	// This renewal's request arrives and re-arms the lease; its
 	// response is eaten, so the supervisor records a miss.
-	lastAttempt := time.Now()
+	lastAttempt := sup.opts.Clock.Now()
 	sup.Tick(ctx)
 	afterLoss := primary.snapshot().leaseRenewals
 	if afterLoss < 2 {
@@ -473,7 +476,7 @@ func TestSupervisorLostRenewalResponsesStopTheLease(t *testing.T) {
 	}
 
 	tickUntil(t, sup, func() bool { return standby.snapshot().promotions > 0 })
-	promotedAt := time.Now()
+	promotedAt := sup.opts.Clock.Now()
 
 	// A suspect primary gets side-effect-free probes, never renewals:
 	// the count must not have moved since the lost response.
@@ -491,8 +494,12 @@ func TestSupervisorLostRenewalResponsesStopTheLease(t *testing.T) {
 // /status endpoint) must answer from the state lock alone — a probe
 // stuck in the network for a full ProbeTimeout cannot stall it.
 func TestSupervisorStatusDoesNotBlockOnSlowProbes(t *testing.T) {
-	release := make(chan struct{})
+	release, arrived := make(chan struct{}), make(chan struct{}, 1)
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
 		select {
 		case <-release:
 		case <-r.Context().Done():
@@ -512,7 +519,7 @@ func TestSupervisorStatusDoesNotBlockOnSlowProbes(t *testing.T) {
 		sup.Tick(context.Background())
 		close(done)
 	}()
-	time.Sleep(50 * time.Millisecond) // the tick is now parked inside the probe
+	<-arrived // the tick is now parked inside the probe
 	start := time.Now()
 	_ = sup.Status()
 	if d := time.Since(start); d > 500*time.Millisecond {
