@@ -209,7 +209,7 @@ tenants:
 # + forced re-bootstrap), the supervisor's refusal of unsafe standbys,
 # and the at-rest corruption chaos drills.
 scrub:
-	$(GO) test -race -run 'TestDigest|TestReplicatedDigest|TestScrub|TestBootRefuses|TestOpenRefuses|TestReplicaBootstrapsPast|TestHeartbeatDigest|TestReadyzAndMetricsCarryIntegrity|TestMetricsIntegritySchema|TestAtRestCorruption|TestSupervisorRefusesUnsafeStandby|TestSupervisorUnsafeFlagClears|TestChaosFollowerAtRestCorruption|TestChaosPrimaryScrubber' -v ./internal/crowddb/ ./internal/faultfs/ ./internal/fleet/ ./internal/chaos/
+	$(GO) test -race -run 'TestDigest|TestReplicatedDigest|TestScrub|TestBootRefuses|TestOpenRefuses|TestReplicaBootstrapsPast|TestHeartbeatDigest|TestReadyzAndMetricsCarryIntegrity|TestMetricsIntegritySchema|TestAtRestCorruption|TestSupervisorRefusesUnsafeStandby|TestSupervisorDrainRefusesUnsafeStandby|TestSupervisorUnsafeFlagClears|TestChaosFollowerAtRestCorruption|TestChaosPrimaryScrubber' -v ./internal/crowddb/ ./internal/faultfs/ ./internal/fleet/ ./internal/chaos/
 
 # The backup & disaster-recovery suite (DESIGN.md §15) under the race
 # detector: archive round-trip, incremental chains, point-in-time

@@ -12,6 +12,7 @@ import (
 
 	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
+	"crowdselect/internal/faultnet"
 )
 
 // fakeNode is a scriptable crowdd impostor speaking just enough of the
@@ -38,6 +39,7 @@ type fakeNode struct {
 	fenceOrders   int
 	topoPushes    int
 	topo          crowddb.Topology
+	onSeal        func(*fakeNode) // runs, under mu, when a lease step-down arrives
 }
 
 func newFakeNode(t *testing.T, role, history string, applied int64) *fakeNode {
@@ -128,6 +130,9 @@ func (n *fakeNode) serveInner(w http.ResponseWriter, r *http.Request) {
 		json.NewDecoder(r.Body).Decode(&req)
 		if req.Seal {
 			n.leaseSealed = true
+			if n.onSeal != nil {
+				n.onSeal(n)
+			}
 			writeBody(http.StatusOK, n.readyz())
 			return
 		}
@@ -437,6 +442,27 @@ func TestSupervisorDrain(t *testing.T) {
 			t.Fatal("refused drain left the primary sealed")
 		}
 	})
+	t.Run("primary drain times out on the supervisor clock", func(t *testing.T) {
+		// A mutation acked just before the seal leaves the standby one
+		// record short of the sealed head for good. The catch-up wait
+		// is timed on the supervisor's manual clock, so Drain answers
+		// without waiting out its deadline on the wall clock.
+		primary := newFakeNode(t, crowddb.RolePrimary, "h1", 9)
+		primary.set(func(n *fakeNode) { n.onSeal = func(n *fakeNode) { n.applied++ } })
+		standby := newFakeNode(t, crowddb.RoleReplica, "h1", 9)
+		sup, _ := newTestFleet(t, primary, standby)
+		start := time.Now()
+		_, err := sup.Drain(context.Background(), primary.url())
+		if err == nil || !strings.Contains(err.Error(), "did not reach the sealed head") {
+			t.Fatalf("drain with a standby short of the sealed head = %v", err)
+		}
+		if d := time.Since(start); d >= time.Second {
+			t.Fatalf("drain took %v of wall time to give up, want well under 1s", d)
+		}
+		if standby.snapshot().promotions != 0 || primary.snapshot().leaseSealed {
+			t.Fatal("timed-out drain promoted or left the primary sealed")
+		}
+	})
 	t.Run("unknown node refused", func(t *testing.T) {
 		primary := newFakeNode(t, crowddb.RolePrimary, "h1", 9)
 		sup, _ := newTestFleet(t, primary)
@@ -628,5 +654,68 @@ func TestSupervisorUnsafeFlagClears(t *testing.T) {
 	sup.Tick(ctx)
 	if got := sup.Status().Shards[0].Unsafe; len(got) != 0 {
 		t.Fatalf("unsafe flag survived the repair: %+v", got)
+	}
+}
+
+// TestSupervisorDrainRefusesUnsafeStandby: the integrity gate holds on
+// the drain path too. The standby passes the pre-check, then reports a
+// divergence once the primary is sealed; the handoff must stop there —
+// no promotion, the primary un-sealed, and an error naming the standby.
+func TestSupervisorDrainRefusesUnsafeStandby(t *testing.T) {
+	primary := newFakeNode(t, crowddb.RolePrimary, "h1", 9)
+	standby := newFakeNode(t, crowddb.RoleReplica, "h1", 9)
+	primary.set(func(n *fakeNode) {
+		n.onSeal = func(*fakeNode) { standby.set(func(s *fakeNode) { s.diverged = true }) }
+	})
+	sup, _ := newTestFleet(t, primary, standby)
+	st, err := sup.Drain(context.Background(), primary.url())
+	if err == nil || !strings.Contains(err.Error(), standby.url()) {
+		t.Fatalf("drain onto a diverged standby = %v, want an error naming %s", err, standby.url())
+	}
+	if got := standby.snapshot().promotions; got != 0 {
+		t.Fatalf("diverged standby promoted %d times", got)
+	}
+	if primary.snapshot().leaseSealed {
+		t.Fatal("refused drain left the primary sealed")
+	}
+	if row := st.Shards[0]; row.Primary.URL != primary.url() || row.Unsafe[standby.url()] != "diverged" {
+		t.Fatalf("after the refused drain: %+v", row)
+	}
+}
+
+// TestSupervisorBlackholedPrimaryOpensBreaker: a probe has one
+// deadline, its client's Timeout, so a primary whose requests vanish
+// fails each probe as a transport failure. After BreakerThreshold (5)
+// such probes the client's breaker opens and later ticks fail fast
+// instead of each waiting out ProbeTimeout.
+func TestSupervisorBlackholedPrimaryOpensBreaker(t *testing.T) {
+	primary := newFakeNode(t, crowddb.RolePrimary, "h1", 3)
+	proxy, err := faultnet.Listen(primary.ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	opts := testOptions()
+	opts.SuspectAfter = 100 // no failover: only the probes are under test
+	sup, err := New(Spec{Shards: []ShardFleet{{Primary: Node{URL: proxy.URL()}}}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sup.Tick(ctx) // healthy baseline through the proxy
+	proxy.Set(faultnet.Faults{DropUpstream: true})
+	for i := 0; i < 5; i++ {
+		sup.Tick(ctx)
+	}
+	if st := sup.client(proxy.URL()).ResilienceStats(); st.BreakerState != "open" || st.BreakerOpens != 1 {
+		t.Fatalf("after 5 blackholed probes: breaker %+v, want open once", st)
+	}
+	start := time.Now()
+	sup.Tick(ctx)
+	if d := time.Since(start); d > opts.ProbeTimeout/5 {
+		t.Fatalf("tick against an open breaker took %v, want far below the %v probe timeout", d, opts.ProbeTimeout)
+	}
+	if st := sup.Status(); st.Shards[0].Misses != 6 || st.Failovers != 0 {
+		t.Fatalf("after 6 blackholed ticks: %+v", st.Shards[0])
 	}
 }
