@@ -49,9 +49,9 @@ race:
 # a full cache allocates its key string, a few bytes a term, and no
 # category, counted in allocations and bytes, and counted again at
 # GOMAXPROCS 2 from runtime.MemStats, since AllocsPerRun pins the width
-# to 1 and hides the batch projection's fan-out) and as a fleet's
-# score-only leg (§8: the leg is scanned, ranked and answered inside
-# one pooled scratch, with nothing per task):
+# to 1), as a fleet's projecting leg and as its score-only leg (§8:
+# every compact body is scanned, its texts tokenized in place, ranked
+# and answered inside one pooled scratch, with nothing per task):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
@@ -128,9 +128,10 @@ bench:
 # Short coverage-guided fuzz of the journal replay path, of the
 # request-body decoder against the json.Decoder it replaced (same
 # status, envelope and value for any bytes, cap and read size), of the
-# selections codec against encoding/json (the score-only leg's scanner
+# selections codec against encoding/json (the compact bodies' scanner
 # against json.Unmarshal, the response writer against json.Encoder), of the
-# one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form,
+# one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form
+# (and its bytes form against its string form),
 # of the projection cache's bag key against a decoder (any ids, any count
 # bits), of the bounded top-k selection against the full sort and a
 # merged split, and of the skill index's top-k against the full scan
@@ -140,7 +141,7 @@ bench:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJSONMatchesDecoder -fuzztime 20s ./internal/crowddb
-	$(GO) test -run '^$$' -fuzz FuzzScoreOnlyLegMatchesUnmarshal -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzSelectionsRequestMatchesUnmarshal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzSelectionsResponseMatchesEncoder -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
 	$(GO) test -run '^$$' -fuzz FuzzBagKeyRoundTrip -fuzztime 20s ./internal/core

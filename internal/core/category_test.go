@@ -52,7 +52,7 @@ func TestFloat64SurvivesJSONBitForBit(t *testing.T) {
 
 	// The fleet's own codecs (internal/selcodec) carry the same bits: the
 	// selections writer spells the values as encoding/json does, and the
-	// score-only leg's scanner reads encoding/json's spelling back.
+	// selections scanner reads encoding/json's spelling back.
 	resp, err := selcodec.AppendResponse(nil, nil, false, "", [][]float64{vals}, "v")
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +60,9 @@ func TestFloat64SurvivesJSONBitForBit(t *testing.T) {
 	if want := `{"results":[],"model":"","categories":[` + string(wire) + `],"category_version":"v"}` + "\n"; string(resp) != want {
 		t.Fatal("the selections writer spells the values otherwise than encoding/json")
 	}
-	var leg selcodec.Leg
+	var leg selcodec.Request
 	if !leg.Scan([]byte(`{"tasks":[{"text":"","k":1}],"categories":[` + string(wire) + `],"category_version":"v"}`)) {
-		t.Fatal("the score-only leg's scanner refused encoding/json's values")
+		t.Fatal("the selections scanner refused encoding/json's values")
 	}
 	for i, v := range vals {
 		if got := leg.Cats[0][i]; math.Float64bits(got) != math.Float64bits(v) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -162,9 +161,8 @@ func (c *ConcurrentModel) projectLocked(bag text.Bag) TaskCategory {
 // with it: the key being looked up, every bag's category (views into
 // one flat array), the distinct misses (their bags, their views and the
 // key strings the cache will keep) and the bags that repeat one of
-// them. Pooled, and released only once the batch's projections have
-// joined — they read bags and write views through it — and its views
-// have been read.
+// them. Pooled, and released only once the batch's views have been
+// read.
 type batchScratch struct {
 	key      []byte
 	cats     []float64      // 2K per bag: λ_c, then ν_c²
@@ -175,7 +173,6 @@ type batchScratch struct {
 	pending  map[string]int // missing key → index into missBags
 	repeats  []batchRepeat
 	index    indexScratch // the rankings' skill-index queries
-	fan      *fanOut      // the misses' projections, GOMAXPROCS wide
 }
 
 // batchRepeat is a bag equal to an earlier miss of the same batch.
@@ -210,8 +207,9 @@ func (sc *batchScratch) release() {
 // projectViewsLocked projects bags[i] into sc.views[i], through the
 // cache: a hit is copied into its view, each distinct miss is projected
 // straight into its own and then copied into the cache, and a bag that
-// repeats a miss copies that miss's view. The misses fan out across
-// GOMAXPROCS goroutines; a single miss is projected inline.
+// repeats a miss copies that miss's view. The misses are projected on
+// the caller's goroutine, one after another: a cold projection takes
+// tens of microseconds, less than waking a second goroutine wins back.
 func (c *ConcurrentModel) projectViewsLocked(ctx context.Context, sc *batchScratch, bags []text.Bag) error {
 	epoch := c.epoch.Load()
 	sc.cutViews(len(bags), c.m.K)
@@ -238,10 +236,7 @@ func (c *ConcurrentModel) projectViewsLocked(ctx context.Context, sc *batchScrat
 	if len(sc.missBags) == 0 {
 		return nil
 	}
-	if w := runtime.GOMAXPROCS(0); sc.fan == nil || sc.fan.width() != w {
-		sc.fan = newFanOut(w)
-	}
-	if err := c.m.projectInto(ctx, sc.fan, sc.missBags, sc.missCats); err != nil {
+	if err := c.m.projectInto(ctx, sc.missBags, sc.missCats); err != nil {
 		return err
 	}
 	for j, cat := range sc.missCats {

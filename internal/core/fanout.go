@@ -18,8 +18,8 @@ import (
 //
 // Which goroutine runs a block cannot change what the block computes
 // when the blocks are independent — each reads only what no block
-// writes and writes only its own indices — which is how training and
-// the batch projection use it (DESIGN §6).
+// writes and writes only its own indices — which is how training uses
+// it (DESIGN §6).
 type fanOut struct {
 	n, block int
 	next     atomic.Int64 // the first index no goroutine has claimed

@@ -225,22 +225,18 @@ func (m *Model) SelectForTask(bag text.Bag, candidates []int, k int, rng *randx.
 }
 
 // projectInto projects bags[j] into out[j], whose vectors must have K
-// components, on f's goroutines: a batch of n bags is cut into blocks of
-// ⌈n/width⌉, one per goroutine, each block on one pooled scratch. It
-// returns only after every block has, cancelled or not, so the caller
-// may reuse bags and out.
-func (m *Model) projectInto(ctx context.Context, f *fanOut, bags []text.Bag, out []TaskCategory) error {
-	f.run(len(bags), len(bags), func(_, lo, hi int) {
-		sc := projectScratchPool.Get().(*projectScratch)
-		defer projectScratchPool.Put(sc)
-		for j := lo; j < hi; j++ {
-			if ctx.Err() != nil {
-				return
-			}
-			m.projectTo(sc, bags[j], out[j])
+// components, one after another on one pooled scratch. A cancelled ctx
+// stops it before the next bag and is returned.
+func (m *Model) projectInto(ctx context.Context, bags []text.Bag, out []TaskCategory) error {
+	sc := projectScratchPool.Get().(*projectScratch)
+	defer projectScratchPool.Put(sc)
+	for j, bag := range bags {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	})
-	return ctx.Err()
+		m.projectTo(sc, bag, out[j])
+	}
+	return nil
 }
 
 // Name identifies the algorithm in reports (TDPM, §7.2.1).

@@ -91,26 +91,24 @@ func TestProjectVariancesPositive(t *testing.T) {
 }
 
 // The batch projection behind every cache miss (projectInto) must
-// agree with per-bag Project at any width.
+// agree with per-bag Project.
 func TestProjectAllMatchesProject(t *testing.T) {
 	d, m, _ := trainSmall(t, 4)
 	var inputs []text.Bag
 	for _, task := range d.Tasks[:12] {
 		inputs = append(inputs, task.Bag(d.Vocab))
 	}
-	for _, p := range []int{0, 1, 3, 8} {
-		got := make([]TaskCategory, len(inputs))
-		for i := range got {
-			got[i] = TaskCategory{Lambda: make(linalg.Vector, m.K), Nu2: make(linalg.Vector, m.K)}
-		}
-		if err := m.projectInto(context.Background(), newFanOut(p), inputs, got); err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		for i, bag := range inputs {
-			want := m.Project(bag)
-			if !slices.Equal(got[i].Lambda, want.Lambda) || !slices.Equal(got[i].Nu2, want.Nu2) {
-				t.Fatalf("p=%d: projection %d differs", p, i)
-			}
+	got := make([]TaskCategory, len(inputs))
+	for i := range got {
+		got[i] = TaskCategory{Lambda: make(linalg.Vector, m.K), Nu2: make(linalg.Vector, m.K)}
+	}
+	if err := m.projectInto(context.Background(), inputs, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, bag := range inputs {
+		want := m.Project(bag)
+		if !slices.Equal(got[i].Lambda, want.Lambda) || !slices.Equal(got[i].Nu2, want.Nu2) {
+			t.Fatalf("projection %d differs", i)
 		}
 	}
 }

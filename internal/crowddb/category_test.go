@@ -172,9 +172,11 @@ func TestMetricsOmitSelectionLegsOffFleet(t *testing.T) {
 // rankings are cut from the request's pooled arena and the response is
 // appended straight from them, with no response DTO and no reflection,
 // 46 since every server is fenced and each response carries the two
-// fencing gossip headers. The fence is 44 plus 4, which per-task
-// rankings, id slices or the encoder coming back would cross.
-const selectionsHandlerAllocFence = 48
+// fencing gossip headers, 25 since the body is scanned in place and its
+// texts tokenized from it, with no decoded strings or slices. The fence
+// is 25 plus 4, which a decoded body, per-task rankings, id slices or
+// the encoder coming back would cross.
+const selectionsHandlerAllocFence = 29
 
 // TestSelectionsHandlerAllocationFence keeps the fleet's DTO fields out
 // of the single-node request: they ride at request and response level
@@ -209,6 +211,61 @@ func TestSelectionsHandlerAllocationFence(t *testing.T) {
 	t.Logf("POST /api/v1/selections, 8 cached texts: %.1f allocations", allocs)
 	if allocs > selectionsHandlerAllocFence {
 		t.Errorf("%.1f allocations per single-node selection, want <= %d", allocs, selectionsHandlerAllocFence)
+	}
+}
+
+// projectingLegAllocFence and projectingLegByteFence bound the
+// projecting leg of a fleet selection — eight cached texts, k = 10,
+// include_scores and include_categories — through Server.ServeHTTP on a
+// recorder: 46 allocations and ≈ 12.2 KB while the leg went through
+// json.Unmarshal, 25 and ≈ 9.4–9.6 KB since it is scanned and its texts
+// are tokenized in place. The fences are the count plus 4 and 10 KB: a
+// decoded body, a text string or a category slice per task would cross
+// them.
+const (
+	projectingLegAllocFence = 29
+	projectingLegByteFence  = 10 << 10
+)
+
+// TestProjectingLegAllocationFence is the allocation gate of the
+// request the projecting shard serves on every fleet selection: its
+// texts are read from the pooled body, and its categories are written
+// from the pooled scratch.
+func TestProjectingLegAllocationFence(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race; run `make allocs`")
+	}
+	mgr, d := managerFixture(t)
+	srv := NewServer(mgr)
+	req := BatchSubmitRequest{IncludeScores: true, IncludeCategories: true}
+	for _, task := range d.Tasks[:8] {
+		req.Tasks = append(req.Tasks, SubmitRequest{Text: strings.Join(task.Tokens, " "), K: 10})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/selections", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("selections = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // project the eight texts once
+
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, serve)
+	runtime.ReadMemStats(&after)
+	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("POST /api/v1/selections, projecting leg of 8 cached texts: %.1f allocations, %.0f bytes", allocs, bytesPerRun)
+	if allocs > projectingLegAllocFence {
+		t.Errorf("%.1f allocations per projecting leg, want <= %d", allocs, projectingLegAllocFence)
+	}
+	if bytesPerRun > projectingLegByteFence {
+		t.Errorf("%.0f bytes per projecting leg, want <= %d", bytesPerRun, projectingLegByteFence)
 	}
 }
 

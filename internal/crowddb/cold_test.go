@@ -122,8 +122,8 @@ func fillCache(tb testing.TB, d *corpus.Dataset, cm *core.ConcurrentModel, srv *
 
 // coldSelectionAllocFence and coldSelectionByteFence bound one POST
 // /api/v1/selections of eight never-seen texts, k = 10, against a full
-// projection cache, through Server.ServeHTTP on a recorder: the decoded
-// body's strings and slices, eight cache keys, and the recorder. Before
+// projection cache, through Server.ServeHTTP on a recorder: eight cache
+// keys, the recorder and the request. Before
 // the text path was
 // made one pass over pooled scratch the same request took 217
 // allocations and 35.7 KB here; 95 and 18.4 KB before the body was
@@ -132,14 +132,17 @@ func fillCache(tb testing.TB, d *corpus.Dataset, cm *core.ConcurrentModel, srv *
 // term and every category was cloned into a slice of its own; 73 and
 // ≈ 11.4 KB while each ranking was a fresh slice and the response went
 // through a DTO and the reflective encoder; 53 and ≈ 9.9 KB before every
-// server was fenced. It takes 55 and ≈ 10.0–10.3 KB, the two more being
-// the fencing gossip headers every response carries.
+// server was fenced; 55 and ≈ 10.0–10.3 KB while encoding/json decoded
+// the body's texts into strings and slices, the two more being the
+// fencing gossip headers every response carries. It takes 33 and
+// ≈ 7.0–7.3 KB since the body is scanned and its texts tokenized in
+// place, and the misses are projected on the request's goroutine.
 // The fences leave room for a collection emptying the pools mid-run, not
-// for a map, a token slice, a cache entry, a category or a ranking per
-// text, nor for that decoder or encoder.
+// for a decoded body, a map, a token slice, a cache entry, a category or
+// a ranking per text, nor for that decoder or encoder.
 const (
-	coldSelectionAllocFence = 57
-	coldSelectionByteFence  = 10<<10 + 512
+	coldSelectionAllocFence = 35
+	coldSelectionByteFence  = 7<<10 + 512
 )
 
 // TestSelectionsColdAllocationFence is the allocation gate of the miss
@@ -173,8 +176,9 @@ func TestSelectionsColdAllocationFence(t *testing.T) {
 
 // TestSelectionsColdAllocationFenceAtWidthTwo holds the cold selection
 // to the same fence at GOMAXPROCS 2, the width the program runs at on a
-// two-core host. testing.AllocsPerRun pins GOMAXPROCS to 1, so the batch
-// projection's fan-out across two goroutines is counted only here, from
+// two-core host. testing.AllocsPerRun pins GOMAXPROCS to 1, so anything
+// the request allocates only at a wider width — a fan-out of the
+// projections, as the batch once had — is counted only here, from
 // runtime.MemStats around a loop of cold selections.
 func TestSelectionsColdAllocationFenceAtWidthTwo(t *testing.T) {
 	if race.Enabled {

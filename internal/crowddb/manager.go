@@ -368,12 +368,24 @@ func (ts *textScratch) release() {
 
 // textBatch is what rankOnly needs of a batch of task texts: each
 // task's requested k and its bag, built straight from the text. The
-// caller releases the scratch once the batch is ranked.
+// batch's ranking call releases the scratch.
 func (m *Manager) textBatch(reqs []TaskSubmission) *textScratch {
 	ts := textScratchPool.Get().(*textScratch)
 	for _, r := range reqs {
 		ts.ks = append(ts.ks, r.K)
 		ts.bags = append(ts.bags, ts.bb.KnownText(m.vocab, r.Text))
+	}
+	return ts
+}
+
+// windowBatch is textBatch over texts read in place — windows of a
+// selections body, task i's k and text being ks[i] and texts[i] — so no
+// text string is ever built.
+func (m *Manager) windowBatch(ks []int, texts [][]byte) *textScratch {
+	ts := textScratchPool.Get().(*textScratch)
+	ts.ks = append(ts.ks, ks...)
+	for _, t := range texts {
+		ts.bags = append(ts.bags, ts.bb.KnownBytes(m.vocab, t))
 	}
 	return ts
 }
@@ -399,7 +411,7 @@ func putArena(a *rank.Arena) {
 func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int, error) {
 	a := arenas.Get().(*rank.Arena)
 	defer putArena(a)
-	ranked, err := m.rankTexts(ctx, a, reqs)
+	ranked, err := m.rankTexts(ctx, a, m.textBatch(reqs))
 	if err != nil {
 		return nil, err
 	}
@@ -409,12 +421,12 @@ func (m *Manager) RankOnly(ctx context.Context, reqs []TaskSubmission) ([][]int,
 // RankOnlyScored is RankOnly keeping the Eq. 1 scores — the text leg
 // of scatter-gather selection. The caller owns the result.
 func (m *Manager) RankOnlyScored(ctx context.Context, reqs []TaskSubmission) ([][]rank.Item, error) {
-	return m.rankTexts(ctx, new(rank.Arena), reqs)
+	return m.rankTexts(ctx, new(rank.Arena), m.textBatch(reqs))
 }
 
-// rankTexts is RankOnlyScored ranking into lists cut from a.
-func (m *Manager) rankTexts(ctx context.Context, a *rank.Arena, reqs []TaskSubmission) ([][]rank.Item, error) {
-	ts := m.textBatch(reqs)
+// rankTexts ranks the text batch ts into lists cut from a, and
+// releases ts.
+func (m *Manager) rankTexts(ctx context.Context, a *rank.Arena, ts *textScratch) ([][]rank.Item, error) {
 	defer ts.release()
 	return m.rankOnly(ctx, ts.ks, func(candidates core.Candidates, k int) ([][]rank.Item, error) {
 		return m.sel.RankBatchScored(ctx, a, ts.bags, candidates, k)
@@ -424,8 +436,7 @@ func (m *Manager) rankTexts(ctx context.Context, a *rank.Arena, reqs []TaskSubmi
 // rankProjected is rankTexts that also appends each task's projected
 // λ_c to lambdas, in task order, and returns the category version they
 // were projected under — the projecting leg of a fleet selection.
-func (m *Manager) rankProjected(ctx context.Context, a *rank.Arena, lambdas []float64, reqs []TaskSubmission) (ranked [][]rank.Item, _ []float64, version string, err error) {
-	ts := m.textBatch(reqs)
+func (m *Manager) rankProjected(ctx context.Context, a *rank.Arena, lambdas []float64, ts *textScratch) (ranked [][]rank.Item, _ []float64, version string, err error) {
 	defer ts.release()
 	ranked, err = m.rankOnly(ctx, ts.ks, func(candidates core.Candidates, k int) (items [][]rank.Item, err error) {
 		items, lambdas, version, err = m.sel.RankBatchProjected(ctx, a, lambdas, ts.bags, candidates, k)

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -78,13 +77,15 @@ func TestSelectionsRefuseNonFiniteScores(t *testing.T) {
 	}
 }
 
-// FuzzScoreOnlyLegMatchesUnmarshal holds the score-only leg's scanner
-// to encoding/json: whatever body it accepts, json.Unmarshal into
-// BatchSubmitRequest accepts too, with the same ks, the same category
-// bits and the same version, and every other field zero. And the
-// scanner is not idle: whenever a body decodes to a leg a router could
-// have sent, the router's own encoding of it is scanned.
-func FuzzScoreOnlyLegMatchesUnmarshal(f *testing.F) {
+// FuzzSelectionsRequestMatchesUnmarshal holds the selections scanner to
+// encoding/json: whatever body it accepts, json.Unmarshal into
+// BatchSubmitRequest accepts too, with the same ks, the same flags, the
+// same category bits and version, each text equal to its window of the
+// body and no workers. And the scanner is not idle: whenever a body
+// decodes to a request a router or a client could have sent with plain
+// texts — ids only, with scores, the projecting leg, the score-only leg
+// — their own encoding of it is scanned.
+func FuzzSelectionsRequestMatchesUnmarshal(f *testing.F) {
 	for _, seed := range []string{
 		`{"tasks":[{"text":"","k":10},{"text":"","k":3}],"categories":[[0.5,-0.25,1e-7],[1e21,-0,5e-324]],"category_version":"0123abcd"}`,
 		`{"tasks":[{"text":"","k":1}],"categories":[[1]],"category_version":"v"}`,
@@ -112,62 +113,103 @@ func FuzzScoreOnlyLegMatchesUnmarshal(f *testing.F) {
 		`{"tasks":[{"text":"","k":1}],"categories":[[]],"category_version":"v"}`,
 		`{"tasks":[{"text":"","k":1}],"categories":[[1]],"category_version":"v"}x`,
 		`{"tasks":[{"text":"","k":1}],"categories":[[1]],"category_version":"v"}{}`,
+		`{"tasks":[{"text":"b trees and hash indexes","k":10},{"text":"a","k":0}]}`,
+		`{"tasks":[{"text":"b trees","k":3}],"include_scores":true}`,
+		`{"tasks":[{"text":"b trees","k":3},{"text":"c# go","k":1}],"include_scores":true,"include_categories":true}`,
+		`{"tasks":[{"text":"say \"b trees\"","k":3}]}`,
+		`{"tasks":[{"text":"caf\u00e9 index","k":3}]}`,
+		`{"tasks":[{"text":"café index","k":3}]}`,
+		`{"tasks":[{"text":"a<b && c>d","k":3}]}`,
+		`{"tasks":[{"text":"a\u003cb \u0026\u0026 c\u003ed","k":3}]}`,
+		`{"tasks":[{"text":"b trees", "k":3}]}`,
+		`{"tasks":[{"text":"b trees","k":3}],"include_scores":false}`,
+		`{"tasks":[{"text":"b trees","k":3}],"include_categories":true}`,
+		`{"tasks":[{"text":"b trees","k":3}],"include_scores":true,"include_categories":false}`,
+		`{"tasks":[{"text":"b trees","k":3}],"model":"x"}`,
+		`{"tasks":[{"text":"b trees","k":3,"workers":[1]}]}`,
+		`{"tasks":[{"k":3,"text":"b trees"}]}`,
+		`{"tasks":[{"text":"","k":3}]}`,
+		`{"tasks":[{"text":"   ","k":3}],"include_scores":true}`,
+		`{"tasks":[{"text":"b trees","k":3}]}x`,
+		`{"tasks":[{"text":"b trees","k":3}],"include_scores":true}` + "\n",
+		`{"tasks":[{"text":"b trees","k":1}],"categories":[[1]],"category_version":"v"}`,
+		`{"tasks":[]}`,
+		`{"tasks":null}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var leg selcodec.Leg
-		if leg.Scan(body) {
+		var scan selcodec.Request
+		if scan.Scan(body) {
 			var req BatchSubmitRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				t.Fatalf("scanned %q, which json.Unmarshal refuses: %v", body, err)
 			}
-			checkLeg(t, body, &leg, req)
+			checkScanned(t, body, &scan, req)
 		}
 		var req BatchSubmitRequest
-		if json.Unmarshal(body, &req) != nil || !routerShaped(req) {
+		if json.Unmarshal(body, &req) != nil || !compactShaped(req) {
 			return
 		}
 		canon, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !leg.Scan(canon) {
-			t.Fatalf("a router's leg %q was not scanned", canon)
+		if !scan.Scan(canon) {
+			t.Fatalf("the compact body %q was not scanned", canon)
 		}
-		checkLeg(t, canon, &leg, req)
+		checkScanned(t, canon, &scan, req)
 	})
 }
 
-// checkLeg holds a scanned leg to what json.Unmarshal decoded.
-func checkLeg(t *testing.T, body []byte, leg *selcodec.Leg, req BatchSubmitRequest) {
+// checkScanned holds a scanned request to what json.Unmarshal decoded.
+func checkScanned(t *testing.T, body []byte, scan *selcodec.Request, req BatchSubmitRequest) {
 	t.Helper()
-	want := BatchSubmitRequest{Categories: req.Categories, CategoryVersion: leg.Version}
-	for _, k := range leg.Ks {
-		want.Tasks = append(want.Tasks, SubmitRequest{K: k})
+	if len(scan.Ks) != len(req.Tasks) || len(scan.Texts) != len(req.Tasks) || scan.WorkersAt != -1 {
+		t.Fatalf("%q: scanned %d ks, %d texts, workers at %d; json.Unmarshal gave %+v", body, len(scan.Ks), len(scan.Texts), scan.WorkersAt, req)
 	}
-	if !reflect.DeepEqual(req.Tasks, want.Tasks) || req.IncludeScores || req.IncludeCategories || req.CategoryVersion != leg.Version {
-		t.Fatalf("%q: scanned ks %v version %q, json.Unmarshal gave %+v", body, leg.Ks, leg.Version, req)
+	for i, task := range req.Tasks {
+		if task.K != scan.Ks[i] || task.Text != string(scan.Texts[i]) || len(task.Workers) > 0 {
+			t.Fatalf("%q: task %d scanned k %d text %q, json.Unmarshal gave %+v", body, i, scan.Ks[i], scan.Texts[i], task)
+		}
 	}
-	if len(leg.Cats) != len(req.Categories) {
-		t.Fatalf("%q: scanned %d categories, json.Unmarshal %d", body, len(leg.Cats), len(req.Categories))
+	if scan.IncludeScores != req.IncludeScores || scan.IncludeCategories != req.IncludeCategories ||
+		scan.ByCategory != (req.Categories != nil || req.CategoryVersion != "") || scan.Version != req.CategoryVersion {
+		t.Fatalf("%q: scanned flags %v %v, by category %v, version %q; json.Unmarshal gave %+v",
+			body, scan.IncludeScores, scan.IncludeCategories, scan.ByCategory, scan.Version, req)
+	}
+	if len(scan.Cats) != len(req.Categories) {
+		t.Fatalf("%q: scanned %d categories, json.Unmarshal %d", body, len(scan.Cats), len(req.Categories))
 	}
 	for i, row := range req.Categories {
-		if !slices.EqualFunc(leg.Cats[i], row, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			t.Fatalf("%q: category %d scanned %v, json.Unmarshal %v", body, i, leg.Cats[i], row)
+		if !slices.EqualFunc(scan.Cats[i], row, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%q: category %d scanned %v, json.Unmarshal %v", body, i, scan.Cats[i], row)
 		}
 	}
 }
 
-// routerShaped reports a request a router's score-only leg could be:
-// tasks with k only, no flags, rows of one non-zero length and a
-// non-empty version json.Marshal writes unescaped.
-func routerShaped(req BatchSubmitRequest) bool {
-	if len(req.Tasks) == 0 || len(req.Categories) == 0 || req.CategoryVersion == "" || req.IncludeScores || req.IncludeCategories {
+// compactShaped reports a request whose json.Marshal encoding the
+// scanner must read: tasks with k only and texts of plain ASCII that
+// json.Marshal writes unescaped, and either the flags of a text request
+// (none, include_scores, or both) or a score-only leg — blank texts, no
+// flags, rows of one non-zero length and a non-empty plain version.
+func compactShaped(req BatchSubmitRequest) bool {
+	if len(req.Tasks) == 0 {
 		return false
 	}
 	for _, t := range req.Tasks {
-		if t.Text != "" || t.Workers != nil || t.K < 0 || t.K > 999999999 {
+		if len(t.Workers) > 0 || t.K < 0 || t.K > 999999999 || !unescaped(t.Text) {
+			return false
+		}
+	}
+	if req.Categories == nil && req.CategoryVersion == "" {
+		return req.IncludeScores || !req.IncludeCategories
+	}
+	if len(req.Categories) == 0 || req.CategoryVersion == "" || !unescaped(req.CategoryVersion) || req.IncludeScores || req.IncludeCategories {
+		return false
+	}
+	for _, t := range req.Tasks {
+		if t.Text != "" {
 			return false
 		}
 	}
@@ -176,7 +218,13 @@ func routerShaped(req BatchSubmitRequest) bool {
 			return false
 		}
 	}
-	for _, c := range []byte(req.CategoryVersion) {
+	return true
+}
+
+// unescaped reports a string json.Marshal writes verbatim: printable
+// ASCII but the quote, the backslash and the HTML-escaped <, > and &.
+func unescaped(s string) bool {
+	for _, c := range []byte(s) {
 		if c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
 			return false
 		}
@@ -257,11 +305,13 @@ func FuzzSelectionsResponseMatchesEncoder(f *testing.F) {
 // selections scratch, the rank arenas and the ids copied out of them
 // (run it under -race). Eight clients send, concurrently and in random
 // order, every form of POST /api/v1/selections — ids only, with scores,
-// the projecting leg, the score-only leg as a router writes it (scanned)
-// and with whitespace (decoded) — and each response must equal, byte for
-// byte, the one the node gave to that body alone. Beside them, crowds
-// SubmitBatch assigned and rankings RankOnly and RankOnlyScored returned
-// must not change while later selections reuse the pools.
+// the projecting leg and the score-only leg, each as a router writes it
+// (scanned) and with whitespace (decoded) — and each response must
+// equal, byte for byte, the one the node gave to that body alone, which
+// equals the one it gave the body's twin by the other route. Beside
+// them, crowds SubmitBatch assigned and rankings RankOnly and
+// RankOnlyScored returned must not change while later selections reuse
+// the pools.
 func TestSelectionsPoolIsNotShared(t *testing.T) {
 	mgr, d := managerFixture(t)
 	srv := NewServer(mgr)
@@ -272,6 +322,7 @@ func TestSelectionsPoolIsNotShared(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(36))
 	var bodies [][]byte
+	var twins []int // bodies[i] and bodies[i+1] are one request, scanned and decoded
 	var batches [][]TaskSubmission
 	for b := 0; b < 6; b++ {
 		var req BatchSubmitRequest
@@ -289,7 +340,16 @@ func TestSelectionsPoolIsNotShared(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bodies = append(bodies, body)
+			var scan selcodec.Request
+			if !scan.Scan(body) {
+				t.Fatalf("the compact body %q is not scanned", body)
+			}
+			indented, err := json.MarshalIndent(req, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			twins = append(twins, len(bodies))
+			bodies = append(bodies, indented, body)
 		}
 		code, body := serve(bodies[len(bodies)-1])
 		var projected SelectionsResponse
@@ -304,7 +364,7 @@ func TestSelectionsPoolIsNotShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scan selcodec.Leg
+		var scan selcodec.Request
 		if !scan.Scan(scanned) {
 			t.Fatalf("the router's leg %q is not scanned", scanned)
 		}
@@ -312,6 +372,7 @@ func TestSelectionsPoolIsNotShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		twins = append(twins, len(bodies))
 		bodies = append(bodies, scanned, indented)
 	}
 	want := make([][]byte, len(bodies))
@@ -321,6 +382,11 @@ func TestSelectionsPoolIsNotShared(t *testing.T) {
 			t.Fatalf("%s = %d %s", body, code, resp)
 		}
 		want[i] = bytes.Clone(resp)
+	}
+	for _, i := range twins {
+		if !bytes.Equal(want[i], want[i+1]) {
+			t.Fatalf("one request answered %s decoded and %s scanned", want[i], want[i+1])
+		}
 	}
 	wantRanked := make([][][]rank.Item, len(batches))
 	for i, batch := range batches {

@@ -959,13 +959,14 @@ type SelectionsResponse struct {
 }
 
 // selectionsScratch is the working set of one POST /api/v1/selections,
-// pooled: the body it read, a score-only leg scanned from it, the
-// rankings, the projected categories and the response bytes. The
-// response is written before the scratch is released, so only the wire
-// bytes leave it.
+// pooled: the body it read, the request parsed from it, the texts of a
+// body encoding/json decoded, the rankings, the projected categories and
+// the response bytes. The response is written before the scratch is
+// released, so only the wire bytes leave it.
 type selectionsScratch struct {
 	body    bytes.Buffer
-	leg     selcodec.Leg
+	req     selcodec.Request
+	text    []byte // a decoded body's texts, which req.Texts window
 	arena   rank.Arena
 	lambdas []float64   // the projecting leg's λ_c, K per task
 	rows    [][]float64 // views of lambdas, one per task
@@ -978,11 +979,77 @@ var selectionsPool = sync.Pool{New: func() any { return new(selectionsScratch) }
 // past what a pool keeps (maxPooledBody, maxPooledItems): one huge
 // request is not kept for every later one.
 func (sc *selectionsScratch) release() {
-	if sc.body.Cap() > maxPooledBody || cap(sc.out) > maxPooledBody || sc.arena.Cap() > maxPooledItems {
+	if sc.body.Cap() > maxPooledBody || cap(sc.text) > maxPooledBody || cap(sc.out) > maxPooledBody || sc.arena.Cap() > maxPooledItems {
 		return
 	}
 	clear(sc.rows)
+	clear(sc.req.Cats)
 	selectionsPool.Put(sc)
+}
+
+// parse reads the request's body into sc.req by one of the two decode
+// routes: a compact body is scanned in place (selcodec.Request.Scan),
+// and every other body is decoded as decodeJSON decodes it and copied
+// into the same form — its texts into sc.text, the one copy only this
+// route makes. On failure it writes the error and reports false.
+func (sc *selectionsScratch) parse(w http.ResponseWriter, r *http.Request) bool {
+	readErr := readBody(&sc.body, r)
+	if readErr == nil && sc.req.Scan(sc.body.Bytes()) {
+		return true
+	}
+	var dec BatchSubmitRequest
+	if !decodeBody(w, r, &sc.body, readErr, &dec) {
+		return false
+	}
+	req := &sc.req
+	req.Ks, req.Texts, req.WorkersAt, sc.text = req.Ks[:0], req.Texts[:0], -1, sc.text[:0]
+	for i, t := range dec.Tasks {
+		// A window cut before sc.text grew keeps the old array, whose
+		// bytes the growth does not change.
+		start := len(sc.text)
+		sc.text = append(sc.text, t.Text...)
+		req.Ks, req.Texts = append(req.Ks, t.K), append(req.Texts, sc.text[start:len(sc.text):len(sc.text)])
+		if len(t.Workers) > 0 && req.WorkersAt < 0 {
+			req.WorkersAt = i
+		}
+	}
+	req.IncludeScores, req.IncludeCategories = dec.IncludeScores, dec.IncludeCategories
+	req.ByCategory = dec.Categories != nil || dec.CategoryVersion != ""
+	req.Cats, req.Version = append(req.Cats[:0], dec.Categories...), dec.CategoryVersion
+	return true
+}
+
+// checkSelection is the one validation of a selections body, whichever
+// route parsed it. A text request needs texts that are not blank, no
+// preassigned workers, and include_scores beside include_categories; a
+// score-only leg needs a category version and no text or workers.
+func checkSelection(req *selcodec.Request) error {
+	if err := checkBatchSize(len(req.Ks)); err != nil {
+		return refuse(ErrBadRequest, "%v", err)
+	}
+	if req.ByCategory {
+		if req.Version == "" {
+			return refuse(ErrBadRequest, "categories need a category_version")
+		}
+		for i, text := range req.Texts {
+			if len(text) > 0 || i == req.WorkersAt {
+				return refuse(ErrBadRequest, "task index %d: categories replace text and workers", i)
+			}
+		}
+		return nil
+	}
+	for i, text := range req.Texts {
+		if len(bytes.TrimSpace(text)) == 0 {
+			return refuse(ErrBadRequest, "empty task text at index %d", i)
+		}
+	}
+	if req.WorkersAt >= 0 {
+		return refuse(ErrBadRequest, "task index %d: a selection ranks its crowd; preassigned workers belong on tasks:batch", req.WorkersAt)
+	}
+	if req.IncludeCategories && !req.IncludeScores {
+		return refuse(ErrBadRequest, "include_categories needs include_scores")
+	}
+	return nil
 }
 
 // writeSelections is the one writer of a selections response, for all
@@ -1007,42 +1074,23 @@ func writeSelections(w http.ResponseWriter, sc *selectionsScratch, ranked [][]ra
 // degraded read-only mode — the property the paper's selection queries
 // need (§5.3: a selection needs only the last committed projection).
 //
-// A body a fleet router sends as a score-only leg is scanned straight
-// into the scratch (selcodec.Leg.Scan); every other body is decoded as
-// decodeJSON decodes it.
+// Every body is parsed into one form (selectionsScratch.parse), checked
+// once (checkSelection) and ranked by its texts — tokenized straight
+// from the body — or, on a fleet's score-only leg, by its categories.
 func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 	sc := selectionsPool.Get().(*selectionsScratch)
 	defer sc.release()
+	if !sc.parse(w, r) {
+		return
+	}
+	req := &sc.req
+	if err := checkSelection(req); err != nil {
+		writeErr(w, r, err)
+		return
+	}
 	mgr := s.tenantFor(r).Manager
-	readErr := readBody(&sc.body, r)
-	if readErr == nil && sc.leg.Scan(sc.body.Bytes()) {
-		s.selectByCategory(w, r, mgr, sc, &sc.leg, nil)
-		return
-	}
-	var req BatchSubmitRequest
-	if !decodeBody(w, r, &sc.body, readErr, &req) {
-		return
-	}
-	if req.Categories != nil || req.CategoryVersion != "" {
-		leg := selcodec.Leg{Ks: make([]int, len(req.Tasks)), Cats: req.Categories, Version: req.CategoryVersion}
-		for i, t := range req.Tasks {
-			leg.Ks[i] = t.K
-		}
-		s.selectByCategory(w, r, mgr, sc, &leg, req.Tasks)
-		return
-	}
-	reqs, ok := s.batchSubmissions(w, req)
-	if !ok {
-		return
-	}
-	for i, t := range reqs {
-		if len(t.Workers) > 0 {
-			writeErr(w, r, refuse(ErrBadRequest, "task index %d: a selection ranks its crowd; preassigned workers belong on tasks:batch", i))
-			return
-		}
-	}
-	if req.IncludeCategories && !req.IncludeScores {
-		writeErr(w, r, refuse(ErrBadRequest, "include_categories needs include_scores"))
+	if req.ByCategory {
+		s.selectByCategory(w, r, mgr, sc)
 		return
 	}
 	var (
@@ -1050,10 +1098,11 @@ func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 		version string
 		err     error
 	)
+	ts := mgr.windowBatch(req.Ks, req.Texts)
 	if req.IncludeCategories {
-		ranked, sc.lambdas, version, err = mgr.rankProjected(r.Context(), &sc.arena, sc.lambdas[:0], reqs)
+		ranked, sc.lambdas, version, err = mgr.rankProjected(r.Context(), &sc.arena, sc.lambdas[:0], ts)
 	} else {
-		ranked, err = mgr.rankTexts(r.Context(), &sc.arena, reqs)
+		ranked, err = mgr.rankTexts(r.Context(), &sc.arena, ts)
 	}
 	if err != nil {
 		writeErr(w, r, err)
@@ -1079,24 +1128,9 @@ func (s *Server) handleSelections(w http.ResponseWriter, r *http.Request) {
 
 // selectByCategory answers the score-only leg of a fleet selection: the
 // request names no text, only the categories another shard projected
-// and the version it projected them under. tasks is the decoded body's
-// task list, nil for a scanned leg, which carries no text or workers.
-func (s *Server) selectByCategory(w http.ResponseWriter, r *http.Request, mgr *Manager, sc *selectionsScratch, leg *selcodec.Leg, tasks []SubmitRequest) {
-	err := checkBatchSize(len(leg.Ks))
-	if err == nil && leg.Version == "" {
-		err = errors.New("categories need a category_version")
-	}
-	if err != nil {
-		writeErr(w, r, refuse(ErrBadRequest, "%v", err))
-		return
-	}
-	for i, t := range tasks {
-		if t.Text != "" || len(t.Workers) > 0 {
-			writeErr(w, r, refuse(ErrBadRequest, "task index %d: categories replace text and workers", i))
-			return
-		}
-	}
-	ranked, err := mgr.rankCategories(r.Context(), &sc.arena, leg.Ks, leg.Cats, leg.Version)
+// and the version it projected them under.
+func (s *Server) selectByCategory(w http.ResponseWriter, r *http.Request, mgr *Manager, sc *selectionsScratch) {
+	ranked, err := mgr.rankCategories(r.Context(), &sc.arena, sc.req.Ks, sc.req.Cats, sc.req.Version)
 	if err != nil {
 		if errors.Is(err, core.ErrCategoryVersion) {
 			s.metrics.observeSelectionLeg(legMismatch)

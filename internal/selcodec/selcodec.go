@@ -1,11 +1,14 @@
 // Package selcodec is the hand codec of POST /api/v1/selections, the
-// request a fleet sends every shard on every selection. AppendResponse
+// request every selection and every fleet leg sends. AppendResponse
 // writes each selections response byte for byte as encoding/json would,
-// straight from rankings held in a rank.Arena; Leg.Scan reads the
-// score-only leg a router sends into one flat slice. Neither allocates
-// once its caller's buffers have grown, and the scanner accepts only the
-// one compact shape a router writes: every other body is left to
-// encoding/json, so the wire is the one encoding/json defines.
+// straight from rankings held in a rank.Arena; Request.Scan reads every
+// compact body — a plain text request, the same with include_scores or
+// with include_scores and include_categories, and the score-only leg —
+// in place: texts as windows of the body, categories into one flat
+// slice. Neither allocates once its caller's buffers have grown, and the
+// scanner accepts only the compact shapes json.Marshal writes of plain
+// ASCII: every other body is left to encoding/json, so the wire is the
+// one encoding/json defines.
 package selcodec
 
 import (
@@ -132,71 +135,109 @@ func plain(c byte) bool {
 	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-// Leg is the score-only leg of a fleet selection: each task's requested
-// k, one category vector per task, and the category version they were
-// projected under. A Leg is reused across bodies: Cats are views into
-// one flat slice it keeps.
-type Leg struct {
-	Ks      []int
-	Cats    [][]float64
-	Version string
-	flat    []float64
+// Request is a selections body as the server reads it, whichever
+// route decoded it: each task's requested k and text, the two flags
+// and, on the score-only leg of a fleet selection, one category vector
+// per task and the version they were projected under. A Request is
+// reused across bodies. After Scan, Texts are windows of the scanned
+// body and Cats views into one flat slice the Request keeps: neither
+// outlives the body nor the next Scan.
+type Request struct {
+	Ks                []int
+	Texts             [][]byte
+	IncludeScores     bool
+	IncludeCategories bool
+	// ByCategory marks the score-only leg: the body named categories or
+	// a category version, which replace the texts.
+	ByCategory bool
+	Cats       [][]float64
+	Version    string
+	// WorkersAt is the index of the first task naming preassigned
+	// workers, -1 if none; a scanned body names none.
+	WorkersAt int
+
+	flat        []float64
+	lastVersion string // the version a pooled Request scanned last
 }
 
-// Scan reads body into l when it is exactly the compact form a router's
-// json.Marshal writes,
+// Scan reads body into r when it is exactly one of the compact forms a
+// router's or a client's json.Marshal writes,
 //
+//	{"tasks":[{"text":"T","k":N},…]}
+//	{"tasks":[{"text":"T","k":N},…],"include_scores":true}
+//	{"tasks":[{"text":"T","k":N},…],"include_scores":true,"include_categories":true}
 //	{"tasks":[{"text":"","k":N},…],"categories":[[x,…],…],"category_version":"v"}
 //
-// with each k a plain non-negative integer of at most nine digits, each
-// x a number in strict JSON grammar that strconv.ParseFloat — which
-// encoding/json calls too — reads without a range error, every row of
-// one non-zero length, and a version of printable ASCII with no escape,
-// and reports whether it did. l then holds, bit for bit, what
-// json.Unmarshal decodes from body into crowddb.BatchSubmitRequest. On
-// any other body it reports false and l's contents are unspecified:
-// such a body — whitespace, other key orders or casing, duplicate or
-// unknown keys, escapes, null, ragged rows, numbers out of range,
-// trailing bytes — is for encoding/json to decode or refuse.
-func (l *Leg) Scan(body []byte) bool {
+// with each T and v printable ASCII with no escape — bytes that decode
+// to themselves, so each window of Texts is byte for byte the string
+// encoding/json would decode —, each k a plain non-negative integer of
+// at most nine digits, each x a number in strict JSON grammar that
+// strconv.ParseFloat — which encoding/json calls too — reads without a
+// range error and every row of one non-zero length, and reports whether
+// it did. r then holds what json.Unmarshal decodes from body into
+// crowddb.BatchSubmitRequest, category bits included. On any other body
+// it reports false and r's contents are unspecified: such a body —
+// whitespace, other key orders or casing, duplicate or unknown keys,
+// escapes, non-ASCII, false flags, null, ragged rows, numbers out of
+// range, trailing bytes — is for encoding/json to decode or refuse.
+func (r *Request) Scan(body []byte) bool {
 	s := scanner{b: body}
-	l.Ks, l.Cats, l.flat = l.Ks[:0], l.Cats[:0], l.flat[:0]
+	r.Ks, r.Texts, r.Cats, r.flat = r.Ks[:0], r.Texts[:0], r.Cats[:0], r.flat[:0]
+	r.IncludeScores, r.IncludeCategories, r.ByCategory, r.Version, r.WorkersAt = false, false, false, "", -1
 	if !s.lit(`{"tasks":[`) {
 		return false
 	}
+	blank := true
 	for more := true; more; {
-		if !s.lit(`{"text":"","k":`) {
+		if !s.lit(`{"text":"`) {
+			return false
+		}
+		text := s.plain()
+		if !s.lit(`","k":`) {
 			return false
 		}
 		k, ok := s.int()
 		if !ok || !s.lit("}") {
 			return false
 		}
-		l.Ks = append(l.Ks, k)
+		r.Ks, r.Texts = append(r.Ks, k), append(r.Texts, text)
+		blank = blank && len(text) == 0
 		if more, ok = s.next(); !ok {
 			return false
 		}
 	}
-	if !s.lit(`,"categories":[`) {
-		return false
+	switch {
+	case s.lit(`,"include_scores":true`):
+		r.IncludeScores = true
+		r.IncludeCategories = s.lit(`,"include_categories":true`)
+	case s.lit(`,"categories":[`):
+		if !blank || !r.scanCategories(&s) {
+			return false
+		}
 	}
+	return s.lit("}") && s.i == len(s.b)
+}
+
+// scanCategories reads the score-only leg's rows and version, from the
+// first row to the version's closing quote, into r.
+func (r *Request) scanCategories(s *scanner) bool {
 	dim := 0
 	for more := true; more; {
 		if !s.lit("[") {
 			return false
 		}
-		start := len(l.flat)
+		start := len(r.flat)
 		for inRow := true; inRow; {
 			x, ok := s.float()
 			if !ok {
 				return false
 			}
-			l.flat = append(l.flat, x)
+			r.flat = append(r.flat, x)
 			if inRow, ok = s.next(); !ok {
 				return false
 			}
 		}
-		if n := len(l.flat) - start; dim == 0 {
+		if n := len(r.flat) - start; dim == 0 {
 			dim = n
 		} else if n != dim {
 			return false
@@ -209,19 +250,16 @@ func (l *Leg) Scan(body []byte) bool {
 	if !s.lit(`,"category_version":"`) {
 		return false
 	}
-	start := s.i
-	for s.i < len(s.b) && plainInString(s.b[s.i]) {
-		s.i++
-	}
-	version := s.b[start:s.i]
-	if !s.lit(`"}`) || s.i != len(s.b) {
+	version := s.plain()
+	if !s.lit(`"`) {
 		return false
 	}
-	if string(version) != l.Version { // a version a pooled Leg saw last costs no string
-		l.Version = string(version)
+	if string(version) != r.lastVersion { // a version a pooled Request saw last costs no string
+		r.lastVersion = string(version)
 	}
-	for i := 0; i < len(l.flat); i += dim {
-		l.Cats = append(l.Cats, l.flat[i:i+dim:i+dim])
+	r.ByCategory, r.Version = true, r.lastVersion
+	for i := 0; i < len(r.flat); i += dim {
+		r.Cats = append(r.Cats, r.flat[i:i+dim:i+dim])
 	}
 	return true
 }
@@ -238,6 +276,17 @@ func plainInString(c byte) bool {
 type scanner struct {
 	b []byte
 	i int
+}
+
+// plain consumes the bytes of a string for which plainInString holds
+// and returns them, a window of the body that appending cannot write
+// through.
+func (s *scanner) plain() []byte {
+	start := s.i
+	for s.i < len(s.b) && plainInString(s.b[s.i]) {
+		s.i++
+	}
+	return s.b[start:s.i:s.i]
 }
 
 // lit consumes lit if the body continues with it.

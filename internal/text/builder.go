@@ -41,10 +41,27 @@ func (b *BagBuilder) Reset() {
 // and each token is looked up as bytes, so no lower-cased copy of s and
 // no token string is ever built. (An invalid UTF-8 byte decodes to
 // U+FFFD, a separator — as it does after strings.ToLower.)
-func (b *BagBuilder) KnownText(v *Vocabulary, s string) Bag {
+func (b *BagBuilder) KnownText(v *Vocabulary, s string) Bag { return known(b, v, s) }
+
+// KnownBytes is KnownText(v, string(s)) without the string: the bag of
+// a text read in place, such as a window of a request body.
+func (b *BagBuilder) KnownBytes(v *Vocabulary, s []byte) Bag { return known(b, v, s) }
+
+// known is the one body of KnownText and KnownBytes. It walks s by
+// index, as a range over a string would decode it: an ASCII byte is its
+// own rune, and any other rune is decoded from a copy of at most
+// utf8.UTFMax bytes on the stack — converting a []byte tail to a string
+// would allocate.
+func known[T string | []byte](b *BagBuilder, v *Vocabulary, s T) Bag {
 	start := len(b.ids)
 	tok := b.tok[:0]
-	for _, r := range s {
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			var buf [utf8.UTFMax]byte
+			r, size = utf8.DecodeRune(buf[:copy(buf[:], s[i:])])
+		}
+		i += size
 		if r = unicode.ToLower(r); !isSeparator(r) {
 			tok = utf8.AppendRune(tok, r)
 			continue

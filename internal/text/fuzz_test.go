@@ -98,7 +98,8 @@ func equalBags(a, b Bag) bool {
 // FuzzBagOfText: for arbitrary text the one-pass builder returns,
 // element for element, the bag of NewBagKnown(v, Tokenize(s)) and of
 // the map-based reference — whatever the builder held before, and
-// without disturbing a bag it cut earlier.
+// without disturbing a bag it cut earlier — and KnownBytes of the same
+// bytes, invalid UTF-8 included, returns the bag KnownText does.
 func FuzzBagOfText(f *testing.F) {
 	v := NewVocabulary()
 	for _, term := range []string{
@@ -137,6 +138,9 @@ func FuzzBagOfText(f *testing.F) {
 		b.Reset()
 		if again := b.KnownText(v, s); !equalBags(again, want) {
 			t.Fatalf("KnownText(%q) on a reset builder = %+v, want %+v", s, again, want)
+		}
+		if raw := b.KnownBytes(v, []byte(s)); !equalBags(raw, want) {
+			t.Fatalf("KnownBytes(%q) = %+v, KnownText %+v", s, raw, want)
 		}
 	})
 }
