@@ -77,16 +77,11 @@ func TestSelectionsRefuseNonFiniteScores(t *testing.T) {
 	}
 }
 
-// FuzzSelectionsRequestMatchesUnmarshal holds the selections scanner to
-// encoding/json: whatever body it accepts, json.Unmarshal into
-// BatchSubmitRequest accepts too, with the same ks, the same flags, the
-// same category bits and version, each text equal to its window of the
-// body and no workers. And the scanner is not idle: whenever a body
-// decodes to a request a router or a client could have sent with plain
-// texts — ids only, with scores, the projecting leg, the score-only leg
-// — their own encoding of it is scanned.
-func FuzzSelectionsRequestMatchesUnmarshal(f *testing.F) {
-	for _, seed := range []string{
+// FuzzScoreOnlyLegMatchesUnmarshal runs the selections scanner's oracle
+// (fuzzSelectionsRequest) from the score-only leg's corpus: a router's
+// blank-text body with its categories and version, and its near misses.
+func FuzzScoreOnlyLegMatchesUnmarshal(f *testing.F) {
+	fuzzSelectionsRequest(f, []string{
 		`{"tasks":[{"text":"","k":10},{"text":"","k":3}],"categories":[[0.5,-0.25,1e-7],[1e21,-0,5e-324]],"category_version":"0123abcd"}`,
 		`{"tasks":[{"text":"","k":1}],"categories":[[1]],"category_version":"v"}`,
 		`{"tasks":[{"text":"","k":0}],"categories":[[0]],"category_version":""}`,
@@ -113,6 +108,15 @@ func FuzzSelectionsRequestMatchesUnmarshal(f *testing.F) {
 		`{"tasks":[{"text":"","k":1}],"categories":[[]],"category_version":"v"}`,
 		`{"tasks":[{"text":"","k":1}],"categories":[[1]],"category_version":"v"}x`,
 		`{"tasks":[{"text":"","k":1}],"categories":[[1]],"category_version":"v"}{}`,
+	})
+}
+
+// FuzzSelectionsRequestMatchesUnmarshal runs the same oracle from the
+// text requests' corpus: ids only, with scores, the projecting leg, and
+// their near misses (escapes, non-ASCII, whitespace, false flags,
+// unknown keys, blank texts, trailing bytes).
+func FuzzSelectionsRequestMatchesUnmarshal(f *testing.F) {
+	fuzzSelectionsRequest(f, []string{
 		`{"tasks":[{"text":"b trees and hash indexes","k":10},{"text":"a","k":0}]}`,
 		`{"tasks":[{"text":"b trees","k":3}],"include_scores":true}`,
 		`{"tasks":[{"text":"b trees","k":3},{"text":"c# go","k":1}],"include_scores":true,"include_categories":true}`,
@@ -135,7 +139,19 @@ func FuzzSelectionsRequestMatchesUnmarshal(f *testing.F) {
 		`{"tasks":[{"text":"b trees","k":1}],"categories":[[1]],"category_version":"v"}`,
 		`{"tasks":[]}`,
 		`{"tasks":null}`,
-	} {
+	})
+}
+
+// fuzzSelectionsRequest holds the selections scanner to encoding/json:
+// whatever body it accepts, json.Unmarshal into BatchSubmitRequest
+// accepts too, with the same ks, the same flags, the same category bits
+// and version, each text equal to its window of the body and no
+// workers. And the scanner is not idle: whenever a body decodes to a
+// request a router or a client could have sent with plain texts — ids
+// only, with scores, the projecting leg, the score-only leg — their own
+// encoding of it is scanned.
+func fuzzSelectionsRequest(f *testing.F, seeds []string) {
+	for _, seed := range seeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
