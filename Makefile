@@ -198,10 +198,11 @@ fleet:
 
 # The tenancy suite (DESIGN.md §13) under the race detector: alias
 # equivalence, tenant isolation, quota shedding, journal stamping and
-# cross-tenant refusal, interleaved crash recovery, the two-tenant
-# failover drill, and the README/route-table agreement check.
+# cross-tenant refusal, interleaved crash recovery, the slice
+# constructor's refusals, a tenant added to a restored node, the
+# two-tenant failover drill, and the README/route-table agreement check.
 tenants:
-	$(GO) test -race -run 'TestTenant|TestValidTenantName|TestSplitTenantPath|TestUnknownTenant|TestNewValidatesTheDescription|TestMultiTenant|TestClientTenant|TestDefaultJournalHasNoTenantStamps|TestAPIReferenceMatchesMux|TestErrorEnvelope|TestGateMatrixByClass|TestMetricsLabel|TestChaosTenantFailover|TestParseTenantsFlag|TestBuildServiceTenants|TestBootGateEnvelope' -v ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/ ./cmd/crowdd/
+	$(GO) test -race -run 'TestTenant|TestOpenTenant|TestValidTenantName|TestSplitTenantPath|TestUnknownTenant|TestNewValidatesTheDescription|TestMultiTenant|TestClientTenant|TestDefaultJournalHasNoTenantStamps|TestAPIReferenceMatchesMux|TestErrorEnvelope|TestGateMatrixByClass|TestMetricsLabel|TestChaosTenantFailover|TestParseTenantsFlag|TestBuildServiceTenants|TestBootGateEnvelope' -v ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/ ./cmd/crowdd/
 
 # The integrity suite (DESIGN.md §14) under the race detector: digest
 # determinism across replay/replication/compaction, the background
@@ -216,14 +217,15 @@ scrub:
 # The backup & disaster-recovery suite (DESIGN.md §15) under the race
 # detector: archive round-trip, incremental chains, point-in-time
 # restore, resume-after-interrupt, typed refusals of damaged archives,
-# offline verification against tampering, the slow-disk latency
+# offline verification against tampering and of a sharded node's
+# archive, the slow-disk latency
 # regression, and the chaos drill (primary killed mid-backup, stream
 # resumed, restore proven digest-identical with every acked mutation
 # exactly once), a refused restore leaving
 # its destination as found, and the one generation writer's stamps
 # (a compaction's sidecar digests are the hashes of its files).
 backup:
-	$(GO) test -race -run 'TestBackup|TestVerifyBackup|TestCompactionRotatesGenerations|TestSlowFsyncUnderIntervalStaysHealthy|TestFaultfsLatencyInjection|TestChaosBackupRestoreDrill' -v ./internal/crowddb/ ./internal/chaos/
+	$(GO) test -race -run 'TestBackup|TestVerifyBackupProvesAndRefutes|TestVerifyBackupShardedArchive|TestCompactionRotatesGenerations|TestSlowFsyncUnderIntervalStaysHealthy|TestFaultfsLatencyInjection|TestChaosBackupRestoreDrill' -v ./internal/crowddb/ ./internal/chaos/
 
 # Regenerate the README's two generated tables: the API reference from
 # the server's route registrations and the error codes from the server's

@@ -92,8 +92,6 @@ import (
 	"syscall"
 	"time"
 
-	"crowdselect/internal/core"
-	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowdclient"
 	"crowdselect/internal/crowddb"
 	"crowdselect/internal/fleet"
@@ -669,23 +667,7 @@ func runVerifyBackup(args []string, out io.Writer) error {
 	if *quiet {
 		logf = nil
 	}
-	// crowdd's builder: the archive carries its dataset, so the boot
-	// reconstructs the full manager stack and recomputes the model
-	// digest for real. No digest depends on the crowd size (3).
-	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("archive dataset: %w", err)
-		}
-		cm := core.NewConcurrentModel(model)
-		mgr, err := crowddb.NewManager(store, d.Vocab, cm, 3)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mgr, cm, nil
-	}
 	rep, err := crowddb.VerifyBackup(archives, crowddb.VerifyBackupOptions{
-		Build:      build,
 		ScratchDir: *scratch,
 		Logf:       logf,
 	})

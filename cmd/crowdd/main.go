@@ -297,25 +297,13 @@ func run(cfg daemonConfig) error {
 		return err
 	}
 	gate.srv.Store(srv)
-	log.Printf("crowd-selection service ready on %s (%d tenants, %d workers online)", ln.Addr(), len(srv.Tenants()), slices[0].mgr.Store().NumOnline())
+	log.Printf("crowd-selection service ready on %s (%d tenants, %d workers online)", ln.Addr(), len(srv.Tenants()), slices[0].Manager.Store().NumOnline())
 
 	err = serveErr(<-errc)
-	// Shut down default tenant first: every follower stream stops
-	// before the DBs it shares are touched, then each DB compacts, so
-	// the next boot restores without replay, and closes.
+	// Each slice stops its stream, compacts, so the next boot restores
+	// without replay, and closes.
 	for _, sl := range slices {
-		if sl.rep != nil {
-			sl.rep.Stop()
-		}
-	}
-	for _, sl := range slices {
-		if sl.db == nil {
-			continue
-		}
-		if cerr := sl.db.Compact(); cerr != nil {
-			log.Printf("tenant %s: shutdown compaction failed: %v", sl.name, cerr)
-		}
-		if cerr := sl.db.Close(); cerr != nil && err == nil {
+		if cerr := sl.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -381,29 +369,6 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
-// slice is one tenant's vertical slice as the daemon assembles it; the
-// default tenant is a slice like any other (DESIGN §13).
-type slice struct {
-	name   string
-	db     *crowddb.DB      // nil without -data-dir
-	rep    *crowddb.Replica // nil unless -replica-of
-	d      *corpus.Dataset  // the seed dataset, until buildNode is done
-	cm     *core.ConcurrentModel
-	mgr    *crowddb.Manager
-	digest crowddb.DigestFunc      // nil without a data dir
-	src    *crowddb.TransferSource // set by registerSlice; nil without a data dir
-}
-
-// close releases the slice's data directory (and follower stream).
-func (sl *slice) close() {
-	switch {
-	case sl.rep != nil:
-		sl.rep.Close()
-	case sl.db != nil:
-		sl.db.Close()
-	}
-}
-
 // trainSeed is the default tenant's fresh start: the -data or -profile
 // dataset and a TDPM model trained on its resolved tasks.
 func trainSeed(cfg daemonConfig) (d *corpus.Dataset, model *core.Model, err error) {
@@ -448,240 +413,79 @@ func cloneModel(m *core.Model) (*core.Model, error) {
 	return core.LoadModel(&buf)
 }
 
-// openSlice opens one tenant's slice, the default tenant at the
-// -data-dir root and a named one at <data-dir>/tenants/<name>. On a
-// primary an existing directory restores its dataset and model
-// checkpoint and replays its journal (no retraining); a fresh or
-// in-memory one starts from seed and, when durable, snapshots
-// generation 1. Under -replica-of the directory follows the primary's
-// stream for that tenant instead. Either way the manager carries the
-// shard identity and the tenant stamp before any record is replayed or
-// journaled: both shape replay.
-func openSlice(cfg daemonConfig, name string, seed func() (*corpus.Dataset, *core.Model, error)) (_ *slice, err error) {
-	sl := &slice{name: name}
-	defer func() {
-		if err != nil {
-			sl.close()
-		}
-	}()
-	dir := cfg.dataDir
-	if dir != "" && name != crowddb.DefaultTenant {
-		dir = filepath.Join(dir, "tenants", name)
-	}
-	dbOpts := crowddb.Options{
-		Sync:                cfg.sync,
-		CompactEveryRecords: cfg.compactEvery,
-		ScrubInterval:       cfg.scrubEvery,
-		Logf:                log.Printf,
-	}
-	// An explicit ConcurrentModel so the durability layer can
-	// checkpoint posteriors consistently while requests are served.
-	stack := func(d *corpus.Dataset, model *core.Model, store *crowddb.Store) (err error) {
-		sl.d, sl.cm = d, core.NewConcurrentModel(model)
-		if sl.mgr, err = crowddb.NewManager(store, d.Vocab, sl.cm, cfg.crowdK); err != nil {
-			return err
-		}
-		// Shard and tenant are set before any mutation is journaled or
-		// replayed.
-		sl.mgr.SetShard(cfg.shard)
-		sl.mgr.SetTenant(name)
-		return nil
-	}
-	// build boots a written generation (crowddb.DB.RecoverWith): its
-	// dataset is the vocabulary source.
-	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("data dir has state but no dataset: %w", err)
-		}
-		err = stack(d, model, store)
-		return sl.mgr, sl.cm, err
-	}
-
-	if cfg.replicaOf != "" {
-		log.Printf("tenant %s: starting replica stream from %s", name, cfg.replicaOf)
-		sl.rep, err = crowddb.StartReplica(crowddb.ReplicaOptions{
-			Primary:    cfg.replicaOf,
-			Tenant:     name,
-			Dir:        dir,
-			DB:         dbOpts,
-			Build:      build,
-			FleetToken: cfg.fleetToken,
-			Logf:       log.Printf,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// The follower's digest cut doubles as its own heartbeat payload
-		// for chained standbys and as the verify endpoint's answer.
-		sl.db, sl.digest = sl.rep.DB(), sl.rep.Digest
-		return sl, nil
-	}
-
-	store := crowddb.NewStore()
-	if dir != "" {
-		if sl.db, err = crowddb.Open(dir, dbOpts); err != nil {
-			return nil, err
-		}
-		store = sl.db.Store()
-	}
-	if sl.db != nil && !sl.db.Fresh() {
-		log.Printf("tenant %s: restoring generation %d from %s", name, sl.db.Generation(), dir)
-		if _, _, err := sl.db.RecoverWith(build); err != nil {
-			return nil, err
-		}
-	} else {
-		d, model, err := seed()
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range d.Workers {
-			if _, err := store.AddWorker(w.ID, fmt.Sprintf("worker-%04d", w.ID)); err != nil {
-				return nil, err
-			}
-		}
-		if err := stack(d, model, store); err != nil {
-			return nil, err
-		}
-		if sl.db == nil {
-			return sl, nil
-		}
-		sl.db.SetModelSnapshotter(sl.cm.Save)
-		sl.db.SetQuiescer(sl.mgr.Quiesce)
-		// The dataset is the vocabulary source on restart; persist it
-		// before the first snapshot commits the directory.
-		if err := d.SaveFile(sl.db.DatasetPath()); err != nil {
-			return nil, err
-		}
-		if err := sl.db.Begin(); err != nil {
-			return nil, err
-		}
-	}
-	// Heartbeats carry the digest so followers can anti-entropy check
-	// themselves (DESIGN §14); the same cut serves GET /api/v1/digest
-	// and stamps every backup archive (DESIGN §15).
-	sl.digest = crowddb.NewDigestCutter(sl.db, sl.mgr).Func()
-	return sl, nil
-}
-
-// registerSlice turns an opened slice into its tenant's part of the
-// node description; this and TenantConfig are the only places a
-// per-tenant facility is added. A durable slice can feed warm standbys
-// and backups on a follower too: after promotion the remaining standbys
-// re-point at it, and a backup taken off a standby stays off the
-// primary's serving path.
-func registerSlice(cfg daemonConfig, sl *slice, fence *crowddb.Fence) (crowddb.TenantConfig, error) {
-	engine, err := crowdql.NewEngine(sl.mgr)
-	if err != nil {
-		return crowddb.TenantConfig{}, err
-	}
-	tc := crowddb.TenantConfig{
-		Name:        sl.name,
-		Manager:     sl.mgr,
-		Query:       crowdql.HTTPAdapter{Engine: engine},
-		MaxInflight: cfg.tenantQuota,
-	}
-	if sl.db != nil {
-		sl.src = crowddb.NewTransferSource(sl.db, fence, sl.digest, crowddb.TransferSourceOptions{Logf: log.Printf})
-		tc.Degraded, tc.Digest, tc.ReplicationSource, tc.Backup = sl.db.Degraded, sl.digest, sl.src.Stream(), sl.src.Segment()
-	}
-	return tc, nil
-}
-
-// buildNode assembles the node: a slice for the default tenant and one
-// per -tenants name, described to one server whose node-level state
-// (fence, topology, role, status sections) reads off the default slice.
-// A fresh named tenant is seeded with the default tenant's dataset and
-// a clone of its model: every crowd shares one latent space until its
-// own feedback diverges it. A follower (-replica-of) needs -data-dir.
-// On error every opened slice is closed.
-func buildNode(cfg daemonConfig) (_ *crowddb.Server, slices []*slice, err error) {
+// buildNode assembles the node: a slice for the default tenant (at the
+// -data-dir root) and one per -tenants name (at
+// <data-dir>/tenants/<name>), described to one server. A fresh named
+// tenant is seeded with the default tenant's dataset and a clone of its
+// model: every crowd shares one latent space until its own feedback
+// diverges it. A follower (-replica-of) needs -data-dir. On error every
+// opened slice is closed.
+func buildNode(cfg daemonConfig) (_ *crowddb.Server, slices []*crowddb.Tenant, err error) {
 	if cfg.replicaOf != "" && cfg.dataDir == "" {
 		return nil, nil, errors.New("-replica-of requires -data-dir")
 	}
 	defer func() {
 		if err != nil {
 			for _, sl := range slices {
-				sl.close()
+				sl.Close()
 			}
 		}
 	}()
-	seed := func() (*corpus.Dataset, *core.Model, error) {
+	// The seed dataset lives only while the slices are built: the
+	// default tenant's training set, or its directory's on a restart.
+	var seedData *corpus.Dataset
+	seed := func() (d *corpus.Dataset, model *core.Model, err error) {
 		if len(slices) == 0 {
-			return trainSeed(cfg)
+			seedData, model, err = trainSeed(cfg)
+			return seedData, model, err
 		}
-		model, err := cloneModel(slices[0].cm.Unwrap())
-		return slices[0].d, model, err
+		if seedData == nil {
+			if seedData, err = corpus.LoadFile(slices[0].DB.DatasetPath()); err != nil {
+				return nil, nil, err
+			}
+		}
+		model, err = cloneModel(slices[0].Model.Unwrap())
+		return seedData, model, err
 	}
 	for _, name := range append([]string{crowddb.DefaultTenant}, cfg.tenants...) {
-		sl, err := openSlice(cfg, name, seed)
+		dir := cfg.dataDir
+		if dir != "" && name != crowddb.DefaultTenant {
+			dir = filepath.Join(dir, "tenants", name)
+		}
+		sl, err := crowddb.OpenTenant(crowddb.SliceConfig{
+			Name: name, Dir: dir, ReplicaOf: cfg.replicaOf,
+			Shard: cfg.shard, CrowdK: cfg.crowdK, FleetToken: cfg.fleetToken,
+			DB: crowddb.Options{
+				Sync:                cfg.sync,
+				CompactEveryRecords: cfg.compactEvery,
+				ScrubInterval:       cfg.scrubEvery,
+				Logf:                log.Printf,
+			},
+			Seed: seed,
+			Logf: log.Printf,
+		})
 		if err != nil {
 			return nil, slices, fmt.Errorf("tenant %s: %w", name, err)
 		}
 		slices = append(slices, sl)
-		log.Printf("tenant %s ready (%d workers online)", name, sl.mgr.Store().NumOnline())
-	}
-	// The dataset only seeds fresh tenants: run holds the slices until
-	// shutdown, and must not hold the training set with them.
-	for _, sl := range slices {
-		sl.d = nil
+		log.Printf("tenant %s ready (%d workers online)", name, sl.Manager.Store().NumOnline())
 	}
 
-	def := slices[0]
-	node := crowddb.NodeConfig{
-		Fence:      crowddb.NewFence(def.db),
-		FleetToken: cfg.fleetToken,
-		Topology:   seedTopology(cfg),
-		Logf:       log.Printf,
-		// Adaptive AIMD between the floor and the flag's ceiling; the
-		// limit starts at the ceiling and backs off on deadline overruns.
-		// -max-inflight 0 runs no controller.
-		Admission:   crowddb.AdmissionConfig{Min: cfg.admissionMin, Max: cfg.maxInflight},
-		ReadBudget:  cfg.readBudget,
-		WriteBudget: cfg.writeBudget,
-		MaxBody:     cfg.maxBody,
-		CacheStats:  def.cm.CacheStats,
-	}
-	for _, sl := range slices {
-		tc, err := registerSlice(cfg, sl, node.Fence)
+	node := slices[0].Node(slices[1:]...)
+	for i := range node.Tenants {
+		engine, err := crowdql.NewEngine(node.Tenants[i].Manager)
 		if err != nil {
-			return nil, slices, fmt.Errorf("tenant %s: %w", sl.name, err)
+			return nil, slices, fmt.Errorf("tenant %s: %w", node.Tenants[i].Name, err)
 		}
-		node.Tenants = append(node.Tenants, tc)
+		node.Tenants[i].Query = crowdql.HTTPAdapter{Engine: engine}
+		node.Tenants[i].MaxInflight = cfg.tenantQuota
 	}
-	switch {
-	case def.db == nil:
-	case def.rep == nil:
-		node.Durability, node.Integrity, node.Replication = def.db.Stats, def.db.ScrubStats, def.src.Status
-	default:
-		// A follower serves read-only behind the role gate; its status
-		// sections merge the stream's view with the local scrubber and the
-		// divergence state machine.
-		node.Durability, node.Role = def.db.Stats, crowddb.RoleReplica
-		node.Integrity = func() crowddb.IntegritySnapshot {
-			is := def.db.ScrubStats()
-			st := def.rep.Status()
-			is.Diverged, is.Divergences, is.Repairs = st.Diverged, st.Divergences, st.Repairs
-			return is
-		}
-		node.Replication = func() crowddb.ReplicationStatus {
-			st := def.rep.Status()
-			st.Followers = def.src.Followers()
-			return st
-		}
-		// Promote every tenant's stream; the node-level role flips only
-		// after all succeed, so a failover never strands a namespace.
-		// Replica.Promote is idempotent on success, so a retried promotion
-		// re-drives only the tenants that failed.
-		node.Promoter = func(ctx context.Context) error {
-			for _, sl := range slices {
-				if err := sl.rep.Promote(ctx); err != nil {
-					return fmt.Errorf("tenant %s: %w", sl.name, err)
-				}
-			}
-			return nil
-		}
-	}
+	node.FleetToken, node.Topology, node.Logf = cfg.fleetToken, seedTopology(cfg), log.Printf
+	// Adaptive AIMD between the floor and the flag's ceiling; the limit
+	// starts at the ceiling and backs off on deadline overruns.
+	// -max-inflight 0 runs no controller.
+	node.Admission = crowddb.AdmissionConfig{Min: cfg.admissionMin, Max: cfg.maxInflight}
+	node.ReadBudget, node.WriteBudget, node.MaxBody = cfg.readBudget, cfg.writeBudget, cfg.maxBody
 	srv, err := crowddb.New(node)
 	return srv, slices, err
 }

@@ -27,10 +27,10 @@ func testConfig() daemonConfig {
 
 // durableDBs lists a built node's data directories, default tenant
 // first.
-func durableDBs(slices []*slice) (dbs []*crowddb.DB) {
+func durableDBs(slices []*crowddb.Tenant) (dbs []*crowddb.DB) {
 	for _, sl := range slices {
-		if sl.db != nil {
-			dbs = append(dbs, sl.db)
+		if sl.DB != nil {
+			dbs = append(dbs, sl.DB)
 		}
 	}
 	return dbs
@@ -44,7 +44,7 @@ func TestBuildServiceServes(t *testing.T) {
 	if len(durableDBs(slices)) != 0 {
 		t.Fatal("in-memory config produced a durable DB")
 	}
-	if slices[0].mgr.Store().NumOnline() == 0 {
+	if slices[0].Manager.Store().NumOnline() == 0 {
 		t.Fatal("no workers online")
 	}
 	srv := httptest.NewServer(handler)
@@ -170,7 +170,7 @@ func TestBuildServicePersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer durableDBs(slices2)[0].Close()
-	if slices2[0].mgr.Store().NumOnline() == 0 {
+	if slices2[0].Manager.Store().NumOnline() == 0 {
 		t.Fatal("no workers online after restart")
 	}
 	srv2 := httptest.NewServer(handler2)

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"crowdselect/internal/crowddb"
 )
 
 // TestNodeWireShapeByMode pins what each crowdd mode answers: the
@@ -107,7 +109,7 @@ func TestNodeWireShapeByMode(t *testing.T) {
 		}
 	}
 
-	boot := func(cfg daemonConfig) (*httptest.Server, []*slice) {
+	boot := func(cfg daemonConfig) (*httptest.Server, []*crowddb.Tenant) {
 		t.Helper()
 		srv, slices, err := buildNode(cfg)
 		if err != nil {
@@ -115,9 +117,9 @@ func TestNodeWireShapeByMode(t *testing.T) {
 		}
 		return httptest.NewServer(srv), slices
 	}
-	closeNode := func(ts *httptest.Server, slices []*slice) {
+	closeNode := func(ts *httptest.Server, slices []*crowddb.Tenant) {
 		for _, sl := range slices {
-			sl.close()
+			sl.Close()
 		}
 		ts.CloseClientConnections()
 		ts.Close()

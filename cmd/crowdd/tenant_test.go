@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -192,6 +194,63 @@ func TestBuildServiceTenantsDurable(t *testing.T) {
 	}
 	if rec.Text != "durable acme question" {
 		t.Fatalf("restored acme task text = %q", rec.Text)
+	}
+}
+
+// TestBuildServiceTenantsAddedToRestoredNode: a tenant named only on a
+// restart is seeded from the restored default slice, whose training set
+// is gone by then: the directory's dataset gives its workers, and it
+// starts from a byte-equal clone of the default's restored model,
+// feedback included.
+func TestBuildServiceTenantsAddedToRestoredNode(t *testing.T) {
+	cfg := testConfig()
+	cfg.dataDir = t.TempDir()
+	_, slices, err := buildNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := slices[0].Manager
+	sub, err := mgr.SubmitTask(context.Background(), "feedback the restored model carries", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make(map[int]float64, len(sub.Workers))
+	for i, w := range sub.Workers {
+		if err := mgr.CollectAnswer(sub.Task.ID, w, "an answer"); err != nil {
+			t.Fatal(err)
+		}
+		scores[w] = float64(5 - i)
+	}
+	if _, err := mgr.ResolveTask(context.Background(), sub.Task.ID, scores); err != nil {
+		t.Fatal(err)
+	}
+	if err := slices[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.tenants = []string{"acme"}
+	_, slices, err = buildNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, sl := range slices {
+			sl.Close()
+		}
+	}()
+	def, acme := slices[0], slices[1]
+	if got, want := acme.Manager.Store().NumWorkers(), def.Manager.Store().NumWorkers(); got != want || got == 0 {
+		t.Fatalf("acme seeded with %d workers, want the default's %d", got, want)
+	}
+	var want, got bytes.Buffer
+	if err := def.Model.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := acme.Model.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("acme's model is not a clone of the default's restored model")
 	}
 }
 

@@ -24,69 +24,29 @@ import (
 // backupNode is a primary that can die and be rebooted over the same
 // data directory — the unit of the disaster-recovery drill.
 type backupNode struct {
-	db     *crowddb.DB
-	mgr    *crowddb.Manager
-	cm     *core.ConcurrentModel
-	cutter *crowddb.DigestCutter
-	ts     *httptest.Server
-	kill   func()
+	db   *crowddb.DB
+	mgr  *crowddb.Manager
+	cm   *core.ConcurrentModel
+	cut  crowddb.DigestFunc
+	ts   *httptest.Server
+	kill func()
 }
 
-// bootBackupNode opens (or re-opens after a crash) a primary in dir
-// with the backup endpoint wired, mirroring cmd/crowdd's service mode.
+// bootBackupNode opens (or re-opens after a crash) a primary in dir,
+// served as crowdd serves it, backup endpoint included.
 func bootBackupNode(t *testing.T, dir string, d *corpus.Dataset, m *core.Model) *backupNode {
 	t.Helper()
-	db, err := crowddb.Open(dir, crowddb.Options{Sync: crowddb.SyncAlways()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		cm  *core.ConcurrentModel
-		mgr *crowddb.Manager
-	)
-	if !db.Fresh() {
-		mgr, cm, err = db.RecoverWith(func(_ string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-			cm := core.NewConcurrentModel(model)
-			mgr, err := crowddb.NewManager(store, d.Vocab, cm, 2)
-			return mgr, cm, err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		cm = core.NewConcurrentModel(m)
-		for i := range d.Workers {
-			if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.SaveFile(db.DatasetPath()); err != nil {
-			t.Fatal(err)
-		}
-		if mgr, err = crowddb.NewManager(db.Store(), d.Vocab, cm, 2); err != nil {
-			t.Fatal(err)
-		}
-		db.SetModelSnapshotter(cm.Save)
-		db.SetQuiescer(mgr.Quiesce)
-		if err := db.Begin(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cutter := crowddb.NewDigestCutter(db, mgr)
-	fence := crowddb.NewFence(db)
-	bsrc := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{Logf: t.Logf})
-	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: mgr, Digest: cutter.Func(), Backup: bsrc.Segment()},
-		crowddb.NodeConfig{Fence: fence}))
+	sl := openTenant(t, crowddb.SliceConfig{Dir: dir, DB: crowddb.Options{Sync: crowddb.SyncAlways()}, Seed: seedOf(d, m)})
+	ts := serve(t, sl.Node())
 	var once sync.Once
 	kill := func() {
 		once.Do(func() {
 			ts.CloseClientConnections()
 			ts.Close()
-			db.Close()
+			sl.DB.Close()
 		})
 	}
-	t.Cleanup(kill)
-	return &backupNode{db: db, mgr: mgr, cm: cm, cutter: cutter, ts: ts, kill: kill}
+	return &backupNode{db: sl.DB, mgr: sl.Manager, cm: sl.Model, cut: sl.Digest, ts: ts, kill: kill}
 }
 
 // resolveAcked pushes n tasks end to end through the client and
@@ -109,23 +69,7 @@ func resolveAcked(t *testing.T, multi *crowdclient.Multi, acked map[int]string, 
 // mutation exactly once, serve selections identical to the source's,
 // and the archive must verify offline.
 func TestChaosBackupRestoreDrill(t *testing.T) {
-	p := corpus.Quora().Scaled(0.03)
-	p.Seed = 11
-	d := corpus.MustGenerate(p)
-	var tasks []core.ResolvedTask
-	for _, task := range d.Tasks {
-		rt := core.ResolvedTask{Bag: task.Bag(d.Vocab)}
-		for _, r := range task.Responses {
-			rt.Responses = append(rt.Responses, core.Scored{Worker: r.Worker, Score: r.Score})
-		}
-		tasks = append(tasks, rt)
-	}
-	cfg := core.NewConfig(5)
-	cfg.MaxIter = 5
-	m, _, err := core.Train(tasks, len(d.Workers), d.Vocab.Size(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, m := drillSeed(t, 11)
 
 	dir := t.TempDir()
 	node := bootBackupNode(t, dir, d, m)
@@ -244,7 +188,7 @@ func TestChaosBackupRestoreDrill(t *testing.T) {
 
 	// Digest equality bit for bit at the backup seq: the restored node's
 	// cut against the digests the source stamped into the manifest.
-	gotCut, err := restored.cutter.Cut()
+	gotCut, err := restored.cut()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,19 +245,7 @@ func TestChaosBackupRestoreDrill(t *testing.T) {
 	resolveVia(t, context.Background(), multi3, "first question taken after the restore")
 
 	// The same archive proves itself offline, with a full model replay.
-	build := func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		ld, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		cm := core.NewConcurrentModel(model)
-		mgr, err := crowddb.NewManager(store, ld.Vocab, cm, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mgr, cm, nil
-	}
-	rep, err := crowddb.VerifyBackup([]string{file}, crowddb.VerifyBackupOptions{Build: build})
+	rep, err := crowddb.VerifyBackup([]string{file}, crowddb.VerifyBackupOptions{})
 	if err != nil {
 		t.Fatalf("offline verify of the drill archive: %v", err)
 	}

@@ -31,8 +31,18 @@ type rig struct {
 // durability options and serves it over httptest.
 func newRig(t *testing.T, opts crowddb.Options) *rig {
 	t.Helper()
+	d, m := drillSeed(t, 11)
+	opts.Clock = testClock(t)
+	sl := openTenant(t, crowddb.SliceConfig{Dir: t.TempDir(), DB: opts, Seed: seedOf(d, m)})
+	return &rig{db: sl.DB, mgr: sl.Manager, ts: serve(t, sl.Node())}
+}
+
+// drillSeed generates the drills' small Quora-shaped dataset under
+// seed and trains a TDPM model on its resolved tasks.
+func drillSeed(t *testing.T, seed int64) (*corpus.Dataset, *core.Model) {
+	t.Helper()
 	p := corpus.Quora().Scaled(0.03)
-	p.Seed = 11
+	p.Seed = seed
 	d := corpus.MustGenerate(p)
 	var tasks []core.ResolvedTask
 	for _, task := range d.Tasks {
@@ -48,47 +58,50 @@ func newRig(t *testing.T, opts crowddb.Options) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	opts.Clock = testClock(t)
-	db, err := crowddb.Open(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d.Workers {
-		if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cm := core.NewConcurrentModel(m)
-	mgr, err := crowddb.NewManager(db.Store(), d.Vocab, cm, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetModelSnapshotter(cm.Save)
-	db.SetQuiescer(mgr.Quiesce)
-	if err := db.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded}, crowddb.NodeConfig{Durability: db.Stats}))
-	t.Cleanup(func() {
-		ts.Close()
-		db.Close()
-	})
-	return &rig{db: db, mgr: mgr, ts: ts}
+	return d, m
 }
 
-// newNode is crowddb.New for the drills: def is the default tenant (its
-// name filled in), cfg the rest of the node. A refused description
-// fails the test.
-func newNode(t *testing.T, def crowddb.TenantConfig, cfg crowddb.NodeConfig) *crowddb.Server {
+// seedOf is a fresh slice's seed: d's workers and vocabulary, and m.
+func seedOf(d *corpus.Dataset, m *core.Model) func() (*corpus.Dataset, *core.Model, error) {
+	return func() (*corpus.Dataset, *core.Model, error) { return d, m, nil }
+}
+
+// openTenant opens a drill's slice through crowddb.OpenTenant, as crowdd
+// opens its tenants, at crowd size 2. When the test ends the slice is
+// closed as a crash would leave it: the stream stopped and the
+// directory closed, nothing compacted.
+func openTenant(t *testing.T, cfg crowddb.SliceConfig) *crowddb.Tenant {
 	t.Helper()
-	def.Name = crowddb.DefaultTenant
-	cfg.Tenants = append([]crowddb.TenantConfig{def}, cfg.Tenants...)
-	srv, err := crowddb.New(cfg)
+	cfg.CrowdK = 2
+	sl, err := crowddb.OpenTenant(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv
+	t.Cleanup(func() {
+		if sl.Replica != nil {
+			sl.Replica.Close()
+		} else {
+			sl.DB.Close()
+		}
+	})
+	return sl
+}
+
+// serve serves node over httptest. Drills describe it as crowdd's
+// buildNode does, with crowddb.Tenant.Node over the slices they opened.
+// The server closes before the slices do.
+func serve(t *testing.T, node crowddb.NodeConfig) *httptest.Server {
+	t.Helper()
+	srv, err := crowddb.New(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.CloseClientConnections()
+		ts.Close()
+	})
+	return ts
 }
 
 // allTasks gathers every task row regardless of status.

@@ -29,68 +29,25 @@ type replRig struct {
 	d     *corpus.Dataset
 	ts    *httptest.Server
 	fence *crowddb.Fence
+	sl    *crowddb.Tenant
 }
 
 // newReplPrimary boots a durable primary whose dataset is persisted
 // (followers bootstrap from it) and whose server streams the journal.
 func newReplPrimary(t *testing.T) *replRig {
 	t.Helper()
-	p := corpus.Quora().Scaled(0.03)
-	p.Seed = 11
-	d := corpus.MustGenerate(p)
-	var tasks []core.ResolvedTask
-	for _, task := range d.Tasks {
-		rt := core.ResolvedTask{Bag: task.Bag(d.Vocab)}
-		for _, r := range task.Responses {
-			rt.Responses = append(rt.Responses, core.Scored{Worker: r.Worker, Score: r.Score})
-		}
-		tasks = append(tasks, rt)
-	}
-	cfg := core.NewConfig(5)
-	cfg.MaxIter = 5
-	m, _, err := core.Train(tasks, len(d.Workers), d.Vocab.Size(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways(), ScrubInterval: pollStep, Clock: testClock(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d.Workers {
-		if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cm := core.NewConcurrentModel(m)
-	mgr, err := crowddb.NewManager(db.Store(), d.Vocab, cm, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetModelSnapshotter(cm.Save)
-	db.SetQuiescer(mgr.Quiesce)
-	if err := d.SaveFile(db.DatasetPath()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	fence := crowddb.NewFence(db)
-	cutter := crowddb.NewDigestCutter(db, mgr)
-	src := crowddb.NewTransferSource(db, fence, cutter.Func(), crowddb.TransferSourceOptions{})
-	ts := httptest.NewServer(newNode(t,
-		crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded, Digest: cutter.Func(), ReplicationSource: src.Stream()},
-		crowddb.NodeConfig{Durability: db.Stats, Fence: fence, Integrity: db.ScrubStats, Replication: src.Status}))
-	t.Cleanup(func() {
-		ts.CloseClientConnections()
-		ts.Close()
-		db.Close()
+	d, m := drillSeed(t, 11)
+	sl := openTenant(t, crowddb.SliceConfig{
+		Dir:  t.TempDir(),
+		DB:   crowddb.Options{Sync: crowddb.SyncAlways(), ScrubInterval: pollStep, Clock: testClock(t)},
+		Seed: seedOf(d, m),
 	})
-	return &replRig{db: db, mgr: mgr, cm: cm, d: d, ts: ts, fence: fence}
+	node := sl.Node()
+	return &replRig{db: sl.DB, mgr: sl.Manager, cm: sl.Model, d: d, ts: serve(t, node), fence: node.Fence, sl: sl}
 }
 
 // follower is a warm standby a drill started, beside the serving stack
-// its builder assembled: the manager it serves and the model it keeps
+// its slice holds: the manager it serves and the model it keeps
 // current.
 type follower struct {
 	*crowddb.Replica
@@ -98,39 +55,23 @@ type follower struct {
 	cm  *core.ConcurrentModel
 }
 
-// builder is cmd/crowdd's replica builder in miniature, for shard sp; it
-// keeps the stack it builds in f.
-func (f *follower) builder(sp crowddb.ShardSpec) crowddb.ReplicaBuilder {
-	return func(datasetPath string, model *core.Model, store *crowddb.Store) (*crowddb.Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		f.cm = core.NewConcurrentModel(model)
-		if f.mgr, err = crowddb.NewManager(store, d.Vocab, f.cm, 2); err != nil {
-			return nil, nil, err
-		}
-		f.mgr.SetShard(sp)
-		return f.mgr, f.cm, nil
-	}
-}
-
-// startReplica starts a follower with opts, its builder included.
-func startReplica(t *testing.T, opts crowddb.ReplicaOptions, sp crowddb.ShardSpec) *follower {
+// startReplica opens a follower slice of name under shard sp, streaming
+// from primaryURL into dir.
+func startReplica(t *testing.T, primaryURL, name, dir string, sp crowddb.ShardSpec) (*follower, *crowddb.Tenant) {
 	t.Helper()
-	f := &follower{}
-	opts.Build = f.builder(sp)
-	rep, err := crowddb.StartReplica(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Replica = rep
-	return f
+	sl := openTenant(t, crowddb.SliceConfig{
+		Name:      name,
+		Dir:       dir,
+		ReplicaOf: primaryURL,
+		Shard:     sp,
+		DB:        crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
+	})
+	return &follower{Replica: sl.Replica, mgr: sl.Manager, cm: sl.Model}, sl
 }
 
 // startFollower runs a warm standby streaming from primaryURL, served
-// read-only over httptest with promotion wired, mirroring cmd/crowdd's
-// replica mode.
+// read-only over httptest with promotion wired, as cmd/crowdd's replica
+// mode serves it.
 func startFollower(t *testing.T, primaryURL string) (*follower, *httptest.Server) {
 	t.Helper()
 	return startFollowerDir(t, primaryURL, t.TempDir())
@@ -138,28 +79,13 @@ func startFollower(t *testing.T, primaryURL string) (*follower, *httptest.Server
 
 // startFollowerDir is startFollower with a caller-owned data
 // directory, so drills can stop a follower, damage its at-rest files,
-// and restart it over the same state.
+// and restart it over the same state. A promoted standby feeds
+// followers of its own: the healed fleet re-converges by re-pointing at
+// the winner.
 func startFollowerDir(t *testing.T, primaryURL, dir string) (*follower, *httptest.Server) {
 	t.Helper()
-	rep := startReplica(t, crowddb.ReplicaOptions{
-		Primary: primaryURL,
-		Dir:     dir,
-		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
-	}, crowddb.ShardSpec{})
-	fence := crowddb.NewFence(rep.DB())
-	// A promoted standby must be able to feed followers of its own —
-	// the healed fleet re-converges by re-pointing at the winner.
-	src := crowddb.NewTransferSource(rep.DB(), fence, rep.Digest, crowddb.TransferSourceOptions{})
-	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: rep.mgr, Digest: rep.Digest, ReplicationSource: src.Stream()},
-		crowddb.NodeConfig{
-			Role: crowddb.RoleReplica, Durability: rep.DB().Stats, Replication: rep.Status, Promoter: rep.Promote, Fence: fence,
-		}))
-	t.Cleanup(func() {
-		ts.CloseClientConnections()
-		ts.Close()
-		rep.Close()
-	})
-	return rep, ts
+	rep, sl := startReplica(t, primaryURL, crowddb.DefaultTenant, dir, crowddb.ShardSpec{})
+	return rep, serve(t, sl.Node())
 }
 
 // clocks holds each top-level test's manual clock (testClock).

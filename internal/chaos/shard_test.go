@@ -29,23 +29,7 @@ type shardRig struct {
 // primaries over it, topology epoch 1 installed on every node.
 func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 	t.Helper()
-	p := corpus.Quora().Scaled(0.03)
-	p.Seed = 23
-	d := corpus.MustGenerate(p)
-	var tasks []core.ResolvedTask
-	for _, task := range d.Tasks {
-		rt := core.ResolvedTask{Bag: task.Bag(d.Vocab)}
-		for _, r := range task.Responses {
-			rt.Responses = append(rt.Responses, core.Scored{Worker: r.Worker, Score: r.Score})
-		}
-		tasks = append(tasks, rt)
-	}
-	cfg := core.NewConfig(5)
-	cfg.MaxIter = 5
-	trained, _, err := core.Train(tasks, len(d.Workers), d.Vocab.Size(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, trained := drillSeed(t, 23)
 
 	rigs := make([]*shardRig, count)
 	doc := crowddb.Topology{Epoch: 1, Count: count}
@@ -58,42 +42,14 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w := range d.Workers {
-			if _, err := db.Store().AddWorker(w, fmt.Sprintf("w%d", w)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cm := core.NewConcurrentModel(m)
-		mgr, err := crowddb.NewManager(db.Store(), d.Vocab, cm, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgr.SetShard(crowddb.ShardSpec{Index: i, Count: count})
-		db.SetModelSnapshotter(cm.Save)
-		db.SetQuiescer(mgr.Quiesce)
-		if err := d.SaveFile(db.DatasetPath()); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		fence := crowddb.NewFence(db)
-		src := crowddb.NewTransferSource(db, fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{})
-		ts := httptest.NewServer(newNode(t,
-			crowddb.TenantConfig{Manager: mgr, Degraded: db.Degraded, ReplicationSource: src.Stream()},
-			crowddb.NodeConfig{Durability: db.Stats, Fence: fence, Replication: src.Status}))
-		rig := &shardRig{db: db, mgr: mgr, cm: cm, ts: ts}
-		rigs[i] = rig
-		doc.Shards = append(doc.Shards, crowddb.ShardAddr{Index: i, URL: ts.URL})
-		t.Cleanup(func() {
-			ts.CloseClientConnections()
-			ts.Close()
-			db.Close()
+		sl := openTenant(t, crowddb.SliceConfig{
+			Dir:   t.TempDir(),
+			Shard: crowddb.ShardSpec{Index: i, Count: count},
+			DB:    crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
+			Seed:  seedOf(d, m),
 		})
+		rigs[i] = &shardRig{db: sl.DB, mgr: sl.Manager, cm: sl.Model, ts: serve(t, sl.Node())}
+		doc.Shards = append(doc.Shards, crowddb.ShardAddr{Index: i, URL: rigs[i].ts.URL})
 	}
 	for i, rig := range rigs {
 		setter := crowdclient.New(rig.ts.URL, crowdclient.Options{Timeout: 5 * time.Second})
@@ -109,20 +65,8 @@ func newShardFleet(t *testing.T, count int) (*corpus.Dataset, []*shardRig) {
 // under the same shard filter as its primary.
 func startShardFollower(t *testing.T, primaryURL string, sp crowddb.ShardSpec) (*follower, *httptest.Server) {
 	t.Helper()
-	rep := startReplica(t, crowddb.ReplicaOptions{
-		Primary: primaryURL,
-		Dir:     t.TempDir(),
-		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
-	}, sp)
-	ts := httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: rep.mgr}, crowddb.NodeConfig{
-		Role: crowddb.RoleReplica, Durability: rep.DB().Stats, Replication: rep.Status, Promoter: rep.Promote,
-	}))
-	t.Cleanup(func() {
-		ts.CloseClientConnections()
-		ts.Close()
-		rep.Close()
-	})
-	return rep, ts
+	rep, sl := startReplica(t, primaryURL, crowddb.DefaultTenant, t.TempDir(), sp)
+	return rep, serve(t, sl.Node())
 }
 
 // resolveViaRouter drives one task end to end through the shard-aware

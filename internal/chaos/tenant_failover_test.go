@@ -28,23 +28,11 @@ type tenantPrimary struct {
 }
 
 // newTenantPrimary extends newReplPrimary's stack with an acme tenant:
-// a second durable DB stamped "acme", seeded from a clone of the
-// default tenant's trained model, registered on the same server.
+// a second durable slice seeded from the default tenant's dataset and a
+// clone of its trained model, served beside it by one server.
 func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	t.Helper()
 	p := &tenantPrimary{def: newReplPrimary(t)}
-	d := p.def.d
-
-	db, err := crowddb.Open(t.TempDir(), crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Store().SetTenant("acme")
-	for i := range d.Workers {
-		if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var buf bytes.Buffer
 	if err := p.def.cm.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -53,87 +41,27 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := core.NewConcurrentModel(m)
-	mgr, err := crowddb.NewManager(db.Store(), d.Vocab, cm, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.SetTenant("acme")
-	db.SetModelSnapshotter(cm.Save)
-	db.SetQuiescer(mgr.Quiesce)
-	if err := d.SaveFile(db.DatasetPath()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	// Fencing is node-level; tenants share it.
-	src := crowddb.NewTransferSource(db, p.def.fence, crowddb.NewDigestCutter(db, mgr).Func(), crowddb.TransferSourceOptions{})
-
-	// Rebuild the HTTP shell so both tenants hang off one listener —
-	// newReplPrimary already started a server for the default tenant,
-	// but a node is described whole, so serve a fresh one.
-	defSrc := crowddb.NewTransferSource(p.def.db, p.def.fence, crowddb.NewDigestCutter(p.def.db, p.def.mgr).Func(), crowddb.TransferSourceOptions{})
-	ts := httptest.NewServer(newNode(t,
-		crowddb.TenantConfig{Manager: p.def.mgr, Degraded: p.def.db.Degraded, ReplicationSource: defSrc.Stream()},
-		crowddb.NodeConfig{
-			Durability: p.def.db.Stats, Replication: defSrc.Status, Fence: p.def.fence,
-			Tenants: []crowddb.TenantConfig{{Name: "acme", Manager: mgr, Degraded: db.Degraded, ReplicationSource: src.Stream()}},
-		}))
-	t.Cleanup(func() {
-		ts.CloseClientConnections()
-		ts.Close()
-		db.Close()
+	acme := openTenant(t, crowddb.SliceConfig{
+		Name: "acme",
+		Dir:  t.TempDir(),
+		DB:   crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
+		Seed: seedOf(p.def.d, m),
 	})
-	p.acme.db, p.acme.mgr, p.acme.cm = db, mgr, cm
-	return p, ts
+	p.acme.db, p.acme.mgr, p.acme.cm = acme.DB, acme.Manager, acme.Model
+	// newReplPrimary already serves the default tenant alone, but a node
+	// is described whole, so serve a fresh one over both slices.
+	return p, serve(t, p.def.sl.Node(acme))
 }
 
 // startTenantFollower runs one warm standby per tenant — each replica
 // streams its own tenant's journal from primaryURL — behind a single
-// read-only server whose promoter promotes every tenant, mirroring
-// cmd/crowdd's replica mode with -tenants.
+// read-only server whose promoter promotes every tenant, as cmd/crowdd's
+// replica mode with -tenants does.
 func startTenantFollower(t *testing.T, primaryURL string) (def, acme *follower, ts *httptest.Server) {
 	t.Helper()
-	def = startReplica(t, crowddb.ReplicaOptions{
-		Primary: primaryURL,
-		Dir:     t.TempDir(),
-		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
-	}, crowddb.ShardSpec{})
-	acme = startReplica(t, crowddb.ReplicaOptions{
-		Primary: primaryURL,
-		Tenant:  "acme",
-		Dir:     t.TempDir(),
-		DB:      crowddb.Options{Sync: crowddb.SyncAlways(), Clock: testClock(t)},
-	}, crowddb.ShardSpec{})
-	fence := crowddb.NewFence(def.DB())
-	defSrc := crowddb.NewTransferSource(def.DB(), fence, def.Digest, crowddb.TransferSourceOptions{})
-	acmeSrc := crowddb.NewTransferSource(acme.DB(), fence, acme.Digest, crowddb.TransferSourceOptions{})
-	ts = httptest.NewServer(newNode(t, crowddb.TenantConfig{Manager: def.mgr, ReplicationSource: defSrc.Stream()}, crowddb.NodeConfig{
-		Role:        crowddb.RoleReplica,
-		Durability:  def.DB().Stats,
-		Replication: def.Status,
-		Fence:       fence,
-		Tenants:     []crowddb.TenantConfig{{Name: "acme", Manager: acme.mgr, ReplicationSource: acmeSrc.Stream()}},
-		Promoter: func(ctx context.Context) error {
-			// Promote every tenant; Replica.Promote caches only success,
-			// so a retry after a partial failure re-drives just the rest.
-			if err := def.Promote(ctx); err != nil {
-				return fmt.Errorf("tenant default: %w", err)
-			}
-			if err := acme.Promote(ctx); err != nil {
-				return fmt.Errorf("tenant acme: %w", err)
-			}
-			return nil
-		},
-	}))
-	t.Cleanup(func() {
-		ts.CloseClientConnections()
-		ts.Close()
-		def.Close()
-		acme.Close()
-	})
-	return def, acme, ts
+	def, defSlice := startReplica(t, primaryURL, crowddb.DefaultTenant, t.TempDir(), crowddb.ShardSpec{})
+	acme, acmeSlice := startReplica(t, primaryURL, "acme", t.TempDir(), crowddb.ShardSpec{})
+	return def, acme, serve(t, defSlice.Node(acmeSlice))
 }
 
 // TestChaosTenantFailover is the two-tenant failover drill: a primary

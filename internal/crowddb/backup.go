@@ -60,6 +60,10 @@ type BackupManifest struct {
 	// ErrKernelMismatch. Absent from archives cut before the stamp,
 	// which were cut by kernel 1.
 	Kernel int `json:"kernel,omitempty"`
+	// Shard is the source's shard identity, absent when it ran
+	// unsharded: the ownership filter and the task-id stride shape
+	// replay, so verification boots the archive under it.
+	Shard *ShardSpec `json:"shard,omitempty"`
 }
 
 // BackupTrailer closes a segment. Seq must equal both the manifest's
@@ -441,7 +445,7 @@ type RestoreResult struct {
 // checkpoint, replication sidecar and store snapshot through the one
 // generation writer compaction uses, so the sidecar's digest stamps are
 // the hashes of the exact bytes written, and the boot verifies the
-// generation against them (Open) before RecoverWith replays the
+// generation against them (Open) before its boot replays the
 // journal — replay determinism (DESIGN §14) makes
 // the restored node byte-identical to the source at the backup seq:
 // same digest, able to serve, re-seed followers, and join supervision.
@@ -554,9 +558,6 @@ func RestoreBackup(dir string, archives []string, opts RestoreOptions) (_ *Resto
 
 // VerifyBackupOptions tunes VerifyBackup.
 type VerifyBackupOptions struct {
-	// Build constructs the serving stack the restored archive boots
-	// into, as it does on a node booting the restore. Required.
-	Build ReplicaBuilder
 	// ScratchDir is where the archive is restored and booted: it must
 	// not exist or be empty, and is kept afterwards. Empty uses a temp
 	// dir, removed afterwards.
@@ -588,16 +589,14 @@ type BackupVerifyReport struct {
 // VerifyBackup proves an archive chain offline, without a running
 // node: every frame's CRC and the segment grammar (via the walker),
 // then — when the chain starts with a full segment — exactly what a
-// restore boots: RestoreBackup into the scratch directory, Open (which
-// verifies the generation against its stamps), the manifest's tenant
-// stamped, RecoverWith, and a digest cut compared
-// against the final manifest's stamps. Any flipped bit fails one of
-// them: CRC catches payload damage, the digest anything subtler, and a
-// record that does not apply fails the boot's replay (*CorruptError).
+// restore boots: RestoreBackup into the scratch directory, then
+// OpenTenant under the final manifest's tenant and shard (Open verifies
+// the generation against its stamps, the boot replays the journal), and
+// a digest cut compared against the final manifest's stamps. Any
+// flipped bit fails one of them: CRC catches payload damage, the digest
+// anything subtler, and a record that does not apply fails the boot's
+// replay (*CorruptError).
 func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyReport, error) {
-	if opts.Build == nil {
-		return nil, errors.New("crowddb: verify-backup needs a builder")
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -638,13 +637,13 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 	if _, err := RestoreBackup(dir, archives, RestoreOptions{}); err != nil {
 		return nil, err
 	}
-	db, err := Open(dir, Options{})
-	if err != nil {
-		return nil, err
+	final := info.Manifest
+	var shard ShardSpec
+	if final.Shard != nil {
+		shard = *final.Shard
 	}
-	defer db.Close()
-	db.Store().SetTenant(info.Tenant)
-	mgr, _, err := db.RecoverWith(opts.Build)
+	// No digest depends on the crowd size.
+	sl, err := OpenTenant(SliceConfig{Name: info.Tenant, Dir: dir, Shard: shard, CrowdK: 1})
 	if ce := (*CorruptError)(nil); errors.As(err, &ce) {
 		// A record the boot cannot replay is the archive's fault.
 		err = fmt.Errorf("%w: %w", ErrArchiveCorrupt, err)
@@ -652,13 +651,13 @@ func VerifyBackup(archives []string, opts VerifyBackupOptions) (*BackupVerifyRep
 	if err != nil {
 		return nil, err
 	}
-	cut, err := NewDigestCutter(db, mgr).Cut()
+	defer sl.DB.Close()
+	cut, err := sl.Digest()
 	if err != nil {
 		return nil, err
 	}
 	report.StoreDigest, report.Digest = cut.Store, cut.Digest
 
-	final := info.Manifest
 	for _, c := range [...]struct{ what, got, want string }{
 		{"store", cut.Store, final.StoreDigest},
 		{"model", cut.Model, final.ModelDigest},

@@ -2,6 +2,7 @@ package crowddb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,16 +21,13 @@ import (
 	"crowdselect/internal/faultfs"
 )
 
-// backupPrimary boots a durable primary with its dataset persisted and
-// a digest-stamping backup source served over httptest.
+// backupPrimary boots a durable primary (OpenTenant persists its
+// dataset) with a digest-stamping backup source served over httptest.
 func backupPrimary(t *testing.T) (*durableRig, *DigestCutter, *TransferSource, *httptest.Server) {
 	t.Helper()
 	d, model := trainedFixture(t)
 	rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways()})
 	t.Cleanup(func() { rig.db.Close() })
-	if err := d.SaveFile(rig.db.DatasetPath()); err != nil {
-		t.Fatal(err)
-	}
 	cutter := NewDigestCutter(rig.db, rig.mgr)
 	src := NewTransferSource(rig.db, NewFence(rig.db), cutter.Func(), TransferSourceOptions{})
 	ts := httptest.NewServer(src.Segment())
@@ -57,20 +55,16 @@ func fetchBackup(t *testing.T, base string, dst io.Writer, since int64, history 
 	return CopyBackupStream(dst, resp.Body)
 }
 
-// reopenRestored boots a restored directory through the one boot,
-// RecoverWith — exactly what a crowdd pointed at the directory does.
+// reopenRestored boots a restored directory through OpenTenant —
+// exactly what a crowdd pointed at the directory does.
 func reopenRestored(t *testing.T, dir string, rig *durableRig) (*durableRig, *DigestCutter) {
 	t.Helper()
-	db, err := Open(dir, Options{Sync: SyncAlways()})
+	restored, err := openRig(SliceConfig{Dir: dir, DB: Options{Sync: SyncAlways()}}, rig.d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	mgr, cm, err := db.RecoverWith(testReplicaBuilder())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &durableRig{db: db, cm: cm, mgr: mgr, d: rig.d}, NewDigestCutter(db, mgr)
+	t.Cleanup(func() { restored.db.Close() })
+	return restored, NewDigestCutter(restored.db, restored.mgr)
 }
 
 // writeArchive lands raw archive bytes in a temp file.
@@ -222,7 +216,7 @@ func TestBackupIncrementalChainAndPointInTime(t *testing.T) {
 	}
 	// Verification is restore plus boot: it proves the digest the boot
 	// of the restored directory cuts, which is the final manifest stamp.
-	rep, err := VerifyBackup([]string{f1, f2}, VerifyBackupOptions{Build: testReplicaBuilder()})
+	rep, err := VerifyBackup([]string{f1, f2}, VerifyBackupOptions{})
 	if err != nil {
 		t.Fatalf("verify of the chain: %v", err)
 	}
@@ -419,6 +413,56 @@ func TestBackupArchiveTypedErrors(t *testing.T) {
 	}
 }
 
+// TestVerifyBackupShardedArchive: a sharded node's archive verifies.
+// The shard's task-id stride and ownership filter shape replay, so the
+// manifest names the shard and verification boots the restore under it;
+// booted unsharded, a task answered by foreign workers replays to other
+// store and model digests than the manifest stamps.
+func TestVerifyBackupShardedArchive(t *testing.T) {
+	d, model := trainedFixture(t)
+	shard := ShardSpec{Index: 0, Count: 2}
+	rig, err := openRig(SliceConfig{Dir: t.TempDir(), Shard: shard, DB: Options{Sync: SyncAlways(), Clock: testClock(t)}}, d, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rig.db.Close() })
+	crowd := []int{0, 1, 2, 3} // two of them shard 1's
+	subs, err := rig.mgr.SubmitBatch(context.Background(), []TaskSubmission{{Text: "how do glaciers carve valleys", Workers: crowd}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := subs[0].Task.ID
+	scores := make(map[int]float64, len(crowd))
+	for _, w := range crowd {
+		if err := rig.mgr.CollectAnswer(id, w, fmt.Sprintf("answer from %d", w)); err != nil {
+			t.Fatal(err)
+		}
+		scores[w] = float64(5 - w)
+	}
+	if _, err := rig.mgr.ResolveTask(context.Background(), id, scores); err != nil {
+		t.Fatal(err)
+	}
+
+	src := NewTransferSource(rig.db, NewFence(rig.db), NewDigestCutter(rig.db, rig.mgr).Func(), TransferSourceOptions{})
+	ts := httptest.NewServer(src.Segment())
+	t.Cleanup(ts.Close)
+	var full bytes.Buffer
+	info, err := fetchBackup(t, ts.URL, &full, -1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := info.Manifest.Shard; got == nil || *got != shard {
+		t.Fatalf("manifest shard = %v, want %+v", got, shard)
+	}
+	rep, err := VerifyBackup([]string{writeArchive(t, full.Bytes())}, VerifyBackupOptions{})
+	if err != nil {
+		t.Fatalf("verify of a sharded node's archive: %v", err)
+	}
+	if !rep.DigestVerified {
+		t.Fatalf("report = %+v, want digest verified", rep)
+	}
+}
+
 func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 	rig, _, _, ts := backupPrimary(t)
 	rig.resolveOneTask(t, "what makes sourdough bread rise overnight", []float64{4, 2})
@@ -435,7 +479,7 @@ func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 	}
 	f1, f2 := writeArchive(t, full.Bytes()), writeArchive(t, inc.Bytes())
 
-	rep, err := VerifyBackup([]string{f1, f2}, VerifyBackupOptions{Build: testReplicaBuilder()})
+	rep, err := VerifyBackup([]string{f1, f2}, VerifyBackupOptions{})
 	if err != nil {
 		t.Fatalf("verify of a clean chain: %v", err)
 	}
@@ -463,7 +507,7 @@ func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 		if err := faultfs.FlipBit(tampered, offset, 3); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := VerifyBackup([]string{tampered, f2}, VerifyBackupOptions{Build: testReplicaBuilder()}); err == nil {
+		if _, err := VerifyBackup([]string{tampered, f2}, VerifyBackupOptions{}); err == nil {
 			t.Fatalf("verify accepted a flipped bit at offset %d", offset)
 		}
 	}
@@ -482,18 +526,18 @@ func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 		if err := json.Unmarshal(payload, &sm); err != nil {
 			t.Fatal(err)
 		}
-		sm.Store = bytes.Replace(sm.Store, []byte(`"w1"`), []byte(`"x1"`), 1)
+		sm.Store = bytes.Replace(sm.Store, []byte(`"worker-0001"`), []byte(`"xorker-0001"`), 1)
 		out, err := json.Marshal(sm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	})
-	if !bytes.Contains(rawFull, []byte(`"w1"`)) {
-		t.Fatal("fixture has no worker w1 to forge")
+	if !bytes.Contains(rawFull, []byte(`"worker-0001"`)) {
+		t.Fatal("fixture has no worker worker-0001 to forge")
 	}
 	forgedPath := writeArchive(t, forged)
-	if _, err := VerifyBackup([]string{forgedPath}, VerifyBackupOptions{Build: testReplicaBuilder()}); !errors.Is(err, ErrBackupDigestMismatch) {
+	if _, err := VerifyBackup([]string{forgedPath}, VerifyBackupOptions{}); !errors.Is(err, ErrBackupDigestMismatch) {
 		t.Fatalf("forged snapshot verify err = %v, want ErrBackupDigestMismatch", err)
 	}
 
@@ -515,7 +559,7 @@ func TestVerifyBackupProvesAndRefutes(t *testing.T) {
 		return out
 	})
 	var ce *CorruptError
-	_, err = VerifyBackup([]string{writeArchive(t, unapplied)}, VerifyBackupOptions{Build: testReplicaBuilder()})
+	_, err = VerifyBackup([]string{writeArchive(t, unapplied)}, VerifyBackupOptions{})
 	if !errors.As(err, &ce) || !errors.Is(err, ErrArchiveCorrupt) {
 		t.Fatalf("unappliable record verify err = %v, want the boot's *CorruptError as ErrArchiveCorrupt", err)
 	}
@@ -597,7 +641,7 @@ func TestBackupRefusesSegmentWithoutModel(t *testing.T) {
 	if _, err := CopyBackupStream(io.Discard, bytes.NewReader(cut.Bytes())); !errors.Is(err, ErrArchiveCorrupt) {
 		t.Fatalf("copy of a model-less segment = %v, want ErrArchiveCorrupt", err)
 	}
-	if _, err := VerifyBackup([]string{path}, VerifyBackupOptions{Build: testReplicaBuilder()}); !errors.Is(err, ErrArchiveCorrupt) {
+	if _, err := VerifyBackup([]string{path}, VerifyBackupOptions{}); !errors.Is(err, ErrArchiveCorrupt) {
 		t.Fatalf("verify of a model-less segment = %v, want ErrArchiveCorrupt", err)
 	}
 	dest := filepath.Join(t.TempDir(), "dest")

@@ -261,7 +261,7 @@ func TestOneMaintenanceLoop(t *testing.T) {
 	}
 	want("opened, not live", 0)
 	rig := &durableRig{db: db, d: d}
-	if rig.mgr, rig.cm, err = db.RecoverWith(datasetBuilder(d)); err != nil {
+	if rig.mgr, rig.cm, err = db.boot(SliceConfig{CrowdK: 2}); err != nil {
 		t.Fatal(err)
 	}
 	want("live", 1)

@@ -18,6 +18,7 @@ import (
 
 	"crowdselect/internal/clock"
 	"crowdselect/internal/core"
+	"crowdselect/internal/corpus"
 )
 
 // This file is the snapshot+journal lifecycle over the primitives in
@@ -43,7 +44,7 @@ import (
 // appends to the new journal, and remove older generations. A crash
 // between any two steps boots one generation with every acked record.
 // Restore and a fresh follower write their generation through the same
-// writer, and every boot of a written generation is RecoverWith.
+// writer, and every boot of a written generation is boot.
 
 const (
 	snapshotPattern = "snapshot-%08d.json"
@@ -142,7 +143,7 @@ func (o Options) logf(format string, args ...any) {
 }
 
 // DB manages a crowd database rooted in a data directory: a verified
-// snapshot restore on open, journal replay on RecoverWith, appends
+// snapshot restore on open, journal replay at boot, appends
 // under the sync policy, and a maintenance loop. Mutations go through
 // Store() as usual; the DB owns the files.
 type DB struct {
@@ -155,7 +156,7 @@ type DB struct {
 	gen       uint64
 	jw        *journalWriter
 	live      bool
-	model     *core.Model // the checkpoint Open verified, until RecoverWith takes it
+	model     *core.Model // the checkpoint Open verified, until boot takes it
 	saveModel func(io.Writer) error
 	quiesce   func(func() error) error
 
@@ -180,7 +181,7 @@ type DB struct {
 // Open scans dir (creating it if needed), verifies its newest
 // generation — the highest snapshot-%08d.json — with verifyGeneration,
 // and returns a DB holding that generation's store and model, not yet
-// accepting journaled writes: boot it with RecoverWith, or, for an
+// accepting journaled writes: boot it through OpenTenant, or, for an
 // empty directory, populate the store and call Begin. Any finding (a
 // generation that fails verification, an unparseable sidecar, a
 // journal no snapshot accounts for) is a *ScrubError naming the file,
@@ -289,7 +290,7 @@ func readStamped(path, stamp string) ([]byte, error) {
 	return data, nil
 }
 
-// Store returns the crowd database. Before RecoverWith/Begin it holds the
+// Store returns the crowd database. Before boot or Begin it holds the
 // restored snapshot only; mutations are journaled once the DB is
 // live.
 func (db *DB) Store() *Store { return db.store }
@@ -303,19 +304,18 @@ func (db *DB) Generation() uint64 {
 }
 
 // Fresh reports whether Open found no snapshot and no journal file:
-// the caller must bootstrap state and call Begin instead of
-// RecoverWith.
+// the caller must bootstrap state and call Begin instead of booting a
+// written generation.
 func (db *DB) Fresh() bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.gen == 0
 }
 
-// DatasetPath is where the daemon conventionally keeps the dataset
-// that seeded this data directory (vocabulary source). The DB writes it
-// only with a generation installed from another node's state (restore,
-// a fresh follower) and never reads it; the path lives here so daemon,
-// builders and tools agree.
+// DatasetPath is where the dataset that seeded this data directory is
+// kept: the vocabulary source every boot reads. OpenTenant writes it
+// with a fresh directory's generation 1, and the DB with a generation
+// installed from another node's state (restore, a fresh follower).
 func (db *DB) DatasetPath() string {
 	return filepath.Join(db.dir, datasetName)
 }
@@ -341,12 +341,13 @@ func (db *DB) SetQuiescer(q func(func() error) error) {
 	db.quiesce = q
 }
 
-// RecoverWith is the one boot of a written generation — a restart, a
-// follower, a restore and verify-backup all come up through it: it
-// hands the model checkpoint Open verified to build, wires the built
-// stack into compaction (SetModelSnapshotter, SetQuiescer) and replays
-// the journal through the manager's feedback path.
-func (db *DB) RecoverWith(build ReplicaBuilder) (*Manager, *core.ConcurrentModel, error) {
+// boot is the one boot of a written generation — a restart, a
+// follower, and verify-backup's restore all come up through it: the
+// directory's dataset is the vocabulary source, the model checkpoint
+// Open verified goes behind cfg's stack, the stack is wired into
+// compaction (SetModelSnapshotter, SetQuiescer), and the journal
+// replays through the manager's feedback path.
+func (db *DB) boot(cfg SliceConfig) (*Manager, *core.ConcurrentModel, error) {
 	db.mu.Lock()
 	gen, model := db.gen, db.model
 	db.model = nil
@@ -355,7 +356,11 @@ func (db *DB) RecoverWith(build ReplicaBuilder) (*Manager, *core.ConcurrentModel
 		return nil, nil, fmt.Errorf("crowddb: model checkpoint of generation %d: %s: %w",
 			gen, filepath.Join(db.dir, fmt.Sprintf(modelPattern, gen)), os.ErrNotExist)
 	}
-	mgr, cm, err := build(db.DatasetPath(), model, db.store)
+	d, err := corpus.LoadFile(db.DatasetPath())
+	if err != nil {
+		return nil, nil, fmt.Errorf("data dir has state but no dataset: %w", err)
+	}
+	mgr, cm, err := cfg.stack(db.store, d.Vocab, model)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -419,7 +424,7 @@ func (db *DB) Begin() error {
 		return errors.New("crowddb: Begin on a live DB")
 	}
 	if db.gen != 0 {
-		return errors.New("crowddb: Begin on a restored data directory (use RecoverWith)")
+		return errors.New("crowddb: Begin on a restored data directory (open it with OpenTenant)")
 	}
 	if db.saveModel == nil || db.quiesce == nil {
 		return errors.New("crowddb: Begin needs SetModelSnapshotter and SetQuiescer")

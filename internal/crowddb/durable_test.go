@@ -31,52 +31,32 @@ type durableRig struct {
 	d   *corpus.Dataset
 }
 
-// openDurable boots (or re-boots) the durable pipeline in dir. On a
-// fresh directory it registers the dataset's workers and snapshots
-// generation 1 from the supplied model; on a restored directory it
-// boots through RecoverWith, over d's vocabulary.
+// openDurable boots (or re-boots) the durable pipeline in dir through
+// OpenTenant, on the test's clock unless opts names one. A fresh
+// directory is seeded with d and the supplied model and snapshots
+// generation 1; a restored one boots its own dataset and checkpoint.
 func openDurable(t *testing.T, dir string, d *corpus.Dataset, fresh *core.Model, opts Options) *durableRig {
 	t.Helper()
 	opts.Clock = cmp.Or[clock.Clock](opts.Clock, testClock(t))
-	db, err := Open(dir, opts)
+	rig, err := openRig(SliceConfig{Dir: dir, DB: opts}, d, fresh)
 	if err != nil {
-		t.Fatal(err)
-	}
-	rig := &durableRig{db: db, d: d}
-	if !db.Fresh() {
-		if rig.mgr, rig.cm, err = db.RecoverWith(datasetBuilder(d)); err != nil {
-			t.Fatal(err)
-		}
-		return rig
-	}
-	if fresh == nil {
-		t.Fatal("fresh data dir but no model supplied")
-	}
-	for i := range d.Workers {
-		if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rig.cm = core.NewConcurrentModel(fresh)
-	if rig.mgr, err = NewManager(db.Store(), d.Vocab, rig.cm, 2); err != nil {
-		t.Fatal(err)
-	}
-	db.SetModelSnapshotter(rig.cm.Save)
-	db.SetQuiescer(rig.mgr.Quiesce)
-	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	return rig
 }
 
-// datasetBuilder is a ReplicaBuilder over d's vocabulary, whatever
-// dataset file the directory holds.
-func datasetBuilder(d *corpus.Dataset) ReplicaBuilder {
-	return func(_ string, model *core.Model, store *Store) (*Manager, *core.ConcurrentModel, error) {
-		cm := core.NewConcurrentModel(model)
-		mgr, err := NewManager(store, d.Vocab, cm, 2)
-		return mgr, cm, err
+// openRig opens cfg's slice at crowd size 2, seeded with d and fresh
+// when fresh is set.
+func openRig(cfg SliceConfig, d *corpus.Dataset, fresh *core.Model) (*durableRig, error) {
+	cfg.CrowdK = 2
+	if fresh != nil {
+		cfg.Seed = func() (*corpus.Dataset, *core.Model, error) { return d, fresh, nil }
 	}
+	sl, err := OpenTenant(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &durableRig{db: sl.DB, cm: sl.Model, mgr: sl.Manager, d: d}, nil
 }
 
 // resolveOneTask pushes one task end to end: submit, both answers,

@@ -542,7 +542,7 @@ func TestDigestEndpoint(t *testing.T) {
 	// the default tenant's provider must not leak across namespaces.
 	d2, model2 := trainedFixture(t)
 	store2 := NewStore()
-	store2.SetTenant("blue")
+	store2.setTenant("blue")
 	mgr2, err := NewManager(store2, d2.Vocab, core.NewConcurrentModel(model2), 2)
 	if err != nil {
 		t.Fatal(err)

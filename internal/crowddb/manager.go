@@ -93,8 +93,9 @@ type ownedSet struct {
 
 // NewManager wires a crowd manager over the store. vocab maps task
 // text to the term ids the selector was trained on; k is the default
-// crowd size per task. SetShard and SetTenant name the node's shard
-// and tenant before any mutation is journaled or replayed.
+// crowd size per task. OpenTenant builds a slice's manager whole; a
+// hand-built one calls SetShard before any mutation is journaled or
+// replayed.
 func NewManager(store *Store, vocab *text.Vocabulary, sel Selector, k int) (*Manager, error) {
 	if store == nil || vocab == nil || sel == nil {
 		return nil, fmt.Errorf("%w: manager needs a store, vocabulary and selector", ErrBadRequest)
@@ -120,12 +121,6 @@ func (m *Manager) SetShard(sp ShardSpec) {
 
 // Shard reports the node's shard identity (zero value: unsharded).
 func (m *Manager) Shard() ShardSpec { return m.shard }
-
-// SetTenant names the tenant this manager (and its store) serves
-// (DESIGN §13). Call once at boot, before mutations and before
-// recovery, so journal records are stamped — and cross-checked —
-// against the right namespace.
-func (m *Manager) SetTenant(name string) { m.store.SetTenant(name) }
 
 // candidateWorkers is the selection candidate set: online workers,
 // restricted to the ones this shard owns. The global top-k over all

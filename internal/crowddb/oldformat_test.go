@@ -96,7 +96,7 @@ func TestOldFormatsStillRead(t *testing.T) {
 		if got := cutDigest(t, restored); got.Seq != manifest.Seq || got.Digest != manifest.Digest {
 			t.Errorf("restored node cut seq %d digest %s, want %d %s", got.Seq, got.Digest, manifest.Seq, manifest.Digest)
 		}
-		report, err := VerifyBackup([]string{path}, VerifyBackupOptions{Build: testReplicaBuilder()})
+		report, err := VerifyBackup([]string{path}, VerifyBackupOptions{})
 		if err != nil || !report.DigestVerified {
 			t.Fatalf("verify of the old archive: %+v, %v", report, err)
 		}
@@ -110,8 +110,8 @@ func TestOldFormatsStillRead(t *testing.T) {
 			mu   sync.Mutex
 			logs []string
 		)
-		rep, err := StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
-			DB: Options{Sync: SyncAlways(), Clock: testClock(t)}, Build: testReplicaBuilder(),
+		rep, err := openFollower(SliceConfig{ReplicaOf: front.ts.URL, Dir: t.TempDir(),
+			DB: Options{Sync: SyncAlways(), Clock: testClock(t)},
 			Logf: func(format string, args ...any) {
 				mu.Lock()
 				logs = append(logs, fmt.Sprintf(format, args...))

@@ -1,7 +1,6 @@
 package crowddb
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -30,50 +29,16 @@ var ErrReplicaDiverged = errors.New("crowddb: replica diverged from primary")
 // nil; a failed attempt releases the flip so a later call can retry.
 var ErrPromotionInProgress = errors.New("crowddb: promotion already in progress")
 
-// ReplicaBuilder constructs the serving stack over a bootstrapped (or
-// recovered) store: load the dataset for its vocabulary, wrap the
-// model for concurrent serving, and return the manager. It keeps
-// crowddb free of a dependency on the corpus package.
-type ReplicaBuilder func(datasetPath string, model *core.Model, store *Store) (*Manager, *core.ConcurrentModel, error)
-
-// ReplicaOptions configures StartReplica.
-type ReplicaOptions struct {
-	// Primary is the primary's base URL (e.g. http://host:8080).
-	Primary string
-	// Dir is the follower's own data directory: it keeps a full
-	// generation + journal lifecycle so it can recover and resume.
-	Dir string
-	// DB configures the follower's durability layer and clock.
-	DB Options
-	// Build assembles manager and concurrent model after bootstrap or
-	// local recovery. Required.
-	Build ReplicaBuilder
-	// FleetToken authenticates the stream dial when the primary gates
-	// its /api/v1/replication/* surface (NodeConfig.FleetToken). Empty
-	// for open fleets.
-	FleetToken string
-	// Tenant scopes the replica to one tenant namespace (DESIGN §13):
-	// the stream dials /api/v1/t/{name}/replication/stream and the
-	// local store is stamped with the name, so records are journaled —
-	// and cross-checked — under the right namespace. Empty or
-	// DefaultTenant follows the primary's default tenant on the
-	// un-prefixed path. A multi-tenant follower runs one Replica per
-	// tenant, each with its own Dir.
-	Tenant string
-	// Logf receives lifecycle notices. nil is silent.
-	Logf func(format string, args ...any)
-}
-
 // Replica is a warm standby: it maintains a durable copy of the
 // primary's crowd database and model by applying the replicated
 // journal through the same paths boot recovery uses, serves read-only
 // selections from the continuously updated model, and can be promoted
 // to primary once caught up.
 type Replica struct {
-	opts ReplicaOptions
-	db   *DB
-	mgr  *Manager
-	cm   *core.ConcurrentModel
+	cfg SliceConfig
+	db  *DB
+	mgr *Manager
+	cm  *core.ConcurrentModel
 
 	mu          sync.Mutex
 	headSeq     int64 // primary's head, as last advertised
@@ -112,38 +77,26 @@ const reconnectBackoff = 250 * time.Millisecond
 // distinct from ErrReplicaDiverged, which is fatal on the dial path.
 var errDigestMismatch = errors.New("crowddb: heartbeat digest mismatch")
 
-// StartReplica opens (or re-opens) the follower's data directory and
-// starts streaming from the primary. A fresh directory, or one whose
-// newest generation Open refuses (*ScrubError), requires the primary to
-// be reachable now — the bootstrap is synchronous (install), so a nil
-// error means the replica is already serving real state. Either way
-// the directory then boots like any restart (RecoverWith) and catches
-// up in the background, so a follower can restart while the primary is
-// down.
-func StartReplica(opts ReplicaOptions) (*Replica, error) {
-	if opts.Primary == "" {
-		return nil, errors.New("crowddb: replica needs a primary URL")
-	}
-	if opts.Dir == "" {
-		return nil, errors.New("crowddb: replica needs a data directory")
-	}
-	if opts.Build == nil {
-		return nil, errors.New("crowddb: replica needs a builder")
-	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
-	if opts.Tenant != "" && !ValidTenantName(opts.Tenant) {
-		return nil, fmt.Errorf("crowddb: invalid replica tenant %q", opts.Tenant)
-	}
-	r := &Replica{opts: opts, done: make(chan struct{})}
+// startReplica opens (or re-opens) the follower's data directory and
+// starts streaming cfg.Name's journal from cfg.ReplicaOf. A fresh
+// directory, or one whose newest generation Open refuses (*ScrubError),
+// requires the primary to be reachable now — the bootstrap is
+// synchronous (install), so a nil error means the replica is already
+// serving real state. Either way the directory then boots like any
+// restart (DB.boot) and catches up in the background, so a follower can
+// restart while the primary is down. The stream dials
+// /api/v1/t/{name}/replication/stream, the un-prefixed path for the
+// default tenant; a multi-tenant follower runs one Replica per tenant,
+// each with its own directory.
+func startReplica(cfg SliceConfig) (*Replica, error) {
+	r := &Replica{cfg: cfg, done: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	var st *replStream
 	err := r.open()
 	var rotten *ScrubError
 	if errors.As(err, &rotten) {
-		opts.Logf("crowddb: replica: %v; bootstrapping from the primary", err)
+		cfg.Logf("crowddb: replica: %v; bootstrapping from the primary", err)
 	}
 	if rotten != nil || err == nil && r.db.Fresh() {
 		if st, err = r.dial(ctx, 0, "", true); err == nil {
@@ -160,7 +113,7 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 		}
 	}
 	if err == nil {
-		r.mgr, r.cm, err = r.db.RecoverWith(opts.Build)
+		r.mgr, r.cm, err = r.db.boot(cfg)
 	}
 	if err != nil {
 		if st != nil {
@@ -183,23 +136,18 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 	return r, nil
 }
 
-// open opens the follower's data directory, stamped with its tenant
-// before any replay or append, so recovery cross-checks records and
-// re-journaled frames carry the name.
+// open opens the follower's data directory.
 func (r *Replica) open() error {
-	db, err := Open(r.opts.Dir, r.opts.DB)
+	db, err := Open(r.cfg.Dir, r.cfg.DB)
 	if err != nil {
 		return err
-	}
-	if r.opts.Tenant != "" {
-		db.Store().SetTenant(r.opts.Tenant)
 	}
 	r.db = db
 	return nil
 }
 
-// DB exposes the follower's durability layer (stats, compaction,
-// shutdown). The caller owns closing it after Stop.
+// DB exposes the follower's durability layer (stats, compaction);
+// Close closes it.
 func (r *Replica) DB() *DB { return r.db }
 
 // Digest computes the replica's digest cut at its applied position —
@@ -215,7 +163,7 @@ func (r *Replica) markDiverged(seq int64, want, got string) {
 	r.mu.Lock()
 	r.forceBoot = true
 	r.mu.Unlock()
-	r.opts.Logf("crowddb: replica: digest mismatch at record %d (primary %s, local %s); quarantined, forcing re-bootstrap",
+	r.cfg.Logf("crowddb: replica: digest mismatch at record %d (primary %s, local %s); quarantined, forcing re-bootstrap",
 		seq, want, got)
 }
 
@@ -244,7 +192,7 @@ func (r *Replica) Status() ReplicationStatus {
 	st := ReplicationStatus{
 		Role:          role,
 		FencingEpoch:  r.db.FencingEpoch(),
-		Primary:       r.opts.Primary,
+		Primary:       r.cfg.ReplicaOf,
 		Connected:     connected,
 		History:       r.db.ReplicationHistory(),
 		AppliedSeq:    applied,
@@ -323,7 +271,7 @@ func (r *Replica) promote(ctx context.Context) error {
 		return fmt.Errorf("crowddb: promote checkpoint: %w", err)
 	}
 	applied := r.db.ReplicationHead()
-	r.opts.Logf("crowddb: replica promoted to primary at record %d (history %s, fencing epoch %d)",
+	r.cfg.Logf("crowddb: replica promoted to primary at record %d (history %s, fencing epoch %d)",
 		applied, r.db.ReplicationHistory(), epoch)
 	return nil
 }
@@ -363,16 +311,16 @@ func (r *Replica) dial(ctx context.Context, from int64, history string, boot boo
 		q.Set("boot", "1")
 	}
 	path := "/api/v1/replication/stream"
-	if r.opts.Tenant != "" && r.opts.Tenant != DefaultTenant {
-		path = "/api/v1/t/" + r.opts.Tenant + "/replication/stream"
+	if r.cfg.Name != DefaultTenant {
+		path = "/api/v1/t/" + r.cfg.Name + "/replication/stream"
 	}
-	u := r.opts.Primary + path + "?" + q.Encode()
+	u := r.cfg.ReplicaOf + path + "?" + q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
 	}
-	if r.opts.FleetToken != "" {
-		req.Header.Set("Authorization", "Bearer "+r.opts.FleetToken)
+	if r.cfg.FleetToken != "" {
+		req.Header.Set("Authorization", "Bearer "+r.cfg.FleetToken)
 	}
 	// No overall timeout: the stream is long-lived by design.
 	resp, err := http.DefaultClient.Do(req)
@@ -438,7 +386,7 @@ func (r *Replica) readGeneration(st *replStream) (generation, error) {
 			return generation{
 				dataset: dataset, model: fromBytes(model), store: fromBytes(snap.file()),
 				sidecar: adoptedSidecar(st.hello.History, snap.Seq, st.hello.FencingEpoch),
-				tenant:  cmp.Or(r.opts.Tenant, DefaultTenant),
+				tenant:  r.cfg.Name,
 			}, nil
 		default:
 			return generation{}, fmt.Errorf("unexpected frame type %d during bootstrap", typ)
@@ -455,7 +403,7 @@ func (r *Replica) install(st *replStream) error {
 	if err != nil {
 		return err
 	}
-	gens, journals, err := listGenerations(r.opts.Dir)
+	gens, journals, err := listGenerations(r.cfg.Dir)
 	if err != nil {
 		return err
 	}
@@ -466,7 +414,7 @@ func (r *Replica) install(st *replStream) error {
 	for _, n := range gens {
 		next = max(next, n+1)
 	}
-	_, err = writeGeneration(r.opts.Dir, next, g)
+	_, err = writeGeneration(r.cfg.Dir, next, g)
 	return err
 }
 
@@ -498,9 +446,9 @@ func (r *Replica) bootstrapped(hello replHello, seq int64) {
 	r.mu.Unlock()
 	if r.diverged.CompareAndSwap(true, false) {
 		r.repairs.Add(1)
-		r.opts.Logf("crowddb: replica: divergence repaired by re-bootstrap at record %d", seq)
+		r.cfg.Logf("crowddb: replica: divergence repaired by re-bootstrap at record %d", seq)
 	}
-	r.opts.Logf("crowddb: replica bootstrapped at record %d of history %s (head %d)", seq, hello.History, hello.Seq)
+	r.cfg.Logf("crowddb: replica bootstrapped at record %d of history %s (head %d)", seq, hello.History, hello.Seq)
 }
 
 // run is the streaming loop: consume the open stream, reconnect with
@@ -530,18 +478,18 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 					r.mu.Lock()
 					r.fatal = err
 					r.mu.Unlock()
-					r.opts.Logf("crowddb: replica: %v; streaming stopped (reads still served)", err)
+					r.cfg.Logf("crowddb: replica: %v; streaming stopped (reads still served)", err)
 					return
 				}
 				if ctx.Err() == nil {
-					r.opts.Logf("crowddb: replica: connect: %v (retrying in %s)", err, backoff)
+					r.cfg.Logf("crowddb: replica: connect: %v (retrying in %s)", err, backoff)
 				}
 				backoff = r.backOff(ctx, backoff)
 				continue
 			}
 			if st.hello.Bootstrap {
 				if err := r.rebootstrap(st); err != nil {
-					r.opts.Logf("crowddb: replica: re-bootstrap: %v (retrying in %s)", err, backoff)
+					r.cfg.Logf("crowddb: replica: re-bootstrap: %v (retrying in %s)", err, backoff)
 					st.Close()
 					st = nil
 					backoff = r.backOff(ctx, backoff)
@@ -552,7 +500,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 				// epoch is below one we have observed — following it
 				// would replay a fenced lineage), adopt a newer epoch.
 				if st.hello.FencingEpoch < r.db.FencingObserved() {
-					r.opts.Logf("crowddb: replica: primary at fencing epoch %d is deposed (observed %d); not following",
+					r.cfg.Logf("crowddb: replica: primary at fencing epoch %d is deposed (observed %d); not following",
 						st.hello.FencingEpoch, r.db.FencingObserved())
 					st.Close()
 					st = nil
@@ -577,7 +525,7 @@ func (r *Replica) run(ctx context.Context, st *replStream) {
 		if ctx.Err() != nil || r.promoted.Load() {
 			return
 		}
-		r.opts.Logf("crowddb: replica: stream ended: %v; reconnecting", err)
+		r.cfg.Logf("crowddb: replica: stream ended: %v; reconnecting", err)
 		r.reconnects.Add(1)
 		r.backOff(ctx, backoff)
 	}

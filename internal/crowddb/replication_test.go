@@ -15,51 +15,36 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"crowdselect/internal/core"
-	"crowdselect/internal/corpus"
 )
 
-// replPrimary boots a durable primary with its dataset persisted and
-// its replication source served over httptest, ready for followers.
+// replPrimary boots a durable primary (OpenTenant persists its
+// dataset) with its replication source served over httptest, ready for
+// followers.
 func replPrimary(t *testing.T) (*durableRig, *TransferSource, *httptest.Server) {
 	t.Helper()
 	d, model := trainedFixture(t)
 	rig := openDurable(t, t.TempDir(), d, model, Options{Sync: SyncAlways()})
 	t.Cleanup(func() { rig.db.Close() })
-	if err := d.SaveFile(rig.db.DatasetPath()); err != nil {
-		t.Fatal(err)
-	}
 	src := NewTransferSource(rig.db, NewFence(rig.db), NewDigestCutter(rig.db, rig.mgr).Func(), TransferSourceOptions{})
 	ts := httptest.NewServer(src.Stream())
 	t.Cleanup(ts.Close)
 	return rig, src, ts
 }
 
-// testReplicaBuilder is the cmd/crowdd Build callback in miniature.
-func testReplicaBuilder() ReplicaBuilder {
-	return func(datasetPath string, model *core.Model, store *Store) (*Manager, *core.ConcurrentModel, error) {
-		d, err := corpus.LoadFile(datasetPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		cm := core.NewConcurrentModel(model)
-		mgr, err := NewManager(store, d.Vocab, cm, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mgr, cm, nil
+// openFollower opens a follower slice through OpenTenant, at crowd
+// size 2, and returns its stream.
+func openFollower(cfg SliceConfig) (*Replica, error) {
+	cfg.CrowdK = 2
+	sl, err := OpenTenant(cfg)
+	if err != nil {
+		return nil, err
 	}
+	return sl.Replica, nil
 }
 
 func startTestReplica(t *testing.T, primary, dir string) *Replica {
 	t.Helper()
-	rep, err := StartReplica(ReplicaOptions{
-		Primary: primary,
-		Dir:     dir,
-		DB:      Options{Sync: SyncAlways(), Clock: testClock(t)},
-		Build:   testReplicaBuilder(),
-	})
+	rep, err := openFollower(SliceConfig{ReplicaOf: primary, Dir: dir, DB: Options{Sync: SyncAlways(), Clock: testClock(t)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +333,15 @@ func TestReplicaRebootstrapRetriesWhenJournalOpenFails(t *testing.T) {
 	rig.resolveOneTask(t, "third task lands in the fresh journal", []float64{2, 4})
 
 	var failed atomic.Bool
-	rep, err := StartReplica(ReplicaOptions{
-		Primary: ts.URL,
-		Dir:     dir,
+	rep, err := openFollower(SliceConfig{
+		ReplicaOf: ts.URL,
+		Dir:       dir,
 		DB: Options{Sync: SyncAlways(), Clock: testClock(t), OpenJournalFile: func(path string) (JournalFile, error) {
 			if path == next && failed.CompareAndSwap(false, true) {
 				return nil, errDiskGone
 			}
 			return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		}},
-		Build: testReplicaBuilder(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -195,15 +195,27 @@ func (s *Store) alignTIDLocked() {
 	}
 }
 
-// SetTenant names the tenant namespace this store belongs to
-// (DESIGN §13). Call once at boot, before mutations: a non-default
-// name is stamped on every journal record, and replay/replication
-// apply refuse records stamped for a different namespace. The empty
-// string and DefaultTenant are equivalent.
-func (s *Store) SetTenant(name string) {
+// setTenant names the tenant namespace this store belongs to
+// (DESIGN §13), before mutations: a non-default name is stamped on
+// every journal record, and replay/replication apply refuse records
+// stamped for a different namespace. The empty string and
+// DefaultTenant are equivalent.
+func (s *Store) setTenant(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tenant = name
+}
+
+// sharded is the shard the store's task ids are strided onto, nil
+// when unsharded: a backup manifest names it so verification boots
+// the archive as its source ran.
+func (s *Store) sharded() *ShardSpec {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.shardCnt <= 1 {
+		return nil
+	}
+	return &ShardSpec{Index: s.shardIdx, Count: s.shardCnt}
 }
 
 // AddWorker inserts a worker with the given id (the id must match the

@@ -2,7 +2,6 @@ package crowddb
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,40 +11,12 @@ import (
 	"crowdselect/internal/corpus"
 )
 
-// openTenantDurable boots a durable pipeline whose store is stamped
-// with a tenant namespace before anything journals or replays — the
-// same ordering crowdd uses for <data-dir>/tenants/<name>.
+// openTenantDurable boots a durable pipeline of a tenant's slice: its
+// store stamped with the namespace before anything journals or
+// replays, as for crowdd's <data-dir>/tenants/<name>.
 func openTenantDurable(t *testing.T, dir, tenant string, d *corpus.Dataset, fresh *core.Model, opts Options) (*durableRig, error) {
 	t.Helper()
-	db, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Store().SetTenant(tenant)
-	rig := &durableRig{db: db, d: d}
-	if !db.Fresh() {
-		if rig.mgr, rig.cm, err = db.RecoverWith(datasetBuilder(d)); err != nil {
-			db.Close()
-			return nil, err
-		}
-		return rig, nil
-	}
-	for i := range d.Workers {
-		if _, err := db.Store().AddWorker(i, fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rig.cm = core.NewConcurrentModel(fresh)
-	if rig.mgr, err = NewManager(db.Store(), d.Vocab, rig.cm, 2); err != nil {
-		t.Fatal(err)
-	}
-	db.SetModelSnapshotter(rig.cm.Save)
-	db.SetQuiescer(rig.mgr.Quiesce)
-	if err := db.Begin(); err != nil {
-		db.Close()
-		return nil, err
-	}
-	return rig, nil
+	return openRig(SliceConfig{Name: tenant, Dir: dir, DB: opts}, d, fresh)
 }
 
 // journalBytes concatenates every journal generation in dir.

@@ -77,7 +77,7 @@ func newTenantRig(t *testing.T, d *corpus.Dataset, m *core.Model, tenant string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.SetTenant(tenant)
+	store.setTenant(tenant)
 	return &tenantRig{mgr: mgr, cm: cm}
 }
 

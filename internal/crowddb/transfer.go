@@ -421,6 +421,7 @@ func (src *TransferSource) serveSegment(w http.ResponseWriter, r *http.Request) 
 		CreatedAt:    time.Now().UTC(),
 		Arch:         runtime.GOARCH,
 		Kernel:       core.KernelVersion,
+		Shard:        src.db.store.sharded(),
 	}
 	q := r.URL.Query()
 	if s := q.Get("since"); s != "" {

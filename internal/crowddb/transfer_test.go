@@ -327,8 +327,8 @@ func followForgedHello(t *testing.T, rig *durableRig, src *TransferSource, hello
 	if _, err := rep.mgr.RankOnly(context.Background(), []TaskSubmission{{Text: "still answering reads", K: 2}}); err != nil {
 		t.Fatalf("stopped follower refuses reads: %v", err)
 	}
-	_, err = StartReplica(ReplicaOptions{Primary: front.ts.URL, Dir: t.TempDir(),
-		DB: Options{Sync: SyncAlways(), Clock: testClock(t)}, Build: testReplicaBuilder()})
+	_, err = openFollower(SliceConfig{ReplicaOf: front.ts.URL, Dir: t.TempDir(),
+		DB: Options{Sync: SyncAlways(), Clock: testClock(t)}})
 	if !errors.Is(err, refusal) {
 		t.Fatalf("fresh follower of the foreign primary: %v, want %v", err, refusal)
 	}
@@ -428,7 +428,7 @@ func restoreAndVerifyForged(t *testing.T, raw []byte, forge func(*BackupManifest
 	t.Helper()
 	forged := writeArchive(t, forgeManifest(t, raw, forge))
 	_, restoreErr := RestoreBackup(filepath.Join(t.TempDir(), "restored"), []string{forged}, RestoreOptions{})
-	_, verifyErr := VerifyBackup([]string{forged}, VerifyBackupOptions{Build: testReplicaBuilder()})
+	_, verifyErr := VerifyBackup([]string{forged}, VerifyBackupOptions{})
 	for what, err := range map[string]error{"restore": restoreErr, "verify": verifyErr} {
 		if refusal == nil && err != nil || refusal != nil && !errors.Is(err, refusal) {
 			t.Fatalf("%s of the forged archive: %v, want %v", what, err, refusal)
