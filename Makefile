@@ -3,7 +3,7 @@
 # (DESIGN.md §5 — concurrent serving is a correctness feature here, so
 # -race is not optional), the allocation gates (which skip themselves
 # under -race), the golden numerics on 386, the benchmark module's tests
-# and the eleven fuzz smokes.
+# and the thirteen fuzz smokes.
 # `race` runs every test in the module, so the per-feature targets
 # below (crash, chaos, replication, shard, fleet, tenants, scrub,
 # backup) are local conveniences that re-select a drill by name, not CI
@@ -51,12 +51,14 @@ race:
 # GOMAXPROCS 2 from runtime.MemStats, since AllocsPerRun pins the width
 # to 1), as a fleet's projecting leg and as its score-only leg (§8:
 # every compact body is scanned, its texts tokenized in place, ranked
-# and answered inside one pooled scratch, with nothing per task):
+# and answered inside one pooled scratch, with nothing per task), and of
+# the fleet router's read and merge of its legs (§8: two scanned answers
+# merged in a pooled scatter allocate the results' three arrays):
 # testing.AllocsPerRun counts are exact only without the race detector,
 # so the gates skip themselves in `race` — CI's one test run — and run
 # here.
 allocs:
-	$(GO) test -run 'Alloc' ./internal/core ./internal/rank ./internal/crowddb
+	$(GO) test -run 'Alloc' ./internal/core ./internal/rank ./internal/crowddb ./internal/crowdclient
 
 # The golden numerics on a second port (DESIGN.md §6): the digests of
 # internal/core and the store's golden model digest hold bit for bit on
@@ -129,7 +131,9 @@ bench:
 # request-body decoder against the json.Decoder it replaced (same
 # status, envelope and value for any bytes, cap and read size), of the
 # selections codec against encoding/json (the compact bodies' scanner
-# against json.Unmarshal, the response writer against json.Encoder), of the
+# against json.Unmarshal, the response writer against json.Encoder, a
+# router's leg writers against json.Marshal and its response scanner
+# against json.Unmarshal), of the
 # one-pass bag builder against NewBagKnown(Tokenize(s)) and the map form
 # (and its bytes form against its string form),
 # of the projection cache's bag key against a decoder (any ids, any count
@@ -144,6 +148,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScoreOnlyLegMatchesUnmarshal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzSelectionsRequestMatchesUnmarshal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzSelectionsResponseMatchesEncoder -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzRouterLegMatchesMarshal -fuzztime 20s ./internal/crowddb
+	$(GO) test -run '^$$' -fuzz FuzzSelectionsResponseScanMatchesUnmarshal -fuzztime 20s ./internal/crowddb
 	$(GO) test -run '^$$' -fuzz FuzzBagOfText -fuzztime 20s ./internal/text
 	$(GO) test -run '^$$' -fuzz FuzzBagKeyRoundTrip -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTopKEqualsFullSort -fuzztime 20s ./internal/rank
@@ -182,8 +188,9 @@ replication:
 
 # The sharding suite (DESIGN.md §11) under the race detector: the
 # merge-equivalence property, the fleet-vs-single-node e2e equality,
-# the pooled selection legs' aliasing oracle, the wrong-shard routing
-# contract and the shard kill/rebalance drill.
+# the aliasing oracles of the pooled selection legs and of the router's
+# pooled scatter, the wrong-shard routing contract and the shard
+# kill/rebalance drill.
 shard:
 	$(GO) test -race -run 'TestMergeTopK|TestRouter|TestSelectionsPoolIsNotShared|TestWrongShard|TestShardOfWorker|TestStoreStridedTaskIDs|TestChaosShardKillAndRebalance' -v ./internal/rank/ ./internal/crowddb/ ./internal/crowdclient/ ./internal/chaos/
 

@@ -36,14 +36,29 @@ type replRig struct {
 // (followers bootstrap from it) and whose server streams the journal.
 func newReplPrimary(t *testing.T) *replRig {
 	t.Helper()
+	r := openReplPrimary(t)
+	r.start(t)
+	return r
+}
+
+// openReplPrimary opens newReplPrimary's durable slice, not yet served.
+func openReplPrimary(t *testing.T) *replRig {
+	t.Helper()
 	d, m := drillSeed(t, 11)
 	sl := openTenant(t, crowddb.SliceConfig{
 		Dir:  t.TempDir(),
 		DB:   crowddb.Options{Sync: crowddb.SyncAlways(), ScrubInterval: pollStep, Clock: testClock(t)},
 		Seed: seedOf(d, m),
 	})
-	node := sl.Node()
-	return &replRig{db: sl.DB, mgr: sl.Manager, cm: sl.Model, d: d, ts: serve(t, node), fence: node.Fence, sl: sl}
+	return &replRig{db: sl.DB, mgr: sl.Manager, cm: sl.Model, d: d, sl: sl}
+}
+
+// start describes the rig's node — its slice as the default tenant, the
+// named slices beside it — and serves it.
+func (r *replRig) start(t *testing.T, named ...*crowddb.Tenant) {
+	t.Helper()
+	node := r.sl.Node(named...)
+	r.ts, r.fence = serve(t, node), node.Fence
 }
 
 // follower is a warm standby a drill started, beside the serving stack

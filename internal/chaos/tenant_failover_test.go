@@ -32,7 +32,7 @@ type tenantPrimary struct {
 // clone of its trained model, served beside it by one server.
 func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 	t.Helper()
-	p := &tenantPrimary{def: newReplPrimary(t)}
+	p := &tenantPrimary{def: openReplPrimary(t)}
 	var buf bytes.Buffer
 	if err := p.def.cm.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -48,9 +48,8 @@ func newTenantPrimary(t *testing.T) (*tenantPrimary, *httptest.Server) {
 		Seed: seedOf(p.def.d, m),
 	})
 	p.acme.db, p.acme.mgr, p.acme.cm = acme.DB, acme.Manager, acme.Model
-	// newReplPrimary already serves the default tenant alone, but a node
-	// is described whole, so serve a fresh one over both slices.
-	return p, serve(t, p.def.sl.Node(acme))
+	p.def.start(t, acme)
+	return p, p.def.ts
 }
 
 // startTenantFollower runs one warm standby per tenant — each replica

@@ -57,28 +57,11 @@ func (a api) Selections(ctx context.Context, tasks []crowddb.SubmitRequest) (cro
 }
 
 // SelectionsScored is Selections with include_scores set: each result
-// carries the workers' Eq. 1 scores, parallel to the ranking. Scored
-// selections are the text leg of scatter-gather — scores are what
-// make per-shard top-k lists mergeable.
+// carries the workers' Eq. 1 scores, parallel to the ranking — what
+// makes per-shard top-k lists mergeable. A Router's own legs are
+// pre-encoded and sent by Multi.leg.
 func (a api) SelectionsScored(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
 	return a.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, IncludeScores: true})
-}
-
-// SelectionsProjected is SelectionsScored with include_categories set:
-// the response also carries each task's projected category and the
-// server's category version — the projecting leg of a fleet selection.
-func (a api) SelectionsProjected(ctx context.Context, tasks []crowddb.SubmitRequest) (crowddb.SelectionsResponse, error) {
-	return a.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, IncludeScores: true, IncludeCategories: true})
-}
-
-// SelectionsByCategory asks for scored selections against categories
-// another node projected (SelectionsProjected) instead of task texts —
-// the score-only leg of a fleet selection. tasks carry k only. A server
-// whose category parameters are not the ones version names refuses with
-// 409 category_mismatch: the shard's answer, not an endpoint fault, so
-// a Multi returns it without failing over.
-func (a api) SelectionsByCategory(ctx context.Context, tasks []crowddb.SubmitRequest, categories [][]float64, version string) (crowddb.SelectionsResponse, error) {
-	return a.selections(ctx, crowddb.BatchSubmitRequest{Tasks: tasks, Categories: categories, CategoryVersion: version})
 }
 
 // SkillFeedback folds feedback scores into the posteriors of workers

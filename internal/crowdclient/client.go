@@ -461,19 +461,29 @@ func (c *Client) Do(ctx context.Context, method, path string, body any) ([]byte,
 		}
 		payload = b
 	}
+	var out bytes.Buffer
+	if err := c.exchange(ctx, method, path, payload, &out); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// exchange sends payload on the canonical path through do and reads the
+// answer into buf. A non-2xx answer is its *APIError.
+func (c *Client) exchange(ctx context.Context, method, path string, payload []byte, buf *bytes.Buffer) error {
 	resp, err := c.do(ctx, method, c.base+c.scopePath(path), idempotent(method, path), payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
 	}
 	if resp.StatusCode >= 300 {
-		return nil, apiError(resp, out)
+		return apiError(resp, buf.Bytes())
 	}
-	return out, nil
+	return nil
 }
 
 // apiError builds the *APIError for a non-2xx response, decoding the

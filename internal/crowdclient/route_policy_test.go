@@ -12,6 +12,7 @@ import (
 
 	"crowdselect/internal/clock"
 	"crowdselect/internal/crowddb"
+	"crowdselect/internal/selcodec"
 )
 
 // policyNode fakes one copy of a crowdd for the route-policy contract.
@@ -67,20 +68,16 @@ func TestMultiRoutePolicyMatchesRouteTable(t *testing.T) {
 	ctx := context.Background()
 	tasks := []crowddb.SubmitRequest{{Text: "route policy", K: 2}}
 	scores := map[int]float64{1: 5}
-	calls := []struct {
+	type row struct {
 		name string
 		read bool // any copy may serve it and it may be repeated
 		do   func(m *Multi) error
-	}{
+	}
+	calls := []row{
 		{"SubmitTask", false, func(m *Multi) error { _, err := m.SubmitTask(ctx, "t", 2); return err }},
 		{"SubmitBatch", false, func(m *Multi) error { _, err := m.SubmitBatch(ctx, tasks); return err }},
 		{"Selections", true, func(m *Multi) error { _, err := m.Selections(ctx, tasks); return err }},
 		{"SelectionsScored", true, func(m *Multi) error { _, err := m.SelectionsScored(ctx, tasks); return err }},
-		{"SelectionsProjected", true, func(m *Multi) error { _, err := m.SelectionsProjected(ctx, tasks); return err }},
-		{"SelectionsByCategory", true, func(m *Multi) error {
-			_, err := m.SelectionsByCategory(ctx, tasks, [][]float64{{1}}, "v")
-			return err
-		}},
 		{"SkillFeedback", false, func(m *Multi) error { return m.SkillFeedback(ctx, 3, "t", scores) }},
 		{"Topology", true, func(m *Multi) error { _, err := m.Topology(ctx); return err }},
 		{"GetTask", true, func(m *Multi) error { _, err := m.GetTask(ctx, 3); return err }},
@@ -105,6 +102,18 @@ func TestMultiRoutePolicyMatchesRouteTable(t *testing.T) {
 		t.Fatalf("the contract lists %d calls, the shared surface has %d", len(calls), surface.NumMethod())
 	}
 
+	// A Router's legs leave through Multi.leg, beside the shared surface,
+	// on the same row.
+	projecting := selcodec.AppendTextLeg(nil, []string{"route policy"}, []int{2}, true)
+	scoreOnly, err := selcodec.AppendCategoryLeg(nil, []int{2}, []float64{1}, 1, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs := []row{
+		{"ProjectingLeg", true, func(m *Multi) error { return m.leg(ctx, projecting, new(leg)) }},
+		{"ScoreOnlyLeg", true, func(m *Multi) error { return m.leg(ctx, scoreOnly, new(leg)) }},
+	}
+
 	pair := func(t *testing.T, mode string, write bool) (*Multi, *policyNode, *policyNode) {
 		primary := newPolicyNode(t, mode, nil, write)
 		replica := newPolicyNode(t, "ok", primary, write)
@@ -117,7 +126,7 @@ func TestMultiRoutePolicyMatchesRouteTable(t *testing.T) {
 		}
 		return m, primary, replica
 	}
-	for _, c := range calls {
+	for _, c := range append(calls, legs...) {
 		t.Run(c.name, func(t *testing.T) {
 			m, primary, replica := pair(t, "ok", !c.read)
 			for i := 0; i < 2; i++ {

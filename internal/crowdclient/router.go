@@ -10,7 +10,7 @@ import (
 
 	"crowdselect/internal/core"
 	"crowdselect/internal/crowddb"
-	"crowdselect/internal/rank"
+	"crowdselect/internal/selcodec"
 )
 
 // Router is the shard-aware front door to a horizontally-partitioned
@@ -270,36 +270,9 @@ func (r *Router) call(ctx context.Context, method, path string, body, out any) e
 	return m.call(ctx, method, path, body, out)
 }
 
-// checkLeg validates the shape of one shard's scored response where it
-// is received, so the merge can index it blindly: one result per task,
-// one score per worker and, on the projecting leg, one category per
-// task, all of one non-zero length.
-func checkLeg(resp *crowddb.SelectionsResponse, tasks int, projecting bool) error {
-	if len(resp.Results) != tasks {
-		return fmt.Errorf("malformed response: %d results for %d tasks", len(resp.Results), tasks)
-	}
-	for t, res := range resp.Results {
-		if len(res.Scores) != len(res.Workers) {
-			return fmt.Errorf("malformed response: task %d has %d scores for %d workers", t, len(res.Scores), len(res.Workers))
-		}
-	}
-	if !projecting {
-		return nil
-	}
-	if len(resp.Categories) != tasks || resp.CategoryVersion == "" {
-		return fmt.Errorf("malformed response: %d categories for %d tasks, version %q", len(resp.Categories), tasks, resp.CategoryVersion)
-	}
-	for t, cat := range resp.Categories {
-		if len(cat) == 0 || len(cat) != len(resp.Categories[0]) {
-			return fmt.Errorf("malformed response: category %d has %d components, category 0 has %d", t, len(cat), len(resp.Categories[0]))
-		}
-	}
-	return nil
-}
-
 // scatterScored runs one selection batch over the fleet in two phases
-// and returns the per-shard scored responses (nil for shards that
-// failed) plus the selector name.
+// and returns the scatter holding every shard's leg (ok or failed) plus
+// the selector name; the caller merges and releases it.
 //
 // Phase 1: one shard — rotating per call, the next in rotation when it
 // fails — gets the texts, and answers its own scored lists plus the
@@ -310,97 +283,77 @@ func checkLeg(resp *crowddb.SelectionsResponse, tasks int, projecting bool) erro
 // have computed from the text. A shard whose category parameters differ
 // refuses with category_mismatch and gets that leg again as text.
 //
-// A leg that fails or answers a malformed response is that shard's
-// error: it is counted in Partials and the selection degrades to the
-// other shards' candidates; only a selection no shard answered fails.
-func (r *Router) scatterScored(ctx context.Context, tasks []crowddb.SubmitRequest) ([]*crowddb.SelectionsResponse, string, error) {
+// Every body is encoded by selcodec, byte for byte what json.Marshal
+// writes, and posted by Multi.leg. A leg that fails or answers a
+// malformed response is that shard's error: it is counted in Partials
+// and the selection degrades to the other shards' candidates; only a
+// selection no shard answered fails.
+func (r *Router) scatterScored(ctx context.Context, tasks []crowddb.SubmitRequest) (*scatter, string, error) {
 	shards := r.snapshotShards()
-	out := make([]*crowddb.SelectionsResponse, len(shards))
-	errs := make([]error, len(shards))
+	sc := newScatter(tasks, len(shards))
+	sc.projecting = selcodec.AppendTextLeg(sc.projecting[:0], sc.texts, sc.ks, true)
 
-	var projected *crowddb.SelectionsResponse
+	var projected *selcodec.Response
 	start := nextIndex(&r.rrProject, len(shards))
 	for i := 0; i < len(shards) && projected == nil; i++ {
 		idx := (start + i) % len(shards)
-		resp, err := shards[idx].SelectionsProjected(ctx, tasks)
+		l := &sc.legs[idx]
+		err := shards[idx].leg(ctx, sc.projecting, l)
 		if err == nil {
-			err = checkLeg(&resp, len(tasks), true)
+			err = checkLeg(&l.resp, len(tasks), true)
 		}
 		if err != nil {
-			errs[idx] = fmt.Errorf("shard %d: %w", idx, err)
+			l.err = fmt.Errorf("shard %d: %w", idx, err)
 			continue
 		}
-		out[idx], projected = &resp, &resp
+		l.ok, projected = true, &l.resp
 	}
 	if projected == nil {
+		errs := make([]error, len(sc.legs))
+		for i := range sc.legs {
+			errs[i] = sc.legs[i].err
+		}
+		sc.release()
 		return nil, "", fmt.Errorf("selection failed on every shard: %w", errors.Join(errs...))
 	}
 
-	scoreOnly := make([]crowddb.SubmitRequest, len(tasks)) // the tasks without their texts
-	for i, t := range tasks {
-		scoreOnly[i].K = t.K
-	}
+	var encErr error
+	sc.scoreOnly, encErr = selcodec.AppendCategoryLeg(sc.scoreOnly[:0], sc.ks, projected.Cats, projected.Dim, projected.Version)
 	var wg sync.WaitGroup
 	for idx, m := range shards {
-		if out[idx] != nil || errs[idx] != nil {
+		l := &sc.legs[idx]
+		if l.ok || l.err != nil {
 			continue // phase 1 already has this shard's answer
 		}
 		wg.Add(1)
-		go func(idx int, m *Multi) {
+		go func() {
 			defer wg.Done()
-			resp, err := m.SelectionsByCategory(ctx, scoreOnly, projected.Categories, projected.CategoryVersion)
+			err := encErr
+			if err == nil {
+				err = m.leg(ctx, sc.scoreOnly, l)
+			}
 			if errors.Is(err, core.ErrCategoryVersion) {
 				r.fallbacks.Add(1)
-				resp, err = m.SelectionsScored(ctx, tasks)
+				l.text = selcodec.AppendTextLeg(l.text[:0], sc.texts, sc.ks, false)
+				err = m.leg(ctx, l.text, l)
 			}
 			if err == nil {
-				err = checkLeg(&resp, len(tasks), false)
+				err = checkLeg(&l.resp, len(tasks), false)
 			}
 			if err != nil {
-				errs[idx] = fmt.Errorf("shard %d: %w", idx, err)
+				l.err = fmt.Errorf("shard %d: %w", idx, err)
 				return
 			}
-			out[idx] = &resp
-		}(idx, m)
+			l.ok = true
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i := range sc.legs {
+		if sc.legs[i].err != nil {
 			r.partials.Add(1)
 		}
 	}
-	return out, projected.Model, nil
-}
-
-// mergeScattered folds the per-shard scored responses into one global
-// top-k list per task, in request order.
-func mergeScattered(legs []*crowddb.SelectionsResponse, tasks []crowddb.SubmitRequest) []crowddb.SelectionResult {
-	results := make([]crowddb.SelectionResult, len(tasks))
-	for t := range tasks {
-		var lists [][]rank.Item
-		for _, leg := range legs {
-			if leg == nil {
-				continue
-			}
-			res := leg.Results[t]
-			items := make([]rank.Item, len(res.Workers))
-			for i, w := range res.Workers {
-				items[i] = rank.Item{ID: w, Score: res.Scores[i]}
-			}
-			lists = append(lists, items)
-		}
-		merged := rank.MergeTopK(lists, tasks[t].K)
-		sel := crowddb.SelectionResult{
-			Workers: make([]int, len(merged)),
-			Scores:  make([]float64, len(merged)),
-		}
-		for i, it := range merged {
-			sel.Workers[i] = it.ID
-			sel.Scores[i] = it.Score
-		}
-		results[t] = sel
-	}
-	return results
+	return sc, projected.Model, nil
 }
 
 // checkExplicitK enforces the Router's one extra contract over the
@@ -424,11 +377,12 @@ func (r *Router) Selections(ctx context.Context, tasks []crowddb.SubmitRequest) 
 	if err := checkExplicitK(tasks); err != nil {
 		return crowddb.SelectionsResponse{}, err
 	}
-	legs, model, err := r.scatterScored(ctx, tasks)
+	sc, model, err := r.scatterScored(ctx, tasks)
 	if err != nil {
 		return crowddb.SelectionsResponse{}, err
 	}
-	return crowddb.SelectionsResponse{Results: mergeScattered(legs, tasks), Model: model}, nil
+	defer sc.release()
+	return crowddb.SelectionsResponse{Results: sc.merge(), Model: model}, nil
 }
 
 // SubmitBatch stores a batch of tasks on one home shard with the crowd
@@ -439,11 +393,12 @@ func (r *Router) SubmitBatch(ctx context.Context, reqs []crowddb.SubmitRequest) 
 	if err := checkExplicitK(reqs); err != nil {
 		return nil, err
 	}
-	legs, _, err := r.scatterScored(ctx, reqs)
+	sc, _, err := r.scatterScored(ctx, reqs)
 	if err != nil {
 		return nil, err
 	}
-	merged := mergeScattered(legs, reqs)
+	merged := sc.merge()
+	sc.release()
 	pre := make([]crowddb.SubmitRequest, len(reqs))
 	for i, req := range reqs {
 		if len(merged[i].Workers) == 0 {

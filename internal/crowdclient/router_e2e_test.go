@@ -17,6 +17,7 @@ import (
 	"crowdselect/internal/core"
 	"crowdselect/internal/corpus"
 	"crowdselect/internal/crowddb"
+	"crowdselect/internal/selcodec"
 )
 
 // fleetFixture is a single-node reference service plus an N-shard
@@ -304,30 +305,31 @@ func routerFallsBackToText(t *testing.T, makeOdd func(*core.ConcurrentModel)) {
 	makeOdd(f.nodes[2].cm)
 
 	// The refusal, seen directly.
-	projected, err := New(f.shards[0].URL, Options{}).SelectionsProjected(ctx, reqs)
+	sc := newScatter(reqs, len(f.shards))
+	projected := new(leg)
+	if err := New(f.shards[0].URL, Options{}).leg(ctx, selcodec.AppendTextLeg(nil, sc.texts, sc.ks, true), projected); err != nil {
+		t.Fatal(err)
+	}
+	p := &projected.resp
+	scoreOnly, err := selcodec.AppendCategoryLeg(nil, sc.ks, p.Cats, p.Dim, p.Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := make([]crowddb.SubmitRequest, len(reqs))
-	for i := range ks {
-		ks[i].K = reqs[i].K
-	}
-	_, err = New(f.shards[2].URL, Options{}).SelectionsByCategory(ctx, ks, projected.Categories, projected.CategoryVersion)
+	err = New(f.shards[2].URL, Options{}).leg(ctx, scoreOnly, new(leg))
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict || ae.Code != "category_mismatch" {
 		t.Fatalf("perturbed shard answered %v, want 409 category_mismatch", err)
 	}
 
 	// What a text scatter gives: every shard ranks the texts itself.
-	legs := make([]*crowddb.SelectionsResponse, len(f.shards))
 	for i, hs := range f.shards {
-		resp, err := New(hs.URL, Options{}).SelectionsScored(ctx, reqs)
-		if err != nil {
+		if err := New(hs.URL, Options{}).leg(ctx, selcodec.AppendTextLeg(nil, sc.texts, sc.ks, false), &sc.legs[i]); err != nil {
 			t.Fatal(err)
 		}
-		legs[i] = &resp
+		sc.legs[i].ok = true
 	}
-	want := mergeScattered(legs, reqs)
+	want := sc.merge()
+	sc.release()
 
 	before := [3]uint64{}
 	for i, n := range f.nodes {
@@ -401,38 +403,42 @@ func TestSelectionsByCategoryRefusesMalformedRequests(t *testing.T) {
 	ctx := context.Background()
 	c := New(f.shards[0].URL, Options{})
 	reqs := f.requests(2, 3)
-	projected, err := c.SelectionsProjected(ctx, reqs)
-	if err != nil {
+	projected := new(leg)
+	if err := c.leg(ctx, selcodec.AppendTextLeg(nil, []string{reqs[0].Text, reqs[1].Text}, []int{3, 3}, true), projected); err != nil {
 		t.Fatal(err)
 	}
-	ks := []crowddb.SubmitRequest{{K: 3}, {K: 3}}
-	cats, version := projected.Categories, projected.CategoryVersion
-	for name, call := range map[string]func() error{
-		"wrong length": func() error {
-			_, err := c.SelectionsByCategory(ctx, ks, [][]float64{cats[0][:2], cats[1]}, version)
-			return err
-		},
-		"one category for two tasks": func() error {
-			_, err := c.SelectionsByCategory(ctx, ks, cats[:1], version)
-			return err
-		},
-		"missing version": func() error {
-			_, err := c.SelectionsByCategory(ctx, ks, cats, "")
-			return err
-		},
-		"categories beside texts": func() error {
-			_, err := c.SelectionsByCategory(ctx, reqs, cats, version)
-			return err
-		},
+	ks := []int{3, 3}
+	p := &projected.resp
+	cats, dim, version := p.Cats, p.Dim, p.Version
+	marshal := func(req crowddb.BatchSubmitRequest) []byte {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	scoreOnly := func(cats []float64, version string) []byte {
+		b, err := selcodec.AppendCategoryLeg(nil, ks, cats, dim, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	blank := []crowddb.SubmitRequest{{K: 3}, {K: 3}}
+	for name, body := range map[string][]byte{
+		"wrong length":               marshal(crowddb.BatchSubmitRequest{Tasks: blank, Categories: [][]float64{cats[:2], cats[dim : 2*dim]}, CategoryVersion: version}),
+		"one category for two tasks": scoreOnly(cats[:dim], version),
+		"missing version":            scoreOnly(cats, ""),
+		"categories beside texts":    marshal(crowddb.BatchSubmitRequest{Tasks: reqs, Categories: [][]float64{cats[:dim], cats[dim:]}, CategoryVersion: version}),
 	} {
 		var ae *APIError
-		if err := call(); !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
+		if err := c.leg(ctx, body, new(leg)); !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %v, want 400", name, err)
 		}
 	}
 	// A non-finite value cannot leave this process as JSON at all; the
 	// server's decoder refusing one is crowddb's TestSelectionsByCategory.
-	if _, err := c.SelectionsByCategory(ctx, ks, [][]float64{{math.NaN()}, cats[1]}, version); err == nil {
+	if _, err := selcodec.AppendCategoryLeg(nil, ks, append([]float64{math.NaN()}, cats[1:]...), dim, version); err == nil {
 		t.Error("a NaN category was sent")
 	}
 }

@@ -3,6 +3,7 @@ package crowddb
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -315,6 +316,229 @@ func FuzzSelectionsResponseMatchesEncoder(f *testing.F) {
 			t.Fatalf("%+v:\nwriter  %q\nencoder %q", resp, got[4:], want.Bytes())
 		}
 	})
+}
+
+// FuzzRouterLegMatchesMarshal holds a router's leg writers to
+// json.Marshal of the BatchSubmitRequest they stand for, byte for byte:
+// the projecting leg and the text leg over any texts and any ks, and the
+// score-only leg over any category bits, row shapes and version, failing
+// exactly when json.Marshal does. texts are split at NUL bytes; data
+// supplies the ks, the row count and length, and the components.
+func FuzzRouterLegMatchesMarshal(f *testing.F) {
+	float := func(x float64) []byte { return binary.BigEndian.AppendUint64(nil, math.Float64bits(x)) }
+	seed := func(texts, version string, ks []uint64, rows, dim byte, xs ...float64) {
+		var data []byte
+		for _, k := range ks {
+			data = binary.BigEndian.AppendUint64(data, k)
+		}
+		data = append(data, rows, dim)
+		for _, x := range xs {
+			data = append(data, float(x)...)
+		}
+		f.Add(texts, version, data)
+	}
+	seed("b trees and hash indexes\x00a", "0123abcd", []uint64{10, 3}, 2, 3, 0.5, -0.25, 1e-7, 1e21, math.Copysign(0, -1), 5e-324)
+	seed("say \"b trees\"\x00c:\\tmp\x00tab\there", "v", []uint64{1, 2, 3}, 1, 1, 1)
+	seed("a<b && c>d\x00café\x00\u2028\x00bad \xff utf-8\x00", "v\u00e9<>&", []uint64{0, 999999999, 1 << 40, math.MaxUint64, 7}, 3, 2, 123456789e300, -1e-310, 2.5e-8, 1e20, 0, 1)
+	seed("", "", []uint64{5}, 0, 0)
+	seed("nan\x00inf", "v", []uint64{1, 1}, 1, 2, math.NaN(), 1)
+	seed("inf", "v", []uint64{1}, 1, 1, math.Inf(-1))
+	f.Fuzz(func(t *testing.T, joined, version string, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		word := func() uint64 {
+			var w uint64
+			for range 8 {
+				w = w<<8 | uint64(next())
+			}
+			return w
+		}
+		texts := strings.Split(joined, "\x00")
+		ks := make([]int, len(texts))
+		tasks, blank := make([]SubmitRequest, len(texts)), make([]SubmitRequest, len(texts))
+		for i, text := range texts {
+			ks[i] = int(word())
+			tasks[i], blank[i] = SubmitRequest{Text: text, K: ks[i]}, SubmitRequest{K: ks[i]}
+		}
+		for _, cats := range []bool{false, true} {
+			want, err := json.Marshal(BatchSubmitRequest{Tasks: tasks, IncludeScores: true, IncludeCategories: cats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := selcodec.AppendTextLeg([]byte("kept"), texts, ks, cats); string(got) != "kept"+string(want) {
+				t.Fatalf("text leg (categories %v):\nwriter  %q\nmarshal %q", cats, got[4:], want)
+			}
+		}
+		rows, dim := int(next()%4), 1+int(next()%4)
+		var flat []float64
+		var cats [][]float64
+		for range rows {
+			for range dim {
+				flat = append(flat, math.Float64frombits(word()))
+			}
+			cats = append(cats, flat[len(flat)-dim:])
+		}
+		want, wantErr := json.Marshal(BatchSubmitRequest{Tasks: blank, Categories: cats, CategoryVersion: version})
+		got, err := selcodec.AppendCategoryLeg([]byte("kept"), ks, flat, dim, version)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%v %q: writer error %v, marshal error %v", cats, version, err, wantErr)
+		}
+		if err == nil && string(got) != "kept"+string(want) {
+			t.Fatalf("score-only leg:\nwriter  %q\nmarshal %q", got[4:], want)
+		}
+	})
+}
+
+// FuzzSelectionsResponseScanMatchesUnmarshal holds a router's response
+// scanner to encoding/json: whatever body it accepts, json.Unmarshal
+// into SelectionsResponse accepts too, with the same ids, the same score
+// and category bits, the same model and version. And the scanner is not
+// idle: whenever a body decodes to a response AppendResponse could
+// write with scores, AppendResponse's bytes of it are scanned. The seeds
+// are AppendResponse's four forms — ids only, which must be refused,
+// with scores, the projecting leg's answer and the score-only leg's —
+// and near misses.
+func FuzzSelectionsResponseScanMatchesUnmarshal(f *testing.F) {
+	ranked := [][]rank.Item{{{ID: 3, Score: 0.5}, {ID: 17, Score: -0.25}}, nil, {{ID: 0, Score: 1e21}, {ID: 999999999, Score: 5e-324}, {ID: 4, Score: math.Copysign(0, -1)}}}
+	cats := [][]float64{{0.5, 1e-7}, {-3, 2}, {1e300, 0}}
+	for _, form := range []struct {
+		scores  bool
+		cats    [][]float64
+		version string
+	}{{false, nil, ""}, {true, nil, ""}, {true, cats, "0123abcd"}, {true, nil, ""}} {
+		body, err := selcodec.AppendResponse(nil, ranked, form.scores, "TDPM", form.cats, form.version)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range []string{
+		`{"results":[],"model":"m"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m"}` + "\n",
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m","category_version":"v"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m","categories":[[1]]}`,
+		`{"results":[{"workers":[],"scores":[]}],"model":"m"}`,
+		`{"results":[{"workers":[1,2],"scores":[1]}],"model":"m"}`,
+		`{"results":[{"workers":[1],"scores":[1,2]}],"model":"m"}`,
+		`{"results":[{"workers":[-1],"scores":[1]}],"model":"m"}`,
+		`{"results":[{"workers":[01],"scores":[1]}],"model":"m"}`,
+		`{"results":[{"workers":[1000000000],"scores":[1]}],"model":"m"}`,
+		`{"results":[{"workers":[1],"scores":[1e999]}],"model":"m"}`,
+		`{"results":[{"workers":[1],"scores":[1e-400]}],"model":"m"}`,
+		`{"results":[{"workers":[1],"scores":[1.]}],"model":"m"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m","categories":[[1,2],[3]],"category_version":"v"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m","categories":[null],"category_version":"v"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m","categories":[[]],"category_version":"v"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m\u0041"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m\u003c"}`,
+		"{\"results\":[{\"workers\":[1],\"scores\":[1]}],\"model\":\"m\xff\"}",
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"é"}`,
+		`{"results": [{"workers":[1],"scores":[1]}],"model":"m"}`,
+		`{"model":"m","results":[{"workers":[1],"scores":[1]}]}`,
+		`{"results":[{"scores":[1],"workers":[1]}],"model":"m"}`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m"}x`,
+		`{"results":[{"workers":[1],"scores":[1]}],"model":"m"}` + "\n\n",
+		`{"results":null,"model":"m"}`,
+		`{"error":{"code":"category_mismatch","message":"core: category version mismatch"}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var scan selcodec.Response
+		if scan.Scan(body) {
+			var resp SelectionsResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatalf("scanned %q, which json.Unmarshal refuses: %v", body, err)
+			}
+			checkScannedResponse(t, body, &scan, resp)
+		}
+		var resp SelectionsResponse
+		if json.Unmarshal(body, &resp) != nil {
+			return
+		}
+		ranked, ok := scoredShape(resp)
+		if !ok {
+			return
+		}
+		canon, err := selcodec.AppendResponse(nil, ranked, true, resp.Model, resp.Categories, resp.CategoryVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !scan.Scan(canon) {
+			t.Fatalf("AppendResponse's %q was not scanned", canon)
+		}
+		var again SelectionsResponse
+		if err := json.Unmarshal(canon, &again); err != nil {
+			t.Fatal(err)
+		}
+		checkScannedResponse(t, canon, &scan, again)
+	})
+}
+
+// checkScannedResponse holds a scanned response to what json.Unmarshal
+// decoded.
+func checkScannedResponse(t *testing.T, body []byte, scan *selcodec.Response, resp SelectionsResponse) {
+	t.Helper()
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	if len(scan.Ends) != len(resp.Results) || scan.Model != resp.Model || scan.Version != resp.CategoryVersion {
+		t.Fatalf("%q: scanned %d results, model %q, version %q; json.Unmarshal gave %+v", body, len(scan.Ends), scan.Model, scan.Version, resp)
+	}
+	for i, res := range resp.Results {
+		ids, scores := scan.Result(i)
+		if !slices.Equal(ids, res.Workers) || !same(scores, res.Scores) {
+			t.Fatalf("%q: result %d scanned %v %v, json.Unmarshal %+v", body, i, ids, scores, res)
+		}
+	}
+	if len(resp.Categories) == 0 {
+		if len(scan.Cats) != 0 || scan.Dim != 0 {
+			t.Fatalf("%q: scanned categories %v of %d, json.Unmarshal none", body, scan.Cats, scan.Dim)
+		}
+		return
+	}
+	if len(scan.Cats) != len(resp.Categories)*scan.Dim {
+		t.Fatalf("%q: scanned %d components of %d, json.Unmarshal %d rows", body, len(scan.Cats), scan.Dim, len(resp.Categories))
+	}
+	for i, row := range resp.Categories {
+		if got := scan.Cats[i*scan.Dim : (i+1)*scan.Dim]; !same(got, row) {
+			t.Fatalf("%q: category %d scanned %v, json.Unmarshal %v", body, i, got, row)
+		}
+	}
+}
+
+// scoredShape reports a response AppendResponse writes with scores in
+// a form Response.Scan must read, and its rankings: one score per
+// worker, ids of at most nine digits, category rows of one non-zero
+// length and a model and version json.Marshal writes unescaped.
+func scoredShape(resp SelectionsResponse) ([][]rank.Item, bool) {
+	if !unescaped(resp.Model) || !unescaped(resp.CategoryVersion) {
+		return nil, false
+	}
+	for _, row := range resp.Categories {
+		if len(row) == 0 || len(row) != len(resp.Categories[0]) {
+			return nil, false
+		}
+	}
+	ranked := make([][]rank.Item, len(resp.Results))
+	for i, res := range resp.Results {
+		if len(res.Scores) != len(res.Workers) {
+			return nil, false
+		}
+		for j, id := range res.Workers {
+			if id < 0 || id > 999999999 {
+				return nil, false
+			}
+			ranked[i] = append(ranked[i], rank.Item{ID: id, Score: res.Scores[j]})
+		}
+	}
+	return ranked, true
 }
 
 // TestSelectionsPoolIsNotShared is the aliasing oracle of the pooled

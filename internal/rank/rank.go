@@ -5,6 +5,7 @@
 package rank
 
 import (
+	"cmp"
 	"slices"
 )
 
@@ -180,37 +181,46 @@ func siftDown(h []Item, i int) {
 // across lists keep their best score. Provided every list is itself a
 // top-k of a disjoint candidate subset under that order, the merge is
 // exactly TopK over the union — the merge-equivalence property the
-// sharded selection path relies on (DESIGN §11).
+// sharded selection path relies on (DESIGN §11). It is Merge over a
+// concatenation of the lists.
 func MergeTopK(lists [][]Item, k int) []Item {
-	if k <= 0 {
-		return nil
-	}
 	var n int
 	for _, l := range lists {
 		n += len(l)
 	}
-	if n == 0 {
+	if k <= 0 || n == 0 {
 		return nil
 	}
-	at := make(map[int]int, n) // id → index in merged
-	merged := make([]Item, 0, n)
+	items := make([]Item, 0, n)
 	for _, l := range lists {
-		for _, it := range l {
-			if i, ok := at[it.ID]; ok {
-				if before(it, merged[i]) {
-					merged[i] = it
-				}
-				continue
-			}
-			at[it.ID] = len(merged)
-			merged = append(merged, it)
+		items = append(items, l...)
+	}
+	return Merge(items, k)
+}
+
+// Merge ranks items in place and returns the first min(k, distinct ids)
+// of them, each id once with its best score: items sorted by id, the
+// best of each id kept, and the survivors sorted by the total order.
+// Two sorts keep it O(n log n) for any k, whole-crowd lists included;
+// it allocates nothing.
+func Merge(items []Item, k int) []Item {
+	slices.SortFunc(items, func(a, b Item) int {
+		if a.ID != b.ID {
+			return cmp.Compare(a.ID, b.ID)
+		}
+		return order(a, b)
+	})
+	n := 0
+	for _, it := range items {
+		if n == 0 || it.ID != items[n-1].ID {
+			items[n] = it
+			n++
 		}
 	}
-	sortItems(merged)
-	if k > len(merged) {
-		k = len(merged)
-	}
-	return merged[:k:k]
+	items = items[:n]
+	sortItems(items)
+	n = max(0, min(k, n))
+	return items[:n:n]
 }
 
 // IDs projects a scored list onto its ids, best first.
@@ -230,14 +240,15 @@ func RankAll(candidates []int, score func(id int) float64) []int {
 	return TopK(candidates, score, len(candidates))
 }
 
-func sortItems(items []Item) {
-	slices.SortFunc(items, func(a, b Item) int {
-		switch {
-		case before(a, b):
-			return -1
-		case before(b, a):
-			return 1
-		}
-		return 0
-	})
+func sortItems(items []Item) { slices.SortFunc(items, order) }
+
+// order is before as a three-way comparison.
+func order(a, b Item) int {
+	switch {
+	case before(a, b):
+		return -1
+	case before(b, a):
+		return 1
+	}
+	return 0
 }

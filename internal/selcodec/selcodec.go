@@ -1,14 +1,18 @@
 // Package selcodec is the hand codec of POST /api/v1/selections, the
-// request every selection and every fleet leg sends. AppendResponse
-// writes each selections response byte for byte as encoding/json would,
-// straight from rankings held in a rank.Arena; Request.Scan reads every
-// compact body — a plain text request, the same with include_scores or
-// with include_scores and include_categories, and the score-only leg —
-// in place: texts as windows of the body, categories into one flat
-// slice. Neither allocates once its caller's buffers have grown, and the
-// scanner accepts only the compact shapes json.Marshal writes of plain
-// ASCII: every other body is left to encoding/json, so the wire is the
-// one encoding/json defines.
+// request every selection and every fleet leg sends, at both ends of the
+// wire. The server's half: AppendResponse writes each selections
+// response byte for byte as encoding/json would, straight from rankings
+// held in a rank.Arena, and Request.Scan reads every compact body — a
+// plain text request, the same with include_scores or with
+// include_scores and include_categories, and the score-only leg — in
+// place: texts as windows of the body, categories into one flat slice.
+// A fleet router's half: AppendTextLeg and AppendCategoryLeg write its
+// three legs byte for byte as json.Marshal would, and Response.Scan
+// reads a scored answer into flat ids, scores and categories. None of
+// them allocates once its caller's buffers have grown, and each scanner
+// accepts only the compact shapes its writer produces of plain ASCII:
+// every other body is left to encoding/json, so the wire is the one
+// encoding/json defines.
 package selcodec
 
 import (
@@ -73,16 +77,9 @@ func AppendResponse(dst []byte, ranked [][]rank.Item, scores bool, model string,
 				dst = append(dst, "null"...)
 				continue
 			}
-			dst = append(dst, '[')
-			for j, v := range row {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				if dst, err = AppendFloat(dst, v); err != nil {
-					return dst, err
-				}
+			if dst, err = appendFloats(dst, row); err != nil {
+				return dst, err
 			}
-			dst = append(dst, ']')
 		}
 		dst = append(dst, ']')
 	}
@@ -111,6 +108,86 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 		dst = dst[:n-1]
 	}
 	return dst, nil
+}
+
+// appendFloats appends xs as a JSON array of numbers, failing as
+// AppendFloat fails.
+func appendFloats(dst []byte, xs []float64) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = AppendFloat(dst, x); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// AppendTextLeg appends the bytes json.Marshal writes for the
+// crowddb.BatchSubmitRequest of a fleet router's text leg: task i's
+// text and k are texts[i] and ks[i], include_scores is set and, on the
+// projecting leg (categories), include_categories too. Texts that are
+// not plain ASCII are escaped by encoding/json itself, as appendString
+// does; no task names workers.
+func AppendTextLeg(dst []byte, texts []string, ks []int, categories bool) []byte {
+	dst = appendTasks(dst, texts, ks)
+	dst = append(dst, `,"include_scores":true`...)
+	if categories {
+		dst = append(dst, `,"include_categories":true`...)
+	}
+	return append(dst, '}')
+}
+
+// AppendCategoryLeg appends the bytes json.Marshal writes for the
+// crowddb.BatchSubmitRequest of a fleet router's score-only leg:
+// len(ks) tasks with blank texts, their ks, the categories in cats —
+// dim components each, one row after another — and their version, each
+// of the last two omitted when empty, as there. It fails where
+// json.Marshal fails, on a component that is NaN or ±Inf.
+func AppendCategoryLeg(dst []byte, ks []int, cats []float64, dim int, version string) ([]byte, error) {
+	dst = appendTasks(dst, nil, ks)
+	if len(cats) > 0 {
+		dst = append(dst, `,"categories":[`...)
+		for i := 0; i < len(cats); i += dim {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = appendFloats(dst, cats[i:i+dim]); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if version != "" {
+		dst = append(dst, `,"category_version":`...)
+		dst = appendString(dst, version)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendTasks opens a request body with its tasks, {"text":T,"k":N}
+// each, T from texts or blank when texts is nil.
+func appendTasks(dst []byte, texts []string, ks []int) []byte {
+	dst = append(dst, `{"tasks":[`...)
+	for i, k := range ks {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"text":`...)
+		if texts != nil {
+			dst = appendString(dst, texts[i])
+		} else {
+			dst = append(dst, `""`...)
+		}
+		dst = append(dst, `,"k":`...)
+		dst = strconv.AppendInt(dst, int64(k), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
 }
 
 // appendString appends s as a JSON string. Printable ASCII that neither
@@ -221,25 +298,87 @@ func (r *Request) Scan(body []byte) bool {
 // scanCategories reads the score-only leg's rows and version, from the
 // first row to the version's closing quote, into r.
 func (r *Request) scanCategories(s *scanner) bool {
-	dim := 0
-	for more := true; more; {
-		if !s.lit("[") {
+	var dim int
+	var ok bool
+	if r.flat, dim, ok = s.rows(r.flat); !ok || !s.lit(`,"category_version":"`) {
+		return false
+	}
+	version := s.plain()
+	if !s.lit(`"`) {
+		return false
+	}
+	r.ByCategory, r.Version = true, reuse(&r.lastVersion, version)
+	for i := 0; i < len(r.flat); i += dim {
+		r.Cats = append(r.Cats, r.flat[i:i+dim:i+dim])
+	}
+	return true
+}
+
+// Response is a scored selections response as a fleet router reads it:
+// every result's worker ids and their scores, one result after another,
+// where each result ends, and, on the projecting leg, every task's
+// category in one flat slice, Dim components each, with the model and
+// the category version. A Response is reused across bodies, and all it
+// holds is its own: nothing is a window of the body.
+type Response struct {
+	Workers []int
+	Scores  []float64 // parallel to Workers
+	Ends    []int     // result t is Workers[Ends[t-1]:Ends[t]], from 0 for t = 0
+	Cats    []float64
+	Dim     int // components per category, 0 when there are none
+	Model   string
+	Version string
+
+	lastModel, lastVersion string // the strings a pooled Response scanned last
+}
+
+// Result returns result t's worker ids and their scores, best first.
+func (r *Response) Result(t int) ([]int, []float64) {
+	start := 0
+	if t > 0 {
+		start = r.Ends[t-1]
+	}
+	return r.Workers[start:r.Ends[t]], r.Scores[start:r.Ends[t]]
+}
+
+// Reset empties r for a body decoded some other way.
+func (r *Response) Reset() {
+	r.Workers, r.Scores, r.Ends, r.Cats = r.Workers[:0], r.Scores[:0], r.Ends[:0], r.Cats[:0]
+	r.Dim, r.Model, r.Version = 0, "", ""
+}
+
+// Scan reads body into r when it is exactly what AppendResponse writes
+// with scores,
+//
+//	{"results":[{"workers":[id,…],"scores":[x,…]},{"workers":null},…],"model":"m","categories":[[x,…],…],"category_version":"v"}
+//
+// with the categories and the version each optional, and the final
+// newline too — each result an empty one or as many scores as ids, each
+// id a plain non-negative integer of at most nine digits, each x a
+// number in strict JSON grammar that strconv.ParseFloat reads without a
+// range error, every category row of one non-zero length, and m and v
+// printable ASCII with no escape. It reports whether it did; r then
+// holds what json.Unmarshal decodes from body into
+// crowddb.SelectionsResponse, score and category bits included. On any
+// other body it reports false and r's contents are unspecified: such a
+// body — another server's shape, an unscored result, whitespace,
+// escapes, non-ASCII, null or ragged rows, numbers out of range,
+// trailing bytes — is for encoding/json to decode or refuse.
+func (r *Response) Scan(body []byte) bool {
+	s := scanner{b: body}
+	r.Reset()
+	if !s.lit(`{"results":[`) {
+		return false
+	}
+	for more := !s.lit("]"); more; {
+		if !s.lit(`{"workers":`) {
 			return false
 		}
-		start := len(r.flat)
-		for inRow := true; inRow; {
-			x, ok := s.float()
-			if !ok {
-				return false
-			}
-			r.flat = append(r.flat, x)
-			if inRow, ok = s.next(); !ok {
-				return false
-			}
+		if !s.lit("null") && !r.scanScored(&s) {
+			return false
 		}
-		if n := len(r.flat) - start; dim == 0 {
-			dim = n
-		} else if n != dim {
+		r.Ends = append(r.Ends, len(r.Workers))
+		if !s.lit("}") {
 			return false
 		}
 		var ok bool
@@ -247,21 +386,74 @@ func (r *Request) scanCategories(s *scanner) bool {
 			return false
 		}
 	}
-	if !s.lit(`,"category_version":"`) {
+	if !s.lit(`,"model":"`) {
 		return false
 	}
-	version := s.plain()
+	model := s.plain()
 	if !s.lit(`"`) {
 		return false
 	}
-	if string(version) != r.lastVersion { // a version a pooled Request saw last costs no string
-		r.lastVersion = string(version)
+	r.Model = reuse(&r.lastModel, model)
+	if s.lit(`,"categories":[`) {
+		var ok bool
+		if r.Cats, r.Dim, ok = s.rows(r.Cats); !ok {
+			return false
+		}
 	}
-	r.ByCategory, r.Version = true, r.lastVersion
-	for i := 0; i < len(r.flat); i += dim {
-		r.Cats = append(r.Cats, r.flat[i:i+dim:i+dim])
+	if s.lit(`,"category_version":"`) {
+		version := s.plain()
+		if !s.lit(`"`) {
+			return false
+		}
+		r.Version = reuse(&r.lastVersion, version)
 	}
-	return true
+	if !s.lit("}") {
+		return false
+	}
+	s.lit("\n")
+	return s.i == len(s.b)
+}
+
+// scanScored reads a non-empty result's ids and scores, from the ids'
+// opening bracket to the scores' closing one, into r.
+func (r *Response) scanScored(s *scanner) bool {
+	if !s.lit("[") {
+		return false
+	}
+	for more := true; more; {
+		id, ok := s.int()
+		if !ok {
+			return false
+		}
+		r.Workers = append(r.Workers, id)
+		if more, ok = s.next(); !ok {
+			return false
+		}
+	}
+	if !s.lit(`,"scores":[`) {
+		return false
+	}
+	for more := true; more; {
+		x, ok := s.float()
+		if !ok {
+			return false
+		}
+		r.Scores = append(r.Scores, x)
+		if more, ok = s.next(); !ok {
+			return false
+		}
+	}
+	return len(r.Scores) == len(r.Workers) // equal before this result too
+}
+
+// reuse returns b as a string: *last when that spells b, else a new
+// string, kept in *last. A pooled reader that meets one model or version
+// body after body pays for it once.
+func reuse(last *string, b []byte) string {
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
 }
 
 // plainInString reports a byte a JSON string may carry unescaped that
@@ -315,6 +507,37 @@ func (s *scanner) digits() int {
 		s.i++
 	}
 	return s.i - start
+}
+
+// rows consumes category rows of one non-zero length, from the first
+// row's bracket to the bracket that closes their array, appending every
+// component to flat; dim is the rows' length.
+func (s *scanner) rows(flat []float64) (_ []float64, dim int, ok bool) {
+	for more := true; more; {
+		if !s.lit("[") {
+			return flat, 0, false
+		}
+		start := len(flat)
+		for inRow := true; inRow; {
+			var x float64
+			if x, ok = s.float(); !ok {
+				return flat, 0, false
+			}
+			flat = append(flat, x)
+			if inRow, ok = s.next(); !ok {
+				return flat, 0, false
+			}
+		}
+		if n := len(flat) - start; dim == 0 {
+			dim = n
+		} else if n != dim {
+			return flat, 0, false
+		}
+		if more, ok = s.next(); !ok {
+			return flat, 0, false
+		}
+	}
+	return flat, dim, true
 }
 
 // int consumes a JSON integer of one to nine digits, no sign and no
