@@ -144,9 +144,9 @@ func AppendTextLeg(dst []byte, texts []string, ks []int, categories bool) []byte
 // AppendCategoryLeg appends the bytes json.Marshal writes for the
 // crowddb.BatchSubmitRequest of a fleet router's score-only leg:
 // len(ks) tasks with blank texts, their ks, the categories in cats —
-// dim components each, one row after another — and their version, each
-// of the last two omitted when empty, as there. It fails where
-// json.Marshal fails, on a component that is NaN or ±Inf.
+// dim components each, one row after another, dim > 0 — and their
+// version, each of the last two omitted when empty, as there. It fails
+// where json.Marshal fails, on a component that is NaN or ±Inf.
 func AppendCategoryLeg(dst []byte, ks []int, cats []float64, dim int, version string) ([]byte, error) {
 	dst = appendTasks(dst, nil, ks)
 	if len(cats) > 0 {
@@ -192,8 +192,9 @@ func appendTasks(dst []byte, texts []string, ks []int) []byte {
 
 // appendString appends s as a JSON string. Printable ASCII that neither
 // JSON nor encoding/json's HTML-safe escaping touches is copied; any
-// other string — model names and versions never are — goes through
-// encoding/json itself, so its escaping rules are never restated here.
+// other string — model names and versions never are, nor the texts the
+// tokenizer reads — goes through encoding/json itself, so its escaping
+// rules are never restated here.
 func appendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !plain(s[i]) {
